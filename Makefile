@@ -2,13 +2,14 @@
 
 GO ?= go
 
-.PHONY: all check build test test-short test-purego race chaos fuzz obs-smoke soak-smoke shard-chaos bench bench-json benchdiff bench-serve-json benchdiff-serve tables cover fmt vet clean
+.PHONY: all check build test test-short test-purego race chaos fuzz obs-smoke soak-smoke shard-chaos bench-test bench bench-json benchdiff bench-serve-json benchdiff-serve tables cover fmt vet clean
 
 all: build test
 
 # The default pre-merge gate: static analysis, the full suite, the race
-# detector over the concurrency tests, and the fault-injection chaos suite.
-check: vet test race chaos
+# detector over the concurrency tests, the fault-injection chaos suite, and
+# the benchmark harness's own tests.
+check: vet test race chaos bench-test
 
 build:
 	$(GO) build ./...
@@ -80,6 +81,14 @@ soak-smoke:
 shard-chaos:
 	$(GO) test -race -run TestShardChaosSmoke -v ./cmd/fastload
 	$(GO) test -race -run 'TestShard|TestIdemJournal|TestForward' -v ./cmd/fastd
+
+# The benchmark harness (benchmark/, BENCHMARK.json) is its own Go module, so
+# `go test ./...` at the root never descends into it — but its per-layer
+# probes import this module's internal/ packages. Running its tests here
+# (toy-size smoke run of every workload included) makes an internal/ rename
+# that breaks the harness fail the gate, not the next benchmark run.
+bench-test:
+	$(GO) test -C benchmark -short ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -149,6 +149,9 @@ type session struct {
 	plans *planCache // compiled-plan LRU keyed by Plan fingerprint
 	meta  fast.SessionMeta
 	idem  *idemTable // nil only for registry entries tests build by hand
+	// journal is the on-disk twin of idem (nil without a state dir): the
+	// store's writer state for <id>.idem — append offset and frame count.
+	journal *journal
 
 	// lruEl and lastUsed are guarded by the owning shard's mu (they move
 	// with that shard's LRU list); both stay zero when persistence is
@@ -157,8 +160,11 @@ type session struct {
 	lastUsed time.Time
 
 	mu           sync.Mutex
-	lastRecovery int  // Retries+Timeouts+Refetches watermark for breaker deltas
-	persisted    bool // on-disk snapshot is current (guards re-save on evict)
+	lastRecovery int // Retries+Timeouts+Refetches watermark for breaker deltas
+	// persisted: the on-disk snapshot + epoch sidecar describe this session
+	// (guards the full re-save on evict; cleared when a durability write —
+	// create-time snapshot or restore-time epoch — had degraded).
+	persisted bool
 }
 
 // faultRecoveryDelta returns the growth of the session's fault-recovery
@@ -627,7 +633,8 @@ func (d *daemon) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	// persistent write failure degrades to a resident-only session (counted
 	// and logged) rather than refusing service.
 	if d.store != nil {
-		sess.persisted = d.store.saveSnapshotRetry(fctx, sess.meta) == nil
+		sess.journal = d.store.journal(id)
+		sess.persisted = d.store.saveSnapshot(fctx, sess.meta) == nil
 	}
 
 	d.mu.Lock()

@@ -22,9 +22,10 @@ import (
 //	persisted  in d.persisted: snapshot on disk only — evicted under resident
 //	           pressure / idle TTL, not yet faulted in after a restart, or
 //	           migrated off a fenced shard;
-//	corrupt    in d.corrupt: the snapshot failed integrity validation; the ID
-//	           is tombstoned (410 Gone) so a bad file can never serve a wrong
-//	           decrypt, and the daemon keeps running.
+//	corrupt    in d.corrupt: the snapshot or its epoch sidecar failed
+//	           integrity validation; the ID is tombstoned (410 Gone) so a bad
+//	           file can never serve a wrong decrypt or reset the randomness
+//	           epoch, and the daemon keeps running.
 //
 // Transitions are lazy and request-driven: nothing is restored at startup
 // (scan() only recovers IDs), the first request for a persisted session pays
@@ -148,20 +149,36 @@ func (d *daemon) resolve(id string) (*evalShard, *session, error) {
 	}
 }
 
-// restoreSession rebuilds one session from its snapshot: checksum-verified
-// decode, a Restores bump (fresh encryptor randomness epoch — a restored
-// session must never replay pre-crash encryption randomness), key expansion
-// against the deterministically recompiled parameters, and an idempotency
-// table rebuilt from the journal. The bumped metadata is re-persisted so the
-// NEXT crash also lands on a fresh epoch, and the journal is compacted to the
-// rebuilt table's bounded window so repeated evict/restore cycles cannot grow
-// it without bound.
+// restoreSession rebuilds one session from disk at the cost of one snapshot
+// read plus one small read per journal frame:
+//
+//   - the snapshot is read and its full SHA-256 verified (every restore), and
+//     the restore epoch is taken as 1 + max(snapshot header, epoch sidecar) —
+//     a fresh encryptor randomness epoch, because a restored session must
+//     never replay pre-crash encryption randomness;
+//   - keys are expanded against the deterministically recompiled parameters;
+//   - the idempotency table is rebuilt from the journal's index (keys and
+//     frame extents, no bodies), and the journal is compacted only if the
+//     walk found more than the table's bounded window holds;
+//   - the new epoch is made durable in the sidecar — the snapshot itself is
+//     not rewritten — BEFORE the session is returned, so the next crash also
+//     lands on a fresh epoch. If that write degrades the session still serves,
+//     marked dirty, and the next evict re-persists it whole.
 func (d *daemon) restoreSession(sh *evalShard, id string) (*session, error) {
-	snap, err := d.store.loadSnapshot(id)
+	st := d.store
+	t0 := time.Now()
+	snap, err := st.loadSnapshot(id)
 	if err != nil {
 		return nil, err
 	}
-	snap.Meta.Restores++
+	sidecar, err := st.loadEpoch(id)
+	if err != nil {
+		return nil, err
+	}
+	snap.Meta.Restores = 1 + max(snap.Meta.Restores, sidecar)
+	st.mSnapshotLoad.ObserveSince(t0)
+
+	t0 = time.Now()
 	opts := []fast.Option{
 		fast.WithObserver(d.observer),
 		// The restored context subscribes to the shared evk tier under the
@@ -181,24 +198,24 @@ func (d *daemon) restoreSession(sh *evalShard, id string) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
+	st.mExpand.ObserveSince(t0)
+
 	sess := &session{
-		id:    id,
-		ctx:   fctx,
-		cm:    costmodel.ForContext(snap.Config.LogN, fctx.MaxLevel()),
-		plans: newPlanCache(planCacheCap, d.mPlanHits, d.mPlanMisses),
-		idem:  newIdemTable(d.cfg.IdemCap),
-		meta:  snap.Meta,
+		id:      id,
+		ctx:     fctx,
+		cm:      costmodel.ForContext(snap.Config.LogN, fctx.MaxLevel()),
+		plans:   newPlanCache(planCacheCap, d.mPlanHits, d.mPlanMisses),
+		idem:    newIdemTable(d.cfg.IdemCap),
+		journal: st.journal(id),
+		meta:    snap.Meta,
 	}
-	for _, rec := range d.store.loadIdem(id) {
-		sess.idem.insert(rec)
-	}
-	// Compaction on restore: the journal on disk may hold every append since
-	// the last evict (or arbitrarily many across crash loops); rewrite it to
-	// exactly the surviving window so the file stays bounded by IdemCap.
-	if err := d.store.rewriteIdem(id, sess.idem.records()); err != nil {
-		d.logger.Warn("idempotency journal compaction failed", "session", id, "error", err.Error())
-	}
-	sess.persisted = d.store.saveSnapshotRetry(fctx, sess.meta) == nil
+	t0 = time.Now()
+	st.restoreJournal(sess.journal, sess.idem)
+	st.mJournalIndex.ObserveSince(t0)
+
+	t0 = time.Now()
+	sess.persisted = st.saveEpoch(id, sess.meta.Restores) == nil
+	st.mEpochWrite.ObserveSince(t0)
 	return sess, nil
 }
 
@@ -243,26 +260,28 @@ func (d *daemon) enforceResident(sh *evalShard) {
 }
 
 // evictSession releases one resident session to disk: snapshot-if-dirty,
-// journal compaction to the bounded in-memory window, then an atomic
+// journal compaction if the file holds more than the bounded in-memory
+// window (usually it does not, and nothing is written), then an atomic
 // resident→persisted registry flip (shard map + owner table together) and
 // plan-cache drop. Returns false when the session could not be persisted —
 // losing key material to enforce a memory bound is never acceptable, so the
 // session stays resident (counted via fastd.store.write_failures).
 func (d *daemon) evictSession(sh *evalShard, victim *session) bool {
+	defer d.store.mEvict.ObserveSince(time.Now())
 	victim.mu.Lock()
 	dirty := !victim.persisted
 	victim.mu.Unlock()
 	if dirty {
-		if d.store.saveSnapshotRetry(victim.ctx, victim.meta) != nil {
+		if d.store.saveSnapshot(victim.ctx, victim.meta) != nil {
 			return false
 		}
 		victim.mu.Lock()
 		victim.persisted = true
 		victim.mu.Unlock()
 	}
-	if err := d.store.rewriteIdem(victim.id, victim.idem.records()); err != nil {
-		d.logger.Warn("idempotency journal compaction failed", "session", victim.id, "error", err.Error())
-	}
+	victim.journal.mu.Lock()
+	d.store.compactIfDue(victim.journal, victim.idem)
+	victim.journal.mu.Unlock()
 
 	d.mu.Lock()
 	sh.mu.Lock()
@@ -366,24 +385,31 @@ func (d *daemon) withIdempotency(w http.ResponseWriter, r *http.Request, sess *s
 			if e.status == 0 {
 				continue // original execution was abandoned (transient): retry owns it now
 			}
+			body := e.body
+			if body == nil && sess.journal != nil {
+				// Index-only entry of a restored session: fetch the body now.
+				var ok bool
+				if body, ok = d.store.readBody(sess.journal, e); !ok {
+					// Never serve an unverifiable record: it is no record.
+					d.store.mCRCMismatch.Inc()
+					d.logger.Warn("idempotency journal record failed verification; re-executing", "session", sess.id, "key", key)
+					sess.idem.forget(e)
+					continue
+				}
+			}
 			d.mIdemReplays.Inc()
 			obs.RequestFrom(r.Context()).SetOutcome("idem_replay")
 			w.Header().Set("Content-Type", "application/json; charset=utf-8")
 			w.Header().Set("Idempotency-Replayed", "true")
 			w.WriteHeader(e.status)
-			_, _ = w.Write(e.body)
+			_, _ = w.Write(body)
 			return
 		}
 
 		rr := newResponseRecorder()
 		h(rr)
 		if rr.recordable() {
-			// Durability BEFORE release: once the client can observe this
-			// response, a post-crash retry must find its record.
-			if d.store != nil {
-				d.store.appendIdemRetry(sess.id, idemRecord{Key: key, Status: rr.status, Body: rr.body})
-			}
-			sess.idem.complete(e, rr.status, rr.body)
+			d.recordIdem(sess, e, rr)
 			d.mIdemRecorded.Inc()
 		} else {
 			sess.idem.abandon(e)
@@ -397,4 +423,20 @@ func (d *daemon) withIdempotency(w http.ResponseWriter, r *http.Request, sess *s
 		_, _ = w.Write(rr.body)
 		return
 	}
+}
+
+// recordIdem journals a recordable outcome and completes its table entry.
+// Durability BEFORE release: the frame is fsync'd before complete() lets the
+// owner or any waiter observe the response, so a post-crash retry finds its
+// record. Append and complete happen under the journal's mutex so that a
+// compaction never sees the frame without the entry that owns it.
+func (d *daemon) recordIdem(sess *session, e *idemEntry, rr *responseRecorder) {
+	if sess.journal == nil {
+		sess.idem.complete(e, rr.status, rr.body, 0, 0)
+		return
+	}
+	sess.journal.mu.Lock()
+	defer sess.journal.mu.Unlock()
+	off, n := d.store.appendFrameRetry(sess.journal, e.key, rr.status, rr.body)
+	sess.idem.complete(e, rr.status, rr.body, off, n)
 }

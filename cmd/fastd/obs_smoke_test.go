@@ -21,9 +21,11 @@ import (
 // access log is JSON lines with the documented schema, /debug/requests
 // serves the in-flight table shape, /metrics is valid Prometheus text with
 // the latency quantile gauges, /readyz carries the same quantiles, and the
-// Chrome trace attributes HTTP and kernel spans to that one request ID.
+// Chrome trace attributes HTTP and kernel spans to that one request ID, and
+// a restore's time decomposes into the fastd.restore.*_ns phase histograms.
 func TestObsSmoke(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "access.log")
+	stateDir := t.TempDir()
 
 	oldStarted, oldWait := httpStarted, httpWait
 	defer func() { httpStarted, httpWait = oldStarted, oldWait }()
@@ -59,12 +61,14 @@ func TestObsSmoke(t *testing.T) {
 		assertReadyzQuantiles(t, base)
 		assertTraceCorrelation(t, base, reqID)
 		assertDebugPlans(t, base, reqID)
+		assertRestoreSignals(t, base, stateDir, sid)
 	}
 
 	var out bytes.Buffer
 	if err := run([]string{
 		"-addr", "127.0.0.1:0", "-workers", "1",
 		"-access-log", logPath, "-slow-request-ms", "60000",
+		"-state-dir", stateDir, "-max-resident-sessions", "1",
 	}, &out); err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
@@ -218,6 +222,67 @@ func assertTraceCorrelation(t *testing.T, base, reqID string) {
 	}
 	if pids[1] == 0 { // ckks evaluator pid
 		t.Fatalf("no evaluator span carries request_id %s (pids seen: %v)", reqID, pids)
+	}
+}
+
+// assertRestoreSignals drives one session through evict → restore → evict
+// with a damaged journal in between, so that every restore-path signal has
+// something to say, then reads them back from /snapshot.json: the phase
+// histograms that decompose a restore (snapshot load, key expansion, journal
+// index, epoch write), the evict timer beside them, and the three journal
+// health counters (a torn tail truncated, a replay refused on CRC, a
+// compaction that had something to compact).
+func assertRestoreSignals(t *testing.T, base, stateDir, sid string) {
+	t.Helper()
+	vals := fromComplex([]complex128{1, 2, 3, 4})
+	keyedEncrypt(t, base, sid, "k0", vals)
+	keyedEncrypt(t, base, sid, "k1", vals)
+	other := createSession(t, base, testSessionRequest()).ID // -max-resident-sessions 1: evicts sid
+
+	frames := journalFrames(t, stateDir, sid)
+	if len(frames) != 2 {
+		t.Fatalf("evicted session's journal holds %d frames, want 2", len(frames))
+	}
+	path := filepath.Join(stateDir, sid+".idem")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[frames[0].off+int64(frames[0].n)-5] ^= 0x20                  // k0's body no longer matches its CRC
+	raw = append(raw, "a crash landed in the middle of this app"...) // torn tail
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, replayed := keyedEncrypt(t, base, sid, "k0", vals); replayed { // restores sid, evicts other
+		t.Fatal("a journal record that fails its CRC was replayed")
+	}
+	encryptValues(t, base, other, []complex128{1}) // restores other, evicts sid: 3 frames for 2 keys
+
+	var snap struct {
+		Counters   map[string]uint64 `json:"counters"`
+		Histograms map[string]struct {
+			Count uint64 `json:"count"`
+			Sum   int64  `json:"sum"`
+		} `json:"histograms"`
+	}
+	if status, raw := doJSON(t, http.MethodGet, base+"/snapshot.json", nil, nil, &snap); status != http.StatusOK {
+		t.Fatalf("GET /snapshot.json: status %d: %s", status, raw)
+	}
+	for _, name := range []string{
+		"fastd.restore.snapshot_load_ns", "fastd.restore.expand_ns",
+		"fastd.restore.journal_index_ns", "fastd.restore.epoch_write_ns",
+	} {
+		if h := snap.Histograms[name]; h.Count != 2 || h.Sum <= 0 {
+			t.Fatalf("%s = %+v after two restores, want count 2 and a positive sum", name, h)
+		}
+	}
+	if h := snap.Histograms["fastd.evict_ns"]; h.Count != 3 || h.Sum <= 0 {
+		t.Fatalf("fastd.evict_ns = %+v after three evicts, want count 3 and a positive sum", h)
+	}
+	for _, name := range []string{"fastd.idem.torn_truncated", "fastd.idem.crc_mismatch", "fastd.idem.compactions"} {
+		if got := snap.Counters[name]; got != 1 {
+			t.Fatalf("%s = %d, want 1", name, got)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrShardDown is the typed refusal for a key whose shard is fenced and not
@@ -40,8 +41,8 @@ type Ring struct {
 	points  []ringPoint // sorted by hash
 	fenced  []bool
 	live    int
-	remaps  uint64 // keys that resolved past a fenced primary (telemetry)
-	version uint64 // bumped on every fence/unfence
+	remaps  atomic.Uint64 // keys that resolved past a fenced primary (telemetry; bumped under RLock)
+	version uint64        // bumped on every fence/unfence
 }
 
 type ringPoint struct {
@@ -116,7 +117,7 @@ func (r *Ring) Owner(key string) (int, error) {
 		p := r.points[(idx+probed)%len(r.points)]
 		if !r.fenced[p.member] {
 			if probed > 0 {
-				r.remaps++
+				r.remaps.Add(1)
 			}
 			return p.member, nil
 		}
@@ -168,9 +169,7 @@ func (r *Ring) Live() int {
 // Remaps returns how many Owner calls resolved past at least one fenced
 // virtual point — a cheap telemetry proxy for failover traffic.
 func (r *Ring) Remaps() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.remaps
+	return r.remaps.Load()
 }
 
 // Version increments on every fence/unfence; callers can use it to detect

@@ -125,17 +125,19 @@ func (c *Context) WriteSessionSnapshot(w io.Writer, meta SessionMeta) error {
 		return fmt.Errorf("fast: serialize evaluation keys: %w", err)
 	}
 
-	var body bytes.Buffer
-	body.Write(snapshotMagic[:])
-	_ = binary.Write(&body, binary.LittleEndian, uint32(len(hdr)))
-	body.Write(hdr)
-	_ = binary.Write(&body, binary.LittleEndian, uint64(keys.Len()))
-	body.Write(keys.Bytes())
-	sum := sha256.Sum256(body.Bytes())
-	if _, err := w.Write(body.Bytes()); err != nil {
-		return err
+	// Everything but the trailing sum goes to w and the hash together, so
+	// the key payload is never copied into a second full-size buffer.
+	h := sha256.New()
+	hw := io.MultiWriter(w, h)
+	var lens [12]byte
+	binary.LittleEndian.PutUint32(lens[:4], uint32(len(hdr)))
+	binary.LittleEndian.PutUint64(lens[4:], uint64(keys.Len()))
+	for _, part := range [][]byte{snapshotMagic[:], lens[:4], hdr, lens[4:], keys.Bytes()} {
+		if _, err := hw.Write(part); err != nil {
+			return err
+		}
 	}
-	_, err = w.Write(sum[:])
+	_, err = w.Write(h.Sum(nil))
 	return err
 }
 

@@ -2,6 +2,7 @@ package fast_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"testing"
@@ -265,4 +266,17 @@ func ExampleContext_WriteSessionSnapshot() {
 	vals := restored.Decrypt(rct)
 	fmt.Printf("%s: %.0f%+.0fi\n", meta.ID, real(vals[0]), imag(vals[0]))
 	// Output: s1: 1+2i
+}
+
+// TestSessionSnapshotGoldenBytes pins the snapshot wire bytes for a fixed
+// seed and metadata: the writer streams its parts through the hash instead
+// of assembling a second full-size buffer, and that must not change a single
+// byte (the digest below was recorded from the buffer-assembling writer).
+func TestSessionSnapshotGoldenBytes(t *testing.T) {
+	meta := fast.SessionMeta{ID: "golden", CreatedUnixNano: 1234567890, Restores: 3, FaultScenario: "none"}
+	_, snap := snapshotBytes(t, snapshotTestConfig(), meta)
+	const wantLen, wantSum = 1017245, "4768b642afe5686e3ecbbe5f91fd6f7b4db4d0b46146db5813f88bec795ee3ce"
+	if got := fmt.Sprintf("%x", sha256.Sum256(snap)); len(snap) != wantLen || got != wantSum {
+		t.Fatalf("snapshot bytes changed: len %d sha256 %s, want len %d sha256 %s", len(snap), got, wantLen, wantSum)
+	}
 }
