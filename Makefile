@@ -30,9 +30,12 @@ test-purego:
 	$(GO) test -tags purego -short ./...
 
 # Race-detector pass over the whole module (the concurrency-model contract:
-# one Context serving many goroutines). Uses -short so the gate stays fast.
+# one Context serving many goroutines). Uses -short so the gate stays fast;
+# -short skips every bootstrap test, so the one that has two goroutines make
+# their first Bootstrap call on a fresh context is run by name.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -run TestBootstrapConcurrentFirstUse ./internal/ckks
 
 # Chaos gate: the fault-injection suites under the race detector. Long random
 # op sequences run under every fault scenario; decryptions must stay bit-exact
@@ -94,10 +97,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Benchmark trajectory recording: run the hot-path kernel benchmarks (NTT,
-# BConv/Convert, Mul, Rotate) plus the paper's Fig./Table benchmarks and write
-# the results as JSON so kernel performance is tracked in-repo. Compare two
-# recordings with `go run ./scripts/benchdiff OLD.json NEW.json`.
-BENCH_PATTERN ?= NTT|Convert|Mul|Rotate|ModDown|Rescale|Fig|Table|Serve
+# BConv/Convert, Mul, Rotate), the bootstrap and its stages
+# (internal/ckks BenchmarkBootstrap) plus the paper's Fig./Table benchmarks
+# and write the results as JSON so kernel performance is tracked in-repo.
+# Compare two recordings with `go run ./scripts/benchdiff OLD.json NEW.json`.
+BENCH_PATTERN ?= NTT|Convert|Mul|Rotate|ModDown|Rescale|Fig|Table|Serve|Bootstrap
 BENCH_TIME ?= 0.5s
 BENCH_JSON ?= BENCH_kernels.json
 

@@ -17,7 +17,9 @@ type BootstrapContextConfig struct {
 	// LogSlots is the packing exponent (default 4: 16 slots; the sparse
 	// packing keeps the homomorphic DFT small).
 	LogSlots int
-	// Levels is the chain depth (default 24; the pipeline consumes ~20).
+	// Levels is the chain depth (default 24). One bootstrap consumes
+	// ckks.DefaultBootstrapParameters().Depth() = 17 of them, so the
+	// refreshed ciphertext comes back at level Levels-17.
 	Levels int
 	// Seed fixes all randomness.
 	Seed int64
@@ -93,7 +95,9 @@ func NewBootstrapContext(cfg BootstrapContextConfig) (*BootstrapContext, error) 
 }
 
 // Bootstrap refreshes a level-0 ciphertext, restoring usable multiplicative
-// levels while preserving the message (to the scheme's approximation error).
+// levels while preserving the message (to the scheme's approximation error,
+// ~16 bits rms at the defaults) and its scale. Safe for concurrent use from
+// the first call on: the bootstrapper holds no lazily built state.
 func (c *BootstrapContext) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 	if err := c.validate(ct); err != nil {
 		return nil, err
@@ -105,9 +109,9 @@ func (c *BootstrapContext) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 	return &Ciphertext{out}, nil
 }
 
-// BootstrapCtx is Bootstrap with cancellation: the multi-second pipeline polls
-// ctx between stages and at every level of the homomorphic DFTs, polynomial
-// evaluation and double-angle ladder, abandoning with an error matching
+// BootstrapCtx is Bootstrap with cancellation: the pipeline polls ctx between
+// stages and at every level of the homomorphic DFTs, polynomial evaluation
+// and squaring ladder, abandoning with an error matching
 // fast.ErrCanceled or fast.ErrDeadline (and the corresponding context
 // sentinel) within roughly one key-switch of ctx being done.
 func (c *BootstrapContext) BootstrapCtx(ctx context.Context, ct *Ciphertext) (*Ciphertext, error) {

@@ -6,74 +6,6 @@ import (
 	"testing"
 )
 
-// Probe: after SubSum + CoeffToSlot the slots must hold the gap-coefficient
-// pairs of the raised polynomial divided by the scale.
-func TestCoeffToSlotProbe(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	tc, bt := bootstrapTestContext(t)
-	p := tc.params
-	n := p.Slots()
-	gap := (p.N() / 2) / n
-
-	values := make([]complex128, n)
-	for i := range values {
-		values[i] = complex(0.3, -0.2)
-	}
-	pt, _ := tc.enc.Encode(values)
-	ct, _ := tc.encr.Encrypt(pt)
-	ct = tc.eval.DropLevel(ct, ct.Level)
-
-	raised, err := bt.modRaise(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	folded0, err := bt.subSum(nil, raised)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reference: coefficients of the folded plaintext.
-	dec := tc.decr.Decrypt(folded0)
-	poly := dec.Value.Clone()
-	rq := p.RingQ().AtLevel(raised.Level)
-	rq.INTT(poly)
-	coeffs := make([]*big.Int, p.N())
-	rq.PolyToBigintCentered(poly, coeffs)
-	want := make([]complex128, n)
-	for j := 0; j < n; j++ {
-		re, _ := new(big.Float).SetInt(coeffs[j*gap]).Float64()
-		im, _ := new(big.Float).SetInt(coeffs[j*gap+p.N()/2]).Float64()
-		want[j] = complex(re/dec.Scale, im/dec.Scale)
-	}
-
-	slots, err := tc.eval.LinearTransform(folded0, bt.ctsLT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slots, err = tc.eval.Rescale(slots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := tc.enc.Decode(tc.decr.Decrypt(slots))
-	t.Logf("got[0..3]  = %v", got[:3])
-	t.Logf("want[0..3] = %v", want[:3])
-	if e := maxErr(got, want); e > 1e-2*maxAbs(want)+1e-2 {
-		t.Fatalf("CtS probe error %g", e)
-	}
-}
-
-func maxAbs(v []complex128) float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := real(x)*real(x) + imag(x)*imag(x); a > m*m {
-			m = absc(x)
-		}
-	}
-	return m
-}
-
 func absc(x complex128) float64 {
 	re, im := real(x), imag(x)
 	if re < 0 {
@@ -88,43 +20,147 @@ func absc(x complex128) float64 {
 	return im
 }
 
-// Probe: EvalMod alone on synthetic inputs m + (q0/Δ)*I.
+// precisionBits returns -log2 of the rms and of the worst per-slot error
+// (the larger of the real and imaginary parts).
+func precisionBits(got, want []complex128) (rms, worst float64) {
+	var sum, maxE float64
+	for i := range want {
+		e := absc(got[i] - want[i])
+		sum += e * e
+		maxE = math.Max(maxE, e)
+	}
+	return -math.Log2(math.Sqrt(sum / float64(len(want)))), -math.Log2(maxE)
+}
+
+// foldedSlots runs ModRaise and SubSum on a level-0 encryption of values and
+// returns the folded ciphertext with w, the complex vector CoeffToSlot must
+// put into the slots: the gap-coefficient pairs of the folded plaintext.
+func foldedSlots(t *testing.T, tc *testContext, bt *Bootstrapper, values []complex128) (*Ciphertext, []complex128) {
+	t.Helper()
+	p := tc.params
+	n := p.Slots()
+	gap := (p.N() / 2) / n
+	raised, err := bt.modRaise(exhausted(t, tc, values))
+	if err != nil {
+		t.Fatal(err)
+	}
+	folded, err := bt.subSum(nil, raised)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := tc.decr.Decrypt(folded)
+	rq := p.RingQ().AtLevel(folded.Level)
+	poly := dec.Value.Clone()
+	rq.INTT(poly)
+	coeffs := make([]*big.Int, p.N())
+	rq.PolyToBigintCentered(poly, coeffs)
+	w := make([]complex128, n)
+	for j := range w {
+		w[j] = complex(bigToFloat(coeffs[j*gap])/dec.Scale, bigToFloat(coeffs[j*gap+p.N()/2])/dec.Scale)
+	}
+	return folded, w
+}
+
+func stageValues(n int) []complex128 {
+	values := make([]complex128, n)
+	for i := range values {
+		values[i] = complex(0.4*float64(i%3-1), 0.3*float64(i%2))
+	}
+	return values
+}
+
+// modReduced is what EvalMod and the unpack mask make of a slot holding x at
+// the bootstrap input's scale: x reduced modulo q0*fold/scale into the
+// centred interval, divided by fold.
+func modReduced(p *Parameters, x float64) float64 {
+	fold := float64(p.N()) / float64(2*p.Slots())
+	period := float64(p.QChain()[0]) * fold / p.Scale()
+	return (x - period*math.Round(x/period)) / fold
+}
+
+// Probe: after SubSum + CoeffToSlot the 2n slots of the packed ciphertext
+// must hold (Re w ‖ Im w), w being the gap-coefficient pairs of the folded
+// polynomial divided by the scale.
+func TestCoeffToSlotProbe(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	tc, bt := bootstrapTestContext(t)
+	n := tc.params.Slots()
+	values := make([]complex128, n)
+	for i := range values {
+		values[i] = complex(0.3, -0.2)
+	}
+	folded, w := foldedSlots(t, tc, bt, values)
+	parts, err := bt.coeffToSlot(nil, folded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) != 1 {
+		t.Fatalf("16 of 2048 slots must pack into one ciphertext, got %d", len(parts))
+	}
+	got := bt.wide.Decode(tc.decr.Decrypt(parts[0]))
+	want := make([]complex128, 2*n)
+	for j := range w {
+		want[j], want[n+j] = complex(real(w[j]), 0), complex(imag(w[j]), 0)
+	}
+	t.Logf("got[0], got[n]   = %v, %v", got[0], got[n])
+	t.Logf("want[0], want[n] = %v, %v", want[0], want[n])
+	// The slots hold q0-multiples of ~2^20; the angle they become is
+	// amplified by 2^15 on the way out, so they must be right to ~2^-18
+	// after the fold is divided out.
+	fold := float64(tc.params.N()) / float64(2*n)
+	if e := maxErr(got, want) / fold; e > 1e-5 {
+		t.Fatalf("CtS probe error %g of the fold", e)
+	}
+}
+
+// Probe: EvalMod alone on synthetic slots fold*(m + (q0/Δ)*I), unpacked by
+// hand: Im(z - conj z)/2 * q0/(2πΔ) must be m to 18 bits.
 func TestEvalModProbe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
 	tc, bt := bootstrapTestContext(t)
 	p := tc.params
-	n := p.Slots()
+	n := 2 * p.Slots()
 	q0OverDelta := float64(p.QChain()[0]) / p.Scale()
+	fold := float64(p.N()) / float64(n)
 
 	msg := make([]complex128, n)
 	want := make([]complex128, n)
 	for i := range msg {
 		m := 0.3 - 0.05*float64(i%5)
 		I := float64(i%7 - 3) // integers in [-3,3]
-		msg[i] = complex(m+q0OverDelta*I, 0)
+		msg[i] = complex(fold*(m+q0OverDelta*I), 0)
 		want[i] = complex(m, 0)
 	}
-	pt, err := tc.enc.EncodeAtLevel(msg, p.MaxLevel()-3, p.Scale())
+	pt, err := bt.wide.EncodeAtLevel(msg, p.MaxLevel()-2, p.Scale())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ct, _ := tc.encr.Encrypt(pt)
-	out, err := bt.evalMod(nil, ct, 1, p.Scale(), 1)
+	out, err := bt.evalMod(nil, ct, p.Scale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := tc.enc.Decode(tc.decr.Decrypt(out))
-	t.Logf("got[0..6]  = %v", got[:7])
-	t.Logf("want[0..6] = %v", want[:7])
-	if e := maxErr(got, want); e > 1e-2 {
-		t.Fatalf("EvalMod probe error %g", e)
+	got := bt.wide.Decode(tc.decr.Decrypt(out))
+	a := q0OverDelta / (2 * math.Pi)
+	for i, d := range got {
+		if math.Abs(real(d)) > 1e-6 {
+			t.Fatalf("slot %d: z - conj(z) has real part %g", i, real(d))
+		}
+		got[i] = complex(imag(d)/2*a, 0)
+	}
+	rms, worst := precisionBits(got, want)
+	t.Logf("EvalMod: %.2f bits rms, %.2f worst", rms, worst)
+	if rms < 18 {
+		t.Fatalf("EvalMod probe: %.2f bits rms, want >= 18", rms)
 	}
 }
 
-// Probe: the real/imag split, EvalMod on both halves, recombination and
-// SlotToCoeff, stage by stage against plaintext references.
+// Probe: pack, EvalMod, unpack and SlotToCoeff, stage by stage against
+// plaintext references.
 func TestBootstrapStageProbe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -132,170 +168,92 @@ func TestBootstrapStageProbe(t *testing.T) {
 	tc, bt := bootstrapTestContext(t)
 	p := tc.params
 	n := p.Slots()
-	ev := tc.eval
+	values := stageValues(n)
+	folded, w := foldedSlots(t, tc, bt, values)
 
-	values := make([]complex128, n)
-	for i := range values {
-		values[i] = complex(0.4*float64(i%3-1), 0.3*float64(i%2))
-	}
-	pt, _ := tc.enc.Encode(values)
-	ct, _ := tc.encr.Encrypt(pt)
-	ct = ev.DropLevel(ct, ct.Level)
-
-	raised, _ := bt.modRaise(ct)
-	folded, _ := bt.subSum(nil, raised)
-	slots, _ := ev.LinearTransform(folded, bt.ctsLT)
-	slots, _ = ev.Rescale(slots)
-	w := tc.enc.Decode(tc.decr.Decrypt(slots))
-
-	conj, err := ev.Conjugate(slots)
+	parts, err := bt.coeffToSlot(nil, folded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc := tc.enc.Decode(tc.decr.Decrypt(conj))
-	for i := range w {
-		if absc(wc[i]-complex(real(w[i]), -imag(w[i]))) > 1e-2 {
-			t.Fatalf("sparse Conjugate wrong at %d: %v vs conj(%v)", i, wc[i], w[i])
+	packed := bt.wide.Decode(tc.decr.Decrypt(parts[0]))
+	for j := range w {
+		if absc(packed[j]-complex(real(w[j]), 0)) > 1e-3 || absc(packed[n+j]-complex(imag(w[j]), 0)) > 1e-3 {
+			t.Fatalf("packed slots %d, %d: %v, %v, want Re and Im of %v", j, n+j, packed[j], packed[n+j], w[j])
 		}
 	}
+	t.Log("pack OK")
 
-	sum, _ := ev.Add(slots, conj)
-	diff, _ := ev.Sub(slots, conj)
-	u, _ := ev.MulConst(sum, 0.5)
-	u, _ = ev.Rescale(u)
-	iPt, _ := bt.iConstant(diff.Level)
-	v, _ := ev.MulPlain(diff, iPt)
-	v, _ = ev.Rescale(v)
-	v, _ = ev.MulConst(v, -0.5)
-	v, _ = ev.Rescale(v)
-
-	gu := tc.enc.Decode(tc.decr.Decrypt(u))
-	gv := tc.enc.Decode(tc.decr.Decrypt(v))
-	for i := range w {
-		if absc(gu[i]-complex(real(w[i]), 0)) > 1e-2 {
-			t.Fatalf("u wrong at %d: %v vs Re %v", i, gu[i], real(w[i]))
-		}
-		if absc(gv[i]-complex(imag(w[i]), 0)) > 1e-2 {
-			t.Fatalf("v wrong at %d: %v vs Im %v", i, gv[i], imag(w[i]))
-		}
+	if parts[0], err = bt.evalMod(nil, parts[0], p.Scale()); err != nil {
+		t.Fatal(err)
 	}
-	t.Log("split OK")
+	want := make([]complex128, n)
+	for j := range w {
+		want[j] = complex(modReduced(p, real(w[j])), modReduced(p, imag(w[j])))
+	}
+	d := bt.wide.Decode(tc.decr.Decrypt(parts[0]))
+	a := float64(p.QChain()[0]) / (2 * math.Pi * p.Scale())
+	got := make([]complex128, n)
+	for j := range got {
+		got[j] = complex(imag(d[j])/2*a, imag(d[n+j])/2*a)
+	}
+	rms, worst := precisionBits(got, want)
+	t.Logf("EvalMod stage: %.2f bits rms, %.2f worst", rms, worst)
+	if rms < 18 {
+		t.Fatalf("EvalMod stage: %.2f bits rms, want >= 18", rms)
+	}
 
-	fold := float64(p.N()) / float64(2*n)
-	anchor := ct.Scale
-	uu, err := bt.evalMod(nil, u, 1/fold, anchor, fold)
+	slots, err := bt.unpackSlots(nil, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vv, err := bt.evalMod(nil, v, 1/fold, anchor, fold)
+	unpacked := bt.wide.Decode(tc.decr.Decrypt(slots))
+	if e := maxErr(unpacked[:n], unpacked[n:]); e > 1e-5 {
+		t.Fatalf("unpacked slots are not n-periodic: halves differ by %g", e)
+	}
+	if rms, _ := precisionBits(unpacked[:n], want); rms < 17 {
+		t.Fatalf("unpack stage: %.2f bits rms, want >= 17", rms)
+	}
+	t.Log("unpack OK")
+
+	out, err := bt.slotToCoeff(nil, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	guu := tc.enc.Decode(tc.decr.Decrypt(uu))
-	gvv := tc.enc.Decode(tc.decr.Decrypt(vv))
-	modredAt := func(x, scale float64) float64 {
-		q0S := float64(p.QChain()[0]) / scale
-		return x - q0S*float64(int64(x/q0S+0.5*sign(x)))
+	final := tc.enc.Decode(tc.decr.Decrypt(out))
+	rms, worst = precisionBits(final, values)
+	t.Logf("SlotToCoeff stage: %.2f bits rms, %.2f worst", rms, worst)
+	if rms < 13 {
+		t.Fatalf("SlotToCoeff stage: %.2f bits rms, want >= 13", rms)
 	}
-	for i := 0; i < n; i++ {
-		wantU := modredAt(real(w[i]), anchor/fold) / fold
-		wantV := modredAt(imag(w[i]), anchor/fold) / fold
-		if absc(guu[i]-complex(wantU, 0)) > 2e-2 || absc(gvv[i]-complex(wantV, 0)) > 2e-2 {
-			t.Fatalf("evalMod stage wrong at %d: u %v want %g; v %v want %g",
-				i, guu[i], wantU, gvv[i], wantV)
-		}
-	}
-	t.Log("evalMod stage OK")
-
-	iPt2, _ := bt.iConstant(vv.Level)
-	iv, _ := ev.MulPlain(vv, iPt2)
-	iv, _ = ev.Rescale(iv)
-	if uu.Level > iv.Level {
-		uu = ev.DropLevel(uu, uu.Level-iv.Level)
-	} else if iv.Level > uu.Level {
-		iv = ev.DropLevel(iv, iv.Level-uu.Level)
-	}
-	uu.Scale = iv.Scale
-	rec, err := ev.Add(uu, iv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grec := tc.enc.Decode(tc.decr.Decrypt(rec))
-	for i := 0; i < n; i++ {
-		want := complex(modredAt(real(w[i]), anchor/fold)/fold, modredAt(imag(w[i]), anchor/fold)/fold)
-		if absc(grec[i]-want) > 3e-2 {
-			t.Fatalf("recombine wrong at %d: %v want %v", i, grec[i], want)
-		}
-	}
-	t.Log("recombine OK")
-
-	out, err := bt.slotToCoeff(nil, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out.Scale = p.Scale()
-	gout := tc.enc.Decode(tc.decr.Decrypt(out))
-	t.Logf("final[0..3] = %v", gout[:3])
-	t.Logf("want [0..3] = %v", values[:3])
-	if e := maxErr(gout, values); e > 3e-2 {
-		t.Fatalf("StC stage error %g", e)
-	}
-}
-
-func sign(x float64) float64 {
-	if x < 0 {
-		return -1
-	}
-	return 1
 }
 
 // The SubSum trace fixes the gap monomials, so the q0-multiples reaching
 // EvalMod must be exact multiples of fold = N/(2n) — the structural
-// invariant the effective-modulus optimisation in evalMod relies on.
+// invariant the effective modulus q0*fold in evalMod relies on.
 func TestTraceMultiplesOfFold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
 	tc, bt := bootstrapTestContext(t)
 	p := tc.params
-	n := p.Slots()
-	ev := tc.eval
-
-	values := make([]complex128, n)
-	for i := range values {
-		values[i] = complex(0.4*float64(i%3-1), 0.3*float64(i%2))
+	folded, _ := foldedSlots(t, tc, bt, stageValues(p.Slots()))
+	parts, err := bt.coeffToSlot(nil, folded)
+	if err != nil {
+		t.Fatal(err)
 	}
-	pt, _ := tc.enc.Encode(values)
-	ct, _ := tc.encr.Encrypt(pt)
-	ct = ev.DropLevel(ct, ct.Level)
-	anchor := ct.Scale
-
-	raised, _ := bt.modRaise(ct)
-	folded, _ := bt.subSum(nil, raised)
-	slots, _ := ev.LinearTransform(folded, bt.ctsLT)
-	slots, _ = ev.Rescale(slots)
-
-	conj, _ := ev.Conjugate(slots)
-	diff, _ := ev.Sub(slots, conj)
-	iPt, _ := bt.iConstant(diff.Level)
-	v, _ := ev.MulPlain(diff, iPt)
-	v, _ = ev.Rescale(v)
-	v, _ = ev.MulConst(v, -0.5)
-	v, _ = ev.Rescale(v)
-
-	sum, _ := ev.Add(slots, conj)
-	u, _ := ev.MulConst(sum, 0.5)
-	u, _ = ev.Rescale(u)
-
-	q0A := float64(p.QChain()[0]) / anchor
-	fold := float64(p.N()) / float64(2*n)
-	for name, cti := range map[string]*Ciphertext{"u": u, "v": v} {
-		g := tc.enc.Decode(tc.decr.Decrypt(cti))
-		for i := 0; i < n; i++ {
-			T := math.Round(real(g[i]) / q0A)
-			if r := math.Mod(math.Abs(T), fold); r != 0 {
-				t.Fatalf("%s slot %d: q0-multiple T=%g is not a multiple of fold=%g", name, i, T, fold)
-			}
+	q0A := float64(p.QChain()[0]) / p.Scale()
+	fold := float64(p.N()) / float64(2*p.Slots())
+	nonzero := 0
+	for i, x := range bt.wide.Decode(tc.decr.Decrypt(parts[0])) {
+		T := math.Round(real(x) / q0A)
+		if math.Mod(math.Abs(T), fold) != 0 {
+			t.Fatalf("slot %d: q0-multiple T=%g is not a multiple of fold=%g", i, T, fold)
 		}
+		if T != 0 {
+			nonzero++
+		}
+	}
+	if nonzero == 0 {
+		t.Fatal("no slot carries a q0-multiple: the probe checked nothing")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/big"
 
 	"github.com/fastfhe/fast/internal/ring"
 )
@@ -17,10 +16,11 @@ type BootstrapParameters struct {
 	// K bounds the integer multiples of q0 the raised ciphertext carries
 	// (|I| <= K with overwhelming probability for a sparse secret).
 	K int
-	// SinDegree is the Taylor degree of the sine/cosine seed approximation.
+	// SinDegree is the Taylor degree of the complex-exponential seed
+	// exp(iθ) that EvalMod squares up to exp(i·2^r·θ).
 	SinDegree int
-	// DoubleAngles is the number of double-angle iterations r; the seed
-	// angle is divided by 2^r so the Taylor series converges.
+	// DoubleAngles is the number of squarings r; the seed angle is divided
+	// by 2^r so the Taylor series converges.
 	DoubleAngles int
 }
 
@@ -28,36 +28,41 @@ type BootstrapParameters struct {
 // gap-indexed coefficients the pipeline tracks are fixed points of the
 // SubSum trace, so the q0-multiples arrive as exact multiples of
 // q0*N/(2n) and the effective integer range stays at the raw |I| bound
-// (~6*sigma(I) ≈ 8 for weight 16); 2^8 double-angle halvings keep the
-// Taylor seed angle below 0.5.
+// (~6*sigma(I) ≈ 8 for weight 16); 2^8 halvings keep the Taylor seed angle
+// below 0.5.
 func DefaultBootstrapParameters() BootstrapParameters {
 	return BootstrapParameters{K: 10, SinDegree: 9, DoubleAngles: 8}
 }
 
-// Depth returns the number of levels one bootstrap consumes (CoeffToSlot,
-// real/imag split, EvalMod, recombination, SlotToCoeff).
+// Depth returns the number of levels one bootstrap consumes: CoeffToSlot,
+// pack, angle, the Taylor seed, the squarings, unpack, SlotToCoeff.
 func (bp BootstrapParameters) Depth() int {
-	taylor := Polynomial{Coeffs: make([]float64, bp.SinDegree+1)}.Depth() + 1
-	// CtS + split + angle (2 levels: mantissa and exponent factors) +
-	// taylor + doublings + final const + recombine + StC
-	return 1 + 1 + 2 + taylor + bp.DoubleAngles + 1 + 1 + 1
+	return 3 + polyLevels(bp.SinDegree) + bp.DoubleAngles + 2
 }
 
 // Bootstrapper refreshes exhausted ciphertexts: it re-raises a level-0
 // ciphertext to the top of the modulus chain and homomorphically removes the
-// q0-multiples this introduces.
+// q0-multiples this introduces. Every table is built by NewBootstrapper (the
+// levels the stages run at are a function of the parameters alone); the
+// Bootstrapper is immutable afterwards and safe for concurrent use.
 type Bootstrapper struct {
 	params *Parameters
-	enc    *Encoder
 	eval   *Evaluator
 	bp     BootstrapParameters
 
-	ctsLT *LinearTransform
-	// stcLT is built lazily per output level (the level depends on the
-	// exact depth spent in EvalMod).
-	stcLT map[int]*LinearTransform
+	ctsLT, stcLT *LinearTransform
 
-	iPlain map[int]*Plaintext // all-i constant per level (recombination)
+	// EvalMod works on real slot vectors, CoeffToSlot leaves a complex one,
+	// w. With n <= N/4 slots, w is n-periodic under the 2n-slot encoder
+	// wide, so two 2n-slot masks pack (Re w ‖ Im w) into one ciphertext and
+	// EvalMod runs once; unpack holds the one mask that undoes it. At full
+	// packing there is no room: wide is enc, the masks are constants, Re w
+	// and Im w stay two ciphertexts and unpack holds one mask for each.
+	wide   *Encoder
+	pack   [2]*Plaintext // times sum = 2 Re w, times diff = 2i Im w
+	unpack []*Plaintext
+
+	seed []complex128 // Taylor coefficients of exp(iθ)
 }
 
 // BootstrapRotations returns every rotation amount the bootstrapper needs
@@ -88,8 +93,9 @@ func BootstrapRotations(params *Parameters) []int {
 	return out
 }
 
-// NewBootstrapper precomputes the DFT transforms. The evaluator must hold
-// Galois keys for BootstrapRotations plus the conjugation and relin keys.
+// NewBootstrapper precomputes the DFT transforms and the pack/unpack masks.
+// The evaluator must hold Galois keys for BootstrapRotations plus the
+// conjugation and relin keys.
 func NewBootstrapper(params *Parameters, enc *Encoder, eval *Evaluator, bp BootstrapParameters) (*Bootstrapper, error) {
 	if params.secretHW == 0 {
 		return nil, fmt.Errorf("ckks: bootstrapping requires a sparse secret (SecretHammingWeight > 0): %w", ErrInvalidParameters)
@@ -97,26 +103,95 @@ func NewBootstrapper(params *Parameters, enc *Encoder, eval *Evaluator, bp Boots
 	if params.MaxLevel() < bp.Depth() {
 		return nil, fmt.Errorf("ckks: chain depth %d below bootstrap depth %d: %w", params.MaxLevel(), bp.Depth(), ErrInvalidParameters)
 	}
-	bt := &Bootstrapper{
-		params: params, enc: enc, eval: eval, bp: bp,
-		stcLT:  map[int]*LinearTransform{},
-		iPlain: map[int]*Plaintext{},
-	}
+	bt := &Bootstrapper{params: params, eval: eval, bp: bp, wide: enc}
+	n, delta := params.Slots(), params.Scale()
 
 	// CoeffToSlot matrix: the inverse special FFT (embed). The SubSum fold
 	// factor N/(2n) is deliberately NOT divided out here: doing so would
 	// turn the integer q0-multiples carried by the slots into fractions the
 	// sine cannot remove. It is removed after EvalMod instead, where 1/fold
-	// merges exactly into the output constant.
+	// merges exactly into the unpack mask's constant.
 	diags, err := bt.dftDiagonals(func(col []complex128) { enc.embed(col) }, 1)
 	if err != nil {
 		return nil, err
 	}
-	bt.ctsLT, err = NewLinearTransform(enc, diags, params.MaxLevel(), params.Scale(), 0)
-	if err != nil {
+	if bt.ctsLT, err = NewLinearTransform(enc, diags, params.MaxLevel(), delta, 0); err != nil {
 		return nil, err
 	}
+
+	// The levels of Depth(), top down: CoeffToSlot, pack, angle, seed,
+	// squarings end at unpackLevel; unpack; SlotToCoeff.
+	packLevel := params.MaxLevel() - 1
+	unpackLevel := params.MaxLevel() - bp.Depth() + 2
+	if diags, err = bt.dftDiagonals(func(col []complex128) { enc.project(col) }, 1); err != nil {
+		return nil, err
+	}
+	if bt.stcLT, err = NewLinearTransform(enc, diags, unpackLevel-1, delta, 0); err != nil {
+		return nil, err
+	}
+
+	bt.seed = expTaylor(bp.SinDegree)
+
+	// The seed lands on Δ and every squaring maps scale s to s*s/q, so the
+	// scale EvalMod ends on is known here. The unpack mask is encoded at the
+	// scale that brings the two rescales still to come back to Δ exactly:
+	// the output needs no scale adjustment.
+	s := delta
+	for level := unpackLevel + bp.DoubleAngles; level > unpackLevel; level-- {
+		s = s * s / float64(params.qChain[level])
+	}
+	unpackScale := float64(params.qChain[unpackLevel]) * float64(params.qChain[unpackLevel-1]) / s
+
+	// Pack: sum = 2 Re w and diff = 2i Im w, so Re w = sum/2 and
+	// Im w = diff*(-i/2). Unpack: EvalMod hands back d = 2i sin(Θ) per slot
+	// and the message is sin(Θ)*q0/(2πΔ) =: sin(Θ)*a, real part from the Re
+	// slots and imaginary part from the Im slots: d*(-ia/2) and d*(a/2).
+	a := float64(params.qChain[0]) / (2 * math.Pi * delta)
+	halfI := complex(0, 0.5)
+	packMasks := [2][2]complex128{{0.5, 0}, {0, -halfI}}
+	unpackMasks := [][2]complex128{{-halfI * complex(a, 0), complex(a/2, 0)}}
+	if 2*n <= params.N()/2 {
+		bt.wide = newEncoderSlots(params, 2*n)
+	} else {
+		packMasks = [2][2]complex128{{0.5}, {-halfI}}
+		unpackMasks = [][2]complex128{{-halfI * complex(a, 0)}, {complex(a/2, 0)}}
+	}
+	// m[0] fills the first n slots (all of them at full packing), m[1] the
+	// rest.
+	encode := func(m [2]complex128, level int, scale float64) (*Plaintext, error) {
+		v := make([]complex128, bt.wide.slots)
+		for j := range v {
+			v[j] = m[j/n]
+		}
+		return bt.wide.EncodeAtLevel(v, level, scale)
+	}
+	for i, m := range packMasks {
+		if bt.pack[i], err = encode(m, packLevel, delta); err != nil {
+			return nil, err
+		}
+	}
+	for _, m := range unpackMasks {
+		pt, err := encode(m, unpackLevel, unpackScale)
+		if err != nil {
+			return nil, err
+		}
+		bt.unpack = append(bt.unpack, pt)
+	}
 	return bt, nil
+}
+
+// expTaylor returns the coefficients of exp(iθ) = sum_k (iθ)^k / k! up to
+// the given degree.
+func expTaylor(deg int) []complex128 {
+	coeffs := make([]complex128, deg+1)
+	term := complex(1, 0)
+	for k := range coeffs {
+		if k > 0 {
+			term *= complex(0, 1/float64(k))
+		}
+		coeffs[k] = term
+	}
+	return coeffs
 }
 
 // dftDiagonals builds the generalised diagonals of the n x n matrix whose
@@ -168,25 +243,22 @@ func (bt *Bootstrapper) modRaise(ct *Ciphertext) (*Ciphertext, error) {
 	}
 	p := bt.params
 	rq0 := p.ringQ.AtLevel(0)
-	rqFull := p.ringQ
-	q0 := new(big.Int).SetUint64(p.qChain[0])
-	half := new(big.Int).Rsh(q0, 1)
+	q0 := p.qChain[0]
 
 	out := &Ciphertext{Level: p.MaxLevel(), Scale: ct.Scale}
-	coeffs := make([]*big.Int, p.N())
+	centered := make([]int64, p.N())
 	raise := func(in ring.Poly) ring.Poly {
 		tmp := in.Clone()
 		rq0.INTT(tmp)
-		for j := 0; j < p.N(); j++ {
-			v := new(big.Int).SetUint64(tmp.Coeffs[0][j])
-			if v.Cmp(half) > 0 {
-				v.Sub(v, q0)
+		for j, v := range tmp.Coeffs[0] {
+			centered[j] = int64(v)
+			if v > q0/2 {
+				centered[j] -= int64(q0)
 			}
-			coeffs[j] = v
 		}
-		outP := rqFull.NewPoly()
-		rqFull.SetCoeffBigint(coeffs, outP)
-		rqFull.NTT(outP)
+		outP := p.ringQ.NewPoly()
+		ring.SetSigned(p.ringQ, centered, outP)
+		p.ringQ.NTT(outP)
 		return outP
 	}
 	out.C0 = raise(ct.C0)
@@ -196,8 +268,8 @@ func (bt *Bootstrapper) modRaise(ct *Ciphertext) (*Ciphertext, error) {
 
 // subSum folds the sparse packing: for n < N/2 slots the ladder
 // ct += rot(ct, n*2^t) projects the raised polynomial onto the subring the
-// sparse embedding reads, scaled by N/(2n) (compensated inside the
-// CoeffToSlot matrix).
+// sparse embedding reads, scaled by fold = N/(2n) (divided out by the unpack
+// mask, after EvalMod).
 func (bt *Bootstrapper) subSum(cc *cancelCheck, ct *Ciphertext) (*Ciphertext, error) {
 	for i := bt.params.Slots(); i < bt.params.N()/2; i <<= 1 {
 		rot, err := bt.eval.rotate(cc, ct, i, bt.eval.Method())
@@ -211,212 +283,19 @@ func (bt *Bootstrapper) subSum(cc *cancelCheck, ct *Ciphertext) (*Ciphertext, er
 	return ct, nil
 }
 
-// evalMod approximately reduces each (real-valued) slot modulo q0/anchor
-// and multiplies the result by postFactor: it evaluates
-// postFactor*(q0/2π·anchor)*sin(2π·anchor·t/q0) with a Taylor seed at angle
-// θ/2^r followed by r double-angle iterations.
-//
-// anchor is the scale at which the q0-multiples are exact integers: the
-// *original* encoding scale of the bootstrapped ciphertext. It generally
-// differs from ct.Scale by the accumulated rescale drift (each chain prime
-// is within ~2^-18 of the nominal scale); using ct.Scale here would tilt
-// the angle by 2π·I·2^-18, which the sine amplifies by q0/(2πΔ) into an
-// absolute output error of ~0.02 — the dominant error source before this
-// distinction was made.
-// foldQ multiplies the effective modulus: the bootstrap pipeline's
-// q0-multiples are exact multiples of q0*fold (the SubSum trace fixes the
-// gap monomials, summing fold equal contributions), so reducing modulo
-// q0*fold both is correct and shrinks the integer range by fold.
-func (bt *Bootstrapper) evalMod(cc *cancelCheck, ct *Ciphertext, postFactor, anchor, foldQ float64) (*Ciphertext, error) {
+// coeffToSlot moves the folded polynomial's coefficients into the slots —
+// w_j = c[j*gap]/Δ + i*c[j*gap+N/2]/Δ — and splits w into the real slot
+// vectors EvalMod works on: one ciphertext holding (Re w ‖ Im w), or at full
+// packing the two ciphertexts Re w and Im w.
+func (bt *Bootstrapper) coeffToSlot(cc *cancelCheck, ct *Ciphertext) ([]*Ciphertext, error) {
 	ev := bt.eval
-	q0 := float64(bt.params.qChain[0]) * foldQ
-	pow2r := math.Exp2(float64(bt.bp.DoubleAngles))
-	scale := anchor
-
-	// θ = t * 2π*scale/(q0*2^r), so integer multiples of q0 become exact
-	// multiples of 2π after the double-angle ladder. The constant is tiny
-	// (~2^-19), so a single Δ-quantised multiplication would carry a
-	// relative error of ~2^-14 that the ladder amplifies by q0/Δ·I; instead
-	// we split it into a factor in [0.5,1) (quantisation error 2^-37) and an
-	// exactly-representable power of two.
-	c := 2 * math.Pi * scale / (q0 * pow2r)
-	k := 0
-	for c < 0.5 {
-		c *= 2
-		k++
-	}
-	theta, err := ev.MulConst(ct, c)
-	if err != nil {
-		return nil, err
-	}
-	if theta, err = ev.rescaleCC(cc, theta); err != nil {
-		return nil, err
-	}
-	if k > 0 {
-		if theta, err = ev.MulConst(theta, math.Exp2(-float64(k))); err != nil {
-			return nil, err
-		}
-		if theta, err = ev.rescaleCC(cc, theta); err != nil {
-			return nil, err
-		}
-	}
-
-	// Taylor seeds around 0.
-	sinCoeffs := make([]float64, bt.bp.SinDegree+1)
-	cosCoeffs := make([]float64, bt.bp.SinDegree)
-	fact := 1.0
-	for i := 1; i <= bt.bp.SinDegree; i++ {
-		fact *= float64(i)
-		switch i % 4 {
-		case 1:
-			sinCoeffs[i] = 1 / fact
-		case 3:
-			sinCoeffs[i] = -1 / fact
-		}
-	}
-	fact = 1.0
-	cosCoeffs[0] = 1
-	for i := 2; i < bt.bp.SinDegree; i++ {
-		fact = 1.0
-		for k := 2; k <= i; k++ {
-			fact *= float64(k)
-		}
-		switch i % 4 {
-		case 0:
-			cosCoeffs[i] = 1 / fact
-		case 2:
-			cosCoeffs[i] = -1 / fact
-		}
-	}
-	sin, err := ev.evaluatePoly(cc, theta, Polynomial{Coeffs: sinCoeffs})
-	if err != nil {
-		return nil, err
-	}
-	cos, err := ev.evaluatePoly(cc, theta, Polynomial{Coeffs: cosCoeffs})
-	if err != nil {
-		return nil, err
-	}
-
-	// Double-angle ladder: sin(2x) = 2 sin cos, cos(2x) = 1 - 2 sin^2.
-	for it := 0; it < bt.bp.DoubleAngles; it++ {
-		if err := cc.err("EvalMod"); err != nil {
-			return nil, err
-		}
-		sc, err := ev.mulRescaleCC(cc, sin, cos)
-		if err != nil {
-			return nil, err
-		}
-		s2, err := ev.mulRescaleCC(cc, sin, sin)
-		if err != nil {
-			return nil, err
-		}
-		if sin, err = ev.Add(sc, sc); err != nil {
-			return nil, err
-		}
-		neg2s2, err := ev.Add(s2, s2)
-		if err != nil {
-			return nil, err
-		}
-		ev.negateInPlace(neg2s2)
-		if cos, err = ev.AddConst(neg2s2, 1); err != nil {
-			return nil, err
-		}
-	}
-
-	// m ≈ sin * q0/(2π*scale), with the caller's exact post-factor folded in.
-	out, err := ev.MulConst(sin, postFactor*q0/(2*math.Pi*scale))
-	if err != nil {
-		return nil, err
-	}
-	return ev.rescaleCC(cc, out)
-}
-
-// negateInPlace flips the sign of every component (no level or scale cost).
-func (ev *Evaluator) negateInPlace(ct *Ciphertext) {
-	rq := ev.params.ringQ.AtLevel(ct.Level)
-	rq.Neg(ct.C0, ct.C0)
-	rq.Neg(ct.C1, ct.C1)
-}
-
-// iConstant returns the all-i plaintext at the given level (cached).
-func (bt *Bootstrapper) iConstant(level int) (*Plaintext, error) {
-	if pt, ok := bt.iPlain[level]; ok {
-		return pt, nil
-	}
-	n := bt.params.Slots()
-	v := make([]complex128, n)
-	for j := range v {
-		v[j] = complex(0, 1)
-	}
-	pt, err := bt.enc.EncodeAtLevel(v, level, bt.params.Scale())
-	if err != nil {
-		return nil, err
-	}
-	bt.iPlain[level] = pt
-	return pt, nil
-}
-
-// slotToCoeff applies the forward special FFT matrix at the ciphertext's
-// current level (built lazily and cached per level).
-func (bt *Bootstrapper) slotToCoeff(cc *cancelCheck, ct *Ciphertext) (*Ciphertext, error) {
-	lt, ok := bt.stcLT[ct.Level]
-	if !ok {
-		diags, err := bt.dftDiagonals(func(col []complex128) { bt.enc.project(col) }, 1)
-		if err != nil {
-			return nil, err
-		}
-		if lt, err = NewLinearTransform(bt.enc, diags, ct.Level, bt.params.Scale(), 0); err != nil {
-			return nil, err
-		}
-		bt.stcLT[ct.Level] = lt
-	}
-	out, err := bt.eval.linearTransform(cc, ct, lt)
-	if err != nil {
-		return nil, err
-	}
-	return bt.eval.rescaleCC(cc, out)
-}
-
-// Bootstrap refreshes a level-0 ciphertext, returning an encryption of the
-// same message with the levels consumed by the pipeline still available.
-func (bt *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
-	return bt.bootstrap(nil, ct)
-}
-
-// BootstrapCtx is Bootstrap with cancellation: ctx is polled between every
-// pipeline stage (ModRaise, SubSum, CoeffToSlot, EvalMod, SlotToCoeff) and
-// inside each stage at every level of the underlying DFTs, polynomial
-// evaluations and double-angle iterations, so a multi-second bootstrap
-// abandons within roughly one key-switch of ctx being done.
-func (bt *Bootstrapper) BootstrapCtx(ctx context.Context, ct *Ciphertext) (*Ciphertext, error) {
-	return bt.bootstrap(newCancelCheck(ctx), ct)
-}
-
-func (bt *Bootstrapper) bootstrap(cc *cancelCheck, ct *Ciphertext) (*Ciphertext, error) {
-	ev := bt.eval
-
-	if err := cc.err("Bootstrap"); err != nil {
-		return nil, err
-	}
-	raised, err := bt.modRaise(ct)
-	if err != nil {
-		return nil, err
-	}
-	folded, err := bt.subSum(cc, raised)
-	if err != nil {
-		return nil, err
-	}
-
-	// CoeffToSlot: slots now hold w_j = c[j*gap]/Δ + i*c[j*gap+N/2]/Δ.
-	slots, err := ev.linearTransform(cc, folded, bt.ctsLT)
+	slots, err := ev.linearTransform(cc, ct, bt.ctsLT)
 	if err != nil {
 		return nil, err
 	}
 	if slots, err = ev.rescaleCC(cc, slots); err != nil {
 		return nil, err
 	}
-
-	// Split into real and imaginary parts (both real-valued slot vectors).
 	conj, err := ev.conjugate(cc, slots, ev.Method())
 	if err != nil {
 		return nil, err
@@ -429,71 +308,164 @@ func (bt *Bootstrapper) bootstrap(cc *cancelCheck, ct *Ciphertext) (*Ciphertext,
 	if err != nil {
 		return nil, err
 	}
-	u, err := ev.MulConst(sum, 0.5)
+	re, err := ev.MulPlain(sum, bt.pack[0])
 	if err != nil {
 		return nil, err
 	}
-	if u, err = ev.rescaleCC(cc, u); err != nil {
-		return nil, err
-	}
-	iPt, err := bt.iConstant(diff.Level)
+	im, err := ev.MulPlain(diff, bt.pack[1])
 	if err != nil {
 		return nil, err
 	}
-	v, err := ev.MulPlain(diff, iPt) // 2i*Im(w) * i = -2 Im(w)
-	if err != nil {
-		return nil, err
+	parts := []*Ciphertext{re, im}
+	if len(bt.unpack) == 1 {
+		if parts[0], err = ev.Add(re, im); err != nil {
+			return nil, err
+		}
+		parts = parts[:1]
 	}
-	if v, err = ev.rescaleCC(cc, v); err != nil {
-		return nil, err
+	for i := range parts {
+		if parts[i], err = ev.rescaleCC(cc, parts[i]); err != nil {
+			return nil, err
+		}
 	}
-	if v, err = ev.MulConst(v, -0.5); err != nil {
-		return nil, err
-	}
-	if v, err = ev.rescaleCC(cc, v); err != nil {
-		return nil, err
-	}
+	return parts, nil
+}
 
-	// EvalMod on both halves; the exact SubSum fold factor is divided out
-	// through the sine output constant.
+// evalMod takes real slots t and returns 2i*sin(2π·anchor·t/(q0·fold)) per
+// slot, which the unpack mask turns into t reduced modulo q0·fold/anchor: it
+// evaluates z = exp(iθ) at the angle θ = 2π·anchor·t/(q0·fold·2^r) by a
+// Taylor polynomial, squares z r times and takes z - conj(z). Squaring a
+// unit-modulus z doubles its relative error, 2^r overall; a cosine-only
+// ladder 2c²-1 would quadruple it each step.
+//
+// anchor is the scale at which the q0-multiples are exact integers: the
+// *original* encoding scale of the bootstrapped ciphertext, which ct.Scale
+// has tracked exactly since. fold = N/(2n) multiplies the modulus because
+// the SubSum trace fixes the gap monomials, summing fold equal
+// contributions: the q0-multiples are exact multiples of q0*fold, and
+// reducing modulo that shrinks the integer range by fold.
+func (bt *Bootstrapper) evalMod(cc *cancelCheck, ct *Ciphertext, anchor float64) (*Ciphertext, error) {
+	ev := bt.eval
+	delta := bt.params.Scale()
 	fold := float64(bt.params.N()) / float64(2*bt.params.Slots())
-	anchor := ct.Scale
-	if u, err = bt.evalMod(cc, u, 1/fold, anchor, fold); err != nil {
+
+	// θ = kappa*t with kappa ~ 2^-22: quantised at Δ it would keep ~18
+	// significant bits and the ladder amplifies the loss by q0/Δ·I. Quantise
+	// it instead at the scale nearest Δ·q/ct.Scale that makes it an integer:
+	// the product is exact, θ lands within 2^-17 of Δ, and the polynomial
+	// evaluation takes whatever scale it is given.
+	kappa := 2 * math.Pi * anchor / (float64(bt.params.qChain[0]) * fold * math.Exp2(float64(bt.bp.DoubleAngles)))
+	m := math.Round(kappa * delta * float64(bt.params.qChain[ct.Level]) / ct.Scale)
+	theta, err := ev.mulConstAtScale(ct, kappa, m/kappa)
+	if err != nil {
 		return nil, err
 	}
-	if v, err = bt.evalMod(cc, v, 1/fold, anchor, fold); err != nil {
+	if theta, err = ev.rescaleCC(cc, theta); err != nil {
 		return nil, err
 	}
 
-	// Recombine m = u + i*v.
-	iPt2, err := bt.iConstant(v.Level)
+	z, err := ev.evaluatePoly(cc, theta, bt.seed, delta)
 	if err != nil {
 		return nil, err
 	}
-	iv, err := ev.MulPlain(v, iPt2)
+	for it := 0; it < bt.bp.DoubleAngles; it++ {
+		if err := cc.err("EvalMod"); err != nil {
+			return nil, err
+		}
+		if z, err = ev.mulRescaleCC(cc, z, z); err != nil {
+			return nil, err
+		}
+	}
+	conj, err := ev.conjugate(cc, z, ev.Method())
 	if err != nil {
 		return nil, err
 	}
-	if iv, err = ev.rescaleCC(cc, iv); err != nil {
-		return nil, err
-	}
-	// u must land on iv's scale/level before the addition.
-	if u.Level > iv.Level {
-		u = ev.DropLevel(u, u.Level-iv.Level)
-	} else if iv.Level > u.Level {
-		iv = ev.DropLevel(iv, iv.Level-u.Level)
-	}
-	u.Scale = iv.Scale // within the rescale drift tolerance
-	recombined, err := ev.Add(u, iv)
-	if err != nil {
-		return nil, err
-	}
+	return ev.Sub(z, conj)
+}
 
-	// SlotToCoeff back to the coefficient layout.
-	out, err := bt.slotToCoeff(cc, recombined)
+// unpackSlots rebuilds the complex slot vector from EvalMod's output: the
+// mask leaves (u ‖ iv), and adding its rotation by n makes u+iv n-periodic
+// again. That rotation's Galois key is the first rung of the SubSum ladder.
+func (bt *Bootstrapper) unpackSlots(cc *cancelCheck, parts []*Ciphertext) (*Ciphertext, error) {
+	ev := bt.eval
+	var acc *Ciphertext
+	for i, d := range parts {
+		term, err := ev.MulPlain(d, bt.unpack[i])
+		if err != nil {
+			return nil, err
+		}
+		if acc, err = ev.addExact(acc, term); err != nil {
+			return nil, err
+		}
+	}
+	acc, err := ev.rescaleCC(cc, acc)
+	if err != nil || len(parts) == 2 {
+		return acc, err
+	}
+	rot, err := ev.rotate(cc, acc, bt.params.Slots(), ev.Method())
 	if err != nil {
 		return nil, err
 	}
-	out.Scale = bt.params.Scale()
+	return ev.Add(acc, rot)
+}
+
+// slotToCoeff applies the forward special FFT to the unpacked slots.
+func (bt *Bootstrapper) slotToCoeff(cc *cancelCheck, parts []*Ciphertext) (*Ciphertext, error) {
+	slots, err := bt.unpackSlots(cc, parts)
+	if err != nil {
+		return nil, err
+	}
+	out, err := bt.eval.linearTransform(cc, slots, bt.stcLT)
+	if err != nil {
+		return nil, err
+	}
+	return bt.eval.rescaleCC(cc, out)
+}
+
+// Bootstrap refreshes a level-0 ciphertext, returning an encryption of the
+// same message at the same scale with the levels the pipeline did not
+// consume (MaxLevel - Depth()) available.
+func (bt *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
+	return bt.bootstrap(nil, ct)
+}
+
+// BootstrapCtx is Bootstrap with cancellation: ctx is polled between every
+// pipeline stage (ModRaise, SubSum, CoeffToSlot, EvalMod, SlotToCoeff) and
+// inside each stage at every level of the underlying DFTs, polynomial
+// evaluations and squarings, so a bootstrap abandons within roughly one
+// key-switch of ctx being done.
+func (bt *Bootstrapper) BootstrapCtx(ctx context.Context, ct *Ciphertext) (*Ciphertext, error) {
+	return bt.bootstrap(newCancelCheck(ctx), ct)
+}
+
+func (bt *Bootstrapper) bootstrap(cc *cancelCheck, ct *Ciphertext) (*Ciphertext, error) {
+	if err := cc.err("Bootstrap"); err != nil {
+		return nil, err
+	}
+	raised, err := bt.modRaise(ct)
+	if err != nil {
+		return nil, err
+	}
+	folded, err := bt.subSum(cc, raised)
+	if err != nil {
+		return nil, err
+	}
+	parts, err := bt.coeffToSlot(cc, folded)
+	if err != nil {
+		return nil, err
+	}
+	for i := range parts {
+		if parts[i], err = bt.evalMod(cc, parts[i], ct.Scale); err != nil {
+			return nil, err
+		}
+	}
+	out, err := bt.slotToCoeff(cc, parts)
+	if err != nil {
+		return nil, err
+	}
+	// The masks were built for a message encoded at Δ: the slots hold
+	// sin(Θ)*q0/(2πΔ) at scale Δ. The message is sin(Θ)*q0/(2π·anchor), which
+	// is the same ciphertext read at the input's scale.
+	out.Scale *= ct.Scale / bt.params.Scale()
 	return out, nil
 }

@@ -5,6 +5,8 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"github.com/fastfhe/fast/internal/obs"
 )
 
 // testContext bundles everything a scheme test needs.
@@ -18,6 +20,7 @@ type testContext struct {
 	decr   *Decryptor
 	keys   *EvaluationKeySet
 	eval   *Evaluator
+	ob     *obs.Observer // set by newBootstrapContext only
 }
 
 var sharedCtx *testContext

@@ -23,17 +23,26 @@ type Plaintext struct {
 // the orbit of 5).
 type Encoder struct {
 	params   *Parameters
+	slots    int
 	roots    []complex128 // roots[k] = exp(2πik/2N)
 	rotGroup []int        // 5^j mod 2N for j < slots
 }
 
 // NewEncoder precomputes the embedding tables for the parameter set.
 func NewEncoder(params *Parameters) *Encoder {
+	return newEncoderSlots(params, params.Slots())
+}
+
+// newEncoderSlots is NewEncoder for an explicit slot count (a power of two up
+// to N/2) on the same ring. A polynomial the params.Slots()-slot encoder
+// produced reads as a periodic vector under a wider encoder: the bootstrapper
+// packs two such vectors into one ciphertext that way.
+func newEncoderSlots(params *Parameters, slots int) *Encoder {
 	n := params.N()
 	m := 2 * n
-	slots := params.Slots()
 	e := &Encoder{
 		params:   params,
+		slots:    slots,
 		roots:    make([]complex128, m+1),
 		rotGroup: make([]int, slots),
 	}
@@ -113,7 +122,7 @@ func (e *Encoder) project(vals []complex128) {
 // a fresh plaintext at the given level and scale. The plaintext polynomial
 // is returned in NTT form.
 func (e *Encoder) EncodeAtLevel(values []complex128, level int, scale float64) (*Plaintext, error) {
-	slots := e.params.Slots()
+	slots := e.slots
 	if len(values) > slots {
 		return nil, fmt.Errorf("ckks: %d values exceed %d slots: %w", len(values), slots, ErrSlotCountMismatch)
 	}
@@ -186,7 +195,7 @@ func (e *Encoder) Decode(pt *Plaintext) []complex128 {
 	rq.PolyToBigintCentered(poly, coeffs)
 
 	n := e.params.N()
-	slots := e.params.Slots()
+	slots := e.slots
 	gap := (n / 2) / slots
 	w := make([]complex128, slots)
 	for j := 0; j < slots; j++ {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,6 +33,10 @@ type Evaluator struct {
 	rescaler    *rns.Rescaler
 	parallelism int
 	pool        *ring.PolyPool // ciphertext-shaped scratch (N x full Q chain)
+
+	// iMonomial is X^(N/2) over the full chain, built by mulByI on first use.
+	iOnce     sync.Once
+	iMonomial *Plaintext
 
 	// om holds the pre-resolved observability instruments; nil when the
 	// evaluator is unobserved, in which case every hot path pays exactly one
@@ -272,6 +277,47 @@ func (ev *Evaluator) MulConst(ct *Ciphertext, c float64) (*Ciphertext, error) {
 		ev.om.finishNoMethod(ev.om.cmult, "CMult", ct.Level, t0, nil)
 	}
 	return out, nil
+}
+
+// mulConstAtScale is MulConst with the constant quantised at constScale
+// instead of Δ: the output scale is ct.Scale*constScale. Polynomial
+// evaluation picks constScale per term so that every term of a sum lands on
+// one identical scale; a caller that picks it so that c*constScale is an
+// integer gets an exact multiplication whatever the size of c.
+func (ev *Evaluator) mulConstAtScale(ct *Ciphertext, c, constScale float64) (*Ciphertext, error) {
+	var t0 time.Time
+	if ev.om != nil {
+		t0 = time.Now()
+	}
+	k, err := scaleToInt(c, constScale)
+	if err != nil {
+		return nil, err
+	}
+	rq := ev.params.ringQ.AtLevel(ct.Level)
+	out := &Ciphertext{C0: rq.NewPoly(), C1: rq.NewPoly(), Level: ct.Level, Scale: ct.Scale * constScale}
+	rq.MulScalarBigint(ct.C0, k, out.C0)
+	rq.MulScalarBigint(ct.C1, k, out.C1)
+	if ev.om != nil {
+		ev.om.finishNoMethod(ev.om.cmult, "CMult", ct.Level, t0, nil)
+	}
+	return out, nil
+}
+
+// mulByI returns i*ct at ct's level and scale. Every slot root ζ^(5^j) of
+// X^N+1 satisfies (ζ^(5^j))^(N/2) = i, so the monomial X^(N/2) is the all-i
+// vector exactly: multiplying by it costs one pointwise product, no level and
+// no quantisation error.
+func (ev *Evaluator) mulByI(ct *Ciphertext) (*Ciphertext, error) {
+	ev.iOnce.Do(func() {
+		rq := ev.params.ringQ
+		mono := rq.NewPoly()
+		for i := range mono.Coeffs {
+			mono.Coeffs[i][ev.params.N()/2] = 1
+		}
+		rq.NTT(mono)
+		ev.iMonomial = &Plaintext{Value: mono, Level: ev.params.MaxLevel(), Scale: 1}
+	})
+	return ev.MulPlain(ct, ev.iMonomial)
 }
 
 // AddConst returns ct + c for a real constant, at ct's scale.
