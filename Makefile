@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-short test-purego race chaos fuzz obs-smoke soak-smoke shard-chaos bench-test bench bench-json benchdiff bench-serve-json benchdiff-serve tables cover fmt vet clean
+.PHONY: all check build test test-short test-purego race chaos fuzz obs-smoke soak-smoke shard-chaos bench-test bench bench-json benchdiff tables cover fmt vet loc clean
 
 all: build test
 
@@ -23,7 +23,7 @@ test-short:
 
 # Pure-Go leg: compile out the GOARCH-gated assembly kernels (internal/ring's
 # AVX2 NTT/BConv routines) and run the suite against the reference loops —
-# the build every non-amd64/arm64 platform gets. The differential asm tests
+# the build every non-amd64 platform gets. The differential asm tests
 # skip themselves; everything else must pass identically.
 test-purego:
 	$(GO) build -tags purego ./...
@@ -83,7 +83,7 @@ soak-smoke:
 # the shared evk tier shows cross-shard reuse within its byte budget.
 shard-chaos:
 	$(GO) test -race -run TestShardChaosSmoke -v ./cmd/fastload
-	$(GO) test -race -run 'TestShard|TestIdemJournal|TestForward' -v ./cmd/fastd
+	$(GO) test -race -run 'TestShard|TestIdemJournal' -v ./cmd/fastd
 
 # The benchmark harness (benchmark/, BENCHMARK.json) is its own Go module, so
 # `go test ./...` at the root never descends into it — but its per-layer
@@ -124,33 +124,6 @@ benchdiff:
 	$(MAKE) bench-json BENCH_JSON=$(BENCHDIFF_NEW)
 	$(GO) run ./scripts/benchdiff -fail-below $(BENCHDIFF_FAIL_BELOW) BENCH_kernels.json $(BENCHDIFF_NEW)
 
-# Serve-throughput recording: end-to-end daemon eval under concurrent load.
-# FASTD_SEQUENTIAL=1 records the straight-line (no micro-batching) mode; the
-# checked-in BENCH_serve_pre.json baseline was recorded that way:
-#
-#	FASTD_SEQUENTIAL=1 make bench-serve-json BENCH_SERVE_JSON=BENCH_serve_pre.json
-BENCH_SERVE_TIME ?= 3s
-BENCH_SERVE_JSON ?= BENCH_serve.json
-
-bench-serve-json:
-	$(GO) test -run '^$$' -bench ServeThroughput -benchtime $(BENCH_SERVE_TIME) ./cmd/fastd > .bench_serve.out || (cat .bench_serve.out; rm -f .bench_serve.out; exit 1)
-	$(GO) run ./scripts/benchjson < .bench_serve.out > $(BENCH_SERVE_JSON)
-	@rm -f .bench_serve.out
-	@echo "wrote $(BENCH_SERVE_JSON)"
-
-# Serve-throughput gate: record the straight-line baseline and the batched
-# mode back to back on the same machine and require cross-request
-# micro-batching to be at least 5% faster (locally it measures ~1.3x; the
-# margin absorbs runner noise). Machine-independent by construction — both
-# recordings are fresh, the checked-in BENCH_serve_pre.json is the reference
-# trajectory, not the gate input.
-# Both recordings are left on disk (BENCH_serve_seq.json / BENCH_serve_new.json)
-# so CI uploads the measured trajectory as artifacts.
-benchdiff-serve:
-	FASTD_SEQUENTIAL=1 $(MAKE) bench-serve-json BENCH_SERVE_JSON=BENCH_serve_seq.json
-	$(MAKE) bench-serve-json BENCH_SERVE_JSON=BENCH_serve_new.json
-	$(GO) run ./scripts/benchdiff -fail-below 1.05 BENCH_serve_seq.json BENCH_serve_new.json
-
 # Regenerate every table and figure of the paper's evaluation.
 tables:
 	$(GO) run ./cmd/benchtables
@@ -165,13 +138,24 @@ cover:
 fmt:
 	gofmt -w .
 
-# Static analysis: go vet plus a gofmt cleanliness check (fails listing any
-# file that gofmt would rewrite).
-vet:
+# Static analysis: go vet, a gofmt cleanliness check (fails listing any file
+# that gofmt would rewrite) and the serving layer's size budget.
+vet: loc
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 
+# Size budget of the serving layer: non-test lines (wc -l, comments included)
+# of cmd/fastd + internal/session. fastd exists to measure the library under
+# traffic, and it has outgrown that job twice; growing it now takes an edit
+# to FASTD_LOC_MAX, which a reviewer sees, next to the code that needs it.
+FASTD_LOC_MAX ?= 3300
+
+loc:
+	@n=$$(ls cmd/fastd/*.go internal/session/*.go | grep -v _test.go | xargs cat | wc -l); \
+	echo "cmd/fastd + internal/session: $$n non-test lines (budget $(FASTD_LOC_MAX))"; \
+	[ $$n -le $(FASTD_LOC_MAX) ]
+
 clean:
 	$(GO) clean ./...
-	rm -f cover.out BENCH_kernels_new.json BENCH_serve_seq.json BENCH_serve_new.json
+	rm -f cover.out BENCH_kernels_new.json

@@ -4,16 +4,8 @@ package main
 // under concurrent load: many clients posting the same rotation-fan-out
 // program to one session. This is the workload cross-request micro-batching
 // exists for — the coalescer merges the shared-source rotations of
-// concurrently queued requests into one hoisted ModUp.
-//
-// FASTD_SEQUENTIAL=1 runs the same benchmark with batching disabled (the
-// -sequential daemon mode), which is how the checked-in straight-line
-// baseline BENCH_serve_pre.json was recorded:
-//
-//	FASTD_SEQUENTIAL=1 make bench-serve-json BENCH_SERVE_JSON=BENCH_serve_pre.json
-//
-// `make benchdiff-serve` re-records the batched mode and gates old/new
-// throughput with -fail-below.
+// concurrently queued requests into one hoisted ModUp. `make bench-json`
+// records it beside the kernel benchmarks.
 
 import (
 	"bytes"
@@ -21,7 +13,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sync/atomic"
 	"testing"
 
@@ -60,15 +51,13 @@ func benchPost(b *testing.B, url string, body any, out any) bool {
 }
 
 func BenchmarkServeThroughput(b *testing.B) {
-	sequential := os.Getenv("FASTD_SEQUENTIAL") == "1"
 	// One worker: evaluation serializes, so concurrent requests queue — the
 	// queue wait is the coalescing window (that is the regime batching is
-	// for; with an idle pool every batch has size 1 and the modes tie).
+	// for; with an idle pool every batch has size 1).
 	d, err := newDaemon(daemonConfig{
 		Workers:          1,
 		QueueDepth:       256,
 		BreakerThreshold: 1 << 20,
-		Sequential:       sequential,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -24,21 +24,21 @@ import (
 // chaosProgram is the canonical request program: eight key-switch-bearing ops
 // across both backends plus a level-consuming multiply, so every fault
 // scenario sees plenty of modeled key transfers per request.
-func chaosProgram(cx, cy string) evalRequest {
-	return evalRequest{
-		Inputs: map[string]string{"x": cx, "y": cy},
-		Program: []progOp{
-			{Op: "rotate", A: "x", R: 1, Out: "r1"},
-			{Op: "rotate", A: "r1", R: -1, Out: "r2", Method: "klss"},
-			{Op: "rotate", A: "r2", R: 4, Out: "r3"},
-			{Op: "conjugate", A: "r3", Out: "c"},
-			{Op: "mul", A: "c", B: "y", Out: "m"},
-			{Op: "rotate", A: "m", R: 1, Out: "r4", Method: "klss"},
-			{Op: "rotate", A: "r4", R: -1, Out: "r5"},
-			{Op: "addconst", A: "r5", Value: 0.25, Out: "out"},
-		},
-		Output: "out",
-	}
+func chaosProgram(cx, cy string) map[string]any {
+	return evalOf(chaosOps(), cx, cy)
+}
+
+func chaosOps() *fast.Program {
+	return fast.NewProgram().In("x", "y").
+		Rotate("r1", "x", 1, hybrid).
+		Rotate("r2", "r1", -1, klss).
+		Rotate("r3", "r2", 4, hybrid).
+		Conjugate("c", "r3", hybrid).
+		Mul("m", "c", "y", hybrid).
+		Rotate("r4", "m", 1, klss).
+		Rotate("r5", "r4", -1, hybrid).
+		AddConst("out", "r5", 0.25).
+		Return("out")
 }
 
 // chaosReference mirrors chaosProgram on a local fault-free Context built

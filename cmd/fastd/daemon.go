@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"encoding/base64"
 	"encoding/json"
@@ -22,6 +21,7 @@ import (
 	"github.com/fastfhe/fast/internal/fault"
 	"github.com/fastfhe/fast/internal/obs"
 	"github.com/fastfhe/fast/internal/serve"
+	sessreg "github.com/fastfhe/fast/internal/session"
 	shardpkg "github.com/fastfhe/fast/internal/shard"
 )
 
@@ -29,8 +29,8 @@ import (
 type daemonConfig struct {
 	// Shards is the number of failure-isolated serving lanes behind the one
 	// listener (default 1 — the pre-sharding topology). Each shard owns its
-	// own admission queue, worker pool, circuit breaker and resident-session
-	// LRU; sessions are pinned to shards by consistent hashing of the ID.
+	// own admission queue, worker pool, circuit breaker and slice of
+	// MaxResident; sessions are pinned to shards by consistent hashing of the ID.
 	Shards int
 	// Workers is the evaluator pool size PER SHARD.
 	Workers    int
@@ -42,8 +42,8 @@ type daemonConfig struct {
 	BreakerCooldown  time.Duration
 	// MaxSessions bounds the session keyspace count PROCESS-WIDE (each
 	// session owns a full key set — memory, not descriptors, is the scarce
-	// resource). The bound is enforced with one shared atomic reservation, so
-	// N shards cannot collectively overshoot it. With a state dir the bound
+	// resource). The bound is enforced by the one session registry, so N
+	// shards cannot collectively overshoot it. With a state dir the bound
 	// covers resident AND persisted sessions.
 	MaxSessions int
 	// StateDir enables crash-safe session durability: every session is
@@ -77,20 +77,13 @@ type daemonConfig struct {
 	// StoreFaults optionally injects disk-write failures into the persistence
 	// layer (chaos testing of the retry-then-degrade path).
 	StoreFaults fault.Plan
-	// Sequential disables cross-request micro-batching: each eval executes
-	// straight-line on its own worker (the pre-planner behavior). Used as the
-	// benchmark baseline and as an operational escape hatch.
-	Sequential bool
-	Observer   *fast.Observer
+	Observer    *fast.Observer
 	// Logger receives the JSON access log (one record per request) plus
 	// slow-request warnings. Nil discards all logging.
 	Logger *slog.Logger
 	// SlowRequest is the duration above which a completed request additionally
 	// emits a warn-level "slow request" record (0 disables).
 	SlowRequest time.Duration
-	// Peers lists sibling fastd base URLs for the multi-node forwarding
-	// skeleton (empty = single node; see forward.go).
-	Peers []string
 }
 
 func (c daemonConfig) withDefaults() daemonConfig {
@@ -141,30 +134,22 @@ func (c daemonConfig) withDefaults() daemonConfig {
 
 // session is one client keyspace: a fast.Context plus the bookkeeping the
 // admission layer needs (cost parameters, fault-recovery watermark) and the
-// durability layer adds (snapshot metadata, idempotency table, LRU position).
+// durability layer adds (snapshot metadata, idempotency table). Where it lives
+// — which shard, how recently used, whether the disk describes it — is the
+// registry's to know, not the session's.
 type session struct {
 	id    string
 	ctx   *fast.Context
 	cm    costmodel.Params
 	plans *planCache // compiled-plan LRU keyed by Plan fingerprint
 	meta  fast.SessionMeta
-	idem  *idemTable // nil only for registry entries tests build by hand
+	idem  *idemTable
 	// journal is the on-disk twin of idem (nil without a state dir): the
 	// store's writer state for <id>.idem — append offset and frame count.
 	journal *journal
 
-	// lruEl and lastUsed are guarded by the owning shard's mu (they move
-	// with that shard's LRU list); both stay zero when persistence is
-	// disabled.
-	lruEl    *list.Element
-	lastUsed time.Time
-
 	mu           sync.Mutex
 	lastRecovery int // Retries+Timeouts+Refetches watermark for breaker deltas
-	// persisted: the on-disk snapshot + epoch sidecar describe this session
-	// (guards the full re-save on evict; cleared when a durability write —
-	// create-time snapshot or restore-time epoch — had degraded).
-	persisted bool
 }
 
 // faultRecoveryDelta returns the growth of the session's fault-recovery
@@ -181,37 +166,28 @@ func (s *session) faultRecoveryDelta() int {
 
 // daemon is the fastd HTTP server: N failure-isolated shards behind one
 // listener, routed by a consistent-hash ring over session IDs, plus the
-// global pieces — the snapshot store, the shared evk tier, the supervisor
-// that fences failed shards, and the process-wide session budget.
+// global pieces — the session registry (which also holds the process-wide
+// session budget), the snapshot store, the shared evk tier and the supervisor
+// that fences failed shards.
 type daemon struct {
 	cfg      daemonConfig
 	shards   []*evalShard
 	ring     *shardpkg.Ring
 	sup      *shardpkg.Supervisor
 	evk      *fast.EvkCache
-	fwd      *forwarder // nil without -peers
 	observer *fast.Observer
 	requests *obs.RequestTable
 	logger   *slog.Logger
 
 	store *sessionStore // nil when persistence is disabled
 
-	// mu guards the GLOBAL registry state: sessions on disk, tombstones, and
-	// the owner table mapping resident session IDs to their current shard.
-	// Per-shard registries live behind each evalShard.mu (always acquired
-	// AFTER d.mu when both are needed).
-	mu        sync.Mutex
-	persisted map[string]struct{}   // on disk only (evicted or not yet restored)
-	corrupt   map[string]struct{}   // snapshot failed integrity validation; skipped
-	owners    map[string]*evalShard // resident session -> shard currently holding it
-
-	// occupancy is the shard-global MaxSessions reservation: resident +
-	// persisted + in-flight creates, maintained with one atomic so N shards
-	// admitting concurrently cannot collectively overshoot the bound.
-	occupancy atomic.Int64
-	resident  atomic.Int64
-	nextID    atomic.Uint64
-	draining  atomic.Bool
+	// sessions is the one place session placement lives (internal/session:
+	// the lifecycle's state table, one mutex). Handlers hold it for a map
+	// operation at a time and do all I/O, keygen and key expansion between
+	// calls.
+	sessions *sessreg.Registry[*session]
+	nextID   atomic.Uint64
+	draining atomic.Bool
 
 	sweepStop chan struct{}
 	sweepDone chan struct{}
@@ -239,15 +215,13 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 	cfg = cfg.withDefaults()
 	reg := cfg.Observer.Registry()
 	d := &daemon{
-		cfg:       cfg,
-		observer:  cfg.Observer,
-		requests:  obs.NewRequestTable(reg),
-		logger:    cfg.Logger,
-		persisted: map[string]struct{}{},
-		corrupt:   map[string]struct{}{},
-		owners:    map[string]*evalShard{},
-		ring:      shardpkg.NewRing(cfg.Shards, 0),
-		evk:       fast.NewEvkCache(cfg.EvkBudget, cfg.Observer),
+		cfg:      cfg,
+		observer: cfg.Observer,
+		requests: obs.NewRequestTable(reg),
+		logger:   cfg.Logger,
+		sessions: sessreg.New[*session](cfg.MaxSessions, splitResident(cfg.MaxResident, cfg.Shards)),
+		ring:     shardpkg.NewRing(cfg.Shards, 0),
+		evk:      fast.NewEvkCache(cfg.EvkBudget, cfg.Observer),
 	}
 	if reg != nil {
 		d.mRequests = reg.Counter("fastd.requests")
@@ -266,11 +240,17 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		d.mShardMigrated = reg.Counter("fastd.shard.sessions_migrated")
 		d.mShardLost = reg.Counter("fastd.shard.sessions_lost")
 		d.mShardDown = reg.Counter("fastd.shard.down_refusals")
+		// The session gauges are the registry's numbers, read when scraped.
+		reg.OnScrape(func() {
+			st := d.sessions.Stats()
+			d.mSessionCount.Set(int64(st.Resident))
+			d.mResident.Set(int64(st.Resident))
+			d.mPersisted.Set(int64(st.Persisted))
+		})
 	}
-	residentSlices := splitResident(cfg.MaxResident, cfg.Shards)
 	d.shards = make([]*evalShard, cfg.Shards)
 	for i := range d.shards {
-		d.shards[i] = newEvalShard(d, i, residentSlices[i])
+		d.shards[i] = newEvalShard(d, i)
 	}
 	// The supervisor health-checks shards through their own admission path
 	// and fences the wedged ones. With a single shard there is no survivor to
@@ -289,9 +269,6 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		OnUnfence:    d.onUnfence,
 		Reg:          reg,
 	})
-	if len(cfg.Peers) > 0 {
-		d.fwd = newForwarder(cfg.Peers, reg, d.logger)
-	}
 	if cfg.StateDir != "" {
 		store, err := openSessionStore(cfg.StateDir, fault.NewInjector(cfg.StoreFaults), reg, d.logger)
 		if err != nil {
@@ -307,14 +284,12 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fastd: scan state dir: %w", err)
 		}
+		d.sessions.Adopt(ids)
 		for _, id := range ids {
-			d.persisted[id] = struct{}{}
 			if n, err := strconv.ParseUint(strings.TrimPrefix(id, "s"), 10, 64); err == nil && n > d.nextID.Load() {
 				d.nextID.Store(n)
 			}
 		}
-		d.occupancy.Store(int64(len(ids)))
-		d.updateOccupancy()
 		if len(ids) > 0 {
 			d.logger.Info("session state recovered", "dir", cfg.StateDir, "persisted", len(ids))
 		}
@@ -394,11 +369,7 @@ func (d *daemon) handler() http.Handler {
 	// Most-specific-pattern-wins: these shadow the observer's /debug/ catch-all.
 	mux.Handle("GET /debug/requests", d.requests.Handler())
 	mux.HandleFunc("GET /debug/plans", d.handlePlans)
-	var h http.Handler = mux
-	if d.fwd != nil {
-		h = d.fwd.middleware(h)
-	}
-	return d.withObservability(h)
+	return d.withObservability(mux)
 }
 
 // handlePlans serves the observer's retained plan-execution records (the ring
@@ -474,18 +445,15 @@ func (d *daemon) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	// histogram (rank interpolation, within 2x of exact) — the same numbers
 	// the serve.latency.p*_ns gauges export on /metrics.
 	lat := d.observer.Registry().Histogram("serve.latency_ns").Snapshot()
-	d.mu.Lock()
-	persisted := len(d.persisted)
-	d.mu.Unlock()
-	occupancy := int(d.occupancy.Load())
-	shards := d.shardReadiness()
+	st := d.sessions.Stats()
+	shards := d.shardReadiness(st)
 	queue := 0
 	for _, s := range shards {
 		queue += s.Queue
 	}
 	sess := sessionReadiness{
-		Resident:    int(d.resident.Load()),
-		Persisted:   persisted,
+		Resident:    st.Resident,
+		Persisted:   st.Persisted,
 		Max:         d.cfg.MaxSessions,
 		MaxResident: d.cfg.MaxResident,
 		Restored:    d.mRestored.Value(),
@@ -514,7 +482,7 @@ func (d *daemon) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	// sessions are being served elsewhere, capacity degraded, availability
 	// did not.
 	r.Ready = !r.Draining && r.Breaker != serve.BreakerOpen.String() &&
-		r.LiveShards > 0 && occupancy < d.cfg.MaxSessions
+		r.LiveShards > 0 && st.Occupancy < d.cfg.MaxSessions
 	if !r.Ready {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
@@ -543,6 +511,39 @@ type sessionResponse struct {
 	Shard    int    `json:"shard"`
 }
 
+// sessionOptions are the options every session's Context is built with, at
+// create and at restore alike: the shared observer, the shared evk tier under
+// the BUILDING shard's tag — after a failover the survivor's lookups hit
+// entries the fenced shard filled, the cross-shard reuse the tier exists for
+// — and the session's fault scenario.
+func (d *daemon) sessionOptions(id string, sh *evalShard, scenario string) ([]fast.Option, error) {
+	opts := []fast.Option{fast.WithObserver(d.observer), fast.WithEvkCache(d.evk, id, sh.id)}
+	if scenario != "" && scenario != "none" {
+		plan, err := fast.FaultScenario(scenario)
+		if err != nil {
+			return nil, err
+		}
+		opts = append(opts, fast.WithFaultPlan(plan))
+	}
+	return opts, nil
+}
+
+// newSession wraps a keyed Context in the state serving it needs.
+func (d *daemon) newSession(fctx *fast.Context, logN int, meta fast.SessionMeta) *session {
+	s := &session{
+		id:    meta.ID,
+		ctx:   fctx,
+		cm:    costmodel.ForContext(logN, fctx.MaxLevel()),
+		plans: newPlanCache(planCacheCap, d.mPlanHits, d.mPlanMisses),
+		idem:  newIdemTable(d.cfg.IdemCap),
+		meta:  meta,
+	}
+	if d.store != nil {
+		s.journal = d.store.journal(meta.ID)
+	}
+	return s
+}
+
 func (d *daemon) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	d.mRequests.Inc()
 	var req sessionRequest
@@ -562,37 +563,23 @@ func (d *daemon) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		Parallelism: req.Parallelism,
 	}
 
-	// Reserve the session slot BEFORE the expensive keygen: checking the
-	// limit, running seconds of key generation and only then inserting would
-	// let N concurrent creates all pass the check and grow the registry past
-	// MaxSessions — the memory bound the limit exists to enforce. The
-	// reservation is one shared atomic, so creates admitted concurrently on
-	// DIFFERENT shards still cannot collectively overshoot the process-wide
-	// bound. It is released on any failure path and converted into the real
-	// entry on success.
-	if d.occupancy.Add(1) > int64(d.cfg.MaxSessions) {
-		d.occupancy.Add(-1)
-		httpError(w, http.StatusTooManyRequests,
-			fmt.Errorf("session limit %d reached", d.cfg.MaxSessions))
-		return
-	}
 	id := "s" + strconv.FormatUint(d.nextID.Add(1), 10)
 	sh, err := d.route(id)
 	if err != nil {
-		d.occupancy.Add(-1)
 		d.writeAdmissionError(w, r, err)
 		return
 	}
-
-	opts := []fast.Option{fast.WithObserver(d.observer), fast.WithEvkCache(d.evk, id, sh.id)}
-	if req.FaultScenario != "" && req.FaultScenario != "none" {
-		plan, err := fast.FaultScenario(req.FaultScenario)
-		if err != nil {
-			d.occupancy.Add(-1)
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		opts = append(opts, fast.WithFaultPlan(plan))
+	opts, err := d.sessionOptions(id, sh, req.FaultScenario)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	// The slot is reserved BEFORE the expensive keygen (see Registry.Reserve),
+	// given back if keygen fails and converted into the real entry by Publish.
+	if !d.sessions.Reserve(id, sh.id) {
+		httpError(w, http.StatusTooManyRequests,
+			fmt.Errorf("session limit %d reached", d.cfg.MaxSessions))
+		return
 	}
 
 	// Key generation is expensive: run it under the owning shard's admission
@@ -610,90 +597,52 @@ func (d *daemon) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return err
 	})
 	if err != nil {
-		d.occupancy.Add(-1)
+		d.sessions.Abandon(id, false)
 		d.writeAdmissionError(w, r, err)
 		return
 	}
 
-	sess := &session{
-		id:    id,
-		ctx:   fctx,
-		cm:    costmodel.ForContext(cfg.LogN, fctx.MaxLevel()),
-		plans: newPlanCache(planCacheCap, d.mPlanHits, d.mPlanMisses),
-		idem:  newIdemTable(d.cfg.IdemCap),
-		meta: fast.SessionMeta{
-			ID:              id,
-			CreatedUnixNano: time.Now().UnixNano(),
-			FaultScenario:   req.FaultScenario,
-		},
-	}
+	sess := d.newSession(fctx, cfg.LogN, fast.SessionMeta{
+		ID:              id,
+		CreatedUnixNano: time.Now().UnixNano(),
+		FaultScenario:   req.FaultScenario,
+	})
 	// Write-ahead durability: the snapshot hits disk (fsync'd, atomically
 	// renamed) BEFORE the create response is released, so a session the client
 	// has been told about survives a SIGKILL in the very next instruction. A
 	// persistent write failure degrades to a resident-only session (counted
 	// and logged) rather than refusing service.
-	if d.store != nil {
-		sess.journal = d.store.journal(id)
-		sess.persisted = d.store.saveSnapshot(fctx, sess.meta) == nil
+	durable := d.store != nil && d.store.saveSnapshot(fctx, sess.meta) == nil
+	switch d.sessions.Publish(id, sess, durable) {
+	case sessreg.Resident:
+		d.enforceResident(sh)
+	case sessreg.Persisted:
+		// The home shard was fenced while keygen ran. The client gets its
+		// session all the same: the snapshot is on disk and the first request
+		// restores it on a survivor.
+	default:
+		// Fenced, and nothing durable to fail over from: lost with the shard.
+		d.mShardLost.Inc()
+		d.writeAdmissionError(w, r, d.shardDown(id))
+		return
 	}
-
-	d.mu.Lock()
-	sh.mu.Lock()
-	d.owners[id] = sh
-	sh.sessions[id] = sess
-	if d.store != nil {
-		sess.lruEl = sh.lru.PushFront(sess)
-		sess.lastUsed = time.Now()
-	}
-	sh.mu.Unlock()
-	d.mu.Unlock()
-	n := d.resident.Add(1)
-	d.mSessionCount.Set(n)
-	d.updateOccupancy()
-	d.enforceResident(sh)
 	writeJSON(w, sessionResponse{ID: id, Slots: fctx.Slots(), MaxLevel: fctx.MaxLevel(), Shard: sh.id})
 }
 
 func (d *daemon) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	d.mRequests.Inc()
 	id := r.PathValue("id")
-	d.mu.Lock()
-	sh := d.owners[id]
-	var s *session
-	resident := sh != nil
-	if resident {
-		sh.mu.Lock()
-		s = sh.sessions[id]
-		delete(sh.sessions, id)
-		if s != nil && s.lruEl != nil {
-			sh.lru.Remove(s.lruEl)
-			s.lruEl = nil
-		}
-		sh.mu.Unlock()
-		delete(d.owners, id)
-	}
-	_, onDisk := d.persisted[id]
-	_, wasCorrupt := d.corrupt[id]
-	delete(d.persisted, id)
-	delete(d.corrupt, id)
-	d.mu.Unlock()
-	if !resident && !onDisk && !wasCorrupt {
+	s, was := d.sessions.Delete(id)
+	if was == sessreg.Absent {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown session %q", id))
 		return
 	}
-	if resident || onDisk {
-		// A corrupt tombstone released its occupancy slot when it was
-		// tombstoned — deleting it only clears the 410.
-		d.occupancy.Add(-1)
-	}
-	if resident {
+	if was == sessreg.Resident {
 		d.mPlanEvicted.Add(uint64(s.plans.drop()))
-		d.mSessionCount.Set(d.resident.Add(-1))
 	}
 	if d.store != nil {
 		d.store.remove(id)
 	}
-	d.updateOccupancy()
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -852,33 +801,12 @@ func (d *daemon) handleEval(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		obsReq.SetUnits(ce.units())
+		obsReq.SetUnits(ce.plan.Units())
 		obsReq.SetFingerprint(ce.plan.Fingerprint())
 		ctx, cancel := requestContext(r)
 		defer cancel()
 
-		op := serve.Op{Name: "eval", Units: ce.units()}
-		if d.cfg.Sequential {
-			// Baseline/escape-hatch mode: straight-line interpretation on this
-			// request's own worker, no cross-request coalescing.
-			var resp ciphertextResponse
-			err = sh.srv.Do(ctx, op, func(ctx context.Context) error {
-				out, err := sess.ctx.ExecuteSequential(ctx, ce.plan, ce.inputs)
-				sh.recordFaultHealth(sess)
-				if err != nil {
-					return err
-				}
-				resp, err = encodeCiphertext(out)
-				return err
-			})
-			if err != nil {
-				d.writeAdmissionError(w, r, err)
-				return
-			}
-			writeJSON(w, resp)
-			return
-		}
-		res, err := sh.batcher.Do(ctx, op, sess.id, ce)
+		res, err := sh.batcher.Do(ctx, serve.Op{Name: "eval", Units: ce.plan.Units()}, sess.id, ce)
 		if err != nil {
 			d.writeAdmissionError(w, r, err)
 			return

@@ -81,6 +81,20 @@ func doJSON(t *testing.T, method, url string, hdr map[string]string, body, out a
 	return resp.StatusCode, raw
 }
 
+// evalOf builds an eval request body: the v2 program p with cts bound to its
+// declared inputs, in order.
+func evalOf(p *fast.Program, cts ...string) map[string]any {
+	inputs := make(map[string]string, len(cts))
+	for i, name := range p.Inputs() {
+		inputs[name] = cts[i]
+	}
+	return map[string]any{"inputs": inputs, "program": p}
+}
+
+// The tests pin every key-switching op's method: what a request computes is
+// then the program's to say, not the planner's.
+var hybrid, klss = fast.WithMethod(fast.Hybrid), fast.WithMethod(fast.KLSS)
+
 func createSession(t *testing.T, base string, req sessionRequest) sessionResponse {
 	t.Helper()
 	var sr sessionResponse
@@ -137,16 +151,12 @@ func TestDaemonEndToEnd(t *testing.T) {
 	cy := encryptValues(t, base, sr.ID, y)
 
 	// t = x*y; r = rotate(t, 1); c = conj(r) via KLSS; out = c + 0.125
-	prog := evalRequest{
-		Inputs: map[string]string{"x": cx.Ciphertext, "y": cy.Ciphertext},
-		Program: []progOp{
-			{Op: "mul", A: "x", B: "y", Out: "t"},
-			{Op: "rotate", A: "t", R: 1, Out: "r"},
-			{Op: "conjugate", A: "r", Out: "c", Method: "klss"},
-			{Op: "addconst", A: "c", Value: 0.125, Out: "out"},
-		},
-		Output: "out",
-	}
+	prog := evalOf(fast.NewProgram().In("x", "y").
+		Mul("t", "x", "y", hybrid).
+		Rotate("r", "t", 1, hybrid).
+		Conjugate("c", "r", klss).
+		AddConst("out", "c", 0.125).
+		Return("out"), cx.Ciphertext, cy.Ciphertext)
 	var cr ciphertextResponse
 	status, raw := doJSON(t, http.MethodPost, base+"/v1/sessions/"+sr.ID+"/eval", nil, prog, &cr)
 	if status != http.StatusOK {
@@ -194,25 +204,22 @@ func TestDaemonValidation(t *testing.T) {
 	}{
 		{"bad session json", "POST", "/v1/sessions", "not an object", http.StatusBadRequest},
 		{"bad fault scenario", "POST", "/v1/sessions", sessionRequest{LogN: 9, Levels: 2, LogScale: 36, FaultScenario: "earthquake"}, http.StatusBadRequest},
-		{"unknown session eval", "POST", "/v1/sessions/nope/eval", evalRequest{}, http.StatusNotFound},
+		{"unknown session eval", "POST", "/v1/sessions/nope/eval", evalOf(fast.NewProgram()), http.StatusNotFound},
 		{"unknown session delete", "DELETE", "/v1/sessions/nope", nil, http.StatusNotFound},
 		{"empty program", "POST", "/v1/sessions/" + sr.ID + "/eval",
-			evalRequest{Inputs: map[string]string{"x": ct.Ciphertext}, Output: "x"}, http.StatusBadRequest},
+			evalOf(fast.NewProgram().In("x").Return("x"), ct.Ciphertext), http.StatusBadRequest},
 		{"missing output", "POST", "/v1/sessions/" + sr.ID + "/eval",
-			evalRequest{Inputs: map[string]string{"x": ct.Ciphertext},
-				Program: []progOp{{Op: "addconst", A: "x", Value: 1, Out: "y"}}}, http.StatusBadRequest},
+			evalOf(fast.NewProgram().In("x").AddConst("y", "x", 1), ct.Ciphertext), http.StatusBadRequest},
 		{"undefined register", "POST", "/v1/sessions/" + sr.ID + "/eval",
-			evalRequest{Inputs: map[string]string{"x": ct.Ciphertext},
-				Program: []progOp{{Op: "add", A: "x", B: "ghost", Out: "y"}}, Output: "y"}, http.StatusBadRequest},
+			evalOf(fast.NewProgram().In("x").Add("y", "x", "ghost").Return("y"), ct.Ciphertext), http.StatusBadRequest},
 		{"unknown op", "POST", "/v1/sessions/" + sr.ID + "/eval",
-			evalRequest{Inputs: map[string]string{"x": ct.Ciphertext},
-				Program: []progOp{{Op: "teleport", A: "x", Out: "y"}}, Output: "y"}, http.StatusBadRequest},
+			evalOf(fast.NewProgram().In("x").Append(fast.ProgramOp{Op: "teleport", A: "x", Out: "y"}).Return("y"), ct.Ciphertext), http.StatusBadRequest},
 		{"unknown method", "POST", "/v1/sessions/" + sr.ID + "/eval",
-			evalRequest{Inputs: map[string]string{"x": ct.Ciphertext},
-				Program: []progOp{{Op: "rotate", A: "x", R: 1, Out: "y", Method: "quantum"}}, Output: "y"}, http.StatusBadRequest},
+			map[string]any{"inputs": map[string]string{"x": ct.Ciphertext}, "program": json.RawMessage(
+				`{"version":2,"inputs":["x"],"ops":[{"op":"rotate","a":"x","r":1,"out":"y","method":"quantum"}],"output":"y"}`)},
+			http.StatusBadRequest},
 		{"bad input ciphertext", "POST", "/v1/sessions/" + sr.ID + "/eval",
-			evalRequest{Inputs: map[string]string{"x": "!!!not base64!!!"},
-				Program: []progOp{{Op: "addconst", A: "x", Value: 1, Out: "y"}}, Output: "y"}, http.StatusBadRequest},
+			evalOf(fast.NewProgram().In("x").AddConst("y", "x", 1).Return("y"), "!!!not base64!!!"), http.StatusBadRequest},
 		{"bad decrypt ciphertext", "POST", "/v1/sessions/" + sr.ID + "/decrypt",
 			decryptRequest{Ciphertext: "AAAA"}, http.StatusBadRequest},
 	}
@@ -302,14 +309,10 @@ func TestDaemonDeadlineHeader(t *testing.T) {
 	sr := createSession(t, base, testSessionRequest()) // also calibrates the estimator
 	ct := encryptValues(t, base, sr.ID, make([]complex128, sr.Slots))
 
-	prog := evalRequest{
-		Inputs: map[string]string{"x": ct.Ciphertext},
-		Program: []progOp{
-			{Op: "mul", A: "x", B: "x", Out: "t"},
-			{Op: "rotate", A: "t", R: 1, Out: "y"},
-		},
-		Output: "y",
-	}
+	prog := evalOf(fast.NewProgram().In("x").
+		Mul("t", "x", "x", hybrid).
+		Rotate("y", "t", 1, hybrid).
+		Return("y"), ct.Ciphertext)
 	start := time.Now()
 	status, raw := doJSON(t, http.MethodPost, base+"/v1/sessions/"+sr.ID+"/eval",
 		map[string]string{"X-Deadline-Ms": "1"}, prog, nil)

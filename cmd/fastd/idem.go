@@ -1,7 +1,6 @@
 package main
 
 import (
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -10,6 +9,8 @@ import (
 	"net/http"
 	"os"
 	"sync"
+
+	sessreg "github.com/fastfhe/fast/internal/session"
 )
 
 // idemEntry is one key's slot in the table. done is closed when the first
@@ -52,23 +53,15 @@ func (e *idemEntry) completed() bool {
 // the bound is the standard dedup-window trade-off, sized so that any retry
 // inside a sane client backoff horizon hits its record.
 type idemTable struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently touched
-	items map[string]*list.Element
+	mu  sync.Mutex
+	cap int
+	lru *sessreg.LRU[*idemEntry]
 }
 
 const idemTableCap = 512
 
 func newIdemTable(capacity int) *idemTable {
-	if capacity <= 0 {
-		capacity = idemTableCap
-	}
-	return &idemTable{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element, capacity),
-	}
+	return &idemTable{cap: capacity, lru: sessreg.NewLRU[*idemEntry]()}
 }
 
 // begin claims the key. owner=true means the caller must execute the request
@@ -77,12 +70,11 @@ func newIdemTable(capacity int) *idemTable {
 func (t *idemTable) begin(key string) (entry *idemEntry, owner bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if el, ok := t.items[key]; ok {
-		t.ll.MoveToFront(el)
-		return el.Value.(*idemEntry), false
+	if e, ok := t.lru.Get(key); ok {
+		return e, false
 	}
 	e := &idemEntry{key: key, done: make(chan struct{})}
-	t.items[key] = t.ll.PushFront(e)
+	t.lru.Put(key, e)
 	t.evictLocked()
 	return e, true
 }
@@ -111,9 +103,8 @@ func (t *idemTable) abandon(e *idemEntry) {
 func (t *idemTable) forget(e *idemEntry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if el, ok := t.items[e.key]; ok && el.Value.(*idemEntry) == e {
-		t.ll.Remove(el)
-		delete(t.items, e.key)
+	if cur, ok := t.lru.Get(e.key); ok && cur == e {
+		t.lru.Delete(e.key)
 	}
 }
 
@@ -122,17 +113,15 @@ func (t *idemTable) forget(e *idemEntry) {
 func (t *idemTable) insert(f journalFrame) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if el, ok := t.items[f.key]; ok {
-		e := el.Value.(*idemEntry)
+	if e, ok := t.lru.Get(f.key); ok {
 		if e.completed() {
 			e.status, e.body, e.off, e.n = f.status, nil, f.off, f.n
 		}
-		t.ll.MoveToFront(el)
 		return
 	}
 	e := &idemEntry{key: f.key, done: make(chan struct{}), status: f.status, off: f.off, n: f.n}
 	close(e.done)
-	t.items[f.key] = t.ll.PushFront(e)
+	t.lru.Put(f.key, e)
 	t.evictLocked()
 }
 
@@ -141,25 +130,27 @@ func (t *idemTable) insert(f journalFrame) {
 func (t *idemTable) completedEntries() []*idemEntry {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]*idemEntry, 0, t.ll.Len())
-	for el := t.ll.Back(); el != nil; el = el.Prev() {
-		if e := el.Value.(*idemEntry); e.completed() {
+	out := make([]*idemEntry, 0, t.lru.Len())
+	t.lru.Oldest(func(_ string, e *idemEntry) bool {
+		if e.completed() {
 			out = append(out, e)
 		}
-	}
+		return true
+	})
 	return out
 }
 
 // evictLocked discards least-recently-touched completed entries past capacity.
 func (t *idemTable) evictLocked() {
-	for el := t.ll.Back(); el != nil && t.ll.Len() > t.cap; {
-		prev := el.Prev()
-		if e := el.Value.(*idemEntry); e.completed() {
-			t.ll.Remove(el)
-			delete(t.items, e.key)
+	t.lru.Oldest(func(key string, e *idemEntry) bool {
+		if t.lru.Len() <= t.cap {
+			return false
 		}
-		el = prev
-	}
+		if e.completed() {
+			t.lru.Delete(key)
+		}
+		return true
+	})
 }
 
 // ---- Idempotency journal ---------------------------------------------------

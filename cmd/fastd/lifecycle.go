@@ -7,25 +7,15 @@ import (
 	"time"
 
 	fast "github.com/fastfhe/fast"
-	"github.com/fastfhe/fast/internal/costmodel"
 	"github.com/fastfhe/fast/internal/obs"
+	sessreg "github.com/fastfhe/fast/internal/session"
 	shardpkg "github.com/fastfhe/fast/internal/shard"
 )
 
 // Session lifecycle: create → (snapshot) → serve ⇄ evict/restore → expire,
-// now across N shards.
-//
-// A session is in exactly one of three registry states:
-//
-//	resident   in exactly one shard's map, recorded in d.owners: fully
-//	           expanded Context, serving requests directly on that shard;
-//	persisted  in d.persisted: snapshot on disk only — evicted under resident
-//	           pressure / idle TTL, not yet faulted in after a restart, or
-//	           migrated off a fenced shard;
-//	corrupt    in d.corrupt: the snapshot or its epoch sidecar failed
-//	           integrity validation; the ID is tombstoned (410 Gone) so a bad
-//	           file can never serve a wrong decrypt or reset the randomness
-//	           epoch, and the daemon keeps running.
+// across N shards. The states and the legal moves between them are
+// internal/session's table; this file is the slow half — the disk reads,
+// key expansion and snapshot writes that happen between two registry calls.
 //
 // Transitions are lazy and request-driven: nothing is restored at startup
 // (scan() only recovers IDs), the first request for a persisted session pays
@@ -33,119 +23,81 @@ import (
 // idle sweeper. Restores are singleflighted per ID — a stampede of requests
 // for one cold session performs one deserialisation.
 //
-// The owner table is what makes failover correct: a session is served through
-// whichever shard currently HOLDS it, which is the ring-routed shard in steady
-// state but may be a survivor after its home shard was fenced (and stays the
-// survivor after an unfence, until eviction lets it drift home). Routing by
-// ring alone would either lose track of failed-over residents or snap them
-// back across shards mid-request.
+// A session is served through whichever shard currently HOLDS it, which is
+// the ring-routed shard in steady state but may be a survivor after its home
+// shard was fenced (and stays the survivor after an unfence, until eviction
+// lets it drift home). Routing by ring alone would either lose track of
+// failed-over residents or snap them back across shards mid-request.
 
 // errUnknownSession is the typed miss for a session ID with no resident
 // entry, no snapshot and no tombstone — mapped to 404 by the error ladder.
 var errUnknownSession = errors.New("unknown session")
 
 // resolve maps a session ID to (holding shard, session). The resident path is
-// a map read under the registry locks; a persisted ID pays a singleflighted
-// restore onto its ring-routed live shard. A resident session whose holding
-// shard has been fenced — the window between the ring fencing and onFence
-// migrating the registry — returns ErrShardDown (503 + Retry-After): the
-// retry finds the snapshot back in the persisted set and restores it on a
-// survivor.
+// one registry call; a persisted ID pays a singleflighted restore onto its
+// ring-routed live shard.
 func (d *daemon) resolve(id string) (*evalShard, *session, error) {
 	for {
-		d.mu.Lock()
-		if sh := d.owners[id]; sh != nil {
-			if sh.fenced() {
-				d.mu.Unlock()
-				d.mShardDown.Inc()
-				return nil, nil, fmt.Errorf("session %q: %w", id, shardpkg.ErrShardDown)
-			}
-			sh.mu.RLock()
-			s := sh.sessions[id]
-			sh.mu.RUnlock()
-			d.mu.Unlock()
-			if s == nil {
-				// owners and sh.sessions are updated together under both
-				// locks, so this cannot persist — re-read.
-				continue
-			}
-			d.touch(sh, s)
-			return sh, s, nil
-		}
-		if _, bad := d.corrupt[id]; bad {
-			d.mu.Unlock()
+		v := d.sessions.Acquire(id)
+		switch v.State {
+		case sessreg.Resident:
+			return d.shards[v.Shard], v.Payload, nil
+		case sessreg.Corrupt:
 			return nil, nil, fmt.Errorf("session %q: %w", id, fast.ErrCorruptSnapshot)
-		}
-		if _, onDisk := d.persisted[id]; !onDisk || d.store == nil {
-			d.mu.Unlock()
+		case sessreg.Restoring:
+			<-v.Wait // another request is already restoring; wait and look again
+		case sessreg.Persisted:
+			// Restore lands on the ring-routed shard — the canonical home among
+			// the currently-live members (after a fence this is a survivor; after
+			// an unfence it is the original home again).
+			sh, err := d.route(id)
+			if err != nil {
+				return nil, nil, err
+			}
+			if d.sessions.BeginRestore(id, sh.id) {
+				s, err := d.restoreInto(sh, id)
+				return sh, s, err
+			}
+		default: // Absent — or Reserved: a create that has not answered yet
 			return nil, nil, fmt.Errorf("%w %q", errUnknownSession, id)
 		}
-		// Restore lands on the ring-routed shard — the canonical home among
-		// the currently-live members (after a fence this is a survivor; after
-		// an unfence it is the original home again).
-		home, err := d.ring.Owner(id)
-		if err != nil {
-			d.mu.Unlock()
-			d.mShardDown.Inc()
-			return nil, nil, err
-		}
-		sh := d.shards[home]
-		sh.mu.Lock()
-		if ch, inflight := sh.restoring[id]; inflight {
-			sh.mu.Unlock()
-			d.mu.Unlock()
-			<-ch // another request is already restoring; wait and re-check
-			continue
-		}
-		ch := make(chan struct{})
-		sh.restoring[id] = ch
-		sh.mu.Unlock()
-		d.mu.Unlock()
+	}
+}
 
-		s, err := d.restoreSession(sh, id) // disk + NTT tables; never under locks
-		d.mu.Lock()
-		sh.mu.Lock()
-		delete(sh.restoring, id)
-		if err != nil {
-			if errors.Is(err, fast.ErrCorruptSnapshot) {
-				// Tombstone: the file stays on disk for forensics but the ID
-				// will never be restored — wrong decrypts are impossible. The
-				// occupancy slot is released: a tombstone holds no keys.
-				d.corrupt[id] = struct{}{}
-				delete(d.persisted, id)
-				d.mCorrupt.Inc()
-				d.occupancy.Add(-1)
-			}
-			sh.mu.Unlock()
-			d.mu.Unlock()
-			close(ch)
-			d.logger.Warn("session restore failed", "session", id, "error", err.Error())
-			return nil, nil, err
+func (d *daemon) shardDown(id string) error {
+	d.mShardDown.Inc()
+	return fmt.Errorf("session %q: %w", id, shardpkg.ErrShardDown)
+}
+
+// restoreInto runs the restore this request claimed and publishes its result.
+func (d *daemon) restoreInto(sh *evalShard, id string) (*session, error) {
+	s, durable, err := d.restoreSession(sh, id) // disk + NTT tables; never under the registry lock
+	if err != nil {
+		// A corrupt file leaves a tombstone: it stays on disk for forensics
+		// but the ID will never be restored — wrong decrypts are impossible.
+		corrupt := errors.Is(err, fast.ErrCorruptSnapshot)
+		d.sessions.Abandon(id, corrupt)
+		if corrupt {
+			d.mCorrupt.Inc()
 		}
-		if d.ring.Fenced(sh.id) {
-			// The shard was fenced while the restore ran; onFence could not
-			// see the half-born session. Discard it — the snapshot stays in
-			// the persisted set, and the retry restores on a survivor.
-			sh.mu.Unlock()
-			d.mu.Unlock()
-			close(ch)
-			d.mShardDown.Inc()
-			return nil, nil, fmt.Errorf("session %q: %w", id, shardpkg.ErrShardDown)
-		}
-		delete(d.persisted, id)
-		sh.sessions[id] = s
-		d.owners[id] = sh
-		s.lruEl = sh.lru.PushFront(s)
-		s.lastUsed = time.Now()
-		sh.mu.Unlock()
-		d.mu.Unlock()
-		close(ch)
+		d.logger.Warn("session restore failed", "session", id, "error", err.Error())
+		return nil, err
+	}
+	switch d.sessions.Publish(id, s, durable) {
+	case sessreg.Resident:
 		d.mRestored.Inc()
-		d.mSessionCount.Set(d.resident.Add(1))
-		d.updateOccupancy()
 		d.logger.Info("session restored", "session", id, "shard", sh.id, "restores", s.meta.Restores)
 		d.enforceResident(sh)
-		return sh, s, nil
+		return s, nil
+	case sessreg.Persisted:
+		// The shard was fenced while the restore ran. The restored context is
+		// discarded; the retry restores on a survivor.
+		return nil, d.shardDown(id)
+	default:
+		// Deleted while the restore ran. The restore may have written an epoch
+		// sidecar after the delete unlinked the session's files: unlink again.
+		d.store.remove(id)
+		return nil, fmt.Errorf("%w %q", errUnknownSession, id)
 	}
 }
 
@@ -163,74 +115,41 @@ func (d *daemon) resolve(id string) (*evalShard, *session, error) {
 //   - the new epoch is made durable in the sidecar — the snapshot itself is
 //     not rewritten — BEFORE the session is returned, so the next crash also
 //     lands on a fresh epoch. If that write degrades the session still serves,
-//     marked dirty, and the next evict re-persists it whole.
-func (d *daemon) restoreSession(sh *evalShard, id string) (*session, error) {
+//     not durable, and the next evict re-persists it whole.
+func (d *daemon) restoreSession(sh *evalShard, id string) (s *session, durable bool, err error) {
 	st := d.store
 	t0 := time.Now()
 	snap, err := st.loadSnapshot(id)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	sidecar, err := st.loadEpoch(id)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	snap.Meta.Restores = 1 + max(snap.Meta.Restores, sidecar)
 	st.mSnapshotLoad.ObserveSince(t0)
 
 	t0 = time.Now()
-	opts := []fast.Option{
-		fast.WithObserver(d.observer),
-		// The restored context subscribes to the shared evk tier under the
-		// RESTORING shard's tag: after a failover the survivor's lookups hit
-		// entries the fenced shard filled — the cross-shard reuse the shared
-		// tier exists for.
-		fast.WithEvkCache(d.evk, id, sh.id),
-	}
-	if fs := snap.Meta.FaultScenario; fs != "" && fs != "none" {
-		plan, err := fast.FaultScenario(fs)
-		if err != nil {
-			return nil, fmt.Errorf("session %q fault scenario: %w", id, err)
-		}
-		opts = append(opts, fast.WithFaultPlan(plan))
+	opts, err := d.sessionOptions(id, sh, snap.Meta.FaultScenario)
+	if err != nil {
+		return nil, false, fmt.Errorf("session %q fault scenario: %w", id, err)
 	}
 	fctx, err := snap.Restore(opts...)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	st.mExpand.ObserveSince(t0)
 
-	sess := &session{
-		id:      id,
-		ctx:     fctx,
-		cm:      costmodel.ForContext(snap.Config.LogN, fctx.MaxLevel()),
-		plans:   newPlanCache(planCacheCap, d.mPlanHits, d.mPlanMisses),
-		idem:    newIdemTable(d.cfg.IdemCap),
-		journal: st.journal(id),
-		meta:    snap.Meta,
-	}
+	sess := d.newSession(fctx, snap.Config.LogN, snap.Meta)
 	t0 = time.Now()
 	st.restoreJournal(sess.journal, sess.idem)
 	st.mJournalIndex.ObserveSince(t0)
 
 	t0 = time.Now()
-	sess.persisted = st.saveEpoch(id, sess.meta.Restores) == nil
+	durable = st.saveEpoch(id, sess.meta.Restores) == nil
 	st.mEpochWrite.ObserveSince(t0)
-	return sess, nil
-}
-
-// touch marks a session recently used (LRU front + idle clock reset) on its
-// holding shard.
-func (d *daemon) touch(sh *evalShard, s *session) {
-	if d.store == nil {
-		return
-	}
-	sh.mu.Lock()
-	if s.lruEl != nil {
-		sh.lru.MoveToFront(s.lruEl)
-	}
-	s.lastUsed = time.Now()
-	sh.mu.Unlock()
+	return sess, durable, nil
 }
 
 // enforceResident evicts least-recently-used sessions from one shard until
@@ -241,76 +160,43 @@ func (d *daemon) enforceResident(sh *evalShard) {
 		return
 	}
 	for {
-		sh.mu.RLock()
-		over := len(sh.sessions) > sh.maxResident
-		var victim *session
-		if over {
-			if el := sh.lru.Back(); el != nil {
-				victim = el.Value.(*session)
-			}
-		}
-		sh.mu.RUnlock()
-		if victim == nil {
-			return
-		}
-		if !d.evictSession(sh, victim) {
+		victim, over := d.sessions.Victim(sh.id)
+		if !over || !d.evictSession(victim) {
 			return // victim unpersistable: durability beats the memory bound
 		}
 	}
 }
 
-// evictSession releases one resident session to disk: snapshot-if-dirty,
-// journal compaction if the file holds more than the bounded in-memory
-// window (usually it does not, and nothing is written), then an atomic
-// resident→persisted registry flip (shard map + owner table together) and
-// plan-cache drop. Returns false when the session could not be persisted —
-// losing key material to enforce a memory bound is never acceptable, so the
-// session stays resident (counted via fastd.store.write_failures).
-func (d *daemon) evictSession(sh *evalShard, victim *session) bool {
+// evictSession releases one resident session to disk: snapshot if the disk
+// does not already describe it, journal compaction if the file holds more
+// than the bounded in-memory window (usually it does not, and nothing is
+// written), then the registry's resident→persisted move and plan-cache drop.
+// Returns false when the session could not be persisted — losing key
+// material to enforce a memory bound is never acceptable, so the session
+// stays resident (counted via fastd.store.write_failures).
+func (d *daemon) evictSession(v sessreg.View[*session]) bool {
 	defer d.store.mEvict.ObserveSince(time.Now())
-	victim.mu.Lock()
-	dirty := !victim.persisted
-	victim.mu.Unlock()
-	if dirty {
-		if d.store.saveSnapshot(victim.ctx, victim.meta) != nil {
-			return false
-		}
-		victim.mu.Lock()
-		victim.persisted = true
-		victim.mu.Unlock()
+	victim := v.Payload
+	if !v.Durable && d.store.saveSnapshot(victim.ctx, victim.meta) != nil {
+		return false
 	}
 	victim.journal.mu.Lock()
 	d.store.compactIfDue(victim.journal, victim.idem)
 	victim.journal.mu.Unlock()
 
-	d.mu.Lock()
-	sh.mu.Lock()
-	if victim.lruEl == nil {
-		// A concurrent evict, delete or fence already claimed it.
-		sh.mu.Unlock()
-		d.mu.Unlock()
-		return true
+	if !d.sessions.Evict(v.ID, victim) {
+		return true // a concurrent evict, delete or fence already claimed it
 	}
-	sh.lru.Remove(victim.lruEl)
-	victim.lruEl = nil
-	delete(sh.sessions, victim.id)
-	delete(d.owners, victim.id)
-	d.persisted[victim.id] = struct{}{}
-	sh.mu.Unlock()
-	d.mu.Unlock()
-
 	d.mPlanEvicted.Add(uint64(victim.plans.drop()))
 	d.mEvicted.Inc()
-	d.mSessionCount.Set(d.resident.Add(-1))
-	d.updateOccupancy()
-	d.logger.Info("session evicted", "session", victim.id, "shard", sh.id)
+	d.logger.Info("session evicted", "session", v.ID, "shard", v.Shard)
 	return true
 }
 
 // sweepIdle is the idle-TTL loop: sessions untouched for SessionTTL are
-// evicted to disk, shard by shard. Restore on next use is transparent (modulo
-// latency), so the TTL reclaims key-set memory from abandoned keyspaces
-// without a client-visible expiry.
+// evicted to disk. Restore on next use is transparent (modulo latency), so
+// the TTL reclaims key-set memory from abandoned keyspaces without a
+// client-visible expiry.
 func (d *daemon) sweepIdle() {
 	defer close(d.sweepDone)
 	interval := d.cfg.SessionTTL / 4
@@ -325,30 +211,10 @@ func (d *daemon) sweepIdle() {
 			return
 		case <-tick.C:
 		}
-		cutoff := time.Now().Add(-d.cfg.SessionTTL)
-		for _, sh := range d.shards {
-			var victims []*session
-			sh.mu.RLock()
-			for _, s := range sh.sessions {
-				if s.lruEl != nil && s.lastUsed.Before(cutoff) {
-					victims = append(victims, s)
-				}
-			}
-			sh.mu.RUnlock()
-			for _, s := range victims {
-				d.evictSession(sh, s)
-			}
+		for _, v := range d.sessions.Idle(time.Now().Add(-d.cfg.SessionTTL)) {
+			d.evictSession(v)
 		}
 	}
-}
-
-// updateOccupancy refreshes the sessions.{resident,persisted} gauges.
-func (d *daemon) updateOccupancy() {
-	d.mu.Lock()
-	per := len(d.persisted)
-	d.mu.Unlock()
-	d.mResident.Set(d.resident.Load())
-	d.mPersisted.Set(int64(per))
 }
 
 // ---- Idempotent replay -----------------------------------------------------
@@ -369,7 +235,7 @@ func (d *daemon) updateOccupancy() {
 // Requests without the header bypass the table entirely.
 func (d *daemon) withIdempotency(w http.ResponseWriter, r *http.Request, sess *session, h func(w http.ResponseWriter)) {
 	key := r.Header.Get("Idempotency-Key")
-	if key == "" || sess.idem == nil {
+	if key == "" {
 		h(w)
 		return
 	}

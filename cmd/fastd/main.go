@@ -4,12 +4,7 @@
 // modeled evaluation-key transfer path, per-request cancellation threaded
 // down into the CKKS kernels, and graceful drain on SIGINT/SIGTERM.
 //
-// Usage:
-//
-//	fastd [-addr 127.0.0.1:8080] [-workers 2] [-queue 8]
-//	      [-breaker-threshold 5] [-breaker-cooldown 2s] [-max-sessions 16]
-//	      [-state-dir ""] [-max-resident-sessions 0] [-session-ttl 0]
-//	      [-access-log stderr] [-log-level info] [-slow-request-ms 0]
+// Usage: `fastd -h` lists every flag with its default.
 //
 // With -state-dir set, fastd is crash-safe: sessions are write-ahead
 // snapshotted (fsync + atomic rename) before the create response, restored
@@ -27,7 +22,7 @@
 //	DELETE /v1/sessions/{id}          drop a keyspace
 //	POST /v1/sessions/{id}/encrypt    {values:[{re,im},...]} -> {ciphertext}
 //	POST /v1/sessions/{id}/decrypt    {ciphertext} -> {values}
-//	POST /v1/sessions/{id}/eval      {inputs, program, output} -> {ciphertext}
+//	POST /v1/sessions/{id}/eval       {inputs, program} -> {ciphertext}; program is a fast.Program v2 object
 //	GET  /debug/requests              in-flight request table (id, phase, age, deadline)
 //	GET  /debug/plans                 retained plan-execution records (batch, request IDs)
 //	GET  /metrics, /debug/...         observability surface (Prometheus, pprof, traces)
@@ -53,7 +48,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -91,9 +85,7 @@ func run(args []string, stdout io.Writer) error {
 	probeInterval := fs.Duration("shard-probe-interval", time.Second, "shard supervisor health-probe interval (shards >= 2)")
 	probeTimeout := fs.Duration("shard-probe-timeout", time.Second, "per-probe timeout before it counts as a failure")
 	fenceThreshold := fs.Int("shard-fence-threshold", 5, "consecutive probe failures that fence a shard")
-	peers := fs.String("peers", "", "comma-separated sibling fastd base URLs (first entry is this node); enables the forwarding skeleton")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain bound on shutdown")
-	sequential := fs.Bool("sequential", false, "disable cross-request micro-batching (baseline/debug mode)")
 	logLevel := fs.String("log-level", "info", "access-log level: debug, info, warn or error")
 	accessLog := fs.String("access-log", "stderr", "access-log destination: stderr, stdout, none, or a file path (appended)")
 	slowRequestMs := fs.Int("slow-request-ms", 0, "warn-level slow-request record above this many milliseconds (0 disables)")
@@ -128,8 +120,6 @@ func run(args []string, stdout io.Writer) error {
 		ProbeInterval:    *probeInterval,
 		ProbeTimeout:     *probeTimeout,
 		FenceThreshold:   *fenceThreshold,
-		Peers:            splitPeers(*peers),
-		Sequential:       *sequential,
 		Observer:         fast.NewTracingObserver(0),
 		Logger:           obs.NewLogger(logW, obs.ParseLogLevel(*logLevel)),
 		SlowRequest:      time.Duration(*slowRequestMs) * time.Millisecond,
@@ -163,17 +153,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	fmt.Fprintln(stdout, "fastd stopped")
 	return nil
-}
-
-// splitPeers parses the comma-separated -peers list, dropping empty entries.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // openAccessLog resolves the -access-log flag to a writer plus its closer.

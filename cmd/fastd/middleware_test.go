@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	fast "github.com/fastfhe/fast"
 	"github.com/fastfhe/fast/internal/obs"
 )
 
@@ -304,11 +305,8 @@ func TestAccessLogOutcomeFromLadder(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 
-	status, _ := doJSON(t, "POST", base+"/v1/sessions/"+sid+"/eval", nil, evalRequest{
-		Inputs:  map[string]string{"x": ct.Ciphertext},
-		Program: []progOp{{Op: "mul", Out: "y", A: "x", B: "x"}},
-		Output:  "y",
-	}, nil)
+	status, _ := doJSON(t, "POST", base+"/v1/sessions/"+sid+"/eval", nil, evalOf(
+		fast.NewProgram().In("x").Mul("y", "x", "x", hybrid).Return("y"), ct.Ciphertext), nil)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("eval while draining: status %d, want 503", status)
 	}

@@ -13,6 +13,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	fast "github.com/fastfhe/fast"
 )
 
 // TestObsSmoke is the observability acceptance path, also run standalone via
@@ -43,11 +45,8 @@ func TestObsSmoke(t *testing.T) {
 			Ciphertext string `json:"ciphertext"`
 		}
 		status, raw := doJSON(t, http.MethodPost, base+"/v1/sessions/"+sid+"/eval",
-			map[string]string{"X-Request-Id": reqID}, evalRequest{
-				Inputs:  map[string]string{"x": ct.Ciphertext},
-				Program: []progOp{{Op: "mul", Out: "y", A: "x", B: "x"}},
-				Output:  "y",
-			}, &er)
+			map[string]string{"X-Request-Id": reqID}, evalOf(
+				fast.NewProgram().In("x").Mul("y", "x", "x", hybrid).Return("y"), ct.Ciphertext), &er)
 		if status != http.StatusOK {
 			t.Fatalf("eval: status %d: %s", status, raw)
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	fast "github.com/fastfhe/fast"
 	"github.com/fastfhe/fast/internal/fault"
 )
 
@@ -112,11 +113,7 @@ func TestChaosIdempotentReplayAcrossRestart(t *testing.T) {
 		vals[i] = complex(0.5, 0.25)
 	}
 	ct := encryptValues(t, tsA.URL, sr.ID, vals)
-	prog := evalRequest{
-		Inputs:  map[string]string{"x": ct.Ciphertext},
-		Program: []progOp{{Op: "addconst", A: "x", Value: 0.125, Out: "out"}},
-		Output:  "out",
-	}
+	prog := evalOf(fast.NewProgram().In("x").AddConst("out", "x", 0.125).Return("out"), ct.Ciphertext)
 	hdr := map[string]string{"Idempotency-Key": "req-42"}
 	url := "/v1/sessions/" + sr.ID + "/eval"
 	st1, body1 := doJSON(t, http.MethodPost, tsA.URL+url, hdr, prog, nil)
@@ -156,11 +153,7 @@ func TestIdempotentReplaySameProcess(t *testing.T) {
 		vals[i] = complex(0.1*float64(i%3), 0)
 	}
 	ct := encryptValues(t, ts.URL, sr.ID, vals)
-	prog := evalRequest{
-		Inputs:  map[string]string{"x": ct.Ciphertext},
-		Program: []progOp{{Op: "rotate", A: "x", R: 1, Out: "out"}},
-		Output:  "out",
-	}
+	prog := evalOf(fast.NewProgram().In("x").Rotate("out", "x", 1, hybrid).Return("out"), ct.Ciphertext)
 	url := ts.URL + "/v1/sessions/" + sr.ID + "/eval"
 	hdr := map[string]string{"Idempotency-Key": "k1"}
 	_, body1 := doJSON(t, http.MethodPost, url, hdr, prog, nil)
@@ -226,11 +219,7 @@ func TestSessionEvictionRestoreLRU(t *testing.T) {
 	}
 	ct := encryptValues(t, ts.URL, s1.ID, vals)
 	// Compile a plan on s1 so eviction has cache entries to drop.
-	prog := evalRequest{
-		Inputs:  map[string]string{"x": ct.Ciphertext},
-		Program: []progOp{{Op: "addconst", A: "x", Value: 1, Out: "out"}},
-		Output:  "out",
-	}
+	prog := evalOf(fast.NewProgram().In("x").AddConst("out", "x", 1).Return("out"), ct.Ciphertext)
 	if st, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+s1.ID+"/eval", nil, prog, nil); st != http.StatusOK {
 		t.Fatalf("eval on s1: status %d: %s", st, body)
 	}

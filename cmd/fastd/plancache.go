@@ -1,11 +1,11 @@
 package main
 
 import (
-	"container/list"
 	"sync"
 
 	fast "github.com/fastfhe/fast"
 	"github.com/fastfhe/fast/internal/obs"
+	sessreg "github.com/fastfhe/fast/internal/session"
 )
 
 // planCache is a bounded per-session LRU of compiled plans keyed by
@@ -20,17 +20,11 @@ import (
 // same input levels) hit the cache on every request after the first,
 // skipping DAG construction, Aether method selection and unit pricing.
 type planCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	mu  sync.Mutex
+	cap int
+	lru *sessreg.LRU[*fast.Plan]
 
 	hits, misses *obs.Counter // shared daemon-wide counters; nil-safe
-}
-
-type planCacheEntry struct {
-	key  string
-	plan *fast.Plan
 }
 
 // planCacheCap bounds each session's cache. Serving deployments run a
@@ -40,16 +34,7 @@ type planCacheEntry struct {
 const planCacheCap = 64
 
 func newPlanCache(capacity int, hits, misses *obs.Counter) *planCache {
-	if capacity <= 0 {
-		capacity = planCacheCap
-	}
-	return &planCache{
-		cap:    capacity,
-		ll:     list.New(),
-		items:  make(map[string]*list.Element, capacity),
-		hits:   hits,
-		misses: misses,
-	}
+	return &planCache{cap: capacity, lru: sessreg.NewLRU[*fast.Plan](), hits: hits, misses: misses}
 }
 
 // get returns the cached plan for key, promoting it to most-recent, or nil
@@ -57,14 +42,13 @@ func newPlanCache(capacity int, hits, misses *obs.Counter) *planCache {
 func (pc *planCache) get(key string) *fast.Plan {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	el, ok := pc.items[key]
+	p, ok := pc.lru.Get(key)
 	if !ok {
 		pc.misses.Inc()
 		return nil
 	}
-	pc.ll.MoveToFront(el)
 	pc.hits.Inc()
-	return el.Value.(*planCacheEntry).plan
+	return p
 }
 
 // put inserts a freshly compiled plan, evicting the least-recently-used
@@ -73,17 +57,13 @@ func (pc *planCache) get(key string) *fast.Plan {
 func (pc *planCache) put(key string, p *fast.Plan) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if el, ok := pc.items[key]; ok {
-		el.Value.(*planCacheEntry).plan = p
-		pc.ll.MoveToFront(el)
-		return
-	}
-	pc.items[key] = pc.ll.PushFront(&planCacheEntry{key: key, plan: p})
-	for pc.ll.Len() > pc.cap {
-		last := pc.ll.Back()
-		pc.ll.Remove(last)
-		delete(pc.items, last.Value.(*planCacheEntry).key)
-	}
+	pc.lru.Put(key, p)
+	pc.lru.Oldest(func(oldest string, _ *fast.Plan) bool {
+		if pc.lru.Len() <= pc.cap {
+			return false
+		}
+		return pc.lru.Delete(oldest)
+	})
 }
 
 // drop empties the cache and returns the number of entries discarded — the
@@ -93,9 +73,8 @@ func (pc *planCache) put(key string, p *fast.Plan) {
 func (pc *planCache) drop() int {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	n := pc.ll.Len()
-	pc.ll.Init()
-	pc.items = make(map[string]*list.Element)
+	n := pc.lru.Len()
+	pc.lru = sessreg.NewLRU[*fast.Plan]()
 	return n
 }
 
@@ -103,5 +82,5 @@ func (pc *planCache) drop() int {
 func (pc *planCache) size() int {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	return pc.ll.Len()
+	return pc.lru.Len()
 }

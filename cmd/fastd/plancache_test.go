@@ -60,14 +60,11 @@ func TestDaemonPlanCacheHitRate(t *testing.T) {
 		return snap.Counters["serve.plan_cache.hits"], snap.Counters["serve.plan_cache.misses"]
 	}
 
-	prog := evalRequest{
-		Inputs: map[string]string{"x": cx.Ciphertext, "y": cy.Ciphertext},
-		Program: []progOp{
-			{Op: "mul", A: "x", B: "y", Out: "t"},
-			{Op: "rotate", A: "t", R: 1, Out: "out"},
-		},
-		Output: "out",
-	}
+	ops := fast.NewProgram().In("x", "y").
+		Mul("t", "x", "y", hybrid).
+		Rotate("out", "t", 1, hybrid).
+		Return("out")
+	prog := evalOf(ops, cx.Ciphertext, cy.Ciphertext)
 	const evals = 5
 	var lastCT string
 	for i := 0; i < evals; i++ {
@@ -92,8 +89,7 @@ func TestDaemonPlanCacheHitRate(t *testing.T) {
 	// Same program text, different input levels (the eval output sits one
 	// level below the fresh encryptions): a correct cache MUST key these
 	// separately — the planner's method and unit decisions are level-dependent.
-	prog.Inputs = map[string]string{"x": lastCT, "y": lastCT}
-	status, raw := doJSON(t, http.MethodPost, base+"/v1/sessions/"+sr.ID+"/eval", nil, prog, nil)
+	status, raw := doJSON(t, http.MethodPost, base+"/v1/sessions/"+sr.ID+"/eval", nil, evalOf(ops, lastCT, lastCT), nil)
 	if status != http.StatusOK {
 		t.Fatalf("lower-level eval: status %d: %s", status, raw)
 	}
@@ -104,11 +100,7 @@ func TestDaemonPlanCacheHitRate(t *testing.T) {
 
 	// The cached plans live per session and the shapes above stay far below
 	// capacity, so the session cache holds exactly the two compiled plans.
-	sh := d.shards[0]
-	sh.mu.RLock()
-	sess := sh.sessions[sr.ID]
-	sh.mu.RUnlock()
-	if got := sess.plans.size(); got != 2 {
+	if got := residentSession(d, sr.ID).plans.size(); got != 2 {
 		t.Fatalf("session plan cache holds %d plans, want 2", got)
 	}
 }

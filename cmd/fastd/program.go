@@ -4,80 +4,31 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	fast "github.com/fastfhe/fast"
 	"github.com/fastfhe/fast/internal/costmodel"
 )
 
-// The eval endpoint accepts two program shapes, distinguished by the type of
-// the "program" field:
-//
-//   - v1 (legacy): "program" is an ARRAY of straight-line instructions and
-//     "output" names the result register. Methods default to the session's
-//     default backend — exactly the pre-planner behavior, lowered onto a
-//     fast.Program with PlanWithDefaultMethod.
-//   - v2: "program" is an OBJECT — the fast.Program JSON format, carrying an
-//     explicit `version: 2` field, a declared input list, per-op optional
-//     methods ("" = planner decides) and its own output register.
-//
-// Either way the program compiles through the public planner (Context.Plan):
+// The eval endpoint takes one program format: "program" is an OBJECT, the
+// fast.Program JSON format v2 — an explicit `version: 2` field, a declared
+// input list, per-op optional methods ("" = planner decides) and its own
+// output register. It compiles through the public planner (Context.Plan):
 // rotation fan-out is hoisted, methods are chosen per site from the cost
 // model, and the plan's unit weight prices admission.
 
-// evalRequest is the v1 straight-line shape, kept as a concrete struct for
-// clients and tests; on the wire it is parsed through evalWire.
-type evalRequest struct {
-	Inputs  map[string]string `json:"inputs"` // register -> base64 ciphertext
-	Program []progOp          `json:"program"`
-	Output  string            `json:"output"`
-}
-
-// progOp is one v1 instruction. Fields are op-dependent:
-//
-//	op          a     b/values/value/r   out
-//	add,sub,mul a,b                      out
-//	mulplain    a     values             out
-//	addplain    a     values             out
-//	mulconst    a     value              out
-//	addconst    a     value              out
-//	rotate      a     r                  out
-//	conjugate   a                        out
-//	rescale     a                        out
-//
-// method selects the key-switching backend for mul/rotate/conjugate
-// ("hybrid"/"klss", default the session's default); no_rescale suppresses the
-// automatic rescale of the multiplying ops.
-type progOp struct {
-	Op        string  `json:"op"`
-	A         string  `json:"a"`
-	B         string  `json:"b,omitempty"`
-	Out       string  `json:"out"`
-	R         int     `json:"r,omitempty"`
-	Value     float64 `json:"value,omitempty"`
-	Values    []cnum  `json:"values,omitempty"`
-	Method    string  `json:"method,omitempty"`
-	NoRescale bool    `json:"no_rescale,omitempty"`
-}
-
-// evalWire is the version-agnostic decode shape of an eval request body.
+// evalWire is the decode shape of an eval request body.
 type evalWire struct {
-	Inputs  map[string]string `json:"inputs"`
+	Inputs  map[string]string `json:"inputs"` // register -> base64 ciphertext
 	Program json.RawMessage   `json:"program"`
-	Output  string            `json:"output"`
 }
 
 // compiledEval is a fully planned request, ready for (batched) execution.
 type compiledEval struct {
 	sess     *session
-	prog     *fast.Program
 	plan     *fast.Plan
 	inputs   map[string]*fast.Ciphertext
 	inputIDs map[string]string
 }
-
-// units returns the plan-derived admission weight.
-func (ce *compiledEval) units() float64 { return ce.plan.Units() }
 
 // compileEval parses, validates and plans an eval request body. Every error
 // is a client error (HTTP 400) and never reaches the worker pool.
@@ -87,9 +38,16 @@ func compileEval(sess *session, body []byte) (*compiledEval, error) {
 		return nil, fmt.Errorf("decode eval request: %w", err)
 	}
 
-	prog, v1, err := parseProgram(wire)
-	if err != nil {
-		return nil, err
+	// Anything but an object — absent, null, or the array that was program
+	// format v1 — gets an answer that names the format to send, not a JSON
+	// type error.
+	if raw := bytes.TrimSpace(wire.Program); len(raw) == 0 || raw[0] != '{' {
+		return nil, fmt.Errorf(`program must be a version %d object {"version":%d,"inputs":[...],"ops":[...],"output":"..."}: %w`,
+			fast.ProgramVersion, fast.ProgramVersion, fast.ErrInvalidProgram)
+	}
+	prog := &fast.Program{}
+	if err := json.Unmarshal(wire.Program, prog); err != nil {
+		return nil, fmt.Errorf("decode program: %w", err)
 	}
 	if err := prog.Validate(); err != nil {
 		return nil, err
@@ -101,7 +59,6 @@ func compileEval(sess *session, body []byte) (*compiledEval, error) {
 	declared := make(map[string]bool, len(prog.Inputs()))
 	ce := &compiledEval{
 		sess:     sess,
-		prog:     prog,
 		inputs:   make(map[string]*fast.Ciphertext, len(wire.Inputs)),
 		inputIDs: make(map[string]string, len(wire.Inputs)),
 	}
@@ -126,79 +83,22 @@ func compileEval(sess *session, body []byte) (*compiledEval, error) {
 		}
 	}
 
-	var planOpts []fast.PlanOption
-	if v1 {
-		// v1 semantics: no per-op method means the session default, not a
-		// planner choice.
-		planOpts = append(planOpts, fast.PlanWithDefaultMethod(sess.ctx.Method()))
+	// Plan lookup by fingerprint: the key covers the program text and the
+	// resolved input levels — everything compilation depends on besides the
+	// session context the cache is scoped to. Plans are immutable, so a
+	// cached instance serves concurrent requests; a miss compiles once and
+	// publishes for the next request. Two racing first requests may both
+	// compile — identical plans, either wins.
+	key := sess.ctx.PlanFingerprint(prog, levels)
+	if ce.plan = sess.plans.get(key); ce.plan != nil {
+		return ce, nil
 	}
-	// Plan lookup by fingerprint: the key covers the program text, the
-	// resolved input levels and the v1 method pin — everything compilation
-	// depends on besides the session context the cache is scoped to. Plans
-	// are immutable, so a cached instance serves concurrent requests; a miss
-	// compiles once and publishes for the next request. Two racing first
-	// requests may both compile — identical plans, either wins.
-	key := sess.ctx.PlanFingerprint(prog, levels, planOpts...)
-	if sess.plans != nil {
-		if cached := sess.plans.get(key); cached != nil {
-			ce.plan = cached
-			return ce, nil
-		}
-	}
-	ce.plan, err = sess.ctx.Plan(prog, levels, planOpts...)
-	if err != nil {
+	var err error
+	if ce.plan, err = sess.ctx.Plan(prog, levels); err != nil {
 		return nil, err
 	}
-	if sess.plans != nil {
-		sess.plans.put(key, ce.plan)
-	}
+	sess.plans.put(key, ce.plan)
 	return ce, nil
-}
-
-// parseProgram dispatches on the program field's JSON shape: array = v1
-// straight-line, object = fast.Program v2 (explicit version field).
-func parseProgram(wire evalWire) (prog *fast.Program, v1 bool, err error) {
-	raw := bytes.TrimSpace(wire.Program)
-	if len(raw) > 0 && raw[0] == '{' {
-		prog = &fast.Program{}
-		if err := json.Unmarshal(raw, prog); err != nil {
-			return nil, false, fmt.Errorf("decode program: %w", err)
-		}
-		return prog, false, nil
-	}
-	var ops []progOp
-	if len(raw) > 0 && string(raw) != "null" {
-		if err := json.Unmarshal(raw, &ops); err != nil {
-			return nil, false, fmt.Errorf("decode program: %w", err)
-		}
-	}
-	prog, err = adaptV1(wire.Inputs, ops, wire.Output)
-	return prog, true, err
-}
-
-// adaptV1 lowers a v1 straight-line request onto a fast.Program: the
-// ciphertext map's keys become the declared inputs (sorted for determinism)
-// and each instruction is appended verbatim, with wire method names parsed
-// into (Method, pinned).
-func adaptV1(inputs map[string]string, ops []progOp, output string) (*fast.Program, error) {
-	names := make([]string, 0, len(inputs))
-	for name := range inputs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	p := fast.NewProgram().In(names...)
-	for i, op := range ops {
-		m, pinned, err := fast.ParseMethod(op.Method)
-		if err != nil {
-			return nil, fmt.Errorf("op %d (%s): %w", i, op.Op, err)
-		}
-		p.Append(fast.ProgramOp{
-			Op: op.Op, Out: op.Out, A: op.A, B: op.B, R: op.R,
-			Value: op.Value, Values: toComplex(op.Values),
-			Method: m, MethodPinned: pinned, NoRescale: op.NoRescale,
-		})
-	}
-	return p.Return(output), nil
 }
 
 // keygenUnits weighs session creation for admission: key generation touches

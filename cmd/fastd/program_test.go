@@ -1,12 +1,12 @@
 package main
 
-// Wire-level tests for the two eval program formats: the v1 straight-line
-// array (legacy, adapter-lowered) and the v2 fast.Program object with an
-// explicit version field. Validation failures must map to distinct 400
-// messages so clients can tell a duplicate write from a shadowed input from
-// dead code without parsing Go error chains.
+// Wire-level tests for the eval program format: the v2 fast.Program object
+// with an explicit version field, and nothing else. Validation failures must
+// map to distinct 400 messages so clients can tell a duplicate write from a
+// shadowed input from dead code without parsing Go error chains.
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -15,12 +15,6 @@ import (
 
 	fast "github.com/fastfhe/fast"
 )
-
-// evalBody builds a raw eval request whose program field is arbitrary JSON,
-// bypassing the typed evalRequest used elsewhere in the tests.
-func evalBody(inputs map[string]string, program any, output string) map[string]any {
-	return map[string]any{"inputs": inputs, "program": program, "output": output}
-}
 
 // TestEvalValidationMessages drives the satellite-1 validation classes over
 // HTTP and asserts each yields a 400 with its own distinguishing message.
@@ -43,43 +37,37 @@ func TestEvalValidationMessages(t *testing.T) {
 	}{
 		{
 			name: "duplicate register write",
-			body: evalBody(map[string]string{"x": cx}, []progOp{
-				{Op: "addconst", A: "x", Value: 1, Out: "t"},
-				{Op: "addconst", A: "x", Value: 2, Out: "t"},
-				{Op: "add", A: "t", B: "t", Out: "out"},
-			}, "out"),
+			body: evalOf(fast.NewProgram().In("x").
+				AddConst("t", "x", 1).
+				AddConst("t", "x", 2).
+				Add("out", "t", "t").Return("out"), cx),
 			message: "already written (duplicate write)",
 		},
 		{
 			name: "write shadows an input",
-			body: evalBody(map[string]string{"x": cx, "y": cy}, []progOp{
-				{Op: "addconst", A: "x", Value: 1, Out: "y"},
-				{Op: "add", A: "y", B: "x", Out: "out"},
-			}, "out"),
+			body: evalOf(fast.NewProgram().In("x", "y").
+				AddConst("y", "x", 1).
+				Add("out", "y", "x").Return("out"), cx, cy),
 			message: "shadows a program input",
 		},
 		{
-			name: "unused input",
-			body: evalBody(map[string]string{"x": cx, "y": cy}, []progOp{
-				{Op: "addconst", A: "x", Value: 1, Out: "out"},
-			}, "out"),
+			name:    "unused input",
+			body:    evalOf(fast.NewProgram().In("x", "y").AddConst("out", "x", 1).Return("out"), cx, cy),
 			message: "is never used",
 		},
 		{
 			name:    "output never written",
-			body:    evalBody(map[string]string{"x": cx}, []progOp{{Op: "addconst", A: "x", Value: 1, Out: "t"}}, "out"),
+			body:    evalOf(fast.NewProgram().In("x").AddConst("t", "x", 1).Return("out"), cx),
 			message: "never written",
 		},
 		{
-			name: "undefined register",
-			body: evalBody(map[string]string{"x": cx}, []progOp{
-				{Op: "add", A: "x", B: "ghost", Out: "out"},
-			}, "out"),
+			name:    "undefined register",
+			body:    evalOf(fast.NewProgram().In("x").Add("out", "x", "ghost").Return("out"), cx),
 			message: "undefined register",
 		},
 		{
 			name:    "unknown op",
-			body:    evalBody(map[string]string{"x": cx}, []progOp{{Op: "teleport", A: "x", Out: "out"}}, "out"),
+			body:    evalOf(fast.NewProgram().In("x").Append(fast.ProgramOp{Op: "teleport", A: "x", Out: "out"}).Return("out"), cx),
 			message: "unknown op",
 		},
 		{
@@ -110,15 +98,25 @@ func TestEvalValidationMessages(t *testing.T) {
 			message: "version 7 unsupported",
 		},
 		{
+			// The array that was program format v1: the answer names the
+			// format to send instead.
+			name: "v1 array program",
+			body: map[string]any{
+				"inputs":  map[string]string{"x": cx},
+				"program": json.RawMessage(`[{"op":"addconst","a":"x","value":1,"out":"out"}]`),
+				"output":  "out",
+			},
+			message: "must be a version 2 object",
+		},
+		{
 			name: "level exhaustion caught at plan time",
-			body: evalBody(map[string]string{"x": cx}, []progOp{
-				// Four rescaling multiplies on a 3-level chain: the fourth
-				// would rescale below the bottom, rejected before admission.
-				{Op: "mul", A: "x", B: "x", Out: "m1"},
-				{Op: "mul", A: "m1", B: "m1", Out: "m2"},
-				{Op: "mul", A: "m2", B: "m2", Out: "m3"},
-				{Op: "mul", A: "m3", B: "m3", Out: "out"},
-			}, "out"),
+			// Four rescaling multiplies on a 3-level chain: the fourth would
+			// rescale below the bottom, rejected before admission.
+			body: evalOf(fast.NewProgram().In("x").
+				Mul("m1", "x", "x", hybrid).
+				Mul("m2", "m1", "m1", hybrid).
+				Mul("m3", "m2", "m2", hybrid).
+				Mul("out", "m3", "m3", hybrid).Return("out"), cx),
 			message: "rescale below the chain bottom",
 		},
 	}
@@ -195,62 +193,58 @@ func TestEvalV2ProgramEndToEnd(t *testing.T) {
 	}
 }
 
-// TestEvalV1ProgramStillAccepted exercises the legacy array shape end to end
-// (the adapter path), including a per-op pinned method.
-func TestEvalV1ProgramStillAccepted(t *testing.T) {
+// TestEvalSequentialModeMatchesBatched is what keeps the one served eval path
+// honest: the batched, planned execution behind POST .../eval must return,
+// byte for byte, what Context.ExecuteSequential — the library's straight-line
+// reference — computes on an in-process Context built from the same session
+// request and seed. Keygen and the two encrypts are the only randomness
+// consumers, so replaying that call sequence reproduces the served inputs.
+func TestEvalSequentialModeMatchesBatched(t *testing.T) {
 	_, ts := newTestDaemon(t, daemonConfig{Workers: 1})
 	base := ts.URL
-	sr := createSession(t, base, testSessionRequest())
-
-	xs := make([]complex128, sr.Slots)
-	for i := range xs {
-		xs[i] = complex(0.2, -0.1)
-	}
+	req := testSessionRequest()
+	sr := createSession(t, base, req)
+	xs, ys := chaosInputs(sr.Slots)
 	cx := encryptValues(t, base, sr.ID, xs)
-
-	var cr ciphertextResponse
-	status, body := doJSON(t, http.MethodPost, base+"/v1/sessions/"+sr.ID+"/eval", nil,
-		evalRequest{
-			Inputs: map[string]string{"x": cx.Ciphertext},
-			Program: []progOp{
-				{Op: "rotate", A: "x", R: 1, Out: "r", Method: "klss"},
-				{Op: "addconst", A: "r", Value: 0.25, Out: "out"},
-			},
-			Output: "out",
-		}, &cr)
+	cy := encryptValues(t, base, sr.ID, ys)
+	var served ciphertextResponse
+	status, raw := doJSON(t, http.MethodPost, base+"/v1/sessions/"+sr.ID+"/eval", nil,
+		chaosProgram(cx.Ciphertext, cy.Ciphertext), &served)
 	if status != http.StatusOK {
-		t.Fatalf("v1 eval status %d: %s", status, body)
+		t.Fatalf("eval: status %d: %s", status, raw)
 	}
-	got := decryptValues(t, base, sr.ID, cr.Ciphertext)
-	for i := range got {
-		want := xs[(i+1)%len(xs)] + 0.25
-		if math.Abs(real(got[i])-real(want)) > 1e-3 || math.Abs(imag(got[i])-imag(want)) > 1e-3 {
-			t.Fatalf("slot %d: got %v, want %v", i, got[i], want)
-		}
-	}
-}
 
-// TestEvalSequentialModeMatchesBatched runs the same request through the
-// batched daemon and a -sequential daemon and requires byte-identical
-// ciphertexts: the operational escape hatch must not change results.
-func TestEvalSequentialModeMatchesBatched(t *testing.T) {
-	run := func(sequential bool) string {
-		_, ts := newTestDaemon(t, daemonConfig{Workers: 1, Sequential: sequential})
-		defer ts.Close()
-		base := ts.URL
-		sr := createSession(t, base, testSessionRequest())
-		xs, ys := chaosInputs(sr.Slots)
-		cx := encryptValues(t, base, sr.ID, xs)
-		cy := encryptValues(t, base, sr.ID, ys)
-		var cr ciphertextResponse
-		status, raw := doJSON(t, http.MethodPost, base+"/v1/sessions/"+sr.ID+"/eval", nil,
-			chaosProgram(cx.Ciphertext, cy.Ciphertext), &cr)
-		if status != http.StatusOK {
-			t.Fatalf("sequential=%v: status %d: %s", sequential, status, raw)
-		}
-		return cr.Ciphertext
+	ref, err := fast.NewContext(fast.ContextConfig{
+		LogN: req.LogN, Levels: req.Levels, LogScale: req.LogScale, Rotations: req.Rotations,
+		Conjugation: req.Conjugation, EnableKLSS: req.EnableKLSS, Seed: req.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if run(false) != run(true) {
-		t.Fatal("batched and sequential daemons disagree on the same request")
+	rx, err := ref.Encrypt(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ry, err := ref.Encrypt(ys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc, _ := encodeCiphertext(rx); enc.Ciphertext != cx.Ciphertext {
+		t.Fatal("the in-process context does not reproduce the served encryption: the comparison below would be vacuous")
+	}
+	plan, err := ref.Plan(chaosOps(), map[string]int{"x": rx.Level(), "y": ry.Level()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ref.ExecuteSequential(context.Background(), plan, map[string]*fast.Ciphertext{"x": rx, "y": ry})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := encodeCiphertext(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served.Ciphertext != want.Ciphertext {
+		t.Fatal("the served eval is not byte-identical to ExecuteSequential on the same session and seed")
 	}
 }

@@ -31,6 +31,7 @@ func TestSessionLimitUnderConcurrentCreates(t *testing.T) {
 	}
 	const n = 8
 	statuses := make([]int, n)
+	ids := make([]string, n) // of the creates that succeeded
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
@@ -40,8 +41,12 @@ func TestSessionLimitUnderConcurrentCreates(t *testing.T) {
 			if err != nil {
 				return // transport error recorded as status 0
 			}
-			resp.Body.Close()
+			defer resp.Body.Close()
 			statuses[i] = resp.StatusCode
+			var sr sessionResponse
+			if json.NewDecoder(resp.Body).Decode(&sr) == nil {
+				ids[i] = sr.ID
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -60,26 +65,21 @@ func TestSessionLimitUnderConcurrentCreates(t *testing.T) {
 	if created != limit || refused != n-limit {
 		t.Fatalf("created %d / refused %d, want %d / %d", created, refused, limit, n-limit)
 	}
-	registered := int(d.resident.Load())
-	if registered != limit {
-		t.Fatalf("registry holds %d sessions, want %d", registered, limit)
+	st := d.sessions.Stats()
+	if st.Resident != limit {
+		t.Fatalf("registry holds %d sessions, want %d", st.Resident, limit)
 	}
-	if occ := int(d.occupancy.Load()); occ != limit {
-		t.Fatalf("occupancy %d after creates settled, want %d: reservations leaked", occ, limit)
+	if st.Occupancy != limit {
+		t.Fatalf("occupancy %d after creates settled, want %d: reservations leaked", st.Occupancy, limit)
 	}
 
 	// Failed creates must have released their reservations: deleting one
 	// session frees exactly one slot for a new create.
 	var sr sessionResponse
-	for id := range func() map[string]*evalShard {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		m := make(map[string]*evalShard, len(d.owners))
-		for k, v := range d.owners {
-			m[k] = v
+	for _, id := range ids {
+		if id == "" {
+			continue
 		}
-		return m
-	}() {
 		status, raw := doJSON(t, http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil, nil, nil)
 		if status != http.StatusNoContent {
 			t.Fatalf("delete %s: status %d: %s", id, status, raw)

@@ -59,25 +59,17 @@ func journalFrames(t *testing.T, dir, id string) []journalFrame {
 // residentSession returns the session object if (and only if) it is resident
 // — unlike resolve it never restores.
 func residentSession(d *daemon, id string) *session {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	sh := d.owners[id]
-	if sh == nil {
-		return nil
-	}
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.sessions[id]
+	return d.sessions.Acquire(id).Payload
 }
 
-// evictNow pushes a session out to disk the way LRU pressure would.
+// evictNow pushes a session out to disk the way LRU pressure would,
+// restoring it first if it is not resident.
 func evictNow(t *testing.T, d *daemon, id string) {
 	t.Helper()
-	sh, s, err := d.resolve(id)
-	if err != nil {
+	if _, _, err := d.resolve(id); err != nil {
 		t.Fatal(err)
 	}
-	if !d.evictSession(sh, s) {
+	if !d.evictSession(d.sessions.Acquire(id)) {
 		t.Fatalf("evict %s failed", id)
 	}
 }
@@ -421,9 +413,8 @@ func TestEpochWriteFaultDegrades(t *testing.T) {
 	}
 	encryptValues(t, ts.URL, sr.ID, make([]complex128, 4))
 	d.store.hook = nil
-	s := residentSession(d, sr.ID)
-	if s == nil || s.persisted || s.meta.Restores != 1 {
-		t.Fatalf("after a failed epoch write: session %+v, want resident, dirty, epoch 1", s)
+	if v := d.sessions.Acquire(sr.ID); v.Payload == nil || v.Durable || v.Payload.meta.Restores != 1 {
+		t.Fatalf("after a failed epoch write: session %+v, want resident, not durable, epoch 1", v)
 	}
 	if got := d.store.mWriteFailures.Value(); got != 1 {
 		t.Fatalf("fastd.store.write_failures = %d, want 1", got)
@@ -438,13 +429,53 @@ func TestEpochWriteFaultDegrades(t *testing.T) {
 	}
 }
 
-// holdAt runs op against a daemon whose store stops at a durability boundary
-// for a while, and asserts op does not complete while it is held there —
-// whatever op hands its caller is released only after that boundary (and, the
-// hook firing before the step it names, only after the step itself).
-func holdAt(t *testing.T, d *daemon, point string, op func()) {
-	t.Helper()
-	held, release := make(chan struct{}), make(chan struct{})
+// TestDeleteDuringRestoreStaysDeleted: a DELETE that lands while a restore of
+// the same session is reading its files must win. The restore's result is
+// discarded — publishing it would resurrect a session with no snapshot on
+// disk, and with its MaxSessions slot already given back.
+func TestDeleteDuringRestoreStaysDeleted(t *testing.T) {
+	dir := t.TempDir()
+	d, ts := newTestDaemon(t, daemonConfig{StateDir: dir, MaxSessions: 2})
+	sr := createSession(t, ts.URL, testSessionRequest())
+	evictNow(t, d, sr.ID)
+
+	held, release := holdStoreAt(d, "epoch.create-tmp") // the restore's last step before it publishes
+	encrypt := encryptRequest{Values: fromComplex(make([]complex128, 4))}
+	restored := make(chan int, 1)
+	go func() { restored <- postStatus(ts.URL+"/v1/sessions/"+sr.ID+"/encrypt", encrypt) }()
+	<-held
+	if status, raw := doJSON(t, http.MethodDelete, ts.URL+"/v1/sessions/"+sr.ID, nil, nil, nil); status != http.StatusNoContent {
+		t.Fatalf("delete during restore: status %d: %s", status, raw)
+	}
+	close(release)
+	if status := <-restored; status != http.StatusNotFound {
+		t.Fatalf("the request whose restore raced the delete: status %d, want 404", status)
+	}
+	if status, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+sr.ID+"/encrypt", nil, encrypt, nil); status != http.StatusNotFound {
+		t.Fatalf("request after the delete: status %d (%s), want 404: the restore resurrected the session", status, raw)
+	}
+	if _, sess := readyzSessions(t, ts.URL); sess.Resident != 0 || sess.Persisted != 0 {
+		t.Fatalf("after the delete: %+v, want nothing resident or persisted", sess)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, sr.ID+".*")); len(left) != 0 {
+		t.Fatalf("deleted session left files behind: %v", left)
+	}
+	// The slot came back exactly once: the limit admits two more, not three.
+	createSession(t, ts.URL, testSessionRequest())
+	createSession(t, ts.URL, testSessionRequest())
+	if status, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", nil, testSessionRequest(), nil); status != http.StatusTooManyRequests {
+		t.Fatalf("create past the limit: status %d, want 429", status)
+	}
+	if _, sess := readyzSessions(t, ts.URL); sess.Resident+sess.Persisted != 2 {
+		t.Fatalf("at the limit of 2 the daemon holds %+v", sess)
+	}
+}
+
+// holdStoreAt makes the daemon's next durability write stop at the named
+// boundary. held is closed when a write gets there; it proceeds once the
+// caller closes release.
+func holdStoreAt(d *daemon, point string) (held, release chan struct{}) {
+	held, release = make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	d.store.hook = func(p string) error {
 		if p == point {
@@ -455,6 +486,16 @@ func holdAt(t *testing.T, d *daemon, point string, op func()) {
 		}
 		return nil
 	}
+	return held, release
+}
+
+// holdAt runs op against a daemon whose store stops at a durability boundary
+// for a while, and asserts op does not complete while it is held there —
+// whatever op hands its caller is released only after that boundary (and, the
+// hook firing before the step it names, only after the step itself).
+func holdAt(t *testing.T, d *daemon, point string, op func()) {
+	t.Helper()
+	held, release := holdStoreAt(d, point)
 	var returned atomic.Bool
 	early, quit := make(chan bool, 1), make(chan struct{})
 	go func() {
@@ -542,7 +583,7 @@ func TestRestorePhasesSumToRestore(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		evictNow(t, d, sr.ID)
 		before, t0 := phaseSum(), time.Now()
-		s, err := d.restoreSession(d.shards[0], sr.ID)
+		s, _, err := d.restoreSession(d.shards[0], sr.ID)
 		wall += time.Since(t0)
 		phases += phaseSum() - before
 		if err != nil || len(s.idem.completedEntries()) != 8 {

@@ -1,25 +1,23 @@
 package main
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 
 	fast "github.com/fastfhe/fast"
 	"github.com/fastfhe/fast/internal/obs"
 	"github.com/fastfhe/fast/internal/serve"
+	sessreg "github.com/fastfhe/fast/internal/session"
 )
 
 // evalShard is one failure-isolated serving lane: its own admission queue,
-// worker pool, circuit breaker, micro-batcher and resident-session LRU. The
-// consistent-hash ring pins each session ID to one shard, so an overloaded
-// queue, a tripped breaker or a panic storm on one shard cannot slow, refuse
-// or wedge traffic owned by its neighbors. Sessions, plan caches (which are
-// per-session) and restore singleflights all live inside the shard; only the
-// snapshot store, the shared evk tier and the MaxSessions budget are global.
+// worker pool, circuit breaker and micro-batcher. The consistent-hash ring
+// pins each session ID to one shard, so an overloaded queue, a tripped
+// breaker or a panic storm on one shard cannot slow, refuse or wedge traffic
+// owned by its neighbors. Which sessions a shard holds is the daemon's
+// session registry's to say; the shard is compute only.
 type evalShard struct {
 	id      int
 	d       *daemon
@@ -27,29 +25,16 @@ type evalShard struct {
 	batcher *serve.Batcher
 	breaker *serve.Breaker
 
-	maxResident int // this shard's slice of cfg.MaxResident
-
-	// mu guards the shard-local registry. Lock ordering: daemon.mu (global
-	// registry) strictly BEFORE evalShard.mu — never the reverse.
-	mu        sync.RWMutex
-	sessions  map[string]*session
-	restoring map[string]chan struct{} // restore singleflight, closed on completion
-	lru       *list.List               // resident eviction order, front = most recent
-
 	mBreakerState *obs.Gauge
 }
 
-func newEvalShard(d *daemon, id int, maxResident int) *evalShard {
+func newEvalShard(d *daemon, id int) *evalShard {
 	cfg := d.cfg
 	reg := cfg.Observer.Registry()
 	sh := &evalShard{
-		id:          id,
-		d:           d,
-		breaker:     serve.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		maxResident: maxResident,
-		sessions:    map[string]*session{},
-		restoring:   map[string]chan struct{}{},
-		lru:         list.New(),
+		id:      id,
+		d:       d,
+		breaker: serve.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 	}
 	sh.srv = serve.New(serve.Config{
 		Workers:    cfg.Workers,
@@ -75,16 +60,6 @@ func newEvalShard(d *daemon, id int, maxResident int) *evalShard {
 		})
 	}
 	return sh
-}
-
-// fenced reports whether the ring has fenced this shard (routing skips it).
-func (sh *evalShard) fenced() bool { return sh.d.ring.Fenced(sh.id) }
-
-// resident returns the shard's resident-session count.
-func (sh *evalShard) resident() int {
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return len(sh.sessions)
 }
 
 // runEvalBatch executes one micro-batch of compiled eval requests. All items
@@ -164,56 +139,34 @@ func (d *daemon) probeShard(ctx context.Context, i int) error {
 	return sh.srv.Do(ctx, serve.Op{Name: "probe", Units: 0}, func(context.Context) error { return nil })
 }
 
-// onFence migrates a fenced shard's registry out so the survivors can serve
-// its sessions: every resident session with a current snapshot returns to the
-// global persisted set (its next request restores it, lazily, on whichever
-// live shard the ring now routes it to); a session whose snapshot write had
-// degraded (resident-only) is lost with the shard — exactly what a SIGKILL
-// would have cost — and is released from the occupancy budget.
+// onFence empties a fenced shard so the survivors can serve its sessions:
+// every resident session the disk describes goes back to persisted (its next
+// request restores it, lazily, on whichever live shard the ring now routes it
+// to); a session whose durability write had degraded (resident-only) is lost
+// with the shard — exactly what a SIGKILL would have cost — and gives its
+// slot back.
 //
-// The ring was fenced before this callback runs, so no new request routes
-// here; requests that resolve the session to this shard through the owner
-// table in the window before migration completes get ErrShardDown (503 +
-// Retry-After) and find the snapshot on a survivor when they retry.
+// The ring was fenced before this callback runs, so no new session routes
+// here, and a create or restore that was already bound here is turned away
+// by the registry when it publishes (503 + Retry-After for the restore: the
+// retry restores on a survivor).
 func (d *daemon) onFence(i int, reason string) {
-	sh := d.shards[i]
-	migrated, lost := 0, 0
-	d.mu.Lock()
-	sh.mu.Lock()
-	for id, s := range sh.sessions {
-		delete(sh.sessions, id)
-		delete(d.owners, id)
-		if s.lruEl != nil {
-			sh.lru.Remove(s.lruEl)
-			s.lruEl = nil
-		}
+	migrated, lost := d.sessions.Fence(i)
+	for _, s := range append(migrated, lost...) {
 		d.mPlanEvicted.Add(uint64(s.plans.drop()))
-		s.mu.Lock()
-		persisted := s.persisted
-		s.mu.Unlock()
-		if d.store != nil && persisted {
-			d.persisted[id] = struct{}{}
-			migrated++
-		} else {
-			d.occupancy.Add(-1)
-			lost++
-		}
 	}
-	sh.mu.Unlock()
-	d.mu.Unlock()
-	d.resident.Add(int64(-(migrated + lost)))
-	d.mShardMigrated.Add(uint64(migrated))
-	d.mShardLost.Add(uint64(lost))
-	d.updateOccupancy()
+	d.mShardMigrated.Add(uint64(len(migrated)))
+	d.mShardLost.Add(uint64(len(lost)))
 	d.logger.Warn("shard fenced", "shard", i, "reason", reason,
-		"migrated", migrated, "lost", lost, "live", d.ring.Live())
+		"migrated", len(migrated), "lost", len(lost), "live", d.ring.Live())
 }
 
-// onUnfence logs a recovered shard rejoining the ring. Its sessions are NOT
-// pulled back eagerly: they stay resident where failover restored them (the
-// owner table routes to the current holder) and drift home lazily — the next
-// restore-after-eviction lands on the ring-routed shard again.
+// onUnfence lets a recovered shard take sessions again. Its old sessions are
+// NOT pulled back eagerly: they stay resident where failover restored them
+// and drift home lazily — the next restore-after-eviction lands on the
+// ring-routed shard again.
 func (d *daemon) onUnfence(i int) {
+	d.sessions.Unfence(i)
 	d.logger.Info("shard unfenced", "shard", i, "live", d.ring.Live())
 }
 
@@ -247,7 +200,7 @@ type shardReadiness struct {
 	Draining bool   `json:"draining"`
 }
 
-func (d *daemon) shardReadiness() []shardReadiness {
+func (d *daemon) shardReadiness(st sessreg.Stats) []shardReadiness {
 	out := make([]shardReadiness, len(d.shards))
 	for i, sh := range d.shards {
 		out[i] = shardReadiness{
@@ -256,7 +209,7 @@ func (d *daemon) shardReadiness() []shardReadiness {
 			Killed:   d.sup.Killed(i),
 			Breaker:  sh.breaker.State().String(),
 			Queue:    sh.srv.QueueLen(),
-			Resident: sh.resident(),
+			Resident: st.ShardResident[i],
 			Draining: sh.srv.Draining(),
 		}
 	}

@@ -69,8 +69,8 @@ func TestShardSessionDistribution(t *testing.T) {
 		}
 		total += s.Resident
 	}
-	if total != 8 || int(d.resident.Load()) != 8 {
-		t.Fatalf("resident rollup %d / %d, want 8", total, d.resident.Load())
+	if got := d.sessions.Stats().Resident; total != 8 || got != 8 {
+		t.Fatalf("resident rollup %d / %d, want 8", total, got)
 	}
 }
 
@@ -279,15 +279,16 @@ func TestShardRestoreVsEvictRaceChaos(t *testing.T) {
 				return
 			default:
 			}
-			sh, s, err := d.resolve(sr.ID)
-			if err != nil {
+			if _, _, err := d.resolve(sr.ID); err != nil {
 				select {
 				case errs <- err:
 				default:
 				}
 				return
 			}
-			d.evictSession(sh, s)
+			if v := d.sessions.Acquire(sr.ID); v.Payload != nil {
+				d.evictSession(v)
+			}
 		}
 	}()
 	// The resolvers finish on their own; then the evictor is told to stop.
@@ -348,13 +349,7 @@ func TestIdemJournalCompactionBounded(t *testing.T) {
 		if journalLines() < 8 {
 			t.Fatalf("round %d: journal has %d lines before evict, want >= 8 appends", round, journalLines())
 		}
-		sh, s, err := d.resolve(sr.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !d.evictSession(sh, s) {
-			t.Fatal("evict failed")
-		}
+		evictNow(t, d, sr.ID)
 		if got := journalLines(); got > d.cfg.IdemCap {
 			t.Fatalf("round %d: journal holds %d lines after evict-compaction, cap is %d", round, got, d.cfg.IdemCap)
 		}
@@ -451,5 +446,65 @@ func TestShardBreakerGaugeTransitionsFault(t *testing.T) {
 	}
 	if g1.Value() != int64(serve.BreakerClosed) {
 		t.Fatalf("shard 1 gauge moved to %d while shard 0 cycled", g1.Value())
+	}
+}
+
+// postStatus posts body from a goroutine that may not call t.Fatal: 0 means
+// the request itself failed.
+func postStatus(url string, body any) int {
+	raw, err := json.Marshal(body)
+	if err != nil {
+		return 0
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
+	if err != nil {
+		return 0
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestShardFenceDuringCreateFailsOver: a shard fenced after a create was routed to
+// it but before the create publishes — keygen and the snapshot write take
+// seconds — must not end up holding the session: onFence has already run and
+// will never migrate it, so every request would answer 503 + Retry-After for
+// good while the session kept its slot. The snapshot being durable, the
+// create still answers 200 and the first request restores the session on a
+// survivor.
+func TestShardFenceDuringCreateFailsOver(t *testing.T) {
+	d, ts := newTestDaemon(t, daemonConfig{Shards: 2, StateDir: t.TempDir(), MaxSessions: 8})
+	home, err := d.ring.Owner("s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, release := holdStoreAt(d, "snap.create-tmp")
+	created := make(chan int, 1)
+	go func() { created <- postStatus(ts.URL+"/v1/sessions", testSessionRequest()) }()
+	<-held
+	if status, raw := doJSON(t, http.MethodPost, fmt.Sprintf("%s/debug/shards/%d/kill", ts.URL, home), nil, nil, nil); status != http.StatusOK {
+		t.Fatalf("kill shard %d: status %d: %s", home, status, raw)
+	}
+	close(release)
+	if status := <-created; status != http.StatusOK {
+		t.Fatalf("create whose home shard was fenced under it: status %d, want 200 (its snapshot is durable)", status)
+	}
+
+	var ct ciphertextResponse
+	status, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/s1/encrypt", nil,
+		encryptRequest{Values: fromComplex([]complex128{1, 2, 3, 4})}, &ct)
+	if status != http.StatusOK {
+		t.Fatalf("encrypt on a session created across a fence: status %d (%s): it is stranded on the fenced shard", status, raw)
+	}
+	status, raw = doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/s1/eval", nil,
+		evalOf(fast.NewProgram().In("x").Rotate("out", "x", 1, hybrid).Return("out"), ct.Ciphertext), nil)
+	if status != http.StatusOK {
+		t.Fatalf("eval on a survivor: status %d: %s", status, raw)
+	}
+	_, rv := getReadyz(t, ts.URL)
+	if rv.Shards[home].Resident != 0 || rv.Shards[1-home].Resident != 1 {
+		t.Fatalf("after failover: %+v, want the session resident on the survivor only", rv.Shards)
+	}
+	if rv.Sessions.Resident != 1 || rv.Sessions.Persisted != 0 || d.mShardLost.Value() != 0 {
+		t.Fatalf("after failover: sessions %+v, lost %d", rv.Sessions, d.mShardLost.Value())
 	}
 }

@@ -16,6 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	fast "github.com/fastfhe/fast"
 )
 
 type soakConfig struct {
@@ -327,8 +329,7 @@ type wireCiphertext struct {
 }
 type wireEvalReq struct {
 	Inputs  map[string]string `json:"inputs"`
-	Program []map[string]any  `json:"program"`
-	Output  string            `json:"output"`
+	Program *fast.Program     `json:"program"`
 }
 
 // wireReadyz mirrors the slice of /readyz the shard-chaos controller reads.
@@ -715,18 +716,13 @@ func soakDecryptCheck(cl *client, col *collector, s *soakSession) {
 // exactly the evaluation-key traffic that exercises the shared evk tier
 // (cross-shard hits after failover are one of the chaos assertions).
 func soakIdemEval(cl *client, col *collector, s *soakSession, key string, rotate bool) {
-	prog := []map[string]any{{"op": "addconst", "a": "x", "value": 0.5, "out": "y"}}
+	prog := fast.NewProgram().In("x").AddConst("y", "x", 0.5).Return("y")
 	if rotate {
-		prog = []map[string]any{
-			{"op": "rotate", "a": "x", "r": 1, "out": "t"},
-			{"op": "addconst", "a": "t", "value": 0.5, "out": "y"},
-		}
+		prog = fast.NewProgram().In("x").
+			Rotate("t", "x", 1, fast.WithMethod(fast.Hybrid)).
+			AddConst("y", "t", 0.5).Return("y")
 	}
-	req := wireEvalReq{
-		Inputs:  map[string]string{"x": s.ciphertext},
-		Program: prog,
-		Output:  "y",
-	}
+	req := wireEvalReq{Inputs: map[string]string{"x": s.ciphertext}, Program: prog}
 	hdr := map[string]string{"Idempotency-Key": key}
 	status, body1, _, err := cl.postJSON("/v1/sessions/"+s.id+"/eval", hdr, req, true)
 	if err != nil {

@@ -11,9 +11,8 @@ package ring
 // invStagesASM / invLastASM / shoupMulVec / shoupMulSubVec / bconvAccumASM
 // entry points:
 //
-//	asm_amd64.go/.s   AVX2 kernels            (amd64 && !purego)
-//	asm_arm64.go      NEON stub, Go fallback  (arm64 && !purego)
-//	asm_fallback.go   Go fallback             ((!amd64 && !arm64) || purego)
+//	asm_amd64.go/.s   AVX2 kernels  (amd64 && !purego)
+//	asm_fallback.go   Go fallback   (!amd64 || purego)
 
 // kernelASMEnabled gates the assembly kernels. It is set once at package init
 // from CPU feature detection and only ever toggled by SetKernelASM in tests.

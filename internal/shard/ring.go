@@ -1,6 +1,6 @@
 // Package shard provides the consistent-hash routing and health-supervision
 // layer fastd uses to split one process into N failure-isolated serving
-// shards (and, via the same ring abstraction, one node among N peers).
+// shards.
 //
 // The ring maps a session ID onto a member with classic consistent hashing:
 // each member owns `replicas` virtual points on a 64-bit hash circle, a key

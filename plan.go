@@ -96,8 +96,8 @@ type planConfig struct {
 type PlanOption func(*planConfig)
 
 // PlanWithDefaultMethod pins every op that does not carry an explicit method
-// to m instead of letting the whole-program planner choose — the v1
-// compatibility behavior, where "no method" meant "the session default".
+// to m instead of letting the whole-program planner choose ("no method"
+// then means m, e.g. the context's default, not the cost model's pick).
 // Hoist-group detection still applies; only the method selection is disabled.
 func PlanWithDefaultMethod(m Method) PlanOption {
 	return func(pc *planConfig) { pc.pinDefault = &m }

@@ -7,9 +7,8 @@ import (
 
 // ProgramVersion is the JSON program format version this package speaks.
 // Version 2 is the first public format: it adds the explicit `version` field,
-// a declared input list and planner-decided ("auto") method selection.
-// cmd/fastd keeps accepting the legacy v1 straight-line shape through an
-// adapter that lowers it onto a Program.
+// a declared input list and planner-decided ("auto") method selection. It is
+// the only format cmd/fastd accepts.
 const ProgramVersion = 2
 
 // ProgramOp is one instruction of a Program. Fields are op-dependent,
@@ -326,8 +325,7 @@ func (p *Program) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON parses the JSON program format v2. The version field is
-// mandatory and must equal ProgramVersion — v1 straight-line requests are a
-// daemon wire shape, adapted by cmd/fastd, not part of this package's format.
+// mandatory and must equal ProgramVersion.
 func (p *Program) UnmarshalJSON(data []byte) error {
 	var w programWire
 	if err := json.Unmarshal(data, &w); err != nil {
