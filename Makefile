@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-short test-purego race chaos fuzz obs-smoke soak-smoke shard-chaos bench-test bench bench-json benchdiff tables cover fmt vet loc clean
+.PHONY: all check build test test-short test-purego race chaos fuzz obs-smoke soak-smoke shard-chaos bench-test bench tables cover fmt vet loc clean
 
 all: build test
 
@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCiphertextMarshal -fuzztime 10s ./internal/ckks
 	$(GO) test -run '^$$' -fuzz FuzzContextConfig -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzSessionSnapshot -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzProgramPlan -fuzztime 10s .
 
 # Observability smoke gate: boot the real fastd through run(), drive one
 # evaluation with a pinned request ID, and assert every surface's contract —
@@ -93,36 +94,10 @@ shard-chaos:
 bench-test:
 	$(GO) test -C benchmark -short ./...
 
+# Go micro-benchmarks: a developer tool for measuring while you work. The
+# recorded trajectory and the gate are `go run -C benchmark .` (BENCHMARK.json).
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Benchmark trajectory recording: run the hot-path kernel benchmarks (NTT,
-# BConv/Convert, Mul, Rotate), the bootstrap and its stages
-# (internal/ckks BenchmarkBootstrap) plus the paper's Fig./Table benchmarks
-# and write the results as JSON so kernel performance is tracked in-repo.
-# Compare two recordings with `go run ./scripts/benchdiff OLD.json NEW.json`.
-BENCH_PATTERN ?= NTT|Convert|Mul|Rotate|ModDown|Rescale|Fig|Table|Serve|Bootstrap
-BENCH_TIME ?= 0.5s
-BENCH_JSON ?= BENCH_kernels.json
-
-bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime $(BENCH_TIME) -benchmem ./... > .bench.out || (cat .bench.out; rm -f .bench.out; exit 1)
-	$(GO) run ./scripts/benchjson < .bench.out > $(BENCH_JSON)
-	@rm -f .bench.out
-	@echo "wrote $(BENCH_JSON)"
-
-# Re-run the kernel benchmarks and diff against the checked-in baseline.
-# Fails when any kernel falls below BENCHDIFF_FAIL_BELOW x the recorded
-# baseline (1.0 = no regression). Kernel benchmarks on shared runners are
-# noisy; treat this as a soft signal there (CI runs it non-blocking) and as a
-# hard gate only on quiet dedicated hardware. The fresh recording is left at
-# BENCHDIFF_NEW so CI can upload it as an artifact alongside the baseline.
-BENCHDIFF_FAIL_BELOW ?= 1.0
-BENCHDIFF_NEW ?= BENCH_kernels_new.json
-
-benchdiff:
-	$(MAKE) bench-json BENCH_JSON=$(BENCHDIFF_NEW)
-	$(GO) run ./scripts/benchdiff -fail-below $(BENCHDIFF_FAIL_BELOW) BENCH_kernels.json $(BENCHDIFF_NEW)
 
 # Regenerate every table and figure of the paper's evaluation.
 tables:
@@ -149,13 +124,16 @@ vet: loc
 # of cmd/fastd + internal/session. fastd exists to measure the library under
 # traffic, and it has outgrown that job twice; growing it now takes an edit
 # to FASTD_LOC_MAX, which a reviewer sees, next to the code that needs it.
-FASTD_LOC_MAX ?= 3300
+# The root package's count is printed beside it, ungated: the library is the
+# product, but its size should be a number someone looks at.
+FASTD_LOC_MAX ?= 3250
 
 loc:
+	@echo "root package: $$(ls *.go | grep -v _test.go | xargs cat | wc -l) non-test lines"
 	@n=$$(ls cmd/fastd/*.go internal/session/*.go | grep -v _test.go | xargs cat | wc -l); \
 	echo "cmd/fastd + internal/session: $$n non-test lines (budget $(FASTD_LOC_MAX))"; \
 	[ $$n -le $(FASTD_LOC_MAX) ]
 
 clean:
 	$(GO) clean ./...
-	rm -f cover.out BENCH_kernels_new.json
+	rm -f cover.out

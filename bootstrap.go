@@ -31,9 +31,12 @@ type BootstrapContext struct {
 	bt *ckks.Bootstrapper
 }
 
-// NewBootstrapContext builds a context with a sparse (hamming-weight-16)
-// secret, the Galois keys the bootstrap pipeline needs, and a precomputed
-// bootstrapper.
+// NewBootstrapContext builds a context in the bootstrapping regime — a 50-bit
+// q0 under 40-bit scale primes, three 50-bit special primes with α = 3, a
+// sparse (hamming-weight-16) secret, hybrid keys for ckks.BootstrapRotations
+// plus conjugation — and a precomputed bootstrapper over it. It is an ordinary
+// Context (same build path, truthful Config) except that its chain is not the
+// one Config alone compiles to, so it cannot be snapshotted.
 func NewBootstrapContext(cfg BootstrapContextConfig) (*BootstrapContext, error) {
 	if cfg.LogN == 0 {
 		cfg.LogN = 12
@@ -49,7 +52,7 @@ func NewBootstrapContext(cfg BootstrapContextConfig) (*BootstrapContext, error) 
 	}
 	bp := ckks.DefaultBootstrapParameters()
 	if cfg.Levels < bp.Depth() {
-		return nil, fmt.Errorf("fast: bootstrap needs at least %d levels, got %d", bp.Depth(), cfg.Levels)
+		return nil, fmt.Errorf("fast: bootstrap needs at least %d levels, got %d: %w", bp.Depth(), cfg.Levels, ErrInvalidParameters)
 	}
 
 	logQ := make([]int, cfg.Levels+1)
@@ -57,7 +60,7 @@ func NewBootstrapContext(cfg BootstrapContextConfig) (*BootstrapContext, error) 
 	for i := 1; i < len(logQ); i++ {
 		logQ[i] = 40
 	}
-	params, err := ckks.NewParameters(ckks.ParametersLiteral{
+	lit := ckks.ParametersLiteral{
 		LogN:                cfg.LogN,
 		LogSlots:            cfg.LogSlots,
 		LogQ:                logQ,
@@ -66,24 +69,20 @@ func NewBootstrapContext(cfg BootstrapContextConfig) (*BootstrapContext, error) 
 		Alpha:               3,
 		Seed:                cfg.Seed,
 		SecretHammingWeight: 16,
-	})
+	}
+	params, err := ckks.NewParameters(lit)
 	if err != nil {
 		return nil, err
 	}
-
-	ctx := &Context{params: params}
-	ctx.encoder = ckks.NewEncoder(params)
-	kgen := ckks.NewKeyGenerator(params)
-	ctx.sk = kgen.GenSecretKey()
-	pk := kgen.GenPublicKey(ctx.sk)
-	ctx.enc = ckks.NewEncryptor(params, pk)
-	ctx.dec = ckks.NewDecryptor(params, ctx.sk)
-	ctx.keys, err = kgen.GenEvaluationKeySet(ctx.sk,
-		[]ckks.KeySwitchMethod{ckks.Hybrid}, ckks.BootstrapRotations(params), true)
-	if err != nil {
-		return nil, err
-	}
-	ctx.eval, err = ckks.NewEvaluator(params, ctx.keys)
+	ctx, err := buildContext(ContextConfig{
+		LogN:        cfg.LogN,
+		LogSlots:    cfg.LogSlots,
+		Levels:      cfg.Levels,
+		LogScale:    lit.LogScale,
+		Rotations:   ckks.BootstrapRotations(params),
+		Conjugation: true,
+		Seed:        cfg.Seed,
+	}, contextSettings{}, lit, params, nil)
 	if err != nil {
 		return nil, err
 	}

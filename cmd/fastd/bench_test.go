@@ -4,8 +4,7 @@ package main
 // under concurrent load: many clients posting the same rotation-fan-out
 // program to one session. This is the workload cross-request micro-batching
 // exists for — the coalescer merges the shared-source rotations of
-// concurrently queued requests into one hoisted ModUp. `make bench-json`
-// records it beside the kernel benchmarks.
+// concurrently queued requests into one hoisted ModUp.
 
 import (
 	"bytes"

@@ -10,7 +10,7 @@ import (
 	"os"
 	"sync"
 
-	sessreg "github.com/fastfhe/fast/internal/session"
+	"github.com/fastfhe/fast/internal/lru"
 )
 
 // idemEntry is one key's slot in the table. done is closed when the first
@@ -55,13 +55,13 @@ func (e *idemEntry) completed() bool {
 type idemTable struct {
 	mu  sync.Mutex
 	cap int
-	lru *sessreg.LRU[*idemEntry]
+	lru *lru.Map[*idemEntry]
 }
 
 const idemTableCap = 512
 
 func newIdemTable(capacity int) *idemTable {
-	return &idemTable{cap: capacity, lru: sessreg.NewLRU[*idemEntry]()}
+	return &idemTable{cap: capacity, lru: lru.New[*idemEntry]()}
 }
 
 // begin claims the key. owner=true means the caller must execute the request

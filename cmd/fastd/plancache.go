@@ -4,8 +4,8 @@ import (
 	"sync"
 
 	fast "github.com/fastfhe/fast"
+	"github.com/fastfhe/fast/internal/lru"
 	"github.com/fastfhe/fast/internal/obs"
-	sessreg "github.com/fastfhe/fast/internal/session"
 )
 
 // planCache is a bounded per-session LRU of compiled plans keyed by
@@ -22,7 +22,7 @@ import (
 type planCache struct {
 	mu  sync.Mutex
 	cap int
-	lru *sessreg.LRU[*fast.Plan]
+	lru *lru.Map[*fast.Plan]
 
 	hits, misses *obs.Counter // shared daemon-wide counters; nil-safe
 }
@@ -34,7 +34,7 @@ type planCache struct {
 const planCacheCap = 64
 
 func newPlanCache(capacity int, hits, misses *obs.Counter) *planCache {
-	return &planCache{cap: capacity, lru: sessreg.NewLRU[*fast.Plan](), hits: hits, misses: misses}
+	return &planCache{cap: capacity, lru: lru.New[*fast.Plan](), hits: hits, misses: misses}
 }
 
 // get returns the cached plan for key, promoting it to most-recent, or nil
@@ -74,7 +74,7 @@ func (pc *planCache) drop() int {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	n := pc.lru.Len()
-	pc.lru = sessreg.NewLRU[*fast.Plan]()
+	pc.lru = lru.New[*fast.Plan]()
 	return n
 }
 

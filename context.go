@@ -6,32 +6,22 @@ import (
 	"strconv"
 
 	"github.com/fastfhe/fast/internal/ckks"
+	"github.com/fastfhe/fast/internal/costmodel"
 	"github.com/fastfhe/fast/internal/obs"
 )
 
-// Method selects a key-switching backend.
-type Method int
+// Method selects a key-switching backend. The enum is declared once, in
+// internal/costmodel (the lowest package that needs it); ckks.KeySwitchMethod
+// is the same alias, so a method passes from the planner to the kernels
+// without conversion.
+type Method = costmodel.Method
 
 const (
 	// Hybrid is the 36-bit ModUp/KeyMult/ModDown method (paper Fig. 1(a)).
-	Hybrid Method = iota
+	Hybrid = costmodel.Hybrid
 	// KLSS is the 60-bit double-decomposition method (paper Fig. 1(b)).
-	KLSS
+	KLSS = costmodel.KLSS
 )
-
-func (m Method) String() string {
-	if m == KLSS {
-		return "klss"
-	}
-	return "hybrid"
-}
-
-func (m Method) internal() ckks.KeySwitchMethod {
-	if m == KLSS {
-		return ckks.KLSS
-	}
-	return ckks.Hybrid
-}
 
 // ContextConfig describes a functional CKKS instantiation.
 type ContextConfig struct {
@@ -84,7 +74,8 @@ func DefaultConfig() ContextConfig {
 // fixed at construction (WithDefaultMethod). See README.md ("Concurrency
 // model") for what is shared and what is pooled.
 type Context struct {
-	cfg           ContextConfig // resolved configuration (defaults applied)
+	cfg           ContextConfig          // resolved configuration (defaults applied)
+	lit           ckks.ParametersLiteral // what params was compiled from
 	params        *ckks.Parameters
 	encoder       *ckks.Encoder
 	sk            *ckks.SecretKey
@@ -129,22 +120,12 @@ func NewContext(cfg ContextConfig, opts ...Option) (*Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	params, err := compileParameters(cfg)
+	lit := parametersLiteral(cfg)
+	params, err := ckks.NewParameters(lit)
 	if err != nil {
 		return nil, err
 	}
-	kgen := ckks.NewKeyGenerator(params)
-	sk := kgen.GenSecretKey()
-	pk := kgen.GenPublicKey(sk)
-	methods := []ckks.KeySwitchMethod{ckks.Hybrid}
-	if cfg.EnableKLSS {
-		methods = append(methods, ckks.KLSS)
-	}
-	keys, err := kgen.GenEvaluationKeySet(sk, methods, cfg.Rotations, cfg.Conjugation)
-	if err != nil {
-		return nil, err
-	}
-	return assembleContext(cfg, settings, params, sk, pk, keys, params.Seed()+0x5eed)
+	return buildContext(cfg, settings, lit, params, nil)
 }
 
 // resolveConfig applies options on top of cfg, fills defaults and validates
@@ -182,12 +163,12 @@ func resolveConfig(cfg ContextConfig, opts []Option) (ContextConfig, contextSett
 	return cfg, settings, nil
 }
 
-// compileParameters maps a resolved ContextConfig onto a CKKS parameter set.
-// The mapping is deterministic: prime-chain generation depends only on the
-// literal, so the same config always compiles to bit-identical ring tables —
-// the property snapshot restoration relies on to pair persisted key material
-// with freshly compiled parameters.
-func compileParameters(cfg ContextConfig) (*ckks.Parameters, error) {
+// parametersLiteral maps a resolved ContextConfig onto the CKKS parameter
+// literal of the general regime. The mapping is deterministic and prime-chain
+// generation depends only on the literal, so the same config always compiles
+// to bit-identical ring tables — the property snapshot restoration relies on
+// to pair persisted key material with freshly compiled parameters.
+func parametersLiteral(cfg ContextConfig) ckks.ParametersLiteral {
 	logQ := make([]int, cfg.Levels+1)
 	logQ[0] = cfg.LogScale + 14 // q0 absorbs the message plus noise margin
 	if logQ[0] > 55 {
@@ -209,41 +190,61 @@ func compileParameters(cfg ContextConfig) (*ckks.Parameters, error) {
 		lit.LogT = []int{60, 60}
 		lit.AlphaT = 2
 	}
-	return ckks.NewParameters(lit)
+	return lit
 }
 
-// assembleContext wires a Context from compiled parameters plus key material
-// — freshly generated (NewContext) or deserialised from a session snapshot
-// (SessionSnapshot.Restore). encSeed seeds the encryptor's deterministic
-// sampler stream; restoration passes a per-epoch seed so a restored session
-// never replays pre-crash encryption randomness.
-func assembleContext(cfg ContextConfig, settings contextSettings, params *ckks.Parameters,
-	sk *ckks.SecretKey, pk *ckks.PublicKey, keys *ckks.EvaluationKeySet, encSeed int64) (*Context, error) {
-	ctx := &Context{cfg: cfg, params: params, sk: sk, pk: pk, keys: keys}
+// buildContext is the one construction path: NewContext, NewBootstrapContext
+// and SessionSnapshot.Restore each describe a regime — the resolved cfg, the
+// literal params was compiled from — and end here. Key material is generated
+// from the parameter seed (hybrid always, KLSS when cfg enables it, Galois
+// keys for cfg.Rotations and cfg.Conjugation) or, when snap is non-nil, read
+// from the snapshot's key payload. The encryptor's sampler stream is seeded
+// per restore epoch, so a restored session never replays pre-crash
+// encryption randomness; epoch 0 is the fresh-construction stream.
+func buildContext(cfg ContextConfig, settings contextSettings, lit ckks.ParametersLiteral,
+	params *ckks.Parameters, snap *SessionSnapshot) (*Context, error) {
+	ctx := &Context{cfg: cfg, lit: lit, params: params, defaultMethod: settings.defaultMethod,
+		observer: settings.observer, evk: settings.evk}
+	encSeed := params.Seed() + 0x5eed
+	if snap == nil {
+		kgen := ckks.NewKeyGenerator(params)
+		ctx.sk = kgen.GenSecretKey()
+		ctx.pk = kgen.GenPublicKey(ctx.sk)
+		methods := []Method{Hybrid}
+		if cfg.EnableKLSS {
+			methods = append(methods, KLSS)
+		}
+		var err error
+		if ctx.keys, err = kgen.GenEvaluationKeySet(ctx.sk, methods, cfg.Rotations, cfg.Conjugation); err != nil {
+			return nil, err
+		}
+	} else {
+		if err := snap.readKeys(ctx); err != nil {
+			return nil, err
+		}
+		encSeed += int64(snap.Meta.Restores) * 0x9e3779b9
+	}
 	ctx.encoder = ckks.NewEncoder(params)
-	ctx.enc = ckks.NewEncryptorWithSeed(params, pk, encSeed)
-	ctx.dec = ckks.NewDecryptor(params, sk)
-	if settings.observer != nil {
-		ctx.observer = settings.observer
-		ctx.enc.SetObserver(settings.observer.internal())
+	ctx.enc = ckks.NewEncryptorWithSeed(params, ctx.pk, encSeed)
+	ctx.dec = ckks.NewDecryptor(params, ctx.sk)
+	if ctx.observer != nil {
+		ctx.enc.SetObserver(ctx.observer.unwrap())
 	}
 	var err error
-	ctx.eval, err = ckks.NewEvaluatorOptions(params, keys, ckks.EvaluatorOptions{
+	ctx.eval, err = ckks.NewEvaluatorOptions(params, ctx.keys, ckks.EvaluatorOptions{
 		Parallelism: cfg.Parallelism,
-		Observer:    settings.observer.internal(),
+		Observer:    ctx.observer.unwrap(),
 	})
 	if err != nil {
 		return nil, err
 	}
-	ctx.defaultMethod = settings.defaultMethod
-	if err := ctx.eval.SetMethod(settings.defaultMethod.internal()); err != nil {
+	if err := ctx.eval.SetMethod(ctx.defaultMethod); err != nil {
 		return nil, err
 	}
 	if settings.faultPlan != nil && settings.faultPlan.Enabled() {
 		ctx.faults = newFaultState(params, *settings.faultPlan)
 		ctx.faults.setObserver(ctx.observer)
 	}
-	ctx.evk = settings.evk
 	return ctx, nil
 }
 
@@ -372,7 +373,7 @@ func (c *Context) Mul(a, b *Ciphertext, opts ...OpOption) (*Ciphertext, error) {
 	s := c.settings(opts)
 	c.faults.request(c.params, "relin", min(a.ct.Level, b.ct.Level), s.method)
 	c.evk.request(c.params, "relin", min(a.ct.Level, b.ct.Level), s.method)
-	prod, err := c.eval.MulRelinCtx(s.ctx, a.ct, b.ct, s.method.internal())
+	prod, err := c.eval.MulRelinCtx(s.ctx, a.ct, b.ct, s.method)
 	if err != nil {
 		return nil, err
 	}
@@ -475,7 +476,7 @@ func (c *Context) Rotate(a *Ciphertext, r int, opts ...OpOption) (*Ciphertext, e
 	s := c.settings(opts)
 	c.faults.request(c.params, "rot:"+strconv.Itoa(r), a.ct.Level, s.method)
 	c.evk.request(c.params, "rot:"+strconv.Itoa(r), a.ct.Level, s.method)
-	out, err := c.eval.RotateCtx(s.ctx, a.ct, r, s.method.internal())
+	out, err := c.eval.RotateCtx(s.ctx, a.ct, r, s.method)
 	return wrap(out, err)
 }
 
@@ -497,7 +498,7 @@ func (c *Context) RotateHoisted(a *Ciphertext, rotations []int, opts ...OpOption
 			c.evk.request(c.params, "rot:"+strconv.Itoa(r), a.ct.Level, s.method)
 		}
 	}
-	outs, err := c.eval.RotateHoistedCtx(s.ctx, a.ct, rotations, s.method.internal())
+	outs, err := c.eval.RotateHoistedCtx(s.ctx, a.ct, rotations, s.method)
 	if err != nil {
 		return nil, err
 	}
@@ -523,7 +524,7 @@ func (c *Context) Conjugate(a *Ciphertext, opts ...OpOption) (*Ciphertext, error
 	s := c.settings(opts)
 	c.faults.request(c.params, "conj", a.ct.Level, s.method)
 	c.evk.request(c.params, "conj", a.ct.Level, s.method)
-	out, err := c.eval.ConjugateCtx(s.ctx, a.ct, s.method.internal())
+	out, err := c.eval.ConjugateCtx(s.ctx, a.ct, s.method)
 	return wrap(out, err)
 }
 

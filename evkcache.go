@@ -95,17 +95,3 @@ func (e *evkBinding) request(params *ckks.Parameters, keyID string, level int, m
 	size := evkBytes(params, params.MaxLevel(), m)
 	_ = e.cache.GetOrFill(key, e.shard, size, nil)
 }
-
-// EvkKeyCount is a testing/telemetry helper: the number of distinct shared-
-// tier keys a context with this configuration can generate (relin + one per
-// rotation + conjugation, per enabled method).
-func (c *Context) EvkKeyCount() int {
-	n := 1 + len(c.cfg.Rotations)
-	if c.cfg.Conjugation {
-		n++
-	}
-	if c.cfg.EnableKLSS {
-		n *= 2
-	}
-	return n
-}

@@ -15,14 +15,12 @@ import (
 // reference interpretation the differential suite compares against.
 //
 // Bit-identity contract: ExecuteBatch and ExecuteSequential produce byte-for-
-// byte identical ciphertexts for the same plan and inputs. Three properties
+// byte identical ciphertexts for the same plan and inputs. Two properties
 // make this hold: (1) every planned rotation — singletons included — runs
 // through the hoisted kernel, whose per-rotation output is independent of the
-// other rotations sharing the decomposition; (2) Mul with fused rescale and
-// Mul(NoRescale)+Rescale execute the same kernel sequence, so deferred
-// rescale placement is bit-neutral; (3) method decisions are deterministic in
-// (program, input levels, context), so both interpreters resolve the same
-// backend at every site.
+// other rotations sharing the decomposition; (2) method decisions are
+// deterministic in (program, input levels, context), so both interpreters
+// resolve the same backend at every site.
 
 // Run is one program execution in a batch: a plan, its input ciphertexts and
 // a cancellation context in; the output ciphertext or a typed error out.
@@ -52,9 +50,7 @@ type Run struct {
 	// Batch values identify runs coalesced into one batch.
 	Batch uint64
 
-	regs    map[string]*Ciphertext // register file
-	pending map[string]int         // registers holding an unrescaled value -> producing node
-	noDefer bool                   // sequential mode: keep every rescale fused
+	regs map[string]*Ciphertext // register file
 }
 
 // Execute compiles-and-runs in one call for a single request: it executes
@@ -99,7 +95,6 @@ func (c *Context) prepareRun(run *Run) bool {
 	for in, ct := range run.Inputs {
 		run.regs[in] = ct
 	}
-	run.pending = make(map[string]int)
 	return true
 }
 
@@ -118,22 +113,6 @@ func wrapRunCtxErr(ctxErr error) error {
 		return fmt.Errorf("%w: %w", ErrDeadline, ctxErr)
 	}
 	return fmt.Errorf("%w: %w", ErrCanceled, ctxErr)
-}
-
-// value fetches a register, materializing a deferred rescale first: the
-// unrescaled product is rescaled adjacent to its first consumer, under the
-// owning run's context. Bit-identical to the fused placement.
-func (c *Context) value(run *Run, reg string) (*Ciphertext, error) {
-	if node, ok := run.pending[reg]; ok {
-		out, err := c.Rescale(run.regs[reg], WithContext(run.Ctx))
-		if err != nil {
-			run.failNode(node, err)
-			return nil, run.Err
-		}
-		delete(run.pending, reg)
-		run.regs[reg] = out
-	}
-	return run.regs[reg], nil
 }
 
 // inputID resolves the merge identity of a run's input register.
@@ -239,17 +218,10 @@ func (c *Context) ExecuteBatch(runs []*Run) {
 		}
 	}
 
-	// Collect outputs (materializing a deferred rescale that reached the
-	// output unconsumed) and record the batch for introspection.
 	for _, run := range runs {
-		if run == nil || run.Err != nil || run.regs == nil {
-			continue
+		if run != nil && run.Err == nil && run.regs != nil {
+			run.Out = run.regs[run.Plan.prog.output]
 		}
-		out, err := c.value(run, run.Plan.prog.output)
-		if err != nil {
-			continue // value() set run.Err
-		}
-		run.Out = out
 	}
 	c.recordBatch(runs, merged)
 }
@@ -259,16 +231,7 @@ func (c *Context) ExecuteBatch(runs []*Run) {
 // behave exactly as a direct call would).
 func (c *Context) execGroupStep(st *batchStep) {
 	lead := st.members[0]
-	src, err := c.value(lead.run, lead.run.Plan.nodes[lead.nodes[0]].op.A)
-	if err != nil {
-		// The lead's deferred-rescale materialization failed; retry the step
-		// with the remaining members (their sources are their own registers).
-		if len(st.members) > 1 {
-			st.members = st.members[1:]
-			c.execGroupStep(st)
-		}
-		return
-	}
+	src := lead.run.regs[lead.run.Plan.nodes[lead.nodes[0]].op.A]
 	rotSet := make(map[int]bool)
 	for _, m := range st.members {
 		for _, node := range m.nodes {
@@ -306,62 +269,35 @@ func (c *Context) execGroupStep(st *batchStep) {
 func (c *Context) execSoloStep(run *Run, node int) {
 	n := &run.Plan.nodes[node]
 	op := n.op
-	a, err := run.src(c, op.A)
-	if err != nil {
-		return
-	}
-	var b *Ciphertext
-	switch op.Op {
-	case "add", "sub", "mul":
-		if b, err = run.src(c, op.B); err != nil {
-			return
-		}
-	}
+	a, b := run.regs[op.A], run.regs[op.B] // b is nil for one-operand ops
 
+	// One option list for every op: an op ignores the options it has no use
+	// for (the method on a node without a key switch is the zero value).
+	opts := []OpOption{WithContext(run.Ctx), WithMethod(n.method)}
+	if op.NoRescale {
+		opts = append(opts, NoRescale())
+	}
 	var out *Ciphertext
+	var err error
 	switch op.Op {
 	case "add":
 		out, err = c.Add(a, b)
 	case "sub":
 		out, err = c.Sub(a, b)
 	case "mul":
-		deferred := n.defer_ && !run.noDefer
-		opts := []OpOption{WithContext(run.Ctx), WithMethod(n.method)}
-		if op.NoRescale || deferred {
-			opts = append(opts, NoRescale())
-		}
 		out, err = c.Mul(a, b, opts...)
-		if err == nil && deferred {
-			run.pending[op.Out] = node
-		}
 	case "mulplain":
-		deferred := n.defer_ && !run.noDefer
-		opts := []OpOption{WithContext(run.Ctx)}
-		if op.NoRescale || deferred {
-			opts = append(opts, NoRescale())
-		}
 		out, err = c.MulPlain(a, op.Values, opts...)
-		if err == nil && deferred {
-			run.pending[op.Out] = node
-		}
 	case "addplain":
 		out, err = c.AddPlain(a, op.Values)
 	case "mulconst":
-		deferred := n.defer_ && !run.noDefer
-		opts := []OpOption{WithContext(run.Ctx)}
-		if op.NoRescale || deferred {
-			opts = append(opts, NoRescale())
-		}
 		out, err = c.MulConst(a, op.Value, opts...)
-		if err == nil && deferred {
-			run.pending[op.Out] = node
-		}
 	case "addconst":
 		out, err = c.AddConst(a, op.Value)
 	case "rescale":
-		out, err = c.Rescale(a, WithContext(run.Ctx))
+		out, err = c.Rescale(a, opts...)
 	case "conjugate":
-		out, err = c.Conjugate(a, WithContext(run.Ctx), WithMethod(n.method))
+		out, err = c.Conjugate(a, opts...)
 	default:
 		err = fmt.Errorf("unknown op %q: %w", op.Op, ErrInvalidProgram)
 	}
@@ -372,19 +308,13 @@ func (c *Context) execSoloStep(run *Run, node int) {
 	run.regs[op.Out] = out
 }
 
-// src is value() with run-local error bookkeeping already applied.
-func (run *Run) src(c *Context, reg string) (*Ciphertext, error) {
-	return c.value(run, reg)
-}
-
 // ExecuteSequential interprets the plan straight-line in program order — the
 // v1 interpretation, kept as the differential reference and the baseline the
 // batching benchmark compares against. Every rotation runs as a singleton
-// hoisted call with the plan's method decision and every mul rescales fused,
-// which by the bit-identity contract (see top of file) yields byte-identical
-// outputs to ExecuteBatch.
+// hoisted call with the plan's method decision, which by the bit-identity
+// contract (see top of file) yields byte-identical outputs to ExecuteBatch.
 func (c *Context) ExecuteSequential(ctx context.Context, plan *Plan, inputs map[string]*Ciphertext) (*Ciphertext, error) {
-	run := &Run{Plan: plan, Inputs: inputs, Ctx: ctx, noDefer: true}
+	run := &Run{Plan: plan, Inputs: inputs, Ctx: ctx}
 	if !c.prepareRun(run) {
 		return nil, run.Err
 	}
@@ -406,7 +336,7 @@ func (c *Context) ExecuteSequential(ctx context.Context, plan *Plan, inputs map[
 			return nil, run.Err
 		}
 	}
-	return c.value(run, plan.prog.output)
+	return run.regs[plan.prog.output], nil
 }
 
 // mergedContext derives a context canceled only when ALL owner contexts are

@@ -5,7 +5,6 @@ import (
 
 	"github.com/fastfhe/fast/internal/aether"
 	"github.com/fastfhe/fast/internal/ckks"
-	"github.com/fastfhe/fast/internal/costmodel"
 	"github.com/fastfhe/fast/internal/fault"
 	"github.com/fastfhe/fast/internal/hemera"
 )
@@ -45,9 +44,9 @@ type FaultPlan struct {
 }
 
 // Enabled reports whether any fault kind has a nonzero probability.
-func (p FaultPlan) Enabled() bool { return p.internal().Enabled() }
+func (p FaultPlan) Enabled() bool { return p.plan().Enabled() }
 
-func (p FaultPlan) internal() fault.Plan {
+func (p FaultPlan) plan() fault.Plan {
 	return fault.Plan{
 		Seed:             p.Seed,
 		TransferFailure:  p.TransferFailure,
@@ -107,7 +106,6 @@ type FaultStats struct {
 type faultState struct {
 	mu    sync.Mutex
 	mgr   *hemera.Manager
-	plan  FaultPlan
 	stats FaultStats
 }
 
@@ -131,8 +129,8 @@ func evkBytes(params *ckks.Parameters, level int, m Method) int64 {
 
 func newFaultState(params *ckks.Parameters, plan FaultPlan) *faultState {
 	capacity := evkPoolKeys * evkBytes(params, params.MaxLevel(), Hybrid)
-	fs := &faultState{mgr: hemera.NewManager(capacity, nil), plan: plan}
-	fs.mgr.SetInjector(fault.NewInjector(plan.internal()))
+	fs := &faultState{mgr: hemera.NewManager(capacity, nil)}
+	fs.mgr.SetInjector(fault.NewInjector(plan.plan()))
 	return fs
 }
 
@@ -144,11 +142,7 @@ func (f *faultState) request(params *ckks.Parameters, keyID string, level int, m
 	if f == nil {
 		return
 	}
-	method := costmodel.Hybrid
-	if m == KLSS {
-		method = costmodel.KLSS
-	}
-	d := aether.Decision{Level: level, Method: method, Hoist: 1}
+	d := aether.Decision{Level: level, Method: m, Hoist: 1}
 	size := evkBytes(params, level, m)
 	// Hybrid and KLSS use different physical keys: make the pool identity
 	// method-qualified.
@@ -190,7 +184,7 @@ func (f *faultState) setObserver(o *Observer) {
 	if f == nil || o == nil {
 		return
 	}
-	f.mgr.SetObserver(o.internal())
+	f.mgr.SetObserver(o.unwrap())
 }
 
 // FaultStats returns the recovery activity accumulated by the fault-injected

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 
 	"github.com/fastfhe/fast/internal/ring"
 )
@@ -90,6 +91,9 @@ func BootstrapRotations(params *Parameters) []int {
 	for r := range seen {
 		out = append(out, r)
 	}
+	// Key generation draws from one seeded sampler in this order, so it must
+	// not follow map iteration: same seed, same keys.
+	sort.Ints(out)
 	return out
 }
 

@@ -1,7 +1,6 @@
 package ckks
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -57,12 +56,6 @@ type KeySwitcher struct {
 }
 
 type extKey struct{ level, group int }
-
-// NewKeySwitcher builds the switcher for the chosen backend with serial
-// limb-level kernels.
-func NewKeySwitcher(params *Parameters, method KeySwitchMethod) (*KeySwitcher, error) {
-	return NewKeySwitcherWorkers(params, method, 1)
-}
 
 // NewKeySwitcherWorkers builds the switcher with the given limb-parallelism
 // fan-out (ring.Workers convention: <=0 means GOMAXPROCS, 1 serial).
@@ -244,13 +237,6 @@ func (ks *KeySwitcher) Decompose(c ring.Poly, level int) (*Decomposition, error)
 	return ks.decompose(nil, c, level)
 }
 
-// DecomposeCtx is Decompose with cancellation checkpoints at every limb chunk
-// and decomposition group. On cancellation it returns a typed
-// ErrCanceled/ErrDeadline error and releases every pooled buffer it acquired.
-func (ks *KeySwitcher) DecomposeCtx(ctx context.Context, c ring.Poly, level int) (*Decomposition, error) {
-	return ks.decompose(newCancelCheck(ctx), c, level)
-}
-
 func (ks *KeySwitcher) decompose(cc *cancelCheck, c ring.Poly, level int) (*Decomposition, error) {
 	if c.Limbs() != level+1 {
 		return nil, fmt.Errorf("ckks: decompose input has %d limbs, want %d: %w", c.Limbs(), level+1, ErrLevelMismatch)
@@ -374,13 +360,6 @@ func (ks *KeySwitcher) Automorph(d *Decomposition, index []int) *Decomposition {
 // lazy-tolerant ModDown — one fused parallel pass per lane.
 func (ks *KeySwitcher) KeyMult(d *Decomposition, key *SwitchingKey, level int) (d0, d1 ring.Poly, err error) {
 	return ks.keyMult(nil, d, key, level)
-}
-
-// KeyMultCtx is KeyMult with cancellation checkpoints at every accumulator
-// row and ModDown stage boundary. On cancellation it returns a typed
-// ErrCanceled/ErrDeadline error; all scratch is pooled and released.
-func (ks *KeySwitcher) KeyMultCtx(ctx context.Context, d *Decomposition, key *SwitchingKey, level int) (d0, d1 ring.Poly, err error) {
-	return ks.keyMult(newCancelCheck(ctx), d, key, level)
 }
 
 func (ks *KeySwitcher) keyMult(cc *cancelCheck, d *Decomposition, key *SwitchingKey, level int) (d0, d1 ring.Poly, err error) {
@@ -520,11 +499,6 @@ func (ks *KeySwitcher) keyMult(cc *cancelCheck, d *Decomposition, key *Switching
 // freshly allocated (it escapes into the output ciphertext).
 func (ks *KeySwitcher) Switch(c ring.Poly, key *SwitchingKey, level int) (d0, d1 ring.Poly, err error) {
 	return ks.switchPoly(nil, c, key, level)
-}
-
-// SwitchCtx is Switch with cancellation checkpoints through both stages.
-func (ks *KeySwitcher) SwitchCtx(ctx context.Context, c ring.Poly, key *SwitchingKey, level int) (d0, d1 ring.Poly, err error) {
-	return ks.switchPoly(newCancelCheck(ctx), c, key, level)
 }
 
 func (ks *KeySwitcher) switchPoly(cc *cancelCheck, c ring.Poly, key *SwitchingKey, level int) (d0, d1 ring.Poly, err error) {

@@ -1,7 +1,6 @@
 package ckks
 
 import (
-	"context"
 	"fmt"
 	"sort"
 )
@@ -104,14 +103,9 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform) (*Ciph
 	return ev.linearTransform(nil, ct, lt)
 }
 
-// LinearTransformCtx is LinearTransform with cancellation: ctx is polled
-// inside the hoisted baby rotations, per diagonal multiplication bucket and
-// per giant step, so a deep homomorphic DFT abandons within a fraction of one
-// key-switch of ctx being done.
-func (ev *Evaluator) LinearTransformCtx(ctx context.Context, ct *Ciphertext, lt *LinearTransform) (*Ciphertext, error) {
-	return ev.linearTransform(newCancelCheck(ctx), ct, lt)
-}
-
+// linearTransform polls cc inside the hoisted baby rotations, per diagonal
+// multiplication bucket and per giant step, so a deep homomorphic DFT abandons
+// within a fraction of one key-switch of its context being done.
 func (ev *Evaluator) linearTransform(cc *cancelCheck, ct *Ciphertext, lt *LinearTransform) (*Ciphertext, error) {
 	if ct.Level < lt.level {
 		return nil, fmt.Errorf("ckks: ciphertext at level %d below transform level %d: %w", ct.Level, lt.level, ErrLevelMismatch)

@@ -17,31 +17,23 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/fastfhe/fast/internal/costmodel"
 	"github.com/fastfhe/fast/internal/ring"
 )
 
-// KeySwitchMethod selects the key-switching backend for an operation.
-type KeySwitchMethod int
+// KeySwitchMethod selects the key-switching backend for an operation. The
+// enum is declared once, in internal/costmodel; this is an alias, so a method
+// chosen by the planner reaches the kernels without conversion.
+type KeySwitchMethod = costmodel.Method
 
 const (
 	// Hybrid is the ModUp→KeyMult→ModDown method over the 36-bit special
 	// chain P (paper Fig. 1(a)).
-	Hybrid KeySwitchMethod = iota
+	Hybrid = costmodel.Hybrid
 	// KLSS is the double-decomposition method over the 60-bit auxiliary
 	// chain T (paper Fig. 1(b)).
-	KLSS
+	KLSS = costmodel.KLSS
 )
-
-func (m KeySwitchMethod) String() string {
-	switch m {
-	case Hybrid:
-		return "hybrid"
-	case KLSS:
-		return "klss"
-	default:
-		return fmt.Sprintf("KeySwitchMethod(%d)", int(m))
-	}
-}
 
 // ParametersLiteral is the user-facing description of a parameter set.
 type ParametersLiteral struct {
@@ -260,15 +252,6 @@ func (p *Parameters) RingQ() *ring.Ring { return p.ringQ }
 
 // RingP returns the ring over the hybrid special chain.
 func (p *Parameters) RingP() *ring.Ring { return p.ringP }
-
-// RingT returns the ring over the KLSS auxiliary chain (nil when disabled).
-func (p *Parameters) RingT() *ring.Ring { return p.ringT }
-
-// RingQP returns the ring over Q ++ P.
-func (p *Parameters) RingQP() *ring.Ring { return p.ringQP }
-
-// RingQT returns the ring over Q ++ T (nil when disabled).
-func (p *Parameters) RingQT() *ring.Ring { return p.ringQT }
 
 // TestParameters returns a small parameter set used across the test suite
 // and examples: N=2^11, 5+1 ciphertext limbs, hybrid α=2 over two special

@@ -1,7 +1,6 @@
 package ckks
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -32,12 +31,6 @@ func (p Polynomial) Depth() int {
 // default scale exactly, whatever the rescale drift along the way.
 func (ev *Evaluator) EvaluatePoly(ct *Ciphertext, p Polynomial) (*Ciphertext, error) {
 	return ev.evaluatePoly(nil, ct, realCoeffs(p), ev.params.Scale())
-}
-
-// EvaluatePolyCtx is EvaluatePoly with cancellation: ctx is polled at every
-// power/chunk of the BSGS schedule and inside each underlying key-switch.
-func (ev *Evaluator) EvaluatePolyCtx(ctx context.Context, ct *Ciphertext, p Polynomial) (*Ciphertext, error) {
-	return ev.evaluatePoly(newCancelCheck(ctx), ct, realCoeffs(p), ev.params.Scale())
 }
 
 func realCoeffs(p Polynomial) []complex128 {

@@ -21,9 +21,11 @@ package costmodel
 
 import "fmt"
 
-// Method identifies a key-switching method. It deliberately mirrors (but
-// does not depend on) the ckks package's enum so the performance layer can
-// be used without instantiating the functional scheme.
+// Method identifies a key-switching method. This is the module's one
+// declaration of the enum: ckks.KeySwitchMethod and fast.Method are aliases
+// of it, so the planner, the cost model and the kernels share one type. It
+// lives here because this package imports nothing from the module, keeping
+// the performance layer usable without the functional scheme.
 type Method int
 
 const (

@@ -55,11 +55,6 @@ const (
 	// session stays resident-only (served, but not crash-safe) and the
 	// failure is counted, never silently swallowed.
 	DiskWrite
-	// Restart models an abrupt process death (SIGKILL, OOM-kill, node
-	// loss). The injector only schedules it — the soak harness
-	// (cmd/fastload) queries RestartFires between requests and performs the
-	// actual kill/restart cycle against the daemon under test.
-	Restart
 
 	numKinds
 )
@@ -76,8 +71,6 @@ func (k Kind) String() string {
 		return "pool_pressure"
 	case DiskWrite:
 		return "disk_write"
-	case Restart:
-		return "restart"
 	default:
 		return fmt.Sprintf("Kind(%d)", uint8(k))
 	}
@@ -107,15 +100,12 @@ type Plan struct {
 	// DiskWrite is the per-attempt probability that a durability write
 	// (snapshot, journal append) fails with a synthetic I/O error.
 	DiskWrite float64
-	// Restart is the per-query probability that the soak harness should
-	// kill and restart the daemon under test at this point.
-	Restart float64
 }
 
 // Enabled reports whether the plan can inject anything.
 func (p Plan) Enabled() bool {
 	return p.TransferFailure > 0 || p.LatencySpike > 0 || p.Corruption > 0 || p.PoolPressure > 0 ||
-		p.DiskWrite > 0 || p.Restart > 0
+		p.DiskWrite > 0
 }
 
 // withDefaults resolves the magnitude knobs.
@@ -226,8 +216,6 @@ func ParsePlan(spec string) (Plan, error) {
 			}
 		case "disk":
 			p.DiskWrite = prob
-		case "restart":
-			p.Restart = prob
 		default:
 			return Plan{}, fmt.Errorf("fault: unknown fault kind %q in %q", key, term)
 		}
@@ -263,9 +251,6 @@ func (p Plan) String() string {
 	}
 	if p.DiskWrite > 0 {
 		terms = append(terms, fmt.Sprintf("disk=%g", p.DiskWrite))
-	}
-	if p.Restart > 0 {
-		terms = append(terms, fmt.Sprintf("restart=%g", p.Restart))
 	}
 	return strings.Join(terms, ",")
 }
@@ -397,17 +382,6 @@ func (i *Injector) DiskWriteFails() bool {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	return i.fire(i.plan.DiskWrite, DiskWrite)
-}
-
-// RestartFires reports whether the harness should kill and restart the
-// daemon under test at this point in the drive sequence.
-func (i *Injector) RestartFires() bool {
-	if i == nil {
-		return false
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.fire(i.plan.Restart, Restart)
 }
 
 // PoolPressure reports whether a pool-pressure event hits this request, and

@@ -7,11 +7,11 @@
 package hemera
 
 import (
-	"container/list"
 	"fmt"
 
 	"github.com/fastfhe/fast/internal/aether"
 	"github.com/fastfhe/fast/internal/fault"
+	"github.com/fastfhe/fast/internal/lru"
 	"github.com/fastfhe/fast/internal/obs"
 )
 
@@ -77,33 +77,42 @@ type Transfer struct {
 	BackoffBytes int64
 }
 
-// PoolEntry is a resident evaluation key.
-type poolEntry struct {
-	id   string
-	size int64
-}
-
-// Pool is the on-chip evaluation-key store with LRU replacement.
+// Pool is the on-chip evaluation-key store with LRU replacement: resident
+// key IDs by recency, each with its size in bytes.
 type Pool struct {
 	capacity int64
 	used     int64
-	order    *list.List // front = most recent
-	index    map[string]*list.Element
+	keys     *lru.Map[int64]
 }
 
 // NewPool returns a pool bounded by capacity bytes.
 func NewPool(capacity int64) *Pool {
-	return &Pool{capacity: capacity, order: list.New(), index: map[string]*list.Element{}}
+	return &Pool{capacity: capacity, keys: lru.New[int64]()}
 }
 
 // Used returns the resident bytes.
 func (p *Pool) Used() int64 { return p.used }
 
 // Len returns the number of resident keys.
-func (p *Pool) Len() int { return p.order.Len() }
+func (p *Pool) Len() int { return p.keys.Len() }
 
 // Capacity returns the pool bound in bytes.
 func (p *Pool) Capacity() int64 { return p.capacity }
+
+// evictTo evicts least-recently-used keys until at most limit bytes remain
+// resident, returning the number evicted.
+func (p *Pool) evictTo(limit int64) (evicted int) {
+	p.keys.Oldest(func(id string, size int64) bool {
+		if p.used <= limit {
+			return false
+		}
+		p.keys.Delete(id)
+		p.used -= size
+		evicted++
+		return true
+	})
+	return evicted
+}
 
 // Flush models a transient pool-pressure event: keys are evicted from the
 // LRU end until at most surviving*capacity bytes remain resident. It returns
@@ -113,48 +122,24 @@ func (p *Pool) Flush(surviving float64) (evicted int) {
 	if surviving > 0 && surviving < 1 {
 		limit = int64(surviving * float64(p.capacity))
 	}
-	for p.used > limit {
-		back := p.order.Back()
-		if back == nil {
-			break
-		}
-		ev := back.Value.(poolEntry)
-		p.order.Remove(back)
-		delete(p.index, ev.id)
-		p.used -= ev.size
-		evicted++
-	}
-	return evicted
+	return p.evictTo(limit)
 }
 
 // Contains reports residency without touching recency.
-func (p *Pool) Contains(id string) bool {
-	_, ok := p.index[id]
-	return ok
-}
+func (p *Pool) Contains(id string) bool { return p.keys.Has(id) }
 
 // Request makes the key resident, evicting least-recently-used keys as
 // needed, and reports whether it was already present. Keys bigger than the
 // pool are streamed (never resident) and always miss.
 func (p *Pool) Request(id string, size int64) (hit bool) {
-	if el, ok := p.index[id]; ok {
-		p.order.MoveToFront(el)
+	if _, ok := p.keys.Get(id); ok {
 		return true
 	}
 	if size > p.capacity {
 		return false // streamed through, nothing retained
 	}
-	for p.used+size > p.capacity {
-		back := p.order.Back()
-		if back == nil {
-			break
-		}
-		ev := back.Value.(poolEntry)
-		p.order.Remove(back)
-		delete(p.index, ev.id)
-		p.used -= ev.size
-	}
-	p.index[id] = p.order.PushFront(poolEntry{id, size})
+	p.evictTo(p.capacity - size)
+	p.keys.Put(id, size)
 	p.used += size
 	return false
 }

@@ -1,9 +1,9 @@
 package hemera
 
 import (
-	"container/list"
 	"sync"
 
+	"github.com/fastfhe/fast/internal/lru"
 	"github.com/fastfhe/fast/internal/obs"
 )
 
@@ -30,8 +30,7 @@ type SharedCache struct {
 	mu       sync.Mutex
 	capacity int64
 	used     int64
-	order    *list.List // front = most recent
-	index    map[string]*list.Element
+	resident *lru.Map[*sharedEntry]
 	inflight map[string]*sharedFill
 
 	mHits       *obs.Counter
@@ -42,7 +41,6 @@ type SharedCache struct {
 }
 
 type sharedEntry struct {
-	key   string
 	size  int64
 	shard int // the shard whose fill (or last hit) owns the entry
 }
@@ -67,8 +65,7 @@ type SharedStats struct {
 func NewSharedCache(capacity int64, reg *obs.Registry) *SharedCache {
 	c := &SharedCache{
 		capacity: capacity,
-		order:    list.New(),
-		index:    map[string]*list.Element{},
+		resident: lru.New[*sharedEntry](),
 		inflight: map[string]*sharedFill{},
 	}
 	if reg != nil {
@@ -95,9 +92,7 @@ func NewSharedCache(capacity int64, reg *obs.Registry) *SharedCache {
 func (c *SharedCache) GetOrFill(key string, shard int, size int64, fill func() error) error {
 	for {
 		c.mu.Lock()
-		if el, ok := c.index[key]; ok {
-			e := el.Value.(*sharedEntry)
-			c.order.MoveToFront(el)
+		if e, ok := c.resident.Get(key); ok {
 			cross := e.shard != shard
 			e.shard = shard
 			c.mu.Unlock()
@@ -142,18 +137,16 @@ func (c *SharedCache) GetOrFill(key string, shard int, size int64, fill func() e
 
 // insertLocked makes key resident, evicting from the LRU end to fit.
 func (c *SharedCache) insertLocked(key string, shard int, size int64) {
-	for c.used+size > c.capacity {
-		back := c.order.Back()
-		if back == nil {
-			break
+	c.resident.Oldest(func(old string, ev *sharedEntry) bool {
+		if c.used+size <= c.capacity {
+			return false
 		}
-		ev := back.Value.(*sharedEntry)
-		c.order.Remove(back)
-		delete(c.index, ev.key)
+		c.resident.Delete(old)
 		c.used -= ev.size
 		c.mEvictions.Inc()
-	}
-	c.index[key] = c.order.PushFront(&sharedEntry{key: key, size: size, shard: shard})
+		return true
+	})
+	c.resident.Put(key, &sharedEntry{size: size, shard: shard})
 	c.used += size
 	c.mResident.Set(c.used)
 }
@@ -162,14 +155,13 @@ func (c *SharedCache) insertLocked(key string, shard int, size int64) {
 func (c *SharedCache) Contains(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.index[key]
-	return ok
+	return c.resident.Has(key)
 }
 
 // Stats snapshots the counters.
 func (c *SharedCache) Stats() SharedStats {
 	c.mu.Lock()
-	keys := c.order.Len()
+	keys := c.resident.Len()
 	used := c.used
 	c.mu.Unlock()
 	return SharedStats{

@@ -10,9 +10,9 @@ import (
 // benchConvertAB measures the full approximate base conversion — the BConv
 // kernel the accelerator's systolic array implements — with the vector
 // kernels toggled in-process (see ring.SetKernelASM): the only A/B that
-// isolates kernel speedup from host noise. The shapes mirror the stored
-// BENCH_kernels.json entries: a 3-limb 36-bit ModUp group fanning to 12
-// target limbs, and a 2-limb 60-bit special chain fanning to 6.
+// isolates kernel speedup from host noise. The shapes: a 3-limb 36-bit ModUp
+// group fanning to 12 target limbs, and a 2-limb 60-bit special chain fanning
+// to 6.
 func benchConvertAB(b *testing.B, asm bool, fromBits, fromL, toBits, toL int) {
 	const logN, n = 12, 4096
 	fp, err := ring.GenerateNTTPrimes(fromBits, logN, fromL)

@@ -50,7 +50,6 @@ type Breaker struct {
 	state       BreakerState
 	consecutive int
 	openedAt    time.Time
-	trips       uint64
 }
 
 // NewBreaker returns a closed breaker that opens after `threshold`
@@ -106,7 +105,7 @@ func (b *Breaker) AllowProbe() (ok, probe bool) {
 }
 
 // OnStateChange registers a hook invoked (outside the breaker lock, so it
-// may call State/Trips but must not block) after every state transition.
+// may call State but must not block) after every state transition.
 // At most one hook; nil clears it. fastd wires the per-shard
 // serve.breaker.state gauge here.
 func (b *Breaker) OnStateChange(fn func(old, new BreakerState)) {
@@ -193,7 +192,6 @@ func (b *Breaker) trip() func() {
 	notify := b.setState(BreakerOpen)
 	b.openedAt = b.now()
 	b.consecutive = 0
-	b.trips++
 	return notify
 }
 
@@ -203,13 +201,6 @@ func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// Trips returns how many times the breaker has opened.
-func (b *Breaker) Trips() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
 }
 
 // setClock replaces the breaker's time source (tests only).

@@ -205,9 +205,6 @@ func (s *Server) Breaker() *Breaker { return s.breaker }
 // QueueLen returns the number of admitted-but-not-started tasks.
 func (s *Server) QueueLen() int { return len(s.queue) }
 
-// QueueCap returns the admission queue's depth bound.
-func (s *Server) QueueCap() int { return cap(s.queue) }
-
 // Do admits and executes fn under the server's concurrency limits, returning
 // fn's error. Admission is non-blocking: a full queue, an open breaker, a
 // draining server or an unmeetable deadline reject immediately with a typed

@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"github.com/fastfhe/fast/internal/lru"
 )
 
 // State is where a session ID is in its lifecycle.
@@ -66,7 +68,7 @@ type entry[P comparable] struct {
 type shardState[P comparable] struct {
 	fenced      bool
 	maxResident int
-	order       *LRU[*entry[P]] // this shard's residents by recency, which is lastUsed order
+	order       *lru.Map[*entry[P]] // this shard's residents by recency, which is lastUsed order
 }
 
 // Registry is safe for concurrent use.
@@ -85,7 +87,7 @@ type Registry[P comparable] struct {
 func New[P comparable](maxSessions int, maxResident []int) *Registry[P] {
 	r := &Registry[P]{max: maxSessions, entries: map[string]*entry[P]{}, now: time.Now}
 	for _, m := range maxResident {
-		r.shards = append(r.shards, shardState[P]{maxResident: m, order: NewLRU[*entry[P]]()})
+		r.shards = append(r.shards, shardState[P]{maxResident: m, order: lru.New[*entry[P]]()})
 	}
 	return r
 }

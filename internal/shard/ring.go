@@ -18,7 +18,6 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // ErrShardDown is the typed refusal for a key whose shard is fenced and not
@@ -41,8 +40,7 @@ type Ring struct {
 	points  []ringPoint // sorted by hash
 	fenced  []bool
 	live    int
-	remaps  atomic.Uint64 // keys that resolved past a fenced primary (telemetry; bumped under RLock)
-	version uint64        // bumped on every fence/unfence
+	version uint64 // bumped on every fence/unfence
 }
 
 type ringPoint struct {
@@ -116,9 +114,6 @@ func (r *Ring) Owner(key string) (int, error) {
 	for probed := 0; probed < len(r.points); probed++ {
 		p := r.points[(idx+probed)%len(r.points)]
 		if !r.fenced[p.member] {
-			if probed > 0 {
-				r.remaps.Add(1)
-			}
 			return p.member, nil
 		}
 	}
@@ -164,12 +159,6 @@ func (r *Ring) Live() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.live
-}
-
-// Remaps returns how many Owner calls resolved past at least one fenced
-// virtual point — a cheap telemetry proxy for failover traffic.
-func (r *Ring) Remaps() uint64 {
-	return r.remaps.Load()
 }
 
 // Version increments on every fence/unfence; callers can use it to detect

@@ -33,7 +33,6 @@ type Supervisor struct {
 	mu     sync.Mutex
 	fails  []int  // consecutive probe failures per shard
 	killed []bool // fenced permanently via Kill; never probed again
-	fences uint64
 
 	stop chan struct{}
 	done chan struct{}
@@ -160,9 +159,6 @@ func (s *Supervisor) probeOne(i int) {
 
 func (s *Supervisor) fence(i int, reason string) {
 	live := s.ring.Fence(i)
-	s.mu.Lock()
-	s.fences++
-	s.mu.Unlock()
 	s.mFences.Inc()
 	s.mLive.Set(int64(live))
 	if s.cfg.OnFence != nil {
@@ -204,13 +200,6 @@ func (s *Supervisor) Killed(i int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.killed[i]
-}
-
-// Fences returns how many fence transitions have occurred.
-func (s *Supervisor) Fences() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fences
 }
 
 // Stop terminates the probe loop (idempotent, waits for exit).

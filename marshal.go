@@ -105,7 +105,16 @@ type SessionSnapshot struct {
 // configuration, secret/public/relinearization/Galois key material — plus the
 // caller's metadata, in the versioned, checksummed snapshot format.
 // ReadSessionSnapshot (or DecodeSessionSnapshot + Restore) is the inverse.
+//
+// A snapshot stores the configuration, not the prime chain: Restore recompiles
+// the general regime from it. A context whose parameters that would not
+// reproduce (NewBootstrapContext's chain) cannot be snapshotted and returns
+// ErrInvalidParameters.
 func (c *Context) WriteSessionSnapshot(w io.Writer, meta SessionMeta) error {
+	if !reflect.DeepEqual(c.lit, parametersLiteral(c.cfg)) {
+		return fmt.Errorf("fast: context parameters are not derivable from its Config, "+
+			"a snapshot of it could not be restored: %w", ErrInvalidParameters)
+	}
 	hdr, err := json.Marshal(snapshotHeader{
 		Meta:          meta,
 		Config:        c.cfg,
@@ -220,28 +229,32 @@ func (s *SessionSnapshot) Restore(opts ...Option) (*Context, error) {
 	if settings.defaultMethod == KLSS && !cfg.EnableKLSS {
 		return nil, fmt.Errorf("fast: WithDefaultMethod(KLSS) requires EnableKLSS: %w", ErrMethodUnavailable)
 	}
-	params, err := compileParameters(cfg)
+	lit := parametersLiteral(cfg)
+	params, err := ckks.NewParameters(lit)
 	if err != nil {
 		return nil, err
 	}
+	return buildContext(cfg, settings, lit, params, s)
+}
+
+// readKeys installs the snapshot's key payload — sk | pk | evaluation-key set
+// — into ctx, validated against ctx's freshly compiled parameters.
+func (s *SessionSnapshot) readKeys(ctx *Context) error {
 	r := bytes.NewReader(s.keyBytes)
-	sk, err := ckks.ReadSecretKey(r, params)
-	if err != nil {
-		return nil, fmt.Errorf("fast: snapshot secret key: %w", err)
+	var err error
+	if ctx.sk, err = ckks.ReadSecretKey(r, ctx.params); err != nil {
+		return fmt.Errorf("fast: snapshot secret key: %w", err)
 	}
-	pk, err := ckks.ReadPublicKey(r, params)
-	if err != nil {
-		return nil, fmt.Errorf("fast: snapshot public key: %w", err)
+	if ctx.pk, err = ckks.ReadPublicKey(r, ctx.params); err != nil {
+		return fmt.Errorf("fast: snapshot public key: %w", err)
 	}
-	keys, err := ckks.ReadEvaluationKeySet(r, params)
-	if err != nil {
-		return nil, fmt.Errorf("fast: snapshot evaluation keys: %w", err)
+	if ctx.keys, err = ckks.ReadEvaluationKeySet(r, ctx.params); err != nil {
+		return fmt.Errorf("fast: snapshot evaluation keys: %w", err)
 	}
 	if r.Len() != 0 {
-		return nil, fmt.Errorf("fast: %d trailing bytes after snapshot key material: %w", r.Len(), ErrCorruptSnapshot)
+		return fmt.Errorf("fast: %d trailing bytes after snapshot key material: %w", r.Len(), ErrCorruptSnapshot)
 	}
-	encSeed := params.Seed() + 0x5eed + int64(s.Meta.Restores)*0x9e3779b9
-	return assembleContext(cfg, settings, params, sk, pk, keys, encSeed)
+	return nil
 }
 
 // ReadSessionSnapshot reads, verifies and restores a session snapshot in one

@@ -135,8 +135,8 @@ func NewTracingObserver(capacity int) *Observer {
 	return &Observer{o: obs.NewTracing(capacity)}
 }
 
-// internal unwraps the observer for the internal layers (nil-safe).
-func (ob *Observer) internal() *obs.Observer {
+// unwrap returns the observer for the internal layers (nil-safe).
+func (ob *Observer) unwrap() *obs.Observer {
 	if ob == nil {
 		return nil
 	}
@@ -174,37 +174,33 @@ type MetricsSnapshot = obs.Snapshot
 type HistogramSnapshot = obs.HistogramSnapshot
 
 // Metrics returns a snapshot of the observer's registry (empty on nil).
-func (ob *Observer) Metrics() *MetricsSnapshot { return ob.internal().Snapshot() }
+func (ob *Observer) Metrics() *MetricsSnapshot { return ob.unwrap().Snapshot() }
 
 // WriteMetricsJSON writes the metrics snapshot as indented JSON.
 func (ob *Observer) WriteMetricsJSON(w io.Writer) error {
-	return ob.internal().WriteSnapshot(w)
+	return ob.unwrap().WriteSnapshot(w)
 }
 
 // WritePrometheus writes the registry in the Prometheus text exposition
 // format.
 func (ob *Observer) WritePrometheus(w io.Writer) error {
-	return ob.internal().WritePrometheus(w)
+	return ob.unwrap().WritePrometheus(w)
 }
 
 // WriteChromeTrace writes the buffered spans as Chrome trace-event JSON,
 // loadable in chrome://tracing or https://ui.perfetto.dev. On a non-tracing
 // observer the trace is empty.
 func (ob *Observer) WriteChromeTrace(w io.Writer) error {
-	return ob.internal().WriteChromeTrace(w)
+	return ob.unwrap().WriteChromeTrace(w)
 }
-
-// TraceSummary returns a human-readable per-(category, name) digest of the
-// buffered spans.
-func (ob *Observer) TraceSummary() string { return ob.internal().Tr().Summary() }
 
 // Handler returns the observer's HTTP surface: Prometheus text on /metrics,
 // expvar on /debug/vars, pprof under /debug/pprof/, the JSON metrics snapshot
 // on /snapshot.json and the Chrome trace on /trace.json.
-func (ob *Observer) Handler() http.Handler { return ob.internal().Handler() }
+func (ob *Observer) Handler() http.Handler { return ob.unwrap().Handler() }
 
 // Serve starts an HTTP server for Handler on addr (e.g. ":9090" or
 // "127.0.0.1:0"). It returns the bound address and a shutdown function.
 func (ob *Observer) Serve(addr string) (net.Addr, func() error, error) {
-	return ob.internal().Serve(addr)
+	return ob.unwrap().Serve(addr)
 }

@@ -171,7 +171,7 @@ func SimulateObserved(w Workload, acc Accelerator, mode PlanMode, ob *Observer) 
 		return nil, err
 	}
 	if ob != nil {
-		s.SetObserver(ob.internal())
+		s.SetObserver(ob.unwrap())
 	}
 	res, err := s.Run(w.tr)
 	if err != nil {

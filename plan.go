@@ -13,8 +13,8 @@ import (
 // This file is the program planner: it compiles a Program against a Context
 // into a Plan — the def-use DAG with rotation fan-out folded into hoisted
 // groups, per-site key-switching methods chosen by the whole-program Aether
-// entry point, rescale placement per DAG edge, and the admission unit weight
-// the serving layer sheds against. Execution of a Plan lives in exec.go.
+// entry point, and the admission unit weight the serving layer sheds against.
+// Execution of a Plan lives in exec.go.
 
 // PlanDecision is the planner's inspectable verdict for one key-switch-bearing
 // DAG node (mul, rotate, conjugate).
@@ -40,11 +40,6 @@ type PlanDecision struct {
 	// Hoist is the number of rotations sharing the group's decomposition
 	// (1 for mul/conjugate and lone rotations).
 	Hoist int `json:"hoist"`
-	// DeferredRescale reports that the node's automatic rescale was sunk from
-	// the producing edge to the consuming edge of the DAG: the multiply runs
-	// unrescaled and the rescale executes adjacent to its first consumer —
-	// placement the batch scheduler exploits, bit-identical either way.
-	DeferredRescale bool `json:"deferred_rescale,omitempty"`
 }
 
 // planNode is one compiled DAG node.
@@ -58,7 +53,6 @@ type planNode struct {
 	pinned   bool
 	group    int  // hoist group index, -1
 	rescales bool // mul-family op with automatic rescale
-	defer_   bool // rescale deferred to the consuming edge
 }
 
 // keySwitches reports whether the node's op bears a key switch.
@@ -71,7 +65,7 @@ func (n *planNode) keySwitches() bool {
 }
 
 // Plan is a compiled Program: the DAG, the hoist groups, the per-site method
-// and rescale-placement decisions and the admission unit weight. A Plan is
+// decisions and the admission unit weight. A Plan is
 // immutable and safe for concurrent executions; it is bound to the Context
 // that compiled it (the decisions depend on that context's parameters and key
 // material).
@@ -246,40 +240,13 @@ func (c *Context) Plan(prog *Program, inputLevels map[string]int, opts ...PlanOp
 		sites = append(sites, aether.Site{Op: i, Level: n.levelIn, Hoist: 1, KLSS: c.SupportsKLSS()})
 	}
 	for _, d := range aether.PlanSites(cm, sites) {
-		m := Hybrid
-		if d.Method == costmodel.KLSS {
-			m = KLSS
-		}
 		n := &p.nodes[d.OpIndex]
 		if n.op.Op == "rotate" {
 			for _, member := range p.groups[n.group] {
-				p.nodes[member].method = m
+				p.nodes[member].method = d.Method
 			}
 		} else {
-			n.method = m
-		}
-	}
-
-	// Pass 4: rescale placement. A mul-family rescale is sunk to the consuming
-	// edge when its value feeds a hoisted rotation group (>= 2 rotations): the
-	// rescale then executes adjacent to the group's shared decomposition in
-	// the batch schedule instead of inside the producing node. Bit-identical
-	// either way — Mul+auto-rescale and Mul(NoRescale)+Rescale run the same
-	// kernel sequence — so the differential suite can replay either placement.
-	for i := range p.nodes {
-		n := &p.nodes[i]
-		if !n.rescales {
-			continue
-		}
-		for j := i + 1; j < len(p.nodes); j++ {
-			cns := &p.nodes[j]
-			if cns.srcA != i && cns.srcB != i {
-				continue
-			}
-			if cns.op.Op == "rotate" && len(p.groups[cns.group]) >= 2 {
-				n.defer_ = true
-				break
-			}
+			n.method = d.Method
 		}
 	}
 
@@ -294,17 +261,16 @@ func (c *Context) Plan(prog *Program, inputLevels map[string]int, opts ...PlanOp
 		d := PlanDecision{
 			Node: i, Op: n.op.Op, Out: n.op.Out, Level: n.levelIn,
 			Method: n.method, Pinned: n.pinned, Group: n.group, Hoist: 1,
-			DeferredRescale: n.defer_,
 		}
 		if n.op.Op == "rotate" {
 			d.Hoist = len(p.groups[n.group])
 			if p.groups[n.group][0] == i {
-				costSites = append(costSites, costmodel.SiteCost{Method: cmMethod(n.method), Level: n.levelIn, Hoist: d.Hoist})
+				costSites = append(costSites, costmodel.SiteCost{Method: n.method, Level: n.levelIn, Hoist: d.Hoist})
 			}
 		} else {
-			costSites = append(costSites, costmodel.SiteCost{Method: cmMethod(n.method), Level: n.levelIn, Hoist: 1})
+			costSites = append(costSites, costmodel.SiteCost{Method: n.method, Level: n.levelIn, Hoist: 1})
 			if n.rescales {
-				p.passes++ // the (possibly deferred) rescale pass
+				p.passes++ // the fused rescale pass
 			}
 		}
 		p.decisions = append(p.decisions, d)
@@ -339,13 +305,6 @@ func (c *Context) PlanFingerprint(prog *Program, inputLevels map[string]int, opt
 		resolved[in] = lvl
 	}
 	return planFingerprint(prog, resolved, pc)
-}
-
-func cmMethod(m Method) costmodel.Method {
-	if m == KLSS {
-		return costmodel.KLSS
-	}
-	return costmodel.Hybrid
 }
 
 // planFingerprint hashes the program text, the resolved input levels and

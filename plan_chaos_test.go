@@ -1,9 +1,8 @@
 package fast
 
 // Differential planner suite, part of the chaos tier (`make chaos` runs it
-// under -race): the DAG planner may reorder work, hoist rotation fan-out,
-// defer rescales across batch steps and merge groups across concurrently
-// admitted runs — but every planned execution must remain BIT-identical to
+// under -race): the DAG planner may reorder work, hoist rotation fan-out
+// and merge groups across concurrently admitted runs — but every planned execution must remain BIT-identical to
 // the straight-line interpretation of the same program. "Close enough" is
 // not a property you can serve from a daemon that promises deterministic
 // ciphertexts.
@@ -61,9 +60,9 @@ func differentialPrograms() map[string]*Program {
 			Add("s2", "s1", "c").
 			Mul("out", "s2", "y").
 			Return("out"),
-		// Multiply feeding a rotation fan-out: the planner defers the
-		// automatic rescale so the group hoists at the pre-rescale level.
-		"deferred-rescale": NewProgram().In("x", "y").
+		// Multiply feeding a rotation fan-out: the group hoists the fused
+		// mul's rescaled result, a computed register rather than an input.
+		"mul-fanout": NewProgram().In("x", "y").
 			Mul("m", "x", "y").
 			Rotate("a", "m", 1).
 			Rotate("b", "m", -1).
@@ -91,7 +90,7 @@ func differentialPrograms() map[string]*Program {
 }
 
 // TestChaosPlannerDifferentialBitExact: for every program shape, the batch
-// executor (hoisting, deferral) and the sequential interpreter must produce
+// executor (hoisting) and the sequential interpreter must produce
 // byte-identical ciphertexts.
 func TestChaosPlannerDifferentialBitExact(t *testing.T) {
 	ctx := sharedConcCtx(t)
@@ -160,7 +159,7 @@ func TestChaosPlannerConcurrentBatchBitExact(t *testing.T) {
 // goroutines at once (the daemon's worker pool shape) under -race.
 func TestChaosPlannerParallelBatchesBitExact(t *testing.T) {
 	ctx := sharedConcCtx(t)
-	prog := differentialPrograms()["deferred-rescale"]
+	prog := differentialPrograms()["mul-fanout"]
 	plan, err := ctx.Plan(prog, nil)
 	if err != nil {
 		t.Fatal(err)

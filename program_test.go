@@ -3,8 +3,12 @@ package fast
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/fastfhe/fast/internal/ckks"
+	"github.com/fastfhe/fast/internal/costmodel"
 )
 
 // validProgram is a small well-formed program used as the mutation base for
@@ -364,5 +368,111 @@ func TestExecuteValidatesInputs(t *testing.T) {
 	// Nil plan.
 	if _, err := ctx.Execute(nil, nil, nil); !errors.Is(err, ErrInvalidProgram) {
 		t.Fatalf("nil plan: got %v", err)
+	}
+}
+
+// TestMethodIsOneType: the hybrid/KLSS enum has one declaration
+// (costmodel.Method) and two aliases. The assignments below compile only
+// while all three names denote the identical type — a defined type in place
+// of an alias would need a conversion.
+func TestMethodIsOneType(t *testing.T) {
+	var m Method = KLSS
+	var k ckks.KeySwitchMethod = m
+	var c costmodel.Method = k
+	m = c
+	var _ *costmodel.Method = &m
+	if m != ckks.KLSS || Hybrid != costmodel.Hybrid {
+		t.Fatal("aliased constants disagree")
+	}
+	if Hybrid.String() != "hybrid" || KLSS.String() != "klss" {
+		t.Fatalf("method names changed: %q %q", Hybrid, KLSS)
+	}
+
+	// Plan decisions encode the method as its integer, on /debug/plans too.
+	raw, err := json.Marshal([]PlanDecision{{Op: "mul", Method: Hybrid}, {Op: "rotate", Method: KLSS}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := string(raw); !strings.Contains(s, `"method":0,`) || !strings.Contains(s, `"method":1,`) {
+		t.Fatalf("plan-decision JSON no longer encodes method as 0|1: %s", s)
+	}
+	if strings.Contains(string(raw), "deferred") {
+		t.Fatalf("plan-decision JSON still carries a rescale-placement field: %s", raw)
+	}
+}
+
+// TestPlanGoldenBenchmarkPrograms pins what the planner decides for the
+// programs the benchmark runs (benchmark/oracle.go: fanoutProgram is serve_*,
+// deepProgram is lib_deep) at the benchmark's full and toy sizes. Units,
+// fingerprints, method decisions and hoist groups were printed at the commit
+// before rescale deferral was deleted and must not move.
+func TestPlanGoldenBenchmarkPrograms(t *testing.T) {
+	fanout := func() *Program {
+		return NewProgram().In("x").
+			Rotate("a", "x", 1).Rotate("b", "x", 4).Rotate("c", "x", -1).
+			Add("s1", "a", "b").Add("s2", "s1", "c").AddConst("out", "s2", 0.5).
+			Return("out")
+	}
+	deep := func() *Program {
+		return NewProgram().In("x").
+			Mul("m1", "x", "x").Mul("m2", "m1", "m1").
+			Rotate("r1", "m2", 1).Rotate("r2", "m2", 2).Rotate("r3", "m2", 4).Rotate("r4", "m2", 8).
+			Add("a1", "r1", "r2").Add("a2", "r3", "r4").Add("a3", "a1", "a2").
+			Mul("m3", "a3", "m2").
+			Rotate("c1", "m3", 16).Rotate("c2", "c1", 32).
+			AddConst("out", "c2", 0.25).
+			Return("out")
+	}
+	serveCfg := func(logN int) ContextConfig {
+		cfg := DefaultConfig()
+		cfg.LogN, cfg.Seed = logN, 7
+		return cfg
+	}
+	deepCfg := func(logN, levels int) ContextConfig {
+		return ContextConfig{LogN: logN, Levels: levels, LogScale: 36,
+			Rotations: []int{1, 2, 4, 8, 16, 32}, EnableKLSS: true, Seed: 7}
+	}
+	const fanoutDec = "0:rotate@5:0:g0:h3 1:rotate@5:0:g0:h3 2:rotate@5:0:g0:h3 "
+	for _, row := range []struct {
+		name   string
+		cfg    ContextConfig
+		prog   *Program
+		slow   bool
+		units  float64
+		fp     string
+		groups string
+		dec    string
+	}{
+		{"serve/toy", serveCfg(9), fanout(), false, 754176, "plan-512d34b9d61fa788", "[[0 1 2]]", fanoutDec},
+		{"serve/full", serveCfg(11), fanout(), false, 3.34848e+06, "plan-512d34b9d61fa788", "[[0 1 2]]", fanoutDec},
+		{"lib_deep/toy", deepCfg(9, 5), deep(), false, 1.944832e+06, "plan-6c0eefeebf3cb618", "[[2 3 4 5] [10] [11]]",
+			"0:mul@5:0:g-1:h1 1:mul@4:0:g-1:h1 2:rotate@3:1:g0:h4 3:rotate@3:1:g0:h4 4:rotate@3:1:g0:h4 5:rotate@3:1:g0:h4 " +
+				"9:mul@3:0:g-1:h1 10:rotate@2:0:g1:h1 11:rotate@2:0:g2:h1 "},
+		{"lib_deep/full", deepCfg(13, 11), deep(), true, 6.7350528e+07, "plan-da2553aef434ddef", "[[2 3 4 5] [10] [11]]",
+			"0:mul@11:0:g-1:h1 1:mul@10:0:g-1:h1 2:rotate@9:1:g0:h4 3:rotate@9:1:g0:h4 4:rotate@9:1:g0:h4 5:rotate@9:1:g0:h4 " +
+				"9:mul@9:0:g-1:h1 10:rotate@8:0:g1:h1 11:rotate@8:0:g2:h1 "},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if row.slow && testing.Short() {
+				t.Skip("log_n 13 keygen")
+			}
+			ctx, err := NewContext(row.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := ctx.Plan(row.prog, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec := ""
+			for _, d := range plan.Decisions() {
+				dec += fmt.Sprintf("%d:%s@%d:%d:g%d:h%d ", d.Node, d.Op, d.Level, int(d.Method), d.Group, d.Hoist)
+			}
+			if plan.Units() != row.units || plan.Fingerprint() != row.fp ||
+				fmt.Sprint(plan.HoistGroups()) != row.groups || dec != row.dec {
+				t.Fatalf("plan moved:\n units %v fp %s groups %v\n dec %s\nwant\n units %v fp %s groups %s\n dec %s",
+					plan.Units(), plan.Fingerprint(), plan.HoistGroups(), dec, row.units, row.fp, row.groups, row.dec)
+			}
+		})
 	}
 }
