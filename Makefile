@@ -7,8 +7,8 @@ GO ?= go
 all: build test
 
 # The default pre-merge gate: static analysis, the full suite, the race
-# detector over the concurrency tests, the fault-injection chaos suite, and
-# the benchmark harness's own tests.
+# detector over the concurrency tests, the chaos suite, and the benchmark
+# harness's own tests.
 check: vet test race chaos bench-test
 
 build:
@@ -37,16 +37,19 @@ race:
 	$(GO) test -race -short ./...
 	$(GO) test -race -run TestBootstrapConcurrentFirstUse ./internal/ckks
 
-# Chaos gate: the fault-injection suites under the race detector. Long random
-# op sequences run under every fault scenario; decryptions must stay bit-exact
-# with the fault-free run, and the simulator must be deterministic per fault
-# seed. The fastd suite runs the serve loop in-process under every scenario:
-# accepted responses must be bit-identical to a fault-free reference, shed and
-# canceled requests must carry typed errors, and the circuit breaker must
-# re-close once faults stop. (-short keeps the op count CI-sized; drop it for
-# a deeper soak.)
+# Chaos gate, under the race detector. The library's seeded random op script
+# is held to a plaintext shadow (checked-in precision floors, hybrid vs KLSS
+# agreement, two contexts of one seed bit-identical), next to the planner's
+# differential zoo. The simulator must be deterministic per fault seed and
+# account every injected fault (internal/sim, internal/hemera, cmd/fastsim
+# -fault-plan; internal/fault is the injector itself). The fastd suite runs
+# the serve loop in-process: real queue overload, injected disk-write faults,
+# crash/restart and shard kill — accepted responses bit-identical to an
+# in-process reference, refusals typed. internal/shard is the supervisor and
+# ring under fence/kill races. (-short keeps the op count CI-sized; drop it
+# for a deeper soak.)
 chaos:
-	$(GO) test -race -short -run 'Chaos|Fault|Resilience' . ./internal/sim ./internal/hemera ./cmd/fastsim ./cmd/fastd ./internal/serve ./internal/shard
+	$(GO) test -race -short -run 'Chaos|Fault|Resilience|RandomScript|NoisyTenant' . ./internal/sim ./internal/hemera ./cmd/fastsim ./cmd/fastd ./internal/shard
 	$(GO) test -race ./internal/fault
 
 # Fuzz smoke pass: each target fuzzes for 10s (Go allows one -fuzz pattern
@@ -126,7 +129,7 @@ vet: loc
 # to FASTD_LOC_MAX, which a reviewer sees, next to the code that needs it.
 # The root package's count is printed beside it, ungated: the library is the
 # product, but its size should be a number someone looks at.
-FASTD_LOC_MAX ?= 3250
+FASTD_LOC_MAX ?= 3100
 
 loc:
 	@echo "root package: $$(ls *.go | grep -v _test.go | xargs cat | wc -l) non-test lines"

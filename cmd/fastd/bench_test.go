@@ -53,11 +53,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 	// One worker: evaluation serializes, so concurrent requests queue — the
 	// queue wait is the coalescing window (that is the regime batching is
 	// for; with an idle pool every batch has size 1).
-	d, err := newDaemon(daemonConfig{
-		Workers:          1,
-		QueueDepth:       256,
-		BreakerThreshold: 1 << 20,
-	})
+	d, err := newDaemon(daemonConfig{Workers: 1, QueueDepth: 256})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -29,17 +29,12 @@ import (
 type daemonConfig struct {
 	// Shards is the number of failure-isolated serving lanes behind the one
 	// listener (default 1 — the pre-sharding topology). Each shard owns its
-	// own admission queue, worker pool, circuit breaker and slice of
-	// MaxResident; sessions are pinned to shards by consistent hashing of the ID.
+	// own admission queue, worker pool and slice of MaxResident; sessions are
+	// pinned to shards by consistent hashing of the ID.
 	Shards int
 	// Workers is the evaluator pool size PER SHARD.
 	Workers    int
 	QueueDepth int
-	// BreakerThreshold is the number of consecutive fault-bearing requests
-	// that open a shard's circuit breaker; BreakerCooldown the open interval
-	// before the half-open probe.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// MaxSessions bounds the session keyspace count PROCESS-WIDE (each
 	// session owns a full key set — memory, not descriptors, is the scarce
 	// resource). The bound is enforced by the one session registry, so N
@@ -96,12 +91,6 @@ func (c daemonConfig) withDefaults() daemonConfig {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
 	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
-	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 16
 	}
@@ -133,7 +122,7 @@ func (c daemonConfig) withDefaults() daemonConfig {
 }
 
 // session is one client keyspace: a fast.Context plus the bookkeeping the
-// admission layer needs (cost parameters, fault-recovery watermark) and the
+// admission layer needs (cost parameters) and the
 // durability layer adds (snapshot metadata, idempotency table). Where it lives
 // — which shard, how recently used, whether the disk describes it — is the
 // registry's to know, not the session's.
@@ -147,21 +136,6 @@ type session struct {
 	// journal is the on-disk twin of idem (nil without a state dir): the
 	// store's writer state for <id>.idem — append offset and frame count.
 	journal *journal
-
-	mu           sync.Mutex
-	lastRecovery int // Retries+Timeouts+Refetches watermark for breaker deltas
-}
-
-// faultRecoveryDelta returns the growth of the session's fault-recovery
-// counters since the previous call — the breaker's health signal.
-func (s *session) faultRecoveryDelta() int {
-	st := s.ctx.FaultStats()
-	total := st.Retries + st.Timeouts + st.Refetches
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delta := total - s.lastRecovery
-	s.lastRecovery = total
-	return delta
 }
 
 // daemon is the fastd HTTP server: N failure-isolated shards behind one
@@ -194,7 +168,6 @@ type daemon struct {
 	stopOnce  sync.Once
 
 	mRequests      *obs.Counter
-	mFaultTrips    *obs.Counter
 	mSessionCount  *obs.Gauge
 	mPlanEvicted   *obs.Counter
 	mPlanHits      *obs.Counter
@@ -225,7 +198,6 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 	}
 	if reg != nil {
 		d.mRequests = reg.Counter("fastd.requests")
-		d.mFaultTrips = reg.Counter("fastd.breaker_fault_reports")
 		d.mSessionCount = reg.Gauge("fastd.sessions")
 		d.mPlanHits = reg.Counter("serve.plan_cache.hits")
 		d.mPlanMisses = reg.Counter("serve.plan_cache.misses")
@@ -403,36 +375,10 @@ type sessionReadiness struct {
 	Corrupt     uint64 `json:"corrupt"`
 }
 
-// rollupBreaker summarises per-shard breaker states for the global view: the
-// daemon can serve key-switch traffic as long as one live shard's breaker is
-// not open, so the rollup reports the most-available state across live
-// shards ("closed" beats "half-open" beats "open").
-func (d *daemon) rollupBreaker() string {
-	best := serve.BreakerOpen
-	seen := false
-	for i, sh := range d.shards {
-		if d.ring.Fenced(i) {
-			continue
-		}
-		seen = true
-		switch sh.breaker.State() {
-		case serve.BreakerClosed:
-			return serve.BreakerClosed.String()
-		case serve.BreakerHalfOpen:
-			best = serve.BreakerHalfOpen
-		}
-	}
-	if !seen {
-		return serve.BreakerOpen.String()
-	}
-	return best.String()
-}
-
 func (d *daemon) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	type readiness struct {
 		Ready      bool               `json:"ready"`
 		Draining   bool               `json:"draining"`
-		Breaker    string             `json:"breaker"`
 		Queue      int                `json:"queue_depth"`
 		Inflight   int                `json:"inflight_requests"`
 		Shards     []shardReadiness   `json:"shards"`
@@ -462,7 +408,6 @@ func (d *daemon) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 	r := readiness{
 		Draining:   d.draining.Load(),
-		Breaker:    d.rollupBreaker(),
 		Queue:      queue,
 		Inflight:   d.requests.Len(),
 		Shards:     shards,
@@ -476,32 +421,28 @@ func (d *daemon) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		},
 	}
 	// Readiness flips when the NEXT unit of work would be refused everywhere:
-	// draining, a full session budget (the next create 429s), every shard
-	// fenced, or every live shard's breaker open. A fenced shard with live
-	// survivors keeps the daemon ready — that is the point of failover: its
-	// sessions are being served elsewhere, capacity degraded, availability
-	// did not.
-	r.Ready = !r.Draining && r.Breaker != serve.BreakerOpen.String() &&
-		r.LiveShards > 0 && st.Occupancy < d.cfg.MaxSessions
+	// draining, a full session budget (the next create 429s) or every shard
+	// fenced. A fenced shard with live survivors keeps the daemon ready —
+	// that is the point of failover: its sessions are being served elsewhere,
+	// capacity degraded, availability did not.
+	r.Ready = !r.Draining && r.LiveShards > 0 && st.Occupancy < d.cfg.MaxSessions
 	if !r.Ready {
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
 	writeJSON(w, r)
 }
 
-// sessionRequest mirrors fast.ContextConfig over the wire, plus an optional
-// named fault scenario for chaos exercises.
+// sessionRequest mirrors fast.ContextConfig over the wire.
 type sessionRequest struct {
-	LogN          int    `json:"log_n"`
-	LogSlots      int    `json:"log_slots"`
-	Levels        int    `json:"levels"`
-	LogScale      int    `json:"log_scale"`
-	Rotations     []int  `json:"rotations"`
-	Conjugation   bool   `json:"conjugation"`
-	EnableKLSS    bool   `json:"enable_klss"`
-	Seed          int64  `json:"seed"`
-	Parallelism   int    `json:"parallelism"`
-	FaultScenario string `json:"fault_scenario,omitempty"`
+	LogN        int   `json:"log_n"`
+	LogSlots    int   `json:"log_slots"`
+	Levels      int   `json:"levels"`
+	LogScale    int   `json:"log_scale"`
+	Rotations   []int `json:"rotations"`
+	Conjugation bool  `json:"conjugation"`
+	EnableKLSS  bool  `json:"enable_klss"`
+	Seed        int64 `json:"seed"`
+	Parallelism int   `json:"parallelism"`
 }
 
 type sessionResponse struct {
@@ -514,18 +455,9 @@ type sessionResponse struct {
 // sessionOptions are the options every session's Context is built with, at
 // create and at restore alike: the shared observer, the shared evk tier under
 // the BUILDING shard's tag — after a failover the survivor's lookups hit
-// entries the fenced shard filled, the cross-shard reuse the tier exists for
-// — and the session's fault scenario.
-func (d *daemon) sessionOptions(id string, sh *evalShard, scenario string) ([]fast.Option, error) {
-	opts := []fast.Option{fast.WithObserver(d.observer), fast.WithEvkCache(d.evk, id, sh.id)}
-	if scenario != "" && scenario != "none" {
-		plan, err := fast.FaultScenario(scenario)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, fast.WithFaultPlan(plan))
-	}
-	return opts, nil
+// entries the fenced shard filled, the cross-shard reuse the tier exists for.
+func (d *daemon) sessionOptions(id string, sh *evalShard) []fast.Option {
+	return []fast.Option{fast.WithObserver(d.observer), fast.WithEvkCache(d.evk, id, sh.id)}
 }
 
 // newSession wraps a keyed Context in the state serving it needs.
@@ -569,11 +501,6 @@ func (d *daemon) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		d.writeAdmissionError(w, r, err)
 		return
 	}
-	opts, err := d.sessionOptions(id, sh, req.FaultScenario)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
 	// The slot is reserved BEFORE the expensive keygen (see Registry.Reserve),
 	// given back if keygen fails and converted into the real entry by Publish.
 	if !d.sessions.Reserve(id, sh.id) {
@@ -593,7 +520,7 @@ func (d *daemon) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	obsReq.SetUnits(units)
 	err = sh.srv.Do(r.Context(), serve.Op{Name: "keygen", Units: units}, func(ctx context.Context) error {
 		var err error
-		fctx, err = fast.NewContext(cfg, opts...)
+		fctx, err = fast.NewContext(cfg, d.sessionOptions(id, sh)...)
 		return err
 	})
 	if err != nil {
@@ -605,7 +532,6 @@ func (d *daemon) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	sess := d.newSession(fctx, cfg.LogN, fast.SessionMeta{
 		ID:              id,
 		CreatedUnixNano: time.Now().UnixNano(),
-		FaultScenario:   req.FaultScenario,
 	})
 	// Write-ahead durability: the snapshot hits disk (fsync'd, atomically
 	// renamed) BEFORE the create response is released, so a session the client
@@ -834,9 +760,9 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc) {
 // codes — the degradation ladder, as seen by a client:
 //
 //	429 Too Many Requests   queue full (burst; back off and retry)
-//	503 Service Unavailable breaker open, draining, or shard down
-//	                        (shard_down carries Retry-After: failover is in
-//	                        progress, retry shortly and a survivor serves it)
+//	503 Service Unavailable draining or shard down (shard_down carries
+//	                        Retry-After: failover is in progress, retry
+//	                        shortly and a survivor serves it)
 //	504 Gateway Timeout     shed: deadline provably unmeetable
 //	408 Request Timeout     canceled/deadline mid-flight
 //	404 Not Found           session unknown (neither resident nor on disk)
@@ -845,7 +771,7 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc) {
 //
 // The rung is also recorded as the request's outcome, so the access log names
 // the exact ladder step even where the status code is ambiguous (503 covers
-// breaker_open, draining and shard_down; 504 covers both shed and deadline).
+// draining and shard_down; 504 covers both shed and deadline).
 func (d *daemon) writeAdmissionError(w http.ResponseWriter, r *http.Request, err error) {
 	status := http.StatusInternalServerError
 	outcome := "error"
@@ -867,8 +793,6 @@ func (d *daemon) writeAdmissionError(w http.ResponseWriter, r *http.Request, err
 		status, outcome = http.StatusTooManyRequests, "queue_full"
 	case errors.Is(err, serve.ErrShed):
 		status, outcome = http.StatusGatewayTimeout, "shed"
-	case errors.Is(err, serve.ErrBreakerOpen):
-		status, outcome = http.StatusServiceUnavailable, "breaker_open"
 	case errors.Is(err, serve.ErrDraining):
 		status, outcome = http.StatusServiceUnavailable, "draining"
 	case errors.Is(err, fast.ErrDeadline):

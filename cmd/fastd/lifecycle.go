@@ -131,11 +131,7 @@ func (d *daemon) restoreSession(sh *evalShard, id string) (s *session, durable b
 	st.mSnapshotLoad.ObserveSince(t0)
 
 	t0 = time.Now()
-	opts, err := d.sessionOptions(id, sh, snap.Meta.FaultScenario)
-	if err != nil {
-		return nil, false, fmt.Errorf("session %q fault scenario: %w", id, err)
-	}
-	fctx, err := snap.Restore(opts...)
+	fctx, err := snap.Restore(d.sessionOptions(id, sh)...)
 	if err != nil {
 		return nil, false, err
 	}

@@ -1,8 +1,7 @@
 // Command fastd serves homomorphic evaluation over JSON/HTTP with production
 // degradation semantics: a bounded admission queue in front of a fixed
-// evaluator pool, deadline-aware load shedding, a circuit breaker over the
-// modeled evaluation-key transfer path, per-request cancellation threaded
-// down into the CKKS kernels, and graceful drain on SIGINT/SIGTERM.
+// evaluator pool, deadline-aware load shedding, per-request cancellation
+// threaded down into the CKKS kernels, and graceful drain on SIGINT/SIGTERM.
 //
 // Usage: `fastd -h` lists every flag with its default.
 //
@@ -17,7 +16,7 @@
 // Endpoints:
 //
 //	GET  /healthz                     liveness (always ok while the process runs)
-//	GET  /readyz                      readiness (503 while draining or breaker open)
+//	GET  /readyz                      readiness (503 while draining, full or every shard fenced)
 //	POST /v1/sessions                 create a keyspace {log_n, levels, rotations, ...}
 //	DELETE /v1/sessions/{id}          drop a keyspace
 //	POST /v1/sessions/{id}/encrypt    {values:[{re,im},...]} -> {ciphertext}
@@ -29,8 +28,7 @@
 //
 // Requests may carry an X-Deadline-Ms header; the admission layer sheds
 // requests whose deadline is provably unmeetable (HTTP 504) instead of
-// queuing them to time out. A full queue returns 429, an open breaker or a
-// draining server 503.
+// queuing them to time out. A full queue returns 429, a draining server 503.
 //
 // Every request is correlated end to end: a client-provided X-Request-Id (or
 // the trace-id of a W3C traceparent header) is honored, otherwise an ID is
@@ -52,7 +50,6 @@ import (
 	"time"
 
 	fast "github.com/fastfhe/fast"
-	"github.com/fastfhe/fast/internal/fault"
 	"github.com/fastfhe/fast/internal/obs"
 )
 
@@ -74,13 +71,10 @@ func run(args []string, stdout io.Writer) error {
 	shards := fs.Int("shards", 1, "failure-isolated serving shards behind the listener")
 	workers := fs.Int("workers", 2, "concurrent evaluation workers per shard")
 	queue := fs.Int("queue", 0, "admission queue depth per shard (0 = 4x workers)")
-	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive fault-bearing requests that open the circuit breaker")
-	breakerCooldown := fs.Duration("breaker-cooldown", 2*time.Second, "open interval before the half-open probe")
 	maxSessions := fs.Int("max-sessions", 16, "maximum sessions (resident + persisted)")
 	stateDir := fs.String("state-dir", "", "directory for crash-safe session snapshots and idempotency journals (empty disables durability)")
 	maxResident := fs.Int("max-resident-sessions", 0, "sessions held in memory before LRU eviction to -state-dir (0 = -max-sessions)")
 	sessionTTL := fs.Duration("session-ttl", 0, "evict sessions idle longer than this to -state-dir (0 disables)")
-	storeFaults := fs.String("store-faults", "", "disk-write fault plan for chaos testing, e.g. \"disk=0.2\"")
 	evkBudgetMB := fs.Int("evk-budget-mb", 256, "shared evaluation-key cache budget in MiB")
 	probeInterval := fs.Duration("shard-probe-interval", time.Second, "shard supervisor health-probe interval (shards >= 2)")
 	probeTimeout := fs.Duration("shard-probe-timeout", time.Second, "per-probe timeout before it counts as a failure")
@@ -99,30 +93,21 @@ func run(args []string, stdout io.Writer) error {
 	}
 	defer closeLog()
 
-	var faultPlan fault.Plan
-	if *storeFaults != "" {
-		if faultPlan, err = fault.ParsePlan(*storeFaults); err != nil {
-			return fmt.Errorf("fastd: -store-faults: %w", err)
-		}
-	}
 	d, err := newDaemon(daemonConfig{
-		Shards:           *shards,
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-		MaxSessions:      *maxSessions,
-		StateDir:         *stateDir,
-		MaxResident:      *maxResident,
-		SessionTTL:       *sessionTTL,
-		StoreFaults:      faultPlan,
-		EvkBudget:        int64(*evkBudgetMB) << 20,
-		ProbeInterval:    *probeInterval,
-		ProbeTimeout:     *probeTimeout,
-		FenceThreshold:   *fenceThreshold,
-		Observer:         fast.NewTracingObserver(0),
-		Logger:           obs.NewLogger(logW, obs.ParseLogLevel(*logLevel)),
-		SlowRequest:      time.Duration(*slowRequestMs) * time.Millisecond,
+		Shards:         *shards,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		MaxSessions:    *maxSessions,
+		StateDir:       *stateDir,
+		MaxResident:    *maxResident,
+		SessionTTL:     *sessionTTL,
+		EvkBudget:      int64(*evkBudgetMB) << 20,
+		ProbeInterval:  *probeInterval,
+		ProbeTimeout:   *probeTimeout,
+		FenceThreshold: *fenceThreshold,
+		Observer:       fast.NewTracingObserver(0),
+		Logger:         obs.NewLogger(logW, obs.ParseLogLevel(*logLevel)),
+		SlowRequest:    time.Duration(*slowRequestMs) * time.Millisecond,
 	})
 	if err != nil {
 		return err

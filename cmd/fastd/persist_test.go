@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"io"
 	"math"
@@ -50,13 +52,52 @@ func readAll(t *testing.T, r io.Reader) []byte {
 	return raw
 }
 
+// spliceLegacyMetaKey rewrites a snapshot file into the one a build whose
+// SessionMeta still carried "fault_scenario" would have written: the key
+// appended to the header's meta object, hdrLen and the trailing SHA-256
+// recomputed (the root package's snapshot tests pin the same construction
+// against that build's golden digest).
+func spliceLegacyMetaKey(t *testing.T, path, scenario string) {
+	t.Helper()
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const hdrStart = 8 + 4 // magic, hdrLen
+	hdrLen := int(binary.LittleEndian.Uint32(snap[8:hdrStart]))
+	metaEnd := bytes.Index(snap[hdrStart:hdrStart+hdrLen], []byte(`},"config":`))
+	if metaEnd < 0 {
+		t.Fatalf("snapshot %s has no meta object before config", path)
+	}
+	key := `,"fault_scenario":"` + scenario + `"`
+	out := append([]byte(nil), snap[:hdrStart+metaEnd]...)
+	out = append(out, key...)
+	out = append(out, snap[hdrStart+metaEnd:len(snap)-sha256.Size]...)
+	binary.LittleEndian.PutUint32(out[8:hdrStart], uint32(hdrLen+len(key)))
+	sum := sha256.Sum256(out)
+	if err := os.WriteFile(path, append(out, sum[:]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestChaosCrashRestartDurability is the in-process kill-and-restart drill:
 // daemon A write-ahead persists a session, is abandoned WITHOUT drain (the
 // process-death analogue — nothing between the fsync'd snapshot and the next
 // daemon), and daemon B on the same state dir must lazily restore the session
 // and decrypt a pre-crash ciphertext byte-for-byte identically to the
-// fault-free reference A produced.
+// reference A produced. The legacy case restarts on a snapshot as an older
+// build wrote it, with "fault_scenario":"transfer" in its meta: the key is
+// ignored and the session restores all the same.
 func TestChaosCrashRestartDurability(t *testing.T) {
+	t.Run("as-written", func(t *testing.T) { crashRestart(t, func(string) {}) })
+	t.Run("legacy-fault-scenario", func(t *testing.T) {
+		crashRestart(t, func(snap string) { spliceLegacyMetaKey(t, snap, "transfer") })
+	})
+}
+
+// crashRestart runs the drill; betweenDaemons may rewrite the session's
+// snapshot file while no daemon holds it.
+func crashRestart(t *testing.T, betweenDaemons func(snapPath string)) {
 	dir := t.TempDir()
 	_, tsA := newTestDaemon(t, daemonConfig{StateDir: dir})
 
@@ -74,6 +115,7 @@ func TestChaosCrashRestartDurability(t *testing.T) {
 
 	// "Crash": no drain, no shutdown hook — daemon B sees only what A made
 	// durable before each response it released.
+	betweenDaemons(filepath.Join(dir, sr.ID+".snap"))
 	_, tsB := newTestDaemon(t, daemonConfig{StateDir: dir})
 	gotStatus, gotBody := doJSON(t, http.MethodPost, tsB.URL+"/v1/sessions/"+sr.ID+"/decrypt", nil,
 		decryptRequest{Ciphertext: ct.Ciphertext}, nil)

@@ -13,33 +13,24 @@ import (
 )
 
 // evalShard is one failure-isolated serving lane: its own admission queue,
-// worker pool, circuit breaker and micro-batcher. The consistent-hash ring
-// pins each session ID to one shard, so an overloaded queue, a tripped
-// breaker or a panic storm on one shard cannot slow, refuse or wedge traffic
-// owned by its neighbors. Which sessions a shard holds is the daemon's
-// session registry's to say; the shard is compute only.
+// worker pool and micro-batcher. The consistent-hash ring pins each session
+// ID to one shard, so an overloaded queue or a panic storm on one shard
+// cannot slow, refuse or wedge traffic owned by its neighbors. Which sessions
+// a shard holds is the daemon's session registry's to say; the shard is
+// compute only.
 type evalShard struct {
 	id      int
-	d       *daemon
 	srv     *serve.Server
 	batcher *serve.Batcher
-	breaker *serve.Breaker
-
-	mBreakerState *obs.Gauge
 }
 
 func newEvalShard(d *daemon, id int) *evalShard {
 	cfg := d.cfg
 	reg := cfg.Observer.Registry()
-	sh := &evalShard{
-		id:      id,
-		d:       d,
-		breaker: serve.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-	}
+	sh := &evalShard{id: id}
 	sh.srv = serve.New(serve.Config{
 		Workers:    cfg.Workers,
 		QueueDepth: cfg.QueueDepth,
-		Breaker:    sh.breaker,
 		Reg:        reg,
 	})
 	// Eval requests batch by session: concurrently admitted programs on one
@@ -48,17 +39,6 @@ func newEvalShard(d *daemon, id int) *evalShard {
 	// session IDs and sessions are shard-pinned, so per-shard batchers never
 	// split a batch.
 	sh.batcher = serve.NewBatcher(sh.srv, sh.runEvalBatch, reg)
-	if reg != nil {
-		// Per-shard breaker gauge, driven by the transition hook so scrapes
-		// between transitions still see the live state. Values follow
-		// serve.BreakerState: 0 closed, 1 open, 2 half-open.
-		sh.mBreakerState = reg.Gauge("serve.breaker.state{shard=" + strconv.Itoa(id) + "}")
-		sh.mBreakerState.Set(int64(serve.BreakerClosed))
-		gauge := sh.mBreakerState
-		sh.breaker.OnStateChange(func(_, now serve.BreakerState) {
-			gauge.Set(int64(now))
-		})
-	}
 	return sh
 }
 
@@ -79,7 +59,6 @@ func (sh *evalShard) runEvalBatch(items []*serve.BatchItem) {
 		}
 	}
 	sess.ctx.ExecuteBatch(runs)
-	sh.recordFaultHealth(sess)
 	for i, it := range items {
 		// Stamp the batch sequence onto the in-flight record so the access
 		// log and /debug/requests can join against /debug/plans.
@@ -97,46 +76,13 @@ func (sh *evalShard) runEvalBatch(items []*serve.BatchItem) {
 	}
 }
 
-// recordFaultHealth feeds this shard's circuit breaker the session's modeled
-// Hemera transfer-fault delta: a request whose key transfers needed recovery
-// actions (retries, timeouts, refetches) counts as a downstream failure even
-// though the computation itself succeeded bit-exactly — the breaker's job is
-// to detect the transfer fault storm, not corrupt data.
-//
-// Sessions without an active fault plan record NOTHING here: the breaker is
-// shard-global and consecutive-failure based, so a RecordSuccess per healthy
-// eval would reset the streak and let any interleaved healthy-session traffic
-// mask a sustained fault storm on another session. Half-open recovery does
-// not depend on this call — the admission layer resolves the probe task's
-// outcome itself (serve.Server.settle), so a clean eval still re-closes an
-// open breaker after faults stop.
-func (sh *evalShard) recordFaultHealth(sess *session) {
-	if !sess.ctx.FaultPlanActive() {
-		return
-	}
-	if delta := sess.faultRecoveryDelta(); delta > 0 {
-		sh.d.mFaultTrips.Inc()
-		sh.breaker.RecordFailure()
-	} else {
-		sh.breaker.RecordSuccess()
-	}
-}
-
 // ---- Supervision, fencing and failover -------------------------------------
 
 // probeShard is the supervisor's health probe: a zero-unit task through the
 // shard's own admission queue and worker pool, so a wedged pool, a queue that
-// never drains, or a deadlocked worker all surface as probe failures. An open
-// or half-open breaker is deliberately reported healthy — the shard is
-// refusing work with typed errors by design, and a no-op probe task must not
-// consume (and close) the breaker's single half-open recovery slot that real
-// traffic is entitled to.
+// never drains, or a deadlocked worker all surface as probe failures.
 func (d *daemon) probeShard(ctx context.Context, i int) error {
-	sh := d.shards[i]
-	if sh.breaker.State() != serve.BreakerClosed {
-		return nil
-	}
-	return sh.srv.Do(ctx, serve.Op{Name: "probe", Units: 0}, func(context.Context) error { return nil })
+	return d.shards[i].srv.Do(ctx, serve.Op{Name: "probe", Units: 0}, func(context.Context) error { return nil })
 }
 
 // onFence empties a fenced shard so the survivors can serve its sessions:
@@ -191,13 +137,12 @@ func (d *daemon) handleKillShard(w http.ResponseWriter, r *http.Request) {
 
 // shardReadiness is one shard's row in the /readyz per-shard view.
 type shardReadiness struct {
-	Shard    int    `json:"shard"`
-	Fenced   bool   `json:"fenced"`
-	Killed   bool   `json:"killed"`
-	Breaker  string `json:"breaker"`
-	Queue    int    `json:"queue_depth"`
-	Resident int    `json:"resident"`
-	Draining bool   `json:"draining"`
+	Shard    int  `json:"shard"`
+	Fenced   bool `json:"fenced"`
+	Killed   bool `json:"killed"`
+	Queue    int  `json:"queue_depth"`
+	Resident int  `json:"resident"`
+	Draining bool `json:"draining"`
 }
 
 func (d *daemon) shardReadiness(st sessreg.Stats) []shardReadiness {
@@ -207,7 +152,6 @@ func (d *daemon) shardReadiness(st sessreg.Stats) []shardReadiness {
 			Shard:    i,
 			Fenced:   d.ring.Fenced(i),
 			Killed:   d.sup.Killed(i),
-			Breaker:  sh.breaker.State().String(),
 			Queue:    sh.srv.QueueLen(),
 			Resident: st.ShardResident[i],
 			Draining: sh.srv.Draining(),

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -11,13 +10,11 @@ import (
 	"time"
 
 	fast "github.com/fastfhe/fast"
-	"github.com/fastfhe/fast/internal/serve"
 )
 
 // readyzView mirrors the /readyz document for test assertions.
 type readyzView struct {
 	Ready      bool             `json:"ready"`
-	Breaker    string           `json:"breaker"`
 	LiveShards int              `json:"live_shards"`
 	Shards     []shardReadiness `json:"shards"`
 	Sessions   sessionReadiness `json:"sessions"`
@@ -398,55 +395,6 @@ func idemProbe(t *testing.T, base, id, key string, vals []cnum) *http.Response {
 		t.Fatalf("idem probe %s: status %d", key, resp.StatusCode)
 	}
 	return resp
-}
-
-// TestShardBreakerGaugeTransitionsFault (per-shard breaker observability):
-// the serve.breaker.state{shard=N} gauge must track the full
-// open → half-open → closed recovery arc, and a neighbor shard's gauge must
-// not move.
-func TestShardBreakerGaugeTransitionsFault(t *testing.T) {
-	ob := fast.NewObserver()
-	d, err := newDaemon(daemonConfig{
-		Shards:           2,
-		BreakerThreshold: 2,
-		BreakerCooldown:  10 * time.Millisecond,
-		Observer:         ob,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = d.drain(context.Background()) })
-	reg := ob.Registry()
-	g0 := reg.Gauge("serve.breaker.state{shard=0}")
-	g1 := reg.Gauge("serve.breaker.state{shard=1}")
-
-	if g0.Value() != int64(serve.BreakerClosed) {
-		t.Fatalf("initial gauge = %d, want closed", g0.Value())
-	}
-	b := d.shards[0].breaker
-	b.RecordFailure()
-	if g0.Value() != int64(serve.BreakerClosed) {
-		t.Fatalf("gauge moved below threshold: %d", g0.Value())
-	}
-	b.RecordFailure()
-	if g0.Value() != int64(serve.BreakerOpen) {
-		t.Fatalf("gauge = %d after trip, want open (%d)", g0.Value(), serve.BreakerOpen)
-	}
-	time.Sleep(15 * time.Millisecond)
-	ok, probe := b.AllowProbe()
-	if !ok || !probe {
-		t.Fatalf("AllowProbe after cooldown = (%v,%v), want the probe slot", ok, probe)
-	}
-	if g0.Value() != int64(serve.BreakerHalfOpen) {
-		t.Fatalf("gauge = %d during probe, want half-open (%d)", g0.Value(), serve.BreakerHalfOpen)
-	}
-	b.RecordSuccess()
-	if g0.Value() != int64(serve.BreakerClosed) {
-		t.Fatalf("gauge = %d after probe success, want closed", g0.Value())
-	}
-	if g1.Value() != int64(serve.BreakerClosed) {
-		t.Fatalf("shard 1 gauge moved to %d while shard 0 cycled", g1.Value())
-	}
 }
 
 // postStatus posts body from a goroutine that may not call t.Fatal: 0 means

@@ -86,7 +86,6 @@ type Context struct {
 	eval          *ckks.Evaluator
 	defaultMethod Method      // for calls without WithMethod; immutable
 	observer      *Observer   // nil unless WithObserver was passed
-	faults        *faultState // nil unless WithFaultPlan was passed
 	evk           *evkBinding // nil unless WithEvkCache was passed
 }
 
@@ -241,10 +240,6 @@ func buildContext(cfg ContextConfig, settings contextSettings, lit ckks.Paramete
 	if err := ctx.eval.SetMethod(ctx.defaultMethod); err != nil {
 		return nil, err
 	}
-	if settings.faultPlan != nil && settings.faultPlan.Enabled() {
-		ctx.faults = newFaultState(params, *settings.faultPlan)
-		ctx.faults.setObserver(ctx.observer)
-	}
 	return ctx, nil
 }
 
@@ -371,7 +366,6 @@ func (c *Context) Mul(a, b *Ciphertext, opts ...OpOption) (*Ciphertext, error) {
 		return nil, err
 	}
 	s := c.settings(opts)
-	c.faults.request(c.params, "relin", min(a.ct.Level, b.ct.Level), s.method)
 	c.evk.request(c.params, "relin", min(a.ct.Level, b.ct.Level), s.method)
 	prod, err := c.eval.MulRelinCtx(s.ctx, a.ct, b.ct, s.method)
 	if err != nil {
@@ -474,7 +468,6 @@ func (c *Context) Rotate(a *Ciphertext, r int, opts ...OpOption) (*Ciphertext, e
 		return nil, err
 	}
 	s := c.settings(opts)
-	c.faults.request(c.params, "rot:"+strconv.Itoa(r), a.ct.Level, s.method)
 	c.evk.request(c.params, "rot:"+strconv.Itoa(r), a.ct.Level, s.method)
 	out, err := c.eval.RotateCtx(s.ctx, a.ct, r, s.method)
 	return wrap(out, err)
@@ -494,7 +487,6 @@ func (c *Context) RotateHoisted(a *Ciphertext, rotations []int, opts ...OpOption
 	s := c.settings(opts)
 	for _, r := range rotations {
 		if r != 0 {
-			c.faults.request(c.params, "rot:"+strconv.Itoa(r), a.ct.Level, s.method)
 			c.evk.request(c.params, "rot:"+strconv.Itoa(r), a.ct.Level, s.method)
 		}
 	}
@@ -522,7 +514,6 @@ func (c *Context) Conjugate(a *Ciphertext, opts ...OpOption) (*Ciphertext, error
 		return nil, err
 	}
 	s := c.settings(opts)
-	c.faults.request(c.params, "conj", a.ct.Level, s.method)
 	c.evk.request(c.params, "conj", a.ct.Level, s.method)
 	out, err := c.eval.ConjugateCtx(s.ctx, a.ct, s.method)
 	return wrap(out, err)

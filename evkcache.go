@@ -7,16 +7,18 @@ import (
 
 // EvkCache is the process-wide shared evaluation-key tier: one byte-budgeted
 // LRU every serving shard's Contexts report their key-switch traffic into,
-// keyed by session + method + galois element. It is the level above each
-// Context's private Hemera pool: the pool models the accelerator's on-chip
-// Evk store, the shared cache models host memory serving N shards — keys a
-// session's previous shard already faulted in are hits for whichever shard
-// serves it after a failover (counted as cross-shard hits).
+// keyed by session + method + galois element. It models host memory serving
+// N shards — keys a session's previous shard already faulted in are hits for
+// whichever shard serves it after a failover (counted as cross-shard hits).
 //
 // The cache is an accounting tier for the modeled memory hierarchy: the
 // functional key material lives in each Context's key set regardless, so a
 // "miss" costs bookkeeping, never correctness. Attach it per Context with
 // WithEvkCache; read it with Stats or the hemera.shared.* instruments.
+//
+// It stores nothing (every fill is nil) and is a removal candidate; it stays
+// because benchmark/ gates on hemera.shared_hit_share and compiles against
+// hemera.NewSharedCache, so removing it waits for a benchmark PR.
 type EvkCache struct {
 	c *hemera.SharedCache
 }
@@ -56,10 +58,10 @@ func (e *EvkCache) Stats() EvkCacheStats {
 // WithEvkCache subscribes the context's key-switch traffic to a process-wide
 // shared evk cache: every key-switching operation (Mul relinearisation,
 // Rotate/RotateHoisted galois keys, Conjugate) records one request under
-// session/method/key-ID, sized by the same evkBytes model the fault layer
-// uses. shard tags which serving shard this context currently runs on — the
-// cache counts a hit from a different shard than the filler as a cross-shard
-// hit, the failover-effectiveness signal.
+// session/method/key-ID, sized by evkBytes. shard tags which serving shard
+// this context currently runs on — the cache counts a hit from a different
+// shard than the filler as a cross-shard hit, the failover-effectiveness
+// signal.
 //
 // The option is settings-only (it does not alter the parameter set), so it
 // is equally valid on NewContext and SessionSnapshot.Restore — fastd passes
@@ -80,10 +82,7 @@ type evkBinding struct {
 	shard   int
 }
 
-// request records one evaluation-key fetch against the shared tier. Purely
-// additive next to faultState.request: it never skips or reorders the fault
-// stream, so chaos invariants (deterministic per-seed fault patterns) are
-// unchanged whether or not a shared cache is attached.
+// request records one evaluation-key fetch against the shared tier.
 func (e *evkBinding) request(params *ckks.Parameters, keyID string, level int, m Method) {
 	if e == nil {
 		return
@@ -94,4 +93,16 @@ func (e *evkBinding) request(params *ckks.Parameters, keyID string, level int, m
 	key := e.session + "/" + m.String() + "/" + keyID
 	size := evkBytes(params, params.MaxLevel(), m)
 	_ = e.cache.GetOrFill(key, e.shard, size, nil)
+}
+
+// evkBytes estimates the evaluation-key footprint for one key-switch at the
+// given level: 2 polynomials per decomposition group over the extended chain.
+func evkBytes(params *ckks.Parameters, level int, m Method) int64 {
+	n := int64(params.N())
+	if m == KLSS && params.SupportsKLSS() {
+		limbs := int64(level + 1 + len(params.TChain()))
+		return 2 * int64(params.BetaT(level)) * limbs * n * 8
+	}
+	limbs := int64(level + 1 + len(params.PChain()))
+	return 2 * int64(params.Beta(level)) * limbs * n * 8
 }

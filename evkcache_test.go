@@ -96,50 +96,6 @@ func TestEvkCacheSessionIsolation(t *testing.T) {
 	}
 }
 
-// TestEvkCacheFaultPlanUnperturbed: attaching the shared tier must not
-// change the fault stream — FaultStats with and without WithEvkCache are
-// identical for the same op sequence, and results stay bit-exact. This is
-// the "purely additive" contract the chaos suite depends on.
-func TestEvkCacheFaultPlanUnperturbed(t *testing.T) {
-	cfg := evkTestConfig()
-	plan, err := FaultScenario("all")
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(opts ...Option) (FaultStats, []complex128) {
-		c, err := NewContext(cfg, append([]Option{WithFaultPlan(plan)}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ct, err := c.Encrypt([]complex128{1, 2, 3, 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 8; i++ {
-			if ct2, err := c.Rotate(ct, 1); err == nil {
-				ct = ct2
-			} else {
-				t.Fatal(err)
-			}
-		}
-		return c.FaultStats(), c.Decrypt(ct)
-	}
-	plainStats, plainVals := run()
-	cache := NewEvkCache(1<<30, NewObserver())
-	cachedStats, cachedVals := run(WithEvkCache(cache, "s1", 0))
-	if plainStats != cachedStats {
-		t.Fatalf("fault stream perturbed by evk cache:\nwithout: %+v\nwith:    %+v", plainStats, cachedStats)
-	}
-	for i := range plainVals {
-		if plainVals[i] != cachedVals[i] {
-			t.Fatalf("slot %d differs: %v vs %v", i, plainVals[i], cachedVals[i])
-		}
-	}
-	if cache.Stats().Misses == 0 {
-		t.Fatal("cache saw no traffic")
-	}
-}
-
 // TestEvkCacheBudgetEnforcedFault: a budget smaller than the working set
 // keeps resident_bytes under the cap by evicting, never over-filling.
 func TestEvkCacheBudgetEnforcedFault(t *testing.T) {

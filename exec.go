@@ -227,8 +227,8 @@ func (c *Context) ExecuteBatch(runs []*Run) {
 }
 
 // execGroupStep runs one hoisted rotation group, possibly shared by several
-// runs, via the public RotateHoisted path (faults, metrics and cancellation
-// behave exactly as a direct call would).
+// runs, via the public RotateHoisted path (evk accounting, metrics and
+// cancellation behave exactly as a direct call would).
 func (c *Context) execGroupStep(st *batchStep) {
 	lead := st.members[0]
 	src := lead.run.regs[lead.run.Plan.nodes[lead.nodes[0]].op.A]

@@ -52,8 +52,8 @@ type Request struct {
 }
 
 // SetOutcome records the request's terminal classification on the degradation
-// ladder ("ok", "queue_full", "shed", "breaker_open", "draining", "canceled",
-// "deadline", "bad_request", "panic", "error") for the access log. The first
+// ladder ("ok", "queue_full", "shed", "draining", "canceled", "deadline",
+// "bad_request", "panic", "error") for the access log. The first
 // non-empty write wins: the error-mapping layer classifies before the
 // middleware applies its status-code fallback.
 func (r *Request) SetOutcome(o string) {

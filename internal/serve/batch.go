@@ -15,7 +15,7 @@ import (
 // execution of the caller-supplied exec function. The coalescing window is
 // the admission queue wait itself — no added latency, no timers: every
 // request is individually admitted through Server.Do (so the degradation
-// ladder, deadline shedding and breaker behavior are untouched), and the
+// ladder and deadline shedding are untouched), and the
 // first admitted request to reach a worker becomes the batch leader, taking
 // every still-pending same-key request with it.
 //
@@ -98,7 +98,7 @@ func NewBatcher(srv *Server, exec func([]*BatchItem), reg *obs.Registry) *Batche
 // same-key requests — or as a follower whose result a leader already
 // produced.
 //
-// On an admission rejection (queue full, shed, breaker, draining) or an
+// On an admission rejection (queue full, shed, draining) or an
 // abandon-while-queued, the enrollment is withdrawn and the admission error
 // returned — unless a leader scooped the item first, in which case the work
 // already ran on the batchmate's worker and its result is returned instead

@@ -1,17 +1,16 @@
 // Package serve is the admission-control layer of the serving stack: a
 // bounded queue in front of a fixed worker pool, deadline-aware load
-// shedding, a circuit breaker, per-worker panic isolation and graceful
-// drain. It is deliberately generic — tasks are closures — so the same
-// machinery fronts the fastd HTTP daemon and the in-process chaos tests.
+// shedding, per-worker panic isolation and graceful drain. It is deliberately
+// generic — tasks are closures — so the same machinery fronts the fastd HTTP
+// daemon and the in-process chaos tests.
 //
 // The degradation ladder, outermost first:
 //
 //	draining   → ErrDraining   (server is shutting down; nothing new enters)
-//	breaker    → ErrBreakerOpen (downstream fault storm; fail fast)
-//	queue full → ErrQueueFull  (burst exceeded QueueDepth; push back)
 //	shed       → ErrShed       (deadline provably unmeetable; reject now,
 //	                            in microseconds, instead of timing out after
 //	                            burning a worker for the full service time)
+//	queue full → ErrQueueFull  (burst exceeded QueueDepth; push back)
 //	canceled   → ErrCanceled/ErrDeadline (caller gave up while queued or
 //	                            mid-kernel; pooled scratch is released)
 //	panic      → ErrPanicked   (handler bug; the worker survives, the one
@@ -43,11 +42,6 @@ var (
 	// met given the estimated queue wait plus service time.
 	ErrShed = errors.New("serve: request shed")
 
-	// ErrBreakerOpen reports an arrival rejected because the circuit breaker
-	// is open (the downstream dependency is failing; fail fast instead of
-	// piling more work onto it).
-	ErrBreakerOpen = errors.New("serve: circuit breaker open")
-
 	// ErrDraining reports an arrival during graceful shutdown.
 	ErrDraining = errors.New("serve: server draining")
 
@@ -76,14 +70,6 @@ type Config struct {
 	// task calibrates it (default 1 ns/unit; the EWMA converges within a few
 	// requests).
 	NsPerUnit float64
-	// Breaker, when non-nil, is consulted on arrival and fed task outcomes.
-	Breaker *Breaker
-	// FailureIsBreaking classifies task errors for the breaker. When nil, no
-	// task error trips the breaker (the breaker then only reacts to failures
-	// reported externally via Breaker.RecordFailure — e.g. fastd feeding it
-	// Hemera transfer-fault deltas). Cancellation-class errors are never
-	// breaking regardless of the classifier.
-	FailureIsBreaking func(error) bool
 	// Reg, when non-nil, receives the admission instruments (serve.* names).
 	Reg *obs.Registry
 }
@@ -91,10 +77,8 @@ type Config struct {
 // Server is a bounded admission queue feeding a fixed worker pool. Safe for
 // concurrent use. Create with New, stop with Drain.
 type Server struct {
-	workers   int
-	est       *Estimator
-	breaker   *Breaker
-	isFailure func(error) bool
+	workers int
+	est     *Estimator
 
 	mu       sync.RWMutex // guards queue send vs. close(queue) in Drain
 	queue    chan *task
@@ -105,20 +89,19 @@ type Server struct {
 	inflight    atomic.Int64
 
 	// Instruments (nil-safe no-ops when Config.Reg was nil).
-	mQueueDepth    *obs.Gauge
-	mInflight      *obs.Gauge
-	mAdmitted      *obs.Counter
-	mCompleted     *obs.Counter
-	mFailed        *obs.Counter
-	mShed          *obs.Counter
-	mQueueFull     *obs.Counter
-	mBreakerReject *obs.Counter
-	mDrainReject   *obs.Counter
-	mCanceled      *obs.Counter
-	mPanics        *obs.Counter
-	mWaitNS        *obs.Histogram
-	mServiceNS     *obs.Histogram
-	mLatencyNS     *obs.Histogram
+	mQueueDepth  *obs.Gauge
+	mInflight    *obs.Gauge
+	mAdmitted    *obs.Counter
+	mCompleted   *obs.Counter
+	mFailed      *obs.Counter
+	mShed        *obs.Counter
+	mQueueFull   *obs.Counter
+	mDrainReject *obs.Counter
+	mCanceled    *obs.Counter
+	mPanics      *obs.Counter
+	mWaitNS      *obs.Histogram
+	mServiceNS   *obs.Histogram
+	mLatencyNS   *obs.Histogram
 }
 
 // task is one admitted request. claimed arbitrates between the worker
@@ -131,7 +114,6 @@ type task struct {
 	ctx     context.Context
 	fn      func(context.Context) error
 	units   int64
-	probe   bool // this admission consumed the breaker's half-open probe slot
 	claimed atomic.Bool
 	done    chan error // buffered(1): worker never blocks on delivery
 	arrived time.Time
@@ -151,11 +133,9 @@ func New(cfg Config) *Server {
 		cfg.NsPerUnit = 1
 	}
 	s := &Server{
-		workers:   cfg.Workers,
-		est:       NewEstimator(cfg.NsPerUnit),
-		breaker:   cfg.Breaker,
-		isFailure: cfg.FailureIsBreaking,
-		queue:     make(chan *task, cfg.QueueDepth),
+		workers: cfg.Workers,
+		est:     NewEstimator(cfg.NsPerUnit),
+		queue:   make(chan *task, cfg.QueueDepth),
 	}
 	if reg := cfg.Reg; reg != nil {
 		s.mQueueDepth = reg.Gauge("serve.queue.depth")
@@ -165,7 +145,6 @@ func New(cfg Config) *Server {
 		s.mFailed = reg.Counter("serve.failed")
 		s.mShed = reg.Counter("serve.shed.deadline")
 		s.mQueueFull = reg.Counter("serve.rejected.queue_full")
-		s.mBreakerReject = reg.Counter("serve.rejected.breaker")
 		s.mDrainReject = reg.Counter("serve.rejected.draining")
 		s.mCanceled = reg.Counter("serve.canceled")
 		s.mPanics = reg.Counter("serve.panics")
@@ -199,38 +178,21 @@ func New(cfg Config) *Server {
 // that want to report externally-timed work).
 func (s *Server) Estimator() *Estimator { return s.est }
 
-// Breaker returns the server's circuit breaker (nil if none was configured).
-func (s *Server) Breaker() *Breaker { return s.breaker }
-
 // QueueLen returns the number of admitted-but-not-started tasks.
 func (s *Server) QueueLen() int { return len(s.queue) }
 
 // Do admits and executes fn under the server's concurrency limits, returning
-// fn's error. Admission is non-blocking: a full queue, an open breaker, a
-// draining server or an unmeetable deadline reject immediately with a typed
-// error (never executing fn). Once admitted, fn runs on a worker goroutine
-// with the caller's ctx; if ctx is done before a worker picks the task up,
-// Do returns a cancellation-class error and the task is skipped.
+// fn's error. Admission is non-blocking: a full queue, a draining server or
+// an unmeetable deadline reject immediately with a typed error (never
+// executing fn). Once admitted, fn runs on a worker goroutine with the
+// caller's ctx; if ctx is done before a worker picks the task up, Do returns
+// a cancellation-class error and the task is skipped.
 func (s *Server) Do(ctx context.Context, op Op, fn func(context.Context) error) error {
 	if s.draining.Load() {
 		s.mDrainReject.Inc()
 		return fmt.Errorf("serve: %s rejected: %w", op.Name, ErrDraining)
 	}
-	// probe is true when this admission consumed the breaker's single
-	// half-open probe slot. From here on, every path that does not run fn to
-	// a recorded outcome MUST return the slot via cancelProbe, or the breaker
-	// wedges half-open (Allow false forever → permanent ErrBreakerOpen).
-	var probe bool
-	if b := s.breaker; b != nil {
-		ok, p := b.AllowProbe()
-		if !ok {
-			s.mBreakerReject.Inc()
-			return fmt.Errorf("serve: %s rejected: %w", op.Name, ErrBreakerOpen)
-		}
-		probe = p
-	}
 	if err := ctx.Err(); err != nil {
-		s.cancelProbe(probe)
 		s.mCanceled.Inc()
 		return wrapCtxErr(op.Name, err)
 	}
@@ -242,7 +204,6 @@ func (s *Server) Do(ctx context.Context, op Op, fn func(context.Context) error) 
 		wait := s.est.WaitNS(float64(s.queuedUnits.Load()), s.workers)
 		service := s.est.ServiceNS(op.Units)
 		if need := time.Duration(wait + service); time.Until(dl) < need {
-			s.cancelProbe(probe)
 			s.mShed.Inc()
 			return fmt.Errorf("serve: %s shed (estimated %v exceeds deadline): %w: %w",
 				op.Name, need.Round(time.Microsecond), ErrShed, ckks.ErrDeadline)
@@ -253,7 +214,6 @@ func (s *Server) Do(ctx context.Context, op Op, fn func(context.Context) error) 
 		ctx:     ctx,
 		fn:      fn,
 		units:   int64(op.Units),
-		probe:   probe,
 		done:    make(chan error, 1),
 		arrived: time.Now(),
 	}
@@ -261,7 +221,6 @@ func (s *Server) Do(ctx context.Context, op Op, fn func(context.Context) error) 
 	s.mu.RLock()
 	if s.draining.Load() {
 		s.mu.RUnlock()
-		s.cancelProbe(probe)
 		s.mDrainReject.Inc()
 		return fmt.Errorf("serve: %s rejected: %w", op.Name, ErrDraining)
 	}
@@ -280,7 +239,6 @@ func (s *Server) Do(ctx context.Context, op Op, fn func(context.Context) error) 
 	default:
 		s.mu.RUnlock()
 		s.queuedUnits.Add(-t.units)
-		s.cancelProbe(probe)
 		s.mQueueFull.Inc()
 		return fmt.Errorf("serve: %s rejected (queue depth %d): %w", op.Name, cap(s.queue), ErrQueueFull)
 	}
@@ -292,24 +250,14 @@ func (s *Server) Do(ctx context.Context, op Op, fn func(context.Context) error) 
 		if t.claim() {
 			// Won the race against the workers: the task is still queued and
 			// will be skipped. Settle the queue accounting here (the worker
-			// that eventually pops the tombstone does not know the units),
-			// and return the probe slot the abandoned task was carrying.
+			// that eventually pops the tombstone does not know the units).
 			s.queuedUnits.Add(-t.units)
-			s.cancelProbe(probe)
 			s.mCanceled.Inc()
 			return wrapCtxErr(op.Name, ctx.Err())
 		}
 		// A worker is executing fn with the same ctx: the kernels underneath
 		// poll it, so the verdict arrives within one checkpoint interval.
 		return <-t.done
-	}
-}
-
-// cancelProbe returns a half-open probe slot consumed by an admission that
-// never reached a recordable outcome. No-op unless probe is true.
-func (s *Server) cancelProbe(probe bool) {
-	if probe && s.breaker != nil {
-		s.breaker.CancelProbe()
 	}
 }
 
@@ -352,34 +300,6 @@ func (s *Server) settle(t *task, err error, elapsed time.Duration) {
 		s.mCanceled.Inc()
 	default:
 		s.mFailed.Inc()
-	}
-	// Breaker recording is classifier-driven: with no classifier the breaker
-	// is externally owned (fastd records Hemera transfer-fault deltas from
-	// inside the task body) and settle must not fight those reports.
-	if b := s.breaker; b != nil {
-		if s.isFailure != nil {
-			switch {
-			case err == nil:
-				b.RecordSuccess()
-			case isCancellation(err):
-				// The caller gave up; the downstream is not to blame.
-			case s.isFailure(err):
-				b.RecordFailure()
-			}
-		}
-		// A probe task must always resolve the half-open state, even when the
-		// classifier block above declined to record (cancellation-class or
-		// unclassified errors, or no classifier at all): a clean run closes
-		// the breaker, anything inconclusive returns the probe slot so the
-		// next arrival re-probes. Both calls are no-ops if the outcome was
-		// already recorded (by the classifier or from inside the task body).
-		if t.probe {
-			if err == nil {
-				b.RecordSuccess()
-			} else {
-				b.CancelProbe()
-			}
-		}
 	}
 	t.done <- err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -258,88 +259,12 @@ func TestDrainTimeout(t *testing.T) {
 	}
 }
 
-// TestBreakerFaultTripAndRecover is part of the chaos gate (`make chaos`
-// matches Fault): consecutive downstream faults open the breaker, requests
-// fail fast while open, and the half-open probe re-closes it.
-func TestBreakerFaultTripAndRecover(t *testing.T) {
-	br := NewBreaker(3, time.Hour)
-	now := time.Now()
-	clock := &now
-	var mu sync.Mutex
-	br.setClock(func() time.Time { mu.Lock(); defer mu.Unlock(); return *clock })
-
-	failing := errors.New("downstream exploded")
-	s := New(Config{
-		Workers: 1, QueueDepth: 4,
-		Breaker:           br,
-		FailureIsBreaking: func(err error) bool { return errors.Is(err, failing) },
-	})
-	defer s.Drain(context.Background())
-
-	fail := func(context.Context) error { return fmt.Errorf("op: %w", failing) }
-	for i := 0; i < 3; i++ {
-		if err := s.Do(context.Background(), Op{Name: "f"}, fail); !errors.Is(err, failing) {
-			t.Fatalf("task %d: %v", i, err)
-		}
-	}
-	if st := br.State(); st != BreakerOpen {
-		t.Fatalf("breaker state after 3 failures = %v, want open", st)
-	}
-
-	// Open: fail fast without executing.
-	err := s.Do(context.Background(), Op{Name: "rejected"}, func(context.Context) error {
-		t.Error("must not run while breaker open")
-		return nil
-	})
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("want ErrBreakerOpen, got %v", err)
-	}
-
-	// Cooldown elapses; the half-open probe succeeds; breaker closes.
-	mu.Lock()
-	now = now.Add(2 * time.Hour)
-	clock = &now
-	mu.Unlock()
-	if err := s.Do(context.Background(), Op{Name: "probe"}, func(context.Context) error { return nil }); err != nil {
-		t.Fatalf("probe: %v", err)
-	}
-	if st := br.State(); st != BreakerClosed {
-		t.Fatalf("breaker state after successful probe = %v, want closed", st)
-	}
-}
-
-func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
-	br := NewBreaker(1, time.Hour)
-	now := time.Now()
-	var mu sync.Mutex
-	br.setClock(func() time.Time { mu.Lock(); defer mu.Unlock(); return now })
-
-	br.RecordFailure()
-	if br.State() != BreakerOpen {
-		t.Fatal("breaker should open after threshold=1 failure")
-	}
-	mu.Lock()
-	now = now.Add(2 * time.Hour)
-	mu.Unlock()
-	if !br.Allow() {
-		t.Fatal("cooldown elapsed: probe must be allowed")
-	}
-	if br.Allow() {
-		t.Fatal("only one half-open probe may pass")
-	}
-	br.RecordFailure()
-	if br.State() != BreakerOpen {
-		t.Fatal("failed probe must re-open the breaker")
-	}
-}
-
-func TestCancellationNotBreaking(t *testing.T) {
-	br := NewBreaker(1, time.Hour)
-	s := New(Config{
-		Workers: 1, QueueDepth: 2,
-		Breaker:           br,
-		FailureIsBreaking: func(error) bool { return true },
-	})
+// TestCancellationCountedNotFailed: a task whose caller gives up mid-flight
+// returns a cancellation-class error and lands in serve.canceled — the
+// caller's fault, not the handler's, so serve.failed stays untouched.
+func TestCancellationCountedNotFailed(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := New(Config{Workers: 1, QueueDepth: 2, Reg: reg})
 	defer s.Drain(context.Background())
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -351,8 +276,8 @@ func TestCancellationNotBreaking(t *testing.T) {
 	if !errors.Is(err, ckks.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
-	if st := br.State(); st != BreakerClosed {
-		t.Fatalf("cancellation tripped the breaker (state %v)", st)
+	if c, f := reg.Counter("serve.canceled").Value(), reg.Counter("serve.failed").Value(); c != 1 || f != 0 {
+		t.Fatalf("serve.canceled = %d, serve.failed = %d, want 1 and 0", c, f)
 	}
 }
 
@@ -388,5 +313,54 @@ func TestDoMetrics(t *testing.T) {
 	}
 	if got := reg.Histogram("serve.admission_wait_ns").Count(); got != 1 {
 		t.Fatalf("wait histogram count = %d, want 1", got)
+	}
+}
+
+// TestQueuedUnitsNeverNegative: units are accounted before the channel send,
+// so a worker popping the task can never drive the counter below zero —
+// which WaitNS would clamp to 0, transiently telling concurrent arrivals the
+// queue is empty and over-admitting past their deadlines.
+func TestQueuedUnitsNeverNegative(t *testing.T) {
+	s := New(Config{Workers: 4, QueueDepth: 64})
+	defer s.Drain(context.Background())
+
+	stop := make(chan struct{})
+	var sawNegative atomic.Bool
+	var sampler sync.WaitGroup
+	sampler.Add(1)
+	go func() {
+		defer sampler.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if s.queuedUnits.Load() < 0 {
+				sawNegative.Store(true)
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				_ = s.Do(context.Background(), Op{Name: "w", Units: 7}, func(context.Context) error { return nil })
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	sampler.Wait()
+	if sawNegative.Load() {
+		t.Fatal("queuedUnits went negative: units accounted after the channel send")
+	}
+	if got := s.queuedUnits.Load(); got != 0 {
+		t.Fatalf("queuedUnits after quiescence = %d, want 0", got)
 	}
 }

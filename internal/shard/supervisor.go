@@ -20,12 +20,6 @@ import (
 // OnUnfence giving the owner a chance to reclaim routing state. Shards
 // fenced via Kill are dead to the supervisor and are never probed again —
 // that is the in-process analogue of SIGKILL, used by the chaos harness.
-//
-// A probe failure means "the shard cannot currently execute work", not "the
-// backend is unhealthy": breaker-open refusals are deliberately wedge-class
-// here, because a shard whose breaker is open still cannot serve and its
-// sessions are better off remapped; the breaker will be probed again after
-// unfence anyway.
 type Supervisor struct {
 	cfg  SupervisorConfig
 	ring *Ring

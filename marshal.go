@@ -41,7 +41,7 @@ func (c *Context) ReadCiphertext(r io.Reader) (*Ciphertext, error) {
 
 // SessionMeta is the serving-layer metadata a session snapshot carries
 // alongside the cryptographic material. The fields are owned by the caller
-// (fastd stores its session ID, creation time and fault scenario here); the
+// (fastd stores its session ID and creation time here); the
 // snapshot machinery itself only interprets Restores.
 type SessionMeta struct {
 	// ID is the serving-layer session identifier.
@@ -55,10 +55,6 @@ type SessionMeta struct {
 	// randomness (randomness reuse under one public key leaks plaintext
 	// differences).
 	Restores uint64 `json:"restores,omitempty"`
-	// FaultScenario names the fault-injection scenario the session was
-	// created with ("" or "none" when unfaulted), so a restoring daemon can
-	// reattach the same plan.
-	FaultScenario string `json:"fault_scenario,omitempty"`
 }
 
 // Snapshot wire layout (little-endian):
@@ -207,8 +203,8 @@ func DecodeSessionSnapshot(data []byte) (*SessionSnapshot, error) {
 // decrypt pre-crash ciphertexts bit-identically. Restoration costs the
 // deserialisation plus NTT-table compilation, never a keygen.
 //
-// Options may attach an observer or fault plan and override the default
-// key-switching method; options that would alter the parameter description
+// Options may attach an observer or shared evk cache and override the
+// default key-switching method; options that would alter the parameter description
 // (WithRotations, WithKLSS, WithSeed, WithParallelism...) are rejected with
 // ErrInvalidParameters, because the persisted keys were generated for
 // exactly the embedded configuration.

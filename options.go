@@ -20,7 +20,6 @@ type contextSettings struct {
 	cfg           *ContextConfig
 	defaultMethod Method
 	observer      *Observer
-	faultPlan     *FaultPlan
 	evk           *evkBinding // shared evk tier subscription (WithEvkCache)
 }
 
@@ -59,19 +58,6 @@ func WithDefaultMethod(m Method) Option {
 // Write*/Handler surface.
 func WithObserver(ob *Observer) Option {
 	return func(s *contextSettings) { s.observer = ob }
-}
-
-// WithFaultPlan attaches a deterministic fault-injection plan to the
-// context's modeled evaluation-key transfer path. Every key-switching
-// operation (Mul, Rotate, RotateHoisted, Conjugate) then drives one modeled
-// Hemera key transfer through the plan's seeded fault stream, exercising
-// retries, timeouts, corruption refetches, pool-pressure flushes and the
-// degradation fallback. Faults never change computed values — decryptions
-// stay bit-exact with a fault-free context — they only fill in
-// Context.FaultStats and (with WithObserver) the fault.*, hemera.* and
-// aether.degraded_decisions instruments. An all-zero plan is ignored.
-func WithFaultPlan(p FaultPlan) Option {
-	return func(s *contextSettings) { s.faultPlan = &p }
 }
 
 // WithRotations replaces the set of rotation amounts Galois keys are

@@ -3,8 +3,10 @@ package fast_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/cmplx"
 	"testing"
 
 	fast "github.com/fastfhe/fast"
@@ -46,7 +48,7 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	for _, method := range []fast.Method{fast.Hybrid, fast.KLSS} {
 		t.Run(method.String(), func(t *testing.T) {
 			cfg := snapshotTestConfig()
-			meta := fast.SessionMeta{ID: "s1", CreatedUnixNano: 12345, Restores: 2, FaultScenario: "none"}
+			meta := fast.SessionMeta{ID: "s1", CreatedUnixNano: 12345, Restores: 2}
 			ctx, snap := snapshotBytes(t, cfg, meta)
 
 			vals := make([]complex128, ctx.Slots())
@@ -268,15 +270,87 @@ func ExampleContext_WriteSessionSnapshot() {
 	// Output: s1: 1+2i
 }
 
+// spliceLegacyMetaKey rewrites a well-formed snapshot into the one a build
+// whose SessionMeta still ended in a "fault_scenario" field would have
+// written for the same session: the key appended to the header's meta object
+// (where encoding/json put that struct's last field), hdrLen and the
+// trailing SHA-256 recomputed. Nothing else in the file moves.
+func spliceLegacyMetaKey(t testing.TB, snap []byte, scenario string) []byte {
+	t.Helper()
+	const hdrStart = 8 + 4 // magic, hdrLen
+	hdrLen := int(binary.LittleEndian.Uint32(snap[8:hdrStart]))
+	hdr := snap[hdrStart : hdrStart+hdrLen]
+	metaEnd := bytes.Index(hdr, []byte(`},"config":`))
+	if metaEnd < 0 {
+		t.Fatalf("snapshot header %q has no meta object before config", hdr)
+	}
+	key := `"fault_scenario":"` + scenario + `"`
+	if hdr[metaEnd-1] != '{' {
+		key = "," + key
+	}
+	out := append([]byte(nil), snap[:hdrStart+metaEnd]...)
+	out = append(out, key...)
+	out = append(out, snap[hdrStart+metaEnd:len(snap)-sha256.Size]...)
+	binary.LittleEndian.PutUint32(out[8:hdrStart], uint32(hdrLen+len(key)))
+	sum := sha256.Sum256(out)
+	return append(out, sum[:]...)
+}
+
+// TestSnapshotWithLegacyFaultScenarioRestores: a snapshot written by a build
+// whose SessionMeta still carried fault_scenario must keep restoring — the
+// key is ignored, the keys behind it are the same keys.
+func TestSnapshotWithLegacyFaultScenarioRestores(t *testing.T) {
+	meta := fast.SessionMeta{ID: "s1", CreatedUnixNano: 12345, Restores: 2}
+	ctx, snap := snapshotBytes(t, snapshotTestConfig(), meta)
+	legacy := spliceLegacyMetaKey(t, snap, "transfer")
+	if !bytes.Contains(legacy, []byte(`"restores":2,"fault_scenario":"transfer"},"config":`)) {
+		t.Fatal("splice did not land at the end of the meta object")
+	}
+
+	restored, gotMeta, err := fast.ReadSessionSnapshot(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatalf("restore of a legacy snapshot: %v", err)
+	}
+	if gotMeta != meta {
+		t.Fatalf("meta: got %+v, want %+v", gotMeta, meta)
+	}
+	ct, err := ctx.Encrypt([]complex128{1 + 2i, -0.5i})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire bytes.Buffer
+	if err := ct.Serialize(&wire); err != nil {
+		t.Fatal(err)
+	}
+	rct, err := restored.ReadCiphertext(&wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod, err := restored.Mul(rct, rct)
+	if err != nil {
+		t.Fatalf("Mul on the restored context: %v", err)
+	}
+	if got := restored.Decrypt(prod)[0]; cmplx.Abs(got-(1+2i)*(1+2i)) > 1e-4 {
+		t.Fatalf("(1+2i)^2 on the restored context = %v", got)
+	}
+}
+
 // TestSessionSnapshotGoldenBytes pins the snapshot wire bytes for a fixed
-// seed and metadata: the writer streams its parts through the hash instead
-// of assembling a second full-size buffer, and that must not change a single
-// byte (the digest below was recorded from the buffer-assembling writer).
+// seed and metadata. The digest was re-captured when SessionMeta lost its
+// last field (the old golden meta carried "fault_scenario":"none"); splicing
+// that one key back must reproduce the digest pinned before, which ties the
+// two: the format differs by that key and nothing else.
 func TestSessionSnapshotGoldenBytes(t *testing.T) {
-	meta := fast.SessionMeta{ID: "golden", CreatedUnixNano: 1234567890, Restores: 3, FaultScenario: "none"}
+	meta := fast.SessionMeta{ID: "golden", CreatedUnixNano: 1234567890, Restores: 3}
 	_, snap := snapshotBytes(t, snapshotTestConfig(), meta)
-	const wantLen, wantSum = 1017245, "4768b642afe5686e3ecbbe5f91fd6f7b4db4d0b46146db5813f88bec795ee3ce"
+	const wantLen, wantSum = 1017221, "41a0f1cf35c769f25cf1dd15f3079487d874e923dadceeae3ec92bb26b77fcc6"
 	if got := fmt.Sprintf("%x", sha256.Sum256(snap)); len(snap) != wantLen || got != wantSum {
 		t.Fatalf("snapshot bytes changed: len %d sha256 %s, want len %d sha256 %s", len(snap), got, wantLen, wantSum)
+	}
+	const legacyLen, legacySum = 1017245, "4768b642afe5686e3ecbbe5f91fd6f7b4db4d0b46146db5813f88bec795ee3ce"
+	legacy := spliceLegacyMetaKey(t, snap, "none")
+	if got := fmt.Sprintf("%x", sha256.Sum256(legacy)); len(legacy) != legacyLen || got != legacySum {
+		t.Fatalf("golden + legacy key: len %d sha256 %s, want the previous golden len %d sha256 %s",
+			len(legacy), got, legacyLen, legacySum)
 	}
 }
