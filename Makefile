@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-short test-purego race chaos fuzz obs-smoke soak-smoke shard-chaos bench-test bench tables cover fmt vet loc clean
+.PHONY: all check build kernel-path test test-short test-purego race chaos fuzz obs-smoke soak-smoke shard-chaos bench-test bench tables cover fmt vet loc clean
 
 all: build test
 
@@ -14,26 +14,34 @@ check: vet test race chaos bench-test
 build:
 	$(GO) build ./...
 
-test:
+# One line, before each `go test` leg: which internal/ring kernel path (go,
+# avx2, avx512ifma) this build and CPU run on, and which differential legs
+# skip because of it — so a CI log shows whether the IFMA differentials
+# actually executed on that runner. TAGS carries the leg's build tags.
+kernel-path:
+	@$(GO) test $(TAGS) -count=1 -run '^TestKernelPathReport$$' -v ./internal/ring | grep '^ring:'
+
+test: kernel-path
 	$(GO) test ./...
 
 # Skips the slow functional-bootstrapping tests (~40 s).
-test-short:
+test-short: kernel-path
 	$(GO) test -short ./...
 
 # Pure-Go leg: compile out the GOARCH-gated assembly kernels (internal/ring's
-# AVX2 NTT/BConv routines) and run the suite against the reference loops —
-# the build every non-amd64 platform gets. The differential asm tests
-# skip themselves; everything else must pass identically.
+# AVX2 and AVX-512 IFMA routines) and run the suite against the reference
+# loops — the build every non-amd64 platform gets. The differential tests skip
+# their avx2 / avx512ifma legs by name; everything else must pass identically.
 test-purego:
 	$(GO) build -tags purego ./...
+	@$(MAKE) --no-print-directory kernel-path TAGS='-tags purego'
 	$(GO) test -tags purego -short ./...
 
 # Race-detector pass over the whole module (the concurrency-model contract:
 # one Context serving many goroutines). Uses -short so the gate stays fast;
 # -short skips every bootstrap test, so the one that has two goroutines make
 # their first Bootstrap call on a fresh context is run by name.
-race:
+race: kernel-path
 	$(GO) test -race -short ./...
 	$(GO) test -race -run TestBootstrapConcurrentFirstUse ./internal/ckks
 

@@ -2,7 +2,6 @@ package ckks
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"time"
 
@@ -51,11 +50,18 @@ type KeySwitcher struct {
 	tracer    *obs.Tracer
 
 	mu        sync.Mutex
-	extenders map[extKey]*rns.Extender
+	extenders map[extKey]modUpExt
 	downers   map[int]*rns.ModDowner
 }
 
 type extKey struct{ level, group int }
+
+// modUpExt is one digit's ModUp converter with the rows of the extended
+// polynomial it writes: every row but the digit's own, in target-basis order.
+type modUpExt struct {
+	ext  *rns.Extender
+	rows []int
+}
 
 // NewKeySwitcherWorkers builds the switcher with the given limb-parallelism
 // fan-out (ring.Workers convention: <=0 means GOMAXPROCS, 1 serial).
@@ -72,7 +78,7 @@ func NewKeySwitcherWorkers(params *Parameters, method KeySwitchMethod, workers i
 		alpha:       params.groupAlpha(method),
 		parallelism: workers,
 		pool:        ring.NewPolyPool(params.N(), len(kr.Moduli)),
-		extenders:   map[extKey]*rns.Extender{},
+		extenders:   map[extKey]modUpExt{},
 		downers:     map[int]*rns.ModDowner{},
 	}, nil
 }
@@ -142,7 +148,7 @@ func (ks *KeySwitcher) sMods() []ring.Modulus {
 
 // extender returns (building if needed) the base converter from group j's
 // primes to the complement basis (other active q limbs ++ special limbs).
-func (ks *KeySwitcher) extender(level, j int) (*rns.Extender, error) {
+func (ks *KeySwitcher) extender(level, j int) (modUpExt, error) {
 	ks.mu.Lock()
 	defer ks.mu.Unlock()
 	k := extKey{level, j}
@@ -155,11 +161,17 @@ func (ks *KeySwitcher) extender(level, j int) (*rns.Extender, error) {
 	to = append(to, ks.qMods(level)[:lo]...)
 	to = append(to, ks.qMods(level)[hi:]...)
 	to = append(to, ks.sMods()...)
-	e, err := rns.NewExtender(from, to)
+	ext, err := rns.NewExtender(from, to)
 	if err != nil {
-		return nil, err
+		return modUpExt{}, err
 	}
-	e.Workers = ks.parallelism
+	ext.Workers = ks.parallelism
+	e := modUpExt{ext: ext}
+	for i := 0; i < level+1+ks.sLen; i++ {
+		if i < lo || i >= hi {
+			e.rows = append(e.rows, i)
+		}
+	}
 	ks.extenders[k] = e
 	return e, nil
 }
@@ -249,8 +261,8 @@ func (ks *KeySwitcher) decompose(cc *cancelCheck, c ring.Poly, level int) (*Deco
 		t0 = time.Now()
 	}
 	// One INTT per input limb to reach coefficient form for BConv. The lazy
-	// variant leaves rows in [0, 2q), which Convert's first stage tolerates
-	// (its Shoup multiply is exact for any 64-bit operand), saving the final
+	// variant leaves rows in [0, 2q), the bound ShoupMulVec — Convert's first
+	// stage — requires of its source on every kernel path, saving the final
 	// normalization pass per limb.
 	cCoeff := ks.pool.Get(level + 1)
 	defer ks.pool.Put(cCoeff)
@@ -285,19 +297,9 @@ func (ks *KeySwitcher) decompose(cc *cancelCheck, c ring.Poly, level int) (*Deco
 		// Record the buffer before converting so a cancellation below is
 		// released by ks.Release(d) along with the earlier groups.
 		d.Groups[j] = out
-		// Source rows (coefficient form) for the conversion.
-		src := cCoeff.Coeffs[lo:hi]
-		// Destination rows: everything except the group's own rows.
-		dst := make([][]uint64, 0, level+1+ext-(hi-lo))
-		for i := 0; i <= level; i++ {
-			if i < lo || i >= hi {
-				dst = append(dst, out.Coeffs[i])
-			}
-		}
-		for i := level + 1; i < level+1+ext; i++ {
-			dst = append(dst, out.Coeffs[i])
-		}
-		e.Convert(src, dst)
+		// Source rows (coefficient form) convert into every row of out
+		// except the group's own.
+		e.ext.ConvertRows(cCoeff.Coeffs[lo:hi], out.Coeffs, e.rows)
 		// Converted rows go back to NTT form; own rows copy from the NTT
 		// input directly.
 		ring.ForEachLimbRange(level+1+ext, ks.parallelism, func(rlo, rhi int) {
@@ -351,13 +353,12 @@ func (ks *KeySwitcher) Automorph(d *Decomposition, index []int) *Decomposition {
 // lanes and are processed in parallel under the worker budget; the
 // accumulators themselves come from the scratch pool.
 //
-// The β-digit inner product is a fused lazy multiply-accumulate: per row each
-// coefficient gathers Σ_j g_j*k_j as a 128-bit (hi, lo) pair — one widening
-// multiply and one carry chain per digit — and is reduced with a single
-// Barrett step after the last digit, instead of β AddMod(MulMod(...))
-// round-trips with a hardware division each. The row's lazy INTT
-// (RecoverLimbs) follows directly, leaving the rows in [0, 2q) for the
-// lazy-tolerant ModDown — one fused parallel pass per lane.
+// The β-digit inner product is a lazy multiply-accumulate
+// (ring.Modulus.MulAccRows): per row each coefficient gathers Σ_j g_j*k_j
+// unreduced and is reduced once after the last digit, instead of β
+// AddMod(MulMod(...)) round-trips with a hardware division each. The row's
+// lazy INTT (RecoverLimbs) follows directly, leaving the rows in [0, 2q) for
+// the lazy-tolerant ModDown — one fused parallel pass per lane.
 func (ks *KeySwitcher) KeyMult(d *Decomposition, key *SwitchingKey, level int) (d0, d1 ring.Poly, err error) {
 	return ks.keyMult(nil, d, key, level)
 }
@@ -387,63 +388,31 @@ func (ks *KeySwitcher) keyMult(cc *cancelCheck, d *Decomposition, key *Switching
 	defer ks.pool.Put(acc0)
 	defer ks.pool.Put(acc1)
 	ring.ForEachLimbRange(rows, ks.parallelism, func(rlo, rhi int) {
-		// Two pooled rows per worker hold the high words of the (hi, lo)
-		// accumulator pairs; acc0/acc1 rows hold the low words in place.
-		scratch := ks.pool.Get(2)
-		defer ks.pool.Put(scratch)
-		// Fixed-length [:n:n] windows on every row let the compiler prove the
-		// inner loops in-bounds once per row instead of per element.
-		hi0, hi1 := scratch.Coeffs[0][:n:n], scratch.Coeffs[1][:n:n]
+		// Row tables of the inner product at hand: digit j's decomposition
+		// row and its two key rows. On the stack for every realistic β.
+		var gBuf, bBuf, aBuf [16][]uint64
+		gs, bs, as := gBuf[:0], bBuf[:0], aBuf[:0]
 		for i := rlo; i < rhi; i++ {
 			if cc.stopped() {
 				return
 			}
-			m := ks.modFor(level, i)
 			keyRow := i
 			if i > level {
 				keyRow = qLen + (i - level - 1)
 			}
-			a0, a1 := acc0.Coeffs[i][:n:n], acc1.Coeffs[i][:n:n]
-			capTerms := m.AccumCapacity() // >= 8 even at the 61-bit cap
-			terms := 0
+			gs, bs, as = gs[:0], bs[:0], as[:0]
 			for j := 0; j < beta; j++ {
-				b, a := key.B[j].Coeffs[keyRow][:n:n], key.A[j].Coeffs[keyRow][:n:n]
-				gi := d.Groups[j].Coeffs[i][:n:n]
-				if j == 0 {
-					// First digit initializes the accumulators.
-					for k := 0; k < n; k++ {
-						h, lo := bits.Mul64(gi[k], b[k])
-						a0[k], hi0[k] = lo, h
-						h, lo = bits.Mul64(gi[k], a[k])
-						a1[k], hi1[k] = lo, h
-					}
-					terms = 1
-					continue
-				}
-				if terms == capTerms {
-					// Fold: only reachable for β > 8 digits over 61-bit
-					// special limbs; ciphertext limbs never fold.
-					for k := 0; k < n; k++ {
-						a0[k], hi0[k] = m.Reduce(hi0[k], a0[k]), 0
-						a1[k], hi1[k] = m.Reduce(hi1[k], a1[k]), 0
-					}
-					terms = 1
-				}
-				for k := 0; k < n; k++ {
-					h, lo := bits.Mul64(gi[k], b[k])
-					var c uint64
-					a0[k], c = bits.Add64(a0[k], lo, 0)
-					hi0[k] += h + c
-					h, lo = bits.Mul64(gi[k], a[k])
-					a1[k], c = bits.Add64(a1[k], lo, 0)
-					hi1[k] += h + c
-				}
-				terms++
+				gs = append(gs, d.Groups[j].Coeffs[i][:n])
+				bs = append(bs, key.B[j].Coeffs[keyRow][:n])
+				as = append(as, key.A[j].Coeffs[keyRow][:n])
 			}
-			for k := 0; k < n; k++ {
-				a0[k] = m.Reduce(hi0[k], a0[k])
-				a1[k] = m.Reduce(hi1[k], a1[k])
-			}
+			// The modulus picks the datapath per row: a 52-bit-lane limb runs
+			// the whole sum as multiply-adds with one fold, a 60-bit limb of
+			// the KLSS chain keeps the 128-bit accumulator.
+			m := ks.modFor(level, i)
+			a0, a1 := acc0.Coeffs[i][:n], acc1.Coeffs[i][:n]
+			m.MulAccRows(a0, gs, bs)
+			m.MulAccRows(a1, gs, as)
 			t := ks.tableFor(level, i)
 			t.InverseLazy(a0)
 			t.InverseLazy(a1)

@@ -2,8 +2,9 @@
 
 #include "textflag.h"
 
-// AVX2 kernels for the Harvey NTT butterflies, Shoup multiply vectors and the
-// HPS BConv accumulate. AVX2 has no 64x64->128 multiply, so every wide
+// AVX2 kernels for the Harvey NTT butterflies, Shoup multiply vectors, the
+// HPS BConv accumulate and modular add/sub: the 64-bit datapath (the 52-bit
+// one is asm_ifma_amd64.s). AVX2 has no 64x64->128 multiply, so every wide
 // multiply is a 32-bit schoolbook over VPMULUDQ:
 //
 //	a*b = ll + (lh + hl)<<32 + hh<<64
@@ -606,6 +607,75 @@ bs_term:
 	ADDQ $32, SI
 	SUBQ $4, R15
 	JNZ bs_chunk
+
+	VZEROUPPER
+	RET
+
+// func addVecAVX2(dst, a, b *uint64, n int, q uint64)
+//
+// dst[k] = a[k] + b[k] mod q for a, b < q: s = a+b, then s-q wherever that is
+// not negative (VBLENDVPD selects on the sign bit). Valid for any q < 2^62.
+// n is a multiple of 8.
+TEXT ·addVecAVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+	VPBROADCASTQ q+32(FP), Y15
+
+addv_loop:
+	VMOVDQU (SI), Y0
+	VMOVDQU 32(SI), Y2
+	VPADDQ (DX), Y0, Y0       // s
+	VPADDQ 32(DX), Y2, Y2
+	VPSUBQ Y15, Y0, Y1        // s - q
+	VPSUBQ Y15, Y2, Y3
+	VBLENDVPD Y1, Y0, Y1, Y0  // s-q < 0 ? s : s-q
+	VBLENDVPD Y3, Y2, Y3, Y2
+	VMOVDQU Y0, (DI)
+	VMOVDQU Y2, 32(DI)
+	ADDQ $64, SI
+	ADDQ $64, DX
+	ADDQ $64, DI
+	SUBQ $8, CX
+	JNZ addv_loop
+
+	VZEROUPPER
+	RET
+
+// func subVecAVX2(dst, a, b *uint64, n int, q uint64)
+//
+// dst[k] = a[k] - b[k] mod q for a, b < q: d = a-b, then d+q wherever d is
+// negative. a == nil reads as the zero vector (negation). n is a multiple
+// of 8.
+TEXT ·subVecAVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+	VPBROADCASTQ q+32(FP), Y15
+	VPXOR Y0, Y0, Y0
+	VPXOR Y2, Y2, Y2
+
+subv_loop:
+	TESTQ SI, SI
+	JZ subv_diff
+	VMOVDQU (SI), Y0
+	VMOVDQU 32(SI), Y2
+	ADDQ $64, SI
+subv_diff:
+	VPSUBQ (DX), Y0, Y4       // d
+	VPSUBQ 32(DX), Y2, Y5
+	VPADDQ Y15, Y4, Y1        // d + q
+	VPADDQ Y15, Y5, Y3
+	VBLENDVPD Y4, Y1, Y4, Y4  // d < 0 ? d+q : d
+	VBLENDVPD Y5, Y3, Y5, Y5
+	VMOVDQU Y4, (DI)
+	VMOVDQU Y5, 32(DI)
+	ADDQ $64, DX
+	ADDQ $64, DI
+	SUBQ $8, CX
+	JNZ subv_loop
 
 	VZEROUPPER
 	RET

@@ -2,49 +2,30 @@
 
 package ring
 
-// Pure-Go fallback: no vectorized kernels compiled in. The dispatch sites in
-// ntt.go and bconv.go never take the ASM branch (kernelASMEnabled stays
-// false), but the entry points still delegate defensively so a stray call is
-// correct rather than a crash.
+// Pure-Go build: no vectorized kernels compiled in. detectKernelPath pins the
+// path at PathGo, so the dispatch sites in ntt.go, bconv.go, lane52.go and
+// ring.go never reach the entry points below; they exist to satisfy the
+// linker, and a stray call is a dispatch bug.
 
-func cpuSupportsKernels() bool { return false }
+func detectKernelPath() Path { return PathGo }
 
-func fwdStagesASM(t *NTTTable, a []uint64, n int) { t.forwardStagesGo(a, n) }
+const noKernels = "ring: vector kernel called in a build without kernels"
 
-func invStagesASM(t *NTTTable, a []uint64, n int) { t.inverseStagesGo(a, n) }
-
-func invLastASM(t *NTTTable, x, y []uint64, lazy bool) {
-	mod := t.Mod
-	twoQ := mod.Q << 1
-	wN, wNs := t.nInv, t.nInvSho
-	wL, wLs := t.wLastInv, t.wLastInvSho
-	if lazy {
-		for j := range x {
-			x0, y0 := x[j], y[j]
-			x[j] = mod.MulModShoupLazy(x0+y0, wN, wNs)
-			y[j] = mod.MulModShoupLazy(x0+twoQ-y0, wL, wLs)
-		}
-		return
-	}
-	for j := range x {
-		x0, y0 := x[j], y[j]
-		x[j] = mod.MulModShoup(x0+y0, wN, wNs)
-		y[j] = mod.MulModShoup(x0+twoQ-y0, wL, wLs)
-	}
+func fwdStagesASM(*NTTTable, []uint64, int)                      { panic(noKernels) }
+func invStagesASM(*NTTTable, []uint64, int)                      { panic(noKernels) }
+func invLastASM(*NTTTable, []uint64, []uint64, bool)             { panic(noKernels) }
+func fwd52(*NTTTable, []uint64, int)                             { panic(noKernels) }
+func inv52(*NTTTable, []uint64, int, bool)                       { panic(noKernels) }
+func shoupMulVecASM(Modulus, []uint64, []uint64, uint64, uint64) { panic(noKernels) }
+func shoupMulVec52(Modulus, []uint64, []uint64, uint64, uint64)  { panic(noKernels) }
+func shoupMulSubVecASM(Modulus, []uint64, []uint64, []uint64, uint64, uint64) {
+	panic(noKernels)
 }
-
-func shoupMulVecASM(m Modulus, dst, src []uint64, w, ws uint64) {
-	shoupMulVecGo(m, dst, src, w, ws)
+func shoupMulSubVec52(Modulus, []uint64, []uint64, []uint64, uint64, uint64) {
+	panic(noKernels)
 }
-
-func shoupMulSubVecASM(m Modulus, dst, x, sub []uint64, w, ws uint64) {
-	shoupMulSubVecGo(m, dst, x, sub, w, ws)
-}
-
-func bconvAccumASM(m Modulus, dst, src []uint64, stride int, ws []uint64) {
-	bconvAccumGo(m, dst, src, stride, ws)
-}
-
-func bconvShoupASM(m Modulus, dst, src []uint64, stride int, ws, wsSho []uint64) {
-	bconvAccumGo(m, dst, src, stride, ws)
-}
+func mac52(Modulus, []uint64, [][]uint64, [][]uint64, uint64)            { panic(noKernels) }
+func bconvAccumASM(Modulus, []uint64, []uint64, int, []uint64)           { panic(noKernels) }
+func bconvShoupASM(Modulus, []uint64, []uint64, int, []uint64, []uint64) { panic(noKernels) }
+func addVecASM(Modulus, []uint64, []uint64, []uint64)                    { panic(noKernels) }
+func subVecASM(Modulus, []uint64, []uint64, []uint64)                    { panic(noKernels) }

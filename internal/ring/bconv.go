@@ -4,26 +4,31 @@ import "math/bits"
 
 // Vectorizable per-limb primitives shared by the rns package's BConv /
 // ModDown / Rescale kernels. Each method dispatches to the GOARCH-gated
-// assembly (see kernels.go) when available, with the pure-Go loops below as
-// the differential reference. Dispatch requires 4-aligned lengths of at least
-// asmMinVec — always true for ring degrees, which are powers of two >= 32 on
-// every production parameter set.
+// assembly (see kernels.go) when available — the 52-bit kernels for a Lane52
+// modulus on an IFMA host (use52, lane52.go), else the 64-bit AVX2 ones — with
+// the pure-Go loops below as the differential reference. Dispatch requires
+// aligned lengths (a multiple of 16 / of 4) of at least asmMinVec — always
+// true for ring degrees, which are powers of two >= 32 on every production
+// parameter set.
 
 // asmMinVec is the minimum vector length routed to the assembly kernels.
 const asmMinVec = 16
 
-func vecUseASM(n int) bool { return kernelASMEnabled && n >= asmMinVec && n%4 == 0 }
+func vecUseASM(n int) bool { return kernelPath != PathGo && n >= asmMinVec && n%4 == 0 }
 
 // ShoupMulVec sets dst[k] = src[k] * w mod q with a fully reduced result,
-// given w's Shoup companion ws. Like MulModShoup, it is exact for ANY 64-bit
-// src values (lazy inputs tolerated). dst and src must have equal length and
-// may alias exactly.
+// given w's Shoup companion ws. src may be lazily reduced: src[k] < 2q. (The
+// 64-bit kernels are exact for any 64-bit src; the 52-bit multiplier is not.)
+// dst and src must have equal length and may alias exactly.
 func (m Modulus) ShoupMulVec(dst, src []uint64, w, ws uint64) {
-	if vecUseASM(len(dst)) {
+	switch {
+	case m.use52(len(dst)):
+		shoupMulVec52(m, dst, src, w, ws)
+	case vecUseASM(len(dst)):
 		shoupMulVecASM(m, dst, src, w, ws)
-		return
+	default:
+		shoupMulVecGo(m, dst, src, w, ws)
 	}
-	shoupMulVecGo(m, dst, src, w, ws)
 }
 
 func shoupMulVecGo(m Modulus, dst, src []uint64, w, ws uint64) {
@@ -48,11 +53,14 @@ func shoupMulVecGo(m Modulus, dst, src []uint64, w, ws uint64) {
 // and sub[k] < 2q so the lazy difference stays below 4q < 2^63; the result is
 // fully reduced. dst may alias x or sub exactly.
 func (m Modulus) ShoupMulSubVec(dst, x, sub []uint64, w, ws uint64) {
-	if vecUseASM(len(dst)) {
+	switch {
+	case m.use52(len(dst)):
+		shoupMulSubVec52(m, dst, x, sub, w, ws)
+	case vecUseASM(len(dst)):
 		shoupMulSubVecASM(m, dst, x, sub, w, ws)
-		return
+	default:
+		shoupMulSubVecGo(m, dst, x, sub, w, ws)
 	}
-	shoupMulSubVecGo(m, dst, x, sub, w, ws)
 }
 
 func shoupMulSubVecGo(m Modulus, dst, x, sub []uint64, w, ws uint64) {
@@ -75,25 +83,55 @@ func shoupMulSubVecGo(m Modulus, dst, x, sub []uint64, w, ws uint64) {
 	}
 }
 
+// ShoupMulSubForeignVec sets dst[k] = (x[k] - (y[k] mod q)) * w mod q, fully
+// reduced, where y holds residues of ANOTHER modulus: any values below yBound.
+// This is Rescale's per-limb step (y is the dropped top limb). Requires
+// x[k] < 2q. The 52-bit kernel takes it when y fits the multiplier
+// (yBound <= 2^52): it reduces y with one Barrett step before the fused
+// subtract-multiply. The 64-bit path is the scalar loop.
+func (m Modulus) ShoupMulSubForeignVec(dst, x, y []uint64, yBound, w, ws uint64) {
+	if m.use52(len(dst)) && yBound <= lane52Bound {
+		shoupMulSubVec52(m, dst, x, y, w, ws)
+		return
+	}
+	n := len(dst)
+	x, y = x[:n], y[:n]
+	twoQ := m.Q << 1
+	for k := range dst {
+		// ReduceWord is a one-word Barrett step (no hardware division); the
+		// subtraction is lazy (x < 2q, v < q, so x + 2q - v < 4q) and the
+		// Shoup multiply, exact for any 64-bit operand, fully reduces.
+		v := m.ReduceWord(y[k])
+		dst[k] = m.MulModShoup(x[k]+twoQ-v, w, ws)
+	}
+}
+
 // BConvAccum computes the HPS base-conversion inner product over an
 // arena-backed source: dst[k] = (Σ_i src[i*stride + k] * ws[i]) mod q, with
 // 128-bit accumulation and ONE Barrett reduction per output coefficient. The
 // source rows live at stride offsets in one contiguous slice (row i is
 // src[i*stride : i*stride+len(dst)]). Callers must keep len(ws) within
 // m.AccumCapacity(); longer bases fold through an intermediate reduction at a
-// higher level (see rns.Convert). Source values may be lazily reduced.
-func (m Modulus) BConvAccum(dst, src []uint64, stride int, ws []uint64) {
-	if vecUseASM(len(dst)) {
+// higher level (see rns.Convert). Source values may be lazily reduced;
+// srcBound is their exclusive upper bound (residues of other moduli), which
+// together with len(ws) decides whether the 52-bit multiply-accumulate can
+// take the sum (mac52Fits).
+func (m Modulus) BConvAccum(dst, src []uint64, stride int, ws []uint64, srcBound uint64) {
+	switch {
+	case m.useMAC52(len(dst), srcBound, len(ws)):
+		bconv52(m, dst, src, stride, ws)
+	case vecUseASM(len(dst)):
 		bconvAccumASM(m, dst, src, stride, ws)
-		return
+	default:
+		bconvAccumGo(m, dst, src, stride, ws)
 	}
-	bconvAccumGo(m, dst, src, stride, ws)
 }
 
-// bconvShoupMaxTerms is the source-base width at which the per-term
-// lazy-Shoup kernel stops beating the 128-bit accumulator: each Shoup term
-// costs ~1.5x a schoolbook MAC term but skips the ~60-op vector Barrett tail,
-// so the crossover sits near six terms.
+// bconvShoupMaxTerms is the source-base width at which, on the 64-bit AVX2
+// path, the per-term lazy-Shoup kernel stops beating the 128-bit accumulator:
+// each Shoup term costs ~1.5x a schoolbook MAC term but skips the ~60-op
+// vector Barrett tail, so the crossover sits near six terms. The 52-bit path
+// has no such crossover: a term is two instructions and the tail fifteen.
 const bconvShoupMaxTerms = 6
 
 // BConvAccumShoup is BConvAccum with precomputed Shoup companions for the
@@ -103,17 +141,14 @@ const bconvShoupMaxTerms = 6
 // with an exact lazy Shoup multiply and folds the running sum by 2q, skipping
 // the 128-bit accumulator and its Barrett tail entirely. Longer bases and the
 // pure-Go path fall back to the accumulating kernel, so the same
-// AccumCapacity contract applies.
-func (m Modulus) BConvAccumShoup(dst, src []uint64, stride int, ws, wsSho []uint64) {
-	if vecUseASM(len(dst)) {
-		if len(ws) <= bconvShoupMaxTerms {
-			bconvShoupASM(m, dst, src, stride, ws, wsSho)
-			return
-		}
-		bconvAccumASM(m, dst, src, stride, ws)
+// AccumCapacity contract applies; the 52-bit path ignores the companions.
+func (m Modulus) BConvAccumShoup(dst, src []uint64, stride int, ws, wsSho []uint64, srcBound uint64) {
+	n := len(dst)
+	if vecUseASM(n) && len(ws) <= bconvShoupMaxTerms && !m.useMAC52(n, srcBound, len(ws)) {
+		bconvShoupASM(m, dst, src, stride, ws, wsSho)
 		return
 	}
-	bconvAccumGo(m, dst, src, stride, ws)
+	m.BConvAccum(dst, src, stride, ws, srcBound)
 }
 
 // bconvAccumGo unrolls the common small source-base widths (the α-limb ModUp
@@ -179,5 +214,43 @@ func bconvAccumGo(m Modulus, dst, src []uint64, stride int, ws []uint64) {
 			}
 			dst[k] = m.Reduce(accHi, accLo)
 		}
+	}
+}
+
+// addVec sets dst[k] = a[k] + b[k] mod q and subVec dst[k] = a[k] - b[k] mod q
+// for fully reduced a, b; a == nil makes subVec a negation. One add/sub and
+// one min (or sign blend) per lane, for any modulus width: the kernels serve
+// both datapaths. The Go loops are the reference.
+func (m Modulus) addVec(dst, a, b []uint64) {
+	n := len(dst)
+	a, b = a[:n], b[:n]
+	if vecUseASM(n) && n%8 == 0 {
+		addVecASM(m, dst, a, b)
+		return
+	}
+	for k := range dst {
+		dst[k] = m.AddMod(a[k], b[k])
+	}
+}
+
+func (m Modulus) subVec(dst, a, b []uint64) {
+	n := len(dst)
+	b = b[:n]
+	if vecUseASM(n) && n%8 == 0 {
+		if a != nil {
+			a = a[:n]
+		}
+		subVecASM(m, dst, a, b)
+		return
+	}
+	if a == nil {
+		for k := range dst {
+			dst[k] = m.NegMod(b[k])
+		}
+		return
+	}
+	a = a[:n]
+	for k := range dst {
+		dst[k] = m.SubMod(a[k], b[k])
 	}
 }

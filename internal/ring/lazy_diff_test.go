@@ -131,66 +131,6 @@ func TestInverseMatchesReference(t *testing.T) {
 	}
 }
 
-// TestNTTToleratesLazyInputs checks the documented input contract: Forward
-// and Inverse accept coefficients in [0, 2q) and produce the same
-// fully-reduced bits as on the canonical representatives.
-func TestNTTToleratesLazyInputs(t *testing.T) {
-	rng := rand.New(rand.NewSource(103))
-	for _, tbl := range diffTables(t, []int{36, 60}, []int{4, 8}) {
-		q := tbl.Mod.Q
-		for trial := 0; trial < 5; trial++ {
-			lazy := randCoeffs(tbl, rng, 2*q)
-			canon := make([]uint64, tbl.N)
-			for i := range canon {
-				canon[i] = lazy[i] % q
-			}
-			fl := append([]uint64(nil), lazy...)
-			fc := append([]uint64(nil), canon...)
-			tbl.Forward(fl)
-			tbl.Forward(fc)
-			for i := range fl {
-				if fl[i] != fc[i] {
-					t.Fatalf("q=%d N=%d: Forward lazy/canonical mismatch at %d", q, tbl.N, i)
-				}
-			}
-			il := append([]uint64(nil), lazy...)
-			ic := append([]uint64(nil), canon...)
-			tbl.Inverse(il)
-			tbl.Inverse(ic)
-			for i := range il {
-				if il[i] != ic[i] {
-					t.Fatalf("q=%d N=%d: Inverse lazy/canonical mismatch at %d", q, tbl.N, i)
-				}
-			}
-		}
-	}
-}
-
-// TestInverseLazyCongruent checks InverseLazy's contract: outputs live in
-// [0, 2q) and are congruent mod q to the fully-reduced Inverse, on both
-// canonical and lazy inputs.
-func TestInverseLazyCongruent(t *testing.T) {
-	rng := rand.New(rand.NewSource(104))
-	for _, tbl := range diffTables(t, []int{36, 60}, []int{1, 4, 8}) {
-		q := tbl.Mod.Q
-		for trial := 0; trial < 5; trial++ {
-			a := randCoeffs(tbl, rng, 2*q)
-			full := append([]uint64(nil), a...)
-			lazy := append([]uint64(nil), a...)
-			tbl.Inverse(full)
-			tbl.InverseLazy(lazy)
-			for i := range lazy {
-				if lazy[i] >= 2*q {
-					t.Fatalf("q=%d N=%d: InverseLazy output %d >= 2q at %d", q, tbl.N, lazy[i], i)
-				}
-				if lazy[i]%q != full[i] {
-					t.Fatalf("q=%d N=%d: InverseLazy not congruent to Inverse at %d", q, tbl.N, i)
-				}
-			}
-		}
-	}
-}
-
 // TestReduceWordMatchesBigInt checks the one-word Barrett step against
 // math/big over the full 64-bit input range, including values far above q.
 func TestReduceWordMatchesBigInt(t *testing.T) {

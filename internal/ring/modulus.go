@@ -41,6 +41,11 @@ type Modulus struct {
 	// 64-bit words. It lets us reduce a 128-bit product with two
 	// multiplications instead of a hardware division.
 	brc [2]uint64
+
+	// lane52 holds the constants of the 52-bit datapath (see lane52.go):
+	// {q, floor(2^52/q), 2^52 mod q, floor((2^52 mod q)·2^52/q)}. All zero
+	// unless 2q <= 2^52.
+	lane52 [4]uint64
 }
 
 // NewModulus validates q and precomputes its reduction constants.
@@ -51,7 +56,7 @@ func NewModulus(q uint64) (Modulus, error) {
 	if bits.Len64(q) > MaxModulusBits {
 		return Modulus{}, fmt.Errorf("ring: modulus %d exceeds %d bits", q, MaxModulusBits)
 	}
-	return Modulus{Q: q, brc: barrettConstant(q)}, nil
+	return Modulus{Q: q, brc: barrettConstant(q), lane52: lane52Constants(q)}, nil
 }
 
 // barrettConstant returns floor(2^128/q) as (hi, lo). We divide the two-word

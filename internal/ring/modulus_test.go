@@ -8,7 +8,7 @@ import (
 	"testing/quick"
 )
 
-func mustModulus(t *testing.T, q uint64) Modulus {
+func mustModulus(t testing.TB, q uint64) Modulus {
 	t.Helper()
 	m, err := NewModulus(q)
 	if err != nil {

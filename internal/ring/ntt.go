@@ -18,7 +18,12 @@ import "fmt"
 // The stage loops are split by butterfly stride: stages with step >= 4 run
 // through fwdBlock/invBlock (4-way unrolled, bounds-check-free windows, and
 // the layer the AVX2 assembly replaces — see asm_amd64.go), while the
-// step == 2, step == 1 and final stages have dedicated scalar loops.
+// step == 2, step == 1 and final stages have dedicated scalar loops. On the
+// 52-bit datapath (Lane52 moduli on an IFMA host) the whole transform, every
+// stride, runs in assembly instead and these loops are its reference: it keeps
+// coefficients in [0, 2q) in both directions and meets the same [0, q) /
+// [0, 2q) output contracts. It reads the same twiddle tables — the 52-bit
+// Shoup companion floor(w·2^52/q) is the top 52 bits of the 2^64 one.
 type NTTTable struct {
 	Mod  Modulus
 	N    int
@@ -103,9 +108,18 @@ func bitReverse(v uint64, bits int) uint64 {
 // dominates.
 const asmMinN = 32
 
-// useASM reports whether the step>=4 stages of a size-n transform should run
-// through the vectorized kernels.
-func (t *NTTTable) useASM(n int) bool { return kernelASMEnabled && n >= asmMinN }
+// kernel returns the path a size-n transform over this table's modulus takes:
+// the path in use, except that a modulus too wide for the 52-bit lanes stays
+// on the 64-bit AVX2 kernels and short transforms stay in Go.
+func (t *NTTTable) kernel(n int) Path {
+	if n < asmMinN {
+		return PathGo
+	}
+	if kernelPath == PathAVX512IFMA && !t.Mod.Lane52() {
+		return PathAVX2
+	}
+	return kernelPath
+}
 
 // Forward transforms a (coefficient representation, length N) into the NTT
 // evaluation representation, in place, using Harvey lazy Cooley–Tukey
@@ -133,9 +147,13 @@ func (t *NTTTable) Forward(a []uint64) {
 	}
 	if n > 2 {
 		// Stages with step >= 4: first stage (m=1, step=n/2) down to step=4.
-		if t.useASM(n) {
+		switch t.kernel(n) {
+		case PathAVX512IFMA:
+			fwd52(t, a, n)
+			return
+		case PathAVX2:
 			fwdStagesASM(t, a, n)
-		} else {
+		default:
 			t.forwardStagesGo(a, n)
 		}
 		if n >= 8 {
@@ -284,8 +302,7 @@ func (t *NTTTable) fwdLastStage(a []uint64, n int) {
 // the sum leg folds once per butterfly and the difference leg re-enters
 // [0, 2q) through the lazy Shoup multiply.
 func (t *NTTTable) Inverse(a []uint64) {
-	t.inverseStages(a)
-	t.inverseLastStage(a, false)
+	t.inverse(a, false)
 }
 
 // InverseLazy is Inverse with the final normalization elided: outputs are in
@@ -294,8 +311,16 @@ func (t *NTTTable) Inverse(a []uint64) {
 // BConv source rows and the ModDown subtraction path — to skip one
 // conditional per coefficient.
 func (t *NTTTable) InverseLazy(a []uint64) {
+	t.inverse(a, true)
+}
+
+func (t *NTTTable) inverse(a []uint64, lazy bool) {
+	if t.kernel(t.N) == PathAVX512IFMA {
+		inv52(t, a[:t.N:t.N], t.N, lazy)
+		return
+	}
 	t.inverseStages(a)
-	t.inverseLastStage(a, true)
+	t.inverseLastStage(a, lazy)
 }
 
 // inverseStages runs every Gentleman–Sande stage except the last, keeping
@@ -311,7 +336,7 @@ func (t *NTTTable) inverseStages(a []uint64) {
 		t.invStage2(a, n)
 	}
 	if n >= 16 {
-		if t.useASM(n) {
+		if t.kernel(n) == PathAVX2 {
 			invStagesASM(t, a, n)
 		} else {
 			t.inverseStagesGo(a, n)
@@ -454,7 +479,7 @@ func (t *NTTTable) inverseLastStage(a []uint64, lazy bool) {
 	wL, wLs := t.wLastInv, t.wLastInvSho
 	x := a[:half:half]
 	y := a[half:n:n]
-	if t.useASM(n) {
+	if t.kernel(n) == PathAVX2 {
 		invLastASM(t, x, y, lazy)
 		return
 	}

@@ -229,10 +229,7 @@ func (r *Ring) INTT(p Poly) {
 func (r *Ring) Add(a, b, out Poly) {
 	r.checkShape(a, b, out)
 	for i, m := range r.Moduli {
-		ai, bi, oi := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
-		for j := range oi {
-			oi[j] = m.AddMod(ai[j], bi[j])
-		}
+		m.addVec(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
 	}
 }
 
@@ -240,10 +237,7 @@ func (r *Ring) Add(a, b, out Poly) {
 func (r *Ring) Sub(a, b, out Poly) {
 	r.checkShape(a, b, out)
 	for i, m := range r.Moduli {
-		ai, bi, oi := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
-		for j := range oi {
-			oi[j] = m.SubMod(ai[j], bi[j])
-		}
+		m.subVec(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
 	}
 }
 
@@ -251,23 +245,25 @@ func (r *Ring) Sub(a, b, out Poly) {
 func (r *Ring) Neg(a, out Poly) {
 	r.checkShape(a, out)
 	for i, m := range r.Moduli {
-		ai, oi := a.Coeffs[i], out.Coeffs[i]
-		for j := range oi {
-			oi[j] = m.NegMod(ai[j])
-		}
+		m.subVec(out.Coeffs[i], nil, a.Coeffs[i])
 	}
 }
 
 // MulCoeffs sets out = a ∘ b (element-wise product; polynomial product when
-// both operands are in NTT form). Both operands are variable, so neither the
-// Shoup trick (fixed operand) nor 128-bit accumulation (many terms, one
-// reduction) applies; a single hardware 128/64 division per coefficient
-// benchmarks faster than a two-word Barrett step on current cores, so MulMod
-// is the right primitive here (see DESIGN.md "Reduction strategy").
+// both operands are in NTT form). Both operands are variable, so the Shoup
+// trick (fixed operand) does not apply. On the 52-bit datapath it is a
+// one-term multiply-accumulate (two multiply-adds and the fold, no division);
+// on the 64-bit paths a single hardware 128/64 division per coefficient
+// benchmarks faster than a two-word Barrett step, so MulMod is the primitive
+// there (see DESIGN.md "Reduction strategy").
 func (r *Ring) MulCoeffs(a, b, out Poly) {
 	r.checkShape(a, b, out)
 	for i, m := range r.Moduli {
 		ai, bi, oi := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
+		if m.use52(len(oi)) { // one product of two residues always fits mac52
+			mac52(m, oi, [][]uint64{ai}, [][]uint64{bi}, 0)
+			continue
+		}
 		for j := range oi {
 			oi[j] = m.MulMod(ai[j], bi[j])
 		}
@@ -279,6 +275,10 @@ func (r *Ring) MulCoeffsThenAdd(a, b, out Poly) {
 	r.checkShape(a, b, out)
 	for i, m := range r.Moduli {
 		ai, bi, oi := a.Coeffs[i], b.Coeffs[i], out.Coeffs[i]
+		if m.use52(len(oi)) {
+			mac52(m, oi, [][]uint64{ai}, [][]uint64{bi}, mac52AddDst)
+			continue
+		}
 		for j := range oi {
 			oi[j] = m.AddMod(oi[j], m.MulMod(ai[j], bi[j]))
 		}

@@ -8,12 +8,13 @@ import (
 )
 
 // benchConvertAB measures the full approximate base conversion — the BConv
-// kernel the accelerator's systolic array implements — with the vector
-// kernels toggled in-process (see ring.SetKernelASM): the only A/B that
-// isolates kernel speedup from host noise. The shapes: a 3-limb 36-bit ModUp
-// group fanning to 12 target limbs, and a 2-limb 60-bit special chain fanning
-// to 6.
-func benchConvertAB(b *testing.B, asm bool, fromBits, fromL, toBits, toL int) {
+// kernel the accelerator's systolic array implements — once per kernel path
+// in-process (see ring.SetKernelPath): the only A/B that isolates kernel
+// speedup from host noise. The shapes: a 3-limb 36-bit ModUp group fanning to
+// 12 target limbs (the 52-bit datapath on an IFMA host), and a 2-limb 60-bit
+// special chain fanning to 6 (the 64-bit datapath on every host: its ifma
+// leg must match its avx2 leg).
+func benchConvertAB(b *testing.B, fromBits, fromL, toBits, toL int) {
 	const logN, n = 12, 4096
 	fp, err := ring.GenerateNTTPrimes(fromBits, logN, fromL)
 	if err != nil {
@@ -25,22 +26,7 @@ func benchConvertAB(b *testing.B, asm bool, fromBits, fromL, toBits, toL int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var from, to []ring.Modulus
-	for _, q := range fp {
-		m, err := ring.NewModulus(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		from = append(from, m)
-	}
-	for _, q := range tp[fromL:] {
-		m, err := ring.NewModulus(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		to = append(to, m)
-	}
-	ext, err := NewExtender(from, to)
+	ext, err := NewExtender(mods(b, fp), mods(b, tp[fromL:]))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,19 +34,39 @@ func benchConvertAB(b *testing.B, asm bool, fromBits, fromL, toBits, toL int) {
 	src := rows(fromL, n)
 	for i := range src {
 		for k := range src[i] {
-			src[i][k] = rng.Uint64() % from[i].Q
+			src[i][k] = rng.Uint64() % ext.From[i].Q
 		}
 	}
 	dst := rows(toL, n)
-	prev := ring.SetKernelASM(asm)
-	defer ring.SetKernelASM(prev)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ext.Convert(src, dst)
+	for _, leg := range []struct {
+		name string
+		path ring.Path
+	}{{"go", ring.PathGo}, {"avx2", ring.PathAVX2}, {"ifma", ring.PathAVX512IFMA}} {
+		b.Run(leg.name, func(b *testing.B) {
+			prev := ring.SetKernelPath(leg.path)
+			defer ring.SetKernelPath(prev)
+			if ring.KernelPath() != leg.path.String() {
+				b.Skipf("kernel path %v not available on this build/CPU", leg.path)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ext.Convert(src, dst)
+			}
+		})
 	}
 }
 
-func BenchmarkABConvert36_Go(b *testing.B)  { benchConvertAB(b, false, 36, 3, 36, 12) }
-func BenchmarkABConvert36_ASM(b *testing.B) { benchConvertAB(b, true, 36, 3, 36, 12) }
-func BenchmarkABConvert60_Go(b *testing.B)  { benchConvertAB(b, false, 60, 2, 60, 6) }
-func BenchmarkABConvert60_ASM(b *testing.B) { benchConvertAB(b, true, 60, 2, 60, 6) }
+func mods(b *testing.B, primes []uint64) []ring.Modulus {
+	out := make([]ring.Modulus, len(primes))
+	for i, q := range primes {
+		m, err := ring.NewModulus(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out[i] = m
+	}
+	return out
+}
+
+func BenchmarkABConvert36(b *testing.B) { benchConvertAB(b, 36, 3, 36, 12) }
+func BenchmarkABConvert60(b *testing.B) { benchConvertAB(b, 60, 2, 60, 6) }

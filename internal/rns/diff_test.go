@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/fastfhe/fast/internal/ring"
+	"github.com/fastfhe/fast/internal/ring/kerneltest"
 )
 
 // refConvert computes the HPS approximate base conversion with math/big:
@@ -66,53 +67,75 @@ func randRows(rng *rand.Rand, ms []ring.Modulus, n int, lazy bool) [][]uint64 {
 		for k := 0; k < n; k++ {
 			out[i][k] = rng.Uint64() % bound
 		}
+		out[i][0], out[i][1] = bound-1, 0 // the edges of the input range
 	}
 	return out
 }
 
-// TestConvertMatchesBigIntReference pins the accumulating Convert kernel
-// against the math/big reference, bit for bit, across both datapath widths
-// (36-bit and 60-bit chains in both directions) and every unrolled width of
-// the ring.BConvAccum inner product (1..4 source limbs plus the generic
-// tail), on canonical and lazy ([0, 2q)) inputs.
+// TestConvertMatchesBigIntReference pins the Convert kernel against the
+// math/big reference, bit for bit, on every kernel path: across the datapath
+// widths (36-, 40-, 50/51- and 60-bit chains, same-width and mixed bases in
+// both directions) and every unrolled width of the ring.BConvAccum inner
+// product (1..4 source limbs plus the generic tail), on canonical and lazy
+// ([0, 2q)) inputs. lane52 is what the per-target dispatch predicate must say:
+// a base with a 60-bit source or target stays on the 64-bit kernel.
 func TestConvertMatchesBigIntReference(t *testing.T) {
 	const logN, n = 4, 16
-	rng := rand.New(rand.NewSource(201))
 	q36 := moduli(t, 36, logN, 8)
+	q40 := moduli(t, 40, logN, 4)
+	q50 := moduli(t, 50, logN, 4) // scans up from 2^50 first: 51- and 50-bit primes
 	q60 := moduli(t, 60, logN, 8)
 	cases := []struct {
 		name     string
 		from, to []ring.Modulus
+		lane52   bool
 	}{
-		{"1x36to2x60", q36[:1], q60[:2]},
-		{"2x36to3x60", q36[:2], q60[:3]},
-		{"3x60to4x36", q60[:3], q36[:4]},
-		{"4x36to2x60", q36[:4], q60[:2]},
-		{"6x36to3x60", q36[:6], q60[:3]}, // generic (non-unrolled) accumulator
-		{"5x60to5x36", q60[:5], q36[3:8]},
+		{"1x36to2x60", q36[:1], q60[:2], false},
+		{"2x36to3x60", q36[:2], q60[:3], false},
+		{"3x60to4x36", q60[:3], q36[:4], false},
+		{"4x36to2x60", q36[:4], q60[:2], false},
+		{"6x36to3x60", q36[:6], q60[:3], false}, // generic (non-unrolled) accumulator
+		{"5x60to5x36", q60[:5], q36[3:8], false},
+		{"3x36to4x50", q36[:3], q50, true},
+		{"3x50to4x40", q50[:3], q40, true},
+		{"3x36to5x36", q36[:3], q36[3:8], true},
 	}
 	for _, tc := range cases {
 		ext, err := NewExtender(tc.from, tc.to)
 		if err != nil {
 			t.Fatalf("%s: NewExtender: %v", tc.name, err)
 		}
-		for _, lazy := range []bool{false, true} {
-			src := randRows(rng, tc.from, n, lazy)
-			dst := rows(len(tc.to), n)
-			ext.Convert(src, dst)
-			want := refConvert(tc.from, tc.to, src)
-			for j, mp := range tc.to {
-				for k := 0; k < n; k++ {
-					if dst[j][k] >= mp.Q {
-						t.Fatalf("%s lazy=%v: output %d >= p at [%d][%d]", tc.name, lazy, dst[j][k], j, k)
-					}
-					if dst[j][k] != want[j][k] {
-						t.Fatalf("%s lazy=%v: Convert diverges from big.Int reference at [%d][%d]: %d != %d",
-							tc.name, lazy, j, k, dst[j][k], want[j][k])
-					}
-				}
+		// What NewExtender hands ring's per-target dispatch: the bound of the
+		// source rows and the target modulus. Either one past the 52-bit lanes
+		// keeps the 64-bit kernel (the rule itself is pinned in ring's
+		// TestLane52Predicate).
+		for j, mp := range tc.to {
+			if got := ext.srcBound <= 1<<52 && mp.Lane52(); got != tc.lane52 {
+				t.Errorf("%s: target %d (q=%d, source bound %d) 52-bit datapath = %v, want %v", tc.name, j, mp.Q, ext.srcBound, got, tc.lane52)
 			}
 		}
+		t.Run(tc.name, func(t *testing.T) {
+			kerneltest.EachPath(t, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(201))
+				for _, lazy := range []bool{false, true} {
+					src := randRows(rng, tc.from, n, lazy)
+					dst := rows(len(tc.to), n)
+					ext.Convert(src, dst)
+					want := refConvert(tc.from, tc.to, src)
+					for j, mp := range tc.to {
+						for k := 0; k < n; k++ {
+							if dst[j][k] >= mp.Q {
+								t.Fatalf("lazy=%v: output %d >= p at [%d][%d]", lazy, dst[j][k], j, k)
+							}
+							if dst[j][k] != want[j][k] {
+								t.Fatalf("lazy=%v: Convert diverges from big.Int reference at [%d][%d]: %d != %d",
+									lazy, j, k, dst[j][k], want[j][k])
+							}
+						}
+					}
+				}
+			})
+		})
 	}
 }
 
@@ -184,10 +207,35 @@ func TestConvertFoldMatchesAccum(t *testing.T) {
 // feeding rows in [0, 2q) produces bit-identical, fully reduced outputs to
 // feeding their canonical representatives.
 func TestModDownLazyInputEquivalence(t *testing.T) {
-	const logN, n = 4, 16
+	const logN = 4
+	for _, tc := range []struct {
+		name         string
+		qBits, pBits int
+	}{{"36over60", 36, 60}, {"60over36", 60, 36}, {"36over50", 36, 50}, {"50over40", 50, 40}} {
+		q := moduli(t, tc.qBits, logN, 4)
+		p := moduli(t, tc.pBits, logN, 2)
+		t.Run(tc.name, func(t *testing.T) {
+			var first [][]uint64
+			kerneltest.EachPath(t, func(t *testing.T) {
+				out := modDownLazyEquivalence(t, q, p)
+				if first == nil {
+					first = out
+				}
+				for i := range out {
+					for k := range out[i] {
+						if out[i][k] != first[i][k] {
+							t.Fatalf("ModDown differs between kernel paths at [%d][%d]: %d != %d", i, k, out[i][k], first[i][k])
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+func modDownLazyEquivalence(t *testing.T, q, p []ring.Modulus) [][]uint64 {
+	const n = 16
 	rng := rand.New(rand.NewSource(204))
-	q := moduli(t, 36, logN, 4)
-	p := moduli(t, 60, logN, 2)
 	d, err := NewModDowner(q, p)
 	if err != nil {
 		t.Fatalf("NewModDowner: %v", err)
@@ -220,13 +268,47 @@ func TestModDownLazyInputEquivalence(t *testing.T) {
 			}
 		}
 	}
+	return out1
 }
 
-// TestRescaleLazyInputEquivalence is the same contract check for Rescale.
+// TestRescaleLazyInputEquivalence is the same contract check for Rescale, on
+// chains whose dropped top limb is narrower than, as wide as and wider than
+// the limbs below it (a 60-bit top limb or target keeps the 64-bit kernel).
 func TestRescaleLazyInputEquivalence(t *testing.T) {
-	const logN, n = 4, 16
+	const logN = 4
+	q36, q40, q50, q60 := moduli(t, 36, logN, 5), moduli(t, 40, logN, 4), moduli(t, 50, logN, 4), moduli(t, 60, logN, 4)
+	for _, tc := range []struct {
+		name string
+		ms   []ring.Modulus
+	}{
+		{"36", q36},
+		{"50below40", append(append([]ring.Modulus(nil), q50...), q40[0])},
+		{"36below50", append(append([]ring.Modulus(nil), q36[:3]...), q50[0])},
+		{"36below60", append(append([]ring.Modulus(nil), q36[:3]...), q60[0])},
+		{"60below36", append(append([]ring.Modulus(nil), q60[:3]...), q36[0])},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var first [][]uint64
+			kerneltest.EachPath(t, func(t *testing.T) {
+				out := rescaleLazyEquivalence(t, tc.ms)
+				if first == nil {
+					first = out
+				}
+				for i := range out {
+					for k := range out[i] {
+						if out[i][k] != first[i][k] {
+							t.Fatalf("Rescale differs between kernel paths at [%d][%d]: %d != %d", i, k, out[i][k], first[i][k])
+						}
+					}
+				}
+			})
+		})
+	}
+}
+
+func rescaleLazyEquivalence(t *testing.T, ms []ring.Modulus) [][]uint64 {
+	const n = 16
 	rng := rand.New(rand.NewSource(205))
-	ms := moduli(t, 36, logN, 5)
 	r := NewRescaler(ms)
 	xLazy := randRows(rng, ms, n, true)
 	// The top limb stays canonical: a lazy top-limb representative rep+q_l is
@@ -257,4 +339,5 @@ func TestRescaleLazyInputEquivalence(t *testing.T) {
 			}
 		}
 	}
+	return out1
 }

@@ -73,6 +73,13 @@ type Extender struct {
 	qhatModP    [][]uint64 // [j][i] = (Q/q_i) mod p_j
 	qhatModPSho [][]uint64 // [j][i] = Shoup companion of qhatModP[j][i] under p_j
 
+	// srcBound is the exclusive bound of the inner product's source rows (the
+	// fully reduced t_i, so the largest source prime). With the target
+	// modulus and the base width it decides, per target limb, whether the
+	// sum runs on the 52-bit multiply-accumulate (ring.Modulus.BConvAccum): a
+	// 60-bit source or target keeps the 64-bit kernel.
+	srcBound uint64
+
 	scratch struct {
 		mu    sync.Mutex
 		n     int
@@ -103,6 +110,7 @@ func NewExtender(from, to []ring.Modulus) (*Extender, error) {
 	e.qhatInvSho = make([]uint64, len(from))
 	qhat := make([]*big.Int, len(from))
 	for i, m := range from {
+		e.srcBound = max(e.srcBound, m.Q)
 		qi := new(big.Int).SetUint64(m.Q)
 		qhat[i] = new(big.Int).Div(Q, qi)
 		rem := new(big.Int).Mod(qhat[i], qi).Uint64()
@@ -151,17 +159,30 @@ func (e *Extender) scratchRows(n int) (*rowMatrix, *rowPool) {
 // AccumCapacity terms (≥ 8 even at the 61-bit cap); longer source bases fold
 // the accumulator through an intermediate Barrett reduction.
 func (e *Extender) Convert(src, dst [][]uint64) {
+	e.ConvertRows(src, dst, nil)
+}
+
+// ConvertRows is Convert with the destination rows picked out of a larger row
+// set: target limb j is written to rows[idx[j]] (rows[j] when idx is nil). It
+// lets a caller that converts into the gaps of one polynomial — ModUp writes
+// every row but the digit's own — keep one precomputed index list per
+// extender instead of assembling a destination slice per call.
+func (e *Extender) ConvertRows(src, rows [][]uint64, idx []int) {
 	// INVARIANT: basis shapes are derived from one validated parameter set.
 	// A panic here is a repo-internal bug, never a reaction to caller input —
 	// malformed inputs are rejected with typed errors at the public boundary.
-	if len(src) != len(e.From) || len(dst) != len(e.To) {
+	nDst := len(rows)
+	if idx != nil {
+		nDst = len(idx)
+	}
+	if len(src) != len(e.From) || nDst != len(e.To) {
 		panic(fmt.Sprintf("rns: Convert limb mismatch: src %d/%d, dst %d/%d",
-			len(src), len(e.From), len(dst), len(e.To)))
+			len(src), len(e.From), nDst, len(e.To)))
 	}
 	n := len(src[0])
-	// t_i = x_i * (Q/q_i)^-1 mod q_i — independent per source limb. Exact for
-	// any src magnitude (Shoup reduction is exact over the full 64-bit range),
-	// so lazy inputs are tolerated; t_i is always fully reduced.
+	// t_i = x_i * (Q/q_i)^-1 mod q_i — independent per source limb. Lazy
+	// inputs (x_i < 2q_i, ShoupMulVec's source bound) are tolerated; t_i is
+	// always fully reduced.
 	t, rp := e.scratchRows(n)
 	defer rp.put(t)
 	ring.ForEachLimbRange(len(e.From), e.Workers, func(lo, hi int) {
@@ -172,22 +193,25 @@ func (e *Extender) Convert(src, dst [][]uint64) {
 		}
 	})
 	l := len(e.From)
-	rows := t.rows[:l]
+	tRows := t.rows[:l]
 	backing := t.backing
 	ring.ForEachLimbRange(len(e.To), e.Workers, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			mp := e.To[j]
-			dj := dst[j]
+			dj := rows[j]
+			if idx != nil {
+				dj = rows[idx[j]]
+			}
 			ws := e.qhatModP[j]
 			if capTerms := mp.AccumCapacity(); l > capTerms {
-				convertFold(mp, rows, ws, dj, n, capTerms)
+				convertFold(mp, tRows, ws, dj, n, capTerms)
 				continue
 			}
 			// The scratch arena has the rows at stride n, so the inner
 			// product runs over the contiguous backing (vectorized when the
 			// assembly kernels are in). The precomputed Shoup companions let
 			// short bases take the per-term lazy-Shoup kernel.
-			mp.BConvAccumShoup(dj[:n], backing, n, ws[:l], e.qhatModPSho[j][:l])
+			mp.BConvAccumShoup(dj[:n], backing, n, ws[:l], e.qhatModPSho[j][:l], e.srcBound)
 		}
 	})
 }
@@ -352,24 +376,16 @@ func (r *Rescaler) Rescale(x, out [][]uint64) {
 		panic(fmt.Sprintf("rns: Rescale needs >=2 limbs and out of %d rows", l))
 	}
 	n := len(x[0])
-	xl := x[l]
+	xl := x[l][:n]
+	// The dropped limb's rows are lazy residues of q_l; that bound and each
+	// target modulus decide per limb whether the 52-bit kernel takes the step.
+	xlBound := 2 * r.Moduli[l].Q
 	ring.ForEachLimbRange(l, r.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			m := r.Moduli[i]
-			twoQ := m.Q << 1
-			inv, invSho := r.qlInv[l][i], r.qlInvSho[l][i]
-			xi, oi := x[i], out[i]
-			for k := 0; k < n; k++ {
-				// Reduce the top-limb residue into q_i before subtracting;
-				// centering the residue halves the rounding error but the
-				// plain variant keeps the error below q_l which the CKKS
-				// scale absorbs. ReduceWord is a one-word Barrett step (no
-				// hardware division); the subtraction is lazy (xi < 2q,
-				// v < q, so xi + 2q - v < 4q) and the Shoup multiply, exact
-				// for any 64-bit operand, fully reduces the output.
-				v := m.ReduceWord(xl[k])
-				oi[k] = m.MulModShoup(xi[k]+twoQ-v, inv, invSho)
-			}
+			// Reduce the top-limb residue into q_i before subtracting;
+			// centering the residue halves the rounding error but the plain
+			// variant keeps the error below q_l which the CKKS scale absorbs.
+			r.Moduli[i].ShoupMulSubForeignVec(out[i][:n], x[i][:n], xl, xlBound, r.qlInv[l][i], r.qlInvSho[l][i])
 		}
 	})
 }
