@@ -69,12 +69,15 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzContextConfig -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzSessionSnapshot -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzProgramPlan -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz FuzzEvalEnvelope -fuzztime 10s ./cmd/fastd
 
 # Observability smoke gate: boot the real fastd through run(), drive one
 # evaluation with a pinned request ID, and assert every surface's contract —
 # access-log JSON schema, /debug/requests shape, /metrics Prometheus-text
 # validity (incl. the serve.latency.p* quantile gauges), /readyz quantiles,
-# and request-ID attribution on both HTTP and evaluator trace spans.
+# request-ID attribution on both HTTP and evaluator trace spans, and — after
+# more than 64k spans — a trace export that is the newest ring-full, not empty
+# and not the first 64k.
 obs-smoke:
 	$(GO) test -race -run TestObsSmoke -v ./cmd/fastd
 
@@ -137,7 +140,16 @@ vet: loc
 # to FASTD_LOC_MAX, which a reviewer sees, next to the code that needs it.
 # The root package's count is printed beside it, ungated: the library is the
 # product, but its size should be a number someone looks at.
-FASTD_LOC_MAX ?= 3100
+#
+# 3100 -> 3515 (PR 22): +415 is the measured net growth of the one-pass
+# envelope (3059 -> 3474 lines). cmd/fastd/envelope.go is 450 lines, comments
+# included: buffer pools and body reader 96, scanner and the two envelope
+# shapes 281, ciphertext decode + response writer 73. Around it 35 net lines
+# went: evalWire, encodeCiphertext, decodeCiphertext, decryptRequest,
+# ciphertextResponse (now test-only references) and the traceEvents constant.
+# The codec stays in cmd/fastd, where the count sees it; ROADMAP 5a/5b are
+# what take the budget back down.
+FASTD_LOC_MAX ?= 3515
 
 loc:
 	@echo "root package: $$(ls *.go | grep -v _test.go | xargs cat | wc -l) non-test lines"

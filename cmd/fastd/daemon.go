@@ -1,9 +1,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -597,32 +595,6 @@ type encryptRequest struct {
 	Values []cnum `json:"values"`
 }
 
-type ciphertextResponse struct {
-	Ciphertext string  `json:"ciphertext"` // base64 of the wire format
-	Level      int     `json:"level"`
-	Scale      float64 `json:"scale"`
-}
-
-func encodeCiphertext(ct *fast.Ciphertext) (ciphertextResponse, error) {
-	var buf bytes.Buffer
-	if err := ct.Serialize(&buf); err != nil {
-		return ciphertextResponse{}, err
-	}
-	return ciphertextResponse{
-		Ciphertext: base64.StdEncoding.EncodeToString(buf.Bytes()),
-		Level:      ct.Level(),
-		Scale:      ct.Scale(),
-	}, nil
-}
-
-func decodeCiphertext(fctx *fast.Context, b64 string) (*fast.Ciphertext, error) {
-	raw, err := base64.StdEncoding.DecodeString(b64)
-	if err != nil {
-		return nil, fmt.Errorf("ciphertext base64: %w", err)
-	}
-	return fctx.ReadCiphertext(bytes.NewReader(raw))
-}
-
 func (d *daemon) handleEncrypt(w http.ResponseWriter, r *http.Request) {
 	d.mRequests.Inc()
 	sh, sess, err := d.resolve(r.PathValue("id"))
@@ -642,25 +614,21 @@ func (d *daemon) handleEncrypt(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := requestContext(r)
 		defer cancel()
 
-		var resp ciphertextResponse
+		var resp *[]byte
 		err := sh.srv.Do(ctx, serve.Op{Name: "encrypt", Units: sess.cm.PassUnits()}, func(ctx context.Context) error {
 			ct, err := sess.ctx.Encrypt(toComplex(req.Values))
 			if err != nil {
 				return err
 			}
-			resp, err = encodeCiphertext(ct)
-			return err
+			resp = renderCiphertext(ct)
+			return nil
 		})
 		if err != nil {
 			d.writeAdmissionError(w, r, err)
 			return
 		}
-		writeJSON(w, resp)
+		sendRendered(w, resp)
 	})
-}
-
-type decryptRequest struct {
-	Ciphertext string `json:"ciphertext"`
 }
 
 type decryptResponse struct {
@@ -674,12 +642,17 @@ func (d *daemon) handleDecrypt(w http.ResponseWriter, r *http.Request) {
 		d.writeAdmissionError(w, r, err)
 		return
 	}
-	var req decryptRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	body, err := readRequestBody(r)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	ct, err := decodeCiphertext(sess.ctx, req.Ciphertext)
+	b64, err := scanDecryptEnvelope(*body)
+	var ct *fast.Ciphertext
+	if err == nil {
+		ct, err = readCiphertext(sess.ctx, b64, nil)
+	}
+	bodyBufs.put(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -714,7 +687,7 @@ func (d *daemon) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	d.withIdempotency(w, r, sess, func(w http.ResponseWriter) {
-		body, err := io.ReadAll(r.Body)
+		body, err := readRequestBody(r)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -722,7 +695,8 @@ func (d *daemon) handleEval(w http.ResponseWriter, r *http.Request) {
 		obsReq := obs.RequestFrom(r.Context())
 		obsReq.SetSession(sess.id)
 		obsReq.SetPhase(obs.PhasePlanning)
-		ce, err := compileEval(sess, body)
+		ce, err := compileEval(sess, *body)
+		bodyBufs.put(body)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -737,7 +711,7 @@ func (d *daemon) handleEval(w http.ResponseWriter, r *http.Request) {
 			d.writeAdmissionError(w, r, err)
 			return
 		}
-		writeJSON(w, res.(ciphertextResponse))
+		sendRendered(w, res.(*[]byte))
 	})
 }
 
@@ -813,12 +787,12 @@ func (d *daemon) writeAdmissionError(w http.ResponseWriter, r *http.Request, err
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("Content-Type", jsonContentType)
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("Content-Type", jsonContentType)
 	_ = json.NewEncoder(w).Encode(v)
 }

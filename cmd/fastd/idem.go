@@ -498,7 +498,9 @@ func (st *sessionStore) compactIfDue(j *journal, t *idemTable) {
 // responseRecorder buffers a handler's response so the idempotency layer can
 // journal it before release and replay it to retries. Only the status and
 // body are captured; Content-Type is reconstructed on replay (all recordable
-// fastd responses are JSON).
+// fastd responses are JSON). Small bodies (errors) arrive through Write and
+// are copied; a rendered ciphertext body is handed over whole by sendRendered
+// and becomes the recorded body without a copy.
 type responseRecorder struct {
 	header http.Header
 	status int

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"time"
 
 	fast "github.com/fastfhe/fast"
@@ -261,10 +262,9 @@ func (d *daemon) withIdempotency(w http.ResponseWriter, r *http.Request, sess *s
 			}
 			d.mIdemReplays.Inc()
 			obs.RequestFrom(r.Context()).SetOutcome("idem_replay")
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
+			w.Header().Set("Content-Type", jsonContentType)
 			w.Header().Set("Idempotency-Replayed", "true")
-			w.WriteHeader(e.status)
-			_, _ = w.Write(body)
+			writeRecorded(w, e.status, body)
 			return
 		}
 
@@ -281,10 +281,17 @@ func (d *daemon) withIdempotency(w http.ResponseWriter, r *http.Request, sess *s
 				w.Header().Add(k, v)
 			}
 		}
-		w.WriteHeader(rr.status)
-		_, _ = w.Write(rr.body)
+		writeRecorded(w, rr.status, rr.body)
 		return
 	}
+}
+
+// writeRecorded releases a recorded outcome — first answer or replay — with
+// its Content-Length, in one Write.
+func writeRecorded(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 // recordIdem journals a recordable outcome and completes its table entry.

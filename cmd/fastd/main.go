@@ -65,13 +65,6 @@ var (
 	}
 )
 
-// traceEvents is the daemon's trace buffer (events kept before new ones are
-// dropped and counted in obs.trace.dropped). A kept event costs ~0.5 KB, its
-// args map included, so once full the buffer is the largest resident object
-// the daemon owns besides key material: 16 MB at 32k events, about 2.7k
-// rotation fan-out requests' worth of spans.
-const traceEvents = 1 << 15
-
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("fastd", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:0 picks a free port)")
@@ -112,7 +105,7 @@ func run(args []string, stdout io.Writer) error {
 		ProbeInterval:  *probeInterval,
 		ProbeTimeout:   *probeTimeout,
 		FenceThreshold: *fenceThreshold,
-		Observer:       fast.NewTracingObserver(traceEvents),
+		Observer:       fast.NewTracingObserver(0), // 0: the library's default trace ring
 		Logger:         obs.NewLogger(logW, obs.ParseLogLevel(*logLevel)),
 		SlowRequest:    time.Duration(*slowRequestMs) * time.Millisecond,
 	})

@@ -107,10 +107,7 @@ func (d *daemon) withObservability(next http.Handler) http.Handler {
 		}
 		elapsed := time.Since(start)
 
-		tracer.CompleteSince(req.Op, "http", tracePIDServe, 0, start, map[string]any{
-			"request_id": rid,
-			"status":     sr.status,
-		})
+		tracer.CompleteSince(req.Op, "http", tracePIDServe, 0, start, obs.Args{}.RequestID(rid).Status(sr.status))
 		d.logRequest(r, req, sr, elapsed)
 	})
 }

@@ -23,8 +23,9 @@ import (
 // access log is JSON lines with the documented schema, /debug/requests
 // serves the in-flight table shape, /metrics is valid Prometheus text with
 // the latency quantile gauges, /readyz carries the same quantiles, and the
-// Chrome trace attributes HTTP and kernel spans to that one request ID, and
-// a restore's time decomposes into the fastd.restore.*_ns phase histograms.
+// Chrome trace attributes HTTP and kernel spans to that one request ID, a
+// restore's time decomposes into the fastd.restore.*_ns phase histograms, and
+// after more spans than the trace ring holds the export carries the newest.
 func TestObsSmoke(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "access.log")
 	stateDir := t.TempDir()
@@ -61,6 +62,7 @@ func TestObsSmoke(t *testing.T) {
 		assertTraceCorrelation(t, base, reqID)
 		assertDebugPlans(t, base, reqID)
 		assertRestoreSignals(t, base, stateDir, sid)
+		assertTraceRing(t, base, sid, ct.Ciphertext, reqID)
 	}
 
 	var out bytes.Buffer
@@ -224,6 +226,72 @@ func assertTraceCorrelation(t *testing.T, base, reqID string) {
 	}
 }
 
+// assertTraceRing emits more spans than the daemon's trace ring holds (the
+// library default, 64k) and checks the export is a ring, not a keep-first
+// buffer: it is not empty, its newest span is the last request's, the first
+// eval's spans have been overwritten and counted as dropped, and the track
+// names emitted at startup are still there.
+func assertTraceRing(t *testing.T, base, sid, ct, firstReqID string) {
+	t.Helper()
+	// 512 additions a request: one evaluator span each.
+	prog := fast.NewProgram().In("x")
+	reg := "x"
+	for i := 0; i < 512; i++ {
+		next := fmt.Sprintf("r%d", i)
+		prog.Add(next, reg, "x")
+		reg = next
+	}
+	body := evalOf(prog.Return(reg), ct)
+	const lastReqID = "obs-smoke-last"
+	for i := 0; i < 130; i++ { // 130 x (512 + 1 http) > 65536
+		hdr := map[string]string{}
+		if i == 129 {
+			hdr["X-Request-Id"] = lastReqID
+		}
+		if status, raw := doJSON(t, http.MethodPost, base+"/v1/sessions/"+sid+"/eval", hdr, body, nil); status != http.StatusOK {
+			t.Fatalf("flood eval %d: status %d: %.200s", i, status, raw)
+		}
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			PID  int            `json:"pid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+		Metadata struct {
+			Dropped float64 `json:"dropped_events"`
+		} `json:"metadata"`
+	}
+	if status, raw := doJSON(t, http.MethodGet, base+"/trace.json", nil, nil, &trace); status != http.StatusOK {
+		t.Fatalf("GET /trace.json: status %d: %.200s", status, raw)
+	}
+	if len(trace.TraceEvents) < 1<<16 {
+		t.Fatalf("trace export holds %d events after > 64k spans, want a full ring", len(trace.TraceEvents))
+	}
+	if trace.Metadata.Dropped == 0 {
+		t.Fatal("trace export reports no dropped events after the ring wrapped")
+	}
+	var first, last, named bool
+	for _, ev := range trace.TraceEvents {
+		id, _ := ev.Args["request_id"].(string)
+		first = first || id == firstReqID
+		last = last || (id == lastReqID && ev.PID == tracePIDServe)
+		named = named || (ev.Ph == "M" && ev.PID == tracePIDServe && ev.Args["name"] == "fastd http")
+	}
+	if first || !last || !named {
+		t.Fatalf("after the wrap: first eval's spans present=%v (want overwritten), last request's HTTP span present=%v, track name present=%v",
+			first, last, named)
+	}
+	var snap struct {
+		Counters map[string]uint64 `json:"counters"`
+	}
+	doJSON(t, http.MethodGet, base+"/snapshot.json", nil, nil, &snap)
+	if got := snap.Counters["obs.trace.dropped"]; got == 0 || float64(got) < trace.Metadata.Dropped {
+		t.Fatalf("obs.trace.dropped = %d, export says %v", got, trace.Metadata.Dropped)
+	}
+}
+
 // assertRestoreSignals drives one session through evict → restore → evict
 // with a damaged journal in between, so that every restore-path signal has
 // something to say, then reads them back from /snapshot.json: the phase
@@ -344,10 +412,7 @@ func assertAccessLogFile(t *testing.T, path string) {
 			}
 		}
 		if p, _ := rec["path"].(string); strings.HasSuffix(p, "/eval") {
-			evalSeen = true
-			if rec["id"] != "obs-smoke-eval-1" {
-				t.Fatalf("eval record id = %v, want obs-smoke-eval-1", rec["id"])
-			}
+			evalSeen = evalSeen || rec["id"] == "obs-smoke-eval-1" // the trace-ring flood's evals follow it
 			if rec["outcome"] != "ok" {
 				t.Fatalf("eval outcome = %v, want ok", rec["outcome"])
 			}
@@ -362,7 +427,7 @@ func assertAccessLogFile(t *testing.T, path string) {
 		t.Fatalf("access log has %d request records, want >= 4\n%s", n, raw)
 	}
 	if !evalSeen {
-		t.Fatalf("no eval record in access log:\n%s", raw)
+		t.Fatalf("no eval record with the pinned request ID in the access log:\n%.2000s", raw)
 	}
 	fmt.Fprintf(os.Stderr, "obs-smoke: %d access-log records validated\n", n)
 }

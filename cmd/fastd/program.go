@@ -1,7 +1,7 @@
 package main
 
 import (
-	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 
@@ -16,12 +16,6 @@ import (
 // rotation fan-out is hoisted, methods are chosen per site from the cost
 // model, and the plan's unit weight prices admission.
 
-// evalWire is the decode shape of an eval request body.
-type evalWire struct {
-	Inputs  map[string]string `json:"inputs"` // register -> base64 ciphertext
-	Program json.RawMessage   `json:"program"`
-}
-
 // compiledEval is a fully planned request, ready for (batched) execution.
 type compiledEval struct {
 	sess     *session
@@ -31,22 +25,23 @@ type compiledEval struct {
 }
 
 // compileEval parses, validates and plans an eval request body. Every error
-// is a client error (HTTP 400) and never reaches the worker pool.
+// is a client error (HTTP 400) and never reaches the worker pool. The result
+// holds no reference into body.
 func compileEval(sess *session, body []byte) (*compiledEval, error) {
-	var wire evalWire
-	if err := json.Unmarshal(body, &wire); err != nil {
+	wire, err := scanEvalEnvelope(body)
+	if err != nil {
 		return nil, fmt.Errorf("decode eval request: %w", err)
 	}
 
 	// Anything but an object — absent, null, or the array that was program
 	// format v1 — gets an answer that names the format to send, not a JSON
 	// type error.
-	if raw := bytes.TrimSpace(wire.Program); len(raw) == 0 || raw[0] != '{' {
+	if len(wire.program) == 0 || wire.program[0] != '{' {
 		return nil, fmt.Errorf(`program must be a version %d object {"version":%d,"inputs":[...],"ops":[...],"output":"..."}: %w`,
 			fast.ProgramVersion, fast.ProgramVersion, fast.ErrInvalidProgram)
 	}
 	prog := &fast.Program{}
-	if err := json.Unmarshal(wire.Program, prog); err != nil {
+	if err := json.Unmarshal(wire.program, prog); err != nil {
 		return nil, fmt.Errorf("decode program: %w", err)
 	}
 	if err := prog.Validate(); err != nil {
@@ -59,27 +54,30 @@ func compileEval(sess *session, body []byte) (*compiledEval, error) {
 	declared := make(map[string]bool, len(prog.Inputs()))
 	ce := &compiledEval{
 		sess:     sess,
-		inputs:   make(map[string]*fast.Ciphertext, len(wire.Inputs)),
-		inputIDs: make(map[string]string, len(wire.Inputs)),
+		inputs:   make(map[string]*fast.Ciphertext, len(wire.inputs)),
+		inputIDs: make(map[string]string, len(wire.inputs)),
 	}
-	levels := make(map[string]int, len(wire.Inputs))
+	levels := make(map[string]int, len(wire.inputs))
 	for _, name := range prog.Inputs() {
 		declared[name] = true
-		b64, ok := wire.Inputs[name]
+		b64, ok := wire.input(name)
 		if !ok {
 			return nil, fmt.Errorf("missing ciphertext for input %q", name)
 		}
-		ct, err := decodeCiphertext(sess.ctx, b64)
+		// The input's identity for batch merging is a digest of its wire
+		// bytes, taken while they are in cache from the decode.
+		var digest [sha256.Size]byte
+		ct, err := readCiphertext(sess.ctx, b64, &digest)
 		if err != nil {
 			return nil, fmt.Errorf("input %q: %w", name, err)
 		}
 		ce.inputs[name] = ct
-		ce.inputIDs[name] = b64
+		ce.inputIDs[name] = string(digest[:])
 		levels[name] = ct.Level()
 	}
-	for name := range wire.Inputs {
-		if !declared[name] {
-			return nil, fmt.Errorf("ciphertext %q does not match a declared input", name)
+	for _, in := range wire.inputs {
+		if !declared[in.name] {
+			return nil, fmt.Errorf("ciphertext %q does not match a declared input", in.name)
 		}
 	}
 
@@ -93,7 +91,6 @@ func compileEval(sess *session, body []byte) (*compiledEval, error) {
 	if ce.plan = sess.plans.get(key); ce.plan != nil {
 		return ce, nil
 	}
-	var err error
 	if ce.plan, err = sess.ctx.Plan(prog, levels); err != nil {
 		return nil, err
 	}

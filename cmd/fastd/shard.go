@@ -67,12 +67,7 @@ func (sh *evalShard) runEvalBatch(items []*serve.BatchItem) {
 			it.Finish(nil, runs[i].Err)
 			continue
 		}
-		resp, err := encodeCiphertext(runs[i].Out)
-		if err != nil {
-			it.Finish(nil, err)
-			continue
-		}
-		it.Finish(resp, nil)
+		it.Finish(renderCiphertext(runs[i].Out), nil)
 	}
 }
 

@@ -31,8 +31,8 @@ type Run struct {
 	// Inputs maps declared input registers to ciphertexts at the levels the
 	// plan was compiled for.
 	Inputs map[string]*Ciphertext
-	// InputIDs optionally names each input's identity (e.g. the serialized
-	// ciphertext the daemon decoded it from). Two runs' rotation groups merge
+	// InputIDs optionally names each input's identity (e.g. a digest of the
+	// wire bytes the daemon decoded it from). Two runs' rotation groups merge
 	// into one hoisted decomposition only when they read inputs with equal
 	// IDs at equal level and method; without IDs, pointer identity of the
 	// *Ciphertext is used.
@@ -115,12 +115,23 @@ func wrapRunCtxErr(ctxErr error) error {
 	return fmt.Errorf("%w: %w", ErrCanceled, ctxErr)
 }
 
-// inputID resolves the merge identity of a run's input register.
-func (run *Run) inputID(reg string) string {
-	if id, ok := run.InputIDs[reg]; ok && id != "" {
-		return "id:" + id
+// mergeKey identifies a hoisted rotation group two runs may share: the input
+// it rotates — by the caller-supplied ID or, without one, by the ciphertext
+// itself (exactly one of id and ct is set, so the two kinds never collide) —
+// at one level under one method.
+type mergeKey struct {
+	id     string
+	ct     *Ciphertext
+	level  int
+	method Method
+}
+
+// inputKey resolves the merge identity of a run's input register.
+func (run *Run) inputKey(reg string, level int, method Method) mergeKey {
+	if id := run.InputIDs[reg]; id != "" {
+		return mergeKey{id: id, level: level, method: method}
 	}
-	return fmt.Sprintf("ptr:%p", run.Inputs[reg])
+	return mergeKey{ct: run.Inputs[reg], level: level, method: method}
 }
 
 // batchStep is one schedulable unit: a hoisted rotation group (possibly
@@ -150,11 +161,6 @@ type stepMember struct {
 // batch must share input *levels* only if they share input bytes; otherwise
 // they are fully independent.
 func (c *Context) ExecuteBatch(runs []*Run) {
-	type mergeKey struct {
-		id     string
-		level  int
-		method Method
-	}
 	var steps []batchStep
 	stepOf := make(map[mergeKey]int)
 	for _, run := range runs {
@@ -173,7 +179,7 @@ func (c *Context) ExecuteBatch(runs []*Run) {
 				// Merge only groups rotating a program input: identical
 				// bytes in, deterministic kernels, identical bytes out.
 				if n.srcA == -1 {
-					k := mergeKey{id: run.inputID(n.op.A), level: n.levelIn, method: n.method}
+					k := run.inputKey(n.op.A, n.levelIn, n.method)
 					if si, ok := stepOf[k]; ok {
 						steps[si].members = append(steps[si].members, st.members[0])
 						continue

@@ -32,6 +32,10 @@ func FuzzReadCiphertext(f *testing.F) {
 				t.Fatalf("accepted invalid ciphertext: %v", verr)
 			}
 		}
+		// Hostile bytes get the same verdict from the from-bytes decoder.
+		if _, berr := ReadCiphertextBytes(data, params); (err == nil) != (berr == nil) {
+			t.Fatalf("stream reader and from-bytes reader disagree: %v vs %v", err, berr)
+		}
 	})
 }
 

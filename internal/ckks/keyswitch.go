@@ -125,11 +125,8 @@ func (ks *KeySwitcher) traceSpan(name string, level int, t0 time.Time, cc *cance
 	if ks.tracer == nil {
 		return
 	}
-	args := map[string]any{"method": ks.method.String(), "level": level}
-	if rid := cc.rid(); rid != "" {
-		args["request_id"] = rid
-	}
-	ks.tracer.CompleteSince(name, "keyswitch", TracePIDEvaluator, ksTraceTID, t0, args)
+	ks.tracer.CompleteSince(name, "keyswitch", TracePIDEvaluator, ksTraceTID, t0,
+		obs.Args{}.Method(ks.method.String()).Level(level).RequestID(cc.rid()))
 }
 
 // beta returns the group count at a level.

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"github.com/fastfhe/fast/internal/ring"
 )
@@ -38,6 +40,14 @@ func readHeader(r io.Reader, wantTag byte) error {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return fmt.Errorf("ckks: reading header: %w", err)
 	}
+	return checkHeader(hdr[:], wantTag)
+}
+
+// checkHeader validates the tag and version bytes every object starts with.
+func checkHeader(hdr []byte, wantTag byte) error {
+	if len(hdr) < 2 {
+		return fmt.Errorf("ckks: reading header: %w", io.ErrUnexpectedEOF)
+	}
 	if hdr[0] != wantTag {
 		return fmt.Errorf("ckks: wrong object tag 0x%02x, want 0x%02x", hdr[0], wantTag)
 	}
@@ -47,57 +57,191 @@ func readHeader(r io.Reader, wantTag byte) error {
 	return nil
 }
 
-func writePoly(w io.Writer, p ring.Poly) error {
-	if err := writeHeader(w, tagPoly); err != nil {
-		return err
+// Sizes of the fixed parts of the format, and the chunk the streaming paths
+// move coefficients in.
+const (
+	polyHeaderLen  = 2 + 4 + 4 // tag, version, limbs, degree
+	levelScaleLen  = 2 + 4 + 8 // tag, version, level, scale
+	wireChunkBytes = 32 << 10
+)
+
+// chunkPool holds the wireChunkBytes scratch the io.Writer / io.Reader paths
+// encode into and decode from, so streaming a key set costs no per-poly
+// buffer. The from-bytes / append-to-buffer entry points never touch it.
+var chunkPool = sync.Pool{New: func() any { b := make([]byte, wireChunkBytes); return &b }}
+
+// appendCoeffs appends src as little-endian 64-bit words — the one place
+// coefficients become wire bytes (ciphertexts, plaintexts, keys, snapshots).
+func appendCoeffs(dst []byte, src []uint64) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, 8*len(src))[:n+8*len(src)]
+	for i, v := range src {
+		binary.LittleEndian.PutUint64(dst[n+8*i:], v)
 	}
-	hdr := [2]uint32{uint32(p.Limbs()), uint32(p.N())}
-	if err := binary.Write(w, binary.LittleEndian, hdr); err != nil {
-		return err
+	return dst
+}
+
+// decodeCoeffs is appendCoeffs' inverse: len(dst) words out of src.
+func decodeCoeffs(dst []uint64, src []byte) {
+	src = src[:8*len(dst)]
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(src[8*i:])
 	}
-	// Arena fast path: the contiguous backing is the limb rows concatenated in
-	// order, so one binary.Write emits bytes identical to the per-row loop.
+}
+
+func appendPolyHeader(dst []byte, p ring.Poly) []byte {
+	dst = append(dst, tagPoly, wireVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.Limbs()))
+	return binary.LittleEndian.AppendUint32(dst, uint32(p.N()))
+}
+
+// polyShape validates a poly header and returns its shape.
+func polyShape(hdr []byte) (limbs, n int, err error) {
+	if err := checkHeader(hdr, tagPoly); err != nil {
+		return 0, 0, err
+	}
+	limbs, n = int(binary.LittleEndian.Uint32(hdr[2:])), int(binary.LittleEndian.Uint32(hdr[6:]))
+	if limbs < 1 || limbs > 128 || n < 1 || n > 1<<20 {
+		return 0, 0, fmt.Errorf("ckks: implausible poly shape %dx%d", limbs, n)
+	}
+	return limbs, n, nil
+}
+
+// polyRows returns p's coefficients in wire order: the arena backing is the
+// limb rows concatenated, so a contiguous poly is one run and emits bytes
+// identical to the per-row loop a foreign (row-built) poly takes.
+func polyRows(p ring.Poly) [][]uint64 {
 	if len(p.Backing) == p.Limbs()*p.N() {
-		return binary.Write(w, binary.LittleEndian, p.Backing)
+		return [][]uint64{p.Backing}
 	}
-	for _, limb := range p.Coeffs {
-		if err := binary.Write(w, binary.LittleEndian, limb); err != nil {
-			return err
+	return p.Coeffs
+}
+
+func appendPoly(dst []byte, p ring.Poly) []byte {
+	dst = appendPolyHeader(dst, p)
+	for _, row := range polyRows(p) {
+		dst = appendCoeffs(dst, row)
+	}
+	return dst
+}
+
+// writePoly streams p through a pooled chunk: no full-size temporary.
+func writePoly(w io.Writer, p ring.Poly) error {
+	bp := chunkPool.Get().(*[]byte)
+	defer chunkPool.Put(bp)
+	buf := appendPolyHeader((*bp)[:0], p)
+	for _, row := range polyRows(p) {
+		for len(row) > 0 {
+			k := min(len(row), (cap(buf)-len(buf))/8)
+			buf = appendCoeffs(buf, row[:k])
+			row = row[k:]
+			if cap(buf)-len(buf) < 8 {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+				buf = buf[:0]
+			}
 		}
 	}
-	return nil
+	_, err := w.Write(buf)
+	return err
 }
 
 func readPoly(r io.Reader) (ring.Poly, error) {
-	if err := readHeader(r, tagPoly); err != nil {
-		return ring.Poly{}, err
+	var hdr [polyHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return ring.Poly{}, fmt.Errorf("ckks: reading header: %w", err)
 	}
-	var hdr [2]uint32
-	if err := binary.Read(r, binary.LittleEndian, &hdr); err != nil {
+	limbs, n, err := polyShape(hdr[:])
+	if err != nil {
 		return ring.Poly{}, err
-	}
-	limbs, n := int(hdr[0]), int(hdr[1])
-	if limbs < 1 || limbs > 128 || n < 1 || n > 1<<20 {
-		return ring.Poly{}, fmt.Errorf("ckks: implausible poly shape %dx%d", limbs, n)
 	}
 	p := ring.NewPoly(n, limbs)
-	// One pass over the arena backing (row-concatenation order on the wire).
-	if err := binary.Read(r, binary.LittleEndian, p.Backing); err != nil {
-		return ring.Poly{}, err
+	bp := chunkPool.Get().(*[]byte)
+	defer chunkPool.Put(bp)
+	// Chunked passes over the arena backing (row-concatenation order on the wire).
+	for dst := p.Backing; len(dst) > 0; {
+		k := min(len(dst), wireChunkBytes/8)
+		if _, err := io.ReadFull(r, (*bp)[:8*k]); err != nil {
+			return ring.Poly{}, err
+		}
+		decodeCoeffs(dst[:k], *bp)
+		dst = dst[k:]
 	}
 	return p, nil
 }
 
+// parsePoly is readPoly over bytes already in memory: it decodes straight
+// from b (nothing is allocated before the length is known to be there) and
+// returns what follows the poly.
+func parsePoly(b []byte) (ring.Poly, []byte, error) {
+	if len(b) < polyHeaderLen {
+		return ring.Poly{}, nil, fmt.Errorf("ckks: reading header: %w", io.ErrUnexpectedEOF)
+	}
+	limbs, n, err := polyShape(b)
+	if err != nil {
+		return ring.Poly{}, nil, err
+	}
+	b = b[polyHeaderLen:]
+	if len(b) < 8*limbs*n {
+		return ring.Poly{}, nil, io.ErrUnexpectedEOF
+	}
+	p := ring.NewPoly(n, limbs)
+	decodeCoeffs(p.Backing, b)
+	return p, b[8*limbs*n:], nil
+}
+
+// appendLevelScale appends the head ciphertexts and plaintexts share.
+func appendLevelScale(dst []byte, tag byte, level int, scale float64) []byte {
+	dst = append(dst, tag, wireVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(level)))
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(scale))
+}
+
+// decodeLevelScale reads the 12 bytes after a ciphertext's or plaintext's header.
+func decodeLevelScale(b []byte) (level int, scale float64) {
+	return int(int32(binary.LittleEndian.Uint32(b))), math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))
+}
+
+func parseLevelScale(b []byte, wantTag byte) (level int, scale float64, err error) {
+	if err := checkHeader(b, wantTag); err != nil {
+		return 0, 0, err
+	}
+	if len(b) < levelScaleLen {
+		return 0, 0, io.ErrUnexpectedEOF
+	}
+	level, scale = decodeLevelScale(b[2:])
+	return level, scale, nil
+}
+
+func readLevelScale(r io.Reader, wantTag byte) (level int, scale float64, err error) {
+	if err := readHeader(r, wantTag); err != nil {
+		return 0, 0, err
+	}
+	var meta [levelScaleLen - 2]byte
+	if _, err := io.ReadFull(r, meta[:]); err != nil {
+		return 0, 0, err
+	}
+	level, scale = decodeLevelScale(meta[:])
+	return level, scale, nil
+}
+
+// WireSize returns the length of the ciphertext's wire form.
+func (ct *Ciphertext) WireSize() int {
+	return levelScaleLen + 2*polyHeaderLen + 8*(ct.C0.Limbs()*ct.C0.N()+ct.C1.Limbs()*ct.C1.N())
+}
+
+// AppendBinary appends the ciphertext's wire form to dst — the bytes
+// Serialize writes, without a writer in between.
+func (ct *Ciphertext) AppendBinary(dst []byte) []byte {
+	dst = appendLevelScale(dst, tagCiphertext, ct.Level, ct.Scale)
+	return appendPoly(appendPoly(dst, ct.C0), ct.C1)
+}
+
 // Serialize writes the ciphertext.
 func (ct *Ciphertext) Serialize(w io.Writer) error {
-	if err := writeHeader(w, tagCiphertext); err != nil {
-		return err
-	}
-	meta := struct {
-		Level int32
-		Scale float64
-	}{int32(ct.Level), ct.Scale}
-	if err := binary.Write(w, binary.LittleEndian, meta); err != nil {
+	var hdr [levelScaleLen]byte
+	if _, err := w.Write(appendLevelScale(hdr[:0], tagCiphertext, ct.Level, ct.Scale)); err != nil {
 		return err
 	}
 	if err := writePoly(w, ct.C0); err != nil {
@@ -109,14 +253,8 @@ func (ct *Ciphertext) Serialize(w io.Writer) error {
 // ReadCiphertext deserialises a ciphertext and validates it against the
 // parameter set.
 func ReadCiphertext(r io.Reader, params *Parameters) (*Ciphertext, error) {
-	if err := readHeader(r, tagCiphertext); err != nil {
-		return nil, err
-	}
-	var meta struct {
-		Level int32
-		Scale float64
-	}
-	if err := binary.Read(r, binary.LittleEndian, &meta); err != nil {
+	level, scale, err := readLevelScale(r, tagCiphertext)
+	if err != nil {
 		return nil, err
 	}
 	c0, err := readPoly(r)
@@ -127,7 +265,30 @@ func ReadCiphertext(r io.Reader, params *Parameters) (*Ciphertext, error) {
 	if err != nil {
 		return nil, err
 	}
-	ct := &Ciphertext{C0: c0, C1: c1, Level: int(meta.Level), Scale: meta.Scale}
+	ct := &Ciphertext{C0: c0, C1: c1, Level: level, Scale: scale}
+	if err := ct.validate(params); err != nil {
+		return nil, err
+	}
+	return ct, nil
+}
+
+// ReadCiphertextBytes is ReadCiphertext over wire bytes already in memory.
+// Like a stream read it stops at the end of the ciphertext: bytes after it
+// are not looked at. b is not retained.
+func ReadCiphertextBytes(b []byte, params *Parameters) (*Ciphertext, error) {
+	level, scale, err := parseLevelScale(b, tagCiphertext)
+	if err != nil {
+		return nil, err
+	}
+	c0, b, err := parsePoly(b[levelScaleLen:])
+	if err != nil {
+		return nil, err
+	}
+	c1, _, err := parsePoly(b)
+	if err != nil {
+		return nil, err
+	}
+	ct := &Ciphertext{C0: c0, C1: c1, Level: level, Scale: scale}
 	if err := ct.validate(params); err != nil {
 		return nil, err
 	}
@@ -181,14 +342,8 @@ func (ct *Ciphertext) validate(params *Parameters) error {
 
 // Serialize writes the plaintext.
 func (pt *Plaintext) Serialize(w io.Writer) error {
-	if err := writeHeader(w, tagPlaintext); err != nil {
-		return err
-	}
-	meta := struct {
-		Level int32
-		Scale float64
-	}{int32(pt.Level), pt.Scale}
-	if err := binary.Write(w, binary.LittleEndian, meta); err != nil {
+	var hdr [levelScaleLen]byte
+	if _, err := w.Write(appendLevelScale(hdr[:0], tagPlaintext, pt.Level, pt.Scale)); err != nil {
 		return err
 	}
 	return writePoly(w, pt.Value)
@@ -196,21 +351,15 @@ func (pt *Plaintext) Serialize(w io.Writer) error {
 
 // ReadPlaintext deserialises a plaintext.
 func ReadPlaintext(r io.Reader, params *Parameters) (*Plaintext, error) {
-	if err := readHeader(r, tagPlaintext); err != nil {
-		return nil, err
-	}
-	var meta struct {
-		Level int32
-		Scale float64
-	}
-	if err := binary.Read(r, binary.LittleEndian, &meta); err != nil {
+	level, scale, err := readLevelScale(r, tagPlaintext)
+	if err != nil {
 		return nil, err
 	}
 	v, err := readPoly(r)
 	if err != nil {
 		return nil, err
 	}
-	pt := &Plaintext{Value: v, Level: int(meta.Level), Scale: meta.Scale}
+	pt := &Plaintext{Value: v, Level: level, Scale: scale}
 	if pt.Level < 0 || pt.Level > params.MaxLevel() || v.Limbs() != pt.Level+1 {
 		return nil, fmt.Errorf("ckks: plaintext shape inconsistent")
 	}

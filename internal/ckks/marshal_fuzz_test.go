@@ -66,6 +66,9 @@ func FuzzCiphertextMarshal(f *testing.F) {
 			t.Fatalf("metadata drift: level %d/%d scale %x/%x",
 				back.Level, ct.Level, math.Float64bits(back.Scale), math.Float64bits(ct.Scale))
 		}
+		if app := ct.AppendBinary(make([]byte, 0, ct.WireSize())); !bytes.Equal(app, buf.Bytes()) || len(app) != ct.WireSize() {
+			t.Fatal("AppendBinary and Serialize disagree on the wire bytes")
+		}
 		var buf2 bytes.Buffer
 		if err := back.Serialize(&buf2); err != nil {
 			t.Fatalf("re-serialize: %v", err)
@@ -83,10 +86,20 @@ func FuzzCiphertextMarshal(f *testing.F) {
 		if trunc > 0 {
 			mut = mut[:int(trunc)%(len(mut)+1)]
 		}
-		if got, err := ReadCiphertext(bytes.NewReader(mut), params); err == nil {
+		got, err := ReadCiphertext(bytes.NewReader(mut), params)
+		if err == nil {
 			if verr := got.validate(params); verr != nil {
 				t.Fatalf("reader accepted a mutated ciphertext that fails validation: %v", verr)
 			}
+		}
+		// The from-bytes entry point is the same decoder: it accepts exactly
+		// what the stream reader accepts and decodes it to the same object.
+		fromBytes, berr := ReadCiphertextBytes(mut, params)
+		if (err == nil) != (berr == nil) {
+			t.Fatalf("stream reader and from-bytes reader disagree: %v vs %v", err, berr)
+		}
+		if err == nil && !bytes.Equal(got.AppendBinary(nil), fromBytes.AppendBinary(nil)) {
+			t.Fatal("stream reader and from-bytes reader decoded different ciphertexts")
 		}
 	})
 }

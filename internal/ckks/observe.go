@@ -92,11 +92,8 @@ func methodIdx(m KeySwitchMethod) int {
 func (eo *evalObs) finish(i opInstr, name string, m KeySwitchMethod, level int, t0 time.Time, cc *cancelCheck) {
 	i.observe(t0)
 	if eo.tracer != nil {
-		args := map[string]any{"method": m.String(), "level": level}
-		if rid := cc.rid(); rid != "" {
-			args["request_id"] = rid
-		}
-		eo.tracer.CompleteSince(name, "eval", TracePIDEvaluator, 0, t0, args)
+		eo.tracer.CompleteSince(name, "eval", TracePIDEvaluator, 0, t0,
+			obs.Args{}.Method(m.String()).Level(level).RequestID(cc.rid()))
 	}
 }
 
@@ -104,10 +101,7 @@ func (eo *evalObs) finish(i opInstr, name string, m KeySwitchMethod, level int, 
 func (eo *evalObs) finishNoMethod(i opInstr, name string, level int, t0 time.Time, cc *cancelCheck) {
 	i.observe(t0)
 	if eo.tracer != nil {
-		args := map[string]any{"level": level}
-		if rid := cc.rid(); rid != "" {
-			args["request_id"] = rid
-		}
-		eo.tracer.CompleteSince(name, "eval", TracePIDEvaluator, 0, t0, args)
+		eo.tracer.CompleteSince(name, "eval", TracePIDEvaluator, 0, t0,
+			obs.Args{}.Level(level).RequestID(cc.rid()))
 	}
 }

@@ -21,9 +21,9 @@ func New() *Observer {
 }
 
 // NewTracing returns an observer with a fresh registry and a tracer
-// buffering up to traceCapacity events (<= 0 selects the default capacity).
-// Buffer overflow surfaces live as the registry's obs.trace.dropped counter,
-// not only in the trace export's summary.
+// retaining the newest traceCapacity events (<= 0 selects the default
+// capacity). Events overwritten in the ring surface live as the registry's
+// obs.trace.dropped counter, not only in the trace export's summary.
 func NewTracing(traceCapacity int) *Observer {
 	reg := NewRegistry()
 	tr := NewTracer(traceCapacity)

@@ -116,7 +116,7 @@ func TestTracerLiveDropCounter(t *testing.T) {
 	o := NewTracing(8) // tiny buffer; NewTracing wires obs.trace.dropped
 	tr := o.Tr()
 	for i := 0; i < 20; i++ {
-		tr.Complete("ev", "test", 0, 0, float64(i), 1, nil)
+		tr.Complete("ev", "test", 0, 0, float64(i), 1, Args{})
 	}
 	if got := tr.Dropped(); got != 12 {
 		t.Fatalf("Dropped = %d, want 12", got)

@@ -27,7 +27,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	o := NewTracing(64)
 	o.Reg().Counter("test.requests").Add(42)
 	o.Reg().Histogram("test.latency_ns").Observe(1000)
-	o.Tr().Complete("kernel", "sim", 0, 0, 0, 10, nil)
+	o.Tr().Complete("kernel", "sim", 0, 0, 0, 10, Args{})
 
 	srv := httptest.NewServer(o.Handler())
 	defer srv.Close()

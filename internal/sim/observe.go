@@ -63,15 +63,15 @@ func (s *Simulator) traceSetup(tr *obs.Tracer) {
 // compute pipeline.
 func (s *Simulator) traceOp(tr *obs.Tracer, idx int, op trace.Op, w opWork,
 	startCy, computeCy, transferCy float64, busy map[arch.Component]float64) {
-	args := map[string]any{"idx": idx, "level": op.Level}
+	args := obs.Args{}.Idx(idx).Level(op.Level)
 	if op.Kind.NeedsKeySwitch() {
-		args["method"] = w.method.String()
+		args = args.Method(w.method.String())
 		if h := op.HoistCount(); h > 1 {
-			args["hoist"] = h
+			args = args.Hoist(h)
 		}
 	}
 	if op.Phase != "" {
-		args["phase"] = op.Phase
+		args = args.Phase(op.Phase)
 	}
 	ts := s.cyclesToMicros(startCy)
 	tr.Complete(op.Kind.String(), "sim.op", TracePIDSimulator, simTIDOps,
@@ -81,11 +81,11 @@ func (s *Simulator) traceOp(tr *obs.Tracer, idx int, op trace.Op, w opWork,
 			continue
 		}
 		tr.Complete(op.Kind.String(), "sim.kernel", TracePIDSimulator, componentTID[c],
-			ts, s.cyclesToMicros(cy), nil)
+			ts, s.cyclesToMicros(cy), obs.Args{})
 	}
 	if transferCy > 0 {
 		tr.Complete("evk", "sim.hbm", TracePIDSimulator, simTIDHBM,
-			ts, s.cyclesToMicros(transferCy), map[string]any{"idx": idx})
+			ts, s.cyclesToMicros(transferCy), obs.Args{}.Idx(idx))
 	}
 }
 

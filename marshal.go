@@ -15,13 +15,22 @@ import (
 // Serialize writes the ciphertext to w in the package's versioned binary wire
 // format (tagged header, level, scale, then the RNS coefficient rows of both
 // components). Because ciphertext polynomials are arena-backed (one contiguous
-// []uint64 per poly, rows in limb order), each component is emitted as a
-// single encoding/binary pass over its backing — the wire bytes are identical
-// to the historical per-row encoding. The format is what the fastd serving
+// []uint64 per poly, rows in limb order), each component is emitted as one
+// little-endian pass over its backing — the wire bytes are identical to the
+// historical per-row encoding. The format is what the fastd serving
 // daemon moves over HTTP; ReadCiphertext is the inverse.
 func (c *Ciphertext) Serialize(w io.Writer) error {
 	return c.ct.Serialize(w)
 }
+
+// WireSize returns the length in bytes of the ciphertext's wire form.
+func (c *Ciphertext) WireSize() int { return c.ct.WireSize() }
+
+// AppendBinary appends the ciphertext's wire form — the bytes Serialize
+// writes — to dst and returns the extended slice. With cap(dst)-len(dst) >=
+// WireSize() it allocates nothing; the serving daemon encodes into pooled
+// buffers this way.
+func (c *Ciphertext) AppendBinary(dst []byte) []byte { return c.ct.AppendBinary(dst) }
 
 // ReadCiphertext reads a ciphertext in the Serialize wire format and
 // validates it against the context's parameters: level within the chain, limb
@@ -31,6 +40,18 @@ func (c *Ciphertext) Serialize(w io.Writer) error {
 // broken handle.
 func (c *Context) ReadCiphertext(r io.Reader) (*Ciphertext, error) {
 	ct, err := ckks.ReadCiphertext(r, c.params)
+	if err != nil {
+		return nil, err
+	}
+	return &Ciphertext{ct}, nil
+}
+
+// ReadCiphertextBytes is ReadCiphertext over wire bytes already in memory:
+// same validation, same errors, no reader and no intermediate copy. Like a
+// stream read it stops at the end of the ciphertext (trailing bytes are not
+// looked at). b is not retained — the caller may reuse it on return.
+func (c *Context) ReadCiphertextBytes(b []byte) (*Ciphertext, error) {
+	ct, err := ckks.ReadCiphertextBytes(b, c.params)
 	if err != nil {
 		return nil, err
 	}

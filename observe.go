@@ -129,8 +129,9 @@ func RequestIDFromContext(ctx context.Context) string {
 func NewObserver() *Observer { return &Observer{o: obs.New()} }
 
 // NewTracingObserver returns an observer that additionally records spans into
-// a bounded in-memory buffer (capacity events, <= 0 selects the 64k default;
-// overflow drops events and reports the drop count in the export).
+// a bounded in-memory ring of the newest capacity events (<= 0 selects the
+// 64k default; an older event overwritten by a newer one is counted as
+// dropped, in the export and live on obs.trace.dropped).
 func NewTracingObserver(capacity int) *Observer {
 	return &Observer{o: obs.NewTracing(capacity)}
 }

@@ -249,6 +249,78 @@ func TestChaosPlannerHoistReducesModUp(t *testing.T) {
 	}
 }
 
+// TestChaosPlannerMergeIdentity pins what makes two runs' rotation groups
+// one hoisted decomposition: equal InputIDs (the serving layer's digest of
+// the wire bytes — the two runs hold DIFFERENT *Ciphertext values decoded
+// from the same bytes) share one ModUp, different IDs do not, and without
+// IDs the ciphertext pointer decides.
+func TestChaosPlannerMergeIdentity(t *testing.T) {
+	ob := NewObserver()
+	cfg := DefaultConfig()
+	cfg.LogN = 9
+	cfg.Levels = 3
+	cfg.Seed = 11
+	ctx, err := NewContext(cfg, WithObserver(ob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := NewProgram().In("x").
+		Rotate("a", "x", 1).
+		Rotate("b", "x", 2).
+		Add("out", "a", "b").
+		Return("out")
+	plan, err := ctx.Plan(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := ctBytes(t, chaosPlanInputs(ctx, t, 5)["x"])
+	decode := func() map[string]*Ciphertext {
+		ct, err := ctx.ReadCiphertextBytes(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string]*Ciphertext{"x": ct}
+	}
+	want, err := ctx.ExecuteSequential(context.Background(), plan, decode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	modUps := func() uint64 {
+		return ob.Metrics().Histograms["ckks.keyswitch.hybrid.modup_ns"].Count +
+			ob.Metrics().Histograms["ckks.keyswitch.klss.modup_ns"].Count
+	}
+	id := func(s string) map[string]string { return map[string]string{"x": s} }
+	shared := decode()
+	for _, tc := range []struct {
+		name string
+		runs []*Run
+		want uint64
+	}{
+		{"equal IDs, distinct ciphertexts", []*Run{{Inputs: decode(), InputIDs: id("digest-1")}, {Inputs: decode(), InputIDs: id("digest-1")}}, 1},
+		{"different IDs", []*Run{{Inputs: decode(), InputIDs: id("digest-1")}, {Inputs: decode(), InputIDs: id("digest-2")}}, 2},
+		{"no IDs, one ciphertext", []*Run{{Inputs: shared}, {Inputs: shared}}, 1},
+		{"no IDs, distinct ciphertexts", []*Run{{Inputs: decode()}, {Inputs: decode()}}, 2},
+		{"an ID never matches a pointer", []*Run{{Inputs: shared, InputIDs: id(fmt.Sprintf("%p", shared["x"]))}, {Inputs: shared}}, 2},
+	} {
+		for _, r := range tc.runs {
+			r.Plan = plan
+		}
+		before := modUps()
+		ctx.ExecuteBatch(tc.runs)
+		if got := modUps() - before; got != tc.want {
+			t.Errorf("%s: %d ModUps, want %d", tc.name, got, tc.want)
+		}
+		for i, r := range tc.runs {
+			if r.Err != nil {
+				t.Fatalf("%s: run %d: %v", tc.name, i, r.Err)
+			}
+			if !bytes.Equal(ctBytes(t, r.Out), ctBytes(t, want)) {
+				t.Errorf("%s: run %d is not bit-identical to the sequential reference", tc.name, i)
+			}
+		}
+	}
+}
+
 // TestChaosPlannerBatchCancellation: a pre-canceled run inside a batch fails
 // with ErrCanceled while its batchmates complete bit-exactly — per-request
 // cancellation survives micro-batching.
