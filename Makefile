@@ -70,14 +70,19 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSessionSnapshot -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzProgramPlan -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzEvalEnvelope -fuzztime 10s ./cmd/fastd
+	$(GO) test -run '^$$' -fuzz FuzzIdemRing -fuzztime 10s ./cmd/fastd
 
 # Observability smoke gate: boot the real fastd through run(), drive one
 # evaluation with a pinned request ID, and assert every surface's contract —
 # access-log JSON schema, /debug/requests shape, /metrics Prometheus-text
 # validity (incl. the serve.latency.p* quantile gauges), /readyz quantiles,
-# request-ID attribution on both HTTP and evaluator trace spans, and — after
-# more than 64k spans — a trace export that is the newest ring-full, not empty
-# and not the first 64k.
+# request-ID attribution on both HTTP and evaluator trace spans, the restore
+# phase histograms and the idempotency counters (fastd.idem.conflicts and
+# .replay_mismatch exported; the body journal's counters and
+# fastd.restore.journal_index_ns gone), and — after more than 64k spans, every
+# one of those requests keyed — a trace export that is the newest ring-full,
+# not empty and not the first 64k, beside a .idem no larger than magic +
+# IdemCap slots.
 obs-smoke:
 	$(GO) test -race -run TestObsSmoke -v ./cmd/fastd
 
@@ -149,7 +154,22 @@ vet: loc
 # ciphertextResponse (now test-only references) and the traceEvents constant.
 # The codec stays in cmd/fastd, where the count sees it; ROADMAP 5a/5b are
 # what take the budget back down.
-FASTD_LOC_MAX ?= 3515
+#
+# 3515 -> 3189 (PR 25, ROADMAP 5b): the idempotency journal keeps a digest
+# record per key instead of the response body (3474 -> 3189 lines). Went:
+# indexJournal 83 (frame walk + torn-tail truncate), compactJournal 52,
+# appendFrame + appendFrameRetry 41, readBody 21 (lazy pread), compactIfDue
+# 20, writeFrame 19, parseFrame 17, putFrameHeader 10, restoreJournal 10, the
+# journal / journalFrame types and the store's writer-state map 36, the LRU
+# idemEntry table 128, the body-keeping recorder 32, lifecycle.go's replay
+# section (withIdempotency, writeRecorded, recordIdem) 95, and the session's
+# idem/journal fields, the journal restore phase, the evict compaction and
+# sendRendered's hand-over branch. Came in (idem.go, 381 lines with
+# comments): the 84-byte record and ring parse 76, the per-ID table 97 (its
+# write lock keeps a DELETE from racing a slot write), one-read load and
+# in-place slot write 61, withIdempotency 72 (422 on key reuse, re-execution
+# checked against the record), the pooled recorder 28.
+FASTD_LOC_MAX ?= 3189
 
 loc:
 	@echo "root package: $$(ls *.go | grep -v _test.go | xargs cat | wc -l) non-test lines"

@@ -2,15 +2,13 @@ package main
 
 // Crash-point enumeration for the restore path's writes (ROADMAP item 4b):
 // instead of sampling with random SIGKILLs, a hook at every durability
-// boundary of the epoch write, the journal append, the torn-tail truncate and
-// the frame-copy compaction captures the state dir exactly as a kill at that
-// instant would leave it. A fresh daemon on the captured dir must recover the
-// session, replay every response that had been released, and never reuse a
-// randomness epoch.
+// boundary of the epoch write and the idempotency record write captures the
+// state dir exactly as a kill at that instant would leave it. A fresh daemon
+// on the captured dir must recover the session, replay every keyed eval whose
+// response had been released, and never reuse a randomness epoch.
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -24,8 +22,6 @@ import (
 var crashPoints = []string{
 	"epoch.create-tmp", "epoch.write", "epoch.fsync", "epoch.rename", "epoch.dir-fsync",
 	"journal.write", "journal.fsync",
-	"journal.truncate", "journal.truncate-fsync",
-	"compact.create-tmp", "compact.write", "compact.fsync", "compact.rename", "compact.dir-fsync",
 }
 
 const crashIdemCap = 4
@@ -123,18 +119,17 @@ func newCrashDaemon(t *testing.T, dir string, c *crashRig) (*daemon, *httptest.S
 }
 
 // crashModel is what the outside world knows about one session across a
-// chain of daemons: every response it was handed, and every epoch it saw
-// served.
+// chain of daemons: every keyed eval response it was handed, and every epoch
+// it saw served.
 type crashModel struct {
 	id       string
-	vals     []cnum
-	refCT    string // a ciphertext from before any crash...
+	refCT    string // a ciphertext from before any crash: every eval's input...
 	refPlain []byte // ...and the decrypt response it must keep producing
 	nextKey  int
 	released []crashReleased
 	lastSess *session          // the residency (create or restore) that served the last response
 	epochs   []uint64          // the epoch of every residency observed serving, in order
-	firstCT  map[string]uint64 // first executed /encrypt response of a residency -> its epoch
+	firstCT  map[string]uint64 // first /encrypt response of a residency -> its epoch
 }
 
 type crashReleased struct {
@@ -144,25 +139,39 @@ type crashReleased struct {
 
 func (m *crashModel) create(t *testing.T, d *daemon, base string) {
 	t.Helper()
-	sr := createSession(t, base, testSessionRequest())
-	m.id, m.vals, m.firstCT = sr.ID, fromComplex([]complex128{1, 2i, -3, 0.5}), map[string]uint64{}
-	m.encrypt(t, d, base, nil) // epoch 0's first draw
-	var cr ciphertextResponse
-	if err := json.Unmarshal(m.released[0].body, &cr); err != nil {
-		t.Fatal(err)
-	}
-	m.refCT = cr.Ciphertext
+	m.id, m.firstCT = createSession(t, base, testSessionRequest()).ID, map[string]uint64{}
+	m.refCT = m.residency(t, d, base)
 	_, m.refPlain = doJSON(t, http.MethodPost, base+"/v1/sessions/"+m.id+"/decrypt", nil, decryptRequest{Ciphertext: m.refCT}, nil)
 }
 
-// encrypt posts a keyed encrypt under a never-used key. It reports false —
-// and records nothing — if the crash instant fell inside the request: in the
+// residency records the residency now serving the session: its epoch must be
+// strictly above every earlier one, and its first /encrypt — drawn here —
+// must differ from every earlier residency's. It returns that ciphertext.
+func (m *crashModel) residency(t *testing.T, d *daemon, base string) string {
+	t.Helper()
+	sess := residentSession(d, m.id)
+	epoch, n := sess.meta.Restores, len(m.epochs)
+	if n > 0 && epoch <= m.epochs[n-1] {
+		t.Fatalf("restore epoch went %d -> %d: not strictly increasing", m.epochs[n-1], epoch)
+	}
+	ct := encryptValues(t, base, m.id, []complex128{1, 2i, -3, 0.5}).Ciphertext
+	if prev, dup := m.firstCT[ct]; dup {
+		t.Fatalf("epochs %d and %d produced the same first /encrypt ciphertext: encryption randomness replayed", prev, epoch)
+	}
+	m.epochs = append(m.epochs, epoch)
+	m.firstCT[ct] = epoch
+	m.lastSess = sess
+	return ct
+}
+
+// eval posts a keyed eval under a never-used key. It reports false — and
+// records nothing — if the crash instant fell inside the request: in the
 // simulated world that response was never delivered.
-func (m *crashModel) encrypt(t *testing.T, d *daemon, base string, c *crashRig) bool {
+func (m *crashModel) eval(t *testing.T, d *daemon, base string, c *crashRig) bool {
 	t.Helper()
 	key := fmt.Sprintf("k%d", m.nextKey)
 	m.nextKey++
-	body, replayed := keyedEncrypt(t, base, m.id, key, m.vals)
+	body, replayed := keyedEval(t, base, m.id, key, m.refCT)
 	if c != nil && c.fired() {
 		return false
 	}
@@ -170,32 +179,20 @@ func (m *crashModel) encrypt(t *testing.T, d *daemon, base string, c *crashRig) 
 		t.Fatalf("fresh key %s was answered with a replay", key)
 	}
 	m.released = append(m.released, crashReleased{key, body})
-	// A new session object means a restore happened since the last response:
-	// it must have landed on a higher epoch and drawn fresh randomness.
-	if sess := residentSession(d, m.id); sess != m.lastSess {
-		epoch, n := sess.meta.Restores, len(m.epochs)
-		if n > 0 && epoch <= m.epochs[n-1] {
-			t.Fatalf("restore epoch went %d -> %d: not strictly increasing", m.epochs[n-1], epoch)
-		}
-		if prev, dup := m.firstCT[string(body)]; dup {
-			t.Fatalf("epochs %d and %d produced the same first /encrypt ciphertext: encryption randomness replayed", prev, epoch)
-		}
-		m.epochs = append(m.epochs, epoch)
-		m.firstCT[string(body)] = epoch
-		m.lastSess = sess
+	// A new session object means a restore happened since the last response.
+	if residentSession(d, m.id) != m.lastSess {
+		m.residency(t, d, base)
 	}
 	return true
 }
 
-// run drives evict/restore rounds until the rig fires: keyed encrypts past
-// the dedup window (so evicts compact), an evict, a torn tail for the next
-// restore to truncate.
+// run drives evict/restore rounds until the rig fires: keyed evals past the
+// dedup window (so the ring wraps), then an evict.
 func (m *crashModel) run(t *testing.T, d *daemon, base string, c *crashRig) {
 	t.Helper()
-	path := filepath.Join(c.src, m.id+".idem")
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 3; i++ {
-			if !m.encrypt(t, d, base, c) {
+			if !m.eval(t, d, base, c) {
 				return
 			}
 		}
@@ -203,29 +200,18 @@ func (m *crashModel) run(t *testing.T, d *daemon, base string, c *crashRig) {
 		if c.fired() {
 			return
 		}
-		tail := bytes.Repeat([]byte{0xff}, 7) // not even a header
-		if round%2 == 1 {
-			tail = append(make([]byte, 11), 0x7f, 1, 2, 3, 4, 'x') // a header whose extent passes EOF
-		}
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(tail); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
 	}
-	// One more restore so the last round's torn tail and evict are exercised.
-	m.encrypt(t, d, base, c)
+	// One more restore so the last round's evict is exercised.
+	m.eval(t, d, base, c)
 }
 
 // verify holds a daemon started on a crash-instant disk to the contract:
-// the session recovers (never a wrong decrypt), and every response inside
-// the dedup window that had been released replays byte for byte. The newest
-// window slot may be taken by the request the crash interrupted after its
-// frame was written, so IdemCap-1 keys are guaranteed.
-func (m *crashModel) verify(t *testing.T, base string) {
+// the session recovers (never a wrong decrypt), and every keyed eval inside
+// the dedup window whose response had been released replays — marked, and
+// counted by fastd.idem.replays — with the bytes released before the crash.
+// The newest window slot may be taken by the request the crash interrupted
+// after its record was written, so IdemCap-1 keys are guaranteed.
+func (m *crashModel) verify(t *testing.T, d *daemon, base string) {
 	t.Helper()
 	status, plain := doJSON(t, http.MethodPost, base+"/v1/sessions/"+m.id+"/decrypt", nil, decryptRequest{Ciphertext: m.refCT}, nil)
 	if status != http.StatusOK {
@@ -236,9 +222,10 @@ func (m *crashModel) verify(t *testing.T, base string) {
 	}
 	from := max(0, len(m.released)-(crashIdemCap-1))
 	for _, r := range m.released[from:] {
-		body, replayed := keyedEncrypt(t, base, m.id, r.key, m.vals)
-		if !replayed {
-			t.Fatalf("key %s: its response had been released, but the retry re-executed", r.key)
+		replays := d.mIdemReplays.Value()
+		body, replayed := keyedEval(t, base, m.id, r.key, m.refCT)
+		if !replayed || d.mIdemReplays.Value() != replays+1 {
+			t.Fatalf("key %s: its response had been released, but the retry was not a replay", r.key)
 		}
 		if !bytes.Equal(body, r.body) {
 			t.Fatalf("key %s: replay differs from the released response", r.key)
@@ -259,24 +246,24 @@ func TestCrashPointsRecoverAndReplay(t *testing.T) {
 			m.run(t, dA, tsA.URL, c)
 			c.mustHaveFired(t)
 			dB, tsB := newCrashDaemon(t, c.dst, nil)
-			m.verify(t, tsB.URL)
-			// A fresh encrypt checks the epoch moved strictly up and drew
+			m.verify(t, dB, tsB.URL)
+			// A fresh eval checks the epoch moved strictly up and drew
 			// fresh randomness.
-			m.encrypt(t, dB, tsB.URL, nil)
+			m.eval(t, dB, tsB.URL, nil)
 		})
 	}
 }
 
-// TestCrashLoopEpochStrictlyIncreasing chains 26 kill/restart cycles, each
-// dying at the next boundary in turn (second hit on the second lap), with
-// evict/restore rounds in between. Across the whole chain the restore epoch
-// only ever goes up, no two epochs produce the same first /encrypt bytes,
-// and every daemon replays what its predecessors released.
+// TestCrashLoopEpochStrictlyIncreasing chains two laps of kill/restart
+// cycles, each dying at the next boundary in turn (second hit on the second
+// lap), with evict/restore rounds in between. Across the whole chain the
+// restore epoch only ever goes up, no two epochs produce the same first
+// /encrypt bytes, and every daemon replays what its predecessors released.
 func TestCrashLoopEpochStrictlyIncreasing(t *testing.T) {
 	root := t.TempDir()
 	m := &crashModel{}
 	dir := filepath.Join(root, "0")
-	const cycles = 26
+	cycles := 2 * len(crashPoints)
 	for cycle := 0; cycle < cycles; cycle++ {
 		c := &crashRig{
 			point: crashPoints[cycle%len(crashPoints)],
@@ -288,7 +275,7 @@ func TestCrashLoopEpochStrictlyIncreasing(t *testing.T) {
 		if cycle == 0 {
 			m.create(t, d, ts.URL)
 		} else {
-			m.verify(t, ts.URL)
+			m.verify(t, d, ts.URL)
 		}
 		c.arm()
 		m.run(t, d, ts.URL, c)
@@ -296,8 +283,8 @@ func TestCrashLoopEpochStrictlyIncreasing(t *testing.T) {
 		ts.Close()
 		dir = c.dst
 	}
-	_, ts := newCrashDaemon(t, dir, nil)
-	m.verify(t, ts.URL)
+	d, ts := newCrashDaemon(t, dir, nil)
+	m.verify(t, d, ts.URL)
 	if len(m.epochs) < cycles {
 		t.Fatalf("only %d distinct epochs observed over %d crash cycles", len(m.epochs), cycles)
 	}

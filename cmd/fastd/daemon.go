@@ -54,7 +54,8 @@ type daemonConfig struct {
 	// SessionTTL evicts sessions idle longer than this to disk (0 disables;
 	// requires StateDir).
 	SessionTTL time.Duration
-	// IdemCap bounds each session's idempotency dedup table (0 = 512).
+	// IdemCap is each session's idempotency window: its last IdemCap keyed
+	// requests are remembered (0 = 512).
 	IdemCap int
 	// EvkBudget bounds the process-wide shared evaluation-key tier in bytes
 	// (0 = 256 MiB; negative disables retention but keeps accounting).
@@ -96,7 +97,7 @@ func (c daemonConfig) withDefaults() daemonConfig {
 		c.MaxResident = c.MaxSessions
 	}
 	if c.IdemCap <= 0 {
-		c.IdemCap = idemTableCap
+		c.IdemCap = 512
 	}
 	if c.EvkBudget == 0 {
 		c.EvkBudget = 256 << 20
@@ -120,20 +121,16 @@ func (c daemonConfig) withDefaults() daemonConfig {
 }
 
 // session is one client keyspace: a fast.Context plus the bookkeeping the
-// admission layer needs (cost parameters) and the
-// durability layer adds (snapshot metadata, idempotency table). Where it lives
-// — which shard, how recently used, whether the disk describes it — is the
-// registry's to know, not the session's.
+// admission layer needs (cost parameters) and the durability layer adds
+// (snapshot metadata). Where it lives — which shard, how recently used,
+// whether the disk describes it — is the registry's to know, not the
+// session's; its idempotency table is the daemon's, by ID.
 type session struct {
 	id    string
 	ctx   *fast.Context
 	cm    costmodel.Params
 	plans *planCache // compiled-plan LRU keyed by Plan fingerprint
 	meta  fast.SessionMeta
-	idem  *idemTable
-	// journal is the on-disk twin of idem (nil without a state dir): the
-	// store's writer state for <id>.idem — append offset and frame count.
-	journal *journal
 }
 
 // daemon is the fastd HTTP server: N failure-isolated shards behind one
@@ -161,6 +158,10 @@ type daemon struct {
 	nextID   atomic.Uint64
 	draining atomic.Bool
 
+	// idem holds each session ID's idempotency table (idem.go).
+	idemMu sync.Mutex
+	idem   map[string]*idemTable
+
 	sweepStop chan struct{}
 	sweepDone chan struct{}
 	stopOnce  sync.Once
@@ -177,6 +178,8 @@ type daemon struct {
 	mCorrupt       *obs.Counter
 	mIdemReplays   *obs.Counter
 	mIdemRecorded  *obs.Counter
+	mIdemConflicts *obs.Counter
+	mIdemMismatch  *obs.Counter
 	mShardMigrated *obs.Counter
 	mShardLost     *obs.Counter
 	mShardDown     *obs.Counter
@@ -193,6 +196,7 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		sessions: sessreg.New[*session](cfg.MaxSessions, splitResident(cfg.MaxResident, cfg.Shards)),
 		ring:     shardpkg.NewRing(cfg.Shards, 0),
 		evk:      fast.NewEvkCache(cfg.EvkBudget, cfg.Observer),
+		idem:     map[string]*idemTable{},
 	}
 	if reg != nil {
 		d.mRequests = reg.Counter("fastd.requests")
@@ -207,6 +211,8 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		d.mCorrupt = reg.Counter("sessions.corrupt")
 		d.mIdemReplays = reg.Counter("fastd.idem.replays")
 		d.mIdemRecorded = reg.Counter("fastd.idem.recorded")
+		d.mIdemConflicts = reg.Counter("fastd.idem.conflicts")
+		d.mIdemMismatch = reg.Counter("fastd.idem.replay_mismatch")
 		d.mShardMigrated = reg.Counter("fastd.shard.sessions_migrated")
 		d.mShardLost = reg.Counter("fastd.shard.sessions_lost")
 		d.mShardDown = reg.Counter("fastd.shard.down_refusals")
@@ -460,18 +466,13 @@ func (d *daemon) sessionOptions(id string, sh *evalShard) []fast.Option {
 
 // newSession wraps a keyed Context in the state serving it needs.
 func (d *daemon) newSession(fctx *fast.Context, logN int, meta fast.SessionMeta) *session {
-	s := &session{
+	return &session{
 		id:    meta.ID,
 		ctx:   fctx,
 		cm:    costmodel.ForContext(logN, fctx.MaxLevel()),
 		plans: newPlanCache(planCacheCap, d.mPlanHits, d.mPlanMisses),
-		idem:  newIdemTable(d.cfg.IdemCap),
 		meta:  meta,
 	}
-	if d.store != nil {
-		s.journal = d.store.journal(meta.ID)
-	}
-	return s
 }
 
 func (d *daemon) handleCreateSession(w http.ResponseWriter, r *http.Request) {
@@ -564,6 +565,7 @@ func (d *daemon) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	if was == sessreg.Resident {
 		d.mPlanEvicted.Add(uint64(s.plans.drop()))
 	}
+	d.dropIdem(id)
 	if d.store != nil {
 		d.store.remove(id)
 	}
@@ -602,33 +604,34 @@ func (d *daemon) handleEncrypt(w http.ResponseWriter, r *http.Request) {
 		d.writeAdmissionError(w, r, err)
 		return
 	}
-	d.withIdempotency(w, r, sess, func(w http.ResponseWriter) {
-		var req encryptRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		obsReq := obs.RequestFrom(r.Context())
-		obsReq.SetSession(sess.id)
-		obsReq.SetUnits(sess.cm.PassUnits())
-		ctx, cancel := requestContext(r)
-		defer cancel()
+	// Encryption draws from the session's sampler stream: it is not a pure
+	// function of the request, and it changes nothing a client can observe, so
+	// an Idempotency-Key is ignored here and a retry is a fresh encryption.
+	var req encryptRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	obsReq := obs.RequestFrom(r.Context())
+	obsReq.SetSession(sess.id)
+	obsReq.SetUnits(sess.cm.PassUnits())
+	ctx, cancel := requestContext(r)
+	defer cancel()
 
-		var resp *[]byte
-		err := sh.srv.Do(ctx, serve.Op{Name: "encrypt", Units: sess.cm.PassUnits()}, func(ctx context.Context) error {
-			ct, err := sess.ctx.Encrypt(toComplex(req.Values))
-			if err != nil {
-				return err
-			}
-			resp = renderCiphertext(ct)
-			return nil
-		})
+	var resp *[]byte
+	err = sh.srv.Do(ctx, serve.Op{Name: "encrypt", Units: sess.cm.PassUnits()}, func(ctx context.Context) error {
+		ct, err := sess.ctx.Encrypt(toComplex(req.Values))
 		if err != nil {
-			d.writeAdmissionError(w, r, err)
-			return
+			return err
 		}
-		sendRendered(w, resp)
+		resp = renderCiphertext(ct)
+		return nil
 	})
+	if err != nil {
+		d.writeAdmissionError(w, r, err)
+		return
+	}
+	sendRendered(w, resp)
 }
 
 type decryptResponse struct {
@@ -686,12 +689,14 @@ func (d *daemon) handleEval(w http.ResponseWriter, r *http.Request) {
 		d.writeAdmissionError(w, r, err)
 		return
 	}
-	d.withIdempotency(w, r, sess, func(w http.ResponseWriter) {
-		body, err := readRequestBody(r)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
+	// A body that did not arrive whole says nothing about the request: it is
+	// answered before the idempotency layer, so no key ever records it.
+	body, err := readRequestBody(r)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
+	d.withIdempotency(w, r, sess.id, *body, func(w http.ResponseWriter) {
 		obsReq := obs.RequestFrom(r.Context())
 		obsReq.SetSession(sess.id)
 		obsReq.SetPhase(obs.PhasePlanning)
@@ -741,6 +746,8 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc) {
 //	408 Request Timeout     canceled/deadline mid-flight
 //	404 Not Found           session unknown (neither resident nor on disk)
 //	410 Gone                session snapshot corrupt: unrecoverable, re-create
+//	422 Unprocessable       Idempotency-Key reused for a different request
+//	                        (withIdempotency; never recorded)
 //	500 Internal            panic (isolated) or evaluation failure
 //
 // The rung is also recorded as the request's outcome, so the access log names

@@ -24,14 +24,13 @@ import (
 // and does not change here; what this file removes is every pass over those
 // quarter-megabyte strings that is not the one base64 pass itself. A body is
 // read once, scanned in place and decoded straight out of the body slice; a
-// response is rendered once into the buffer that is sent (and journaled).
+// response is rendered once into the buffer that is sent.
 //
 // Pooled buffers, and who returns each (DESIGN.md "Envelope" has the table):
 // the handler returns the request body once the envelope is compiled (nothing
 // compiled views it); readCiphertext and renderCiphertext return their
 // wire-format scratch themselves; sendRendered returns a response after its
-// single Write — unless the idempotency recorder took it, in which case the
-// journal and the idempotency table own it and it is never returned. A
+// single Write, and the idempotency recorder its copy once that is sent. A
 // dropped buffer is only garbage; the failure to fear is a use after return,
 // so under `go test` a returned buffer is first overwritten with 0xA5 and the
 // byte-identity suites fail on any such use.
@@ -435,15 +434,9 @@ func appendJSONFloat(b []byte, f float64) []byte {
 const jsonContentType = "application/json; charset=utf-8"
 
 // sendRendered sends a 200 whose body renderCiphertext built: with its
-// Content-Length, in one Write, then the buffer goes back to its pool. The
-// idempotency recorder instead takes the buffer over as the recorded body
-// (see the ownership table above).
+// Content-Length, in one Write, then the buffer goes back to its pool.
 func sendRendered(w http.ResponseWriter, body *[]byte) {
 	w.Header().Set("Content-Type", jsonContentType)
-	if rr, ok := w.(*responseRecorder); ok {
-		rr.body = *body
-		return
-	}
 	w.Header().Set("Content-Length", strconv.Itoa(len(*body)))
 	_, _ = w.Write(*body) // a failed write is the client's disconnect
 	respBufs.put(body)

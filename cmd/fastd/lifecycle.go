@@ -3,12 +3,9 @@ package main
 import (
 	"errors"
 	"fmt"
-	"net/http"
-	"strconv"
 	"time"
 
 	fast "github.com/fastfhe/fast"
-	"github.com/fastfhe/fast/internal/obs"
 	sessreg "github.com/fastfhe/fast/internal/session"
 	shardpkg "github.com/fastfhe/fast/internal/shard"
 )
@@ -103,16 +100,13 @@ func (d *daemon) restoreInto(sh *evalShard, id string) (*session, error) {
 }
 
 // restoreSession rebuilds one session from disk at the cost of one snapshot
-// read plus one small read per journal frame:
+// read (the idempotency table belongs to the ID and is not touched):
 //
 //   - the snapshot is read and its full SHA-256 verified (every restore), and
 //     the restore epoch is taken as 1 + max(snapshot header, epoch sidecar) —
 //     a fresh encryptor randomness epoch, because a restored session must
 //     never replay pre-crash encryption randomness;
 //   - keys are expanded against the deterministically recompiled parameters;
-//   - the idempotency table is rebuilt from the journal's index (keys and
-//     frame extents, no bodies), and the journal is compacted only if the
-//     walk found more than the table's bounded window holds;
 //   - the new epoch is made durable in the sidecar — the snapshot itself is
 //     not rewritten — BEFORE the session is returned, so the next crash also
 //     lands on a fresh epoch. If that write degrades the session still serves,
@@ -140,10 +134,6 @@ func (d *daemon) restoreSession(sh *evalShard, id string) (s *session, durable b
 
 	sess := d.newSession(fctx, snap.Config.LogN, snap.Meta)
 	t0 = time.Now()
-	st.restoreJournal(sess.journal, sess.idem)
-	st.mJournalIndex.ObserveSince(t0)
-
-	t0 = time.Now()
 	durable = st.saveEpoch(id, sess.meta.Restores) == nil
 	st.mEpochWrite.ObserveSince(t0)
 	return sess, durable, nil
@@ -165,22 +155,16 @@ func (d *daemon) enforceResident(sh *evalShard) {
 }
 
 // evictSession releases one resident session to disk: snapshot if the disk
-// does not already describe it, journal compaction if the file holds more
-// than the bounded in-memory window (usually it does not, and nothing is
-// written), then the registry's resident→persisted move and plan-cache drop.
-// Returns false when the session could not be persisted — losing key
-// material to enforce a memory bound is never acceptable, so the session
-// stays resident (counted via fastd.store.write_failures).
+// does not already describe it, then the registry's resident→persisted move
+// and plan-cache drop. Returns false when the session could not be persisted
+// — losing key material to enforce a memory bound is never acceptable, so the
+// session stays resident (counted via fastd.store.write_failures).
 func (d *daemon) evictSession(v sessreg.View[*session]) bool {
 	defer d.store.mEvict.ObserveSince(time.Now())
 	victim := v.Payload
 	if !v.Durable && d.store.saveSnapshot(victim.ctx, victim.meta) != nil {
 		return false
 	}
-	victim.journal.mu.Lock()
-	d.store.compactIfDue(victim.journal, victim.idem)
-	victim.journal.mu.Unlock()
-
 	if !d.sessions.Evict(v.ID, victim) {
 		return true // a concurrent evict, delete or fence already claimed it
 	}
@@ -212,100 +196,4 @@ func (d *daemon) sweepIdle() {
 			d.evictSession(v)
 		}
 	}
-}
-
-// ---- Idempotent replay -----------------------------------------------------
-
-// withIdempotency gives mutating endpoints exactly-once semantics keyed by
-// the client's Idempotency-Key header:
-//
-//   - the first request for a key executes and its deterministic outcome
-//     (200/400/404) is journaled — fsync'd — BEFORE the response is released;
-//   - concurrent duplicates coalesce onto the first execution and replay its
-//     outcome (marked Idempotency-Replayed: true);
-//   - retries after a daemon crash replay from the journal rebuilt on session
-//     restore: ordering guarantees a recorded response was durable first, so
-//     "client saw a reply" implies "a retry replays that same reply";
-//   - transient ladder outcomes (429/503/504/408/500) are never recorded —
-//     the retry they invite must re-execute.
-//
-// Requests without the header bypass the table entirely.
-func (d *daemon) withIdempotency(w http.ResponseWriter, r *http.Request, sess *session, h func(w http.ResponseWriter)) {
-	key := r.Header.Get("Idempotency-Key")
-	if key == "" {
-		h(w)
-		return
-	}
-	for {
-		e, owner := sess.idem.begin(key)
-		if !owner {
-			select {
-			case <-e.done:
-			case <-r.Context().Done():
-				d.writeAdmissionError(w, r, fmt.Errorf("awaiting idempotent duplicate: %w", fast.ErrCanceled))
-				return
-			}
-			if e.status == 0 {
-				continue // original execution was abandoned (transient): retry owns it now
-			}
-			body := e.body
-			if body == nil && sess.journal != nil {
-				// Index-only entry of a restored session: fetch the body now.
-				var ok bool
-				if body, ok = d.store.readBody(sess.journal, e); !ok {
-					// Never serve an unverifiable record: it is no record.
-					d.store.mCRCMismatch.Inc()
-					d.logger.Warn("idempotency journal record failed verification; re-executing", "session", sess.id, "key", key)
-					sess.idem.forget(e)
-					continue
-				}
-			}
-			d.mIdemReplays.Inc()
-			obs.RequestFrom(r.Context()).SetOutcome("idem_replay")
-			w.Header().Set("Content-Type", jsonContentType)
-			w.Header().Set("Idempotency-Replayed", "true")
-			writeRecorded(w, e.status, body)
-			return
-		}
-
-		rr := newResponseRecorder()
-		h(rr)
-		if rr.recordable() {
-			d.recordIdem(sess, e, rr)
-			d.mIdemRecorded.Inc()
-		} else {
-			sess.idem.abandon(e)
-		}
-		for k, vs := range rr.header {
-			for _, v := range vs {
-				w.Header().Add(k, v)
-			}
-		}
-		writeRecorded(w, rr.status, rr.body)
-		return
-	}
-}
-
-// writeRecorded releases a recorded outcome — first answer or replay — with
-// its Content-Length, in one Write.
-func writeRecorded(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
-// recordIdem journals a recordable outcome and completes its table entry.
-// Durability BEFORE release: the frame is fsync'd before complete() lets the
-// owner or any waiter observe the response, so a post-crash retry finds its
-// record. Append and complete happen under the journal's mutex so that a
-// compaction never sees the frame without the entry that owns it.
-func (d *daemon) recordIdem(sess *session, e *idemEntry, rr *responseRecorder) {
-	if sess.journal == nil {
-		sess.idem.complete(e, rr.status, rr.body, 0, 0)
-		return
-	}
-	sess.journal.mu.Lock()
-	defer sess.journal.mu.Unlock()
-	off, n := d.store.appendFrameRetry(sess.journal, e.key, rr.status, rr.body)
-	sess.idem.complete(e, rr.status, rr.body, off, n)
 }

@@ -8,10 +8,11 @@
 // With -state-dir set, fastd is crash-safe: sessions are write-ahead
 // snapshotted (fsync + atomic rename) before the create response, restored
 // lazily after a restart, LRU-evicted to disk past -max-resident-sessions or
-// after -session-ttl idle, and requests carrying an Idempotency-Key header
-// are exactly-once across restarts (completed outcomes are journaled before
-// release and replayed to retries). Corrupt snapshots are detected by
-// checksum, skipped with a 410 and counted — never restored.
+// after -session-ttl idle, and an eval carrying an Idempotency-Key header is
+// exactly-once across restarts: a digest record of it is fsync'd before
+// release, and a retry of the same request re-executes and is marked
+// Idempotency-Replayed when its bytes match (/encrypt ignores the header).
+// Corrupt snapshots are detected by checksum, skipped with a 410 and counted.
 //
 // Endpoints:
 //

@@ -24,8 +24,10 @@ import (
 // serves the in-flight table shape, /metrics is valid Prometheus text with
 // the latency quantile gauges, /readyz carries the same quantiles, and the
 // Chrome trace attributes HTTP and kernel spans to that one request ID, a
-// restore's time decomposes into the fastd.restore.*_ns phase histograms, and
-// after more spans than the trace ring holds the export carries the newest.
+// restore's time decomposes into the fastd.restore.*_ns phase histograms, the
+// idempotency counters are the ring's, and after more spans than the trace
+// ring holds the export carries the newest while the idempotency ring stays
+// within its IdemCap slots.
 func TestObsSmoke(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "access.log")
 	stateDir := t.TempDir()
@@ -61,8 +63,8 @@ func TestObsSmoke(t *testing.T) {
 		assertReadyzQuantiles(t, base)
 		assertTraceCorrelation(t, base, reqID)
 		assertDebugPlans(t, base, reqID)
-		assertRestoreSignals(t, base, stateDir, sid)
-		assertTraceRing(t, base, sid, ct.Ciphertext, reqID)
+		assertRestoreSignals(t, base, sid, ct.Ciphertext)
+		assertTraceRing(t, base, stateDir, sid, ct.Ciphertext, reqID)
 	}
 
 	var out bytes.Buffer
@@ -230,8 +232,10 @@ func assertTraceCorrelation(t *testing.T, base, reqID string) {
 // library default, 64k) and checks the export is a ring, not a keep-first
 // buffer: it is not empty, its newest span is the last request's, the first
 // eval's spans have been overwritten and counted as dropped, and the track
-// names emitted at startup are still there.
-func assertTraceRing(t *testing.T, base, sid, ct, firstReqID string) {
+// names emitted at startup are still there. Every flood eval is keyed, and
+// the session's idempotency ring grows by exactly one slot per key and never
+// past magic + IdemCap slots.
+func assertTraceRing(t *testing.T, base, stateDir, sid, ct, firstReqID string) {
 	t.Helper()
 	// 512 additions a request: one evaluator span each.
 	prog := fast.NewProgram().In("x")
@@ -243,8 +247,15 @@ func assertTraceRing(t *testing.T, base, sid, ct, firstReqID string) {
 	}
 	body := evalOf(prog.Return(reg), ct)
 	const lastReqID = "obs-smoke-last"
-	for i := 0; i < 130; i++ { // 130 x (512 + 1 http) > 65536
-		hdr := map[string]string{}
+	ring := filepath.Join(stateDir, sid+".idem")
+	fi, err := os.Stat(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size0 := fi.Size()
+	const flood = 130
+	for i := 0; i < flood; i++ { // 130 x (512 + 1 http) > 65536
+		hdr := map[string]string{"Idempotency-Key": fmt.Sprint("flood-", i)}
 		if i == 129 {
 			hdr["X-Request-Id"] = lastReqID
 		}
@@ -290,40 +301,36 @@ func assertTraceRing(t *testing.T, base, sid, ct, firstReqID string) {
 	if got := snap.Counters["obs.trace.dropped"]; got == 0 || float64(got) < trace.Metadata.Dropped {
 		t.Fatalf("obs.trace.dropped = %d, export says %v", got, trace.Metadata.Dropped)
 	}
+	if fi, err = os.Stat(ring); err != nil {
+		t.Fatal(err)
+	}
+	idemCap := daemonConfig{}.withDefaults().IdemCap
+	if want := min(size0+flood*idemSlotLen, int64(len(idemMagic)+idemCap*idemSlotLen)); fi.Size() != want {
+		t.Fatalf("idempotency ring is %d bytes after %d keyed evals, want %d (magic + one slot per key, at most %d slots)",
+			fi.Size(), flood, want, idemCap)
+	}
 }
 
 // assertRestoreSignals drives one session through evict → restore → evict
-// with a damaged journal in between, so that every restore-path signal has
-// something to say, then reads them back from /snapshot.json: the phase
-// histograms that decompose a restore (snapshot load, key expansion, journal
-// index, epoch write), the evict timer beside them, and the three journal
-// health counters (a torn tail truncated, a replay refused on CRC, a
-// compaction that had something to compact).
-func assertRestoreSignals(t *testing.T, base, stateDir, sid string) {
+// with keyed evals on the way, then reads the signals back from
+// /snapshot.json: the three phase histograms that decompose a restore
+// (snapshot load, key expansion, epoch write), the evict timer beside them,
+// and the idempotency counters — a replay across the evict, a key reused for
+// another request, no replay mismatch — with the body journal's counters and
+// its restore phase gone.
+func assertRestoreSignals(t *testing.T, base, sid, ct string) {
 	t.Helper()
-	vals := fromComplex([]complex128{1, 2, 3, 4})
-	keyedEncrypt(t, base, sid, "k0", vals)
-	keyedEncrypt(t, base, sid, "k1", vals)
-	other := createSession(t, base, testSessionRequest()).ID // -max-resident-sessions 1: evicts sid
-
-	frames := journalFrames(t, stateDir, sid)
-	if len(frames) != 2 {
-		t.Fatalf("evicted session's journal holds %d frames, want 2", len(frames))
+	keyedEval(t, base, sid, "k0", ct)
+	keyedEval(t, base, sid, "k1", ct)
+	other := createSession(t, base, testSessionRequest()).ID         // -max-resident-sessions 1: evicts sid
+	if _, replayed := keyedEval(t, base, sid, "k0", ct); !replayed { // restores sid, evicts other
+		t.Fatal("a keyed eval did not replay across evict/restore")
 	}
-	path := filepath.Join(stateDir, sid+".idem")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	reuse := evalOf(fast.NewProgram().In("x").AddConst("y", "x", 1).Return("y"), ct)
+	if status, raw, _ := keyedPost(t, base+"/v1/sessions/"+sid+"/eval", "k1", reuse); status != http.StatusUnprocessableEntity {
+		t.Fatalf("key reused for another request: status %d: %.200s, want 422", status, raw)
 	}
-	raw[frames[0].off+int64(frames[0].n)-5] ^= 0x20                  // k0's body no longer matches its CRC
-	raw = append(raw, "a crash landed in the middle of this app"...) // torn tail
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, replayed := keyedEncrypt(t, base, sid, "k0", vals); replayed { // restores sid, evicts other
-		t.Fatal("a journal record that fails its CRC was replayed")
-	}
-	encryptValues(t, base, other, []complex128{1}) // restores other, evicts sid: 3 frames for 2 keys
+	encryptValues(t, base, other, []complex128{1}) // restores other, evicts sid
 
 	var snap struct {
 		Counters   map[string]uint64 `json:"counters"`
@@ -335,10 +342,7 @@ func assertRestoreSignals(t *testing.T, base, stateDir, sid string) {
 	if status, raw := doJSON(t, http.MethodGet, base+"/snapshot.json", nil, nil, &snap); status != http.StatusOK {
 		t.Fatalf("GET /snapshot.json: status %d: %s", status, raw)
 	}
-	for _, name := range []string{
-		"fastd.restore.snapshot_load_ns", "fastd.restore.expand_ns",
-		"fastd.restore.journal_index_ns", "fastd.restore.epoch_write_ns",
-	} {
+	for _, name := range []string{"fastd.restore.snapshot_load_ns", "fastd.restore.expand_ns", "fastd.restore.epoch_write_ns"} {
 		if h := snap.Histograms[name]; h.Count != 2 || h.Sum <= 0 {
 			t.Fatalf("%s = %+v after two restores, want count 2 and a positive sum", name, h)
 		}
@@ -346,10 +350,18 @@ func assertRestoreSignals(t *testing.T, base, stateDir, sid string) {
 	if h := snap.Histograms["fastd.evict_ns"]; h.Count != 3 || h.Sum <= 0 {
 		t.Fatalf("fastd.evict_ns = %+v after three evicts, want count 3 and a positive sum", h)
 	}
-	for _, name := range []string{"fastd.idem.torn_truncated", "fastd.idem.crc_mismatch", "fastd.idem.compactions"} {
-		if got := snap.Counters[name]; got != 1 {
-			t.Fatalf("%s = %d, want 1", name, got)
+	for name, want := range map[string]uint64{"fastd.idem.replays": 1, "fastd.idem.conflicts": 1, "fastd.idem.replay_mismatch": 0} {
+		if got, ok := snap.Counters[name]; !ok || got != want {
+			t.Fatalf("%s = %d (exported: %v), want %d", name, got, ok, want)
 		}
+	}
+	for _, name := range []string{"fastd.idem.compactions", "fastd.idem.torn_truncated", "fastd.idem.crc_mismatch"} {
+		if _, ok := snap.Counters[name]; ok {
+			t.Fatalf("%s is still exported: the body journal is gone", name)
+		}
+	}
+	if _, ok := snap.Histograms["fastd.restore.journal_index_ns"]; ok {
+		t.Fatal("fastd.restore.journal_index_ns is still exported: a restore no longer reads the journal")
 	}
 }
 
@@ -413,8 +425,15 @@ func assertAccessLogFile(t *testing.T, path string) {
 		}
 		if p, _ := rec["path"].(string); strings.HasSuffix(p, "/eval") {
 			evalSeen = evalSeen || rec["id"] == "obs-smoke-eval-1" // the trace-ring flood's evals follow it
-			if rec["outcome"] != "ok" {
-				t.Fatalf("eval outcome = %v, want ok", rec["outcome"])
+			switch rec["outcome"] {
+			case "ok", "idem_replay": // a replay is an execution: enriched like one
+			case "idem_conflict": // refused before compiling
+				if rec["status"] != float64(http.StatusUnprocessableEntity) {
+					t.Fatalf("idem_conflict logged with status %v, want 422", rec["status"])
+				}
+				continue
+			default:
+				t.Fatalf("eval outcome = %v, want ok, idem_replay or idem_conflict", rec["outcome"])
 			}
 			for _, k := range []string{"session", "units", "fingerprint", "batch"} {
 				if _, ok := rec[k]; !ok {

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	fast "github.com/fastfhe/fast"
 	"github.com/fastfhe/fast/internal/fault"
@@ -26,16 +25,15 @@ import (
 //	            is dirty (an earlier durability write had degraded).
 //	<id>.epoch  the restore epoch sidecar: 8-byte counter + CRC-32C. Bumped on
 //	            every restore so the 10 MB key payload does not have to be.
-//	<id>.idem   the framed idempotency journal (idem.go).
+//	<id>.idem   the idempotency ring of digest records (idem.go).
 //
 // Every write is made durable before it is relied on:
 //
-//   - snapshots, epochs and compacted journals are written to a temp file,
-//     fsync'd, atomically renamed into place, and the directory fsync'd — a
-//     crash at any point leaves either the old file or the new one, never a
-//     torn one;
-//   - journal appends are fsync'd before the response that depends on them
-//     is released to the client.
+//   - snapshots and epochs are written to a temp file, fsync'd, atomically
+//     renamed into place, and the directory fsync'd — a crash at any point
+//     leaves either the old file or the new one, never a torn one;
+//   - an idempotency record is fsync'd in its ring slot before the response
+//     it records is released to the client.
 //
 // Corruption is detected, never trusted: a snapshot or epoch that fails its
 // checksum is skipped with a typed error (fast.ErrCorruptSnapshot) and
@@ -55,13 +53,6 @@ type sessionStore struct {
 	// SIGKILL at that instant would leave it, or to fail the step.
 	hook func(point string) error
 
-	// journals holds the writer state of each session's journal file. It is
-	// owned by the store, not the session, so that a request still finishing
-	// on an evicted session object and the session's next restore serialise
-	// on one append offset instead of clobbering each other's frames.
-	mu       sync.Mutex
-	journals map[string]*journal
-
 	mWriteFailures *obs.Counter // fastd.store.write_failures (post-retry)
 	mWriteFaults   *obs.Counter // fastd.store.write_faults (injected)
 
@@ -70,13 +61,8 @@ type sessionStore struct {
 	// client sees (minus the evict the restore may trigger, which has its own).
 	mSnapshotLoad *obs.Histogram // fastd.restore.snapshot_load_ns: read + SHA-256 + header decode
 	mExpand       *obs.Histogram // fastd.restore.expand_ns: ring tables + key deserialise
-	mJournalIndex *obs.Histogram // fastd.restore.journal_index_ns: frame walk (+ compaction when due)
 	mEpochWrite   *obs.Histogram // fastd.restore.epoch_write_ns: sidecar tmp+fsync+rename+dir-fsync
 	mEvict        *obs.Histogram // fastd.evict_ns
-
-	mCompactions   *obs.Counter // fastd.idem.compactions
-	mTornTruncated *obs.Counter // fastd.idem.torn_truncated
-	mCRCMismatch   *obs.Counter // fastd.idem.crc_mismatch
 }
 
 const (
@@ -95,18 +81,14 @@ func openSessionStore(dir string, inj *fault.Injector, reg *obs.Registry, logger
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fastd: state dir: %w", err)
 	}
-	st := &sessionStore{dir: dir, inj: inj, logger: logger, journals: map[string]*journal{}}
+	st := &sessionStore{dir: dir, inj: inj, logger: logger}
 	if reg != nil {
 		st.mWriteFailures = reg.Counter("fastd.store.write_failures")
 		st.mWriteFaults = reg.Counter("fastd.store.write_faults")
 		st.mSnapshotLoad = reg.Histogram("fastd.restore.snapshot_load_ns")
 		st.mExpand = reg.Histogram("fastd.restore.expand_ns")
-		st.mJournalIndex = reg.Histogram("fastd.restore.journal_index_ns")
 		st.mEpochWrite = reg.Histogram("fastd.restore.epoch_write_ns")
 		st.mEvict = reg.Histogram("fastd.evict_ns")
-		st.mCompactions = reg.Counter("fastd.idem.compactions")
-		st.mTornTruncated = reg.Counter("fastd.idem.torn_truncated")
-		st.mCRCMismatch = reg.Counter("fastd.idem.crc_mismatch")
 	}
 	return st, nil
 }
@@ -118,8 +100,8 @@ func (st *sessionStore) epochPath(id string) string    { return filepath.Join(st
 // scan recovers the session IDs with a snapshot on disk and sweeps what a
 // crash can leave behind: temp files of an interrupted atomic write (nothing
 // references them, and a snapshot temp is as large as the key set), and
-// journals or epochs with no snapshot (a crash inside remove, or a journal
-// appended for a session whose create-time snapshot write had degraded) —
+// rings or epochs with no snapshot (a crash inside remove, or a ring
+// written for a session whose create-time snapshot write had degraded) —
 // `nextID` is recomputed from this scan, so a later session reusing the ID
 // must not inherit a stranger's replay records or epoch.
 func (st *sessionStore) scan() ([]string, error) {
@@ -231,8 +213,8 @@ func (st *sessionStore) writeAtomic(final, what string, fill func(*os.File) erro
 }
 
 // saveSnapshot durably persists the session's full state under its ID. The
-// write-ahead ordering (snapshot before the create response, journal append
-// before the eval response) is what makes a SIGKILL at any instant
+// write-ahead ordering (snapshot before the create response, idempotency
+// record before the eval response) is what makes a SIGKILL at any instant
 // recoverable.
 func (st *sessionStore) saveSnapshot(fctx *fast.Context, meta fast.SessionMeta) error {
 	return st.retry("session snapshot", meta.ID, func() error {
@@ -293,9 +275,6 @@ func (st *sessionStore) loadEpoch(id string) (uint64, error) {
 // sidecars follow: a crash in between leaves sidecars without a snapshot,
 // which scan sweeps, never a snapshot stripped of its epoch.
 func (st *sessionStore) remove(id string) {
-	st.mu.Lock()
-	delete(st.journals, id)
-	st.mu.Unlock()
 	for _, step := range [][]string{{st.snapshotPath(id)}, {st.idemPath(id), st.epochPath(id)}} {
 		for _, p := range step {
 			if err := os.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {

@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -173,17 +176,20 @@ func TestShardChaosKillShardFailover(t *testing.T) {
 			t.Fatalf("session %s: restored decrypt is not bit-identical", tr.sr.ID)
 		}
 
-		// A retry of the pre-kill eval with its Idempotency-Key must REPLAY
-		// the journaled response (exactly-once), not recompute it.
+		// A retry of the pre-kill eval with its Idempotency-Key must be a
+		// replay (exactly-once): the pre-kill bytes, marked and counted.
 		var cr ciphertextResponse
-		status, raw = doJSON(t, http.MethodPost, base+"/v1/sessions/"+tr.sr.ID+"/eval",
-			map[string]string{"Idempotency-Key": "prekill-" + tr.sr.ID},
-			chaosProgram(tr.cx.Ciphertext, tr.cy.Ciphertext), &cr)
+		replays := d.mIdemReplays.Value()
+		status, raw, hdr := keyedPost(t, base+"/v1/sessions/"+tr.sr.ID+"/eval", "prekill-"+tr.sr.ID,
+			chaosProgram(tr.cx.Ciphertext, tr.cy.Ciphertext))
 		if status != http.StatusOK {
 			t.Fatalf("idempotent retry %s: status %d: %s", tr.sr.ID, status, raw)
 		}
-		if cr.Ciphertext != tr.eval {
-			t.Fatalf("session %s: idempotent retry returned a different ciphertext", tr.sr.ID)
+		if err := json.Unmarshal(raw, &cr); err != nil || cr.Ciphertext != tr.eval {
+			t.Fatalf("session %s: idempotent retry returned a different ciphertext (err %v)", tr.sr.ID, err)
+		}
+		if hdr.Get("Idempotency-Replayed") != "true" || d.mIdemReplays.Value() != replays+1 {
+			t.Fatalf("session %s: idempotent retry after failover was not a replay", tr.sr.ID)
 		}
 
 		// A fresh eval (new computation, same program) must also match the
@@ -311,90 +317,53 @@ func TestShardRestoreVsEvictRaceChaos(t *testing.T) {
 	}
 }
 
-// TestIdemJournalCompactionBounded (journal-bounded regression): the on-disk
-// idempotency journal must stay within the in-memory window across repeated
-// evict/restore cycles — evict and restore compact it when it has outgrown
-// the window — and entries that aged out of
-// the window must not resurrect as replays.
-func TestIdemJournalCompactionBounded(t *testing.T) {
+// TestIdemJournalRingBounded: once the ring has wrapped, the file is exactly
+// magic + IdemCap slots and holds the newest IdemCap keys, across
+// evict/restore rounds and a restart; a key inside the window replays and a
+// key that aged out re-executes.
+func TestIdemJournalRingBounded(t *testing.T) {
+	const capacity = 4
 	dir := t.TempDir()
-	d, ts := newTestDaemon(t, daemonConfig{
-		StateDir: dir,
-		IdemCap:  4,
-	})
-	base := ts.URL
-	sr := createSession(t, base, testSessionRequest())
-	vals := fromComplex([]complex128{1, 2, 3, 4})
+	d, ts := newTestDaemon(t, daemonConfig{StateDir: dir, IdemCap: capacity})
+	sr := createSession(t, ts.URL, testSessionRequest())
+	ct := encryptValues(t, ts.URL, sr.ID, []complex128{1, 2, 3, 4}).Ciphertext
+	path := filepath.Join(dir, sr.ID+".idem")
 
-	journalLines := func() int {
-		t.Helper()
-		return len(journalFrames(t, dir, sr.ID))
-	}
-
-	cycle := func(round int) {
-		t.Helper()
-		// 8 recorded outcomes against a table capped at 4: the append-only
-		// journal grows past the cap...
-		for i := 0; i < 8; i++ {
-			key := fmt.Sprintf("r%d-k%d", round, i)
-			status, raw := doJSON(t, http.MethodPost, base+"/v1/sessions/"+sr.ID+"/encrypt",
-				map[string]string{"Idempotency-Key": key}, encryptRequest{Values: vals}, nil)
-			if status != http.StatusOK {
-				t.Fatalf("encrypt %s: status %d: %s", key, status, raw)
+	for round := 0; round < 4; round++ {
+		if round == 3 { // a restart: the ring is read back once
+			d, ts = newTestDaemon(t, daemonConfig{StateDir: dir, IdemCap: capacity})
+		}
+		var keys []string
+		for i := 0; i < 6; i++ {
+			keys = append(keys, fmt.Sprintf("r%d-k%d", round, i))
+			if _, replayed := keyedEval(t, ts.URL, sr.ID, keys[i], ct); replayed {
+				t.Fatalf("round %d: fresh key %s replayed", round, keys[i])
 			}
 		}
-		if journalLines() < 8 {
-			t.Fatalf("round %d: journal has %d lines before evict, want >= 8 appends", round, journalLines())
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(len(idemMagic) + capacity*idemSlotLen); fi.Size() != want {
+			t.Fatalf("round %d: ring is %d bytes, want magic + %d slots = %d", round, fi.Size(), capacity, want)
+		}
+		held := map[[sha256.Size]byte]bool{}
+		for _, r := range ringRecords(t, dir, sr.ID, capacity) {
+			held[r.key] = true
+		}
+		for i, k := range keys {
+			if newest := i >= len(keys)-capacity; held[sha256.Sum256([]byte(k))] != newest {
+				t.Fatalf("round %d: key %s in the ring = %v, want %v (the newest %d keys)", round, k, !newest, newest, capacity)
+			}
 		}
 		evictNow(t, d, sr.ID)
-		if got := journalLines(); got > d.cfg.IdemCap {
-			t.Fatalf("round %d: journal holds %d lines after evict-compaction, cap is %d", round, got, d.cfg.IdemCap)
+		if _, replayed := keyedEval(t, ts.URL, sr.ID, keys[len(keys)-1], ct); !replayed {
+			t.Fatalf("round %d: key %s inside the window did not replay after evict/restore", round, keys[len(keys)-1])
 		}
-		// Restore (first request faults it back in) and check replay
-		// semantics: a key inside the surviving window replays; a key that
-		// aged out re-executes.
-		last := fmt.Sprintf("r%d-k7", round)
-		resp := idemProbe(t, base, sr.ID, last, vals)
-		if resp.Header.Get("Idempotency-Replayed") != "true" {
-			t.Fatalf("round %d: key %s inside the window did not replay", round, last)
-		}
-		resp.Body.Close()
-		first := fmt.Sprintf("r%d-k0", round)
-		resp = idemProbe(t, base, sr.ID, first, vals)
-		if resp.Header.Get("Idempotency-Replayed") == "true" {
-			t.Fatalf("round %d: key %s beyond the bounded window resurrected as a replay", round, first)
-		}
-		resp.Body.Close()
-		if got := journalLines(); got > d.cfg.IdemCap+2 {
-			t.Fatalf("round %d: journal grew to %d lines after restore, cap %d (+2 probes)", round, got, d.cfg.IdemCap)
+		if _, replayed := keyedEval(t, ts.URL, sr.ID, keys[0], ct); replayed {
+			t.Fatalf("round %d: key %s beyond the window resurrected as a replay", round, keys[0])
 		}
 	}
-	for round := 0; round < 3; round++ {
-		cycle(round)
-	}
-}
-
-// idemProbe re-sends one idempotent encrypt and returns the raw response so
-// the caller can inspect replay headers.
-func idemProbe(t *testing.T, base, id, key string, vals []cnum) *http.Response {
-	t.Helper()
-	raw, err := json.Marshal(encryptRequest{Values: vals})
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest(http.MethodPost, base+"/v1/sessions/"+id+"/encrypt", bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Idempotency-Key", key)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("idem probe %s: status %d", key, resp.StatusCode)
-	}
-	return resp
 }
 
 // postStatus posts body from a goroutine that may not call t.Fatal: 0 means

@@ -9,7 +9,8 @@
 //   - requests in flight across the kill fail with typed ladder errors or
 //     transport errors, never silently wrong data;
 //   - idempotent retries are exactly-once: a duplicate of a completed eval
-//     returns the recorded response bytes, not a second execution;
+//     returns the first response's bytes (fastd re-executes it and checks
+//     them against its record), never different ones;
 //   - the end-to-end success p99 stays within the configured SLO.
 //
 // Usage:

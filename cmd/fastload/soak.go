@@ -710,8 +710,8 @@ func soakDecryptCheck(cl *client, col *collector, s *soakSession) {
 }
 
 // soakIdemEval runs one idempotent eval then immediately retries the same
-// key: the duplicate must return the recorded bytes (exactly-once), whether
-// served from memory or — across a kill — from the journal. In shard mode the
+// key: the duplicate must return the first reply's bytes (exactly-once),
+// whether its record is in memory or — across a kill — in the ring. In shard mode the
 // program carries a rotation: addconst alone never key-switches, and it is
 // exactly the evaluation-key traffic that exercises the shared evk tier
 // (cross-shard hits after failover are one of the chaos assertions).
