@@ -40,7 +40,12 @@ test-purego:
 # Race-detector pass over the whole module (the concurrency-model contract:
 # one Context serving many goroutines). Uses -short so the gate stays fast;
 # -short skips every bootstrap test, so the one that has two goroutines make
-# their first Bootstrap call on a fresh context is run by name.
+# their first Bootstrap call on a fresh context is run by name. Under -race
+# ring.PolyPool also poisons every buffer it hands out and panics on a
+# second Put of one (internal/ring/pool_race.go), so the golden-bytes and
+# oracle tests this runs exercise every pooled path poisoned: an op that
+# reads a recycled buffer before writing it, or recycles one twice, fails
+# here.
 race: kernel-path
 	$(GO) test -race -short ./...
 	$(GO) test -race -run TestBootstrapConcurrentFirstUse ./internal/ckks

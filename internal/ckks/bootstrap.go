@@ -240,33 +240,35 @@ func (bt *Bootstrapper) dftDiagonals(transform func([]complex128), factor comple
 // modRaise lifts a level-0 ciphertext to the top of the chain: the centered
 // residues mod q0 are re-reduced into every limb, so the new ciphertext
 // encrypts m + q0*I for a small integer polynomial I (the quantity EvalMod
-// later removes).
+// later removes). The result is pooled.
+//
+// Every stage below follows the evaluator's ownership rule (see resultMode):
+// it returns a pooled ciphertext its caller owns and recycles, recycles every
+// intermediate it creates — on its error paths too — and only reads the
+// ciphertexts it is given.
 func (bt *Bootstrapper) modRaise(ct *Ciphertext) (*Ciphertext, error) {
 	if ct.Level != 0 {
 		return nil, fmt.Errorf("ckks: modRaise expects a level-0 ciphertext, got level %d: %w", ct.Level, ErrLevelMismatch)
 	}
-	p := bt.params
-	rq0 := p.ringQ.AtLevel(0)
+	p, ev := bt.params, bt.eval
 	q0 := p.qChain[0]
 
-	out := &Ciphertext{Level: p.MaxLevel(), Scale: ct.Scale}
+	out := ev.newCiphertext(poolResult, p.MaxLevel(), ct.Scale)
 	centered := make([]int64, p.N())
-	raise := func(in ring.Poly) ring.Poly {
-		tmp := in.Clone()
-		rq0.INTT(tmp)
-		for j, v := range tmp.Coeffs[0] {
+	coeffs := ev.pool.Get(1)
+	defer ev.pool.Put(coeffs)
+	for _, pair := range [2][2]ring.Poly{{ct.C0, out.C0}, {ct.C1, out.C1}} {
+		coeffs.CopyValues(pair[0])
+		p.ringQAt[0].INTT(coeffs)
+		for j, v := range coeffs.Coeffs[0] {
 			centered[j] = int64(v)
 			if v > q0/2 {
 				centered[j] -= int64(q0)
 			}
 		}
-		outP := p.ringQ.NewPoly()
-		ring.SetSigned(p.ringQ, centered, outP)
-		p.ringQ.NTT(outP)
-		return outP
+		ring.SetSigned(p.ringQ, centered, pair[1])
+		p.ringQ.NTT(pair[1])
 	}
-	out.C0 = raise(ct.C0)
-	out.C1 = raise(ct.C1)
 	return out, nil
 }
 
@@ -275,16 +277,24 @@ func (bt *Bootstrapper) modRaise(ct *Ciphertext) (*Ciphertext, error) {
 // sparse embedding reads, scaled by fold = N/(2n) (divided out by the unpack
 // mask, after EvalMod).
 func (bt *Bootstrapper) subSum(cc *cancelCheck, ct *Ciphertext) (*Ciphertext, error) {
+	ev := bt.eval
+	// The ladder runs on a copy, so every rung may recycle the one before it
+	// and the result is new even when there is no rung (full packing).
+	acc := ev.copyCiphertext(ct, poolResult)
 	for i := bt.params.Slots(); i < bt.params.N()/2; i <<= 1 {
-		rot, err := bt.eval.rotate(cc, ct, i, bt.eval.Method())
+		rot, err := ev.rotate(cc, acc, i, ev.Method(), poolResult)
+		if err != nil {
+			ev.recycle(acc)
+			return nil, err
+		}
+		sum, err := ev.addSub(acc, rot, false, poolResult)
+		ev.recycle(acc, rot)
 		if err != nil {
 			return nil, err
 		}
-		if ct, err = bt.eval.Add(ct, rot); err != nil {
-			return nil, err
-		}
+		acc = sum
 	}
-	return ct, nil
+	return acc, nil
 }
 
 // coeffToSlot moves the folded polynomial's coefficients into the slots —
@@ -293,42 +303,53 @@ func (bt *Bootstrapper) subSum(cc *cancelCheck, ct *Ciphertext) (*Ciphertext, er
 // packing the two ciphertexts Re w and Im w.
 func (bt *Bootstrapper) coeffToSlot(cc *cancelCheck, ct *Ciphertext) ([]*Ciphertext, error) {
 	ev := bt.eval
-	slots, err := ev.linearTransform(cc, ct, bt.ctsLT)
+	lt, err := ev.linearTransform(cc, ct, bt.ctsLT, poolResult)
 	if err != nil {
 		return nil, err
 	}
-	if slots, err = ev.rescaleCC(cc, slots); err != nil {
-		return nil, err
-	}
-	conj, err := ev.conjugate(cc, slots, ev.Method())
+	slots, err := ev.rescaleCC(cc, lt, poolResult)
+	ev.recycle(lt)
 	if err != nil {
 		return nil, err
 	}
-	sum, err := ev.Add(slots, conj) // 2*Re(w)
+	conj, err := ev.conjugate(cc, slots, ev.Method(), poolResult)
 	if err != nil {
+		ev.recycle(slots)
 		return nil, err
 	}
-	diff, err := ev.Sub(slots, conj) // 2i*Im(w)
+	sum, err := ev.addSub(slots, conj, false, poolResult) // 2*Re(w)
+	var diff *Ciphertext
+	if err == nil {
+		diff, err = ev.addSub(slots, conj, true, poolResult) // 2i*Im(w)
+	}
+	ev.recycle(slots, conj)
 	if err != nil {
+		ev.recycle(sum)
 		return nil, err
 	}
-	re, err := ev.MulPlain(sum, bt.pack[0])
-	if err != nil {
-		return nil, err
+	// Re w = sum*pack[0] and Im w = diff*pack[1]; packed into one ciphertext
+	// they are one two-term multiply-accumulate.
+	halves := []*Ciphertext{sum, diff}
+	spans := [][2]int{{0, 2}}
+	if len(bt.unpack) == 2 {
+		spans = [][2]int{{0, 1}, {1, 2}}
 	}
-	im, err := ev.MulPlain(diff, bt.pack[1])
-	if err != nil {
-		return nil, err
-	}
-	parts := []*Ciphertext{re, im}
-	if len(bt.unpack) == 1 {
-		if parts[0], err = ev.Add(re, im); err != nil {
+	var parts []*Ciphertext
+	for _, sp := range spans {
+		part, err := ev.mulPlainSum(halves[sp[0]:sp[1]], bt.pack[sp[0]:sp[1]], poolResult)
+		if err != nil {
+			ev.recycle(sum, diff)
+			ev.recycle(parts...)
 			return nil, err
 		}
-		parts = parts[:1]
+		parts = append(parts, part)
 	}
-	for i := range parts {
-		if parts[i], err = ev.rescaleCC(cc, parts[i]); err != nil {
+	ev.recycle(sum, diff)
+	for i, part := range parts {
+		parts[i], err = ev.rescaleCC(cc, part, poolResult)
+		ev.recycle(part)
+		if err != nil {
+			ev.recycle(parts...)
 			return nil, err
 		}
 	}
@@ -360,31 +381,40 @@ func (bt *Bootstrapper) evalMod(cc *cancelCheck, ct *Ciphertext, anchor float64)
 	// evaluation takes whatever scale it is given.
 	kappa := 2 * math.Pi * anchor / (float64(bt.params.qChain[0]) * fold * math.Exp2(float64(bt.bp.DoubleAngles)))
 	m := math.Round(kappa * delta * float64(bt.params.qChain[ct.Level]) / ct.Scale)
-	theta, err := ev.mulConstAtScale(ct, kappa, m/kappa)
+	scaled, err := ev.mulConstSum([]*Ciphertext{ct}, []float64{kappa}, []float64{m / kappa}, poolResult)
 	if err != nil {
 		return nil, err
 	}
-	if theta, err = ev.rescaleCC(cc, theta); err != nil {
+	theta, err := ev.rescaleCC(cc, scaled, poolResult)
+	ev.recycle(scaled)
+	if err != nil {
 		return nil, err
 	}
-
-	z, err := ev.evaluatePoly(cc, theta, bt.seed, delta)
+	z, err := ev.evaluatePoly(cc, theta, bt.seed, delta, poolResult)
+	ev.recycle(theta)
 	if err != nil {
 		return nil, err
 	}
 	for it := 0; it < bt.bp.DoubleAngles; it++ {
 		if err := cc.err("EvalMod"); err != nil {
+			ev.recycle(z)
 			return nil, err
 		}
-		if z, err = ev.mulRescaleCC(cc, z, z); err != nil {
+		next, err := ev.mulRescaleCC(cc, z, z, poolResult)
+		ev.recycle(z)
+		if err != nil {
 			return nil, err
 		}
+		z = next
 	}
-	conj, err := ev.conjugate(cc, z, ev.Method())
+	conj, err := ev.conjugate(cc, z, ev.Method(), poolResult)
 	if err != nil {
+		ev.recycle(z)
 		return nil, err
 	}
-	return ev.Sub(z, conj)
+	out, err := ev.addSub(z, conj, true, poolResult)
+	ev.recycle(z, conj)
+	return out, err
 }
 
 // unpackSlots rebuilds the complex slot vector from EvalMod's output: the
@@ -392,38 +422,40 @@ func (bt *Bootstrapper) evalMod(cc *cancelCheck, ct *Ciphertext, anchor float64)
 // again. That rotation's Galois key is the first rung of the SubSum ladder.
 func (bt *Bootstrapper) unpackSlots(cc *cancelCheck, parts []*Ciphertext) (*Ciphertext, error) {
 	ev := bt.eval
-	var acc *Ciphertext
-	for i, d := range parts {
-		term, err := ev.MulPlain(d, bt.unpack[i])
-		if err != nil {
-			return nil, err
-		}
-		if acc, err = ev.addExact(acc, term); err != nil {
-			return nil, err
-		}
-	}
-	acc, err := ev.rescaleCC(cc, acc)
-	if err != nil || len(parts) == 2 {
-		return acc, err
-	}
-	rot, err := ev.rotate(cc, acc, bt.params.Slots(), ev.Method())
+	masked, err := ev.mulPlainSum(parts, bt.unpack, poolResult)
 	if err != nil {
 		return nil, err
 	}
-	return ev.Add(acc, rot)
+	acc, err := ev.rescaleCC(cc, masked, poolResult)
+	ev.recycle(masked)
+	if err != nil || len(parts) == 2 {
+		return acc, err
+	}
+	rot, err := ev.rotate(cc, acc, bt.params.Slots(), ev.Method(), poolResult)
+	if err != nil {
+		ev.recycle(acc)
+		return nil, err
+	}
+	out, err := ev.addSub(acc, rot, false, poolResult)
+	ev.recycle(acc, rot)
+	return out, err
 }
 
-// slotToCoeff applies the forward special FFT to the unpacked slots.
+// slotToCoeff applies the forward special FFT to the unpacked slots. Its
+// result is the bootstrap's: an exact-size allocation, not pooled.
 func (bt *Bootstrapper) slotToCoeff(cc *cancelCheck, parts []*Ciphertext) (*Ciphertext, error) {
 	slots, err := bt.unpackSlots(cc, parts)
 	if err != nil {
 		return nil, err
 	}
-	out, err := bt.eval.linearTransform(cc, slots, bt.stcLT)
+	moved, err := bt.eval.linearTransform(cc, slots, bt.stcLT, poolResult)
+	bt.eval.recycle(slots)
 	if err != nil {
 		return nil, err
 	}
-	return bt.eval.rescaleCC(cc, out)
+	out, err := bt.eval.rescaleCC(cc, moved, heapResult)
+	bt.eval.recycle(moved)
+	return out, err
 }
 
 // Bootstrap refreshes a level-0 ciphertext, returning an encryption of the
@@ -446,20 +478,26 @@ func (bt *Bootstrapper) bootstrap(cc *cancelCheck, ct *Ciphertext) (*Ciphertext,
 	if err := cc.err("Bootstrap"); err != nil {
 		return nil, err
 	}
+	ev := bt.eval
 	raised, err := bt.modRaise(ct)
 	if err != nil {
 		return nil, err
 	}
 	folded, err := bt.subSum(cc, raised)
+	ev.recycle(raised)
 	if err != nil {
 		return nil, err
 	}
 	parts, err := bt.coeffToSlot(cc, folded)
+	ev.recycle(folded)
 	if err != nil {
 		return nil, err
 	}
-	for i := range parts {
-		if parts[i], err = bt.evalMod(cc, parts[i], ct.Scale); err != nil {
+	defer func() { ev.recycle(parts...) }()
+	for i, part := range parts {
+		parts[i], err = bt.evalMod(cc, part, ct.Scale)
+		ev.recycle(part)
+		if err != nil {
 			return nil, err
 		}
 	}

@@ -366,7 +366,7 @@ func TestEvaluatePolyExactScales(t *testing.T) {
 	n := tc.params.Slots()
 	a := &Ciphertext{Scale: 1}
 	for _, rel := range []float64{1e-12, -1e-12} {
-		if _, err := ev.addExact(a, &Ciphertext{Scale: 1 + rel}); err == nil {
+		if _, err := ev.addExact(a, &Ciphertext{Scale: 1 + rel}, poolResult); err == nil {
 			t.Fatalf("addExact accepted scales %g apart", rel)
 		}
 	}
@@ -383,7 +383,7 @@ func TestEvaluatePolyExactScales(t *testing.T) {
 	}
 	ct, _ := tc.encr.Encrypt(pt)
 	target := tc.params.Scale() * (1 - 2e-4)
-	out, err := ev.evaluatePoly(nil, ct, expTaylor(9), target)
+	out, err := ev.evaluatePoly(nil, ct, expTaylor(9), target, heapResult)
 	if err != nil {
 		t.Fatalf("evaluatePoly: %v", err)
 	}
@@ -404,7 +404,7 @@ func TestMulByI(t *testing.T) {
 	v := randomValues(tc.params.Slots(), 43)
 	pt, _ := tc.enc.Encode(v)
 	ct, _ := tc.encr.Encrypt(pt)
-	out, err := tc.eval.mulByI(ct)
+	out, err := tc.eval.mulByI(ct, heapResult)
 	if err != nil {
 		t.Fatal(err)
 	}

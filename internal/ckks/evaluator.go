@@ -32,9 +32,12 @@ type Evaluator struct {
 	switcher    map[KeySwitchMethod]*KeySwitcher
 	rescaler    *rns.Rescaler
 	parallelism int
-	pool        *ring.PolyPool // ciphertext-shaped scratch (N x full Q chain)
+	// pool holds ciphertext-shaped buffers (N x full Q chain): every op's
+	// scratch, and the intermediates of the pipelines (see resultMode).
+	pool *ring.PolyPool
 
-	// iMonomial is X^(N/2) over the full chain, built by mulByI on first use.
+	// iMonomial is X^(N/2) over the full chain, built by monomialI on first
+	// use.
 	iOnce     sync.Once
 	iMonomial *Plaintext
 
@@ -144,27 +147,73 @@ func (ev *Evaluator) switcherFor(m KeySwitchMethod) (*KeySwitcher, error) {
 	return sw, nil
 }
 
-// alignLevels drops both ciphertexts to the lower of their levels.
-func (ev *Evaluator) alignLevels(a, b *Ciphertext) (*Ciphertext, *Ciphertext) {
-	if a.Level == b.Level {
-		return a, b
+// Result ownership. Every exported op returns an exact-size allocation the
+// caller owns (heapResult). The pipelines built from the ops — bootstrap,
+// linear transforms, polynomial evaluation, hoisted rotations — instead take
+// every intermediate from ev.pool (poolResult) and hand it back with recycle
+// once it is dead. A pooled buffer is full-shape (MaxLevel+1 limbs, viewed at
+// the level asked for) and arrives uncleared, so every op writes all of its
+// output. A routine recycles only what it created, never a ciphertext it was
+// given (or a view of one), and returns pooled scratch on its error paths too.
+type resultMode bool
+
+const (
+	heapResult resultMode = false
+	poolResult resultMode = true
+)
+
+// newCiphertext allocates an op's result per mode.
+func (ev *Evaluator) newCiphertext(mode resultMode, level int, scale float64) *Ciphertext {
+	if mode == poolResult {
+		return &Ciphertext{C0: ev.pool.Get(level + 1), C1: ev.pool.Get(level + 1), Level: level, Scale: scale}
 	}
-	if a.Level > b.Level {
-		a = ev.DropLevel(a, a.Level-b.Level)
-	} else {
-		b = ev.DropLevel(b, b.Level-a.Level)
+	n := ev.params.N()
+	return &Ciphertext{C0: ring.NewPoly(n, level+1), C1: ring.NewPoly(n, level+1), Level: level, Scale: scale}
+}
+
+// recycle hands pooled intermediates back to ev.pool. Nil entries are skipped
+// and heap ciphertexts ignored (the pool drops foreign polynomials), so error
+// paths can recycle whatever they made in either mode.
+func (ev *Evaluator) recycle(cts ...*Ciphertext) {
+	for _, ct := range cts {
+		if ct != nil {
+			ev.pool.Put(ct.C0)
+			ev.pool.Put(ct.C1)
+		}
 	}
-	return a, b
+}
+
+// export hands a pipeline's pooled result to its caller in the caller's mode:
+// as it is, or copied into an exact-size allocation and recycled.
+func (ev *Evaluator) export(ct *Ciphertext, mode resultMode) *Ciphertext {
+	if mode == poolResult {
+		return ct
+	}
+	out := ev.copyCiphertext(ct, heapResult)
+	ev.recycle(ct)
+	return out
+}
+
+// copyCiphertext returns a copy of ct allocated per mode.
+func (ev *Evaluator) copyCiphertext(ct *Ciphertext, mode resultMode) *Ciphertext {
+	out := ev.newCiphertext(mode, ct.Level, ct.Scale)
+	out.C0.CopyValues(ct.C0)
+	out.C1.CopyValues(ct.C1)
+	return out
+}
+
+// view returns ct read at a level at or below its own: the same storage, no
+// copy. Views are only read, and never recycled.
+func (ct *Ciphertext) view(level int) *Ciphertext {
+	if level == ct.Level {
+		return ct
+	}
+	return &Ciphertext{C0: ct.C0.Truncated(level + 1), C1: ct.C1.Truncated(level + 1), Level: level, Scale: ct.Scale}
 }
 
 // DropLevel returns ct truncated by n limbs (no scaling).
 func (ev *Evaluator) DropLevel(ct *Ciphertext, n int) *Ciphertext {
-	return &Ciphertext{
-		C0:    ct.C0.Truncated(ct.Level + 1 - n).Clone(),
-		C1:    ct.C1.Truncated(ct.Level + 1 - n).Clone(),
-		Level: ct.Level - n,
-		Scale: ct.Scale,
-	}
+	return ct.view(ct.Level - n).CopyNew()
 }
 
 // scalesMatch tolerates the relative drift rescaling introduces: each chain
@@ -181,40 +230,41 @@ func scalesMatch(a, b float64) bool {
 
 // Add returns a+b (HAdd). Levels are aligned; scales must match.
 func (ev *Evaluator) Add(a, b *Ciphertext) (*Ciphertext, error) {
-	var t0 time.Time
-	if ev.om != nil {
-		t0 = time.Now()
-	}
-	a, b = ev.alignLevels(a, b)
-	if !scalesMatch(a.Scale, b.Scale) {
-		return nil, fmt.Errorf("ckks: HAdd %w: %g vs %g", ErrScaleMismatch, a.Scale, b.Scale)
-	}
-	rq := ev.params.ringQ.AtLevel(a.Level)
-	out := &Ciphertext{C0: rq.NewPoly(), C1: rq.NewPoly(), Level: a.Level, Scale: a.Scale}
-	rq.Add(a.C0, b.C0, out.C0)
-	rq.Add(a.C1, b.C1, out.C1)
-	if ev.om != nil {
-		ev.om.finishNoMethod(ev.om.hadd, "HAdd", a.Level, t0, nil)
-	}
-	return out, nil
+	return ev.addSub(a, b, false, heapResult)
 }
 
 // Sub returns a-b.
 func (ev *Evaluator) Sub(a, b *Ciphertext) (*Ciphertext, error) {
+	return ev.addSub(a, b, true, heapResult)
+}
+
+// addSub is Add (or Sub) at the lower of the two levels, into a result per
+// mode.
+func (ev *Evaluator) addSub(a, b *Ciphertext, sub bool, mode resultMode) (*Ciphertext, error) {
 	var t0 time.Time
 	if ev.om != nil {
 		t0 = time.Now()
 	}
-	a, b = ev.alignLevels(a, b)
 	if !scalesMatch(a.Scale, b.Scale) {
-		return nil, fmt.Errorf("ckks: HSub %w: %g vs %g", ErrScaleMismatch, a.Scale, b.Scale)
+		op := "HAdd"
+		if sub {
+			op = "HSub"
+		}
+		return nil, fmt.Errorf("ckks: %s %w: %g vs %g", op, ErrScaleMismatch, a.Scale, b.Scale)
 	}
-	rq := ev.params.ringQ.AtLevel(a.Level)
-	out := &Ciphertext{C0: rq.NewPoly(), C1: rq.NewPoly(), Level: a.Level, Scale: a.Scale}
-	rq.Sub(a.C0, b.C0, out.C0)
-	rq.Sub(a.C1, b.C1, out.C1)
+	level := min(a.Level, b.Level)
+	a, b = a.view(level), b.view(level)
+	rq := ev.params.ringQAt[level]
+	out := ev.newCiphertext(mode, level, a.Scale)
+	if sub {
+		rq.Sub(a.C0, b.C0, out.C0)
+		rq.Sub(a.C1, b.C1, out.C1)
+	} else {
+		rq.Add(a.C0, b.C0, out.C0)
+		rq.Add(a.C1, b.C1, out.C1)
+	}
 	if ev.om != nil {
-		ev.om.finishNoMethod(ev.om.hadd, "HAdd", a.Level, t0, nil)
+		ev.om.finishNoMethod(ev.om.hadd, "HAdd", level, t0, nil)
 	}
 	return out, nil
 }
@@ -229,9 +279,9 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 	if !scalesMatch(ct.Scale, pt.Scale) {
 		return nil, fmt.Errorf("ckks: PAdd %w: %g vs %g", ErrScaleMismatch, ct.Scale, pt.Scale)
 	}
-	rq := ev.params.ringQ.AtLevel(level)
-	out := &Ciphertext{C0: rq.NewPoly(), C1: ct.C1.Truncated(level + 1).Clone(), Level: level, Scale: ct.Scale}
-	rq.Add(ct.C0.Truncated(level+1), pt.Value.Truncated(level+1), out.C0)
+	ct = ct.view(level)
+	out := &Ciphertext{C0: ring.NewPoly(ev.params.N(), level+1), C1: ct.C1.Clone(), Level: level, Scale: ct.Scale}
+	ev.params.ringQAt[level].Add(ct.C0, pt.Value.Truncated(level+1), out.C0)
 	if ev.om != nil {
 		ev.om.finishNoMethod(ev.om.padd, "PAdd", level, t0, nil)
 	}
@@ -241,15 +291,43 @@ func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 // MulPlain returns ct*pt (PMult) without rescaling; the output scale is the
 // product of the scales.
 func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
+	return ev.mulPlainSum([]*Ciphertext{ct}, []*Plaintext{pt}, heapResult)
+}
+
+// mulPlainSum returns Σ_j cts[j]*pts[j] at the lowest operand level, into a
+// result per mode: a BSGS giant bucket, the pack and unpack masks of the
+// bootstrap, or one MulPlain. Per row it is one multiply-accumulate
+// (ring.Modulus.MulAccRows) — the same residues as a product and an addition
+// per term, with one pass and no intermediate. Every product must land on
+// one scale, exactly (see addExact); the result carries it.
+func (ev *Evaluator) mulPlainSum(cts []*Ciphertext, pts []*Plaintext, mode resultMode) (*Ciphertext, error) {
 	var t0 time.Time
 	if ev.om != nil {
 		t0 = time.Now()
 	}
-	level := min(ct.Level, pt.Level)
-	rq := ev.params.ringQ.AtLevel(level)
-	out := &Ciphertext{C0: rq.NewPoly(), C1: rq.NewPoly(), Level: level, Scale: ct.Scale * pt.Scale}
-	rq.MulCoeffs(ct.C0.Truncated(level+1), pt.Value.Truncated(level+1), out.C0)
-	rq.MulCoeffs(ct.C1.Truncated(level+1), pt.Value.Truncated(level+1), out.C1)
+	level, scale := cts[0].Level, cts[0].Scale*pts[0].Scale
+	for j := range cts {
+		level = min(level, cts[j].Level, pts[j].Level)
+		if s := cts[j].Scale * pts[j].Scale; !exactScale(scale, s) {
+			return nil, fmt.Errorf("ckks: plaintext-product sum %w: %g vs %g", ErrScaleMismatch, scale, s)
+		}
+	}
+	out := ev.newCiphertext(mode, level, scale)
+	n := ev.params.N()
+	ring.ForEachLimbRange(level+1, ev.parallelism, func(lo, hi int) {
+		var x0, x1, y [16][]uint64
+		for i := lo; i < hi; i++ {
+			xs0, xs1, ys := x0[:0], x1[:0], y[:0]
+			for j, ct := range cts {
+				xs0 = append(xs0, ct.C0.Coeffs[i][:n])
+				xs1 = append(xs1, ct.C1.Coeffs[i][:n])
+				ys = append(ys, pts[j].Value.Coeffs[i][:n])
+			}
+			m := ev.params.ringQ.Moduli[i]
+			m.MulAccRows(out.C0.Coeffs[i], xs0, ys)
+			m.MulAccRows(out.C1.Coeffs[i], xs1, ys)
+		}
+	})
 	if ev.om != nil {
 		ev.om.finishNoMethod(ev.om.pmult, "PMult", level, t0, nil)
 	}
@@ -260,54 +338,70 @@ func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) (*Ciphertext, error
 // quantised at the default scale, so the output scale is Scale*Δ and the
 // caller typically rescales next.
 func (ev *Evaluator) MulConst(ct *Ciphertext, c float64) (*Ciphertext, error) {
+	return ev.mulConstSum([]*Ciphertext{ct}, []float64{c}, []float64{ev.params.Scale()}, heapResult)
+}
+
+// mulConstSum returns Σ_j cts[j]*cs[j] at the lowest operand level, into a
+// result per mode, with each constant quantised at its own scale
+// constScales[j] instead of Δ: term j lands on cts[j].Scale*constScales[j].
+// Polynomial evaluation picks the constant scales so that every term of its
+// inner sum lands on one scale (exactly, see addExact), which the result
+// carries; a caller that picks constScale so that c*constScale is an integer
+// gets an exact multiplication whatever the size of c. Per row it is one
+// multiply-accumulate with the constants broadcast
+// (ring.Modulus.MulAccScalars).
+func (ev *Evaluator) mulConstSum(cts []*Ciphertext, cs, constScales []float64, mode resultMode) (*Ciphertext, error) {
 	var t0 time.Time
 	if ev.om != nil {
 		t0 = time.Now()
 	}
-	delta := ev.params.Scale()
-	k, err := scaleToInt(c, delta)
-	if err != nil {
-		return nil, err
+	level, scale := cts[0].Level, cts[0].Scale*constScales[0]
+	ks := make([]*big.Int, len(cts))
+	for j, ct := range cts {
+		level = min(level, ct.Level)
+		if s := ct.Scale * constScales[j]; !exactScale(scale, s) {
+			return nil, fmt.Errorf("ckks: constant-product sum %w: %g vs %g", ErrScaleMismatch, scale, s)
+		}
+		var err error
+		if ks[j], err = scaleToInt(cs[j], constScales[j]); err != nil {
+			return nil, err
+		}
 	}
-	rq := ev.params.ringQ.AtLevel(ct.Level)
-	out := &Ciphertext{C0: rq.NewPoly(), C1: rq.NewPoly(), Level: ct.Level, Scale: ct.Scale * delta}
-	rq.MulScalarBigint(ct.C0, k, out.C0)
-	rq.MulScalarBigint(ct.C1, k, out.C1)
+	out := ev.newCiphertext(mode, level, scale)
+	n := ev.params.N()
+	ring.ForEachLimbRange(level+1, ev.parallelism, func(lo, hi int) {
+		var x0, x1 [16][]uint64
+		var wBuf [16]uint64
+		var q, w big.Int
+		for i := lo; i < hi; i++ {
+			m := ev.params.ringQ.Moduli[i]
+			q.SetUint64(m.Q)
+			xs0, xs1, ws := x0[:0], x1[:0], wBuf[:0]
+			for j, ct := range cts {
+				xs0 = append(xs0, ct.C0.Coeffs[i][:n])
+				xs1 = append(xs1, ct.C1.Coeffs[i][:n])
+				ws = append(ws, w.Mod(ks[j], &q).Uint64())
+			}
+			m.MulAccScalars(out.C0.Coeffs[i], xs0, ws)
+			m.MulAccScalars(out.C1.Coeffs[i], xs1, ws)
+		}
+	})
 	if ev.om != nil {
-		ev.om.finishNoMethod(ev.om.cmult, "CMult", ct.Level, t0, nil)
+		ev.om.finishNoMethod(ev.om.cmult, "CMult", level, t0, nil)
 	}
 	return out, nil
 }
 
-// mulConstAtScale is MulConst with the constant quantised at constScale
-// instead of Δ: the output scale is ct.Scale*constScale. Polynomial
-// evaluation picks constScale per term so that every term of a sum lands on
-// one identical scale; a caller that picks it so that c*constScale is an
-// integer gets an exact multiplication whatever the size of c.
-func (ev *Evaluator) mulConstAtScale(ct *Ciphertext, c, constScale float64) (*Ciphertext, error) {
-	var t0 time.Time
-	if ev.om != nil {
-		t0 = time.Now()
-	}
-	k, err := scaleToInt(c, constScale)
-	if err != nil {
-		return nil, err
-	}
-	rq := ev.params.ringQ.AtLevel(ct.Level)
-	out := &Ciphertext{C0: rq.NewPoly(), C1: rq.NewPoly(), Level: ct.Level, Scale: ct.Scale * constScale}
-	rq.MulScalarBigint(ct.C0, k, out.C0)
-	rq.MulScalarBigint(ct.C1, k, out.C1)
-	if ev.om != nil {
-		ev.om.finishNoMethod(ev.om.cmult, "CMult", ct.Level, t0, nil)
-	}
-	return out, nil
+// mulByI returns i*ct at ct's level and scale, into a result per mode. Every
+// slot root ζ^(5^j) of X^N+1 satisfies (ζ^(5^j))^(N/2) = i, so the monomial
+// X^(N/2) is the all-i vector exactly: multiplying by it costs one pointwise
+// product, no level and no quantisation error.
+func (ev *Evaluator) mulByI(ct *Ciphertext, mode resultMode) (*Ciphertext, error) {
+	return ev.mulPlainSum([]*Ciphertext{ct}, []*Plaintext{ev.monomialI()}, mode)
 }
 
-// mulByI returns i*ct at ct's level and scale. Every slot root ζ^(5^j) of
-// X^N+1 satisfies (ζ^(5^j))^(N/2) = i, so the monomial X^(N/2) is the all-i
-// vector exactly: multiplying by it costs one pointwise product, no level and
-// no quantisation error.
-func (ev *Evaluator) mulByI(ct *Ciphertext) (*Ciphertext, error) {
+// monomialI is X^(N/2) over the full chain, in NTT form, built on first use.
+func (ev *Evaluator) monomialI() *Plaintext {
 	ev.iOnce.Do(func() {
 		rq := ev.params.ringQ
 		mono := rq.NewPoly()
@@ -317,17 +411,23 @@ func (ev *Evaluator) mulByI(ct *Ciphertext) (*Ciphertext, error) {
 		rq.NTT(mono)
 		ev.iMonomial = &Plaintext{Value: mono, Level: ev.params.MaxLevel(), Scale: 1}
 	})
-	return ev.MulPlain(ct, ev.iMonomial)
+	return ev.iMonomial
 }
 
 // AddConst returns ct + c for a real constant, at ct's scale.
 func (ev *Evaluator) AddConst(ct *Ciphertext, c float64) (*Ciphertext, error) {
+	return ev.addConst(ct, c, heapResult)
+}
+
+// addConst is AddConst into a result per mode.
+func (ev *Evaluator) addConst(ct *Ciphertext, c float64, mode resultMode) (*Ciphertext, error) {
 	k, err := scaleToInt(c, ct.Scale)
 	if err != nil {
 		return nil, err
 	}
-	rq := ev.params.ringQ.AtLevel(ct.Level)
-	out := ct.CopyNew()
+	rq := ev.params.ringQAt[ct.Level]
+	out := ev.newCiphertext(mode, ct.Level, ct.Scale)
+	out.C1.CopyValues(ct.C1)
 	// The constant lands on coefficient 0 in coefficient form, which is the
 	// all-k vector in NTT form (the NTT of a constant is that constant).
 	kModQ := ev.pool.Get(ct.Level + 1)
@@ -340,7 +440,7 @@ func (ev *Evaluator) AddConst(ct *Ciphertext, c float64) (*Ciphertext, error) {
 			row[j] = v
 		}
 	}
-	rq.Add(out.C0, kModQ, out.C0)
+	rq.Add(ct.C0, kModQ, out.C0)
 	return out, nil
 }
 
@@ -353,17 +453,17 @@ func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
 // MulRelinWith is MulRelin with an explicit key-switching backend, enabling
 // stateless per-call method selection under concurrency.
 func (ev *Evaluator) MulRelinWith(a, b *Ciphertext, m KeySwitchMethod) (*Ciphertext, error) {
-	return ev.mulRelin(nil, a, b, m)
+	return ev.mulRelin(nil, a, b, m, heapResult)
 }
 
 // MulRelinCtx is MulRelinWith with cancellation: the relinearisation
 // key-switch polls ctx at its limb-chunk boundaries and returns a typed
 // ErrCanceled/ErrDeadline error (pooled scratch released) once ctx is done.
 func (ev *Evaluator) MulRelinCtx(ctx context.Context, a, b *Ciphertext, m KeySwitchMethod) (*Ciphertext, error) {
-	return ev.mulRelin(newCancelCheck(ctx), a, b, m)
+	return ev.mulRelin(newCancelCheck(ctx), a, b, m, heapResult)
 }
 
-func (ev *Evaluator) mulRelin(cc *cancelCheck, a, b *Ciphertext, m KeySwitchMethod) (*Ciphertext, error) {
+func (ev *Evaluator) mulRelin(cc *cancelCheck, a, b *Ciphertext, m KeySwitchMethod, mode resultMode) (*Ciphertext, error) {
 	var t0 time.Time
 	if ev.om != nil {
 		t0 = time.Now()
@@ -379,26 +479,28 @@ func (ev *Evaluator) mulRelin(cc *cancelCheck, a, b *Ciphertext, m KeySwitchMeth
 	if err != nil {
 		return nil, err
 	}
-	a, b = ev.alignLevels(a, b)
-	level := a.Level
-	rq := ev.params.ringQ.AtLevel(level)
+	level := min(a.Level, b.Level)
+	a, b = a.view(level), b.view(level)
+	rq := ev.params.ringQAt[level]
 
-	// Tensor: (d0, d1, d2) = (a0*b0, a0*b1 + a1*b0, a1*b1). d0 and d1
-	// escape into the output; the quadratic term d2 is scratch.
-	d0, d1 := rq.NewPoly(), rq.NewPoly()
+	// Tensor: (d0, d1, d2) = (a0*b0, a0*b1 + a1*b0, a1*b1). d0 and d1 are
+	// the result's, the quadratic term d2 and its switched pair are scratch.
+	out := ev.newCiphertext(mode, level, a.Scale*b.Scale)
 	d2 := ev.pool.Get(level + 1)
+	e0, e1 := ev.pool.Get(level+1), ev.pool.Get(level+1)
 	defer ev.pool.Put(d2)
-	rq.MulCoeffs(a.C0, b.C0, d0)
-	rq.MulCoeffs(a.C0, b.C1, d1)
-	rq.MulCoeffsThenAdd(a.C1, b.C0, d1)
+	defer ev.pool.Put(e0)
+	defer ev.pool.Put(e1)
+	rq.MulCoeffs(a.C0, b.C0, out.C0)
+	rq.MulCoeffs(a.C0, b.C1, out.C1)
+	rq.MulCoeffsThenAdd(a.C1, b.C0, out.C1)
 	rq.MulCoeffs(a.C1, b.C1, d2)
 
 	// Relinearise d2 with the s^2 key.
-	e0, e1, err := sw.switchPoly(cc, d2, rlk, level)
-	if err != nil {
+	if err := sw.switchPoly(cc, d2, rlk, level, e0, e1); err != nil {
+		ev.recycle(out)
 		return nil, err
 	}
-	out := &Ciphertext{C0: d0, C1: d1, Level: level, Scale: a.Scale * b.Scale}
 	rq.Add(out.C0, e0, out.C0)
 	rq.Add(out.C1, e1, out.C1)
 	if ev.om != nil {
@@ -410,16 +512,19 @@ func (ev *Evaluator) mulRelin(cc *cancelCheck, a, b *Ciphertext, m KeySwitchMeth
 // Rescale divides the ciphertext by its top prime, dropping one level and
 // dividing the scale accordingly.
 func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
-	return ev.rescaleCC(nil, ct)
+	return ev.rescaleCC(nil, ct, heapResult)
 }
 
 // RescaleCtx is Rescale with a cancellation checkpoint at entry and between
 // the two component passes.
 func (ev *Evaluator) RescaleCtx(ctx context.Context, ct *Ciphertext) (*Ciphertext, error) {
-	return ev.rescaleCC(newCancelCheck(ctx), ct)
+	return ev.rescaleCC(newCancelCheck(ctx), ct, heapResult)
 }
 
-func (ev *Evaluator) rescaleCC(cc *cancelCheck, ct *Ciphertext) (*Ciphertext, error) {
+// rescaleCC rescales in the NTT domain (rns.Rescaler.RescaleNTT: only the
+// dropped limb is transformed, and once per remaining limb back), into a
+// result per mode.
+func (ev *Evaluator) rescaleCC(cc *cancelCheck, ct *Ciphertext, mode resultMode) (*Ciphertext, error) {
 	var t0 time.Time
 	if ev.om != nil {
 		t0 = time.Now()
@@ -428,24 +533,14 @@ func (ev *Evaluator) rescaleCC(cc *cancelCheck, ct *Ciphertext) (*Ciphertext, er
 		return nil, fmt.Errorf("ckks: cannot rescale at level 0: %w", ErrLevelExhausted)
 	}
 	level := ct.Level
-	rqIn := ev.params.ringQ.AtLevel(level)
-	rqOut := ev.params.ringQ.AtLevel(level - 1)
-	out := &Ciphertext{
-		C0:    ring.NewPoly(ev.params.N(), level),
-		C1:    ring.NewPoly(ev.params.N(), level),
-		Level: level - 1,
-		Scale: ct.Scale / float64(ev.params.qChain[level]),
-	}
-	tmp := ev.pool.Get(level + 1)
-	defer ev.pool.Put(tmp)
-	for _, pair := range []struct{ in, out ring.Poly }{{ct.C0, out.C0}, {ct.C1, out.C1}} {
+	out := ev.newCiphertext(mode, level-1, ct.Scale/float64(ev.params.qChain[level]))
+	tables := ev.params.ringQ.Tables[:level+1]
+	for _, pair := range [2][2]ring.Poly{{ct.C0, out.C0}, {ct.C1, out.C1}} {
 		if err := cc.err("Rescale"); err != nil {
+			ev.recycle(out)
 			return nil, err
 		}
-		tmp.CopyValues(pair.in)
-		rqIn.INTTWorkers(tmp, ev.parallelism)
-		ev.rescaler.Rescale(tmp.Coeffs, pair.out.Coeffs)
-		rqOut.NTTWorkers(pair.out, ev.parallelism)
+		ev.rescaler.RescaleNTT(pair[0].Coeffs[:level+1], pair[1].Coeffs, tables)
 	}
 	if ev.om != nil {
 		ev.om.finishNoMethod(ev.om.rescale, "Rescale", level, t0, cc)
@@ -461,22 +556,22 @@ func (ev *Evaluator) Rotate(ct *Ciphertext, r int) (*Ciphertext, error) {
 
 // RotateWith is Rotate with an explicit key-switching backend.
 func (ev *Evaluator) RotateWith(ct *Ciphertext, r int, m KeySwitchMethod) (*Ciphertext, error) {
-	return ev.rotate(nil, ct, r, m)
+	return ev.rotate(nil, ct, r, m, heapResult)
 }
 
 // RotateCtx is RotateWith with cancellation: the key-switch polls ctx at its
 // limb-chunk boundaries.
 func (ev *Evaluator) RotateCtx(ctx context.Context, ct *Ciphertext, r int, m KeySwitchMethod) (*Ciphertext, error) {
-	return ev.rotate(newCancelCheck(ctx), ct, r, m)
+	return ev.rotate(newCancelCheck(ctx), ct, r, m, heapResult)
 }
 
-func (ev *Evaluator) rotate(cc *cancelCheck, ct *Ciphertext, r int, m KeySwitchMethod) (*Ciphertext, error) {
+func (ev *Evaluator) rotate(cc *cancelCheck, ct *Ciphertext, r int, m KeySwitchMethod, mode resultMode) (*Ciphertext, error) {
 	var t0 time.Time
 	if ev.om != nil {
 		t0 = time.Now()
 	}
 	galEl := ring.GaloisElementForRotation(ev.params.LogN(), r)
-	out, err := ev.automorphism(cc, ct, galEl, m)
+	out, err := ev.automorphism(cc, ct, galEl, m, mode)
 	if err == nil && ev.om != nil {
 		ev.om.finish(ev.om.hrot[methodIdx(m)], "HRot", m, ct.Level, t0, cc)
 	}
@@ -490,28 +585,28 @@ func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
 
 // ConjugateWith is Conjugate with an explicit key-switching backend.
 func (ev *Evaluator) ConjugateWith(ct *Ciphertext, m KeySwitchMethod) (*Ciphertext, error) {
-	return ev.conjugate(nil, ct, m)
+	return ev.conjugate(nil, ct, m, heapResult)
 }
 
 // ConjugateCtx is ConjugateWith with cancellation.
 func (ev *Evaluator) ConjugateCtx(ctx context.Context, ct *Ciphertext, m KeySwitchMethod) (*Ciphertext, error) {
-	return ev.conjugate(newCancelCheck(ctx), ct, m)
+	return ev.conjugate(newCancelCheck(ctx), ct, m, heapResult)
 }
 
-func (ev *Evaluator) conjugate(cc *cancelCheck, ct *Ciphertext, m KeySwitchMethod) (*Ciphertext, error) {
+func (ev *Evaluator) conjugate(cc *cancelCheck, ct *Ciphertext, m KeySwitchMethod, mode resultMode) (*Ciphertext, error) {
 	var t0 time.Time
 	if ev.om != nil {
 		t0 = time.Now()
 	}
 	galEl := ring.GaloisElementForConjugation(ev.params.LogN())
-	out, err := ev.automorphism(cc, ct, galEl, m)
+	out, err := ev.automorphism(cc, ct, galEl, m, mode)
 	if err == nil && ev.om != nil {
 		ev.om.finish(ev.om.conj[methodIdx(m)], "Conjugate", m, ct.Level, t0, cc)
 	}
 	return out, err
 }
 
-func (ev *Evaluator) automorphism(cc *cancelCheck, ct *Ciphertext, galEl uint64, m KeySwitchMethod) (*Ciphertext, error) {
+func (ev *Evaluator) automorphism(cc *cancelCheck, ct *Ciphertext, galEl uint64, m KeySwitchMethod, mode resultMode) (*Ciphertext, error) {
 	if err := cc.err("HRot"); err != nil {
 		return nil, err
 	}
@@ -524,22 +619,21 @@ func (ev *Evaluator) automorphism(cc *cancelCheck, ct *Ciphertext, galEl uint64,
 		return nil, err
 	}
 	level := ct.Level
-	rq := ev.params.ringQ.AtLevel(level)
+	rq := ev.params.ringQAt[level]
 	idx := ev.params.GaloisIndex(galEl)
 
 	// Switch φ(c1) under the rotated key, then add φ(c0).
-	c1Rot := ev.pool.Get(level + 1)
-	defer ev.pool.Put(c1Rot)
-	rq.AutomorphismNTT(ct.C1, c1Rot, idx)
-	d0, d1, err := sw.switchPoly(cc, c1Rot, key, level)
-	if err != nil {
+	rot := ev.pool.Get(level + 1)
+	defer ev.pool.Put(rot)
+	rq.AutomorphismNTT(ct.C1, rot, idx)
+	out := ev.newCiphertext(mode, level, ct.Scale)
+	if err := sw.switchPoly(cc, rot, key, level, out.C0, out.C1); err != nil {
+		ev.recycle(out)
 		return nil, err
 	}
-	c0Rot := ev.pool.Get(level + 1)
-	defer ev.pool.Put(c0Rot)
-	rq.AutomorphismNTT(ct.C0, c0Rot, idx)
-	rq.Add(d0, c0Rot, d0)
-	return &Ciphertext{C0: d0, C1: d1, Level: level, Scale: ct.Scale}, nil
+	rq.AutomorphismNTT(ct.C0, rot, idx)
+	rq.Add(out.C0, rot, out.C0)
+	return out, nil
 }
 
 // RotateHoisted rotates ct by every requested amount, paying the expensive
@@ -551,7 +645,7 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rotations []int) (map[int]*Ci
 
 // RotateHoistedWith is RotateHoisted with an explicit key-switching backend.
 func (ev *Evaluator) RotateHoistedWith(ct *Ciphertext, rotations []int, m KeySwitchMethod) (map[int]*Ciphertext, error) {
-	return ev.rotateHoisted(nil, ct, rotations, m)
+	return ev.rotateHoisted(nil, ct, rotations, m, heapResult)
 }
 
 // RotateHoistedCtx is RotateHoistedWith with cancellation: ctx is polled
@@ -559,10 +653,11 @@ func (ev *Evaluator) RotateHoistedWith(ct *Ciphertext, rotations []int, m KeySwi
 // a canceled batch returns within a fraction of one key-switch with all
 // pooled scratch released.
 func (ev *Evaluator) RotateHoistedCtx(ctx context.Context, ct *Ciphertext, rotations []int, m KeySwitchMethod) (map[int]*Ciphertext, error) {
-	return ev.rotateHoisted(newCancelCheck(ctx), ct, rotations, m)
+	return ev.rotateHoisted(newCancelCheck(ctx), ct, rotations, m, heapResult)
 }
 
-func (ev *Evaluator) rotateHoisted(cc *cancelCheck, ct *Ciphertext, rotations []int, m KeySwitchMethod) (map[int]*Ciphertext, error) {
+// rotateHoisted returns the rotations as results per mode; on error, none.
+func (ev *Evaluator) rotateHoisted(cc *cancelCheck, ct *Ciphertext, rotations []int, m KeySwitchMethod, mode resultMode) (map[int]*Ciphertext, error) {
 	var t0 time.Time
 	if ev.om != nil {
 		t0 = time.Now()
@@ -572,38 +667,45 @@ func (ev *Evaluator) rotateHoisted(cc *cancelCheck, ct *Ciphertext, rotations []
 		return nil, err
 	}
 	level := ct.Level
-	rq := ev.params.ringQ.AtLevel(level)
+	rq := ev.params.ringQAt[level]
 	dec, err := sw.decompose(cc, ct.C1, level)
 	if err != nil {
 		return nil, err
 	}
 	defer sw.Release(dec)
 	out := make(map[int]*Ciphertext, len(rotations))
+	fail := func(err error) (map[int]*Ciphertext, error) {
+		for _, c := range out {
+			ev.recycle(c)
+		}
+		return nil, err
+	}
+	c0Rot := ev.pool.Get(level + 1)
+	defer ev.pool.Put(c0Rot)
 	for _, r := range rotations {
 		if err := cc.err("HRotHoisted"); err != nil {
-			return nil, err
+			return fail(err)
 		}
 		if r == 0 {
-			out[0] = ct.CopyNew()
+			out[0] = ev.copyCiphertext(ct, mode)
 			continue
 		}
+		res := ev.newCiphertext(mode, level, ct.Scale)
+		out[r] = res
 		galEl := ring.GaloisElementForRotation(ev.params.LogN(), r)
 		key, err := ev.keys.GaloisKey(m, galEl)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		idx := ev.params.GaloisIndex(galEl)
 		rotDec := sw.Automorph(dec, idx)
-		d0, d1, err := sw.keyMult(cc, rotDec, key, level)
+		err = sw.keyMult(cc, rotDec, key, level, res.C0, res.C1)
 		sw.Release(rotDec)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
-		c0Rot := ev.pool.Get(level + 1)
 		rq.AutomorphismNTT(ct.C0, c0Rot, idx)
-		rq.Add(d0, c0Rot, d0)
-		ev.pool.Put(c0Rot)
-		out[r] = &Ciphertext{C0: d0, C1: d1, Level: level, Scale: ct.Scale}
+		rq.Add(res.C0, c0Rot, res.C0)
 	}
 	if ev.om != nil {
 		// One span covers the whole hoisted group (single ModUp amortised

@@ -353,23 +353,29 @@ func (ks *KeySwitcher) Automorph(d *Decomposition, index []int) *Decomposition {
 // The β-digit inner product is a lazy multiply-accumulate
 // (ring.Modulus.MulAccRows): per row each coefficient gathers Σ_j g_j*k_j
 // unreduced and is reduced once after the last digit, instead of β
-// AddMod(MulMod(...)) round-trips with a hardware division each. The row's
-// lazy INTT (RecoverLimbs) follows directly, leaving the rows in [0, 2q) for
-// the lazy-tolerant ModDown — one fused parallel pass per lane.
+// AddMod(MulMod(...)) round-trips with a hardware division each. The rows stay
+// in the NTT domain: ModDown runs there (rns.ModDowner.ModDownNTT), so only
+// the special rows are inverse-transformed.
 func (ks *KeySwitcher) KeyMult(d *Decomposition, key *SwitchingKey, level int) (d0, d1 ring.Poly, err error) {
-	return ks.keyMult(nil, d, key, level)
+	d0, d1 = ring.NewPoly(ks.params.N(), level+1), ring.NewPoly(ks.params.N(), level+1)
+	if err := ks.keyMult(nil, d, key, level, d0, d1); err != nil {
+		return ring.Poly{}, ring.Poly{}, err
+	}
+	return d0, d1, nil
 }
 
-func (ks *KeySwitcher) keyMult(cc *cancelCheck, d *Decomposition, key *SwitchingKey, level int) (d0, d1 ring.Poly, err error) {
+// keyMult writes the switched pair into d0 and d1 (level+1 limbs each, every
+// coefficient overwritten), so callers choose where the result lives.
+func (ks *KeySwitcher) keyMult(cc *cancelCheck, d *Decomposition, key *SwitchingKey, level int, d0, d1 ring.Poly) error {
 	if key.Method != ks.method {
-		return d0, d1, fmt.Errorf("ckks: %v switcher given a %v key: %w", ks.method, key.Method, ErrMethodUnavailable)
+		return fmt.Errorf("ckks: %v switcher given a %v key: %w", ks.method, key.Method, ErrMethodUnavailable)
 	}
 	beta := ks.beta(level)
 	if beta > len(key.B) {
-		return d0, d1, fmt.Errorf("ckks: key has %d groups, need %d", len(key.B), beta)
+		return fmt.Errorf("ckks: key has %d groups, need %d", len(key.B), beta)
 	}
 	if err := cc.err("KeyMult"); err != nil {
-		return d0, d1, err
+		return err
 	}
 	var t0 time.Time
 	if ks.keyMultNS != nil || ks.tracer != nil {
@@ -407,17 +413,13 @@ func (ks *KeySwitcher) keyMult(cc *cancelCheck, d *Decomposition, key *Switching
 			// the whole sum as multiply-adds with one fold, a 60-bit limb of
 			// the KLSS chain keeps the 128-bit accumulator.
 			m := ks.modFor(level, i)
-			a0, a1 := acc0.Coeffs[i][:n], acc1.Coeffs[i][:n]
-			m.MulAccRows(a0, gs, bs)
-			m.MulAccRows(a1, gs, as)
-			t := ks.tableFor(level, i)
-			t.InverseLazy(a0)
-			t.InverseLazy(a1)
+			m.MulAccRows(acc0.Coeffs[i][:n], gs, bs)
+			m.MulAccRows(acc1.Coeffs[i][:n], gs, as)
 		}
 	})
 
 	if err := cc.err("KeyMult"); err != nil {
-		return ring.Poly{}, ring.Poly{}, err
+		return err
 	}
 
 	if ks.keyMultNS != nil || ks.tracer != nil {
@@ -427,51 +429,46 @@ func (ks *KeySwitcher) keyMult(cc *cancelCheck, d *Decomposition, key *Switching
 		ks.traceSpan("KeyMult", level, t0, cc)
 		t0 = time.Now()
 	}
-	// ModDown: divide by the special chain, return to NTT form on the Q
-	// limbs. Cancellation is checked between the two halves and at every
-	// limb chunk of the closing NTT pass.
+	// ModDown: divide by the special chain without leaving the NTT domain on
+	// the Q limbs. Cancellation is checked between the two components.
 	dw, err := ks.downer(level)
 	if err != nil {
-		return d0, d1, err
+		return err
 	}
-	d0 = ring.NewPoly(n, level+1)
-	d1 = ring.NewPoly(n, level+1)
-	dw.ModDown(acc0.Coeffs[:level+1], acc0.Coeffs[level+1:rows], d0.Coeffs)
+	tQ := ks.keyRing.Tables[:level+1]
+	tS := ks.keyRing.Tables[qLen : qLen+ext]
+	dw.ModDownNTT(acc0.Coeffs[:level+1], acc0.Coeffs[level+1:rows], d0.Coeffs, tQ, tS)
 	if err := cc.err("ModDown"); err != nil {
-		return ring.Poly{}, ring.Poly{}, err
+		return err
 	}
-	dw.ModDown(acc1.Coeffs[:level+1], acc1.Coeffs[level+1:rows], d1.Coeffs)
-	ring.ForEachLimbRange(level+1, ks.parallelism, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if cc.stopped() {
-				return
-			}
-			ks.keyRing.Tables[i].Forward(d0.Coeffs[i])
-			ks.keyRing.Tables[i].Forward(d1.Coeffs[i])
-		}
-	})
+	dw.ModDownNTT(acc1.Coeffs[:level+1], acc1.Coeffs[level+1:rows], d1.Coeffs, tQ, tS)
 	if err := cc.err("ModDown"); err != nil {
-		return ring.Poly{}, ring.Poly{}, err
+		return err
 	}
 	if ks.modDownNS != nil {
 		ks.modDownNS.ObserveSince(t0)
 	}
 	ks.traceSpan("ModDown", level, t0, cc)
-	return d0, d1, nil
+	return nil
 }
 
 // Switch is the one-shot path: Decompose followed by KeyMult. All
 // intermediate buffers are pooled; only the returned (d0, d1) pair is
 // freshly allocated (it escapes into the output ciphertext).
 func (ks *KeySwitcher) Switch(c ring.Poly, key *SwitchingKey, level int) (d0, d1 ring.Poly, err error) {
-	return ks.switchPoly(nil, c, key, level)
+	d0, d1 = ring.NewPoly(ks.params.N(), level+1), ring.NewPoly(ks.params.N(), level+1)
+	if err := ks.switchPoly(nil, c, key, level, d0, d1); err != nil {
+		return ring.Poly{}, ring.Poly{}, err
+	}
+	return d0, d1, nil
 }
 
-func (ks *KeySwitcher) switchPoly(cc *cancelCheck, c ring.Poly, key *SwitchingKey, level int) (d0, d1 ring.Poly, err error) {
+// switchPoly is Switch writing into d0 and d1 (see keyMult).
+func (ks *KeySwitcher) switchPoly(cc *cancelCheck, c ring.Poly, key *SwitchingKey, level int, d0, d1 ring.Poly) error {
 	d, err := ks.decompose(cc, c, level)
 	if err != nil {
-		return d0, d1, err
+		return err
 	}
 	defer ks.Release(d)
-	return ks.keyMult(cc, d, key, level)
+	return ks.keyMult(cc, d, key, level, d0, d1)
 }

@@ -100,74 +100,98 @@ func (lt *LinearTransform) Rotations() []int {
 // move each partial sum into place. The result carries scale ct.Scale*lt
 // scale; the caller rescales.
 func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform) (*Ciphertext, error) {
-	return ev.linearTransform(nil, ct, lt)
+	return ev.linearTransform(nil, ct, lt, heapResult)
 }
 
-// linearTransform polls cc inside the hoisted baby rotations, per diagonal
-// multiplication bucket and per giant step, so a deep homomorphic DFT abandons
-// within a fraction of one key-switch of its context being done.
-func (ev *Evaluator) linearTransform(cc *cancelCheck, ct *Ciphertext, lt *LinearTransform) (*Ciphertext, error) {
+// linearTransform polls cc inside the hoisted baby rotations, per giant
+// bucket and per giant step, so a deep homomorphic DFT abandons within a
+// fraction of one key-switch of its context being done. Each giant bucket
+// Σ_b diag_{g·bs+b} ∘ rot_b(ct) is one multiply-accumulate per row
+// (mulPlainSum); the rotations, buckets and partial sums are pooled and
+// recycled here, and the result is per mode.
+func (ev *Evaluator) linearTransform(cc *cancelCheck, ct *Ciphertext, lt *LinearTransform, mode resultMode) (*Ciphertext, error) {
 	if ct.Level < lt.level {
 		return nil, fmt.Errorf("ckks: ciphertext at level %d below transform level %d: %w", ct.Level, lt.level, ErrLevelMismatch)
 	}
-	if ct.Level > lt.level {
-		ct = ev.DropLevel(ct, ct.Level-lt.level)
-	}
+	ct = ct.view(lt.level)
+	method := ev.Method()
 
-	// Hoist the distinct baby rotations.
+	// buckets[g] lists the diagonals g + b (b < bs) applied under giant step g.
+	buckets := map[int][]int{}
 	babySet := map[int]bool{}
 	for d := range lt.diags {
-		babySet[d%lt.bs] = true
-	}
-	var babies []int
-	for b := range babySet {
-		babies = append(babies, b)
-	}
-	sort.Ints(babies)
-	rotated, err := ev.rotateHoisted(cc, ct, babies, ev.Method())
-	if err != nil {
-		return nil, err
-	}
-
-	// Giant buckets: inner[g] = sum_b prerot(diag_{g*bs+b}) ∘ rot_b(ct).
-	inner := map[int]*Ciphertext{}
-	var giants []int
-	for d, pt := range lt.diags {
-		if err := cc.err("LinearTransform"); err != nil {
-			return nil, err
-		}
 		b, g := d%lt.bs, (d/lt.bs)*lt.bs
-		term, err := ev.MulPlain(rotated[b], pt)
-		if err != nil {
-			return nil, err
-		}
-		if acc, ok := inner[g]; ok {
-			if inner[g], err = ev.Add(acc, term); err != nil {
-				return nil, err
-			}
-		} else {
-			inner[g] = term
-			giants = append(giants, g)
+		buckets[g] = append(buckets[g], d)
+		if b != 0 {
+			babySet[b] = true
 		}
 	}
-	sort.Ints(giants)
+	babies := sortedKeys(babySet)
 
-	// Apply the giant rotations and accumulate.
+	// Hoist the distinct nonzero baby rotations; rot_0 is ct itself.
+	rotated := map[int]*Ciphertext{}
+	if len(babies) > 0 {
+		var err error
+		if rotated, err = ev.rotateHoisted(cc, ct, babies, method, poolResult); err != nil {
+			return nil, err
+		}
+	}
+	defer func() {
+		for _, r := range rotated {
+			ev.recycle(r)
+		}
+	}()
+	rotatedBy := func(b int) *Ciphertext {
+		if b == 0 {
+			return ct
+		}
+		return rotated[b]
+	}
+
+	// Apply each bucket's giant rotation and accumulate.
 	var out *Ciphertext
-	for _, g := range giants {
-		part := inner[g]
-		if g != 0 {
-			if part, err = ev.rotate(cc, part, g, ev.Method()); err != nil {
-				return nil, err
-			}
+	for _, g := range sortedKeys(buckets) {
+		if err := cc.err("LinearTransform"); err != nil {
+			ev.recycle(out)
+			return nil, err
+		}
+		var cts []*Ciphertext
+		var pts []*Plaintext
+		for _, d := range buckets[g] {
+			cts = append(cts, rotatedBy(d%lt.bs))
+			pts = append(pts, lt.diags[d])
+		}
+		part, err := ev.mulPlainSum(cts, pts, poolResult)
+		if err == nil && g != 0 {
+			var moved *Ciphertext
+			moved, err = ev.rotate(cc, part, g, method, poolResult)
+			ev.recycle(part)
+			part = moved
+		}
+		if err != nil {
+			ev.recycle(out)
+			return nil, err
 		}
 		if out == nil {
 			out = part
 			continue
 		}
-		if out, err = ev.Add(out, part); err != nil {
+		sum, err := ev.addSub(out, part, false, poolResult)
+		ev.recycle(out, part)
+		if err != nil {
 			return nil, err
 		}
+		out = sum
 	}
-	return out, nil
+	return ev.export(out, mode), nil
+}
+
+// sortedKeys returns the keys of an int-keyed map in increasing order.
+func sortedKeys[V any](m map[int]V) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	return keys
 }

@@ -76,6 +76,10 @@ type Parameters struct {
 	ringQP *ring.Ring // over Q ++ P (keys of the hybrid backend)
 	ringQT *ring.Ring // over Q ++ T (keys of the KLSS backend)
 
+	// ringQAt[l] is ringQ.AtLevel(l), built once: the evaluator's ops run at a
+	// level, and AtLevel re-derives the modulus product on every call.
+	ringQAt []*ring.Ring
+
 	// galois memoizes automorphism NTT index tables per Galois element,
 	// shared by every evaluator and key generator built on this parameter
 	// set (see galois.go).
@@ -139,6 +143,9 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 
 	if p.ringQ, err = ring.NewRing(lit.LogN, p.qChain); err != nil {
 		return nil, err
+	}
+	for l := range p.qChain {
+		p.ringQAt = append(p.ringQAt, p.ringQ.AtLevel(l))
 	}
 	if p.ringP, err = ring.NewRing(lit.LogN, p.pChain); err != nil {
 		return nil, err

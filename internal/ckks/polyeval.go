@@ -30,7 +30,7 @@ func (p Polynomial) Depth() int {
 // Multiplicative depth is ~log2(deg) instead of deg. The result carries the
 // default scale exactly, whatever the rescale drift along the way.
 func (ev *Evaluator) EvaluatePoly(ct *Ciphertext, p Polynomial) (*Ciphertext, error) {
-	return ev.evaluatePoly(nil, ct, realCoeffs(p), ev.params.Scale())
+	return ev.evaluatePoly(nil, ct, realCoeffs(p), ev.params.Scale(), heapResult)
 }
 
 func realCoeffs(p Polynomial) []complex128 {
@@ -74,8 +74,9 @@ func polyLevels(deg int) int {
 }
 
 // evaluatePoly evaluates sum_k coeffs[k]*ct^k and lands it on the target
-// scale. Real polynomials are the case of zero imaginary parts; an imaginary
-// part costs one pointwise product per chunk (mulByI), no key-switch.
+// scale, into a result per mode. Real polynomials are the case of zero
+// imaginary parts; an imaginary part costs one pointwise product per chunk
+// (mulByI), no key-switch.
 //
 // Scales are exact: a coefficient is not quantised at Δ but at whatever scale
 // puts its term on the scale its chunk needs, so the terms of every sum — and
@@ -83,13 +84,22 @@ func polyLevels(deg int) int {
 // with no tolerance (addExact). The bootstrap's angle error is amplified by
 // ~2^15 on the way out, so a relative scale mismatch of 1e-6 between two
 // summands, well inside what Add accepts, already costs ten bits there.
-func (ev *Evaluator) evaluatePoly(cc *cancelCheck, ct *Ciphertext, coeffs []complex128, target float64) (*Ciphertext, error) {
+//
+// Every power, chunk and partial sum is pooled and recycled here; ct is the
+// caller's and only read.
+func (ev *Evaluator) evaluatePoly(cc *cancelCheck, ct *Ciphertext, coeffs []complex128, target float64, mode resultMode) (*Ciphertext, error) {
 	deg := len(coeffs) - 1
 	switch {
 	case deg < 0:
 		return nil, fmt.Errorf("ckks: empty polynomial")
 	case deg == 0:
-		return ev.addConstComplex(ev.zeroCiphertext(ct.Level, ct.Scale), coeffs[0])
+		zero := ev.zeroCiphertext(ct.Level, ct.Scale)
+		out, err := ev.addConstComplex(zero, coeffs[0])
+		ev.recycle(zero)
+		if err != nil {
+			return nil, err
+		}
+		return ev.export(out, mode), nil
 	case ct.Level < polyLevels(deg):
 		return nil, fmt.Errorf("ckks: degree-%d polynomial needs %d levels, ciphertext has %d: %w", deg, polyLevels(deg), ct.Level, ErrLevelExhausted)
 	}
@@ -100,25 +110,30 @@ func (ev *Evaluator) evaluatePoly(cc *cancelCheck, ct *Ciphertext, coeffs []comp
 	// pow[2i] = pow[i]^2, pow[2i+1] = pow[2i]*pow[1].
 	pow := make([]*Ciphertext, bs+1)
 	pow[1] = ct
+	// giant[j] = ct^(bs * 2^j); the first one is the last baby power.
+	var giant []*Ciphertext
+	defer func() {
+		ev.recycle(pow[2:]...)
+		if len(giant) > 1 {
+			ev.recycle(giant[1:]...)
+		}
+	}()
 	var err error
 	for i := 2; i <= bs && i <= deg; i++ {
 		if i%2 == 0 {
-			pow[i], err = ev.mulRescaleCC(cc, pow[i/2], pow[i/2])
+			pow[i], err = ev.mulRescaleCC(cc, pow[i/2], pow[i/2], poolResult)
 		} else {
-			pow[i], err = ev.mulRescaleCC(cc, pow[i-1], pow[1])
+			pow[i], err = ev.mulRescaleCC(cc, pow[i-1], pow[1], poolResult)
 		}
 		if err != nil {
 			return nil, err
 		}
 	}
-
-	// giant[j] = ct^(bs * 2^j); the first one is the last baby power.
-	var giant []*Ciphertext
 	for g := bs; g <= deg; g <<= 1 {
 		next := pow[bs]
 		if len(giant) > 0 {
 			last := giant[len(giant)-1]
-			if next, err = ev.mulRescaleCC(cc, last, last); err != nil {
+			if next, err = ev.mulRescaleCC(cc, last, last, poolResult); err != nil {
 				return nil, err
 			}
 		}
@@ -132,6 +147,7 @@ func (ev *Evaluator) evaluatePoly(cc *cancelCheck, ct *Ciphertext, coeffs []comp
 	var out *Ciphertext
 	for g := 0; g*bs <= deg; g++ {
 		if err := cc.err("EvaluatePoly"); err != nil {
+			ev.recycle(out)
 			return nil, err
 		}
 		// Walk the chunk's giant products on levels and scales alone: each
@@ -147,6 +163,7 @@ func (ev *Evaluator) evaluatePoly(cc *cancelCheck, ct *Ciphertext, coeffs []comp
 		}
 		part, err := ev.innerSum(cc, pow, coeffs[g*bs:min((g+1)*bs, deg+1)], innerLevel, scale)
 		if err != nil {
+			ev.recycle(out)
 			return nil, err
 		}
 		if part == nil {
@@ -154,55 +171,82 @@ func (ev *Evaluator) evaluatePoly(cc *cancelCheck, ct *Ciphertext, coeffs []comp
 		}
 		for j, gt := range giant {
 			if g&(1<<j) != 0 {
-				if part, err = ev.mulRescaleCC(cc, part, gt); err != nil {
+				next, err := ev.mulRescaleCC(cc, part, gt, poolResult)
+				ev.recycle(part)
+				if err != nil {
+					ev.recycle(out)
 					return nil, err
 				}
+				part = next
 			}
 		}
-		if out, err = ev.addExact(out, part); err != nil {
+		if out == nil {
+			out = part
+			continue
+		}
+		sum, err := ev.addExact(out, part, poolResult)
+		ev.recycle(out, part)
+		if err != nil {
 			return nil, err
 		}
+		out = sum
 	}
 	if out == nil {
 		out = ev.zeroCiphertext(innerLevel-1, target)
 	}
-	return out, nil
+	return ev.export(out, mode), nil
 }
 
 // innerSum returns sum_b coeffs[b]*pow[b], computed at the given level and
 // rescaled once onto exactly the given scale, or nil when every coefficient
-// is zero.
+// is zero. The real-coefficient terms are one multiply-accumulate and the
+// imaginary ones another (mulConstSum); the result is pooled.
 func (ev *Evaluator) innerSum(cc *cancelCheck, pow []*Ciphertext, coeffs []complex128, level int, scale float64) (*Ciphertext, error) {
 	pre := scale * float64(ev.params.qChain[level])
-	var parts [2]*Ciphertext // the real-coefficient sum and the imaginary one
+	// Per part (real, imaginary): the powers, their coefficients and the
+	// scales that land each term on pre.
+	var xs [2][]*Ciphertext
+	var cs, constScales [2][]float64
 	for b := 1; b < len(coeffs); b++ {
 		if coeffs[b] == 0 {
 			continue
 		}
-		x := pow[b]
-		if x.Level > level {
-			x = ev.DropLevel(x, x.Level-level)
-		}
+		x := pow[b].view(level)
 		for k, c := range [2]float64{real(coeffs[b]), imag(coeffs[b])} {
-			if c == 0 {
-				continue
-			}
-			term, err := ev.mulConstAtScale(x, c, pre/x.Scale)
-			if err != nil {
-				return nil, err
-			}
-			if parts[k], err = ev.addExact(parts[k], term); err != nil {
-				return nil, err
+			if c != 0 {
+				xs[k] = append(xs[k], x)
+				cs[k] = append(cs[k], c)
+				constScales[k] = append(constScales[k], pre/x.Scale)
 			}
 		}
 	}
-	sum := parts[0]
-	if parts[1] != nil {
-		im, err := ev.mulByI(parts[1])
+	var parts [2]*Ciphertext
+	defer func() { ev.recycle(parts[:]...) }()
+	for k := range parts {
+		if len(xs[k]) == 0 {
+			continue
+		}
+		var err error
+		if parts[k], err = ev.mulConstSum(xs[k], cs[k], constScales[k], poolResult); err != nil {
+			return nil, err
+		}
+	}
+	var sum *Ciphertext
+	switch {
+	case parts[1] == nil:
+		sum, parts[0] = parts[0], nil
+	default:
+		im, err := ev.mulByI(parts[1], poolResult)
 		if err != nil {
 			return nil, err
 		}
-		if sum, err = ev.addExact(sum, im); err != nil {
+		if parts[0] == nil {
+			sum = im
+			break
+		}
+		sum, err = ev.addExact(parts[0], im, poolResult)
+		ev.recycle(im)
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -210,57 +254,75 @@ func (ev *Evaluator) innerSum(cc *cancelCheck, pow []*Ciphertext, coeffs []compl
 		if sum == nil {
 			sum = ev.zeroCiphertext(level, pre)
 		}
-		var err error
-		if sum, err = ev.addConstComplex(sum, coeffs[0]); err != nil {
+		next, err := ev.addConstComplex(sum, coeffs[0])
+		ev.recycle(sum)
+		if err != nil {
 			return nil, err
 		}
+		sum = next
 	}
 	if sum == nil {
 		return nil, nil
 	}
-	return ev.rescaleCC(cc, sum)
+	out, err := ev.rescaleCC(cc, sum, poolResult)
+	ev.recycle(sum)
+	return out, err
 }
 
-// addExact is Add for operands whose scales are equal by construction: a
-// relative difference beyond float64 rounding is a scheduling bug, not drift,
-// and is refused. A nil a returns b.
-func (ev *Evaluator) addExact(a, b *Ciphertext) (*Ciphertext, error) {
-	if a == nil {
-		return b, nil
-	}
-	if math.Abs(a.Scale-b.Scale) > 1e-13*math.Max(a.Scale, b.Scale) {
+// addExact is Add for operands whose scales are equal by construction, into
+// a result per mode: a relative difference beyond float64 rounding is a
+// scheduling bug, not drift, and is refused.
+func (ev *Evaluator) addExact(a, b *Ciphertext, mode resultMode) (*Ciphertext, error) {
+	if !exactScale(a.Scale, b.Scale) {
 		return nil, fmt.Errorf("ckks: exact-scale sum %w: %g vs %g", ErrScaleMismatch, a.Scale, b.Scale)
 	}
-	return ev.Add(a, b)
+	return ev.addSub(a, b, false, mode)
 }
 
+// exactScale reports whether two scales that are equal by construction are,
+// to float64 rounding.
+func exactScale(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-13*math.Max(a, b)
+}
+
+// zeroCiphertext returns a pooled, zeroed ciphertext.
 func (ev *Evaluator) zeroCiphertext(level int, scale float64) *Ciphertext {
-	rq := ev.params.ringQ.AtLevel(level)
-	return &Ciphertext{C0: rq.NewPoly(), C1: rq.NewPoly(), Level: level, Scale: scale}
+	return &Ciphertext{C0: ev.pool.GetZero(level + 1), C1: ev.pool.GetZero(level + 1), Level: level, Scale: scale}
 }
 
-// addConstComplex returns ct + c for a complex constant, at ct's scale.
+// addConstComplex returns ct + c for a complex constant, at ct's scale,
+// pooled.
 func (ev *Evaluator) addConstComplex(ct *Ciphertext, c complex128) (*Ciphertext, error) {
-	out, err := ev.AddConst(ct, real(c))
+	out, err := ev.addConst(ct, real(c), poolResult)
 	if err != nil || imag(c) == 0 {
 		return out, err
 	}
-	im, err := ev.AddConst(ev.zeroCiphertext(ct.Level, ct.Scale), imag(c))
+	zero := ev.zeroCiphertext(ct.Level, ct.Scale)
+	im, err := ev.addConst(zero, imag(c), poolResult)
+	ev.recycle(zero)
 	if err != nil {
+		ev.recycle(out)
 		return nil, err
 	}
-	if im, err = ev.mulByI(im); err != nil {
+	iIm, err := ev.mulByI(im, poolResult)
+	ev.recycle(im)
+	if err != nil {
+		ev.recycle(out)
 		return nil, err
 	}
-	return ev.Add(out, im)
+	sum, err := ev.addSub(out, iIm, false, poolResult)
+	ev.recycle(out, iIm)
+	return sum, err
 }
 
 // mulRescaleCC multiplies and immediately rescales (the evaluation keeps
-// every intermediate near the working scale).
-func (ev *Evaluator) mulRescaleCC(cc *cancelCheck, a, b *Ciphertext) (*Ciphertext, error) {
-	p, err := ev.mulRelin(cc, a, b, ev.Method())
+// every intermediate near the working scale), into a result per mode.
+func (ev *Evaluator) mulRescaleCC(cc *cancelCheck, a, b *Ciphertext, mode resultMode) (*Ciphertext, error) {
+	p, err := ev.mulRelin(cc, a, b, ev.Method(), poolResult)
 	if err != nil {
 		return nil, err
 	}
-	return ev.rescaleCC(cc, p)
+	out, err := ev.rescaleCC(cc, p, mode)
+	ev.recycle(p)
+	return out, err
 }

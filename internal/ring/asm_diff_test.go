@@ -338,15 +338,26 @@ func TestVectorPrimitivesASMMatchGo(t *testing.T) {
 			diffVec(t, name+"ShoupMulSubVec", n, func(dst []uint64) { mod.ShoupMulSubVec(dst, x, sub, w, ws) })
 
 			// Foreign residues: a bound the 52-bit multiplier takes (all
-			// lanes at its top) and one it must refuse.
-			for _, yBound := range []uint64{lane52Bound, 1 << 61} {
+			// lanes at its top) and one it must refuse; ReduceForeignVec also
+			// gets a bound it copies through (2q).
+			for _, yBound := range []uint64{2 * q, lane52Bound, 1 << 61} {
 				y := make([]uint64, n)
 				for i := range y {
 					y[i] = rng.Uint64() % yBound
 				}
 				y[0] = yBound - 1
-				diffVec(t, fmt.Sprintf("%sShoupMulSubForeignVec/ybound=2^%d", name, big.NewInt(0).SetUint64(yBound).BitLen()-1), n,
+				bound := fmt.Sprintf("ybound=%#x", yBound)
+				diffVec(t, name+"ShoupMulSubForeignVec/"+bound, n,
 					func(dst []uint64) { mod.ShoupMulSubForeignVec(dst, x, y, yBound, w, ws) })
+				diffVec(t, name+"ReduceForeignVec/"+bound, n, func(dst []uint64) {
+					mod.ReduceForeignVec(dst, y, yBound)
+					for i := range dst {
+						if dst[i] >= 2*q || dst[i]%q != y[i]%q {
+							t.Errorf("ReduceForeignVec[%d] = %d for y = %d, want a residue below 2q", i, dst[i], y[i])
+							return
+						}
+					}
+				})
 			}
 
 			for l := 1; l <= 13; l++ {
@@ -392,7 +403,8 @@ func TestVectorPrimitivesASMMatchGo(t *testing.T) {
 // one fold on the 52-bit path, the 128-bit accumulator elsewhere) to math/big
 // at 1, 3 and 9 terms and at the largest term count MAC52Fits admits, with
 // every operand at q-1 — the sum that comes closest to every lane bound — and
-// with random operands.
+// with random operands. MulAccScalars, the same sum with each ys row one
+// broadcast word, runs on its first column.
 func TestMulAccRowsMatchesBigInt(t *testing.T) {
 	const n = 32
 	rng := rand.New(rand.NewSource(11))
@@ -430,17 +442,36 @@ func TestMulAccRowsMatchesBigInt(t *testing.T) {
 						want[k].Add(want[k], tmp.Mul(tmp, new(big.Int).SetUint64(ys[j][k])))
 					}
 				}
+				// The broadcast sum: ys[j][0] times every coefficient of xs[j].
+				ws := make([]uint64, l)
+				wantB := make([]*big.Int, n)
+				for k := range wantB {
+					wantB[k] = new(big.Int)
+				}
+				for j := range xs {
+					ws[j] = ys[j][0]
+					for k := 0; k < n; k++ {
+						tmp.SetUint64(xs[j][k])
+						wantB[k].Add(wantB[k], tmp.Mul(tmp, new(big.Int).SetUint64(ws[j])))
+					}
+				}
 				qB := new(big.Int).SetUint64(q)
 				for k := range want {
 					want[k].Mod(want[k], qB)
+					wantB[k].Mod(wantB[k], qB)
 				}
 				t.Run(fmt.Sprintf("q=%d/terms=%d/%s", q, l, fill), func(t *testing.T) {
 					kerneltest.EachPath(t, func(t *testing.T) {
 						got := make([]uint64, n)
 						mod.MulAccRows(got, xs, ys)
+						gotB := make([]uint64, n)
+						mod.MulAccScalars(gotB, xs, ws)
 						for k := range got {
 							if got[k] != want[k].Uint64() {
 								t.Fatalf("coefficient %d: got %d, want %d", k, got[k], want[k])
+							}
+							if gotB[k] != wantB[k].Uint64() {
+								t.Fatalf("MulAccScalars coefficient %d: got %d, want %d", k, gotB[k], wantB[k])
 							}
 						}
 					})

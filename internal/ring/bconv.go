@@ -106,6 +106,30 @@ func (m Modulus) ShoupMulSubForeignVec(dst, x, y []uint64, yBound, w, ws uint64)
 	}
 }
 
+// ReduceForeignVec sets dst[k] ≡ y[k] (mod q) with dst[k] < 2q — the input
+// range of NTTTable.Forward — where y holds residues of ANOTHER modulus: any
+// values below yBound. It is how RescaleNTT carries the dropped limb into each
+// remaining one. Rows below 2q already are copied; wider ones are fully
+// reduced by a Shoup multiply by one, on the 52-bit kernel when yBound fits its
+// multiplier (the 64-bit kernels take any 64-bit word). dst may alias y
+// exactly.
+func (m Modulus) ReduceForeignVec(dst, y []uint64, yBound uint64) {
+	n := len(dst)
+	y = y[:n]
+	switch {
+	case yBound <= m.Q<<1:
+		copy(dst, y)
+	case m.use52(n) && yBound <= lane52Bound:
+		shoupMulVec52(m, dst, y, 1, m.ShoupPrecomp(1))
+	case vecUseASM(n):
+		shoupMulVecASM(m, dst, y, 1, m.ShoupPrecomp(1))
+	default:
+		for k := range dst {
+			dst[k] = m.ReduceWord(y[k])
+		}
+	}
+}
+
 // BConvAccum computes the HPS base-conversion inner product over an
 // arena-backed source: dst[k] = (Σ_i src[i*stride + k] * ws[i]) mod q, with
 // 128-bit accumulation and ONE Barrett reduction per output coefficient. The

@@ -75,12 +75,31 @@ func (m Modulus) MulAccRows(dst []uint64, xs, ys [][]uint64) {
 		mac52(m, dst, xs, ys, 0)
 		return
 	}
-	mulAccRowsGo(m, dst, xs, ys)
+	mulAccRowsGo(m, dst, xs, ys, nil)
 }
 
-// mulAccRowsGo is the reference for MulAccRows. It walks dst in blocks small
-// enough for the (hi, lo) accumulators to stay in L1 across all terms.
-func mulAccRowsGo(m Modulus, dst []uint64, xs, ys [][]uint64) {
+// MulAccScalars sets dst[k] = (Σ_j xs[j][k]·ws[j]) mod q, fully reduced: rows
+// scaled by constants and summed — a polynomial's inner sum Σ_b c_b·x^b, one
+// output row at a time. Every operand must be fully reduced (< q). It is
+// MulAccRows with each ys[j] one word broadcast to every lane (mac52's
+// broadcast flag on the 52-bit datapath).
+func (m Modulus) MulAccScalars(dst []uint64, xs [][]uint64, ws []uint64) {
+	if m.useMAC52(len(dst), m.Q, len(xs)) {
+		var yb [16][]uint64
+		ys := yb[:0]
+		for j := range ws {
+			ys = append(ys, ws[j:j+1])
+		}
+		mac52(m, dst, xs, ys, mac52Broadcast)
+		return
+	}
+	mulAccRowsGo(m, dst, xs, nil, ws)
+}
+
+// mulAccRowsGo is the reference for MulAccRows (ws == nil) and MulAccScalars
+// (ys == nil). It walks dst in blocks small enough for the (hi, lo)
+// accumulators to stay in L1 across all terms.
+func mulAccRowsGo(m Modulus, dst []uint64, xs, ys [][]uint64, ws []uint64) {
 	const blk = 128
 	var accLo, accHi [blk]uint64
 	capTerms := m.AccumCapacity()
@@ -98,12 +117,23 @@ func mulAccRowsGo(m Modulus, dst []uint64, xs, ys [][]uint64) {
 				}
 				terms = 1
 			}
-			x, y := xs[j][k0:k0+w], ys[j][k0:k0+w]
-			for t := range lo {
-				ph, pl := bits.Mul64(x[t], y[t])
-				var c uint64
-				lo[t], c = bits.Add64(lo[t], pl, 0)
-				hi[t] += ph + c
+			x := xs[j][k0 : k0+w]
+			if ws != nil {
+				y := ws[j]
+				for t := range lo {
+					ph, pl := bits.Mul64(x[t], y)
+					var c uint64
+					lo[t], c = bits.Add64(lo[t], pl, 0)
+					hi[t] += ph + c
+				}
+			} else {
+				y := ys[j][k0 : k0+w]
+				for t := range lo {
+					ph, pl := bits.Mul64(x[t], y[t])
+					var c uint64
+					lo[t], c = bits.Add64(lo[t], pl, 0)
+					hi[t] += ph + c
+				}
 			}
 			terms++
 		}

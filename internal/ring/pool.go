@@ -18,6 +18,12 @@ import (
 // full arena through the Poly's arena pointer, so a truncated view can be
 // returned directly. Polynomials not allocated by a pool of the same shape are
 // silently dropped by Put (never corrupted, never double-pooled).
+//
+// Under the race detector (pool_race.go) the pool also polices its contract:
+// Get fills the rows it hands out with poolPoison, a word above every
+// modulus, and Put of an arena that is already pooled panics. `make race`
+// runs the golden and oracle tests that way, so an op that reads a pooled
+// row before writing it, or two owners recycling one buffer, fails there.
 type PolyPool struct {
 	n, maxLimbs int
 	pool        sync.Pool
@@ -39,7 +45,12 @@ type poolArena struct {
 	owner   *PolyPool
 	coeffs  [][]uint64
 	backing []uint64
+	pooled  bool // sitting in the pool; maintained only when poolChecks
 }
+
+// poolPoison fills every row Get hands out under poolChecks: above 2^61, so
+// above every modulus, and so no residue any kernel can produce.
+const poolPoison = 0xA5A5A5A5A5A5A5A5
 
 // NewPolyPool creates a pool of polynomials with the given degree and maximal
 // limb count.
@@ -98,11 +109,18 @@ func (pp *PolyPool) Get(limbs int) Poly {
 	}
 	pp.gets.Inc()
 	a := pp.pool.Get().(*poolArena)
-	return Poly{
+	p := Poly{
 		Coeffs:  a.coeffs[:limbs],
 		Backing: a.backing[: limbs*pp.n : limbs*pp.n],
 		arena:   a,
 	}
+	if poolChecks {
+		a.pooled = false
+		for i := range p.Backing {
+			p.Backing[i] = poolPoison
+		}
+	}
+	return p
 }
 
 // GetZero returns a zeroed polynomial with exactly `limbs` rows.
@@ -120,6 +138,14 @@ func (pp *PolyPool) Put(p Poly) {
 	a := p.arena
 	if a == nil || a.owner != pp {
 		return // not one of ours; let the GC have it
+	}
+	if poolChecks {
+		// INVARIANT: a routine recycles only what it created, once.
+		// A panic here is a repo-internal bug, never a reaction to caller input.
+		if a.pooled {
+			panic("ring: PolyPool.Put of a buffer that is already in the pool")
+		}
+		a.pooled = true
 	}
 	pp.puts.Inc()
 	pp.pool.Put(a)

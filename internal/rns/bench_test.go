@@ -117,3 +117,89 @@ func BenchmarkRescaleKernel(b *testing.B) {
 		}
 	})
 }
+
+// benchTables builds the NTT tables of a chain.
+func benchTables(b *testing.B, ms []ring.Modulus, logN int) []*ring.NTTTable {
+	b.Helper()
+	ts := make([]*ring.NTTTable, len(ms))
+	for i, m := range ms {
+		var err error
+		if ts[i], err = ring.NewNTTTable(m, logN); err != nil {
+			b.Fatalf("NewNTTTable: %v", err)
+		}
+	}
+	return ts
+}
+
+// BenchmarkModDownNTT measures one ModDown of a key switch's accumulator at
+// the bootstrap's top level (25 Q limbs over 3 special primes, log_n 12) both
+// ways: "coeff" is the route ModDownNTT replaced — every row inverse-
+// transformed, ModDown, every Q row forward again (2·25 + 3 transforms) — and
+// "ntt" is ModDownNTT (3 + 25). Same bytes out; the difference is the kernel
+// delta.
+func BenchmarkModDownNTT(b *testing.B) {
+	const logN = 12
+	n := 1 << logN
+	q := benchModuli(b, 40, logN, 25)
+	p := benchModuli(b, 50, logN, 3)
+	d, err := NewModDowner(q, p)
+	if err != nil {
+		b.Fatalf("NewModDowner: %v", err)
+	}
+	tQ, tP := benchTables(b, q, logN), benchTables(b, p, logN)
+	xQ := benchRows(q, n, 14)
+	xP := benchRows(p, n, 15)
+	out := benchRows(q, n, 16)
+	b.Run("coeff/25x40aux3x50", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			// Inverse-transforming a transform's own lazy output stays in
+			// contract, so the rows are reused across iterations.
+			for j, r := range xQ {
+				tQ[j].InverseLazy(r)
+			}
+			for j, r := range xP {
+				tP[j].InverseLazy(r)
+			}
+			d.ModDown(xQ, xP, out)
+			for j, r := range out {
+				tQ[j].Forward(r)
+			}
+		}
+	})
+	b.Run("ntt/25x40aux3x50", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			d.ModDownNTT(xQ, xP, out, tQ, tP) // consumes xP: see above
+		}
+	})
+}
+
+// BenchmarkRescaleNTT is the same comparison for a rescale of one 25-limb
+// polynomial: "coeff" is a full INTT, Rescale and a forward NTT (25 + 24
+// transforms), "ntt" is RescaleNTT (1 + 24).
+func BenchmarkRescaleNTT(b *testing.B) {
+	const logN = 12
+	n := 1 << logN
+	q := benchModuli(b, 40, logN, 25)
+	r := NewRescaler(q)
+	ts := benchTables(b, q, logN)
+	x := benchRows(q, n, 17)
+	tmp := benchRows(q, n, 18)
+	out := benchRows(q[:len(q)-1], n, 19)
+	b.Run("coeff/25x40", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j := range tmp {
+				copy(tmp[j], x[j])
+				ts[j].Inverse(tmp[j])
+			}
+			r.Rescale(tmp, out)
+			for j, row := range out {
+				ts[j].Forward(row)
+			}
+		}
+	})
+	b.Run("ntt/25x40", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r.RescaleNTT(x, out, ts)
+		}
+	})
+}

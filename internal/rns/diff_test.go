@@ -341,3 +341,170 @@ func rescaleLazyEquivalence(t *testing.T, ms []ring.Modulus) [][]uint64 {
 	}
 	return out1
 }
+
+// nttTables builds the NTT tables of a chain at degree 2^logN.
+func nttTables(t *testing.T, ms []ring.Modulus, logN int) []*ring.NTTTable {
+	t.Helper()
+	ts := make([]*ring.NTTTable, len(ms))
+	for i, m := range ms {
+		var err error
+		if ts[i], err = ring.NewNTTTable(m, logN); err != nil {
+			t.Fatalf("NewNTTTable(%d): %v", m.Q, err)
+		}
+	}
+	return ts
+}
+
+func cloneRows(src [][]uint64) [][]uint64 {
+	out := rows(len(src), len(src[0]))
+	for i := range src {
+		copy(out[i], src[i])
+	}
+	return out
+}
+
+// sameRows fails the test at the first word where got and want differ.
+func sameRows(t *testing.T, what string, got, want [][]uint64) {
+	t.Helper()
+	for i := range want {
+		for k := range want[i] {
+			if got[i][k] != want[i][k] {
+				t.Fatalf("%s differs at [%d][%d]: %d != %d", what, i, k, got[i][k], want[i][k])
+			}
+		}
+	}
+}
+
+// TestModDownNTTMatchesCoefficientDomain holds ModDownNTT, byte for byte on
+// every kernel path, to the route it replaces: both inputs inverse-transformed
+// lazily (so the P rows reach ModDown in [0, 2q), straight out of
+// InverseLazy), ModDown, and a forward NTT of every output row. The chains
+// cover 36-, 40- and 50-bit Q over the 50/51-bit special primes and the 60-bit
+// KLSS chain T as P in both directions; n = 64 runs every transform and vector
+// kernel on its assembly path.
+func TestModDownNTTMatchesCoefficientDomain(t *testing.T) {
+	const logN, n = 6, 64
+	q50 := moduli(t, 50, logN, 6) // 51- and 50-bit primes, scanning up from 2^50
+	for _, tc := range []struct {
+		name string
+		q, p []ring.Modulus
+	}{
+		{"36over50", moduli(t, 36, logN, 4), q50[:3]},
+		{"40over50", moduli(t, 40, logN, 5), q50[:2]},
+		{"50over51", q50[3:], q50[:3]},
+		{"36over60", moduli(t, 36, logN, 4), moduli(t, 60, logN, 2)},
+		{"60over36", moduli(t, 60, logN, 3), moduli(t, 36, logN, 2)},
+	} {
+		d, err := NewModDowner(tc.q, tc.p)
+		if err != nil {
+			t.Fatalf("%s: NewModDowner: %v", tc.name, err)
+		}
+		tQ, tP := nttTables(t, tc.q, logN), nttTables(t, tc.p, logN)
+		rng := rand.New(rand.NewSource(206))
+		xQ := randRows(rng, tc.q, n, true) // NTT form; lazy rows are in contract
+		xP := randRows(rng, tc.p, n, false)
+		t.Run(tc.name, func(t *testing.T) {
+			var first [][]uint64
+			kerneltest.EachPath(t, func(t *testing.T) {
+				cQ, cP := cloneRows(xQ), cloneRows(xP)
+				for i, r := range cQ {
+					tQ[i].InverseLazy(r)
+				}
+				for j, r := range cP {
+					tP[j].InverseLazy(r)
+				}
+				want := rows(len(tc.q), n)
+				d.ModDown(cQ, cP, want)
+				for i, r := range want {
+					tQ[i].Forward(r)
+				}
+				got := rows(len(tc.q), n)
+				d.ModDownNTT(cloneRows(xQ), cloneRows(xP), got, tQ, tP)
+				sameRows(t, "ModDownNTT vs NTT∘ModDown", got, want)
+				if first == nil {
+					first = got
+				}
+				sameRows(t, "ModDownNTT across kernel paths", got, first)
+			})
+		})
+	}
+}
+
+// TestRescaleNTTMatchesCoefficientDomain holds RescaleNTT, byte for byte on
+// every kernel path, to a full INTT, Rescale and a forward NTT, on chains
+// whose dropped limb is narrower than, as wide as and wider than the limbs
+// below it — the three branches of ring.ReduceForeignVec (copy, the 52-bit
+// reduction, the 64-bit one). On the 60-bit dropped limb the inputs are
+// chosen so that InverseLazy leaves some coefficient on its other
+// representative: the match there pins RescaleNTT to the canonical x_l
+// (Inverse), since the lazy one would shift that output by q_l^-1. (On
+// narrower limbs the lazy Shoup step almost never lands in [q, 2q), so random
+// inputs cannot tell the two apart.)
+func TestRescaleNTTMatchesCoefficientDomain(t *testing.T) {
+	const logN, n = 6, 64
+	q36, q40, q50, q60 := moduli(t, 36, logN, 5), moduli(t, 40, logN, 4), moduli(t, 50, logN, 4), moduli(t, 60, logN, 4)
+	for _, tc := range []struct {
+		name         string
+		ms           []ring.Modulus
+		pinCanonical bool
+	}{
+		{"36", q36, false},
+		{"50below40", append(append([]ring.Modulus(nil), q50...), q40[0]), false},
+		{"40below50", append(append([]ring.Modulus(nil), q40[:3]...), q50[0]), false},
+		{"36below60", append(append([]ring.Modulus(nil), q36[:3]...), q60[0]), true},
+		{"60below36", append(append([]ring.Modulus(nil), q60[:3]...), q36[0]), false},
+	} {
+		r := NewRescaler(tc.ms)
+		ts := nttTables(t, tc.ms, logN)
+		l := len(tc.ms) - 1
+		t.Run(tc.name, func(t *testing.T) {
+			var first [][]uint64
+			kerneltest.EachPath(t, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(207))
+				x := randRows(rng, tc.ms, n, true)
+				if tc.pinCanonical {
+					x = lazyDistinguishing(t, rng, tc.ms, ts[l], n)
+				}
+				c := cloneRows(x)
+				for i, row := range c {
+					ts[i].Inverse(row)
+				}
+				want := rows(l, n)
+				r.Rescale(c, want)
+				for i, row := range want {
+					ts[i].Forward(row)
+				}
+				got := rows(l, n)
+				orig := cloneRows(x)
+				r.RescaleNTT(x, got, ts)
+				sameRows(t, "RescaleNTT vs NTT∘Rescale∘INTT", got, want)
+				sameRows(t, "RescaleNTT's input, which it must not write", x, orig)
+				if first == nil {
+					first = got
+				}
+				sameRows(t, "RescaleNTT across kernel paths", got, first)
+			})
+		})
+	}
+}
+
+// lazyDistinguishing draws NTT-form rows (lazy, in contract) until
+// InverseLazy of the dropped limb leaves at least one coefficient on the
+// representative the full Inverse does not.
+func lazyDistinguishing(t *testing.T, rng *rand.Rand, ms []ring.Modulus, top *ring.NTTTable, n int) [][]uint64 {
+	t.Helper()
+	l := len(ms) - 1
+	for try := 0; try < 16; try++ {
+		x := randRows(rng, ms, n, true)
+		lazy, full := append([]uint64(nil), x[l]...), append([]uint64(nil), x[l]...)
+		top.InverseLazy(lazy)
+		top.Inverse(full)
+		for k := range lazy {
+			if lazy[k] != full[k] {
+				return x
+			}
+		}
+	}
+	t.Fatal("no input found on which InverseLazy and Inverse pick different representatives")
+	return nil
+}

@@ -1,7 +1,10 @@
 // Package rns provides the residue-number-system tools the CKKS scheme and
 // the FAST accelerator's BConv units operate on: approximate base conversion
 // between RNS bases (the BConv kernel), ModUp/ModDown for key-switching, and
-// rescaling. All routines work on polynomials in coefficient representation.
+// rescaling. Convert, ModDown and Rescale work on polynomials in coefficient
+// representation and are the references for ModDownNTT and RescaleNTT, the
+// NTT-domain forms the evaluator runs, which transform only the limbs they
+// remove.
 //
 // The base conversion implemented here is the Halevi–Polyak–Shoup fast
 // approximate conversion: it may add a small multiple u*Q of the source
@@ -329,6 +332,40 @@ func (d *ModDowner) ModDown(xQ, xP, out [][]uint64) {
 	})
 }
 
+// ModDownNTT is ModDown in the NTT domain, the key switch's hot path: xQ and
+// out are in NTT form over Q (tQ their tables), xP in NTT form over P (tP).
+// Only the P rows leave the NTT domain — inverse-transformed in place, so xP
+// is consumed — and their conversion into each q_i goes forward again, so
+// out_i = (xQ_i − NTT(conv(xP)_i)) · P^-1. NTT is linear mod q_i and both
+// routes end fully reduced, so out holds exactly the bytes ModDown followed by
+// a forward NTT would: |P| + len(Q) transforms instead of the 2·len(Q) + |P|
+// of that route. Rows may be lazily reduced ([0, 2q)); out must not alias xQ.
+// Safe for concurrent use.
+func (d *ModDowner) ModDownNTT(xQ, xP, out [][]uint64, tQ, tP []*ring.NTTTable) {
+	// INVARIANT: ModDown operands are sized by the key switcher from the same chain.
+	// A panic here is a repo-internal bug, never a reaction to caller input —
+	// malformed inputs are rejected with typed errors at the public boundary.
+	if len(xQ) != len(d.Q) || len(xP) != len(d.P) || len(out) != len(d.Q) || len(tQ) != len(d.Q) || len(tP) != len(d.P) {
+		panic("rns: ModDownNTT limb mismatch")
+	}
+	n := len(xQ[0])
+	ring.ForEachLimbRange(len(d.P), d.Workers, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			tP[j].InverseLazy(xP[j][:n])
+		}
+	})
+	// The conversion lands in out (fully reduced, < q) and is transformed and
+	// subtracted there: ShoupMulSubVec allows dst to alias sub.
+	d.conv.Convert(xP, out)
+	ring.ForEachLimbRange(len(d.Q), d.Workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			oi := out[i][:n]
+			tQ[i].Forward(oi)
+			d.Q[i].ShoupMulSubVec(oi, xQ[i][:n], oi, d.pInvMod[i], d.pInvModSho[i])
+		}
+	})
+}
+
 // Rescaler divides a ciphertext polynomial by its top limb prime, the CKKS
 // rescale operation that keeps the scale bounded after multiplications.
 type Rescaler struct {
@@ -388,4 +425,39 @@ func (r *Rescaler) Rescale(x, out [][]uint64) {
 			r.Moduli[i].ShoupMulSubForeignVec(out[i][:n], x[i][:n], xl, xlBound, r.qlInv[l][i], r.qlInvSho[l][i])
 		}
 	})
+}
+
+// RescaleNTT is Rescale in the NTT domain, the evaluator's hot path: x and
+// out are in NTT form (tables[i] transforms limb i). Only the dropped limb
+// leaves the NTT domain, and its residues go forward again in each remaining
+// limb: out_i = (x_i − NTT(x_l mod q_i)) · q_l^-1 — 1 + l transforms a
+// polynomial instead of the 2l + 1 of Rescale between a full INTT and NTT. By
+// linearity the bytes are exactly that route's, provided x_l is the same
+// integer: the dropped limb goes through the full Inverse, whose canonical
+// representative is the one Rescale reduces into each q_i (a lazy one would
+// shift outputs by q_l^-1). Rows of x may be lazily reduced ([0, 2q));
+// outputs are fully reduced. Safe for concurrent use.
+func (r *Rescaler) RescaleNTT(x, out [][]uint64, tables []*ring.NTTTable) {
+	l := len(x) - 1
+	// INVARIANT: Rescale at level 0 is rejected with ErrLevelExhausted at the evaluator boundary.
+	// A panic here is a repo-internal bug, never a reaction to caller input —
+	// malformed inputs are rejected with typed errors at the public boundary.
+	if l < 1 || len(out) != l || len(tables) < len(x) {
+		panic(fmt.Sprintf("rns: RescaleNTT needs >=2 limbs, out of %d rows and their tables", l))
+	}
+	n := len(x[0])
+	// The dropped limb's coefficients are staged in the last output row, which
+	// is therefore rewritten last.
+	xl := out[l-1][:n]
+	copy(xl, x[l][:n])
+	tables[l].Inverse(xl)
+	xlBound := r.Moduli[l].Q
+	limb := func(i int) {
+		m, oi := r.Moduli[i], out[i][:n]
+		m.ReduceForeignVec(oi, xl, xlBound)
+		tables[i].Forward(oi)
+		m.ShoupMulSubVec(oi, x[i][:n], oi, r.qlInv[l][i], r.qlInvSho[l][i])
+	}
+	ring.ForEachLimb(l-1, r.Workers, limb)
+	limb(l - 1)
 }
