@@ -53,17 +53,16 @@ race: kernel-path
 # Chaos gate, under the race detector. The library's seeded random op script
 # is held to a plaintext shadow (checked-in precision floors, hybrid vs KLSS
 # agreement, two contexts of one seed bit-identical), next to the planner's
-# differential zoo. The simulator must be deterministic per fault seed and
-# account every injected fault (internal/sim, internal/hemera, cmd/fastsim
-# -fault-plan; internal/fault is the injector itself). The fastd suite runs
-# the serve loop in-process: real queue overload, injected disk-write faults,
-# crash/restart and shard kill — accepted responses bit-identical to an
-# in-process reference, refusals typed. internal/shard is the supervisor and
-# ring under fence/kill races. (-short keeps the op count CI-sized; drop it
-# for a deeper soak.)
+# differential zoo. internal/hemera's shared evk tier must singleflight its
+# fills and hold its byte budget under concurrent demand from many shards.
+# The fastd suite runs the
+# serve loop in-process: real queue overload, disk writes failed through the
+# store's hook, crash/restart and shard kill — accepted responses
+# bit-identical to an in-process reference, refusals typed. internal/shard is
+# the supervisor and ring under fence/kill races. (-short keeps the op count
+# CI-sized; drop it for a deeper soak.)
 chaos:
-	$(GO) test -race -short -run 'Chaos|Fault|Resilience|RandomScript|NoisyTenant' . ./internal/sim ./internal/hemera ./cmd/fastsim ./cmd/fastd ./internal/shard
-	$(GO) test -race ./internal/fault
+	$(GO) test -race -short -run 'Chaos|Fault|Resilience|RandomScript|NoisyTenant' . ./internal/hemera ./cmd/fastd ./internal/shard
 
 # Fuzz smoke pass: each target fuzzes for 10s (Go allows one -fuzz pattern
 # per package invocation). Corpus findings land in testdata/fuzz/.
@@ -174,7 +173,13 @@ vet: loc
 # write lock keeps a DELETE from racing a slot write), one-read load and
 # in-place slot write 61, withIdempotency 72 (422 on key reuse, re-execution
 # checked against the record), the pooled recorder 28.
-FASTD_LOC_MAX ?= 3189
+#
+# 3189 -> 3167 (2026-10-15, ROADMAP 3): the modelled disk-write fault went
+# with internal/fault. Went: daemonConfig.StoreFaults and its injector
+# wiring, sessionStore's injector and fastd.store.write_faults counter,
+# checkFault and errInjectedDiskWrite, and the fault checks in writeAtomic
+# and writeIdem. Tests now fail a write through sessionStore.hook.
+FASTD_LOC_MAX ?= 3167
 
 loc:
 	@echo "root package: $$(ls *.go | grep -v _test.go | xargs cat | wc -l) non-test lines"

@@ -227,6 +227,18 @@ func fig13() {
 	}
 }
 
+// all lists every table and figure in output order; each prints to stdout
+// and is followed by one blank line.
+var all = []struct {
+	name string
+	fn   func()
+}{
+	{"fig2", fig2}, {"fig3", fig3}, {"fig4", fig4},
+	{"table3", table3}, {"table4", table4}, {"table5", table5},
+	{"table6", table6}, {"table7", table7},
+	{"fig10", fig10}, {"fig11", fig11}, {"fig12", fig12}, {"fig13", fig13},
+}
+
 func main() {
 	only := flag.String("only", "", "regenerate a single table/figure (e.g. table5, fig11)")
 	obsJSON := flag.String("obs-json", "", "write the accumulated metrics registry (dispatch counters, decision tallies, last-run gauges) as JSON to this file")
@@ -235,15 +247,6 @@ func main() {
 		observer = fast.NewObserver()
 	}
 
-	all := []struct {
-		name string
-		fn   func()
-	}{
-		{"fig2", fig2}, {"fig3", fig3}, {"fig4", fig4},
-		{"table3", table3}, {"table4", table4}, {"table5", table5},
-		{"table6", table6}, {"table7", table7},
-		{"fig10", fig10}, {"fig11", fig11}, {"fig12", fig12}, {"fig13", fig13},
-	}
 	ran := false
 	for _, e := range all {
 		if *only == "" || *only == e.name {

@@ -16,7 +16,6 @@ import (
 
 	fast "github.com/fastfhe/fast"
 	"github.com/fastfhe/fast/internal/costmodel"
-	"github.com/fastfhe/fast/internal/fault"
 	"github.com/fastfhe/fast/internal/obs"
 	"github.com/fastfhe/fast/internal/serve"
 	sessreg "github.com/fastfhe/fast/internal/session"
@@ -68,10 +67,7 @@ type daemonConfig struct {
 	ProbeInterval  time.Duration
 	ProbeTimeout   time.Duration
 	FenceThreshold int
-	// StoreFaults optionally injects disk-write failures into the persistence
-	// layer (chaos testing of the retry-then-degrade path).
-	StoreFaults fault.Plan
-	Observer    *fast.Observer
+	Observer       *fast.Observer
 	// Logger receives the JSON access log (one record per request) plus
 	// slow-request warnings. Nil discards all logging.
 	Logger *slog.Logger
@@ -246,7 +242,7 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		Reg:          reg,
 	})
 	if cfg.StateDir != "" {
-		store, err := openSessionStore(cfg.StateDir, fault.NewInjector(cfg.StoreFaults), reg, d.logger)
+		store, err := openSessionStore(cfg.StateDir, reg, d.logger)
 		if err != nil {
 			return nil, err
 		}

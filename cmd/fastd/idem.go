@@ -244,9 +244,6 @@ func (st *sessionStore) loadIdem(id string, capacity int) []idemRecord {
 // writeIdem writes one record into its slot and fsyncs it. The first write
 // of a file also writes the magic and makes the file's name durable.
 func (st *sessionStore) writeIdem(id string, slot int, rec *idemRecord) (err error) {
-	if err := st.checkFault(); err != nil {
-		return err
-	}
 	f, err := os.OpenFile(st.idemPath(id), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err

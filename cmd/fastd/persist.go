@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	fast "github.com/fastfhe/fast"
-	"github.com/fastfhe/fast/internal/fault"
 	"github.com/fastfhe/fast/internal/obs"
 )
 
@@ -40,12 +39,12 @@ import (
 // counted — a wrong decrypt from a torn or bit-flipped file, or a silent
 // reset to an already-used randomness epoch, is structurally impossible.
 //
-// The store consults a fault.Injector (DiskWrite kind) so the chaos suite
-// can exercise the degraded path: a failed durability write is retried once,
-// then the session is served resident-only and the failure counted.
+// A failed durability write is retried once, then the session is served
+// resident-only and the failure counted. Tests reach that degraded path
+// through hook: an error returned at a write's hook point fails the write
+// exactly as a full disk or an I/O error would.
 type sessionStore struct {
 	dir    string
-	inj    *fault.Injector
 	logger *slog.Logger
 
 	// hook, when set, is called at every durability boundary (before the
@@ -54,7 +53,6 @@ type sessionStore struct {
 	hook func(point string) error
 
 	mWriteFailures *obs.Counter // fastd.store.write_failures (post-retry)
-	mWriteFaults   *obs.Counter // fastd.store.write_faults (injected)
 
 	// Restore/evict phase timings: the restore histograms partition
 	// restoreSession, so their sums reconcile with the restore latency a
@@ -72,19 +70,15 @@ const (
 	tmpInfix    = ".tmp."
 )
 
-// errInjectedDiskWrite is the synthetic error of a DiskWrite fault.
-var errInjectedDiskWrite = errors.New("fastd: injected disk-write fault")
-
 var crc32c = crc32.MakeTable(crc32.Castagnoli)
 
-func openSessionStore(dir string, inj *fault.Injector, reg *obs.Registry, logger *slog.Logger) (*sessionStore, error) {
+func openSessionStore(dir string, reg *obs.Registry, logger *slog.Logger) (*sessionStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fastd: state dir: %w", err)
 	}
-	st := &sessionStore{dir: dir, inj: inj, logger: logger}
+	st := &sessionStore{dir: dir, logger: logger}
 	if reg != nil {
 		st.mWriteFailures = reg.Counter("fastd.store.write_failures")
-		st.mWriteFaults = reg.Counter("fastd.store.write_faults")
 		st.mSnapshotLoad = reg.Histogram("fastd.restore.snapshot_load_ns")
 		st.mExpand = reg.Histogram("fastd.restore.expand_ns")
 		st.mEpochWrite = reg.Histogram("fastd.restore.epoch_write_ns")
@@ -152,15 +146,6 @@ func (st *sessionStore) at(point string) error {
 	return st.hook(point)
 }
 
-// checkFault surfaces an injected DiskWrite fault as a write error.
-func (st *sessionStore) checkFault() error {
-	if st.inj.DiskWriteFails() {
-		st.mWriteFaults.Inc()
-		return errInjectedDiskWrite
-	}
-	return nil
-}
-
 // retry is the store's recovery policy for a durability write: retry once,
 // then count and report the failure. Callers decide whether a failure
 // degrades (resident-only session) or aborts (nothing to serve without it).
@@ -192,7 +177,7 @@ func (st *sessionStore) step(err *error, point string, do func() error) {
 // atomic rename, directory fsync. what names the write in the hook points
 // (<what>.create-tmp, .write, .fsync, .rename, .dir-fsync).
 func (st *sessionStore) writeAtomic(final, what string, fill func(*os.File) error) error {
-	err := st.checkFault()
+	var err error
 	var tmp *os.File
 	st.step(&err, what+".create-tmp", func() (err error) {
 		tmp, err = os.CreateTemp(st.dir, filepath.Base(final)+tmpInfix+"*")

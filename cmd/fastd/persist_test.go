@@ -5,16 +5,17 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	fast "github.com/fastfhe/fast"
-	"github.com/fastfhe/fast/internal/fault"
 )
 
 // readyzSessions fetches /readyz and returns its status plus the sessions
@@ -348,15 +349,18 @@ func TestSessionTTLEviction(t *testing.T) {
 	}
 }
 
-// TestChaosDiskWriteFaultDegrades: with injected disk-write failures the
+// TestChaosDiskWriteFaultDegrades: with every snapshot write failing the
 // daemon degrades instead of erroring — sessions are served resident-only,
 // creates still succeed, and the failure is counted.
 func TestChaosDiskWriteFaultDegrades(t *testing.T) {
 	dir := t.TempDir()
-	d, ts := newTestDaemon(t, daemonConfig{
-		StateDir:    dir,
-		StoreFaults: fault.Plan{DiskWrite: 1, Seed: 7},
-	})
+	d, ts := newTestDaemon(t, daemonConfig{StateDir: dir})
+	d.store.hook = func(point string) error {
+		if strings.HasPrefix(point, "snap.") {
+			return fmt.Errorf("injected failure at %s", point)
+		}
+		return nil
+	}
 	sr := createSession(t, ts.URL, testSessionRequest())
 	if _, err := os.Stat(filepath.Join(dir, sr.ID+".snap")); !os.IsNotExist(err) {
 		t.Fatalf("snapshot written despite injected faults (err=%v)", err)

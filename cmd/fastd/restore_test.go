@@ -44,7 +44,7 @@ func (b *syncBuffer) String() string {
 
 func testStore(t *testing.T, dir string) *sessionStore {
 	t.Helper()
-	st, err := openSessionStore(dir, nil, obs.NewRegistry(), obs.NewLogger(io.Discard, slog.LevelInfo))
+	st, err := openSessionStore(dir, obs.NewRegistry(), obs.NewLogger(io.Discard, slog.LevelInfo))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,11 @@
 //
 //	fastsim -workload bootstrap|helr256|helr1024|resnet20 \
 //	        -config fast|sharp|sharp-lm|sharp-8c|sharp-lm8c|fast-notbm|fast-36 \
-//	        [-plan aether|hoisting|oneksw] [-json] \
+//	        [-plan aether|hoisting|oneksw] [-json] [-sweep clusters|memory] \
 //	        [-trace-out t.json] [-metrics-out m.json] [-http 127.0.0.1:9090]
+//
+// -sweep prints a CSV sensitivity study (Fig. 13) instead of one result; each
+// swept configuration is planned as -plan says.
 //
 // -trace-out writes the simulated timeline as Chrome trace-event JSON
 // (loadable in chrome://tracing or https://ui.perfetto.dev), -metrics-out
@@ -28,7 +31,6 @@ import (
 	"github.com/fastfhe/fast/internal/arch"
 	"github.com/fastfhe/fast/internal/baselines"
 	"github.com/fastfhe/fast/internal/costmodel"
-	"github.com/fastfhe/fast/internal/fault"
 	"github.com/fastfhe/fast/internal/obs"
 	"github.com/fastfhe/fast/internal/sim"
 	"github.com/fastfhe/fast/internal/trace"
@@ -106,8 +108,6 @@ func run(args []string, stdout io.Writer) error {
 	traceOut := fs.String("trace-out", "", "write the simulated timeline as Chrome trace-event JSON to this file")
 	metricsOut := fs.String("metrics-out", "", "write the metrics registry snapshot as JSON to this file")
 	httpAddr := fs.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address after the run (blocks until interrupted)")
-	faultPlan := fs.String("fault-plan", "", "fault-injection plan: a scenario name (transfer, spike, corrupt, pressure, all) or a spec like transfer=0.2,spike=0.1x8,corrupt=0.05,pressure=0.1")
-	faultSeed := fs.Uint64("fault-seed", 0, "seed of the deterministic fault stream (results are reproducible per seed)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -122,10 +122,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	params := costmodel.SetII()
 
-	if *sweep != "" {
-		return runSweep(*sweep, tr, cfg, params, stdout)
-	}
-
 	klss, hoist := cfg.EnableKLSS, cfg.EnableHoisting
 	switch *planKind {
 	case "oneksw":
@@ -138,6 +134,10 @@ func run(args []string, stdout io.Writer) error {
 	default:
 		return fmt.Errorf("unknown plan %q", *planKind)
 	}
+	if *sweep != "" {
+		return runSweep(*sweep, tr, cfg, params, klss, hoist, stdout)
+	}
+
 	plan, err := sim.Plan(params, cfg, tr, klss, hoist)
 	if err != nil {
 		return err
@@ -145,14 +145,6 @@ func run(args []string, stdout io.Writer) error {
 	simulator, err := sim.New(params, cfg, plan)
 	if err != nil {
 		return err
-	}
-	if *faultPlan != "" {
-		fp, err := fault.ParsePlan(*faultPlan)
-		if err != nil {
-			return err
-		}
-		fp.Seed = *faultSeed
-		simulator.SetFaultPlan(fp)
 	}
 	var o *obs.Observer
 	if *traceOut != "" || *metricsOut != "" || *httpAddr != "" {
@@ -209,18 +201,14 @@ func printResult(w io.Writer, tr *trace.Trace, cfg arch.Config, res *sim.Result)
 	fmt.Fprintf(w, "  method split: hybrid %.0f cycles, klss %.0f cycles\n",
 		res.MethodCycles[costmodel.Hybrid], res.MethodCycles[costmodel.KLSS])
 	fmt.Fprintf(w, "  power %.1f W  energy %.3f J  EDP %.4f mJ*s\n", res.AvgPowerW, res.EnergyJ, res.EDP*1e3)
-	if res.FaultPlan != "" {
-		fmt.Fprintf(w, "  faults (%s): retries %d  timeouts %d  refetches %d  degraded %d  wasted %.1f MB  backoff %.0f cy\n",
-			res.FaultPlan, res.Retries, res.Timeouts, res.Refetches, res.DegradedDecisions,
-			float64(res.WastedEvkBytes)/(1<<20), res.BackoffCy)
-	}
 	for _, ph := range tr.Phases() {
 		fmt.Fprintf(w, "    phase %-12s %8.0f cycles (%.1f%%)\n", ph, res.PhaseCycles[ph], 100*res.PhaseCycles[ph]/res.Cycles)
 	}
 }
 
-// runSweep prints a CSV sensitivity study over cluster counts or SRAM sizes.
-func runSweep(kind string, tr *trace.Trace, base arch.Config, params costmodel.Params, stdout io.Writer) error {
+// runSweep prints a CSV sensitivity study over cluster counts or SRAM sizes,
+// planning every configuration with the given KLSS/hoisting pair.
+func runSweep(kind string, tr *trace.Trace, base arch.Config, params costmodel.Params, klss, hoist bool, stdout io.Writer) error {
 	var configs []arch.Config
 	switch kind {
 	case "clusters":
@@ -240,7 +228,7 @@ func runSweep(kind string, tr *trace.Trace, base arch.Config, params costmodel.P
 	}
 	fmt.Fprintln(stdout, "name,clusters,onchip_mb,time_ms,area_mm2,power_w,energy_j,evk_mb,ntt_util,hbm_util")
 	for _, c := range configs {
-		plan, err := sim.Plan(params, c, tr, c.EnableKLSS, c.EnableHoisting)
+		plan, err := sim.Plan(params, c, tr, klss, hoist)
 		if err != nil {
 			return err
 		}

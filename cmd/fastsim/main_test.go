@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -181,47 +182,65 @@ func TestRunPlainAndSweep(t *testing.T) {
 	}
 }
 
-// -fault-plan/-fault-seed must run the fault-injection path in process: the
-// human output reports the recovery accounting, the JSON output is
-// bit-identical across two runs with the same seed, and a malformed plan
-// spec fails cleanly.
-func TestRunFaultPlanFlags(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-workload", "bootstrap", "-fault-plan", "all", "-fault-seed", "7"}, &out); err != nil {
-		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+// -sweep must plan every swept configuration as -plan says: a one-method
+// (oneksw) sweep differs from the default aether sweep, and an unknown plan
+// is refused rather than silently ignored.
+func TestSweepHonoursPlan(t *testing.T) {
+	for _, kind := range []string{"clusters", "memory"} {
+		t.Run(kind, func(t *testing.T) {
+			if def, one := runSweepCSV(t, kind), runSweepCSV(t, kind, "-plan", "oneksw"); def == one {
+				t.Errorf("-plan oneksw sweep is identical to the default sweep:\n%s", def)
+			}
+			if err := run([]string{"-sweep", kind, "-plan", "bogus"}, io.Discard); err == nil {
+				t.Error("expected error for unknown plan with -sweep")
+			}
+		})
 	}
-	if !strings.Contains(out.String(), "faults (") {
-		t.Errorf("fault accounting missing from output:\n%s", out.String())
-	}
+}
 
-	jsonRun := func() string {
-		var b bytes.Buffer
-		if err := run([]string{"-workload", "bootstrap", "-fault-plan",
-			"transfer=0.3,spike=0.2x8,corrupt=0.1,pressure=0.1", "-fault-seed", "11", "-json"}, &b); err != nil {
-			t.Fatalf("json run: %v", err)
+// runSweepCSV returns the bootstrap -sweep kind CSV under extra flags.
+func runSweepCSV(t *testing.T, kind string, args ...string) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := run(append([]string{"-workload", "bootstrap", "-sweep", kind}, args...), &b); err != nil {
+		t.Fatalf("run -sweep %s %v: %v", kind, args, err)
+	}
+	return b.String()
+}
+
+// The clusters sweep keeps the base config unchanged at its own cluster
+// count, so under every -plan that row must report what a single run of the
+// same plan does.
+func TestSweepBaseRowMatchesSingleRun(t *testing.T) {
+	for _, plan := range []string{"", "aether", "hoisting", "oneksw"} {
+		name := plan
+		if name == "" {
+			name = "default"
 		}
-		return b.String()
-	}
-	a, b := jsonRun(), jsonRun()
-	if a != b {
-		t.Error("two runs with the same fault seed produced different JSON results")
-	}
-	var res struct {
-		FaultPlan                    string
-		Retries, Timeouts, Refetches int
-		WastedEvkBytes               int64
-	}
-	if err := json.Unmarshal([]byte(a), &res); err != nil {
-		t.Fatalf("decoding result JSON: %v", err)
-	}
-	if res.FaultPlan == "" {
-		t.Error("result JSON must carry the fault plan")
-	}
-	if res.Retries+res.Timeouts+res.Refetches == 0 || res.WastedEvkBytes == 0 {
-		t.Errorf("expected recovery activity, got %+v", res)
-	}
-
-	if err := run([]string{"-fault-plan", "warp=0.1"}, io.Discard); err == nil {
-		t.Error("expected error for malformed fault plan")
+		t.Run(name, func(t *testing.T) {
+			var b bytes.Buffer
+			if err := run([]string{"-workload", "bootstrap", "-plan", plan, "-json"}, &b); err != nil {
+				t.Fatal(err)
+			}
+			var res struct {
+				TimeMS   float64
+				EvkBytes int64
+			}
+			if err := json.Unmarshal(b.Bytes(), &res); err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("FAST,4,281,%.4f,", res.TimeMS)
+			wantEvk := fmt.Sprintf(",%.1f,", float64(res.EvkBytes)/(1<<20))
+			csv := runSweepCSV(t, "clusters", "-plan", plan)
+			for _, row := range strings.Split(csv, "\n") {
+				if strings.HasPrefix(row, want) {
+					if !strings.Contains(row, wantEvk) {
+						t.Errorf("base row %q: evk_mb differs from the single run's %s", row, wantEvk)
+					}
+					return
+				}
+			}
+			t.Errorf("no sweep row starts with %q:\n%s", want, csv)
+		})
 	}
 }

@@ -26,15 +26,6 @@ type Decision struct {
 	Hoist   int              `json:"hoist"`
 }
 
-// Fallback returns the lower-evk-footprint decision the runtime degrades to
-// under sustained prefetch misses or pool thrash: the non-hoisted hybrid
-// configuration, whose resident key set is the smallest of any candidate
-// (hybrid keys are ~3.7x smaller than KLSS keys, §3.1, and hoisting h
-// rotations needs h keys resident at once).
-func Fallback(opIndex, level int) Decision {
-	return Decision{OpIndex: opIndex, Level: level, Method: costmodel.Hybrid, Hoist: 1}
-}
-
 // ConfigFile is the Aether configuration file: the per-operation method and
 // hoisting selections, indexed by ciphertext/op order. The paper measures it
 // at about 1 KB; it serialises to compact JSON.

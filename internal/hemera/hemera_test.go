@@ -50,6 +50,43 @@ func TestPoolOversizedKeyStreams(t *testing.T) {
 	}
 }
 
+// Multi-key LRU eviction: eviction stops as soon as the incoming key fits,
+// and when one key is not enough it continues strictly from the LRU end.
+func TestPoolEvictionOrderUnderPressure(t *testing.T) {
+	p := NewPool(100)
+	p.Request("a", 30)
+	p.Request("b", 30)
+	p.Request("c", 30) // order MRU->LRU: c b a
+	p.Request("a", 30) // touch a: a c b
+	if p.Len() != 3 || p.Used() != 90 {
+		t.Fatalf("resident %d keys / %d bytes, want 3/90", p.Len(), p.Used())
+	}
+	// A 40-byte key evicts exactly the LRU key b (freeing 30 is enough);
+	// c survives because eviction stops as soon as the key fits.
+	p.Request("d", 40)
+	if p.Contains("b") {
+		t.Error("b (LRU) should have been evicted first")
+	}
+	if !p.Contains("a") || !p.Contains("c") || !p.Contains("d") {
+		t.Error("a, c and d should be resident")
+	}
+	if p.Used() != 100 {
+		t.Errorf("used = %d, want 100", p.Used())
+	}
+	// A further 40-byte key at full occupancy needs two evictions, strictly
+	// from the LRU end (order MRU->LRU is now d a c): c goes, then a.
+	p.Request("e", 40)
+	if p.Contains("c") || p.Contains("a") {
+		t.Error("c and a should have been evicted in LRU order")
+	}
+	if !p.Contains("d") || !p.Contains("e") {
+		t.Error("d (recent) and e (incoming) should be resident")
+	}
+	if p.Used() != 80 {
+		t.Errorf("used = %d, want 80", p.Used())
+	}
+}
+
 func TestRecorder(t *testing.T) {
 	r := NewRecorder()
 	d := aether.Decision{Method: costmodel.KLSS, Hoist: 4}
@@ -65,6 +102,39 @@ func TestRecorder(t *testing.T) {
 	}
 	if r.Predicts(11, d) {
 		t.Error("different level must not match")
+	}
+}
+
+// Re-recording a level overwrites its pattern, and a hoist change under the
+// same method is a different pattern.
+func TestRecorderLevelReuseAndDecisionFlip(t *testing.T) {
+	r := NewRecorder()
+	hybrid := aether.Decision{Method: costmodel.Hybrid, Hoist: 1}
+	klss4 := aether.Decision{Method: costmodel.KLSS, Hoist: 4}
+
+	// Level reuse: re-recording the same level overwrites, not accumulates.
+	r.Record(3, hybrid)
+	r.Record(3, klss4)
+	if r.Predicts(3, hybrid) {
+		t.Error("overwritten pattern must not predict")
+	}
+	if !r.Predicts(3, klss4) {
+		t.Error("latest pattern must predict")
+	}
+
+	// Decision flip: same method, different hoist is a different pattern.
+	klss8 := aether.Decision{Method: costmodel.KLSS, Hoist: 8}
+	if r.Predicts(3, klss8) {
+		t.Error("hoist flip must break the prediction")
+	}
+	r.Record(3, klss8)
+	if !r.Predicts(3, klss8) || r.Predicts(3, klss4) {
+		t.Error("recorder must track the flipped decision")
+	}
+
+	// Levels are independent.
+	if r.Predicts(4, klss8) {
+		t.Error("level 4 was never recorded")
 	}
 }
 
@@ -144,5 +214,19 @@ func TestManagerDecisionLookup(t *testing.T) {
 	}
 	if d := m.Decision(0); d.Method != costmodel.Hybrid {
 		t.Error("default decision should be hybrid")
+	}
+}
+
+// The RequestKey hit path allocates nothing: a resident key costs a map
+// lookup and an LRU touch.
+func TestRequestKeyHitZeroAllocs(t *testing.T) {
+	m := NewManager(1<<20, nil)
+	d := aether.Decision{Method: costmodel.Hybrid, Hoist: 1}
+	m.RequestKey("warm", 1<<10, 0, d) // populate the pool
+	allocs := testing.AllocsPerRun(100, func() {
+		m.RequestKey("warm", 1<<10, 0, d) // pure hit path
+	})
+	if allocs != 0 {
+		t.Errorf("hit path allocates %.0f objects per request, want 0", allocs)
 	}
 }

@@ -102,14 +102,6 @@ func (s *Simulator) publish(tr *trace.Trace, res *Result) {
 	reg.FloatGauge("sim.avg_power_w").Set(res.AvgPowerW)
 	reg.FloatGauge("sim.edp").Set(res.EDP)
 	reg.Gauge("sim.evk_bytes").Set(res.EvkBytes)
-	if res.FaultPlan != "" {
-		reg.FloatGauge("sim.fault.backoff_cycles").Set(res.BackoffCy)
-		reg.Gauge("sim.fault.wasted_evk_bytes").Set(res.WastedEvkBytes)
-		reg.Gauge("sim.fault.retries").Set(int64(res.Retries))
-		reg.Gauge("sim.fault.timeouts").Set(int64(res.Timeouts))
-		reg.Gauge("sim.fault.refetches").Set(int64(res.Refetches))
-		reg.Gauge("sim.fault.degraded_decisions").Set(int64(res.DegradedDecisions))
-	}
 	for c, cy := range res.ComponentBusy {
 		reg.FloatGauge("sim.busy_cycles." + c.String()).Set(cy)
 	}

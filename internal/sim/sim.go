@@ -21,7 +21,6 @@ import (
 	"github.com/fastfhe/fast/internal/aether"
 	"github.com/fastfhe/fast/internal/arch"
 	"github.com/fastfhe/fast/internal/costmodel"
-	"github.com/fastfhe/fast/internal/fault"
 	"github.com/fastfhe/fast/internal/hemera"
 	"github.com/fastfhe/fast/internal/obs"
 	"github.com/fastfhe/fast/internal/trace"
@@ -62,22 +61,12 @@ type Result struct {
 	TimeMS float64
 
 	ComponentBusy map[arch.Component]float64
-	TransferCy    float64 // HBM busy cycles (useful + fault-wasted traffic)
-	StallCy       float64 // transfer cycles not hidden behind compute + backoff waits
+	TransferCy    float64 // HBM busy cycles (evaluation-key traffic)
+	StallCy       float64 // transfer cycles not hidden behind compute
 	EvkBytes      int64
 	PoolHits      int
 	PoolMisses    int
 	Prefetched    int
-
-	// Fault-injection and recovery accounting (all zero on a fault-free
-	// run; see internal/fault and the Hemera transfer policies).
-	FaultPlan         string  `json:",omitempty"` // plan spec driving the run
-	Retries           int     // transfer attempts re-issued after mid-flight failure
-	Timeouts          int     // attempts abandoned at the per-transfer deadline
-	Refetches         int     // transfers refetched on checksum mismatch
-	DegradedDecisions int     // Aether decisions degraded to the fallback config
-	WastedEvkBytes    int64   // extra HBM traffic burned by recovery
-	BackoffCy         float64 // pipeline stall cycles spent in retry backoff
 
 	Ops costmodel.Breakdown // total kernel work (36-bit-equivalent muls)
 
@@ -111,20 +100,7 @@ type Simulator struct {
 	// o is the optional observability substrate (see SetObserver); nil
 	// disables metric publication and synthetic-trace emission.
 	o *obs.Observer
-
-	// faultPlan drives deterministic fault injection on the evk transfer
-	// path (see SetFaultPlan); the zero plan is the fault-free run.
-	faultPlan fault.Plan
 }
-
-// SetFaultPlan arms deterministic fault injection for subsequent Run calls:
-// each run compiles the plan into a fresh injector seeded by plan.Seed, so a
-// fixed (trace, config, plan) triple reproduces the same Result bit for bit.
-// Injected transfer failures, latency spikes, corruptions and pool-pressure
-// events exercise Hemera's recovery policies (retry with exponential backoff,
-// per-transfer timeouts, refetch, Aether degradation), and every recovery
-// cost lands in the stall/energy accounting. The zero plan disarms.
-func (s *Simulator) SetFaultPlan(p fault.Plan) { s.faultPlan = p }
 
 // New builds a simulator. plan may be nil (every key-switch defaults to
 // non-hoisted hybrid, the OneKSW baseline).
@@ -163,8 +139,8 @@ type opWork struct {
 }
 
 // classify maps one trace op to kernel work, key traffic and bookkeeping.
-// For key-switching ops d is the (possibly degradation-adjusted) Aether
-// decision; other kinds ignore it.
+// For key-switching ops d is the op's Aether decision; other kinds ignore
+// it.
 func (s *Simulator) classify(op trace.Op, d aether.Decision) opWork {
 	n := float64(s.params.N())
 	k := float64(op.Level + 1)
@@ -227,26 +203,10 @@ func (s *Simulator) Run(tr *trace.Trace) (*Result, error) {
 			s.traceSetup(otr)
 		}
 	}
-	// Arm fault injection: a fresh injector per run keeps the random stream
-	// aligned with the trace, so results are deterministic per fault seed.
-	inj := fault.NewInjector(s.faultPlan)
-	if inj != nil {
-		hem.SetInjector(inj)
-		res.FaultPlan = s.faultPlan.String()
-	}
 
 	computeCy := 0.0
 	for idx, op := range tr.Ops {
 		d := s.plan.DecisionFor(idx)
-		if op.Kind.NeedsKeySwitch() {
-			// Graceful degradation: while Hemera observes sustained prefetch
-			// misses or pool thrash, the op falls back to the smallest-key
-			// configuration instead of compounding the pressure.
-			if dd, changed := hem.MaybeDegrade(d); changed {
-				d = dd
-				res.DegradedDecisions++
-			}
-		}
 		w := s.classify(op, d)
 		res.Ops = res.Ops.Add(w.bd)
 
@@ -276,10 +236,7 @@ func (s *Simulator) Run(tr *trace.Trace) (*Result, error) {
 		}
 		compute = compute/bottleneckEff + pipelineFillCycles
 
-		// Evaluation-key traffic through Hemera, including the resilience
-		// accounting: wasted attempt traffic busies the HBM channel like
-		// useful bytes, while exponential-backoff waits stall the pipeline
-		// with the channel idle.
+		// Evaluation-key traffic through Hemera.
 		var transfer float64
 		prefetchedOp := true
 		if op.Kind.NeedsKeySwitch() {
@@ -296,16 +253,7 @@ func (s *Simulator) Run(tr *trace.Trace) (*Result, error) {
 					prefetchedOp = false
 				}
 				res.EvkBytes += t.Bytes
-				res.Retries += t.Retries
-				res.Timeouts += t.Timeouts
-				res.Refetches += t.Refetches
-				res.WastedEvkBytes += t.WastedBytes
-				transfer += float64(t.Bytes+t.WastedBytes) / s.cfg.BytesPerCycle()
-				if t.BackoffBytes > 0 {
-					backoff := float64(t.BackoffBytes) / s.cfg.BytesPerCycle()
-					res.BackoffCy += backoff
-					res.StallCy += backoff
-				}
+				transfer += float64(t.Bytes) / s.cfg.BytesPerCycle()
 			}
 		}
 		if otr != nil {

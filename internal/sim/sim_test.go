@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"github.com/fastfhe/fast/internal/arch"
@@ -208,6 +210,47 @@ func TestEnergyAccounting(t *testing.T) {
 	wantE := res.AvgPowerW * res.TimeMS / 1e3
 	if diff := res.EnergyJ - wantE; diff > 1e-9 || diff < -1e-9 {
 		t.Error("energy != power * time")
+	}
+}
+
+// Every workload on every config: a repeated run returns the same Result,
+// and the traffic, stall, cycle and energy fields reconcile with each other
+// (stalls are the unhidden part of the HBM traffic; runtime covers both).
+func TestRunDeterministicAndAccounted(t *testing.T) {
+	p := workloads.DefaultProfile()
+	for _, cfg := range []arch.Config{arch.FAST(), baselines.SHARP()} {
+		for _, tr := range []*trace.Trace{
+			workloads.Bootstrap(p),
+			workloads.HELR(p, 256),
+			workloads.HELR(p, 1024),
+			workloads.ResNet20(p),
+		} {
+			t.Run(cfg.Name+"/"+tr.Name, func(t *testing.T) {
+				a, b := runConfig(t, cfg, tr), runConfig(t, cfg, tr)
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("same plan, different results:\n%+v\nvs\n%+v", a, b)
+				}
+				if a.EvkBytes <= 0 || a.PoolMisses == 0 {
+					t.Fatalf("no evk traffic: %d bytes, %d misses", a.EvkBytes, a.PoolMisses)
+				}
+				if a.Prefetched > a.PoolMisses {
+					t.Errorf("prefetched %d of only %d misses", a.Prefetched, a.PoolMisses)
+				}
+				if want := float64(a.EvkBytes) / cfg.BytesPerCycle(); math.Abs(a.TransferCy-want) > 1e-9*want {
+					t.Errorf("TransferCy %.0f, want %.0f for %d evk bytes", a.TransferCy, want, a.EvkBytes)
+				}
+				if a.StallCy < 0 || a.StallCy > a.TransferCy {
+					t.Errorf("StallCy %.0f outside [0, TransferCy %.0f]", a.StallCy, a.TransferCy)
+				}
+				if a.TransferCy+a.StallCy > a.Cycles {
+					t.Errorf("Cycles %.0f do not cover transfer %.0f + stall %.0f", a.Cycles, a.TransferCy, a.StallCy)
+				}
+				sec := a.TimeMS / 1e3
+				if math.Abs(a.EnergyJ-a.AvgPowerW*sec) > 1e-12 || math.Abs(a.EDP-a.EnergyJ*sec) > 1e-15 {
+					t.Errorf("energy %g J / EDP %g do not match %g W over %g s", a.EnergyJ, a.EDP, a.AvgPowerW, sec)
+				}
+			})
+		}
 	}
 }
 
