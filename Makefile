@@ -137,7 +137,8 @@ fmt:
 	gofmt -w .
 
 # Static analysis: go vet, a gofmt cleanliness check (fails listing any file
-# that gofmt would rewrite) and the serving layer's size budget.
+# that gofmt would rewrite) and the size budgets of the serving layer and the
+# performance model.
 vet: loc
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
@@ -181,8 +182,27 @@ vet: loc
 # and writeIdem. Tests now fail a write through sessionStore.hook.
 FASTD_LOC_MAX ?= 3167
 
+# Size budget of the performance model: non-test lines of the cost model,
+# Aether, the simulator, the traces and workloads, the baselines, perf.go and
+# the two CLIs over them. Each modelled decision has one owner there (DESIGN.md,
+# "The performance half: one owner per decision"); a second copy of one shows
+# up as growth here.
+#
+# 2324 -> 2253 (2026-10-15, ROADMAP 10): one key-switch site type priced by
+# aether.PlanSites (costmodel.SiteCost, KeySwitchUnits and PlanUnits went),
+# one plan-and-simulate path (sim.Mode, sim.Plan, sim.Simulate), one name
+# table per package (workloads.ByName, baselines.ByName), one kernel-width
+# and one EKG-halving function in costmodel, and cmd/aether without -http.
+MODEL_LOC_MAX ?= 2253
+
+MODEL_GO = internal/aether/*.go internal/costmodel/*.go internal/sim/*.go internal/trace/*.go \
+	internal/workloads/*.go internal/baselines/*.go perf.go cmd/aether/*.go cmd/fastsim/*.go
+
 loc:
 	@echo "root package: $$(ls *.go | grep -v _test.go | xargs cat | wc -l) non-test lines"
+	@n=$$(ls $(MODEL_GO) | grep -v _test.go | xargs cat | wc -l); \
+	echo "performance model (costmodel, aether, sim, trace, workloads, baselines, perf.go, cmd/{aether,fastsim}): $$n non-test lines (budget $(MODEL_LOC_MAX))"; \
+	[ $$n -le $(MODEL_LOC_MAX) ]
 	@n=$$(ls cmd/fastd/*.go internal/session/*.go | grep -v _test.go | xargs cat | wc -l); \
 	echo "cmd/fastd + internal/session: $$n non-test lines (budget $(FASTD_LOC_MAX))"; \
 	[ $$n -le $(FASTD_LOC_MAX) ]

@@ -119,14 +119,22 @@ func TestCancellationPreCanceled(t *testing.T) {
 		sentinel error
 		ctxErr   error
 	}{
-		{"MulCtx", func() error { _, err := ctx.MulCtx(canceled, a, b); return err }, fast.ErrCanceled, context.Canceled},
-		{"Mul+WithContext", func() error { _, err := ctx.Mul(a, b, fast.WithContext(canceled)); return err }, fast.ErrCanceled, context.Canceled},
-		{"RotateCtx", func() error { _, err := ctx.RotateCtx(canceled, a, 1); return err }, fast.ErrCanceled, context.Canceled},
-		{"ConjugateCtx", func() error { _, err := ctx.ConjugateCtx(canceled, a); return err }, fast.ErrCanceled, context.Canceled},
-		{"RotateHoistedCtx", func() error { _, err := ctx.RotateHoistedCtx(canceled, a, []int{1, -1, 4}); return err }, fast.ErrCanceled, context.Canceled},
-		{"MulCtx/KLSS", func() error { _, err := ctx.MulCtx(canceled, a, b, fast.WithMethod(fast.KLSS)); return err }, fast.ErrCanceled, context.Canceled},
-		{"MulCtx/expired", func() error { _, err := ctx.MulCtx(expired, a, b); return err }, fast.ErrDeadline, context.DeadlineExceeded},
-		{"RotateHoistedCtx/expired", func() error { _, err := ctx.RotateHoistedCtx(expired, a, []int{1, -1, 4}); return err }, fast.ErrDeadline, context.DeadlineExceeded},
+		{"Mul", func() error { _, err := ctx.Mul(a, b, fast.WithContext(canceled)); return err }, fast.ErrCanceled, context.Canceled},
+		{"Rotate", func() error { _, err := ctx.Rotate(a, 1, fast.WithContext(canceled)); return err }, fast.ErrCanceled, context.Canceled},
+		{"Conjugate", func() error { _, err := ctx.Conjugate(a, fast.WithContext(canceled)); return err }, fast.ErrCanceled, context.Canceled},
+		{"RotateHoisted", func() error {
+			_, err := ctx.RotateHoisted(a, []int{1, -1, 4}, fast.WithContext(canceled))
+			return err
+		}, fast.ErrCanceled, context.Canceled},
+		{"Mul/KLSS", func() error {
+			_, err := ctx.Mul(a, b, fast.WithMethod(fast.KLSS), fast.WithContext(canceled))
+			return err
+		}, fast.ErrCanceled, context.Canceled},
+		{"Mul/expired", func() error { _, err := ctx.Mul(a, b, fast.WithContext(expired)); return err }, fast.ErrDeadline, context.DeadlineExceeded},
+		{"RotateHoisted/expired", func() error {
+			_, err := ctx.RotateHoisted(a, []int{1, -1, 4}, fast.WithContext(expired))
+			return err
+		}, fast.ErrDeadline, context.DeadlineExceeded},
 	}
 	for _, op := range ops {
 		before := keySwitchStages(ob.Metrics())
@@ -165,7 +173,7 @@ func TestCancellationMidFlight(t *testing.T) {
 	out := a
 	start := time.Now()
 	for time.Since(start) < 10*time.Second {
-		out, err = ctx.RotateCtx(cctx, out, 1)
+		out, err = ctx.Rotate(out, 1, fast.WithContext(cctx))
 		if err != nil {
 			break
 		}
@@ -233,15 +241,15 @@ func TestCancellationPoolLeakGuard(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i := 0; i < 10; i++ {
-		if _, err := ctx.MulCtx(canceled, a, b); !errors.Is(err, fast.ErrCanceled) {
+		if _, err := ctx.Mul(a, b, fast.WithContext(canceled)); !errors.Is(err, fast.ErrCanceled) {
 			t.Fatalf("pre-canceled Mul: %v", err)
 		}
-		if _, err := ctx.RotateCtx(canceled, a, -1, fast.WithMethod(fast.KLSS)); !errors.Is(err, fast.ErrCanceled) {
+		if _, err := ctx.Rotate(a, -1, fast.WithMethod(fast.KLSS), fast.WithContext(canceled)); !errors.Is(err, fast.ErrCanceled) {
 			t.Fatalf("pre-canceled Rotate: %v", err)
 		}
 		mctx, mcancel := context.WithCancel(context.Background())
 		timer := time.AfterFunc(50*time.Microsecond, mcancel)
-		_, err := ctx.RotateHoistedCtx(mctx, a, []int{1, -1, 4})
+		_, err := ctx.RotateHoisted(a, []int{1, -1, 4}, fast.WithContext(mctx))
 		timer.Stop()
 		mcancel()
 		if err != nil && !errors.Is(err, fast.ErrCanceled) {

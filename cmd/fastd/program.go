@@ -104,5 +104,5 @@ func compileEval(sess *session, body []byte) (*compiledEval, error) {
 func keygenUnits(cfg fast.ContextConfig) float64 {
 	cm := costmodel.ForContext(cfg.LogN, cfg.Levels)
 	keys := len(cfg.Rotations) + 2 // + relin + conjugation
-	return cm.KeySwitchUnits(costmodel.SiteCost{Method: costmodel.Hybrid, Level: cm.L, Hoist: 1}) * float64(keys)
+	return cm.KeySwitch(costmodel.Hybrid, cm.L, 1).Total() * float64(keys)
 }

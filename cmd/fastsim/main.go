@@ -37,43 +37,6 @@ import (
 	"github.com/fastfhe/fast/internal/workloads"
 )
 
-func pickWorkload(name string) (*trace.Trace, error) {
-	p := workloads.DefaultProfile()
-	switch name {
-	case "bootstrap":
-		return workloads.Bootstrap(p), nil
-	case "helr256":
-		return workloads.HELR(p, 256), nil
-	case "helr1024":
-		return workloads.HELR(p, 1024), nil
-	case "resnet20":
-		return workloads.ResNet20(p), nil
-	default:
-		return nil, fmt.Errorf("unknown workload %q", name)
-	}
-}
-
-func pickConfig(name string) (arch.Config, error) {
-	switch name {
-	case "fast":
-		return arch.FAST(), nil
-	case "sharp":
-		return baselines.SHARP(), nil
-	case "sharp-lm":
-		return baselines.SHARPLM(), nil
-	case "sharp-8c":
-		return baselines.SHARP8C(), nil
-	case "sharp-lm8c":
-		return baselines.SHARPLM8C(), nil
-	case "fast-notbm":
-		return baselines.FASTNoTBM(), nil
-	case "fast-36":
-		return baselines.FAST36(), nil
-	default:
-		return arch.Config{}, fmt.Errorf("unknown config %q", name)
-	}
-}
-
 // Test hooks: httpStarted observes the bound address once serving begins, and
 // httpWait blocks until the server should shut down (interrupt by default).
 var (
@@ -100,8 +63,8 @@ func writeFile(path string, write func(io.Writer) error) error {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("fastsim", flag.ContinueOnError)
-	workload := fs.String("workload", "bootstrap", "workload: bootstrap, helr256, helr1024, resnet20")
-	config := fs.String("config", "fast", "accelerator: fast, sharp, sharp-lm, sharp-8c, sharp-lm8c, fast-notbm, fast-36")
+	workload := fs.String("workload", "bootstrap", "workload: "+workloads.Names())
+	config := fs.String("config", "fast", "accelerator: "+baselines.Names())
 	planKind := fs.String("plan", "", "key-switch plan: aether (default from config flags), hoisting, oneksw")
 	asJSON := fs.Bool("json", false, "emit the result as JSON")
 	sweep := fs.String("sweep", "", "CSV sensitivity sweep: clusters or memory (Fig. 13)")
@@ -112,46 +75,28 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	tr, err := pickWorkload(*workload)
+	tr, err := workloads.ByName(*workload)
 	if err != nil {
 		return err
 	}
-	cfg, err := pickConfig(*config)
+	cfg, err := baselines.ByName(*config)
+	if err != nil {
+		return err
+	}
+	mode, err := sim.ParseMode(*planKind)
 	if err != nil {
 		return err
 	}
 	params := costmodel.SetII()
-
-	klss, hoist := cfg.EnableKLSS, cfg.EnableHoisting
-	switch *planKind {
-	case "oneksw":
-		klss, hoist = false, false
-	case "hoisting":
-		klss, hoist = false, true
-	case "aether":
-		klss, hoist = true, true
-	case "":
-	default:
-		return fmt.Errorf("unknown plan %q", *planKind)
-	}
 	if *sweep != "" {
-		return runSweep(*sweep, tr, cfg, params, klss, hoist, stdout)
+		return runSweep(*sweep, tr, cfg, params, mode, stdout)
 	}
 
-	plan, err := sim.Plan(params, cfg, tr, klss, hoist)
-	if err != nil {
-		return err
-	}
-	simulator, err := sim.New(params, cfg, plan)
-	if err != nil {
-		return err
-	}
 	var o *obs.Observer
 	if *traceOut != "" || *metricsOut != "" || *httpAddr != "" {
 		o = obs.NewTracing(0)
-		simulator.SetObserver(o)
 	}
-	res, err := simulator.Run(tr)
+	res, err := sim.Simulate(params, cfg, tr, mode, o)
 	if err != nil {
 		return err
 	}
@@ -207,8 +152,8 @@ func printResult(w io.Writer, tr *trace.Trace, cfg arch.Config, res *sim.Result)
 }
 
 // runSweep prints a CSV sensitivity study over cluster counts or SRAM sizes,
-// planning every configuration with the given KLSS/hoisting pair.
-func runSweep(kind string, tr *trace.Trace, base arch.Config, params costmodel.Params, klss, hoist bool, stdout io.Writer) error {
+// planning every configuration under mode.
+func runSweep(kind string, tr *trace.Trace, base arch.Config, params costmodel.Params, mode sim.Mode, stdout io.Writer) error {
 	var configs []arch.Config
 	switch kind {
 	case "clusters":
@@ -228,15 +173,7 @@ func runSweep(kind string, tr *trace.Trace, base arch.Config, params costmodel.P
 	}
 	fmt.Fprintln(stdout, "name,clusters,onchip_mb,time_ms,area_mm2,power_w,energy_j,evk_mb,ntt_util,hbm_util")
 	for _, c := range configs {
-		plan, err := sim.Plan(params, c, tr, klss, hoist)
-		if err != nil {
-			return err
-		}
-		s, err := sim.New(params, c, plan)
-		if err != nil {
-			return err
-		}
-		res, err := s.Run(tr)
+		res, err := sim.Simulate(params, c, tr, mode, nil)
 		if err != nil {
 			return err
 		}

@@ -378,15 +378,6 @@ func (c *Context) Mul(a, b *Ciphertext, opts ...OpOption) (*Ciphertext, error) {
 	return wrap(out, err)
 }
 
-// MulCtx is Mul with cancellation: ctx is polled at cheap checkpoints inside
-// the tensoring, relinearisation and rescale kernels, and the operation
-// abandons with an error matching fast.ErrCanceled or fast.ErrDeadline (and
-// the corresponding context sentinel) as soon as ctx is done. Shorthand for
-// Mul(a, b, append(opts, WithContext(ctx))...).
-func (c *Context) MulCtx(ctx context.Context, a, b *Ciphertext, opts ...OpOption) (*Ciphertext, error) {
-	return c.Mul(a, b, append(opts[:len(opts):len(opts)], WithContext(ctx))...)
-}
-
 // MulPlain multiplies by a plaintext vector and (unless NoRescale is passed)
 // rescales.
 func (c *Context) MulPlain(a *Ciphertext, values []complex128, opts ...OpOption) (*Ciphertext, error) {
@@ -473,11 +464,6 @@ func (c *Context) Rotate(a *Ciphertext, r int, opts ...OpOption) (*Ciphertext, e
 	return wrap(out, err)
 }
 
-// RotateCtx is Rotate with cancellation (see MulCtx for semantics).
-func (c *Context) RotateCtx(ctx context.Context, a *Ciphertext, r int, opts ...OpOption) (*Ciphertext, error) {
-	return c.Rotate(a, r, append(opts[:len(opts):len(opts)], WithContext(ctx))...)
-}
-
 // RotateHoisted produces all requested rotations of one ciphertext sharing a
 // single decomposition (the hoisting optimisation, §2.2.3).
 func (c *Context) RotateHoisted(a *Ciphertext, rotations []int, opts ...OpOption) (map[int]*Ciphertext, error) {
@@ -501,13 +487,6 @@ func (c *Context) RotateHoisted(a *Ciphertext, rotations []int, opts ...OpOption
 	return m, nil
 }
 
-// RotateHoistedCtx is RotateHoisted with cancellation (see MulCtx for
-// semantics); ctx is additionally polled between the per-rotation key
-// multiplications that share the hoisted decomposition.
-func (c *Context) RotateHoistedCtx(ctx context.Context, a *Ciphertext, rotations []int, opts ...OpOption) (map[int]*Ciphertext, error) {
-	return c.RotateHoisted(a, rotations, append(opts[:len(opts):len(opts)], WithContext(ctx))...)
-}
-
 // Conjugate returns the slot-wise complex conjugate.
 func (c *Context) Conjugate(a *Ciphertext, opts ...OpOption) (*Ciphertext, error) {
 	if err := c.validate(a); err != nil {
@@ -517,11 +496,6 @@ func (c *Context) Conjugate(a *Ciphertext, opts ...OpOption) (*Ciphertext, error
 	c.evk.request(c.params, "conj", a.ct.Level, s.method)
 	out, err := c.eval.ConjugateCtx(s.ctx, a.ct, s.method)
 	return wrap(out, err)
-}
-
-// ConjugateCtx is Conjugate with cancellation (see MulCtx for semantics).
-func (c *Context) ConjugateCtx(ctx context.Context, a *Ciphertext, opts ...OpOption) (*Ciphertext, error) {
-	return c.Conjugate(a, append(opts[:len(opts):len(opts)], WithContext(ctx))...)
 }
 
 func wrap(ct *ckks.Ciphertext, err error) (*Ciphertext, error) {

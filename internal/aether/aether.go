@@ -98,17 +98,9 @@ func NewAnalyzer(params costmodel.Params, cfg arch.Config) (*Analyzer, error) {
 	return &Analyzer{params: params, cfg: cfg}, nil
 }
 
-// kernelBits returns the native width of a method's kernels.
-func kernelBits(m costmodel.Method) int {
-	if m == costmodel.KLSS {
-		return 60
-	}
-	return 36
-}
-
 // delayCycles estimates the compute cycles of a breakdown on the target.
 func (a *Analyzer) delayCycles(m costmodel.Method, bd costmodel.Breakdown) float64 {
-	return bd.Total() / a.cfg.EquivMuls36PerCycle(kernelBits(m))
+	return bd.Total() / a.cfg.EquivMuls36PerCycle(m.KernelBits())
 }
 
 // hoistCandidates enumerates the hoisting configurations for a group of
@@ -210,14 +202,14 @@ func (a *Analyzer) Analyze(tr *trace.Trace) (*ConfigFile, []MCTEntry, error) {
 					if seen[id] {
 						continue
 					}
-					// EKG halves the moved bytes (only part b travels);
-					// the first transfer amortises over every future use
-					// of the key, which the offline analysis can count.
+					// Only the EKG's moved half travels; the first
+					// transfer amortises over every future use of the
+					// key, which the offline analysis can count.
 					uses := float64(keyUses[id])
 					if uses < 1 {
 						uses = 1
 					}
-					trans += float64(a.params.EvkBytes(m, op.Level)) / 2 / a.cfg.BytesPerCycle() / uses
+					trans += float64(a.params.MovedEvkBytes(m, op.Level)) / a.cfg.BytesPerCycle() / uses
 				}
 				cands = append(cands, cand{m, row.Hoist, row.Delay[m], row.KeySize[m], trans})
 			}

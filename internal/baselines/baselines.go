@@ -6,7 +6,12 @@
 // cycle model rather than copied.
 package baselines
 
-import "github.com/fastfhe/fast/internal/arch"
+import (
+	"fmt"
+	"strings"
+
+	"github.com/fastfhe/fast/internal/arch"
+)
 
 // Published is one row of the hardware/performance comparison tables. Exec
 // latencies are milliseconds; a zero entry means the paper reports none.
@@ -115,4 +120,32 @@ func FAST36() arch.Config {
 	c.EnableKLSS = false
 	c.EnableHoisting = false
 	return c
+}
+
+// named lists every simulatable configuration under its command-line name.
+var named = []struct {
+	name string
+	cfg  func() arch.Config
+}{
+	{"fast", arch.FAST}, {"sharp", SHARP}, {"sharp-lm", SHARPLM}, {"sharp-8c", SHARP8C},
+	{"sharp-lm8c", SHARPLM8C}, {"fast-notbm", FASTNoTBM}, {"fast-36", FAST36},
+}
+
+// ByName returns the configuration a command line names (one of Names).
+func ByName(name string) (arch.Config, error) {
+	for _, n := range named {
+		if n.name == name {
+			return n.cfg(), nil
+		}
+	}
+	return arch.Config{}, fmt.Errorf("unknown config %q", name)
+}
+
+// Names returns the names ByName accepts, comma-separated for a usage line.
+func Names() string {
+	names := make([]string, len(named))
+	for i, n := range named {
+		names[i] = n.name
+	}
+	return strings.Join(names, ", ")
 }

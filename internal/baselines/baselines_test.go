@@ -92,3 +92,23 @@ func TestConfigFeatureMatrix(t *testing.T) {
 		t.Error("FAST36 must disable both TBM and Aether features")
 	}
 }
+
+// Every command-line name resolves to its configuration, in the order the
+// usage line lists them; anything else is an error naming the input.
+func TestByName(t *testing.T) {
+	want := map[string]string{
+		"fast": "FAST", "sharp": "SHARP", "sharp-lm": "SHARP_LM", "sharp-8c": "SHARP_8C",
+		"sharp-lm8c": "SHARP_LM+8C", "fast-notbm": "FAST-noTBM", "fast-36": "FAST-36bitALU",
+	}
+	if got := Names(); got != "fast, sharp, sharp-lm, sharp-8c, sharp-lm8c, fast-notbm, fast-36" {
+		t.Errorf("Names() = %q", got)
+	}
+	for name, cfgName := range want {
+		if c, err := ByName(name); err != nil || c.Name != cfgName {
+			t.Errorf("ByName(%q) = %q, %v; want %q", name, c.Name, err, cfgName)
+		}
+	}
+	if _, err := ByName("sharp_lm"); err == nil || err.Error() != `unknown config "sharp_lm"` {
+		t.Errorf("ByName(sharp_lm) error = %v", err)
+	}
+}

@@ -46,6 +46,15 @@ func (m Method) String() string {
 	}
 }
 
+// KernelBits returns the native modulus width of the method's kernels: the
+// 60-bit auxiliary chain for KLSS, the 36-bit ciphertext limbs for hybrid.
+func (m Method) KernelBits() int {
+	if m == KLSS {
+		return 60
+	}
+	return 36
+}
+
 // op-weight of a 60-bit modular operation in 36-bit equivalents (one TBM =
 // two 36-bit ops or one 60-bit op per cycle).
 const weight60 = 2.0
@@ -240,6 +249,13 @@ func (p Params) EvkBytes(m Method, level int) int64 {
 		beta := p.betaHybrid(level)
 		return int64(2*beta*(k+p.Alpha)) * int64(p.N()) * int64(p.QBits) / 8
 	}
+}
+
+// MovedEvkBytes returns the bytes of one evaluation key that travel from
+// HBM: with the on-chip evaluation-key generator (EKG) the uniform part a is
+// regenerated from its seed, so only part b, half the key, moves.
+func (p Params) MovedEvkBytes(m Method, level int) int64 {
+	return p.EvkBytes(m, level) / 2
 }
 
 // WorkingSetBytes returns the on-chip working set of a key-switching phase:

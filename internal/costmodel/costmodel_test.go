@@ -147,6 +147,23 @@ func TestSizesMonotone(t *testing.T) {
 	}
 }
 
+// The EKG moves exactly half of every key, and every key has an even byte
+// count, so the halving is exact in integers and in floating point alike.
+func TestMovedEvkBytesHalvesExactly(t *testing.T) {
+	for _, logN := range []int{9, 11, 13, 16} {
+		p := ForContext(logN, 35)
+		for l := 0; l <= p.L; l++ {
+			for _, m := range []Method{Hybrid, KLSS} {
+				full := p.EvkBytes(m, l)
+				if full%2 != 0 || 2*p.MovedEvkBytes(m, l) != full ||
+					float64(full)/2 != float64(p.MovedEvkBytes(m, l)) {
+					t.Fatalf("logN %d %v level %d: %d bytes, %d moved", logN, m, l, full, p.MovedEvkBytes(m, l))
+				}
+			}
+		}
+	}
+}
+
 // The hybrid formulas must be internally consistent with the dataflow: the
 // decomposition cost (hoist-independent part) equals the h=2 minus h=1 delta
 // subtracted from the single-shot cost.
@@ -169,6 +186,12 @@ func TestMethodString(t *testing.T) {
 	}
 	if Method(7).String() == "" {
 		t.Fatal("unknown method should print something")
+	}
+}
+
+func TestKernelBits(t *testing.T) {
+	if Hybrid.KernelBits() != 36 || KLSS.KernelBits() != 60 {
+		t.Fatalf("kernel widths: hybrid %d, klss %d", Hybrid.KernelBits(), KLSS.KernelBits())
 	}
 }
 

@@ -1,11 +1,10 @@
 package costmodel
 
-// Plan-level unit estimation for the serving layer. The admission controller
+// Admission weights for the serving layer. The admission controller
 // (internal/serve) prices every request in 36-bit modular-operation
-// equivalents; a planned program is a set of key-switch sites (each possibly
-// amortizing one decomposition over a hoisted rotation group) plus a number
-// of element-wise passes. These helpers keep that arithmetic in one place so
-// cmd/fastd and the public planner agree on admission weights.
+// equivalents: a planned program is its key-switch sites, each priced by
+// KeySwitch at its level and hoist width (aether.PlanSites returns those
+// units with its verdicts), plus a number of element-wise passes.
 
 // ForContext returns Set-I parameters resized to a live functional context:
 // its ring-degree exponent and maximum level replace the paper's hardware
@@ -29,41 +28,4 @@ func ForContext(logN, level int) Params {
 // coefficient per limb at the full depth.
 func (p Params) PassUnits() float64 {
 	return float64(p.N()) * float64(p.L+1)
-}
-
-// SiteCost describes one key-switch site of a planned program: the method the
-// planner chose, the level the operands enter at, and the number of rotations
-// sharing the site's decomposition (1 for multiplications, conjugations and
-// lone rotations).
-type SiteCost struct {
-	Method Method
-	Level  int
-	Hoist  int
-}
-
-// KeySwitchUnits prices one site: the full ModUp/KeyMult/ModDown breakdown
-// with the one-time decomposition amortized across the hoisted group.
-func (p Params) KeySwitchUnits(s SiteCost) float64 {
-	level := s.Level
-	if level < 0 {
-		level = 0
-	}
-	if level > p.L {
-		level = p.L
-	}
-	hoist := s.Hoist
-	if hoist < 1 {
-		hoist = 1
-	}
-	return p.KeySwitch(s.Method, level, hoist).Total()
-}
-
-// PlanUnits sums a planned program's admission weight: every key-switch site
-// at its planned level and hoist width, plus `passes` element-wise passes.
-func (p Params) PlanUnits(sites []SiteCost, passes int) float64 {
-	total := float64(passes) * p.PassUnits()
-	for _, s := range sites {
-		total += p.KeySwitchUnits(s)
-	}
-	return total
 }

@@ -20,34 +20,3 @@ func TestPassUnits(t *testing.T) {
 		t.Fatalf("PassUnits = %g, want %g", got, want)
 	}
 }
-
-func TestKeySwitchUnitsClamps(t *testing.T) {
-	p := ForContext(11, 5)
-	atTop := p.KeySwitchUnits(SiteCost{Method: Hybrid, Level: 5, Hoist: 1})
-	clamped := p.KeySwitchUnits(SiteCost{Method: Hybrid, Level: 99, Hoist: 0})
-	if atTop != clamped {
-		t.Fatalf("clamping: %g != %g", atTop, clamped)
-	}
-	if atTop <= 0 {
-		t.Fatal("key-switch units must be positive")
-	}
-	// Hoisting amortizes the decomposition: per-site total for a hoist-4
-	// group must be below 4 independent switches.
-	solo := p.KeySwitchUnits(SiteCost{Method: Hybrid, Level: 5, Hoist: 1})
-	hoisted := p.KeySwitchUnits(SiteCost{Method: Hybrid, Level: 5, Hoist: 4})
-	if hoisted >= 4*solo {
-		t.Fatalf("hoist-4 group (%g) not cheaper than 4 solo switches (%g)", hoisted, 4*solo)
-	}
-}
-
-func TestPlanUnitsSums(t *testing.T) {
-	p := ForContext(11, 5)
-	sites := []SiteCost{
-		{Method: Hybrid, Level: 5, Hoist: 1},
-		{Method: KLSS, Level: 4, Hoist: 2},
-	}
-	want := p.KeySwitchUnits(sites[0]) + p.KeySwitchUnits(sites[1]) + 3*p.PassUnits()
-	if got := p.PlanUnits(sites, 3); got != want {
-		t.Fatalf("PlanUnits = %g, want %g", got, want)
-	}
-}

@@ -60,11 +60,11 @@ func TestServeOverload(t *testing.T) {
 		t.Fatal(err)
 	}
 	evalOnce := func(ctx context.Context) (*fast.Ciphertext, error) {
-		rot, err := fctx.RotateCtx(ctx, ca, 1)
+		rot, err := fctx.Rotate(ca, 1, fast.WithContext(ctx))
 		if err != nil {
 			return nil, err
 		}
-		return fctx.MulCtx(ctx, rot, cb)
+		return fctx.Mul(rot, cb, fast.WithContext(ctx))
 	}
 	direct, err := evalOnce(context.Background())
 	if err != nil {

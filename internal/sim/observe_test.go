@@ -15,7 +15,7 @@ func TestRunPublishesMetricsAndTrace(t *testing.T) {
 	tr := workloads.Bootstrap(workloads.DefaultProfile())
 	cfg := arch.FAST()
 	params := costmodel.SetII()
-	plan, err := Plan(params, cfg, tr, cfg.EnableKLSS, cfg.EnableHoisting)
+	plan, _, err := Plan(params, cfg, tr, ModeAuto)
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestRunUnobservedMatchesObserved(t *testing.T) {
 	tr := workloads.ResNet20(workloads.DefaultProfile())
 	cfg := arch.FAST()
 	params := costmodel.SetII()
-	plan, err := Plan(params, cfg, tr, true, true)
+	plan, _, err := Plan(params, cfg, tr, ModeAether)
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}

@@ -111,13 +111,6 @@ func New(params costmodel.Params, cfg arch.Config, plan *aether.ConfigFile) (*Si
 	return &Simulator{params: params, cfg: cfg, plan: plan}, nil
 }
 
-func kernelBits(m costmodel.Method) int {
-	if m == costmodel.KLSS {
-		return 60
-	}
-	return 36
-}
-
 // throughput returns equivalent muls/cycle of a component for a kernel
 // width: multiplier units per lane (unitFactor) times the lane count times
 // the per-unit equivalent rate of the ALU design (2 for TBM, 1 for a plain
@@ -148,24 +141,21 @@ func (s *Simulator) classify(op trace.Op, d aether.Decision) opWork {
 	switch op.Kind {
 	case trace.HMult:
 		w.method = d.Method
-		w.bits = kernelBits(d.Method)
+		w.bits = d.Method.KernelBits()
 		w.bd = s.params.KeySwitch(d.Method, op.Level, 1)
 		w.bd.Other += 4 * k * n // tensor products
-		w.keyIDs = []string{fmt.Sprintf("%v/relin", d.Method)}
-		w.keyBytes = s.params.EvkBytes(d.Method, op.Level) / 2 // EKG: part a regenerated on chip
+		w.keyIDs = []string{op.KeyID(d.Method.String(), 0)}
+		w.keyBytes = s.params.MovedEvkBytes(d.Method, op.Level)
 	case trace.HRot:
 		w.method = d.Method
-		w.bits = kernelBits(d.Method)
-		h := d.Hoist
-		if h < 1 {
-			h = 1
-		}
+		w.bits = d.Method.KernelBits()
+		h := max(d.Hoist, 1)
 		groups := (op.HoistCount() + h - 1) / h
 		w.bd = s.params.KeySwitch(d.Method, op.Level, h).Scale(float64(groups))
 		for _, r := range op.Rotations {
-			w.keyIDs = append(w.keyIDs, fmt.Sprintf("%v/rot%d", d.Method, r))
+			w.keyIDs = append(w.keyIDs, op.KeyID(d.Method.String(), r))
 		}
-		w.keyBytes = s.params.EvkBytes(d.Method, op.Level) / 2 // EKG: part a regenerated on chip
+		w.keyBytes = s.params.MovedEvkBytes(d.Method, op.Level)
 		w.autoElems = float64(op.HoistCount()) * k * n
 	case trace.PMult, trace.CMult:
 		w.bd.Other = 2 * k * n
@@ -323,17 +313,67 @@ func (s *Simulator) energy(res *Result) {
 	res.EDP = res.EnergyJ * seconds
 }
 
-// Plans for the execution-time breakdown study (Fig. 10): OneKSW uses only
-// the non-hoisted hybrid method, Hoisting adds hoisting but keeps hybrid,
-// Aether enables the full dual-method selection. Each returns the plan and
-// the analyzer's MCT.
-func Plan(params costmodel.Params, cfg arch.Config, tr *trace.Trace, enableKLSS, enableHoisting bool) (*aether.ConfigFile, error) {
-	cfg.EnableKLSS = enableKLSS
-	cfg.EnableHoisting = enableHoisting
+// Mode selects how key-switching is scheduled, the plans of the
+// execution-time breakdown study (Fig. 10).
+type Mode int
+
+const (
+	// ModeAuto follows the accelerator's feature flags.
+	ModeAuto Mode = iota
+	// ModeOneKSW forces non-hoisted hybrid everywhere.
+	ModeOneKSW
+	// ModeHoisting enables hoisting but keeps the hybrid method.
+	ModeHoisting
+	// ModeAether enables the full dual-method selection.
+	ModeAether
+)
+
+// modeNames are the command-line plan names; ModeAuto's is empty.
+var modeNames = [...]string{ModeAuto: "", ModeOneKSW: "oneksw", ModeHoisting: "hoisting", ModeAether: "aether"}
+
+// ParseMode maps a command-line plan name to its Mode.
+func ParseMode(name string) (Mode, error) {
+	for m, n := range modeNames {
+		if n == name {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown plan %q", name)
+}
+
+// Plan runs the Aether analysis of tr for cfg under mode, which sets the
+// configuration's KLSS and hoisting flags for the analysis only. It returns
+// the configuration file and the Methods Candidate Table behind it.
+func Plan(params costmodel.Params, cfg arch.Config, tr *trace.Trace, mode Mode) (*aether.ConfigFile, []aether.MCTEntry, error) {
+	switch mode {
+	case ModeOneKSW:
+		cfg.EnableKLSS, cfg.EnableHoisting = false, false
+	case ModeHoisting:
+		cfg.EnableKLSS, cfg.EnableHoisting = false, true
+	case ModeAether:
+		cfg.EnableKLSS, cfg.EnableHoisting = true, true
+	case ModeAuto:
+	default:
+		return nil, nil, fmt.Errorf("sim: unknown plan mode %d", mode)
+	}
 	an, err := aether.NewAnalyzer(params, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return an.Analyze(tr)
+}
+
+// Simulate plans tr for cfg under mode and runs it, publishing the run into
+// o when it is non-nil (see SetObserver).
+func Simulate(params costmodel.Params, cfg arch.Config, tr *trace.Trace, mode Mode, o *obs.Observer) (*Result, error) {
+	plan, _, err := Plan(params, cfg, tr, mode)
 	if err != nil {
 		return nil, err
 	}
-	plan, _, err := an.Analyze(tr)
-	return plan, err
+	s, err := New(params, cfg, plan)
+	if err != nil {
+		return nil, err
+	}
+	s.SetObserver(o)
+	return s.Run(tr)
 }

@@ -14,18 +14,9 @@ import (
 
 func runConfig(t *testing.T, cfg arch.Config, tr *trace.Trace) *Result {
 	t.Helper()
-	params := costmodel.SetII()
-	plan, err := Plan(params, cfg, tr, cfg.EnableKLSS, cfg.EnableHoisting)
+	res, err := Simulate(costmodel.SetII(), cfg, tr, ModeAuto, nil)
 	if err != nil {
-		t.Fatalf("Plan: %v", err)
-	}
-	s, err := New(params, cfg, plan)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	res, err := s.Run(tr)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Simulate: %v", err)
 	}
 	return res
 }
@@ -115,21 +106,17 @@ func TestPlanLadder(t *testing.T) {
 
 	times := map[string]float64{}
 	var aetherRes *Result
-	for _, tc := range []struct {
-		name        string
-		klss, hoist bool
-	}{{"oneksw", false, false}, {"hoisting", false, true}, {"aether", true, true}} {
-		plan, err := Plan(params, cfg, tr, tc.klss, tc.hoist)
+	for _, name := range []string{"oneksw", "hoisting", "aether"} {
+		mode, err := ParseMode(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, _ := New(params, cfg, plan)
-		res, err := s.Run(tr)
+		res, err := Simulate(params, cfg, tr, mode, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		times[tc.name] = res.TimeMS
-		if tc.name == "aether" {
+		times[name] = res.TimeMS
+		if mode == ModeAether {
 			aetherRes = res
 		}
 	}
@@ -316,5 +303,22 @@ func TestPrefetchAblation(t *testing.T) {
 	}
 	if off.StallCy <= on.StallCy {
 		t.Errorf("disabling prefetch should add stalls: %.0f vs %.0f", off.StallCy, on.StallCy)
+	}
+}
+
+// Every -plan name parses to its own mode, and an unknown name or mode is an
+// error rather than a silent fallback to the configuration's flags.
+func TestParseModeAndUnknownMode(t *testing.T) {
+	for name, want := range map[string]Mode{"": ModeAuto, "oneksw": ModeOneKSW, "hoisting": ModeHoisting, "aether": ModeAether} {
+		if got, err := ParseMode(name); err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseMode("bogus"); err == nil || err.Error() != `unknown plan "bogus"` {
+		t.Errorf("ParseMode(bogus) error = %v", err)
+	}
+	tr := workloads.Bootstrap(workloads.DefaultProfile())
+	if _, err := Simulate(costmodel.SetII(), arch.FAST(), tr, Mode(42), nil); err == nil {
+		t.Error("Simulate accepted mode 42")
 	}
 }

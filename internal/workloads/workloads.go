@@ -10,6 +10,7 @@ package workloads
 
 import (
 	"fmt"
+	"strings"
 
 	"github.com/fastfhe/fast/internal/trace"
 )
@@ -46,6 +47,37 @@ func DefaultProfile() Profile {
 		EvalModMults: 7,
 		OFLimb:       true,
 	}
+}
+
+// named lists the benchmark traces under their command-line names.
+var named = []struct {
+	name string
+	gen  func(Profile) *trace.Trace
+}{
+	{"bootstrap", Bootstrap},
+	{"helr256", func(p Profile) *trace.Trace { return HELR(p, 256) }},
+	{"helr1024", func(p Profile) *trace.Trace { return HELR(p, 1024) }},
+	{"resnet20", ResNet20},
+}
+
+// ByName generates the trace a command line names (one of Names) at the
+// default profile.
+func ByName(name string) (*trace.Trace, error) {
+	for _, n := range named {
+		if n.name == name {
+			return n.gen(DefaultProfile()), nil
+		}
+	}
+	return nil, fmt.Errorf("unknown workload %q", name)
+}
+
+// Names returns the names ByName accepts, comma-separated for a usage line.
+func Names() string {
+	names := make([]string, len(named))
+	for i, n := range named {
+		names[i] = n.name
+	}
+	return strings.Join(names, ", ")
 }
 
 // dftFactor appends one BSGS homomorphic-DFT factor at the given level:

@@ -165,3 +165,24 @@ func TestHELRTraining(t *testing.T) {
 		t.Error("iterations should touch distinct ciphertexts")
 	}
 }
+
+// Every command-line name generates its trace at the default profile; anything
+// else is an error naming the input.
+func TestByName(t *testing.T) {
+	p := DefaultProfile()
+	want := map[string]*trace.Trace{
+		"bootstrap": Bootstrap(p), "helr256": HELR(p, 256), "helr1024": HELR(p, 1024), "resnet20": ResNet20(p),
+	}
+	if got := Names(); got != "bootstrap, helr256, helr1024, resnet20" {
+		t.Errorf("Names() = %q", got)
+	}
+	for name, tr := range want {
+		got, err := ByName(name)
+		if err != nil || got.Name != tr.Name || len(got.Ops) != len(tr.Ops) {
+			t.Errorf("ByName(%q) = %v, %v; want %s", name, got, err, tr.Name)
+		}
+	}
+	if _, err := ByName("helr512"); err == nil || err.Error() != `unknown workload "helr512"` {
+		t.Errorf("ByName(helr512) error = %v", err)
+	}
+}

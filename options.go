@@ -119,9 +119,13 @@ func NoRescale() OpOption {
 // context.DeadlineExceeded under errors.Is. Abandoned operations release all
 // pooled scratch and leave their inputs untouched.
 //
+// RotateHoisted also polls between the per-rotation key multiplications that
+// share the hoisted decomposition.
+//
 // A nil or never-cancelled context (context.Background()) adds no overhead
-// beyond a single pointer check per checkpoint. The *Ctx convenience methods
-// (MulCtx, RotateCtx, ...) are shorthand for passing this option.
+// beyond a single pointer check per checkpoint. This option is how every
+// op that takes OpOptions is made cancellable; Bootstrap takes none, so
+// BootstrapContext.BootstrapCtx takes the context directly.
 func WithContext(ctx context.Context) OpOption {
 	return func(s *opSettings) { s.ctx = ctx }
 }

@@ -1,8 +1,6 @@
 package fast
 
 import (
-	"fmt"
-
 	"github.com/fastfhe/fast/internal/aether"
 	"github.com/fastfhe/fast/internal/arch"
 	"github.com/fastfhe/fast/internal/baselines"
@@ -96,17 +94,17 @@ func ResNet20Workload() Workload {
 }
 
 // PlanMode selects how key-switching is scheduled (Fig. 10).
-type PlanMode int
+type PlanMode = sim.Mode
 
 const (
 	// PlanAuto follows the accelerator's feature flags.
-	PlanAuto PlanMode = iota
+	PlanAuto = sim.ModeAuto
 	// PlanOneKSW forces non-hoisted hybrid everywhere.
-	PlanOneKSW
+	PlanOneKSW = sim.ModeOneKSW
 	// PlanHoisting enables hoisting but keeps the hybrid method.
-	PlanHoisting
+	PlanHoisting = sim.ModeHoisting
 	// PlanAether enables the full dual-method selection.
-	PlanAether
+	PlanAether = sim.ModeAether
 )
 
 // Report is the outcome of one simulation.
@@ -148,37 +146,12 @@ func Simulate(w Workload, acc Accelerator, mode PlanMode) (*Report, error) {
 // with one track per hardware component. A nil observer makes it identical
 // to Simulate.
 func SimulateObserved(w Workload, acc Accelerator, mode PlanMode, ob *Observer) (*Report, error) {
-	params := costmodel.SetII()
-	cfg := acc.cfg
-	klss, hoist := cfg.EnableKLSS, cfg.EnableHoisting
-	switch mode {
-	case PlanOneKSW:
-		klss, hoist = false, false
-	case PlanHoisting:
-		klss, hoist = false, true
-	case PlanAether:
-		klss, hoist = true, true
-	case PlanAuto:
-	default:
-		return nil, fmt.Errorf("fast: unknown plan mode %d", mode)
-	}
-	plan, err := sim.Plan(params, cfg, w.tr, klss, hoist)
-	if err != nil {
-		return nil, err
-	}
-	s, err := sim.New(params, cfg, plan)
-	if err != nil {
-		return nil, err
-	}
-	if ob != nil {
-		s.SetObserver(ob.unwrap())
-	}
-	res, err := s.Run(w.tr)
+	res, err := sim.Simulate(costmodel.SetII(), acc.cfg, w.tr, mode, ob.unwrap())
 	if err != nil {
 		return nil, err
 	}
 	return &Report{
-		Accelerator:   cfg.Name,
+		Accelerator:   acc.cfg.Name,
 		Workload:      w.tr.Name,
 		TimeMS:        res.TimeMS,
 		Cycles:        res.Cycles,
@@ -204,11 +177,7 @@ func SimulateObserved(w Workload, acc Accelerator, mode PlanMode, ob *Observer) 
 // PlanWorkload runs the Aether analysis alone and returns the configuration
 // file (serialisable via its Save method).
 func PlanWorkload(w Workload, acc Accelerator) (*aether.ConfigFile, error) {
-	an, err := aether.NewAnalyzer(costmodel.SetII(), acc.cfg)
-	if err != nil {
-		return nil, err
-	}
-	plan, _, err := an.Analyze(w.tr)
+	plan, _, err := sim.Plan(costmodel.SetII(), acc.cfg, w.tr, PlanAuto)
 	return plan, err
 }
 

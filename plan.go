@@ -219,63 +219,46 @@ func (c *Context) Plan(prog *Program, inputLevels map[string]int, opts ...PlanOp
 		n.group = gi
 	}
 
-	// Pass 3: whole-program method selection for the undecided sites. One
-	// Aether site per undecided mul/conjugate node and per undecided rotation
-	// group (the group's hoist width changes the verdict: hoisting erodes the
-	// KLSS advantage because KeyMult dominates, paper Fig. 2).
-	cm := costmodel.ForContext(c.params.LogN(), maxL)
+	// Pass 3: one Aether site per key-switching mul/conjugate node and per
+	// rotation group (the group's hoist width changes the verdict: hoisting
+	// erodes the KLSS advantage because KeyMult dominates, paper Fig. 2).
+	// PlanSites decides the unpinned sites and prices all of them; the unit
+	// weight is the element-wise passes plus every site's units, summed in
+	// node order.
 	var sites []aether.Site
-	for i := range p.nodes {
-		n := &p.nodes[i]
-		if !n.keySwitches() || n.pinned {
-			continue
-		}
-		if n.op.Op == "rotate" {
-			if p.groups[n.group][0] != i {
-				continue // decided with the group's first member
-			}
-			sites = append(sites, aether.Site{Op: i, Level: n.levelIn, Hoist: len(p.groups[n.group]), KLSS: c.SupportsKLSS()})
-			continue
-		}
-		sites = append(sites, aether.Site{Op: i, Level: n.levelIn, Hoist: 1, KLSS: c.SupportsKLSS()})
-	}
-	for _, d := range aether.PlanSites(cm, sites) {
-		n := &p.nodes[d.OpIndex]
-		if n.op.Op == "rotate" {
-			for _, member := range p.groups[n.group] {
-				p.nodes[member].method = d.Method
-			}
-		} else {
-			n.method = d.Method
-		}
-	}
-
-	// Decisions, unit weight, fingerprint.
-	var costSites []costmodel.SiteCost
 	for i := range p.nodes {
 		n := &p.nodes[i]
 		if !n.keySwitches() {
 			p.passes++
 			continue
 		}
-		d := PlanDecision{
-			Node: i, Op: n.op.Op, Out: n.op.Out, Level: n.levelIn,
-			Method: n.method, Pinned: n.pinned, Group: n.group, Hoist: 1,
-		}
+		d := PlanDecision{Node: i, Op: n.op.Op, Out: n.op.Out, Level: n.levelIn, Pinned: n.pinned, Group: n.group, Hoist: 1}
 		if n.op.Op == "rotate" {
 			d.Hoist = len(p.groups[n.group])
-			if p.groups[n.group][0] == i {
-				costSites = append(costSites, costmodel.SiteCost{Method: n.method, Level: n.levelIn, Hoist: d.Hoist})
-			}
-		} else {
-			costSites = append(costSites, costmodel.SiteCost{Method: n.method, Level: n.levelIn, Hoist: 1})
-			if n.rescales {
-				p.passes++ // the fused rescale pass
-			}
+		} else if n.rescales {
+			p.passes++ // the fused rescale pass
+		}
+		if n.op.Op != "rotate" || p.groups[n.group][0] == i {
+			sites = append(sites, aether.Site{Op: i, Level: n.levelIn, Hoist: d.Hoist,
+				KLSS: c.SupportsKLSS(), Pinned: n.pinned, Method: n.method})
 		}
 		p.decisions = append(p.decisions, d)
 	}
-	p.units = cm.PlanUnits(costSites, p.passes)
+	cm := costmodel.ForContext(c.params.LogN(), maxL)
+	p.units = float64(p.passes) * cm.PassUnits()
+	for _, sd := range aether.PlanSites(cm, sites) {
+		p.units += sd.Units
+		if n := &p.nodes[sd.OpIndex]; n.op.Op == "rotate" {
+			for _, member := range p.groups[n.group] {
+				p.nodes[member].method = sd.Method
+			}
+		} else {
+			n.method = sd.Method
+		}
+	}
+	for k := range p.decisions {
+		p.decisions[k].Method = p.nodes[p.decisions[k].Node].method
+	}
 	p.fingerprint = planFingerprint(p.prog, p.inputLevels, pc)
 	return p, nil
 }
