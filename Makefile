@@ -45,10 +45,14 @@ test-purego:
 # second Put of one (internal/ring/pool_race.go), so the golden-bytes and
 # oracle tests this runs exercise every pooled path poisoned: an op that
 # reads a recycled buffer before writing it, or recycles one twice, fails
-# here.
+# here. The shape cache's two contracts — concurrent first creates of one
+# configuration compile it once, and an unreferenced compile leaves the cache
+# — are run again by name, several times over.
 race: kernel-path
 	$(GO) test -race -short ./...
 	$(GO) test -race -run TestBootstrapConcurrentFirstUse ./internal/ckks
+	$(GO) test -race -count=5 -run 'TestNewContextConcurrentCompileOnce|TestContextsShareCompiledParameters' .
+	$(GO) test -race -count=5 -run 'TestShapeCacheForgetsUnreferencedShapes|TestParametersShareShapeAcrossSeeds' ./internal/ckks
 
 # Chaos gate, under the race detector. The library's seeded random op script
 # is held to a plaintext shadow (checked-in precision floors, hybrid vs KLSS

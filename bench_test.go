@@ -9,9 +9,11 @@
 package fast
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -528,6 +530,91 @@ func BenchmarkFunctionalRotateHoisted4(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// --- What a cold session costs ---
+//
+// A fastd create is NewContext; a cold request is DecodeSessionSnapshot
+// (SHA-256 and header) and then Restore (key decode, plus the parameter
+// compile only when no live context shares the configuration). The "compile"
+// leg drops every context and collects before each iteration, so the compiled
+// parameter set is rebuilt each time; the other legs keep one live context of
+// the configuration, as a daemon with resident sessions does. first_mul is
+// the first Mul on a freshly restored context (compare
+// BenchmarkFunctionalMulHybrid, a warm one). Run with:
+//
+//	go test -run '^$' -bench 'NewContext|SessionRestore' -benchmem
+
+func BenchmarkNewContext(b *testing.B) {
+	cfg := DefaultConfig()
+	b.Run("compile", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			runtime.GC()
+			b.StartTimer()
+			if _, err := NewContext(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("shared", func(b *testing.B) {
+		live := benchCtx(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cfg.Seed = int64(2 + i%64)
+			if _, err := NewContext(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runtime.KeepAlive(live)
+	})
+}
+
+func BenchmarkSessionRestore(b *testing.B) {
+	live := benchCtx(b)
+	var buf bytes.Buffer
+	if err := live.WriteSessionSnapshot(&buf, SessionMeta{ID: "bench"}); err != nil {
+		b.Fatal(err)
+	}
+	data := buf.Bytes()
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(int64(len(data)))
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeSessionSnapshot(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	snap, err := DecodeSessionSnapshot(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("restore", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := snap.Restore(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("first_mul", func(b *testing.B) {
+		v := randomVec(live.Slots())
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ctx, err := snap.Restore()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ct, err := ctx.Encrypt(v)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := ctx.Mul(ct, ct, WithMethod(Hybrid)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	runtime.KeepAlive(live)
 }
 
 func BenchmarkTBMMul60(b *testing.B) {

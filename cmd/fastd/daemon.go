@@ -248,9 +248,9 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		}
 		d.store = store
 		// Persisted sessions are NOT restored here — startup stays O(files)
-		// cheap and the first request for each session faults it in (decode,
-		// checksum, parameter recompile, key deserialisation). Only the ID
-		// space is recovered eagerly, so new creates never collide with
+		// cheap and the first request for each session faults it in (checksum,
+		// key decode, a parameter compile if no live session shares it). Only
+		// the ID space is recovered eagerly, so new creates never collide with
 		// pre-crash sessions.
 		ids, err := store.scan()
 		if err != nil {

@@ -106,7 +106,7 @@ func (d *daemon) restoreInto(sh *evalShard, id string) (*session, error) {
 //     the restore epoch is taken as 1 + max(snapshot header, epoch sidecar) —
 //     a fresh encryptor randomness epoch, because a restored session must
 //     never replay pre-crash encryption randomness;
-//   - keys are expanded against the deterministically recompiled parameters;
+//   - keys are decoded against the config's parameters (compiled if unshared);
 //   - the new epoch is made durable in the sidecar — the snapshot itself is
 //     not rewritten — BEFORE the session is returned, so the next crash also
 //     lands on a fresh epoch. If that write degrades the session still serves,

@@ -58,7 +58,7 @@ type sessionStore struct {
 	// restoreSession, so their sums reconcile with the restore latency a
 	// client sees (minus the evict the restore may trigger, which has its own).
 	mSnapshotLoad *obs.Histogram // fastd.restore.snapshot_load_ns: read + SHA-256 + header decode
-	mExpand       *obs.Histogram // fastd.restore.expand_ns: ring tables + key deserialise
+	mExpand       *obs.Histogram // fastd.restore.expand_ns: key decode (+ parameter compile if unshared)
 	mEpochWrite   *obs.Histogram // fastd.restore.epoch_write_ns: sidecar tmp+fsync+rename+dir-fsync
 	mEvict        *obs.Histogram // fastd.evict_ns
 }

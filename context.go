@@ -111,8 +111,11 @@ func (c *Ciphertext) Scale() float64 {
 }
 
 // NewContext compiles the configuration, generates all keys and returns a
-// ready-to-use context. Options are applied on top of cfg (last writer
-// wins): NewContext(fast.DefaultConfig(), fast.WithParallelism(4),
+// ready-to-use context. The compiled parameter set is shared: contexts whose
+// configurations differ at most in Seed hold one read-only copy of the prime
+// chains and ring and evaluator tables, compiled by whichever came first and
+// kept while any of them is live. Options are applied on top of cfg (last
+// writer wins): NewContext(fast.DefaultConfig(), fast.WithParallelism(4),
 // fast.WithDefaultMethod(fast.KLSS)).
 func NewContext(cfg ContextConfig, opts ...Option) (*Context, error) {
 	cfg, settings, err := resolveConfig(cfg, opts)
@@ -166,7 +169,7 @@ func resolveConfig(cfg ContextConfig, opts []Option) (ContextConfig, contextSett
 // literal of the general regime. The mapping is deterministic and prime-chain
 // generation depends only on the literal, so the same config always compiles
 // to bit-identical ring tables — the property snapshot restoration relies on
-// to pair persisted key material with freshly compiled parameters.
+// to pair persisted key material with the compiled parameters.
 func parametersLiteral(cfg ContextConfig) ckks.ParametersLiteral {
 	logQ := make([]int, cfg.Levels+1)
 	logQ[0] = cfg.LogScale + 14 // q0 absorbs the message plus noise margin

@@ -11,7 +11,6 @@ import (
 
 	"github.com/fastfhe/fast/internal/obs"
 	"github.com/fastfhe/fast/internal/ring"
-	"github.com/fastfhe/fast/internal/rns"
 )
 
 // Evaluator executes homomorphic operations. It owns one KeySwitcher per
@@ -30,10 +29,10 @@ type Evaluator struct {
 	keys        *EvaluationKeySet
 	method      atomic.Int32
 	switcher    map[KeySwitchMethod]*KeySwitcher
-	rescaler    *rns.Rescaler
 	parallelism int
 	// pool holds ciphertext-shaped buffers (N x full Q chain): every op's
-	// scratch, and the intermediates of the pipelines (see resultMode).
+	// scratch, and the intermediates of the pipelines (see resultMode). It
+	// counts this evaluator's traffic over the shape's reservoir.
 	pool *ring.PolyPool
 
 	// iMonomial is X^(N/2) over the full chain, built by monomialI on first
@@ -86,11 +85,9 @@ func NewEvaluatorOptions(params *Parameters, keys *EvaluationKeySet, opts Evalua
 		params:      params,
 		keys:        keys,
 		switcher:    map[KeySwitchMethod]*KeySwitcher{},
-		rescaler:    rns.NewRescaler(params.ringQ.Moduli),
 		parallelism: workers,
-		pool:        ring.NewPolyPool(params.N(), params.MaxLevel()+1),
+		pool:        params.evalPool.Share(),
 	}
-	ev.rescaler.Workers = workers
 	ev.method.Store(int32(Hybrid))
 	hy, err := NewKeySwitcherWorkers(params, Hybrid, workers)
 	if err != nil {
@@ -540,7 +537,7 @@ func (ev *Evaluator) rescaleCC(cc *cancelCheck, ct *Ciphertext, mode resultMode)
 			ev.recycle(out)
 			return nil, err
 		}
-		ev.rescaler.RescaleNTT(pair[0].Coeffs[:level+1], pair[1].Coeffs, tables)
+		ev.params.rescaler.RescaleNTT(pair[0].Coeffs[:level+1], pair[1].Coeffs, tables, ev.parallelism)
 	}
 	if ev.om != nil {
 		ev.om.finishNoMethod(ev.om.rescale, "Rescale", level, t0, cc)

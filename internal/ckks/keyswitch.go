@@ -19,10 +19,10 @@ import (
 // ModDown rounding are identical mathematics; only the chain (and hence the
 // per-kernel operation counts, see internal/costmodel) differs.
 //
-// A KeySwitcher is safe for concurrent use: all mutable state is either
-// guarded (the lazily built extender/downer tables) or drawn from a
-// sync.Pool-backed scratch-buffer pool sized off the parameter set, so no
-// per-operation state is shared between goroutines.
+// A KeySwitcher is safe for concurrent use: its ModUp and ModDown tables
+// belong to the parameter shape (shared read-only by every switcher over it,
+// see switchTables), and its scratch comes from the shape's sync.Pool-backed
+// buffer reservoir, so no per-operation state is shared between goroutines.
 type KeySwitcher struct {
 	params *Parameters
 	method KeySwitchMethod
@@ -30,13 +30,15 @@ type KeySwitcher struct {
 	keyRing *ring.Ring
 	sLen    int // number of special limbs
 	alpha   int
+	tables  *switchTables
 
 	// parallelism caps the goroutine fan-out of the limb-level kernels
 	// (ModUp NTTs, BConv, KeyMult rows, ModDown) following ring.Workers
-	// semantics. Fixed at construction.
+	// semantics. Fixed at construction; the shared tables take it per call.
 	parallelism int
 
-	// pool recycles scratch polynomials of the extended (Q++special) shape.
+	// pool recycles scratch polynomials of the extended (Q++special) shape:
+	// this switcher's instruments over the shape's reservoir.
 	pool *ring.PolyPool
 
 	// Phase-timing instruments (nil when unobserved; see SetObserver). The
@@ -48,19 +50,35 @@ type KeySwitcher struct {
 	keyMultNS *obs.Histogram
 	modDownNS *obs.Histogram
 	tracer    *obs.Tracer
-
-	mu        sync.Mutex
-	extenders map[extKey]modUpExt
-	downers   map[int]*rns.ModDowner
 }
 
-type extKey struct{ level, group int }
+// switchTables are one backend's key-switch tables at every level of a
+// shape. A level is built on its first key switch, by whichever switcher gets
+// there first, and is read-only from then on. pool is the reservoir of
+// extended-shape scratch the backend's switchers share.
+type switchTables struct {
+	levels []switchLevel
+	pool   *ring.PolyPool
+}
+
+// switchLevel is the ModUp converter of each digit at one level and the
+// level's ModDown context.
+type switchLevel struct {
+	once   sync.Once
+	exts   []modUpExt
+	downer *rns.ModDowner
+	err    error
+}
 
 // modUpExt is one digit's ModUp converter with the rows of the extended
 // polynomial it writes: every row but the digit's own, in target-basis order.
 type modUpExt struct {
 	ext  *rns.Extender
 	rows []int
+}
+
+func newSwitchTables(keyRing *ring.Ring, levels int) *switchTables {
+	return &switchTables{levels: make([]switchLevel, levels), pool: ring.NewPolyPool(keyRing.N, len(keyRing.Moduli))}
 }
 
 // NewKeySwitcherWorkers builds the switcher with the given limb-parallelism
@@ -70,16 +88,16 @@ func NewKeySwitcherWorkers(params *Parameters, method KeySwitchMethod, workers i
 	if err != nil {
 		return nil, err
 	}
+	tables := params.switching[methodIdx(method)]
 	return &KeySwitcher{
 		params:      params,
 		method:      method,
 		keyRing:     kr,
 		sLen:        sLen,
 		alpha:       params.groupAlpha(method),
+		tables:      tables,
 		parallelism: workers,
-		pool:        ring.NewPolyPool(params.N(), len(kr.Moduli)),
-		extenders:   map[extKey]modUpExt{},
-		downers:     map[int]*rns.ModDowner{},
+		pool:        tables.pool.Share(),
 	}, nil
 }
 
@@ -143,50 +161,40 @@ func (ks *KeySwitcher) sMods() []ring.Modulus {
 	return ks.keyRing.Moduli[qLen : qLen+ks.sLen]
 }
 
-// extender returns (building if needed) the base converter from group j's
-// primes to the complement basis (other active q limbs ++ special limbs).
-func (ks *KeySwitcher) extender(level, j int) (modUpExt, error) {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	k := extKey{level, j}
-	if e, ok := ks.extenders[k]; ok {
-		return e, nil
-	}
-	lo, hi := j*ks.alpha, min((j+1)*ks.alpha, level+1)
-	var from, to []ring.Modulus
-	from = append(from, ks.qMods(level)[lo:hi]...)
-	to = append(to, ks.qMods(level)[:lo]...)
-	to = append(to, ks.qMods(level)[hi:]...)
-	to = append(to, ks.sMods()...)
-	ext, err := rns.NewExtender(from, to)
-	if err != nil {
-		return modUpExt{}, err
-	}
-	ext.Workers = ks.parallelism
-	e := modUpExt{ext: ext}
-	for i := 0; i < level+1+ks.sLen; i++ {
-		if i < lo || i >= hi {
-			e.rows = append(e.rows, i)
-		}
-	}
-	ks.extenders[k] = e
-	return e, nil
+// level returns (building it on first use) the shared tables at a level:
+// each digit's base converter from its primes to the complement basis (the
+// other active q limbs ++ special limbs), and the ModDown context.
+func (ks *KeySwitcher) level(level int) (*switchLevel, error) {
+	t := &ks.tables.levels[level]
+	t.once.Do(func() { t.exts, t.downer, t.err = ks.buildLevel(level) })
+	return t, t.err
 }
 
-// downer returns (building if needed) the ModDown context at a level.
-func (ks *KeySwitcher) downer(level int) (*rns.ModDowner, error) {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	if d, ok := ks.downers[level]; ok {
-		return d, nil
+func (ks *KeySwitcher) buildLevel(level int) ([]modUpExt, *rns.ModDowner, error) {
+	exts := make([]modUpExt, ks.beta(level))
+	for j := range exts {
+		lo, hi := j*ks.alpha, min((j+1)*ks.alpha, level+1)
+		var from, to []ring.Modulus
+		from = append(from, ks.qMods(level)[lo:hi]...)
+		to = append(to, ks.qMods(level)[:lo]...)
+		to = append(to, ks.qMods(level)[hi:]...)
+		to = append(to, ks.sMods()...)
+		ext, err := rns.NewExtender(from, to)
+		if err != nil {
+			return nil, nil, err
+		}
+		exts[j].ext = ext
+		for i := 0; i < level+1+ks.sLen; i++ {
+			if i < lo || i >= hi {
+				exts[j].rows = append(exts[j].rows, i)
+			}
+		}
 	}
 	d, err := rns.NewModDowner(ks.qMods(level), ks.sMods())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	d.SetWorkers(ks.parallelism)
-	ks.downers[level] = d
-	return d, nil
+	return exts, d, nil
 }
 
 // Decomposition is the hoistable intermediate state of key-switching: the β
@@ -276,27 +284,26 @@ func (ks *KeySwitcher) decompose(cc *cancelCheck, c ring.Poly, level int) (*Deco
 		return nil, err
 	}
 
+	tl, err := ks.level(level)
+	if err != nil {
+		return nil, err
+	}
 	beta := ks.beta(level)
 	ext := len(ks.sMods())
 	d := &Decomposition{Level: level, Groups: make([]ring.Poly, beta)}
-	for j := 0; j < beta; j++ {
+	for j, e := range tl.exts {
 		if err := cc.err("ModUp"); err != nil {
 			ks.Release(d)
 			return nil, err
 		}
 		lo, hi := j*ks.alpha, min((j+1)*ks.alpha, level+1)
-		e, err := ks.extender(level, j)
-		if err != nil {
-			ks.Release(d)
-			return nil, err
-		}
 		out := ks.pool.Get(level + 1 + ext)
 		// Record the buffer before converting so a cancellation below is
 		// released by ks.Release(d) along with the earlier groups.
 		d.Groups[j] = out
 		// Source rows (coefficient form) convert into every row of out
 		// except the group's own.
-		e.ext.ConvertRows(cCoeff.Coeffs[lo:hi], out.Coeffs, e.rows)
+		e.ext.ConvertRows(cCoeff.Coeffs[lo:hi], out.Coeffs, e.rows, ks.parallelism)
 		// Converted rows go back to NTT form; own rows copy from the NTT
 		// input directly.
 		ring.ForEachLimbRange(level+1+ext, ks.parallelism, func(rlo, rhi int) {
@@ -431,17 +438,17 @@ func (ks *KeySwitcher) keyMult(cc *cancelCheck, d *Decomposition, key *Switching
 	}
 	// ModDown: divide by the special chain without leaving the NTT domain on
 	// the Q limbs. Cancellation is checked between the two components.
-	dw, err := ks.downer(level)
+	tl, err := ks.level(level)
 	if err != nil {
 		return err
 	}
 	tQ := ks.keyRing.Tables[:level+1]
 	tS := ks.keyRing.Tables[qLen : qLen+ext]
-	dw.ModDownNTT(acc0.Coeffs[:level+1], acc0.Coeffs[level+1:rows], d0.Coeffs, tQ, tS)
+	tl.downer.ModDownNTT(acc0.Coeffs[:level+1], acc0.Coeffs[level+1:rows], d0.Coeffs, tQ, tS, ks.parallelism)
 	if err := cc.err("ModDown"); err != nil {
 		return err
 	}
-	dw.ModDownNTT(acc1.Coeffs[:level+1], acc1.Coeffs[level+1:rows], d1.Coeffs, tQ, tS)
+	tl.downer.ModDownNTT(acc1.Coeffs[:level+1], acc1.Coeffs[level+1:rows], d1.Coeffs, tQ, tS, ks.parallelism)
 	if err := cc.err("ModDown"); err != nil {
 		return err
 	}

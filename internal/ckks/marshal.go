@@ -377,29 +377,30 @@ func (pk *PublicKey) Serialize(w io.Writer) error {
 	return writePoly(w, pk.A)
 }
 
-// ReadPublicKey deserialises a public key.
-func ReadPublicKey(r io.Reader, params *Parameters) (*PublicKey, error) {
-	if err := readHeader(r, tagPublicKey); err != nil {
-		return nil, err
+// ParsePublicKey decodes a public key from the front of b and returns the
+// bytes after it.
+func ParsePublicKey(b []byte, params *Parameters) (*PublicKey, []byte, error) {
+	if err := checkHeader(b, tagPublicKey); err != nil {
+		return nil, nil, err
 	}
-	b, err := readPoly(r)
+	pb, b, err := parsePoly(b[2:])
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	a, err := readPoly(r)
+	pa, b, err := parsePoly(b)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if b.Limbs() != len(params.qChain) || a.Limbs() != len(params.qChain) || b.N() != params.N() {
-		return nil, fmt.Errorf("ckks: public key shape inconsistent with parameters")
+	if pb.Limbs() != len(params.qChain) || pa.Limbs() != len(params.qChain) || pb.N() != params.N() {
+		return nil, nil, fmt.Errorf("ckks: public key shape inconsistent with parameters")
 	}
-	return &PublicKey{B: b, A: a}, nil
+	return &PublicKey{B: pb, A: pa}, b, nil
 }
 
 // Serialize writes the secret key. Only the signed ternary coefficients go on
 // the wire (one byte each): the NTT-form embeddings over the key rings are
 // deterministic functions of the signed vector and the parameter set, so
-// ReadSecretKey reconstructs them bit-identically. This keeps the snapshot
+// ParseSecretKey reconstructs them bit-identically. This keeps the snapshot
 // compact and means the secret's serialised form is independent of which
 // key-switching backends the parameter set enables.
 func (sk *SecretKey) Serialize(w io.Writer) error {
@@ -419,28 +420,31 @@ func (sk *SecretKey) Serialize(w io.Writer) error {
 	return binary.Write(w, binary.LittleEndian, buf)
 }
 
-// ReadSecretKey deserialises a secret key and rebuilds its NTT-form
-// embeddings over every key ring the parameter set enables (Q++P always,
-// Q++T when KLSS is available). Malformed input wraps ErrCorruptSnapshot.
-func ReadSecretKey(r io.Reader, params *Parameters) (*SecretKey, error) {
-	if err := readHeader(r, tagSecretKey); err != nil {
-		return nil, err
+// ParseSecretKey decodes a secret key from the front of b, returns the bytes
+// after it, and rebuilds its NTT-form embeddings over every key ring the
+// parameter set enables (Q++P always, Q++T when KLSS is available). Malformed
+// input wraps ErrCorruptSnapshot.
+func ParseSecretKey(b []byte, params *Parameters) (*SecretKey, []byte, error) {
+	if err := checkHeader(b, tagSecretKey); err != nil {
+		return nil, nil, err
 	}
-	var n uint32
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return nil, err
+	hdr, b, err := cutBytes(b[2:], 4)
+	if err != nil {
+		return nil, nil, err
 	}
+	n := binary.LittleEndian.Uint32(hdr)
 	if int(n) != params.N() {
-		return nil, fmt.Errorf("ckks: secret key length %d does not match N=%d: %w", n, params.N(), ErrCorruptSnapshot)
+		return nil, nil, fmt.Errorf("ckks: secret key length %d does not match N=%d: %w", n, params.N(), ErrCorruptSnapshot)
 	}
-	buf := make([]int8, n)
-	if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
-		return nil, err
+	coeffs, b, err := cutBytes(b, int(n))
+	if err != nil {
+		return nil, nil, err
 	}
 	sk := &SecretKey{signed: make([]int64, n)}
-	for i, v := range buf {
+	for i, c := range coeffs {
+		v := int8(c)
 		if v < -1 || v > 1 {
-			return nil, fmt.Errorf("ckks: secret coefficient %d out of ternary range: %w", v, ErrCorruptSnapshot)
+			return nil, nil, fmt.Errorf("ckks: secret coefficient %d out of ternary range: %w", v, ErrCorruptSnapshot)
 		}
 		sk.signed[i] = int64(v)
 	}
@@ -452,7 +456,15 @@ func ReadSecretKey(r io.Reader, params *Parameters) (*SecretKey, error) {
 		setSignedInto(params.ringQT, sk.signed, sk.QT)
 		params.ringQT.NTT(sk.QT)
 	}
-	return sk, nil
+	return sk, b, nil
+}
+
+// cutBytes splits the first n bytes off b.
+func cutBytes(b []byte, n int) (head, rest []byte, err error) {
+	if len(b) < n {
+		return nil, nil, io.ErrUnexpectedEOF
+	}
+	return b[:n], b[n:], nil
 }
 
 // Serialize writes the full evaluation-key set in a canonical order (methods
@@ -495,57 +507,59 @@ func (s *EvaluationKeySet) Serialize(w io.Writer) error {
 	return nil
 }
 
-// ReadEvaluationKeySet deserialises an evaluation-key set, validating every
-// switching key's shape against the parameter set.
-func ReadEvaluationKeySet(r io.Reader, params *Parameters) (*EvaluationKeySet, error) {
-	if err := readHeader(r, tagEvalKeys); err != nil {
-		return nil, err
+// ParseEvaluationKeySet decodes an evaluation-key set from the front of b,
+// validating every switching key's shape against the parameter set, and
+// returns the bytes after it.
+func ParseEvaluationKeySet(b []byte, params *Parameters) (*EvaluationKeySet, []byte, error) {
+	if err := checkHeader(b, tagEvalKeys); err != nil {
+		return nil, nil, err
 	}
-	var nMethods uint32
-	if err := binary.Read(r, binary.LittleEndian, &nMethods); err != nil {
-		return nil, err
+	hdr, b, err := cutBytes(b[2:], 4)
+	if err != nil {
+		return nil, nil, err
 	}
+	nMethods := binary.LittleEndian.Uint32(hdr)
 	if nMethods > 2 {
-		return nil, fmt.Errorf("ckks: implausible method count %d: %w", nMethods, ErrCorruptSnapshot)
+		return nil, nil, fmt.Errorf("ckks: implausible method count %d: %w", nMethods, ErrCorruptSnapshot)
 	}
 	set := NewEvaluationKeySet()
 	for i := uint32(0); i < nMethods; i++ {
-		var meta [2]uint32
-		if err := binary.Read(r, binary.LittleEndian, &meta); err != nil {
-			return nil, err
+		var meta []byte
+		if meta, b, err = cutBytes(b, 8); err != nil {
+			return nil, nil, err
 		}
-		method := KeySwitchMethod(meta[0])
+		method := KeySwitchMethod(binary.LittleEndian.Uint32(meta))
 		if method != Hybrid && method != KLSS {
-			return nil, fmt.Errorf("ckks: unknown key-switch method %d in key set: %w", meta[0], ErrCorruptSnapshot)
+			return nil, nil, fmt.Errorf("ckks: unknown key-switch method %d in key set: %w", uint32(method), ErrCorruptSnapshot)
 		}
-		rlk, err := ReadSwitchingKey(r, params)
-		if err != nil {
-			return nil, err
+		var rlk *SwitchingKey
+		if rlk, b, err = ParseSwitchingKey(b, params); err != nil {
+			return nil, nil, err
 		}
 		if rlk.Method != method {
-			return nil, fmt.Errorf("ckks: relin key method %v under %v section: %w", rlk.Method, method, ErrCorruptSnapshot)
+			return nil, nil, fmt.Errorf("ckks: relin key method %v under %v section: %w", rlk.Method, method, ErrCorruptSnapshot)
 		}
 		set.Relin[method] = rlk
-		nGal := int(meta[1])
-		if nGal < 0 || nGal > 1<<16 {
-			return nil, fmt.Errorf("ckks: implausible galois key count %d: %w", nGal, ErrCorruptSnapshot)
+		nGal := binary.LittleEndian.Uint32(meta[4:])
+		if nGal > 1<<16 {
+			return nil, nil, fmt.Errorf("ckks: implausible galois key count %d: %w", nGal, ErrCorruptSnapshot)
 		}
-		for j := 0; j < nGal; j++ {
-			var el uint64
-			if err := binary.Read(r, binary.LittleEndian, &el); err != nil {
-				return nil, err
+		for j := uint32(0); j < nGal; j++ {
+			var el []byte
+			if el, b, err = cutBytes(b, 8); err != nil {
+				return nil, nil, err
 			}
-			gk, err := ReadSwitchingKey(r, params)
-			if err != nil {
-				return nil, err
+			var gk *SwitchingKey
+			if gk, b, err = ParseSwitchingKey(b, params); err != nil {
+				return nil, nil, err
 			}
 			if gk.Method != method {
-				return nil, fmt.Errorf("ckks: galois key method %v under %v section: %w", gk.Method, method, ErrCorruptSnapshot)
+				return nil, nil, fmt.Errorf("ckks: galois key method %v under %v section: %w", gk.Method, method, ErrCorruptSnapshot)
 			}
-			set.addGalois(method, el, gk)
+			set.addGalois(method, binary.LittleEndian.Uint64(el), gk)
 		}
 	}
-	return set, nil
+	return set, b, nil
 }
 
 // Serialize writes a switching key (all gadget pairs).
@@ -568,39 +582,36 @@ func (swk *SwitchingKey) Serialize(w io.Writer) error {
 	return nil
 }
 
-// ReadSwitchingKey deserialises a switching key.
-func ReadSwitchingKey(r io.Reader, params *Parameters) (*SwitchingKey, error) {
-	if err := readHeader(r, tagSwitchKey); err != nil {
-		return nil, err
+// ParseSwitchingKey decodes a switching key from the front of b and returns
+// the bytes after it.
+func ParseSwitchingKey(b []byte, params *Parameters) (*SwitchingKey, []byte, error) {
+	if err := checkHeader(b, tagSwitchKey); err != nil {
+		return nil, nil, err
 	}
-	var meta [2]uint32
-	if err := binary.Read(r, binary.LittleEndian, &meta); err != nil {
-		return nil, err
+	meta, b, err := cutBytes(b[2:], 8)
+	if err != nil {
+		return nil, nil, err
 	}
-	method := KeySwitchMethod(meta[0])
+	method := KeySwitchMethod(binary.LittleEndian.Uint32(meta))
 	kr, _, err := params.keyRing(method)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	groups := int(meta[1])
+	groups := binary.LittleEndian.Uint32(meta[4:])
 	if groups < 1 || groups > 64 {
-		return nil, fmt.Errorf("ckks: implausible group count %d", groups)
+		return nil, nil, fmt.Errorf("ckks: implausible group count %d", groups)
 	}
-	swk := &SwitchingKey{Method: method}
-	for j := 0; j < groups; j++ {
-		b, err := readPoly(r)
-		if err != nil {
-			return nil, err
+	swk := &SwitchingKey{Method: method, B: make([]ring.Poly, groups), A: make([]ring.Poly, groups)}
+	for j := range swk.B {
+		if swk.B[j], b, err = parsePoly(b); err != nil {
+			return nil, nil, err
 		}
-		a, err := readPoly(r)
-		if err != nil {
-			return nil, err
+		if swk.A[j], b, err = parsePoly(b); err != nil {
+			return nil, nil, err
 		}
-		if b.Limbs() != len(kr.Moduli) || a.Limbs() != len(kr.Moduli) || b.N() != params.N() {
-			return nil, fmt.Errorf("ckks: switching key group %d shape inconsistent", j)
+		if swk.B[j].Limbs() != len(kr.Moduli) || swk.A[j].Limbs() != len(kr.Moduli) || swk.B[j].N() != params.N() {
+			return nil, nil, fmt.Errorf("ckks: switching key group %d shape inconsistent", j)
 		}
-		swk.B = append(swk.B, b)
-		swk.A = append(swk.A, a)
 	}
-	return swk, nil
+	return swk, b, nil
 }

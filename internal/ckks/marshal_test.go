@@ -135,9 +135,12 @@ func TestPublicKeyRoundTrip(t *testing.T) {
 	if err := tc.pk.Serialize(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadPublicKey(&buf, tc.params)
+	back, rest, err := ParsePublicKey(buf.Bytes(), tc.params)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(rest) != 0 {
+		t.Fatalf("%d bytes left after the public key", len(rest))
 	}
 	if !back.B.Equal(tc.pk.B) || !back.A.Equal(tc.pk.A) {
 		t.Fatal("public key round trip lost data")
@@ -166,9 +169,12 @@ func TestSwitchingKeyRoundTrip(t *testing.T) {
 		if err := rlk.Serialize(&buf); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadSwitchingKey(&buf, tc.params)
+		back, rest, err := ParseSwitchingKey(buf.Bytes(), tc.params)
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
+		}
+		if len(rest) != 0 {
+			t.Fatalf("%v: %d bytes left after the key", method, len(rest))
 		}
 		if back.Method != method || len(back.B) != len(rlk.B) {
 			t.Fatal("switching key metadata lost")
@@ -209,7 +215,74 @@ func TestReadGarbage(t *testing.T) {
 	if _, err := ReadCiphertext(strings.NewReader("zz"), tc.params); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := ReadSwitchingKey(strings.NewReader(""), tc.params); err == nil {
-		t.Error("empty stream accepted")
+	if _, _, err := ParseSwitchingKey(nil, tc.params); err == nil {
+		t.Error("empty input accepted")
+	}
+}
+
+// TestKeyPayloadParse: the in-memory key decoders read back exactly what the
+// writers wrote — secret key, public key and evaluation-key set in sequence,
+// each returning what follows it — and reject every truncation with an error,
+// not a panic.
+func TestKeyPayloadParse(t *testing.T) {
+	tc := newTestContext(t)
+	var buf bytes.Buffer
+	if err := tc.sk.Serialize(&buf); err != nil {
+		t.Fatal(err)
+	}
+	skLen := buf.Len()
+	if err := tc.pk.Serialize(&buf); err != nil {
+		t.Fatal(err)
+	}
+	pkLen := buf.Len() - skLen
+	if err := tc.keys.Serialize(&buf); err != nil {
+		t.Fatal(err)
+	}
+	payload := append(buf.Bytes(), 0xAA) // one trailing byte the parsers must hand back
+
+	sk, rest, err := ParseSecretKey(payload, tc.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sk.QP.Equal(tc.sk.QP) || !sk.QT.Equal(tc.sk.QT) {
+		t.Fatal("secret key round trip lost data")
+	}
+	pk, rest, err := ParsePublicKey(rest, tc.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pk.B.Equal(tc.pk.B) || !pk.A.Equal(tc.pk.A) {
+		t.Fatal("public key round trip lost data")
+	}
+	keys, rest, err := ParseEvaluationKeySet(rest, tc.params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rest) != 1 || rest[0] != 0xAA {
+		t.Fatalf("%d bytes left after the key set, want the 1 trailing byte", len(rest))
+	}
+	var again bytes.Buffer
+	if err := keys.Serialize(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), payload[skLen+pkLen:len(payload)-1]) {
+		t.Fatal("evaluation-key set round trip is not byte-identical")
+	}
+
+	evk := payload[skLen+pkLen : len(payload)-1]
+	for _, n := range []int{0, 1, 2, 5, 6, 13, 14, 20, len(evk) / 3, len(evk) - 1} {
+		if _, _, err := ParseEvaluationKeySet(evk[:n], tc.params); err == nil {
+			t.Errorf("key set truncated to %d of %d bytes parsed", n, len(evk))
+		}
+	}
+	for _, n := range []int{0, 1, 5, skLen - 1} {
+		if _, _, err := ParseSecretKey(payload[:n], tc.params); err == nil {
+			t.Errorf("secret key truncated to %d of %d bytes parsed", n, skLen)
+		}
+	}
+	for _, n := range []int{0, 2, 11, pkLen / 2, pkLen - 1} {
+		if _, _, err := ParsePublicKey(payload[skLen:skLen+n], tc.params); err == nil {
+			t.Errorf("public key truncated to %d of %d bytes parsed", n, pkLen)
+		}
 	}
 }

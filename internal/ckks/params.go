@@ -19,6 +19,7 @@ import (
 
 	"github.com/fastfhe/fast/internal/costmodel"
 	"github.com/fastfhe/fast/internal/ring"
+	"github.com/fastfhe/fast/internal/rns"
 )
 
 // KeySwitchMethod selects the key-switching backend for an operation. The
@@ -54,16 +55,28 @@ type ParametersLiteral struct {
 	SecretHammingWeight int
 }
 
-// Parameters is the compiled, immutable parameter set shared by all scheme
-// objects.
+// Parameters is a compiled parameter set: the shape it shares with every
+// parameter set of the same literal but for Seed, and the seed that makes the
+// keys generated over it its own. It is immutable.
 type Parameters struct {
+	*shape
+	seed int64
+}
+
+// shape is everything a ParametersLiteral compiles to except the seed: the
+// prime chains, the rings with their NTT tables, and the tables the evaluator
+// runs on at every level. It is immutable once compiled (the galois and
+// key-switch tables fill in lazily, each entry written once) and holds no
+// per-caller state — its scratch reservoirs are sync.Pools any caller may
+// draw from — so one shape serves every context built from its literal;
+// NewParameters compiles each distinct shape once per process (shapeCache).
+type shape struct {
 	logN     int
 	logSlots int
 	scale    float64
 	sigma    float64
 	alpha    int
 	alphaT   int
-	seed     int64
 	secretHW int
 
 	qChain []uint64
@@ -81,13 +94,27 @@ type Parameters struct {
 	ringQAt []*ring.Ring
 
 	// galois memoizes automorphism NTT index tables per Galois element,
-	// shared by every evaluator and key generator built on this parameter
-	// set (see galois.go).
+	// shared by every evaluator and key generator built on this shape (see
+	// galois.go).
 	galois *galoisCache
+
+	// rescaler holds the q_l^-1 tables of every level's rescale.
+	rescaler *rns.Rescaler
+
+	// evalPool is the reservoir of ciphertext-shaped scratch (N x full Q
+	// chain) every evaluator over the shape draws from through its own
+	// instrumented ring.PolyPool.Share.
+	evalPool *ring.PolyPool
+
+	// switching holds each backend's ModUp and ModDown tables per level
+	// (methodIdx-indexed; nil for a backend the shape lacks), see
+	// keyswitch.go.
+	switching [2]*switchTables
 }
 
-// NewParameters validates and compiles a parameter literal: it generates the
-// NTT-friendly prime chains and precomputes all ring tables.
+// NewParameters validates a parameter literal and returns its parameter set.
+// The shape — prime chains, ring and evaluator tables — is compiled only when
+// no live parameter set shares it; otherwise the compiled one is reused.
 func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 	if lit.LogN < 4 || lit.LogN > 17 {
 		return nil, fmt.Errorf("ckks: LogN %d out of supported range [4,17]: %w", lit.LogN, ErrInvalidParameters)
@@ -113,15 +140,24 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 	if lit.AlphaT == 0 {
 		lit.AlphaT = lit.Alpha
 	}
+	s, err := sharedShape(lit)
+	if err != nil {
+		return nil, err
+	}
+	return &Parameters{shape: s, seed: lit.Seed}, nil
+}
 
-	p := &Parameters{
+// compileShape generates the NTT-friendly prime chains of a validated
+// literal and precomputes the ring and evaluator tables.
+func compileShape(lit ParametersLiteral) (*shape, error) {
+	shapeCompiles.Add(1)
+	p := &shape{
 		logN:     lit.LogN,
 		logSlots: lit.LogSlots,
 		scale:    math.Exp2(float64(lit.LogScale)),
 		sigma:    lit.Sigma,
 		alpha:    lit.Alpha,
 		alphaT:   lit.AlphaT,
-		seed:     lit.Seed,
 		secretHW: lit.SecretHammingWeight,
 	}
 	p.galois = newGaloisCache(1<<uint(lit.LogN), lit.LogN)
@@ -150,17 +186,21 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 	if p.ringP, err = ring.NewRing(lit.LogN, p.pChain); err != nil {
 		return nil, err
 	}
-	if p.ringQP, err = ring.NewRing(lit.LogN, concat(p.qChain, p.pChain)); err != nil {
+	if p.ringQP, err = ring.Concat(p.ringQ, p.ringP); err != nil {
 		return nil, err
 	}
+	p.switching[methodIdx(Hybrid)] = newSwitchTables(p.ringQP, len(p.qChain))
 	if len(p.tChain) > 0 {
 		if p.ringT, err = ring.NewRing(lit.LogN, p.tChain); err != nil {
 			return nil, err
 		}
-		if p.ringQT, err = ring.NewRing(lit.LogN, concat(p.qChain, p.tChain)); err != nil {
+		if p.ringQT, err = ring.Concat(p.ringQ, p.ringT); err != nil {
 			return nil, err
 		}
+		p.switching[methodIdx(KLSS)] = newSwitchTables(p.ringQT, len(p.qChain))
 	}
+	p.rescaler = rns.NewRescaler(p.ringQ.Moduli)
+	p.evalPool = ring.NewPolyPool(p.ringQ.N, len(p.qChain))
 	return p, nil
 }
 
@@ -198,12 +238,6 @@ func (g *primeAllocator) take(bitSizes []int) ([]uint64, error) {
 	return out, nil
 }
 
-func concat(a, b []uint64) []uint64 {
-	out := make([]uint64, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
-}
-
 // N returns the ring degree.
 func (p *Parameters) N() int { return 1 << uint(p.logN) }
 
@@ -225,7 +259,8 @@ func (p *Parameters) Scale() float64 { return p.scale }
 // Sigma returns the noise standard deviation.
 func (p *Parameters) Sigma() float64 { return p.sigma }
 
-// Seed returns the randomness seed the parameter set was compiled with.
+// Seed returns the randomness seed of the parameter set: the one input its
+// shape does not depend on.
 func (p *Parameters) Seed() int64 { return p.seed }
 
 // Alpha returns the hybrid decomposition group size.

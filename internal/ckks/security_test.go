@@ -45,7 +45,7 @@ func TestSecurityEstimates(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		logQ = append(logQ, 36)
 	}
-	sparse, err := NewParameters(ParametersLiteral{
+	lit := ParametersLiteral{
 		LogN:                15,
 		LogSlots:            4,
 		LogQ:                logQ,
@@ -54,12 +54,16 @@ func TestSecurityEstimates(t *testing.T) {
 		Alpha:               2,
 		Seed:                10,
 		SecretHammingWeight: 16,
-	})
+	}
+	sparse, err := NewParameters(lit)
 	if err != nil {
 		t.Fatalf("NewParameters: %v", err)
 	}
-	dense := *sparse
-	dense.secretHW = 0
+	lit.SecretHammingWeight = 0
+	dense, err := NewParameters(lit)
+	if err != nil {
+		t.Fatalf("NewParameters: %v", err)
+	}
 	if sparse.SecurityEstimate() >= dense.SecurityEstimate() {
 		t.Error("sparse secret should lower the estimate")
 	}

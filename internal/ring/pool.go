@@ -19,14 +19,17 @@ import (
 // returned directly. Polynomials not allocated by a pool of the same shape are
 // silently dropped by Put (never corrupted, never double-pooled).
 //
+// Pools made with Share draw from and return to one set of buffers, each
+// counting its own traffic: the contexts of one parameter shape keep one
+// reservoir, so a new context's first operations find it warm.
+//
 // Under the race detector (pool_race.go) the pool also polices its contract:
 // Get fills the rows it hands out with poolPoison, a word above every
 // modulus, and Put of an arena that is already pooled panics. `make race`
 // runs the golden and oracle tests that way, so an op that reads a pooled
 // row before writing it, or two owners recycling one buffer, fails there.
 type PolyPool struct {
-	n, maxLimbs int
-	pool        sync.Pool
+	arenas *arenaPool
 
 	// Optional instruments (see Instrument). Nil instruments are no-ops, so
 	// the uninstrumented hot-path cost is a nil check per Get.
@@ -36,13 +39,19 @@ type PolyPool struct {
 	allocBytes *obs.Gauge
 }
 
+// arenaPool is the buffer reservoir behind one or more PolyPools.
+type arenaPool struct {
+	n, maxLimbs int
+	pool        sync.Pool
+}
+
 // poolArena is one recyclable (n, maxLimbs)-class allocation: a contiguous
 // coefficient backing plus its row view, built once by PolyFromBacking and
 // re-sliced (never re-built) on every Get. Pooling the pointer — and threading
 // it back through Poly.arena — keeps both Get and Put allocation-free, which
 // the ckks alloc guards (TestKeySwitchAllocs) depend on.
 type poolArena struct {
-	owner   *PolyPool
+	owner   *arenaPool
 	coeffs  [][]uint64
 	backing []uint64
 	pooled  bool // sitting in the pool; maintained only when poolChecks
@@ -61,14 +70,13 @@ func NewPolyPool(n, maxLimbs int) *PolyPool {
 	if n < 1 || maxLimbs < 1 {
 		panic(fmt.Sprintf("ring: invalid pool shape %dx%d", maxLimbs, n))
 	}
-	pp := &PolyPool{n: n, maxLimbs: maxLimbs}
-	pp.pool.New = func() any {
-		pp.misses.Inc()
-		pp.allocBytes.Add(int64(n) * int64(maxLimbs) * 8)
-		p := NewPoly(n, maxLimbs)
-		return &poolArena{owner: pp, coeffs: p.Coeffs, backing: p.Backing}
-	}
-	return pp
+	return &PolyPool{arenas: &arenaPool{n: n, maxLimbs: maxLimbs}}
+}
+
+// Share returns an uninstrumented pool over pp's buffers: what either hands
+// out, either may take back.
+func (pp *PolyPool) Share() *PolyPool {
+	return &PolyPool{arenas: pp.arenas}
 }
 
 // Instrument attaches observability instruments to the pool:
@@ -92,10 +100,10 @@ func (pp *PolyPool) Instrument(gets, puts, misses *obs.Counter, alloc *obs.Gauge
 }
 
 // N returns the polynomial degree of pooled buffers.
-func (pp *PolyPool) N() int { return pp.n }
+func (pp *PolyPool) N() int { return pp.arenas.n }
 
 // MaxLimbs returns the maximal limb count of pooled buffers.
-func (pp *PolyPool) MaxLimbs() int { return pp.maxLimbs }
+func (pp *PolyPool) MaxLimbs() int { return pp.arenas.maxLimbs }
 
 // Get returns a polynomial with exactly `limbs` rows. The contents are
 // unspecified (callers that accumulate must use GetZero or overwrite every
@@ -104,14 +112,21 @@ func (pp *PolyPool) Get(limbs int) Poly {
 	// INVARIANT: limb counts come from ciphertext levels already range-checked upstream.
 	// A panic here is a repo-internal bug, never a reaction to caller input —
 	// malformed inputs are rejected with typed errors at the public boundary.
-	if limbs < 1 || limbs > pp.maxLimbs {
-		panic(fmt.Sprintf("ring: pool Get(%d) out of range [1,%d]", limbs, pp.maxLimbs))
+	ap := pp.arenas
+	if limbs < 1 || limbs > ap.maxLimbs {
+		panic(fmt.Sprintf("ring: pool Get(%d) out of range [1,%d]", limbs, ap.maxLimbs))
 	}
 	pp.gets.Inc()
-	a := pp.pool.Get().(*poolArena)
+	a, _ := ap.pool.Get().(*poolArena)
+	if a == nil {
+		pp.misses.Inc()
+		pp.allocBytes.Add(int64(ap.n) * int64(ap.maxLimbs) * 8)
+		p := NewPoly(ap.n, ap.maxLimbs)
+		a = &poolArena{owner: ap, coeffs: p.Coeffs, backing: p.Backing}
+	}
 	p := Poly{
 		Coeffs:  a.coeffs[:limbs],
-		Backing: a.backing[: limbs*pp.n : limbs*pp.n],
+		Backing: a.backing[: limbs*ap.n : limbs*ap.n],
 		arena:   a,
 	}
 	if poolChecks {
@@ -131,12 +146,12 @@ func (pp *PolyPool) GetZero(limbs int) Poly {
 }
 
 // Put returns a polynomial obtained from Get back to the pool. Puts of
-// polynomials that did not come from this pool (no arena, or another pool's
-// arena) are ignored, so callers can uniformly release mixed scratch. p must
-// not be used after Put.
+// polynomials that did not come from this pool or one sharing its buffers (no
+// arena, or another reservoir's arena) are ignored, so callers can uniformly
+// release mixed scratch. p must not be used after Put.
 func (pp *PolyPool) Put(p Poly) {
 	a := p.arena
-	if a == nil || a.owner != pp {
+	if a == nil || a.owner != pp.arenas {
 		return // not one of ours; let the GC have it
 	}
 	if poolChecks {
@@ -148,5 +163,5 @@ func (pp *PolyPool) Put(p Poly) {
 		a.pooled = true
 	}
 	pp.puts.Inc()
-	pp.pool.Put(a)
+	pp.arenas.pool.Put(a)
 }

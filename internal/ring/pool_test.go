@@ -3,6 +3,8 @@ package ring
 import (
 	"sync"
 	"testing"
+
+	"github.com/fastfhe/fast/internal/obs"
 )
 
 func TestPolyPoolShapes(t *testing.T) {
@@ -53,6 +55,35 @@ func TestPolyPoolRecoversTruncatedViews(t *testing.T) {
 	// Foreign polynomials are dropped, not pooled.
 	pp.Put(NewPoly(8, 3))
 	pp.Put(Poly{})
+}
+
+// TestPolyPoolShare: pools made with Share recycle one reservoir — a buffer
+// one hands back, another hands out — and count their own traffic; a pool
+// with its own reservoir drops the others' buffers.
+func TestPolyPoolShare(t *testing.T) {
+	reg := obs.NewRegistry()
+	a := NewPolyPool(8, 4)
+	b := a.Share()
+	b.Instrument(reg.Counter("b.gets"), reg.Counter("b.puts"), reg.Counter("b.misses"), nil)
+	p := a.Get(4)
+	a.Put(p)
+	q := b.Get(2)
+	b.Put(q)
+	if got := reg.Counter("b.gets").Value(); got != 1 {
+		t.Fatalf("shared pool counted %d gets, want 1", got)
+	}
+	if b.N() != 8 || b.MaxLimbs() != 4 {
+		t.Fatalf("shared pool shape %dx%d, want 4x8", b.MaxLimbs(), b.N())
+	}
+	r := b.Get(4)
+	a.Put(r) // recycled across pools sharing the reservoir
+	if got := reg.Counter("b.puts").Value(); got != 1 {
+		t.Fatalf("a Put through the other pool counted on this one: %d puts", got)
+	}
+	foreign := NewPolyPool(8, 4)
+	s := foreign.Get(4)
+	a.Put(s) // another reservoir's buffer: dropped
+	foreign.Put(s)
 }
 
 func TestPolyPoolConcurrent(t *testing.T) {

@@ -3,6 +3,8 @@ package ring
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
+	"slices"
 )
 
 // GenerateNTTPrimes returns count distinct primes of the requested bit size
@@ -77,12 +79,19 @@ func primitiveRoot(m Modulus) (uint64, error) {
 	return 0, fmt.Errorf("ring: no primitive root found for %d", q)
 }
 
-// distinctPrimeFactors returns the distinct prime factors of v by trial
-// division. v-1 for our NTT primes always has many small factors (powers of
-// two from the 2N congruence), so this terminates quickly.
+// smallFactorBound is where distinctPrimeFactors stops trial division: a
+// cofactor left with no factor below it is either prime or split by rho.
+const smallFactorBound = 1 << 10
+
+// distinctPrimeFactors returns the distinct prime factors of v in ascending
+// order. Factors below smallFactorBound — the powers of two the 2N congruence
+// puts in q−1 among them — are divided out by trial division. What remains
+// is split by Brent's variant of Pollard's rho, whose cost grows with the
+// fourth root of the cofactor: trial division to √v alone costs ~2^24
+// divisions for a 60-bit q whose (q−1)/2N is prime.
 func distinctPrimeFactors(v uint64) []uint64 {
 	var fs []uint64
-	for p := uint64(2); p*p <= v; p++ {
+	for p := uint64(2); p < smallFactorBound && p*p <= v; p++ {
 		if v%p == 0 {
 			fs = append(fs, p)
 			for v%p == 0 {
@@ -90,8 +99,79 @@ func distinctPrimeFactors(v uint64) []uint64 {
 			}
 		}
 	}
-	if v > 1 {
-		fs = append(fs, v)
+	fs = appendLargeFactors(fs, v)
+	slices.Sort(fs)
+	return slices.Compact(fs)
+}
+
+// appendLargeFactors appends the prime factors of v, which has none below
+// smallFactorBound, with repeats.
+func appendLargeFactors(fs []uint64, v uint64) []uint64 {
+	switch {
+	case v == 1:
+		return fs
+	case v < smallFactorBound*smallFactorBound || isPrime(v):
+		return append(fs, v)
 	}
-	return fs
+	d := brentRho(v)
+	return appendLargeFactors(appendLargeFactors(fs, d), v/d)
+}
+
+// brentRho returns a non-trivial factor of the odd composite n: Brent's cycle
+// search over x ↦ x² + c mod n, with the gcd taken once per batch of 128
+// steps. The start point and the increments c = 1, 2, ... are fixed, so the
+// factor found is deterministic.
+func brentRho(n uint64) uint64 {
+	mulMod := func(a, b uint64) uint64 {
+		hi, lo := bits.Mul64(a, b)
+		return bits.Rem64(hi, lo, n)
+	}
+	absDiff := func(a, b uint64) uint64 {
+		if a > b {
+			return a - b
+		}
+		return b - a
+	}
+	const batch = 128
+	for c := uint64(1); ; c++ {
+		f := func(x uint64) uint64 {
+			s, carry := bits.Add64(mulMod(x, x), c, 0)
+			if carry != 0 || s >= n {
+				s -= n
+			}
+			return s
+		}
+		x, y, ys, q, g := uint64(0), uint64(2), uint64(0), uint64(1), uint64(1)
+		for r := uint64(1); g == 1; r *= 2 {
+			x = y
+			for i := uint64(0); i < r; i++ {
+				y = f(y)
+			}
+			for k := uint64(0); k < r && g == 1; k += batch {
+				ys = y
+				for i := uint64(0); i < min(batch, r-k); i++ {
+					y = f(y)
+					q = mulMod(q, absDiff(x, y))
+				}
+				g = gcd(q, n)
+			}
+		}
+		if g == n {
+			// The batch overshot: replay it one step at a time.
+			for g = 1; g == 1; {
+				ys = f(ys)
+				g = gcd(absDiff(x, ys), n)
+			}
+		}
+		if g != n {
+			return g
+		}
+	}
+}
+
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }

@@ -3,6 +3,7 @@ package ring
 import (
 	"fmt"
 	"math/big"
+	"slices"
 )
 
 // Ring represents R_Q = Z_Q[X]/(X^N+1) with Q given in RNS form as a chain of
@@ -44,6 +45,27 @@ func NewRing(logN int, primes []uint64) (*Ring, error) {
 		r.modProd.Mul(r.modProd, new(big.Int).SetUint64(q))
 	}
 	return r, nil
+}
+
+// Concat returns the ring over a's chain followed by b's. It shares both
+// rings' NTT tables (immutable, so safe to share) instead of compiling them
+// again: the extended key rings Q++P and Q++T cost no tables of their own.
+func Concat(a, b *Ring) (*Ring, error) {
+	if a.LogN != b.LogN {
+		return nil, fmt.Errorf("ring: cannot concatenate rings of degree 2^%d and 2^%d", a.LogN, b.LogN)
+	}
+	for _, m := range b.Moduli {
+		if slices.ContainsFunc(a.Moduli, func(x Modulus) bool { return x.Q == m.Q }) {
+			return nil, fmt.Errorf("ring: duplicate prime %d", m.Q)
+		}
+	}
+	return &Ring{
+		N:       a.N,
+		LogN:    a.LogN,
+		Moduli:  slices.Concat(a.Moduli, b.Moduli),
+		Tables:  slices.Concat(a.Tables, b.Tables),
+		modProd: new(big.Int).Mul(a.modProd, b.modProd),
+	}, nil
 }
 
 // Level returns the index of the last limb (len-1) of the full chain.

@@ -15,10 +15,12 @@
 //
 // Concurrency: Extender, ModDowner and Rescaler are immutable after
 // construction apart from an internal scratch pool, and are safe for
-// concurrent use from multiple goroutines. Their Workers field (read-only
-// after construction) fans the independent per-limb loops out across
-// goroutines following ring.Workers semantics — the lane-level parallelism
-// the FAST accelerator's BConvU array provides in hardware.
+// concurrent use from multiple goroutines — one table serves every caller of
+// its basis, whatever fan-out each wants. The hot paths (ConvertRows,
+// ModDownNTT, RescaleNTT) take a workers argument that fans the independent
+// per-limb loops out across goroutines following ring.Workers semantics — the
+// lane-level parallelism the FAST accelerator's BConvU array provides in
+// hardware; the coefficient-domain references run serially.
 package rns
 
 import (
@@ -67,10 +69,6 @@ func (rp *rowPool) put(m *rowMatrix) { rp.pool.Put(m) }
 type Extender struct {
 	From, To []ring.Modulus
 
-	// Workers caps the goroutine fan-out of Convert (ring.Workers
-	// convention; 1 = serial). Set once before first use.
-	Workers int
-
 	qhatInv     []uint64   // (Q/q_i)^-1 mod q_i
 	qhatInvSho  []uint64   // Shoup companions of qhatInv
 	qhatModP    [][]uint64 // [j][i] = (Q/q_i) mod p_j
@@ -103,7 +101,7 @@ func NewExtender(from, to []ring.Modulus) (*Extender, error) {
 			}
 		}
 	}
-	e := &Extender{From: from, To: to, Workers: 1}
+	e := &Extender{From: from, To: to}
 
 	Q := big.NewInt(1)
 	for _, m := range from {
@@ -151,8 +149,7 @@ func (e *Extender) scratchRows(n int) (*rowMatrix, *rowPool) {
 // source limb: src[i][k] is coefficient k mod q_i) into dst (dst[j][k] mod
 // p_j). src and dst must have matching coefficient counts. Source rows may be
 // lazily reduced ([0, 2q_i), e.g. straight out of ring.NTTTable.InverseLazy);
-// outputs are fully reduced. Safe for concurrent use; the per-limb work is
-// fanned out across Workers goroutines.
+// outputs are fully reduced. Safe for concurrent use; serial.
 //
 // The ℓ-term inner product y_j[k] = Σ_i t_i[k] * (Q/q_i mod p_j) — the matrix
 // product the accelerator's BConvU systolic array executes — is accumulated
@@ -162,15 +159,16 @@ func (e *Extender) scratchRows(n int) (*rowMatrix, *rowPool) {
 // AccumCapacity terms (≥ 8 even at the 61-bit cap); longer source bases fold
 // the accumulator through an intermediate Barrett reduction.
 func (e *Extender) Convert(src, dst [][]uint64) {
-	e.ConvertRows(src, dst, nil)
+	e.ConvertRows(src, dst, nil, 1)
 }
 
 // ConvertRows is Convert with the destination rows picked out of a larger row
 // set: target limb j is written to rows[idx[j]] (rows[j] when idx is nil). It
 // lets a caller that converts into the gaps of one polynomial — ModUp writes
 // every row but the digit's own — keep one precomputed index list per
-// extender instead of assembling a destination slice per call.
-func (e *Extender) ConvertRows(src, rows [][]uint64, idx []int) {
+// extender instead of assembling a destination slice per call. The per-limb
+// work is fanned out across workers goroutines (ring.Workers convention).
+func (e *Extender) ConvertRows(src, rows [][]uint64, idx []int, workers int) {
 	// INVARIANT: basis shapes are derived from one validated parameter set.
 	// A panic here is a repo-internal bug, never a reaction to caller input —
 	// malformed inputs are rejected with typed errors at the public boundary.
@@ -188,7 +186,7 @@ func (e *Extender) ConvertRows(src, rows [][]uint64, idx []int) {
 	// always fully reduced.
 	t, rp := e.scratchRows(n)
 	defer rp.put(t)
-	ring.ForEachLimbRange(len(e.From), e.Workers, func(lo, hi int) {
+	ring.ForEachLimbRange(len(e.From), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			m := e.From[i]
 			inv, invSho := e.qhatInv[i], e.qhatInvSho[i]
@@ -198,7 +196,7 @@ func (e *Extender) ConvertRows(src, rows [][]uint64, idx []int) {
 	l := len(e.From)
 	tRows := t.rows[:l]
 	backing := t.backing
-	ring.ForEachLimbRange(len(e.To), e.Workers, func(lo, hi int) {
+	ring.ForEachLimbRange(len(e.To), workers, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			mp := e.To[j]
 			dj := rows[j]
@@ -250,10 +248,6 @@ func convertFold(mp ring.Modulus, rows [][]uint64, ws, dj []uint64, n, capTerms 
 type ModDowner struct {
 	Q, P []ring.Modulus
 
-	// Workers caps the goroutine fan-out (ring.Workers convention; 1 =
-	// serial). Set once before first use; propagated to the inner BConv.
-	Workers int
-
 	conv       *Extender // P -> Q
 	pInvMod    []uint64  // P^-1 mod q_i
 	pInvModSho []uint64  // Shoup companions
@@ -272,7 +266,7 @@ func NewModDowner(q, p []ring.Modulus) (*ModDowner, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &ModDowner{Q: q, P: p, Workers: 1, conv: conv}
+	d := &ModDowner{Q: q, P: p, conv: conv}
 	Pprod := big.NewInt(1)
 	for _, m := range p {
 		Pprod.Mul(Pprod, new(big.Int).SetUint64(m.Q))
@@ -285,13 +279,6 @@ func NewModDowner(q, p []ring.Modulus) (*ModDowner, error) {
 		d.pInvModSho[i] = m.ShoupPrecomp(d.pInvMod[i])
 	}
 	return d, nil
-}
-
-// SetWorkers sets the fan-out on the downer and its inner converter. Call
-// before first use; not safe to race with ModDown.
-func (d *ModDowner) SetWorkers(w int) {
-	d.Workers = w
-	d.conv.Workers = w
 }
 
 func (d *ModDowner) scratchRows(n int) (*rowMatrix, *rowPool) {
@@ -308,7 +295,8 @@ func (d *ModDowner) scratchRows(n int) (*rowMatrix, *rowPool) {
 // ModDown computes out_i = (xQ_i - conv(xP)_i) * P^-1 mod q_i for each main
 // limb. xQ has len(Q) rows, xP len(P) rows, out len(Q) rows; all in
 // coefficient form. Input rows may be lazily reduced ([0, 2q); e.g. straight
-// out of InverseLazy); outputs are fully reduced. Safe for concurrent use.
+// out of InverseLazy); outputs are fully reduced. Safe for concurrent use;
+// serial.
 func (d *ModDowner) ModDown(xQ, xP, out [][]uint64) {
 	// INVARIANT: ModDown operands are sized by the key switcher from the same chain.
 	// A panic here is a repo-internal bug, never a reaction to caller input —
@@ -320,16 +308,13 @@ func (d *ModDowner) ModDown(xQ, xP, out [][]uint64) {
 	tmp, rp := d.scratchRows(n)
 	defer rp.put(tmp)
 	d.conv.Convert(xP, tmp.rows)
-	ring.ForEachLimbRange(len(d.Q), d.Workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			m := d.Q[i]
-			inv, invSho := d.pInvMod[i], d.pInvModSho[i]
-			// Fused lazy subtract-multiply: xQ rows < 2q and the converted
-			// rows < q, within ShoupMulSubVec's < 2q contract; the result
-			// re-enters the fully reduced domain.
-			m.ShoupMulSubVec(out[i][:n], xQ[i][:n], tmp.rows[i], inv, invSho)
-		}
-	})
+	for i, m := range d.Q {
+		inv, invSho := d.pInvMod[i], d.pInvModSho[i]
+		// Fused lazy subtract-multiply: xQ rows < 2q and the converted
+		// rows < q, within ShoupMulSubVec's < 2q contract; the result
+		// re-enters the fully reduced domain.
+		m.ShoupMulSubVec(out[i][:n], xQ[i][:n], tmp.rows[i], inv, invSho)
+	}
 }
 
 // ModDownNTT is ModDown in the NTT domain, the key switch's hot path: xQ and
@@ -340,8 +325,9 @@ func (d *ModDowner) ModDown(xQ, xP, out [][]uint64) {
 // routes end fully reduced, so out holds exactly the bytes ModDown followed by
 // a forward NTT would: |P| + len(Q) transforms instead of the 2·len(Q) + |P|
 // of that route. Rows may be lazily reduced ([0, 2q)); out must not alias xQ.
-// Safe for concurrent use.
-func (d *ModDowner) ModDownNTT(xQ, xP, out [][]uint64, tQ, tP []*ring.NTTTable) {
+// Safe for concurrent use; the per-limb work is fanned out across workers
+// goroutines (ring.Workers convention).
+func (d *ModDowner) ModDownNTT(xQ, xP, out [][]uint64, tQ, tP []*ring.NTTTable, workers int) {
 	// INVARIANT: ModDown operands are sized by the key switcher from the same chain.
 	// A panic here is a repo-internal bug, never a reaction to caller input —
 	// malformed inputs are rejected with typed errors at the public boundary.
@@ -349,15 +335,15 @@ func (d *ModDowner) ModDownNTT(xQ, xP, out [][]uint64, tQ, tP []*ring.NTTTable) 
 		panic("rns: ModDownNTT limb mismatch")
 	}
 	n := len(xQ[0])
-	ring.ForEachLimbRange(len(d.P), d.Workers, func(lo, hi int) {
+	ring.ForEachLimbRange(len(d.P), workers, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			tP[j].InverseLazy(xP[j][:n])
 		}
 	})
 	// The conversion lands in out (fully reduced, < q) and is transformed and
 	// subtracted there: ShoupMulSubVec allows dst to alias sub.
-	d.conv.Convert(xP, out)
-	ring.ForEachLimbRange(len(d.Q), d.Workers, func(lo, hi int) {
+	d.conv.ConvertRows(xP, out, nil, workers)
+	ring.ForEachLimbRange(len(d.Q), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			oi := out[i][:n]
 			tQ[i].Forward(oi)
@@ -371,10 +357,6 @@ func (d *ModDowner) ModDownNTT(xQ, xP, out [][]uint64, tQ, tP []*ring.NTTTable) 
 type Rescaler struct {
 	Moduli []ring.Modulus
 
-	// Workers caps the goroutine fan-out of Rescale (ring.Workers
-	// convention; 1 = serial). Set once before first use.
-	Workers int
-
 	// qlInv[level][i] = q_level^-1 mod q_i for i < level
 	qlInv    [][]uint64
 	qlInvSho [][]uint64
@@ -384,7 +366,6 @@ type Rescaler struct {
 func NewRescaler(moduli []ring.Modulus) *Rescaler {
 	r := &Rescaler{
 		Moduli:   moduli,
-		Workers:  1,
 		qlInv:    make([][]uint64, len(moduli)),
 		qlInvSho: make([][]uint64, len(moduli)),
 	}
@@ -403,7 +384,7 @@ func NewRescaler(moduli []ring.Modulus) *Rescaler {
 // Rescale drops the last limb of x (level = len(x)-1) writing (x - x_l)/q_l
 // into out, which must have one fewer limb. Inputs in coefficient form; rows
 // may be lazily reduced ([0, 2q)); outputs are fully reduced. Safe for
-// concurrent use.
+// concurrent use; serial.
 func (r *Rescaler) Rescale(x, out [][]uint64) {
 	l := len(x) - 1
 	// INVARIANT: Rescale at level 0 is rejected with ErrLevelExhausted at the evaluator boundary.
@@ -417,14 +398,12 @@ func (r *Rescaler) Rescale(x, out [][]uint64) {
 	// The dropped limb's rows are lazy residues of q_l; that bound and each
 	// target modulus decide per limb whether the 52-bit kernel takes the step.
 	xlBound := 2 * r.Moduli[l].Q
-	ring.ForEachLimbRange(l, r.Workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			// Reduce the top-limb residue into q_i before subtracting;
-			// centering the residue halves the rounding error but the plain
-			// variant keeps the error below q_l which the CKKS scale absorbs.
-			r.Moduli[i].ShoupMulSubForeignVec(out[i][:n], x[i][:n], xl, xlBound, r.qlInv[l][i], r.qlInvSho[l][i])
-		}
-	})
+	for i := 0; i < l; i++ {
+		// Reduce the top-limb residue into q_i before subtracting; centering
+		// the residue halves the rounding error but the plain variant keeps
+		// the error below q_l which the CKKS scale absorbs.
+		r.Moduli[i].ShoupMulSubForeignVec(out[i][:n], x[i][:n], xl, xlBound, r.qlInv[l][i], r.qlInvSho[l][i])
+	}
 }
 
 // RescaleNTT is Rescale in the NTT domain, the evaluator's hot path: x and
@@ -436,8 +415,9 @@ func (r *Rescaler) Rescale(x, out [][]uint64) {
 // integer: the dropped limb goes through the full Inverse, whose canonical
 // representative is the one Rescale reduces into each q_i (a lazy one would
 // shift outputs by q_l^-1). Rows of x may be lazily reduced ([0, 2q));
-// outputs are fully reduced. Safe for concurrent use.
-func (r *Rescaler) RescaleNTT(x, out [][]uint64, tables []*ring.NTTTable) {
+// outputs are fully reduced. Safe for concurrent use; the per-limb work is
+// fanned out across workers goroutines (ring.Workers convention).
+func (r *Rescaler) RescaleNTT(x, out [][]uint64, tables []*ring.NTTTable, workers int) {
 	l := len(x) - 1
 	// INVARIANT: Rescale at level 0 is rejected with ErrLevelExhausted at the evaluator boundary.
 	// A panic here is a repo-internal bug, never a reaction to caller input —
@@ -458,6 +438,6 @@ func (r *Rescaler) RescaleNTT(x, out [][]uint64, tables []*ring.NTTTable) {
 		tables[i].Forward(oi)
 		m.ShoupMulSubVec(oi, x[i][:n], oi, r.qlInv[l][i], r.qlInvSho[l][i])
 	}
-	ring.ForEachLimb(l-1, r.Workers, limb)
+	ring.ForEachLimb(l-1, workers, limb)
 	limb(l - 1)
 }

@@ -99,7 +99,7 @@ const (
 )
 
 // snapshotHeader is the JSON head of a snapshot: everything needed to
-// recompile the parameter set plus the serving-layer metadata.
+// rebuild the parameter set plus the serving-layer metadata.
 type snapshotHeader struct {
 	Meta          SessionMeta   `json:"meta"`
 	Config        ContextConfig `json:"config"`
@@ -123,10 +123,10 @@ type SessionSnapshot struct {
 // caller's metadata, in the versioned, checksummed snapshot format.
 // ReadSessionSnapshot (or DecodeSessionSnapshot + Restore) is the inverse.
 //
-// A snapshot stores the configuration, not the prime chain: Restore recompiles
-// the general regime from it. A context whose parameters that would not
-// reproduce (NewBootstrapContext's chain) cannot be snapshotted and returns
-// ErrInvalidParameters.
+// A snapshot stores the configuration, not the prime chain: Restore compiles
+// the general regime from it (or shares a live context's compile of it). A
+// context whose parameters that would not reproduce (NewBootstrapContext's
+// chain) cannot be snapshotted and returns ErrInvalidParameters.
 func (c *Context) WriteSessionSnapshot(w io.Writer, meta SessionMeta) error {
 	if !reflect.DeepEqual(c.lit, parametersLiteral(c.cfg)) {
 		return fmt.Errorf("fast: context parameters are not derivable from its Config, "+
@@ -218,11 +218,12 @@ func DecodeSessionSnapshot(data []byte) (*SessionSnapshot, error) {
 }
 
 // Restore expands the snapshot into a ready-to-use Context: the parameter
-// set is recompiled from the embedded configuration (deterministic — the
+// set is the one the embedded configuration compiles to (deterministic — the
 // same config always yields bit-identical ring tables) and the persisted key
 // material is installed in place of key generation, so restored sessions
-// decrypt pre-crash ciphertexts bit-identically. Restoration costs the
-// deserialisation plus NTT-table compilation, never a keygen.
+// decrypt pre-crash ciphertexts bit-identically. Restoration costs the key
+// decode, plus compilation only when no live context shares the
+// configuration; never a keygen.
 //
 // Options may attach an observer or shared evk cache and override the
 // default key-switching method; options that would alter the parameter description
@@ -255,21 +256,22 @@ func (s *SessionSnapshot) Restore(opts ...Option) (*Context, error) {
 }
 
 // readKeys installs the snapshot's key payload — sk | pk | evaluation-key set
-// — into ctx, validated against ctx's freshly compiled parameters.
+// — into ctx, decoded straight from the verified bytes and validated against
+// ctx's parameters.
 func (s *SessionSnapshot) readKeys(ctx *Context) error {
-	r := bytes.NewReader(s.keyBytes)
+	b := s.keyBytes
 	var err error
-	if ctx.sk, err = ckks.ReadSecretKey(r, ctx.params); err != nil {
+	if ctx.sk, b, err = ckks.ParseSecretKey(b, ctx.params); err != nil {
 		return fmt.Errorf("fast: snapshot secret key: %w", err)
 	}
-	if ctx.pk, err = ckks.ReadPublicKey(r, ctx.params); err != nil {
+	if ctx.pk, b, err = ckks.ParsePublicKey(b, ctx.params); err != nil {
 		return fmt.Errorf("fast: snapshot public key: %w", err)
 	}
-	if ctx.keys, err = ckks.ReadEvaluationKeySet(r, ctx.params); err != nil {
+	if ctx.keys, b, err = ckks.ParseEvaluationKeySet(b, ctx.params); err != nil {
 		return fmt.Errorf("fast: snapshot evaluation keys: %w", err)
 	}
-	if r.Len() != 0 {
-		return fmt.Errorf("fast: %d trailing bytes after snapshot key material: %w", r.Len(), ErrCorruptSnapshot)
+	if len(b) != 0 {
+		return fmt.Errorf("fast: %d trailing bytes after snapshot key material: %w", len(b), ErrCorruptSnapshot)
 	}
 	return nil
 }
