@@ -184,7 +184,12 @@ vet: loc
 # wiring, sessionStore's injector and fastd.store.write_faults counter,
 # checkFault and errInjectedDiskWrite, and the fault checks in writeAtomic
 # and writeIdem. Tests now fail a write through sessionStore.hook.
-FASTD_LOC_MAX ?= 3167
+#
+# 3167 -> 3158 (ROADMAP 2): a create is priced where its keys are generated.
+# fastd's keygenUnits (a hard-coded relin + conjugation key, one method,
+# Set-I's α) went for fast.KeygenUnits, and a session's pass weight comes
+# from fast.KeySwitchShape of its resolved config.
+FASTD_LOC_MAX ?= 3158
 
 # Size budget of the performance model: non-test lines of the cost model,
 # Aether, the simulator, the traces and workloads, the baselines, perf.go and
@@ -197,7 +202,15 @@ FASTD_LOC_MAX ?= 3167
 # one plan-and-simulate path (sim.Mode, sim.Plan, sim.Simulate), one name
 # table per package (workloads.ByName, baselines.ByName), one kernel-width
 # and one EKG-halving function in costmodel, and cmd/aether without -http.
-MODEL_LOC_MAX ?= 2253
+#
+# 2253 -> 2325 (ROADMAP 2): +72 is the measured growth of the online count
+# that prices a functional context's key switch at its own shape instead of
+# Set-I's resized accelerator. internal/costmodel/plan.go went 31 -> 99
+# lines: costmodel.Shape 11, LaneWeight 12, Shape.KeySwitch 39 (a stage-by-
+# stage count of what ckks.KeySwitcher runs, 16 of them its doc), the header
+# that separates it from Params 9; Params.PassUnits moved to Shape. PlanSites
+# takes a Shape now; its doc comment grew 4 lines.
+MODEL_LOC_MAX ?= 2325
 
 MODEL_GO = internal/aether/*.go internal/costmodel/*.go internal/sim/*.go internal/trace/*.go \
 	internal/workloads/*.go internal/baselines/*.go perf.go cmd/aether/*.go cmd/fastsim/*.go

@@ -124,7 +124,7 @@ func (c daemonConfig) withDefaults() daemonConfig {
 type session struct {
 	id    string
 	ctx   *fast.Context
-	cm    costmodel.Params
+	cm    costmodel.Shape
 	plans *planCache // compiled-plan LRU keyed by Plan fingerprint
 	meta  fast.SessionMeta
 }
@@ -461,11 +461,12 @@ func (d *daemon) sessionOptions(id string, sh *evalShard) []fast.Option {
 }
 
 // newSession wraps a keyed Context in the state serving it needs.
-func (d *daemon) newSession(fctx *fast.Context, logN int, meta fast.SessionMeta) *session {
+func (d *daemon) newSession(fctx *fast.Context, meta fast.SessionMeta) *session {
+	cm, _ := fast.KeySwitchShape(fctx.Config()) // a built context's config resolves
 	return &session{
 		id:    meta.ID,
 		ctx:   fctx,
-		cm:    costmodel.ForContext(logN, fctx.MaxLevel()),
+		cm:    cm,
 		plans: newPlanCache(planCacheCap, d.mPlanHits, d.mPlanMisses),
 		meta:  meta,
 	}
@@ -509,7 +510,7 @@ func (d *daemon) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	// evaluation workers unnoticed (and cannot starve any OTHER shard's
 	// workers at all).
 	var fctx *fast.Context
-	units := keygenUnits(cfg)
+	units := fast.KeygenUnits(cfg)
 	obsReq := obs.RequestFrom(r.Context())
 	obsReq.SetSession(id)
 	obsReq.SetUnits(units)
@@ -524,7 +525,7 @@ func (d *daemon) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	sess := d.newSession(fctx, cfg.LogN, fast.SessionMeta{
+	sess := d.newSession(fctx, fast.SessionMeta{
 		ID:              id,
 		CreatedUnixNano: time.Now().UnixNano(),
 	})

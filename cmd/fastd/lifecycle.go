@@ -132,7 +132,7 @@ func (d *daemon) restoreSession(sh *evalShard, id string) (s *session, durable b
 	}
 	st.mExpand.ObserveSince(t0)
 
-	sess := d.newSession(fctx, snap.Config.LogN, snap.Meta)
+	sess := d.newSession(fctx, snap.Meta)
 	t0 = time.Now()
 	durable = st.saveEpoch(id, sess.meta.Restores) == nil
 	st.mEpochWrite.ObserveSince(t0)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	fast "github.com/fastfhe/fast"
-	"github.com/fastfhe/fast/internal/costmodel"
 )
 
 // The eval endpoint takes one program format: "program" is an OBJECT, the
@@ -96,13 +95,4 @@ func compileEval(sess *session, body []byte) (*compiledEval, error) {
 	}
 	sess.plans.put(key, ce.plan)
 	return ce, nil
-}
-
-// keygenUnits weighs session creation for admission: key generation touches
-// every rotation key across the full chain, modeled as one key-switch per
-// generated key plus a constant floor.
-func keygenUnits(cfg fast.ContextConfig) float64 {
-	cm := costmodel.ForContext(cfg.LogN, cfg.Levels)
-	keys := len(cfg.Rotations) + 2 // + relin + conjugation
-	return cm.KeySwitch(costmodel.Hybrid, cm.L, 1).Total() * float64(keys)
 }

@@ -195,6 +195,37 @@ func parametersLiteral(cfg ContextConfig) ckks.ParametersLiteral {
 	return lit
 }
 
+// KeySwitchShape returns the key-switch shape of the context NewContext(cfg)
+// builds: the one Plan prices its sites and Units at.
+func KeySwitchShape(cfg ContextConfig) (costmodel.Shape, error) {
+	cfg, _, err := resolveConfig(cfg, nil)
+	if err != nil {
+		return costmodel.Shape{}, err
+	}
+	return parametersLiteral(cfg).KeySwitchShape(), nil
+}
+
+// KeygenUnits is the admission weight of NewContext(cfg) in Plan.Units'
+// units: one top-level key switch at the context's shape per evaluation key
+// buildContext generates — the relinearisation key, one per rotation and the
+// conjugation key when enabled — under each method it keys, hybrid always and
+// KLSS when enabled. A config NewContext refuses weighs nothing.
+func KeygenUnits(cfg ContextConfig) float64 {
+	cfg, _, err := resolveConfig(cfg, nil)
+	if err != nil {
+		return 0
+	}
+	s := parametersLiteral(cfg).KeySwitchShape()
+	keys, perKey := 1+len(cfg.Rotations), s.KeySwitch(Hybrid, s.L, 1).Total()
+	if cfg.Conjugation {
+		keys++
+	}
+	if cfg.EnableKLSS {
+		perKey += s.KeySwitch(KLSS, s.L, 1).Total()
+	}
+	return perKey * float64(keys)
+}
+
 // buildContext is the one construction path: NewContext, NewBootstrapContext
 // and SessionSnapshot.Restore each describe a regime — the resolved cfg, the
 // literal params was compiled from — and end here. Key material is generated

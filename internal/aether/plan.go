@@ -22,7 +22,7 @@ type Site struct {
 }
 
 // SiteDecision is PlanSites' verdict for one site: the decision (level and
-// hoist clamped to the parameter set) and the modular-operation units of the
+// hoist clamped to the shape) and the modular-operation units of the
 // chosen method there, the site's share of the program's admission weight.
 type SiteDecision struct {
 	Decision
@@ -31,34 +31,38 @@ type SiteDecision struct {
 
 // PlanSites is the online counterpart of Analyzer.Analyze for functional
 // serving: given the whole program's key-switch sites at their propagated
-// levels and hoist widths, it picks the method minimizing modeled modular
-// operations per site, and prices every site, pinned ones included, with
-// the same KeySwitch call.
+// levels and hoist widths, it prices each site at the context's own shape —
+// the rows ckks.KeySwitcher runs under each method (costmodel.Shape.KeySwitch),
+// not the paper's accelerator, which the MCT and the simulator keep — picks
+// the cheaper method per site, and prices every site, pinned ones included,
+// with the same call.
 //
 // KLSS must save more than 5% of the modular operations to be chosen; ties
 // within 5% go to hybrid. That is not the offline selection's minimal-key
-// tie-break: below level α KLSS keys are the smaller ones, and the offline
-// rule would pick KLSS there. Online, the 5% margin keeps a verdict from
-// flipping on model error near the crossover, and hybrid is the method every
-// context has keys for and the one DecisionFor falls back to.
+// tie-break. Online, the 5% margin keeps a verdict from flipping on model
+// error near the crossover, and hybrid is the method every context has keys
+// for and the one DecisionFor falls back to. A context whose KLSS runs
+// hybrid's digits over as many wider primes (every context fast.NewContext
+// builds) therefore never gets KLSS from the planner, only by a pin.
 //
-// The decision is deterministic in (params, sites): two identical programs
-// planned against the same context always agree, which the differential
-// equivalence suite relies on to replay planned executions step by step.
-func PlanSites(p costmodel.Params, sites []Site) []SiteDecision {
+// The decision is deterministic in (shape, sites), the same on every host and
+// kernel path: two identical programs planned against one context always
+// agree, which the differential equivalence suite relies on to replay planned
+// executions step by step.
+func PlanSites(s costmodel.Shape, sites []Site) []SiteDecision {
 	out := make([]SiteDecision, len(sites))
-	for i, s := range sites {
-		level, hoist := min(max(s.Level, 0), p.L), max(s.Hoist, 1)
+	for i, st := range sites {
+		level, hoist := min(max(st.Level, 0), s.L), max(st.Hoist, 1)
 		m := costmodel.Hybrid
 		switch {
-		case s.Pinned:
-			m = s.Method
-		case s.KLSS && p.KeySwitch(costmodel.KLSS, level, hoist).Total() < p.KeySwitch(costmodel.Hybrid, level, hoist).Total()*0.95:
+		case st.Pinned:
+			m = st.Method
+		case st.KLSS && s.KeySwitch(costmodel.KLSS, level, hoist).Total() < s.KeySwitch(costmodel.Hybrid, level, hoist).Total()*0.95:
 			m = costmodel.KLSS
 		}
 		out[i] = SiteDecision{
-			Decision: Decision{OpIndex: s.Op, Level: level, Method: m, Hoist: hoist},
-			Units:    p.KeySwitch(m, level, hoist).Total(),
+			Decision: Decision{OpIndex: st.Op, Level: level, Method: m, Hoist: hoist},
+			Units:    s.KeySwitch(m, level, hoist).Total(),
 		}
 	}
 	return out

@@ -102,3 +102,39 @@ func TestDatapathTable(t *testing.T) {
 		})
 	}
 }
+
+// KeySwitchShape reads off the literal what the compiled parameters hold:
+// chain lengths, digit sizes and, per chain, the lane class of its widest
+// compiled modulus (ring.Modulus.Lane52). The extra point has a 54-bit q0,
+// which moves the whole Q chain to the 64-bit class.
+func TestKeySwitchShapeMatchesCompiledParameters(t *testing.T) {
+	pts := benchmarkPoints()
+	pts = append(pts, struct {
+		name string
+		lit  ParametersLiteral
+	}{"wide q0", ParametersLiteral{LogN: 10, LogSlots: 9, LogQ: []int{54, 40, 40}, LogP: []int{51, 51}, LogScale: 40, Alpha: 2}})
+	lane := func(r *ring.Ring) int {
+		if r != nil {
+			for _, m := range r.Moduli {
+				if !m.Lane52() {
+					return 2
+				}
+			}
+		}
+		return 1
+	}
+	for _, pt := range pts {
+		params, err := NewParameters(pt.lit)
+		if err != nil {
+			t.Fatalf("%s: %v", pt.name, err)
+		}
+		got := pt.lit.KeySwitchShape()
+		want := got
+		want.LogN, want.L, want.Alpha, want.AlphaT = params.LogN(), params.MaxLevel(), params.Alpha(), params.AlphaT()
+		want.P, want.T = len(params.PChain()), len(params.TChain())
+		want.QLane, want.PLane, want.TLane = lane(params.ringQ), lane(params.ringP), lane(params.ringT)
+		if got != want {
+			t.Fatalf("%s: shape %+v, compiled parameters say %+v", pt.name, got, want)
+		}
+	}
+}

@@ -17,7 +17,7 @@ import (
 // chain T (DoubleDecompose → KeyMult → RecoverLimbs → ModDown), exercising
 // the accelerator's 60-bit datapath. The β·α grouping, gadget selectors and
 // ModDown rounding are identical mathematics; only the chain (and hence the
-// per-kernel operation counts, see internal/costmodel) differs.
+// per-kernel operation counts, costmodel.Shape.KeySwitch) differs.
 //
 // A KeySwitcher is safe for concurrent use: its ModUp and ModDown tables
 // belong to the parameter shape (shared read-only by every switcher over it,

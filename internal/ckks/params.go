@@ -14,6 +14,7 @@
 package ckks
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -145,6 +146,22 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 		return nil, err
 	}
 	return &Parameters{shape: s, seed: lit.Seed}, nil
+}
+
+// KeySwitchShape is the online cost model's view of the parameters lit
+// compiles to: the chain lengths and digit sizes KeySwitcher runs with, and
+// each chain's lane class from its primes' bit sizes. A b-bit prime has
+// 2q ≤ 2^52 exactly when b ≤ 51, so the literal decides the class as the
+// compiled moduli would (ring.Modulus.Lane52).
+func (lit ParametersLiteral) KeySwitchShape() costmodel.Shape {
+	return costmodel.Shape{
+		LogN: lit.LogN, L: len(lit.LogQ) - 1,
+		Alpha: lit.Alpha, AlphaT: cmp.Or(lit.AlphaT, lit.Alpha),
+		P: len(lit.LogP), T: len(lit.LogT),
+		QLane: costmodel.LaneWeight(lit.LogQ...),
+		PLane: costmodel.LaneWeight(lit.LogP...),
+		TLane: costmodel.LaneWeight(lit.LogT...),
+	}
 }
 
 // compileShape generates the NTT-friendly prime chains of a validated

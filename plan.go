@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"github.com/fastfhe/fast/internal/aether"
-	"github.com/fastfhe/fast/internal/costmodel"
 )
 
 // This file is the program planner: it compiles a Program against a Context
@@ -221,10 +220,10 @@ func (c *Context) Plan(prog *Program, inputLevels map[string]int, opts ...PlanOp
 
 	// Pass 3: one Aether site per key-switching mul/conjugate node and per
 	// rotation group (the group's hoist width changes the verdict: hoisting
-	// erodes the KLSS advantage because KeyMult dominates, paper Fig. 2).
-	// PlanSites decides the unpinned sites and prices all of them; the unit
-	// weight is the element-wise passes plus every site's units, summed in
-	// node order.
+	// amortises ModUp, so KeyMult and ModDown dominate, paper Fig. 3).
+	// PlanSites decides the unpinned sites and prices all of them at this
+	// context's own key-switch shape; the unit weight is the element-wise
+	// passes plus every site's units, summed in node order.
 	var sites []aether.Site
 	for i := range p.nodes {
 		n := &p.nodes[i]
@@ -244,7 +243,7 @@ func (c *Context) Plan(prog *Program, inputLevels map[string]int, opts ...PlanOp
 		}
 		p.decisions = append(p.decisions, d)
 	}
-	cm := costmodel.ForContext(c.params.LogN(), maxL)
+	cm := c.lit.KeySwitchShape()
 	p.units = float64(p.passes) * cm.PassUnits()
 	for _, sd := range aether.PlanSites(cm, sites) {
 		p.units += sd.Units
@@ -319,7 +318,8 @@ func (p *Plan) Program() *Program { return p.prog }
 
 // Units returns the plan's admission weight in the cost model's 36-bit
 // modular-operation equivalents: every key-switch site at its propagated
-// level with hoist amortization, plus the element-wise passes.
+// level with hoist amortization, counted at the context's own shape
+// (KeySwitchShape), plus the element-wise passes.
 func (p *Plan) Units() float64 { return p.units }
 
 // Decisions returns the planner's verdicts for every key-switch-bearing node,

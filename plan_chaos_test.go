@@ -78,6 +78,18 @@ func differentialPrograms() map[string]*Program {
 			Add("s2", "s1", "c").
 			Add("out", "s2", "cc").
 			Return("out"),
+		// A fan-out pinned to KLSS as a whole: one hoisted KLSS group. The
+		// planner never picks KLSS on its own at these contexts' shape (its
+		// KLSS is hybrid over wider primes), so the pin keeps a planned KLSS
+		// ModUp shared across rotations exercised.
+		"klss-fanout": NewProgram().In("x", "y").
+			Rotate("a", "x", 1, WithMethod(KLSS)).
+			Rotate("b", "x", 2, WithMethod(KLSS)).
+			Rotate("c", "x", 4, WithMethod(KLSS)).
+			Add("s1", "a", "b").
+			Add("s2", "s1", "c").
+			Mul("out", "s2", "y").
+			Return("out"),
 		// Straight-line arithmetic with explicit rescale control.
 		"norescale-chain": NewProgram().In("x", "y").
 			Mul("m", "x", "y", NoRescale()).
