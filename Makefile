@@ -141,8 +141,8 @@ fmt:
 	gofmt -w .
 
 # Static analysis: go vet, a gofmt cleanliness check (fails listing any file
-# that gofmt would rewrite) and the size budgets of the serving layer and the
-# performance model.
+# that gofmt would rewrite) and the size budgets of the serving layer, the
+# performance model and the root package.
 vet: loc
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
@@ -152,8 +152,6 @@ vet: loc
 # of cmd/fastd + internal/session. fastd exists to measure the library under
 # traffic, and it has outgrown that job twice; growing it now takes an edit
 # to FASTD_LOC_MAX, which a reviewer sees, next to the code that needs it.
-# The root package's count is printed beside it, ungated: the library is the
-# product, but its size should be a number someone looks at.
 #
 # 3100 -> 3515 (PR 22): +415 is the measured net growth of the one-pass
 # envelope (3059 -> 3474 lines). cmd/fastd/envelope.go is 450 lines, comments
@@ -212,11 +210,25 @@ FASTD_LOC_MAX ?= 3158
 # takes a Shape now; its doc comment grew 4 lines.
 MODEL_LOC_MAX ?= 2325
 
+# Size budget of the library's public surface: non-test lines of the root
+# package. The library is the product; growing its API takes an edit here.
+#
+# 2885 -> 2784 (ROADMAP 2): the plan is the one owner of the key-switch
+# method. Went: WithDefaultMethod, Context.Method and the defaultMethod
+# fields with their two KLSS-default checks, the snapshot header's
+# default_method and SessionSnapshot.DefaultMethod, PlanWithDefaultMethod,
+# PlanOption and planConfig, Plan.InputLevels, and the four NewContext
+# options that restated ContextConfig fields (WithRotations,
+# WithConjugation, WithKLSS, WithSeed).
+ROOT_LOC_MAX ?= 2784
+
 MODEL_GO = internal/aether/*.go internal/costmodel/*.go internal/sim/*.go internal/trace/*.go \
 	internal/workloads/*.go internal/baselines/*.go perf.go cmd/aether/*.go cmd/fastsim/*.go
 
 loc:
-	@echo "root package: $$(ls *.go | grep -v _test.go | xargs cat | wc -l) non-test lines"
+	@n=$$(ls *.go | grep -v _test.go | xargs cat | wc -l); \
+	echo "root package: $$n non-test lines (budget $(ROOT_LOC_MAX))"; \
+	[ $$n -le $(ROOT_LOC_MAX) ]
 	@n=$$(ls $(MODEL_GO) | grep -v _test.go | xargs cat | wc -l); \
 	echo "performance model (costmodel, aether, sim, trace, workloads, baselines, perf.go, cmd/{aether,fastsim}): $$n non-test lines (budget $(MODEL_LOC_MAX))"; \
 	[ $$n -le $(MODEL_LOC_MAX) ]

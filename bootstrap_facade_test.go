@@ -78,8 +78,8 @@ func TestBootstrapContextIsAContext(t *testing.T) {
 	if got := bc.Config(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Config() = %+v, want %+v", got, want)
 	}
-	if bc.Method() != Hybrid || bc.SupportsKLSS() {
-		t.Fatalf("bootstrap regime is hybrid-only, got default %v, KLSS %v", bc.Method(), bc.SupportsKLSS())
+	if bc.SupportsKLSS() {
+		t.Fatal("bootstrap regime is hybrid-only, but the context supports KLSS")
 	}
 
 	values := make([]complex128, bc.Slots())

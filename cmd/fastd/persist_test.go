@@ -288,6 +288,47 @@ func TestSessionEvictionRestoreLRU(t *testing.T) {
 	}
 }
 
+// TestEmptyRotationsSessionRestores: a session created with "rotations": []
+// (no Galois keys) comes back from an eviction and from a restart, and
+// decrypts its ciphertext the same way each time.
+func TestEmptyRotationsSessionRestores(t *testing.T) {
+	dir := t.TempDir()
+	_, tsA := newTestDaemon(t, daemonConfig{StateDir: dir, MaxResident: 1, MaxSessions: 8})
+	req := testSessionRequest()
+	req.Rotations = []int{}
+	if raw := mustJSON(t, req); !bytes.Contains(raw, []byte(`"rotations":[]`)) {
+		t.Fatalf("create body %s does not send an empty rotation list", raw)
+	}
+	sr := createSession(t, tsA.URL, req)
+	vals := make([]complex128, sr.Slots)
+	for i := range vals {
+		vals[i] = complex(0.5*float64(i%3), -0.25)
+	}
+	ct := encryptValues(t, tsA.URL, sr.ID, vals)
+	decrypt := func(base string) []byte {
+		t.Helper()
+		status, body := doJSON(t, http.MethodPost, base+"/v1/sessions/"+sr.ID+"/decrypt", nil,
+			decryptRequest{Ciphertext: ct.Ciphertext}, nil)
+		if status != http.StatusOK {
+			t.Fatalf("decrypt: status %d: %s", status, body)
+		}
+		return body
+	}
+	ref := decrypt(tsA.URL)
+
+	createSession(t, tsA.URL, testSessionRequest()) // evicts sr
+	if got := decrypt(tsA.URL); !bytes.Equal(got, ref) {
+		t.Fatalf("after evict+restore: %s, want %s", got, ref)
+	}
+	_, tsB := newTestDaemon(t, daemonConfig{StateDir: dir})
+	if got := decrypt(tsB.URL); !bytes.Equal(got, ref) {
+		t.Fatalf("after restart: %s, want %s", got, ref)
+	}
+	if _, sess := readyzSessions(t, tsB.URL); sess.Restored != 1 {
+		t.Fatalf("readyz after restart: restored = %d, want 1", sess.Restored)
+	}
+}
+
 // TestReadyzSessionOccupancy is the satellite regression test: /readyz
 // reports registry occupancy against MaxSessions and flips to 503 exactly
 // when a session create would be refused.

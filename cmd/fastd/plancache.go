@@ -9,12 +9,12 @@ import (
 )
 
 // planCache is a bounded per-session LRU of compiled plans keyed by
-// fast.Plan fingerprint. A fingerprint covers the program text, the resolved
-// input levels and the plan-wide default method — everything Context.Plan
-// compiles from except the context itself, which is fixed per session — so a
-// hit replays the exact plan a fresh compile would produce. Plans are
-// immutable and safe for concurrent executions, so one cached instance can
-// serve overlapping requests.
+// fast.Plan fingerprint. A fingerprint covers the program text and the
+// resolved input levels — everything Context.Plan compiles from except the
+// context itself, which is fixed per session — so a hit replays the exact
+// plan a fresh compile would produce. Plans are immutable and safe for
+// concurrent executions, so one cached instance can serve overlapping
+// requests.
 //
 // Repeated serving workloads (the same program evaluated per request at the
 // same input levels) hit the cache on every request after the first,

@@ -3,6 +3,7 @@ package fast
 import (
 	"fmt"
 	"math/cmplx"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -113,77 +114,6 @@ func TestConcurrentEvaluation(t *testing.T) {
 	}
 }
 
-// TestWithMethodMatchesDefaultMethod pins the acceptance criterion that the
-// per-call option path is bit-identical to the construction-time default
-// path: a context defaulting to method m (via WithDefaultMethod) and a
-// context defaulting to the other method but passing WithMethod(m) per call
-// produce byte-identical ciphertexts. The two contexts share a seed, so the
-// key material and encryption randomness agree.
-func TestWithMethodMatchesDefaultMethod(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.LogN = 10
-	cfg.Levels = 3
-	cfg.Seed = 42
-	n := 1 << (cfg.LogN - 1)
-	v := make([]complex128, n)
-	for i := range v {
-		v[i] = complex(float64(i%11)/22, -float64(i%5)/10)
-	}
-
-	for _, method := range []Method{Hybrid, KLSS} {
-		other := Hybrid
-		if method == Hybrid {
-			other = KLSS
-		}
-		ctxDefault, err := NewContext(cfg, WithDefaultMethod(method))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctxOption, err := NewContext(cfg, WithDefaultMethod(other))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctDefault, err := ctxDefault.Encrypt(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctOption, err := ctxOption.Encrypt(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		oldMul, err := ctxDefault.Mul(ctDefault, ctDefault)
-		if err != nil {
-			t.Fatal(err)
-		}
-		oldRot, err := ctxDefault.Rotate(ctDefault, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		newMul, err := ctxOption.Mul(ctOption, ctOption, WithMethod(method))
-		if err != nil {
-			t.Fatal(err)
-		}
-		newRot, err := ctxOption.Rotate(ctOption, 2, WithMethod(method))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, pair := range map[string][2]*Ciphertext{
-			"mul":    {oldMul, newMul},
-			"rotate": {oldRot, newRot},
-		} {
-			a, b := pair[0].ct, pair[1].ct
-			if a.Level != b.Level || a.Scale != b.Scale {
-				t.Fatalf("%s %v: level/scale mismatch: %d/%g vs %d/%g",
-					name, method, a.Level, a.Scale, b.Level, b.Scale)
-			}
-			if !a.C0.Equal(b.C0) || !a.C1.Equal(b.C1) {
-				t.Fatalf("%s %v: per-call WithMethod result differs from WithDefaultMethod path", name, method)
-			}
-		}
-	}
-}
-
 // TestNoRescaleSemantics checks that NoRescale defers exactly the rescale:
 // level and product scale are kept, and a later Context.Rescale yields the
 // same ciphertext the eager path produces.
@@ -227,49 +157,26 @@ func TestNoRescaleSemantics(t *testing.T) {
 	}
 }
 
-// TestNewContextOptions covers the construction-time options surface.
+// TestNewContextOptions covers the construction-time options surface: a zero
+// cfg is DefaultConfig with the options applied on top, and WithParallelism
+// changes how an op runs, never what it computes.
 func TestNewContextOptions(t *testing.T) {
-	// WithDefaultMethod changes what option-less calls use.
-	ctx, err := NewContext(DefaultConfig(), WithDefaultMethod(KLSS))
+	ctx, err := NewContext(ContextConfig{}, WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Method() != KLSS {
-		t.Fatalf("WithDefaultMethod(KLSS): Method() = %v", ctx.Method())
+	want := DefaultConfig()
+	want.LogSlots, want.Parallelism = want.LogN-1, 2
+	if got := ctx.Config(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Config() = %+v, want %+v", got, want)
 	}
-
-	// KLSS default without the KLSS key chain must be rejected.
-	if _, err := NewContext(DefaultConfig(), WithKLSS(false), WithDefaultMethod(KLSS)); err == nil {
-		t.Fatal("WithDefaultMethod(KLSS) without KLSS keys should fail")
-	}
-
-	// Options are applied even when cfg is the zero value (DefaultConfig
-	// substitution must re-apply them).
-	ctx2, err := NewContext(ContextConfig{}, WithRotations(3), WithParallelism(2))
+	serial, err := NewContext(ContextConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := make([]complex128, ctx2.Slots())
-	v[3] = complex(1, 0)
-	ct, err := ctx2.Encrypt(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rot, err := ctx2.Rotate(ct, 3)
-	if err != nil {
-		t.Fatalf("WithRotations(3) did not install the key: %v", err)
-	}
-	if got := ctx2.Decrypt(rot); cmplx.Abs(got[0]-complex(1, 0)) > 1e-4 {
-		t.Fatalf("rotation by 3: slot 0 = %v, want 1", got[0])
-	}
-	// A rotation without a key still fails cleanly.
-	if _, err := ctx2.Rotate(ct, 5); err == nil {
-		t.Fatal("rotation without a generated key should fail")
-	}
-
-	// WithParallelism must not change results: compare against a serial
-	// context built from the same seed.
-	serial, err := NewContext(ContextConfig{}, WithRotations(3))
+	v := make([]complex128, ctx.Slots())
+	v[3] = 0.75
+	ct, err := ctx.Encrypt(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +184,7 @@ func TestNewContextOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mulP, err := ctx2.Mul(ct, ct)
+	mulP, err := ctx.Mul(ct, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +202,9 @@ func TestNewContextOptions(t *testing.T) {
 // concurrency kept the deterministic stream order.
 func TestSeedDeterminism(t *testing.T) {
 	build := func() (*Context, *Ciphertext) {
-		ctx, err := NewContext(DefaultConfig(), WithSeed(99))
+		cfg := DefaultConfig()
+		cfg.Seed = 99
+		ctx, err := NewContext(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

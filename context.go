@@ -19,7 +19,9 @@ type Method = costmodel.Method
 const (
 	// Hybrid is the 36-bit ModUp/KeyMult/ModDown method (paper Fig. 1(a)).
 	Hybrid = costmodel.Hybrid
-	// KLSS is the 60-bit double-decomposition method (paper Fig. 1(b)).
+	// KLSS is the paper's 60-bit method (Fig. 1(b)). The functional backend
+	// runs hybrid's stages over 60-bit special primes, not the paper's double
+	// decomposition (DESIGN.md, substitution 2).
 	KLSS = costmodel.KLSS
 )
 
@@ -69,24 +71,23 @@ func DefaultConfig() ContextConfig {
 // the entry point of the functional layer.
 //
 // A Context is safe for concurrent use by multiple goroutines: every
-// operation draws scratch from pooled buffers, per-call options carry the
-// key-switching method instead of shared state, and the default method is
-// fixed at construction (WithDefaultMethod). See README.md ("Concurrency
-// model") for what is shared and what is pooled.
+// operation draws scratch from pooled buffers, and the key-switching method
+// travels with each call (WithMethod, or the plan's decision) instead of
+// living in shared state. See README.md ("Concurrency model") for what is
+// shared and what is pooled.
 type Context struct {
-	cfg           ContextConfig          // resolved configuration (defaults applied)
-	lit           ckks.ParametersLiteral // what params was compiled from
-	params        *ckks.Parameters
-	encoder       *ckks.Encoder
-	sk            *ckks.SecretKey
-	pk            *ckks.PublicKey
-	enc           *ckks.Encryptor
-	dec           *ckks.Decryptor
-	keys          *ckks.EvaluationKeySet
-	eval          *ckks.Evaluator
-	defaultMethod Method      // for calls without WithMethod; immutable
-	observer      *Observer   // nil unless WithObserver was passed
-	evk           *evkBinding // nil unless WithEvkCache was passed
+	cfg      ContextConfig          // resolved configuration (defaults applied)
+	lit      ckks.ParametersLiteral // what params was compiled from
+	params   *ckks.Parameters
+	encoder  *ckks.Encoder
+	sk       *ckks.SecretKey
+	pk       *ckks.PublicKey
+	enc      *ckks.Encryptor
+	dec      *ckks.Decryptor
+	keys     *ckks.EvaluationKeySet
+	eval     *ckks.Evaluator
+	observer *Observer   // nil unless WithObserver was passed
+	evk      *evkBinding // nil unless WithEvkCache was passed
 }
 
 // Ciphertext is an encrypted vector of complex values.
@@ -114,9 +115,9 @@ func (c *Ciphertext) Scale() float64 {
 // ready-to-use context. The compiled parameter set is shared: contexts whose
 // configurations differ at most in Seed hold one read-only copy of the prime
 // chains and ring and evaluator tables, compiled by whichever came first and
-// kept while any of them is live. Options are applied on top of cfg (last
-// writer wins): NewContext(fast.DefaultConfig(), fast.WithParallelism(4),
-// fast.WithDefaultMethod(fast.KLSS)).
+// kept while any of them is live. A zero cfg (LogN 0) means DefaultConfig().
+// Options attach an observer or a shared evk cache, or override
+// cfg.Parallelism: NewContext(fast.DefaultConfig(), fast.WithParallelism(4)).
 func NewContext(cfg ContextConfig, opts ...Option) (*Context, error) {
 	cfg, settings, err := resolveConfig(cfg, opts)
 	if err != nil {
@@ -130,22 +131,17 @@ func NewContext(cfg ContextConfig, opts ...Option) (*Context, error) {
 	return buildContext(cfg, settings, lit, params, nil)
 }
 
-// resolveConfig applies options on top of cfg, fills defaults and validates
-// the cross-field invariants shared by fresh construction and snapshot
-// restoration. The returned cfg is fully resolved: compiling it again yields
-// the identical parameter set, which is why it can be embedded verbatim in a
-// session snapshot.
+// resolveConfig substitutes DefaultConfig for a zero cfg, applies options on
+// top, fills defaults and validates. The returned cfg is fully resolved:
+// compiling it again yields the identical parameter set, which is why it can
+// be embedded verbatim in a session snapshot.
 func resolveConfig(cfg ContextConfig, opts []Option) (ContextConfig, contextSettings, error) {
-	settings := contextSettings{cfg: &cfg, defaultMethod: Hybrid}
-	for _, o := range opts {
-		o(&settings)
-	}
 	if cfg.LogN == 0 {
 		cfg = DefaultConfig()
-		settings.cfg = &cfg
-		for _, o := range opts {
-			o(&settings)
-		}
+	}
+	settings := contextSettings{cfg: &cfg}
+	for _, o := range opts {
+		o(&settings)
 	}
 	if cfg.LogSlots == 0 {
 		cfg.LogSlots = cfg.LogN - 1
@@ -158,9 +154,6 @@ func resolveConfig(cfg ContextConfig, opts []Option) (ContextConfig, contextSett
 	}
 	if cfg.Levels < 1 {
 		return cfg, settings, fmt.Errorf("fast: need at least one multiplicative level: %w", ErrInvalidParameters)
-	}
-	if settings.defaultMethod == KLSS && !cfg.EnableKLSS {
-		return cfg, settings, fmt.Errorf("fast: WithDefaultMethod(KLSS) requires EnableKLSS: %w", ErrMethodUnavailable)
 	}
 	return cfg, settings, nil
 }
@@ -236,8 +229,7 @@ func KeygenUnits(cfg ContextConfig) float64 {
 // encryption randomness; epoch 0 is the fresh-construction stream.
 func buildContext(cfg ContextConfig, settings contextSettings, lit ckks.ParametersLiteral,
 	params *ckks.Parameters, snap *SessionSnapshot) (*Context, error) {
-	ctx := &Context{cfg: cfg, lit: lit, params: params, defaultMethod: settings.defaultMethod,
-		observer: settings.observer, evk: settings.evk}
+	ctx := &Context{cfg: cfg, lit: lit, params: params, observer: settings.observer, evk: settings.evk}
 	encSeed := params.Seed() + 0x5eed
 	if snap == nil {
 		kgen := ckks.NewKeyGenerator(params)
@@ -271,9 +263,6 @@ func buildContext(cfg ContextConfig, settings contextSettings, lit ckks.Paramete
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.eval.SetMethod(ctx.defaultMethod); err != nil {
-		return nil, err
-	}
 	return ctx, nil
 }
 
@@ -293,11 +282,11 @@ func (c *Context) validate(cts ...*Ciphertext) error {
 	return nil
 }
 
-// settings resolves per-call options against the context default. A
-// WithRequestID tag is folded into the call context here, so option order
-// never matters.
+// settings resolves per-call options; without WithMethod the method is
+// Hybrid. A WithRequestID tag is folded into the call context here, so option
+// order never matters.
 func (c *Context) settings(opts []OpOption) opSettings {
-	s := opSettings{method: c.defaultMethod}
+	var s opSettings
 	for _, o := range opts {
 		o(&s)
 	}
@@ -343,12 +332,6 @@ func (c *Context) SecurityEstimate() float64 { return c.params.SecurityEstimate(
 
 // IsSecure reports whether the estimate clears 128 bits.
 func (c *Context) IsSecure() bool { return c.params.IsSecure() }
-
-// Method returns the default key-switching backend, fixed at construction
-// with WithDefaultMethod. Per-call overrides use WithMethod; there is no
-// runtime mutator (the former SetMethod shim is gone — a mutable process-wide
-// mode cannot coexist with concurrent planned execution).
-func (c *Context) Method() Method { return c.defaultMethod }
 
 // Encrypt encodes and encrypts a vector (padded to the slot count). Safe for
 // concurrent use (the sampler behind the encryptor is serialised).

@@ -48,12 +48,28 @@ func TestTypedErrorsWithErrorsIs(t *testing.T) {
 	})
 
 	t.Run("method unavailable", func(t *testing.T) {
-		if _, err := fast.NewContext(fast.ContextConfig{LogN: 9, Levels: 2}, fast.WithDefaultMethod(fast.KLSS)); !errors.Is(err, fast.ErrMethodUnavailable) {
-			t.Errorf("KLSS without EnableKLSS: got %v, want ErrMethodUnavailable", err)
+		// KLSS runs only where a pin or the plan puts it. On a context
+		// without KLSS keys a program pin fails when the plan is compiled,
+		// and a per-call pin fails at the op.
+		klss := fast.WithMethod(fast.KLSS)
+		plan := func(p *fast.Program) error {
+			_, err := ctx.Plan(p.Return("out"), nil)
+			return err
 		}
-		// Per-call KLSS on a hybrid-only context fails at key lookup time.
-		if _, err := ctx.Mul(ct, ct, fast.WithMethod(fast.KLSS)); !errors.Is(err, fast.ErrMethodUnavailable) {
-			t.Errorf("per-call KLSS: got %v, want ErrMethodUnavailable", err)
+		for name, call := range map[string]func() error{
+			"Plan(mul klss)":       func() error { return plan(fast.NewProgram().In("x").Mul("out", "x", "x", klss)) },
+			"Plan(rotate klss)":    func() error { return plan(fast.NewProgram().In("x").Rotate("out", "x", 1, klss)) },
+			"Plan(conjugate klss)": func() error { return plan(fast.NewProgram().In("x").Conjugate("out", "x", klss)) },
+			"Mul":                  func() error { _, err := ctx.Mul(ct, ct, klss); return err },
+			"Rotate":               func() error { _, err := ctx.Rotate(ct, 1, klss); return err },
+			"RotateHoisted":        func() error { _, err := ctx.RotateHoisted(ct, []int{1}, klss); return err },
+			"Conjugate":            func() error { _, err := ctx.Conjugate(ct, klss); return err },
+		} {
+			t.Run(name, func(t *testing.T) {
+				if err := call(); !errors.Is(err, fast.ErrMethodUnavailable) {
+					t.Errorf("got %v, want ErrMethodUnavailable", err)
+				}
+			})
 		}
 	})
 
@@ -166,7 +182,7 @@ func TestPublicAPINeverPanics(t *testing.T) {
 		"Encrypt(oversized)":  func() error { _, err := ctx.Encrypt(make([]complex128, 1<<20)); return err },
 		"MulConst(ct,NaN)":    func() error { _, err := ctx.MulConst(ct, math.NaN()); return err },
 		"Rotate(ct,unkeyed)":  func() error { _, err := ctx.Rotate(ct, 12345); return err },
-		"InnerSum-batch":      func() error { _, err := ctx.Mul(ct, ct, fast.WithMethod(fast.KLSS)); return err },
+		"Mul(ct,ct,klss)":     func() error { _, err := ctx.Mul(ct, ct, fast.WithMethod(fast.KLSS)); return err },
 		"NewContext(LogN=-1)": func() error { _, err := fast.NewContext(fast.ContextConfig{LogN: -1, Levels: 1}); return err },
 	}
 	for name, call := range calls {

@@ -23,7 +23,9 @@ func main() {
 	for r := 1; r < features; r *= 2 {
 		rots = append(rots, r)
 	}
-	ctx, err := fast.NewContext(fast.DefaultConfig(), fast.WithRotations(rots...))
+	cfg := fast.DefaultConfig()
+	cfg.Rotations = rots
+	ctx, err := fast.NewContext(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,9 +34,9 @@ func main() {
 	// WithParallelism(-1) fans each operation's limb-level kernels (ModUp
 	// NTTs, BConv, KeyMult lanes) out across all cores — the right knob for
 	// a single latency-sensitive stream like this mat-vec.
-	ctx, err := fast.NewContext(fast.DefaultConfig(),
-		fast.WithRotations(rotations...),
-		fast.WithParallelism(-1))
+	cfg := fast.DefaultConfig()
+	cfg.Rotations = rotations
+	ctx, err := fast.NewContext(cfg, fast.WithParallelism(-1))
 	if err != nil {
 		log.Fatal(err)
 	}

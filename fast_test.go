@@ -207,9 +207,6 @@ func TestContextValidation(t *testing.T) {
 	if ctx.SupportsKLSS() {
 		t.Error("KLSS should be disabled")
 	}
-	if _, err := NewContext(cfg, WithDefaultMethod(KLSS)); err == nil {
-		t.Error("expected error selecting disabled backend as default")
-	}
 	x := make([]complex128, ctx.Slots())
 	cx, _ := ctx.Encrypt(x)
 	if _, err := ctx.Rotate(cx, 1, WithMethod(KLSS)); err == nil {

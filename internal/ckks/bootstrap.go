@@ -282,7 +282,7 @@ func (bt *Bootstrapper) subSum(cc *cancelCheck, ct *Ciphertext) (*Ciphertext, er
 	// and the result is new even when there is no rung (full packing).
 	acc := ev.copyCiphertext(ct, poolResult)
 	for i := bt.params.Slots(); i < bt.params.N()/2; i <<= 1 {
-		rot, err := ev.rotate(cc, acc, i, ev.Method(), poolResult)
+		rot, err := ev.rotate(cc, acc, i, Hybrid, poolResult)
 		if err != nil {
 			ev.recycle(acc)
 			return nil, err
@@ -312,7 +312,7 @@ func (bt *Bootstrapper) coeffToSlot(cc *cancelCheck, ct *Ciphertext) ([]*Ciphert
 	if err != nil {
 		return nil, err
 	}
-	conj, err := ev.conjugate(cc, slots, ev.Method(), poolResult)
+	conj, err := ev.conjugate(cc, slots, Hybrid, poolResult)
 	if err != nil {
 		ev.recycle(slots)
 		return nil, err
@@ -407,7 +407,7 @@ func (bt *Bootstrapper) evalMod(cc *cancelCheck, ct *Ciphertext, anchor float64)
 		}
 		z = next
 	}
-	conj, err := ev.conjugate(cc, z, ev.Method(), poolResult)
+	conj, err := ev.conjugate(cc, z, Hybrid, poolResult)
 	if err != nil {
 		ev.recycle(z)
 		return nil, err
@@ -431,7 +431,7 @@ func (bt *Bootstrapper) unpackSlots(cc *cancelCheck, parts []*Ciphertext) (*Ciph
 	if err != nil || len(parts) == 2 {
 		return acc, err
 	}
-	rot, err := ev.rotate(cc, acc, bt.params.Slots(), ev.Method(), poolResult)
+	rot, err := ev.rotate(cc, acc, bt.params.Slots(), Hybrid, poolResult)
 	if err != nil {
 		ev.recycle(acc)
 		return nil, err

@@ -131,7 +131,7 @@ func TestBootstrapRefreshesCiphertext(t *testing.T) {
 	t.Logf("bootstrap: restored to level %d with max error %.3g", refreshed.Level, maxErr(got, values))
 
 	// The refreshed ciphertext must support further computation.
-	prod, err := tc.eval.MulRelin(refreshed, refreshed)
+	prod, err := tc.eval.MulRelinWith(refreshed, refreshed, Hybrid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"github.com/fastfhe/fast/internal/obs"
 )
@@ -49,9 +50,9 @@ func newTestContext(t *testing.T) *testContext {
 	if err != nil {
 		t.Fatalf("GenEvaluationKeySet: %v", err)
 	}
-	tc.eval, err = NewEvaluator(params, tc.keys)
+	tc.eval, err = NewEvaluatorOptions(params, tc.keys, EvaluatorOptions{})
 	if err != nil {
-		t.Fatalf("NewEvaluator: %v", err)
+		t.Fatalf("NewEvaluatorOptions: %v", err)
 	}
 	sharedCtx = tc
 	return tc
@@ -256,13 +257,89 @@ func TestCMultAndAddConst(t *testing.T) {
 	}
 }
 
+// Property: homomorphic addition commutes and is compatible with plaintext
+// addition across random vectors (quick-check over the functional layer).
+func TestAdditionPropertyQuick(t *testing.T) {
+	tc := newTestContext(t)
+	n := tc.params.Slots()
+	f := func(seedA, seedB int64) bool {
+		a := randomValues(n, seedA)
+		b := randomValues(n, seedB)
+		pa, _ := tc.enc.Encode(a)
+		pb, _ := tc.enc.Encode(b)
+		ca, _ := tc.encr.Encrypt(pa)
+		cb, _ := tc.encr.Encrypt(pb)
+		ab, err := tc.eval.Add(ca, cb)
+		if err != nil {
+			return false
+		}
+		ba, err := tc.eval.Add(cb, ca)
+		if err != nil {
+			return false
+		}
+		gab := tc.enc.Decode(tc.decr.Decrypt(ab))
+		gba := tc.enc.Decode(tc.decr.Decrypt(ba))
+		for i := range a {
+			if absc(gab[i]-gba[i]) > 1e-6 || absc(gab[i]-(a[i]+b[i])) > 1e-3 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Property: scalar multiplication distributes over addition.
+func TestDistributivityQuick(t *testing.T) {
+	tc := newTestContext(t)
+	n := tc.params.Slots()
+	f := func(seed int64, kRaw uint8) bool {
+		k := float64(kRaw%9)/4 - 1 // constants in [-1, 1]
+		a := randomValues(n, seed)
+		b := randomValues(n, seed+1)
+		pa, _ := tc.enc.Encode(a)
+		pb, _ := tc.enc.Encode(b)
+		ca, _ := tc.encr.Encrypt(pa)
+		cb, _ := tc.encr.Encrypt(pb)
+
+		sum, err := tc.eval.Add(ca, cb)
+		if err != nil {
+			return false
+		}
+		lhs, err := tc.eval.MulConst(sum, k)
+		if err != nil {
+			return false
+		}
+		ka, err := tc.eval.MulConst(ca, k)
+		if err != nil {
+			return false
+		}
+		kb, err := tc.eval.MulConst(cb, k)
+		if err != nil {
+			return false
+		}
+		rhs, err := tc.eval.Add(ka, kb)
+		if err != nil {
+			return false
+		}
+		gl := tc.enc.Decode(tc.decr.Decrypt(lhs))
+		gr := tc.enc.Decode(tc.decr.Decrypt(rhs))
+		for i := range a {
+			if absc(gl[i]-gr[i]) > 1e-4 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 4}); err != nil {
+		t.Error(err)
+	}
+}
+
 func testHMult(t *testing.T, method KeySwitchMethod) {
 	tc := newTestContext(t)
-	if err := tc.eval.SetMethod(method); err != nil {
-		t.Fatalf("SetMethod: %v", err)
-	}
-	defer tc.eval.SetMethod(Hybrid)
-
 	a := randomValues(tc.params.Slots(), 11)
 	b := randomValues(tc.params.Slots(), 12)
 	pa, _ := tc.enc.Encode(a)
@@ -270,9 +347,9 @@ func testHMult(t *testing.T, method KeySwitchMethod) {
 	ca, _ := tc.encr.Encrypt(pa)
 	cb, _ := tc.encr.Encrypt(pb)
 
-	prod, err := tc.eval.MulRelin(ca, cb)
+	prod, err := tc.eval.MulRelinWith(ca, cb, method)
 	if err != nil {
-		t.Fatalf("MulRelin: %v", err)
+		t.Fatalf("MulRelinWith: %v", err)
 	}
 	prod, err = tc.eval.Rescale(prod)
 	if err != nil {
@@ -292,18 +369,13 @@ func TestHMultKLSS(t *testing.T)   { testHMult(t, KLSS) }
 
 func testHRot(t *testing.T, method KeySwitchMethod) {
 	tc := newTestContext(t)
-	if err := tc.eval.SetMethod(method); err != nil {
-		t.Fatalf("SetMethod: %v", err)
-	}
-	defer tc.eval.SetMethod(Hybrid)
-
 	n := tc.params.Slots()
 	a := randomValues(n, 13)
 	pa, _ := tc.enc.Encode(a)
 	ca, _ := tc.encr.Encrypt(pa)
 
 	for _, r := range []int{1, -1, 4} {
-		rot, err := tc.eval.Rotate(ca, r)
+		rot, err := tc.eval.RotateWith(ca, r, method)
 		if err != nil {
 			t.Fatalf("Rotate(%d): %v", r, err)
 		}
@@ -325,7 +397,7 @@ func TestConjugate(t *testing.T) {
 	a := randomValues(tc.params.Slots(), 14)
 	pa, _ := tc.enc.Encode(a)
 	ca, _ := tc.encr.Encrypt(pa)
-	conj, err := tc.eval.Conjugate(ca)
+	conj, err := tc.eval.ConjugateWith(ca, Hybrid)
 	if err != nil {
 		t.Fatalf("Conjugate: %v", err)
 	}
@@ -340,20 +412,15 @@ func TestConjugate(t *testing.T) {
 
 func testHoistedRotations(t *testing.T, method KeySwitchMethod) {
 	tc := newTestContext(t)
-	if err := tc.eval.SetMethod(method); err != nil {
-		t.Fatalf("SetMethod: %v", err)
-	}
-	defer tc.eval.SetMethod(Hybrid)
-
 	n := tc.params.Slots()
 	a := randomValues(n, 15)
 	pa, _ := tc.enc.Encode(a)
 	ca, _ := tc.encr.Encrypt(pa)
 
 	rots := []int{0, 1, 2, 3, 8}
-	out, err := tc.eval.RotateHoisted(ca, rots)
+	out, err := tc.eval.RotateHoistedWith(ca, rots, method)
 	if err != nil {
-		t.Fatalf("RotateHoisted: %v", err)
+		t.Fatalf("RotateHoistedWith: %v", err)
 	}
 	for _, r := range rots {
 		want := make([]complex128, n)
@@ -375,13 +442,13 @@ func TestHoistedMatchesDirect(t *testing.T) {
 	a := randomValues(tc.params.Slots(), 16)
 	pa, _ := tc.enc.Encode(a)
 	ca, _ := tc.encr.Encrypt(pa)
-	hoisted, err := tc.eval.RotateHoisted(ca, []int{3})
+	hoisted, err := tc.eval.RotateHoistedWith(ca, []int{3}, Hybrid)
 	if err != nil {
-		t.Fatalf("RotateHoisted: %v", err)
+		t.Fatalf("RotateHoistedWith: %v", err)
 	}
-	direct, err := tc.eval.Rotate(ca, 3)
+	direct, err := tc.eval.RotateWith(ca, 3, Hybrid)
 	if err != nil {
-		t.Fatalf("Rotate: %v", err)
+		t.Fatalf("RotateWith: %v", err)
 	}
 	gh := tc.decryptDecode(t, hoisted[3])
 	gd := tc.decryptDecode(t, direct)
@@ -394,9 +461,6 @@ func TestMultiplicativeDepth(t *testing.T) {
 	// Chain multiplications down the modulus chain on both backends.
 	for _, method := range []KeySwitchMethod{Hybrid, KLSS} {
 		tc := newTestContext(t)
-		if err := tc.eval.SetMethod(method); err != nil {
-			t.Fatalf("SetMethod: %v", err)
-		}
 		a := make([]complex128, tc.params.Slots())
 		for i := range a {
 			a[i] = complex(0.9, 0)
@@ -406,9 +470,9 @@ func TestMultiplicativeDepth(t *testing.T) {
 		want := 0.9
 		for depth := 0; depth < 3; depth++ {
 			var err error
-			ct, err = tc.eval.MulRelin(ct, ct)
+			ct, err = tc.eval.MulRelinWith(ct, ct, method)
 			if err != nil {
-				t.Fatalf("depth %d MulRelin: %v", depth, err)
+				t.Fatalf("depth %d MulRelinWith: %v", depth, err)
 			}
 			ct, err = tc.eval.Rescale(ct)
 			if err != nil {
@@ -420,7 +484,6 @@ func TestMultiplicativeDepth(t *testing.T) {
 				t.Fatalf("%v depth %d error %g (got %g want %g)", method, depth, e, real(got[0]), want)
 			}
 		}
-		tc.eval.SetMethod(Hybrid)
 	}
 }
 
@@ -476,15 +539,15 @@ func TestMissingKeyErrors(t *testing.T) {
 	a := randomValues(tc.params.Slots(), 20)
 	pa, _ := tc.enc.Encode(a)
 	ca, _ := tc.encr.Encrypt(pa)
-	if _, err := tc.eval.Rotate(ca, 999); err == nil {
+	if _, err := tc.eval.RotateWith(ca, 999, Hybrid); err == nil {
 		t.Fatal("expected missing-galois-key error")
 	}
 	empty := NewEvaluationKeySet()
-	ev, err := NewEvaluator(tc.params, empty)
+	ev, err := NewEvaluatorOptions(tc.params, empty, EvaluatorOptions{})
 	if err != nil {
-		t.Fatalf("NewEvaluator: %v", err)
+		t.Fatalf("NewEvaluatorOptions: %v", err)
 	}
-	if _, err := ev.MulRelin(ca, ca); err == nil {
+	if _, err := ev.MulRelinWith(ca, ca, Hybrid); err == nil {
 		t.Fatal("expected missing-relin-key error")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/big"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/fastfhe/fast/internal/obs"
@@ -14,20 +13,19 @@ import (
 )
 
 // Evaluator executes homomorphic operations. It owns one KeySwitcher per
-// enabled backend and routes every HMult/HRot through a per-call backend
-// choice (the ...With variants) or the stored default — the hook the Aether
-// planner drives when it assigns a key-switching method per operation (paper
-// §4.1).
+// enabled backend, and every HMult/HRot names the backend it runs through
+// (the ...With and ...Ctx variants) — the hook the Aether planner drives when
+// it assigns a key-switching method per operation (paper §4.1). The pipelines
+// built on it (bootstrap, LinearTransform, EvaluatePoly) run Hybrid.
 //
 // Concurrency: an Evaluator is safe for concurrent use from many goroutines.
-// The default method is stored atomically, the switcher map is immutable
-// after construction, and every hot path draws its scratch polynomials from
+// It holds no per-call state: the switcher map is immutable after
+// construction, and every hot path draws its scratch polynomials from
 // sync.Pool-backed buffer pools sized off the parameter set instead of
 // sharing per-evaluator temporaries.
 type Evaluator struct {
 	params      *Parameters
 	keys        *EvaluationKeySet
-	method      atomic.Int32
 	switcher    map[KeySwitchMethod]*KeySwitcher
 	parallelism int
 	// pool holds ciphertext-shaped buffers (N x full Q chain): every op's
@@ -71,14 +69,9 @@ func (o EvaluatorOptions) workers() int {
 	return o.Parallelism
 }
 
-// NewEvaluator builds an evaluator over the given key set with serial
-// limb-level kernels. The hybrid backend is always available; the KLSS
-// backend is constructed when the parameter set carries an auxiliary chain.
-func NewEvaluator(params *Parameters, keys *EvaluationKeySet) (*Evaluator, error) {
-	return NewEvaluatorOptions(params, keys, EvaluatorOptions{})
-}
-
-// NewEvaluatorOptions builds an evaluator with explicit tuning options.
+// NewEvaluatorOptions builds an evaluator over the given key set. The hybrid
+// backend is always available; the KLSS backend is constructed when the
+// parameter set carries an auxiliary chain.
 func NewEvaluatorOptions(params *Parameters, keys *EvaluationKeySet, opts EvaluatorOptions) (*Evaluator, error) {
 	workers := opts.workers()
 	ev := &Evaluator{
@@ -88,7 +81,6 @@ func NewEvaluatorOptions(params *Parameters, keys *EvaluationKeySet, opts Evalua
 		parallelism: workers,
 		pool:        params.evalPool.Share(),
 	}
-	ev.method.Store(int32(Hybrid))
 	hy, err := NewKeySwitcherWorkers(params, Hybrid, workers)
 	if err != nil {
 		return nil, err
@@ -116,24 +108,6 @@ func NewEvaluatorOptions(params *Parameters, keys *EvaluationKeySet, opts Evalua
 	}
 	return ev, nil
 }
-
-// SetMethod selects the default key-switching backend for subsequent
-// operations that do not pass one explicitly. The store is atomic, so
-// SetMethod is safe to call concurrently — but operations already in flight
-// keep the method they resolved at entry. Prefer the per-call ...With
-// variants (or the fast package's WithMethod option) in concurrent code.
-//
-// Deprecated: use the ...With method variants for per-call selection.
-func (ev *Evaluator) SetMethod(m KeySwitchMethod) error {
-	if _, ok := ev.switcher[m]; !ok {
-		return fmt.Errorf("ckks: evaluator has no %v backend: %w", m, ErrMethodUnavailable)
-	}
-	ev.method.Store(int32(m))
-	return nil
-}
-
-// Method returns the current default key-switching backend.
-func (ev *Evaluator) Method() KeySwitchMethod { return KeySwitchMethod(ev.method.Load()) }
 
 // switcherFor resolves the switcher for a backend.
 func (ev *Evaluator) switcherFor(m KeySwitchMethod) (*KeySwitcher, error) {
@@ -441,14 +415,8 @@ func (ev *Evaluator) addConst(ct *Ciphertext, c float64, mode resultMode) (*Ciph
 	return out, nil
 }
 
-// MulRelin returns a*b with relinearisation through the default backend
-// (HMult). No rescale is performed; the output scale is the product.
-func (ev *Evaluator) MulRelin(a, b *Ciphertext) (*Ciphertext, error) {
-	return ev.MulRelinWith(a, b, ev.Method())
-}
-
-// MulRelinWith is MulRelin with an explicit key-switching backend, enabling
-// stateless per-call method selection under concurrency.
+// MulRelinWith returns a*b relinearised through backend m (HMult). No
+// rescale is performed; the output scale is the product.
 func (ev *Evaluator) MulRelinWith(a, b *Ciphertext, m KeySwitchMethod) (*Ciphertext, error) {
 	return ev.mulRelin(nil, a, b, m, heapResult)
 }
@@ -545,13 +513,8 @@ func (ev *Evaluator) rescaleCC(cc *cancelCheck, ct *Ciphertext, mode resultMode)
 	return out, nil
 }
 
-// Rotate returns ct with its slots cyclically rotated by r (HRot), via the
-// default backend's Galois key.
-func (ev *Evaluator) Rotate(ct *Ciphertext, r int) (*Ciphertext, error) {
-	return ev.RotateWith(ct, r, ev.Method())
-}
-
-// RotateWith is Rotate with an explicit key-switching backend.
+// RotateWith returns ct with its slots cyclically rotated by r (HRot), via
+// backend m's Galois key.
 func (ev *Evaluator) RotateWith(ct *Ciphertext, r int, m KeySwitchMethod) (*Ciphertext, error) {
 	return ev.rotate(nil, ct, r, m, heapResult)
 }
@@ -575,12 +538,8 @@ func (ev *Evaluator) rotate(cc *cancelCheck, ct *Ciphertext, r int, m KeySwitchM
 	return out, err
 }
 
-// Conjugate returns the slot-wise complex conjugate of ct.
-func (ev *Evaluator) Conjugate(ct *Ciphertext) (*Ciphertext, error) {
-	return ev.ConjugateWith(ct, ev.Method())
-}
-
-// ConjugateWith is Conjugate with an explicit key-switching backend.
+// ConjugateWith returns the slot-wise complex conjugate of ct, via backend
+// m's conjugation key.
 func (ev *Evaluator) ConjugateWith(ct *Ciphertext, m KeySwitchMethod) (*Ciphertext, error) {
 	return ev.conjugate(nil, ct, m, heapResult)
 }
@@ -633,14 +592,10 @@ func (ev *Evaluator) automorphism(cc *cancelCheck, ct *Ciphertext, galEl uint64,
 	return out, nil
 }
 
-// RotateHoisted rotates ct by every requested amount, paying the expensive
-// decomposition (ModUp) only once — the hoisting optimisation the FAST
-// accelerator schedules (paper §2.2.3). Results are keyed by rotation amount.
-func (ev *Evaluator) RotateHoisted(ct *Ciphertext, rotations []int) (map[int]*Ciphertext, error) {
-	return ev.RotateHoistedWith(ct, rotations, ev.Method())
-}
-
-// RotateHoistedWith is RotateHoisted with an explicit key-switching backend.
+// RotateHoistedWith rotates ct by every requested amount through backend m,
+// paying the expensive decomposition (ModUp) only once — the hoisting
+// optimisation the FAST accelerator schedules (paper §2.2.3). Results are
+// keyed by rotation amount.
 func (ev *Evaluator) RotateHoistedWith(ct *Ciphertext, rotations []int, m KeySwitchMethod) (map[int]*Ciphertext, error) {
 	return ev.rotateHoisted(nil, ct, rotations, m, heapResult)
 }

@@ -42,9 +42,9 @@ func TestGaloisIndexCacheZeroRecompute(t *testing.T) {
 		t.Fatalf("second keygen computed %d tables, want 0", got-afterKeygen)
 	}
 
-	eval, err := NewEvaluator(params, keys)
+	eval, err := NewEvaluatorOptions(params, keys, EvaluatorOptions{})
 	if err != nil {
-		t.Fatalf("NewEvaluator: %v", err)
+		t.Fatalf("NewEvaluatorOptions: %v", err)
 	}
 	enc := NewEncoder(params)
 	encr := NewEncryptor(params, kgen.GenPublicKey(sk))
@@ -58,11 +58,11 @@ func TestGaloisIndexCacheZeroRecompute(t *testing.T) {
 	// Repeated rotations by the same amounts must not recompute anything:
 	// the keygen pass already warmed the shared cache.
 	for i := 0; i < 5; i++ {
-		if _, err := eval.Rotate(ct, 1); err != nil {
-			t.Fatalf("Rotate: %v", err)
+		if _, err := eval.RotateWith(ct, 1, Hybrid); err != nil {
+			t.Fatalf("RotateWith: %v", err)
 		}
-		if _, err := eval.RotateHoisted(ct, []int{1, 2}); err != nil {
-			t.Fatalf("RotateHoisted: %v", err)
+		if _, err := eval.RotateHoistedWith(ct, []int{1, 2}, Hybrid); err != nil {
+			t.Fatalf("RotateHoistedWith: %v", err)
 		}
 	}
 	if got := params.GaloisIndexComputes(); got != afterKeygen {

@@ -14,10 +14,11 @@ import (
 // backends share the gadget structure (the paper's Fig. 1): the hybrid
 // method runs ModUp → KeyMult → ModDown over the 36-bit special chain P,
 // while the KLSS backend runs the same stages over the 60-bit auxiliary
-// chain T (DoubleDecompose → KeyMult → RecoverLimbs → ModDown), exercising
-// the accelerator's 60-bit datapath. The β·α grouping, gadget selectors and
-// ModDown rounding are identical mathematics; only the chain (and hence the
-// per-kernel operation counts, costmodel.Shape.KeySwitch) differs.
+// chain T with α_T digits, exercising the accelerator's 60-bit datapath (the
+// paper's double decomposition is modelled only in internal/costmodel). The
+// β·α grouping, gadget selectors and ModDown rounding are identical
+// mathematics; only the chain (and hence the per-kernel operation counts,
+// costmodel.Shape.KeySwitch) differs.
 //
 // A KeySwitcher is safe for concurrent use: its ModUp and ModDown tables
 // belong to the parameter shape (shared read-only by every switcher over it,

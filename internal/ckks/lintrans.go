@@ -114,7 +114,6 @@ func (ev *Evaluator) linearTransform(cc *cancelCheck, ct *Ciphertext, lt *Linear
 		return nil, fmt.Errorf("ckks: ciphertext at level %d below transform level %d: %w", ct.Level, lt.level, ErrLevelMismatch)
 	}
 	ct = ct.view(lt.level)
-	method := ev.Method()
 
 	// buckets[g] lists the diagonals g + b (b < bs) applied under giant step g.
 	buckets := map[int][]int{}
@@ -132,7 +131,7 @@ func (ev *Evaluator) linearTransform(cc *cancelCheck, ct *Ciphertext, lt *Linear
 	rotated := map[int]*Ciphertext{}
 	if len(babies) > 0 {
 		var err error
-		if rotated, err = ev.rotateHoisted(cc, ct, babies, method, poolResult); err != nil {
+		if rotated, err = ev.rotateHoisted(cc, ct, babies, Hybrid, poolResult); err != nil {
 			return nil, err
 		}
 	}
@@ -164,7 +163,7 @@ func (ev *Evaluator) linearTransform(cc *cancelCheck, ct *Ciphertext, lt *Linear
 		part, err := ev.mulPlainSum(cts, pts, poolResult)
 		if err == nil && g != 0 {
 			var moved *Ciphertext
-			moved, err = ev.rotate(cc, part, g, method, poolResult)
+			moved, err = ev.rotate(cc, part, g, Hybrid, poolResult)
 			ev.recycle(part)
 			part = moved
 		}

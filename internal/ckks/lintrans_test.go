@@ -34,9 +34,9 @@ func ltKeys(t *testing.T, tc *testContext, lt *LinearTransform) *Evaluator {
 		t.Fatalf("keys: %v", err)
 	}
 	// Relin key needed by nothing here, but evaluator requires the set.
-	ev, err := NewEvaluator(tc.params, keys)
+	ev, err := NewEvaluatorOptions(tc.params, keys, EvaluatorOptions{})
 	if err != nil {
-		t.Fatalf("NewEvaluator: %v", err)
+		t.Fatalf("NewEvaluatorOptions: %v", err)
 	}
 	return ev
 }

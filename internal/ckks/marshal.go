@@ -14,17 +14,16 @@ import (
 
 // Wire format: little-endian, each object prefixed with a one-byte tag and a
 // version byte. Polynomials serialise as (limbs, degree, raw coefficients).
-// Ciphertexts and plaintexts additionally carry level and scale; switching
-// keys carry their method and group count. The format is stable within a
-// major version of this library.
+// Ciphertexts additionally carry level and scale; switching keys carry their
+// method and group count. The format is stable within a major version of this
+// library.
 
 const (
 	wireVersion byte = 1
 
 	tagPoly       byte = 0x01
 	tagCiphertext byte = 0x02
-	tagPlaintext  byte = 0x03
-	tagSwitchKey  byte = 0x04
+	tagSwitchKey  byte = 0x04 // 0x03 was the plaintext tag
 	tagPublicKey  byte = 0x05
 	tagSecretKey  byte = 0x06
 	tagEvalKeys   byte = 0x07
@@ -71,7 +70,7 @@ const (
 var chunkPool = sync.Pool{New: func() any { b := make([]byte, wireChunkBytes); return &b }}
 
 // appendCoeffs appends src as little-endian 64-bit words — the one place
-// coefficients become wire bytes (ciphertexts, plaintexts, keys, snapshots).
+// coefficients become wire bytes (ciphertexts, keys, snapshots).
 func appendCoeffs(dst []byte, src []uint64) []byte {
 	n := len(dst)
 	dst = slices.Grow(dst, 8*len(src))[:n+8*len(src)]
@@ -191,14 +190,14 @@ func parsePoly(b []byte) (ring.Poly, []byte, error) {
 	return p, b[8*limbs*n:], nil
 }
 
-// appendLevelScale appends the head ciphertexts and plaintexts share.
+// appendLevelScale appends a ciphertext's head: tag, version, level and scale.
 func appendLevelScale(dst []byte, tag byte, level int, scale float64) []byte {
 	dst = append(dst, tag, wireVersion)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(level)))
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(scale))
 }
 
-// decodeLevelScale reads the 12 bytes after a ciphertext's or plaintext's header.
+// decodeLevelScale reads the 12 bytes after a ciphertext's tag and version.
 func decodeLevelScale(b []byte) (level int, scale float64) {
 	return int(int32(binary.LittleEndian.Uint32(b))), math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))
 }
@@ -338,32 +337,6 @@ func (ct *Ciphertext) validate(params *Parameters) error {
 		}
 	}
 	return nil
-}
-
-// Serialize writes the plaintext.
-func (pt *Plaintext) Serialize(w io.Writer) error {
-	var hdr [levelScaleLen]byte
-	if _, err := w.Write(appendLevelScale(hdr[:0], tagPlaintext, pt.Level, pt.Scale)); err != nil {
-		return err
-	}
-	return writePoly(w, pt.Value)
-}
-
-// ReadPlaintext deserialises a plaintext.
-func ReadPlaintext(r io.Reader, params *Parameters) (*Plaintext, error) {
-	level, scale, err := readLevelScale(r, tagPlaintext)
-	if err != nil {
-		return nil, err
-	}
-	v, err := readPoly(r)
-	if err != nil {
-		return nil, err
-	}
-	pt := &Plaintext{Value: v, Level: level, Scale: scale}
-	if pt.Level < 0 || pt.Level > params.MaxLevel() || v.Limbs() != pt.Level+1 {
-		return nil, fmt.Errorf("ckks: plaintext shape inconsistent")
-	}
-	return pt, nil
 }
 
 // Serialize writes the public key.

@@ -109,26 +109,6 @@ func TestCiphertextRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestPlaintextRoundTrip(t *testing.T) {
-	tc := newTestContext(t)
-	v := randomValues(tc.params.Slots(), 52)
-	pt, _ := tc.enc.EncodeAtLevel(v, 2, tc.params.Scale())
-	var buf bytes.Buffer
-	if err := pt.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadPlaintext(&buf, tc.params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Level != 2 || !back.Value.Equal(pt.Value) {
-		t.Fatal("plaintext round trip lost data")
-	}
-	if e := maxErr(tc.enc.Decode(back), v); e > 1e-6 {
-		t.Fatalf("decode after round trip error %g", e)
-	}
-}
-
 func TestPublicKeyRoundTrip(t *testing.T) {
 	tc := newTestContext(t)
 	var buf bytes.Buffer
@@ -187,15 +167,14 @@ func TestSwitchingKeyRoundTrip(t *testing.T) {
 		// The restored key must still relinearise correctly.
 		keys2 := NewEvaluationKeySet()
 		keys2.Relin[method] = back
-		ev, err := NewEvaluator(tc.params, keys2)
+		ev, err := NewEvaluatorOptions(tc.params, keys2, EvaluatorOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev.SetMethod(method)
 		v := randomValues(tc.params.Slots(), 54)
 		pt, _ := tc.enc.Encode(v)
 		ct, _ := tc.encr.Encrypt(pt)
-		prod, err := ev.MulRelin(ct, ct)
+		prod, err := ev.MulRelinWith(ct, ct, method)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -318,7 +318,7 @@ func (ev *Evaluator) addConstComplex(ct *Ciphertext, c complex128) (*Ciphertext,
 // mulRescaleCC multiplies and immediately rescales (the evaluation keeps
 // every intermediate near the working scale), into a result per mode.
 func (ev *Evaluator) mulRescaleCC(cc *cancelCheck, a, b *Ciphertext, mode resultMode) (*Ciphertext, error) {
-	p, err := ev.mulRelin(cc, a, b, ev.Method(), poolResult)
+	p, err := ev.mulRelin(cc, a, b, Hybrid, poolResult)
 	if err != nil {
 		return nil, err
 	}

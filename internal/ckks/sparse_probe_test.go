@@ -23,7 +23,7 @@ func TestSparsePackingOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := NewEvaluator(params, keys)
+	ev, err := NewEvaluatorOptions(params, keys, EvaluatorOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestSparsePackingOps(t *testing.T) {
 		t.Fatalf("sparse roundtrip error %g", e)
 	}
 	ct, _ := encr.Encrypt(pt)
-	rot, err := ev.Rotate(ct, 1)
+	rot, err := ev.RotateWith(ct, 1, Hybrid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSparsePackingOps(t *testing.T) {
 		t.Fatalf("sparse rotation error %g: got %v want %v", e, got[:3], want[:3])
 	}
 	// Rotation by n = identity on slots.
-	rotN, err := ev.Rotate(ct, n)
+	rotN, err := ev.RotateWith(ct, n, Hybrid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,21 +74,6 @@ func ForEachLimb(limbs, workers int, fn func(i int)) {
 	})
 }
 
-// forEachLimb is the legacy helper: fan out across all cores.
-func forEachLimb(limbs int, fn func(int)) {
-	ForEachLimb(limbs, -1, fn)
-}
-
-// NTTParallel is NTT with the per-limb transforms distributed across cores.
-func (r *Ring) NTTParallel(p Poly) {
-	r.NTTWorkers(p, -1)
-}
-
-// INTTParallel is INTT with the per-limb transforms distributed across cores.
-func (r *Ring) INTTParallel(p Poly) {
-	r.INTTWorkers(p, -1)
-}
-
 // NTTWorkers is NTT with the per-limb transforms distributed across up to
 // `workers` goroutines (Workers convention).
 func (r *Ring) NTTWorkers(p Poly, workers int) {

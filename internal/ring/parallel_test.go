@@ -11,12 +11,12 @@ func TestParallelNTTMatchesSequential(t *testing.T) {
 	q := p.Clone()
 
 	r.NTT(p)
-	r.NTTParallel(q)
+	r.NTTWorkers(q, -1)
 	if !p.Equal(q) {
 		t.Fatal("parallel NTT differs from sequential")
 	}
 	r.INTT(p)
-	r.INTTParallel(q)
+	r.INTTWorkers(q, -1)
 	if !p.Equal(q) {
 		t.Fatal("parallel INTT differs from sequential")
 	}
@@ -26,8 +26,8 @@ func TestParallelRoundTrip(t *testing.T) {
 	r := testRing(t, 9, 36, 6)
 	p := randPoly(r, 22)
 	orig := p.Clone()
-	r.NTTParallel(p)
-	r.INTTParallel(p)
+	r.NTTWorkers(p, -1)
+	r.INTTWorkers(p, -1)
 	if !p.Equal(orig) {
 		t.Fatal("parallel round trip failed")
 	}
@@ -37,7 +37,7 @@ func TestForEachLimbCoversAll(t *testing.T) {
 	for _, limbs := range []int{1, 3, 4, 7, 16, 33} {
 		var mask [64]int32
 		var count int32
-		forEachLimb(limbs, func(i int) {
+		ForEachLimb(limbs, -1, func(i int) {
 			atomic.AddInt32(&mask[i], 1)
 			atomic.AddInt32(&count, 1)
 		})
@@ -70,6 +70,6 @@ func BenchmarkNTTParallel(b *testing.B) {
 	NewSampler(1).UniformPoly(r, p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.NTTParallel(p)
+		r.NTTWorkers(p, -1)
 	}
 }

@@ -71,9 +71,6 @@ func Concat(a, b *Ring) (*Ring, error) {
 // Level returns the index of the last limb (len-1) of the full chain.
 func (r *Ring) Level() int { return len(r.Moduli) - 1 }
 
-// ModulusProduct returns a copy of the product of all limb moduli.
-func (r *Ring) ModulusProduct() *big.Int { return new(big.Int).Set(r.modProd) }
-
 // ModulusProductAtLevel returns the product q_0*...*q_level.
 func (r *Ring) ModulusProductAtLevel(level int) *big.Int {
 	p := big.NewInt(1)
@@ -303,31 +300,6 @@ func (r *Ring) MulCoeffsThenAdd(a, b, out Poly) {
 		}
 		for j := range oi {
 			oi[j] = m.AddMod(oi[j], m.MulMod(ai[j], bi[j]))
-		}
-	}
-}
-
-// MulScalar sets out = a * scalar.
-func (r *Ring) MulScalar(a Poly, scalar uint64, out Poly) {
-	r.checkShape(a, out)
-	for i, m := range r.Moduli {
-		s := scalar % m.Q
-		sSho := m.ShoupPrecomp(s)
-		ai, oi := a.Coeffs[i], out.Coeffs[i]
-		for j := range oi {
-			oi[j] = m.MulModShoup(ai[j], s, sSho)
-		}
-	}
-}
-
-// AddScalar sets out = a + scalar.
-func (r *Ring) AddScalar(a Poly, scalar uint64, out Poly) {
-	r.checkShape(a, out)
-	for i, m := range r.Moduli {
-		s := scalar % m.Q
-		ai, oi := a.Coeffs[i], out.Coeffs[i]
-		for j := range oi {
-			oi[j] = m.AddMod(ai[j], s)
 		}
 	}
 }

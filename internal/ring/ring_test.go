@@ -39,27 +39,11 @@ func TestRingAddSubNeg(t *testing.T) {
 func TestRingScalarOps(t *testing.T) {
 	r := testRing(t, 6, 36, 2)
 	a := randPoly(r, 3)
-	doubled, sum := r.NewPoly(), r.NewPoly()
-	r.MulScalar(a, 2, doubled)
+	sum, bigDoubled := r.NewPoly(), r.NewPoly()
 	r.Add(a, a, sum)
-	if !doubled.Equal(sum) {
-		t.Fatal("2*a != a+a")
-	}
-	big2 := big.NewInt(2)
-	bigDoubled := r.NewPoly()
-	r.MulScalarBigint(a, big2, bigDoubled)
+	r.MulScalarBigint(a, big.NewInt(2), bigDoubled)
 	if !bigDoubled.Equal(sum) {
 		t.Fatal("bigint 2*a != a+a")
-	}
-	plus := r.NewPoly()
-	r.AddScalar(a, 1, plus)
-	r.Sub(plus, a, plus)
-	for i := range r.Moduli {
-		for j := 0; j < r.N; j++ {
-			if plus.Coeffs[i][j] != 1 {
-				t.Fatal("AddScalar(1) - a != 1")
-			}
-		}
 	}
 }
 
@@ -86,7 +70,7 @@ func TestAtLevel(t *testing.T) {
 	wantProd := new(big.Int).Mul(
 		new(big.Int).SetUint64(r.Moduli[0].Q),
 		new(big.Int).SetUint64(r.Moduli[1].Q))
-	if r2.ModulusProduct().Cmp(wantProd) != 0 {
+	if r2.modProd.Cmp(wantProd) != 0 {
 		t.Error("AtLevel modulus product mismatch")
 	}
 	defer func() {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 
 	"github.com/fastfhe/fast/internal/ckks"
 )
@@ -82,7 +83,7 @@ type SessionMeta struct {
 //
 //	magic   [8]byte  "FASTSNP\x01"
 //	hdrLen  uint32   length of the JSON header
-//	header  []byte   {"meta":..., "config":..., "default_method":...}
+//	header  []byte   {"meta":..., "config":...}
 //	keyLen  uint64   length of the key payload
 //	keys    []byte   sk | pk | evaluation-key set (internal/ckks wire format)
 //	sum     [32]byte SHA-256 over every preceding byte
@@ -99,11 +100,12 @@ const (
 )
 
 // snapshotHeader is the JSON head of a snapshot: everything needed to
-// rebuild the parameter set plus the serving-layer metadata.
+// rebuild the parameter set plus the serving-layer metadata. Members it does
+// not name are ignored, so a header that still carries the retired
+// "default_method" decodes to the same session.
 type snapshotHeader struct {
-	Meta          SessionMeta   `json:"meta"`
-	Config        ContextConfig `json:"config"`
-	DefaultMethod string        `json:"default_method"`
+	Meta   SessionMeta   `json:"meta"`
+	Config ContextConfig `json:"config"`
 }
 
 // SessionSnapshot is a decoded (checksum-verified) session snapshot whose
@@ -111,9 +113,8 @@ type snapshotHeader struct {
 // Meta between DecodeSessionSnapshot and Restore — the restore path bumps
 // Meta.Restores so each restoration gets a fresh encryptor stream.
 type SessionSnapshot struct {
-	Meta          SessionMeta
-	Config        ContextConfig
-	DefaultMethod Method
+	Meta   SessionMeta
+	Config ContextConfig
 
 	keyBytes []byte
 }
@@ -132,11 +133,7 @@ func (c *Context) WriteSessionSnapshot(w io.Writer, meta SessionMeta) error {
 		return fmt.Errorf("fast: context parameters are not derivable from its Config, "+
 			"a snapshot of it could not be restored: %w", ErrInvalidParameters)
 	}
-	hdr, err := json.Marshal(snapshotHeader{
-		Meta:          meta,
-		Config:        c.cfg,
-		DefaultMethod: c.defaultMethod.String(),
-	})
+	hdr, err := json.Marshal(snapshotHeader{Meta: meta, Config: c.cfg})
 	if err != nil {
 		return fmt.Errorf("fast: marshal snapshot header: %w", err)
 	}
@@ -205,16 +202,7 @@ func DecodeSessionSnapshot(data []byte) (*SessionSnapshot, error) {
 		return nil, fmt.Errorf("fast: snapshot key payload length %d does not match %d remaining bytes: %w",
 			keyLen, len(rest), ErrCorruptSnapshot)
 	}
-	method, _, err := ParseMethod(hdr.DefaultMethod)
-	if err != nil {
-		return nil, fmt.Errorf("fast: snapshot default method: %v: %w", err, ErrCorruptSnapshot)
-	}
-	return &SessionSnapshot{
-		Meta:          hdr.Meta,
-		Config:        hdr.Config,
-		DefaultMethod: method,
-		keyBytes:      rest,
-	}, nil
+	return &SessionSnapshot{Meta: hdr.Meta, Config: hdr.Config, keyBytes: rest}, nil
 }
 
 // Restore expands the snapshot into a ready-to-use Context: the parameter
@@ -225,27 +213,23 @@ func DecodeSessionSnapshot(data []byte) (*SessionSnapshot, error) {
 // decode, plus compilation only when no live context shares the
 // configuration; never a keygen.
 //
-// Options may attach an observer or shared evk cache and override the
-// default key-switching method; options that would alter the parameter description
-// (WithRotations, WithKLSS, WithSeed, WithParallelism...) are rejected with
-// ErrInvalidParameters, because the persisted keys were generated for
-// exactly the embedded configuration.
+// Options may attach an observer or a shared evk cache. WithParallelism, the
+// one option that alters the configuration, is rejected with
+// ErrInvalidParameters unless it restates the embedded value, because the
+// persisted keys were generated for exactly the embedded configuration.
 //
 // The encryptor's deterministic sampler is seeded from Meta.Restores, so
 // each restoration epoch draws a fresh randomness stream (see SessionMeta).
 func (s *SessionSnapshot) Restore(opts ...Option) (*Context, error) {
 	cfg := s.Config
-	cfg.Rotations = append([]int(nil), s.Config.Rotations...)
-	settings := contextSettings{cfg: &cfg, defaultMethod: s.DefaultMethod}
+	cfg.Rotations = slices.Clone(s.Config.Rotations)
+	settings := contextSettings{cfg: &cfg}
 	for _, o := range opts {
 		o(&settings)
 	}
 	if !reflect.DeepEqual(cfg, s.Config) {
 		return nil, fmt.Errorf("fast: config-mutating options are invalid on snapshot restore "+
 			"(keys were generated for the persisted config): %w", ErrInvalidParameters)
-	}
-	if settings.defaultMethod == KLSS && !cfg.EnableKLSS {
-		return nil, fmt.Errorf("fast: WithDefaultMethod(KLSS) requires EnableKLSS: %w", ErrMethodUnavailable)
 	}
 	lit := parametersLiteral(cfg)
 	params, err := ckks.NewParameters(lit)

@@ -4,23 +4,23 @@ import "context"
 
 // This file defines the functional-options surface of the package:
 //
-//   - Option configures NewContext (context-wide settings such as the
-//     limb-parallelism budget or the default key-switching method).
+//   - Option attaches what a Context is built with but ContextConfig does not
+//     describe: an observer or a shared evk cache. WithParallelism is the one
+//     Option that sets a ContextConfig field.
 //   - OpOption configures a single operation call (per-call method selection,
-//     rescale suppression), making method choice stateless so one Context can
-//     serve many goroutines with different methods concurrently.
+//     rescale suppression). There is no context-wide method: an op runs KLSS
+//     only when WithMethod (or its plan) says so, and hybrid otherwise.
 
-// Option configures a Context at construction time. Options are applied on
-// top of the ContextConfig passed to NewContext, last writer wins.
+// Option configures a Context at construction time, on top of the
+// ContextConfig passed to NewContext.
 type Option func(*contextSettings)
 
 // contextSettings collects option-driven knobs that sit outside the
 // parameter-set description in ContextConfig.
 type contextSettings struct {
-	cfg           *ContextConfig
-	defaultMethod Method
-	observer      *Observer
-	evk           *evkBinding // shared evk tier subscription (WithEvkCache)
+	cfg      *ContextConfig
+	observer *Observer
+	evk      *evkBinding // shared evk tier subscription (WithEvkCache)
 }
 
 // WithParallelism caps the number of worker goroutines each homomorphic
@@ -41,12 +41,6 @@ func WithParallelism(n int) Option {
 	return func(s *contextSettings) { s.cfg.Parallelism = n }
 }
 
-// WithDefaultMethod sets the key-switching backend used by operations that do
-// not pass an explicit WithMethod option. The default default is Hybrid.
-func WithDefaultMethod(m Method) Option {
-	return func(s *contextSettings) { s.defaultMethod = m }
-}
-
 // WithObserver attaches an observability substrate to the context: every
 // homomorphic operation updates per-op counters and latency histograms
 // (split by key-switching backend), the key switchers record their
@@ -58,27 +52,6 @@ func WithDefaultMethod(m Method) Option {
 // Write*/Handler surface.
 func WithObserver(ob *Observer) Option {
 	return func(s *contextSettings) { s.observer = ob }
-}
-
-// WithRotations replaces the set of rotation amounts Galois keys are
-// generated for.
-func WithRotations(rotations ...int) Option {
-	return func(s *contextSettings) { s.cfg.Rotations = rotations }
-}
-
-// WithConjugation toggles generation of the conjugation key.
-func WithConjugation(enabled bool) Option {
-	return func(s *contextSettings) { s.cfg.Conjugation = enabled }
-}
-
-// WithKLSS toggles generation of the 60-bit-chain keys for the KLSS backend.
-func WithKLSS(enabled bool) Option {
-	return func(s *contextSettings) { s.cfg.EnableKLSS = enabled }
-}
-
-// WithSeed fixes the randomness seed.
-func WithSeed(seed int64) Option {
-	return func(s *contextSettings) { s.cfg.Seed = seed }
 }
 
 // OpOption configures a single homomorphic operation call. Accepted by
@@ -94,7 +67,7 @@ type opSettings struct {
 }
 
 // WithMethod routes this one operation through the given key-switching
-// backend, overriding the context default. WithMethod mutates no shared
+// backend; without it the operation runs Hybrid. WithMethod mutates no shared
 // state: two goroutines can evaluate with different methods on the same
 // Context at the same time, which is exactly what the Aether planner's
 // per-operation method assignment (paper §4.1) needs.

@@ -30,8 +30,7 @@ type PlanDecision struct {
 	// Method is the key-switching backend the node executes with.
 	Method Method `json:"method"`
 	// Pinned reports that Method was fixed before the planner ran (an explicit
-	// per-op method in the program, or a Plan-wide default from
-	// PlanWithDefaultMethod) rather than chosen by the cost model.
+	// per-op method in the program) rather than chosen by the cost model.
 	Pinned bool `json:"pinned"`
 	// Group identifies the hoisted rotation group the node belongs to
 	// (-1 for non-rotations). Nodes sharing a Group share one ModUp.
@@ -80,44 +79,25 @@ type Plan struct {
 	fingerprint string
 }
 
-// planConfig collects PlanOption knobs.
-type planConfig struct {
-	pinDefault *Method
-}
-
-// PlanOption configures Context.Plan.
-type PlanOption func(*planConfig)
-
-// PlanWithDefaultMethod pins every op that does not carry an explicit method
-// to m instead of letting the whole-program planner choose ("no method"
-// then means m, e.g. the context's default, not the cost model's pick).
-// Hoist-group detection still applies; only the method selection is disabled.
-func PlanWithDefaultMethod(m Method) PlanOption {
-	return func(pc *planConfig) { pc.pinDefault = &m }
-}
-
 // Plan compiles a program against the context. inputLevels gives the level of
 // each input ciphertext (missing entries assume the context's maximum level —
 // pass the actual levels, the method decisions and unit weights depend on
 // them). The returned Plan can be inspected (Decisions, Units) and executed
 // (Execute, ExecuteBatch, ExecuteSequential).
 //
+// The plan is the one owner of which key-switch method each op runs: an op's
+// pin (WithMethod in the builder, "method" on the wire) or else
+// aether.PlanSites' verdict at this context's shape.
+//
 // Compilation performs Program.Validate plus plan-time checks: level
 // exhaustion along the propagated DAG and pinned-KLSS on a context built
 // without EnableKLSS.
-func (c *Context) Plan(prog *Program, inputLevels map[string]int, opts ...PlanOption) (*Plan, error) {
+func (c *Context) Plan(prog *Program, inputLevels map[string]int) (*Plan, error) {
 	if prog == nil {
 		return nil, fmt.Errorf("nil program: %w", ErrInvalidProgram)
 	}
 	if err := prog.Validate(); err != nil {
 		return nil, err
-	}
-	var pc planConfig
-	for _, o := range opts {
-		o(&pc)
-	}
-	if pc.pinDefault != nil && *pc.pinDefault == KLSS && !c.SupportsKLSS() {
-		return nil, fmt.Errorf("fast: PlanWithDefaultMethod(KLSS) on a context without EnableKLSS: %w", ErrMethodUnavailable)
 	}
 
 	maxL := c.MaxLevel()
@@ -168,15 +148,10 @@ func (c *Context) Plan(prog *Program, inputLevels map[string]int, opts ...PlanOp
 			}
 			n.levelOut = n.levelIn - 1
 		}
-		if n.keySwitches() {
-			switch {
-			case op.MethodPinned:
-				n.method, n.pinned = op.Method, true
-				if op.Method == KLSS && !c.SupportsKLSS() {
-					return nil, fmt.Errorf("op %d (%s): pinned method klss: %w", i, op.Op, ErrMethodUnavailable)
-				}
-			case pc.pinDefault != nil:
-				n.method, n.pinned = *pc.pinDefault, true
+		if n.keySwitches() && op.MethodPinned {
+			n.method, n.pinned = op.Method, true
+			if op.Method == KLSS && !c.SupportsKLSS() {
+				return nil, fmt.Errorf("op %d (%s): pinned method klss: %w", i, op.Op, ErrMethodUnavailable)
 			}
 		}
 		def[op.Out] = i
@@ -258,24 +233,20 @@ func (c *Context) Plan(prog *Program, inputLevels map[string]int, opts ...PlanOp
 	for k := range p.decisions {
 		p.decisions[k].Method = p.nodes[p.decisions[k].Node].method
 	}
-	p.fingerprint = planFingerprint(p.prog, p.inputLevels, pc)
+	p.fingerprint = planFingerprint(p.prog, p.inputLevels)
 	return p, nil
 }
 
 // PlanFingerprint computes the fingerprint Plan would assign for (prog,
-// inputLevels, opts) WITHOUT compiling: missing input levels resolve to the
+// inputLevels) WITHOUT compiling: missing input levels resolve to the
 // context's maximum level exactly as Plan resolves them, so the returned key
 // equals plan.Fingerprint() of the corresponding Plan call. Serving layers use
 // it as a cache key to skip recompilation of hot programs; it performs no
 // validation, so an invalid program still hashes (and its Plan still fails).
 // The fingerprint does not cover context parameters — cache per context.
-func (c *Context) PlanFingerprint(prog *Program, inputLevels map[string]int, opts ...PlanOption) string {
+func (c *Context) PlanFingerprint(prog *Program, inputLevels map[string]int) string {
 	if prog == nil {
 		return ""
-	}
-	var pc planConfig
-	for _, o := range opts {
-		o(&pc)
 	}
 	maxL := c.MaxLevel()
 	resolved := make(map[string]int, len(prog.inputs))
@@ -286,15 +257,15 @@ func (c *Context) PlanFingerprint(prog *Program, inputLevels map[string]int, opt
 		}
 		resolved[in] = lvl
 	}
-	return planFingerprint(prog, resolved, pc)
+	return planFingerprint(prog, resolved)
 }
 
-// planFingerprint hashes the program text, the resolved input levels and
-// the plan-wide default into a stable identifier correlating observer records
-// (Observer.PlanRecords, aether.decision.* tallies) with a program run.
-// Shared by Plan and Context.PlanFingerprint so cache keys computed before
-// compilation match the fingerprints stamped on compiled plans.
-func planFingerprint(prog *Program, inputLevels map[string]int, pc planConfig) string {
+// planFingerprint hashes the program text and the resolved input levels into
+// a stable identifier correlating observer records (Observer.PlanRecords,
+// aether.decision.* tallies) with a program run. Shared by Plan and
+// Context.PlanFingerprint so cache keys computed before compilation match the
+// fingerprints stamped on compiled plans.
+func planFingerprint(prog *Program, inputLevels map[string]int) string {
 	h := fnv.New64a()
 	if raw, err := json.Marshal(prog); err == nil {
 		_, _ = h.Write(raw)
@@ -306,9 +277,6 @@ func planFingerprint(prog *Program, inputLevels map[string]int, pc planConfig) s
 	sort.Strings(names)
 	for _, in := range names {
 		fmt.Fprintf(h, "|%s@%d", in, inputLevels[in])
-	}
-	if pc.pinDefault != nil {
-		fmt.Fprintf(h, "|pin:%s", pc.pinDefault.String())
 	}
 	return fmt.Sprintf("plan-%016x", h.Sum64())
 }
@@ -328,8 +296,8 @@ func (p *Plan) Decisions() []PlanDecision {
 	return append([]PlanDecision(nil), p.decisions...)
 }
 
-// Fingerprint returns a stable identifier for (program, input levels, plan
-// options); observer plan records carry it so metrics correlate to a run.
+// Fingerprint returns a stable identifier for (program, input levels);
+// observer plan records carry it so metrics correlate to a run.
 func (p *Plan) Fingerprint() string { return p.fingerprint }
 
 // HoistGroups returns the rotation fan-out groups the planner detected: each
@@ -338,15 +306,6 @@ func (p *Plan) HoistGroups() [][]int {
 	out := make([][]int, len(p.groups))
 	for i, g := range p.groups {
 		out[i] = append([]int(nil), g...)
-	}
-	return out
-}
-
-// InputLevels returns the input levels the plan was compiled for.
-func (p *Plan) InputLevels() map[string]int {
-	out := make(map[string]int, len(p.inputLevels))
-	for k, v := range p.inputLevels {
-		out[k] = v
 	}
 	return out
 }

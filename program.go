@@ -25,8 +25,8 @@ const ProgramVersion = 2
 //	rescale      A
 //
 // Every op writes Out. Method/MethodPinned carry the key-switching backend
-// for mul/rotate/conjugate: unpinned ops are decided by the planner (or by
-// the Plan-time default, see PlanWithDefaultMethod). NoRescale suppresses the
+// for mul/rotate/conjugate: a pinned op runs Method, an unpinned one whatever
+// the planner decides for it (Context.Plan). NoRescale suppresses the
 // automatic rescale of the multiplying ops.
 type ProgramOp struct {
 	Op           string

@@ -267,26 +267,24 @@ func TestPlanFingerprintDeterministic(t *testing.T) {
 // TestPlanFingerprintWithoutCompile pins the pre-compilation helper to the
 // compiled plan's fingerprint: the cache key a serving layer computes with
 // Context.PlanFingerprint must equal plan.Fingerprint() for every level
-// resolution path (explicit, missing-defaults-to-max) and plan option.
+// resolution path (explicit, missing-defaults-to-max).
 func TestPlanFingerprintWithoutCompile(t *testing.T) {
 	ctx := sharedConcCtx(t)
 	p := validProgram()
 	cases := []struct {
 		name   string
 		levels map[string]int
-		opts   []PlanOption
 	}{
-		{"nil levels", nil, nil},
-		{"explicit levels", map[string]int{"x": 2, "y": 2}, nil},
-		{"partial levels default to max", map[string]int{"x": 1}, nil},
-		{"pinned default method", nil, []PlanOption{PlanWithDefaultMethod(Hybrid)}},
+		{"nil levels", nil},
+		{"explicit levels", map[string]int{"x": 2, "y": 2}},
+		{"partial levels default to max", map[string]int{"x": 1}},
 	}
 	for _, tc := range cases {
-		plan, err := ctx.Plan(p, tc.levels, tc.opts...)
+		plan, err := ctx.Plan(p, tc.levels)
 		if err != nil {
 			t.Fatalf("%s: Plan: %v", tc.name, err)
 		}
-		if got := ctx.PlanFingerprint(p, tc.levels, tc.opts...); got != plan.Fingerprint() {
+		if got := ctx.PlanFingerprint(p, tc.levels); got != plan.Fingerprint() {
 			t.Fatalf("%s: PlanFingerprint %s != compiled %s", tc.name, got, plan.Fingerprint())
 		}
 	}
@@ -315,28 +313,7 @@ func TestPlanErrors(t *testing.T) {
 	if _, err := ctx.Plan(NewProgram(), nil); !errors.Is(err, ErrInvalidProgram) {
 		t.Fatalf("empty program: got %v, want ErrInvalidProgram", err)
 	}
-
-	// PlanWithDefaultMethod(KLSS) on a KLSS-enabled context is fine...
-	if _, err := ctx.Plan(validProgram(), nil, PlanWithDefaultMethod(KLSS)); err != nil {
-		t.Fatalf("KLSS default on KLSS context: %v", err)
-	}
-	// ...but a KLSS pin on a context without KLSS keys is a plan-time error.
-	cfg := DefaultConfig()
-	cfg.LogN = 9
-	cfg.Levels = 2
-	cfg.Rotations = []int{1}
-	cfg.EnableKLSS = false
-	small, err := NewContext(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned := NewProgram().In("x").Rotate("out", "x", 1, WithMethod(KLSS)).Return("out")
-	if _, err := small.Plan(pinned, nil); !errors.Is(err, ErrMethodUnavailable) {
-		t.Fatalf("pinned KLSS without keys: got %v, want ErrMethodUnavailable", err)
-	}
-	if _, err := small.Plan(validProgram(), nil, PlanWithDefaultMethod(KLSS)); !errors.Is(err, ErrMethodUnavailable) {
-		t.Fatalf("KLSS default without keys: got %v, want ErrMethodUnavailable", err)
-	}
+	// A KLSS pin on a context without KLSS keys: TestTypedErrorsWithErrorsIs.
 }
 
 func TestExecuteValidatesInputs(t *testing.T) {

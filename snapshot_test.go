@@ -6,7 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/cmplx"
+	"reflect"
 	"testing"
 
 	fast "github.com/fastfhe/fast"
@@ -142,15 +142,12 @@ func TestSessionSnapshotRejectsConfigMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Restore(fast.WithSeed(99)); !errors.Is(err, fast.ErrInvalidParameters) {
-		t.Fatalf("WithSeed on restore: err %v, want ErrInvalidParameters", err)
-	}
-	if _, err := s.Restore(fast.WithRotations(2, 3)); !errors.Is(err, fast.ErrInvalidParameters) {
-		t.Fatalf("WithRotations on restore: err %v, want ErrInvalidParameters", err)
+	if _, err := s.Restore(fast.WithParallelism(4)); !errors.Is(err, fast.ErrInvalidParameters) {
+		t.Fatalf("WithParallelism on restore: err %v, want ErrInvalidParameters", err)
 	}
 	// Non-mutating options stay legal.
-	if _, err := s.Restore(fast.WithDefaultMethod(fast.KLSS)); err != nil {
-		t.Fatalf("WithDefaultMethod(KLSS) on KLSS-enabled snapshot: %v", err)
+	if _, err := s.Restore(fast.WithObserver(fast.NewObserver())); err != nil {
+		t.Fatalf("WithObserver on restore: %v", err)
 	}
 }
 
@@ -270,87 +267,152 @@ func ExampleContext_WriteSessionSnapshot() {
 	// Output: s1: 1+2i
 }
 
-// spliceLegacyMetaKey rewrites a well-formed snapshot into the one a build
-// whose SessionMeta still ended in a "fault_scenario" field would have
-// written for the same session: the key appended to the header's meta object
-// (where encoding/json put that struct's last field), hdrLen and the
-// trailing SHA-256 recomputed. Nothing else in the file moves.
-func spliceLegacyMetaKey(t testing.TB, snap []byte, scenario string) []byte {
+// spliceHeader rewrites a well-formed snapshot into the one a build whose
+// header carried one more JSON member would have written for the same
+// session: splice names where in the header the member goes and what it is;
+// hdrLen and the trailing SHA-256 are recomputed. Nothing else in the file
+// moves.
+func spliceHeader(t testing.TB, snap []byte, splice func(hdr []byte) (at int, member string)) []byte {
 	t.Helper()
 	const hdrStart = 8 + 4 // magic, hdrLen
 	hdrLen := int(binary.LittleEndian.Uint32(snap[8:hdrStart]))
-	hdr := snap[hdrStart : hdrStart+hdrLen]
-	metaEnd := bytes.Index(hdr, []byte(`},"config":`))
-	if metaEnd < 0 {
-		t.Fatalf("snapshot header %q has no meta object before config", hdr)
-	}
-	key := `"fault_scenario":"` + scenario + `"`
-	if hdr[metaEnd-1] != '{' {
-		key = "," + key
-	}
-	out := append([]byte(nil), snap[:hdrStart+metaEnd]...)
-	out = append(out, key...)
-	out = append(out, snap[hdrStart+metaEnd:len(snap)-sha256.Size]...)
-	binary.LittleEndian.PutUint32(out[8:hdrStart], uint32(hdrLen+len(key)))
+	at, member := splice(snap[hdrStart : hdrStart+hdrLen])
+	out := append([]byte(nil), snap[:hdrStart+at]...)
+	out = append(out, member...)
+	out = append(out, snap[hdrStart+at:len(snap)-sha256.Size]...)
+	binary.LittleEndian.PutUint32(out[8:hdrStart], uint32(hdrLen+len(member)))
 	sum := sha256.Sum256(out)
 	return append(out, sum[:]...)
 }
 
-// TestSnapshotWithLegacyFaultScenarioRestores: a snapshot written by a build
-// whose SessionMeta still carried fault_scenario must keep restoring — the
-// key is ignored, the keys behind it are the same keys.
-func TestSnapshotWithLegacyFaultScenarioRestores(t *testing.T) {
+// spliceLegacyMetaKey: the snapshot a build whose SessionMeta still ended in
+// a "fault_scenario" field would have written — the key appended to the
+// header's meta object, where encoding/json put that struct's last field.
+func spliceLegacyMetaKey(t testing.TB, snap []byte, scenario string) []byte {
+	t.Helper()
+	return spliceHeader(t, snap, func(hdr []byte) (int, string) {
+		metaEnd := bytes.Index(hdr, []byte(`},"config":`))
+		if metaEnd < 0 {
+			t.Fatalf("snapshot header %q has no meta object before config", hdr)
+		}
+		key := `"fault_scenario":"` + scenario + `"`
+		if hdr[metaEnd-1] != '{' {
+			key = "," + key
+		}
+		return metaEnd, key
+	})
+}
+
+// spliceDefaultMethod: the snapshot a build whose header still ended in the
+// context-wide "default_method" would have written for the same session.
+func spliceDefaultMethod(t testing.TB, snap []byte, method string) []byte {
+	t.Helper()
+	return spliceHeader(t, snap, func(hdr []byte) (int, string) {
+		return len(hdr) - 1, `,"default_method":"` + method + `"`
+	})
+}
+
+// TestLegacySnapshotRestores: snapshots in the formats earlier builds wrote
+// keep restoring. One carried "fault_scenario" in its meta; one named a
+// context-wide "default_method" in its header, hybrid or klss, before the
+// plan became the one owner of the key-switch method. Both members are
+// ignored: the metadata comes back, and decrypts and a Mul on the restored
+// context are byte-identical to the source context's, which runs hybrid
+// unless an op is pinned.
+func TestLegacySnapshotRestores(t *testing.T) {
 	meta := fast.SessionMeta{ID: "s1", CreatedUnixNano: 12345, Restores: 2}
 	ctx, snap := snapshotBytes(t, snapshotTestConfig(), meta)
-	legacy := spliceLegacyMetaKey(t, snap, "transfer")
-	if !bytes.Contains(legacy, []byte(`"restores":2,"fault_scenario":"transfer"},"config":`)) {
-		t.Fatal("splice did not land at the end of the meta object")
+	vals := make([]complex128, ctx.Slots())
+	for i := range vals {
+		vals[i] = complex(0.125*float64(i%7), -0.25*float64(i%3))
 	}
+	ct, err := ctx.Encrypt(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := ct.AppendBinary(nil)
+	wantDec := ctx.Decrypt(ct)
+	wantMul := mulBytes(t, ctx, ct)
 
-	restored, gotMeta, err := fast.ReadSessionSnapshot(bytes.NewReader(legacy))
-	if err != nil {
-		t.Fatalf("restore of a legacy snapshot: %v", err)
+	for _, tc := range []struct {
+		name, landed string
+		legacy       []byte
+	}{
+		{"fault_scenario", `"restores":2,"fault_scenario":"transfer"},"config":`, spliceLegacyMetaKey(t, snap, "transfer")},
+		{"default_method=hybrid", `},"default_method":"hybrid"}`, spliceDefaultMethod(t, snap, "hybrid")},
+		{"default_method=klss", `},"default_method":"klss"}`, spliceDefaultMethod(t, snap, "klss")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if !bytes.Contains(tc.legacy, []byte(tc.landed)) {
+				t.Fatalf("splice did not produce %s", tc.landed)
+			}
+			restored, gotMeta, err := fast.ReadSessionSnapshot(bytes.NewReader(tc.legacy))
+			if err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			if gotMeta != meta {
+				t.Fatalf("meta: got %+v, want %+v", gotMeta, meta)
+			}
+			rct, err := restored.ReadCiphertextBytes(wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, got := range restored.Decrypt(rct) {
+				if got != wantDec[i] {
+					t.Fatalf("slot %d: restored decrypt %v != source %v", i, got, wantDec[i])
+				}
+			}
+			if !bytes.Equal(mulBytes(t, restored, rct), wantMul) {
+				t.Fatal("Mul on the restored context differs from the source context's")
+			}
+		})
 	}
-	if gotMeta != meta {
-		t.Fatalf("meta: got %+v, want %+v", gotMeta, meta)
-	}
-	ct, err := ctx.Encrypt([]complex128{1 + 2i, -0.5i})
+}
+
+// mulBytes is the wire form of ct*ct on ctx.
+func mulBytes(t *testing.T, ctx *fast.Context, ct *fast.Ciphertext) []byte {
+	t.Helper()
+	prod, err := ctx.Mul(ct, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wire bytes.Buffer
-	if err := ct.Serialize(&wire); err != nil {
-		t.Fatal(err)
-	}
-	rct, err := restored.ReadCiphertext(&wire)
+	return prod.AppendBinary(nil)
+}
+
+// TestSessionSnapshotEmptyRotationsRoundTrip: a context built with an empty,
+// non-nil rotation list — what fastd builds from a create carrying
+// "rotations": [] — writes a snapshot that restores to the same config.
+func TestSessionSnapshotEmptyRotationsRoundTrip(t *testing.T) {
+	cfg := snapshotTestConfig()
+	cfg.Rotations = []int{}
+	ctx, snap := snapshotBytes(t, cfg, fast.SessionMeta{ID: "s1"})
+	restored, _, err := fast.ReadSessionSnapshot(bytes.NewReader(snap))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("restore: %v", err)
 	}
-	prod, err := restored.Mul(rct, rct)
-	if err != nil {
-		t.Fatalf("Mul on the restored context: %v", err)
-	}
-	if got := restored.Decrypt(prod)[0]; cmplx.Abs(got-(1+2i)*(1+2i)) > 1e-4 {
-		t.Fatalf("(1+2i)^2 on the restored context = %v", got)
+	if got, want := restored.Config(), ctx.Config(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored Config() = %+v, want %+v", got, want)
 	}
 }
 
 // TestSessionSnapshotGoldenBytes pins the snapshot wire bytes for a fixed
-// seed and metadata. The digest was re-captured when SessionMeta lost its
-// last field (the old golden meta carried "fault_scenario":"none"); splicing
-// that one key back must reproduce the digest pinned before, which ties the
-// two: the format differs by that key and nothing else.
+// seed and metadata. Each re-capture is tied to the digest pinned before it
+// by splicing back what the format lost: the header's trailing
+// "default_method":"hybrid" reproduces the previous golden, and the meta's
+// "fault_scenario":"none" on top of that the one before. The format differs
+// by those members and nothing else.
 func TestSessionSnapshotGoldenBytes(t *testing.T) {
 	meta := fast.SessionMeta{ID: "golden", CreatedUnixNano: 1234567890, Restores: 3}
 	_, snap := snapshotBytes(t, snapshotTestConfig(), meta)
-	const wantLen, wantSum = 1017221, "41a0f1cf35c769f25cf1dd15f3079487d874e923dadceeae3ec92bb26b77fcc6"
-	if got := fmt.Sprintf("%x", sha256.Sum256(snap)); len(snap) != wantLen || got != wantSum {
-		t.Fatalf("snapshot bytes changed: len %d sha256 %s, want len %d sha256 %s", len(snap), got, wantLen, wantSum)
+	check := func(name string, b []byte, wantLen int, wantSum string) {
+		t.Helper()
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != wantLen || got != wantSum {
+			t.Fatalf("%s: len %d sha256 %s, want len %d sha256 %s", name, len(b), got, wantLen, wantSum)
+		}
 	}
-	const legacyLen, legacySum = 1017245, "4768b642afe5686e3ecbbe5f91fd6f7b4db4d0b46146db5813f88bec795ee3ce"
-	legacy := spliceLegacyMetaKey(t, snap, "none")
-	if got := fmt.Sprintf("%x", sha256.Sum256(legacy)); len(legacy) != legacyLen || got != legacySum {
-		t.Fatalf("golden + legacy key: len %d sha256 %s, want the previous golden len %d sha256 %s",
-			len(legacy), got, legacyLen, legacySum)
-	}
+	check("snapshot", snap, 1017195, "8fe150c915b0fefc1ec6dd0490057dfdd889a2c0e7db0cf2d3e82941c3a86ddd")
+	withMethod := spliceDefaultMethod(t, snap, "hybrid")
+	check("golden + default_method", withMethod, 1017221, "41a0f1cf35c769f25cf1dd15f3079487d874e923dadceeae3ec92bb26b77fcc6")
+	check("golden + default_method + fault_scenario", spliceLegacyMetaKey(t, withMethod, "none"),
+		1017245, "4768b642afe5686e3ecbbe5f91fd6f7b4db4d0b46146db5813f88bec795ee3ce")
 }
