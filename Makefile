@@ -63,8 +63,8 @@ race: kernel-path
 # serve loop in-process: real queue overload, disk writes failed through the
 # store's hook, crash/restart and shard kill — accepted responses
 # bit-identical to an in-process reference, refusals typed. internal/shard is
-# the supervisor and ring under fence/kill races. (-short keeps the op count
-# CI-sized; drop it for a deeper soak.)
+# the ring under concurrent kills. (-short keeps the op count CI-sized; drop
+# it for a deeper soak.)
 chaos:
 	$(GO) test -race -short -run 'Chaos|Fault|Resilience|RandomScript|NoisyTenant' . ./internal/hemera ./cmd/fastd ./internal/shard
 
@@ -104,11 +104,13 @@ soak-smoke:
 	$(GO) test -race -run TestSoakSmoke -v ./cmd/fastload
 
 # Shard-failover gate: fastload spawns a race-instrumented 3-shard fastd and
-# fences one shard mid-soak through the chaos endpoint (an in-process SIGKILL:
-# permanent fence, hash-range remap, snapshot failover). Asserts the daemon
-# stays ready, the dead shard's sessions serve bit-identically from survivors,
-# errors stay on the typed ladder, idempotent retries are exactly-once, and
-# the shared evk tier shows cross-shard reuse within its byte budget.
+# fences one shard mid-soak through the chaos endpoint (an in-process SIGKILL,
+# and the only way a shard is fenced: permanent fence, hash-range remap,
+# snapshot failover). Asserts the daemon stays ready, the dead shard's
+# sessions serve bit-identically from survivors, errors stay on the typed
+# ladder, idempotent retries are exactly-once, and the shared evk tier shows
+# cross-shard reuse within its byte budget. The fastd leg adds that a shard
+# whose queue stays full is refused to, never fenced.
 shard-chaos:
 	$(GO) test -race -run TestShardChaosSmoke -v ./cmd/fastload
 	$(GO) test -race -run 'TestShard|TestIdemJournal' -v ./cmd/fastd
@@ -149,7 +151,7 @@ vet: loc
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 
 # Size budget of the serving layer: non-test lines (wc -l, comments included)
-# of cmd/fastd + internal/session. fastd exists to measure the library under
+# of cmd/fastd + internal/session + internal/shard. fastd exists to measure the library under
 # traffic, and it has outgrown that job twice; growing it now takes an edit
 # to FASTD_LOC_MAX, which a reviewer sees, next to the code that needs it.
 #
@@ -187,7 +189,20 @@ vet: loc
 # fastd's keygenUnits (a hard-coded relin + conjugation key, one method,
 # Set-I's α) went for fast.KeygenUnits, and a session's pass weight comes
 # from fast.KeySwitchShape of its resolved config.
-FASTD_LOC_MAX ?= 3158
+#
+# 3158 -> 3224 (ROADMAP 6): a shard is fenced only by the kill endpoint. The
+# gate now counts internal/shard too, so the same tree measured 3158 + 373 =
+# 3531 before the change and 3082 + 142 = 3224 after it (-307). Went: the
+# health-probe supervisor (internal/shard/supervisor.go, 203); Ring.Unfence,
+# Version, Members and the replica-count parameter every caller left at its
+# default (ring.go 170 -> 142); Registry.Unfence (-6); fastd's
+# probeShard, onUnfence and /readyz's per-shard "killed", which always equals
+# "fenced" now (shard.go 197 -> 175); the supervisor wiring, the sup field and
+# the daemonConfig probe and evk-budget fields with their defaults
+# (daemon.go -38, main.go -7, lifecycle.go -3); and four flags that every
+# caller left at their defaults: -shard-probe-interval, -shard-probe-timeout,
+# -shard-fence-threshold and -evk-budget-mb (the tier keeps its 256 MiB).
+FASTD_LOC_MAX ?= 3224
 
 # Size budget of the performance model: non-test lines of the cost model,
 # Aether, the simulator, the traces and workloads, the baselines, perf.go and
@@ -232,8 +247,8 @@ loc:
 	@n=$$(ls $(MODEL_GO) | grep -v _test.go | xargs cat | wc -l); \
 	echo "performance model (costmodel, aether, sim, trace, workloads, baselines, perf.go, cmd/{aether,fastsim}): $$n non-test lines (budget $(MODEL_LOC_MAX))"; \
 	[ $$n -le $(MODEL_LOC_MAX) ]
-	@n=$$(ls cmd/fastd/*.go internal/session/*.go | grep -v _test.go | xargs cat | wc -l); \
-	echo "cmd/fastd + internal/session: $$n non-test lines (budget $(FASTD_LOC_MAX))"; \
+	@n=$$(ls cmd/fastd/*.go internal/session/*.go internal/shard/*.go | grep -v _test.go | xargs cat | wc -l); \
+	echo "cmd/fastd + internal/session + internal/shard: $$n non-test lines (budget $(FASTD_LOC_MAX))"; \
 	[ $$n -le $(FASTD_LOC_MAX) ]
 
 clean:

@@ -22,6 +22,9 @@ import (
 	shardpkg "github.com/fastfhe/fast/internal/shard"
 )
 
+// evkBudget bounds the process-wide shared evaluation-key tier in bytes.
+const evkBudget = 256 << 20
+
 // daemonConfig sizes the serving layer.
 type daemonConfig struct {
 	// Shards is the number of failure-isolated serving lanes behind the one
@@ -56,18 +59,9 @@ type daemonConfig struct {
 	// IdemCap is each session's idempotency window: its last IdemCap keyed
 	// requests are remembered (0 = 512).
 	IdemCap int
-	// EvkBudget bounds the process-wide shared evaluation-key tier in bytes
-	// (0 = 256 MiB; negative disables retention but keeps accounting).
-	EvkBudget int64
-	// ProbeInterval / ProbeTimeout / FenceThreshold drive the shard
-	// supervisor: every ProbeInterval each live shard must execute a no-op
-	// task within ProbeTimeout; FenceThreshold consecutive failures fence the
-	// shard (its sessions fail over to the survivors). Probing only runs with
-	// Shards >= 2 — with one shard there is nowhere to fail over to.
-	ProbeInterval  time.Duration
-	ProbeTimeout   time.Duration
-	FenceThreshold int
-	Observer       *fast.Observer
+	// Observer receives every shard's and session's metrics and spans (nil =
+	// a fresh one).
+	Observer *fast.Observer
 	// Logger receives the JSON access log (one record per request) plus
 	// slow-request warnings. Nil discards all logging.
 	Logger *slog.Logger
@@ -95,18 +89,6 @@ func (c daemonConfig) withDefaults() daemonConfig {
 	if c.IdemCap <= 0 {
 		c.IdemCap = 512
 	}
-	if c.EvkBudget == 0 {
-		c.EvkBudget = 256 << 20
-	}
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = time.Second
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeInterval
-	}
-	if c.FenceThreshold <= 0 {
-		c.FenceThreshold = 5
-	}
 	if c.Observer == nil {
 		c.Observer = fast.NewObserver()
 	}
@@ -132,13 +114,11 @@ type session struct {
 // daemon is the fastd HTTP server: N failure-isolated shards behind one
 // listener, routed by a consistent-hash ring over session IDs, plus the
 // global pieces — the session registry (which also holds the process-wide
-// session budget), the snapshot store, the shared evk tier and the supervisor
-// that fences failed shards.
+// session budget), the snapshot store and the shared evk tier.
 type daemon struct {
 	cfg      daemonConfig
 	shards   []*evalShard
 	ring     *shardpkg.Ring
-	sup      *shardpkg.Supervisor
 	evk      *fast.EvkCache
 	observer *fast.Observer
 	requests *obs.RequestTable
@@ -190,8 +170,8 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		requests: obs.NewRequestTable(reg),
 		logger:   cfg.Logger,
 		sessions: sessreg.New[*session](cfg.MaxSessions, splitResident(cfg.MaxResident, cfg.Shards)),
-		ring:     shardpkg.NewRing(cfg.Shards, 0),
-		evk:      fast.NewEvkCache(cfg.EvkBudget, cfg.Observer),
+		ring:     shardpkg.NewRing(cfg.Shards),
+		evk:      fast.NewEvkCache(evkBudget, cfg.Observer),
 		idem:     map[string]*idemTable{},
 	}
 	if reg != nil {
@@ -224,23 +204,6 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 	for i := range d.shards {
 		d.shards[i] = newEvalShard(d, i)
 	}
-	// The supervisor health-checks shards through their own admission path
-	// and fences the wedged ones. With a single shard there is no survivor to
-	// fail over to, so probing is disabled (Kill still works for tests).
-	var probe func(context.Context, int) error
-	if cfg.Shards > 1 {
-		probe = d.probeShard
-	}
-	d.sup = shardpkg.NewSupervisor(d.ring, shardpkg.SupervisorConfig{
-		Shards:       cfg.Shards,
-		Probe:        probe,
-		Interval:     cfg.ProbeInterval,
-		ProbeTimeout: cfg.ProbeTimeout,
-		Threshold:    cfg.FenceThreshold,
-		OnFence:      d.onFence,
-		OnUnfence:    d.onUnfence,
-		Reg:          reg,
-	})
 	if cfg.StateDir != "" {
 		store, err := openSessionStore(cfg.StateDir, reg, d.logger)
 		if err != nil {
@@ -284,14 +247,13 @@ func (d *daemon) route(id string) (*evalShard, error) {
 	return d.shards[i], nil
 }
 
-// drain gracefully stops the supervisor, every shard's admission layer
-// (bounded by ctx) and the idle sweeper. No final mass-snapshot is needed:
+// drain gracefully stops every shard's admission layer (bounded by ctx) and
+// the idle sweeper. No final mass-snapshot is needed:
 // durability is write-ahead, so whatever is on disk at any instant —
 // graceful drain or SIGKILL — is already a consistent recovery image.
 func (d *daemon) drain(ctx context.Context) error {
 	d.draining.Store(true)
 	d.stopOnce.Do(func() {
-		d.sup.Stop()
 		if d.sweepStop != nil {
 			close(d.sweepStop)
 			<-d.sweepDone

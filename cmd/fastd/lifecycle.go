@@ -22,10 +22,8 @@ import (
 // for one cold session performs one deserialisation.
 //
 // A session is served through whichever shard currently HOLDS it, which is
-// the ring-routed shard in steady state but may be a survivor after its home
-// shard was fenced (and stays the survivor after an unfence, until eviction
-// lets it drift home). Routing by ring alone would either lose track of
-// failed-over residents or snap them back across shards mid-request.
+// the ring-routed shard in steady state and a survivor after its home shard
+// was killed. Once a session is resident, its requests never ask the ring.
 
 // errUnknownSession is the typed miss for a session ID with no resident
 // entry, no snapshot and no tombstone — mapped to 404 by the error ladder.
@@ -46,8 +44,7 @@ func (d *daemon) resolve(id string) (*evalShard, *session, error) {
 			<-v.Wait // another request is already restoring; wait and look again
 		case sessreg.Persisted:
 			// Restore lands on the ring-routed shard — the canonical home among
-			// the currently-live members (after a fence this is a survivor; after
-			// an unfence it is the original home again).
+			// the live members (after a kill, a survivor).
 			sh, err := d.route(id)
 			if err != nil {
 				return nil, nil, err

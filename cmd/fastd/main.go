@@ -25,6 +25,7 @@
 //	POST /v1/sessions/{id}/eval       {inputs, program} -> {ciphertext}; program is a fast.Program v2 object
 //	GET  /debug/requests              in-flight request table (id, phase, age, deadline)
 //	GET  /debug/plans                 retained plan-execution records (batch, request IDs)
+//	POST /debug/shards/{i}/kill       fence shard i for the process lifetime; its sessions fail over
 //	GET  /metrics, /debug/...         observability surface (Prometheus, pprof, traces)
 //
 // Requests may carry an X-Deadline-Ms header; the admission layer sheds
@@ -76,10 +77,6 @@ func run(args []string, stdout io.Writer) error {
 	stateDir := fs.String("state-dir", "", "directory for crash-safe session snapshots and idempotency journals (empty disables durability)")
 	maxResident := fs.Int("max-resident-sessions", 0, "sessions held in memory before LRU eviction to -state-dir (0 = -max-sessions)")
 	sessionTTL := fs.Duration("session-ttl", 0, "evict sessions idle longer than this to -state-dir (0 disables)")
-	evkBudgetMB := fs.Int("evk-budget-mb", 256, "shared evaluation-key cache budget in MiB")
-	probeInterval := fs.Duration("shard-probe-interval", time.Second, "shard supervisor health-probe interval (shards >= 2)")
-	probeTimeout := fs.Duration("shard-probe-timeout", time.Second, "per-probe timeout before it counts as a failure")
-	fenceThreshold := fs.Int("shard-fence-threshold", 5, "consecutive probe failures that fence a shard")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain bound on shutdown")
 	logLevel := fs.String("log-level", "info", "access-log level: debug, info, warn or error")
 	accessLog := fs.String("access-log", "stderr", "access-log destination: stderr, stdout, none, or a file path (appended)")
@@ -95,20 +92,16 @@ func run(args []string, stdout io.Writer) error {
 	defer closeLog()
 
 	d, err := newDaemon(daemonConfig{
-		Shards:         *shards,
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		MaxSessions:    *maxSessions,
-		StateDir:       *stateDir,
-		MaxResident:    *maxResident,
-		SessionTTL:     *sessionTTL,
-		EvkBudget:      int64(*evkBudgetMB) << 20,
-		ProbeInterval:  *probeInterval,
-		ProbeTimeout:   *probeTimeout,
-		FenceThreshold: *fenceThreshold,
-		Observer:       fast.NewTracingObserver(0), // 0: the library's default trace ring
-		Logger:         obs.NewLogger(logW, obs.ParseLogLevel(*logLevel)),
-		SlowRequest:    time.Duration(*slowRequestMs) * time.Millisecond,
+		Shards:      *shards,
+		Workers:     *workers,
+		QueueDepth:  *queue,
+		MaxSessions: *maxSessions,
+		StateDir:    *stateDir,
+		MaxResident: *maxResident,
+		SessionTTL:  *sessionTTL,
+		Observer:    fast.NewTracingObserver(0), // 0: the library's default trace ring
+		Logger:      obs.NewLogger(logW, obs.ParseLogLevel(*logLevel)),
+		SlowRequest: time.Duration(*slowRequestMs) * time.Millisecond,
 	})
 	if err != nil {
 		return err

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -71,50 +70,23 @@ func (sh *evalShard) runEvalBatch(items []*serve.BatchItem) {
 	}
 }
 
-// ---- Supervision, fencing and failover -------------------------------------
+// ---- Fencing and failover -------------------------------------------------
 
-// probeShard is the supervisor's health probe: a zero-unit task through the
-// shard's own admission queue and worker pool, so a wedged pool, a queue that
-// never drains, or a deadlocked worker all surface as probe failures.
-func (d *daemon) probeShard(ctx context.Context, i int) error {
-	return d.shards[i].srv.Do(ctx, serve.Op{Name: "probe", Units: 0}, func(context.Context) error { return nil })
-}
-
-// onFence empties a fenced shard so the survivors can serve its sessions:
-// every resident session the disk describes goes back to persisted (its next
-// request restores it, lazily, on whichever live shard the ring now routes it
-// to); a session whose durability write had degraded (resident-only) is lost
-// with the shard — exactly what a SIGKILL would have cost — and gives its
-// slot back.
+// handleKillShard is the chaos endpoint, and the only thing that fences a
+// shard: an in-process SIGKILL equivalent, idempotent per shard. The shard
+// leaves the ring for the rest of the process lifetime, so no new session
+// routes to it and its hash range remaps to the survivors. Then the registry
+// empties it: every resident session the disk describes goes back to
+// persisted (its next request restores it, lazily, on whichever live shard
+// the ring now routes it to); a session whose durability write had degraded
+// (resident-only) is lost with the shard — exactly what a SIGKILL would have
+// cost — and gives its slot back. A create or restore that was already bound
+// here is turned away by the registry when it publishes (503 + Retry-After
+// for the restore: the retry restores on a survivor).
 //
-// The ring was fenced before this callback runs, so no new session routes
-// here, and a create or restore that was already bound here is turned away
-// by the registry when it publishes (503 + Retry-After for the restore: the
-// retry restores on a survivor).
-func (d *daemon) onFence(i int, reason string) {
-	migrated, lost := d.sessions.Fence(i)
-	for _, s := range append(migrated, lost...) {
-		d.mPlanEvicted.Add(uint64(s.plans.drop()))
-	}
-	d.mShardMigrated.Add(uint64(len(migrated)))
-	d.mShardLost.Add(uint64(len(lost)))
-	d.logger.Warn("shard fenced", "shard", i, "reason", reason,
-		"migrated", len(migrated), "lost", len(lost), "live", d.ring.Live())
-}
-
-// onUnfence lets a recovered shard take sessions again. Its old sessions are
-// NOT pulled back eagerly: they stay resident where failover restored them
-// and drift home lazily — the next restore-after-eviction lands on the
-// ring-routed shard again.
-func (d *daemon) onUnfence(i int) {
-	d.sessions.Unfence(i)
-	d.logger.Info("shard unfenced", "shard", i, "live", d.ring.Live())
-}
-
-// handleKillShard is the chaos endpoint: an in-process SIGKILL equivalent.
-// The shard is fenced permanently (the supervisor never probes or unfences a
-// killed shard), its hash range remaps to the survivors, and its sessions
-// fail over through their snapshots. Idempotent per shard.
+// Overload never fences: a full queue answers 429 and the shard keeps its
+// sessions. Fencing a busy shard would move its load, as a storm of restores,
+// onto the survivors.
 func (d *daemon) handleKillShard(w http.ResponseWriter, r *http.Request) {
 	d.mRequests.Inc()
 	i, err := strconv.Atoi(r.PathValue("id"))
@@ -122,7 +94,15 @@ func (d *daemon) handleKillShard(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid shard %q", r.PathValue("id")))
 		return
 	}
-	d.sup.Kill(i, "kill endpoint")
+	if d.ring.Fence(i) {
+		migrated, lost := d.sessions.Fence(i)
+		for _, s := range append(migrated, lost...) {
+			d.mPlanEvicted.Add(uint64(s.plans.drop()))
+		}
+		d.mShardMigrated.Add(uint64(len(migrated)))
+		d.mShardLost.Add(uint64(len(lost)))
+		d.logger.Warn("shard fenced", "shard", i, "migrated", len(migrated), "lost", len(lost), "live", d.ring.Live())
+	}
 	writeJSON(w, map[string]any{
 		"shard":  i,
 		"killed": true,
@@ -134,7 +114,6 @@ func (d *daemon) handleKillShard(w http.ResponseWriter, r *http.Request) {
 type shardReadiness struct {
 	Shard    int  `json:"shard"`
 	Fenced   bool `json:"fenced"`
-	Killed   bool `json:"killed"`
 	Queue    int  `json:"queue_depth"`
 	Resident int  `json:"resident"`
 	Draining bool `json:"draining"`
@@ -146,7 +125,6 @@ func (d *daemon) shardReadiness(st sessreg.Stats) []shardReadiness {
 		out[i] = shardReadiness{
 			Shard:    i,
 			Fenced:   d.ring.Fenced(i),
-			Killed:   d.sup.Killed(i),
 			Queue:    sh.srv.QueueLen(),
 			Resident: st.ShardResident[i],
 			Draining: sh.srv.Draining(),

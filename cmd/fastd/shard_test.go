@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	fast "github.com/fastfhe/fast"
+	"github.com/fastfhe/fast/internal/serve"
 )
 
 // readyzView mirrors the /readyz document for test assertions.
@@ -61,8 +63,8 @@ func TestShardSessionDistribution(t *testing.T) {
 	}
 	total := 0
 	for _, s := range rv.Shards {
-		if s.Fenced || s.Killed {
-			t.Fatalf("shard %d unexpectedly fenced/killed", s.Shard)
+		if s.Fenced {
+			t.Fatalf("shard %d unexpectedly fenced", s.Shard)
 		}
 		if s.Resident != seen[s.Shard] {
 			t.Fatalf("shard %d resident=%d, create responses said %d", s.Shard, s.Resident, seen[s.Shard])
@@ -144,7 +146,7 @@ func TestShardChaosKillShardFailover(t *testing.T) {
 	if rv.LiveShards != 2 {
 		t.Fatalf("live_shards = %d, want 2", rv.LiveShards)
 	}
-	if !rv.Shards[victim].Fenced || !rv.Shards[victim].Killed {
+	if !rv.Shards[victim].Fenced {
 		t.Fatalf("killed shard not reported fenced: %+v", rv.Shards[victim])
 	}
 
@@ -383,8 +385,8 @@ func postStatus(url string, body any) int {
 
 // TestShardFenceDuringCreateFailsOver: a shard fenced after a create was routed to
 // it but before the create publishes — keygen and the snapshot write take
-// seconds — must not end up holding the session: onFence has already run and
-// will never migrate it, so every request would answer 503 + Retry-After for
+// seconds — must not end up holding the session: the kill has already
+// emptied the shard and will never migrate it, so every request would answer 503 + Retry-After for
 // good while the session kept its slot. The snapshot being durable, the
 // create still answers 200 and the first request restores the session on a
 // survivor.
@@ -423,5 +425,117 @@ func TestShardFenceDuringCreateFailsOver(t *testing.T) {
 	}
 	if rv.Sessions.Resident != 1 || rv.Sessions.Persisted != 0 || d.mShardLost.Value() != 0 {
 		t.Fatalf("after failover: sessions %+v, lost %d", rv.Sessions, d.mShardLost.Value())
+	}
+}
+
+// TestShardOverloadNeverFences: a shard whose queue stays full for a
+// sustained window answers 429 and keeps its sessions — overload is not a
+// failure, and nothing but the kill endpoint fences. Fencing a busy shard
+// would hand its load to the survivors as a storm of restores, which is what
+// a health probe sent through the shard's own queue would do.
+func TestShardOverloadNeverFences(t *testing.T) {
+	d, ts := newTestDaemon(t, daemonConfig{Shards: 2, Workers: 1, QueueDepth: 1, StateDir: t.TempDir(), MaxSessions: 8})
+	sr := createSession(t, ts.URL, testSessionRequest())
+	for sr.Shard != 0 {
+		sr = createSession(t, ts.URL, testSessionRequest())
+	}
+
+	// Keep shard 0's one worker busy and its one queue slot taken.
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-release:
+					return
+				default:
+				}
+				err := d.shards[0].srv.Do(context.Background(), serve.Op{Name: "busy"}, func(context.Context) error {
+					select {
+					case <-release:
+					case <-time.After(20 * time.Millisecond):
+					}
+					return nil
+				})
+				if err != nil { // queue full: try again shortly, without spinning
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}()
+	}
+	refused := 0
+	for end := time.Now().Add(250 * time.Millisecond); time.Now().Before(end); {
+		status, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+sr.ID+"/encrypt", nil,
+			encryptRequest{Values: fromComplex([]complex128{1})}, nil)
+		switch status {
+		case http.StatusTooManyRequests:
+			refused++
+		case http.StatusOK:
+		default:
+			t.Fatalf("encrypt on an overloaded shard: status %d: %s", status, raw)
+		}
+	}
+	close(release)
+	wg.Wait()
+
+	if refused == 0 {
+		t.Fatal("no request saw the full queue: the shard was never overloaded")
+	}
+	status, rv := getReadyz(t, ts.URL)
+	if status != http.StatusOK || rv.LiveShards != 2 || rv.Shards[0].Fenced || rv.Shards[0].Resident == 0 {
+		t.Fatalf("after overload: status %d %+v, want both shards live and the session still on shard 0", status, rv)
+	}
+	encryptValues(t, ts.URL, sr.ID, []complex128{1})
+	if m, r := d.mShardMigrated.Value(), d.mRestored.Value(); m != 0 || r != 0 {
+		t.Fatalf("overload moved sessions: %d migrated, %d restored", m, r)
+	}
+}
+
+// TestShardKillEndpoint: the kill endpoint validates its shard, fences once
+// (a repeat is a no-op that answers the same), and killing every shard takes
+// the daemon out of readiness, with a create answered 503 + Retry-After.
+func TestShardKillEndpoint(t *testing.T) {
+	d, ts := newTestDaemon(t, daemonConfig{Shards: 2, MaxSessions: 8})
+	sr := createSession(t, ts.URL, testSessionRequest()) // no state dir: lost with its shard
+	type killResponse struct {
+		Shard  int  `json:"shard"`
+		Killed bool `json:"killed"`
+		Live   int  `json:"live"`
+	}
+	for _, tc := range []struct {
+		path   string
+		status int
+		live   int
+		lost   uint64
+	}{
+		{"x", http.StatusBadRequest, 2, 0},
+		{"-1", http.StatusBadRequest, 2, 0},
+		{"2", http.StatusBadRequest, 2, 0},
+		{fmt.Sprint(sr.Shard), http.StatusOK, 1, 1},
+		{fmt.Sprint(sr.Shard), http.StatusOK, 1, 1},
+		{fmt.Sprint(1 - sr.Shard), http.StatusOK, 0, 1},
+	} {
+		var kr killResponse
+		status, raw := doJSON(t, http.MethodPost, ts.URL+"/debug/shards/"+tc.path+"/kill", nil, nil, &kr)
+		if status != tc.status || (status == http.StatusOK && (!kr.Killed || kr.Live != tc.live)) {
+			t.Fatalf("kill %s: status %d %+v, want %d with %d live: %s", tc.path, status, kr, tc.status, tc.live, raw)
+		}
+		if d.ring.Live() != tc.live || d.mShardLost.Value() != tc.lost {
+			t.Fatalf("after kill %s: live %d, lost %d; want %d, %d", tc.path, d.ring.Live(), d.mShardLost.Value(), tc.live, tc.lost)
+		}
+	}
+	if status, rv := getReadyz(t, ts.URL); status != http.StatusServiceUnavailable || rv.Ready {
+		t.Fatalf("readyz with every shard killed: status %d ready %v", status, rv.Ready)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", bytes.NewReader(mustJSON(t, testSessionRequest())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("create with every shard killed: status %d Retry-After %q", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 }

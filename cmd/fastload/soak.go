@@ -339,7 +339,6 @@ type wireReadyz struct {
 	Shards     []struct {
 		Shard    int  `json:"shard"`
 		Fenced   bool `json:"fenced"`
-		Killed   bool `json:"killed"`
 		Resident int  `json:"resident"`
 	} `json:"shards"`
 	Sessions struct {
@@ -531,7 +530,7 @@ func soak(cfg soakConfig, logw io.Writer) (*soakReport, error) {
 				}
 				victim := -1
 				for _, s := range rz.Shards {
-					if s.Fenced || s.Killed {
+					if s.Fenced {
 						continue
 					}
 					if victim < 0 {
@@ -560,8 +559,8 @@ func soak(cfg soakConfig, logw io.Writer) (*soakReport, error) {
 					col.fail("shard kill %d: daemon lost readiness (status %d ready %v err %v)", k+1, status, rz.Ready, err)
 					return
 				}
-				if !rz.Shards[victim].Fenced || !rz.Shards[victim].Killed {
-					col.fail("shard kill %d: shard %d not reported fenced+killed on /readyz", k+1, victim)
+				if !rz.Shards[victim].Fenced {
+					col.fail("shard kill %d: shard %d not reported fenced on /readyz", k+1, victim)
 					return
 				}
 				shardKills++

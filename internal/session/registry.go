@@ -293,9 +293,10 @@ func (r *Registry[P]) Delete(id string) (payload P, was State) {
 	return payload, was
 }
 
-// Fence marks shard dead and empties it: durable residents become Persisted
-// (their next request restores them on a live shard), the others are lost
-// with it, as a SIGKILL would lose them. Until Unfence, Publish avoids it.
+// Fence marks shard dead for good and empties it: durable residents become
+// Persisted (their next request restores them on a live shard), the others
+// are lost with it, as a SIGKILL would lose them. From then on Publish avoids
+// it; only a new registry — a process restart — has it live again.
 func (r *Registry[P]) Fence(shard int) (migrated, lost []P) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -312,13 +313,6 @@ func (r *Registry[P]) Fence(shard int) (migrated, lost []P) {
 		return true
 	})
 	return migrated, lost
-}
-
-// Unfence lets Publish use shard again. Nothing moves back by itself.
-func (r *Registry[P]) Unfence(shard int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.shards[shard].fenced = false
 }
 
 // Stats is the registry by the numbers /readyz and the gauges report.

@@ -12,6 +12,7 @@ package session
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -33,6 +34,7 @@ type sim struct {
 	rng         *rand.Rand
 	clock       time.Time
 	maxSessions int
+	limit       int // the occupancy bound: maxSessions, or what the last restart adopted if more
 	maxResident []int
 	fenced      []bool
 	ids         []string        // every ID handed out, adopted ones included
@@ -52,12 +54,19 @@ func newSim(t *testing.T, seed int64) *sim {
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
 		s.maxResident = append(s.maxResident, 1+rng.Intn(2))
 	}
+	s.ids = []string{"a1", "a2"}
+	s.boot(s.ids)
+	return s
+}
+
+// boot starts a process: a new registry, every shard live, adopting what the
+// disk holds.
+func (s *sim) boot(disk []string) {
 	s.fenced = make([]bool, len(s.maxResident))
 	s.r = New[*payload](s.maxSessions, s.maxResident)
 	s.r.now = func() time.Time { return s.clock }
-	s.ids = []string{"a1", "a2"}
-	s.r.Adopt(s.ids) // what a restart finds on disk
-	return s
+	s.r.Adopt(disk)
+	s.limit = max(s.maxSessions, len(disk))
 }
 
 // disk is the fake store: every simulated read or write goes through it, and
@@ -252,10 +261,23 @@ func (s *sim) fence() {
 	}
 }
 
-func (s *sim) unfence() {
-	i := s.someShard()
-	s.fenced[i] = false
-	s.r.Unfence(i)
+// restart is a SIGKILL and a restart: the operations in flight die with the
+// process and so do its fences. A create that had not written its snapshot,
+// and a resident the disk does not describe, are lost; every other entry —
+// a corrupt one included, whose files stay on disk — is adopted again.
+func (s *sim) restart() {
+	var disk []string
+	for id, e := range s.r.entries {
+		if e.state == Reserved || (e.state == Resident && !e.durable) {
+			s.gone[id] = true
+			continue
+		}
+		disk = append(disk, id)
+	}
+	slices.Sort(disk) // map order is random; a seed must replay the same run
+	s.inflight = nil
+	s.boot(disk)
+	s.count("restart")
 }
 
 func (s *sim) step() {
@@ -278,8 +300,8 @@ func (s *sim) step() {
 		s.delete()
 	case k < 16:
 		s.fence()
-	case k < 18:
-		s.unfence()
+	case k < 17:
+		s.restart()
 	case k < 19:
 		s.sweep()
 	default:
@@ -329,8 +351,8 @@ func (s *sim) check() {
 	}
 	st := r.Stats()
 	occupancy := byState[Reserved] + byState[Resident] + byState[Persisted] + byState[Restoring]
-	if st.Occupancy != occupancy || occupancy > s.maxSessions {
-		s.t.Fatalf("occupancy %d, entries by state %v (sum %d), limit %d", st.Occupancy, byState, occupancy, s.maxSessions)
+	if st.Occupancy != occupancy || occupancy > s.limit {
+		s.t.Fatalf("occupancy %d, entries by state %v (sum %d), limit %d", st.Occupancy, byState, occupancy, s.limit)
 	}
 	if st.Resident != byState[Resident] || st.Persisted != byState[Persisted]+byState[Restoring] {
 		s.t.Fatalf("stats %+v, entries by state %v", st, byState)
@@ -382,10 +404,61 @@ func TestRegistrySimulation(t *testing.T) {
 	// The interleavings the registry exists for must actually have happened.
 	for _, k := range []string{"create-refused", "create-fenced-persisted", "create-fenced-lost", "restore-corrupt",
 		"restore-discarded-by-delete", "restore-fenced", "evict-failed", "evicted", "evict-of-a-stale-payload",
-		"deleted-resident", "deleted-persisted", "deleted-restoring", "deleted-corrupt"} {
+		"deleted-resident", "deleted-persisted", "deleted-restoring", "deleted-corrupt", "restart"} {
 		if seen[k] == 0 {
 			t.Errorf("no seed reached %q", k)
 		}
+	}
+}
+
+// TestRegistryFenceIsPermanent: a fence empties its shard — a durable
+// resident is handed back as migrated and goes Persisted, one the disk does
+// not describe is lost — and the shard stays dead: a restore or create bound
+// for it afterwards never lands Resident there, and a second fence finds
+// nothing to move. The survivor keeps serving.
+func TestRegistryFenceIsPermanent(t *testing.T) {
+	r := New[*payload](8, []int{4, 4})
+	kept, dropped := &payload{"kept"}, &payload{"dropped"}
+	for _, p := range []*payload{kept, dropped} {
+		if !r.Reserve(p.id, 1) || r.Publish(p.id, p, p == kept) != Resident {
+			t.Fatalf("create of %q on shard 1 did not publish", p.id)
+		}
+	}
+	migrated, lost := r.Fence(1)
+	if !slices.Equal(migrated, []*payload{kept}) || !slices.Equal(lost, []*payload{dropped}) {
+		t.Fatalf("fence: %d migrated, %d lost; want kept migrated and dropped lost", len(migrated), len(lost))
+	}
+	if kv, dv := r.Acquire("kept"), r.Acquire("dropped"); kv.State != Persisted || dv.State != Absent {
+		t.Fatalf("after the fence: kept %v, dropped %v; want persisted, absent", kv.State, dv.State)
+	}
+
+	if !r.BeginRestore("kept", 1) {
+		t.Fatal("restore of a persisted session refused")
+	}
+	if st := r.Publish("kept", kept, true); st != Persisted {
+		t.Fatalf("restore onto the fenced shard published as %v, want persisted", st)
+	}
+	for id, durable := range map[string]bool{"late-durable": true, "late-lost": false} {
+		want := Absent
+		if durable {
+			want = Persisted
+		}
+		if !r.Reserve(id, 1) {
+			t.Fatalf("create of %q refused", id)
+		}
+		if st := r.Publish(id, &payload{id}, durable); st != want {
+			t.Fatalf("create of %q onto the fenced shard published as %v, want %v", id, st, want)
+		}
+	}
+	if m, l := r.Fence(1); len(m)+len(l) != 0 {
+		t.Fatalf("second fence moved %d migrated, %d lost", len(m), len(l))
+	}
+
+	if !r.BeginRestore("kept", 0) || r.Publish("kept", kept, true) != Resident {
+		t.Fatal("restore onto the live shard did not publish")
+	}
+	if st := r.Stats(); st.Occupancy != 2 || st.ShardResident[0] != 1 || st.ShardResident[1] != 0 {
+		t.Fatalf("stats %+v, want kept resident on shard 0 and late-durable persisted", st)
 	}
 }
 
@@ -403,6 +476,9 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 2000; i++ {
+				if g == 0 && i == 1000 {
+					r.Fence(1) // mid-hammer: shard 0 serves on alone
+				}
 				id := pool[rng.Intn(len(pool))]
 				switch v := r.Acquire(id); v.State {
 				case Absent: // deleted: an ID is never reused, so create a new one
@@ -423,9 +499,6 @@ func TestRegistryConcurrent(t *testing.T) {
 					switch rng.Intn(8) {
 					case 0:
 						r.Delete(id)
-					case 1:
-						r.Fence(v.Shard)
-						r.Unfence(v.Shard)
 					default:
 						if victim, over := r.Victim(v.Shard); over {
 							r.Evict(victim.ID, victim.Payload)
@@ -438,7 +511,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if st := r.Stats(); st.Occupancy > 8 || st.Resident != st.ShardResident[0]+st.ShardResident[1] {
+	if st := r.Stats(); st.Occupancy > 8 || st.Resident != st.ShardResident[0] || st.ShardResident[1] != 0 {
 		t.Fatalf("after the hammer: %+v", st)
 	}
 }

@@ -1,15 +1,15 @@
-// Package shard provides the consistent-hash routing and health-supervision
-// layer fastd uses to split one process into N failure-isolated serving
-// shards.
+// Package shard provides the consistent-hash ring fastd uses to split one
+// process into N failure-isolated serving shards.
 //
 // The ring maps a session ID onto a member with classic consistent hashing:
-// each member owns `replicas` virtual points on a 64-bit hash circle, a key
+// each member owns 64 virtual points on a 64-bit hash circle, a key
 // hashes to a point and walks clockwise to the first virtual point of a live
 // member. Fencing a member removes it from consideration WITHOUT moving the
 // virtual points of the survivors, so only the fenced member's key range is
 // remapped — exactly the property failover needs: killing one shard
 // redistributes its sessions across the survivors while every healthy
-// session keeps its owner.
+// session keeps its owner. A fence is permanent: a member leaves the ring
+// only when it is killed, and only a process restart brings it back.
 package shard
 
 import (
@@ -20,27 +20,26 @@ import (
 	"sync"
 )
 
-// ErrShardDown is the typed refusal for a key whose shard is fenced and not
-// yet remapped, or for a ring with no live members. fastd maps it to
-// 503 Service Unavailable with a Retry-After header: the condition is
+// ErrShardDown is the typed refusal for a key whose shard was fenced while
+// its request was in flight, or for a ring with no live members. fastd maps
+// it to 503 Service Unavailable with a Retry-After header: the condition is
 // transient (failover is in progress) and a short client backoff rides it
 // out.
 var ErrShardDown = errors.New("shard down")
 
-// DefaultReplicas is the virtual-node count per member. 64 points per member
-// keeps the maximum/mean load ratio under ~1.3 for small N, which is plenty
-// for in-process shards whose cost of imbalance is queue depth, not storage.
-const DefaultReplicas = 64
+// replicas is the virtual-node count per member. 64 points per member keeps
+// the maximum/mean load ratio under ~1.3 for small N, which is plenty for
+// in-process shards whose cost of imbalance is queue depth, not storage.
+const replicas = 64
 
 // Ring is a fenceable consistent-hash ring over members 0..n-1.
 // All methods are safe for concurrent use.
 type Ring struct {
-	mu      sync.RWMutex
-	n       int
-	points  []ringPoint // sorted by hash
-	fenced  []bool
-	live    int
-	version uint64 // bumped on every fence/unfence
+	mu     sync.RWMutex
+	n      int
+	points []ringPoint // sorted by hash
+	fenced []bool
+	live   int
 }
 
 type ringPoint struct {
@@ -48,14 +47,10 @@ type ringPoint struct {
 	member int
 }
 
-// NewRing builds a ring over n members with `replicas` virtual points each
-// (<=0 selects DefaultReplicas). n must be >= 1.
-func NewRing(n, replicas int) *Ring {
+// NewRing builds a ring over n members. n must be >= 1.
+func NewRing(n int) *Ring {
 	if n < 1 {
 		panic("shard: ring needs at least one member")
-	}
-	if replicas <= 0 {
-		replicas = DefaultReplicas
 	}
 	r := &Ring{
 		n:      n,
@@ -97,9 +92,6 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Members returns the member count (fenced or not).
-func (r *Ring) Members() int { return r.n }
-
 // Owner resolves key to its owning live member: the first virtual point at
 // or after the key's hash whose member is not fenced. With every member
 // fenced it returns ErrShardDown.
@@ -120,31 +112,19 @@ func (r *Ring) Owner(key string) (int, error) {
 	return 0, fmt.Errorf("%w: no live members", ErrShardDown)
 }
 
-// Fence removes member m from routing. Keys it owned resolve to the next
-// live member clockwise; everyone else's mapping is untouched. Fencing an
-// already-fenced member is a no-op. Returns the number of live members left.
-func (r *Ring) Fence(m int) int {
+// Fence removes member m from routing for good. Keys it owned resolve to the
+// next live member clockwise; everyone else's mapping is untouched. It
+// reports whether this call fenced m: false for an out-of-range or
+// already-fenced member, so of two concurrent kills exactly one sees true.
+func (r *Ring) Fence(m int) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m >= 0 && m < r.n && !r.fenced[m] {
-		r.fenced[m] = true
-		r.live--
-		r.version++
+	if m < 0 || m >= r.n || r.fenced[m] {
+		return false
 	}
-	return r.live
-}
-
-// Unfence restores member m to routing (its key range snaps back). No-op for
-// a live member. Returns the number of live members.
-func (r *Ring) Unfence(m int) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m >= 0 && m < r.n && r.fenced[m] {
-		r.fenced[m] = false
-		r.live++
-		r.version++
-	}
-	return r.live
+	r.fenced[m] = true
+	r.live--
+	return true
 }
 
 // Fenced reports whether member m is fenced.
@@ -159,12 +139,4 @@ func (r *Ring) Live() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.live
-}
-
-// Version increments on every fence/unfence; callers can use it to detect
-// topology changes cheaply.
-func (r *Ring) Version() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.version
 }

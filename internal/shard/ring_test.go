@@ -4,13 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 // TestRingStableAssignment: a key maps to the same member call after call,
 // and the distribution over many keys touches every member.
 func TestRingStableAssignment(t *testing.T) {
-	r := NewRing(4, 0)
+	r := NewRing(4)
 	counts := make([]int, 4)
 	for i := 0; i < 4096; i++ {
 		key := fmt.Sprintf("s%d", i)
@@ -39,17 +40,17 @@ func TestRingStableAssignment(t *testing.T) {
 }
 
 // TestRingFenceRemapsOnlyFencedRange: fencing one member moves exactly its
-// keys; every key owned by a survivor keeps its owner. Unfencing restores
-// the original mapping bit-for-bit.
+// keys; every key owned by a survivor keeps its owner. Fencing it again is a
+// no-op that reports false.
 func TestRingFenceRemapsOnlyFencedRange(t *testing.T) {
-	r := NewRing(3, 0)
+	r := NewRing(3)
 	const keys = 2048
 	before := make([]int, keys)
 	for i := range before {
 		before[i], _ = r.Owner(fmt.Sprintf("s%d", i))
 	}
-	if live := r.Fence(1); live != 2 {
-		t.Fatalf("live after fence = %d, want 2", live)
+	if !r.Fence(1) || r.Live() != 2 {
+		t.Fatalf("fence: live = %d, want 2", r.Live())
 	}
 	moved := 0
 	for i := 0; i < keys; i++ {
@@ -70,11 +71,25 @@ func TestRingFenceRemapsOnlyFencedRange(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("fenced member owned no keys; test is vacuous")
 	}
-	r.Unfence(1)
-	for i := 0; i < keys; i++ {
-		after, _ := r.Owner(fmt.Sprintf("s%d", i))
-		if after != before[i] {
-			t.Fatalf("key s%d: mapping not restored after unfence (%d vs %d)", i, after, before[i])
+	if r.Fence(1) || r.Fence(-1) || r.Fence(3) || r.Live() != 2 {
+		t.Fatalf("a second fence of member 1, or one out of range, changed the ring: live = %d", r.Live())
+	}
+}
+
+// TestRingFencedReportsOnlyKilledMembers: Fenced, which /readyz reports per
+// shard, is true for a fenced member alone; an out-of-range member reads as
+// not fenced, and refused out-of-range fences leave every member live.
+func TestRingFencedReportsOnlyKilledMembers(t *testing.T) {
+	r := NewRing(3)
+	r.Fence(-1)
+	r.Fence(3)
+	if r.Live() != 3 {
+		t.Fatalf("out-of-range fences changed the ring: live = %d", r.Live())
+	}
+	r.Fence(2)
+	for m, want := range map[int]bool{-1: false, 0: false, 1: false, 2: true, 3: false} {
+		if got := r.Fenced(m); got != want {
+			t.Fatalf("Fenced(%d) = %v, want %v", m, got, want)
 		}
 	}
 }
@@ -82,7 +97,7 @@ func TestRingFenceRemapsOnlyFencedRange(t *testing.T) {
 // TestRingAllFencedShardDown: a ring with no live members refuses with the
 // typed ErrShardDown, never panics or misroutes.
 func TestRingAllFencedShardDown(t *testing.T) {
-	r := NewRing(2, 8)
+	r := NewRing(2)
 	r.Fence(0)
 	r.Fence(1)
 	if _, err := r.Owner("s1"); !errors.Is(err, ErrShardDown) {
@@ -93,11 +108,12 @@ func TestRingAllFencedShardDown(t *testing.T) {
 	}
 }
 
-// TestRingConcurrentFenceChaos: hammer Owner while members fence/unfence
+// TestRingConcurrentFenceChaos: hammer Owner while members are fenced
 // concurrently — the race detector is the assertion, plus: a returned owner
-// is always in range and never an error while >= 1 member is guaranteed live.
+// is always in range and never an error while >= 1 member is guaranteed
+// live, and of many concurrent kills of one member exactly one fences it.
 func TestRingConcurrentFenceChaos(t *testing.T) {
-	r := NewRing(4, 16)
+	r := NewRing(4)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Member 3 is never fenced, so Owner must always succeed.
@@ -123,11 +139,21 @@ func TestRingConcurrentFenceChaos(t *testing.T) {
 			}
 		}(w)
 	}
-	for i := 0; i < 200; i++ {
-		m := i % 3
-		r.Fence(m)
-		r.Unfence(m)
+	var fences atomic.Int64
+	var kills sync.WaitGroup
+	for k := 0; k < 12; k++ {
+		kills.Add(1)
+		go func(m int) {
+			defer kills.Done()
+			if r.Fence(m) {
+				fences.Add(1)
+			}
+		}(k % 3)
 	}
+	kills.Wait()
 	close(stop)
 	wg.Wait()
+	if fences.Load() != 3 || r.Live() != 1 {
+		t.Fatalf("12 kills of 3 members fenced %d times, live = %d; want 3 and 1", fences.Load(), r.Live())
+	}
 }
