@@ -144,7 +144,7 @@ fmt:
 
 # Static analysis: go vet, a gofmt cleanliness check (fails listing any file
 # that gofmt would rewrite) and the size budgets of the serving layer, the
-# performance model and the root package.
+# performance model, the root package and internal/ckks.
 vet: loc
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
@@ -235,7 +235,24 @@ MODEL_LOC_MAX ?= 2325
 # PlanOption and planConfig, Plan.InputLevels, and the four NewContext
 # options that restated ContextConfig fields (WithRotations,
 # WithConjugation, WithKLSS, WithSeed).
-ROOT_LOC_MAX ?= 2784
+#
+# 2784 -> 2773: WriteSessionSnapshot appends the keys into the snapshot
+# buffer and writes it once; its bytes.Buffer and io.MultiWriter went, and
+# ErrCorruptSnapshot moved here from internal/ckks, which no longer returns it.
+ROOT_LOC_MAX ?= 2773
+
+# Size budget of the CKKS layer: non-test lines of internal/ckks, the
+# module's largest package (scheme, key switch, bootstrapping, wire codec).
+#
+# 4245 -> 4115: one wire codec. Every object is appended to and parsed from
+# bytes; the io.Writer/io.Reader twins went: writePoly, readPoly and their
+# 32 KiB chunkPool, writeHeader, readHeader, readLevelScale, and the
+# Serialize methods of SecretKey, PublicKey, SwitchingKey and
+# EvaluationKeySet. Two helpers left with one caller were inlined
+# (appendPolyHeader, decodeLevelScale). Ciphertext.Serialize is one Write of
+# AppendBinary, and ReadCiphertext reads the ciphertext's bytes into
+# ReadCiphertextBytes.
+CKKS_LOC_MAX ?= 4115
 
 MODEL_GO = internal/aether/*.go internal/costmodel/*.go internal/sim/*.go internal/trace/*.go \
 	internal/workloads/*.go internal/baselines/*.go perf.go cmd/aether/*.go cmd/fastsim/*.go
@@ -250,6 +267,9 @@ loc:
 	@n=$$(ls cmd/fastd/*.go internal/session/*.go internal/shard/*.go | grep -v _test.go | xargs cat | wc -l); \
 	echo "cmd/fastd + internal/session + internal/shard: $$n non-test lines (budget $(FASTD_LOC_MAX))"; \
 	[ $$n -le $(FASTD_LOC_MAX) ]
+	@n=$$(ls internal/ckks/*.go | grep -v _test.go | xargs cat | wc -l); \
+	echo "internal/ckks: $$n non-test lines (budget $(CKKS_LOC_MAX))"; \
+	[ $$n -le $(CKKS_LOC_MAX) ]
 
 clean:
 	$(GO) clean ./...

@@ -6,13 +6,24 @@ import (
 	"github.com/fastfhe/fast/internal/ckks"
 )
 
-// ErrInvalidProgram reports a Program that fails static validation: an empty
-// op list, a missing output, a read of an undefined register, a duplicate
-// register write, a write shadowing a program input, an input that is never
-// used, or an unknown op/method name. It is the only sentinel owned by this
-// package rather than shared with the CKKS layer — programs exist only at the
-// public API boundary.
-var ErrInvalidProgram = errors.New("fast: invalid program")
+// Two sentinels are owned by this package rather than shared with the CKKS
+// layer: programs and session snapshots exist only at the public API
+// boundary.
+var (
+	// ErrInvalidProgram reports a Program that fails static validation: an
+	// empty op list, a missing output, a read of an undefined register, a
+	// duplicate register write, a write shadowing a program input, an input
+	// that is never used, or an unknown op/method name.
+	ErrInvalidProgram = errors.New("fast: invalid program")
+
+	// ErrCorruptSnapshot reports a session snapshot that fails integrity
+	// validation — truncation, bit flips, wrong magic/version or key
+	// material that does not parse against the embedded configuration. The
+	// checksum is verified before any parsing, so a corrupt snapshot can
+	// never be partially restored into a session that would decrypt wrongly;
+	// recovery paths skip the file and log instead.
+	ErrCorruptSnapshot = errors.New("corrupt session snapshot")
+)
 
 // Typed error taxonomy. Every error returned by a Context method wraps one of
 // these sentinels, so callers can branch on the failure class with errors.Is
@@ -84,11 +95,4 @@ var (
 	// expired (errors.Is also matches context.DeadlineExceeded), or a serving
 	// request shed on arrival because its deadline could not be met.
 	ErrDeadline = ckks.ErrDeadline
-
-	// ErrCorruptSnapshot reports a session snapshot that fails integrity
-	// validation — truncation, bit flips, wrong magic/version or inconsistent
-	// key material. The checksum is verified before any parsing, so a corrupt
-	// snapshot can never be partially restored into a session that would
-	// decrypt wrongly; recovery paths skip the file and log instead.
-	ErrCorruptSnapshot = ckks.ErrCorruptSnapshot
 )

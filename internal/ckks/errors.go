@@ -63,13 +63,4 @@ var (
 	// expired (errors.Is also matches context.DeadlineExceeded), or a serving
 	// request shed on arrival because its deadline could not be met.
 	ErrDeadline = errors.New("deadline exceeded")
-
-	// ErrCorruptSnapshot marks a session snapshot that fails structural or
-	// checksum validation during decode: truncated input, wrong magic or
-	// version, an integrity-hash mismatch, or key material inconsistent with
-	// the embedded parameters. A corrupt snapshot is never partially loaded —
-	// the decoder verifies the checksum before parsing a single key byte, so
-	// restoration can only produce a session identical to the one persisted
-	// (a wrong decrypt from disk corruption is structurally impossible).
-	ErrCorruptSnapshot = errors.New("corrupt session snapshot")
 )

@@ -6,8 +6,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
-	"sync"
 
 	"github.com/fastfhe/fast/internal/ring"
 )
@@ -29,19 +27,6 @@ const (
 	tagEvalKeys   byte = 0x07
 )
 
-func writeHeader(w io.Writer, tag byte) error {
-	_, err := w.Write([]byte{tag, wireVersion})
-	return err
-}
-
-func readHeader(r io.Reader, wantTag byte) error {
-	var hdr [2]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("ckks: reading header: %w", err)
-	}
-	return checkHeader(hdr[:], wantTag)
-}
-
 // checkHeader validates the tag and version bytes every object starts with.
 func checkHeader(hdr []byte, wantTag byte) error {
 	if len(hdr) < 2 {
@@ -56,18 +41,11 @@ func checkHeader(hdr []byte, wantTag byte) error {
 	return nil
 }
 
-// Sizes of the fixed parts of the format, and the chunk the streaming paths
-// move coefficients in.
+// Sizes of the fixed parts of the format.
 const (
-	polyHeaderLen  = 2 + 4 + 4 // tag, version, limbs, degree
-	levelScaleLen  = 2 + 4 + 8 // tag, version, level, scale
-	wireChunkBytes = 32 << 10
+	polyHeaderLen = 2 + 4 + 4 // tag, version, limbs, degree
+	levelScaleLen = 2 + 4 + 8 // tag, version, level, scale
 )
-
-// chunkPool holds the wireChunkBytes scratch the io.Writer / io.Reader paths
-// encode into and decode from, so streaming a key set costs no per-poly
-// buffer. The from-bytes / append-to-buffer entry points never touch it.
-var chunkPool = sync.Pool{New: func() any { b := make([]byte, wireChunkBytes); return &b }}
 
 // appendCoeffs appends src as little-endian 64-bit words — the one place
 // coefficients become wire bytes (ciphertexts, keys, snapshots).
@@ -86,12 +64,6 @@ func decodeCoeffs(dst []uint64, src []byte) {
 	for i := range dst {
 		dst[i] = binary.LittleEndian.Uint64(src[8*i:])
 	}
-}
-
-func appendPolyHeader(dst []byte, p ring.Poly) []byte {
-	dst = append(dst, tagPoly, wireVersion)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.Limbs()))
-	return binary.LittleEndian.AppendUint32(dst, uint32(p.N()))
 }
 
 // polyShape validates a poly header and returns its shape.
@@ -117,62 +89,16 @@ func polyRows(p ring.Poly) [][]uint64 {
 }
 
 func appendPoly(dst []byte, p ring.Poly) []byte {
-	dst = appendPolyHeader(dst, p)
+	dst = binary.LittleEndian.AppendUint32(append(dst, tagPoly, wireVersion), uint32(p.Limbs()))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.N()))
 	for _, row := range polyRows(p) {
 		dst = appendCoeffs(dst, row)
 	}
 	return dst
 }
 
-// writePoly streams p through a pooled chunk: no full-size temporary.
-func writePoly(w io.Writer, p ring.Poly) error {
-	bp := chunkPool.Get().(*[]byte)
-	defer chunkPool.Put(bp)
-	buf := appendPolyHeader((*bp)[:0], p)
-	for _, row := range polyRows(p) {
-		for len(row) > 0 {
-			k := min(len(row), (cap(buf)-len(buf))/8)
-			buf = appendCoeffs(buf, row[:k])
-			row = row[k:]
-			if cap(buf)-len(buf) < 8 {
-				if _, err := w.Write(buf); err != nil {
-					return err
-				}
-				buf = buf[:0]
-			}
-		}
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-func readPoly(r io.Reader) (ring.Poly, error) {
-	var hdr [polyHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return ring.Poly{}, fmt.Errorf("ckks: reading header: %w", err)
-	}
-	limbs, n, err := polyShape(hdr[:])
-	if err != nil {
-		return ring.Poly{}, err
-	}
-	p := ring.NewPoly(n, limbs)
-	bp := chunkPool.Get().(*[]byte)
-	defer chunkPool.Put(bp)
-	// Chunked passes over the arena backing (row-concatenation order on the wire).
-	for dst := p.Backing; len(dst) > 0; {
-		k := min(len(dst), wireChunkBytes/8)
-		if _, err := io.ReadFull(r, (*bp)[:8*k]); err != nil {
-			return ring.Poly{}, err
-		}
-		decodeCoeffs(dst[:k], *bp)
-		dst = dst[k:]
-	}
-	return p, nil
-}
-
-// parsePoly is readPoly over bytes already in memory: it decodes straight
-// from b (nothing is allocated before the length is known to be there) and
-// returns what follows the poly.
+// parsePoly decodes a poly straight from b (nothing is allocated before the
+// length is known to be there) and returns what follows it.
 func parsePoly(b []byte) (ring.Poly, []byte, error) {
 	if len(b) < polyHeaderLen {
 		return ring.Poly{}, nil, fmt.Errorf("ckks: reading header: %w", io.ErrUnexpectedEOF)
@@ -197,11 +123,6 @@ func appendLevelScale(dst []byte, tag byte, level int, scale float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(scale))
 }
 
-// decodeLevelScale reads the 12 bytes after a ciphertext's tag and version.
-func decodeLevelScale(b []byte) (level int, scale float64) {
-	return int(int32(binary.LittleEndian.Uint32(b))), math.Float64frombits(binary.LittleEndian.Uint64(b[4:]))
-}
-
 func parseLevelScale(b []byte, wantTag byte) (level int, scale float64, err error) {
 	if err := checkHeader(b, wantTag); err != nil {
 		return 0, 0, err
@@ -209,20 +130,7 @@ func parseLevelScale(b []byte, wantTag byte) (level int, scale float64, err erro
 	if len(b) < levelScaleLen {
 		return 0, 0, io.ErrUnexpectedEOF
 	}
-	level, scale = decodeLevelScale(b[2:])
-	return level, scale, nil
-}
-
-func readLevelScale(r io.Reader, wantTag byte) (level int, scale float64, err error) {
-	if err := readHeader(r, wantTag); err != nil {
-		return 0, 0, err
-	}
-	var meta [levelScaleLen - 2]byte
-	if _, err := io.ReadFull(r, meta[:]); err != nil {
-		return 0, 0, err
-	}
-	level, scale = decodeLevelScale(meta[:])
-	return level, scale, nil
+	return int(int32(binary.LittleEndian.Uint32(b[2:]))), math.Float64frombits(binary.LittleEndian.Uint64(b[6:])), nil
 }
 
 // WireSize returns the length of the ciphertext's wire form.
@@ -237,43 +145,45 @@ func (ct *Ciphertext) AppendBinary(dst []byte) []byte {
 	return appendPoly(appendPoly(dst, ct.C0), ct.C1)
 }
 
-// Serialize writes the ciphertext.
+// Serialize writes the ciphertext's wire form to w in one Write.
 func (ct *Ciphertext) Serialize(w io.Writer) error {
-	var hdr [levelScaleLen]byte
-	if _, err := w.Write(appendLevelScale(hdr[:0], tagCiphertext, ct.Level, ct.Scale)); err != nil {
-		return err
-	}
-	if err := writePoly(w, ct.C0); err != nil {
-		return err
-	}
-	return writePoly(w, ct.C1)
+	_, err := w.Write(ct.AppendBinary(make([]byte, 0, ct.WireSize())))
+	return err
 }
 
-// ReadCiphertext deserialises a ciphertext and validates it against the
-// parameter set.
+// ReadCiphertext reads one ciphertext from r and validates it against the
+// parameter set. It reads the ciphertext's head (level, scale and the first
+// poly's shape) and refuses a shape the parameters cannot hold before
+// allocating for the coefficients; then it reads exactly the rest of the
+// ciphertext — both components of a valid one share that shape — and leaves
+// whatever follows in r.
 func ReadCiphertext(r io.Reader, params *Parameters) (*Ciphertext, error) {
-	level, scale, err := readLevelScale(r, tagCiphertext)
+	var head [levelScaleLen + polyHeaderLen]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return nil, fmt.Errorf("ckks: reading ciphertext head: %w", err)
+	}
+	if err := checkHeader(head[:], tagCiphertext); err != nil {
+		return nil, err
+	}
+	limbs, n, err := polyShape(head[levelScaleLen:])
 	if err != nil {
 		return nil, err
 	}
-	c0, err := readPoly(r)
-	if err != nil {
-		return nil, err
+	if n != params.N() || limbs > params.MaxLevel()+1 {
+		return nil, fmt.Errorf("ckks: ciphertext poly shape %dx%d does not fit N=%d with %d limbs: %w",
+			limbs, n, params.N(), params.MaxLevel()+1, ErrInvalidCiphertext)
 	}
-	c1, err := readPoly(r)
-	if err != nil {
-		return nil, err
+	b := make([]byte, len(head)+polyHeaderLen+16*limbs*n)
+	copy(b, head[:])
+	if _, err := io.ReadFull(r, b[len(head):]); err != nil {
+		return nil, fmt.Errorf("ckks: reading ciphertext: %w", err)
 	}
-	ct := &Ciphertext{C0: c0, C1: c1, Level: level, Scale: scale}
-	if err := ct.validate(params); err != nil {
-		return nil, err
-	}
-	return ct, nil
+	return ReadCiphertextBytes(b, params)
 }
 
-// ReadCiphertextBytes is ReadCiphertext over wire bytes already in memory.
-// Like a stream read it stops at the end of the ciphertext: bytes after it
-// are not looked at. b is not retained.
+// ReadCiphertextBytes decodes a ciphertext from wire bytes and validates it
+// against the parameter set. It stops at the end of the ciphertext: bytes
+// after it are not looked at. b is not retained.
 func ReadCiphertextBytes(b []byte, params *Parameters) (*Ciphertext, error) {
 	level, scale, err := parseLevelScale(b, tagCiphertext)
 	if err != nil {
@@ -339,15 +249,9 @@ func (ct *Ciphertext) validate(params *Parameters) error {
 	return nil
 }
 
-// Serialize writes the public key.
-func (pk *PublicKey) Serialize(w io.Writer) error {
-	if err := writeHeader(w, tagPublicKey); err != nil {
-		return err
-	}
-	if err := writePoly(w, pk.B); err != nil {
-		return err
-	}
-	return writePoly(w, pk.A)
+// AppendBinary appends the public key's wire form to dst.
+func (pk *PublicKey) AppendBinary(dst []byte) []byte {
+	return appendPoly(appendPoly(append(dst, tagPublicKey, wireVersion), pk.B), pk.A)
 }
 
 // ParsePublicKey decodes a public key from the front of b and returns the
@@ -364,39 +268,36 @@ func ParsePublicKey(b []byte, params *Parameters) (*PublicKey, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if pb.Limbs() != len(params.qChain) || pa.Limbs() != len(params.qChain) || pb.N() != params.N() {
+	if !keyShape(pb, pa, len(params.qChain), params.N()) {
 		return nil, nil, fmt.Errorf("ckks: public key shape inconsistent with parameters")
 	}
 	return &PublicKey{B: pb, A: pa}, b, nil
 }
 
-// Serialize writes the secret key. Only the signed ternary coefficients go on
-// the wire (one byte each): the NTT-form embeddings over the key rings are
-// deterministic functions of the signed vector and the parameter set, so
-// ParseSecretKey reconstructs them bit-identically. This keeps the snapshot
-// compact and means the secret's serialised form is independent of which
-// key-switching backends the parameter set enables.
-func (sk *SecretKey) Serialize(w io.Writer) error {
-	if err := writeHeader(w, tagSecretKey); err != nil {
-		return err
+// keyShape reports whether both halves of a key pair have the key ring's
+// limbs and the ring degree: the key switch reads rows of each at that shape.
+func keyShape(b, a ring.Poly, limbs, n int) bool {
+	return b.Limbs() == limbs && a.Limbs() == limbs && b.N() == n && a.N() == n
+}
+
+// AppendBinary appends the secret key's wire form to dst. Only the signed
+// ternary coefficients go on the wire (one byte each): the NTT-form
+// embeddings over the key rings are deterministic functions of the signed
+// vector and the parameter set, so ParseSecretKey reconstructs them
+// bit-identically. This keeps the snapshot compact and means the secret's
+// serialised form is independent of which key-switching backends the
+// parameter set enables.
+func (sk *SecretKey) AppendBinary(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(append(dst, tagSecretKey, wireVersion), uint32(len(sk.signed)))
+	for _, v := range sk.signed {
+		dst = append(dst, byte(int8(v)))
 	}
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(sk.signed))); err != nil {
-		return err
-	}
-	buf := make([]int8, len(sk.signed))
-	for i, v := range sk.signed {
-		if v < -1 || v > 1 {
-			return fmt.Errorf("ckks: secret coefficient %d out of ternary range", v)
-		}
-		buf[i] = int8(v)
-	}
-	return binary.Write(w, binary.LittleEndian, buf)
+	return dst
 }
 
 // ParseSecretKey decodes a secret key from the front of b, returns the bytes
 // after it, and rebuilds its NTT-form embeddings over every key ring the
-// parameter set enables (Q++P always, Q++T when KLSS is available). Malformed
-// input wraps ErrCorruptSnapshot.
+// parameter set enables (Q++P always, Q++T when KLSS is available).
 func ParseSecretKey(b []byte, params *Parameters) (*SecretKey, []byte, error) {
 	if err := checkHeader(b, tagSecretKey); err != nil {
 		return nil, nil, err
@@ -407,7 +308,7 @@ func ParseSecretKey(b []byte, params *Parameters) (*SecretKey, []byte, error) {
 	}
 	n := binary.LittleEndian.Uint32(hdr)
 	if int(n) != params.N() {
-		return nil, nil, fmt.Errorf("ckks: secret key length %d does not match N=%d: %w", n, params.N(), ErrCorruptSnapshot)
+		return nil, nil, fmt.Errorf("ckks: secret key length %d does not match N=%d", n, params.N())
 	}
 	coeffs, b, err := cutBytes(b, int(n))
 	if err != nil {
@@ -417,7 +318,7 @@ func ParseSecretKey(b []byte, params *Parameters) (*SecretKey, []byte, error) {
 	for i, c := range coeffs {
 		v := int8(c)
 		if v < -1 || v > 1 {
-			return nil, nil, fmt.Errorf("ckks: secret coefficient %d out of ternary range: %w", v, ErrCorruptSnapshot)
+			return nil, nil, fmt.Errorf("ckks: secret coefficient %d out of ternary range", v)
 		}
 		sk.signed[i] = int64(v)
 	}
@@ -440,44 +341,31 @@ func cutBytes(b []byte, n int) (head, rest []byte, err error) {
 	return b[:n], b[n:], nil
 }
 
-// Serialize writes the full evaluation-key set in a canonical order (methods
-// ascending, Galois elements ascending) so identical key sets always produce
-// identical bytes — the property the snapshot checksum relies on.
-func (s *EvaluationKeySet) Serialize(w io.Writer) error {
-	if err := writeHeader(w, tagEvalKeys); err != nil {
-		return err
-	}
+// AppendBinary appends the full evaluation-key set to dst in a canonical
+// order (methods ascending, Galois elements ascending) so identical key sets
+// always produce identical bytes — the property the snapshot checksum relies
+// on.
+func (s *EvaluationKeySet) AppendBinary(dst []byte) []byte {
 	methods := make([]KeySwitchMethod, 0, len(s.Relin))
 	for m := range s.Relin {
 		methods = append(methods, m)
 	}
-	sort.Slice(methods, func(i, j int) bool { return methods[i] < methods[j] })
-	if err := binary.Write(w, binary.LittleEndian, uint32(len(methods))); err != nil {
-		return err
-	}
+	slices.Sort(methods)
+	dst = binary.LittleEndian.AppendUint32(append(dst, tagEvalKeys, wireVersion), uint32(len(methods)))
 	for _, m := range methods {
 		galEls := make([]uint64, 0, len(s.Galois[m]))
 		for el := range s.Galois[m] {
 			galEls = append(galEls, el)
 		}
-		sort.Slice(galEls, func(i, j int) bool { return galEls[i] < galEls[j] })
-		meta := [2]uint32{uint32(m), uint32(len(galEls))}
-		if err := binary.Write(w, binary.LittleEndian, meta); err != nil {
-			return err
-		}
-		if err := s.Relin[m].Serialize(w); err != nil {
-			return err
-		}
+		slices.Sort(galEls)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(m))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(galEls)))
+		dst = s.Relin[m].AppendBinary(dst)
 		for _, el := range galEls {
-			if err := binary.Write(w, binary.LittleEndian, el); err != nil {
-				return err
-			}
-			if err := s.Galois[m][el].Serialize(w); err != nil {
-				return err
-			}
+			dst = s.Galois[m][el].AppendBinary(binary.LittleEndian.AppendUint64(dst, el))
 		}
 	}
-	return nil
+	return dst
 }
 
 // ParseEvaluationKeySet decodes an evaluation-key set from the front of b,
@@ -493,7 +381,7 @@ func ParseEvaluationKeySet(b []byte, params *Parameters) (*EvaluationKeySet, []b
 	}
 	nMethods := binary.LittleEndian.Uint32(hdr)
 	if nMethods > 2 {
-		return nil, nil, fmt.Errorf("ckks: implausible method count %d: %w", nMethods, ErrCorruptSnapshot)
+		return nil, nil, fmt.Errorf("ckks: implausible method count %d", nMethods)
 	}
 	set := NewEvaluationKeySet()
 	for i := uint32(0); i < nMethods; i++ {
@@ -503,19 +391,19 @@ func ParseEvaluationKeySet(b []byte, params *Parameters) (*EvaluationKeySet, []b
 		}
 		method := KeySwitchMethod(binary.LittleEndian.Uint32(meta))
 		if method != Hybrid && method != KLSS {
-			return nil, nil, fmt.Errorf("ckks: unknown key-switch method %d in key set: %w", uint32(method), ErrCorruptSnapshot)
+			return nil, nil, fmt.Errorf("ckks: unknown key-switch method %d in key set", uint32(method))
 		}
 		var rlk *SwitchingKey
 		if rlk, b, err = ParseSwitchingKey(b, params); err != nil {
 			return nil, nil, err
 		}
 		if rlk.Method != method {
-			return nil, nil, fmt.Errorf("ckks: relin key method %v under %v section: %w", rlk.Method, method, ErrCorruptSnapshot)
+			return nil, nil, fmt.Errorf("ckks: relin key method %v under %v section", rlk.Method, method)
 		}
 		set.Relin[method] = rlk
 		nGal := binary.LittleEndian.Uint32(meta[4:])
 		if nGal > 1<<16 {
-			return nil, nil, fmt.Errorf("ckks: implausible galois key count %d: %w", nGal, ErrCorruptSnapshot)
+			return nil, nil, fmt.Errorf("ckks: implausible galois key count %d", nGal)
 		}
 		for j := uint32(0); j < nGal; j++ {
 			var el []byte
@@ -527,7 +415,7 @@ func ParseEvaluationKeySet(b []byte, params *Parameters) (*EvaluationKeySet, []b
 				return nil, nil, err
 			}
 			if gk.Method != method {
-				return nil, nil, fmt.Errorf("ckks: galois key method %v under %v section: %w", gk.Method, method, ErrCorruptSnapshot)
+				return nil, nil, fmt.Errorf("ckks: galois key method %v under %v section", gk.Method, method)
 			}
 			set.addGalois(method, binary.LittleEndian.Uint64(el), gk)
 		}
@@ -535,24 +423,15 @@ func ParseEvaluationKeySet(b []byte, params *Parameters) (*EvaluationKeySet, []b
 	return set, b, nil
 }
 
-// Serialize writes a switching key (all gadget pairs).
-func (swk *SwitchingKey) Serialize(w io.Writer) error {
-	if err := writeHeader(w, tagSwitchKey); err != nil {
-		return err
-	}
-	meta := [2]uint32{uint32(swk.Method), uint32(len(swk.B))}
-	if err := binary.Write(w, binary.LittleEndian, meta); err != nil {
-		return err
-	}
+// AppendBinary appends the switching key's wire form (all gadget pairs) to
+// dst.
+func (swk *SwitchingKey) AppendBinary(dst []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(append(dst, tagSwitchKey, wireVersion), uint32(swk.Method))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(swk.B)))
 	for j := range swk.B {
-		if err := writePoly(w, swk.B[j]); err != nil {
-			return err
-		}
-		if err := writePoly(w, swk.A[j]); err != nil {
-			return err
-		}
+		dst = appendPoly(appendPoly(dst, swk.B[j]), swk.A[j])
 	}
-	return nil
+	return dst
 }
 
 // ParseSwitchingKey decodes a switching key from the front of b and returns
@@ -582,7 +461,7 @@ func ParseSwitchingKey(b []byte, params *Parameters) (*SwitchingKey, []byte, err
 		if swk.A[j], b, err = parsePoly(b); err != nil {
 			return nil, nil, err
 		}
-		if swk.B[j].Limbs() != len(kr.Moduli) || swk.A[j].Limbs() != len(kr.Moduli) || swk.B[j].N() != params.N() {
+		if !keyShape(swk.B[j], swk.A[j], len(kr.Moduli), params.N()) {
 			return nil, nil, fmt.Errorf("ckks: switching key group %d shape inconsistent", j)
 		}
 	}

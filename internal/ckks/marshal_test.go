@@ -2,6 +2,10 @@ package ckks
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -37,7 +41,7 @@ func TestCiphertextRoundTrip(t *testing.T) {
 // TestSerializeArenaAndForeignPolysMatch pins the single-pass arena encoding
 // against the row-wise fallback: a ciphertext whose polynomials carry a
 // contiguous Backing must serialize byte-identically to the same ciphertext
-// with hand-built rows (Backing == nil, the foreign-poly shape writePoly must
+// with hand-built rows (Backing == nil, the foreign-poly shape appendPoly must
 // still accept).
 func TestSerializeArenaAndForeignPolysMatch(t *testing.T) {
 	tc := newTestContext(t)
@@ -111,11 +115,7 @@ func TestCiphertextRejectsCorruption(t *testing.T) {
 
 func TestPublicKeyRoundTrip(t *testing.T) {
 	tc := newTestContext(t)
-	var buf bytes.Buffer
-	if err := tc.pk.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, rest, err := ParsePublicKey(buf.Bytes(), tc.params)
+	back, rest, err := ParsePublicKey(tc.pk.AppendBinary(nil), tc.params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +145,7 @@ func TestSwitchingKeyRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := rlk.Serialize(&buf); err != nil {
-			t.Fatal(err)
-		}
-		back, rest, err := ParseSwitchingKey(buf.Bytes(), tc.params)
+		back, rest, err := ParseSwitchingKey(rlk.AppendBinary(nil), tc.params)
 		if err != nil {
 			t.Fatalf("%v: %v", method, err)
 		}
@@ -199,25 +195,17 @@ func TestReadGarbage(t *testing.T) {
 	}
 }
 
-// TestKeyPayloadParse: the in-memory key decoders read back exactly what the
-// writers wrote — secret key, public key and evaluation-key set in sequence,
+// TestKeyPayloadParse: the key decoders read back exactly what the appenders
+// wrote — secret key, public key and evaluation-key set in sequence,
 // each returning what follows it — and reject every truncation with an error,
 // not a panic.
 func TestKeyPayloadParse(t *testing.T) {
 	tc := newTestContext(t)
-	var buf bytes.Buffer
-	if err := tc.sk.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	skLen := buf.Len()
-	if err := tc.pk.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	pkLen := buf.Len() - skLen
-	if err := tc.keys.Serialize(&buf); err != nil {
-		t.Fatal(err)
-	}
-	payload := append(buf.Bytes(), 0xAA) // one trailing byte the parsers must hand back
+	payload := tc.sk.AppendBinary(nil)
+	skLen := len(payload)
+	payload = tc.pk.AppendBinary(payload)
+	pkLen := len(payload) - skLen
+	payload = append(tc.keys.AppendBinary(payload), 0xAA) // one trailing byte the parsers must hand back
 
 	sk, rest, err := ParseSecretKey(payload, tc.params)
 	if err != nil {
@@ -240,11 +228,7 @@ func TestKeyPayloadParse(t *testing.T) {
 	if len(rest) != 1 || rest[0] != 0xAA {
 		t.Fatalf("%d bytes left after the key set, want the 1 trailing byte", len(rest))
 	}
-	var again bytes.Buffer
-	if err := keys.Serialize(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again.Bytes(), payload[skLen+pkLen:len(payload)-1]) {
+	if !bytes.Equal(keys.AppendBinary(nil), payload[skLen+pkLen:len(payload)-1]) {
 		t.Fatal("evaluation-key set round trip is not byte-identical")
 	}
 
@@ -264,4 +248,121 @@ func TestKeyPayloadParse(t *testing.T) {
 			t.Errorf("public key truncated to %d of %d bytes parsed", n, pkLen)
 		}
 	}
+}
+
+// TestKeyParsersCheckBothHalves: a key pair with either half at another ring
+// degree is refused at parse time. The key switch reads both halves' rows at
+// the ring degree, so a short half that parsed would panic there instead.
+func TestKeyParsersCheckBothHalves(t *testing.T) {
+	tc := newTestContext(t)
+	short := func(p ring.Poly) ring.Poly {
+		s := ring.NewPoly(p.N()/2, p.Limbs())
+		for i := range s.Coeffs {
+			copy(s.Coeffs[i], p.Coeffs[i])
+		}
+		return s
+	}
+	parsePK := func(b []byte) error { _, _, err := ParsePublicKey(b, tc.params); return err }
+	parseSWK := func(b []byte) error { _, _, err := ParseSwitchingKey(b, tc.params); return err }
+	type keyCase struct {
+		name  string
+		wire  []byte
+		parse func([]byte) error
+	}
+	cases := []keyCase{
+		{"public key, short A", (&PublicKey{B: tc.pk.B, A: short(tc.pk.A)}).AppendBinary(nil), parsePK},
+		{"public key, short B", (&PublicKey{B: short(tc.pk.B), A: tc.pk.A}).AppendBinary(nil), parsePK},
+	}
+	for _, m := range []KeySwitchMethod{Hybrid, KLSS} {
+		rlk, err := tc.keys.RelinKey(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := len(rlk.B) - 1
+		shortA := &SwitchingKey{Method: m, B: rlk.B, A: append(slices.Clone(rlk.A[:last]), short(rlk.A[last]))}
+		shortB := &SwitchingKey{Method: m, B: append(slices.Clone(rlk.B[:last]), short(rlk.B[last])), A: rlk.A}
+		cases = append(cases,
+			keyCase{m.String() + " switching key, short A", shortA.AppendBinary(nil), parseSWK},
+			keyCase{m.String() + " switching key, short B", shortB.AppendBinary(nil), parseSWK})
+	}
+	for _, c := range cases {
+		if err := c.parse(c.wire); err == nil {
+			t.Errorf("%s: parsed", c.name)
+		}
+	}
+}
+
+// TestReadCiphertextStream: ciphertexts written back to back into one stream
+// come back one per ReadCiphertext, byte-identical, and each read stops at
+// the end of its ciphertext: the byte after the last one stays in the reader.
+func TestReadCiphertextStream(t *testing.T) {
+	tc := newTestContext(t)
+	var cts []*Ciphertext
+	for _, level := range []int{tc.params.MaxLevel(), 1} {
+		pt, err := tc.enc.EncodeAtLevel(randomValues(tc.params.Slots(), 55), level, tc.params.Scale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := tc.encr.Encrypt(pt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cts = append(cts, ct)
+	}
+	wire := append(cts[1].AppendBinary(cts[0].AppendBinary(nil)), 0xAA)
+	r := bytes.NewReader(wire)
+	for i, want := range cts {
+		got, err := ReadCiphertext(r, tc.params)
+		if err != nil {
+			t.Fatalf("ciphertext %d: %v", i, err)
+		}
+		if !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
+			t.Fatalf("ciphertext %d did not come back byte-identical", i)
+		}
+	}
+	if rest, _ := io.ReadAll(r); !bytes.Equal(rest, []byte{0xAA}) {
+		t.Fatalf("reader left %x after the two ciphertexts, want aa", rest)
+	}
+}
+
+// TestReadCiphertextRefusesShapeFromHead: a head whose poly shape is
+// implausible, or one the parameters cannot hold, is refused from its bytes
+// alone: nothing past the head is read, and less than one coefficient row is
+// allocated.
+func TestReadCiphertextRefusesShapeFromHead(t *testing.T) {
+	tc := newTestContext(t)
+	n, limbs := tc.params.N(), tc.params.MaxLevel()+1
+	for _, c := range []struct {
+		name     string
+		limbs, n int
+	}{
+		{"no limbs", 0, n},
+		{"implausible limbs", 129, n},
+		{"more limbs than the chain", limbs + 1, n},
+		{"wrong degree", limbs, 2 * n},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			head := append(appendLevelScale(nil, tagCiphertext, c.limbs-1, tc.params.Scale()), tagPoly, wireVersion)
+			head = binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(head, uint32(c.limbs)), uint32(c.n))
+			r := io.MultiReader(bytes.NewReader(head), pastHead{t})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ReadCiphertext(r, tc.params)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("head accepted")
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= uint64(8*n) {
+				t.Fatalf("refusing the head allocated %d bytes, want under one %d-byte row", got, 8*n)
+			}
+		})
+	}
+}
+
+// pastHead fails the test if a reader reads beyond the ciphertext head.
+type pastHead struct{ t *testing.T }
+
+func (p pastHead) Read([]byte) (int, error) {
+	p.t.Error("read past the ciphertext head")
+	return 0, io.EOF
 }

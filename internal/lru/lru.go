@@ -1,6 +1,6 @@
 // Package lru is the module's one recency-ordered map: it sits under fastd's
-// idempotency table and plan cache, the session registry's per-shard resident
-// order, and Hemera's key pool and shared evk cache.
+// plan cache, the session registry's per-shard resident order, and Hemera's
+// key pool and shared evk cache.
 package lru
 
 import "container/list"

@@ -38,7 +38,8 @@ func (c *Ciphertext) AppendBinary(dst []byte) []byte { return c.ct.AppendBinary(
 // counts consistent with the level, coefficient rows inside their moduli, and
 // a finite positive scale. Malformed or truncated input returns an error
 // wrapping fast.ErrInvalidCiphertext — never a panic and never a structurally
-// broken handle.
+// broken handle. It reads exactly one ciphertext's bytes from r, so
+// ciphertexts written back to back come back one per call.
 func (c *Context) ReadCiphertext(r io.Reader) (*Ciphertext, error) {
 	ct, err := ckks.ReadCiphertext(r, c.params)
 	if err != nil {
@@ -137,30 +138,14 @@ func (c *Context) WriteSessionSnapshot(w io.Writer, meta SessionMeta) error {
 	if err != nil {
 		return fmt.Errorf("fast: marshal snapshot header: %w", err)
 	}
-	var keys bytes.Buffer
-	if err := c.sk.Serialize(&keys); err != nil {
-		return fmt.Errorf("fast: serialize secret key: %w", err)
-	}
-	if err := c.pk.Serialize(&keys); err != nil {
-		return fmt.Errorf("fast: serialize public key: %w", err)
-	}
-	if err := c.keys.Serialize(&keys); err != nil {
-		return fmt.Errorf("fast: serialize evaluation keys: %w", err)
-	}
-
-	// Everything but the trailing sum goes to w and the hash together, so
-	// the key payload is never copied into a second full-size buffer.
-	h := sha256.New()
-	hw := io.MultiWriter(w, h)
-	var lens [12]byte
-	binary.LittleEndian.PutUint32(lens[:4], uint32(len(hdr)))
-	binary.LittleEndian.PutUint64(lens[4:], uint64(keys.Len()))
-	for _, part := range [][]byte{snapshotMagic[:], lens[:4], hdr, lens[4:], keys.Bytes()} {
-		if _, err := hw.Write(part); err != nil {
-			return err
-		}
-	}
-	_, err = w.Write(h.Sum(nil))
+	buf := append([]byte(nil), snapshotMagic[:]...)
+	buf = append(binary.LittleEndian.AppendUint32(buf, uint32(len(hdr))), hdr...)
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // keyLen, backfilled once the keys are in
+	keysAt := len(buf)
+	buf = c.keys.AppendBinary(c.pk.AppendBinary(c.sk.AppendBinary(buf)))
+	binary.LittleEndian.PutUint64(buf[keysAt-8:], uint64(len(buf)-keysAt))
+	sum := sha256.Sum256(buf)
+	_, err = w.Write(append(buf, sum[:]...))
 	return err
 }
 
@@ -246,13 +231,13 @@ func (s *SessionSnapshot) readKeys(ctx *Context) error {
 	b := s.keyBytes
 	var err error
 	if ctx.sk, b, err = ckks.ParseSecretKey(b, ctx.params); err != nil {
-		return fmt.Errorf("fast: snapshot secret key: %w", err)
+		return fmt.Errorf("fast: snapshot secret key: %w: %w", err, ErrCorruptSnapshot)
 	}
 	if ctx.pk, b, err = ckks.ParsePublicKey(b, ctx.params); err != nil {
-		return fmt.Errorf("fast: snapshot public key: %w", err)
+		return fmt.Errorf("fast: snapshot public key: %w: %w", err, ErrCorruptSnapshot)
 	}
 	if ctx.keys, b, err = ckks.ParseEvaluationKeySet(b, ctx.params); err != nil {
-		return fmt.Errorf("fast: snapshot evaluation keys: %w", err)
+		return fmt.Errorf("fast: snapshot evaluation keys: %w: %w", err, ErrCorruptSnapshot)
 	}
 	if len(b) != 0 {
 		return fmt.Errorf("fast: %d trailing bytes after snapshot key material: %w", len(b), ErrCorruptSnapshot)

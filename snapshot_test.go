@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	fast "github.com/fastfhe/fast"
@@ -206,7 +207,10 @@ func flipByte(i int) func([]byte) []byte {
 // FuzzSessionSnapshot hardens DecodeSessionSnapshot+Restore against arbitrary
 // input: any mutation of a valid snapshot (or raw garbage) must either be
 // rejected with a typed error or decode losslessly — never panic, and never
-// restore from bytes that differ from a checksum-valid snapshot.
+// restore from bytes that differ from a checksum-valid snapshot. A mutation
+// practically never carries a valid checksum, so each input is also tried as
+// the key payload of a re-signed snapshot, which the key parsers must refuse
+// as corrupt or restore.
 func FuzzSessionSnapshot(f *testing.F) {
 	cfg := fast.ContextConfig{LogN: 4, Levels: 1, LogScale: 20, Seed: 3}
 	ctx, err := fast.NewContext(cfg)
@@ -225,9 +229,23 @@ func FuzzSessionSnapshot(f *testing.F) {
 	mut := append([]byte(nil), valid...)
 	mut[len(mut)/3] ^= 1
 	f.Add(mut)
+	keys := valid[keysAt(valid) : len(valid)-sha256.Size]
+	f.Add(keys)
+	f.Add(keys[:len(keys)-1])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := fast.DecodeSessionSnapshot(data)
+		// data as a key payload, re-signed so it reaches the key parsers: the
+		// restore succeeds or is refused as corrupt.
+		s, err := fast.DecodeSessionSnapshot(spliceKeys(valid, func([]byte) []byte { return data }))
+		if err != nil {
+			t.Fatalf("re-signed snapshot refused at decode: %v", err)
+		}
+		if _, err := s.Restore(); err != nil && !errors.Is(err, fast.ErrCorruptSnapshot) {
+			t.Fatalf("key payload refused without ErrCorruptSnapshot: %v", err)
+		}
+
+		// data as a whole snapshot.
+		s, err = fast.DecodeSessionSnapshot(data)
 		if err != nil {
 			if !errors.Is(err, fast.ErrCorruptSnapshot) {
 				t.Fatalf("decode error %v does not wrap ErrCorruptSnapshot", err)
@@ -281,8 +299,69 @@ func spliceHeader(t testing.TB, snap []byte, splice func(hdr []byte) (at int, me
 	out = append(out, member...)
 	out = append(out, snap[hdrStart+at:len(snap)-sha256.Size]...)
 	binary.LittleEndian.PutUint32(out[8:hdrStart], uint32(hdrLen+len(member)))
-	sum := sha256.Sum256(out)
-	return append(out, sum[:]...)
+	return resign(out)
+}
+
+// resign appends body's SHA-256: the trailer a snapshot writer puts after it.
+func resign(body []byte) []byte {
+	sum := sha256.Sum256(body)
+	return append(body, sum[:]...)
+}
+
+// keysAt is the offset of a well-formed snapshot's key payload.
+func keysAt(snap []byte) int {
+	return 8 + 4 + int(binary.LittleEndian.Uint32(snap[8:])) + 8 // magic, hdrLen, header, keyLen
+}
+
+// spliceKeys rewrites a well-formed snapshot's key payload with edit: keyLen
+// and the trailing SHA-256 are recomputed, so the result passes the checksum
+// and reaches the key parsers.
+func spliceKeys(snap []byte, edit func(keys []byte) []byte) []byte {
+	at := keysAt(snap)
+	keys := edit(bytes.Clone(snap[at : len(snap)-sha256.Size]))
+	out := binary.LittleEndian.AppendUint64(bytes.Clone(snap[:at-8]), uint64(len(keys)))
+	return resign(append(out, keys...))
+}
+
+// TestSessionSnapshotCorruptKeys: a checksum-valid snapshot whose key
+// payload does not parse is a corrupt snapshot. Restore must say so with
+// ErrCorruptSnapshot, the error a daemon answers by tombstoning the file
+// instead of parsing it again on every retry.
+func TestSessionSnapshotCorruptKeys(t *testing.T) {
+	_, snap := snapshotBytes(t, snapshotTestConfig(), fast.SessionMeta{ID: "s1"})
+	// The first switching key's group count sits after the secret key (tag,
+	// length, N bytes), the public key (tag, two polys of limbs×n words) and
+	// the key set's tag, method count, method, Galois count, and the key's own
+	// tag and method.
+	zeroGroups := func(k []byte) []byte {
+		at := 6 + int(binary.LittleEndian.Uint32(k[2:]))
+		limbs, n := int(binary.LittleEndian.Uint32(k[at+4:])), int(binary.LittleEndian.Uint32(k[at+8:]))
+		at += 2 + 2*(10+8*limbs*n) + 2 + 4 + 8 + 2 + 4
+		binary.LittleEndian.PutUint32(k[at:], 0)
+		return k
+	}
+	for _, tc := range []struct {
+		name, cause string
+		edit        func([]byte) []byte
+	}{
+		{"truncated", "unexpected EOF", func(k []byte) []byte { return k[:len(k)-8] }},
+		{"zero-groups", "group count 0", zeroGroups},
+		{"empty", "header", func([]byte) []byte { return nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := fast.DecodeSessionSnapshot(spliceKeys(snap, tc.edit))
+			if err != nil {
+				t.Fatalf("re-signed snapshot refused at decode: %v", err)
+			}
+			_, err = s.Restore()
+			if err == nil || !strings.Contains(err.Error(), tc.cause) {
+				t.Fatalf("restore error %v, want one naming %q", err, tc.cause)
+			}
+			if !errors.Is(err, fast.ErrCorruptSnapshot) {
+				t.Fatalf("restore error %v does not wrap ErrCorruptSnapshot", err)
+			}
+		})
+	}
 }
 
 // spliceLegacyMetaKey: the snapshot a build whose SessionMeta still ended in
