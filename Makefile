@@ -2,14 +2,14 @@
 
 GO ?= go
 
-.PHONY: all check build kernel-path test test-short test-purego race chaos fuzz obs-smoke soak-smoke shard-chaos bench-test bench tables cover fmt vet loc clean
+.PHONY: all check build kernel-path test test-short test-purego race chaos examples fuzz obs-smoke soak-smoke shard-chaos bench-test bench tables cover fmt vet loc clean
 
 all: build test
 
 # The default pre-merge gate: static analysis, the full suite, the race
-# detector over the concurrency tests, the chaos suite, and the benchmark
-# harness's own tests.
-check: vet test race chaos bench-test
+# detector over the concurrency tests, the chaos suite, the example programs,
+# and the benchmark harness's own tests.
+check: vet test race chaos examples bench-test
 
 build:
 	$(GO) build ./...
@@ -47,10 +47,13 @@ test-purego:
 # reads a recycled buffer before writing it, or recycles one twice, fails
 # here. The shape cache's two contracts — concurrent first creates of one
 # configuration compile it once, and an unreferenced compile leaves the cache
-# — are run again by name, several times over.
+# — are run again by name, several times over, and so is the one that has
+# eight goroutines make a fresh context's first KLSS ops at once (its KLSS
+# keys must be derived exactly once).
 race: kernel-path
 	$(GO) test -race -short ./...
 	$(GO) test -race -run TestBootstrapConcurrentFirstUse ./internal/ckks
+	$(GO) test -race -count=5 -run TestKLSSKeysDerivedOnceUnderConcurrentFirstUse .
 	$(GO) test -race -count=5 -run 'TestNewContextConcurrentCompileOnce|TestContextsShareCompiledParameters' .
 	$(GO) test -race -count=5 -run 'TestShapeCacheForgetsUnreferencedShapes|TestParametersShareShapeAcrossSeeds' ./internal/ckks
 
@@ -67,6 +70,12 @@ race: kernel-path
 # it for a deeper soak.)
 chaos:
 	$(GO) test -race -short -run 'Chaos|Fault|Resilience|RandomScript|NoisyTenant' . ./internal/hemera ./cmd/fastd ./internal/shard
+
+# Every examples/* program, run to completion (each under ~1 s warm); the
+# target fails on the first one that exits non-zero. quickstart pins KLSS on
+# one op, so a fresh context's KLSS key derivation runs here too.
+examples:
+	@for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
 
 # Fuzz smoke pass: each target fuzzes for 10s (Go allows one -fuzz pattern
 # per package invocation). Corpus findings land in testdata/fuzz/.
@@ -239,7 +248,14 @@ MODEL_LOC_MAX ?= 2325
 # 2784 -> 2773: WriteSessionSnapshot appends the keys into the snapshot
 # buffer and writes it once; its bytes.Buffer and io.MultiWriter went, and
 # ErrCorruptSnapshot moved here from internal/ckks, which no longer returns it.
-ROOT_LOC_MAX ?= 2773
+#
+# 2773 -> 2781: +8 is the measured net growth of deriving KLSS keys on first
+# use. context.go +2 (buildContext keys hybrid only and attaches the
+# derivation; KeygenUnits lost its KLSS term; the EnableKLSS and NewContext
+# docs say when KLSS keys exist), marshal.go +4 (WriteSessionSnapshot and
+# Restore docs: no KLSS section is written, restore derives it), plan.go +2
+# (Plan.Units does not price the derivation).
+ROOT_LOC_MAX ?= 2781
 
 # Size budget of the CKKS layer: non-test lines of internal/ckks, the
 # module's largest package (scheme, key switch, bootstrapping, wire codec).
@@ -252,7 +268,18 @@ ROOT_LOC_MAX ?= 2773
 # (appendPolyHeader, decodeLevelScale). Ciphertext.Serialize is one Write of
 # AppendBinary, and ReadCiphertext reads the ciphertext's bytes into
 # ReadCiphertextBytes.
-CKKS_LOC_MAX ?= 4115
+#
+# 4115 -> 4211: +96 is the measured net growth of deriving KLSS keys on first
+# use and typing the ciphertext wire errors. keys.go 281 -> 368 (+87):
+# DeriveKLSS and its doc, the set's klss field (a sync.OnceValues) and the
+# section lookup RelinKey and GaloisKey go through, galoisElements (the sort
+# AppendBinary did inline, marshal.go -4), the KLSS-only sampler stream
+# (klssSeedOffset, newKLSSGenerator), GenEvaluationKeySet split into the
+# element list and genSection, and the EvaluationKeySet doc saying which keys
+# a set holds. marshal.go 469 -> 478 (+9): invalidCiphertext and the deferred
+# call that wraps ErrInvalidCiphertext once where ReadCiphertext and
+# ReadCiphertextBytes return, and the AppendBinary doc.
+CKKS_LOC_MAX ?= 4211
 
 MODEL_GO = internal/aether/*.go internal/costmodel/*.go internal/sim/*.go internal/trace/*.go \
 	internal/workloads/*.go internal/baselines/*.go perf.go cmd/aether/*.go cmd/fastsim/*.go

@@ -23,7 +23,7 @@ import (
 //	            touched by a restore; rewritten only when an evicted session
 //	            is dirty (an earlier durability write had degraded).
 //	<id>.epoch  the restore epoch sidecar: 8-byte counter + CRC-32C. Bumped on
-//	            every restore so the 10 MB key payload does not have to be.
+//	            every restore so the key payload (5.4 MiB at log_n 11) need not be.
 //	<id>.idem   the idempotency ring of digest records (idem.go).
 //
 // Every write is made durable before it is relied on:

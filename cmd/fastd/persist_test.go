@@ -329,6 +329,63 @@ func TestEmptyRotationsSessionRestores(t *testing.T) {
 	}
 }
 
+// TestKLSSSessionSurvivesEvictAndRestart: an enable_klss session's .snap
+// stores no KLSS keys — its key payload is, byte for byte, that of a
+// hybrid-only session of the same seed — yet a KLSS-pinned eval answers with
+// the same bytes before eviction, after an evict and restore, and after a
+// restart on the same state dir: each restored context derives the session's
+// KLSS keys again on its first KLSS op.
+func TestKLSSSessionSurvivesEvictAndRestart(t *testing.T) {
+	dir := t.TempDir()
+	dA, tsA := newTestDaemon(t, daemonConfig{StateDir: dir})
+	sr := createSession(t, tsA.URL, testSessionRequest())
+	hybridReq := testSessionRequest()
+	hybridReq.EnableKLSS = false
+	hybridOnly := createSession(t, tsA.URL, hybridReq)
+
+	keyPayload := func(id string) []byte {
+		t.Helper()
+		snap, err := os.ReadFile(filepath.Join(dir, id+".snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		keysAt := 8 + 4 + int(binary.LittleEndian.Uint32(snap[8:])) + 8 // magic, hdrLen, header, keyLen
+		return snap[keysAt : len(snap)-sha256.Size]
+	}
+	if got, want := keyPayload(sr.ID), keyPayload(hybridOnly.ID); !bytes.Equal(got, want) {
+		t.Fatalf("enable_klss .snap key payload is %d bytes, the hybrid-only one %d: they differ", len(got), len(want))
+	}
+
+	vals := make([]complex128, sr.Slots)
+	for i := range vals {
+		vals[i] = complex(0.25*float64(i%7), -0.125*float64(i%5))
+	}
+	ct := encryptValues(t, tsA.URL, sr.ID, vals)
+	prog := evalOf(fast.NewProgram().In("x").
+		Mul("t", "x", "x", klss).
+		Rotate("r", "t", 1, klss).
+		Conjugate("c", "r", klss).
+		Add("out", "c", "t").
+		Return("out"), ct.Ciphertext)
+	eval := func(base string) []byte {
+		t.Helper()
+		status, body := doJSON(t, http.MethodPost, base+"/v1/sessions/"+sr.ID+"/eval", nil, prog, nil)
+		if status != http.StatusOK {
+			t.Fatalf("eval: status %d: %s", status, body)
+		}
+		return body
+	}
+	ref := eval(tsA.URL)
+	evictNow(t, dA, sr.ID)
+	if got := eval(tsA.URL); !bytes.Equal(got, ref) {
+		t.Fatal("KLSS eval after evict + restore differs from the one before eviction")
+	}
+	_, tsB := newTestDaemon(t, daemonConfig{StateDir: dir})
+	if got := eval(tsB.URL); !bytes.Equal(got, ref) {
+		t.Fatal("KLSS eval after a restart differs from the one before eviction")
+	}
+}
+
 // TestReadyzSessionOccupancy is the satellite regression test: /readyz
 // reports registry occupancy against MaxSessions and flips to 503 exactly
 // when a session create would be refused.

@@ -41,8 +41,12 @@ type ContextConfig struct {
 	Rotations []int
 	// Conjugation requests the conjugation key.
 	Conjugation bool
-	// EnableKLSS additionally generates the 60-bit-chain keys so the KLSS
-	// backend can run (costs ~3.7x the key storage, §3.1).
+	// EnableKLSS adds the 60-bit auxiliary chain so the KLSS backend can
+	// run. Its keys are derived from Seed and the secret on the first KLSS
+	// op, which pays for the derivation (Plan.Units does not price it); a
+	// context that never runs KLSS holds none, and a snapshot stores none.
+	// Derived, they double the evaluation-key memory: a KLSS key is the size
+	// of a hybrid key (α_T = α, |T| = |P|).
 	EnableKLSS bool
 	// Seed makes all randomness deterministic (0 uses a fixed default).
 	Seed int64
@@ -111,8 +115,9 @@ func (c *Ciphertext) Scale() float64 {
 	return c.ct.Scale
 }
 
-// NewContext compiles the configuration, generates all keys and returns a
-// ready-to-use context. The compiled parameter set is shared: contexts whose
+// NewContext compiles the configuration, generates the keys and returns a
+// ready-to-use context (KLSS keys wait for the first KLSS op; see
+// EnableKLSS). The compiled parameter set is shared: contexts whose
 // configurations differ at most in Seed hold one read-only copy of the prime
 // chains and ring and evaluator tables, compiled by whichever came first and
 // kept while any of them is live. A zero cfg (LogN 0) means DefaultConfig().
@@ -199,34 +204,34 @@ func KeySwitchShape(cfg ContextConfig) (costmodel.Shape, error) {
 }
 
 // KeygenUnits is the admission weight of NewContext(cfg) in Plan.Units'
-// units: one top-level key switch at the context's shape per evaluation key
-// buildContext generates — the relinearisation key, one per rotation and the
-// conjugation key when enabled — under each method it keys, hybrid always and
-// KLSS when enabled. A config NewContext refuses weighs nothing.
+// units: one top-level hybrid key switch at the context's shape per
+// evaluation key buildContext generates — the relinearisation key, one per
+// rotation and the conjugation key when enabled. KLSS keys are not generated
+// there (see EnableKLSS), so they weigh nothing. A config NewContext refuses
+// weighs nothing.
 func KeygenUnits(cfg ContextConfig) float64 {
 	cfg, _, err := resolveConfig(cfg, nil)
 	if err != nil {
 		return 0
 	}
 	s := parametersLiteral(cfg).KeySwitchShape()
-	keys, perKey := 1+len(cfg.Rotations), s.KeySwitch(Hybrid, s.L, 1).Total()
+	keys := 1 + len(cfg.Rotations)
 	if cfg.Conjugation {
 		keys++
 	}
-	if cfg.EnableKLSS {
-		perKey += s.KeySwitch(KLSS, s.L, 1).Total()
-	}
-	return perKey * float64(keys)
+	return s.KeySwitch(Hybrid, s.L, 1).Total() * float64(keys)
 }
 
 // buildContext is the one construction path: NewContext, NewBootstrapContext
 // and SessionSnapshot.Restore each describe a regime — the resolved cfg, the
-// literal params was compiled from — and end here. Key material is generated
-// from the parameter seed (hybrid always, KLSS when cfg enables it, Galois
-// keys for cfg.Rotations and cfg.Conjugation) or, when snap is non-nil, read
-// from the snapshot's key payload. The encryptor's sampler stream is seeded
-// per restore epoch, so a restored session never replays pre-crash
-// encryption randomness; epoch 0 is the fresh-construction stream.
+// literal params was compiled from — and end here. Hybrid key material is
+// generated from the parameter seed (Galois keys for cfg.Rotations and
+// cfg.Conjugation) or, when snap is non-nil, read from the snapshot's key
+// payload. When cfg enables KLSS and the keys hold no KLSS section, the
+// section is derived on the first KLSS op; a legacy payload's stored KLSS
+// keys are used as they are. The encryptor's sampler stream is seeded per
+// restore epoch, so a restored session never replays pre-crash encryption
+// randomness; epoch 0 is the fresh-construction stream.
 func buildContext(cfg ContextConfig, settings contextSettings, lit ckks.ParametersLiteral,
 	params *ckks.Parameters, snap *SessionSnapshot) (*Context, error) {
 	ctx := &Context{cfg: cfg, lit: lit, params: params, observer: settings.observer, evk: settings.evk}
@@ -235,12 +240,8 @@ func buildContext(cfg ContextConfig, settings contextSettings, lit ckks.Paramete
 		kgen := ckks.NewKeyGenerator(params)
 		ctx.sk = kgen.GenSecretKey()
 		ctx.pk = kgen.GenPublicKey(ctx.sk)
-		methods := []Method{Hybrid}
-		if cfg.EnableKLSS {
-			methods = append(methods, KLSS)
-		}
 		var err error
-		if ctx.keys, err = kgen.GenEvaluationKeySet(ctx.sk, methods, cfg.Rotations, cfg.Conjugation); err != nil {
+		if ctx.keys, err = kgen.GenEvaluationKeySet(ctx.sk, []Method{Hybrid}, cfg.Rotations, cfg.Conjugation); err != nil {
 			return nil, err
 		}
 	} else {
@@ -249,6 +250,7 @@ func buildContext(cfg ContextConfig, settings contextSettings, lit ckks.Paramete
 		}
 		encSeed += int64(snap.Meta.Restores) * 0x9e3779b9
 	}
+	ctx.keys.DeriveKLSS(params, ctx.sk, ctx.observer.unwrap())
 	ctx.encoder = ckks.NewEncoder(params)
 	ctx.enc = ckks.NewEncryptorWithSeed(params, ctx.pk, encSeed)
 	ctx.dec = ckks.NewDecryptor(params, ctx.sk)

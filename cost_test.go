@@ -120,8 +120,9 @@ func median(ds []time.Duration) time.Duration {
 }
 
 // A create is priced by the keys NewContext generates at the context's own
-// shape: enabling KLSS adds a second key set, a conjugation key counts only
-// when asked for, and a zero config weighs what DefaultConfig builds.
+// shape: enabling KLSS adds nothing (its keys are derived on the first KLSS
+// op), a conjugation key counts only when asked for, and a zero config weighs
+// what DefaultConfig builds.
 func TestKeygenUnitsPriceTheKeysGenerated(t *testing.T) {
 	hybrid := ContextConfig{LogN: 11, Levels: 5, Rotations: []int{1, -1, 4}, Conjugation: true}
 	klss := hybrid
@@ -129,8 +130,8 @@ func TestKeygenUnitsPriceTheKeysGenerated(t *testing.T) {
 	noConj := hybrid
 	noConj.Conjugation = false
 	h, k, n := KeygenUnits(hybrid), KeygenUnits(klss), KeygenUnits(noConj)
-	if h <= 0 || k <= h || n >= h {
-		t.Fatalf("units: hybrid %g, +KLSS %g, no conjugation %g; want 0 < no-conj < hybrid < +KLSS", h, k, n)
+	if h <= 0 || k != h || n >= h {
+		t.Fatalf("units: hybrid %g, +KLSS %g, no conjugation %g; want 0 < no-conj < hybrid = +KLSS", h, k, n)
 	}
 	if got, want := KeygenUnits(ContextConfig{}), KeygenUnits(DefaultConfig()); got != want {
 		t.Fatalf("zero config weighs %g, DefaultConfig %g", got, want)

@@ -1,6 +1,7 @@
 package fast_test
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -145,6 +146,55 @@ func TestTypedErrorsWithErrorsIs(t *testing.T) {
 			t.Errorf("foreign ciphertext: got %v, want ErrInvalidCiphertext", err)
 		}
 	})
+}
+
+// TestCiphertextWireErrorsTyped: every way ciphertext wire bytes can be
+// malformed — the object's wrong tag or version, a component poly's wrong
+// tag, version or shape, a cut anywhere — is refused by both decode entry
+// points with an error wrapping ErrInvalidCiphertext.
+func TestCiphertextWireErrorsTyped(t *testing.T) {
+	ctx := errCtx(t)
+	ct, err := ctx.Encrypt([]complex128{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire := ct.AppendBinary(nil)
+	// The polys' headers: after the 14-byte level/scale head, and after c0's
+	// 10-byte header and 3 limbs × 512 words (errCtx: Levels 2, LogN 9).
+	const c0At, c1At = 14, 14 + 10 + 3*512*8
+	edit := func(at int, v byte) []byte {
+		b := bytes.Clone(wire)
+		b[at] = v
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		wire []byte
+	}{
+		{"empty", nil},
+		{"wrong tag", edit(0, 0x05)},
+		{"wrong version", edit(1, 9)},
+		{"head cut", wire[:10]},
+		{"c0 wrong tag", edit(c0At, 0x02)},
+		{"c0 wrong version", edit(c0At+1, 0)},
+		{"c0 implausible shape", edit(c0At+2, 0)},
+		{"c0 cut", wire[:c0At+10+100]},
+		{"c1 wrong tag", edit(c1At, 0x07)},
+		{"c1 header cut", wire[:c1At+4]},
+		{"c1 cut", wire[:len(wire)-1]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ctx.ReadCiphertextBytes(tc.wire); !errors.Is(err, fast.ErrInvalidCiphertext) {
+				t.Errorf("ReadCiphertextBytes: %v, want ErrInvalidCiphertext", err)
+			}
+			if _, err := ctx.ReadCiphertext(bytes.NewReader(tc.wire)); !errors.Is(err, fast.ErrInvalidCiphertext) {
+				t.Errorf("ReadCiphertext: %v, want ErrInvalidCiphertext", err)
+			}
+		})
+	}
+	if _, err := ctx.ReadCiphertextBytes(wire); err != nil {
+		t.Fatalf("the unedited wire: %v", err)
+	}
 }
 
 func errCtxLogN(t *testing.T, logN int) *fast.Context {

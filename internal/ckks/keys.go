@@ -3,7 +3,10 @@ package ckks
 import (
 	"fmt"
 	"math/big"
+	"slices"
+	"sync"
 
+	"github.com/fastfhe/fast/internal/obs"
 	"github.com/fastfhe/fast/internal/ring"
 )
 
@@ -30,12 +33,20 @@ type SwitchingKey struct {
 }
 
 // EvaluationKeySet carries every key the evaluator may need: relinearization
-// and Galois keys, per key-switching backend. Keys for a backend are only
-// present if they were generated, which is how the Aether planner's storage
-// trade-off (KLSS keys are ~3.7x bigger) surfaces in the functional model.
+// and Galois keys, per key-switching backend. At the shapes the fast package
+// builds (α_T = α, |T| = |P|) a KLSS key is the size of the hybrid key of the
+// same element. The KLSS section is a deterministic function of the
+// parameter seed and the secret, drawn from its own sampler stream, so a set
+// may hold it (GenEvaluationKeySet with KLSS, a parsed payload that carries
+// it) or derive it on the first KLSS lookup (DeriveKLSS).
 type EvaluationKeySet struct {
 	Relin  map[KeySwitchMethod]*SwitchingKey
 	Galois map[KeySwitchMethod]map[uint64]*SwitchingKey
+
+	// klss returns the KLSS section DeriveKLSS attached, generating it on
+	// the first call (concurrent first calls wait for that one); nil when
+	// the maps hold the set's KLSS keys or it has none.
+	klss func() (*EvaluationKeySet, error)
 }
 
 // NewEvaluationKeySet returns an empty key set.
@@ -46,10 +57,23 @@ func NewEvaluationKeySet() *EvaluationKeySet {
 	}
 }
 
+// section returns the set whose maps hold m's keys: s itself, or the KLSS
+// section DeriveKLSS attached.
+func (s *EvaluationKeySet) section(m KeySwitchMethod) (*EvaluationKeySet, error) {
+	if m == KLSS && s.klss != nil {
+		return s.klss()
+	}
+	return s, nil
+}
+
 // RelinKey returns the relinearization key for the method, or an error if it
 // was never generated.
 func (s *EvaluationKeySet) RelinKey(m KeySwitchMethod) (*SwitchingKey, error) {
-	k, ok := s.Relin[m]
+	sec, err := s.section(m)
+	if err != nil {
+		return nil, err
+	}
+	k, ok := sec.Relin[m]
 	if !ok {
 		return nil, fmt.Errorf("ckks: no %v relinearization key in the set: %w", m, ErrKeyMissing)
 	}
@@ -58,11 +82,48 @@ func (s *EvaluationKeySet) RelinKey(m KeySwitchMethod) (*SwitchingKey, error) {
 
 // GaloisKey returns the Galois key for the method and element.
 func (s *EvaluationKeySet) GaloisKey(m KeySwitchMethod, galEl uint64) (*SwitchingKey, error) {
-	k, ok := s.Galois[m][galEl]
+	sec, err := s.section(m)
+	if err != nil {
+		return nil, err
+	}
+	k, ok := sec.Galois[m][galEl]
 	if !ok {
 		return nil, fmt.Errorf("ckks: no %v galois key for element %d: %w", m, galEl, ErrKeyMissing)
 	}
 	return k, nil
+}
+
+// DeriveKLSS attaches the KLSS section to a set that holds none: the first
+// KLSS lookup generates the relinearization key and a Galois key for every
+// element of the hybrid section, from the KLSS stream GenEvaluationKeySet
+// draws them from, so a derived key is byte-identical to the eagerly
+// generated one. Until then no KLSS key exists, and AppendBinary never writes
+// a derived one. It does nothing when the set already holds KLSS keys or the
+// parameter set has no KLSS chain. The observer, when non-nil, counts the
+// derivation's draws on ckks.sampler.draws. Call it before the set is shared.
+func (s *EvaluationKeySet) DeriveKLSS(params *Parameters, sk *SecretKey, o *obs.Observer) {
+	if params.ringQT == nil || s.Relin[KLSS] != nil {
+		return
+	}
+	galEls := s.galoisElements(Hybrid)
+	s.klss = sync.OnceValues(func() (*EvaluationKeySet, error) {
+		kg := newKLSSGenerator(params)
+		if o != nil {
+			kg.sampler.Instrument(o.Reg().Counter("ckks.sampler.draws"))
+		}
+		set := NewEvaluationKeySet()
+		return set, kg.genSection(set, sk, KLSS, galEls)
+	})
+}
+
+// galoisElements returns the elements of the method's Galois keys, ascending.
+func (s *EvaluationKeySet) galoisElements(m KeySwitchMethod) []uint64 {
+	galEls := make([]uint64, 0, len(s.Galois[m]))
+	for el := range s.Galois[m] {
+		galEls = append(galEls, el)
+	}
+	slices.Sort(galEls)
+	return galEls
 }
 
 func (s *EvaluationKeySet) addGalois(m KeySwitchMethod, galEl uint64, k *SwitchingKey) {
@@ -81,6 +142,17 @@ type KeyGenerator struct {
 // NewKeyGenerator returns a generator seeded from the parameter seed.
 func NewKeyGenerator(params *Parameters) *KeyGenerator {
 	return &KeyGenerator{params: params, sampler: ring.NewSampler(params.seed)}
+}
+
+// klssSeedOffset separates the KLSS key stream from the main key stream
+// (seed) and the encryptor's (seed+0x5eed onwards): KLSS keys draw from their
+// own sampler, so generating them eagerly or deriving them later gives the
+// same bytes, and neither moves a hybrid key.
+const klssSeedOffset = 0x6b6c7373 // "klss"
+
+// newKLSSGenerator returns the generator of the parameter set's KLSS keys.
+func newKLSSGenerator(params *Parameters) *KeyGenerator {
+	return &KeyGenerator{params: params, sampler: ring.NewSampler(params.seed + klssSeedOffset)}
 }
 
 // GenSecretKey samples a fresh ternary secret.
@@ -250,32 +322,47 @@ func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, galEl uint64, method KeySwit
 
 // GenEvaluationKeySet generates relinearization keys for every requested
 // method and Galois keys for every requested rotation (plus conjugation if
-// conj is true).
+// conj is true). Hybrid keys draw from the generator's stream in that order;
+// KLSS keys draw from the KLSS stream, relinearization key first, then the
+// Galois elements ascending — the keys DeriveKLSS generates.
 func (kg *KeyGenerator) GenEvaluationKeySet(sk *SecretKey, methods []KeySwitchMethod, rotations []int, conj bool) (*EvaluationKeySet, error) {
-	set := NewEvaluationKeySet()
 	logN := kg.params.LogN()
+	var galEls []uint64
+	for _, r := range rotations {
+		galEls = append(galEls, ring.GaloisElementForRotation(logN, r))
+	}
+	if conj {
+		galEls = append(galEls, ring.GaloisElementForConjugation(logN))
+	}
+	set := NewEvaluationKeySet()
 	for _, m := range methods {
-		rlk, err := kg.GenRelinearizationKey(sk, m)
-		if err != nil {
+		g, els := kg, galEls
+		if m == KLSS {
+			els = slices.Clone(galEls)
+			slices.Sort(els)
+			g, els = newKLSSGenerator(kg.params), slices.Compact(els)
+		}
+		if err := g.genSection(set, sk, m, els); err != nil {
 			return nil, err
-		}
-		set.Relin[m] = rlk
-		for _, r := range rotations {
-			galEl := ring.GaloisElementForRotation(logN, r)
-			gk, err := kg.GenGaloisKey(sk, galEl, m)
-			if err != nil {
-				return nil, err
-			}
-			set.addGalois(m, galEl, gk)
-		}
-		if conj {
-			galEl := ring.GaloisElementForConjugation(logN)
-			gk, err := kg.GenGaloisKey(sk, galEl, m)
-			if err != nil {
-				return nil, err
-			}
-			set.addGalois(m, galEl, gk)
 		}
 	}
 	return set, nil
+}
+
+// genSection adds the method's relinearization key and a Galois key per
+// element, in order, to set.
+func (kg *KeyGenerator) genSection(set *EvaluationKeySet, sk *SecretKey, m KeySwitchMethod, galEls []uint64) error {
+	rlk, err := kg.GenRelinearizationKey(sk, m)
+	if err != nil {
+		return err
+	}
+	set.Relin[m] = rlk
+	for _, galEl := range galEls {
+		gk, err := kg.GenGaloisKey(sk, galEl, m)
+		if err != nil {
+			return err
+		}
+		set.addGalois(m, galEl, gk)
+	}
+	return nil
 }

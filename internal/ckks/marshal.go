@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -156,8 +157,9 @@ func (ct *Ciphertext) Serialize(w io.Writer) error {
 // poly's shape) and refuses a shape the parameters cannot hold before
 // allocating for the coefficients; then it reads exactly the rest of the
 // ciphertext — both components of a valid one share that shape — and leaves
-// whatever follows in r.
-func ReadCiphertext(r io.Reader, params *Parameters) (*Ciphertext, error) {
+// whatever follows in r. Every error wraps ErrInvalidCiphertext.
+func ReadCiphertext(r io.Reader, params *Parameters) (_ *Ciphertext, err error) {
+	defer invalidCiphertext(&err)
 	var head [levelScaleLen + polyHeaderLen]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
 		return nil, fmt.Errorf("ckks: reading ciphertext head: %w", err)
@@ -170,8 +172,8 @@ func ReadCiphertext(r io.Reader, params *Parameters) (*Ciphertext, error) {
 		return nil, err
 	}
 	if n != params.N() || limbs > params.MaxLevel()+1 {
-		return nil, fmt.Errorf("ckks: ciphertext poly shape %dx%d does not fit N=%d with %d limbs: %w",
-			limbs, n, params.N(), params.MaxLevel()+1, ErrInvalidCiphertext)
+		return nil, fmt.Errorf("ckks: ciphertext poly shape %dx%d does not fit N=%d with %d limbs",
+			limbs, n, params.N(), params.MaxLevel()+1)
 	}
 	b := make([]byte, len(head)+polyHeaderLen+16*limbs*n)
 	copy(b, head[:])
@@ -183,8 +185,10 @@ func ReadCiphertext(r io.Reader, params *Parameters) (*Ciphertext, error) {
 
 // ReadCiphertextBytes decodes a ciphertext from wire bytes and validates it
 // against the parameter set. It stops at the end of the ciphertext: bytes
-// after it are not looked at. b is not retained.
-func ReadCiphertextBytes(b []byte, params *Parameters) (*Ciphertext, error) {
+// after it are not looked at. b is not retained. Every error wraps
+// ErrInvalidCiphertext.
+func ReadCiphertextBytes(b []byte, params *Parameters) (_ *Ciphertext, err error) {
+	defer invalidCiphertext(&err)
 	level, scale, err := parseLevelScale(b, tagCiphertext)
 	if err != nil {
 		return nil, err
@@ -202,6 +206,14 @@ func ReadCiphertextBytes(b []byte, params *Parameters) (*Ciphertext, error) {
 		return nil, err
 	}
 	return ct, nil
+}
+
+// invalidCiphertext types a ciphertext decode error — a wrong tag or
+// version, a short read, a malformed poly — as ErrInvalidCiphertext, once.
+func invalidCiphertext(err *error) {
+	if *err != nil && !errors.Is(*err, ErrInvalidCiphertext) {
+		*err = fmt.Errorf("%w: %w", *err, ErrInvalidCiphertext)
+	}
 }
 
 // Validate checks the ciphertext's structural invariants against the
@@ -341,10 +353,11 @@ func cutBytes(b []byte, n int) (head, rest []byte, err error) {
 	return b[:n], b[n:], nil
 }
 
-// AppendBinary appends the full evaluation-key set to dst in a canonical
-// order (methods ascending, Galois elements ascending) so identical key sets
-// always produce identical bytes — the property the snapshot checksum relies
-// on.
+// AppendBinary appends the keys the set holds to dst in a canonical order
+// (methods ascending, Galois elements ascending) so identical key sets always
+// produce identical bytes — the property the snapshot checksum relies on. A
+// KLSS section DeriveKLSS attached is not written, generated or not: it is a
+// function of the seed and the secret.
 func (s *EvaluationKeySet) AppendBinary(dst []byte) []byte {
 	methods := make([]KeySwitchMethod, 0, len(s.Relin))
 	for m := range s.Relin {
@@ -353,11 +366,7 @@ func (s *EvaluationKeySet) AppendBinary(dst []byte) []byte {
 	slices.Sort(methods)
 	dst = binary.LittleEndian.AppendUint32(append(dst, tagEvalKeys, wireVersion), uint32(len(methods)))
 	for _, m := range methods {
-		galEls := make([]uint64, 0, len(s.Galois[m]))
-		for el := range s.Galois[m] {
-			galEls = append(galEls, el)
-		}
-		slices.Sort(galEls)
+		galEls := s.galoisElements(m)
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(m))
 		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(galEls)))
 		dst = s.Relin[m].AppendBinary(dst)

@@ -124,6 +124,9 @@ type SessionSnapshot struct {
 // configuration, secret/public/relinearization/Galois key material — plus the
 // caller's metadata, in the versioned, checksummed snapshot format.
 // ReadSessionSnapshot (or DecodeSessionSnapshot + Restore) is the inverse.
+// KLSS keys are not written: the restored context derives them from the seed
+// and the secret on its first KLSS op, byte-identical to the source's. (A
+// context restored from a payload that stored them writes them back.)
 //
 // A snapshot stores the configuration, not the prime chain: Restore compiles
 // the general regime from it (or shares a live context's compile of it). A
@@ -196,7 +199,8 @@ func DecodeSessionSnapshot(data []byte) (*SessionSnapshot, error) {
 // material is installed in place of key generation, so restored sessions
 // decrypt pre-crash ciphertexts bit-identically. Restoration costs the key
 // decode, plus compilation only when no live context shares the
-// configuration; never a keygen.
+// configuration; never a keygen. A config that enables KLSS gets its KLSS
+// keys back by derivation on the first KLSS op, which pays for it.
 //
 // Options may attach an observer or a shared evk cache. WithParallelism, the
 // one option that alters the configuration, is rejected with

@@ -287,7 +287,9 @@ func (p *Plan) Program() *Program { return p.prog }
 // Units returns the plan's admission weight in the cost model's 36-bit
 // modular-operation equivalents: every key-switch site at its propagated
 // level with hoist amortization, counted at the context's own shape
-// (KeySwitchShape), plus the element-wise passes.
+// (KeySwitchShape), plus the element-wise passes. The first KLSS op of a
+// context, fresh or restored, also derives its KLSS keys (see EnableKLSS);
+// the units do not price that one-time cost.
 func (p *Plan) Units() float64 { return p.units }
 
 // Decisions returns the planner's verdicts for every key-switch-bearing node,

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	fast "github.com/fastfhe/fast"
+	"github.com/fastfhe/fast/internal/ckks"
+	"github.com/fastfhe/fast/internal/ring"
 )
 
 func snapshotTestConfig() fast.ContextConfig {
@@ -476,10 +478,12 @@ func TestSessionSnapshotEmptyRotationsRoundTrip(t *testing.T) {
 
 // TestSessionSnapshotGoldenBytes pins the snapshot wire bytes for a fixed
 // seed and metadata. Each re-capture is tied to the digest pinned before it
-// by splicing back what the format lost: the header's trailing
-// "default_method":"hybrid" reproduces the previous golden, and the meta's
-// "fault_scenario":"none" on top of that the one before. The format differs
-// by those members and nothing else.
+// by splicing back what the format lost: the KLSS section the writer stored
+// before KLSS keys were derived on first use (drawn from the main key stream
+// after the hybrid keys) reproduces the previous golden, the header's
+// trailing "default_method":"hybrid" on top of that the one before, and the
+// meta's "fault_scenario":"none" the one before that. The format differs by
+// those and nothing else: the hybrid keys did not move.
 func TestSessionSnapshotGoldenBytes(t *testing.T) {
 	meta := fast.SessionMeta{ID: "golden", CreatedUnixNano: 1234567890, Restores: 3}
 	_, snap := snapshotBytes(t, snapshotTestConfig(), meta)
@@ -489,9 +493,61 @@ func TestSessionSnapshotGoldenBytes(t *testing.T) {
 			t.Fatalf("%s: len %d sha256 %s, want len %d sha256 %s", name, len(b), got, wantLen, wantSum)
 		}
 	}
-	check("snapshot", snap, 1017195, "8fe150c915b0fefc1ec6dd0490057dfdd889a2c0e7db0cf2d3e82941c3a86ddd")
-	withMethod := spliceDefaultMethod(t, snap, "hybrid")
-	check("golden + default_method", withMethod, 1017221, "41a0f1cf35c769f25cf1dd15f3079487d874e923dadceeae3ec92bb26b77fcc6")
-	check("golden + default_method + fault_scenario", spliceLegacyMetaKey(t, withMethod, "none"),
+	check("snapshot", snap, 525385, "4009e28143575dadfcaceaf3cb91cc2b47102c7bfec99b842fc88de83312886e")
+	withKLSS := spliceStoredKLSS(t, snap)
+	check("golden + stored KLSS section", withKLSS, 1017195, "8fe150c915b0fefc1ec6dd0490057dfdd889a2c0e7db0cf2d3e82941c3a86ddd")
+	withMethod := spliceDefaultMethod(t, withKLSS, "hybrid")
+	check("golden + KLSS + default_method", withMethod, 1017221, "41a0f1cf35c769f25cf1dd15f3079487d874e923dadceeae3ec92bb26b77fcc6")
+	check("golden + KLSS + default_method + fault_scenario", spliceLegacyMetaKey(t, withMethod, "none"),
 		1017245, "4768b642afe5686e3ecbbe5f91fd6f7b4db4d0b46146db5813f88bec795ee3ce")
+}
+
+// spliceStoredKLSS: the snapshot of snapshotTestConfig a build that
+// generated KLSS keys with the hybrid ones would have written. That build
+// drew them from the main key stream right after the hybrid keys —
+// relinearization key, then the rotations in order, then conjugation — and
+// stored them as the key set's second method section.
+func spliceStoredKLSS(t *testing.T, snap []byte) []byte {
+	t.Helper()
+	cfg := snapshotTestConfig()
+	params, err := ckks.NewParameters(ckks.ParametersLiteral{LogN: cfg.LogN, LogSlots: cfg.LogN - 1,
+		LogQ: []int{50, 36, 36, 36}, LogP: []int{50, 50}, LogT: []int{60, 60},
+		LogScale: cfg.LogScale, Alpha: 2, AlphaT: 2, Seed: cfg.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := ckks.NewKeyGenerator(params)
+	sk := kg.GenSecretKey()
+	kg.GenPublicKey(sk)
+	if _, err := kg.GenEvaluationKeySet(sk, []ckks.KeySwitchMethod{ckks.Hybrid}, cfg.Rotations, cfg.Conjugation); err != nil {
+		t.Fatal(err)
+	}
+	set := ckks.NewEvaluationKeySet()
+	set.Galois[ckks.KLSS] = map[uint64]*ckks.SwitchingKey{}
+	if set.Relin[ckks.KLSS], err = kg.GenRelinearizationKey(sk, ckks.KLSS); err != nil {
+		t.Fatal(err)
+	}
+	galEls := make([]uint64, 0, len(cfg.Rotations)+1)
+	for _, r := range cfg.Rotations {
+		galEls = append(galEls, ring.GaloisElementForRotation(cfg.LogN, r))
+	}
+	galEls = append(galEls, ring.GaloisElementForConjugation(cfg.LogN))
+	for _, el := range galEls {
+		if set.Galois[ckks.KLSS][el], err = kg.GenGaloisKey(sk, el, ckks.KLSS); err != nil {
+			t.Fatal(err)
+		}
+	}
+	section := set.AppendBinary(nil)[2+4:] // past the set's tag, version and method count
+	return spliceKeys(snap, func(keys []byte) []byte {
+		_, rest, err := ckks.ParseSecretKey(keys, params)
+		if err == nil {
+			_, rest, err = ckks.ParsePublicKey(rest, params)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		setAt := len(keys) - len(rest)
+		binary.LittleEndian.PutUint32(keys[setAt+2:], 2)
+		return append(keys, section...)
+	})
 }
