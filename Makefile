@@ -49,11 +49,14 @@ test-purego:
 # configuration compile it once, and an unreferenced compile leaves the cache
 # — are run again by name, several times over, and so is the one that has
 # eight goroutines make a fresh context's first KLSS ops at once (its KLSS
-# keys must be derived exactly once).
+# keys must be derived exactly once), and fastd's DELETE-against-a-write
+# races (a .snap write in flight — create, evict or restore — never lands
+# after the DELETE's unlinks).
 race: kernel-path
 	$(GO) test -race -short ./...
 	$(GO) test -race -run TestBootstrapConcurrentFirstUse ./internal/ckks
 	$(GO) test -race -count=5 -run TestKLSSKeysDerivedOnceUnderConcurrentFirstUse .
+	$(GO) test -race -count=5 -run 'TestNoSnapWriteAfterDelete|TestDeleteDuringRestoreStaysDeleted' ./cmd/fastd
 	$(GO) test -race -count=5 -run 'TestNewContextConcurrentCompileOnce|TestContextsShareCompiledParameters' .
 	$(GO) test -race -count=5 -run 'TestShapeCacheForgetsUnreferencedShapes|TestParametersShareShapeAcrossSeeds' ./internal/ckks
 
@@ -211,7 +214,17 @@ vet: loc
 # (daemon.go -38, main.go -7, lifecycle.go -3); and four flags that every
 # caller left at their defaults: -shard-probe-interval, -shard-probe-timeout,
 # -shard-fence-threshold and -evk-budget-mb (the tier keeps its 256 MiB).
-FASTD_LOC_MAX ?= 3224
+#
+# 3224 -> 3223: a snapshot is its header. Went: saveEpoch and epochLen (a
+# restore rewrites the header-sized .snap with its epoch instead of writing
+# an .epoch sidecar), writeAtomic's generic fill (writeSnapshot is its one
+# caller's form), loadSnapshot (inlined into restoreSession), restoreInto's
+# second remove after a racing DELETE, and the sidecar's share of the store
+# docs. Came in: idemTable.persist and errDeleted (every .snap write runs
+# under the ID's write guard, so none lands after a DELETE), session.idem and
+# session.save, and the legacy sidecar's unlink after the first restore.
+# loadEpoch stays as the legacy reader; crc32c stays for the ring.
+FASTD_LOC_MAX ?= 3223
 
 # Size budget of the performance model: non-test lines of the cost model,
 # Aether, the simulator, the traces and workloads, the baselines, perf.go and
@@ -255,7 +268,14 @@ MODEL_LOC_MAX ?= 2325
 # docs say when KLSS keys exist), marshal.go +4 (WriteSessionSnapshot and
 # Restore docs: no KLSS section is written, restore derives it), plan.go +2
 # (Plan.Units does not price the derivation).
-ROOT_LOC_MAX ?= 2781
+#
+# 2781 -> 2763: a snapshot is its header ("FASTSNP\x02"). Went: readKeys,
+# the key payload half of WriteSessionSnapshot and of DecodeSessionSnapshot,
+# snapshotMaxKeys, and buildContext's snapshot branch (it takes an epoch, and
+# always generates). Came in: the legacy "FASTSNP\x01" framing check and its
+# secret-key prefix comparison, and Restore's refusal of a header whose
+# config is not resolved or does not compile.
+ROOT_LOC_MAX ?= 2763
 
 # Size budget of the CKKS layer: non-test lines of internal/ckks, the
 # module's largest package (scheme, key switch, bootstrapping, wire codec).
@@ -279,7 +299,14 @@ ROOT_LOC_MAX ?= 2781
 # a set holds. marshal.go 469 -> 478 (+9): invalidCiphertext and the deferred
 # call that wraps ErrInvalidCiphertext once where ReadCiphertext and
 # ReadCiphertextBytes return, and the AppendBinary doc.
-CKKS_LOC_MAX ?= 4211
+#
+# 4211 -> 4006: keys have no wire form. Went from marshal.go (478 -> 273):
+# PublicKey, SwitchingKey and EvaluationKeySet AppendBinary, ParsePublicKey,
+# ParseSecretKey, ParseSwitchingKey, ParseEvaluationKeySet, keyShape,
+# cutBytes and the three key tags; from keys.go, DeriveKLSS's branch for a set
+# that already holds parsed KLSS keys. SecretKey.AppendBinary stays: a legacy
+# snapshot's stored secret is checked against it.
+CKKS_LOC_MAX ?= 4006
 
 MODEL_GO = internal/aether/*.go internal/costmodel/*.go internal/sim/*.go internal/trace/*.go \
 	internal/workloads/*.go internal/baselines/*.go perf.go cmd/aether/*.go cmd/fastsim/*.go

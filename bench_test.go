@@ -535,8 +535,8 @@ func BenchmarkFunctionalRotateHoisted4(b *testing.B) {
 // --- What a cold session costs ---
 //
 // A fastd create is NewContext; a cold request is DecodeSessionSnapshot
-// (SHA-256 and header) and then Restore (key decode, plus the parameter
-// compile only when no live context shares the configuration). The "compile"
+// (SHA-256 and header) and then Restore (keygen, as NewContext, plus the
+// parameter compile only when no live context shares the configuration). The "compile"
 // leg drops every context and collects before each iteration, so the compiled
 // parameter set is rebuilt each time; the other legs keep one live context of
 // the configuration, as a daemon with resident sessions does. first_mul is

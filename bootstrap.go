@@ -82,7 +82,7 @@ func NewBootstrapContext(cfg BootstrapContextConfig) (*BootstrapContext, error) 
 		Rotations:   ckks.BootstrapRotations(params),
 		Conjugation: true,
 		Seed:        cfg.Seed,
-	}, contextSettings{}, lit, params, nil)
+	}, contextSettings{}, lit, params, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -109,6 +109,7 @@ type session struct {
 	cm    costmodel.Shape
 	plans *planCache // compiled-plan LRU keyed by Plan fingerprint
 	meta  fast.SessionMeta
+	idem  *idemTable // the ID's table, held from before the session was deletable
 }
 
 // daemon is the fastd HTTP server: N failure-isolated shards behind one
@@ -128,7 +129,7 @@ type daemon struct {
 
 	// sessions is the one place session placement lives (internal/session:
 	// the lifecycle's state table, one mutex). Handlers hold it for a map
-	// operation at a time and do all I/O, keygen and key expansion between
+	// operation at a time and do all I/O and keygen between
 	// calls.
 	sessions *sessreg.Registry[*session]
 	nextID   atomic.Uint64
@@ -212,7 +213,7 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		d.store = store
 		// Persisted sessions are NOT restored here — startup stays O(files)
 		// cheap and the first request for each session faults it in (checksum,
-		// key decode, a parameter compile if no live session shares it). Only
+		// keygen, a parameter compile if no live session shares it). Only
 		// the ID space is recovered eagerly, so new creates never collide with
 		// pre-crash sessions.
 		ids, err := store.scan()
@@ -423,7 +424,7 @@ func (d *daemon) sessionOptions(id string, sh *evalShard) []fast.Option {
 }
 
 // newSession wraps a keyed Context in the state serving it needs.
-func (d *daemon) newSession(fctx *fast.Context, meta fast.SessionMeta) *session {
+func (d *daemon) newSession(fctx *fast.Context, meta fast.SessionMeta, idem *idemTable) *session {
 	cm, _ := fast.KeySwitchShape(fctx.Config()) // a built context's config resolves
 	return &session{
 		id:    meta.ID,
@@ -431,6 +432,7 @@ func (d *daemon) newSession(fctx *fast.Context, meta fast.SessionMeta) *session 
 		cm:    cm,
 		plans: newPlanCache(planCacheCap, d.mPlanHits, d.mPlanMisses),
 		meta:  meta,
+		idem:  idem,
 	}
 }
 
@@ -490,13 +492,12 @@ func (d *daemon) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	sess := d.newSession(fctx, fast.SessionMeta{
 		ID:              id,
 		CreatedUnixNano: time.Now().UnixNano(),
-	})
-	// Write-ahead durability: the snapshot hits disk (fsync'd, atomically
-	// renamed) BEFORE the create response is released, so a session the client
-	// has been told about survives a SIGKILL in the very next instruction. A
-	// persistent write failure degrades to a resident-only session (counted
-	// and logged) rather than refusing service.
-	durable := d.store != nil && d.store.saveSnapshot(fctx, sess.meta) == nil
+	}, d.idemTable(id)) // a Reserved ID cannot be deleted yet
+	// Write-ahead durability: the snapshot is on disk BEFORE the create
+	// response is released, so a session the client has been told about
+	// survives a SIGKILL in the very next instruction. A persistent write
+	// failure degrades to a resident-only session rather than refusing service.
+	durable := d.store != nil && sess.save("snap") == nil
 	switch d.sessions.Publish(id, sess, durable) {
 	case sessreg.Resident:
 		d.enforceResident(sh)

@@ -108,17 +108,18 @@ func findRecord(ring []idemRecord, key [sha256.Size]byte) int {
 	return -1
 }
 
-// idemTable is one session ID's window of the last IdemCap keyed requests. It
-// belongs to the ID, not to the resident session object: it survives
-// evict/restore untouched, is read from disk at most once per process (on its
-// first keyed request), and is dropped by DELETE.
+// idemTable is one session ID's window of the last IdemCap keyed requests,
+// and the write guard of the ID's files. It belongs to the ID, not to the
+// resident session object: it survives evict/restore untouched, is read from
+// disk at most once per process (on its first keyed request), and is dropped
+// by DELETE.
 type idemTable struct {
 	id  string
 	cap int
 
-	// wmu orders ring writes with dropIdem: once a delete has taken st away,
-	// no write is in flight and none starts, so none recreates the removed
-	// file. st changes only under wmu and mu both.
+	// wmu orders every write of the ID's files (persist) with dropIdem: once
+	// a delete has taken st away, no write is in flight and none starts, so
+	// none recreates a removed file. st changes only under wmu and mu both.
 	wmu sync.Mutex
 	st  *sessionStore // nil: no state dir, or the session was deleted
 
@@ -156,6 +157,21 @@ func (d *daemon) dropIdem(id string) {
 		t.mu.Unlock()
 		t.wmu.Unlock()
 	}
+}
+
+var errDeleted = errors.New("session deleted")
+
+// persist runs write under wmu, or returns errDeleted once a DELETE dropped
+// the table. A writer holds the table from before the registry move that
+// made its write legitimate (Reserve, BeginRestore, the evicted session's
+// own), so a later DELETE drops this very table and unlinks after the write.
+func (t *idemTable) persist(write func(*sessionStore) error) error {
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	if t.st == nil {
+		return errDeleted
+	}
+	return write(t.st)
 }
 
 // begin looks a key up. A non-nil wait means its first execution is in
@@ -198,11 +214,9 @@ func (t *idemTable) settle(key [sha256.Size]byte, rec *idemRecord) {
 		t.ring[slot] = *rec
 		t.mu.Unlock()
 
-		t.wmu.Lock()
-		if st := t.st; st != nil {
-			_ = st.retry("idempotency record", t.id, func() error { return st.writeIdem(t.id, slot, rec) })
-		}
-		t.wmu.Unlock()
+		_ = t.persist(func(st *sessionStore) error {
+			return st.retry("idempotency record", t.id, func() error { return st.writeIdem(t.id, slot, rec) })
+		})
 	}
 	t.mu.Lock()
 	close(t.pending[key])

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"os"
 	"time"
 
 	fast "github.com/fastfhe/fast"
@@ -13,7 +14,7 @@ import (
 // Session lifecycle: create → (snapshot) → serve ⇄ evict/restore → expire,
 // across N shards. The states and the legal moves between them are
 // internal/session's table; this file is the slow half — the disk reads,
-// key expansion and snapshot writes that happen between two registry calls.
+// keygen and snapshot writes that happen between two registry calls.
 //
 // Transitions are lazy and request-driven: nothing is restored at startup
 // (scan() only recovers IDs), the first request for a persisted session pays
@@ -49,8 +50,9 @@ func (d *daemon) resolve(id string) (*evalShard, *session, error) {
 			if err != nil {
 				return nil, nil, err
 			}
+			idem := d.idemTable(id) // before the claim: a DELETE after it drops this table
 			if d.sessions.BeginRestore(id, sh.id) {
-				s, err := d.restoreInto(sh, id)
+				s, err := d.restoreInto(sh, idem)
 				return sh, s, err
 			}
 		default: // Absent — or Reserved: a create that has not answered yet
@@ -65,8 +67,9 @@ func (d *daemon) shardDown(id string) error {
 }
 
 // restoreInto runs the restore this request claimed and publishes its result.
-func (d *daemon) restoreInto(sh *evalShard, id string) (*session, error) {
-	s, durable, err := d.restoreSession(sh, id) // disk + NTT tables; never under the registry lock
+func (d *daemon) restoreInto(sh *evalShard, idem *idemTable) (*session, error) {
+	id := idem.id
+	s, durable, err := d.restoreSession(sh, idem) // disk + keygen; never under the registry lock
 	if err != nil {
 		// A corrupt file leaves a tombstone: it stays on disk for forensics
 		// but the ID will never be restored — wrong decrypts are impossible.
@@ -89,29 +92,32 @@ func (d *daemon) restoreInto(sh *evalShard, id string) (*session, error) {
 		// discarded; the retry restores on a survivor.
 		return nil, d.shardDown(id)
 	default:
-		// Deleted while the restore ran. The restore may have written an epoch
-		// sidecar after the delete unlinked the session's files: unlink again.
-		d.store.remove(id)
+		// Deleted while the restore ran; its snapshot write, if any, ran
+		// before the delete's unlinks (idemTable.persist).
 		return nil, fmt.Errorf("%w %q", errUnknownSession, id)
 	}
 }
 
-// restoreSession rebuilds one session from disk at the cost of one snapshot
-// read (the idempotency table belongs to the ID and is not touched):
+// restoreSession rebuilds one session from its snapshot (the idempotency
+// ring is not read):
 //
 //   - the snapshot is read and its full SHA-256 verified (every restore), and
-//     the restore epoch is taken as 1 + max(snapshot header, epoch sidecar) —
-//     a fresh encryptor randomness epoch, because a restored session must
-//     never replay pre-crash encryption randomness;
-//   - keys are decoded against the config's parameters (compiled if unshared);
-//   - the new epoch is made durable in the sidecar — the snapshot itself is
-//     not rewritten — BEFORE the session is returned, so the next crash also
-//     lands on a fresh epoch. If that write degrades the session still serves,
-//     not durable, and the next evict re-persists it whole.
-func (d *daemon) restoreSession(sh *evalShard, id string) (s *session, durable bool, err error) {
-	st := d.store
+//     the restore epoch is 1 + max(header, legacy sidecar) — a fresh
+//     encryptor randomness epoch: a restored session must never replay
+//     pre-crash encryption randomness;
+//   - keys are regenerated from the header's config (compiled if unshared);
+//   - the snapshot is rewritten with the new epoch BEFORE the session is
+//     returned, so the next crash lands on a fresh epoch too; then a legacy
+//     sidecar is unlinked. If that write degrades the session still serves,
+//     not durable, and the next evict writes the snapshot again.
+func (d *daemon) restoreSession(sh *evalShard, idem *idemTable) (s *session, durable bool, err error) {
+	st, id := d.store, idem.id
 	t0 := time.Now()
-	snap, err := st.loadSnapshot(id)
+	data, err := os.ReadFile(st.snapshotPath(id))
+	if err != nil {
+		return nil, false, err
+	}
+	snap, err := fast.DecodeSessionSnapshot(data)
 	if err != nil {
 		return nil, false, err
 	}
@@ -129,9 +135,11 @@ func (d *daemon) restoreSession(sh *evalShard, id string) (s *session, durable b
 	}
 	st.mExpand.ObserveSince(t0)
 
-	sess := d.newSession(fctx, snap.Meta)
+	sess := d.newSession(fctx, snap.Meta, idem)
 	t0 = time.Now()
-	durable = st.saveEpoch(id, sess.meta.Restores) == nil
+	if durable = sess.save("epoch") == nil; durable {
+		_ = os.Remove(st.epochPath(id)) // a legacy sidecar, now below the header: harmless if left
+	}
 	st.mEpochWrite.ObserveSince(t0)
 	return sess, durable, nil
 }
@@ -154,13 +162,15 @@ func (d *daemon) enforceResident(sh *evalShard) {
 // evictSession releases one resident session to disk: snapshot if the disk
 // does not already describe it, then the registry's resident→persisted move
 // and plan-cache drop. Returns false when the session could not be persisted
-// — losing key material to enforce a memory bound is never acceptable, so the
+// — losing a session to enforce a memory bound is never acceptable, so the
 // session stays resident (counted via fastd.store.write_failures).
 func (d *daemon) evictSession(v sessreg.View[*session]) bool {
 	defer d.store.mEvict.ObserveSince(time.Now())
 	victim := v.Payload
-	if !v.Durable && d.store.saveSnapshot(victim.ctx, victim.meta) != nil {
-		return false
+	if !v.Durable {
+		if err := victim.save("snap"); err != nil {
+			return errors.Is(err, errDeleted) // a DELETE claimed it: nothing to evict
+		}
 	}
 	if !d.sessions.Evict(v.ID, victim) {
 		return true // a concurrent evict, delete or fence already claimed it

@@ -16,28 +16,32 @@ import (
 )
 
 // sessionStore is fastd's crash-safe persistence layer. Each session owns up
-// to three files in the state dir:
+// to two files in the state dir:
 //
-//	<id>.snap   the fast.SessionSnapshot wire format (versioned, SHA-256
-//	            checksummed key material). Written once on create and never
-//	            touched by a restore; rewritten only when an evicted session
-//	            is dirty (an earlier durability write had degraded).
-//	<id>.epoch  the restore epoch sidecar: 8-byte counter + CRC-32C. Bumped on
-//	            every restore so the key payload (5.4 MiB at log_n 11) need not be.
+//	<id>.snap   the fast.SessionSnapshot wire format: resolved config and
+//	            metadata with the restore epoch, SHA-256 checksummed, no keys
+//	            (a restore regenerates them). Written on create, on every
+//	            restore (the new epoch) and on the evict of a dirty session.
 //	<id>.idem   the idempotency ring of digest records (idem.go).
 //
-// Every write is made durable before it is relied on:
+// A legacy <id>.epoch sidecar (8-byte epoch + CRC-32C) is only read: the
+// first restore makes 1 + max(header, sidecar) durable in the .snap, then
+// unlinks it.
 //
-//   - snapshots and epochs are written to a temp file, fsync'd, atomically
-//     renamed into place, and the directory fsync'd — a crash at any point
-//     leaves either the old file or the new one, never a torn one;
+// Every write runs under the ID's write guard (idemTable.persist) and is
+// made durable before it is relied on:
+//
+//   - a snapshot is written to a temp file, fsync'd, atomically renamed into
+//     place, and the directory fsync'd — a crash at any point leaves either
+//     the old file or the new one, never a torn one;
 //   - an idempotency record is fsync'd in its ring slot before the response
 //     it records is released to the client.
 //
-// Corruption is detected, never trusted: a snapshot or epoch that fails its
-// checksum is skipped with a typed error (fast.ErrCorruptSnapshot) and
-// counted — a wrong decrypt from a torn or bit-flipped file, or a silent
-// reset to an already-used randomness epoch, is structurally impossible.
+// Corruption is detected, never trusted: a snapshot or legacy epoch that
+// fails its checksum, or a config that does not restore, is skipped with a
+// typed error (fast.ErrCorruptSnapshot) and counted — a wrong decrypt from a
+// torn or bit-flipped file, or a silent reset to an already-used randomness
+// epoch, is structurally impossible.
 //
 // A failed durability write is retried once, then the session is served
 // resident-only and the failure counted. Tests reach that degraded path
@@ -58,8 +62,8 @@ type sessionStore struct {
 	// restoreSession, so their sums reconcile with the restore latency a
 	// client sees (minus the evict the restore may trigger, which has its own).
 	mSnapshotLoad *obs.Histogram // fastd.restore.snapshot_load_ns: read + SHA-256 + header decode
-	mExpand       *obs.Histogram // fastd.restore.expand_ns: key decode (+ parameter compile if unshared)
-	mEpochWrite   *obs.Histogram // fastd.restore.epoch_write_ns: sidecar tmp+fsync+rename+dir-fsync
+	mExpand       *obs.Histogram // fastd.restore.expand_ns: keygen (+ parameter compile if unshared)
+	mEpochWrite   *obs.Histogram // fastd.restore.epoch_write_ns: .snap rewrite tmp+fsync+rename+dir-fsync
 	mEvict        *obs.Histogram // fastd.evict_ns
 }
 
@@ -93,11 +97,11 @@ func (st *sessionStore) epochPath(id string) string    { return filepath.Join(st
 
 // scan recovers the session IDs with a snapshot on disk and sweeps what a
 // crash can leave behind: temp files of an interrupted atomic write (nothing
-// references them, and a snapshot temp is as large as the key set), and
-// rings or epochs with no snapshot (a crash inside remove, or a ring
-// written for a session whose create-time snapshot write had degraded) —
-// `nextID` is recomputed from this scan, so a later session reusing the ID
-// must not inherit a stranger's replay records or epoch.
+// references them), and rings or legacy epochs with no snapshot (a crash
+// inside remove, or a ring written for a session whose create-time snapshot
+// write had degraded) — `nextID` is recomputed from this scan, so a later
+// session reusing the ID must not inherit a stranger's replay records or
+// epoch.
 func (st *sessionStore) scan() ([]string, error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -173,74 +177,44 @@ func (st *sessionStore) step(err *error, point string, do func() error) {
 	}
 }
 
-// writeAtomic replaces final with whatever fill writes: temp file, fsync,
-// atomic rename, directory fsync. what names the write in the hook points
-// (<what>.create-tmp, .write, .fsync, .rename, .dir-fsync).
-func (st *sessionStore) writeAtomic(final, what string, fill func(*os.File) error) error {
-	var err error
+// save durably writes the session's snapshot under the ID's write guard,
+// retried once. The write-ahead ordering (snapshot before the create
+// response or the restored session's first use, idempotency record before
+// the eval response) is what makes a SIGKILL at any instant recoverable.
+func (s *session) save(what string) error {
+	return s.idem.persist(func(st *sessionStore) error {
+		return st.retry("session snapshot", s.id, func() error { return st.writeSnapshot(s, what) })
+	})
+}
+
+// writeSnapshot replaces the session's .snap: temp file, fsync, atomic
+// rename, directory fsync. what names the write in the hook points
+// (<what>.create-tmp, .write, .fsync, .rename, .dir-fsync): "snap" for a
+// create or a dirty evict, "epoch" for a restore, the write that makes its
+// new epoch durable.
+func (st *sessionStore) writeSnapshot(s *session, what string) (err error) {
 	var tmp *os.File
 	st.step(&err, what+".create-tmp", func() (err error) {
-		tmp, err = os.CreateTemp(st.dir, filepath.Base(final)+tmpInfix+"*")
+		tmp, err = os.CreateTemp(st.dir, s.id+snapSuffix+tmpInfix+"*")
 		return err
 	})
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after successful rename
-	st.step(&err, what+".write", func() error { return fill(tmp) })
+	st.step(&err, what+".write", func() error { return s.ctx.WriteSessionSnapshot(tmp, s.meta) })
 	st.step(&err, what+".fsync", tmp.Sync)
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
-	st.step(&err, what+".rename", func() error { return os.Rename(tmp.Name(), final) })
+	st.step(&err, what+".rename", func() error { return os.Rename(tmp.Name(), st.snapshotPath(s.id)) })
 	st.step(&err, what+".dir-fsync", st.syncDir)
 	return err
 }
 
-// saveSnapshot durably persists the session's full state under its ID. The
-// write-ahead ordering (snapshot before the create response, idempotency
-// record before the eval response) is what makes a SIGKILL at any instant
-// recoverable.
-func (st *sessionStore) saveSnapshot(fctx *fast.Context, meta fast.SessionMeta) error {
-	return st.retry("session snapshot", meta.ID, func() error {
-		return st.writeAtomic(st.snapshotPath(meta.ID), "snap", func(tmp *os.File) error {
-			return fctx.WriteSessionSnapshot(tmp, meta)
-		})
-	})
-}
-
-// loadSnapshot reads and checksum-verifies a session snapshot (the full
-// SHA-256, on every restore). Key material is not expanded yet — the caller
-// sets the restore epoch first, then Restore()s.
-func (st *sessionStore) loadSnapshot(id string) (*fast.SessionSnapshot, error) {
-	data, err := os.ReadFile(st.snapshotPath(id))
-	if err != nil {
-		return nil, err
-	}
-	return fast.DecodeSessionSnapshot(data)
-}
-
-// epochLen is the sidecar's size: little-endian uint64 counter + CRC-32C.
-const epochLen = 8 + 4
-
-// saveEpoch durably records the restore epoch a session is about to serve
-// under. The caller publishes the restored Context only after this returns.
-func (st *sessionStore) saveEpoch(id string, epoch uint64) error {
-	var buf [epochLen]byte
-	binary.LittleEndian.PutUint64(buf[:8], epoch)
-	binary.LittleEndian.PutUint32(buf[8:], crc32.Checksum(buf[:8], crc32c))
-	return st.retry("restore epoch", id, func() error {
-		return st.writeAtomic(st.epochPath(id), "epoch", func(tmp *os.File) error {
-			_, err := tmp.Write(buf[:])
-			return err
-		})
-	})
-}
-
-// loadEpoch returns the sidecar's epoch, 0 when the session has never been
-// restored. A sidecar that is present but unreadable is corruption, not
-// absence: falling back to the snapshot header's epoch would replay
-// encryption randomness an earlier restore already used.
+// loadEpoch reads a legacy epoch sidecar, 0 when there is none. One that is
+// present but unreadable is corruption, not absence: falling back to the
+// header's epoch would replay randomness an earlier restore already used.
 func (st *sessionStore) loadEpoch(id string) (uint64, error) {
 	buf, err := os.ReadFile(st.epochPath(id))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -249,7 +223,7 @@ func (st *sessionStore) loadEpoch(id string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if len(buf) != epochLen || binary.LittleEndian.Uint32(buf[8:]) != crc32.Checksum(buf[:8], crc32c) {
+	if len(buf) != 8+4 || binary.LittleEndian.Uint32(buf[8:]) != crc32.Checksum(buf[:8], crc32c) {
 		return 0, fmt.Errorf("fastd: restore epoch sidecar of %q failed its checksum: %w", id, fast.ErrCorruptSnapshot)
 	}
 	return binary.LittleEndian.Uint64(buf[:8]), nil
@@ -257,8 +231,8 @@ func (st *sessionStore) loadEpoch(id string) (uint64, error) {
 
 // remove deletes a session's files (best-effort; a missing file is not an
 // error). The snapshot goes first and its unlink is made durable before the
-// sidecars follow: a crash in between leaves sidecars without a snapshot,
-// which scan sweeps, never a snapshot stripped of its epoch.
+// ring and a legacy sidecar follow: a crash in between leaves files without
+// a snapshot, which scan sweeps, never a snapshot stripped of its epoch.
 func (st *sessionStore) remove(id string) {
 	for _, step := range [][]string{{st.snapshotPath(id)}, {st.idemPath(id), st.epochPath(id)}} {
 		for _, p := range step {

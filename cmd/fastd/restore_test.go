@@ -1,13 +1,15 @@
 package main
 
-// Tests of the restore path's on-disk state: the restore-epoch sidecar, the
-// startup sweep of crash leftovers, durability-before-release and the restore
-// phase timings. The idempotency ring has idem_test.go, the crash-point
+// Tests of the restore path's on-disk state: the snapshot a restore rewrites
+// with its epoch, the legacy epoch sidecar, the startup sweep of crash
+// leftovers, durability-before-release, DELETE against a write in flight and
+// the restore phase timings. The idempotency ring has idem_test.go, the crash-point
 // enumeration crashpoint_test.go.
 
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -21,7 +23,9 @@ import (
 	"testing"
 	"time"
 
+	fast "github.com/fastfhe/fast"
 	"github.com/fastfhe/fast/internal/obs"
+	sessreg "github.com/fastfhe/fast/internal/session"
 )
 
 // syncBuffer is a goroutine-safe log sink.
@@ -69,10 +73,31 @@ func evictNow(t *testing.T, d *daemon, id string) {
 	}
 }
 
-// TestEpochSidecarCorruptIs410: a damaged or truncated .epoch tombstones the
-// session exactly like a corrupt snapshot. Falling back to the snapshot
-// header's epoch would silently replay encryption randomness.
-func TestEpochSidecarCorruptIs410(t *testing.T) {
+// snapEpoch is the restore epoch in the header of a session's .snap.
+func snapEpoch(t *testing.T, dir, id string) uint64 {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, id+".snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := fast.DecodeSessionSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap.Meta.Restores
+}
+
+// legacySidecar is an epoch sidecar as earlier builds wrote it: the
+// little-endian counter and its CRC-32C.
+func legacySidecar(epoch uint64) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, epoch)
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32c))
+}
+
+// TestLegacyEpochSidecarCorruptIs410: a damaged or truncated legacy .epoch
+// tombstones the session exactly like a corrupt snapshot. Falling back to the
+// snapshot header's epoch would silently replay encryption randomness.
+func TestLegacyEpochSidecarCorruptIs410(t *testing.T) {
 	for name, damage := range map[string]func([]byte) []byte{
 		"bitflip":   func(b []byte) []byte { b[3] ^= 0x80; return b },
 		"truncated": func(b []byte) []byte { return b[:7] },
@@ -84,15 +109,7 @@ func TestEpochSidecarCorruptIs410(t *testing.T) {
 			d, ts := newTestDaemon(t, daemonConfig{StateDir: dir})
 			sr := createSession(t, ts.URL, testSessionRequest())
 			evictNow(t, d, sr.ID)
-			encryptValues(t, ts.URL, sr.ID, make([]complex128, 4)) // restore #1 writes the sidecar
-			evictNow(t, d, sr.ID)
-
-			path := filepath.Join(dir, sr.ID+".epoch")
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("restore left no epoch sidecar: %v", err)
-			}
-			if err := os.WriteFile(path, damage(raw), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, sr.ID+".epoch"), damage(legacySidecar(5)), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			status, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+sr.ID+"/encrypt", nil,
@@ -107,6 +124,52 @@ func TestEpochSidecarCorruptIs410(t *testing.T) {
 	}
 }
 
+// TestLegacyStateDirRestores: a state dir as the last build with key
+// payloads left it — a "FASTSNP\x01" .snap whose header says epoch 0 and an
+// .epoch sidecar holding 5 — restores on epoch 6, rewritten into the .snap,
+// and leaves no sidecar. A crash captured between that rewrite and the
+// sidecar's unlink leaves both, and the next daemon restores on epoch 7.
+func TestLegacyStateDirRestores(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("..", "..", "testdata", "snapshot_v1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "s1" // the ID in the file's header
+	root := t.TempDir()
+	c := &crashRig{point: "epoch.dir-fsync", src: filepath.Join(root, "a"), dst: filepath.Join(root, "b")}
+	if err := os.MkdirAll(c.src, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string][]byte{id + ".snap": legacy, id + ".epoch": legacySidecar(5)} {
+		if err := os.WriteFile(filepath.Join(c.src, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restoredOn := func(dir string, c *crashRig, want uint64) {
+		t.Helper()
+		d, ts := newCrashDaemon(t, dir, c)
+		if c != nil {
+			c.arm()
+		}
+		encryptValues(t, ts.URL, id, make([]complex128, 4))
+		if got := residentSession(d, id).meta.Restores; got != want {
+			t.Fatalf("restored on epoch %d, want %d", got, want)
+		}
+		if got := snapEpoch(t, dir, id); got != want {
+			t.Fatalf("the rewritten .snap holds epoch %d, want %d", got, want)
+		}
+	}
+	restoredOn(c.src, c, 6)
+	c.mustHaveFired(t)
+	if _, err := os.Stat(filepath.Join(c.src, id+".epoch")); !os.IsNotExist(err) {
+		t.Fatalf("the first restore left the legacy sidecar behind (err=%v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(c.dst, id+".epoch")); err != nil {
+		t.Fatalf("the crash-instant copy has no sidecar: it was not taken before the unlink (%v)", err)
+	}
+	restoredOn(c.dst, nil, 7)
+}
+
 // TestScanSweepsCrashLeftovers: temp files of interrupted atomic writes are
 // deleted at startup, and so are rings and epochs whose snapshot is gone
 // — a new session that reuses the ID must not inherit foreign replay records
@@ -118,7 +181,7 @@ func TestScanSweepsCrashLeftovers(t *testing.T) {
 	ct := encryptValues(t, tsA.URL, s1.ID, []complex128{1, 2, 3, 4}).Ciphertext
 	keep, _ := keyedEval(t, tsA.URL, s1.ID, "keep", ct)
 
-	// What a SIGKILL inside saveSnapshot / saveEpoch leaves:
+	// What a SIGKILL inside saveSnapshot leaves:
 	for _, name := range []string{s1.ID + ".snap.tmp.123", "s9.snap.tmp.77", s1.ID + ".idem.tmp.5", s1.ID + ".epoch.tmp.9"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("partial"), 0o644); err != nil {
 			t.Fatal(err)
@@ -133,7 +196,7 @@ func TestScanSweepsCrashLeftovers(t *testing.T) {
 	if err := st.writeIdem("s2", 0, &orphan); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.saveEpoch("s2", 41); err != nil {
+	if err := os.WriteFile(st.epochPath("s2"), legacySidecar(41), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -168,30 +231,30 @@ func TestScanSweepsCrashLeftovers(t *testing.T) {
 	}
 }
 
-// TestRestoreVerifiesSnapshotChecksumEveryRestore: the snapshot is immutable
-// across restores (same inode, same bytes — only the sidecar moves), and its
-// full SHA-256 is still verified on every restore, not just the first.
+// TestRestoreVerifiesSnapshotChecksumEveryRestore: every restore rewrites
+// the snapshot — header-sized, with its epoch in the header — and its full
+// SHA-256 is still verified on every restore, not just the first.
 func TestRestoreVerifiesSnapshotChecksumEveryRestore(t *testing.T) {
 	dir := t.TempDir()
 	d, ts := newTestDaemon(t, daemonConfig{StateDir: dir})
 	sr := createSession(t, ts.URL, testSessionRequest())
 	path := filepath.Join(dir, sr.ID+".snap")
-	created, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fi0, _ := os.Stat(path)
 	for i := 1; i <= 3; i++ {
 		evictNow(t, d, sr.ID)
 		encryptValues(t, ts.URL, sr.ID, make([]complex128, 4))
 		if got := residentSession(d, sr.ID).meta.Restores; got != uint64(i) {
 			t.Fatalf("restore %d landed on epoch %d", i, got)
 		}
+		if got := snapEpoch(t, dir, sr.ID); got != uint64(i) {
+			t.Fatalf("after restore %d the .snap holds epoch %d", i, got)
+		}
 	}
-	fi1, _ := os.Stat(path)
-	now, _ := os.ReadFile(path)
-	if !os.SameFile(fi0, fi1) || !bytes.Equal(created, now) {
-		t.Fatal("a clean restore rewrote the snapshot: the key payload must be written once")
+	now, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(now) >= 1024 {
+		t.Fatalf("the .snap is %d bytes: it holds more than its header", len(now))
 	}
 	evictNow(t, d, sr.ID)
 	now[len(now)/3] ^= 0x04
@@ -205,10 +268,11 @@ func TestRestoreVerifiesSnapshotChecksumEveryRestore(t *testing.T) {
 	}
 }
 
-// TestEpochWriteFaultDegrades: a sidecar write that fails (twice) follows the
-// store's degrade policy — counted, the session serves marked dirty, and the
-// next evict re-persists it whole, so the epoch it served under is durable
-// in the snapshot header and the restore after that lands strictly above it.
+// TestEpochWriteFaultDegrades: a restore's snapshot write that fails (twice)
+// follows the store's degrade policy — counted, the session serves marked
+// dirty, and the next evict writes the snapshot again, so the epoch it served
+// under is durable in the header and the restore after that lands strictly
+// above it.
 func TestEpochWriteFaultDegrades(t *testing.T) {
 	dir := t.TempDir()
 	d, ts := newTestDaemon(t, daemonConfig{StateDir: dir})
@@ -229,8 +293,8 @@ func TestEpochWriteFaultDegrades(t *testing.T) {
 	if got := d.store.mWriteFailures.Value(); got != 1 {
 		t.Fatalf("fastd.store.write_failures = %d, want 1", got)
 	}
-	if _, err := os.Stat(filepath.Join(dir, sr.ID+".epoch")); !os.IsNotExist(err) {
-		t.Fatalf("failed epoch write left a sidecar behind (err=%v)", err)
+	if got := snapEpoch(t, dir, sr.ID); got != 0 {
+		t.Fatalf("a failed epoch write changed the .snap: it holds epoch %d", got)
 	}
 	evictNow(t, d, sr.ID) // dirty: re-saves the snapshot, header epoch 1
 	encryptValues(t, ts.URL, sr.ID, make([]complex128, 4))
@@ -240,9 +304,10 @@ func TestEpochWriteFaultDegrades(t *testing.T) {
 }
 
 // TestDeleteDuringRestoreStaysDeleted: a DELETE that lands while a restore of
-// the same session is reading its files must win. The restore's result is
-// discarded — publishing it would resurrect a session with no snapshot on
-// disk, and with its MaxSessions slot already given back.
+// the same session is writing its snapshot must win. It waits for that write,
+// then unlinks what it wrote, and the restore's result is discarded —
+// publishing it would resurrect a session with no snapshot on disk, and with
+// its MaxSessions slot already given back.
 func TestDeleteDuringRestoreStaysDeleted(t *testing.T) {
 	dir := t.TempDir()
 	d, ts := newTestDaemon(t, daemonConfig{StateDir: dir, MaxSessions: 2})
@@ -251,13 +316,15 @@ func TestDeleteDuringRestoreStaysDeleted(t *testing.T) {
 
 	held, release := holdStoreAt(d, "epoch.create-tmp") // the restore's last step before it publishes
 	encrypt := encryptRequest{Values: fromComplex(make([]complex128, 4))}
-	restored := make(chan int, 1)
+	restored, deleted := make(chan int, 1), make(chan int, 1)
 	go func() { restored <- postStatus(ts.URL+"/v1/sessions/"+sr.ID+"/encrypt", encrypt) }()
 	<-held
-	if status, raw := doJSON(t, http.MethodDelete, ts.URL+"/v1/sessions/"+sr.ID, nil, nil, nil); status != http.StatusNoContent {
-		t.Fatalf("delete during restore: status %d: %s", status, raw)
-	}
+	go func() { deleted <- deleteStatus(ts.URL, sr.ID) }()
+	waitRegistryDeleted(t, d, sr.ID)
 	close(release)
+	if status := <-deleted; status != http.StatusNoContent {
+		t.Fatalf("delete during restore: status %d", status)
+	}
 	if status := <-restored; status != http.StatusNotFound {
 		t.Fatalf("the request whose restore raced the delete: status %d, want 404", status)
 	}
@@ -278,6 +345,97 @@ func TestDeleteDuringRestoreStaysDeleted(t *testing.T) {
 	}
 	if _, sess := readyzSessions(t, ts.URL); sess.Resident+sess.Persisted != 2 {
 		t.Fatalf("at the limit of 2 the daemon holds %+v", sess)
+	}
+}
+
+// deleteStatus sends DELETE for a session and returns the status.
+func deleteStatus(base, id string) int {
+	req, err := http.NewRequest(http.MethodDelete, base+"/v1/sessions/"+id, nil)
+	if err != nil {
+		return 0
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// waitRegistryDeleted waits until a DELETE in flight has taken id out of the
+// registry — the step a DELETE takes before it drops the ID's write guard.
+func waitRegistryDeleted(t *testing.T, d *daemon, id string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); d.sessions.Acquire(id).State != sessreg.Absent; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("DELETE of %s never reached the registry", id)
+		}
+	}
+}
+
+// TestNoSnapWriteAfterDelete: a .snap write in flight when a DELETE arrives
+// never lands after the DELETE's unlinks — the DELETE waits for it on the
+// ID's write guard — so a restart on the same state dir does not bring the
+// session back. Two writes: the evict of a session whose create-time write
+// failed, held at snap.rename, and a restore's, held at epoch.rename.
+func TestNoSnapWriteAfterDelete(t *testing.T) {
+	encrypt := encryptRequest{Values: fromComplex(make([]complex128, 4))}
+	for _, tc := range []struct {
+		name, point string
+		setup       func(t *testing.T, d *daemon, base string) string // returns the session ID
+		write       func(d *daemon, base, id string)                  // the write DELETE races
+	}{
+		{"evict", "snap.rename",
+			func(t *testing.T, d *daemon, base string) string {
+				d.store.hook = func(p string) error {
+					if strings.HasPrefix(p, "snap.") {
+						return fmt.Errorf("injected failure at %s", p)
+					}
+					return nil
+				}
+				id := createSession(t, base, testSessionRequest()).ID // resident, not durable
+				d.store.hook = nil
+				return id
+			},
+			func(d *daemon, _, id string) { d.evictSession(d.sessions.Acquire(id)) }},
+		{"restore", "epoch.rename",
+			func(t *testing.T, d *daemon, base string) string {
+				id := createSession(t, base, testSessionRequest()).ID
+				evictNow(t, d, id)
+				return id
+			},
+			func(_ *daemon, base, id string) { postStatus(base+"/v1/sessions/"+id+"/encrypt", encrypt) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, ts := newTestDaemon(t, daemonConfig{StateDir: dir})
+			id := tc.setup(t, d, ts.URL)
+			held, release := holdStoreAt(d, tc.point)
+			wrote, deleted := make(chan struct{}), make(chan int, 1)
+			go func() { tc.write(d, ts.URL, id); close(wrote) }()
+			<-held
+			go func() { deleted <- deleteStatus(ts.URL, id) }()
+			waitRegistryDeleted(t, d, id)
+			// Give a DELETE that does not wait for the write time to finish
+			// its unlinks before the write lands.
+			select {
+			case status := <-deleted:
+				deleted <- status
+			case <-time.After(200 * time.Millisecond):
+			}
+			close(release)
+			<-wrote
+			if status := <-deleted; status != http.StatusNoContent {
+				t.Fatalf("delete: status %d", status)
+			}
+			if left, _ := filepath.Glob(filepath.Join(dir, id+".*")); len(left) != 0 {
+				t.Fatalf("deleted session left files behind: %v", left)
+			}
+			_, tsB := newTestDaemon(t, daemonConfig{StateDir: dir})
+			if status, raw := doJSON(t, http.MethodPost, tsB.URL+"/v1/sessions/"+id+"/encrypt", nil, encrypt, nil); status != http.StatusNotFound {
+				t.Fatalf("after a restart: status %d (%s), want 404: the deleted session came back", status, raw)
+			}
+		})
 	}
 }
 
@@ -363,8 +521,8 @@ func TestEpochDurableBeforeFirstUse(t *testing.T) {
 	holdAt(t, d, "epoch.dir-fsync", func() {
 		encryptValues(t, ts.URL, sr.ID, make([]complex128, 4))
 	})
-	if epoch, err := d.store.loadEpoch(sr.ID); err != nil || epoch != 1 {
-		t.Fatalf("sidecar after the first restore: epoch %d, err %v; want 1", epoch, err)
+	if got := snapEpoch(t, dir, sr.ID); got != 1 {
+		t.Fatalf(".snap after the first restore holds epoch %d, want 1", got)
 	}
 }
 
@@ -388,7 +546,7 @@ func TestRestorePhasesSumToRestore(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		evictNow(t, d, sr.ID)
 		before, t0 := phaseSum(), time.Now()
-		_, _, err := d.restoreSession(d.shards[0], sr.ID)
+		_, _, err := d.restoreSession(d.shards[0], d.idemTable(sr.ID))
 		wall += time.Since(t0)
 		phases += phaseSum() - before
 		if err != nil {

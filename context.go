@@ -133,7 +133,7 @@ func NewContext(cfg ContextConfig, opts ...Option) (*Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	return buildContext(cfg, settings, lit, params, nil)
+	return buildContext(cfg, settings, lit, params, 0)
 }
 
 // resolveConfig substitutes DefaultConfig for a zero cfg, applies options on
@@ -166,8 +166,8 @@ func resolveConfig(cfg ContextConfig, opts []Option) (ContextConfig, contextSett
 // parametersLiteral maps a resolved ContextConfig onto the CKKS parameter
 // literal of the general regime. The mapping is deterministic and prime-chain
 // generation depends only on the literal, so the same config always compiles
-// to bit-identical ring tables — the property snapshot restoration relies on
-// to pair persisted key material with the compiled parameters.
+// to bit-identical ring tables and, from the same seed, to the same keys —
+// the property snapshot restoration relies on.
 func parametersLiteral(cfg ContextConfig) ckks.ParametersLiteral {
 	logQ := make([]int, cfg.Levels+1)
 	logQ[0] = cfg.LogScale + 14 // q0 absorbs the message plus noise margin
@@ -224,40 +224,31 @@ func KeygenUnits(cfg ContextConfig) float64 {
 
 // buildContext is the one construction path: NewContext, NewBootstrapContext
 // and SessionSnapshot.Restore each describe a regime — the resolved cfg, the
-// literal params was compiled from — and end here. Hybrid key material is
-// generated from the parameter seed (Galois keys for cfg.Rotations and
-// cfg.Conjugation) or, when snap is non-nil, read from the snapshot's key
-// payload. When cfg enables KLSS and the keys hold no KLSS section, the
-// section is derived on the first KLSS op; a legacy payload's stored KLSS
-// keys are used as they are. The encryptor's sampler stream is seeded per
+// literal params was compiled from — and end here. Every key is generated
+// from the parameter seed: sk, pk and the hybrid keys (Galois keys for
+// cfg.Rotations and cfg.Conjugation) now, and when cfg enables KLSS its
+// section on the first KLSS op. So a restore regenerates exactly the keys
+// the session was created with. The encryptor's sampler stream is seeded per
 // restore epoch, so a restored session never replays pre-crash encryption
 // randomness; epoch 0 is the fresh-construction stream.
 func buildContext(cfg ContextConfig, settings contextSettings, lit ckks.ParametersLiteral,
-	params *ckks.Parameters, snap *SessionSnapshot) (*Context, error) {
+	params *ckks.Parameters, epoch uint64) (*Context, error) {
 	ctx := &Context{cfg: cfg, lit: lit, params: params, observer: settings.observer, evk: settings.evk}
-	encSeed := params.Seed() + 0x5eed
-	if snap == nil {
-		kgen := ckks.NewKeyGenerator(params)
-		ctx.sk = kgen.GenSecretKey()
-		ctx.pk = kgen.GenPublicKey(ctx.sk)
-		var err error
-		if ctx.keys, err = kgen.GenEvaluationKeySet(ctx.sk, []Method{Hybrid}, cfg.Rotations, cfg.Conjugation); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := snap.readKeys(ctx); err != nil {
-			return nil, err
-		}
-		encSeed += int64(snap.Meta.Restores) * 0x9e3779b9
+	kgen := ckks.NewKeyGenerator(params)
+	ctx.sk = kgen.GenSecretKey()
+	ctx.pk = kgen.GenPublicKey(ctx.sk)
+	var err error
+	if ctx.keys, err = kgen.GenEvaluationKeySet(ctx.sk, []Method{Hybrid}, cfg.Rotations, cfg.Conjugation); err != nil {
+		return nil, err
 	}
 	ctx.keys.DeriveKLSS(params, ctx.sk, ctx.observer.unwrap())
+	encSeed := params.Seed() + 0x5eed + int64(epoch)*0x9e3779b9
 	ctx.encoder = ckks.NewEncoder(params)
 	ctx.enc = ckks.NewEncryptorWithSeed(params, ctx.pk, encSeed)
 	ctx.dec = ckks.NewDecryptor(params, ctx.sk)
 	if ctx.observer != nil {
 		ctx.enc.SetObserver(ctx.observer.unwrap())
 	}
-	var err error
 	ctx.eval, err = ckks.NewEvaluatorOptions(params, ctx.keys, ckks.EvaluatorOptions{
 		Parallelism: cfg.Parallelism,
 		Observer:    ctx.observer.unwrap(),

@@ -35,10 +35,11 @@ type SwitchingKey struct {
 // EvaluationKeySet carries every key the evaluator may need: relinearization
 // and Galois keys, per key-switching backend. At the shapes the fast package
 // builds (α_T = α, |T| = |P|) a KLSS key is the size of the hybrid key of the
-// same element. The KLSS section is a deterministic function of the
-// parameter seed and the secret, drawn from its own sampler stream, so a set
-// may hold it (GenEvaluationKeySet with KLSS, a parsed payload that carries
-// it) or derive it on the first KLSS lookup (DeriveKLSS).
+// same element. Every key is a deterministic function of the parameter seed
+// and the secret, so a set has no wire form: it is generated, never read
+// back. The KLSS section is drawn from its own sampler stream, so a set may
+// hold it (GenEvaluationKeySet with KLSS) or derive it on the first KLSS
+// lookup (DeriveKLSS).
 type EvaluationKeySet struct {
 	Relin  map[KeySwitchMethod]*SwitchingKey
 	Galois map[KeySwitchMethod]map[uint64]*SwitchingKey
@@ -93,16 +94,15 @@ func (s *EvaluationKeySet) GaloisKey(m KeySwitchMethod, galEl uint64) (*Switchin
 	return k, nil
 }
 
-// DeriveKLSS attaches the KLSS section to a set that holds none: the first
-// KLSS lookup generates the relinearization key and a Galois key for every
+// DeriveKLSS attaches the KLSS section to a hybrid-only set: the first KLSS
+// lookup generates the relinearization key and a Galois key for every
 // element of the hybrid section, from the KLSS stream GenEvaluationKeySet
 // draws them from, so a derived key is byte-identical to the eagerly
-// generated one. Until then no KLSS key exists, and AppendBinary never writes
-// a derived one. It does nothing when the set already holds KLSS keys or the
+// generated one. Until then no KLSS key exists. It does nothing when the
 // parameter set has no KLSS chain. The observer, when non-nil, counts the
 // derivation's draws on ckks.sampler.draws. Call it before the set is shared.
 func (s *EvaluationKeySet) DeriveKLSS(params *Parameters, sk *SecretKey, o *obs.Observer) {
-	if params.ringQT == nil || s.Relin[KLSS] != nil {
+	if params.ringQT == nil {
 		return
 	}
 	galEls := s.galoisElements(Hybrid)

@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -34,10 +35,10 @@ func TestDerivedKLSSKeysMatchEager(t *testing.T) {
 	_, eager := gen(Hybrid, KLSS)
 	_, klssFirst := gen(KLSS, Hybrid)
 	sk, derived := gen(Hybrid)
-	if !bytes.Equal(derived.AppendBinary(nil), section(eager, Hybrid)) {
+	if !bytes.Equal(setBytes(derived), section(eager, Hybrid)) {
 		t.Fatal("the hybrid keys moved when KLSS keys were generated with them")
 	}
-	if !bytes.Equal(eager.AppendBinary(nil), klssFirst.AppendBinary(nil)) {
+	if !bytes.Equal(setBytes(eager), setBytes(klssFirst)) {
 		t.Fatal("eager key sets differ with the order their methods were asked in")
 	}
 	ob := obs.New()
@@ -59,7 +60,7 @@ func TestDerivedKLSSKeysMatchEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
+	if !bytes.Equal(swkBytes(got), swkBytes(want)) {
 		t.Fatal("derived KLSS relinearization key differs from the eager one")
 	}
 	for _, el := range galEls {
@@ -71,41 +72,58 @@ func TestDerivedKLSSKeysMatchEager(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
+		if !bytes.Equal(swkBytes(got), swkBytes(want)) {
 			t.Fatalf("derived KLSS Galois key %d differs from the eager one", el)
 		}
 	}
 	if _, err := derived.GaloisKey(KLSS, ring.GaloisElementForRotation(params.LogN(), 2)); !errors.Is(err, ErrKeyMissing) {
 		t.Fatalf("KLSS key for an ungenerated rotation: %v, want ErrKeyMissing", err)
 	}
-	if !bytes.Equal(derived.AppendBinary(nil), section(eager, Hybrid)) {
-		t.Fatal("the derived KLSS section reached the set's wire form")
+	if !bytes.Equal(setBytes(derived), section(eager, Hybrid)) {
+		t.Fatal("the derived KLSS section reached the set's own maps")
 	}
 	if want := uint64(2 * 5 * len(want.B)); draws.Value() != want { // relin + 4 Galois keys, 2 draws per group
 		t.Fatalf("the derivation drew %d polynomials, want %d", draws.Value(), want)
 	}
 }
 
-// section is the wire form of a set holding only method m's keys of s.
+// section is setBytes of a set holding only method m's keys of s.
 func section(s *EvaluationKeySet, m KeySwitchMethod) []byte {
 	one := NewEvaluationKeySet()
 	one.Relin[m] = s.Relin[m]
 	one.Galois[m] = s.Galois[m]
-	return one.AppendBinary(nil)
+	return setBytes(one)
 }
 
-// TestDeriveKLSSLeavesStoredKeysAlone: DeriveKLSS attaches nothing to a set
-// that holds KLSS keys, or when the parameter set has no KLSS chain.
-func TestDeriveKLSSLeavesStoredKeysAlone(t *testing.T) {
-	tc := newTestContext(t)
-	set, _, err := ParseEvaluationKeySet(tc.keys.AppendBinary(nil), tc.params)
-	if err != nil {
-		t.Fatal(err)
+// setBytes is the keys s's maps hold, in a canonical order: methods
+// ascending, each its relinearization key, then its Galois keys by element.
+// Keys have no wire form; this is what two sets are compared by.
+func setBytes(s *EvaluationKeySet) []byte {
+	var b []byte
+	for _, m := range []KeySwitchMethod{Hybrid, KLSS} {
+		if s.Relin[m] == nil {
+			continue
+		}
+		b = append(b, swkBytes(s.Relin[m])...)
+		for _, el := range s.galoisElements(m) {
+			b = append(binary.LittleEndian.AppendUint64(b, el), swkBytes(s.Galois[m][el])...)
+		}
 	}
-	set.DeriveKLSS(tc.params, tc.sk, nil)
-	if set.klss != nil {
-		t.Fatal("DeriveKLSS attached a derivation to a set holding KLSS keys")
+	return b
+}
+
+// swkBytes is a switching key's method and every gadget pair's coefficients.
+func swkBytes(k *SwitchingKey) []byte {
+	b := []byte{byte(k.Method)}
+	for j := range k.B {
+		b = appendPoly(appendPoly(b, k.B[j]), k.A[j])
 	}
+	return b
+}
+
+// TestDeriveKLSSNeedsKLSSChain: DeriveKLSS attaches nothing when the
+// parameter set has no KLSS chain, so a KLSS lookup misses.
+func TestDeriveKLSSNeedsKLSSChain(t *testing.T) {
 	params, err := NewParameters(ParametersLiteral{LogN: 9, LogSlots: 8, LogQ: []int{50, 36}, LogP: []int{50}, LogScale: 36, Alpha: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -119,5 +137,8 @@ func TestDeriveKLSSLeavesStoredKeysAlone(t *testing.T) {
 	hybridOnly.DeriveKLSS(params, sk, nil)
 	if hybridOnly.klss != nil {
 		t.Fatal("DeriveKLSS attached a derivation on a parameter set without a KLSS chain")
+	}
+	if _, err := hybridOnly.RelinKey(KLSS); !errors.Is(err, ErrKeyMissing) {
+		t.Fatalf("KLSS relinearization key without a KLSS chain: %v, want ErrKeyMissing", err)
 	}
 }

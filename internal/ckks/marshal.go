@@ -12,20 +12,18 @@ import (
 )
 
 // Wire format: little-endian, each object prefixed with a one-byte tag and a
-// version byte. Polynomials serialise as (limbs, degree, raw coefficients).
-// Ciphertexts additionally carry level and scale; switching keys carry their
-// method and group count. The format is stable within a major version of this
-// library.
+// version byte. Polynomials serialise as (limbs, degree, raw coefficients);
+// ciphertexts additionally carry level and scale. Keys have no wire form:
+// they are regenerated from the parameter seed (the secret key's bytes stay
+// only to check a legacy snapshot against). The format is stable within a
+// major version of this library.
 
 const (
 	wireVersion byte = 1
 
 	tagPoly       byte = 0x01
 	tagCiphertext byte = 0x02
-	tagSwitchKey  byte = 0x04 // 0x03 was the plaintext tag
-	tagPublicKey  byte = 0x05
-	tagSecretKey  byte = 0x06
-	tagEvalKeys   byte = 0x07
+	tagSecretKey  byte = 0x06 // 0x03 was the plaintext tag; 0x04, 0x05, 0x07 the other keys
 )
 
 // checkHeader validates the tag and version bytes every object starts with.
@@ -49,7 +47,7 @@ const (
 )
 
 // appendCoeffs appends src as little-endian 64-bit words — the one place
-// coefficients become wire bytes (ciphertexts, keys, snapshots).
+// coefficients become wire bytes.
 func appendCoeffs(dst []byte, src []uint64) []byte {
 	n := len(dst)
 	dst = slices.Grow(dst, 8*len(src))[:n+8*len(src)]
@@ -261,218 +259,15 @@ func (ct *Ciphertext) validate(params *Parameters) error {
 	return nil
 }
 
-// AppendBinary appends the public key's wire form to dst.
-func (pk *PublicKey) AppendBinary(dst []byte) []byte {
-	return appendPoly(appendPoly(append(dst, tagPublicKey, wireVersion), pk.B), pk.A)
-}
-
-// ParsePublicKey decodes a public key from the front of b and returns the
-// bytes after it.
-func ParsePublicKey(b []byte, params *Parameters) (*PublicKey, []byte, error) {
-	if err := checkHeader(b, tagPublicKey); err != nil {
-		return nil, nil, err
-	}
-	pb, b, err := parsePoly(b[2:])
-	if err != nil {
-		return nil, nil, err
-	}
-	pa, b, err := parsePoly(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !keyShape(pb, pa, len(params.qChain), params.N()) {
-		return nil, nil, fmt.Errorf("ckks: public key shape inconsistent with parameters")
-	}
-	return &PublicKey{B: pb, A: pa}, b, nil
-}
-
-// keyShape reports whether both halves of a key pair have the key ring's
-// limbs and the ring degree: the key switch reads rows of each at that shape.
-func keyShape(b, a ring.Poly, limbs, n int) bool {
-	return b.Limbs() == limbs && a.Limbs() == limbs && b.N() == n && a.N() == n
-}
-
-// AppendBinary appends the secret key's wire form to dst. Only the signed
-// ternary coefficients go on the wire (one byte each): the NTT-form
-// embeddings over the key rings are deterministic functions of the signed
-// vector and the parameter set, so ParseSecretKey reconstructs them
-// bit-identically. This keeps the snapshot compact and means the secret's
-// serialised form is independent of which key-switching backends the
-// parameter set enables.
+// AppendBinary appends the secret key's wire form to dst: its signed ternary
+// coefficients, one byte each. It is the one key the package writes, and
+// nothing parses it: the fast package compares it against the payload a
+// legacy session snapshot stored, so such a file restores only if its
+// secret is the one its configuration regenerates.
 func (sk *SecretKey) AppendBinary(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(append(dst, tagSecretKey, wireVersion), uint32(len(sk.signed)))
 	for _, v := range sk.signed {
 		dst = append(dst, byte(int8(v)))
 	}
 	return dst
-}
-
-// ParseSecretKey decodes a secret key from the front of b, returns the bytes
-// after it, and rebuilds its NTT-form embeddings over every key ring the
-// parameter set enables (Q++P always, Q++T when KLSS is available).
-func ParseSecretKey(b []byte, params *Parameters) (*SecretKey, []byte, error) {
-	if err := checkHeader(b, tagSecretKey); err != nil {
-		return nil, nil, err
-	}
-	hdr, b, err := cutBytes(b[2:], 4)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr)
-	if int(n) != params.N() {
-		return nil, nil, fmt.Errorf("ckks: secret key length %d does not match N=%d", n, params.N())
-	}
-	coeffs, b, err := cutBytes(b, int(n))
-	if err != nil {
-		return nil, nil, err
-	}
-	sk := &SecretKey{signed: make([]int64, n)}
-	for i, c := range coeffs {
-		v := int8(c)
-		if v < -1 || v > 1 {
-			return nil, nil, fmt.Errorf("ckks: secret coefficient %d out of ternary range", v)
-		}
-		sk.signed[i] = int64(v)
-	}
-	sk.QP = params.ringQP.NewPoly()
-	setSignedInto(params.ringQP, sk.signed, sk.QP)
-	params.ringQP.NTT(sk.QP)
-	if params.ringQT != nil {
-		sk.QT = params.ringQT.NewPoly()
-		setSignedInto(params.ringQT, sk.signed, sk.QT)
-		params.ringQT.NTT(sk.QT)
-	}
-	return sk, b, nil
-}
-
-// cutBytes splits the first n bytes off b.
-func cutBytes(b []byte, n int) (head, rest []byte, err error) {
-	if len(b) < n {
-		return nil, nil, io.ErrUnexpectedEOF
-	}
-	return b[:n], b[n:], nil
-}
-
-// AppendBinary appends the keys the set holds to dst in a canonical order
-// (methods ascending, Galois elements ascending) so identical key sets always
-// produce identical bytes — the property the snapshot checksum relies on. A
-// KLSS section DeriveKLSS attached is not written, generated or not: it is a
-// function of the seed and the secret.
-func (s *EvaluationKeySet) AppendBinary(dst []byte) []byte {
-	methods := make([]KeySwitchMethod, 0, len(s.Relin))
-	for m := range s.Relin {
-		methods = append(methods, m)
-	}
-	slices.Sort(methods)
-	dst = binary.LittleEndian.AppendUint32(append(dst, tagEvalKeys, wireVersion), uint32(len(methods)))
-	for _, m := range methods {
-		galEls := s.galoisElements(m)
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(m))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(galEls)))
-		dst = s.Relin[m].AppendBinary(dst)
-		for _, el := range galEls {
-			dst = s.Galois[m][el].AppendBinary(binary.LittleEndian.AppendUint64(dst, el))
-		}
-	}
-	return dst
-}
-
-// ParseEvaluationKeySet decodes an evaluation-key set from the front of b,
-// validating every switching key's shape against the parameter set, and
-// returns the bytes after it.
-func ParseEvaluationKeySet(b []byte, params *Parameters) (*EvaluationKeySet, []byte, error) {
-	if err := checkHeader(b, tagEvalKeys); err != nil {
-		return nil, nil, err
-	}
-	hdr, b, err := cutBytes(b[2:], 4)
-	if err != nil {
-		return nil, nil, err
-	}
-	nMethods := binary.LittleEndian.Uint32(hdr)
-	if nMethods > 2 {
-		return nil, nil, fmt.Errorf("ckks: implausible method count %d", nMethods)
-	}
-	set := NewEvaluationKeySet()
-	for i := uint32(0); i < nMethods; i++ {
-		var meta []byte
-		if meta, b, err = cutBytes(b, 8); err != nil {
-			return nil, nil, err
-		}
-		method := KeySwitchMethod(binary.LittleEndian.Uint32(meta))
-		if method != Hybrid && method != KLSS {
-			return nil, nil, fmt.Errorf("ckks: unknown key-switch method %d in key set", uint32(method))
-		}
-		var rlk *SwitchingKey
-		if rlk, b, err = ParseSwitchingKey(b, params); err != nil {
-			return nil, nil, err
-		}
-		if rlk.Method != method {
-			return nil, nil, fmt.Errorf("ckks: relin key method %v under %v section", rlk.Method, method)
-		}
-		set.Relin[method] = rlk
-		nGal := binary.LittleEndian.Uint32(meta[4:])
-		if nGal > 1<<16 {
-			return nil, nil, fmt.Errorf("ckks: implausible galois key count %d", nGal)
-		}
-		for j := uint32(0); j < nGal; j++ {
-			var el []byte
-			if el, b, err = cutBytes(b, 8); err != nil {
-				return nil, nil, err
-			}
-			var gk *SwitchingKey
-			if gk, b, err = ParseSwitchingKey(b, params); err != nil {
-				return nil, nil, err
-			}
-			if gk.Method != method {
-				return nil, nil, fmt.Errorf("ckks: galois key method %v under %v section", gk.Method, method)
-			}
-			set.addGalois(method, binary.LittleEndian.Uint64(el), gk)
-		}
-	}
-	return set, b, nil
-}
-
-// AppendBinary appends the switching key's wire form (all gadget pairs) to
-// dst.
-func (swk *SwitchingKey) AppendBinary(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(append(dst, tagSwitchKey, wireVersion), uint32(swk.Method))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(swk.B)))
-	for j := range swk.B {
-		dst = appendPoly(appendPoly(dst, swk.B[j]), swk.A[j])
-	}
-	return dst
-}
-
-// ParseSwitchingKey decodes a switching key from the front of b and returns
-// the bytes after it.
-func ParseSwitchingKey(b []byte, params *Parameters) (*SwitchingKey, []byte, error) {
-	if err := checkHeader(b, tagSwitchKey); err != nil {
-		return nil, nil, err
-	}
-	meta, b, err := cutBytes(b[2:], 8)
-	if err != nil {
-		return nil, nil, err
-	}
-	method := KeySwitchMethod(binary.LittleEndian.Uint32(meta))
-	kr, _, err := params.keyRing(method)
-	if err != nil {
-		return nil, nil, err
-	}
-	groups := binary.LittleEndian.Uint32(meta[4:])
-	if groups < 1 || groups > 64 {
-		return nil, nil, fmt.Errorf("ckks: implausible group count %d", groups)
-	}
-	swk := &SwitchingKey{Method: method, B: make([]ring.Poly, groups), A: make([]ring.Poly, groups)}
-	for j := range swk.B {
-		if swk.B[j], b, err = parsePoly(b); err != nil {
-			return nil, nil, err
-		}
-		if swk.A[j], b, err = parsePoly(b); err != nil {
-			return nil, nil, err
-		}
-		if !keyShape(swk.B[j], swk.A[j], len(kr.Moduli), params.N()) {
-			return nil, nil, fmt.Errorf("ckks: switching key group %d shape inconsistent", j)
-		}
-	}
-	return swk, b, nil
 }

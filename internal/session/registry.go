@@ -3,7 +3,7 @@
 // shard's residents were last used — one map under one mutex.
 //
 // The registry only moves entries between states. Everything slow (keygen,
-// disk I/O, key expansion) is the caller's, done between two registry calls
+// disk I/O) is the caller's, done between two registry calls
 // with the lock released: the registry holds no store, calls no callback and
 // knows nothing of its payload P but its identity, so a test can drive every
 // interleaving of the lifecycle without a key in sight. DESIGN.md ("Session

@@ -2,9 +2,7 @@ package fast_test
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
-	"math/cmplx"
 	"sync"
 	"testing"
 
@@ -168,21 +166,19 @@ func TestKLSSKeysDerivedOnceUnderConcurrentFirstUse(t *testing.T) {
 	sameOutputs(t, "concurrent first use", got, want)
 }
 
-// keyPayload is a snapshot's key payload: sk | pk | evaluation-key set.
-func keyPayload(snap []byte) []byte { return snap[keysAt(snap) : len(snap)-sha256.Size] }
-
-// TestKLSSSnapshotStoresNoKLSSKeys: an EnableKLSS context's snapshot carries
-// the key payload of the same seed's hybrid-only context, byte for byte, and
-// so does its snapshot after KLSS keys were derived.
+// TestKLSSSnapshotStoresNoKLSSKeys: an EnableKLSS context's snapshot is the
+// same seed's hybrid-only snapshot but for the header's "EnableKLSS" — no
+// key of either kind is stored — and it does not change once the context
+// has derived its KLSS keys.
 func TestKLSSSnapshotStoresNoKLSSKeys(t *testing.T) {
 	meta := fast.SessionMeta{ID: "s1"}
 	hybridOnly := snapshotTestConfig()
 	hybridOnly.EnableKLSS = false
 	_, want := snapshotBytes(t, hybridOnly, meta)
 	ctx, snap := snapshotBytes(t, snapshotTestConfig(), meta)
-	if !bytes.Equal(keyPayload(snap), keyPayload(want)) {
-		t.Fatalf("EnableKLSS key payload is %d bytes, the hybrid-only one %d: they differ",
-			len(keyPayload(snap)), len(keyPayload(want)))
+	wantHdr := bytes.Replace(snapshotHeader(want), []byte(`"EnableKLSS":false`), []byte(`"EnableKLSS":true`), 1)
+	if !bytes.Equal(snap, withHeader(want, wantHdr)) {
+		t.Fatalf("EnableKLSS snapshot (%d bytes) is not the hybrid-only one (%d bytes) with EnableKLSS set", len(snap), len(want))
 	}
 	runKLSSOps(t, ctx, klssInput(t, ctx))
 	var after bytes.Buffer
@@ -218,49 +214,5 @@ func TestKLSSOutputsSurviveSnapshotRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameOutputs(t, fmt.Sprintf("restore %d", gen), runKLSSOps(t, ctx, rin), want)
-	}
-}
-
-// TestLegacyKLSSSnapshotKeepsStoredKeys: a snapshot whose payload stores a
-// KLSS section, as builds before derivation wrote them, restores with those
-// keys: its KLSS ops draw nothing, decrypt to what the hybrid ops give, and
-// its snapshot writes the stored section back unchanged.
-func TestLegacyKLSSSnapshotKeepsStoredKeys(t *testing.T) {
-	meta := fast.SessionMeta{ID: "s1", Restores: 1}
-	_, snap := snapshotBytes(t, snapshotTestConfig(), meta)
-	legacy := spliceStoredKLSS(t, snap)
-	snapped, err := fast.DecodeSessionSnapshot(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, err := snapped.Restore(fast.WithObserver(fast.NewObserver()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := klssInput(t, ctx)
-	before := draws(ctx)
-	k, err := ctx.Mul(in, in, fast.WithMethod(fast.KLSS))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := draws(ctx) - before; d != 0 {
-		t.Fatalf("a KLSS op on a context restored with stored KLSS keys drew %d polynomials", d)
-	}
-	h, err := ctx.Mul(in, in, fast.WithMethod(fast.Hybrid))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyb := ctx.Decrypt(h)
-	for i, got := range ctx.Decrypt(k) {
-		if cmplx.Abs(got-hyb[i]) > 1e-3 {
-			t.Fatalf("slot %d: stored-key KLSS Mul %v, hybrid %v", i, got, hyb[i])
-		}
-	}
-	var buf bytes.Buffer
-	if err := ctx.WriteSessionSnapshot(&buf, meta); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), legacy) {
-		t.Fatal("re-snapshotting a context restored with stored KLSS keys did not write them back unchanged")
 	}
 }

@@ -82,27 +82,31 @@ type SessionMeta struct {
 
 // Snapshot wire layout (little-endian):
 //
-//	magic   [8]byte  "FASTSNP\x01"
+//	magic   [8]byte  "FASTSNP\x02"
 //	hdrLen  uint32   length of the JSON header
 //	header  []byte   {"meta":..., "config":...}
-//	keyLen  uint64   length of the key payload
-//	keys    []byte   sk | pk | evaluation-key set (internal/ckks wire format)
 //	sum     [32]byte SHA-256 over every preceding byte
 //
-// The checksum is verified BEFORE any parsing: a flipped bit anywhere in the
-// stream surfaces as ErrCorruptSnapshot, never as a structurally plausible
-// but wrong key set. Canonical ordering in the key-set serialisation makes
-// identical sessions produce identical snapshot bytes.
-var snapshotMagic = [8]byte{'F', 'A', 'S', 'T', 'S', 'N', 'P', 1}
+// The header is the whole session: every key is a deterministic function of
+// the resolved config (sk, pk and the hybrid keys from the stream Seed
+// seeds, KLSS keys from their own), so Restore regenerates them rather than
+// reading them. The checksum is verified BEFORE any parsing: a flipped bit
+// anywhere in the stream surfaces as ErrCorruptSnapshot.
+//
+// A legacy "FASTSNP\x01" file carries keyLen uint64 | keys (sk | pk |
+// evaluation keys) between the header and the sum. It restores by the same
+// regeneration, and only if its payload starts with the regenerated secret
+// key's wire bytes; the rest of the payload is not read.
+var snapshotMagic = [8]byte{'F', 'A', 'S', 'T', 'S', 'N', 'P', 2}
 
 const (
+	snapshotLegacy    = 1       // the format version whose files carry keys
 	snapshotMaxHeader = 1 << 20 // sanity bound on the JSON header
-	snapshotMaxKeys   = 1 << 31 // sanity bound on the key payload
 )
 
 // snapshotHeader is the JSON head of a snapshot: everything needed to
-// rebuild the parameter set plus the serving-layer metadata. Members it does
-// not name are ignored, so a header that still carries the retired
+// rebuild the session plus the serving-layer metadata. Members it does not
+// name are ignored, so a header that still carries the retired
 // "default_method" decodes to the same session.
 type snapshotHeader struct {
 	Meta   SessionMeta   `json:"meta"`
@@ -110,23 +114,21 @@ type snapshotHeader struct {
 }
 
 // SessionSnapshot is a decoded (checksum-verified) session snapshot whose
-// key material has not yet been expanded into a Context. Callers may adjust
-// Meta between DecodeSessionSnapshot and Restore — the restore path bumps
+// keys have not yet been regenerated into a Context. Callers may adjust Meta
+// between DecodeSessionSnapshot and Restore — the restore path bumps
 // Meta.Restores so each restoration gets a fresh encryptor stream.
 type SessionSnapshot struct {
 	Meta   SessionMeta
 	Config ContextConfig
 
-	keyBytes []byte
+	legacyKeys []byte // a legacy file's key payload; nil for the current format
 }
 
-// WriteSessionSnapshot serialises the context's full session state — resolved
-// configuration, secret/public/relinearization/Galois key material — plus the
-// caller's metadata, in the versioned, checksummed snapshot format.
-// ReadSessionSnapshot (or DecodeSessionSnapshot + Restore) is the inverse.
-// KLSS keys are not written: the restored context derives them from the seed
-// and the secret on its first KLSS op, byte-identical to the source's. (A
-// context restored from a payload that stored them writes them back.)
+// WriteSessionSnapshot serialises the context's session — its resolved
+// configuration plus the caller's metadata — in the versioned, checksummed
+// snapshot format. No key material is written: ReadSessionSnapshot (or
+// DecodeSessionSnapshot + Restore) regenerates every key from the
+// configuration, byte-identical to this context's.
 //
 // A snapshot stores the configuration, not the prime chain: Restore compiles
 // the general regime from it (or shares a live context's compile of it). A
@@ -141,12 +143,8 @@ func (c *Context) WriteSessionSnapshot(w io.Writer, meta SessionMeta) error {
 	if err != nil {
 		return fmt.Errorf("fast: marshal snapshot header: %w", err)
 	}
-	buf := append([]byte(nil), snapshotMagic[:]...)
+	buf := append(make([]byte, 0, 8+4+len(hdr)+sha256.Size), snapshotMagic[:]...)
 	buf = append(binary.LittleEndian.AppendUint32(buf, uint32(len(hdr))), hdr...)
-	buf = binary.LittleEndian.AppendUint64(buf, 0) // keyLen, backfilled once the keys are in
-	keysAt := len(buf)
-	buf = c.keys.AppendBinary(c.pk.AppendBinary(c.sk.AppendBinary(buf)))
-	binary.LittleEndian.PutUint64(buf[keysAt-8:], uint64(len(buf)-keysAt))
 	sum := sha256.Sum256(buf)
 	_, err = w.Write(append(buf, sum[:]...))
 	return err
@@ -154,14 +152,15 @@ func (c *Context) WriteSessionSnapshot(w io.Writer, meta SessionMeta) error {
 
 // DecodeSessionSnapshot verifies and parses a session snapshot: checksum
 // first (any corruption — truncation, bit flips, a foreign file — returns an
-// error wrapping ErrCorruptSnapshot before a single key byte is parsed),
-// then the JSON header. Key material stays in its wire form until Restore.
+// error wrapping ErrCorruptSnapshot before a byte is parsed), then the JSON
+// header, and a legacy file's key payload framing.
 func DecodeSessionSnapshot(data []byte) (*SessionSnapshot, error) {
-	const minLen = 8 + 4 + 8 + sha256.Size
+	const minLen = 8 + 4 + sha256.Size
 	if len(data) < minLen {
 		return nil, fmt.Errorf("fast: snapshot truncated (%d bytes): %w", len(data), ErrCorruptSnapshot)
 	}
-	if !bytes.Equal(data[:8], snapshotMagic[:]) {
+	version := data[7]
+	if !bytes.Equal(data[:7], snapshotMagic[:7]) || (version != snapshotMagic[7] && version != snapshotLegacy) {
 		return nil, fmt.Errorf("fast: bad snapshot magic: %w", ErrCorruptSnapshot)
 	}
 	body, sum := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
@@ -180,32 +179,35 @@ func DecodeSessionSnapshot(data []byte) (*SessionSnapshot, error) {
 	if err := json.Unmarshal(rest[:hdrLen], &hdr); err != nil {
 		return nil, fmt.Errorf("fast: snapshot header: %v: %w", err, ErrCorruptSnapshot)
 	}
+	s := &SessionSnapshot{Meta: hdr.Meta, Config: hdr.Config}
 	rest = rest[hdrLen:]
-	if len(rest) < 8 {
-		return nil, fmt.Errorf("fast: snapshot truncated before key payload: %w", ErrCorruptSnapshot)
+	if version == snapshotLegacy {
+		if len(rest) < 8 || binary.LittleEndian.Uint64(rest) != uint64(len(rest)-8) {
+			return nil, fmt.Errorf("fast: legacy snapshot key payload framing does not match %d remaining bytes: %w",
+				len(rest), ErrCorruptSnapshot)
+		}
+		s.legacyKeys, rest = rest[8:], nil
 	}
-	keyLen := binary.LittleEndian.Uint64(rest[:8])
-	rest = rest[8:]
-	if keyLen > snapshotMaxKeys || keyLen != uint64(len(rest)) {
-		return nil, fmt.Errorf("fast: snapshot key payload length %d does not match %d remaining bytes: %w",
-			keyLen, len(rest), ErrCorruptSnapshot)
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("fast: %d bytes after the snapshot header: %w", len(rest), ErrCorruptSnapshot)
 	}
-	return &SessionSnapshot{Meta: hdr.Meta, Config: hdr.Config, keyBytes: rest}, nil
+	return s, nil
 }
 
-// Restore expands the snapshot into a ready-to-use Context: the parameter
-// set is the one the embedded configuration compiles to (deterministic — the
-// same config always yields bit-identical ring tables) and the persisted key
-// material is installed in place of key generation, so restored sessions
-// decrypt pre-crash ciphertexts bit-identically. Restoration costs the key
-// decode, plus compilation only when no live context shares the
-// configuration; never a keygen. A config that enables KLSS gets its KLSS
-// keys back by derivation on the first KLSS op, which pays for it.
+// Restore rebuilds the session the snapshot describes: the embedded
+// configuration is compiled (deterministic — the same config always yields
+// bit-identical ring tables — and shared with any live context of the same
+// configuration) and its keys are regenerated from it exactly as NewContext
+// generated them, so restored sessions decrypt and evaluate pre-crash
+// ciphertexts bit-identically. A configuration that is not the resolved form
+// of itself, or does not compile, is a corrupt snapshot: every key would come
+// from it. So is a legacy file whose stored secret key is not the
+// regenerated one. KLSS keys are derived on the first KLSS op, as on a
+// fresh context.
 //
 // Options may attach an observer or a shared evk cache. WithParallelism, the
 // one option that alters the configuration, is rejected with
-// ErrInvalidParameters unless it restates the embedded value, because the
-// persisted keys were generated for exactly the embedded configuration.
+// ErrInvalidParameters unless it restates the embedded value.
 //
 // The encryptor's deterministic sampler is seeded from Meta.Restores, so
 // each restoration epoch draws a fresh randomness stream (see SessionMeta).
@@ -218,41 +220,30 @@ func (s *SessionSnapshot) Restore(opts ...Option) (*Context, error) {
 	}
 	if !reflect.DeepEqual(cfg, s.Config) {
 		return nil, fmt.Errorf("fast: config-mutating options are invalid on snapshot restore "+
-			"(keys were generated for the persisted config): %w", ErrInvalidParameters)
+			"(the keys are those of the persisted config): %w", ErrInvalidParameters)
+	}
+	if resolved, _, err := resolveConfig(cfg, nil); err != nil || !reflect.DeepEqual(resolved, cfg) {
+		return nil, fmt.Errorf("fast: snapshot config %+v is not a resolved configuration: %w", cfg, ErrCorruptSnapshot)
 	}
 	lit := parametersLiteral(cfg)
 	params, err := ckks.NewParameters(lit)
 	if err != nil {
+		return nil, fmt.Errorf("fast: snapshot config does not compile: %w: %w", err, ErrCorruptSnapshot)
+	}
+	ctx, err := buildContext(cfg, settings, lit, params, s.Meta.Restores)
+	if err != nil {
 		return nil, err
 	}
-	return buildContext(cfg, settings, lit, params, s)
-}
-
-// readKeys installs the snapshot's key payload — sk | pk | evaluation-key set
-// — into ctx, decoded straight from the verified bytes and validated against
-// ctx's parameters.
-func (s *SessionSnapshot) readKeys(ctx *Context) error {
-	b := s.keyBytes
-	var err error
-	if ctx.sk, b, err = ckks.ParseSecretKey(b, ctx.params); err != nil {
-		return fmt.Errorf("fast: snapshot secret key: %w: %w", err, ErrCorruptSnapshot)
+	if s.legacyKeys != nil && !bytes.HasPrefix(s.legacyKeys, ctx.sk.AppendBinary(nil)) {
+		return nil, fmt.Errorf("fast: legacy snapshot stores a secret key its config does not generate: %w", ErrCorruptSnapshot)
 	}
-	if ctx.pk, b, err = ckks.ParsePublicKey(b, ctx.params); err != nil {
-		return fmt.Errorf("fast: snapshot public key: %w: %w", err, ErrCorruptSnapshot)
-	}
-	if ctx.keys, b, err = ckks.ParseEvaluationKeySet(b, ctx.params); err != nil {
-		return fmt.Errorf("fast: snapshot evaluation keys: %w: %w", err, ErrCorruptSnapshot)
-	}
-	if len(b) != 0 {
-		return fmt.Errorf("fast: %d trailing bytes after snapshot key material: %w", len(b), ErrCorruptSnapshot)
-	}
-	return nil
+	return ctx, nil
 }
 
 // ReadSessionSnapshot reads, verifies and restores a session snapshot in one
 // step, returning the rebuilt context and the stored metadata. Callers that
-// need to bump Meta.Restores before expansion (every restoring daemon
-// should) use DecodeSessionSnapshot + Restore instead.
+// need to bump Meta.Restores before the keys are regenerated (every
+// restoring daemon should) use DecodeSessionSnapshot + Restore instead.
 func ReadSessionSnapshot(r io.Reader, opts ...Option) (*Context, SessionMeta, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
