@@ -475,26 +475,45 @@ func (c *Context) Rotate(a *Ciphertext, r int, opts ...OpOption) (*Ciphertext, e
 }
 
 // RotateHoisted produces all requested rotations of one ciphertext sharing a
-// single decomposition (the hoisting optimisation, §2.2.3).
+// single decomposition (the hoisting optimisation, §2.2.3). An amount listed
+// twice is computed once.
 func (c *Context) RotateHoisted(a *Ciphertext, rotations []int, opts ...OpOption) (map[int]*Ciphertext, error) {
+	outs, _, err := c.rotateHoistedSums(a, rotations, nil, opts...)
+	return outs, err
+}
+
+// rotateHoistedSums is RotateHoisted that also returns, from the same
+// decomposition, the rotate-and-sum of each of sums (one ModDown pair per
+// sum): how the executors run a hoist group with fused Add trees.
+func (c *Context) rotateHoistedSums(a *Ciphertext, rotations []int, sums [][]int, opts ...OpOption) (map[int]*Ciphertext, []*Ciphertext, error) {
 	if err := c.validate(a); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	s := c.settings(opts)
-	for _, r := range rotations {
-		if r != 0 {
-			c.evk.request(c.params, "rot:"+strconv.Itoa(r), a.ct.Level, s.method)
+	request := func(rs []int) {
+		for _, r := range rs {
+			if r != 0 {
+				c.evk.request(c.params, "rot:"+strconv.Itoa(r), a.ct.Level, s.method)
+			}
 		}
 	}
-	outs, err := c.eval.RotateHoistedCtx(s.ctx, a.ct, rotations, s.method)
+	request(rotations)
+	for _, rs := range sums {
+		request(rs)
+	}
+	outs, sumOuts, err := c.eval.RotateHoistedSumsCtx(s.ctx, a.ct, rotations, sums, s.method)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m := make(map[int]*Ciphertext, len(outs))
 	for r, ct := range outs {
 		m[r] = &Ciphertext{ct}
 	}
-	return m, nil
+	sumCts := make([]*Ciphertext, len(sumOuts))
+	for i, ct := range sumOuts {
+		sumCts[i] = &Ciphertext{ct}
+	}
+	return m, sumCts, nil
 }
 
 // Conjugate returns the slot-wise complex conjugate.

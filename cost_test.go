@@ -1,6 +1,7 @@
 package fast
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -14,8 +15,13 @@ import (
 // on, two-way limb fan-out) planning its deep program, and the serving
 // default (log_n 11, 5 levels) planning the rotation fan-out — every distinct
 // key-switch site runs under both methods, at its level and with its hoist
-// group's rotations, and the method the plan chose must not be more than 10 %
-// slower than the other (median of 9 alternating runs a side).
+// group's rotations (a fused site as one rotate-and-sum), and the method the
+// plan chose must not be more than 10 % slower than the other (median of 9
+// alternating runs a side). At a fused site the fusion itself is held to the
+// same stopwatch and margin: under the planned method the rotate-and-sum must
+// not be more than 10 % slower than the hoisted rotations added up (it
+// measures 0.63× at serve and 0.77× at lib_deep on an idle host; the margin
+// absorbs a host shared with other test binaries).
 func TestPlannedMethodIsNotSlower(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("times log_n 13 key switches")
@@ -61,10 +67,11 @@ func TestPlannedMethodIsNotSlower(t *testing.T) {
 			type site struct {
 				op           string
 				level, hoist int
+				fused        bool
 			}
 			seen := map[site]bool{}
 			for _, d := range plan.Decisions() {
-				s := site{d.Op, d.Level, d.Hoist}
+				s := site{d.Op, d.Level, d.Hoist, d.Fused != ""}
 				if seen[s] {
 					continue
 				}
@@ -73,24 +80,47 @@ func TestPlannedMethodIsNotSlower(t *testing.T) {
 				var rots []int
 				if d.Op == "rotate" {
 					for _, node := range plan.groups[d.Group] {
-						rots = append(rots, plan.nodes[node].op.R)
+						if n := &plan.nodes[node]; n.fused == plan.nodes[d.Node].fused {
+							rots = append(rots, n.op.R)
+						}
 					}
 				}
-				run := func(m Method) time.Duration {
-					t0 := time.Now()
-					var err error
-					switch d.Op {
-					case "mul":
-						_, err = ctx.eval.MulRelinWith(ct, ct, m)
-					case "conjugate":
-						_, err = ctx.eval.ConjugateWith(ct, m)
-					default:
-						_, err = ctx.eval.RotateHoistedWith(ct, rots, m)
-					}
+				// unfused runs the site's rotations hoisted and adds them up.
+				unfused := func(m Method) (*ckks.Ciphertext, error) {
+					outs, err := ctx.eval.RotateHoistedWith(ct, rots, m)
 					if err != nil {
+						return nil, err
+					}
+					sum := outs[rots[0]]
+					for _, r := range rots[1:] {
+						if sum, err = ctx.eval.Add(sum, outs[r]); err != nil {
+							return nil, err
+						}
+					}
+					return sum, nil
+				}
+				timed := func(f func() error) time.Duration {
+					t0 := time.Now()
+					if err := f(); err != nil {
 						t.Fatal(err)
 					}
 					return time.Since(t0)
+				}
+				run := func(m Method) time.Duration {
+					return timed(func() error {
+						var err error
+						switch {
+						case d.Op == "mul":
+							_, err = ctx.eval.MulRelinWith(ct, ct, m)
+						case d.Op == "conjugate":
+							_, err = ctx.eval.ConjugateWith(ct, m)
+						case s.fused:
+							_, err = ctx.eval.RotateSumWith(ct, rots, m)
+						default:
+							_, err = ctx.eval.RotateHoistedWith(ct, rots, m)
+						}
+						return err
+					})
 				}
 				run(ckks.Hybrid) // first use builds the level's switch tables
 				run(ckks.KLSS)
@@ -103,10 +133,25 @@ func TestPlannedMethodIsNotSlower(t *testing.T) {
 				if d.Method == KLSS {
 					mine, other = other, mine
 				}
-				t.Logf("%s@%d h%d: planned %v %v, other %v (%.2f×)", d.Op, d.Level, d.Hoist, d.Method, mine, other,
-					float64(mine)/float64(other))
+				name := fmt.Sprintf("%s@%d h%d", d.Op, d.Level, d.Hoist)
+				if s.fused {
+					name += " fused"
+				}
+				t.Logf("%s: planned %v %v, other %v (%.2f×)", name, d.Method, mine, other, float64(mine)/float64(other))
 				if float64(mine) > 1.10*float64(other) {
-					t.Errorf("%s@%d h%d: the planned %v takes %v, the other method %v", d.Op, d.Level, d.Hoist, d.Method, mine, other)
+					t.Errorf("%s: the planned %v takes %v, the other method %v", name, d.Method, mine, other)
+				}
+				if !s.fused {
+					continue
+				}
+				var fu, un []time.Duration
+				for range 9 {
+					fu = append(fu, run(d.Method))
+					un = append(un, timed(func() error { _, err := unfused(d.Method); return err }))
+				}
+				t.Logf("%s: fused %v, unfused %v (%.2f×)", name, median(fu), median(un), float64(median(fu))/float64(median(un)))
+				if float64(median(fu)) > 1.10*float64(median(un)) {
+					t.Errorf("%s: the rotate-and-sum takes %v, the hoisted rotations added up %v", name, median(fu), median(un))
 				}
 			}
 		})
@@ -142,7 +187,8 @@ func TestKeygenUnitsPriceTheKeysGenerated(t *testing.T) {
 }
 
 // The shape a config reports is the one its context's plans are priced at:
-// a plan's units are its passes and sites counted on KeySwitchShape.
+// a plan's units are its passes and sites counted on KeySwitchShape — here
+// one add, and the two rotations it sums as one fused site.
 func TestKeySwitchShapeIsThePlansShape(t *testing.T) {
 	cfg := ContextConfig{LogN: 9, Levels: 3, Rotations: []int{1, 2}, EnableKLSS: true, Seed: 3}
 	shape, err := KeySwitchShape(cfg)
@@ -162,7 +208,7 @@ func TestKeySwitchShapeIsThePlansShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := plan.Units(), shape.PassUnits()+shape.KeySwitch(Hybrid, 3, 2).Total(); got != want {
-		t.Fatalf("plan units %g, want one pass and a hybrid hoist-2 group at level 3: %g", got, want)
+	if got, want := plan.Units(), shape.PassUnits()+shape.Hoisted(Hybrid, 3, 2, 1).Total(); got != want {
+		t.Fatalf("plan units %g, want one pass and a fused hybrid hoist-2 group at level 3: %g", got, want)
 	}
 }

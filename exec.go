@@ -15,12 +15,14 @@ import (
 // reference interpretation the differential suite compares against.
 //
 // Bit-identity contract: ExecuteBatch and ExecuteSequential produce byte-for-
-// byte identical ciphertexts for the same plan and inputs. Two properties
+// byte identical ciphertexts for the same plan and inputs. Three properties
 // make this hold: (1) every planned rotation — singletons included — runs
 // through the hoisted kernel, whose per-rotation output is independent of the
-// other rotations sharing the decomposition; (2) method decisions are
-// deterministic in (program, input levels, context), so both interpreters
-// resolve the same backend at every site.
+// other rotations sharing the decomposition; (2) a fused Add tree runs as one
+// rotate-and-sum in both, whose output depends only on the source and the
+// multiset of its rotations; (3) method decisions are deterministic in
+// (program, input levels, context), so both interpreters resolve the same
+// backend at every site.
 
 // Run is one program execution in a batch: a plan, its input ciphertexts and
 // a cancellation context in; the output ciphertext or a typed error out.
@@ -170,6 +172,9 @@ func (c *Context) ExecuteBatch(runs []*Run) {
 		plan := run.Plan
 		for i := range plan.nodes {
 			n := &plan.nodes[i]
+			if n.op.Op == "add" && n.fused >= 0 {
+				continue // written by its group's step
+			}
 			if n.op.Op == "rotate" {
 				g := plan.groups[n.group]
 				if g[0] != i {
@@ -233,15 +238,35 @@ func (c *Context) ExecuteBatch(runs []*Run) {
 }
 
 // execGroupStep runs one hoisted rotation group, possibly shared by several
-// runs, via the public RotateHoisted path (evk accounting, metrics and
-// cancellation behave exactly as a direct call would).
+// runs, as one call on one decomposition (evk accounting, metrics and
+// cancellation behave exactly as a RotateHoisted call would): the union of
+// the members' rotations outside a fused tree, and one rotate-and-sum per
+// distinct multiset of rotations the members' fused trees sum — identical
+// runs share it, as they share their loose rotations.
 func (c *Context) execGroupStep(st *batchStep) {
 	lead := st.members[0]
 	src := lead.run.regs[lead.run.Plan.nodes[lead.nodes[0]].op.A]
 	rotSet := make(map[int]bool)
+	var sums [][]int
+	var sumIdx []int // per member's fused tree, in member order
+	sumOf := make(map[string]int)
 	for _, m := range st.members {
+		plan := m.run.Plan
 		for _, node := range m.nodes {
-			rotSet[m.run.Plan.nodes[node].op.R] = true
+			if n := &plan.nodes[node]; n.fused < 0 {
+				rotSet[n.op.R] = true
+			}
+		}
+		for _, fi := range plan.groupFused[plan.nodes[m.nodes[0]].group] {
+			rots := plan.fused[fi].rots
+			key := fmt.Sprint(rots)
+			si, ok := sumOf[key]
+			if !ok {
+				si = len(sums)
+				sumOf[key] = si
+				sums = append(sums, rots)
+			}
+			sumIdx = append(sumIdx, si)
 		}
 	}
 	rots := make([]int, 0, len(rotSet))
@@ -256,7 +281,7 @@ func (c *Context) execGroupStep(st *batchStep) {
 	}
 	mctx, stop := mergedContext(ctxs)
 	defer stop()
-	outs, err := c.RotateHoisted(src, rots, WithContext(mctx), WithMethod(st.method))
+	outs, sumOuts, err := c.rotateHoistedSums(src, rots, sums, WithContext(mctx), WithMethod(st.method))
 	if err != nil {
 		for _, m := range st.members {
 			m.run.failNode(m.nodes[0], err)
@@ -264,9 +289,14 @@ func (c *Context) execGroupStep(st *batchStep) {
 		return
 	}
 	for _, m := range st.members {
+		plan := m.run.Plan
 		for _, node := range m.nodes {
-			n := &m.run.Plan.nodes[node]
-			m.run.regs[n.op.Out] = outs[n.op.R]
+			if n := &plan.nodes[node]; n.fused < 0 {
+				m.run.regs[n.op.Out] = outs[n.op.R]
+			}
+		}
+		for _, fi := range plan.groupFused[plan.nodes[m.nodes[0]].group] {
+			m.run.regs[plan.nodes[plan.fused[fi].root].op.Out], sumIdx = sumOuts[sumIdx[0]], sumIdx[1:]
 		}
 	}
 }
@@ -316,9 +346,11 @@ func (c *Context) execSoloStep(run *Run, node int) {
 
 // ExecuteSequential interprets the plan straight-line in program order — the
 // v1 interpretation, kept as the differential reference and the baseline the
-// batching benchmark compares against. Every rotation runs as a singleton
-// hoisted call with the plan's method decision, which by the bit-identity
-// contract (see top of file) yields byte-identical outputs to ExecuteBatch.
+// batching benchmark compares against. Every rotation outside a fused tree
+// runs as a singleton hoisted call with the plan's method decision, and each
+// fused tree as one rotate-and-sum at its root add, which by the
+// bit-identity contract (see top of file) yields byte-identical outputs to
+// ExecuteBatch.
 func (c *Context) ExecuteSequential(ctx context.Context, plan *Plan, inputs map[string]*Ciphertext) (*Ciphertext, error) {
 	run := &Run{Plan: plan, Inputs: inputs, Ctx: ctx}
 	if !c.prepareRun(run) {
@@ -327,6 +359,19 @@ func (c *Context) ExecuteSequential(ctx context.Context, plan *Plan, inputs map[
 	for i := range plan.nodes {
 		n := &plan.nodes[i]
 		op := n.op
+		if n.fused >= 0 {
+			// A leaf or inner add of a fused tree: summed at the root.
+			if fs := &plan.fused[n.fused]; fs.root == i {
+				leaf := &plan.nodes[fs.leaf]
+				_, sums, err := c.rotateHoistedSums(run.regs[leaf.op.A], nil, [][]int{fs.rots}, WithContext(run.Ctx), WithMethod(leaf.method))
+				if err != nil {
+					run.failNode(i, err)
+					return nil, run.Err
+				}
+				run.regs[op.Out] = sums[0]
+			}
+			continue
+		}
 		if op.Op == "rotate" {
 			src := run.regs[op.A]
 			outs, err := c.RotateHoisted(src, []int{op.R}, WithContext(run.Ctx), WithMethod(n.method))

@@ -13,6 +13,11 @@ type Site struct {
 	// Hoist is the number of rotations sharing the site's decomposition
 	// (1 for multiplications, conjugations and lone rotations).
 	Hoist int
+	// ModDowns is the number of ModDown pairs the site's rotations end in
+	// when fewer than Hoist: the fused flag. An Add tree over several of the
+	// group's rotations sums their key products in the PQ basis and runs one
+	// pair for them all (costmodel.Shape.Hoisted). 0 is one pair per rotation.
+	ModDowns int
 	// KLSS reports whether the 60-bit key chain is available at this site;
 	// when false an unpinned site gets hybrid regardless of cost.
 	KLSS bool
@@ -31,11 +36,11 @@ type SiteDecision struct {
 
 // PlanSites is the online counterpart of Analyzer.Analyze for functional
 // serving: given the whole program's key-switch sites at their propagated
-// levels and hoist widths, it prices each site at the context's own shape —
-// the rows ckks.KeySwitcher runs under each method (costmodel.Shape.KeySwitch),
-// not the paper's accelerator, which the MCT and the simulator keep — picks
-// the cheaper method per site, and prices every site, pinned ones included,
-// with the same call.
+// levels, hoist widths and ModDown counts, it prices each site at the
+// context's own shape — the rows ckks.KeySwitcher runs under each method
+// (costmodel.Shape.Hoisted), not the paper's accelerator, which the MCT and
+// the simulator keep — picks the cheaper method per site, and prices every
+// site, pinned ones included, with the same call.
 //
 // KLSS must save more than 5% of the modular operations to be chosen; ties
 // within 5% go to hybrid. That is not the offline selection's minimal-key
@@ -53,16 +58,21 @@ func PlanSites(s costmodel.Shape, sites []Site) []SiteDecision {
 	out := make([]SiteDecision, len(sites))
 	for i, st := range sites {
 		level, hoist := min(max(st.Level, 0), s.L), max(st.Hoist, 1)
+		downs := hoist
+		if st.ModDowns > 0 {
+			downs = min(st.ModDowns, hoist)
+		}
+		units := func(m costmodel.Method) float64 { return s.Hoisted(m, level, hoist, downs).Total() }
 		m := costmodel.Hybrid
 		switch {
 		case st.Pinned:
 			m = st.Method
-		case st.KLSS && s.KeySwitch(costmodel.KLSS, level, hoist).Total() < s.KeySwitch(costmodel.Hybrid, level, hoist).Total()*0.95:
+		case st.KLSS && units(costmodel.KLSS) < units(costmodel.Hybrid)*0.95:
 			m = costmodel.KLSS
 		}
 		out[i] = SiteDecision{
 			Decision: Decision{OpIndex: st.Op, Level: level, Method: m, Hoist: hoist},
-			Units:    s.KeySwitch(m, level, hoist).Total(),
+			Units:    units(m),
 		}
 	}
 	return out

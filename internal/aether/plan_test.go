@@ -145,3 +145,30 @@ func TestPlanSitesTiesGoToHybrid(t *testing.T) {
 		t.Fatalf("tie went to %v, want hybrid", d.Method)
 	}
 }
+
+// A fused site is priced with one ModDown pair per sum, under either method,
+// and its verdict compares the methods at that count.
+func TestPlanSitesPricesFusedSites(t *testing.T) {
+	for _, s := range []costmodel.Shape{deep, wide} {
+		for _, st := range []Site{
+			{Op: 0, Level: 9, Hoist: 4, ModDowns: 1, KLSS: true},
+			{Op: 1, Level: 11, Hoist: 3, ModDowns: 2, KLSS: true},
+			{Op: 2, Level: 9, Hoist: 4, ModDowns: 1, KLSS: true, Pinned: true, Method: costmodel.KLSS},
+		} {
+			d := PlanSites(s, []Site{st})[0]
+			if want := s.Hoisted(d.Method, st.Level, st.Hoist, st.ModDowns).Total(); d.Units != want {
+				t.Fatalf("shape %+v site %+v: units %g, want %g", s, st, d.Units, want)
+			}
+			hy := s.Hoisted(costmodel.Hybrid, st.Level, st.Hoist, st.ModDowns).Total()
+			kl := s.Hoisted(costmodel.KLSS, st.Level, st.Hoist, st.ModDowns).Total()
+			if !st.Pinned && (d.Method == costmodel.KLSS) != (kl < hy*0.95) {
+				t.Fatalf("shape %+v site %+v: got %v (hy=%g kl=%g)", s, st, d.Method, hy, kl)
+			}
+			unfused := st
+			unfused.ModDowns = 0
+			if d.Units >= PlanSites(s, []Site{unfused})[0].Units {
+				t.Fatalf("shape %+v site %+v: fused is not cheaper", s, st)
+			}
+		}
+	}
+}

@@ -3,6 +3,8 @@ package ckks
 import (
 	"runtime"
 	"testing"
+
+	"github.com/fastfhe/fast/internal/ring"
 )
 
 // TestKeySwitchAllocs pins the steady-state allocation count of the hot
@@ -46,6 +48,55 @@ func TestKeySwitchAllocs(t *testing.T) {
 			t.Errorf("MulRelin %v allocates %.0f times per op, want <= %d (pooling regression?)",
 				method, allocs, maxAllocs)
 		}
+	}
+
+	// The widest inner product the planner fuses: lib_deep's hoist group is
+	// a four-rotation sum at level 9 with digits of two, so keyMult's per-row
+	// tables carry h·β = 4 × 5 = 20 terms. Tables too small for them regrow
+	// on the heap on every row chunk (+3 per chunk).
+	params, err := NewParameters(ParametersLiteral{
+		LogN: 10, LogSlots: 9, LogQ: append([]int{50}, repeat(36, 9)...), LogP: []int{50, 50},
+		LogScale: 36, Alpha: 2, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kgen := NewKeyGenerator(params)
+	key, err := kgen.GenRelinearizationKey(kgen.GenSecretKey(), Hybrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks, err := NewKeySwitcherWorkers(params, Hybrid, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	level := params.MaxLevel()
+	c := ring.NewPoly(params.N(), level+1)
+	dec, err := ks.Decompose(c, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms := make([]ksTerm, 4)
+	for i := range terms {
+		idx := params.GaloisIndex(ring.GaloisElementForRotation(params.LogN(), 1<<i))
+		terms[i] = ksTerm{ks.Automorph(dec, idx), key}
+	}
+	if h, beta := len(terms), ks.beta(level); h*beta != 20 {
+		t.Fatalf("h·β = %d·%d, want the 20 terms of lib_deep's group", h, beta)
+	}
+	d0, d1 := ring.NewPoly(params.N(), level+1), ring.NewPoly(params.N(), level+1)
+	fused := func() {
+		if err := ks.keyMult(nil, terms, level, d0, d1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fused()
+	allocs := testing.AllocsPerRun(10, fused)
+	const maxAllocs = 10 // steady state measures 9
+	t.Logf("keyMult h4 β5: %.0f allocs/op", allocs)
+	if allocs > maxAllocs {
+		t.Errorf("keyMult over h·β = 20 terms allocates %.0f times per op, want <= %d (tables on the heap?)",
+			allocs, maxAllocs)
 	}
 }
 

@@ -595,7 +595,7 @@ func (ev *Evaluator) automorphism(cc *cancelCheck, ct *Ciphertext, galEl uint64,
 // RotateHoistedWith rotates ct by every requested amount through backend m,
 // paying the expensive decomposition (ModUp) only once — the hoisting
 // optimisation the FAST accelerator schedules (paper §2.2.3). Results are
-// keyed by rotation amount.
+// keyed by rotation amount; an amount listed twice is computed once.
 func (ev *Evaluator) RotateHoistedWith(ct *Ciphertext, rotations []int, m KeySwitchMethod) (map[int]*Ciphertext, error) {
 	return ev.rotateHoisted(nil, ct, rotations, m, heapResult)
 }
@@ -608,35 +608,139 @@ func (ev *Evaluator) RotateHoistedCtx(ctx context.Context, ct *Ciphertext, rotat
 	return ev.rotateHoisted(newCancelCheck(ctx), ct, rotations, m, heapResult)
 }
 
+// RotateSumWith returns Σ_r rot(ct, r) over rotations through backend m as
+// one key switch: one decomposition, the h rotated decompositions' KeyMults
+// accumulated in the PQ basis, and one ModDown pair — instead of h ModDown
+// pairs and h-1 additions. The sum is rounded once, so it decrypts at least
+// as close to the plaintext sum as the separate rotations added up. A
+// rotation by 0 adds ct itself, and an amount listed twice is added twice.
+func (ev *Evaluator) RotateSumWith(ct *Ciphertext, rotations []int, m KeySwitchMethod) (*Ciphertext, error) {
+	_, sums, err := ev.rotateHoistedSums(nil, ct, nil, [][]int{rotations}, m, heapResult)
+	if err != nil {
+		return nil, err
+	}
+	return sums[0], nil
+}
+
+// RotateHoistedSumsCtx serves a whole hoist group from one decomposition of
+// ct: the rotation by each amount in rotations (as RotateHoistedCtx) and, for
+// each sums[i], the rotate-and-sum of its amounts (as RotateSumWith), under
+// one cancellation context. A rotated decomposition is computed once however
+// many of the outputs need it.
+func (ev *Evaluator) RotateHoistedSumsCtx(ctx context.Context, ct *Ciphertext, rotations []int, sums [][]int, m KeySwitchMethod) (map[int]*Ciphertext, []*Ciphertext, error) {
+	return ev.rotateHoistedSums(newCancelCheck(ctx), ct, rotations, sums, m, heapResult)
+}
+
 // rotateHoisted returns the rotations as results per mode; on error, none.
 func (ev *Evaluator) rotateHoisted(cc *cancelCheck, ct *Ciphertext, rotations []int, m KeySwitchMethod, mode resultMode) (map[int]*Ciphertext, error) {
+	out, _, err := ev.rotateHoistedSums(cc, ct, rotations, nil, m, mode)
+	return out, err
+}
+
+// rotateHoistedSums returns the rotations and the sums as results per mode;
+// on error, none. The sums run first and keep their rotated decompositions
+// until the end, so a rotation they share with a sum or a loose rotation is
+// permuted once; a loose rotation no sum needs releases its own right after
+// its key switch, as it always has.
+func (ev *Evaluator) rotateHoistedSums(cc *cancelCheck, ct *Ciphertext, rotations []int, sums [][]int, m KeySwitchMethod, mode resultMode) (map[int]*Ciphertext, []*Ciphertext, error) {
 	var t0 time.Time
 	if ev.om != nil {
 		t0 = time.Now()
 	}
 	sw, err := ev.switcherFor(m)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	level := ct.Level
 	rq := ev.params.ringQAt[level]
 	dec, err := sw.decompose(cc, ct.C1, level)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer sw.Release(dec)
 	out := make(map[int]*Ciphertext, len(rotations))
-	fail := func(err error) (map[int]*Ciphertext, error) {
+	sumOut := make([]*Ciphertext, len(sums))
+	fail := func(err error) (map[int]*Ciphertext, []*Ciphertext, error) {
 		for _, c := range out {
 			ev.recycle(c)
 		}
-		return nil, err
+		ev.recycle(sumOut...)
+		return nil, nil, err
 	}
+
+	// rotated is rotation r's key-switch term with its NTT-domain index
+	// table; held ones are kept (and released at return) for later outputs.
+	type rotTerm struct {
+		ksTerm
+		idx []int
+	}
+	held := make(map[int]rotTerm)
+	defer func() {
+		for _, rt := range held {
+			sw.Release(rt.d)
+		}
+	}()
+	rotated := func(r int, hold bool) (rotTerm, error) {
+		if rt, ok := held[r]; ok {
+			return rt, nil
+		}
+		galEl := ring.GaloisElementForRotation(ev.params.LogN(), r)
+		key, err := ev.keys.GaloisKey(m, galEl)
+		if err != nil {
+			return rotTerm{}, err
+		}
+		idx := ev.params.GaloisIndex(galEl)
+		rt := rotTerm{ksTerm{sw.Automorph(dec, idx), key}, idx}
+		if hold {
+			held[r] = rt
+		}
+		return rt, nil
+	}
+
 	c0Rot := ev.pool.Get(level + 1)
 	defer ev.pool.Put(c0Rot)
+	var terms []ksTerm
+	for si, rs := range sums {
+		if err := cc.err("HRotHoisted"); err != nil {
+			return fail(err)
+		}
+		res := ev.newCiphertext(mode, level, ct.Scale)
+		sumOut[si] = res
+		terms = terms[:0]
+		for _, r := range rs {
+			if r == 0 {
+				continue
+			}
+			rt, err := rotated(r, true)
+			if err != nil {
+				return fail(err)
+			}
+			terms = append(terms, rt.ksTerm)
+		}
+		if len(terms) > 0 {
+			if err := sw.keyMult(cc, terms, level, res.C0, res.C1); err != nil {
+				return fail(err)
+			}
+		} else {
+			res.C0.Zero()
+			res.C1.Zero()
+		}
+		for _, r := range rs {
+			if r == 0 {
+				rq.Add(res.C0, ct.C0, res.C0)
+				rq.Add(res.C1, ct.C1, res.C1)
+				continue
+			}
+			rq.AutomorphismNTT(ct.C0, c0Rot, held[r].idx)
+			rq.Add(res.C0, c0Rot, res.C0)
+		}
+	}
 	for _, r := range rotations {
 		if err := cc.err("HRotHoisted"); err != nil {
 			return fail(err)
+		}
+		if _, done := out[r]; done {
+			continue
 		}
 		if r == 0 {
 			out[0] = ev.copyCiphertext(ct, mode)
@@ -644,25 +748,25 @@ func (ev *Evaluator) rotateHoisted(cc *cancelCheck, ct *Ciphertext, rotations []
 		}
 		res := ev.newCiphertext(mode, level, ct.Scale)
 		out[r] = res
-		galEl := ring.GaloisElementForRotation(ev.params.LogN(), r)
-		key, err := ev.keys.GaloisKey(m, galEl)
+		_, hold := held[r]
+		rt, err := rotated(r, hold)
 		if err != nil {
 			return fail(err)
 		}
-		idx := ev.params.GaloisIndex(galEl)
-		rotDec := sw.Automorph(dec, idx)
-		err = sw.keyMult(cc, rotDec, key, level, res.C0, res.C1)
-		sw.Release(rotDec)
+		err = sw.keyMult(cc, []ksTerm{rt.ksTerm}, level, res.C0, res.C1)
+		if !hold {
+			sw.Release(rt.d)
+		}
 		if err != nil {
 			return fail(err)
 		}
-		rq.AutomorphismNTT(ct.C0, c0Rot, idx)
+		rq.AutomorphismNTT(ct.C0, c0Rot, rt.idx)
 		rq.Add(res.C0, c0Rot, res.C0)
 	}
 	if ev.om != nil {
 		// One span covers the whole hoisted group (single ModUp amortised
-		// across len(rotations) key-mults).
+		// across its key-mults).
 		ev.om.finish(ev.om.hoisted[methodIdx(m)], "HRotHoisted", m, level, t0, cc)
 	}
-	return out, nil
+	return out, sumOut, nil
 }

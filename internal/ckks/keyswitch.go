@@ -366,21 +366,39 @@ func (ks *KeySwitcher) Automorph(d *Decomposition, index []int) *Decomposition {
 // the special rows are inverse-transformed.
 func (ks *KeySwitcher) KeyMult(d *Decomposition, key *SwitchingKey, level int) (d0, d1 ring.Poly, err error) {
 	d0, d1 = ring.NewPoly(ks.params.N(), level+1), ring.NewPoly(ks.params.N(), level+1)
-	if err := ks.keyMult(nil, d, key, level, d0, d1); err != nil {
+	if err := ks.keyMult(nil, []ksTerm{{d, key}}, level, d0, d1); err != nil {
 		return ring.Poly{}, ring.Poly{}, err
 	}
 	return d0, d1, nil
 }
 
-// keyMult writes the switched pair into d0 and d1 (level+1 limbs each, every
-// coefficient overwritten), so callers choose where the result lives.
-func (ks *KeySwitcher) keyMult(cc *cancelCheck, d *Decomposition, key *SwitchingKey, level int, d0, d1 ring.Poly) error {
-	if key.Method != ks.method {
-		return fmt.Errorf("ckks: %v switcher given a %v key: %w", ks.method, key.Method, ErrMethodUnavailable)
-	}
+// ksTerm is one (decomposition, key) product of a key switch's inner product.
+type ksTerm struct {
+	d   *Decomposition
+	key *SwitchingKey
+}
+
+// maxInnerTerms is the h·β digit count keyMult's per-row tables hold on the
+// stack: a four-rotation sum at β = 5 needs 20. A wider product still runs,
+// its tables on the heap.
+const maxInnerTerms = 32
+
+// keyMult writes the switched pair of Σ_t terms[t] into d0 and d1 (level+1
+// limbs each, every coefficient overwritten), so callers choose where the
+// result lives. A lone key switch is one term; a rotate-and-sum passes one
+// term per rotation, and every h·β digit product lands in the one PQ
+// accumulator pair — a single MulAccRows per row — before the one ModDown
+// pair. ModDown is linear up to its rounding, so the sum costs one division
+// by P instead of h and is rounded once.
+func (ks *KeySwitcher) keyMult(cc *cancelCheck, terms []ksTerm, level int, d0, d1 ring.Poly) error {
 	beta := ks.beta(level)
-	if beta > len(key.B) {
-		return fmt.Errorf("ckks: key has %d groups, need %d", len(key.B), beta)
+	for _, t := range terms {
+		if t.key.Method != ks.method {
+			return fmt.Errorf("ckks: %v switcher given a %v key: %w", ks.method, t.key.Method, ErrMethodUnavailable)
+		}
+		if beta > len(t.key.B) {
+			return fmt.Errorf("ckks: key has %d groups, need %d", len(t.key.B), beta)
+		}
 	}
 	if err := cc.err("KeyMult"); err != nil {
 		return err
@@ -399,9 +417,9 @@ func (ks *KeySwitcher) keyMult(cc *cancelCheck, d *Decomposition, key *Switching
 	defer ks.pool.Put(acc0)
 	defer ks.pool.Put(acc1)
 	ring.ForEachLimbRange(rows, ks.parallelism, func(rlo, rhi int) {
-		// Row tables of the inner product at hand: digit j's decomposition
-		// row and its two key rows. On the stack for every realistic β.
-		var gBuf, bBuf, aBuf [16][]uint64
+		// Row tables of the inner product at hand: each term's digit rows
+		// and their two key rows.
+		var gBuf, bBuf, aBuf [maxInnerTerms][]uint64
 		gs, bs, as := gBuf[:0], bBuf[:0], aBuf[:0]
 		for i := rlo; i < rhi; i++ {
 			if cc.stopped() {
@@ -412,10 +430,12 @@ func (ks *KeySwitcher) keyMult(cc *cancelCheck, d *Decomposition, key *Switching
 				keyRow = qLen + (i - level - 1)
 			}
 			gs, bs, as = gs[:0], bs[:0], as[:0]
-			for j := 0; j < beta; j++ {
-				gs = append(gs, d.Groups[j].Coeffs[i][:n])
-				bs = append(bs, key.B[j].Coeffs[keyRow][:n])
-				as = append(as, key.A[j].Coeffs[keyRow][:n])
+			for _, t := range terms {
+				for j := 0; j < beta; j++ {
+					gs = append(gs, t.d.Groups[j].Coeffs[i][:n])
+					bs = append(bs, t.key.B[j].Coeffs[keyRow][:n])
+					as = append(as, t.key.A[j].Coeffs[keyRow][:n])
+				}
 			}
 			// The modulus picks the datapath per row: a 52-bit-lane limb runs
 			// the whole sum as multiply-adds with one fold, a 60-bit limb of
@@ -478,5 +498,5 @@ func (ks *KeySwitcher) switchPoly(cc *cancelCheck, c ring.Poly, key *SwitchingKe
 		return err
 	}
 	defer ks.Release(d)
-	return ks.keyMult(cc, d, key, level, d0, d1)
+	return ks.keyMult(cc, []ksTerm{{d, key}}, level, d0, d1)
 }

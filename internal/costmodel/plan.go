@@ -49,6 +49,16 @@ func LaneWeight(bits ...int) int {
 // multiplication is priced as a one-rotation group: its relinearisation skips
 // the permutation, which would cost both methods the same.
 func (s Shape) KeySwitch(m Method, level, hoist int) Breakdown {
+	return s.Hoisted(m, level, hoist, hoist)
+}
+
+// Hoisted counts `hoist` rotations sharing one ModUp whose gadget products
+// end in `modDowns` ModDown pairs: KeySwitch's count with the ModDowns
+// counted per pair instead of per rotation. An Add tree over several of the
+// rotations sums their products in the PQ basis and runs one pair for them
+// all (ckks.Evaluator.RotateSumWith), so a group fused into one sum is
+// Hoisted(m, level, h, 1).
+func (s Shape) Hoisted(m Method, level, hoist, modDowns int) Breakdown {
 	k, a, sp, ws := level+1, s.Alpha, s.P, s.PLane
 	if m == KLSS {
 		a, sp, ws = s.AlphaT, s.T, s.TLane
@@ -66,12 +76,15 @@ func (s Shape) KeySwitch(m Method, level, hoist int) Breakdown {
 		up.NTT += float64((k-d)*wq+sp*ws) * ntt
 	}
 	rot := Breakdown{
-		NTT:     float64(2*(sp*ws+k*wq)) * ntt,
-		BConv:   float64(2*(sp*ws+k*sp*wx)) * n,
 		KeyMult: float64(2*beta*(k*wq+sp*ws)) * n,
-		Other:   float64(beta*(k+sp)+2*k*wq) * n,
+		Other:   float64(beta*(k+sp)) * n,
 	}
-	return up.Add(rot.Scale(float64(max(hoist, 1))))
+	down := Breakdown{
+		NTT:   float64(2*(sp*ws+k*wq)) * ntt,
+		BConv: float64(2*(sp*ws+k*sp*wx)) * n,
+		Other: float64(2*k*wq) * n,
+	}
+	return up.Add(rot.Scale(float64(max(hoist, 1)))).Add(down.Scale(float64(max(modDowns, 1))))
 }
 
 // PassUnits is the unit weight of one element-wise pass over a ciphertext

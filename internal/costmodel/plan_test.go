@@ -98,3 +98,26 @@ func TestShapeHoistingAmortisesModUp(t *testing.T) {
 		}
 	}
 }
+
+// A fused group runs one ModDown pair for all its rotations. At lib_deep's
+// group the hand tally splits a hybrid rotation's 400 into 180 per rotation
+// (automorph 60, KeyMult 120) and 220 per ModDown pair (INTTs 26, BConv 44,
+// NTTs 130, subtractions 20): 500 + 4×180 + 220 = 1440, 0.686 of the
+// unfused 2100. One pair per rotation is KeySwitch's count.
+func TestShapeHoistedCountsOneModDownPerSum(t *testing.T) {
+	n := float64(1 << 13)
+	if got, want := deepShape.Hoisted(Hybrid, 9, 4, 1).Total(), (500+4*180+220)*n; got != want {
+		t.Fatalf("fused hybrid h4 @9 = %g, want %g", got, want)
+	}
+	for _, m := range []Method{Hybrid, KLSS} {
+		for h := 1; h <= 8; h++ {
+			unfused := deepShape.KeySwitch(m, 9, h)
+			if deepShape.Hoisted(m, 9, h, h) != unfused {
+				t.Fatalf("%v h%d: Hoisted with a pair per rotation differs from KeySwitch", m, h)
+			}
+			if fused := deepShape.Hoisted(m, 9, h, 1).Total(); fused > unfused.Total() || (h > 1 && fused == unfused.Total()) {
+				t.Fatalf("%v h%d: fused %g, unfused %g", m, h, fused, unfused.Total())
+			}
+		}
+	}
+}

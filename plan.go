@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"github.com/fastfhe/fast/internal/aether"
@@ -11,12 +12,15 @@ import (
 
 // This file is the program planner: it compiles a Program against a Context
 // into a Plan — the def-use DAG with rotation fan-out folded into hoisted
-// groups, per-site key-switching methods chosen by the whole-program Aether
-// entry point, and the admission unit weight the serving layer sheds against.
+// groups, Add trees over a group's rotations fused into one rotate-and-sum,
+// per-site key-switching methods chosen by the whole-program Aether entry
+// point, and the admission unit weight the serving layer sheds against.
 // Execution of a Plan lives in exec.go.
 
 // PlanDecision is the planner's inspectable verdict for one key-switch-bearing
-// DAG node (mul, rotate, conjugate).
+// DAG node (mul, rotate, conjugate). A fused site is reported on its
+// rotations: they share one Group and Method, Hoist counts the whole group,
+// and Fused names the Add tree's root register.
 type PlanDecision struct {
 	// Node is the op index in the program.
 	Node int `json:"node"`
@@ -38,6 +42,12 @@ type PlanDecision struct {
 	// Hoist is the number of rotations sharing the group's decomposition
 	// (1 for mul/conjugate and lone rotations).
 	Hoist int `json:"hoist"`
+	// Fused names the root register of the Add tree this rotation is a
+	// leaf of ("" when it is not). The tree is one fused site: its
+	// rotations' key products are summed before one ModDown pair, and only
+	// the root register is written. Rotations of the group outside every
+	// tree stay hoisted on the same decomposition.
+	Fused string `json:"fused,omitempty"`
 }
 
 // planNode is one compiled DAG node.
@@ -50,7 +60,16 @@ type planNode struct {
 	method   Method
 	pinned   bool
 	group    int  // hoist group index, -1
+	fused    int  // fused site of a tree leaf or add, -1
 	rescales bool // mul-family op with automatic rescale
+}
+
+// fusedSite is an Add tree over rotations of one hoist group, run as one
+// rotate-and-sum that writes the tree's root register.
+type fusedSite struct {
+	root int   // node index of the root add
+	leaf int   // its first rotation node: the group's source and method
+	rots []int // the amounts summed, ascending
 }
 
 // keySwitches reports whether the node's op bears a key switch.
@@ -62,8 +81,8 @@ func (n *planNode) keySwitches() bool {
 	return false
 }
 
-// Plan is a compiled Program: the DAG, the hoist groups, the per-site method
-// decisions and the admission unit weight. A Plan is
+// Plan is a compiled Program: the DAG, the hoist groups and fused Add trees,
+// the per-site method decisions and the admission unit weight. A Plan is
 // immutable and safe for concurrent executions; it is bound to the Context
 // that compiled it (the decisions depend on that context's parameters and key
 // material).
@@ -72,6 +91,8 @@ type Plan struct {
 	prog        *Program
 	nodes       []planNode
 	groups      [][]int // node indices per hoist group
+	fused       []fusedSite
+	groupFused  [][]int // fused site indices per hoist group
 	decisions   []PlanDecision
 	inputLevels map[string]int
 	units       float64
@@ -118,7 +139,7 @@ func (c *Context) Plan(prog *Program, inputLevels map[string]int) (*Plan, error)
 		regLevel[in] = lvl
 	}
 	for i, op := range prog.ops {
-		n := planNode{op: op, srcA: -1, srcB: -1, group: -1}
+		n := planNode{op: op, srcA: -1, srcB: -1, group: -1, fused: -1}
 		if d, ok := def[op.A]; ok {
 			n.srcA = d
 		}
@@ -193,12 +214,15 @@ func (c *Context) Plan(prog *Program, inputLevels map[string]int) (*Plan, error)
 		n.group = gi
 	}
 
-	// Pass 3: one Aether site per key-switching mul/conjugate node and per
+	p.fuseAddTrees(def)
+
+	// Pass 4: one Aether site per key-switching mul/conjugate node and per
 	// rotation group (the group's hoist width changes the verdict: hoisting
-	// amortises ModUp, so KeyMult and ModDown dominate, paper Fig. 3).
-	// PlanSites decides the unpinned sites and prices all of them at this
-	// context's own key-switch shape; the unit weight is the element-wise
-	// passes plus every site's units, summed in node order.
+	// amortises ModUp, so KeyMult and ModDown dominate, paper Fig. 3; a
+	// fused tree's rotations share one ModDown pair). PlanSites decides the
+	// unpinned sites and prices all of them at this context's own key-switch
+	// shape; the unit weight is the element-wise passes plus every site's
+	// units, summed in node order.
 	var sites []aether.Site
 	for i := range p.nodes {
 		n := &p.nodes[i]
@@ -207,14 +231,26 @@ func (c *Context) Plan(prog *Program, inputLevels map[string]int) (*Plan, error)
 			continue
 		}
 		d := PlanDecision{Node: i, Op: n.op.Op, Out: n.op.Out, Level: n.levelIn, Pinned: n.pinned, Group: n.group, Hoist: 1}
+		site := aether.Site{Op: i, Level: n.levelIn, Hoist: 1, KLSS: c.SupportsKLSS(), Pinned: n.pinned, Method: n.method}
 		if n.op.Op == "rotate" {
-			d.Hoist = len(p.groups[n.group])
+			g := p.groups[n.group]
+			d.Hoist, site.Hoist = len(g), len(g)
+			if n.fused >= 0 {
+				d.Fused = p.nodes[p.fused[n.fused].root].op.Out
+			}
+			if fused := p.groupFused[n.group]; len(fused) > 0 {
+				site.ModDowns = len(fused)
+				for _, member := range g {
+					if p.nodes[member].fused < 0 {
+						site.ModDowns++
+					}
+				}
+			}
 		} else if n.rescales {
 			p.passes++ // the fused rescale pass
 		}
 		if n.op.Op != "rotate" || p.groups[n.group][0] == i {
-			sites = append(sites, aether.Site{Op: i, Level: n.levelIn, Hoist: d.Hoist,
-				KLSS: c.SupportsKLSS(), Pinned: n.pinned, Method: n.method})
+			sites = append(sites, site)
 		}
 		p.decisions = append(p.decisions, d)
 	}
@@ -235,6 +271,73 @@ func (c *Context) Plan(prog *Program, inputLevels map[string]int) (*Plan, error)
 	}
 	p.fingerprint = planFingerprint(p.prog, p.inputLevels)
 	return p, nil
+}
+
+// fuseAddTrees is pass 3: it finds the Add trees that sum rotations of one
+// hoist group and makes each a fused site. A tree qualifies when every leaf
+// is a member of one group and each leaf and each inner add is read exactly
+// once, by its parent in the tree (the program output counts as a read).
+// Each maximal such tree becomes one site, named after its root register,
+// which may be read any number of times; trees with a sub stay unfused.
+func (p *Plan) fuseAddTrees(def map[string]int) {
+	p.groupFused = make([][]int, len(p.groups))
+	reads := make([]int, len(p.nodes))
+	for _, n := range p.nodes {
+		for _, src := range [2]int{n.srcA, n.srcB} {
+			if src >= 0 {
+				reads[src]++
+			}
+		}
+	}
+	if d, ok := def[p.prog.output]; ok {
+		reads[d]++
+	}
+	// leaves[i] lists the rotations summed by the qualifying tree rooted at
+	// add node i, left to right; inTree marks operands absorbed by a parent.
+	leaves := make([][]int, len(p.nodes))
+	inTree := make([]bool, len(p.nodes))
+	operand := func(j int) []int {
+		switch {
+		case j < 0 || reads[j] != 1:
+			return nil
+		case p.nodes[j].op.Op == "rotate":
+			return []int{j}
+		}
+		return leaves[j]
+	}
+	for i := range p.nodes {
+		n := &p.nodes[i]
+		if n.op.Op != "add" {
+			continue
+		}
+		la, lb := operand(n.srcA), operand(n.srcB)
+		if la != nil && lb != nil && p.nodes[la[0]].group == p.nodes[lb[0]].group {
+			leaves[i] = append(append([]int(nil), la...), lb...)
+			inTree[n.srcA], inTree[n.srcB] = true, true
+		}
+	}
+	var mark func(i, site int)
+	mark = func(i, site int) {
+		p.nodes[i].fused = site
+		if p.nodes[i].op.Op == "add" {
+			mark(p.nodes[i].srcA, site)
+			mark(p.nodes[i].srcB, site)
+		}
+	}
+	for i, ls := range leaves {
+		if ls == nil || inTree[i] {
+			continue
+		}
+		fs := fusedSite{root: i, leaf: ls[0]}
+		for _, l := range ls {
+			fs.rots = append(fs.rots, p.nodes[l].op.R)
+		}
+		slices.Sort(fs.rots) // the sum is the same in any order; sorted, equal trees compare equal
+		g := p.nodes[ls[0]].group
+		p.groupFused[g] = append(p.groupFused[g], len(p.fused))
+		mark(i, len(p.fused))
+		p.fused = append(p.fused, fs)
+	}
 }
 
 // PlanFingerprint computes the fingerprint Plan would assign for (prog,
@@ -286,8 +389,9 @@ func (p *Plan) Program() *Program { return p.prog }
 
 // Units returns the plan's admission weight in the cost model's 36-bit
 // modular-operation equivalents: every key-switch site at its propagated
-// level with hoist amortization, counted at the context's own shape
-// (KeySwitchShape), plus the element-wise passes. The first KLSS op of a
+// level with hoist amortization — a fused Add tree's rotations sharing one
+// ModDown pair — counted at the context's own shape (KeySwitchShape), plus
+// the element-wise passes (a fused tree's adds stay counted as passes). The first KLSS op of a
 // context, fresh or restored, also derives its KLSS keys (see EnableKLSS);
 // the units do not price that one-time cost.
 func (p *Plan) Units() float64 { return p.units }

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -209,7 +210,10 @@ func TestChaosPlannerParallelBatchesBitExact(t *testing.T) {
 
 // TestChaosPlannerHoistReducesModUp is the quantitative claim behind the
 // planner: a 3-rotation fan-out costs 3 ModUps straight-line but 1 hoisted
-// (paper §2.2.3). Counted via the key-switch phase histograms.
+// (paper §2.2.3), and summed by an Add tree it is one key switch in both
+// executors — one ModUp and one ModDown pair, also for two merged runs.
+// Counted via the key-switch phase histograms (one moddown_ns observation
+// per pair).
 func TestChaosPlannerHoistReducesModUp(t *testing.T) {
 	ob := NewObserver()
 	cfg := DefaultConfig()
@@ -220,44 +224,58 @@ func TestChaosPlannerHoistReducesModUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := NewProgram().In("x").
-		Rotate("a", "x", 1).
-		Rotate("b", "x", 2).
-		Rotate("c", "x", 4).
-		Add("s1", "a", "b").
-		Add("out", "s1", "c").
-		Return("out")
-	plan, err := ctx.Plan(prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inputs := chaosPlanInputs(ctx, t, 5)
-
-	modUps := func() uint64 {
+	phase := func(suffix string) uint64 {
 		snap := ob.Metrics()
 		var n uint64
 		for name, h := range snap.Histograms {
-			if len(name) > 14 && name[:14] == "ckks.keyswitch" && name[len(name)-9:] == ".modup_ns" {
+			if strings.HasPrefix(name, "ckks.keyswitch.") && strings.HasSuffix(name, suffix) {
 				n += h.Count
 			}
 		}
 		return n
 	}
-
-	before := modUps()
-	if _, err := ctx.ExecuteSequential(context.Background(), plan, inputs); err != nil {
-		t.Fatal(err)
-	}
-	seq := modUps() - before
-
-	before = modUps()
-	if _, err := ctx.Execute(context.Background(), plan, inputs); err != nil {
-		t.Fatal(err)
-	}
-	batch := modUps() - before
-
-	if seq != 3 || batch != 1 {
-		t.Fatalf("ModUp counts: sequential=%d batch=%d, want 3 and 1", seq, batch)
+	inputs := chaosPlanInputs(ctx, t, 5)
+	for _, row := range []struct {
+		name             string
+		combine          func(p *Program) *Program
+		seqUps, batchUps uint64
+		downs            uint64
+	}{
+		// A sub keeps the tree unfused: every rotation ends in its own pair.
+		{"sub-tree", func(p *Program) *Program { return p.Sub("s1", "a", "b").Add("out", "s1", "c") }, 3, 1, 3},
+		{"add-tree", func(p *Program) *Program { return p.Add("s1", "a", "b").Add("out", "s1", "c") }, 1, 1, 1},
+	} {
+		prog := row.combine(NewProgram().In("x").Rotate("a", "x", 1).Rotate("b", "x", 2).Rotate("c", "x", 4)).Return("out")
+		plan, err := ctx.Plan(prog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ex := range []struct {
+			name string
+			run  func() (*Ciphertext, error)
+			ups  uint64
+		}{
+			{"sequential", func() (*Ciphertext, error) { return ctx.ExecuteSequential(context.Background(), plan, inputs) }, row.seqUps},
+			{"batch", func() (*Ciphertext, error) { return ctx.Execute(context.Background(), plan, inputs) }, row.batchUps},
+			// Two runs of one input merge: they share the ModUp, the loose
+			// rotations and the sum.
+			{"batch-of-two", func() (*Ciphertext, error) {
+				runs := []*Run{{Plan: plan, Inputs: inputs}, {Plan: plan, Inputs: inputs}}
+				ctx.ExecuteBatch(runs)
+				if runs[1].Err != nil {
+					return nil, runs[1].Err
+				}
+				return runs[0].Out, runs[0].Err
+			}, row.batchUps},
+		} {
+			up0, down0 := phase(".modup_ns"), phase(".moddown_ns")
+			if _, err := ex.run(); err != nil {
+				t.Fatal(err)
+			}
+			if ups, downs := phase(".modup_ns")-up0, phase(".moddown_ns")-down0; ups != ex.ups || downs != row.downs {
+				t.Errorf("%s %s: %d ModUps, %d ModDown pairs; want %d and %d", row.name, ex.name, ups, downs, ex.ups, row.downs)
+			}
+		}
 	}
 }
 
@@ -425,5 +443,63 @@ func TestChaosPlanRecordsIntrospection(t *testing.T) {
 	}
 	if snap.Counters["aether.decision.hoisted"] == 0 {
 		t.Fatal("hoisted fan-out not counted")
+	}
+}
+
+// TestFusedSiteParallelBatchesBitExact drives fused sites through
+// ExecuteBatch from several goroutines at once under -race: each batch
+// merges two runs reading one input (one decomposition, one shared sum, a
+// loose rotation beside it) next to a run of its own, and every output must
+// be the bytes of its sequential execution.
+func TestFusedSiteParallelBatchesBitExact(t *testing.T) {
+	ctx := sharedConcCtx(t)
+	prog := NewProgram().In("x", "y").
+		Rotate("a", "x", 1).Rotate("b", "x", 2).Rotate("c", "x", -1).Rotate("d", "x", 4).
+		Add("s1", "a", "b").Add("s2", "s1", "c").
+		Mul("m", "s2", "d").Add("out", "m", "y").
+		Return("out")
+	plan, err := ctx.Plan(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := plan.Decisions(); d[0].Fused != "s2" || d[3].Fused != "" {
+		t.Fatalf("want a, b, c fused under s2 and d loose: %+v", d)
+	}
+
+	const workers = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			shared := chaosPlanInputs(ctx, t, 2*w)
+			runs := []*Run{
+				{Plan: plan, Inputs: shared},
+				{Plan: plan, Inputs: shared},
+				{Plan: plan, Inputs: chaosPlanInputs(ctx, t, 2*w+1)},
+			}
+			ctx.ExecuteBatch(runs)
+			for i, run := range runs {
+				if run.Err != nil {
+					errs <- fmt.Errorf("worker %d run %d: %v", w, i, run.Err)
+					return
+				}
+				want, err := ctx.ExecuteSequential(context.Background(), plan, run.Inputs)
+				if err != nil {
+					errs <- fmt.Errorf("worker %d run %d sequential: %v", w, i, err)
+					return
+				}
+				if !bytes.Equal(ctBytes(t, run.Out), ctBytes(t, want)) {
+					errs <- fmt.Errorf("worker %d run %d: not bit-identical", w, i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

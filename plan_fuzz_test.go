@@ -31,14 +31,55 @@ func typedError(err error) bool {
 	return false
 }
 
+// fuzzContext is the context FuzzProgramPlan and the fused-tree tests plan
+// against, built once.
+func fuzzContext(t testing.TB) *Context {
+	fuzzPlanOnce.Do(func() {
+		fuzzPlanCtx, fuzzPlanErr = NewContext(ContextConfig{
+			LogN: 8, Levels: 4, Rotations: []int{1, -1, 2, 4}, Conjugation: true, EnableKLSS: true, Seed: 5,
+		})
+	})
+	if fuzzPlanErr != nil {
+		t.Fatal(fuzzPlanErr)
+	}
+	return fuzzPlanCtx
+}
+
+// fuzzInputs returns a program's input vectors and their encryptions.
+func fuzzInputs(t testing.TB, ctx *Context, prog *Program) (map[string][]complex128, map[string]*Ciphertext) {
+	plain := make(map[string][]complex128, len(prog.inputs))
+	inputs := make(map[string]*Ciphertext, len(prog.inputs))
+	for i, in := range prog.inputs {
+		vals := make([]complex128, ctx.Slots())
+		for j := range vals {
+			vals[j] = complex(0.05*float64((i+j)%9), -0.03*float64(j%4))
+		}
+		ct, err := ctx.Encrypt(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain[in], inputs[in] = vals, ct
+	}
+	return plain, inputs
+}
+
 // FuzzProgramPlan: any Program v2 that Validate accepts either plans or fails
 // with an error from the package taxonomy — never a panic — and a planned
 // program executes to the same bytes through the batch executor and the
-// sequential interpreter (or fails in both with typed errors). The corpus is
-// seeded from the TestChaosPlanner* zoo.
+// sequential interpreter (or fails in both with typed errors), and decrypts
+// within oracleFloor of the plaintext oracle whenever the run stays in the
+// oracle's regime. The corpus is seeded from the TestChaosPlanner* zoo and
+// the fused Add-tree shapes (fusedPrograms), unfused trees among them.
 func FuzzProgramPlan(f *testing.F) {
 	for _, prog := range differentialPrograms() {
 		raw, err := json.Marshal(prog)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for _, row := range fusedPrograms() {
+		raw, err := json.Marshal(row.prog)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -57,15 +98,7 @@ func FuzzProgramPlan(f *testing.F) {
 		if len(prog.ops) > 24 || len(prog.inputs) > 3 {
 			return
 		}
-		fuzzPlanOnce.Do(func() {
-			fuzzPlanCtx, fuzzPlanErr = NewContext(ContextConfig{
-				LogN: 8, Levels: 4, Rotations: []int{1, -1, 2, 4}, Conjugation: true, EnableKLSS: true, Seed: 5,
-			})
-		})
-		if fuzzPlanErr != nil {
-			t.Fatal(fuzzPlanErr)
-		}
-		ctx := fuzzPlanCtx
+		ctx := fuzzContext(t)
 
 		plan, err := ctx.Plan(&prog, nil)
 		if err != nil {
@@ -74,16 +107,7 @@ func FuzzProgramPlan(f *testing.F) {
 			}
 			return
 		}
-		inputs := make(map[string]*Ciphertext, len(prog.inputs))
-		for i, in := range prog.inputs {
-			vals := make([]complex128, ctx.Slots())
-			for j := range vals {
-				vals[j] = complex(0.05*float64((i+j)%9), -0.03*float64(j%4))
-			}
-			if inputs[in], err = ctx.Encrypt(vals); err != nil {
-				t.Fatal(err)
-			}
-		}
+		plain, inputs := fuzzInputs(t, ctx, &prog)
 		batched, berr := ctx.Execute(context.Background(), plan, inputs)
 		seq, serr := ctx.ExecuteSequential(context.Background(), plan, inputs)
 		if (berr == nil) != (serr == nil) {
@@ -98,5 +122,6 @@ func FuzzProgramPlan(f *testing.F) {
 		if !bytes.Equal(ctBytes(t, batched), ctBytes(t, seq)) {
 			t.Fatal("Execute is not byte-identical to ExecuteSequential")
 		}
+		checkAgainstPlain(t, ctx, &prog, plain, batched)
 	})
 }

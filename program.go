@@ -130,7 +130,10 @@ func (p *Program) AddConst(out, a string, v float64) *Program {
 
 // Rotate appends out = rotate(a, r). WithMethod pins the backend; without it
 // the planner decides — and rotations of a shared source are grouped into one
-// hoisted decomposition automatically.
+// hoisted decomposition automatically. Rotations of one group summed by an
+// Add tree (each read only by the tree) run as one rotate-and-sum with one
+// ModDown pair; their output bytes differ from the rotations added up, and
+// decrypt at least as precisely.
 func (p *Program) Rotate(out, a string, r int, opts ...OpOption) *Program {
 	m, pinned, _ := progOpSettings(opts)
 	return p.op(ProgramOp{Op: "rotate", Out: out, A: a, R: r, Method: m, MethodPinned: pinned})

@@ -383,8 +383,10 @@ func TestMethodIsOneType(t *testing.T) {
 // deepProgram is lib_deep) at the benchmark's full and toy sizes. Units,
 // fingerprints, method decisions and hoist groups must not move. The
 // fingerprints and groups date from before rescale deferral was deleted; the
-// units and methods from when sites began to be priced at the context's own
-// key-switch shape, which sent lib_deep's hoist group from KLSS to hybrid.
+// methods from when sites began to be priced at the context's own key-switch
+// shape, which sent lib_deep's hoist group from KLSS to hybrid; the units and
+// the fused trees (":f<root>") from when an Add tree over a hoist group's
+// rotations became one rotate-and-sum site with one ModDown pair.
 func TestPlanGoldenBenchmarkPrograms(t *testing.T) {
 	fanout := func() *Program {
 		return NewProgram().In("x").
@@ -411,7 +413,7 @@ func TestPlanGoldenBenchmarkPrograms(t *testing.T) {
 		return ContextConfig{LogN: logN, Levels: levels, LogScale: 36,
 			Rotations: []int{1, 2, 4, 8, 16, 32}, EnableKLSS: true, Seed: 7}
 	}
-	const fanoutDec = "0:rotate@5:0:g0:h3 1:rotate@5:0:g0:h3 2:rotate@5:0:g0:h3 "
+	const fanoutDec = "0:rotate@5:0:g0:h3:fs2 1:rotate@5:0:g0:h3:fs2 2:rotate@5:0:g0:h3:fs2 "
 	for _, row := range []struct {
 		name   string
 		cfg    ContextConfig
@@ -422,13 +424,13 @@ func TestPlanGoldenBenchmarkPrograms(t *testing.T) {
 		groups string
 		dec    string
 	}{
-		{"serve/toy", serveCfg(9), fanout(), false, 368640, "plan-512d34b9d61fa788", "[[0 1 2]]", fanoutDec},
-		{"serve/full", serveCfg(11), fanout(), false, 1.622016e+06, "plan-512d34b9d61fa788", "[[0 1 2]]", fanoutDec},
-		{"lib_deep/toy", deepCfg(9, 5), deep(), false, 875264, "plan-6c0eefeebf3cb618", "[[2 3 4 5] [10] [11]]",
-			"0:mul@5:0:g-1:h1 1:mul@4:0:g-1:h1 2:rotate@3:0:g0:h4 3:rotate@3:0:g0:h4 4:rotate@3:0:g0:h4 5:rotate@3:0:g0:h4 " +
+		{"serve/toy", serveCfg(9), fanout(), false, 253952, "plan-512d34b9d61fa788", "[[0 1 2]]", fanoutDec},
+		{"serve/full", serveCfg(11), fanout(), false, 1.097728e+06, "plan-512d34b9d61fa788", "[[0 1 2]]", fanoutDec},
+		{"lib_deep/toy", deepCfg(9, 5), deep(), false, 749312, "plan-6c0eefeebf3cb618", "[[2 3 4 5] [10] [11]]",
+			"0:mul@5:0:g-1:h1 1:mul@4:0:g-1:h1 2:rotate@3:0:g0:h4:fa3 3:rotate@3:0:g0:h4:fa3 4:rotate@3:0:g0:h4:fa3 5:rotate@3:0:g0:h4:fa3 " +
 				"9:mul@3:0:g-1:h1 10:rotate@2:0:g1:h1 11:rotate@2:0:g2:h1 "},
-		{"lib_deep/full", deepCfg(13, 11), deep(), true, 5.7655296e+07, "plan-da2553aef434ddef", "[[2 3 4 5] [10] [11]]",
-			"0:mul@11:0:g-1:h1 1:mul@10:0:g-1:h1 2:rotate@9:0:g0:h4 3:rotate@9:0:g0:h4 4:rotate@9:0:g0:h4 5:rotate@9:0:g0:h4 " +
+		{"lib_deep/full", deepCfg(13, 11), deep(), true, 5.2248576e+07, "plan-da2553aef434ddef", "[[2 3 4 5] [10] [11]]",
+			"0:mul@11:0:g-1:h1 1:mul@10:0:g-1:h1 2:rotate@9:0:g0:h4:fa3 3:rotate@9:0:g0:h4:fa3 4:rotate@9:0:g0:h4:fa3 5:rotate@9:0:g0:h4:fa3 " +
 				"9:mul@9:0:g-1:h1 10:rotate@8:0:g1:h1 11:rotate@8:0:g2:h1 "},
 	} {
 		t.Run(row.name, func(t *testing.T) {
@@ -445,7 +447,11 @@ func TestPlanGoldenBenchmarkPrograms(t *testing.T) {
 			}
 			dec := ""
 			for _, d := range plan.Decisions() {
-				dec += fmt.Sprintf("%d:%s@%d:%d:g%d:h%d ", d.Node, d.Op, d.Level, int(d.Method), d.Group, d.Hoist)
+				dec += fmt.Sprintf("%d:%s@%d:%d:g%d:h%d", d.Node, d.Op, d.Level, int(d.Method), d.Group, d.Hoist)
+				if d.Fused != "" {
+					dec += ":f" + d.Fused
+				}
+				dec += " "
 			}
 			if plan.Units() != row.units || plan.Fingerprint() != row.fp ||
 				fmt.Sprint(plan.HoistGroups()) != row.groups || dec != row.dec {
