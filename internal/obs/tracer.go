@@ -126,19 +126,24 @@ type Tracer struct {
 	t0 time.Time
 
 	mu    sync.Mutex
-	ring  []event  // grows by append up to size, then wraps
-	size  uint64   // capacity in events
-	n     uint64   // events ever emitted; slot n % size is the next one written
-	meta  []Event  // "M" events, deduplicated by (name, pid, tid)
-	names []string // intern table; names[0] = "", names[1] = internOther
+	ring  [][]event // chunks of ringChunk events, added as the ring first fills; then wraps
+	size  uint64    // capacity in events
+	n     uint64    // events ever emitted; slot n % size is the next one written
+	meta  []Event   // "M" events, deduplicated by (name, pid, tid)
+	names []string  // intern table; names[0] = "", names[1] = internOther
 	index map[string]uint16
 	dropC *Counter // live overwrite counter (nil = export-summary only)
 }
 
+// ringChunk is the events one ring chunk holds: 4096 × 184 B = 736 KiB.
+const ringChunk = 1 << 12
+
 // NewTracer returns a tracer retaining the newest capacity events
 // (capacity <= 0 selects the 64k-event default, 11.5 MiB once full). The ring
-// is not allocated up front: it grows as spans arrive, so a process that
-// emits few never holds the full ring.
+// is not allocated up front: it gains one ringChunk-event chunk at a time as
+// spans first reach it, so a process that emits few never holds the full
+// ring, and a filled slot is never copied — growing never holds an old and a
+// new ring at once, whose sum would count as live to the collector's pacing.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 1 << 16
@@ -201,10 +206,13 @@ func (t *Tracer) emit(ph byte, name, cat string, pid, tid int, ts, dur float64, 
 	var dropC *Counter
 	if t.n >= t.size {
 		dropC = t.dropC
-	} else {
-		t.ring = append(t.ring, event{}) // still filling: slot n is the new last one
 	}
-	ev := &t.ring[t.n%t.size]
+	slot := t.n % t.size
+	if c := slot / ringChunk; c == uint64(len(t.ring)) {
+		// Still filling, and slot is the first of a chunk not yet allocated.
+		t.ring = append(t.ring, make([]event, min(ringChunk, t.size-slot)))
+	}
+	ev := t.at(slot)
 	t.n++
 	*ev = event{
 		ts: ts, dur: dur, pid: int32(pid), tid: int32(tid), ph: ph, set: a.set,
@@ -311,7 +319,10 @@ func (t *Tracer) Len() int {
 }
 
 // kept is the number of events the ring holds. Caller holds t.mu.
-func (t *Tracer) kept() uint64 { return uint64(len(t.ring)) }
+func (t *Tracer) kept() uint64 { return min(t.n, t.size) }
+
+// at returns ring slot i (< size, in an allocated chunk). Caller holds t.mu.
+func (t *Tracer) at(i uint64) *event { return &t.ring[i/ringChunk][i%ringChunk] }
 
 // Dropped returns the number of events overwritten by newer ones.
 func (t *Tracer) Dropped() uint64 {
@@ -365,7 +376,7 @@ func (t *Tracer) Events() []Event {
 	out := make([]Event, 0, len(t.meta)+int(t.kept()))
 	out = append(out, t.meta...)
 	for i := t.n - t.kept(); i < t.n; i++ {
-		out = append(out, t.decode(&t.ring[i%t.size]))
+		out = append(out, t.decode(t.at(i%t.size)))
 	}
 	return out
 }

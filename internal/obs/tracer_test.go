@@ -101,9 +101,41 @@ func TestTracerRingWrapAround(t *testing.T) {
 	}
 }
 
+// TestTracerRingGrowsInChunks pins how the ring grows: one chunk per
+// ringChunk events first emitted, the last one cut to the capacity, and no
+// filled slot ever moved — so growing never holds two copies of the ring.
+// It also checks the wrap across chunks keeps the newest events in order.
+func TestTracerRingGrowsInChunks(t *testing.T) {
+	const capacity = 2*ringChunk + 5
+	tr := NewTracer(capacity)
+	tr.Complete("ev", "test", 1, 0, 0, 1, Args{})
+	first := &tr.ring[0][0]
+	for i := 1; i < 3*capacity+7; i++ {
+		tr.Complete("ev", "test", 1, 0, float64(i), 1, Args{})
+		if want := min(i/ringChunk+1, 3); len(tr.ring) != want {
+			t.Fatalf("after %d events the ring has %d chunks, want %d", i+1, len(tr.ring), want)
+		}
+	}
+	if &tr.ring[0][0] != first {
+		t.Fatal("the first chunk moved while the ring grew")
+	}
+	if got := len(tr.ring[2]); got != 5 {
+		t.Fatalf("last chunk holds %d events, want 5", got)
+	}
+	evs := tr.Events()
+	if len(evs) != capacity {
+		t.Fatalf("%d events kept, want %d", len(evs), capacity)
+	}
+	for i, ev := range evs {
+		if want := float64(2*capacity + 7 + i); ev.TS != want {
+			t.Fatalf("event %d has ts %v, want %v", i, ev.TS, want)
+		}
+	}
+}
+
 // TestTracerEventsPointerFree walks the ring's event type and fails on any
-// kind the collector would have to scan: the ring is allocated once and the
-// garbage collector must never look inside it.
+// kind the collector would have to scan: the ring's chunks are allocated once
+// each and the garbage collector must never look inside them.
 func TestTracerEventsPointerFree(t *testing.T) {
 	var walk func(path string, ty reflect.Type)
 	walk = func(path string, ty reflect.Type) {
