@@ -21,7 +21,7 @@ type BootstrapContextConfig struct {
 	// ckks.DefaultBootstrapParameters().Depth() = 17 of them, so the
 	// refreshed ciphertext comes back at level Levels-17.
 	Levels int
-	// Seed fixes all randomness.
+	// Seed fixes all randomness (default 3; [1, 2^31−2], as ContextConfig's).
 	Seed int64
 }
 
@@ -34,9 +34,10 @@ type BootstrapContext struct {
 // NewBootstrapContext builds a context in the bootstrapping regime — a 50-bit
 // q0 under 40-bit scale primes, three 50-bit special primes with α = 3, a
 // sparse (hamming-weight-16) secret, hybrid keys for ckks.BootstrapRotations
-// plus conjugation — and a precomputed bootstrapper over it. It is an ordinary
-// Context (same build path, truthful Config) except that its chain is not the
-// one Config alone compiles to, so it cannot be snapshotted.
+// plus conjugation, derived by the first Bootstrap — and a precomputed
+// bootstrapper over it. It is an ordinary Context (same build path, truthful
+// Config) except that its chain is not the one Config alone compiles to, so
+// it cannot be snapshotted.
 func NewBootstrapContext(cfg BootstrapContextConfig) (*BootstrapContext, error) {
 	if cfg.LogN == 0 {
 		cfg.LogN = 12
@@ -49,6 +50,9 @@ func NewBootstrapContext(cfg BootstrapContextConfig) (*BootstrapContext, error) 
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 3
+	}
+	if err := checkSeed(cfg.Seed); err != nil {
+		return nil, err
 	}
 	bp := ckks.DefaultBootstrapParameters()
 	if cfg.Levels < bp.Depth() {

@@ -37,18 +37,20 @@ type ContextConfig struct {
 	// LogScale is log2 of the encoding scale Δ (default 36, the paper's
 	// ciphertext word size).
 	LogScale int
-	// Rotations lists the rotation amounts to generate Galois keys for.
+	// Rotations lists the rotation amounts to have Galois keys for. Every
+	// evaluation key is derived by the first op that reads it (Plan.Units
+	// prices that op's derivation); a snapshot stores none.
 	Rotations []int
 	// Conjugation requests the conjugation key.
 	Conjugation bool
 	// EnableKLSS adds the 60-bit auxiliary chain so the KLSS backend can
-	// run. Its keys are derived from Seed and the secret on the first KLSS
-	// op, which pays for the derivation (Plan.Units does not price it); a
-	// context that never runs KLSS holds none, and a snapshot stores none.
-	// Derived, they double the evaluation-key memory: a KLSS key is the size
-	// of a hybrid key (α_T = α, |T| = |P|).
+	// run, and a KLSS twin of each evaluation key, the same size (α_T = α,
+	// |T| = |P|).
 	EnableKLSS bool
-	// Seed makes all randomness deterministic (0 uses a fixed default).
+	// Seed makes all randomness deterministic (0 means 1). NewContext takes
+	// [1, 2^31−2]: the stream of sk and pk reduces its seed modulo 2^31−1
+	// (Restore still reads a header outside it). Each evaluation key draws
+	// from a stream of its own under all 64 bits, its method and element.
 	Seed int64
 	// Parallelism caps the per-operation goroutine fan-out of the
 	// limb-level kernels (see WithParallelism): 0 or 1 = serial per op
@@ -115,9 +117,9 @@ func (c *Ciphertext) Scale() float64 {
 	return c.ct.Scale
 }
 
-// NewContext compiles the configuration, generates the keys and returns a
-// ready-to-use context (KLSS keys wait for the first KLSS op; see
-// EnableKLSS). The compiled parameter set is shared: contexts whose
+// NewContext compiles the configuration, generates sk and pk and returns a
+// ready-to-use context (evaluation keys wait for their first use; see
+// Rotations). The compiled parameter set is shared: contexts whose
 // configurations differ at most in Seed hold one read-only copy of the prime
 // chains and ring and evaluator tables, compiled by whichever came first and
 // kept while any of them is live. A zero cfg (LogN 0) means DefaultConfig().
@@ -126,6 +128,9 @@ func (c *Ciphertext) Scale() float64 {
 func NewContext(cfg ContextConfig, opts ...Option) (*Context, error) {
 	cfg, settings, err := resolveConfig(cfg, opts)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkSeed(cfg.Seed); err != nil {
 		return nil, err
 	}
 	lit := parametersLiteral(cfg)
@@ -161,6 +166,15 @@ func resolveConfig(cfg ContextConfig, opts []Option) (ContextConfig, contextSett
 		return cfg, settings, fmt.Errorf("fast: need at least one multiplicative level: %w", ErrInvalidParameters)
 	}
 	return cfg, settings, nil
+}
+
+// checkSeed refuses a seed whose secret another seed draws (see
+// ContextConfig.Seed).
+func checkSeed(seed int64) error {
+	if seed < 1 || seed > 1<<31-2 {
+		return fmt.Errorf("fast: seed %d outside [1, 2^31-2]: %w", seed, ErrInvalidParameters)
+	}
+	return nil
 }
 
 // parametersLiteral maps a resolved ContextConfig onto the CKKS parameter
@@ -204,30 +218,22 @@ func KeySwitchShape(cfg ContextConfig) (costmodel.Shape, error) {
 }
 
 // KeygenUnits is the admission weight of NewContext(cfg) in Plan.Units'
-// units: one top-level hybrid key switch at the context's shape per
-// evaluation key buildContext generates — the relinearisation key, one per
-// rotation and the conjugation key when enabled. KLSS keys are not generated
-// there (see EnableKLSS), so they weigh nothing. A config NewContext refuses
-// weighs nothing.
+// units: sk and pk's two polynomials, one PassUnits each at the context's
+// shape. It generates no evaluation key (Plan.Units prices those). A config
+// NewContext refuses weighs nothing.
 func KeygenUnits(cfg ContextConfig) float64 {
 	cfg, _, err := resolveConfig(cfg, nil)
-	if err != nil {
+	if err != nil || checkSeed(cfg.Seed) != nil {
 		return 0
 	}
-	s := parametersLiteral(cfg).KeySwitchShape()
-	keys := 1 + len(cfg.Rotations)
-	if cfg.Conjugation {
-		keys++
-	}
-	return s.KeySwitch(Hybrid, s.L, 1).Total() * float64(keys)
+	return 3 * parametersLiteral(cfg).KeySwitchShape().PassUnits()
 }
 
 // buildContext is the one construction path: NewContext, NewBootstrapContext
 // and SessionSnapshot.Restore each describe a regime — the resolved cfg, the
-// literal params was compiled from — and end here. Every key is generated
-// from the parameter seed: sk, pk and the hybrid keys (Galois keys for
-// cfg.Rotations and cfg.Conjugation) now, and when cfg enables KLSS its
-// section on the first KLSS op. So a restore regenerates exactly the keys
+// literal params was compiled from — and end here. Every key comes from the
+// parameter seed: sk and pk now, each evaluation key from a stream of its
+// own when an op first reads it. So a restore regenerates exactly the keys
 // the session was created with. The encryptor's sampler stream is seeded per
 // restore epoch, so a restored session never replays pre-crash encryption
 // randomness; epoch 0 is the fresh-construction stream.
@@ -237,11 +243,11 @@ func buildContext(cfg ContextConfig, settings contextSettings, lit ckks.Paramete
 	kgen := ckks.NewKeyGenerator(params)
 	ctx.sk = kgen.GenSecretKey()
 	ctx.pk = kgen.GenPublicKey(ctx.sk)
-	var err error
-	if ctx.keys, err = kgen.GenEvaluationKeySet(ctx.sk, []Method{Hybrid}, cfg.Rotations, cfg.Conjugation); err != nil {
-		return nil, err
+	methods := []Method{Hybrid}
+	if params.SupportsKLSS() {
+		methods = append(methods, KLSS)
 	}
-	ctx.keys.DeriveKLSS(params, ctx.sk, ctx.observer.unwrap())
+	ctx.keys = ckks.NewEvaluationKeySet(params, ctx.sk, methods, cfg.Rotations, cfg.Conjugation, ctx.observer.unwrap())
 	encSeed := params.Seed() + 0x5eed + int64(epoch)*0x9e3779b9
 	ctx.encoder = ckks.NewEncoder(params)
 	ctx.enc = ckks.NewEncryptorWithSeed(params, ctx.pk, encSeed)
@@ -249,6 +255,7 @@ func buildContext(cfg ContextConfig, settings contextSettings, lit ckks.Paramete
 	if ctx.observer != nil {
 		ctx.enc.SetObserver(ctx.observer.unwrap())
 	}
+	var err error
 	ctx.eval, err = ckks.NewEvaluatorOptions(params, ctx.keys, ckks.EvaluatorOptions{
 		Parallelism: cfg.Parallelism,
 		Observer:    ctx.observer.unwrap(),

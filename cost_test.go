@@ -1,6 +1,7 @@
 package fast
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -164,19 +165,25 @@ func median(ds []time.Duration) time.Duration {
 	return s[len(s)/2]
 }
 
-// A create is priced by the keys NewContext generates at the context's own
-// shape: enabling KLSS adds nothing (its keys are derived on the first KLSS
-// op), a conjugation key counts only when asked for, and a zero config weighs
-// what DefaultConfig builds.
+// A create is priced by what NewContext draws: the secret key and the public
+// key's two polynomials, one pass each at the context's own shape. No
+// evaluation key is generated there, so rotations, conjugation and KLSS weigh
+// nothing; a zero config weighs what DefaultConfig builds, and a config
+// NewContext refuses — a bad depth, a seed outside [1, 2^31−2] — nothing.
 func TestKeygenUnitsPriceTheKeysGenerated(t *testing.T) {
 	hybrid := ContextConfig{LogN: 11, Levels: 5, Rotations: []int{1, -1, 4}, Conjugation: true}
-	klss := hybrid
+	shape, err := KeySwitchShape(hybrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	klss, bare := hybrid, hybrid
 	klss.EnableKLSS = true
-	noConj := hybrid
-	noConj.Conjugation = false
-	h, k, n := KeygenUnits(hybrid), KeygenUnits(klss), KeygenUnits(noConj)
-	if h <= 0 || k != h || n >= h {
-		t.Fatalf("units: hybrid %g, +KLSS %g, no conjugation %g; want 0 < no-conj < hybrid = +KLSS", h, k, n)
+	bare.Rotations, bare.Conjugation = nil, false
+	want := 3 * shape.PassUnits()
+	for name, cfg := range map[string]ContextConfig{"hybrid": hybrid, "+KLSS": klss, "no evaluation keys": bare} {
+		if got := KeygenUnits(cfg); got != want {
+			t.Fatalf("%s: %g units, want sk + pk = 3 passes = %g", name, got, want)
+		}
 	}
 	if got, want := KeygenUnits(ContextConfig{}), KeygenUnits(DefaultConfig()); got != want {
 		t.Fatalf("zero config weighs %g, DefaultConfig %g", got, want)
@@ -184,11 +191,62 @@ func TestKeygenUnitsPriceTheKeysGenerated(t *testing.T) {
 	if got := KeygenUnits(ContextConfig{LogN: 11, Levels: -3}); got != 0 {
 		t.Fatalf("a config NewContext refuses weighs %g, want 0", got)
 	}
+	if got := KeygenUnits(ContextConfig{LogN: 11, Levels: 5, Seed: 1 << 31}); got != 0 {
+		t.Fatalf("a seed NewContext refuses weighs %g, want 0", got)
+	}
+}
+
+// A plan weighs, beyond its sites and passes, one top-level hybrid key
+// switch per evaluation key it reads that its context has not derived yet.
+// The term is read at call time: the first Execute derives the keys and the
+// same plan's units fall to its sites and passes; a second plan reading a
+// key it shares and a KLSS key nothing has read yet prices only the KLSS one.
+func TestPlanUnitsFallAfterFirstExecute(t *testing.T) {
+	cfg := ContextConfig{LogN: 9, Levels: 3, Rotations: []int{1, 4, -1, 2}, Conjugation: true, EnableKLSS: true}
+	shape, err := KeySwitchShape(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := shape.KeySwitch(Hybrid, shape.L, 1).Total()
+	ctx, err := NewContext(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fanout, err := ctx.Plan(NewProgram().In("x").
+		Rotate("a", "x", 1).Rotate("b", "x", 4).Rotate("c", "x", -1).
+		Add("s1", "a", "b").Add("s2", "s1", "c").Return("s2"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := shape.PassUnits()*2 + shape.Hoisted(Hybrid, 3, 3, 1).Total()
+	if got := fanout.Units(); got != sites+3*key {
+		t.Fatalf("fresh fan-out plan: %g units, want its sites %g and 3 keys to derive %g", got, sites, sites+3*key)
+	}
+	x, err := ctx.Encrypt([]complex128{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctx.Execute(context.Background(), fanout, map[string]*Ciphertext{"x": x}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fanout.Units(); got != sites {
+		t.Fatalf("fan-out plan after its first Execute: %g units, want %g", got, sites)
+	}
+	pinned, err := ctx.Plan(NewProgram().In("x").Rotate("a", "x", 4).
+		Rotate("b", "x", 4, WithMethod(KLSS)).Add("s", "a", "b").Return("s"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := shape.PassUnits() + shape.KeySwitch(Hybrid, 3, 1).Total() + shape.KeySwitch(KLSS, 3, 1).Total() + key
+	if got := pinned.Units(); got != want {
+		t.Fatalf("plan reading hybrid rotation 4 (derived) and KLSS rotation 4 (not): %g units, want %g", got, want)
+	}
 }
 
 // The shape a config reports is the one its context's plans are priced at:
-// a plan's units are its passes and sites counted on KeySwitchShape — here
-// one add, and the two rotations it sums as one fused site.
+// a plan's units are its passes, sites and keys to derive counted on
+// KeySwitchShape — here one add, the two rotations it sums as one fused
+// site, and their two keys.
 func TestKeySwitchShapeIsThePlansShape(t *testing.T) {
 	cfg := ContextConfig{LogN: 9, Levels: 3, Rotations: []int{1, 2}, EnableKLSS: true, Seed: 3}
 	shape, err := KeySwitchShape(cfg)
@@ -208,7 +266,8 @@ func TestKeySwitchShapeIsThePlansShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := plan.Units(), shape.PassUnits()+shape.Hoisted(Hybrid, 3, 2, 1).Total(); got != want {
-		t.Fatalf("plan units %g, want one pass and a fused hybrid hoist-2 group at level 3: %g", got, want)
+	keys := 2 * shape.KeySwitch(Hybrid, 3, 1).Total() // rotations 1 and 2, not derived yet
+	if got, want := plan.Units(), shape.PassUnits()+shape.Hoisted(Hybrid, 3, 2, 1).Total()+keys; got != want {
+		t.Fatalf("plan units %g, want one pass, a fused hybrid hoist-2 group at level 3 and two keys to derive: %g", got, want)
 	}
 }

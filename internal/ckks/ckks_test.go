@@ -542,7 +542,7 @@ func TestMissingKeyErrors(t *testing.T) {
 	if _, err := tc.eval.RotateWith(ca, 999, Hybrid); err == nil {
 		t.Fatal("expected missing-galois-key error")
 	}
-	empty := NewEvaluationKeySet()
+	empty := &EvaluationKeySet{}
 	ev, err := NewEvaluatorOptions(tc.params, empty, EvaluatorOptions{})
 	if err != nil {
 		t.Fatalf("NewEvaluatorOptions: %v", err)

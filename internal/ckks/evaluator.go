@@ -530,7 +530,7 @@ func (ev *Evaluator) rotate(cc *cancelCheck, ct *Ciphertext, r int, m KeySwitchM
 	if ev.om != nil {
 		t0 = time.Now()
 	}
-	galEl := ring.GaloisElementForRotation(ev.params.LogN(), r)
+	galEl := ev.params.GaloisElement(r)
 	out, err := ev.automorphism(cc, ct, galEl, m, mode)
 	if err == nil && ev.om != nil {
 		ev.om.finish(ev.om.hrot[methodIdx(m)], "HRot", m, ct.Level, t0, cc)
@@ -554,7 +554,7 @@ func (ev *Evaluator) conjugate(cc *cancelCheck, ct *Ciphertext, m KeySwitchMetho
 	if ev.om != nil {
 		t0 = time.Now()
 	}
-	galEl := ring.GaloisElementForConjugation(ev.params.LogN())
+	galEl := ev.params.ConjugationElement()
 	out, err := ev.automorphism(cc, ct, galEl, m, mode)
 	if err == nil && ev.om != nil {
 		ev.om.finish(ev.om.conj[methodIdx(m)], "Conjugate", m, ct.Level, t0, cc)
@@ -684,7 +684,7 @@ func (ev *Evaluator) rotateHoistedSums(cc *cancelCheck, ct *Ciphertext, rotation
 		if rt, ok := held[r]; ok {
 			return rt, nil
 		}
-		galEl := ring.GaloisElementForRotation(ev.params.LogN(), r)
+		galEl := ev.params.GaloisElement(r)
 		key, err := ev.keys.GaloisKey(m, galEl)
 		if err != nil {
 			return rotTerm{}, err

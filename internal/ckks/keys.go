@@ -3,8 +3,8 @@ package ckks
 import (
 	"fmt"
 	"math/big"
-	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/fastfhe/fast/internal/obs"
 	"github.com/fastfhe/fast/internal/ring"
@@ -32,105 +32,111 @@ type SwitchingKey struct {
 	B, A   []ring.Poly
 }
 
-// EvaluationKeySet carries every key the evaluator may need: relinearization
-// and Galois keys, per key-switching backend. At the shapes the fast package
-// builds (α_T = α, |T| = |P|) a KLSS key is the size of the hybrid key of the
-// same element. Every key is a deterministic function of the parameter seed
-// and the secret, so a set has no wire form: it is generated, never read
-// back. The KLSS section is drawn from its own sampler stream, so a set may
-// hold it (GenEvaluationKeySet with KLSS) or derive it on the first KLSS
-// lookup (DeriveKLSS).
+// EvaluationKeySet names the evaluation keys of one secret: per method, the
+// relinearization key and a Galois key per element. Each key is a
+// deterministic function of the parameter seed, the secret, the method and
+// the element, drawn from a sampler stream of its own (keyStream), so a set
+// has no wire form and no generation order: a key is derived on its first
+// lookup (concurrent first lookups wait for that one) and held from then on.
+// A lookup of a key the set does not name returns ErrKeyMissing; the zero
+// value names none.
 type EvaluationKeySet struct {
-	Relin  map[KeySwitchMethod]*SwitchingKey
-	Galois map[KeySwitchMethod]map[uint64]*SwitchingKey
-
-	// klss returns the KLSS section DeriveKLSS attached, generating it on
-	// the first call (concurrent first calls wait for that one); nil when
-	// the maps hold the set's KLSS keys or it has none.
-	klss func() (*EvaluationKeySet, error)
+	keys map[KeyID]*lazyKey
 }
 
-// NewEvaluationKeySet returns an empty key set.
-func NewEvaluationKeySet() *EvaluationKeySet {
-	return &EvaluationKeySet{
-		Relin:  map[KeySwitchMethod]*SwitchingKey{},
-		Galois: map[KeySwitchMethod]map[uint64]*SwitchingKey{},
+// KeyID names one evaluation key: a method's relinearization key (GalEl 0,
+// which no automorphism has — Galois elements are odd) or its Galois key for
+// GalEl.
+type KeyID struct {
+	Method KeySwitchMethod
+	GalEl  uint64
+}
+
+// keyStream is the sampler stream a key is drawn from under the parameter
+// seed: one per (method, element), disjoint from the main stream of sk and
+// pk and from the encryptor's.
+func (id KeyID) keyStream() uint64 { return uint64(id.Method)<<32 | id.GalEl }
+
+// lazyKey is one key of a set: get derives it once, derived reports that it
+// has been.
+type lazyKey struct {
+	get     func() (*SwitchingKey, error)
+	derived atomic.Bool
+}
+
+// NewEvaluationKeySet returns the set naming, for each of methods, the
+// relinearization key and the Galois keys of rotations (and of conjugation
+// if conj) under sk, none of them derived yet. A rotation listed twice, or
+// two rotations with one element, name one key. The observer, when non-nil,
+// counts each derivation's draws on ckks.sampler.draws.
+func NewEvaluationKeySet(params *Parameters, sk *SecretKey, methods []KeySwitchMethod, rotations []int, conj bool, o *obs.Observer) *EvaluationKeySet {
+	var draws *obs.Counter
+	if o != nil {
+		draws = o.Reg().Counter("ckks.sampler.draws")
 	}
-}
-
-// section returns the set whose maps hold m's keys: s itself, or the KLSS
-// section DeriveKLSS attached.
-func (s *EvaluationKeySet) section(m KeySwitchMethod) (*EvaluationKeySet, error) {
-	if m == KLSS && s.klss != nil {
-		return s.klss()
+	galEls := []uint64{0}
+	for _, r := range rotations {
+		galEls = append(galEls, params.GaloisElement(r))
 	}
-	return s, nil
+	if conj {
+		galEls = append(galEls, params.ConjugationElement())
+	}
+	s := &EvaluationKeySet{keys: make(map[KeyID]*lazyKey, len(methods)*len(galEls))}
+	for _, m := range methods {
+		for _, el := range galEls {
+			id := KeyID{m, el}
+			if s.keys[id] != nil {
+				continue
+			}
+			k := &lazyKey{}
+			k.get = sync.OnceValues(func() (*SwitchingKey, error) {
+				defer k.derived.Store(true)
+				return deriveKey(params, sk, id, draws)
+			})
+			s.keys[id] = k
+		}
+	}
+	return s
 }
 
-// RelinKey returns the relinearization key for the method, or an error if it
-// was never generated.
+// deriveKey generates the key id names from its own stream.
+func deriveKey(params *Parameters, sk *SecretKey, id KeyID, draws *obs.Counter) (*SwitchingKey, error) {
+	kg := &KeyGenerator{params: params, sampler: ring.NewStreamSampler(uint64(params.seed), id.keyStream())}
+	kg.sampler.Instrument(draws)
+	if id.GalEl == 0 {
+		return kg.GenRelinearizationKey(sk, id.Method)
+	}
+	return kg.GenGaloisKey(sk, id.GalEl, id.Method)
+}
+
+// key returns the key id names, deriving it on the first call.
+func (s *EvaluationKeySet) key(id KeyID) (*SwitchingKey, error) {
+	k := s.keys[id]
+	if k == nil {
+		if id.GalEl == 0 {
+			return nil, fmt.Errorf("ckks: no %v relinearization key in the set: %w", id.Method, ErrKeyMissing)
+		}
+		return nil, fmt.Errorf("ckks: no %v galois key for element %d: %w", id.Method, id.GalEl, ErrKeyMissing)
+	}
+	return k.get()
+}
+
+// RelinKey returns the relinearization key for the method, or an error if
+// the set does not name it.
 func (s *EvaluationKeySet) RelinKey(m KeySwitchMethod) (*SwitchingKey, error) {
-	sec, err := s.section(m)
-	if err != nil {
-		return nil, err
-	}
-	k, ok := sec.Relin[m]
-	if !ok {
-		return nil, fmt.Errorf("ckks: no %v relinearization key in the set: %w", m, ErrKeyMissing)
-	}
-	return k, nil
+	return s.key(KeyID{Method: m})
 }
 
 // GaloisKey returns the Galois key for the method and element.
 func (s *EvaluationKeySet) GaloisKey(m KeySwitchMethod, galEl uint64) (*SwitchingKey, error) {
-	sec, err := s.section(m)
-	if err != nil {
-		return nil, err
-	}
-	k, ok := sec.Galois[m][galEl]
-	if !ok {
-		return nil, fmt.Errorf("ckks: no %v galois key for element %d: %w", m, galEl, ErrKeyMissing)
-	}
-	return k, nil
+	return s.key(KeyID{m, galEl})
 }
 
-// DeriveKLSS attaches the KLSS section to a hybrid-only set: the first KLSS
-// lookup generates the relinearization key and a Galois key for every
-// element of the hybrid section, from the KLSS stream GenEvaluationKeySet
-// draws them from, so a derived key is byte-identical to the eagerly
-// generated one. Until then no KLSS key exists. It does nothing when the
-// parameter set has no KLSS chain. The observer, when non-nil, counts the
-// derivation's draws on ckks.sampler.draws. Call it before the set is shared.
-func (s *EvaluationKeySet) DeriveKLSS(params *Parameters, sk *SecretKey, o *obs.Observer) {
-	if params.ringQT == nil {
-		return
-	}
-	galEls := s.galoisElements(Hybrid)
-	s.klss = sync.OnceValues(func() (*EvaluationKeySet, error) {
-		kg := newKLSSGenerator(params)
-		if o != nil {
-			kg.sampler.Instrument(o.Reg().Counter("ckks.sampler.draws"))
-		}
-		set := NewEvaluationKeySet()
-		return set, kg.genSection(set, sk, KLSS, galEls)
-	})
-}
-
-// galoisElements returns the elements of the method's Galois keys, ascending.
-func (s *EvaluationKeySet) galoisElements(m KeySwitchMethod) []uint64 {
-	galEls := make([]uint64, 0, len(s.Galois[m]))
-	for el := range s.Galois[m] {
-		galEls = append(galEls, el)
-	}
-	slices.Sort(galEls)
-	return galEls
-}
-
-func (s *EvaluationKeySet) addGalois(m KeySwitchMethod, galEl uint64, k *SwitchingKey) {
-	if s.Galois[m] == nil {
-		s.Galois[m] = map[uint64]*SwitchingKey{}
-	}
-	s.Galois[m][galEl] = k
+// Pending reports whether the set names the key and has not derived it yet:
+// its next lookup pays the derivation.
+func (s *EvaluationKeySet) Pending(id KeyID) bool {
+	k := s.keys[id]
+	return k != nil && !k.derived.Load()
 }
 
 // KeyGenerator samples all key material for a parameter set.
@@ -142,17 +148,6 @@ type KeyGenerator struct {
 // NewKeyGenerator returns a generator seeded from the parameter seed.
 func NewKeyGenerator(params *Parameters) *KeyGenerator {
 	return &KeyGenerator{params: params, sampler: ring.NewSampler(params.seed)}
-}
-
-// klssSeedOffset separates the KLSS key stream from the main key stream
-// (seed) and the encryptor's (seed+0x5eed onwards): KLSS keys draw from their
-// own sampler, so generating them eagerly or deriving them later gives the
-// same bytes, and neither moves a hybrid key.
-const klssSeedOffset = 0x6b6c7373 // "klss"
-
-// newKLSSGenerator returns the generator of the parameter set's KLSS keys.
-func newKLSSGenerator(params *Parameters) *KeyGenerator {
-	return &KeyGenerator{params: params, sampler: ring.NewSampler(params.seed + klssSeedOffset)}
 }
 
 // GenSecretKey samples a fresh ternary secret.
@@ -320,49 +315,15 @@ func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, galEl uint64, method KeySwit
 	return kg.genSwitchingKey(sk, sRot, method)
 }
 
-// GenEvaluationKeySet generates relinearization keys for every requested
-// method and Galois keys for every requested rotation (plus conjugation if
-// conj is true). Hybrid keys draw from the generator's stream in that order;
-// KLSS keys draw from the KLSS stream, relinearization key first, then the
-// Galois elements ascending — the keys DeriveKLSS generates.
+// GenEvaluationKeySet returns the set NewEvaluationKeySet names with every
+// key derived now: byte for byte the keys the lazy set derives on first use,
+// in whatever order. It draws nothing from the generator's own stream.
 func (kg *KeyGenerator) GenEvaluationKeySet(sk *SecretKey, methods []KeySwitchMethod, rotations []int, conj bool) (*EvaluationKeySet, error) {
-	logN := kg.params.LogN()
-	var galEls []uint64
-	for _, r := range rotations {
-		galEls = append(galEls, ring.GaloisElementForRotation(logN, r))
-	}
-	if conj {
-		galEls = append(galEls, ring.GaloisElementForConjugation(logN))
-	}
-	set := NewEvaluationKeySet()
-	for _, m := range methods {
-		g, els := kg, galEls
-		if m == KLSS {
-			els = slices.Clone(galEls)
-			slices.Sort(els)
-			g, els = newKLSSGenerator(kg.params), slices.Compact(els)
-		}
-		if err := g.genSection(set, sk, m, els); err != nil {
+	set := NewEvaluationKeySet(kg.params, sk, methods, rotations, conj, nil)
+	for id := range set.keys {
+		if _, err := set.key(id); err != nil {
 			return nil, err
 		}
 	}
 	return set, nil
-}
-
-// genSection adds the method's relinearization key and a Galois key per
-// element, in order, to set.
-func (kg *KeyGenerator) genSection(set *EvaluationKeySet, sk *SecretKey, m KeySwitchMethod, galEls []uint64) error {
-	rlk, err := kg.GenRelinearizationKey(sk, m)
-	if err != nil {
-		return err
-	}
-	set.Relin[m] = rlk
-	for _, galEl := range galEls {
-		gk, err := kg.GenGaloisKey(sk, galEl, m)
-		if err != nil {
-			return err
-		}
-		set.addGalois(m, galEl, gk)
-	}
-	return nil
 }

@@ -2,112 +2,149 @@ package ckks
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/fastfhe/fast/internal/obs"
 	"github.com/fastfhe/fast/internal/ring"
 )
 
-// TestDerivedKLSSKeysMatchEager: a set generated with hybrid keys only and
-// DeriveKLSS attached hands out, key for key, the bytes GenEvaluationKeySet
-// generates eagerly for KLSS — whatever order the methods were asked in —
-// and its hybrid keys are the ones a set with eager KLSS keys holds. A
-// rotation the hybrid section lacks is missing for KLSS too, and nothing is
-// derived before the first KLSS lookup.
-func TestDerivedKLSSKeysMatchEager(t *testing.T) {
+// TestLazyKeysMatchEager: a set derives each key on its first lookup, from
+// the key's own stream, so whatever order the keys are first read in — and
+// whatever order the methods were named in — every key is byte for byte the
+// one GenEvaluationKeySet derives eagerly. Nothing is drawn before a lookup,
+// a key is drawn once (2 polynomials per gadget group), a rotation listed
+// twice names one key, and a rotation the set does not name is missing.
+func TestLazyKeysMatchEager(t *testing.T) {
 	params, err := TestParameters()
 	if err != nil {
 		t.Fatal(err)
 	}
+	sk := NewKeyGenerator(params).GenSecretKey()
 	rotations := []int{4, 1, -1, 1} // out of order, one repeated
-	gen := func(methods ...KeySwitchMethod) (*SecretKey, *EvaluationKeySet) {
-		kg := NewKeyGenerator(params)
-		sk := kg.GenSecretKey()
-		kg.GenPublicKey(sk)
-		set, err := kg.GenEvaluationKeySet(sk, methods, rotations, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sk, set
+	eager, err := NewKeyGenerator(params).GenEvaluationKeySet(sk, []KeySwitchMethod{Hybrid, KLSS}, rotations, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, eager := gen(Hybrid, KLSS)
-	_, klssFirst := gen(KLSS, Hybrid)
-	sk, derived := gen(Hybrid)
-	if !bytes.Equal(setBytes(derived), section(eager, Hybrid)) {
-		t.Fatal("the hybrid keys moved when KLSS keys were generated with them")
+	klssFirst, err := NewKeyGenerator(params).GenEvaluationKeySet(sk, []KeySwitchMethod{KLSS, Hybrid}, rotations, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(setBytes(eager), setBytes(klssFirst)) {
+	if !bytes.Equal(setBytes(t, eager), setBytes(t, klssFirst)) {
 		t.Fatal("eager key sets differ with the order their methods were asked in")
 	}
+
 	ob := obs.New()
 	draws := ob.Reg().Counter("ckks.sampler.draws")
-	derived.DeriveKLSS(params, sk, ob)
-	if _, err := derived.RelinKey(Hybrid); err != nil || draws.Value() != 0 {
-		t.Fatalf("a hybrid lookup (err %v) drew %d polynomials: KLSS keys were derived before the first KLSS lookup", err, draws.Value())
+	lazy := NewEvaluationKeySet(params, sk, []KeySwitchMethod{Hybrid, KLSS}, rotations, true, ob)
+	ids := lazy.ids()
+	if len(ids) != 2*5 { // per method: relin, 3 distinct rotations, conjugation
+		t.Fatalf("the set names %d keys, want 10", len(ids))
 	}
-
-	galEls := eager.galoisElements(KLSS)
-	if len(galEls) != 4 {
-		t.Fatalf("eager KLSS section has %d Galois keys, want 4 (3 distinct rotations + conjugation)", len(galEls))
+	if draws.Value() != 0 {
+		t.Fatalf("building the set drew %d polynomials", draws.Value())
 	}
-	want, err := eager.RelinKey(KLSS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := derived.RelinKey(KLSS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(swkBytes(got), swkBytes(want)) {
-		t.Fatal("derived KLSS relinearization key differs from the eager one")
-	}
-	for _, el := range galEls {
-		want, err := eager.GaloisKey(KLSS, el)
+	slices.Reverse(ids)
+	var want uint64
+	for _, id := range ids {
+		if !lazy.Pending(id) {
+			t.Fatalf("%+v is not pending before its first lookup", id)
+		}
+		got, err := lazy.key(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := derived.GaloisKey(KLSS, el)
+		ref, _ := eager.key(id)
+		if !bytes.Equal(swkBytes(got), swkBytes(ref)) {
+			t.Fatalf("%+v derived on first use differs from the eager key", id)
+		}
+		if want += uint64(2 * len(got.B)); draws.Value() != want {
+			t.Fatalf("after %+v: %d polynomials drawn, want %d", id, draws.Value(), want)
+		}
+		if again, _ := lazy.key(id); again != got || lazy.Pending(id) || draws.Value() != want {
+			t.Fatalf("a second lookup of %+v derived it again", id)
+		}
+	}
+	if _, err := lazy.GaloisKey(Hybrid, params.GaloisElement(2)); !errors.Is(err, ErrKeyMissing) {
+		t.Fatalf("key for an unnamed rotation: %v, want ErrKeyMissing", err)
+	}
+	if lazy.Pending(KeyID{Hybrid, params.GaloisElement(2)}) {
+		t.Fatal("a key the set does not name is pending")
+	}
+}
+
+// TestKeyStreamsTakeTheWholeSeed: keys are drawn under every bit of the
+// parameter seed — two seeds equal modulo 2^31−1, which the main stream
+// cannot tell apart, derive different keys — and each key from a stream of
+// its own, so no two keys of one set share bytes.
+func TestKeyStreamsTakeTheWholeSeed(t *testing.T) {
+	key := func(seed int64, id KeyID) []byte {
+		lit := ParametersLiteral{LogN: 9, LogSlots: 8, LogQ: []int{50, 36}, LogP: []int{50}, LogScale: 36, Alpha: 2, Seed: seed}
+		params, err := NewParameters(lit)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(swkBytes(got), swkBytes(want)) {
-			t.Fatalf("derived KLSS Galois key %d differs from the eager one", el)
+		set := NewEvaluationKeySet(params, NewKeyGenerator(params).GenSecretKey(), []KeySwitchMethod{Hybrid}, []int{1}, false, nil)
+		k, err := set.key(id)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return swkBytes(k)
 	}
-	if _, err := derived.GaloisKey(KLSS, ring.GaloisElementForRotation(params.LogN(), 2)); !errors.Is(err, ErrKeyMissing) {
-		t.Fatalf("KLSS key for an ungenerated rotation: %v, want ErrKeyMissing", err)
+	relin, rot := KeyID{Method: Hybrid}, KeyID{Hybrid, ring.GaloisGen} // rotation 1
+	if bytes.Equal(key(1, relin), key(1+(1<<31-1), relin)) {
+		t.Fatal("seeds 1 and 2^31 derive the same relinearization key")
 	}
-	if !bytes.Equal(setBytes(derived), section(eager, Hybrid)) {
-		t.Fatal("the derived KLSS section reached the set's own maps")
-	}
-	if want := uint64(2 * 5 * len(want.B)); draws.Value() != want { // relin + 4 Galois keys, 2 draws per group
-		t.Fatalf("the derivation drew %d polynomials, want %d", draws.Value(), want)
+	if bytes.Equal(key(1, relin)[1:], key(1, rot)[1:]) {
+		t.Fatal("two keys of one set share their bytes")
 	}
 }
 
-// section is setBytes of a set holding only method m's keys of s.
-func section(s *EvaluationKeySet, m KeySwitchMethod) []byte {
-	one := NewEvaluationKeySet()
-	one.Relin[m] = s.Relin[m]
-	one.Galois[m] = s.Galois[m]
-	return setBytes(one)
+// TestKLSSKeysNeedKLSSChain: a parameter set without a KLSS chain cannot
+// derive KLSS keys, eagerly or on a lookup.
+func TestKLSSKeysNeedKLSSChain(t *testing.T) {
+	params, err := NewParameters(ParametersLiteral{LogN: 9, LogSlots: 8, LogQ: []int{50, 36}, LogP: []int{50}, LogScale: 36, Alpha: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kg := NewKeyGenerator(params)
+	sk := kg.GenSecretKey()
+	if _, err := kg.GenEvaluationKeySet(sk, []KeySwitchMethod{Hybrid, KLSS}, nil, false); !errors.Is(err, ErrMethodUnavailable) {
+		t.Fatalf("eager KLSS keys without a KLSS chain: %v, want ErrMethodUnavailable", err)
+	}
+	hybridOnly := NewEvaluationKeySet(params, sk, []KeySwitchMethod{Hybrid}, nil, false, nil)
+	if _, err := hybridOnly.RelinKey(KLSS); !errors.Is(err, ErrKeyMissing) {
+		t.Fatalf("KLSS relinearization key of a hybrid-only set: %v, want ErrKeyMissing", err)
+	}
 }
 
-// setBytes is the keys s's maps hold, in a canonical order: methods
-// ascending, each its relinearization key, then its Galois keys by element.
-// Keys have no wire form; this is what two sets are compared by.
-func setBytes(s *EvaluationKeySet) []byte {
+// ids returns the keys the set names, by method, then element.
+func (s *EvaluationKeySet) ids() []KeyID {
+	ids := make([]KeyID, 0, len(s.keys))
+	for id := range s.keys {
+		ids = append(ids, id)
+	}
+	slices.SortFunc(ids, func(a, b KeyID) int {
+		return cmp.Or(cmp.Compare(a.Method, b.Method), cmp.Compare(a.GalEl, b.GalEl))
+	})
+	return ids
+}
+
+// setBytes is every key s names, derived, in ids order, each behind its
+// method and element. Keys have no wire form; this is what two sets are
+// compared by.
+func setBytes(t *testing.T, s *EvaluationKeySet) []byte {
 	var b []byte
-	for _, m := range []KeySwitchMethod{Hybrid, KLSS} {
-		if s.Relin[m] == nil {
-			continue
+	for _, id := range s.ids() {
+		k, err := s.key(id)
+		if err != nil {
+			t.Fatal(err)
 		}
-		b = append(b, swkBytes(s.Relin[m])...)
-		for _, el := range s.galoisElements(m) {
-			b = append(binary.LittleEndian.AppendUint64(b, el), swkBytes(s.Galois[m][el])...)
-		}
+		b = binary.LittleEndian.AppendUint64(append(b, byte(id.Method)), id.GalEl)
+		b = append(b, swkBytes(k)...)
 	}
 	return b
 }
@@ -119,26 +156,4 @@ func swkBytes(k *SwitchingKey) []byte {
 		b = appendPoly(appendPoly(b, k.B[j]), k.A[j])
 	}
 	return b
-}
-
-// TestDeriveKLSSNeedsKLSSChain: DeriveKLSS attaches nothing when the
-// parameter set has no KLSS chain, so a KLSS lookup misses.
-func TestDeriveKLSSNeedsKLSSChain(t *testing.T) {
-	params, err := NewParameters(ParametersLiteral{LogN: 9, LogSlots: 8, LogQ: []int{50, 36}, LogP: []int{50}, LogScale: 36, Alpha: 2, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kg := NewKeyGenerator(params)
-	sk := kg.GenSecretKey()
-	hybridOnly, err := kg.GenEvaluationKeySet(sk, []KeySwitchMethod{Hybrid}, nil, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hybridOnly.DeriveKLSS(params, sk, nil)
-	if hybridOnly.klss != nil {
-		t.Fatal("DeriveKLSS attached a derivation on a parameter set without a KLSS chain")
-	}
-	if _, err := hybridOnly.RelinKey(KLSS); !errors.Is(err, ErrKeyMissing) {
-		t.Fatalf("KLSS relinearization key without a KLSS chain: %v, want ErrKeyMissing", err)
-	}
 }

@@ -261,6 +261,12 @@ func (p *Parameters) N() int { return 1 << uint(p.logN) }
 // LogN returns log2 of the ring degree.
 func (p *Parameters) LogN() int { return p.logN }
 
+// GaloisElement returns the Galois element of a rotation by r slots.
+func (p *Parameters) GaloisElement(r int) uint64 { return ring.GaloisElementForRotation(p.logN, r) }
+
+// ConjugationElement returns the Galois element of complex conjugation.
+func (p *Parameters) ConjugationElement() uint64 { return ring.GaloisElementForConjugation(p.logN) }
+
 // Slots returns the number of message slots.
 func (p *Parameters) Slots() int { return 1 << uint(p.logSlots) }
 

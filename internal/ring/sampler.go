@@ -3,6 +3,7 @@ package ring
 import (
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 
 	"github.com/fastfhe/fast/internal/obs"
 )
@@ -26,10 +27,25 @@ type Sampler struct {
 	draws *obs.Counter
 }
 
-// NewSampler returns a sampler seeded deterministically.
+// NewSampler returns a sampler seeded deterministically. math/rand's source
+// reduces seed modulo 2^31−1 (and maps 0 to a fixed value), so only seeds in
+// [1, 2^31−2] give distinct streams.
 func NewSampler(seed int64) *Sampler {
 	return &Sampler{rng: rand.New(rand.NewSource(seed))}
 }
+
+// NewStreamSampler returns the sampler of one stream of seed: math/rand/v2's
+// PCG seeded with (seed, stream). Every bit of both counts, so distinct pairs
+// draw distinct streams, and no stream moves another's bytes.
+func NewStreamSampler(seed, stream uint64) *Sampler {
+	return &Sampler{rng: rand.New(pcgSource{randv2.NewPCG(seed, stream)})}
+}
+
+// pcgSource is a PCG as the rand.Source64 a Sampler draws through.
+type pcgSource struct{ *randv2.PCG }
+
+func (s pcgSource) Int63() int64    { return int64(s.Uint64() >> 1) }
+func (s pcgSource) Seed(seed int64) { s.PCG.Seed(uint64(seed), 0) }
 
 // Instrument attaches a counter of polynomial draws (nil detaches). The
 // counter does not perturb the random stream.

@@ -88,9 +88,9 @@ type SessionMeta struct {
 //	sum     [32]byte SHA-256 over every preceding byte
 //
 // The header is the whole session: every key is a deterministic function of
-// the resolved config (sk, pk and the hybrid keys from the stream Seed
-// seeds, KLSS keys from their own), so Restore regenerates them rather than
-// reading them. The checksum is verified BEFORE any parsing: a flipped bit
+// the resolved config (sk and pk from the stream Seed seeds, each evaluation
+// key from one of its own), so Restore regenerates them rather than reading
+// them. The checksum is verified BEFORE any parsing: a flipped bit
 // anywhere in the stream surfaces as ErrCorruptSnapshot.
 //
 // A legacy "FASTSNP\x01" file carries keyLen uint64 | keys (sk | pk |
@@ -202,8 +202,8 @@ func DecodeSessionSnapshot(data []byte) (*SessionSnapshot, error) {
 // ciphertexts bit-identically. A configuration that is not the resolved form
 // of itself, or does not compile, is a corrupt snapshot: every key would come
 // from it. So is a legacy file whose stored secret key is not the
-// regenerated one. KLSS keys are derived on the first KLSS op, as on a
-// fresh context.
+// regenerated one. Restore draws sk and pk only: each evaluation key is
+// derived on the first op that reads it, as on a fresh context.
 //
 // Options may attach an observer or a shared evk cache. WithParallelism, the
 // one option that alters the configuration, is rejected with

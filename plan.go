@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"github.com/fastfhe/fast/internal/aether"
+	"github.com/fastfhe/fast/internal/ckks"
 )
 
 // This file is the program planner: it compiles a Program against a Context
@@ -96,6 +97,8 @@ type Plan struct {
 	decisions   []PlanDecision
 	inputLevels map[string]int
 	units       float64
+	keys        []ckks.KeyID // the evaluation keys the plan reads, each once
+	keyUnits    float64      // what deriving one of them weighs
 	passes      int
 	fingerprint string
 }
@@ -267,8 +270,20 @@ func (c *Context) Plan(prog *Program, inputLevels map[string]int) (*Plan, error)
 		}
 	}
 	for k := range p.decisions {
-		p.decisions[k].Method = p.nodes[p.decisions[k].Node].method
+		n := &p.nodes[p.decisions[k].Node]
+		p.decisions[k].Method = n.method
+		id := ckks.KeyID{Method: n.method} // a mul's relinearisation key
+		switch n.op.Op {
+		case "rotate":
+			id.GalEl = c.params.GaloisElement(n.op.R)
+		case "conjugate":
+			id.GalEl = c.params.ConjugationElement()
+		}
+		if !slices.Contains(p.keys, id) {
+			p.keys = append(p.keys, id)
+		}
 	}
+	p.keyUnits = cm.KeySwitch(Hybrid, cm.L, 1).Total()
 	p.fingerprint = planFingerprint(p.prog, p.inputLevels)
 	return p, nil
 }
@@ -391,10 +406,18 @@ func (p *Plan) Program() *Program { return p.prog }
 // modular-operation equivalents: every key-switch site at its propagated
 // level with hoist amortization — a fused Add tree's rotations sharing one
 // ModDown pair — counted at the context's own shape (KeySwitchShape), plus
-// the element-wise passes (a fused tree's adds stay counted as passes). The first KLSS op of a
-// context, fresh or restored, also derives its KLSS keys (see EnableKLSS);
-// the units do not price that one-time cost.
-func (p *Plan) Units() float64 { return p.units }
+// the element-wise passes (a fused tree's adds stay counted as passes), plus
+// a top-level hybrid key switch per key the plan reads that its context has
+// not derived yet, read at call time: the units fall once it is derived.
+func (p *Plan) Units() float64 {
+	u := p.units
+	for _, id := range p.keys {
+		if p.c.keys.Pending(id) {
+			u += p.keyUnits
+		}
+	}
+	return u
+}
 
 // Decisions returns the planner's verdicts for every key-switch-bearing node,
 // in program order.

@@ -386,7 +386,11 @@ func TestMethodIsOneType(t *testing.T) {
 // methods from when sites began to be priced at the context's own key-switch
 // shape, which sent lib_deep's hoist group from KLSS to hybrid; the units and
 // the fused trees (":f<root>") from when an Add tree over a hoist group's
-// rotations became one rotate-and-sum site with one ModDown pair.
+// rotations became one rotate-and-sum site with one ModDown pair. Since
+// each evaluation key is derived on its first use, a fresh context's plan
+// also weighs one top-level hybrid key switch per key it reads (3 for the
+// fan-out, 7 for deepProgram): the pinned units are the sites' and passes',
+// what the plan weighs once an execution has derived its keys.
 func TestPlanGoldenBenchmarkPrograms(t *testing.T) {
 	fanout := func() *Program {
 		return NewProgram().In("x").
@@ -419,17 +423,18 @@ func TestPlanGoldenBenchmarkPrograms(t *testing.T) {
 		cfg    ContextConfig
 		prog   *Program
 		slow   bool
+		keys   int
 		units  float64
 		fp     string
 		groups string
 		dec    string
 	}{
-		{"serve/toy", serveCfg(9), fanout(), false, 253952, "plan-512d34b9d61fa788", "[[0 1 2]]", fanoutDec},
-		{"serve/full", serveCfg(11), fanout(), false, 1.097728e+06, "plan-512d34b9d61fa788", "[[0 1 2]]", fanoutDec},
-		{"lib_deep/toy", deepCfg(9, 5), deep(), false, 749312, "plan-6c0eefeebf3cb618", "[[2 3 4 5] [10] [11]]",
+		{"serve/toy", serveCfg(9), fanout(), false, 3, 253952, "plan-512d34b9d61fa788", "[[0 1 2]]", fanoutDec},
+		{"serve/full", serveCfg(11), fanout(), false, 3, 1.097728e+06, "plan-512d34b9d61fa788", "[[0 1 2]]", fanoutDec},
+		{"lib_deep/toy", deepCfg(9, 5), deep(), false, 7, 749312, "plan-6c0eefeebf3cb618", "[[2 3 4 5] [10] [11]]",
 			"0:mul@5:0:g-1:h1 1:mul@4:0:g-1:h1 2:rotate@3:0:g0:h4:fa3 3:rotate@3:0:g0:h4:fa3 4:rotate@3:0:g0:h4:fa3 5:rotate@3:0:g0:h4:fa3 " +
 				"9:mul@3:0:g-1:h1 10:rotate@2:0:g1:h1 11:rotate@2:0:g2:h1 "},
-		{"lib_deep/full", deepCfg(13, 11), deep(), true, 5.2248576e+07, "plan-da2553aef434ddef", "[[2 3 4 5] [10] [11]]",
+		{"lib_deep/full", deepCfg(13, 11), deep(), true, 7, 5.2248576e+07, "plan-da2553aef434ddef", "[[2 3 4 5] [10] [11]]",
 			"0:mul@11:0:g-1:h1 1:mul@10:0:g-1:h1 2:rotate@9:0:g0:h4:fa3 3:rotate@9:0:g0:h4:fa3 4:rotate@9:0:g0:h4:fa3 5:rotate@9:0:g0:h4:fa3 " +
 				"9:mul@9:0:g-1:h1 10:rotate@8:0:g1:h1 11:rotate@8:0:g2:h1 "},
 	} {
@@ -453,10 +458,15 @@ func TestPlanGoldenBenchmarkPrograms(t *testing.T) {
 				}
 				dec += " "
 			}
-			if plan.Units() != row.units || plan.Fingerprint() != row.fp ||
+			cm, err := KeySwitchShape(row.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			units := plan.Units() - float64(row.keys)*cm.KeySwitch(Hybrid, cm.L, 1).Total()
+			if units != row.units || plan.Fingerprint() != row.fp ||
 				fmt.Sprint(plan.HoistGroups()) != row.groups || dec != row.dec {
 				t.Fatalf("plan moved:\n units %v fp %s groups %v\n dec %s\nwant\n units %v fp %s groups %s\n dec %s",
-					plan.Units(), plan.Fingerprint(), plan.HoistGroups(), dec, row.units, row.fp, row.groups, row.dec)
+					units, plan.Fingerprint(), plan.HoistGroups(), dec, row.units, row.fp, row.groups, row.dec)
 			}
 		})
 	}

@@ -467,7 +467,10 @@ func TestLegacySnapshotRestores(t *testing.T) {
 // the snapshot of legacyConfig, the same file with the KLSS section that
 // build's predecessors stored spliced in, and a ciphertext the writing
 // context encrypted. Their digests, and those of what the writing context
-// decrypted that ciphertext to and its hybrid Mul, are pinned here.
+// decrypted that ciphertext to and of a restored context's hybrid Mul, are
+// pinned here. The Mul's was re-pinned once, when each evaluation key came to
+// be drawn from a stream of its own: the relinearisation key's bytes changed,
+// the secret's, and so the decrypt's, did not.
 var legacyFixtures = map[string]struct {
 	len int
 	sum string
@@ -479,7 +482,7 @@ var legacyFixtures = map[string]struct {
 
 const (
 	legacyDecryptSum = "250ac6a5b6906d4d3f858a4f6d560cdda7920cfcf0d8cf50bd1e9c5378b40fcf"
-	legacyMulSum     = "6ba450488fc631446196e1937fb560102aaf5acf96cd67f8a60e9ef290bd5b59"
+	legacyMulSum     = "0e760d49b7e964e2a6c3c6cac6886d56f6ab2b1b6a8a1e32cd18ab971fe79aab"
 )
 
 // legacyConfig is the resolved config the fixtures were written from.
@@ -503,9 +506,11 @@ func readFixture(t *testing.T, name string) []byte {
 }
 
 // legacyKeyPayloadRestores: a key-carrying file restores by regenerating its
-// keys from its header. Its decrypt and hybrid Mul are byte-identical to the
-// writing context's; KLSS Mul — derived keys, a stored KLSS section being
-// ignored — decrypts within 1e-3 of hybrid; re-snapshotting writes the
+// keys from its header. Its decrypt is byte-identical to the writing
+// context's, and its hybrid Mul is the pinned one and decrypts within 2^-10
+// (the plaintext oracle's floor) of the square of that decrypt; KLSS Mul —
+// derived keys, a stored KLSS section being ignored — decrypts within 1e-3
+// of hybrid; re-snapshotting writes the
 // current format with the same header. A secret-key byte flipped and the
 // file re-signed is a corrupt snapshot: its keys did not come from its
 // header.
@@ -545,6 +550,11 @@ func legacyKeyPayloadRestores(t *testing.T, file string) {
 		t.Fatal(err)
 	}
 	hyb := ctx.Decrypt(h)
+	for i, v := range ctx.Decrypt(ct) {
+		if cmplx.Abs(hyb[i]-v*v) > 1.0/1024 {
+			t.Fatalf("slot %d: hybrid Mul %v, the plaintext square %v", i, hyb[i], v*v)
+		}
+	}
 	for i, got := range ctx.Decrypt(k) {
 		if cmplx.Abs(got-hyb[i]) > 1e-3 {
 			t.Fatalf("slot %d: KLSS Mul %v, hybrid %v", i, got, hyb[i])
