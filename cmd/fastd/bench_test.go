@@ -2,9 +2,9 @@ package main
 
 // BenchmarkServeThroughput measures end-to-end eval throughput of the daemon
 // under concurrent load: many clients posting the same rotation-fan-out
-// program to one session. This is the workload cross-request micro-batching
-// exists for — the coalescer merges the shared-source rotations of
-// concurrently queued requests into one hoisted ModUp.
+// program to one session. Each request runs alone: its rotations share one
+// hoisted ModUp and its Add tree one ModDown pair, and nothing is shared
+// with the requests queued beside it.
 
 import (
 	"bytes"
@@ -50,9 +50,8 @@ func benchPost(b *testing.B, url string, body any, out any) bool {
 }
 
 func BenchmarkServeThroughput(b *testing.B) {
-	// One worker: evaluation serializes, so concurrent requests queue — the
-	// queue wait is the coalescing window (that is the regime batching is
-	// for; with an idle pool every batch has size 1).
+	// One worker: evaluation serializes, so concurrent requests queue and
+	// the measurement includes admission under load.
 	d, err := newDaemon(daemonConfig{Workers: 1, QueueDepth: 256})
 	if err != nil {
 		b.Fatal(err)
@@ -95,8 +94,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 		"program": json.RawMessage(rawProg),
 	}
 
-	// More client goroutines than GOMAXPROCS so requests actually queue —
-	// the queue wait is the batching window.
+	// More client goroutines than GOMAXPROCS so requests actually queue.
 	b.SetParallelism(8)
 	var served atomic.Int64
 	b.ResetTimer()

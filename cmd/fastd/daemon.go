@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -613,7 +614,7 @@ func (d *daemon) handleDecrypt(w http.ResponseWriter, r *http.Request) {
 	b64, err := scanDecryptEnvelope(*body)
 	var ct *fast.Ciphertext
 	if err == nil {
-		ct, err = readCiphertext(sess.ctx, b64, nil)
+		ct, err = readCiphertext(sess.ctx, b64)
 	}
 	bodyBufs.put(body)
 	if err != nil {
@@ -671,12 +672,25 @@ func (d *daemon) handleEval(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := requestContext(r)
 		defer cancel()
 
-		res, err := sh.batcher.Do(ctx, serve.Op{Name: "eval", Units: ce.plan.Units()}, sess.id, ce)
+		var resp *[]byte
+		err = sh.srv.Do(ctx, serve.Op{Name: "eval", Units: ce.plan.Units()}, func(ctx context.Context) error {
+			// A one-run ExecuteBatch, not Execute: it hands back the run's
+			// batch sequence, which the access log and /debug/requests
+			// carry to join against /debug/plans.
+			run := &fast.Run{Plan: ce.plan, Inputs: ce.inputs, Ctx: ctx}
+			sess.ctx.ExecuteBatch([]*fast.Run{run})
+			obsReq.SetBatch(run.Batch)
+			if run.Err != nil {
+				return run.Err
+			}
+			resp = renderCiphertext(run.Out)
+			return nil
+		})
 		if err != nil {
 			d.writeAdmissionError(w, r, err)
 			return
 		}
-		sendRendered(w, res.(*[]byte))
+		sendRendered(w, resp)
 	})
 }
 
@@ -687,9 +701,12 @@ func (d *daemon) handleEval(w http.ResponseWriter, r *http.Request) {
 func requestContext(r *http.Request) (context.Context, context.CancelFunc) {
 	ctx := r.Context()
 	if h := r.Header.Get("X-Deadline-Ms"); h != "" {
-		if ms, err := strconv.Atoi(h); err == nil && ms > 0 {
-			obs.RequestFrom(ctx).SetDeadline(time.Now().Add(time.Duration(ms) * time.Millisecond))
-			return context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+		// A value whose duration overflows int64 nanoseconds is ignored, like
+		// a non-numeric or non-positive one.
+		if ms, err := strconv.ParseInt(h, 10, 64); err == nil && ms > 0 && ms <= math.MaxInt64/int64(time.Millisecond) {
+			timeout := time.Duration(ms) * time.Millisecond
+			obs.RequestFrom(ctx).SetDeadline(time.Now().Add(timeout))
+			return context.WithTimeout(ctx, timeout)
 		}
 	}
 	return ctx, func() {}

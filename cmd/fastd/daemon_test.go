@@ -327,6 +327,15 @@ func TestDaemonDeadlineHeader(t *testing.T) {
 	if err := json.Unmarshal(raw, &errBody); err != nil || errBody.Error == "" {
 		t.Fatalf("rejection body is not a typed error: %q", raw)
 	}
+
+	// A deadline too far out to be a time.Duration is ignored, as a
+	// non-numeric or non-positive one is: the eval runs.
+	for _, h := range []string{"9223372036854775807", "9300000000000"} {
+		if status, raw := doJSON(t, http.MethodPost, base+"/v1/sessions/"+sr.ID+"/eval",
+			map[string]string{"X-Deadline-Ms": h}, prog, nil); status != http.StatusOK {
+			t.Errorf("X-Deadline-Ms %s: status %d, want 200 (%s)", h, status, raw)
+		}
+	}
 }
 
 // TestRunServeDrain exercises the real main-loop wiring through the test

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
@@ -378,20 +377,15 @@ func scanDecryptEnvelope(body []byte) (b64 []byte, err error) {
 
 // readCiphertext decodes one base64 ciphertext: straight from b64 (usually a
 // view of the request body) into a pooled buffer, and from there into a
-// validated ciphertext that owns its memory. digest, when non-nil, receives
-// the SHA-256 of the wire bytes — the input's batch-merge identity.
-func readCiphertext(fctx *fast.Context, b64 []byte, digest *[sha256.Size]byte) (*fast.Ciphertext, error) {
+// validated ciphertext that owns its memory.
+func readCiphertext(fctx *fast.Context, b64 []byte) (*fast.Ciphertext, error) {
 	wire := wireBufs.get(base64.StdEncoding.DecodedLen(len(b64)))
 	defer wireBufs.put(wire)
 	n, err := base64.StdEncoding.Decode((*wire)[:cap(*wire)], b64)
 	if err != nil {
 		return nil, fmt.Errorf("ciphertext base64: %w", err)
 	}
-	*wire = (*wire)[:n]
-	if digest != nil {
-		*digest = sha256.Sum256(*wire)
-	}
-	return fctx.ReadCiphertextBytes(*wire)
+	return fctx.ReadCiphertextBytes((*wire)[:n])
 }
 
 // renderCiphertext renders the success body of /encrypt and /eval into a

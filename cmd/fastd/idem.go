@@ -292,7 +292,7 @@ func (st *sessionStore) writeIdem(id string, slot int, rec *idemRecord) (err err
 //   - a key whose first execution is in flight waits for it, then goes on as
 //     a key with a record;
 //   - a key with a record but a different request gets 422 without executing;
-//   - a key with a record executes again — admission, batching, plan cache —
+//   - a key with a record executes again — admission, plan cache, execution —
 //     and is sent with Idempotency-Replayed: true if status and response CRC
 //     equal the record's. Bytes that differ mean evaluation was not
 //     deterministic: 500 and fastd.idem.replay_mismatch, never a replay.

@@ -12,8 +12,9 @@ import (
 // API surface gets an ID (client-provided X-Request-Id, W3C traceparent
 // trace-id, or freshly assigned), an entry in the in-flight request table, an
 // HTTP span on the shared Chrome-trace timeline and one JSON access-log line
-// on completion. The ID travels down through admission, batching and the
-// CKKS kernels via the request context, so all of those surfaces join on it.
+// on completion. The ID travels down through admission, planner execution
+// and the CKKS kernels via the request context, so all of those surfaces
+// join on it.
 
 // tracePIDServe is the Chrome-trace process id of the serving layer's HTTP
 // spans (the ckks evaluator uses pid 1, the cycle simulator pid 2).

@@ -207,8 +207,8 @@ func TestIdempotentReplaySameProcess(t *testing.T) {
 	if got := d.mIdemReplays.Value(); got != 1 {
 		t.Fatalf("fastd.idem.replays = %d, want 1", got)
 	}
-	// A different key re-executes (the batcher's encoding is deterministic
-	// for this program, so only the counter distinguishes the paths).
+	// A different key re-executes (evaluation is deterministic for this
+	// program, so only the counter distinguishes the paths).
 	doJSON(t, http.MethodPost, url, map[string]string{"Idempotency-Key": "k2"}, prog, nil)
 	if got := d.mIdemReplays.Value(); got != 1 {
 		t.Fatalf("fastd.idem.replays after distinct key = %d, want 1", got)

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 
@@ -15,12 +14,10 @@ import (
 // rotation fan-out is hoisted, methods are chosen per site from the cost
 // model, and the plan's unit weight prices admission.
 
-// compiledEval is a fully planned request, ready for (batched) execution.
+// compiledEval is a fully planned request, ready for execution.
 type compiledEval struct {
-	sess     *session
-	plan     *fast.Plan
-	inputs   map[string]*fast.Ciphertext
-	inputIDs map[string]string
+	plan   *fast.Plan
+	inputs map[string]*fast.Ciphertext
 }
 
 // compileEval parses, validates and plans an eval request body. Every error
@@ -51,11 +48,7 @@ func compileEval(sess *session, body []byte) (*compiledEval, error) {
 	// compiled level propagation and method choices from these levels, so a
 	// silent extra or missing input would be a plan for a different program.
 	declared := make(map[string]bool, len(prog.Inputs()))
-	ce := &compiledEval{
-		sess:     sess,
-		inputs:   make(map[string]*fast.Ciphertext, len(wire.inputs)),
-		inputIDs: make(map[string]string, len(wire.inputs)),
-	}
+	ce := &compiledEval{inputs: make(map[string]*fast.Ciphertext, len(wire.inputs))}
 	levels := make(map[string]int, len(wire.inputs))
 	for _, name := range prog.Inputs() {
 		declared[name] = true
@@ -63,15 +56,11 @@ func compileEval(sess *session, body []byte) (*compiledEval, error) {
 		if !ok {
 			return nil, fmt.Errorf("missing ciphertext for input %q", name)
 		}
-		// The input's identity for batch merging is a digest of its wire
-		// bytes, taken while they are in cache from the decode.
-		var digest [sha256.Size]byte
-		ct, err := readCiphertext(sess.ctx, b64, &digest)
+		ct, err := readCiphertext(sess.ctx, b64)
 		if err != nil {
 			return nil, fmt.Errorf("input %q: %w", name, err)
 		}
 		ce.inputs[name] = ct
-		ce.inputIDs[name] = string(digest[:])
 		levels[name] = ct.Level()
 	}
 	for _, in := range wire.inputs {

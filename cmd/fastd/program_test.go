@@ -6,11 +6,13 @@ package main
 // shadowed input from dead code without parsing Go error chains.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 
 	fast "github.com/fastfhe/fast"
@@ -246,5 +248,64 @@ func TestEvalSequentialModeMatchesBatched(t *testing.T) {
 	}
 	if served.Ciphertext != want.Ciphertext {
 		t.Fatal("the served eval is not byte-identical to ExecuteSequential on the same session and seed")
+	}
+}
+
+// TestServedEvalsRunAlone: concurrent evals of one session, queued behind one
+// worker, each execute as a one-run batch of their own. fastd shares no work
+// across requests, so every plan record holds one run under its own batch
+// number, and no serve_batch_* series is exported.
+func TestServedEvalsRunAlone(t *testing.T) {
+	const evals = 8
+	_, ts := newTestDaemon(t, daemonConfig{Workers: 1, QueueDepth: evals})
+	base := ts.URL
+	sr := createSession(t, base, testSessionRequest())
+	prog := fast.NewProgram().In("x").
+		Rotate("a", "x", 1, hybrid).Rotate("b", "x", 4, hybrid).
+		Add("out", "a", "b").
+		Return("out")
+	bodies := make([][]byte, evals)
+	for i := range bodies {
+		vals := make([]complex128, sr.Slots)
+		vals[0] = complex(float64(i+1), 0)
+		bodies[i] = mustJSON(t, evalOf(prog, encryptValues(t, base, sr.ID, vals).Ciphertext))
+	}
+	var wg sync.WaitGroup
+	for i := range bodies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(base+"/v1/sessions/"+sr.ID+"/eval", "application/json", bytes.NewReader(bodies[i]))
+			if err != nil {
+				t.Errorf("eval %d: %v", i, err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("eval %d: status %d", i, resp.StatusCode)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	var plans struct {
+		Plans []fast.PlanRecord `json:"plans"`
+	}
+	doJSON(t, http.MethodGet, base+"/debug/plans", nil, nil, &plans)
+	if len(plans.Plans) != evals {
+		t.Fatalf("%d plan records, want %d", len(plans.Plans), evals)
+	}
+	batches := map[uint64]bool{}
+	for _, rec := range plans.Plans {
+		if rec.Runs != 1 || batches[rec.Batch] {
+			t.Errorf("plan record %+v: want one run under a batch number of its own", rec)
+		}
+		batches[rec.Batch] = true
+	}
+	if _, metrics := doJSON(t, http.MethodGet, base+"/metrics", nil, nil, nil); strings.Contains(string(metrics), "serve_batch_") {
+		t.Error("/metrics exports serve_batch_* series")
 	}
 }

@@ -5,69 +5,27 @@ import (
 	"net/http"
 	"strconv"
 
-	fast "github.com/fastfhe/fast"
-	"github.com/fastfhe/fast/internal/obs"
 	"github.com/fastfhe/fast/internal/serve"
 	sessreg "github.com/fastfhe/fast/internal/session"
 )
 
-// evalShard is one failure-isolated serving lane: its own admission queue,
-// worker pool and micro-batcher. The consistent-hash ring pins each session
-// ID to one shard, so an overloaded queue or a panic storm on one shard
-// cannot slow, refuse or wedge traffic owned by its neighbors. Which sessions
-// a shard holds is the daemon's session registry's to say; the shard is
-// compute only.
+// evalShard is one failure-isolated serving lane: its own admission queue
+// and worker pool. The consistent-hash ring pins each session ID to one
+// shard, so an overloaded queue or a panic storm on one shard cannot slow,
+// refuse or wedge traffic owned by its neighbors. Which sessions a shard
+// holds is the daemon's session registry's to say; the shard is compute only.
 type evalShard struct {
-	id      int
-	srv     *serve.Server
-	batcher *serve.Batcher
+	id  int
+	srv *serve.Server
 }
 
 func newEvalShard(d *daemon, id int) *evalShard {
 	cfg := d.cfg
-	reg := cfg.Observer.Registry()
-	sh := &evalShard{id: id}
-	sh.srv = serve.New(serve.Config{
+	return &evalShard{id: id, srv: serve.New(serve.Config{
 		Workers:    cfg.Workers,
 		QueueDepth: cfg.QueueDepth,
-		Reg:        reg,
-	})
-	// Eval requests batch by session: concurrently admitted programs on one
-	// keyspace execute as a micro-batch, sharing hoisted decompositions when
-	// their rotation groups read identical input ciphertexts. Batch keys are
-	// session IDs and sessions are shard-pinned, so per-shard batchers never
-	// split a batch.
-	sh.batcher = serve.NewBatcher(sh.srv, sh.runEvalBatch, reg)
-	return sh
-}
-
-// runEvalBatch executes one micro-batch of compiled eval requests. All items
-// share a batch key (the session ID), so one session context executes them;
-// each run keeps its own request context for per-request cancellation.
-func (sh *evalShard) runEvalBatch(items []*serve.BatchItem) {
-	runs := make([]*fast.Run, len(items))
-	var sess *session
-	for i, it := range items {
-		ce := it.Payload.(*compiledEval)
-		sess = ce.sess
-		runs[i] = &fast.Run{
-			Plan:     ce.plan,
-			Inputs:   ce.inputs,
-			InputIDs: ce.inputIDs,
-			Ctx:      it.Ctx,
-		}
-	}
-	sess.ctx.ExecuteBatch(runs)
-	for i, it := range items {
-		// Stamp the batch sequence onto the in-flight record so the access
-		// log and /debug/requests can join against /debug/plans.
-		obs.RequestFrom(it.Ctx).SetBatch(runs[i].Batch)
-		if runs[i].Err != nil {
-			it.Finish(nil, runs[i].Err)
-			continue
-		}
-		it.Finish(renderCiphertext(runs[i].Out), nil)
-	}
+		Reg:        cfg.Observer.Registry(),
+	})}
 }
 
 // ---- Fencing and failover -------------------------------------------------

@@ -3,22 +3,22 @@ package fast
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync/atomic"
 
 	"github.com/fastfhe/fast/internal/obs"
 )
 
-// This file executes Plans: single runs, micro-batches of concurrently
-// admitted runs (sharing hoisted decompositions across requests when their
-// rotation groups read identical input ciphertexts), and the sequential
-// reference interpretation the differential suite compares against.
+// This file executes Plans: single runs, batches of runs executed one after
+// another, and the sequential reference interpretation the differential
+// suite compares against. Hoisting happens within one run's program, never
+// across runs: two runs in a batch share no decomposition, even when they
+// read the same ciphertext.
 //
 // Bit-identity contract: ExecuteBatch and ExecuteSequential produce byte-for-
-// byte identical ciphertexts for the same plan and inputs. Three properties
-// make this hold: (1) every planned rotation — singletons included — runs
-// through the hoisted kernel, whose per-rotation output is independent of the
-// other rotations sharing the decomposition; (2) a fused Add tree runs as one
+// byte identical ciphertexts for the same plan and inputs, and a run's bytes
+// do not depend on the other runs of its batch. Three properties make this
+// hold: (1) every planned rotation — singletons included — runs through the
+// hoisted kernel, whose per-rotation output is independent of the other
+// rotations sharing the decomposition; (2) a fused Add tree runs as one
 // rotate-and-sum in both, whose output depends only on the source and the
 // multiset of its rotations; (3) method decisions are deterministic in
 // (program, input levels, context), so both interpreters resolve the same
@@ -33,12 +33,6 @@ type Run struct {
 	// Inputs maps declared input registers to ciphertexts at the levels the
 	// plan was compiled for.
 	Inputs map[string]*Ciphertext
-	// InputIDs optionally names each input's identity (e.g. a digest of the
-	// wire bytes the daemon decoded it from). Two runs' rotation groups merge
-	// into one hoisted decomposition only when they read inputs with equal
-	// IDs at equal level and method; without IDs, pointer identity of the
-	// *Ciphertext is used.
-	InputIDs map[string]string
 	// Ctx cancels this run independently of its batchmates (nil = Background).
 	// A request ID carried by Ctx (see ContextWithRequestID) is propagated to
 	// the run's trace spans and recorded on the batch's PlanRecords.
@@ -47,9 +41,9 @@ type Run struct {
 	Out *Ciphertext
 	// Err is the run's failure, wrapping the package taxonomy (set on error).
 	Err error
-	// Batch is the observer-wide micro-batch sequence number this run executed
-	// under (set by ExecuteBatch on an observed context; 0 otherwise). Equal
-	// Batch values identify runs coalesced into one batch.
+	// Batch is the observer-wide sequence number of the ExecuteBatch call
+	// this run executed in (set on an observed context; 0 otherwise). Equal
+	// Batch values identify runs of one call.
 	Batch uint64
 
 	regs map[string]*Ciphertext // register file
@@ -104,200 +98,90 @@ func (c *Context) prepareRun(run *Run) bool {
 // run's own context when that is the cause.
 func (run *Run) failNode(node int, err error) {
 	op := run.Plan.nodes[node].op
-	if ctxErr := run.Ctx.Err(); ctxErr != nil {
-		err = wrapRunCtxErr(ctxErr)
+	switch ctxErr := run.Ctx.Err(); ctxErr {
+	case nil:
+	case context.DeadlineExceeded:
+		err = fmt.Errorf("%w: %w", ErrDeadline, ctxErr)
+	default:
+		err = fmt.Errorf("%w: %w", ErrCanceled, ctxErr)
 	}
 	run.Err = fmt.Errorf("op %d (%s -> %s): %w", node, op.Op, op.Out, err)
 }
 
-func wrapRunCtxErr(ctxErr error) error {
-	if ctxErr == context.DeadlineExceeded {
-		return fmt.Errorf("%w: %w", ErrDeadline, ctxErr)
-	}
-	return fmt.Errorf("%w: %w", ErrCanceled, ctxErr)
-}
-
-// mergeKey identifies a hoisted rotation group two runs may share: the input
-// it rotates — by the caller-supplied ID or, without one, by the ciphertext
-// itself (exactly one of id and ct is set, so the two kinds never collide) —
-// at one level under one method.
-type mergeKey struct {
-	id     string
-	ct     *Ciphertext
-	level  int
-	method Method
-}
-
-// inputKey resolves the merge identity of a run's input register.
-func (run *Run) inputKey(reg string, level int, method Method) mergeKey {
-	if id := run.InputIDs[reg]; id != "" {
-		return mergeKey{id: id, level: level, method: method}
-	}
-	return mergeKey{ct: run.Inputs[reg], level: level, method: method}
-}
-
-// batchStep is one schedulable unit: a hoisted rotation group (possibly
-// merged across runs) or one solo node of one run.
-type batchStep struct {
-	members []stepMember
-	group   bool
-	method  Method
-}
-
-// stepMember is one run's share of a step: for groups, every group-member
-// node of that run; for solo steps, the single node.
-type stepMember struct {
-	run   *Run
-	nodes []int
-}
-
-// ExecuteBatch executes a micro-batch of runs on the shared context. The
-// scheduler walks all runs' DAG nodes in deterministic (run, node) order and
-// merges rotation groups that read identical input ciphertexts at the same
-// level and method into one hoisted decomposition — one ModUp serving every
-// member request. Each run keeps its own cancellation: a canceled run fails
-// with its own ErrCanceled/ErrDeadline at its next node while batchmates
-// proceed; a merged kernel is canceled only when every owning run is done.
-//
-// Results and errors are reported per run on Run.Out / Run.Err. Runs in one
-// batch must share input *levels* only if they share input bytes; otherwise
-// they are fully independent.
+// ExecuteBatch executes runs on the shared context one after another, in
+// order. Runs share nothing but the context and its keys: each runs its own
+// hoist groups on its own decompositions, exactly as a one-run Execute
+// would, and keeps its own cancellation — a canceled run fails with its own
+// ErrCanceled/ErrDeadline at its next step while the runs after it proceed.
+// Results and errors are reported per run on Run.Out / Run.Err.
 func (c *Context) ExecuteBatch(runs []*Run) {
-	var steps []batchStep
-	stepOf := make(map[mergeKey]int)
 	for _, run := range runs {
-		if run == nil || !c.prepareRun(run) {
-			continue
-		}
-		plan := run.Plan
-		for i := range plan.nodes {
-			n := &plan.nodes[i]
-			if n.op.Op == "add" && n.fused >= 0 {
-				continue // written by its group's step
-			}
-			if n.op.Op == "rotate" {
-				g := plan.groups[n.group]
-				if g[0] != i {
-					continue // scheduled with the group's first member
-				}
-				st := batchStep{group: true, method: n.method, members: []stepMember{{run: run, nodes: append([]int(nil), g...)}}}
-				// Merge only groups rotating a program input: identical
-				// bytes in, deterministic kernels, identical bytes out.
-				if n.srcA == -1 {
-					k := run.inputKey(n.op.A, n.levelIn, n.method)
-					if si, ok := stepOf[k]; ok {
-						steps[si].members = append(steps[si].members, st.members[0])
-						continue
-					}
-					stepOf[k] = len(steps)
-				}
-				steps = append(steps, st)
-				continue
-			}
-			steps = append(steps, batchStep{members: []stepMember{{run: run, nodes: []int{i}}}})
+		if run != nil && c.prepareRun(run) {
+			c.execRun(run)
 		}
 	}
-
-	merged := 0
-	for si := range steps {
-		st := &steps[si]
-		// Drop members whose run already failed or whose context is done.
-		alive := st.members[:0]
-		for _, m := range st.members {
-			if m.run.Err != nil {
-				continue
-			}
-			if ctxErr := m.run.Ctx.Err(); ctxErr != nil {
-				m.run.failNode(m.nodes[0], wrapRunCtxErr(ctxErr))
-				continue
-			}
-			alive = append(alive, m)
-		}
-		st.members = alive
-		if len(st.members) == 0 {
-			continue
-		}
-		if st.group {
-			if len(st.members) > 1 {
-				for _, m := range st.members {
-					merged += len(m.nodes)
-				}
-			}
-			c.execGroupStep(st)
-		} else {
-			c.execSoloStep(st.members[0].run, st.members[0].nodes[0])
-		}
-	}
-
-	for _, run := range runs {
-		if run != nil && run.Err == nil && run.regs != nil {
-			run.Out = run.regs[run.Plan.prog.output]
-		}
-	}
-	c.recordBatch(runs, merged)
+	c.recordBatch(runs)
 }
 
-// execGroupStep runs one hoisted rotation group, possibly shared by several
-// runs, as one call on one decomposition (evk accounting, metrics and
-// cancellation behave exactly as a RotateHoisted call would): the union of
-// the members' rotations outside a fused tree, and one rotate-and-sum per
-// distinct multiset of rotations the members' fused trees sum — identical
-// runs share it, as they share their loose rotations.
-func (c *Context) execGroupStep(st *batchStep) {
-	lead := st.members[0]
-	src := lead.run.regs[lead.run.Plan.nodes[lead.nodes[0]].op.A]
-	rotSet := make(map[int]bool)
-	var sums [][]int
-	var sumIdx []int // per member's fused tree, in member order
-	sumOf := make(map[string]int)
-	for _, m := range st.members {
-		plan := m.run.Plan
-		for _, node := range m.nodes {
-			if n := &plan.nodes[node]; n.fused < 0 {
-				rotSet[n.op.R] = true
-			}
+// execRun walks one prepared run's DAG in node order: a hoist group runs at
+// its first member, a fused add with its group, any other node on its own.
+func (c *Context) execRun(run *Run) {
+	plan := run.Plan
+	for i := range plan.nodes {
+		n := &plan.nodes[i]
+		if n.op.Op == "add" && n.fused >= 0 {
+			continue // written by its group's step
 		}
-		for _, fi := range plan.groupFused[plan.nodes[m.nodes[0]].group] {
-			rots := plan.fused[fi].rots
-			key := fmt.Sprint(rots)
-			si, ok := sumOf[key]
-			if !ok {
-				si = len(sums)
-				sumOf[key] = si
-				sums = append(sums, rots)
-			}
-			sumIdx = append(sumIdx, si)
+		if n.op.Op == "rotate" && plan.groups[n.group][0] != i {
+			continue // run with the group's first member
+		}
+		if ctxErr := run.Ctx.Err(); ctxErr != nil {
+			run.failNode(i, ctxErr)
+			return
+		}
+		if n.op.Op == "rotate" {
+			c.execGroupStep(run, n.group)
+		} else {
+			c.execSoloStep(run, i)
+		}
+		if run.Err != nil {
+			return
 		}
 	}
-	rots := make([]int, 0, len(rotSet))
-	for r := range rotSet {
-		rots = append(rots, r)
-	}
-	sort.Ints(rots)
+	run.Out = run.regs[plan.prog.output]
+}
 
-	ctxs := make([]context.Context, len(st.members))
-	for i, m := range st.members {
-		ctxs[i] = m.run.Ctx
-	}
-	mctx, stop := mergedContext(ctxs)
-	defer stop()
-	outs, sumOuts, err := c.rotateHoistedSums(src, rots, sums, WithContext(mctx), WithMethod(st.method))
-	if err != nil {
-		for _, m := range st.members {
-			m.run.failNode(m.nodes[0], err)
+// execGroupStep runs one hoist group of a run as one call on one
+// decomposition (evk accounting, metrics and cancellation behave exactly as
+// a RotateHoisted call would): the group's rotations outside a fused tree,
+// and one rotate-and-sum per fused tree over it.
+func (c *Context) execGroupStep(run *Run, group int) {
+	plan := run.Plan
+	g := plan.groups[group]
+	lead := &plan.nodes[g[0]]
+	var rots []int
+	for _, node := range g {
+		if n := &plan.nodes[node]; n.fused < 0 {
+			rots = append(rots, n.op.R)
 		}
+	}
+	fused := plan.groupFused[group]
+	sums := make([][]int, len(fused))
+	for i, fi := range fused {
+		sums[i] = plan.fused[fi].rots
+	}
+	outs, sumOuts, err := c.rotateHoistedSums(run.regs[lead.op.A], rots, sums, WithContext(run.Ctx), WithMethod(lead.method))
+	if err != nil {
+		run.failNode(g[0], err)
 		return
 	}
-	for _, m := range st.members {
-		plan := m.run.Plan
-		for _, node := range m.nodes {
-			if n := &plan.nodes[node]; n.fused < 0 {
-				m.run.regs[n.op.Out] = outs[n.op.R]
-			}
+	for _, node := range g {
+		if n := &plan.nodes[node]; n.fused < 0 {
+			run.regs[n.op.Out] = outs[n.op.R]
 		}
-		for _, fi := range plan.groupFused[plan.nodes[m.nodes[0]].group] {
-			m.run.regs[plan.nodes[plan.fused[fi].root].op.Out], sumIdx = sumOuts[sumIdx[0]], sumIdx[1:]
-		}
+	}
+	for i, fi := range fused {
+		run.regs[plan.nodes[plan.fused[fi].root].op.Out] = sumOuts[i]
 	}
 }
 
@@ -346,7 +230,7 @@ func (c *Context) execSoloStep(run *Run, node int) {
 
 // ExecuteSequential interprets the plan straight-line in program order — the
 // v1 interpretation, kept as the differential reference and the baseline the
-// batching benchmark compares against. Every rotation outside a fused tree
+// planner benchmark compares against. Every rotation outside a fused tree
 // runs as a singleton hoisted call with the plan's method decision, and each
 // fused tree as one rotate-and-sum at its root add, which by the
 // bit-identity contract (see top of file) yields byte-identical outputs to
@@ -390,57 +274,12 @@ func (c *Context) ExecuteSequential(ctx context.Context, plan *Plan, inputs map[
 	return run.regs[plan.prog.output], nil
 }
 
-// mergedContext derives a context canceled only when ALL owner contexts are
-// done — the cancellation rule for kernels shared across runs. With zero or
-// one distinct owners it short-circuits. Deadlines do not propagate: a
-// deadline-bound run abandons its remaining nodes itself, without tearing
-// down a kernel its batchmates still need. The returned stop releases the
-// watchers; callers must invoke it.
-func mergedContext(ctxs []context.Context) (context.Context, func()) {
-	distinct := ctxs[:0]
-	for _, ctx := range ctxs {
-		dup := false
-		for _, d := range distinct {
-			if d == ctx {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			distinct = append(distinct, ctx)
-		}
-	}
-	switch len(distinct) {
-	case 0:
-		return context.Background(), func() {}
-	case 1:
-		return distinct[0], func() {}
-	}
-	mctx, cancel := context.WithCancel(context.Background())
-	var remaining atomic.Int64
-	remaining.Store(int64(len(distinct)))
-	stops := make([]func() bool, len(distinct))
-	for i, ctx := range distinct {
-		stops[i] = context.AfterFunc(ctx, func() {
-			if remaining.Add(-1) == 0 {
-				cancel()
-			}
-		})
-	}
-	return mctx, func() {
-		for _, s := range stops {
-			s()
-		}
-		cancel()
-	}
-}
-
 // recordBatch tallies the planner's decisions on the observer: one
 // aether.decision.{hybrid,klss} count per executed key-switch site,
 // aether.decision.hoisted per rotation served from a shared decomposition,
 // plus a PlanRecord per run correlating the metrics with a fingerprinted
 // program execution.
-func (c *Context) recordBatch(runs []*Run, mergedRotations int) {
+func (c *Context) recordBatch(runs []*Run) {
 	if c.observer == nil {
 		return
 	}
@@ -479,14 +318,13 @@ func (c *Context) recordBatch(runs []*Run, mergedRotations int) {
 			}
 		}
 		c.observer.recordPlan(PlanRecord{
-			Fingerprint:     plan.fingerprint,
-			Batch:           seq,
-			Runs:            executed,
-			MergedRotations: mergedRotations,
-			Units:           plan.units,
-			Decisions:       plan.Decisions(),
-			RequestIDs:      requestIDs,
-			Err:             run.Err != nil,
+			Fingerprint: plan.fingerprint,
+			Batch:       seq,
+			Runs:        executed,
+			Units:       plan.units,
+			Decisions:   plan.Decisions(),
+			RequestIDs:  requestIDs,
+			Err:         run.Err != nil,
 		})
 	}
 }

@@ -10,7 +10,7 @@ import (
 // Request identity propagation.
 //
 // The serving stack threads one request ID through every layer it crosses —
-// HTTP middleware, admission queue, batcher, planner execution, down to the
+// HTTP middleware, admission queue, planner execution, down to the
 // key-switch kernels — via context.Context. Two carriers exist:
 //
 //   - a bare ID string (WithRequestID), the lightweight form any library

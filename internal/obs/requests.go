@@ -117,7 +117,8 @@ func (r *Request) SetUnits(u float64) {
 	r.mu.Unlock()
 }
 
-// SetBatch records the micro-batch sequence number the request executed in.
+// SetBatch records the batch sequence number (fast.PlanRecord.Batch) the
+// request executed under.
 func (r *Request) SetBatch(seq uint64) {
 	if r == nil {
 		return
@@ -162,7 +163,7 @@ func (r *Request) QueueWait() time.Duration {
 	return r.execAt.Sub(r.queuedAt)
 }
 
-// Batch returns the recorded micro-batch sequence (0 = none).
+// Batch returns the recorded batch sequence (0 = none).
 func (r *Request) Batch() uint64 {
 	if r == nil {
 		return 0

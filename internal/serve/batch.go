@@ -65,6 +65,10 @@ func (it *BatchItem) Finish(res any, err error) {
 
 // Batcher coalesces same-key requests admitted through one Server into
 // micro-batches. Create with NewBatcher.
+//
+// Nothing serves through it (fastd runs each eval alone) and it is a removal
+// candidate; it stays because benchmark/ builds its serve.batcher_overhead_us
+// probe on NewBatcher, so removing it waits for a benchmark PR.
 type Batcher struct {
 	srv  *Server
 	exec func([]*BatchItem)

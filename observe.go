@@ -35,28 +35,26 @@ const planRingCap = 256
 
 // PlanRecord correlates one planned program execution with the observer's
 // aether.decision.* counters: which program (by plan fingerprint), in which
-// micro-batch, with which per-site verdicts. Records land in a bounded ring
-// (capacity 256, oldest evicted first).
+// ExecuteBatch call, with which per-site verdicts. Records land in a bounded
+// ring (capacity 256, oldest evicted first).
 type PlanRecord struct {
 	// Fingerprint identifies the (program, input levels, options) tuple —
 	// Plan.Fingerprint of the executed plan.
 	Fingerprint string `json:"fingerprint"`
-	// Batch is the observer-wide micro-batch sequence number; runs coalesced
-	// into one ExecuteBatch share it.
+	// Batch is the observer-wide sequence number of the ExecuteBatch call
+	// (Execute is a one-run call); the runs of one call share it.
 	Batch uint64 `json:"batch"`
-	// Runs is the number of runs executed in the batch.
+	// Runs is the number of runs executed in the call. Runs share no work:
+	// each hoists only within its own program.
 	Runs int `json:"runs"`
-	// MergedRotations counts rotations in the batch served from a
-	// decomposition shared across runs (0 when nothing merged).
-	MergedRotations int `json:"merged_rotations"`
 	// Units is the plan's admission weight.
 	Units float64 `json:"units"`
 	// Decisions are the planner's per-site verdicts (Plan.Decisions).
 	Decisions []PlanDecision `json:"decisions"`
-	// RequestIDs lists the serving-request identifiers of every run coalesced
-	// into this record's batch (see ContextWithRequestID), in run order —
-	// the join key between the plan ring, the access log and the trace.
-	// Empty when no run carried an ID.
+	// RequestIDs lists the serving-request identifiers of every run of this
+	// record's call (see ContextWithRequestID), in run order — the join key
+	// between the plan ring, the access log and the trace. Empty when no run
+	// carried an ID.
 	RequestIDs []string `json:"request_ids,omitempty"`
 	// Err reports that this run failed (cancellation included).
 	Err bool `json:"err,omitempty"`

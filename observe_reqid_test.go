@@ -9,8 +9,8 @@ import (
 
 // TestPlanRecordRequestIDs pins the library-level correlation contract: a
 // request ID attached to a run's context (ContextWithRequestID) is listed on
-// every PlanRecord of the batch the run coalesced into, in run order, and
-// each executed run learns its batch sequence number.
+// every PlanRecord of the ExecuteBatch call the run executed in, in run
+// order, and each executed run learns its batch sequence number.
 func TestPlanRecordRequestIDs(t *testing.T) {
 	ob := NewObserver()
 	cfg := DefaultConfig()

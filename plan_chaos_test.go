@@ -133,10 +133,10 @@ func TestChaosPlannerDifferentialBitExact(t *testing.T) {
 	}
 }
 
-// TestChaosPlannerConcurrentBatchBitExact merges several concurrently
-// admitted runs — two of them sharing the literal same input ciphertext, so
-// their rotation groups merge across runs — and checks each run's output
-// against its own sequential execution.
+// TestChaosPlannerConcurrentBatchBitExact executes several runs in one
+// batch — two of them reading the literal same input ciphertext, which each
+// decomposes on its own — and checks each run's output against its own
+// sequential execution.
 func TestChaosPlannerConcurrentBatchBitExact(t *testing.T) {
 	ctx := sharedConcCtx(t)
 	prog := differentialPrograms()["fanout"]
@@ -149,7 +149,7 @@ func TestChaosPlannerConcurrentBatchBitExact(t *testing.T) {
 	other := chaosPlanInputs(ctx, t, 2)
 	runs := []*Run{
 		{Plan: plan, Inputs: shared},
-		{Plan: plan, Inputs: shared}, // same ciphertext pointers: cross-run merge
+		{Plan: plan, Inputs: shared}, // same ciphertext pointers, no shared work
 		{Plan: plan, Inputs: other},
 	}
 	ctx.ExecuteBatch(runs)
@@ -211,9 +211,9 @@ func TestChaosPlannerParallelBatchesBitExact(t *testing.T) {
 // TestChaosPlannerHoistReducesModUp is the quantitative claim behind the
 // planner: a 3-rotation fan-out costs 3 ModUps straight-line but 1 hoisted
 // (paper §2.2.3), and summed by an Add tree it is one key switch in both
-// executors — one ModUp and one ModDown pair, also for two merged runs.
-// Counted via the key-switch phase histograms (one moddown_ns observation
-// per pair).
+// executors — one ModUp and one ModDown pair. Two runs of one input in one
+// batch share nothing: each pays its own. Counted via the key-switch phase
+// histograms (one moddown_ns observation per pair).
 func TestChaosPlannerHoistReducesModUp(t *testing.T) {
 	ob := NewObserver()
 	cfg := DefaultConfig()
@@ -251,14 +251,14 @@ func TestChaosPlannerHoistReducesModUp(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, ex := range []struct {
-			name string
-			run  func() (*Ciphertext, error)
-			ups  uint64
+			name       string
+			run        func() (*Ciphertext, error)
+			ups, downs uint64
 		}{
-			{"sequential", func() (*Ciphertext, error) { return ctx.ExecuteSequential(context.Background(), plan, inputs) }, row.seqUps},
-			{"batch", func() (*Ciphertext, error) { return ctx.Execute(context.Background(), plan, inputs) }, row.batchUps},
-			// Two runs of one input merge: they share the ModUp, the loose
-			// rotations and the sum.
+			{"sequential", func() (*Ciphertext, error) { return ctx.ExecuteSequential(context.Background(), plan, inputs) }, row.seqUps, row.downs},
+			{"batch", func() (*Ciphertext, error) { return ctx.Execute(context.Background(), plan, inputs) }, row.batchUps, row.downs},
+			// Two runs of one input do not merge: each runs its own ModUp,
+			// loose rotations and sum.
 			{"batch-of-two", func() (*Ciphertext, error) {
 				runs := []*Run{{Plan: plan, Inputs: inputs}, {Plan: plan, Inputs: inputs}}
 				ctx.ExecuteBatch(runs)
@@ -266,94 +266,22 @@ func TestChaosPlannerHoistReducesModUp(t *testing.T) {
 					return nil, runs[1].Err
 				}
 				return runs[0].Out, runs[0].Err
-			}, row.batchUps},
+			}, 2 * row.batchUps, 2 * row.downs},
 		} {
 			up0, down0 := phase(".modup_ns"), phase(".moddown_ns")
 			if _, err := ex.run(); err != nil {
 				t.Fatal(err)
 			}
-			if ups, downs := phase(".modup_ns")-up0, phase(".moddown_ns")-down0; ups != ex.ups || downs != row.downs {
-				t.Errorf("%s %s: %d ModUps, %d ModDown pairs; want %d and %d", row.name, ex.name, ups, downs, ex.ups, row.downs)
-			}
-		}
-	}
-}
-
-// TestChaosPlannerMergeIdentity pins what makes two runs' rotation groups
-// one hoisted decomposition: equal InputIDs (the serving layer's digest of
-// the wire bytes — the two runs hold DIFFERENT *Ciphertext values decoded
-// from the same bytes) share one ModUp, different IDs do not, and without
-// IDs the ciphertext pointer decides.
-func TestChaosPlannerMergeIdentity(t *testing.T) {
-	ob := NewObserver()
-	cfg := DefaultConfig()
-	cfg.LogN = 9
-	cfg.Levels = 3
-	cfg.Seed = 11
-	ctx, err := NewContext(cfg, WithObserver(ob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog := NewProgram().In("x").
-		Rotate("a", "x", 1).
-		Rotate("b", "x", 2).
-		Add("out", "a", "b").
-		Return("out")
-	plan, err := ctx.Plan(prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wire := ctBytes(t, chaosPlanInputs(ctx, t, 5)["x"])
-	decode := func() map[string]*Ciphertext {
-		ct, err := ctx.ReadCiphertextBytes(wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return map[string]*Ciphertext{"x": ct}
-	}
-	want, err := ctx.ExecuteSequential(context.Background(), plan, decode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	modUps := func() uint64 {
-		return ob.Metrics().Histograms["ckks.keyswitch.hybrid.modup_ns"].Count +
-			ob.Metrics().Histograms["ckks.keyswitch.klss.modup_ns"].Count
-	}
-	id := func(s string) map[string]string { return map[string]string{"x": s} }
-	shared := decode()
-	for _, tc := range []struct {
-		name string
-		runs []*Run
-		want uint64
-	}{
-		{"equal IDs, distinct ciphertexts", []*Run{{Inputs: decode(), InputIDs: id("digest-1")}, {Inputs: decode(), InputIDs: id("digest-1")}}, 1},
-		{"different IDs", []*Run{{Inputs: decode(), InputIDs: id("digest-1")}, {Inputs: decode(), InputIDs: id("digest-2")}}, 2},
-		{"no IDs, one ciphertext", []*Run{{Inputs: shared}, {Inputs: shared}}, 1},
-		{"no IDs, distinct ciphertexts", []*Run{{Inputs: decode()}, {Inputs: decode()}}, 2},
-		{"an ID never matches a pointer", []*Run{{Inputs: shared, InputIDs: id(fmt.Sprintf("%p", shared["x"]))}, {Inputs: shared}}, 2},
-	} {
-		for _, r := range tc.runs {
-			r.Plan = plan
-		}
-		before := modUps()
-		ctx.ExecuteBatch(tc.runs)
-		if got := modUps() - before; got != tc.want {
-			t.Errorf("%s: %d ModUps, want %d", tc.name, got, tc.want)
-		}
-		for i, r := range tc.runs {
-			if r.Err != nil {
-				t.Fatalf("%s: run %d: %v", tc.name, i, r.Err)
-			}
-			if !bytes.Equal(ctBytes(t, r.Out), ctBytes(t, want)) {
-				t.Errorf("%s: run %d is not bit-identical to the sequential reference", tc.name, i)
+			if ups, downs := phase(".modup_ns")-up0, phase(".moddown_ns")-down0; ups != ex.ups || downs != ex.downs {
+				t.Errorf("%s %s: %d ModUps, %d ModDown pairs; want %d and %d", row.name, ex.name, ups, downs, ex.ups, ex.downs)
 			}
 		}
 	}
 }
 
 // TestChaosPlannerBatchCancellation: a pre-canceled run inside a batch fails
-// with ErrCanceled while its batchmates complete bit-exactly — per-request
-// cancellation survives micro-batching.
+// with ErrCanceled while its batchmates complete bit-exactly — each run of a
+// batch keeps its own cancellation.
 func TestChaosPlannerBatchCancellation(t *testing.T) {
 	ctx := sharedConcCtx(t)
 	prog := differentialPrograms()["fanout"]
@@ -390,7 +318,7 @@ func TestChaosPlannerBatchCancellation(t *testing.T) {
 }
 
 // TestChaosPlanRecordsIntrospection: executed batches surface their plan
-// decisions and merge accounting on the Observer.
+// decisions and run count on the Observer.
 func TestChaosPlanRecordsIntrospection(t *testing.T) {
 	ob := NewObserver()
 	cfg := DefaultConfig()
@@ -429,9 +357,6 @@ func TestChaosPlanRecordsIntrospection(t *testing.T) {
 		if rec.Runs != 2 || rec.Err {
 			t.Fatalf("record %+v: want Runs=2, Err=false", rec)
 		}
-		if rec.MergedRotations == 0 {
-			t.Fatal("identical-input batch recorded no merged rotations")
-		}
 		if len(rec.Decisions) != len(plan.Decisions()) {
 			t.Fatalf("record carries %d decisions, plan has %d", len(rec.Decisions), len(plan.Decisions()))
 		}
@@ -447,10 +372,10 @@ func TestChaosPlanRecordsIntrospection(t *testing.T) {
 }
 
 // TestFusedSiteParallelBatchesBitExact drives fused sites through
-// ExecuteBatch from several goroutines at once under -race: each batch
-// merges two runs reading one input (one decomposition, one shared sum, a
-// loose rotation beside it) next to a run of its own, and every output must
-// be the bytes of its sequential execution.
+// ExecuteBatch from several goroutines at once under -race: each batch holds
+// two runs reading one input and a run of its own, every run decomposes its
+// input once for its sum and the loose rotation beside it, and every output
+// must be the bytes of its sequential execution.
 func TestFusedSiteParallelBatchesBitExact(t *testing.T) {
 	ctx := sharedConcCtx(t)
 	prog := NewProgram().In("x", "y").
