@@ -229,7 +229,8 @@ vet: loc
 # docs. Came in: idemTable.persist and errDeleted (every .snap write runs
 # under the ID's write guard, so none lands after a DELETE), session.idem and
 # session.save, and the legacy sidecar's unlink after the first restore.
-# loadEpoch stays as the legacy reader; crc32c stays for the ring.
+# The sidecar reader stays for legacy dirs (it went with the next entry);
+# crc32c stays for the ring.
 #
 # 3223 -> 3182: a served eval is one run. Went from shard.go (175 -> 133):
 # evalShard.batcher, runEvalBatch and the batcher wiring; from program.go
@@ -239,7 +240,19 @@ vet: loc
 # one-run ExecuteBatch inside the shard's Server.Do and stamps its batch
 # number, and requestContext's bound on an X-Deadline-Ms whose duration
 # overflows.
-FASTD_LOC_MAX ?= 3182
+#
+# 3182 -> 3080: one eviction trigger and one state-dir format. Went from
+# lifecycle.go (206 -> 178): the idle-TTL sweeper loop and restoreSession's
+# sidecar read and unlink (the restore epoch is 1 + the header's); from
+# persist.go (255 -> 226): the epoch sidecar's reader, suffix and path, and
+# its share of scan, remove and the store doc; from daemon.go (782 -> 761):
+# the TTL config field, sweepStop, sweepDone, stopOnce, the sweeper's start
+# and stop, and the eval's one-run ExecuteBatch with its batch stamp (an eval
+# is one Execute); from main.go: the TTL flag; from middleware.go: the access
+# log's batch attribute; from internal/session (339 -> 319): the registry's
+# idle scan, each entry's last-use time and Registry.now (recency is the
+# shard's LRU order).
+FASTD_LOC_MAX ?= 3080
 
 # Size budget of the performance model: non-test lines of the cost model,
 # Aether, the simulator, the traces and workloads, the baselines, perf.go and
@@ -328,7 +341,17 @@ MODEL_LOC_MAX ?= 2348
 # sums in execGroupStep, mergedContext, and wrapRunCtxErr (inlined into
 # failNode); ExecuteBatch runs each run through execRun, and execGroupStep
 # serves one run's hoist group. observe.go -2: PlanRecord.MergedRotations.
-ROOT_LOC_MAX ?= 2804
+#
+# 2804 -> 2718: one snapshot format, one executor, one request-ID route.
+# marshal.go 261 -> 240: the "FASTSNP\x01" branch, the snapshot's legacy key
+# payload and Restore's secret-key prefix check (a version-1 file is refused
+# as corrupt, naming its version). exec.go 330 -> 306: Execute is the
+# executor and ExecuteBatch a loop over it; Run.Batch and recordBatch's batch
+# accounting went (recordRun records one run). observe.go 205 -> 186:
+# PlanRecord.Batch, Runs and RequestIDs (one RequestID in their place), and
+# the observer's batch sequence. options.go and context.go -22: the per-op
+# request-ID option, opSettings.requestID and its folding in settings.
+ROOT_LOC_MAX ?= 2718
 
 # Size budget of the CKKS layer: non-test lines of internal/ckks, the
 # module's largest package (scheme, key switch, bootstrapping, wire codec).
@@ -379,7 +402,13 @@ ROOT_LOC_MAX ?= 2804
 # GaloisKey share, and Pending. GenEvaluationKeySet is the eager caller of
 # the same derivation. params.go +6: GaloisElement and ConjugationElement
 # (the evaluator's three element computations use them).
-CKKS_LOC_MAX ?= 4097
+#
+# 4097 -> 4077: no key has a wire form. marshal.go 273 -> 258: the secret
+# key's wire encoder and tagSecretKey, whose one reader was the legacy
+# snapshot check (keys.go: SecretKey.signed became a local of GenSecretKey).
+# evaluator.go 772 -> 767: the cancellable hoisted rotation without sums,
+# which had no caller (RotateHoistedSumsCtx serves every hoist group).
+CKKS_LOC_MAX ?= 4077
 
 MODEL_GO = internal/aether/*.go internal/costmodel/*.go internal/sim/*.go internal/trace/*.go \
 	internal/workloads/*.go internal/baselines/*.go perf.go cmd/aether/*.go cmd/fastsim/*.go

@@ -54,9 +54,6 @@ type daemonConfig struct {
 	// least-recently-used session is snapshotted (if dirty) and released; the
 	// next request faults it back in.
 	MaxResident int
-	// SessionTTL evicts sessions idle longer than this to disk (0 disables;
-	// requires StateDir).
-	SessionTTL time.Duration
 	// IdemCap is each session's idempotency window: its last IdemCap keyed
 	// requests are remembered (0 = 512).
 	IdemCap int
@@ -139,10 +136,6 @@ type daemon struct {
 	// idem holds each session ID's idempotency table (idem.go).
 	idemMu sync.Mutex
 	idem   map[string]*idemTable
-
-	sweepStop chan struct{}
-	sweepDone chan struct{}
-	stopOnce  sync.Once
 
 	mRequests      *obs.Counter
 	mSessionCount  *obs.Gauge
@@ -230,11 +223,6 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		if len(ids) > 0 {
 			d.logger.Info("session state recovered", "dir", cfg.StateDir, "persisted", len(ids))
 		}
-		if cfg.SessionTTL > 0 {
-			d.sweepStop = make(chan struct{})
-			d.sweepDone = make(chan struct{})
-			go d.sweepIdle()
-		}
 	}
 	return d, nil
 }
@@ -249,18 +237,12 @@ func (d *daemon) route(id string) (*evalShard, error) {
 	return d.shards[i], nil
 }
 
-// drain gracefully stops every shard's admission layer (bounded by ctx) and
-// the idle sweeper. No final mass-snapshot is needed:
-// durability is write-ahead, so whatever is on disk at any instant —
-// graceful drain or SIGKILL — is already a consistent recovery image.
+// drain gracefully stops every shard's admission layer (bounded by ctx). No
+// final mass-snapshot is needed: durability is write-ahead, so whatever is
+// on disk at any instant — graceful drain or SIGKILL — is already a
+// consistent recovery image.
 func (d *daemon) drain(ctx context.Context) error {
 	d.draining.Store(true)
-	d.stopOnce.Do(func() {
-		if d.sweepStop != nil {
-			close(d.sweepStop)
-			<-d.sweepDone
-		}
-	})
 	var firstErr error
 	var wg sync.WaitGroup
 	var mu sync.Mutex
@@ -308,9 +290,9 @@ func (d *daemon) handler() http.Handler {
 	return d.withObservability(mux)
 }
 
-// handlePlans serves the observer's retained plan-execution records (the ring
-// recordBatch fills), oldest first — the join surface between request IDs,
-// batch sequence numbers and planner decisions.
+// handlePlans serves the observer's retained plan-execution records, one per
+// executed eval, oldest first — the join surface between request IDs and
+// planner decisions.
 func (d *daemon) handlePlans(w http.ResponseWriter, _ *http.Request) {
 	recs := d.observer.PlanRecords()
 	if recs == nil {
@@ -674,16 +656,13 @@ func (d *daemon) handleEval(w http.ResponseWriter, r *http.Request) {
 
 		var resp *[]byte
 		err = sh.srv.Do(ctx, serve.Op{Name: "eval", Units: ce.plan.Units()}, func(ctx context.Context) error {
-			// A one-run ExecuteBatch, not Execute: it hands back the run's
-			// batch sequence, which the access log and /debug/requests
-			// carry to join against /debug/plans.
-			run := &fast.Run{Plan: ce.plan, Inputs: ce.inputs, Ctx: ctx}
-			sess.ctx.ExecuteBatch([]*fast.Run{run})
-			obsReq.SetBatch(run.Batch)
-			if run.Err != nil {
-				return run.Err
+			// ctx carries the request ID, so the eval's plan record and
+			// spans carry it too: /debug/plans joins the access log on it.
+			out, err := sess.ctx.Execute(ctx, ce.plan, ce.inputs)
+			if err != nil {
+				return err
 			}
-			resp = renderCiphertext(run.Out)
+			resp = renderCiphertext(out)
 			return nil
 		})
 		if err != nil {

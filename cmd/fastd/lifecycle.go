@@ -11,16 +11,18 @@ import (
 	shardpkg "github.com/fastfhe/fast/internal/shard"
 )
 
-// Session lifecycle: create → (snapshot) → serve ⇄ evict/restore → expire,
+// Session lifecycle: create → (snapshot) → serve ⇄ evict/restore → delete,
 // across N shards. The states and the legal moves between them are
 // internal/session's table; this file is the slow half — the disk reads,
 // keygen and snapshot writes that happen between two registry calls.
 //
 // Transitions are lazy and request-driven: nothing is restored at startup
 // (scan() only recovers IDs), the first request for a persisted session pays
-// the restore, and eviction is triggered by create/restore overshoot or the
-// idle sweeper. Restores are singleflighted per ID — a stampede of requests
-// for one cold session performs one deserialisation.
+// the restore, and the one eviction trigger is resident pressure: a create
+// or restore that takes a shard past its -max-resident-sessions slice evicts
+// that shard's least-recently-used session. Restores are singleflighted per
+// ID — a stampede of requests for one cold session performs one
+// deserialisation.
 //
 // A session is served through whichever shard currently HOLDS it, which is
 // the ring-routed shard in steady state and a survivor after its home shard
@@ -102,14 +104,14 @@ func (d *daemon) restoreInto(sh *evalShard, idem *idemTable) (*session, error) {
 // ring is not read):
 //
 //   - the snapshot is read and its full SHA-256 verified (every restore), and
-//     the restore epoch is 1 + max(header, legacy sidecar) — a fresh
-//     encryptor randomness epoch: a restored session must never replay
-//     pre-crash encryption randomness;
+//     the restore epoch is 1 + the header's — a fresh encryptor randomness
+//     epoch: a restored session must never replay pre-crash encryption
+//     randomness;
 //   - keys are regenerated from the header's config (compiled if unshared);
 //   - the snapshot is rewritten with the new epoch BEFORE the session is
-//     returned, so the next crash lands on a fresh epoch too; then a legacy
-//     sidecar is unlinked. If that write degrades the session still serves,
-//     not durable, and the next evict writes the snapshot again.
+//     returned, so the next crash lands on a fresh epoch too. If that write
+//     degrades the session still serves, not durable, and the next evict
+//     writes the snapshot again.
 func (d *daemon) restoreSession(sh *evalShard, idem *idemTable) (s *session, durable bool, err error) {
 	st, id := d.store, idem.id
 	t0 := time.Now()
@@ -121,11 +123,7 @@ func (d *daemon) restoreSession(sh *evalShard, idem *idemTable) (s *session, dur
 	if err != nil {
 		return nil, false, err
 	}
-	sidecar, err := st.loadEpoch(id)
-	if err != nil {
-		return nil, false, err
-	}
-	snap.Meta.Restores = 1 + max(snap.Meta.Restores, sidecar)
+	snap.Meta.Restores++
 	st.mSnapshotLoad.ObserveSince(t0)
 
 	t0 = time.Now()
@@ -137,9 +135,7 @@ func (d *daemon) restoreSession(sh *evalShard, idem *idemTable) (s *session, dur
 
 	sess := d.newSession(fctx, snap.Meta, idem)
 	t0 = time.Now()
-	if durable = sess.save("epoch") == nil; durable {
-		_ = os.Remove(st.epochPath(id)) // a legacy sidecar, now below the header: harmless if left
-	}
+	durable = sess.save("epoch") == nil
 	st.mEpochWrite.ObserveSince(t0)
 	return sess, durable, nil
 }
@@ -179,28 +175,4 @@ func (d *daemon) evictSession(v sessreg.View[*session]) bool {
 	d.mEvicted.Inc()
 	d.logger.Info("session evicted", "session", v.ID, "shard", v.Shard)
 	return true
-}
-
-// sweepIdle is the idle-TTL loop: sessions untouched for SessionTTL are
-// evicted to disk. Restore on next use is transparent (modulo latency), so
-// the TTL reclaims key-set memory from abandoned keyspaces without a
-// client-visible expiry.
-func (d *daemon) sweepIdle() {
-	defer close(d.sweepDone)
-	interval := d.cfg.SessionTTL / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-d.sweepStop:
-			return
-		case <-tick.C:
-		}
-		for _, v := range d.sessions.Idle(time.Now().Add(-d.cfg.SessionTTL)) {
-			d.evictSession(v)
-		}
-	}
 }

@@ -7,12 +7,13 @@
 //
 // With -state-dir set, fastd is crash-safe: sessions are write-ahead
 // snapshotted (fsync + atomic rename) before the create response, restored
-// lazily after a restart, LRU-evicted to disk past -max-resident-sessions or
-// after -session-ttl idle, and an eval carrying an Idempotency-Key header is
-// exactly-once across restarts: a digest record of it is fsync'd before
+// lazily after a restart, LRU-evicted to disk past -max-resident-sessions
+// (the one eviction trigger), and an eval carrying an Idempotency-Key header
+// is exactly-once across restarts: a digest record of it is fsync'd before
 // release, and a retry of the same request re-executes and is marked
 // Idempotency-Replayed when its bytes match (/encrypt ignores the header).
-// Corrupt snapshots are detected by checksum, skipped with a 410 and counted.
+// Corrupt snapshots — a failed checksum, or a format version other than the
+// current one — are skipped with a 410, left on disk and counted.
 //
 // Endpoints:
 //
@@ -24,7 +25,7 @@
 //	POST /v1/sessions/{id}/decrypt    {ciphertext} -> {values}
 //	POST /v1/sessions/{id}/eval       {inputs, program} -> {ciphertext}; program is a fast.Program v2 object
 //	GET  /debug/requests              in-flight request table (id, phase, age, deadline)
-//	GET  /debug/plans                 retained plan-execution records (batch, request IDs)
+//	GET  /debug/plans                 retained plan-execution records, one per eval, keyed by request ID
 //	POST /debug/shards/{i}/kill       fence shard i for the process lifetime; its sessions fail over
 //	GET  /metrics, /debug/...         observability surface (Prometheus, pprof, traces)
 //
@@ -76,7 +77,6 @@ func run(args []string, stdout io.Writer) error {
 	maxSessions := fs.Int("max-sessions", 16, "maximum sessions (resident + persisted)")
 	stateDir := fs.String("state-dir", "", "directory for crash-safe session snapshots and idempotency journals (empty disables durability)")
 	maxResident := fs.Int("max-resident-sessions", 0, "sessions held in memory before LRU eviction to -state-dir (0 = -max-sessions)")
-	sessionTTL := fs.Duration("session-ttl", 0, "evict sessions idle longer than this to -state-dir (0 disables)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain bound on shutdown")
 	logLevel := fs.String("log-level", "info", "access-log level: debug, info, warn or error")
 	accessLog := fs.String("access-log", "stderr", "access-log destination: stderr, stdout, none, or a file path (appended)")
@@ -98,7 +98,6 @@ func run(args []string, stdout io.Writer) error {
 		MaxSessions: *maxSessions,
 		StateDir:    *stateDir,
 		MaxResident: *maxResident,
-		SessionTTL:  *sessionTTL,
 		Observer:    fast.NewTracingObserver(0), // 0: the library's default trace ring
 		Logger:      obs.NewLogger(logW, obs.ParseLogLevel(*logLevel)),
 		SlowRequest: time.Duration(*slowRequestMs) * time.Millisecond,

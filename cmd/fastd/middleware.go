@@ -115,9 +115,9 @@ func (d *daemon) withObservability(next http.Handler) http.Handler {
 
 // logRequest emits the one access-log record per request, plus a warn-level
 // slow-request record above the configured threshold. Every field is a join
-// key against another surface: id/trace_id against the client and the Chrome
-// trace, fingerprint and batch against /debug/plans, outcome against the
-// degradation-ladder counters.
+// key against another surface: id against the client, the Chrome trace and
+// /debug/plans' request_id, trace_id against the client's tracer, fingerprint
+// against /debug/plans, outcome against the degradation-ladder counters.
 func (d *daemon) logRequest(r *http.Request, req *obs.Request, sr *statusRecorder, elapsed time.Duration) {
 	outcome := req.Outcome()
 	if outcome == "" {
@@ -147,9 +147,6 @@ func (d *daemon) logRequest(r *http.Request, req *obs.Request, sr *statusRecorde
 	}
 	if qw := req.QueueWait(); qw > 0 {
 		attrs = append(attrs, slog.Float64("queue_wait_ms", float64(qw)/float64(time.Millisecond)))
-	}
-	if b := req.Batch(); b != 0 {
-		attrs = append(attrs, slog.Uint64("batch", b))
 	}
 	if fp := req.Fingerprint(); fp != "" {
 		attrs = append(attrs, slog.String("fingerprint", fp))

@@ -365,8 +365,8 @@ func assertRestoreSignals(t *testing.T, base, sid, ct string) {
 	}
 }
 
-// assertDebugPlans: the executed plan's record lists the pinned request ID,
-// closing the loop between the access log and the plan ring.
+// assertDebugPlans: the executed plan's record carries the pinned request
+// ID, closing the loop between the access log and the plan ring.
 func assertDebugPlans(t *testing.T, base, reqID string) {
 	t.Helper()
 	resp, err := http.Get(base + "/debug/plans")
@@ -377,25 +377,22 @@ func assertDebugPlans(t *testing.T, base, reqID string) {
 	var body struct {
 		Count int `json:"count"`
 		Plans []struct {
-			Fingerprint string   `json:"fingerprint"`
-			Batch       uint64   `json:"batch"`
-			RequestIDs  []string `json:"request_ids"`
+			Fingerprint string `json:"fingerprint"`
+			RequestID   string `json:"request_id"`
 		} `json:"plans"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatalf("decode /debug/plans: %v", err)
 	}
 	for _, p := range body.Plans {
-		for _, id := range p.RequestIDs {
-			if id == reqID {
-				if p.Batch == 0 || p.Fingerprint == "" {
-					t.Fatalf("plan record for %s lacks batch/fingerprint: %+v", reqID, p)
-				}
-				return
+		if p.RequestID == reqID {
+			if p.Fingerprint == "" {
+				t.Fatalf("plan record for %s lacks a fingerprint: %+v", reqID, p)
 			}
+			return
 		}
 	}
-	t.Fatalf("no plan record lists request ID %s (count=%d)", reqID, body.Count)
+	t.Fatalf("no plan record carries request ID %s (count=%d)", reqID, body.Count)
 }
 
 // assertAccessLogFile validates the file the -access-log flag produced: one
@@ -435,7 +432,7 @@ func assertAccessLogFile(t *testing.T, path string) {
 			default:
 				t.Fatalf("eval outcome = %v, want ok, idem_replay or idem_conflict", rec["outcome"])
 			}
-			for _, k := range []string{"session", "units", "fingerprint", "batch"} {
+			for _, k := range []string{"session", "units", "fingerprint"} {
 				if _, ok := rec[k]; !ok {
 					t.Fatalf("eval record missing enrichment %q: %v", k, rec)
 				}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -11,7 +10,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	fast "github.com/fastfhe/fast"
 	"github.com/fastfhe/fast/internal/obs"
 )
 
@@ -24,9 +22,7 @@ import (
 //	            restore (the new epoch) and on the evict of a dirty session.
 //	<id>.idem   the idempotency ring of digest records (idem.go).
 //
-// A legacy <id>.epoch sidecar (8-byte epoch + CRC-32C) is only read: the
-// first restore makes 1 + max(header, sidecar) durable in the .snap, then
-// unlinks it.
+// No other file is read, and scan sweeps only temp files and orphan rings.
 //
 // Every write runs under the ID's write guard (idemTable.persist) and is
 // made durable before it is relied on:
@@ -37,11 +33,11 @@ import (
 //   - an idempotency record is fsync'd in its ring slot before the response
 //     it records is released to the client.
 //
-// Corruption is detected, never trusted: a snapshot or legacy epoch that
-// fails its checksum, or a config that does not restore, is skipped with a
-// typed error (fast.ErrCorruptSnapshot) and counted — a wrong decrypt from a
-// torn or bit-flipped file, or a silent reset to an already-used randomness
-// epoch, is structurally impossible.
+// Corruption is detected, never trusted: a snapshot that fails its checksum,
+// carries another format version, or holds a config that does not restore
+// is skipped with a typed error (fast.ErrCorruptSnapshot), left on disk and
+// counted — a wrong decrypt from a torn or bit-flipped file is structurally
+// impossible.
 //
 // A failed durability write is retried once, then the session is served
 // resident-only and the failure counted. Tests reach that degraded path
@@ -68,10 +64,9 @@ type sessionStore struct {
 }
 
 const (
-	snapSuffix  = ".snap"
-	idemSuffix  = ".idem"
-	epochSuffix = ".epoch"
-	tmpInfix    = ".tmp."
+	snapSuffix = ".snap"
+	idemSuffix = ".idem"
+	tmpInfix   = ".tmp."
 )
 
 var crc32c = crc32.MakeTable(crc32.Castagnoli)
@@ -93,15 +88,13 @@ func openSessionStore(dir string, reg *obs.Registry, logger *slog.Logger) (*sess
 
 func (st *sessionStore) snapshotPath(id string) string { return filepath.Join(st.dir, id+snapSuffix) }
 func (st *sessionStore) idemPath(id string) string     { return filepath.Join(st.dir, id+idemSuffix) }
-func (st *sessionStore) epochPath(id string) string    { return filepath.Join(st.dir, id+epochSuffix) }
 
 // scan recovers the session IDs with a snapshot on disk and sweeps what a
 // crash can leave behind: temp files of an interrupted atomic write (nothing
-// references them), and rings or legacy epochs with no snapshot (a crash
-// inside remove, or a ring written for a session whose create-time snapshot
-// write had degraded) — `nextID` is recomputed from this scan, so a later
-// session reusing the ID must not inherit a stranger's replay records or
-// epoch.
+// references them), and rings with no snapshot (a crash inside remove, or a
+// ring written for a session whose create-time snapshot write had degraded)
+// — `nextID` is recomputed from this scan, so a later session reusing the ID
+// must not inherit a stranger's replay records.
 func (st *sessionStore) scan() ([]string, error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -122,11 +115,8 @@ func (st *sessionStore) scan() ([]string, error) {
 		if e.IsDir() {
 			continue
 		}
-		id, isSidecar := strings.CutSuffix(name, idemSuffix)
-		if !isSidecar {
-			id, isSidecar = strings.CutSuffix(name, epochSuffix)
-		}
-		if strings.Contains(name, tmpInfix) || (isSidecar && !snaps[id]) {
+		id, isRing := strings.CutSuffix(name, idemSuffix)
+		if strings.Contains(name, tmpInfix) || (isRing && !snaps[id]) {
 			if err := os.Remove(filepath.Join(st.dir, name)); err != nil {
 				return nil, err
 			}
@@ -212,33 +202,14 @@ func (st *sessionStore) writeSnapshot(s *session, what string) (err error) {
 	return err
 }
 
-// loadEpoch reads a legacy epoch sidecar, 0 when there is none. One that is
-// present but unreadable is corruption, not absence: falling back to the
-// header's epoch would replay randomness an earlier restore already used.
-func (st *sessionStore) loadEpoch(id string) (uint64, error) {
-	buf, err := os.ReadFile(st.epochPath(id))
-	if errors.Is(err, fs.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	if len(buf) != 8+4 || binary.LittleEndian.Uint32(buf[8:]) != crc32.Checksum(buf[:8], crc32c) {
-		return 0, fmt.Errorf("fastd: restore epoch sidecar of %q failed its checksum: %w", id, fast.ErrCorruptSnapshot)
-	}
-	return binary.LittleEndian.Uint64(buf[:8]), nil
-}
-
 // remove deletes a session's files (best-effort; a missing file is not an
 // error). The snapshot goes first and its unlink is made durable before the
-// ring and a legacy sidecar follow: a crash in between leaves files without
-// a snapshot, which scan sweeps, never a snapshot stripped of its epoch.
+// ring follows: a crash in between leaves a ring without a snapshot, which
+// scan sweeps.
 func (st *sessionStore) remove(id string) {
-	for _, step := range [][]string{{st.snapshotPath(id)}, {st.idemPath(id), st.epochPath(id)}} {
-		for _, p := range step {
-			if err := os.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
-				st.logger.Warn("session state remove failed", "session", id, "path", p, "error", err.Error())
-			}
+	for _, p := range []string{st.snapshotPath(id), st.idemPath(id)} {
+		if err := os.Remove(p); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			st.logger.Warn("session state remove failed", "session", id, "path", p, "error", err.Error())
 		}
 		_ = st.syncDir()
 	}

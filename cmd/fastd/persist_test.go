@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	fast "github.com/fastfhe/fast"
 )
@@ -56,8 +55,7 @@ func readAll(t *testing.T, r io.Reader) []byte {
 // spliceLegacyMetaKey rewrites a snapshot file into the one a build whose
 // SessionMeta still carried "fault_scenario" would have written: the key
 // appended to the header's meta object, hdrLen and the trailing SHA-256
-// recomputed (the root package's snapshot tests pin the same construction
-// against that build's golden digest).
+// recomputed.
 func spliceLegacyMetaKey(t *testing.T, path, scenario string) {
 	t.Helper()
 	snap, err := os.ReadFile(path)
@@ -288,6 +286,26 @@ func TestSessionEvictionRestoreLRU(t *testing.T) {
 	}
 }
 
+// TestEvictionFollowsUse: resident pressure is the one eviction trigger, and
+// its victim is the session used least recently, not the one created first.
+// Two sessions fill MaxResident=2 and stay resident; a request to the older
+// one makes the newer one the victim of the third create.
+func TestEvictionFollowsUse(t *testing.T) {
+	d, ts := newTestDaemon(t, daemonConfig{StateDir: t.TempDir(), MaxResident: 2, MaxSessions: 8})
+	s1 := createSession(t, ts.URL, testSessionRequest())
+	s2 := createSession(t, ts.URL, testSessionRequest())
+	if _, sess := readyzSessions(t, ts.URL); sess.Resident != 2 || sess.Evicted != 0 {
+		t.Fatalf("sessions within the bound: %+v, want both resident, none evicted", sess)
+	}
+	encryptValues(t, ts.URL, s1.ID, make([]complex128, 4))
+	s3 := createSession(t, ts.URL, testSessionRequest())
+	for id, want := range map[string]bool{s1.ID: true, s2.ID: false, s3.ID: true} {
+		if got := residentSession(d, id) != nil; got != want {
+			t.Fatalf("%s resident = %v, want %v: s2 was used least recently", id, got, want)
+		}
+	}
+}
+
 // TestEmptyRotationsSessionRestores: a session created with "rotations": []
 // (no Galois keys) comes back from an eviction and from a restart, and
 // decrypts its ciphertext the same way each time.
@@ -410,37 +428,6 @@ func TestReadyzSessionOccupancy(t *testing.T) {
 	}
 	if status, _ := readyzSessions(t, ts.URL); status != http.StatusOK {
 		t.Fatalf("after delete: readyz %d, want 200", status)
-	}
-}
-
-// TestSessionTTLEviction: an idle session is swept to disk after SessionTTL
-// and faults back in on its next request.
-func TestSessionTTLEviction(t *testing.T) {
-	dir := t.TempDir()
-	_, ts := newTestDaemon(t, daemonConfig{StateDir: dir, SessionTTL: 50 * time.Millisecond})
-
-	sr := createSession(t, ts.URL, testSessionRequest())
-	vals := []complex128{1, 2i, -3, 0.5}
-	full := make([]complex128, sr.Slots)
-	copy(full, vals)
-	ct := encryptValues(t, ts.URL, sr.ID, full)
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, sess := readyzSessions(t, ts.URL)
-		if sess.Resident == 0 && sess.Persisted == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("session not TTL-evicted: %+v", sess)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	got := decryptValues(t, ts.URL, sr.ID, ct.Ciphertext)
-	for i := range vals {
-		if d := got[i] - vals[i]; abs2(d) > 1e-3 {
-			t.Fatalf("slot %d after TTL evict+restore: got %v, want %v", i, got[i], vals[i])
-		}
 	}
 }
 

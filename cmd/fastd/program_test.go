@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"strings"
@@ -196,11 +197,12 @@ func TestEvalV2ProgramEndToEnd(t *testing.T) {
 }
 
 // TestEvalSequentialModeMatchesBatched is what keeps the one served eval path
-// honest: the batched, planned execution behind POST .../eval must return,
-// byte for byte, what Context.ExecuteSequential — the library's straight-line
-// reference — computes on an in-process Context built from the same session
-// request and seed. Keygen and the two encrypts are the only randomness
-// consumers, so replaying that call sequence reproduces the served inputs.
+// honest: the planned execution (Context.Execute) behind POST .../eval must
+// return, byte for byte, what Context.ExecuteSequential — the library's
+// straight-line reference — computes on an in-process Context built from the
+// same session request and seed. Keygen and the two encrypts are the only
+// randomness consumers, so replaying that call sequence reproduces the served
+// inputs.
 func TestEvalSequentialModeMatchesBatched(t *testing.T) {
 	_, ts := newTestDaemon(t, daemonConfig{Workers: 1})
 	base := ts.URL
@@ -252,9 +254,9 @@ func TestEvalSequentialModeMatchesBatched(t *testing.T) {
 }
 
 // TestServedEvalsRunAlone: concurrent evals of one session, queued behind one
-// worker, each execute as a one-run batch of their own. fastd shares no work
-// across requests, so every plan record holds one run under its own batch
-// number, and no serve_batch_* series is exported.
+// worker, each execute alone. fastd shares no work across requests, so each
+// eval leaves exactly one plan record, joined to it by its request ID, and no
+// serve_batch_* series is exported.
 func TestServedEvalsRunAlone(t *testing.T) {
 	const evals = 8
 	_, ts := newTestDaemon(t, daemonConfig{Workers: 1, QueueDepth: evals})
@@ -275,7 +277,13 @@ func TestServedEvalsRunAlone(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Post(base+"/v1/sessions/"+sr.ID+"/eval", "application/json", bytes.NewReader(bodies[i]))
+			req, err := http.NewRequest(http.MethodPost, base+"/v1/sessions/"+sr.ID+"/eval", bytes.NewReader(bodies[i]))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			req.Header.Set("X-Request-Id", fmt.Sprintf("eval-%d", i))
+			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
 				t.Errorf("eval %d: %v", i, err)
 				return
@@ -298,12 +306,12 @@ func TestServedEvalsRunAlone(t *testing.T) {
 	if len(plans.Plans) != evals {
 		t.Fatalf("%d plan records, want %d", len(plans.Plans), evals)
 	}
-	batches := map[uint64]bool{}
+	seen := map[string]bool{}
 	for _, rec := range plans.Plans {
-		if rec.Runs != 1 || batches[rec.Batch] {
-			t.Errorf("plan record %+v: want one run under a batch number of its own", rec)
+		if seen[rec.RequestID] || !strings.HasPrefix(rec.RequestID, "eval-") {
+			t.Errorf("plan record %+v: want a request ID of its own, one of the evals'", rec)
 		}
-		batches[rec.Batch] = true
+		seen[rec.RequestID] = true
 	}
 	if _, metrics := doJSON(t, http.MethodGet, base+"/metrics", nil, nil, nil); strings.Contains(string(metrics), "serve_batch_") {
 		t.Error("/metrics exports serve_batch_* series")

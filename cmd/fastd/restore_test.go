@@ -1,10 +1,10 @@
 package main
 
 // Tests of the restore path's on-disk state: the snapshot a restore rewrites
-// with its epoch, the legacy epoch sidecar, the startup sweep of crash
-// leftovers, durability-before-release, DELETE against a write in flight and
-// the restore phase timings. The idempotency ring has idem_test.go, the crash-point
-// enumeration crashpoint_test.go.
+// with its epoch, the files earlier builds left that are not read, the
+// startup sweep of crash leftovers, durability-before-release, DELETE against
+// a write in flight and the restore phase timings. The idempotency ring has
+// idem_test.go, the crash-point enumeration crashpoint_test.go.
 
 import (
 	"bytes"
@@ -87,93 +87,129 @@ func snapEpoch(t *testing.T, dir, id string) uint64 {
 	return snap.Meta.Restores
 }
 
-// legacySidecar is an epoch sidecar as earlier builds wrote it: the
-// little-endian counter and its CRC-32C.
+// legacySidecar is an epoch sidecar as builds before the header-only
+// snapshot wrote it: the little-endian counter and its CRC-32C.
 func legacySidecar(epoch uint64) []byte {
 	b := binary.LittleEndian.AppendUint64(nil, epoch)
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32c))
 }
 
-// TestLegacyEpochSidecarCorruptIs410: a damaged or truncated legacy .epoch
-// tombstones the session exactly like a corrupt snapshot. Falling back to the
-// snapshot header's epoch would silently replay encryption randomness.
-func TestLegacyEpochSidecarCorruptIs410(t *testing.T) {
-	for name, damage := range map[string]func([]byte) []byte{
-		"bitflip":   func(b []byte) []byte { b[3] ^= 0x80; return b },
-		"truncated": func(b []byte) []byte { return b[:7] },
-		"empty":     func(b []byte) []byte { return nil },
-		"zeroed":    func(b []byte) []byte { return make([]byte, len(b)) },
-	} {
+// TestLegacySnapshotIs410: a .snap of any format version but the current
+// one — the key-carrying "FASTSNP\x01" earlier builds wrote, or a version
+// this build does not know — is refused like any corrupt snapshot: 410 with
+// the corrupt_snapshot outcome, counted on /readyz, and the file stays on
+// disk untouched.
+func TestLegacySnapshotIs410(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("..", "..", "testdata", "snapshot_v1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fctx, err := fast.NewContext(fast.ContextConfig{LogN: 4, Levels: 2, LogScale: 30, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v3 bytes.Buffer
+	if err := fctx.WriteSessionSnapshot(&v3, fast.SessionMeta{ID: "s1"}); err != nil {
+		t.Fatal(err)
+	}
+	body := v3.Bytes()[:v3.Len()-sha256.Size]
+	body[7] = 3
+	sum := sha256.Sum256(body)
+	for name, file := range map[string][]byte{"version=1": v1, "version=3": append(body, sum[:]...)} {
 		t.Run(name, func(t *testing.T) {
+			const id = "s1" // the ID in the file's header
 			dir := t.TempDir()
-			d, ts := newTestDaemon(t, daemonConfig{StateDir: dir})
-			sr := createSession(t, ts.URL, testSessionRequest())
-			evictNow(t, d, sr.ID)
-			if err := os.WriteFile(filepath.Join(dir, sr.ID+".epoch"), damage(legacySidecar(5)), 0o644); err != nil {
+			path := filepath.Join(dir, id+".snap")
+			if err := os.WriteFile(path, file, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			status, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+sr.ID+"/encrypt", nil,
+			var log syncBuffer
+			_, ts := newTestDaemon(t, daemonConfig{StateDir: dir, Logger: obs.NewLogger(&log, slog.LevelInfo)})
+			status, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/encrypt", nil,
 				encryptRequest{Values: fromComplex(make([]complex128, 4))}, nil)
-			if status != http.StatusGone {
-				t.Fatalf("request against a corrupt epoch sidecar: status %d (%s), want 410", status, body)
+			if version := "version " + name[len("version="):]; status != http.StatusGone || !strings.Contains(string(body), version) {
+				t.Fatalf("request against a snapshot of another version: status %d (%s), want 410 naming %s", status, body, version)
+			}
+			if !strings.Contains(log.String(), `"outcome":"corrupt_snapshot"`) {
+				t.Fatalf("access log has no corrupt_snapshot outcome:\n%s", log.String())
 			}
 			if _, sess := readyzSessions(t, ts.URL); sess.Corrupt != 1 {
 				t.Fatalf("readyz corrupt = %d, want 1", sess.Corrupt)
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, file) {
+				t.Fatalf("the refused file did not stay on disk as it was (err=%v, %d bytes)", err, len(got))
 			}
 		})
 	}
 }
 
-// TestLegacyStateDirRestores: a state dir as the last build with key
-// payloads left it — a "FASTSNP\x01" .snap whose header says epoch 0 and an
-// .epoch sidecar holding 5 — restores on epoch 6, rewritten into the .snap,
-// and leaves no sidecar. A crash captured between that rewrite and the
-// sidecar's unlink leaves both, and the next daemon restores on epoch 7.
-func TestLegacyStateDirRestores(t *testing.T) {
-	legacy, err := os.ReadFile(filepath.Join("..", "..", "testdata", "snapshot_v1.snap"))
+// TestEpochSidecarIgnored: an .epoch sidecar an earlier build left is not
+// read, swept or unlinked. A .snap whose header holds epoch 3, beside a
+// sidecar holding 9, restores on epoch 4; the sidecar, and an orphan one with
+// no snapshot, survive the startup scan, the restore and the session's
+// DELETE byte for byte.
+func TestEpochSidecarIgnored(t *testing.T) {
+	dir := t.TempDir()
+	_, tsA := newTestDaemon(t, daemonConfig{StateDir: dir})
+	id := createSession(t, tsA.URL, testSessionRequest()).ID
+
+	// Rewrite the session's .snap as one whose header says epoch 3.
+	path := filepath.Join(dir, id+".snap")
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const id = "s1" // the ID in the file's header
-	root := t.TempDir()
-	c := &crashRig{point: "epoch.dir-fsync", src: filepath.Join(root, "a"), dst: filepath.Join(root, "b")}
-	if err := os.MkdirAll(c.src, 0o755); err != nil {
+	snap, err := fast.DecodeSessionSnapshot(data)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for name, b := range map[string][]byte{id + ".snap": legacy, id + ".epoch": legacySidecar(5)} {
-		if err := os.WriteFile(filepath.Join(c.src, name), b, 0o644); err != nil {
+	snap.Meta.Restores = 3
+	fctx, err := snap.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := fctx.WriteSessionSnapshot(&buf, snap.Meta); err != nil {
+		t.Fatal(err)
+	}
+	sidecars := map[string][]byte{id + ".epoch": legacySidecar(9), "s9.epoch": legacySidecar(41)}
+	files := map[string][]byte{id + ".snap": buf.Bytes()}
+	for name, b := range sidecars {
+		files[name] = b
+	}
+	for name, b := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	restoredOn := func(dir string, c *crashRig, want uint64) {
+	sidecarsIntact := func(when string) {
 		t.Helper()
-		d, ts := newCrashDaemon(t, dir, c)
-		if c != nil {
-			c.arm()
-		}
-		encryptValues(t, ts.URL, id, make([]complex128, 4))
-		if got := residentSession(d, id).meta.Restores; got != want {
-			t.Fatalf("restored on epoch %d, want %d", got, want)
-		}
-		if got := snapEpoch(t, dir, id); got != want {
-			t.Fatalf("the rewritten .snap holds epoch %d, want %d", got, want)
+		for name, want := range sidecars {
+			if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: %s is not as it was (err=%v)", when, name, err)
+			}
 		}
 	}
-	restoredOn(c.src, c, 6)
-	c.mustHaveFired(t)
-	if _, err := os.Stat(filepath.Join(c.src, id+".epoch")); !os.IsNotExist(err) {
-		t.Fatalf("the first restore left the legacy sidecar behind (err=%v)", err)
+
+	dB, tsB := newTestDaemon(t, daemonConfig{StateDir: dir})
+	sidecarsIntact("after the startup scan")
+	encryptValues(t, tsB.URL, id, make([]complex128, 4))
+	if got := residentSession(dB, id).meta.Restores; got != 4 {
+		t.Fatalf("restored on epoch %d, want 4: 1 + the header's 3", got)
 	}
-	if _, err := os.Stat(filepath.Join(c.dst, id+".epoch")); err != nil {
-		t.Fatalf("the crash-instant copy has no sidecar: it was not taken before the unlink (%v)", err)
+	if got := snapEpoch(t, dir, id); got != 4 {
+		t.Fatalf("the rewritten .snap holds epoch %d, want 4", got)
 	}
-	restoredOn(c.dst, nil, 7)
+	sidecarsIntact("after the restore")
+	if st, _ := doJSON(t, http.MethodDelete, tsB.URL+"/v1/sessions/"+id, nil, nil, nil); st != http.StatusNoContent {
+		t.Fatalf("delete: status %d", st)
+	}
+	sidecarsIntact("after the DELETE")
 }
 
 // TestScanSweepsCrashLeftovers: temp files of interrupted atomic writes are
-// deleted at startup, and so are rings and epochs whose snapshot is gone
-// — a new session that reuses the ID must not inherit foreign replay records
-// or a foreign epoch.
+// deleted at startup, and so are rings whose snapshot is gone — a new
+// session that reuses the ID must not inherit foreign replay records.
 func TestScanSweepsCrashLeftovers(t *testing.T) {
 	dir := t.TempDir()
 	_, tsA := newTestDaemon(t, daemonConfig{StateDir: dir})
@@ -182,7 +218,7 @@ func TestScanSweepsCrashLeftovers(t *testing.T) {
 	keep, _ := keyedEval(t, tsA.URL, s1.ID, "keep", ct)
 
 	// What a SIGKILL inside saveSnapshot leaves:
-	for _, name := range []string{s1.ID + ".snap.tmp.123", "s9.snap.tmp.77", s1.ID + ".idem.tmp.5", s1.ID + ".epoch.tmp.9"} {
+	for _, name := range []string{s1.ID + ".snap.tmp.123", "s9.snap.tmp.77", s1.ID + ".idem.tmp.5"} {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte("partial"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -196,11 +232,8 @@ func TestScanSweepsCrashLeftovers(t *testing.T) {
 	if err := st.writeIdem("s2", 0, &orphan); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(st.epochPath("s2"), legacySidecar(41), 0o644); err != nil {
-		t.Fatal(err)
-	}
 
-	dB, tsB := newTestDaemon(t, daemonConfig{StateDir: dir})
+	_, tsB := newTestDaemon(t, daemonConfig{StateDir: dir})
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -219,11 +252,6 @@ func TestScanSweepsCrashLeftovers(t *testing.T) {
 	}
 	if _, replayed := keyedEval(t, tsB.URL, s2.ID, "foreign", ct); replayed {
 		t.Fatal("a new session inherited an orphan ring's replay records")
-	}
-	evictNow(t, dB, s2.ID)
-	encryptValues(t, tsB.URL, s2.ID, make([]complex128, 4))
-	if got := residentSession(dB, s2.ID).meta.Restores; got != 1 {
-		t.Fatalf("new session's first restore landed on epoch %d: it inherited an orphan sidecar", got)
 	}
 	// The surviving session's own ring was left alone.
 	if body, replayed := keyedEval(t, tsB.URL, s1.ID, "keep", ct); !replayed || !bytes.Equal(body, keep) {

@@ -1,13 +1,11 @@
 package fast
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 
 	"github.com/fastfhe/fast/internal/ckks"
 	"github.com/fastfhe/fast/internal/costmodel"
-	"github.com/fastfhe/fast/internal/obs"
 )
 
 // Method selects a key-switching backend. The enum is declared once, in
@@ -283,19 +281,11 @@ func (c *Context) validate(cts ...*Ciphertext) error {
 }
 
 // settings resolves per-call options; without WithMethod the method is
-// Hybrid. A WithRequestID tag is folded into the call context here, so option
-// order never matters.
+// Hybrid.
 func (c *Context) settings(opts []OpOption) opSettings {
 	var s opSettings
 	for _, o := range opts {
 		o(&s)
-	}
-	if s.requestID != "" {
-		base := s.ctx
-		if base == nil {
-			base = context.Background()
-		}
-		s.ctx = obs.WithRequestID(base, s.requestID)
 	}
 	return s
 }

@@ -7,13 +7,13 @@ import (
 	"github.com/fastfhe/fast/internal/obs"
 )
 
-// This file executes Plans: single runs, batches of runs executed one after
-// another, and the sequential reference interpretation the differential
-// suite compares against. Hoisting happens within one run's program, never
-// across runs: two runs in a batch share no decomposition, even when they
-// read the same ciphertext.
+// This file executes Plans: one run at a time (Execute, the executor;
+// ExecuteBatch is a loop over it), and the sequential reference
+// interpretation the differential suite compares against. Hoisting happens
+// within one run's program, never across runs: two runs share no
+// decomposition, even when they read the same ciphertext.
 //
-// Bit-identity contract: ExecuteBatch and ExecuteSequential produce byte-for-
+// Bit-identity contract: Execute and ExecuteSequential produce byte-for-
 // byte identical ciphertexts for the same plan and inputs, and a run's bytes
 // do not depend on the other runs of its batch. Three properties make this
 // hold: (1) every planned rotation — singletons included — runs through the
@@ -35,26 +35,25 @@ type Run struct {
 	Inputs map[string]*Ciphertext
 	// Ctx cancels this run independently of its batchmates (nil = Background).
 	// A request ID carried by Ctx (see ContextWithRequestID) is propagated to
-	// the run's trace spans and recorded on the batch's PlanRecords.
+	// the run's trace spans and recorded on its PlanRecord.
 	Ctx context.Context
 	// Out is the output ciphertext (set on success).
 	Out *Ciphertext
 	// Err is the run's failure, wrapping the package taxonomy (set on error).
 	Err error
-	// Batch is the observer-wide sequence number of the ExecuteBatch call
-	// this run executed in (set on an observed context; 0 otherwise). Equal
-	// Batch values identify runs of one call.
-	Batch uint64
 
 	regs map[string]*Ciphertext // register file
 }
 
-// Execute compiles-and-runs in one call for a single request: it executes
-// plan against inputs under ctx and returns the output ciphertext. Shorthand
-// for a one-run ExecuteBatch.
+// Execute runs plan against inputs under ctx and returns the output
+// ciphertext. A request ID carried by ctx (see ContextWithRequestID) tags the
+// run's trace spans and its PlanRecord.
 func (c *Context) Execute(ctx context.Context, plan *Plan, inputs map[string]*Ciphertext) (*Ciphertext, error) {
 	run := &Run{Plan: plan, Inputs: inputs, Ctx: ctx}
-	c.ExecuteBatch([]*Run{run})
+	if c.prepareRun(run) {
+		c.execRun(run)
+		c.recordRun(run)
+	}
 	return run.Out, run.Err
 }
 
@@ -108,19 +107,16 @@ func (run *Run) failNode(node int, err error) {
 	run.Err = fmt.Errorf("op %d (%s -> %s): %w", node, op.Op, op.Out, err)
 }
 
-// ExecuteBatch executes runs on the shared context one after another, in
-// order. Runs share nothing but the context and its keys: each runs its own
-// hoist groups on its own decompositions, exactly as a one-run Execute
-// would, and keeps its own cancellation — a canceled run fails with its own
-// ErrCanceled/ErrDeadline at its next step while the runs after it proceed.
-// Results and errors are reported per run on Run.Out / Run.Err.
+// ExecuteBatch runs each of runs through Execute, in order, and reports its
+// result on Run.Out / Run.Err. Runs share nothing but the context and its
+// keys, and each keeps its own cancellation: a canceled run fails with its
+// own ErrCanceled/ErrDeadline while the runs after it proceed.
 func (c *Context) ExecuteBatch(runs []*Run) {
 	for _, run := range runs {
-		if run != nil && c.prepareRun(run) {
-			c.execRun(run)
+		if run != nil {
+			run.Out, run.Err = c.Execute(run.Ctx, run.Plan, run.Inputs)
 		}
 	}
-	c.recordBatch(runs)
 }
 
 // execRun walks one prepared run's DAG in node order: a hoist group runs at
@@ -234,7 +230,7 @@ func (c *Context) execSoloStep(run *Run, node int) {
 // runs as a singleton hoisted call with the plan's method decision, and each
 // fused tree as one rotate-and-sum at its root add, which by the
 // bit-identity contract (see top of file) yields byte-identical outputs to
-// ExecuteBatch.
+// Execute.
 func (c *Context) ExecuteSequential(ctx context.Context, plan *Plan, inputs map[string]*Ciphertext) (*Ciphertext, error) {
 	run := &Run{Plan: plan, Inputs: inputs, Ctx: ctx}
 	if !c.prepareRun(run) {
@@ -274,57 +270,37 @@ func (c *Context) ExecuteSequential(ctx context.Context, plan *Plan, inputs map[
 	return run.regs[plan.prog.output], nil
 }
 
-// recordBatch tallies the planner's decisions on the observer: one
+// recordRun tallies the planner's decisions on the observer: one
 // aether.decision.{hybrid,klss} count per executed key-switch site,
 // aether.decision.hoisted per rotation served from a shared decomposition,
-// plus a PlanRecord per run correlating the metrics with a fingerprinted
+// plus the run's PlanRecord correlating the metrics with a fingerprinted
 // program execution.
-func (c *Context) recordBatch(runs []*Run) {
+func (c *Context) recordRun(run *Run) {
 	if c.observer == nil {
 		return
 	}
 	reg := c.observer.Registry()
-	seq := c.observer.nextBatchSeq()
-	executed := 0
-	var requestIDs []string
-	for _, run := range runs {
-		if run == nil || run.Plan == nil || run.regs == nil {
+	plan := run.Plan
+	for _, d := range plan.decisions {
+		if d.Op == "rotate" && plan.groups[d.Group][0] != d.Node {
+			// The group's first member accounts for the whole site.
 			continue
 		}
-		executed++
-		run.Batch = seq
-		if rid := obs.RequestIDFrom(run.Ctx); rid != "" {
-			requestIDs = append(requestIDs, rid)
+		switch d.Method {
+		case KLSS:
+			reg.Counter("aether.decision.klss").Inc()
+		default:
+			reg.Counter("aether.decision.hybrid").Inc()
+		}
+		if d.Op == "rotate" && d.Hoist >= 2 {
+			reg.Counter("aether.decision.hoisted").Add(uint64(d.Hoist))
 		}
 	}
-	for _, run := range runs {
-		if run == nil || run.Plan == nil || run.regs == nil {
-			continue
-		}
-		plan := run.Plan
-		for _, d := range plan.decisions {
-			if d.Op == "rotate" && plan.groups[d.Group][0] != d.Node {
-				// The group's first member accounts for the whole site.
-				continue
-			}
-			switch d.Method {
-			case KLSS:
-				reg.Counter("aether.decision.klss").Inc()
-			default:
-				reg.Counter("aether.decision.hybrid").Inc()
-			}
-			if d.Op == "rotate" && d.Hoist >= 2 {
-				reg.Counter("aether.decision.hoisted").Add(uint64(d.Hoist))
-			}
-		}
-		c.observer.recordPlan(PlanRecord{
-			Fingerprint: plan.fingerprint,
-			Batch:       seq,
-			Runs:        executed,
-			Units:       plan.units,
-			Decisions:   plan.Decisions(),
-			RequestIDs:  requestIDs,
-			Err:         run.Err != nil,
-		})
-	}
+	c.observer.recordPlan(PlanRecord{
+		Fingerprint: plan.fingerprint,
+		Units:       plan.units,
+		Decisions:   plan.Decisions(),
+		RequestID:   obs.RequestIDFrom(run.Ctx),
+		Err:         run.Err != nil,
+	})
 }

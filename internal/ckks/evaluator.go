@@ -600,14 +600,6 @@ func (ev *Evaluator) RotateHoistedWith(ct *Ciphertext, rotations []int, m KeySwi
 	return ev.rotateHoisted(nil, ct, rotations, m, heapResult)
 }
 
-// RotateHoistedCtx is RotateHoistedWith with cancellation: ctx is polled
-// inside the shared decomposition and before every per-rotation key-mult, so
-// a canceled batch returns within a fraction of one key-switch with all
-// pooled scratch released.
-func (ev *Evaluator) RotateHoistedCtx(ctx context.Context, ct *Ciphertext, rotations []int, m KeySwitchMethod) (map[int]*Ciphertext, error) {
-	return ev.rotateHoisted(newCancelCheck(ctx), ct, rotations, m, heapResult)
-}
-
 // RotateSumWith returns Σ_r rot(ct, r) over rotations through backend m as
 // one key switch: one decomposition, the h rotated decompositions' KeyMults
 // accumulated in the PQ basis, and one ModDown pair — instead of h ModDown
@@ -623,10 +615,13 @@ func (ev *Evaluator) RotateSumWith(ct *Ciphertext, rotations []int, m KeySwitchM
 }
 
 // RotateHoistedSumsCtx serves a whole hoist group from one decomposition of
-// ct: the rotation by each amount in rotations (as RotateHoistedCtx) and, for
-// each sums[i], the rotate-and-sum of its amounts (as RotateSumWith), under
-// one cancellation context. A rotated decomposition is computed once however
-// many of the outputs need it.
+// ct: the rotation by each amount in rotations (as RotateHoistedWith) and,
+// for each sums[i], the rotate-and-sum of its amounts (as RotateSumWith),
+// under one cancellation context: ctx is polled inside the shared
+// decomposition and before every per-rotation key-mult, so a canceled call
+// returns within a fraction of one key switch with all pooled scratch
+// released. A rotated decomposition is computed once however many of the
+// outputs need it.
 func (ev *Evaluator) RotateHoistedSumsCtx(ctx context.Context, ct *Ciphertext, rotations []int, sums [][]int, m KeySwitchMethod) (map[int]*Ciphertext, []*Ciphertext, error) {
 	return ev.rotateHoistedSums(newCancelCheck(ctx), ct, rotations, sums, m, heapResult)
 }

@@ -13,9 +13,8 @@ import (
 // SecretKey holds the ternary secret s, embedded (NTT form) over each key
 // ring the parameter set enables.
 type SecretKey struct {
-	signed []int64
-	QP     ring.Poly // over Q ++ P
-	QT     ring.Poly // over Q ++ T; zero-value when KLSS is disabled
+	QP ring.Poly // over Q ++ P
+	QT ring.Poly // over Q ++ T; zero-value when KLSS is disabled
 }
 
 // PublicKey is an encryption key (b, a) = (-a*s + e, a) over the full Q
@@ -154,15 +153,16 @@ func NewKeyGenerator(params *Parameters) *KeyGenerator {
 func (kg *KeyGenerator) GenSecretKey() *SecretKey {
 	p := kg.params
 	sk := &SecretKey{QP: p.ringQP.NewPoly()}
+	var signed []int64
 	if p.secretHW > 0 {
-		sk.signed = kg.sampler.TernaryHWTPoly(p.ringQP, p.secretHW, sk.QP)
+		signed = kg.sampler.TernaryHWTPoly(p.ringQP, p.secretHW, sk.QP)
 	} else {
-		sk.signed = kg.sampler.TernaryPoly(p.ringQP, sk.QP)
+		signed = kg.sampler.TernaryPoly(p.ringQP, sk.QP)
 	}
 	p.ringQP.NTT(sk.QP)
 	if p.ringQT != nil {
 		sk.QT = p.ringQT.NewPoly()
-		setSignedInto(p.ringQT, sk.signed, sk.QT)
+		setSignedInto(p.ringQT, signed, sk.QT)
 		p.ringQT.NTT(sk.QT)
 	}
 	return sk

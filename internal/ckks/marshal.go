@@ -14,16 +14,14 @@ import (
 // Wire format: little-endian, each object prefixed with a one-byte tag and a
 // version byte. Polynomials serialise as (limbs, degree, raw coefficients);
 // ciphertexts additionally carry level and scale. Keys have no wire form:
-// they are regenerated from the parameter seed (the secret key's bytes stay
-// only to check a legacy snapshot against). The format is stable within a
+// they are regenerated from the parameter seed. The format is stable within a
 // major version of this library.
 
 const (
 	wireVersion byte = 1
 
 	tagPoly       byte = 0x01
-	tagCiphertext byte = 0x02
-	tagSecretKey  byte = 0x06 // 0x03 was the plaintext tag; 0x04, 0x05, 0x07 the other keys
+	tagCiphertext byte = 0x02 // 0x03 was the plaintext tag; 0x04 to 0x07 the keys
 )
 
 // checkHeader validates the tag and version bytes every object starts with.
@@ -257,17 +255,4 @@ func (ct *Ciphertext) validate(params *Parameters) error {
 		}
 	}
 	return nil
-}
-
-// AppendBinary appends the secret key's wire form to dst: its signed ternary
-// coefficients, one byte each. It is the one key the package writes, and
-// nothing parses it: the fast package compares it against the payload a
-// legacy session snapshot stored, so such a file restores only if its
-// secret is the one its configuration regenerates.
-func (sk *SecretKey) AppendBinary(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(append(dst, tagSecretKey, wireVersion), uint32(len(sk.signed)))
-	for _, v := range sk.signed {
-		dst = append(dst, byte(int8(v)))
-	}
-	return dst
 }

@@ -13,10 +13,10 @@ import (
 // and the latency histograms. Every served request owns one *Request from
 // HTTP arrival to response; the layers it crosses advance its phase
 // (received → queued → executing/batched) and annotate it with whatever
-// attribution they learn (session, admission units, batch sequence, plan
-// fingerprint). The table serves the current set at /debug/requests, so an
-// operator can answer "what is the server doing right now, and for whom"
-// without waiting for a scrape or pulling a trace.
+// attribution they learn (session, admission units, plan fingerprint). The
+// table serves the current set at /debug/requests, so an operator can answer
+// "what is the server doing right now, and for whom" without waiting for a
+// scrape or pulling a trace.
 
 // Request phases, in lifecycle order. A request may skip phases (an encrypt
 // never plans; a sequential eval never batches).
@@ -44,7 +44,6 @@ type Request struct {
 	phase       string
 	outcome     string
 	units       float64
-	batch       uint64
 	fingerprint string
 	deadline    time.Time
 	queuedAt    time.Time
@@ -117,17 +116,6 @@ func (r *Request) SetUnits(u float64) {
 	r.mu.Unlock()
 }
 
-// SetBatch records the batch sequence number (fast.PlanRecord.Batch) the
-// request executed under.
-func (r *Request) SetBatch(seq uint64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.batch = seq
-	r.mu.Unlock()
-}
-
 // SetFingerprint records the executed plan's fingerprint.
 func (r *Request) SetFingerprint(fp string) {
 	if r == nil {
@@ -161,16 +149,6 @@ func (r *Request) QueueWait() time.Duration {
 		return 0
 	}
 	return r.execAt.Sub(r.queuedAt)
-}
-
-// Batch returns the recorded batch sequence (0 = none).
-func (r *Request) Batch() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.batch
 }
 
 // Fingerprint returns the recorded plan fingerprint ("" = none).
@@ -231,7 +209,6 @@ type RequestSnapshot struct {
 	Phase               string  `json:"phase"`
 	AgeMs               float64 `json:"age_ms"`
 	Units               float64 `json:"units,omitempty"`
-	Batch               uint64  `json:"batch,omitempty"`
 	Fingerprint         string  `json:"fingerprint,omitempty"`
 	DeadlineRemainingMs float64 `json:"deadline_remaining_ms,omitempty"`
 }
@@ -313,7 +290,6 @@ func (t *RequestTable) Snapshot() []RequestSnapshot {
 			Phase:       r.phase,
 			AgeMs:       float64(now.Sub(r.Start)) / float64(time.Millisecond),
 			Units:       r.units,
-			Batch:       r.batch,
 			Fingerprint: r.fingerprint,
 		}
 		if !r.deadline.IsZero() {

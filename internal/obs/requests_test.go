@@ -19,11 +19,10 @@ func TestRequestNilSafety(t *testing.T) {
 	r.SetSession("s")
 	r.SetPhase(PhaseQueued)
 	r.SetUnits(1)
-	r.SetBatch(1)
 	r.SetFingerprint("fp")
 	r.SetDeadline(time.Now())
 	r.SetOutcome("ok")
-	if r.Session() != "" || r.Outcome() != "" || r.Units() != 0 || r.Batch() != 0 ||
+	if r.Session() != "" || r.Outcome() != "" || r.Units() != 0 ||
 		r.Fingerprint() != "" || r.QueueWait() != 0 {
 		t.Fatal("nil *Request accessors must return zero values")
 	}

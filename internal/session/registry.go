@@ -13,7 +13,6 @@ package session
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/fastfhe/fast/internal/lru"
 )
@@ -56,19 +55,18 @@ var edges = [numStates][numStates]bool{
 }
 
 type entry[P comparable] struct {
-	id       string
-	state    State
-	shard    int  // holds a Resident entry; where Publish will put a Reserved or Restoring one
-	payload  P    // Resident only
-	durable  bool // Resident only: the disk describes the session (an evict need not re-save it, a fence does not lose it)
-	lastUsed time.Time
-	wait     chan struct{} // Restoring only: closed when the restore resolves
+	id      string
+	state   State
+	shard   int           // holds a Resident entry; where Publish will put a Reserved or Restoring one
+	payload P             // Resident only
+	durable bool          // Resident only: the disk describes the session (an evict need not re-save it, a fence does not lose it)
+	wait    chan struct{} // Restoring only: closed when the restore resolves
 }
 
 type shardState[P comparable] struct {
 	fenced      bool
 	maxResident int
-	order       *lru.Map[*entry[P]] // this shard's residents by recency, which is lastUsed order
+	order       *lru.Map[*entry[P]] // this shard's residents, least recently used first
 }
 
 // Registry is safe for concurrent use.
@@ -78,14 +76,13 @@ type Registry[P comparable] struct {
 	entries map[string]*entry[P] // every ID not Absent
 	count   [numStates]int
 	shards  []shardState[P]
-	now     func() time.Time
 }
 
 // New returns an empty registry admitting maxSessions sessions (every state
 // but Corrupt holds a slot) over len(maxResident) shards, shard i evicting
 // past maxResident[i] residents.
 func New[P comparable](maxSessions int, maxResident []int) *Registry[P] {
-	r := &Registry[P]{max: maxSessions, entries: map[string]*entry[P]{}, now: time.Now}
+	r := &Registry[P]{max: maxSessions, entries: map[string]*entry[P]{}}
 	for _, m := range maxResident {
 		r.shards = append(r.shards, shardState[P]{maxResident: m, order: lru.New[*entry[P]]()})
 	}
@@ -187,7 +184,7 @@ func (r *Registry[P]) Publish(id string, payload P, durable bool) State {
 	case e == nil:
 		return Absent
 	case !r.shards[e.shard].fenced:
-		e.payload, e.durable, e.lastUsed = payload, durable, r.now()
+		e.payload, e.durable = payload, durable
 		r.move(e, Resident)
 	case durable || e.state == Restoring:
 		r.move(e, Persisted)
@@ -226,7 +223,6 @@ func (r *Registry[P]) Acquire(id string) View[P] {
 	}
 	if e.state == Resident {
 		r.shards[e.shard].order.Get(id)
-		e.lastUsed = r.now()
 	}
 	return e.view()
 }
@@ -245,22 +241,6 @@ func (r *Registry[P]) Victim(shard int) (v View[P], ok bool) {
 		return false
 	})
 	return v, true
-}
-
-// Idle returns the residents not used since cutoff.
-func (r *Registry[P]) Idle(cutoff time.Time) (idle []View[P]) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.shards {
-		r.shards[i].order.Oldest(func(_ string, e *entry[P]) bool {
-			if !e.lastUsed.Before(cutoff) {
-				return false
-			}
-			idle = append(idle, e.view())
-			return true
-		})
-	}
-	return idle
 }
 
 // Evict moves a resident to Persisted once the caller has made the disk hold

@@ -15,7 +15,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 )
 
 type payload struct{ id string }
@@ -32,7 +31,6 @@ type sim struct {
 	t           *testing.T
 	r           *Registry[*payload]
 	rng         *rand.Rand
-	clock       time.Time
 	maxSessions int
 	limit       int // the occupancy bound: maxSessions, or what the last restart adopted if more
 	maxResident []int
@@ -46,7 +44,7 @@ type sim struct {
 func newSim(t *testing.T, seed int64) *sim {
 	rng := rand.New(rand.NewSource(seed))
 	s := &sim{
-		t: t, rng: rng, clock: time.Unix(0, 0),
+		t: t, rng: rng,
 		maxSessions: 3 + rng.Intn(4),
 		gone:        map[string]bool{},
 		steps:       map[string]int{},
@@ -64,7 +62,6 @@ func newSim(t *testing.T, seed int64) *sim {
 func (s *sim) boot(disk []string) {
 	s.fenced = make([]bool, len(s.maxResident))
 	s.r = New[*payload](s.maxSessions, s.maxResident)
-	s.r.now = func() time.Time { return s.clock }
 	s.r.Adopt(disk)
 	s.limit = max(s.maxSessions, len(disk))
 }
@@ -231,12 +228,6 @@ func (s *sim) enforce(shard int) {
 	}
 }
 
-func (s *sim) sweep() {
-	for _, v := range s.r.Idle(s.clock.Add(-50 * time.Second)) {
-		s.start(s.evict(v, false))
-	}
-}
-
 func (s *sim) delete() {
 	id := s.someID()
 	before := s.r.Acquire(id).State
@@ -281,7 +272,6 @@ func (s *sim) restart() {
 }
 
 func (s *sim) step() {
-	s.clock = s.clock.Add(time.Second)
 	if n := len(s.inflight); n > 0 && (n >= 6 || s.rng.Intn(2) == 0) {
 		i := s.rng.Intn(n)
 		o := s.inflight[i]
@@ -302,8 +292,6 @@ func (s *sim) step() {
 		s.fence()
 	case k < 17:
 		s.restart()
-	case k < 19:
-		s.sweep()
 	default:
 		s.enforce(s.someShard())
 	}
@@ -459,6 +447,36 @@ func TestRegistryFenceIsPermanent(t *testing.T) {
 	}
 	if st := r.Stats(); st.Occupancy != 2 || st.ShardResident[0] != 1 || st.ShardResident[1] != 0 {
 		t.Fatalf("stats %+v, want kept resident on shard 0 and late-durable persisted", st)
+	}
+}
+
+// TestRegistryVictimIsLeastRecentlyAcquired: recency is the shard's LRU
+// order, which a publish and every Acquire of a resident refresh — no clock
+// is read. Acquiring the oldest resident makes the next-oldest the victim,
+// and a shard within its bound offers none, however long its residents sit.
+func TestRegistryVictimIsLeastRecentlyAcquired(t *testing.T) {
+	r := New[*payload](8, []int{2})
+	for _, id := range []string{"a", "b"} {
+		if !r.Reserve(id, 0) || r.Publish(id, &payload{id}, true) != Resident {
+			t.Fatalf("create of %q did not publish", id)
+		}
+	}
+	if _, over := r.Victim(0); over {
+		t.Fatal("a shard within its bound offered a victim")
+	}
+	r.Acquire("a") // b is now the least recently used
+	if !r.Reserve("c", 0) || r.Publish("c", &payload{"c"}, true) != Resident {
+		t.Fatal("create of c did not publish")
+	}
+	v, over := r.Victim(0)
+	if !over || v.ID != "b" {
+		t.Fatalf("victim %q (over=%v), want b: a was acquired after it", v.ID, over)
+	}
+	if !r.Evict(v.ID, v.Payload) {
+		t.Fatal("evict of the victim refused")
+	}
+	if _, over := r.Victim(0); over {
+		t.Fatal("a victim offered after the shard came back within its bound")
 	}
 }
 

@@ -93,21 +93,16 @@ type SessionMeta struct {
 // them. The checksum is verified BEFORE any parsing: a flipped bit
 // anywhere in the stream surfaces as ErrCorruptSnapshot.
 //
-// A legacy "FASTSNP\x01" file carries keyLen uint64 | keys (sk | pk |
-// evaluation keys) between the header and the sum. It restores by the same
-// regeneration, and only if its payload starts with the regenerated secret
-// key's wire bytes; the rest of the payload is not read.
+// Version 2 is the only format read. A file of any other version — the
+// key-carrying "FASTSNP\x01" earlier builds wrote included — is refused as
+// corrupt, naming the version byte it carries.
 var snapshotMagic = [8]byte{'F', 'A', 'S', 'T', 'S', 'N', 'P', 2}
 
-const (
-	snapshotLegacy    = 1       // the format version whose files carry keys
-	snapshotMaxHeader = 1 << 20 // sanity bound on the JSON header
-)
+const snapshotMaxHeader = 1 << 20 // sanity bound on the JSON header
 
 // snapshotHeader is the JSON head of a snapshot: everything needed to
 // rebuild the session plus the serving-layer metadata. Members it does not
-// name are ignored, so a header that still carries the retired
-// "default_method" decodes to the same session.
+// name are ignored.
 type snapshotHeader struct {
 	Meta   SessionMeta   `json:"meta"`
 	Config ContextConfig `json:"config"`
@@ -120,8 +115,6 @@ type snapshotHeader struct {
 type SessionSnapshot struct {
 	Meta   SessionMeta
 	Config ContextConfig
-
-	legacyKeys []byte // a legacy file's key payload; nil for the current format
 }
 
 // WriteSessionSnapshot serialises the context's session — its resolved
@@ -150,18 +143,21 @@ func (c *Context) WriteSessionSnapshot(w io.Writer, meta SessionMeta) error {
 	return err
 }
 
-// DecodeSessionSnapshot verifies and parses a session snapshot: checksum
-// first (any corruption — truncation, bit flips, a foreign file — returns an
-// error wrapping ErrCorruptSnapshot before a byte is parsed), then the JSON
-// header, and a legacy file's key payload framing.
+// DecodeSessionSnapshot verifies and parses a session snapshot: magic and
+// format version, then the checksum (any corruption — truncation, bit flips,
+// a foreign file, another version — returns an error wrapping
+// ErrCorruptSnapshot before a byte is parsed), then the JSON header.
 func DecodeSessionSnapshot(data []byte) (*SessionSnapshot, error) {
 	const minLen = 8 + 4 + sha256.Size
 	if len(data) < minLen {
 		return nil, fmt.Errorf("fast: snapshot truncated (%d bytes): %w", len(data), ErrCorruptSnapshot)
 	}
-	version := data[7]
-	if !bytes.Equal(data[:7], snapshotMagic[:7]) || (version != snapshotMagic[7] && version != snapshotLegacy) {
+	if !bytes.Equal(data[:7], snapshotMagic[:7]) {
 		return nil, fmt.Errorf("fast: bad snapshot magic: %w", ErrCorruptSnapshot)
+	}
+	if v := data[7]; v != snapshotMagic[7] {
+		return nil, fmt.Errorf("fast: snapshot format version %d, this build reads only version %d: %w",
+			v, snapshotMagic[7], ErrCorruptSnapshot)
 	}
 	body, sum := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
 	want := sha256.Sum256(body)
@@ -179,19 +175,10 @@ func DecodeSessionSnapshot(data []byte) (*SessionSnapshot, error) {
 	if err := json.Unmarshal(rest[:hdrLen], &hdr); err != nil {
 		return nil, fmt.Errorf("fast: snapshot header: %v: %w", err, ErrCorruptSnapshot)
 	}
-	s := &SessionSnapshot{Meta: hdr.Meta, Config: hdr.Config}
-	rest = rest[hdrLen:]
-	if version == snapshotLegacy {
-		if len(rest) < 8 || binary.LittleEndian.Uint64(rest) != uint64(len(rest)-8) {
-			return nil, fmt.Errorf("fast: legacy snapshot key payload framing does not match %d remaining bytes: %w",
-				len(rest), ErrCorruptSnapshot)
-		}
-		s.legacyKeys, rest = rest[8:], nil
-	}
-	if len(rest) != 0 {
+	if rest = rest[hdrLen:]; len(rest) != 0 {
 		return nil, fmt.Errorf("fast: %d bytes after the snapshot header: %w", len(rest), ErrCorruptSnapshot)
 	}
-	return s, nil
+	return &SessionSnapshot{Meta: hdr.Meta, Config: hdr.Config}, nil
 }
 
 // Restore rebuilds the session the snapshot describes: the embedded
@@ -201,8 +188,7 @@ func DecodeSessionSnapshot(data []byte) (*SessionSnapshot, error) {
 // generated them, so restored sessions decrypt and evaluate pre-crash
 // ciphertexts bit-identically. A configuration that is not the resolved form
 // of itself, or does not compile, is a corrupt snapshot: every key would come
-// from it. So is a legacy file whose stored secret key is not the
-// regenerated one. Restore draws sk and pk only: each evaluation key is
+// from it. Restore draws sk and pk only: each evaluation key is
 // derived on the first op that reads it, as on a fresh context.
 //
 // Options may attach an observer or a shared evk cache. WithParallelism, the
@@ -230,14 +216,7 @@ func (s *SessionSnapshot) Restore(opts ...Option) (*Context, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fast: snapshot config does not compile: %w: %w", err, ErrCorruptSnapshot)
 	}
-	ctx, err := buildContext(cfg, settings, lit, params, s.Meta.Restores)
-	if err != nil {
-		return nil, err
-	}
-	if s.legacyKeys != nil && !bytes.HasPrefix(s.legacyKeys, ctx.sk.AppendBinary(nil)) {
-		return nil, fmt.Errorf("fast: legacy snapshot stores a secret key its config does not generate: %w", ErrCorruptSnapshot)
-	}
-	return ctx, nil
+	return buildContext(cfg, settings, lit, params, s.Meta.Restores)
 }
 
 // ReadSessionSnapshot reads, verifies and restores a session snapshot in one

@@ -22,7 +22,6 @@ type Observer struct {
 	o *obs.Observer
 
 	planMu   sync.Mutex
-	planSeq  uint64
 	planRing []PlanRecord // bounded ring, newest-last once full
 	planNext int          // ring write cursor
 	planFull bool
@@ -33,42 +32,24 @@ type Observer struct {
 // programs that caused it, small enough to never matter for memory.
 const planRingCap = 256
 
-// PlanRecord correlates one planned program execution with the observer's
-// aether.decision.* counters: which program (by plan fingerprint), in which
-// ExecuteBatch call, with which per-site verdicts. Records land in a bounded
-// ring (capacity 256, oldest evicted first).
+// PlanRecord correlates one planned program execution — one Execute call —
+// with the observer's aether.decision.* counters: which program (by plan
+// fingerprint), for which request, with which per-site verdicts. Records land
+// in a bounded ring (capacity 256, oldest evicted first).
 type PlanRecord struct {
 	// Fingerprint identifies the (program, input levels, options) tuple —
 	// Plan.Fingerprint of the executed plan.
 	Fingerprint string `json:"fingerprint"`
-	// Batch is the observer-wide sequence number of the ExecuteBatch call
-	// (Execute is a one-run call); the runs of one call share it.
-	Batch uint64 `json:"batch"`
-	// Runs is the number of runs executed in the call. Runs share no work:
-	// each hoists only within its own program.
-	Runs int `json:"runs"`
 	// Units is the plan's admission weight.
 	Units float64 `json:"units"`
 	// Decisions are the planner's per-site verdicts (Plan.Decisions).
 	Decisions []PlanDecision `json:"decisions"`
-	// RequestIDs lists the serving-request identifiers of every run of this
-	// record's call (see ContextWithRequestID), in run order — the join key
-	// between the plan ring, the access log and the trace. Empty when no run
-	// carried an ID.
-	RequestIDs []string `json:"request_ids,omitempty"`
+	// RequestID is the serving-request identifier the run's context carried
+	// (see ContextWithRequestID) — the join key between the plan ring, the
+	// access log and the trace. Empty when the run carried none.
+	RequestID string `json:"request_id,omitempty"`
 	// Err reports that this run failed (cancellation included).
 	Err bool `json:"err,omitempty"`
-}
-
-// nextBatchSeq issues a batch sequence number (nil-safe; 0 on nil).
-func (ob *Observer) nextBatchSeq() uint64 {
-	if ob == nil {
-		return 0
-	}
-	ob.planMu.Lock()
-	defer ob.planMu.Unlock()
-	ob.planSeq++
-	return ob.planSeq
 }
 
 // recordPlan appends a record to the ring (nil-safe).
@@ -109,7 +90,7 @@ func (ob *Observer) PlanRecords() []PlanRecord {
 
 // ContextWithRequestID returns ctx tagged with a serving-request identifier.
 // Operations run under the tagged context (via WithContext, Execute or
-// ExecuteBatch) carry the ID on their trace spans and plan records, so one
+// ExecuteBatch) carry the ID on their trace spans and plan record, so one
 // request's work is attributable end to end across the access log, the plan
 // ring and the Chrome trace. Empty IDs are dropped at the consumers.
 func ContextWithRequestID(ctx context.Context, id string) context.Context {

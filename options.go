@@ -63,7 +63,6 @@ type opSettings struct {
 	method    Method
 	noRescale bool
 	ctx       context.Context // nil = not cancellable
-	requestID string          // folded into ctx by Context.settings
 }
 
 // WithMethod routes this one operation through the given key-switching
@@ -101,15 +100,4 @@ func NoRescale() OpOption {
 // BootstrapContext.BootstrapCtx takes the context directly.
 func WithContext(ctx context.Context) OpOption {
 	return func(s *opSettings) { s.ctx = ctx }
-}
-
-// WithRequestID tags this one operation with a serving-request identifier:
-// when the context traces (NewTracingObserver), the operation's span and the
-// key-switch phase spans underneath it carry a request_id argument, so a
-// Chrome trace can be filtered down to exactly the spans one request caused.
-// It composes with WithContext in either order; an ID already carried by the
-// WithContext context (see ContextWithRequestID) makes this option
-// redundant. The empty string is a no-op.
-func WithRequestID(id string) OpOption {
-	return func(s *opSettings) { s.requestID = id }
 }

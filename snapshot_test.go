@@ -7,11 +7,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
-	"math/cmplx"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	fast "github.com/fastfhe/fast"
@@ -299,18 +298,6 @@ func ExampleContext_WriteSessionSnapshot() {
 	// Output: s1: 1+2i
 }
 
-// spliceHeader rewrites a well-formed snapshot into the one a build whose
-// header carried one more JSON member would have written for the same
-// session: splice names where in the header the member goes and what it is;
-// hdrLen and the trailing SHA-256 are recomputed. Nothing else in the file
-// moves.
-func spliceHeader(t testing.TB, snap []byte, splice func(hdr []byte) (at int, member string)) []byte {
-	t.Helper()
-	hdr := snapshotHeader(snap)
-	at, member := splice(hdr)
-	return withHeader(snap, append(append(bytes.Clone(hdr[:at]), member...), hdr[at:]...))
-}
-
 // resign appends body's SHA-256: the trailer a snapshot writer puts after it.
 func resign(body []byte) []byte {
 	sum := sha256.Sum256(body)
@@ -322,7 +309,7 @@ func snapshotHeader(snap []byte) []byte {
 	return snap[8+4 : 8+4+binary.LittleEndian.Uint32(snap[8:])]
 }
 
-// withHeader is snap (either format) with its header replaced by hdr: hdrLen
+// withHeader is snap with its header replaced by hdr: hdrLen
 // and the trailing SHA-256 are recomputed, so the result passes the checksum
 // and reaches Restore.
 func withHeader(snap, hdr []byte) []byte {
@@ -375,218 +362,40 @@ func TestSessionSnapshotIsItsHeader(t *testing.T) {
 	}
 }
 
-// spliceLegacyMetaKey: the snapshot a build whose SessionMeta still ended in
-// a "fault_scenario" field would have written — the key appended to the
-// header's meta object, where encoding/json put that struct's last field.
-func spliceLegacyMetaKey(t testing.TB, snap []byte, scenario string) []byte {
-	t.Helper()
-	return spliceHeader(t, snap, func(hdr []byte) (int, string) {
-		metaEnd := bytes.Index(hdr, []byte(`},"config":`))
-		if metaEnd < 0 {
-			t.Fatalf("snapshot header %q has no meta object before config", hdr)
-		}
-		key := `"fault_scenario":"` + scenario + `"`
-		if hdr[metaEnd-1] != '{' {
-			key = "," + key
-		}
-		return metaEnd, key
-	})
-}
-
-// spliceDefaultMethod: the snapshot a build whose header still ended in the
-// context-wide "default_method" would have written for the same session.
-func spliceDefaultMethod(t testing.TB, snap []byte, method string) []byte {
-	t.Helper()
-	return spliceHeader(t, snap, func(hdr []byte) (int, string) {
-		return len(hdr) - 1, `,"default_method":"` + method + `"`
-	})
-}
-
-// TestLegacySnapshotRestores: snapshots in the formats earlier builds wrote
-// keep restoring. One carried "fault_scenario" in its meta; one named a
-// context-wide "default_method" in its header, hybrid or klss, before the
-// plan became the one owner of the key-switch method. Both members are
-// ignored: the metadata comes back, and decrypts and a Mul on the restored
-// context are byte-identical to the source context's, which runs hybrid
-// unless an op is pinned. The "FASTSNP\x01" files under testdata/ are what
-// the last build that stored keys wrote: see legacyKeyPayloadRestores.
-func TestLegacySnapshotRestores(t *testing.T) {
-	meta := fast.SessionMeta{ID: "s1", CreatedUnixNano: 12345, Restores: 2}
-	ctx, snap := snapshotBytes(t, snapshotTestConfig(), meta)
-	vals := make([]complex128, ctx.Slots())
-	for i := range vals {
-		vals[i] = complex(0.125*float64(i%7), -0.25*float64(i%3))
-	}
-	ct, err := ctx.Encrypt(vals)
+// TestLegacySnapshotRefused: version 2 is the only snapshot format read.
+// The key-carrying "FASTSNP\x01" format earlier builds wrote
+// (testdata/snapshot_v1.snap, written at LogN 4 / Levels 2 / seed 11 with
+// KLSS, and pinned by its digest) is refused, and so is a current snapshot
+// re-signed under any other version byte. Each checksum is valid, so the
+// refusal is the version byte's: the error wraps ErrCorruptSnapshot and names
+// the version, for a snapshot decoded alone or read and restored in one step.
+func TestLegacySnapshotRefused(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1.snap"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := ct.AppendBinary(nil)
-	wantDec := ctx.Decrypt(ct)
-	wantMul := mulBytes(t, ctx, ct)
-
-	for _, tc := range []struct {
-		name, landed string
-		legacy       []byte
-	}{
-		{"fault_scenario", `"restores":2,"fault_scenario":"transfer"},"config":`, spliceLegacyMetaKey(t, snap, "transfer")},
-		{"default_method=hybrid", `},"default_method":"hybrid"}`, spliceDefaultMethod(t, snap, "hybrid")},
-		{"default_method=klss", `},"default_method":"klss"}`, spliceDefaultMethod(t, snap, "klss")},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if !bytes.Contains(tc.legacy, []byte(tc.landed)) {
-				t.Fatalf("splice did not produce %s", tc.landed)
+	const wantLen, wantSum = 8912, "5ca81f9ced5260873ff694a9b5cd2558d4bf554776bb02d2d3abb6fc69e3cda6"
+	if got := fmt.Sprintf("%x", sha256.Sum256(v1)); len(v1) != wantLen || got != wantSum {
+		t.Fatalf("fixture: len %d sha256 %s, want len %d sha256 %s", len(v1), got, wantLen, wantSum)
+	}
+	_, v2 := snapshotBytes(t, snapshotTestConfig(), fast.SessionMeta{ID: "s1"})
+	files := map[string][]byte{"version=1_fixture": v1}
+	for _, v := range []byte{0, 3, 255} {
+		body := bytes.Clone(v2[:len(v2)-sha256.Size])
+		body[7] = v
+		files[fmt.Sprintf("version=%d", v)] = resign(body)
+	}
+	for name, snap := range files {
+		t.Run(name, func(t *testing.T) {
+			version := fmt.Sprintf("version %d,", snap[7])
+			if s, err := fast.DecodeSessionSnapshot(snap); !errors.Is(err, fast.ErrCorruptSnapshot) || !strings.Contains(err.Error(), version) {
+				t.Fatalf("decode: snapshot %v, error %v; want ErrCorruptSnapshot naming %q", s, err, version)
 			}
-			restored, gotMeta, err := fast.ReadSessionSnapshot(bytes.NewReader(tc.legacy))
-			if err != nil {
-				t.Fatalf("restore: %v", err)
-			}
-			if gotMeta != meta {
-				t.Fatalf("meta: got %+v, want %+v", gotMeta, meta)
-			}
-			rct, err := restored.ReadCiphertextBytes(wire)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, got := range restored.Decrypt(rct) {
-				if got != wantDec[i] {
-					t.Fatalf("slot %d: restored decrypt %v != source %v", i, got, wantDec[i])
-				}
-			}
-			if !bytes.Equal(mulBytes(t, restored, rct), wantMul) {
-				t.Fatal("Mul on the restored context differs from the source context's")
+			if _, _, err := fast.ReadSessionSnapshot(bytes.NewReader(snap)); !errors.Is(err, fast.ErrCorruptSnapshot) {
+				t.Fatalf("read: error %v, want ErrCorruptSnapshot", err)
 			}
 		})
 	}
-	for _, file := range []string{"snapshot_v1.snap", "snapshot_v1_klss.snap"} {
-		t.Run(file, func(t *testing.T) { legacyKeyPayloadRestores(t, file) })
-	}
-}
-
-// The "FASTSNP\x01" fixtures, written by the last build that stored keys:
-// the snapshot of legacyConfig, the same file with the KLSS section that
-// build's predecessors stored spliced in, and a ciphertext the writing
-// context encrypted. Their digests, and those of what the writing context
-// decrypted that ciphertext to and of a restored context's hybrid Mul, are
-// pinned here. The Mul's was re-pinned once, when each evaluation key came to
-// be drawn from a stream of its own: the relinearisation key's bytes changed,
-// the secret's, and so the decrypt's, did not.
-var legacyFixtures = map[string]struct {
-	len int
-	sum string
-}{
-	"snapshot_v1.snap":      {8912, "5ca81f9ced5260873ff694a9b5cd2558d4bf554776bb02d2d3abb6fc69e3cda6"},
-	"snapshot_v1_klss.snap": {16766, "3239a4d34743f9aae5b3013ee940773d1e9f6e623a30ec9aa76c705bce6c9795"},
-	"snapshot_v1.ct":        {802, "992b3672e7e0bc02ce13ff376c5ae7ce6fbb04d6bfe3548847e4d1db1af82870"},
-}
-
-const (
-	legacyDecryptSum = "250ac6a5b6906d4d3f858a4f6d560cdda7920cfcf0d8cf50bd1e9c5378b40fcf"
-	legacyMulSum     = "0e760d49b7e964e2a6c3c6cac6886d56f6ab2b1b6a8a1e32cd18ab971fe79aab"
-)
-
-// legacyConfig is the resolved config the fixtures were written from.
-func legacyConfig() fast.ContextConfig {
-	return fast.ContextConfig{LogN: 4, LogSlots: 3, Levels: 2, LogScale: 30, Rotations: []int{1},
-		Conjugation: true, EnableKLSS: true, Seed: 11}
-}
-
-// readFixture reads a testdata file and checks it against its pinned digest.
-func readFixture(t *testing.T, name string) []byte {
-	t.Helper()
-	b, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := legacyFixtures[name]
-	if got := fmt.Sprintf("%x", sha256.Sum256(b)); len(b) != want.len || got != want.sum {
-		t.Fatalf("%s: len %d sha256 %s, want len %d sha256 %s", name, len(b), got, want.len, want.sum)
-	}
-	return b
-}
-
-// legacyKeyPayloadRestores: a key-carrying file restores by regenerating its
-// keys from its header. Its decrypt is byte-identical to the writing
-// context's, and its hybrid Mul is the pinned one and decrypts within 2^-10
-// (the plaintext oracle's floor) of the square of that decrypt; KLSS Mul —
-// derived keys, a stored KLSS section being ignored — decrypts within 1e-3
-// of hybrid; re-snapshotting writes the
-// current format with the same header. A secret-key byte flipped and the
-// file re-signed is a corrupt snapshot: its keys did not come from its
-// header.
-func legacyKeyPayloadRestores(t *testing.T, file string) {
-	snap := readFixture(t, file)
-	ctx, meta, err := fast.ReadSessionSnapshot(bytes.NewReader(snap))
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if want := (fast.SessionMeta{ID: "s1", CreatedUnixNano: 1234567890}); meta != want {
-		t.Fatalf("meta: got %+v, want %+v", meta, want)
-	}
-	if got := ctx.Config(); !reflect.DeepEqual(got, legacyConfig()) {
-		t.Fatalf("config: got %+v, want %+v", got, legacyConfig())
-	}
-	ct, err := ctx.ReadCiphertextBytes(readFixture(t, "snapshot_v1.ct"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dec []byte
-	for _, v := range ctx.Decrypt(ct) {
-		dec = binary.LittleEndian.AppendUint64(dec, math.Float64bits(real(v)))
-		dec = binary.LittleEndian.AppendUint64(dec, math.Float64bits(imag(v)))
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(dec)); got != legacyDecryptSum {
-		t.Fatalf("decrypt digest %s, the writing context's %s", got, legacyDecryptSum)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(mulBytes(t, ctx, ct))); got != legacyMulSum {
-		t.Fatalf("hybrid Mul digest %s, the writing context's %s", got, legacyMulSum)
-	}
-	k, err := ctx.Mul(ct, ct, fast.WithMethod(fast.KLSS))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := ctx.Mul(ct, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyb := ctx.Decrypt(h)
-	for i, v := range ctx.Decrypt(ct) {
-		if cmplx.Abs(hyb[i]-v*v) > 1.0/1024 {
-			t.Fatalf("slot %d: hybrid Mul %v, the plaintext square %v", i, hyb[i], v*v)
-		}
-	}
-	for i, got := range ctx.Decrypt(k) {
-		if cmplx.Abs(got-hyb[i]) > 1e-3 {
-			t.Fatalf("slot %d: KLSS Mul %v, hybrid %v", i, got, hyb[i])
-		}
-	}
-	var again bytes.Buffer
-	if err := ctx.WriteSessionSnapshot(&again, meta); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(snapshotHeader(again.Bytes()), snapshotHeader(snap)) {
-		t.Fatalf("re-snapshot header %s, the legacy file's %s", snapshotHeader(again.Bytes()), snapshotHeader(snap))
-	}
-
-	flipped := bytes.Clone(snap[:len(snap)-sha256.Size])
-	flipped[8+4+len(snapshotHeader(snap))+8+6] ^= 0x02 // the secret's first coefficient, past keyLen, tag, version and length
-	s, err := fast.DecodeSessionSnapshot(resign(flipped))
-	if err != nil {
-		t.Fatalf("re-signed snapshot refused at decode: %v", err)
-	}
-	if _, err := s.Restore(); !errors.Is(err, fast.ErrCorruptSnapshot) {
-		t.Fatalf("a legacy file whose secret key is not its config's: restore error %v, want ErrCorruptSnapshot", err)
-	}
-}
-
-// mulBytes is the wire form of ct*ct on ctx.
-func mulBytes(t *testing.T, ctx *fast.Context, ct *fast.Ciphertext) []byte {
-	t.Helper()
-	prod, err := ctx.Mul(ct, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prod.AppendBinary(nil)
 }
 
 // TestSessionSnapshotEmptyRotationsRoundTrip: a context built with an empty,
@@ -608,8 +417,7 @@ func TestSessionSnapshotEmptyRotationsRoundTrip(t *testing.T) {
 // TestSessionSnapshotGoldenBytes pins the snapshot wire bytes for a fixed
 // seed and metadata. It was re-captured once when the snapshot became its
 // header ("FASTSNP\x02"): the key-carrying "FASTSNP\x01" format it pinned
-// before stays pinned by the checked-in files TestLegacySnapshotRestores
-// reads.
+// before is now refused (TestLegacySnapshotRefused).
 func TestSessionSnapshotGoldenBytes(t *testing.T) {
 	meta := fast.SessionMeta{ID: "golden", CreatedUnixNano: 1234567890, Restores: 3}
 	_, snap := snapshotBytes(t, snapshotTestConfig(), meta)
