@@ -695,9 +695,8 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc) {
 // codes — the degradation ladder, as seen by a client:
 //
 //	429 Too Many Requests   queue full (burst; back off and retry)
-//	503 Service Unavailable draining or shard down (shard_down carries
-//	                        Retry-After: failover is in progress, retry
-//	                        shortly and a survivor serves it)
+//	503 Service Unavailable draining, shard down, restore epoch unwritten
+//	                        (the last two with Retry-After: retry shortly)
 //	504 Gateway Timeout     shed: deadline provably unmeetable
 //	408 Request Timeout     canceled/deadline mid-flight
 //	404 Not Found           session unknown (neither resident nor on disk)
@@ -708,7 +707,7 @@ func requestContext(r *http.Request) (context.Context, context.CancelFunc) {
 //
 // The rung is also recorded as the request's outcome, so the access log names
 // the exact ladder step even where the status code is ambiguous (503 covers
-// draining and shard_down; 504 covers both shed and deadline).
+// draining, shard_down and epoch_unwritten; 504 shed and deadline).
 func (d *daemon) writeAdmissionError(w http.ResponseWriter, r *http.Request, err error) {
 	status := http.StatusInternalServerError
 	outcome := "error"
@@ -726,6 +725,9 @@ func (d *daemon) writeAdmissionError(w http.ResponseWriter, r *http.Request, err
 		// rung — one short backoff and a surviving shard owns the range.
 		w.Header().Set("Retry-After", "1")
 		status, outcome = http.StatusServiceUnavailable, "shard_down"
+	case errors.Is(err, errEpochUnwritten): // the session is still on disk
+		w.Header().Set("Retry-After", "1")
+		status, outcome = http.StatusServiceUnavailable, "epoch_unwritten"
 	case errors.Is(err, serve.ErrQueueFull):
 		status, outcome = http.StatusTooManyRequests, "queue_full"
 	case errors.Is(err, serve.ErrShed):

@@ -32,6 +32,10 @@ import (
 // entry, no snapshot and no tombstone — mapped to 404 by the error ladder.
 var errUnknownSession = errors.New("unknown session")
 
+// errEpochUnwritten is a restore whose new epoch could not be made durable —
+// mapped to 503 by the error ladder.
+var errEpochUnwritten = errors.New("restore epoch not durable")
+
 // resolve maps a session ID to (holding shard, session). The resident path is
 // one registry call; a persisted ID pays a singleflighted restore onto its
 // ring-routed live shard.
@@ -71,7 +75,7 @@ func (d *daemon) shardDown(id string) error {
 // restoreInto runs the restore this request claimed and publishes its result.
 func (d *daemon) restoreInto(sh *evalShard, idem *idemTable) (*session, error) {
 	id := idem.id
-	s, durable, err := d.restoreSession(sh, idem) // disk + keygen; never under the registry lock
+	s, err := d.restoreSession(sh, idem) // disk + keygen; never under the registry lock
 	if err != nil {
 		// A corrupt file leaves a tombstone: it stays on disk for forensics
 		// but the ID will never be restored — wrong decrypts are impossible.
@@ -83,7 +87,7 @@ func (d *daemon) restoreInto(sh *evalShard, idem *idemTable) (*session, error) {
 		d.logger.Warn("session restore failed", "session", id, "error", err.Error())
 		return nil, err
 	}
-	switch d.sessions.Publish(id, s, durable) {
+	switch d.sessions.Publish(id, s, true) {
 	case sessreg.Resident:
 		d.mRestored.Inc()
 		d.logger.Info("session restored", "session", id, "shard", sh.id, "restores", s.meta.Restores)
@@ -109,19 +113,19 @@ func (d *daemon) restoreInto(sh *evalShard, idem *idemTable) (*session, error) {
 //     randomness;
 //   - keys are regenerated from the header's config (compiled if unshared);
 //   - the snapshot is rewritten with the new epoch BEFORE the session is
-//     returned, so the next crash lands on a fresh epoch too. If that write
-//     degrades the session still serves, not durable, and the next evict
-//     writes the snapshot again.
-func (d *daemon) restoreSession(sh *evalShard, idem *idemTable) (s *session, durable bool, err error) {
+//     returned, so the next crash lands on a fresh epoch too; if that write
+//     fails, so does the restore (errEpochUnwritten), never serving an epoch
+//     the .snap does not hold.
+func (d *daemon) restoreSession(sh *evalShard, idem *idemTable) (*session, error) {
 	st, id := d.store, idem.id
 	t0 := time.Now()
 	data, err := os.ReadFile(st.snapshotPath(id))
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	snap, err := fast.DecodeSessionSnapshot(data)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	snap.Meta.Restores++
 	st.mSnapshotLoad.ObserveSince(t0)
@@ -129,15 +133,16 @@ func (d *daemon) restoreSession(sh *evalShard, idem *idemTable) (s *session, dur
 	t0 = time.Now()
 	fctx, err := snap.Restore(d.sessionOptions(id, sh)...)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	st.mExpand.ObserveSince(t0)
 
 	sess := d.newSession(fctx, snap.Meta, idem)
-	t0 = time.Now()
-	durable = sess.save("epoch") == nil
-	st.mEpochWrite.ObserveSince(t0)
-	return sess, durable, nil
+	defer st.mEpochWrite.ObserveSince(time.Now())
+	if err := sess.save("epoch"); err != nil && !errors.Is(err, errDeleted) { // a DELETE is Publish's to see
+		return nil, fmt.Errorf("session %q: %w: %v", id, errEpochUnwritten, err)
+	}
+	return sess, nil
 }
 
 // enforceResident evicts least-recently-used sessions from one shard until

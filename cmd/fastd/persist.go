@@ -39,10 +39,10 @@ import (
 // counted — a wrong decrypt from a torn or bit-flipped file is structurally
 // impossible.
 //
-// A failed durability write is retried once, then the session is served
-// resident-only and the failure counted. Tests reach that degraded path
-// through hook: an error returned at a write's hook point fails the write
-// exactly as a full disk or an I/O error would.
+// A failed durability write is retried once and counted; then a create or
+// an evict serves the session resident-only, and a restore does not serve.
+// Tests reach those paths through hook: an error returned at a write's hook
+// point fails the write exactly as a full disk or an I/O error would.
 type sessionStore struct {
 	dir    string
 	logger *slog.Logger

@@ -296,12 +296,14 @@ func TestRestoreVerifiesSnapshotChecksumEveryRestore(t *testing.T) {
 	}
 }
 
-// TestEpochWriteFaultDegrades: a restore's snapshot write that fails (twice)
-// follows the store's degrade policy — counted, the session serves marked
-// dirty, and the next evict writes the snapshot again, so the epoch it served
-// under is durable in the header and the restore after that lands strictly
-// above it.
-func TestEpochWriteFaultDegrades(t *testing.T) {
+// TestEpochWriteFaultRefuses: a restore whose epoch write fails (twice) does
+// not serve. Serving on epoch 1 while the .snap still holds 0 would let a
+// crash before the next evict restore onto epoch 1 again and replay the
+// encryption randomness clients already saw. The request is a 503 with
+// Retry-After, the session stays persisted (no tombstone) with its .snap
+// untouched, and once the disk takes writes again the next request restores
+// on epoch 1 and serves.
+func TestEpochWriteFaultRefuses(t *testing.T) {
 	dir := t.TempDir()
 	d, ts := newTestDaemon(t, daemonConfig{StateDir: dir})
 	sr := createSession(t, ts.URL, testSessionRequest())
@@ -313,10 +315,14 @@ func TestEpochWriteFaultDegrades(t *testing.T) {
 		}
 		return nil
 	}
-	encryptValues(t, ts.URL, sr.ID, make([]complex128, 4))
+	encrypt := encryptRequest{Values: fromComplex(make([]complex128, 4))}
+	status, body := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+sr.ID+"/encrypt", nil, encrypt, nil)
 	d.store.hook = nil
-	if v := d.sessions.Acquire(sr.ID); v.Payload == nil || v.Durable || v.Payload.meta.Restores != 1 {
-		t.Fatalf("after a failed epoch write: session %+v, want resident, not durable, epoch 1", v)
+	if status != http.StatusServiceUnavailable {
+		t.Fatalf("encrypt whose restore could not write its epoch: status %d (%s), want 503", status, body)
+	}
+	if v := d.sessions.Acquire(sr.ID); v.Payload != nil || v.State != sessreg.Persisted {
+		t.Fatalf("after a failed epoch write: session %+v, want persisted and not resident", v)
 	}
 	if got := d.store.mWriteFailures.Value(); got != 1 {
 		t.Fatalf("fastd.store.write_failures = %d, want 1", got)
@@ -324,10 +330,12 @@ func TestEpochWriteFaultDegrades(t *testing.T) {
 	if got := snapEpoch(t, dir, sr.ID); got != 0 {
 		t.Fatalf("a failed epoch write changed the .snap: it holds epoch %d", got)
 	}
-	evictNow(t, d, sr.ID) // dirty: re-saves the snapshot, header epoch 1
 	encryptValues(t, ts.URL, sr.ID, make([]complex128, 4))
-	if got := residentSession(d, sr.ID).meta.Restores; got != 2 {
-		t.Fatalf("restore after a degraded one landed on epoch %d, want 2", got)
+	if got := residentSession(d, sr.ID).meta.Restores; got != 1 {
+		t.Fatalf("restore after the refused one landed on epoch %d, want 1", got)
+	}
+	if got := snapEpoch(t, dir, sr.ID); got != 1 {
+		t.Fatalf("the served restore left epoch %d in the .snap, want 1", got)
 	}
 }
 
@@ -574,7 +582,7 @@ func TestRestorePhasesSumToRestore(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		evictNow(t, d, sr.ID)
 		before, t0 := phaseSum(), time.Now()
-		_, _, err := d.restoreSession(d.shards[0], d.idemTable(sr.ID))
+		_, err := d.restoreSession(d.shards[0], d.idemTable(sr.ID))
 		wall += time.Since(t0)
 		phases += phaseSum() - before
 		if err != nil {

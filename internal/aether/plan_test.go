@@ -133,15 +133,15 @@ func TestPlanSitesUnitsPriceTheChosenMethod(t *testing.T) {
 	}
 }
 
-// Ties within 5% go to hybrid: at the wide shape's level 4, hoist 2, KLSS
-// counts 0.8% fewer operations and still loses.
+// Ties within 5% go to hybrid: at the wide shape's level 5, hoist 5, KLSS
+// counts 1.3% fewer operations and still loses.
 func TestPlanSitesTiesGoToHybrid(t *testing.T) {
-	hy := wide.KeySwitch(costmodel.Hybrid, 4, 2).Total()
-	kl := wide.KeySwitch(costmodel.KLSS, 4, 2).Total()
+	hy := wide.KeySwitch(costmodel.Hybrid, 5, 5).Total()
+	kl := wide.KeySwitch(costmodel.KLSS, 5, 5).Total()
 	if r := kl / hy; r < 0.95 || r >= 1 {
 		t.Fatalf("KLSS/hybrid = %.4f, no longer a tie KLSS narrowly wins", r)
 	}
-	if d := PlanSites(wide, []Site{{Level: 4, Hoist: 2, KLSS: true}})[0]; d.Method != costmodel.Hybrid {
+	if d := PlanSites(wide, []Site{{Level: 5, Hoist: 5, KLSS: true}})[0]; d.Method != costmodel.Hybrid {
 		t.Fatalf("tie went to %v, want hybrid", d.Method)
 	}
 }

@@ -50,10 +50,11 @@ func TestKeySwitchAllocs(t *testing.T) {
 		}
 	}
 
-	// The widest inner product the planner fuses: lib_deep's hoist group is
-	// a four-rotation sum at level 9 with digits of two, so keyMult's per-row
-	// tables carry h·β = 4 × 5 = 20 terms. Tables too small for them regrow
-	// on the heap on every row chunk (+3 per chunk).
+	// The widest group the planner fuses: lib_deep's hoist group is a
+	// four-rotation sum at level 9 with digits of two, β = 5. keyProduct's
+	// per-row tables hold the β digit rows and one key's rows on the stack,
+	// and every term's product passes through one pooled scratch row pair per
+	// row chunk. Tables on the heap would cost +3 per chunk.
 	params, err := NewParameters(ParametersLiteral{
 		LogN: 10, LogSlots: 9, LogQ: append([]int{50}, repeat(36, 9)...), LogP: []int{50, 50},
 		LogScale: 36, Alpha: 2, Seed: 1,
@@ -62,10 +63,7 @@ func TestKeySwitchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	kgen := NewKeyGenerator(params)
-	key, err := kgen.GenRelinearizationKey(kgen.GenSecretKey(), Hybrid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sk := kgen.GenSecretKey()
 	ks, err := NewKeySwitcherWorkers(params, Hybrid, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -78,15 +76,19 @@ func TestKeySwitchAllocs(t *testing.T) {
 	}
 	terms := make([]ksTerm, 4)
 	for i := range terms {
-		idx := params.GaloisIndex(ring.GaloisElementForRotation(params.LogN(), 1<<i))
-		terms[i] = ksTerm{ks.Automorph(dec, idx), key}
+		galEl := params.GaloisElement(1 << i)
+		key, err := kgen.GenGaloisKey(sk, galEl, Hybrid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		terms[i] = ksTerm{key: key, idx: params.GaloisIndex(galEl)}
 	}
 	if h, beta := len(terms), ks.beta(level); h*beta != 20 {
 		t.Fatalf("h·β = %d·%d, want the 20 terms of lib_deep's group", h, beta)
 	}
 	d0, d1 := ring.NewPoly(params.N(), level+1), ring.NewPoly(params.N(), level+1)
 	fused := func() {
-		if err := ks.keyMult(nil, terms, level, d0, d1); err != nil {
+		if err := ks.keyMult(nil, dec, terms, level, d0, d1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,7 +97,7 @@ func TestKeySwitchAllocs(t *testing.T) {
 	const maxAllocs = 10 // steady state measures 9
 	t.Logf("keyMult h4 β5: %.0f allocs/op", allocs)
 	if allocs > maxAllocs {
-		t.Errorf("keyMult over h·β = 20 terms allocates %.0f times per op, want <= %d (tables on the heap?)",
+		t.Errorf("keyMult over four rotations at β = 5 allocates %.0f times per op, want <= %d (tables on the heap?)",
 			allocs, maxAllocs)
 	}
 }
@@ -128,7 +130,7 @@ func TestRotateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		const maxAllocs = 35 // steady state measures 26
+		const maxAllocs = 35 // steady state measures 28
 		t.Logf("Rotate %v: %.0f allocs/op", method, allocs)
 		if allocs > maxAllocs {
 			t.Errorf("Rotate %v allocates %.0f times per op, want <= %d (pooling or galois-cache regression?)",
@@ -166,7 +168,7 @@ func TestRotateHoistedAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		const maxAllocs = 96 // steady state measures 71
+		const maxAllocs = 96 // steady state measures 65
 		t.Logf("RotateHoisted %v (%d rots): %.0f allocs/op", method, len(rots), allocs)
 		if allocs > maxAllocs {
 			t.Errorf("RotateHoisted %v allocates %.0f times per op, want <= %d (pooling or galois-cache regression?)",

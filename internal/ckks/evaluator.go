@@ -562,34 +562,14 @@ func (ev *Evaluator) conjugate(cc *cancelCheck, ct *Ciphertext, m KeySwitchMetho
 	return out, err
 }
 
+// automorphism returns φ_galEl(ct) as a result per mode: a group of one.
 func (ev *Evaluator) automorphism(cc *cancelCheck, ct *Ciphertext, galEl uint64, m KeySwitchMethod, mode resultMode) (*Ciphertext, error) {
-	if err := cc.err("HRot"); err != nil {
-		return nil, err
-	}
-	sw, err := ev.switcherFor(m)
+	els := [1]uint64{galEl}
+	outs, err := ev.galoisSums(cc, ct, [][]uint64{els[:]}, m, mode)
 	if err != nil {
 		return nil, err
 	}
-	key, err := ev.keys.GaloisKey(m, galEl)
-	if err != nil {
-		return nil, err
-	}
-	level := ct.Level
-	rq := ev.params.ringQAt[level]
-	idx := ev.params.GaloisIndex(galEl)
-
-	// Switch φ(c1) under the rotated key, then add φ(c0).
-	rot := ev.pool.Get(level + 1)
-	defer ev.pool.Put(rot)
-	rq.AutomorphismNTT(ct.C1, rot, idx)
-	out := ev.newCiphertext(mode, level, ct.Scale)
-	if err := sw.switchPoly(cc, rot, key, level, out.C0, out.C1); err != nil {
-		ev.recycle(out)
-		return nil, err
-	}
-	rq.AutomorphismNTT(ct.C0, rot, idx)
-	rq.Add(out.C0, rot, out.C0)
-	return out, nil
+	return outs[0], nil
 }
 
 // RotateHoistedWith rotates ct by every requested amount through backend m,
@@ -597,12 +577,13 @@ func (ev *Evaluator) automorphism(cc *cancelCheck, ct *Ciphertext, galEl uint64,
 // optimisation the FAST accelerator schedules (paper §2.2.3). Results are
 // keyed by rotation amount; an amount listed twice is computed once.
 func (ev *Evaluator) RotateHoistedWith(ct *Ciphertext, rotations []int, m KeySwitchMethod) (map[int]*Ciphertext, error) {
-	return ev.rotateHoisted(nil, ct, rotations, m, heapResult)
+	out, _, err := ev.rotateHoistedSums(nil, ct, rotations, nil, m, heapResult)
+	return out, err
 }
 
 // RotateSumWith returns Σ_r rot(ct, r) over rotations through backend m as
-// one key switch: one decomposition, the h rotated decompositions' KeyMults
-// accumulated in the PQ basis, and one ModDown pair — instead of h ModDown
+// one key switch: one decomposition, each rotation's key product permuted
+// into one PQ accumulator pair, and one ModDown pair — instead of h ModDown
 // pairs and h-1 additions. The sum is rounded once, so it decrypts at least
 // as close to the plaintext sum as the separate rotations added up. A
 // rotation by 0 adds ct itself, and an amount listed twice is added twice.
@@ -618,150 +599,119 @@ func (ev *Evaluator) RotateSumWith(ct *Ciphertext, rotations []int, m KeySwitchM
 // ct: the rotation by each amount in rotations (as RotateHoistedWith) and,
 // for each sums[i], the rotate-and-sum of its amounts (as RotateSumWith),
 // under one cancellation context: ctx is polled inside the shared
-// decomposition and before every per-rotation key-mult, so a canceled call
-// returns within a fraction of one key switch with all pooled scratch
-// released. A rotated decomposition is computed once however many of the
-// outputs need it.
+// decomposition, before every output's key product and inside it, so a
+// canceled call returns within a fraction of one key switch with all pooled
+// scratch released. Every output computes its own key products from the
+// shared decomposition and permutes them into its own accumulator; an
+// output's bytes are the same as when it is computed alone, or by RotateWith.
 func (ev *Evaluator) RotateHoistedSumsCtx(ctx context.Context, ct *Ciphertext, rotations []int, sums [][]int, m KeySwitchMethod) (map[int]*Ciphertext, []*Ciphertext, error) {
 	return ev.rotateHoistedSums(newCancelCheck(ctx), ct, rotations, sums, m, heapResult)
 }
 
-// rotateHoisted returns the rotations as results per mode; on error, none.
-func (ev *Evaluator) rotateHoisted(cc *cancelCheck, ct *Ciphertext, rotations []int, m KeySwitchMethod, mode resultMode) (map[int]*Ciphertext, error) {
-	out, _, err := ev.rotateHoistedSums(cc, ct, rotations, nil, m, mode)
-	return out, err
-}
-
 // rotateHoistedSums returns the rotations and the sums as results per mode;
-// on error, none. The sums run first and keep their rotated decompositions
-// until the end, so a rotation they share with a sum or a loose rotation is
-// permuted once; a loose rotation no sum needs releases its own right after
-// its key switch, as it always has.
+// on error, none. An amount listed twice among the rotations is one output.
 func (ev *Evaluator) rotateHoistedSums(cc *cancelCheck, ct *Ciphertext, rotations []int, sums [][]int, m KeySwitchMethod, mode resultMode) (map[int]*Ciphertext, []*Ciphertext, error) {
 	var t0 time.Time
 	if ev.om != nil {
 		t0 = time.Now()
 	}
-	sw, err := ev.switcherFor(m)
+	out := make(map[int]*Ciphertext, len(rotations))
+	var loose []int
+	for _, r := range rotations {
+		if _, dup := out[r]; !dup {
+			out[r] = nil
+			loose = append(loose, r)
+		}
+	}
+	groups := make([][]uint64, len(sums), len(sums)+len(loose))
+	for i, rs := range sums {
+		for _, r := range rs {
+			groups[i] = append(groups[i], ev.params.GaloisElement(r))
+		}
+	}
+	for _, r := range loose {
+		groups = append(groups, []uint64{ev.params.GaloisElement(r)})
+	}
+	res, err := ev.galoisSums(cc, ct, groups, m, mode)
 	if err != nil {
 		return nil, nil, err
+	}
+	for i, r := range loose {
+		out[r] = res[len(sums)+i]
+	}
+	if ev.om != nil {
+		// One span covers the whole hoisted group (single ModUp amortised
+		// across its key-mults).
+		ev.om.finish(ev.om.hoisted[methodIdx(m)], "HRotHoisted", m, ct.Level, t0, cc)
+	}
+	return out, res[:len(sums)], nil
+}
+
+// galoisSums serves a hoist group of automorphisms of ct: output i is
+// Σ_{g ∈ groups[i]} φ_g(ct) as a result per mode (on error, none). Element 1
+// (rotation 0) is the identity: it adds ct and needs no key. One ModUp of the
+// unpermuted c1 serves every output; per output, keyMult permutes each
+// element's key product (its Galois key switches s to φ_g⁻¹(s)) into one PQ
+// accumulator pair before one ModDown pair, then Σ φ_g(c0) is added.
+func (ev *Evaluator) galoisSums(cc *cancelCheck, ct *Ciphertext, groups [][]uint64, m KeySwitchMethod, mode resultMode) ([]*Ciphertext, error) {
+	if err := cc.err("HRot"); err != nil {
+		return nil, err
+	}
+	sw, err := ev.switcherFor(m)
+	if err != nil {
+		return nil, err
 	}
 	level := ct.Level
 	rq := ev.params.ringQAt[level]
-	dec, err := sw.decompose(cc, ct.C1, level)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer sw.Release(dec)
-	out := make(map[int]*Ciphertext, len(rotations))
-	sumOut := make([]*Ciphertext, len(sums))
-	fail := func(err error) (map[int]*Ciphertext, []*Ciphertext, error) {
-		for _, c := range out {
-			ev.recycle(c)
-		}
-		ev.recycle(sumOut...)
-		return nil, nil, err
+	outs := make([]*Ciphertext, len(groups))
+	var dec *Decomposition // the ModUp, run by the first output with a key
+	defer func() { sw.Release(dec) }()
+	fail := func(err error) ([]*Ciphertext, error) {
+		ev.recycle(outs...)
+		return nil, err
 	}
 
-	// rotated is rotation r's key-switch term with its NTT-domain index
-	// table; held ones are kept (and released at return) for later outputs.
-	type rotTerm struct {
-		ksTerm
-		idx []int
-	}
-	held := make(map[int]rotTerm)
-	defer func() {
-		for _, rt := range held {
-			sw.Release(rt.d)
-		}
-	}()
-	rotated := func(r int, hold bool) (rotTerm, error) {
-		if rt, ok := held[r]; ok {
-			return rt, nil
-		}
-		galEl := ev.params.GaloisElement(r)
-		key, err := ev.keys.GaloisKey(m, galEl)
-		if err != nil {
-			return rotTerm{}, err
-		}
-		idx := ev.params.GaloisIndex(galEl)
-		rt := rotTerm{ksTerm{sw.Automorph(dec, idx), key}, idx}
-		if hold {
-			held[r] = rt
-		}
-		return rt, nil
-	}
-
-	c0Rot := ev.pool.Get(level + 1)
-	defer ev.pool.Put(c0Rot)
 	var terms []ksTerm
-	for si, rs := range sums {
-		if err := cc.err("HRotHoisted"); err != nil {
+	for i, g := range groups {
+		if err := cc.err("HRot"); err != nil {
 			return fail(err)
 		}
 		res := ev.newCiphertext(mode, level, ct.Scale)
-		sumOut[si] = res
+		outs[i] = res
 		terms = terms[:0]
-		for _, r := range rs {
-			if r == 0 {
+		for _, el := range g {
+			if el == 1 {
 				continue
 			}
-			rt, err := rotated(r, true)
+			key, err := ev.keys.GaloisKey(m, el)
 			if err != nil {
 				return fail(err)
 			}
-			terms = append(terms, rt.ksTerm)
+			terms = append(terms, ksTerm{key: key, idx: ev.params.GaloisIndex(el)})
 		}
 		if len(terms) > 0 {
-			if err := sw.keyMult(cc, terms, level, res.C0, res.C1); err != nil {
+			if dec == nil {
+				if dec, err = sw.decompose(cc, ct.C1, level); err != nil {
+					return fail(err)
+				}
+			}
+			if err := sw.keyMult(cc, dec, terms, level, res.C0, res.C1); err != nil {
 				return fail(err)
 			}
 		} else {
 			res.C0.Zero()
 			res.C1.Zero()
 		}
-		for _, r := range rs {
-			if r == 0 {
+		t := 0
+		for _, el := range g {
+			if el == 1 {
 				rq.Add(res.C0, ct.C0, res.C0)
 				rq.Add(res.C1, ct.C1, res.C1)
 				continue
 			}
-			rq.AutomorphismNTT(ct.C0, c0Rot, held[r].idx)
-			rq.Add(res.C0, c0Rot, res.C0)
+			rq.AutomorphismNTTAdd(ct.C0, res.C0, terms[t].idx)
+			t++
 		}
 	}
-	for _, r := range rotations {
-		if err := cc.err("HRotHoisted"); err != nil {
-			return fail(err)
-		}
-		if _, done := out[r]; done {
-			continue
-		}
-		if r == 0 {
-			out[0] = ev.copyCiphertext(ct, mode)
-			continue
-		}
-		res := ev.newCiphertext(mode, level, ct.Scale)
-		out[r] = res
-		_, hold := held[r]
-		rt, err := rotated(r, hold)
-		if err != nil {
-			return fail(err)
-		}
-		err = sw.keyMult(cc, []ksTerm{rt.ksTerm}, level, res.C0, res.C1)
-		if !hold {
-			sw.Release(rt.d)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		rq.AutomorphismNTT(ct.C0, c0Rot, rt.idx)
-		rq.Add(res.C0, c0Rot, res.C0)
-	}
-	if ev.om != nil {
-		// One span covers the whole hoisted group (single ModUp amortised
-		// across its key-mults).
-		ev.om.finish(ev.om.hoisted[methodIdx(m)], "HRotHoisted", m, level, t0, cc)
-	}
-	return out, sumOut, nil
+	return outs, nil
 }

@@ -23,9 +23,10 @@ type PublicKey struct {
 	B, A ring.Poly
 }
 
-// SwitchingKey re-encrypts c*sIn into a ciphertext under s. It holds β
-// gadget pairs (B[j], A[j]) over the backend's key ring (Q++P for Hybrid,
-// Q++T for KLSS), all NTT form.
+// SwitchingKey re-encrypts c*sIn into a ciphertext under sOut (s for a
+// relinearization key, φ⁻¹(s) for a Galois key). It holds β gadget pairs
+// (B[j], A[j]) over the backend's key ring (Q++P for Hybrid, Q++T for KLSS),
+// all NTT form.
 type SwitchingKey struct {
 	Method KeySwitchMethod
 	B, A   []ring.Poly
@@ -234,9 +235,9 @@ func (sk *SecretKey) skFor(m KeySwitchMethod) ring.Poly {
 	return sk.QP
 }
 
-// genSwitchingKey builds the gadget key pairs for re-encrypting c*skIn,
-// where skIn is given in NTT form over the backend's key ring.
-func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, skIn ring.Poly, method KeySwitchMethod) (*SwitchingKey, error) {
+// genSwitchingKey builds the gadget key pairs for re-encrypting c*sIn under
+// sOut, both given in NTT form over the backend's key ring.
+func (kg *KeyGenerator) genSwitchingKey(sOut, sIn ring.Poly, method KeySwitchMethod) (*SwitchingKey, error) {
 	p := kg.params
 	kr, _, err := p.keyRing(method)
 	if err != nil {
@@ -258,7 +259,6 @@ func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, skIn ring.Poly, method Ke
 	}
 
 	swk := &SwitchingKey{Method: method}
-	skNTT := sk.skFor(method)
 	for j := 0; j < beta; j++ {
 		lo, hi := j*alpha, min(qLen, (j+1)*alpha)
 		Qj := big.NewInt(1)
@@ -278,11 +278,11 @@ func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, skIn ring.Poly, method Ke
 		kr.NTT(e)
 
 		b := kr.NewPoly()
-		kr.MulCoeffs(a, skNTT, b)
+		kr.MulCoeffs(a, sOut, b)
 		kr.Neg(b, b)
 		kr.Add(b, e, b)
 		gadget := kr.NewPoly()
-		kr.MulScalarBigint(skIn, factor, gadget)
+		kr.MulScalarBigint(sIn, factor, gadget)
 		kr.Add(b, gadget, b)
 
 		swk.B = append(swk.B, b)
@@ -300,19 +300,21 @@ func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey, method KeySwitchMet
 	}
 	s2 := kr.NewPoly()
 	kr.MulCoeffs(sk.skFor(method), sk.skFor(method), s2)
-	return kg.genSwitchingKey(sk, s2, method)
+	return kg.genSwitchingKey(sk.skFor(method), s2, method)
 }
 
-// GenGaloisKey returns the key that re-encrypts c*φ_galEl(s) under s.
+// GenGaloisKey returns the key that re-encrypts c*s under φ⁻¹(s), φ = φ_galEl:
+// φ of its product with c's digits switches φ(c)*φ(s) to s, so a rotation
+// permutes its key product instead of its digits (KeySwitcher.keyProduct).
 func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, galEl uint64, method KeySwitchMethod) (*SwitchingKey, error) {
 	kr, _, err := kg.params.keyRing(method)
 	if err != nil {
 		return nil, err
 	}
-	idx := kg.params.GaloisIndex(galEl)
-	sRot := kr.NewPoly()
-	kr.AutomorphismNTT(sk.skFor(method), sRot, idx)
-	return kg.genSwitchingKey(sk, sRot, method)
+	s := sk.skFor(method)
+	sInv := kr.NewPoly()
+	kr.AutomorphismNTTInverse(s, sInv, kg.params.GaloisIndex(galEl))
+	return kg.genSwitchingKey(sInv, s, method)
 }
 
 // GenEvaluationKeySet returns the set NewEvaluationKeySet names with every

@@ -205,7 +205,7 @@ func (ks *KeySwitcher) buildLevel(level int) ([]modUpExt, *rns.ModDowner, error)
 // exactly the saving the paper's hoisting analysis (§2.2.3, Fig. 3) counts.
 //
 // Decompositions hold pooled buffers: callers that obtained one from
-// Decompose or Automorph must hand it back with Release once dead.
+// Decompose must hand it back with Release once dead.
 type Decomposition struct {
 	Level  int
 	Groups []ring.Poly // each has level+1+sLen limbs: rows [0,level] mod q_i, rest mod special
@@ -331,125 +331,50 @@ func (ks *KeySwitcher) decompose(cc *cancelCheck, c ring.Poly, level int) (*Deco
 	return d, nil
 }
 
-// Automorph applies the Galois permutation (NTT-domain index table) to every
-// limb of the decomposition, returning a new decomposition drawn from the
-// pool (Release it when done). This is the cheap per-rotation step of
-// hoisting.
-func (ks *KeySwitcher) Automorph(d *Decomposition, index []int) *Decomposition {
-	out := &Decomposition{Level: d.Level, Groups: make([]ring.Poly, len(d.Groups))}
-	for j, g := range d.Groups {
-		og := ks.pool.Get(g.Limbs())
-		ring.ForEachLimbRange(g.Limbs(), ks.parallelism, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				src, dsl := g.Coeffs[i], og.Coeffs[i]
-				for k := range dsl {
-					dsl[k] = src[index[k]]
-				}
-			}
-		})
-		out.Groups[j] = og
-	}
-	return out
-}
-
 // KeyMult runs the gadget inner product of a decomposition with a switching
 // key and the final ModDown, producing (d0, d1) over the active Q limbs in
-// NTT form such that d0 + d1*s ≈ c*sIn. The accumulator rows are independent
-// lanes and are processed in parallel under the worker budget; the
-// accumulators themselves come from the scratch pool.
-//
-// The β-digit inner product is a lazy multiply-accumulate
-// (ring.Modulus.MulAccRows): per row each coefficient gathers Σ_j g_j*k_j
-// unreduced and is reduced once after the last digit, instead of β
-// AddMod(MulMod(...)) round-trips with a hardware division each. The rows stay
-// in the NTT domain: ModDown runs there (rns.ModDowner.ModDownNTT), so only
-// the special rows are inverse-transformed.
+// NTT form such that d0 + d1*s ≈ c*sIn (see keyMult).
 func (ks *KeySwitcher) KeyMult(d *Decomposition, key *SwitchingKey, level int) (d0, d1 ring.Poly, err error) {
 	d0, d1 = ring.NewPoly(ks.params.N(), level+1), ring.NewPoly(ks.params.N(), level+1)
-	if err := ks.keyMult(nil, []ksTerm{{d, key}}, level, d0, d1); err != nil {
+	if err := ks.keyMult(nil, d, []ksTerm{{key: key}}, level, d0, d1); err != nil {
 		return ring.Poly{}, ring.Poly{}, err
 	}
 	return d0, d1, nil
 }
 
-// ksTerm is one (decomposition, key) product of a key switch's inner product.
+// ksTerm is one product of a key switch's inner product: the digits against
+// key, permuted by a Galois key's NTT-domain index table idx. A nil idx (a
+// relinearization) must be the call's only term.
 type ksTerm struct {
-	d   *Decomposition
 	key *SwitchingKey
+	idx []int
 }
 
-// maxInnerTerms is the h·β digit count keyMult's per-row tables hold on the
-// stack: a four-rotation sum at β = 5 needs 20. A wider product still runs,
-// its tables on the heap.
-const maxInnerTerms = 32
+// maxDigits is the β keyProduct's per-row tables hold on the stack. A wider
+// key still runs, its tables on the heap.
+const maxDigits = 32
 
 // keyMult writes the switched pair of Σ_t terms[t] into d0 and d1 (level+1
-// limbs each, every coefficient overwritten), so callers choose where the
-// result lives. A lone key switch is one term; a rotate-and-sum passes one
-// term per rotation, and every h·β digit product lands in the one PQ
-// accumulator pair — a single MulAccRows per row — before the one ModDown
-// pair. ModDown is linear up to its rounding, so the sum costs one division
-// by P instead of h and is rounded once.
-func (ks *KeySwitcher) keyMult(cc *cancelCheck, terms []ksTerm, level int, d0, d1 ring.Poly) error {
-	beta := ks.beta(level)
-	for _, t := range terms {
-		if t.key.Method != ks.method {
-			return fmt.Errorf("ckks: %v switcher given a %v key: %w", ks.method, t.key.Method, ErrMethodUnavailable)
-		}
-		if beta > len(t.key.B) {
-			return fmt.Errorf("ckks: key has %d groups, need %d", len(t.key.B), beta)
-		}
-	}
-	if err := cc.err("KeyMult"); err != nil {
-		return err
-	}
+// limbs each, every coefficient overwritten): keyProduct's PQ accumulator
+// pair, then one ModDown pair. The KeyMult runs in the NTT domain as lazy
+// multiply-accumulates (ring.Modulus.MulAccRows, one reduction per
+// coefficient), and so does ModDown (rns.ModDowner.ModDownNTT), which
+// inverse-transforms only the special rows. ModDown is linear up to its
+// rounding, so a rotate-and-sum costs one division by P instead of h and is
+// rounded once.
+func (ks *KeySwitcher) keyMult(cc *cancelCheck, d *Decomposition, terms []ksTerm, level int, d0, d1 ring.Poly) error {
 	var t0 time.Time
 	if ks.keyMultNS != nil || ks.tracer != nil {
 		t0 = time.Now()
 	}
-	n := ks.params.N()
-	ext := len(ks.sMods())
-	qLen := len(ks.params.qChain)
-	rows := level + 1 + ext
-
+	rows := level + 1 + ks.sLen
 	acc0 := ks.pool.Get(rows)
 	acc1 := ks.pool.Get(rows)
 	defer ks.pool.Put(acc0)
 	defer ks.pool.Put(acc1)
-	ring.ForEachLimbRange(rows, ks.parallelism, func(rlo, rhi int) {
-		// Row tables of the inner product at hand: each term's digit rows
-		// and their two key rows.
-		var gBuf, bBuf, aBuf [maxInnerTerms][]uint64
-		gs, bs, as := gBuf[:0], bBuf[:0], aBuf[:0]
-		for i := rlo; i < rhi; i++ {
-			if cc.stopped() {
-				return
-			}
-			keyRow := i
-			if i > level {
-				keyRow = qLen + (i - level - 1)
-			}
-			gs, bs, as = gs[:0], bs[:0], as[:0]
-			for _, t := range terms {
-				for j := 0; j < beta; j++ {
-					gs = append(gs, t.d.Groups[j].Coeffs[i][:n])
-					bs = append(bs, t.key.B[j].Coeffs[keyRow][:n])
-					as = append(as, t.key.A[j].Coeffs[keyRow][:n])
-				}
-			}
-			// The modulus picks the datapath per row: a 52-bit-lane limb runs
-			// the whole sum as multiply-adds with one fold, a 60-bit limb of
-			// the KLSS chain keeps the 128-bit accumulator.
-			m := ks.modFor(level, i)
-			m.MulAccRows(acc0.Coeffs[i][:n], gs, bs)
-			m.MulAccRows(acc1.Coeffs[i][:n], gs, as)
-		}
-	})
-
-	if err := cc.err("KeyMult"); err != nil {
+	if err := ks.keyProduct(cc, d, terms, level, acc0, acc1); err != nil {
 		return err
 	}
-
 	if ks.keyMultNS != nil || ks.tracer != nil {
 		if ks.keyMultNS != nil {
 			ks.keyMultNS.ObserveSince(t0)
@@ -463,8 +388,9 @@ func (ks *KeySwitcher) keyMult(cc *cancelCheck, terms []ksTerm, level int, d0, d
 	if err != nil {
 		return err
 	}
+	qLen := len(ks.params.qChain)
 	tQ := ks.keyRing.Tables[:level+1]
-	tS := ks.keyRing.Tables[qLen : qLen+ext]
+	tS := ks.keyRing.Tables[qLen : qLen+ks.sLen]
 	tl.downer.ModDownNTT(acc0.Coeffs[:level+1], acc0.Coeffs[level+1:rows], d0.Coeffs, tQ, tS, ks.parallelism)
 	if err := cc.err("ModDown"); err != nil {
 		return err
@@ -478,6 +404,79 @@ func (ks *KeySwitcher) keyMult(cc *cancelCheck, terms []ksTerm, level int, d0, d
 	}
 	ks.traceSpan("ModDown", level, t0, cc)
 	return nil
+}
+
+// keyProduct writes Σ_t φ_t(Σ_j d_j·k_t,j) into the PQ pair (acc0, acc1).
+// Per row and term: one β-digit MulAccRows per component into scratch, then
+// a gather through φ_t into the accumulator row,
+// which the first term assigns and the rest add to. φ permutes NTT slots, so
+// φ(Σ_j d_j·k′_j) = Σ_j φ(d_j)·φ(k′_j): the residues of permuting all β
+// digits first, at two permuted rows a term instead of β.
+func (ks *KeySwitcher) keyProduct(cc *cancelCheck, d *Decomposition, terms []ksTerm, level int, acc0, acc1 ring.Poly) error {
+	beta := ks.beta(level)
+	for _, t := range terms {
+		if t.key.Method != ks.method {
+			return fmt.Errorf("ckks: %v switcher given a %v key: %w", ks.method, t.key.Method, ErrMethodUnavailable)
+		}
+		if beta > len(t.key.B) {
+			return fmt.Errorf("ckks: key has %d groups, need %d", len(t.key.B), beta)
+		}
+	}
+	if err := cc.err("KeyMult"); err != nil {
+		return err
+	}
+	n := ks.params.N()
+	qLen := len(ks.params.qChain)
+	ring.ForEachLimbRange(level+1+ks.sLen, ks.parallelism, func(rlo, rhi int) {
+		// Row tables: the β digit rows, and one key's two rows of them.
+		var gBuf, bBuf, aBuf [maxDigits][]uint64
+		var tmp ring.Poly
+		if terms[0].idx != nil {
+			tmp = ks.pool.Get(2)
+			defer ks.pool.Put(tmp)
+		}
+		for i := rlo; i < rhi; i++ {
+			if cc.stopped() {
+				return
+			}
+			keyRow := i
+			if i > level {
+				keyRow = qLen + (i - level - 1)
+			}
+			gs := gBuf[:0]
+			for j := 0; j < beta; j++ {
+				gs = append(gs, d.Groups[j].Coeffs[i][:n])
+			}
+			// The modulus picks the datapath per row: a 52-bit-lane limb runs
+			// the sum as multiply-adds with one fold, a 60-bit limb of the
+			// KLSS chain keeps the 128-bit accumulator.
+			m := ks.modFor(level, i)
+			a0, a1 := acc0.Coeffs[i][:n], acc1.Coeffs[i][:n]
+			for ti, t := range terms {
+				p0, p1 := a0, a1
+				if t.idx != nil {
+					p0, p1 = tmp.Coeffs[0][:n], tmp.Coeffs[1][:n]
+				}
+				bs, as := bBuf[:0], aBuf[:0]
+				for j := 0; j < beta; j++ {
+					bs = append(bs, t.key.B[j].Coeffs[keyRow][:n])
+					as = append(as, t.key.A[j].Coeffs[keyRow][:n])
+				}
+				m.MulAccRows(p0, gs, bs)
+				m.MulAccRows(p1, gs, as)
+				switch {
+				case t.idx == nil:
+				case ti == 0:
+					ring.PermuteRow(a0, p0, t.idx)
+					ring.PermuteRow(a1, p1, t.idx)
+				default:
+					m.PermuteAddRow(a0, p0, t.idx)
+					m.PermuteAddRow(a1, p1, t.idx)
+				}
+			}
+		}
+	})
+	return cc.err("KeyMult")
 }
 
 // Switch is the one-shot path: Decompose followed by KeyMult. All
@@ -498,5 +497,5 @@ func (ks *KeySwitcher) switchPoly(cc *cancelCheck, c ring.Poly, key *SwitchingKe
 		return err
 	}
 	defer ks.Release(d)
-	return ks.keyMult(cc, []ksTerm{{d, key}}, level, d0, d1)
+	return ks.keyMult(cc, d, []ksTerm{{key: key}}, level, d0, d1)
 }

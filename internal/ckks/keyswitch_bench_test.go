@@ -13,8 +13,9 @@ import (
 // the fast.NewContext regime at log_n 13, deepened to 24 levels: 36-bit
 // primes under a 50-bit q0, hybrid over two 50-bit P primes, KLSS over two
 // 60-bit T primes, digits of two for both. A row is one ModUp shared by
-// `hoist` rotations (automorphism, KeyMult, ModDown each), serial; one key
-// serves every rotation, which costs what distinct keys would.
+// `hoist` rotations (KeyMult, the permutation of its product, ModDown each),
+// serial; one key serves every rotation, which costs what distinct keys
+// would.
 //
 //	go test -run '^$' -bench KeySwitchMethods -benchtime 10x ./internal/ckks
 func BenchmarkKeySwitchMethods(b *testing.B) {
@@ -69,10 +70,7 @@ func BenchmarkKeySwitchMethods(b *testing.B) {
 							b.Fatal(err)
 						}
 						for range hoist {
-							rd := be.ks.Automorph(d, idx)
-							err = be.ks.keyMult(nil, []ksTerm{{rd, be.key}}, level, d0, d1)
-							be.ks.Release(rd)
-							if err != nil {
+							if err := be.ks.keyMult(nil, d, []ksTerm{{key: be.key, idx: idx}}, level, d0, d1); err != nil {
 								b.Fatal(err)
 							}
 						}

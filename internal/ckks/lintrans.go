@@ -131,7 +131,7 @@ func (ev *Evaluator) linearTransform(cc *cancelCheck, ct *Ciphertext, lt *Linear
 	rotated := map[int]*Ciphertext{}
 	if len(babies) > 0 {
 		var err error
-		if rotated, err = ev.rotateHoisted(cc, ct, babies, Hybrid, poolResult); err != nil {
+		if rotated, _, err = ev.rotateHoistedSums(cc, ct, babies, nil, Hybrid, poolResult); err != nil {
 			return nil, err
 		}
 	}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"github.com/fastfhe/fast/internal/obs"
+	"github.com/fastfhe/fast/internal/ring"
+	"github.com/fastfhe/fast/internal/ring/kerneltest"
 )
 
 // observedEvaluator is an evaluator over the shared test keys whose
@@ -160,4 +162,104 @@ func mustEncode(t *testing.T, tc *testContext, values []complex128) *Plaintext {
 		t.Fatal(err)
 	}
 	return pt
+}
+
+// referenceProduct is the rotated key product in the order keyProduct
+// replaces: every term's β digits permuted by its φ first, then one
+// h·β-term MulAccRows per row against the permuted key rows φ(k′).
+func referenceProduct(ks *KeySwitcher, d *Decomposition, terms []ksTerm, level int) (acc0, acc1 ring.Poly) {
+	n, rows, beta := ks.params.N(), level+1+ks.sLen, ks.beta(level)
+	qLen := len(ks.params.qChain)
+	acc0, acc1 = ring.NewPoly(n, rows), ring.NewPoly(n, rows)
+	permuted := func(row []uint64, idx []int) []uint64 {
+		out := make([]uint64, n)
+		ring.PermuteRow(out, row, idx)
+		return out
+	}
+	for i := 0; i < rows; i++ {
+		keyRow := i
+		if i > level {
+			keyRow = qLen + (i - level - 1)
+		}
+		var gs, bs, as [][]uint64
+		for _, t := range terms {
+			for j := 0; j < beta; j++ {
+				gs = append(gs, permuted(d.Groups[j].Coeffs[i], t.idx))
+				bs = append(bs, permuted(t.key.B[j].Coeffs[keyRow], t.idx))
+				as = append(as, permuted(t.key.A[j].Coeffs[keyRow], t.idx))
+			}
+		}
+		m := ks.modFor(level, i)
+		m.MulAccRows(acc0.Coeffs[i], gs, bs)
+		m.MulAccRows(acc1.Coeffs[i], gs, as)
+	}
+	return acc0, acc1
+}
+
+// Moving the permutation after the key product is exact: φ permutes NTT
+// slots, so φ(Σ_j d_j·k′_j) = Σ_j φ(d_j)·φ(k′_j), and keyProduct's PQ
+// accumulator equals referenceProduct's bit for bit — at every level, for
+// h = 1, 3, 4 and 5 rotations, under both methods, on every kernel path.
+// At β = 5 the h = 4 and 5 rows of the 50-bit q0 and P primes sum 20 and 25 digit
+// products in the reference, past the 15 one 52-bit multiply-accumulate
+// holds, so there the reference runs the 128-bit fallback against
+// keyProduct's β-term IFMA sums.
+func TestKeyProductMatchesPermutedDigits(t *testing.T) {
+	params, err := NewParameters(ParametersLiteral{
+		LogN: 10, LogSlots: 9, LogQ: append([]int{50}, repeat(36, 9)...), LogP: []int{50, 50},
+		LogT: []int{60, 60}, LogScale: 36, Alpha: 2, AlphaT: 2, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kgen := NewKeyGenerator(params)
+	sk := kgen.GenSecretKey()
+	pt, err := NewEncoder(params).Encode(randomValues(params.Slots(), 93))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := NewEncryptor(params, kgen.GenPublicKey(sk)).Encrypt(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotations := []int{1, 2, 4, 8, 16}
+	for _, m := range []KeySwitchMethod{Hybrid, KLSS} {
+		ks, err := NewKeySwitcherWorkers(params, m, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := make([]ksTerm, len(rotations))
+		for i, r := range rotations {
+			galEl := params.GaloisElement(r)
+			key, err := kgen.GenGaloisKey(sk, galEl, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all[i] = ksTerm{key: key, idx: params.GaloisIndex(galEl)}
+		}
+		t.Run(m.String(), func(t *testing.T) {
+			kerneltest.EachPath(t, func(t *testing.T) {
+				for _, level := range []int{0, 4, 9} {
+					d, err := ks.Decompose(ct.C1.Truncated(level+1), level)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, h := range []int{1, 3, 4, 5} {
+						terms := all[:h]
+						want0, want1 := referenceProduct(ks, d, terms, level)
+						rows := level + 1 + ks.sLen
+						got0, got1 := ring.NewPoly(params.N(), rows), ring.NewPoly(params.N(), rows)
+						if err := ks.keyProduct(nil, d, terms, level, got0, got1); err != nil {
+							t.Fatal(err)
+						}
+						if !got0.Equal(want0) || !got1.Equal(want1) {
+							t.Fatalf("%v level %d h %d (β %d): accumulator differs from the permuted-digit reference",
+								m, level, h, ks.beta(level))
+						}
+					}
+					ks.Release(d)
+				}
+			})
+		})
+	}
 }

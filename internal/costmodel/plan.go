@@ -39,8 +39,8 @@ func LaneWeight(bits ...int) int {
 // digits of a rows:
 //   - ModUp: k inverse NTTs, then per digit a base conversion of its rows
 //     into the k+S−a others and as many forward NTTs;
-//   - per rotation: the automorphism of the decomposition, the 2β(k+S)-row
-//     gadget product, and a ModDown per component: S inverse NTTs, a
+//   - per rotation: the 2β(k+S)-row gadget product, the automorphism of its
+//     2(k+S) rows, and a ModDown per component: S inverse NTTs, a
 //     conversion of those S rows into k, k forward NTTs and k subtractions.
 //
 // A row counts N times its lane weight, an NTT (N/2)·logN times it. A
@@ -77,7 +77,7 @@ func (s Shape) Hoisted(m Method, level, hoist, modDowns int) Breakdown {
 	}
 	rot := Breakdown{
 		KeyMult: float64(2*beta*(k*wq+sp*ws)) * n,
-		Other:   float64(beta*(k+sp)) * n,
+		Other:   float64(2*(k+sp)) * n,
 	}
 	down := Breakdown{
 		NTT:   float64(2*(sp*ws+k*wq)) * ntt,

@@ -47,16 +47,17 @@ func TestLaneWeight(t *testing.T) {
 // (N/2)·logN = 6.5 N.
 //
 //	hybrid ModUp:    10 INTTs 65 + 5 × (BConv 2+16+4, NTTs 10 × 6.5) = 500
-//	hybrid rotation: automorph 5×12 + KeyMult 2×5×12 + ModDown 2 × (2 INTTs
-//	                 13, BConv 2+20, 10 NTTs 65, 10 subtractions) = 400
+//	hybrid rotation: KeyMult 2×5×12 + automorph of the product 2×12 + ModDown
+//	                 2 × (2 INTTs 13, BConv 2+20, 10 NTTs 65, 10 subtractions)
+//	                 = 364
 //	KLSS ModUp:      65 + 5 × (BConv 2+16+8, NTTs (8 + 2×2) × 6.5) = 585
-//	KLSS rotation:   60 + 2×5×(10+4) + 2 × (26 + 4+40 + 65 + 10) = 490
+//	KLSS rotation:   2×5×(10+4) + 24 + 2 × (26 + 4+40 + 65 + 10) = 454
 func TestShapeKeySwitchCountsTheSwitcher(t *testing.T) {
 	n := float64(1 << 13)
-	if got, want := deepShape.KeySwitch(Hybrid, 9, 4).Total(), (500+4*400)*n; got != want {
+	if got, want := deepShape.KeySwitch(Hybrid, 9, 4).Total(), (500+4*364)*n; got != want {
 		t.Fatalf("hybrid h4 @9 = %g, want %g", got, want)
 	}
-	if got, want := deepShape.KeySwitch(KLSS, 9, 4).Total(), (585+4*490)*n; got != want {
+	if got, want := deepShape.KeySwitch(KLSS, 9, 4).Total(), (585+4*454)*n; got != want {
 		t.Fatalf("klss h4 @9 = %g, want %g", got, want)
 	}
 	if got, want := deepShape.KeySwitch(Hybrid, 9, 4).NTT, (65+325+4*156)*n; got != want {
@@ -100,13 +101,13 @@ func TestShapeHoistingAmortisesModUp(t *testing.T) {
 }
 
 // A fused group runs one ModDown pair for all its rotations. At lib_deep's
-// group the hand tally splits a hybrid rotation's 400 into 180 per rotation
-// (automorph 60, KeyMult 120) and 220 per ModDown pair (INTTs 26, BConv 44,
-// NTTs 130, subtractions 20): 500 + 4×180 + 220 = 1440, 0.686 of the
-// unfused 2100. One pair per rotation is KeySwitch's count.
+// group the hand tally splits a hybrid rotation's 364 into 144 per rotation
+// (KeyMult 120, automorph 24) and 220 per ModDown pair (INTTs 26, BConv 44,
+// NTTs 130, subtractions 20): 500 + 4×144 + 220 = 1296, 0.663 of the
+// unfused 1956. One pair per rotation is KeySwitch's count.
 func TestShapeHoistedCountsOneModDownPerSum(t *testing.T) {
 	n := float64(1 << 13)
-	if got, want := deepShape.Hoisted(Hybrid, 9, 4, 1).Total(), (500+4*180+220)*n; got != want {
+	if got, want := deepShape.Hoisted(Hybrid, 9, 4, 1).Total(), (500+4*144+220)*n; got != want {
 		t.Fatalf("fused hybrid h4 @9 = %g, want %g", got, want)
 	}
 	for _, m := range []Method{Hybrid, KLSS} {

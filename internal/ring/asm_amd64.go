@@ -169,6 +169,16 @@ func addVecASM(m Modulus, dst, a, b []uint64) {
 	addVecAVX2(&dst[0], &a[0], &b[0], len(dst), m.Q)
 }
 
+// permuteASM / permuteAddASM are PermuteRow / PermuteAddRow on AVX-512
+// gathers (usePermute512).
+func permuteASM(dst, src []uint64, index []int) {
+	permuteAVX512(&dst[0], &src[0], &index[0], len(dst))
+}
+
+func permuteAddASM(m Modulus, dst, src []uint64, index []int) {
+	permuteAddAVX512(&dst[0], &src[0], &index[0], len(dst), m.Q)
+}
+
 func subVecASM(m Modulus, dst, a, b []uint64) {
 	var ap *uint64
 	if a != nil {
@@ -241,6 +251,12 @@ func addVecAVX512(dst, a, b *uint64, n int, q uint64)
 
 //go:noescape
 func subVecAVX512(dst, a, b *uint64, n int, q uint64)
+
+//go:noescape
+func permuteAVX512(dst, src *uint64, index *int, n int)
+
+//go:noescape
+func permuteAddAVX512(dst, src *uint64, index *int, n int, q uint64)
 
 func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 

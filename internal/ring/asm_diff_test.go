@@ -298,8 +298,9 @@ func diffVecWhere(t *testing.T, what string, n int, inDomain func() bool, f func
 // contract), ShoupMulSubForeignVec (a foreign residue,
 // the Rescale contract), both BConvAccum flavors (strided lazy rows, every
 // width through the unrolled cases, the generic tail, and the lazy-Shoup
-// kernel's crossover at bconvShoupMaxTerms), MulCoeffs / MulCoeffsThenAdd and
-// the add/sub/neg kernels against the Go loops on every path.
+// kernel's crossover at bconvShoupMaxTerms), MulCoeffs / MulCoeffsThenAdd,
+// the add/sub/neg kernels and the permutation gathers (PermuteRow,
+// PermuteAddRow) against the Go loops on every path.
 func TestVectorPrimitivesASMMatchGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{ring.AsmMinVec, 64, 100} { // 100: non-power-of-two multiple of 4
@@ -395,6 +396,12 @@ func TestVectorPrimitivesASMMatchGo(t *testing.T) {
 			diffVec(t, name+"Add", n, func(dst []uint64) { r.Add(pa, pb, ring.Poly{Coeffs: [][]uint64{dst}}) })
 			diffVec(t, name+"Sub", n, func(dst []uint64) { r.Sub(pa, pb, ring.Poly{Coeffs: [][]uint64{dst}}) })
 			diffVec(t, name+"Neg", n, func(dst []uint64) { r.Neg(pa, ring.Poly{Coeffs: [][]uint64{dst}}) })
+			perm := rng.Perm(n)
+			diffVec(t, name+"PermuteRow", n, func(dst []uint64) { ring.PermuteRow(dst, canonA, perm) })
+			diffVec(t, name+"PermuteAddRow", n, func(dst []uint64) {
+				copy(dst, canonB)
+				mod.PermuteAddRow(dst, canonA, perm)
+			})
 		}
 	}
 }

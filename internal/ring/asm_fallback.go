@@ -29,3 +29,5 @@ func bconvAccumASM(Modulus, []uint64, []uint64, int, []uint64)           { panic
 func bconvShoupASM(Modulus, []uint64, []uint64, int, []uint64, []uint64) { panic(noKernels) }
 func addVecASM(Modulus, []uint64, []uint64, []uint64)                    { panic(noKernels) }
 func subVecASM(Modulus, []uint64, []uint64, []uint64)                    { panic(noKernels) }
+func permuteASM([]uint64, []uint64, []int)                               { panic(noKernels) }
+func permuteAddASM(Modulus, []uint64, []uint64, []int)                   { panic(noKernels) }

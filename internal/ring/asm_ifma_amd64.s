@@ -672,3 +672,65 @@ fneg_loop:
 	JNZ fneg_loop
 	VZEROUPPER
 	RET
+
+// func permuteAVX512(dst, src *uint64, index *int, n int)
+//
+// dst[k] = src[index[k]], 16 lanes a step (two 8-lane gathers in flight):
+// AutomorphismNTT's row copy, under PermuteRow's contract: index is a
+// permutation of [0, n), and nothing here checks it (the gathers read
+// whatever address an index names). n is a multiple of 16.
+TEXT ·permuteAVX512(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ index+16(FP), DX
+	MOVQ n+24(FP), CX
+
+perm_loop:
+	VMOVDQU64 (DX), Z1
+	VMOVDQU64 64(DX), Z2
+	KXNORW K1, K1, K1         // the gathers clear their masks
+	KXNORW K2, K2, K2
+	VPGATHERQQ (SI)(Z1*8), K1, Z3
+	VPGATHERQQ (SI)(Z2*8), K2, Z4
+	VMOVDQU64 Z3, (DI)
+	VMOVDQU64 Z4, 64(DI)
+	ADDQ $128, DX
+	ADDQ $128, DI
+	SUBQ $16, CX
+	JNZ perm_loop
+
+	VZEROUPPER
+	RET
+
+// func permuteAddAVX512(dst, src *uint64, index *int, n int, q uint64)
+//
+// dst[k] = dst[k] + src[index[k]] mod q: the gather of permuteAVX512, then
+// addVecAVX512's add and fold, under PermuteRow's contract (index a
+// permutation of [0, n), q < 2^62, operands below q).
+TEXT ·permuteAddAVX512(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ index+16(FP), DX
+	MOVQ n+24(FP), CX
+	VPBROADCASTQ q+32(FP), Z28
+
+padd_loop:
+	VMOVDQU64 (DX), Z1
+	VMOVDQU64 64(DX), Z2
+	KXNORW K1, K1, K1
+	KXNORW K2, K2, K2
+	VPGATHERQQ (SI)(Z1*8), K1, Z3
+	VPGATHERQQ (SI)(Z2*8), K2, Z4
+	VPADDQ (DI), Z3, Z3
+	VPADDQ 64(DI), Z4, Z4
+	FOLD(Z3, Z28, Z5)
+	FOLD(Z4, Z28, Z6)
+	VMOVDQU64 Z3, (DI)
+	VMOVDQU64 Z4, 64(DI)
+	ADDQ $128, DX
+	ADDQ $128, DI
+	SUBQ $16, CX
+	JNZ padd_loop
+
+	VZEROUPPER
+	RET

@@ -75,9 +75,89 @@ func AutomorphismNTTIndex(n int, logN int, galEl uint64) []int {
 func (r *Ring) AutomorphismNTT(in, out Poly, index []int) {
 	r.checkShape(in, out)
 	for l := range r.Moduli {
+		PermuteRow(out.Coeffs[l], in.Coeffs[l], index)
+	}
+}
+
+// AutomorphismNTTAdd adds the automorphism of in to out (NTT form, every
+// residue fully reduced): out[j] += in[index[j]] mod q on each limb.
+func (r *Ring) AutomorphismNTTAdd(in, out Poly, index []int) {
+	r.checkShape(in, out)
+	for l, m := range r.Moduli {
+		m.PermuteAddRow(out.Coeffs[l], in.Coeffs[l], index)
+	}
+}
+
+// AutomorphismNTTInverse applies the inverse of the automorphism whose index
+// table is index: out[index[j]] = in[j], so AutomorphismNTT of out is in.
+func (r *Ring) AutomorphismNTTInverse(in, out Poly, index []int) {
+	r.checkShape(in, out)
+	for l := range r.Moduli {
 		il, ol := in.Coeffs[l], out.Coeffs[l]
-		for j := range ol {
-			ol[j] = il[index[j]]
+		for j, k := range index {
+			ol[k] = il[j]
 		}
 	}
+}
+
+// PermuteRow sets dst[j] = src[index[j]]: one row of AutomorphismNTT.
+//
+// The contract of PermuteRow and PermuteAddRow: index (a table from
+// AutomorphismNTTIndex) is a permutation of [0, n), n = len(dst), and
+// PermuteAddRow's q is below 2^62 with both operands below q. The avx512ifma
+// path gathers without a bounds check, so a table outside [0, n) reads
+// memory it does not own there, where the Go loop panics; the race build
+// checks the table (contractChecks).
+func PermuteRow(dst, src []uint64, index []int) {
+	n := len(dst)
+	src, index = src[:n], index[:n]
+	if contractChecks {
+		checkPermutation(index)
+	}
+	if usePermute512(n) {
+		permuteASM(dst, src, index)
+		return
+	}
+	for j, k := range index {
+		dst[j] = src[k]
+	}
+}
+
+// PermuteAddRow sets dst[j] = dst[j] + src[index[j]] mod q: one row of
+// AutomorphismNTTAdd, under PermuteRow's contract. The Go loop's reduction
+// is branch-free (a permuted sum's carry is a coin flip): the sum minus q,
+// plus q back where that went negative, which reads the sign bit and so
+// needs q < 2^62.
+func (m Modulus) PermuteAddRow(dst, src []uint64, index []int) {
+	n := len(dst)
+	src, index = src[:n], index[:n]
+	if contractChecks {
+		checkPermutation(index)
+	}
+	if usePermute512(n) {
+		permuteAddASM(m, dst, src, index)
+		return
+	}
+	q := m.Q
+	for j, k := range index {
+		s := dst[j] + src[k] - q
+		dst[j] = s + q&uint64(int64(s)>>63)
+	}
+}
+
+// checkPermutation panics unless index is a permutation of [0, len(index)).
+func checkPermutation(index []int) {
+	seen := make([]bool, len(index))
+	for j, k := range index {
+		if k < 0 || k >= len(index) || seen[k] {
+			panic(fmt.Sprintf("ring: index[%d] = %d: the table is not a permutation of [0, %d)", j, k, len(index)))
+		}
+		seen[k] = true
+	}
+}
+
+// usePermute512 reports whether a length-n permutation runs on the AVX-512
+// gathers, which the 52-bit path's hosts have.
+func usePermute512(n int) bool {
+	return kernelPath == PathAVX512IFMA && n >= asmMinVec && n%16 == 0
 }

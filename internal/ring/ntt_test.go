@@ -176,6 +176,18 @@ func TestAutomorphismCoeffVsNTT(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("galEl=%d: NTT-domain automorphism disagrees with coefficient-domain", galEl)
 		}
+		// The inverse undoes it, and the accumulating form adds it.
+		back := r.NewPoly()
+		r.AutomorphismNTTInverse(got, back, idx)
+		if !back.Equal(pn) {
+			t.Fatalf("galEl=%d: AutomorphismNTTInverse does not undo AutomorphismNTT", galEl)
+		}
+		sum, wantSum := pn.Clone(), r.NewPoly()
+		r.AutomorphismNTTAdd(pn, sum, idx)
+		r.Add(pn, got, wantSum)
+		if !sum.Equal(wantSum) {
+			t.Fatalf("galEl=%d: AutomorphismNTTAdd differs from AutomorphismNTT then Add", galEl)
+		}
 	}
 }
 

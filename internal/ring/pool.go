@@ -54,10 +54,10 @@ type poolArena struct {
 	owner   *arenaPool
 	coeffs  [][]uint64
 	backing []uint64
-	pooled  bool // sitting in the pool; maintained only when poolChecks
+	pooled  bool // sitting in the pool; maintained only when contractChecks
 }
 
-// poolPoison fills every row Get hands out under poolChecks: above 2^61, so
+// poolPoison fills every row Get hands out under contractChecks: above 2^61, so
 // above every modulus, and so no residue any kernel can produce.
 const poolPoison = 0xA5A5A5A5A5A5A5A5
 
@@ -129,7 +129,7 @@ func (pp *PolyPool) Get(limbs int) Poly {
 		Backing: a.backing[: limbs*ap.n : limbs*ap.n],
 		arena:   a,
 	}
-	if poolChecks {
+	if contractChecks {
 		a.pooled = false
 		for i := range p.Backing {
 			p.Backing[i] = poolPoison
@@ -154,7 +154,7 @@ func (pp *PolyPool) Put(p Poly) {
 	if a == nil || a.owner != pp.arenas {
 		return // not one of ours; let the GC have it
 	}
-	if poolChecks {
+	if contractChecks {
 		// INVARIANT: a routine recycles only what it created, once.
 		// A panic here is a repo-internal bug, never a reaction to caller input.
 		if a.pooled {

@@ -2,5 +2,5 @@
 
 package ring
 
-// poolChecks is off outside the race detector: see pool_race.go.
-const poolChecks = false
+// contractChecks is off outside the race detector: see pool_race.go.
+const contractChecks = false

@@ -77,6 +77,16 @@ func (s *sim) disk() (ok bool) {
 	return s.rng.Intn(4) != 0
 }
 
+// abandonRestore ends a restore that built nothing for a reason that says
+// nothing about the files: the ID goes back to Persisted unless a DELETE
+// claimed it meanwhile.
+func (s *sim) abandonRestore(id string, deleted bool) {
+	s.r.Abandon(id, false)
+	if got := s.r.Acquire(id).State; got != Persisted && !deleted {
+		s.t.Fatalf("%s after a failed restore: %v", id, got)
+	}
+}
+
 // someID picks an ID, nine times in ten one that still exists.
 func (s *sim) someID() string {
 	var live []string
@@ -178,13 +188,14 @@ func (s *sim) request() {
 			s.count("restore-corrupt")
 		case 1: // read error
 			s.disk()
-			s.r.Abandon(id, false)
-			if got := s.r.Acquire(id).State; got != Persisted && !deleted {
-				s.t.Fatalf("%s after a failed restore: %v", id, got)
-			}
+			s.abandonRestore(id, deleted)
 		default:
-			durable := s.disk() // the epoch write
-			switch got := s.r.Publish(id, &payload{id}, durable); {
+			if !s.disk() { // the epoch write failed: the restore does not serve
+				s.abandonRestore(id, deleted)
+				s.count("restore-epoch-unwritten")
+				return nil
+			}
+			switch got := s.r.Publish(id, &payload{id}, true); {
 			case deleted && got == Absent:
 				s.count("restore-discarded-by-delete")
 			case !deleted && got == Resident && !s.fenced[shard]:

@@ -390,7 +390,11 @@ func TestMethodIsOneType(t *testing.T) {
 // each evaluation key is derived on its first use, a fresh context's plan
 // also weighs one top-level hybrid key switch per key it reads (3 for the
 // fan-out, 7 for deepProgram): the pinned units are the sites' and passes',
-// what the plan weighs once an execution has derived its keys.
+// what the plan weighs once an execution has derived its keys. The units
+// were re-captured once when the automorphism of a rotation moved from its
+// β digits to its key product's two components (costmodel.Shape.Hoisted
+// counts 2(k+S) permuted rows a rotation instead of β(k+S)); no decision,
+// group or fingerprint moved.
 func TestPlanGoldenBenchmarkPrograms(t *testing.T) {
 	fanout := func() *Program {
 		return NewProgram().In("x").
@@ -429,12 +433,12 @@ func TestPlanGoldenBenchmarkPrograms(t *testing.T) {
 		groups string
 		dec    string
 	}{
-		{"serve/toy", serveCfg(9), fanout(), false, 3, 253952, "plan-512d34b9d61fa788", "[[0 1 2]]", fanoutDec},
-		{"serve/full", serveCfg(11), fanout(), false, 3, 1.097728e+06, "plan-512d34b9d61fa788", "[[0 1 2]]", fanoutDec},
-		{"lib_deep/toy", deepCfg(9, 5), deep(), false, 7, 749312, "plan-6c0eefeebf3cb618", "[[2 3 4 5] [10] [11]]",
+		{"serve/toy", serveCfg(9), fanout(), false, 3, 241664, "plan-512d34b9d61fa788", "[[0 1 2]]", fanoutDec},
+		{"serve/full", serveCfg(11), fanout(), false, 3, 1.048576e+06, "plan-512d34b9d61fa788", "[[0 1 2]]", fanoutDec},
+		{"lib_deep/toy", deepCfg(9, 5), deep(), false, 7, 741632, "plan-6c0eefeebf3cb618", "[[2 3 4 5] [10] [11]]",
 			"0:mul@5:0:g-1:h1 1:mul@4:0:g-1:h1 2:rotate@3:0:g0:h4:fa3 3:rotate@3:0:g0:h4:fa3 4:rotate@3:0:g0:h4:fa3 5:rotate@3:0:g0:h4:fa3 " +
 				"9:mul@3:0:g-1:h1 10:rotate@2:0:g1:h1 11:rotate@2:0:g2:h1 "},
-		{"lib_deep/full", deepCfg(13, 11), deep(), true, 7, 5.2248576e+07, "plan-da2553aef434ddef", "[[2 3 4 5] [10] [11]]",
+		{"lib_deep/full", deepCfg(13, 11), deep(), true, 7, 4.9348608e+07, "plan-da2553aef434ddef", "[[2 3 4 5] [10] [11]]",
 			"0:mul@11:0:g-1:h1 1:mul@10:0:g-1:h1 2:rotate@9:0:g0:h4:fa3 3:rotate@9:0:g0:h4:fa3 4:rotate@9:0:g0:h4:fa3 5:rotate@9:0:g0:h4:fa3 " +
 				"9:mul@9:0:g-1:h1 10:rotate@8:0:g1:h1 11:rotate@8:0:g2:h1 "},
 	} {
