@@ -426,7 +426,17 @@ ROOT_LOC_MAX ?= 2718
 # each term's β-digit product permuted into the PQ accumulator; its stack
 # tables hold β digits, not h·β), galoisSums (every rotation, sum and
 # conjugation), and GenGaloisKey's switch to φ⁻¹(s) (keys.go 329 -> 331).
-CKKS_LOC_MAX ?= 4028
+#
+# 4028 -> 4045: evaluation keys are held at the width of their primes. Came
+# to marshal.go (258 -> 264): appendPoly takes a packed poly too, written as
+# the residues it holds (the key digests of the tests read keys through it);
+# to keyswitch.go (501 -> 504): keyProduct's packed row tables and the width
+# it passes to ring.Modulus.MulAccPackedRows; to keys.go (331 -> 339): the
+# SwitchingKey doc names the layout, and genSwitchingKey packs each pair,
+# reuses its scratch polynomials across the gadget groups and adds the
+# gadget term on the group's own limbs only (S·w_j is 0 mod every other
+# prime), which pays for the packing pass (ring.MulScalarBigint went).
+CKKS_LOC_MAX ?= 4045
 
 MODEL_GO = internal/aether/*.go internal/costmodel/*.go internal/sim/*.go internal/trace/*.go \
 	internal/workloads/*.go internal/baselines/*.go perf.go cmd/aether/*.go cmd/fastsim/*.go

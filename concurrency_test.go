@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"github.com/fastfhe/fast/internal/ckks"
 )
 
 // sharedCtx builds one Context reused by the concurrency tests (context
@@ -158,43 +160,75 @@ func TestNoRescaleSemantics(t *testing.T) {
 }
 
 // TestNewContextOptions covers the construction-time options surface: a zero
-// cfg is DefaultConfig with the options applied on top, and WithParallelism
-// changes how an op runs, never what it computes.
+// cfg is DefaultConfig with the options applied on top, Config reports
+// WithParallelism's n as given (0, the default, and 1 run serially; n >= 2
+// up to n workers; negative GOMAXPROCS), and the option changes how an op
+// runs, never what it computes: at DefaultConfig and at lib_deep's shape
+// (log_n 13, 11 levels; skipped under -short), Mul, Rotate and a fused
+// rotate-and-sum give the serial context's bytes at every n.
 func TestNewContextOptions(t *testing.T) {
-	ctx, err := NewContext(ContextConfig{}, WithParallelism(2))
-	if err != nil {
-		t.Fatal(err)
+	deep := DefaultConfig()
+	deep.LogN, deep.Levels, deep.Rotations = 13, 11, []int{1, 2, 4, 8, 16, 32}
+	for _, shape := range []struct {
+		name string
+		cfg  ContextConfig
+	}{{"DefaultConfig", ContextConfig{}}, {"lib_deep", deep}} {
+		t.Run(shape.name, func(t *testing.T) {
+			if shape.name == "lib_deep" && testing.Short() {
+				t.Skip("log_n 13 contexts: skipped under -short")
+			}
+			serial, err := NewContext(shape.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := parallelismOutputs(t, serial)
+			for _, n := range []int{0, 1, 2, 3, -1} {
+				ctx, err := NewContext(shape.cfg, WithParallelism(n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantCfg := serial.Config()
+				if shape.name == "DefaultConfig" {
+					wantCfg = DefaultConfig()
+					wantCfg.LogSlots = wantCfg.LogN - 1
+				}
+				wantCfg.Parallelism = n
+				if got := ctx.Config(); !reflect.DeepEqual(got, wantCfg) {
+					t.Fatalf("WithParallelism(%d): Config() = %+v, want %+v", n, got, wantCfg)
+				}
+				for op, got := range parallelismOutputs(t, ctx) {
+					if !got.C0.Equal(want[op].C0) || !got.C1.Equal(want[op].C1) {
+						t.Fatalf("WithParallelism(%d) changed %s's bytes vs serial evaluation", n, op)
+					}
+				}
+			}
+		})
 	}
-	want := DefaultConfig()
-	want.LogSlots, want.Parallelism = want.LogN-1, 2
-	if got := ctx.Config(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Config() = %+v, want %+v", got, want)
-	}
-	serial, err := NewContext(ContextConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+// parallelismOutputs encrypts one vector on a fresh ctx and returns its Mul,
+// its Rotate by 1 and its fused hybrid sum of rotations by 1, 2 and 4.
+func parallelismOutputs(t *testing.T, ctx *Context) map[string]*ckks.Ciphertext {
+	t.Helper()
 	v := make([]complex128, ctx.Slots())
 	v[3] = 0.75
 	ct, err := ctx.Encrypt(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctSerial, err := serial.Encrypt(v)
+	mul, err := ctx.Mul(ct, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mulP, err := ctx.Mul(ct, ct)
+	rot, err := ctx.Rotate(ct, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mulS, err := serial.Mul(ctSerial, ctSerial)
+	sum, err := ctx.eval.RotateSumWith(ct.ct, []int{1, 2, 4}, ckks.Hybrid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mulP.ct.C0.Equal(mulS.ct.C0) || !mulP.ct.C1.Equal(mulS.ct.C1) {
-		t.Fatal("WithParallelism(2) changed Mul results vs serial evaluation")
-	}
+	return map[string]*ckks.Ciphertext{"Mul": mul.ct, "Rotate": rot.ct, "RotateSum": sum}
 }
 
 // TestSeedDeterminism verifies that two contexts with the same seed produce

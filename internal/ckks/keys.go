@@ -26,10 +26,13 @@ type PublicKey struct {
 // SwitchingKey re-encrypts c*sIn into a ciphertext under sOut (s for a
 // relinearization key, φ⁻¹(s) for a Galois key). It holds β gadget pairs
 // (B[j], A[j]) over the backend's key ring (Q++P for Hybrid, Q++T for KLSS),
-// all NTT form.
+// all NTT form, each row packed at the width of its prime (ring.PackedPoly):
+// keys are most of a context's resident bytes, and KeyMult reads them
+// through the multiply-accumulate that widens them
+// (ring.Modulus.MulAccPackedRows).
 type SwitchingKey struct {
 	Method KeySwitchMethod
-	B, A   []ring.Poly
+	B, A   []ring.PackedPoly
 }
 
 // EvaluationKeySet names the evaluation keys of one secret: per method, the
@@ -236,7 +239,7 @@ func (sk *SecretKey) skFor(m KeySwitchMethod) ring.Poly {
 }
 
 // genSwitchingKey builds the gadget key pairs for re-encrypting c*sIn under
-// sOut, both given in NTT form over the backend's key ring.
+// sOut, both given in NTT form over the backend's key ring, and packs each.
 func (kg *KeyGenerator) genSwitchingKey(sOut, sIn ring.Poly, method KeySwitchMethod) (*SwitchingKey, error) {
 	p := kg.params
 	kr, _, err := p.keyRing(method)
@@ -259,6 +262,7 @@ func (kg *KeyGenerator) genSwitchingKey(sOut, sIn ring.Poly, method KeySwitchMet
 	}
 
 	swk := &SwitchingKey{Method: method}
+	a, e, b := kr.NewPoly(), kr.NewPoly(), kr.NewPoly()
 	for j := 0; j < beta; j++ {
 		lo, hi := j*alpha, min(qLen, (j+1)*alpha)
 		Qj := big.NewInt(1)
@@ -271,22 +275,26 @@ func (kg *KeyGenerator) genSwitchingKey(sOut, sIn ring.Poly, method KeySwitchMet
 		wj.Mod(wj, Q)
 		factor := new(big.Int).Mul(S, wj)
 
-		a := kr.NewPoly()
 		kg.sampler.UniformPoly(kr, a)
-		e := kr.NewPoly()
 		kg.sampler.GaussianPoly(kr, p.sigma, e)
 		kr.NTT(e)
 
-		b := kr.NewPoly()
 		kr.MulCoeffs(a, sOut, b)
 		kr.Neg(b, b)
 		kr.Add(b, e, b)
-		gadget := kr.NewPoly()
-		kr.MulScalarBigint(sIn, factor, gadget)
-		kr.Add(b, gadget, b)
+		// S·w_j is 0 mod every prime outside group j (w_j ≡ δ_ij mod q_i,
+		// S ≡ 0 mod a special prime): the gadget lands on the group's limbs.
+		for i := lo; i < hi; i++ {
+			m := kr.Moduli[i]
+			f := new(big.Int).Mod(factor, new(big.Int).SetUint64(m.Q)).Uint64()
+			fSho := m.ShoupPrecomp(f)
+			for k, x := range sIn.Coeffs[i] {
+				b.Coeffs[i][k] = m.AddMod(b.Coeffs[i][k], m.MulModShoup(x, f, fSho))
+			}
+		}
 
-		swk.B = append(swk.B, b)
-		swk.A = append(swk.A, a)
+		swk.B = append(swk.B, kr.Pack(b))
+		swk.A = append(swk.A, kr.Pack(a))
 	}
 	return swk, nil
 }

@@ -357,7 +357,7 @@ const maxDigits = 32
 // keyMult writes the switched pair of Σ_t terms[t] into d0 and d1 (level+1
 // limbs each, every coefficient overwritten): keyProduct's PQ accumulator
 // pair, then one ModDown pair. The KeyMult runs in the NTT domain as lazy
-// multiply-accumulates (ring.Modulus.MulAccRows, one reduction per
+// multiply-accumulates (ring.Modulus.MulAccPackedRows, one reduction per
 // coefficient), and so does ModDown (rns.ModDowner.ModDownNTT), which
 // inverse-transforms only the special rows. ModDown is linear up to its
 // rounding, so a rotate-and-sum costs one division by P instead of h and is
@@ -407,7 +407,8 @@ func (ks *KeySwitcher) keyMult(cc *cancelCheck, d *Decomposition, terms []ksTerm
 }
 
 // keyProduct writes Σ_t φ_t(Σ_j d_j·k_t,j) into the PQ pair (acc0, acc1).
-// Per row and term: one β-digit MulAccRows per component into scratch, then
+// Per row and term: one β-digit MulAccPackedRows per component into scratch
+// (the key's packed rows widened in registers), then
 // a gather through φ_t into the accumulator row,
 // which the first term assigns and the rest add to. φ permutes NTT slots, so
 // φ(Σ_j d_j·k′_j) = Σ_j φ(d_j)·φ(k′_j): the residues of permuting all β
@@ -428,8 +429,9 @@ func (ks *KeySwitcher) keyProduct(cc *cancelCheck, d *Decomposition, terms []ksT
 	n := ks.params.N()
 	qLen := len(ks.params.qChain)
 	ring.ForEachLimbRange(level+1+ks.sLen, ks.parallelism, func(rlo, rhi int) {
-		// Row tables: the β digit rows, and one key's two rows of them.
-		var gBuf, bBuf, aBuf [maxDigits][]uint64
+		// Row tables: the β digit rows, and one key's two packed rows of them.
+		var gBuf [maxDigits][]uint64
+		var bBuf, aBuf [maxDigits][]byte
 		var tmp ring.Poly
 		if terms[0].idx != nil {
 			tmp = ks.pool.Get(2)
@@ -459,11 +461,12 @@ func (ks *KeySwitcher) keyProduct(cc *cancelCheck, d *Decomposition, terms []ksT
 				}
 				bs, as := bBuf[:0], aBuf[:0]
 				for j := 0; j < beta; j++ {
-					bs = append(bs, t.key.B[j].Coeffs[keyRow][:n])
-					as = append(as, t.key.A[j].Coeffs[keyRow][:n])
+					bs = append(bs, t.key.B[j].Rows[keyRow])
+					as = append(as, t.key.A[j].Rows[keyRow])
 				}
-				m.MulAccRows(p0, gs, bs)
-				m.MulAccRows(p1, gs, as)
+				w := t.key.B[0].Bits[keyRow]
+				m.MulAccPackedRows(p0, gs, bs, w)
+				m.MulAccPackedRows(p1, gs, as, w)
 				switch {
 				case t.idx == nil:
 				case ti == 0:

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/fastfhe/fast/internal/ring"
+	"github.com/fastfhe/fast/internal/ring/kerneltest"
 )
 
 // BenchmarkKeySwitchMethods is the paper's Fig. 2 on this CPU: the wall time
@@ -179,5 +180,85 @@ func BenchmarkRotateSum(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkKeyProduct times KeyMult proper, keyProduct's 2·(ℓ+1+|P|) β-term
+// multiply-accumulates of one rotation's digits against its key, without
+// ModUp or ModDown, serial, on every kernel path, at two points: lib_deep's
+// shape (log_n 13, 11 levels, α 2: β = 6 over 14 rows, a 6.5 MiB key) and
+// the served one (log_n 11, 5 levels: β = 3 over 8 rows, a 0.5 MiB key).
+// Hot reuses one key and one decomposition, which stay cache-resident as far
+// as they fit; cold writes a 48 MiB buffer between calls (outside the timer),
+// which pushes both out of L1 and L2 and, on a host whose L3 is not much
+// larger, out of L3.
+//
+//	go test -run '^$' -bench KeyProduct -benchtime 100x ./internal/ckks
+func BenchmarkKeyProduct(b *testing.B) {
+	sweep := make([]byte, 48<<20)
+	for _, pt := range []struct{ logN, levels int }{{13, 11}, {11, 5}} {
+		lit := ParametersLiteral{
+			LogN: pt.logN, LogSlots: pt.logN - 1, LogQ: append([]int{50}, repeat(36, pt.levels)...), LogP: []int{50, 50},
+			LogScale: 36, Alpha: 2, Seed: 1,
+		}
+		params, err := NewParameters(lit)
+		if err != nil {
+			b.Fatal(err)
+		}
+		kgen := NewKeyGenerator(params)
+		sk := kgen.GenSecretKey()
+		galEl := ring.GaloisElementForRotation(params.LogN(), 1)
+		key, err := kgen.GenGaloisKey(sk, galEl, Hybrid)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pt0, err := NewEncoder(params).Encode(make([]complex128, params.Slots()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ct, err := NewEncryptor(params, kgen.GenPublicKey(sk)).Encrypt(pt0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ks, err := NewKeySwitcherWorkers(params, Hybrid, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		level := ct.Level
+		d, err := ks.Decompose(ct.C1, level)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := level + 1 + ks.sLen
+		acc0, acc1 := ring.NewPoly(params.N(), rows), ring.NewPoly(params.N(), rows)
+		terms := []ksTerm{{key: key, idx: params.GaloisIndex(galEl)}}
+		for _, p := range kerneltest.Paths {
+			for _, cold := range []bool{false, true} {
+				temp := "hot"
+				if cold {
+					temp = "cold"
+				}
+				b.Run(fmt.Sprintf("logn%d/%v/%s", pt.logN, p, temp), func(b *testing.B) {
+					prev := ring.SetKernelPath(p)
+					defer ring.SetKernelPath(prev)
+					if ring.KernelPath() != p.String() {
+						b.Skipf("kernel path %v not available on this build/CPU", p)
+					}
+					for i := 0; i < b.N; i++ {
+						if cold {
+							b.StopTimer()
+							for k := range sweep {
+								sweep[k]++
+							}
+							b.StartTimer()
+						}
+						if err := ks.keyProduct(nil, d, terms, level, acc0, acc1); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
+		ks.Release(d)
 	}
 }

@@ -85,7 +85,13 @@ func polyRows(p ring.Poly) [][]uint64 {
 	return p.Coeffs
 }
 
-func appendPoly(dst []byte, p ring.Poly) []byte {
+// appendPoly appends p's wire form. A packed poly (an evaluation key's) is
+// written as the residues it holds, the bytes of the Poly it was packed from.
+func appendPoly[P ring.Poly | ring.PackedPoly](dst []byte, poly P) []byte {
+	p, ok := any(poly).(ring.Poly)
+	if !ok {
+		p = any(poly).(ring.PackedPoly).Unpack()
+	}
 	dst = binary.LittleEndian.AppendUint32(append(dst, tagPoly, wireVersion), uint32(p.Limbs()))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(p.N()))
 	for _, row := range polyRows(p) {

@@ -166,7 +166,7 @@ func mustEncode(t *testing.T, tc *testContext, values []complex128) *Plaintext {
 
 // referenceProduct is the rotated key product in the order keyProduct
 // replaces: every term's β digits permuted by its φ first, then one
-// h·β-term MulAccRows per row against the permuted key rows φ(k′).
+// h·β-term MulAccRows per row against the permuted key rows φ(k′), unpacked.
 func referenceProduct(ks *KeySwitcher, d *Decomposition, terms []ksTerm, level int) (acc0, acc1 ring.Poly) {
 	n, rows, beta := ks.params.N(), level+1+ks.sLen, ks.beta(level)
 	qLen := len(ks.params.qChain)
@@ -175,6 +175,17 @@ func referenceProduct(ks *KeySwitcher, d *Decomposition, terms []ksTerm, level i
 		out := make([]uint64, n)
 		ring.PermuteRow(out, row, idx)
 		return out
+	}
+	// The key rows unpacked: the reference reads the 8-byte layout.
+	type pair struct{ b, a ring.Poly }
+	keys := map[*SwitchingKey][]pair{}
+	for _, t := range terms {
+		if keys[t.key] != nil {
+			continue
+		}
+		for j := 0; j < beta; j++ {
+			keys[t.key] = append(keys[t.key], pair{t.key.B[j].Unpack(), t.key.A[j].Unpack()})
+		}
 	}
 	for i := 0; i < rows; i++ {
 		keyRow := i
@@ -185,8 +196,8 @@ func referenceProduct(ks *KeySwitcher, d *Decomposition, terms []ksTerm, level i
 		for _, t := range terms {
 			for j := 0; j < beta; j++ {
 				gs = append(gs, permuted(d.Groups[j].Coeffs[i], t.idx))
-				bs = append(bs, permuted(t.key.B[j].Coeffs[keyRow], t.idx))
-				as = append(as, permuted(t.key.A[j].Coeffs[keyRow], t.idx))
+				bs = append(bs, permuted(keys[t.key][j].b.Coeffs[keyRow], t.idx))
+				as = append(as, permuted(keys[t.key][j].a.Coeffs[keyRow], t.idx))
 			}
 		}
 		m := ks.modFor(level, i)

@@ -8,7 +8,7 @@ package ring
 // dispatch sites in ntt.go / bconv.go / lane52.go / ring.go call. Build with
 // `-tags purego` to compile the pure-Go reference instead (asm_fallback.go).
 
-// detectKernelPath reads the three registers kernelPathFor decodes. XGETBV
+// detectKernelPath reads the four registers kernelPathFor decodes. XGETBV
 // itself faults unless the OS set OSXSAVE, so XCR0 reads as 0 without it.
 func detectKernelPath() Path {
 	maxID, _, _, _ := cpuid(0, 0)
@@ -16,12 +16,12 @@ func detectKernelPath() Path {
 		return PathGo
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
-	_, ebx7, _, _ := cpuid(7, 0)
+	_, ebx7, ecx7, _ := cpuid(7, 0)
 	var xcr0 uint32
 	if ecx1&cpuidOSXSAVE != 0 {
 		xcr0, _ = xgetbv()
 	}
-	return kernelPathFor(ecx1, ebx7, xcr0)
+	return kernelPathFor(ecx1, ebx7, ecx7, xcr0)
 }
 
 const (
@@ -30,21 +30,23 @@ const (
 	cpuidAVX2       = 1 << 5  // leaf 7 EBX
 	cpuidAVX512F    = 1 << 16 // leaf 7 EBX
 	cpuidAVX512IFMA = 1 << 21 // leaf 7 EBX
+	cpuidAVX512VBMI = 1 << 1  // leaf 7 ECX
 
 	xcr0AVX    = 0x06 // XMM + YMM state
 	xcr0AVX512 = 0xe6 // + opmask, ZMM0-15 upper halves, ZMM16-31
 )
 
-// kernelPathFor decodes CPUID leaf 1 ECX, leaf 7 (subleaf 0) EBX and XCR0
-// into the highest kernel path that cannot fault: an instruction set counts
-// only when the CPU advertises it AND the OS saves the register state it
-// touches. The IFMA kernels use AVX512F and AVX512IFMA only (no DQ/VL/BW
-// forms), on top of the AVX2 kernels wider moduli keep using.
-func kernelPathFor(ecx1, ebx7, xcr0 uint32) Path {
+// kernelPathFor decodes CPUID leaf 1 ECX, leaf 7 (subleaf 0) EBX and ECX
+// and XCR0 into the highest kernel path that cannot fault: an instruction set
+// counts only when the CPU advertises it AND the OS saves the register state
+// it touches. The IFMA kernels use AVX512F, AVX512IFMA and, to widen packed
+// key rows, AVX512VBMI's VPERMB (no DQ/VL/BW forms), on top of the AVX2
+// kernels wider moduli keep using. Every CPU with IFMA so far also has VBMI.
+func kernelPathFor(ecx1, ebx7, ecx7, xcr0 uint32) Path {
 	if ecx1&cpuidOSXSAVE == 0 || ecx1&cpuidAVX == 0 || xcr0&xcr0AVX != xcr0AVX || ebx7&cpuidAVX2 == 0 {
 		return PathGo
 	}
-	if ebx7&cpuidAVX512F != 0 && ebx7&cpuidAVX512IFMA != 0 && xcr0&xcr0AVX512 == xcr0AVX512 {
+	if ebx7&cpuidAVX512F != 0 && ebx7&cpuidAVX512IFMA != 0 && ecx7&cpuidAVX512VBMI != 0 && xcr0&xcr0AVX512 == xcr0AVX512 {
 		return PathAVX512IFMA
 	}
 	return PathAVX2
@@ -151,6 +153,19 @@ func mac52(m Modulus, dst []uint64, xs, ys [][]uint64, flags uint64) {
 	mac52IFMA(&dst[0], n, &xs[0], &ys[0], len(xs), flags, &m.lane52)
 }
 
+// mac52Packed is mac52 with each ys[j] a packed row at b bits, widened by
+// packLayouts[b]. Row lengths, padding included, are checked here: the
+// assembly's 64-byte loads trust them.
+func mac52Packed(m Modulus, dst []uint64, xs [][]uint64, ys [][]byte, b int, flags uint64) {
+	n := len(dst)
+	rowLen := PackedRowLen(n, b)
+	for j := range xs {
+		_ = xs[j][n-1]
+		_ = ys[j][rowLen-1]
+	}
+	mac52PackedIFMA(&dst[0], n, &xs[0], &ys[0], len(xs), flags, &m.lane52, &packLayouts[b])
+}
+
 func bconvAccumASM(m Modulus, dst, src []uint64, stride int, ws []uint64) {
 	bconvAccumAVX2(&dst[0], &src[0], len(dst), stride, len(ws), &ws[0], m.Q, m.brc[0], m.brc[1])
 }
@@ -245,6 +260,9 @@ func shoupMulSubVecIFMA(dst, x, sub *uint64, n int, w, ws, q, m52 uint64)
 
 //go:noescape
 func mac52IFMA(dst *uint64, n int, xs, ys *[]uint64, l int, flags uint64, c *[4]uint64)
+
+//go:noescape
+func mac52PackedIFMA(dst *uint64, n int, xs *[]uint64, ys *[]byte, l int, flags uint64, c *[4]uint64, pk *packLayout)
 
 //go:noescape
 func addVecAVX512(dst, a, b *uint64, n int, q uint64)

@@ -25,6 +25,7 @@ func shoupMulSubVec52(Modulus, []uint64, []uint64, []uint64, uint64, uint64) {
 	panic(noKernels)
 }
 func mac52(Modulus, []uint64, [][]uint64, [][]uint64, uint64)            { panic(noKernels) }
+func mac52Packed(Modulus, []uint64, [][]uint64, [][]byte, int, uint64)   { panic(noKernels) }
 func bconvAccumASM(Modulus, []uint64, []uint64, int, []uint64)           { panic(noKernels) }
 func bconvShoupASM(Modulus, []uint64, []uint64, int, []uint64, []uint64) { panic(noKernels) }
 func addVecASM(Modulus, []uint64, []uint64, []uint64)                    { panic(noKernels) }

@@ -495,6 +495,45 @@ fsms_loop:
 	VZEROUPPER
 	RET
 
+// MAC52CONSTS loads mac52's constants from c = {q, m52, c52, c52s} in DX:
+// IFMACONSTS, Z11 = m52, Z10 = c52, Z8 = c52s (clobbers AX, BX).
+#define MAC52CONSTS \
+	MOVQ (DX), AX \
+	IFMACONSTS \
+	VPBROADCASTQ 8(DX), Z11 \
+	VPBROADCASTQ 16(DX), Z10 \
+	VPBROADCASTQ 24(DX), Z8
+
+// MAC52FINISH reduces mac52's two accumulator pairs, (Z0 lo, Z1 hi) and
+// (Z2 lo, Z3 hi), to [0, q) and stores them at (DI)(R12*1) and 64 bytes on
+// (see mac52IFMA for the arithmetic). Needs IFMACONSTS and Z8 = c52s,
+// Z10 = c52, Z11 = m52; clobbers Z4..Z6.
+#define MAC52FINISH \
+	VPSRLQ $52, Z0, Z4 \
+	VPSRLQ $52, Z2, Z5 \
+	VPADDQ Z4, Z1, Z1 \
+	VPADDQ Z5, Z3, Z3 \
+	VPANDQ Z31, Z0, Z0 \
+	VPANDQ Z31, Z2, Z2 \
+	MULSHOUP52(Z1, Z10, Z8, Z4, Z5) \
+	MULSHOUP52(Z3, Z10, Z8, Z4, Z6) \
+	VPXORQ Z4, Z4, Z4 \
+	VPMADD52HUQ Z11, Z0, Z4 \
+	VPMADD52LUQ Z30, Z4, Z0 \
+	VPANDQ Z31, Z0, Z0 \
+	VPXORQ Z4, Z4, Z4 \
+	VPMADD52HUQ Z11, Z2, Z4 \
+	VPMADD52LUQ Z30, Z4, Z2 \
+	VPANDQ Z31, Z2, Z2 \
+	VPADDQ Z5, Z0, Z0 \
+	VPADDQ Z6, Z2, Z2 \
+	FOLD(Z0, Z29, Z4) \
+	FOLD(Z2, Z29, Z5) \
+	FOLD(Z0, Z28, Z4) \
+	FOLD(Z2, Z28, Z5) \
+	VMOVDQU64 Z0, (DI)(R12*1) \
+	VMOVDQU64 Z2, 64(DI)(R12*1)
+
 // func mac52IFMA(dst *uint64, n int, xs, ys *[]uint64, l int, flags uint64, c *[4]uint64)
 //
 // dst[k] = (sum_j xs[j][k] * ys[j][k]  [+ dst[k]]) mod q, in [0, q): the one
@@ -519,11 +558,7 @@ TEXT ·mac52IFMA(SB), NOSPLIT, $0-56
 	MOVQ l+32(FP), R14
 	MOVQ flags+40(FP), R13
 	MOVQ c+48(FP), DX
-	MOVQ (DX), AX
-	IFMACONSTS
-	VPBROADCASTQ 8(DX), Z11   // m52
-	VPBROADCASTQ 16(DX), Z10  // c52
-	VPBROADCASTQ 24(DX), Z8   // c52s
+	MAC52CONSTS
 	XORQ R12, R12             // byte offset into every row
 
 mac_chunk:
@@ -576,36 +611,81 @@ mac_bcst:
 	JNZ mac_bcst
 
 mac_tail:
-	// A = acc_hi + (acc_lo >> 52), L0 = acc_lo & mask.
-	VPSRLQ $52, Z0, Z4
-	VPSRLQ $52, Z2, Z5
-	VPADDQ Z4, Z1, Z1
-	VPADDQ Z5, Z3, Z3
-	VPANDQ Z31, Z0, Z0
-	VPANDQ Z31, Z2, Z2
-	// rA = mulShoup52(A, c52).
-	MULSHOUP52(Z1, Z10, Z8, Z4, Z5)
-	MULSHOUP52(Z3, Z10, Z8, Z4, Z6)
-	// rB = barrett52(L0), accumulated straight onto L0.
-	VPXORQ Z4, Z4, Z4
-	VPMADD52HUQ Z11, Z0, Z4
-	VPMADD52LUQ Z30, Z4, Z0
-	VPANDQ Z31, Z0, Z0
-	VPXORQ Z4, Z4, Z4
-	VPMADD52HUQ Z11, Z2, Z4
-	VPMADD52LUQ Z30, Z4, Z2
-	VPANDQ Z31, Z2, Z2
-	VPADDQ Z5, Z0, Z0         // [0, 4q)
-	VPADDQ Z6, Z2, Z2
-	FOLD(Z0, Z29, Z4)
-	FOLD(Z2, Z29, Z5)
-	FOLD(Z0, Z28, Z4)
-	FOLD(Z2, Z28, Z5)
-	VMOVDQU64 Z0, (DI)(R12*1)
-	VMOVDQU64 Z2, 64(DI)(R12*1)
+	MAC52FINISH
 	ADDQ $128, R12
 	SUBQ $16, R15
 	JNZ mac_chunk
+
+	VZEROUPPER
+	RET
+
+// func mac52PackedIFMA(dst *uint64, n int, xs *[]uint64, ys *[]byte, l int, flags uint64, c *[4]uint64, pk *packLayout)
+//
+// mac52IFMA with every ys[j] a packed row (packed.go): residue k at bits
+// [k*b, (k+1)*b). Eight residues span b bytes, so per term and per 8 lanes
+// the key operand is one VPERMB of the 64 bytes at the group's first byte
+// (lane i gets the 8 bytes from residue i's first byte), a VPMULTISHIFTQB
+// that shifts lane i right by (i*b) mod 8 (a port-5 op, where a VPSRLVQ
+// would compete with the multiply-adds for port 0) and a mask to b bits;
+// the rest is mac52IFMA's loop and tail.
+// pk = {perm [64]byte, shift [64]byte, mask, span = b}. The last group's
+// load reads 64 - b bytes past the residues: the row's padding.
+TEXT ·mac52PackedIFMA(SB), NOSPLIT, $0-64
+	MOVQ dst+0(FP), DI
+	MOVQ n+8(FP), R15
+	MOVQ l+32(FP), R14
+	MOVQ flags+40(FP), R13
+	MOVQ c+48(FP), DX
+	MAC52CONSTS
+	MOVQ pk+56(FP), DX
+	VMOVDQU64 (DX), Z9        // byte table
+	VMOVDQU64 64(DX), Z12     // shift control bytes
+	VPBROADCASTQ 128(DX), Z13 // residue mask
+	MOVQ 136(DX), R10         // bytes per 8 residues
+	XORQ R12, R12             // byte offset into dst and every xs row
+	XORQ R11, R11             // byte offset into every packed row
+
+pk_chunk:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	TESTQ $2, R13
+	JZ pk_terms
+	VMOVDQU64 (DI)(R12*1), Z0
+	VMOVDQU64 64(DI)(R12*1), Z2
+
+pk_terms:
+	MOVQ xs+16(FP), R8
+	MOVQ ys+24(FP), R9
+	MOVQ R14, CX
+
+pk_term:
+	MOVQ (R8), SI
+	MOVQ (R9), BX
+	ADDQ $24, R8
+	ADDQ $24, R9
+	ADDQ R11, BX
+	VMOVDQU64 (SI)(R12*1), Z4
+	VMOVDQU64 64(SI)(R12*1), Z5
+	VPERMB (BX), Z9, Z6
+	VPERMB (BX)(R10*1), Z9, Z7
+	VPMULTISHIFTQB Z6, Z12, Z6
+	VPMULTISHIFTQB Z7, Z12, Z7
+	VPANDQ Z13, Z6, Z6
+	VPANDQ Z13, Z7, Z7
+	VPMADD52LUQ Z6, Z4, Z0
+	VPMADD52HUQ Z6, Z4, Z1
+	VPMADD52LUQ Z7, Z5, Z2
+	VPMADD52HUQ Z7, Z5, Z3
+	DECQ CX
+	JNZ pk_term
+
+	MAC52FINISH
+	ADDQ $128, R12
+	LEAQ (R11)(R10*2), R11
+	SUBQ $16, R15
+	JNZ pk_chunk
 
 	VZEROUPPER
 	RET

@@ -45,3 +45,14 @@ func Lane52Edge(t testing.TB, logN int) (in, out Modulus) {
 	}
 	return mustModulus(t, lo), mustModulus(t, hi)
 }
+
+// MAC52AddDst and MAC52PackedAddDst run the 52-bit multiply-accumulate onto
+// dst (mac52AddDst, MulCoeffsThenAdd's form) over unpacked and packed rows.
+func (m Modulus) MAC52AddDst(dst []uint64, xs, ys [][]uint64) { mac52(m, dst, xs, ys, mac52AddDst) }
+func (m Modulus) MAC52PackedAddDst(dst []uint64, xs [][]uint64, ys [][]byte, b int) {
+	mac52Packed(m, dst, xs, ys, b, mac52AddDst)
+}
+
+// UseMAC52 reports whether a terms-term multiply-accumulate of length-n rows
+// of residues runs on the 52-bit kernel.
+func (m Modulus) UseMAC52(n, terms int) bool { return m.useMAC52(n, m.Q, terms) }

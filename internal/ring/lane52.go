@@ -1,6 +1,9 @@
 package ring
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // The 52-bit datapath: the CPU analogue of the accelerator's tunable-bit
 // multiplier. AVX-512 IFMA multiplies 52-bit lanes natively, eight at a time,
@@ -75,7 +78,7 @@ func (m Modulus) MulAccRows(dst []uint64, xs, ys [][]uint64) {
 		mac52(m, dst, xs, ys, 0)
 		return
 	}
-	mulAccRowsGo(m, dst, xs, ys, nil)
+	mulAccRowsGo(m, dst, xs, ys, nil, nil, 0)
 }
 
 // MulAccScalars sets dst[k] = (Σ_j xs[j][k]·ws[j]) mod q, fully reduced: rows
@@ -93,13 +96,15 @@ func (m Modulus) MulAccScalars(dst []uint64, xs [][]uint64, ws []uint64) {
 		mac52(m, dst, xs, ys, mac52Broadcast)
 		return
 	}
-	mulAccRowsGo(m, dst, xs, nil, ws)
+	mulAccRowsGo(m, dst, xs, nil, ws, nil, 0)
 }
 
-// mulAccRowsGo is the reference for MulAccRows (ws == nil) and MulAccScalars
-// (ys == nil). It walks dst in blocks small enough for the (hi, lo)
-// accumulators to stay in L1 across all terms.
-func mulAccRowsGo(m Modulus, dst []uint64, xs, ys [][]uint64, ws []uint64) {
+// mulAccRowsGo is the reference for MulAccRows (ys), MulAccScalars (ws) and
+// MulAccPackedRows (packed rows ps at b bits), whichever operand is non-nil.
+// It walks dst in blocks small enough for the (hi, lo) accumulators to stay
+// in L1 across all terms; each term's pass over a block is a leaf function
+// of its own, which keeps the loop's state in registers.
+func mulAccRowsGo(m Modulus, dst []uint64, xs, ys [][]uint64, ws []uint64, ps [][]byte, b int) {
 	const blk = 128
 	var accLo, accHi [blk]uint64
 	capTerms := m.AccumCapacity()
@@ -118,22 +123,15 @@ func mulAccRowsGo(m Modulus, dst []uint64, xs, ys [][]uint64, ws []uint64) {
 				terms = 1
 			}
 			x := xs[j][k0 : k0+w]
-			if ws != nil {
-				y := ws[j]
-				for t := range lo {
-					ph, pl := bits.Mul64(x[t], y)
-					var c uint64
-					lo[t], c = bits.Add64(lo[t], pl, 0)
-					hi[t] += ph + c
-				}
-			} else {
-				y := ys[j][k0 : k0+w]
-				for t := range lo {
-					ph, pl := bits.Mul64(x[t], y[t])
-					var c uint64
-					lo[t], c = bits.Add64(lo[t], pl, 0)
-					hi[t] += ph + c
-				}
+			switch {
+			case ws != nil:
+				accScalar(lo, hi, x, ws[j])
+			case ps != nil && b == 64:
+				accWords(lo, hi, x, ps[j][8*k0:8*(k0+w)])
+			case ps != nil:
+				accPacked(lo, hi, x, ps[j], b, k0)
+			default:
+				accRow(lo, hi, x, ys[j][k0:k0+w])
 			}
 			terms++
 		}
@@ -141,6 +139,59 @@ func mulAccRowsGo(m Modulus, dst []uint64, xs, ys [][]uint64, ws []uint64) {
 		for t := range d {
 			d[t] = m.Reduce(hi[t], lo[t])
 		}
+	}
+}
+
+// accRow adds x[t]·y[t] to the 128-bit accumulator (hi[t], lo[t]).
+func accRow(lo, hi, x, y []uint64) {
+	x, y = x[:len(lo)], y[:len(lo)]
+	hi = hi[:len(lo)]
+	for t := range lo {
+		ph, pl := bits.Mul64(x[t], y[t])
+		var c uint64
+		lo[t], c = bits.Add64(lo[t], pl, 0)
+		hi[t] += ph + c
+	}
+}
+
+// accScalar is accRow with every y[t] = y.
+func accScalar(lo, hi, x []uint64, y uint64) {
+	x, hi = x[:len(lo)], hi[:len(lo)]
+	for t := range lo {
+		ph, pl := bits.Mul64(x[t], y)
+		var c uint64
+		lo[t], c = bits.Add64(lo[t], pl, 0)
+		hi[t] += ph + c
+	}
+}
+
+// accWords is accRow with y[t] the little-endian word row[8t:8t+8]: a
+// packed row at 64 bits, walked a word at a time.
+func accWords(lo, hi, x []uint64, row []byte) {
+	x, hi = x[:len(lo)], hi[:len(lo)]
+	for t := range lo {
+		ph, pl := bits.Mul64(x[t], binary.LittleEndian.Uint64(row))
+		row = row[8:]
+		var c uint64
+		lo[t], c = bits.Add64(lo[t], pl, 0)
+		hi[t] += ph + c
+	}
+}
+
+// accPacked is accRow with y[t] residue k0+t of a packed row at b bits: the
+// 8 bytes from its first bit's byte, shifted to that bit and masked.
+func accPacked(lo, hi, x []uint64, row []byte, b, k0 int) {
+	x, hi = x[:len(lo)], hi[:len(lo)]
+	mask := uint64(1)<<b - 1
+	o := k0 * b
+	for t := range lo {
+		p := o >> 3
+		y := binary.LittleEndian.Uint64(row[p:p+8]) >> (o & 7) & mask
+		o += b
+		ph, pl := bits.Mul64(x[t], y)
+		var c uint64
+		lo[t], c = bits.Add64(lo[t], pl, 0)
+		hi[t] += ph + c
 	}
 }
 

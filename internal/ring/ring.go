@@ -304,20 +304,6 @@ func (r *Ring) MulCoeffsThenAdd(a, b, out Poly) {
 	}
 }
 
-// MulScalarBigint sets out = a * scalar for an arbitrary-precision scalar.
-func (r *Ring) MulScalarBigint(a Poly, scalar *big.Int, out Poly) {
-	r.checkShape(a, out)
-	tmp := new(big.Int)
-	for i, m := range r.Moduli {
-		s := tmp.Mod(scalar, new(big.Int).SetUint64(m.Q)).Uint64()
-		sSho := m.ShoupPrecomp(s)
-		ai, oi := a.Coeffs[i], out.Coeffs[i]
-		for j := range oi {
-			oi[j] = m.MulModShoup(ai[j], s, sSho)
-		}
-	}
-}
-
 // PolyToBigintCentered reconstructs coefficient j of p (coefficient form)
 // as centered big integers in (-Q/2, Q/2] via the CRT, writing into out
 // (which must have length N). Used by the decoder.

@@ -36,17 +36,6 @@ func TestRingAddSubNeg(t *testing.T) {
 	}
 }
 
-func TestRingScalarOps(t *testing.T) {
-	r := testRing(t, 6, 36, 2)
-	a := randPoly(r, 3)
-	sum, bigDoubled := r.NewPoly(), r.NewPoly()
-	r.Add(a, a, sum)
-	r.MulScalarBigint(a, big.NewInt(2), bigDoubled)
-	if !bigDoubled.Equal(sum) {
-		t.Fatal("bigint 2*a != a+a")
-	}
-}
-
 func TestMulCoeffsThenAdd(t *testing.T) {
 	r := testRing(t, 5, 36, 2)
 	a, b := randPoly(r, 4), randPoly(r, 5)

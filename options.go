@@ -27,12 +27,12 @@ type contextSettings struct {
 // operation fans its limb-level kernels (NTT, BConv/ModUp, KeyMult, ModDown,
 // Rescale) out to:
 //
-//	n == 1  (the default) keeps each operation on its calling goroutine —
-//	        the right setting when many goroutines evaluate concurrently,
-//	        because the goroutines themselves provide the parallelism;
+//	n == 0  (the default) or 1 keeps each operation on its calling
+//	        goroutine — the right setting when many goroutines evaluate
+//	        concurrently, because the goroutines provide the parallelism;
 //	n >= 2  uses up to n workers per operation — the right setting to cut
 //	        the latency of a single stream of operations;
-//	n <= 0  uses GOMAXPROCS workers.
+//	n < 0   uses GOMAXPROCS workers.
 //
 // This is the software analogue of the FAST accelerator's scalable lane
 // parallelism: RNS limbs are independent, so the same kernels run serially,
