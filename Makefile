@@ -77,11 +77,11 @@ race: kernel-path
 # The fastd suite runs the
 # serve loop in-process: real queue overload, disk writes failed through the
 # store's hook, crash/restart and shard kill — accepted responses
-# bit-identical to an in-process reference, refusals typed. internal/shard is
-# the ring under concurrent kills. (-short keeps the op count CI-sized; drop
-# it for a deeper soak.)
+# bit-identical to an in-process reference, refusals typed. internal/session
+# routes restores under concurrent kills of its shards. (-short keeps the op
+# count CI-sized; drop it for a deeper soak.)
 chaos:
-	$(GO) test -race -short -run 'Chaos|Fault|Resilience|RandomScript|NoisyTenant' . ./internal/hemera ./cmd/fastd ./internal/shard
+	$(GO) test -race -short -run 'Chaos|Fault|Resilience|RandomScript|NoisyTenant' . ./internal/hemera ./cmd/fastd ./internal/session
 
 # Every examples/* program, run to completion (each under ~1 s warm); the
 # target fails on the first one that exits non-zero. Every program's first
@@ -173,7 +173,7 @@ vet: loc
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 
 # Size budget of the serving layer: non-test lines (wc -l, comments included)
-# of cmd/fastd + internal/session + internal/shard. fastd exists to measure the library under
+# of cmd/fastd + internal/session. fastd exists to measure the library under
 # traffic, and it has outgrown that job twice; growing it now takes an edit
 # to FASTD_LOC_MAX, which a reviewer sees, next to the code that needs it.
 #
@@ -261,7 +261,15 @@ vet: loc
 # lifecycle.go (178 -> 183): errEpochUnwritten and restoreSession's return of
 # the failed write (a DELETE racing it still reaches Publish); to daemon.go
 # (761 -> 763): the ladder's 503 epoch_unwritten rung with Retry-After.
-FASTD_LOC_MAX ?= 3087
+#
+# 3087 -> 2980: one owner for session placement. Went: internal/shard (the
+# consistent-hash ring, 142, and its glob here); from daemon.go (763 -> 754)
+# the ring field and route(); from shard.go (133 -> 117) splitResident and
+# the second fence call. Came to internal/session (319 -> 380): rendezvous
+# routing inside Reserve and BeginRestore, ErrShardDown and ErrFull, Fence's
+# range check and its fenced result, and the live count and fenced flags in
+# Stats.
+FASTD_LOC_MAX ?= 2980
 
 # Size budget of the performance model: non-test lines of the cost model,
 # Aether, the simulator, the traces and workloads, the baselines, perf.go and
@@ -360,7 +368,11 @@ MODEL_LOC_MAX ?= 2348
 # PlanRecord.Batch, Runs and RequestIDs (one RequestID in their place), and
 # the observer's batch sequence. options.go and context.go -22: the per-op
 # request-ID option, opSettings.requestID and its folding in settings.
-ROOT_LOC_MAX ?= 2718
+#
+# 2718 -> 2711: evkcache.go (108 -> 101) sizes a key at its packed rows; the
+# request's unused level argument and EvkCache.Stats' field-by-field copy of
+# hemera.SharedStats went.
+ROOT_LOC_MAX ?= 2711
 
 # Size budget of the CKKS layer: non-test lines of internal/ckks, the
 # module's largest package (scheme, key switch, bootstrapping, wire codec).
@@ -448,8 +460,8 @@ loc:
 	@n=$$(ls $(MODEL_GO) | grep -v _test.go | xargs cat | wc -l); \
 	echo "performance model (costmodel, aether, sim, trace, workloads, baselines, perf.go, cmd/{aether,fastsim}): $$n non-test lines (budget $(MODEL_LOC_MAX))"; \
 	[ $$n -le $(MODEL_LOC_MAX) ]
-	@n=$$(ls cmd/fastd/*.go internal/session/*.go internal/shard/*.go | grep -v _test.go | xargs cat | wc -l); \
-	echo "cmd/fastd + internal/session + internal/shard: $$n non-test lines (budget $(FASTD_LOC_MAX))"; \
+	@n=$$(ls cmd/fastd/*.go internal/session/*.go | grep -v _test.go | xargs cat | wc -l); \
+	echo "cmd/fastd + internal/session: $$n non-test lines (budget $(FASTD_LOC_MAX))"; \
 	[ $$n -le $(FASTD_LOC_MAX) ]
 	@n=$$(ls internal/ckks/*.go | grep -v _test.go | xargs cat | wc -l); \
 	echo "internal/ckks: $$n non-test lines (budget $(CKKS_LOC_MAX))"; \

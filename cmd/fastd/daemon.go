@@ -20,7 +20,6 @@ import (
 	"github.com/fastfhe/fast/internal/obs"
 	"github.com/fastfhe/fast/internal/serve"
 	sessreg "github.com/fastfhe/fast/internal/session"
-	shardpkg "github.com/fastfhe/fast/internal/shard"
 )
 
 // evkBudget bounds the process-wide shared evaluation-key tier in bytes.
@@ -30,8 +29,8 @@ const evkBudget = 256 << 20
 type daemonConfig struct {
 	// Shards is the number of failure-isolated serving lanes behind the one
 	// listener (default 1 — the pre-sharding topology). Each shard owns its
-	// own admission queue, worker pool and slice of MaxResident; sessions are
-	// pinned to shards by consistent hashing of the ID.
+	// own admission queue, worker pool and slice of MaxResident; the session
+	// registry places each session on one.
 	Shards int
 	// Workers is the evaluator pool size PER SHARD.
 	Workers    int
@@ -50,9 +49,9 @@ type daemonConfig struct {
 	// channel: a fenced shard's sessions restore on the survivors from here.
 	StateDir string
 	// MaxResident bounds the sessions held in memory when StateDir is set
-	// (0 = MaxSessions), split evenly across shards. Past a shard's slice the
-	// least-recently-used session is snapshotted (if dirty) and released; the
-	// next request faults it back in.
+	// (0 = MaxSessions), split evenly across shards, so it may not be below
+	// Shards. Past a shard's slice the least-recently-used session is
+	// snapshotted (if dirty) and released; the next request faults it back in.
 	MaxResident int
 	// IdemCap is each session's idempotency window: its last IdemCap keyed
 	// requests are remembered (0 = 512).
@@ -111,13 +110,12 @@ type session struct {
 }
 
 // daemon is the fastd HTTP server: N failure-isolated shards behind one
-// listener, routed by a consistent-hash ring over session IDs, plus the
-// global pieces — the session registry (which also holds the process-wide
-// session budget), the snapshot store and the shared evk tier.
+// listener, plus the global pieces — the session registry (which places
+// sessions on shards, fences them and holds the process-wide session
+// budget), the snapshot store and the shared evk tier.
 type daemon struct {
 	cfg      daemonConfig
 	shards   []*evalShard
-	ring     *shardpkg.Ring
 	evk      *fast.EvkCache
 	observer *fast.Observer
 	requests *obs.RequestTable
@@ -126,9 +124,9 @@ type daemon struct {
 	store *sessionStore // nil when persistence is disabled
 
 	// sessions is the one place session placement lives (internal/session:
-	// the lifecycle's state table, one mutex). Handlers hold it for a map
-	// operation at a time and do all I/O and keygen between
-	// calls.
+	// the lifecycle's state table, routing and fences, one mutex). Handlers
+	// hold it for a map operation at a time and do all I/O and keygen
+	// between calls.
 	sessions *sessreg.Registry[*session]
 	nextID   atomic.Uint64
 	draining atomic.Bool
@@ -158,14 +156,16 @@ type daemon struct {
 
 func newDaemon(cfg daemonConfig) (*daemon, error) {
 	cfg = cfg.withDefaults()
+	if cfg.MaxResident < cfg.Shards {
+		return nil, fmt.Errorf("fastd: -max-resident-sessions %d (0 = -max-sessions) is below -shards %d: every shard needs room for one resident session", cfg.MaxResident, cfg.Shards)
+	}
 	reg := cfg.Observer.Registry()
 	d := &daemon{
 		cfg:      cfg,
 		observer: cfg.Observer,
 		requests: obs.NewRequestTable(reg),
 		logger:   cfg.Logger,
-		sessions: sessreg.New[*session](cfg.MaxSessions, splitResident(cfg.MaxResident, cfg.Shards)),
-		ring:     shardpkg.NewRing(cfg.Shards),
+		sessions: sessreg.New[*session](cfg.MaxSessions, cfg.MaxResident, cfg.Shards),
 		evk:      fast.NewEvkCache(evkBudget, cfg.Observer),
 		idem:     map[string]*idemTable{},
 	}
@@ -225,16 +225,6 @@ func newDaemon(cfg daemonConfig) (*daemon, error) {
 		}
 	}
 	return d, nil
-}
-
-// route resolves a session ID to its ring-assigned live shard.
-func (d *daemon) route(id string) (*evalShard, error) {
-	i, err := d.ring.Owner(id)
-	if err != nil {
-		d.mShardDown.Inc()
-		return nil, err
-	}
-	return d.shards[i], nil
 }
 
 // drain gracefully stops every shard's admission layer (bounded by ctx). No
@@ -357,7 +347,7 @@ func (d *daemon) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		Queue:      queue,
 		Inflight:   d.requests.Len(),
 		Shards:     shards,
-		LiveShards: d.ring.Live(),
+		LiveShards: st.Live,
 		Sessions:   sess,
 		Evk:        d.evkReadiness(),
 		Latency: map[string]float64{
@@ -439,18 +429,19 @@ func (d *daemon) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 
 	id := "s" + strconv.FormatUint(d.nextID.Add(1), 10)
-	sh, err := d.route(id)
-	if err != nil {
-		d.writeAdmissionError(w, r, err)
-		return
-	}
 	// The slot is reserved BEFORE the expensive keygen (see Registry.Reserve),
 	// given back if keygen fails and converted into the real entry by Publish.
-	if !d.sessions.Reserve(id, sh.id) {
+	i, err := d.sessions.Reserve(id)
+	switch {
+	case errors.Is(err, sessreg.ErrShardDown):
+		d.writeAdmissionError(w, r, d.shardDown(id))
+		return
+	case err != nil:
 		httpError(w, http.StatusTooManyRequests,
 			fmt.Errorf("session limit %d reached", d.cfg.MaxSessions))
 		return
 	}
+	sh := d.shards[i]
 
 	// Key generation is expensive: run it under the owning shard's admission
 	// control too, so a burst of session creates cannot starve that shard's
@@ -719,7 +710,7 @@ func (d *daemon) writeAdmissionError(w http.ResponseWriter, r *http.Request, err
 		// is permanently unrecoverable — restoring it could decrypt wrongly.
 		// Clients must re-create the keyspace, not retry.
 		status, outcome = http.StatusGone, "corrupt_snapshot"
-	case errors.Is(err, shardpkg.ErrShardDown):
+	case errors.Is(err, sessreg.ErrShardDown):
 		// Failover window: the owning shard is fenced and its sessions are
 		// mid-migration. Retry-After tells the client this is the transient
 		// rung — one short backoff and a surviving shard owns the range.

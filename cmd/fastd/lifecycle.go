@@ -8,7 +8,6 @@ import (
 
 	fast "github.com/fastfhe/fast"
 	sessreg "github.com/fastfhe/fast/internal/session"
-	shardpkg "github.com/fastfhe/fast/internal/shard"
 )
 
 // Session lifecycle: create → (snapshot) → serve ⇄ evict/restore → delete,
@@ -24,9 +23,10 @@ import (
 // ID — a stampede of requests for one cold session performs one
 // deserialisation.
 //
-// A session is served through whichever shard currently HOLDS it, which is
-// the ring-routed shard in steady state and a survivor after its home shard
-// was killed. Once a session is resident, its requests never ask the ring.
+// A session is served through whichever shard currently HOLDS it: the shard
+// the registry placed it on at its create or latest restore. Once a session
+// is resident, its requests never move it; a restore is placed anew, on a
+// survivor if its old shard was killed.
 
 // errUnknownSession is the typed miss for a session ID with no resident
 // entry, no snapshot and no tombstone — mapped to 404 by the error ladder.
@@ -37,8 +37,8 @@ var errUnknownSession = errors.New("unknown session")
 var errEpochUnwritten = errors.New("restore epoch not durable")
 
 // resolve maps a session ID to (holding shard, session). The resident path is
-// one registry call; a persisted ID pays a singleflighted restore onto its
-// ring-routed live shard.
+// one registry call; a persisted ID pays a singleflighted restore onto the
+// live shard the registry picks for it.
 func (d *daemon) resolve(id string) (*evalShard, *session, error) {
 	for {
 		v := d.sessions.Acquire(id)
@@ -50,14 +50,13 @@ func (d *daemon) resolve(id string) (*evalShard, *session, error) {
 		case sessreg.Restoring:
 			<-v.Wait // another request is already restoring; wait and look again
 		case sessreg.Persisted:
-			// Restore lands on the ring-routed shard — the canonical home among
-			// the live members (after a kill, a survivor).
-			sh, err := d.route(id)
-			if err != nil {
-				return nil, nil, err
-			}
 			idem := d.idemTable(id) // before the claim: a DELETE after it drops this table
-			if d.sessions.BeginRestore(id, sh.id) {
+			i, ok, err := d.sessions.BeginRestore(id)
+			if err != nil {
+				return nil, nil, d.shardDown(id)
+			}
+			if ok {
+				sh := d.shards[i]
 				s, err := d.restoreInto(sh, idem)
 				return sh, s, err
 			}
@@ -69,7 +68,7 @@ func (d *daemon) resolve(id string) (*evalShard, *session, error) {
 
 func (d *daemon) shardDown(id string) error {
 	d.mShardDown.Inc()
-	return fmt.Errorf("session %q: %w", id, shardpkg.ErrShardDown)
+	return fmt.Errorf("session %q: %w", id, sessreg.ErrShardDown)
 }
 
 // restoreInto runs the restore this request claimed and publishes its result.

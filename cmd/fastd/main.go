@@ -76,7 +76,7 @@ func run(args []string, stdout io.Writer) error {
 	queue := fs.Int("queue", 0, "admission queue depth per shard (0 = 4x workers)")
 	maxSessions := fs.Int("max-sessions", 16, "maximum sessions (resident + persisted)")
 	stateDir := fs.String("state-dir", "", "directory for crash-safe session snapshots and idempotency journals (empty disables durability)")
-	maxResident := fs.Int("max-resident-sessions", 0, "sessions held in memory before LRU eviction to -state-dir (0 = -max-sessions)")
+	maxResident := fs.Int("max-resident-sessions", 0, "sessions held in memory before LRU eviction to -state-dir, at least -shards (0 = -max-sessions)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain bound on shutdown")
 	logLevel := fs.String("log-level", "info", "access-log level: debug, info, warn or error")
 	accessLog := fs.String("access-log", "stderr", "access-log destination: stderr, stdout, none, or a file path (appended)")

@@ -10,10 +10,10 @@ import (
 )
 
 // evalShard is one failure-isolated serving lane: its own admission queue
-// and worker pool. The consistent-hash ring pins each session ID to one
-// shard, so an overloaded queue or a panic storm on one shard cannot slow,
-// refuse or wedge traffic owned by its neighbors. Which sessions a shard
-// holds is the daemon's session registry's to say; the shard is compute only.
+// and worker pool. The session registry places each session on one shard,
+// so an overloaded queue or a panic storm on one shard cannot slow, refuse
+// or wedge traffic owned by its neighbors. Which sessions a shard holds is
+// the registry's to say; the shard is compute only.
 type evalShard struct {
 	id  int
 	srv *serve.Server
@@ -31,16 +31,16 @@ func newEvalShard(d *daemon, id int) *evalShard {
 // ---- Fencing and failover -------------------------------------------------
 
 // handleKillShard is the chaos endpoint, and the only thing that fences a
-// shard: an in-process SIGKILL equivalent, idempotent per shard. The shard
-// leaves the ring for the rest of the process lifetime, so no new session
-// routes to it and its hash range remaps to the survivors. Then the registry
-// empties it: every resident session the disk describes goes back to
-// persisted (its next request restores it, lazily, on whichever live shard
-// the ring now routes it to); a session whose durability write had degraded
-// (resident-only) is lost with the shard — exactly what a SIGKILL would have
-// cost — and gives its slot back. A create or restore that was already bound
-// here is turned away by the registry when it publishes (503 + Retry-After
-// for the restore: the retry restores on a survivor).
+// shard: an in-process SIGKILL equivalent, idempotent per shard. One
+// registry call fences the shard for the rest of the process lifetime and
+// empties it, atomically: no create or restore is placed on it from then on,
+// every resident session the disk describes goes back to persisted (its
+// next request restores it, lazily, on a survivor), and a session whose
+// durability write had degraded (resident-only) is lost with the shard —
+// exactly what a SIGKILL would have cost — and gives its slot back. A create
+// or restore that was already bound here is turned away by the registry
+// when it publishes (503 + Retry-After for the restore: the retry restores
+// on a survivor).
 //
 // Overload never fences: a full queue answers 429 and the shard keeps its
 // sessions. Fencing a busy shard would move its load, as a storm of restores,
@@ -52,19 +52,20 @@ func (d *daemon) handleKillShard(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid shard %q", r.PathValue("id")))
 		return
 	}
-	if d.ring.Fence(i) {
-		migrated, lost := d.sessions.Fence(i)
+	fenced, migrated, lost := d.sessions.Fence(i)
+	live := d.sessions.Stats().Live
+	if fenced {
 		for _, s := range append(migrated, lost...) {
 			d.mPlanEvicted.Add(uint64(s.plans.drop()))
 		}
 		d.mShardMigrated.Add(uint64(len(migrated)))
 		d.mShardLost.Add(uint64(len(lost)))
-		d.logger.Warn("shard fenced", "shard", i, "migrated", len(migrated), "lost", len(lost), "live", d.ring.Live())
+		d.logger.Warn("shard fenced", "shard", i, "migrated", len(migrated), "lost", len(lost), "live", live)
 	}
 	writeJSON(w, map[string]any{
 		"shard":  i,
 		"killed": true,
-		"live":   d.ring.Live(),
+		"live":   live,
 	})
 }
 
@@ -82,7 +83,7 @@ func (d *daemon) shardReadiness(st sessreg.Stats) []shardReadiness {
 	for i, sh := range d.shards {
 		out[i] = shardReadiness{
 			Shard:    i,
-			Fenced:   d.ring.Fenced(i),
+			Fenced:   st.ShardFenced[i],
 			Queue:    sh.srv.QueueLen(),
 			Resident: st.ShardResident[i],
 			Draining: sh.srv.Draining(),
@@ -113,21 +114,4 @@ func (d *daemon) evkReadiness() evkReadiness {
 		ResidentBytes:  st.ResidentBytes,
 		BudgetBytes:    st.Capacity,
 	}
-}
-
-// splitResident slices the global MaxResident bound across n shards (every
-// shard gets at least 1).
-func splitResident(maxResident, n int) []int {
-	out := make([]int, n)
-	base, extra := maxResident/n, maxResident%n
-	for i := range out {
-		out[i] = base
-		if i < extra {
-			out[i]++
-		}
-		if out[i] < 1 {
-			out[i] = 1
-		}
-	}
-	return out
 }

@@ -9,12 +9,14 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	fast "github.com/fastfhe/fast"
 	"github.com/fastfhe/fast/internal/serve"
+	sessreg "github.com/fastfhe/fast/internal/session"
 )
 
 // readyzView mirrors the /readyz document for test assertions.
@@ -392,14 +394,15 @@ func postStatus(url string, body any) int {
 // survivor.
 func TestShardFenceDuringCreateFailsOver(t *testing.T) {
 	d, ts := newTestDaemon(t, daemonConfig{Shards: 2, StateDir: t.TempDir(), MaxSessions: 8})
-	home, err := d.ring.Owner("s1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	held, release := holdStoreAt(d, "snap.create-tmp")
 	created := make(chan int, 1)
 	go func() { created <- postStatus(ts.URL+"/v1/sessions", testSessionRequest()) }()
 	<-held
+	v := d.sessions.Acquire("s1")
+	if v.State != sessreg.Reserved {
+		t.Fatalf("s1 is %v while its create writes the snapshot, want reserved", v.State)
+	}
+	home := v.Shard
 	if status, raw := doJSON(t, http.MethodPost, fmt.Sprintf("%s/debug/shards/%d/kill", ts.URL, home), nil, nil, nil); status != http.StatusOK {
 		t.Fatalf("kill shard %d: status %d: %s", home, status, raw)
 	}
@@ -494,6 +497,26 @@ func TestShardOverloadNeverFences(t *testing.T) {
 	}
 }
 
+// TestShardResidentBoundBelowShardsRefused: every shard needs a slice of at
+// least one resident session, so a bound below the shard count cannot hold
+// and the daemon refuses it, naming both flags. At the bound it holds: with
+// one resident per shard, the shards together never keep more than the
+// bound in memory.
+func TestShardResidentBoundBelowShardsRefused(t *testing.T) {
+	_, err := newDaemon(daemonConfig{Shards: 2, MaxResident: 1, StateDir: t.TempDir()})
+	if err == nil || !strings.Contains(err.Error(), "-max-resident-sessions 1") || !strings.Contains(err.Error(), "-shards 2") {
+		t.Fatalf("newDaemon with 1 resident over 2 shards: %v, want a refusal naming both flags", err)
+	}
+
+	d, ts := newTestDaemon(t, daemonConfig{Shards: 2, MaxResident: 2, StateDir: t.TempDir()})
+	for i := 0; i < 4; i++ {
+		createSession(t, ts.URL, testSessionRequest())
+		if st := d.sessions.Stats(); st.Resident > 2 {
+			t.Fatalf("after %d creates: %d resident, past the bound of 2 (%v per shard)", i+1, st.Resident, st.ShardResident)
+		}
+	}
+}
+
 // TestShardKillEndpoint: the kill endpoint validates its shard, fences once
 // (a repeat is a no-op that answers the same), and killing every shard takes
 // the daemon out of readiness, with a create answered 503 + Retry-After.
@@ -523,8 +546,8 @@ func TestShardKillEndpoint(t *testing.T) {
 		if status != tc.status || (status == http.StatusOK && (!kr.Killed || kr.Live != tc.live)) {
 			t.Fatalf("kill %s: status %d %+v, want %d with %d live: %s", tc.path, status, kr, tc.status, tc.live, raw)
 		}
-		if d.ring.Live() != tc.live || d.mShardLost.Value() != tc.lost {
-			t.Fatalf("after kill %s: live %d, lost %d; want %d, %d", tc.path, d.ring.Live(), d.mShardLost.Value(), tc.live, tc.lost)
+		if live := d.sessions.Stats().Live; live != tc.live || d.mShardLost.Value() != tc.lost {
+			t.Fatalf("after kill %s: live %d, lost %d; want %d, %d", tc.path, live, d.mShardLost.Value(), tc.live, tc.lost)
 		}
 	}
 	if status, rv := getReadyz(t, ts.URL); status != http.StatusServiceUnavailable || rv.Ready {

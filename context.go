@@ -373,7 +373,7 @@ func (c *Context) Mul(a, b *Ciphertext, opts ...OpOption) (*Ciphertext, error) {
 		return nil, err
 	}
 	s := c.settings(opts)
-	c.evk.request(c.params, "relin", min(a.ct.Level, b.ct.Level), s.method)
+	c.evk.request(c.params, "relin", s.method)
 	prod, err := c.eval.MulRelinCtx(s.ctx, a.ct, b.ct, s.method)
 	if err != nil {
 		return nil, err
@@ -466,7 +466,7 @@ func (c *Context) Rotate(a *Ciphertext, r int, opts ...OpOption) (*Ciphertext, e
 		return nil, err
 	}
 	s := c.settings(opts)
-	c.evk.request(c.params, "rot:"+strconv.Itoa(r), a.ct.Level, s.method)
+	c.evk.request(c.params, "rot:"+strconv.Itoa(r), s.method)
 	out, err := c.eval.RotateCtx(s.ctx, a.ct, r, s.method)
 	return wrap(out, err)
 }
@@ -490,7 +490,7 @@ func (c *Context) rotateHoistedSums(a *Ciphertext, rotations []int, sums [][]int
 	request := func(rs []int) {
 		for _, r := range rs {
 			if r != 0 {
-				c.evk.request(c.params, "rot:"+strconv.Itoa(r), a.ct.Level, s.method)
+				c.evk.request(c.params, "rot:"+strconv.Itoa(r), s.method)
 			}
 		}
 	}
@@ -519,7 +519,7 @@ func (c *Context) Conjugate(a *Ciphertext, opts ...OpOption) (*Ciphertext, error
 		return nil, err
 	}
 	s := c.settings(opts)
-	c.evk.request(c.params, "conj", a.ct.Level, s.method)
+	c.evk.request(c.params, "conj", s.method)
 	out, err := c.eval.ConjugateCtx(s.ctx, a.ct, s.method)
 	return wrap(out, err)
 }

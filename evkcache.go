@@ -3,6 +3,7 @@ package fast
 import (
 	"github.com/fastfhe/fast/internal/ckks"
 	"github.com/fastfhe/fast/internal/hemera"
+	"github.com/fastfhe/fast/internal/ring"
 )
 
 // EvkCache is the process-wide shared evaluation-key tier: one byte-budgeted
@@ -23,7 +24,8 @@ type EvkCache struct {
 	c *hemera.SharedCache
 }
 
-// EvkCacheStats mirrors the hemera.shared.* instrument values.
+// EvkCacheStats mirrors the hemera.shared.* instrument values (it is
+// hemera.SharedStats, converted).
 type EvkCacheStats struct {
 	Hits, Misses, Evictions, CrossShardHits uint64
 	ResidentBytes, Capacity                 int64
@@ -34,8 +36,7 @@ type EvkCacheStats struct {
 // observer (nil allowed) registers hemera.shared.{hits,misses,evictions,
 // cross_shard_hits,resident_bytes} in its metrics registry.
 func NewEvkCache(budgetBytes int64, ob *Observer) *EvkCache {
-	var reg = ob.Registry()
-	return &EvkCache{c: hemera.NewSharedCache(budgetBytes, reg)}
+	return &EvkCache{c: hemera.NewSharedCache(budgetBytes, ob.Registry())}
 }
 
 // Stats snapshots the cache counters.
@@ -43,16 +44,7 @@ func (e *EvkCache) Stats() EvkCacheStats {
 	if e == nil {
 		return EvkCacheStats{}
 	}
-	st := e.c.Stats()
-	return EvkCacheStats{
-		Hits:           st.Hits,
-		Misses:         st.Misses,
-		Evictions:      st.Evictions,
-		CrossShardHits: st.CrossShardHits,
-		ResidentBytes:  st.ResidentBytes,
-		Capacity:       st.Capacity,
-		ResidentKeys:   st.ResidentKeys,
-	}
+	return EvkCacheStats(e.c.Stats())
 }
 
 // WithEvkCache subscribes the context's key-switch traffic to a process-wide
@@ -83,26 +75,27 @@ type evkBinding struct {
 }
 
 // request records one evaluation-key fetch against the shared tier.
-func (e *evkBinding) request(params *ckks.Parameters, keyID string, level int, m Method) {
+func (e *evkBinding) request(params *ckks.Parameters, keyID string, m Method) {
 	if e == nil {
 		return
 	}
-	// Key identity must be independent of the requesting level — galois keys
-	// are per (session, method, element), and sizing by the max level makes
-	// the byte accounting level-stable too.
+	// A key is one per (session, method, element) and held at the top level,
+	// whatever level the request is at.
 	key := e.session + "/" + m.String() + "/" + keyID
-	size := evkBytes(params, params.MaxLevel(), m)
-	_ = e.cache.GetOrFill(key, e.shard, size, nil)
+	_ = e.cache.GetOrFill(key, e.shard, evkBytes(params, m), nil)
 }
 
-// evkBytes estimates the evaluation-key footprint for one key-switch at the
-// given level: 2 polynomials per decomposition group over the extended chain.
-func evkBytes(params *ckks.Parameters, level int, m Method) int64 {
-	n := int64(params.N())
+// evkBytes is the resident size of one evaluation key: 2β polynomials over
+// the extended chain at the top level, each row packed at its prime's width.
+func evkBytes(params *ckks.Parameters, m Method) (n int64) {
+	special, beta := params.PChain(), params.Beta(params.MaxLevel())
 	if m == KLSS && params.SupportsKLSS() {
-		limbs := int64(level + 1 + len(params.TChain()))
-		return 2 * int64(params.BetaT(level)) * limbs * n * 8
+		special, beta = params.TChain(), params.BetaT(params.MaxLevel())
 	}
-	limbs := int64(level + 1 + len(params.PChain()))
-	return 2 * int64(params.Beta(level)) * limbs * n * 8
+	for _, chain := range [2][]uint64{params.QChain(), special} {
+		for _, q := range chain {
+			n += 2 * int64(beta*ring.PackedRowLen(params.N(), ring.PackedBits(q)))
+		}
+	}
+	return n
 }

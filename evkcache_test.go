@@ -2,6 +2,8 @@ package fast
 
 import (
 	"testing"
+
+	"github.com/fastfhe/fast/internal/ckks"
 )
 
 func evkTestConfig() ContextConfig {
@@ -136,5 +138,36 @@ func TestEvkCacheBudgetEnforcedFault(t *testing.T) {
 // probeKeyBytes returns the modeled size of one hybrid evk at max level for
 // the context's parameters — a budget of exactly one key.
 func probeKeyBytes(c *Context) int64 {
-	return evkBytes(c.params, c.params.MaxLevel(), Hybrid)
+	return evkBytes(c.params, Hybrid)
+}
+
+// TestEvkBytesIsPackedKeySize: the tier sizes a key at the bytes a derived
+// key holds — its rows packed at the width of their primes — for both
+// methods, a relinearisation key and a Galois key alike.
+func TestEvkBytesIsPackedKeySize(t *testing.T) {
+	c, err := NewContext(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Method{Hybrid, KLSS} {
+		relin, err := c.keys.RelinKey(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		galois, err := c.keys.GaloisKey(m, c.params.GaloisElement(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, key := range map[string]*ckks.SwitchingKey{"relinearisation": relin, "galois": galois} {
+			held := 0
+			for j := range key.B {
+				for i := range key.B[j].Rows {
+					held += len(key.B[j].Rows[i]) + len(key.A[j].Rows[i])
+				}
+			}
+			if got := evkBytes(c.params, m); got != int64(held) {
+				t.Errorf("%v %s key: evkBytes %d, the derived key holds %d", m, name, got, held)
+			}
+		}
+	}
 }

@@ -25,14 +25,17 @@ import (
 // packMaxBits is the widest residue packed at its own width.
 const packMaxBits = 57
 
-// PackedBits returns the bits a residue of m takes in a packed row: the
+// PackedBits returns the bits a residue mod q takes in a packed row: the
 // width of q−1, the largest residue, up to packMaxBits; 64 above.
-func (m Modulus) PackedBits() int {
-	if b := bits.Len64(m.Q - 1); b <= packMaxBits {
+func PackedBits(q uint64) int {
+	if b := bits.Len64(q - 1); b <= packMaxBits {
 		return b
 	}
 	return 64
 }
+
+// PackedBits returns the bits a residue of m takes in a packed row.
+func (m Modulus) PackedBits() int { return PackedBits(m.Q) }
 
 // validPackedBits reports whether b is a width a packed row can have.
 func validPackedBits(b int) bool { return b >= 1 && b <= packMaxBits || b == 64 }

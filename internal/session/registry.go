@@ -1,6 +1,8 @@
 // Package session is fastd's session placement registry: which session IDs
-// exist, what state each is in, which shard holds it and in what order a
-// shard's residents were last used — one map under one mutex.
+// exist, what state each is in, which shard holds it, which shards are
+// fenced and in what order a shard's residents were last used — one map
+// under one mutex. It is the only owner of placement: a create or restore
+// asks it for a shard, and a kill fences the shard here.
 //
 // The registry only moves entries between states. Everything slow (keygen,
 // disk I/O) is the caller's, done between two registry calls
@@ -11,6 +13,7 @@
 package session
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -54,6 +57,14 @@ var edges = [numStates][numStates]bool{
 	Corrupt:   {Absent: true},
 }
 
+// ErrShardDown refuses a create or restore when every shard is fenced, or
+// one whose shard was fenced while it ran. fastd answers it 503 with
+// Retry-After: while a survivor is live, the retry lands there.
+var ErrShardDown = errors.New("shard down")
+
+// ErrFull refuses a create past the session limit.
+var ErrFull = errors.New("session limit reached")
+
 type entry[P comparable] struct {
 	id      string
 	state   State
@@ -79,14 +90,43 @@ type Registry[P comparable] struct {
 }
 
 // New returns an empty registry admitting maxSessions sessions (every state
-// but Corrupt holds a slot) over len(maxResident) shards, shard i evicting
-// past maxResident[i] residents.
-func New[P comparable](maxSessions int, maxResident []int) *Registry[P] {
+// but Corrupt holds a slot) over shards shards that split maxResident
+// residents evenly: shard i evicts past ⌈(maxResident−i)/shards⌉.
+func New[P comparable](maxSessions, maxResident, shards int) *Registry[P] {
 	r := &Registry[P]{max: maxSessions, entries: map[string]*entry[P]{}}
-	for _, m := range maxResident {
-		r.shards = append(r.shards, shardState[P]{maxResident: m, order: lru.New[*entry[P]]()})
+	for i := range shards {
+		r.shards = append(r.shards, shardState[P]{maxResident: (maxResident + shards - 1 - i) / shards, order: lru.New[*entry[P]]()})
 	}
 	return r
+}
+
+// home picks the shard a create or restore of id lands on by rendezvous
+// hashing: each live shard scores the ID, the highest score wins. A score
+// depends on the ID and the shard alone, so a fence moves only the fenced
+// shard's IDs (each to its runner-up) and every other ID keeps its home.
+// Scores are the splitmix64 stream seeded with the ID's FNV-1a hash.
+func (r *Registry[P]) home(id string) (int, error) {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(id); i++ {
+		h = (h ^ uint64(id[i])) * 1099511628211
+	}
+	best, top := -1, uint64(0)
+	for i := range r.shards {
+		if w := mix64(h + uint64(i+1)*0x9e3779b97f4a7c15); !r.shards[i].fenced && (best < 0 || w > top) {
+			best, top = i, w
+		}
+	}
+	if best < 0 {
+		return 0, ErrShardDown
+	}
+	return best, nil
+}
+
+// mix64 is the splitmix64 finalizer.
+func mix64(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
 }
 
 func (r *Registry[P]) move(e *entry[P], to State) {
@@ -141,31 +181,40 @@ func (r *Registry[P]) Adopt(ids []string) {
 	}
 }
 
-// Reserve takes a slot for a create bound for shard, BEFORE its keygen — or N
-// concurrent creates all pass the check and overshoot the bound. False: the
+// Reserve takes a slot for a create, BEFORE its keygen — or N concurrent
+// creates all pass the check and overshoot the bound — and returns the shard
+// the create is bound for. ErrShardDown: every shard is fenced. ErrFull: the
 // limit is reached. Finish with Publish or Abandon.
-func (r *Registry[P]) Reserve(id string, shard int) bool {
+func (r *Registry[P]) Reserve(id string) (int, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	shard, err := r.home(id)
+	if err != nil {
+		return 0, err
+	}
 	if len(r.entries)-r.count[Corrupt] >= r.max {
-		return false
+		return 0, ErrFull
 	}
 	r.move(&entry[P]{id: id, shard: shard}, Reserved)
-	return true
+	return shard, nil
 }
 
-// BeginRestore claims the restore of a Persisted session onto shard. False
-// means id is not Persisted (any more): look again with Acquire.
-func (r *Registry[P]) BeginRestore(id string, shard int) bool {
+// BeginRestore claims the restore of a Persisted session and returns the
+// shard it is bound for. Not ok, and no error: id is not Persisted (any
+// more): look again with Acquire. ErrShardDown: every shard is fenced.
+func (r *Registry[P]) BeginRestore(id string) (shard int, ok bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e := r.entries[id]
 	if e == nil || e.state != Persisted {
-		return false
+		return 0, false, nil
+	}
+	if shard, err = r.home(id); err != nil {
+		return 0, false, err
 	}
 	e.shard = shard
 	r.move(e, Restoring)
-	return true
+	return shard, true, nil
 }
 
 // Publish completes a create or a restore with the payload it built, and is
@@ -275,11 +324,17 @@ func (r *Registry[P]) Delete(id string) (payload P, was State) {
 
 // Fence marks shard dead for good and empties it: durable residents become
 // Persisted (their next request restores them on a live shard), the others
-// are lost with it, as a SIGKILL would lose them. From then on Publish avoids
-// it; only a new registry — a process restart — has it live again.
-func (r *Registry[P]) Fence(shard int) (migrated, lost []P) {
+// are lost with it, as a SIGKILL would lose them. From then on no create or
+// restore is routed to it and Publish refuses it; only a new registry — a
+// process restart — has it live again. It reports whether this call fenced
+// the shard: false for an index out of range or a shard already fenced, so
+// of two concurrent kills one sees true and the residents.
+func (r *Registry[P]) Fence(shard int) (fenced bool, migrated, lost []P) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if shard < 0 || shard >= len(r.shards) || r.shards[shard].fenced {
+		return false, nil, nil
+	}
 	sh := &r.shards[shard]
 	sh.fenced = true
 	sh.order.Oldest(func(_ string, e *entry[P]) bool {
@@ -292,15 +347,17 @@ func (r *Registry[P]) Fence(shard int) (migrated, lost []P) {
 		}
 		return true
 	})
-	return migrated, lost
+	return true, migrated, lost
 }
 
 // Stats is the registry by the numbers /readyz and the gauges report.
 type Stats struct {
-	Occupancy     int   // slots held against maxSessions: every entry but the Corrupt
-	Resident      int   // in memory, all shards
-	Persisted     int   // on disk only, those being restored included
-	ShardResident []int // Resident, per shard
+	Occupancy     int    // slots held against maxSessions: every entry but the Corrupt
+	Resident      int    // in memory, all shards
+	Persisted     int    // on disk only, those being restored included
+	Live          int    // shards not fenced
+	ShardResident []int  // Resident, per shard
+	ShardFenced   []bool // per shard
 }
 
 func (r *Registry[P]) Stats() Stats {
@@ -311,9 +368,13 @@ func (r *Registry[P]) Stats() Stats {
 		Resident:      r.count[Resident],
 		Persisted:     r.count[Persisted] + r.count[Restoring],
 		ShardResident: make([]int, len(r.shards)),
+		ShardFenced:   make([]bool, len(r.shards)),
 	}
-	for i := range r.shards {
-		st.ShardResident[i] = r.shards[i].order.Len()
+	for i, sh := range r.shards {
+		st.ShardResident[i], st.ShardFenced[i] = sh.order.Len(), sh.fenced
+		if !sh.fenced {
+			st.Live++
+		}
 	}
 	return st
 }

@@ -4,16 +4,18 @@ package session
 // do their slow work — keygen, snapshot reads and writes — between two
 // registry calls, so the interesting bugs are interleavings: a fence between
 // Reserve and Publish, a delete between BeginRestore and Publish, two evicts
-// of one victim. The simulation splits every such operation into its registry
+// of one victim, a kill of a shard already killed. The simulation splits every such operation into its registry
 // calls, keeps a pool of operations in flight, and lets a seeded scheduler
 // pick which one advances next; the invariants are checked after every step.
 // A failure reproduces from its seed.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -33,10 +35,11 @@ type sim struct {
 	rng         *rand.Rand
 	maxSessions int
 	limit       int // the occupancy bound: maxSessions, or what the last restart adopted if more
-	maxResident []int
+	maxResident int
 	fenced      []bool
 	ids         []string        // every ID handed out, adopted ones included
 	gone        map[string]bool // IDs that reached Absent: deleted, lost, or never published
+	homes       map[string]int  // where each ID was last routed since the last restart
 	inflight    []*op
 	steps       map[string]int
 }
@@ -49,9 +52,9 @@ func newSim(t *testing.T, seed int64) *sim {
 		gone:        map[string]bool{},
 		steps:       map[string]int{},
 	}
-	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
-		s.maxResident = append(s.maxResident, 1+rng.Intn(2))
-	}
+	shards := 1 + rng.Intn(3)
+	s.fenced = make([]bool, shards)
+	s.maxResident = shards + rng.Intn(shards+1) // a slice of 1 or 2 per shard
 	s.ids = []string{"a1", "a2"}
 	s.boot(s.ids)
 	return s
@@ -60,8 +63,9 @@ func newSim(t *testing.T, seed int64) *sim {
 // boot starts a process: a new registry, every shard live, adopting what the
 // disk holds.
 func (s *sim) boot(disk []string) {
-	s.fenced = make([]bool, len(s.maxResident))
-	s.r = New[*payload](s.maxSessions, s.maxResident)
+	s.fenced = make([]bool, len(s.fenced))
+	s.homes = map[string]int{}
+	s.r = New[*payload](s.maxSessions, s.maxResident, len(s.fenced))
 	s.r.Adopt(disk)
 	s.limit = max(s.maxSessions, len(disk))
 }
@@ -105,14 +109,36 @@ func (s *sim) someShard() int    { return s.rng.Intn(len(s.fenced)) }
 func (s *sim) start(o *op)       { s.inflight = append(s.inflight, o) }
 func (s *sim) count(what string) { s.steps[what]++ }
 
-// liveShard is the ring's answer: any shard not fenced (-1: none).
-func (s *sim) liveShard() int {
-	for _, i := range s.rng.Perm(len(s.fenced)) {
-		if !s.fenced[i] {
-			return i
+// routed checks where the registry placed id: a live shard while there is
+// one, ErrShardDown when there is none, and the same shard as last time
+// unless that one was fenced since. It reports whether id was placed.
+func (s *sim) routed(id string, shard int, err error) bool {
+	if !slices.Contains(s.fenced, false) {
+		if !errors.Is(err, ErrShardDown) {
+			s.t.Fatalf("%s routed to shard %d (err %v) with every shard fenced", id, shard, err)
 		}
+		return false
 	}
-	return -1
+	prev, seen := s.homes[id]
+	switch {
+	case err != nil || shard < 0 || shard >= len(s.fenced) || s.fenced[shard]:
+		s.t.Fatalf("%s routed to shard %d (err %v), fenced %v", id, shard, err, s.fenced)
+	case seen && !s.fenced[prev] && prev != shard:
+		s.t.Fatalf("%s moved from live shard %d to %d", id, prev, shard)
+	}
+	s.homes[id] = shard
+	return true
+}
+
+// route asks for an ID's shard as a create or restore would, without one.
+func (s *sim) route() {
+	id := s.someID()
+	s.r.mu.Lock()
+	shard, err := s.r.home(id)
+	s.r.mu.Unlock()
+	if !s.routed(id, shard, err) {
+		s.count("route-shard-down")
+	}
 }
 
 func (s *sim) restoresInFlight(id string) (n int) {
@@ -125,15 +151,17 @@ func (s *sim) restoresInFlight(id string) (n int) {
 }
 
 func (s *sim) create() {
-	shard := s.liveShard()
-	if shard < 0 {
-		return
-	}
 	id := fmt.Sprintf("s%d", len(s.ids))
 	s.ids = append(s.ids, id)
-	if !s.r.Reserve(id, shard) {
+	shard, err := s.r.Reserve(id)
+	if errors.Is(err, ErrFull) {
 		s.gone[id] = true
 		s.count("create-refused")
+		return
+	}
+	if !s.routed(id, shard, err) {
+		s.gone[id] = true
+		s.count("create-shard-down")
 		return
 	}
 	s.start(&op{id: id, kind: "create", next: func() *op {
@@ -166,11 +194,15 @@ func (s *sim) request() {
 	if v.State == Restoring && s.restoresInFlight(id) != 1 {
 		s.t.Fatalf("%s is restoring with %d restores in flight", id, s.restoresInFlight(id))
 	}
-	shard := s.liveShard()
-	if v.State != Persisted || shard < 0 {
+	if v.State != Persisted {
 		return
 	}
-	if !s.r.BeginRestore(id, shard) {
+	shard, ok, err := s.r.BeginRestore(id)
+	if !s.routed(id, shard, err) {
+		s.count("restore-shard-down")
+		return
+	}
+	if !ok {
 		s.t.Fatalf("%s: BeginRestore refused a persisted session", id)
 	}
 	if s.restoresInFlight(id) != 0 {
@@ -254,10 +286,20 @@ func (s *sim) delete() {
 	}
 }
 
+// fence is a kill of any shard, one out of range included: it must fence a
+// live shard and refuse every other.
 func (s *sim) fence() {
-	i := s.someShard()
+	i := s.rng.Intn(len(s.fenced)+2) - 1
+	want := i >= 0 && i < len(s.fenced) && !s.fenced[i]
+	fenced, migrated, lost := s.r.Fence(i)
+	if fenced != want || (!fenced && len(migrated)+len(lost) != 0) {
+		s.t.Fatalf("fence of shard %d (fenced %v) returned %v, %d migrated, %d lost", i, s.fenced, fenced, len(migrated), len(lost))
+	}
+	if !fenced {
+		s.count("fence-refused")
+		return
+	}
 	s.fenced[i] = true
-	_, lost := s.r.Fence(i)
 	for _, p := range lost {
 		s.gone[p.id] = true
 	}
@@ -292,7 +334,7 @@ func (s *sim) step() {
 		}
 		return
 	}
-	switch k := s.rng.Intn(20); {
+	switch k := s.rng.Intn(21); {
 	case k < 5:
 		s.create()
 	case k < 13:
@@ -303,6 +345,8 @@ func (s *sim) step() {
 		s.fence()
 	case k < 17:
 		s.restart()
+	case k < 18:
+		s.route()
 	default:
 		s.enforce(s.someShard())
 	}
@@ -322,8 +366,8 @@ func (s *sim) settle() {
 		for v, over := s.r.Victim(shard); over; v, over = s.r.Victim(shard) {
 			s.evict(v, true).next()
 		}
-		if got := s.r.Stats().ShardResident[shard]; got > s.maxResident[shard] {
-			s.t.Fatalf("shard %d holds %d residents past its bound of %d after enforcement settled", shard, got, s.maxResident[shard])
+		if got, bound := s.r.Stats().ShardResident[shard], s.r.shards[shard].maxResident; got > bound {
+			s.t.Fatalf("shard %d holds %d residents past its bound of %d after enforcement settled", shard, got, bound)
 		}
 	}
 }
@@ -356,11 +400,17 @@ func (s *sim) check() {
 	if st.Resident != byState[Resident] || st.Persisted != byState[Persisted]+byState[Restoring] {
 		s.t.Fatalf("stats %+v, entries by state %v", st, byState)
 	}
+	live := 0
+	for _, f := range s.fenced {
+		if !f {
+			live++
+		}
+	}
+	if !slices.Equal(st.ShardFenced, s.fenced) || st.Live != live {
+		s.t.Fatalf("stats report %d live of fenced %v, want fenced %v", st.Live, st.ShardFenced, s.fenced)
+	}
 	ordered := 0
 	for i := range r.shards {
-		if r.shards[i].fenced != s.fenced[i] {
-			s.t.Fatalf("shard %d fenced=%v, want %v", i, r.shards[i].fenced, s.fenced[i])
-		}
 		r.shards[i].order.Oldest(func(id string, e *entry[*payload]) bool {
 			if e.state != Resident || e.shard != i || r.entries[id] != e {
 				s.t.Fatalf("shard %d's order holds %s: %v on shard %d", i, id, e.state, e.shard)
@@ -401,8 +451,9 @@ func TestRegistrySimulation(t *testing.T) {
 		}
 	}
 	// The interleavings the registry exists for must actually have happened.
-	for _, k := range []string{"create-refused", "create-fenced-persisted", "create-fenced-lost", "restore-corrupt",
-		"restore-discarded-by-delete", "restore-fenced", "evict-failed", "evicted", "evict-of-a-stale-payload",
+	for _, k := range []string{"create-refused", "create-shard-down", "create-fenced-persisted", "create-fenced-lost",
+		"restore-shard-down", "restore-corrupt", "restore-discarded-by-delete", "restore-fenced", "route-shard-down",
+		"fence-refused", "evict-failed", "evicted", "evict-of-a-stale-payload",
 		"deleted-resident", "deleted-persisted", "deleted-restoring", "deleted-corrupt", "restart"} {
 		if seen[k] == 0 {
 			t.Errorf("no seed reached %q", k)
@@ -410,54 +461,244 @@ func TestRegistrySimulation(t *testing.T) {
 	}
 }
 
+// homeOf is where a create or restore of id would land now.
+func homeOf(r *Registry[*payload], id string) (int, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.home(id)
+}
+
+// onShard returns n IDs with the given prefix whose home in r is shard.
+func onShard(t *testing.T, r *Registry[*payload], shard, n int, prefix string) []string {
+	var ids []string
+	for i := 0; len(ids) < n; i++ {
+		if i > 1000 {
+			t.Fatalf("no %d IDs with home %d among %s0..%s1000", n, shard, prefix, prefix)
+		}
+		id := fmt.Sprintf("%s%d", prefix, i)
+		if h, _ := homeOf(r, id); h == shard {
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
+// TestRegistryRoutingIsStableAndBalanced: an ID has one home, whichever
+// registry over the same shard count is asked, so a create and the restore
+// after a restart agree; and 4096 IDs spread over 4 shards within ±25 % of
+// the mean.
+func TestRegistryRoutingIsStableAndBalanced(t *testing.T) {
+	const ids, shards = 4096, 4
+	created, restarted := New[*payload](ids, ids, shards), New[*payload](ids, ids, shards)
+	counts := make([]int, shards)
+	for i := 0; i < ids; i++ {
+		id := fmt.Sprintf("s%d", i)
+		shard, err := created.Reserve(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restarted.Adopt([]string{id})
+		again, ok, err := restarted.BeginRestore(id)
+		if !ok || err != nil || again != shard {
+			t.Fatalf("%s: created on shard %d, restored after a restart on %d (ok %v, err %v)", id, shard, again, ok, err)
+		}
+		counts[shard]++
+	}
+	for shard, n := range counts {
+		if mean := ids / shards; 4*n < 3*mean || 4*n > 5*mean {
+			t.Fatalf("shard %d holds %d of %d IDs, outside ±25%% of the mean %d: %v", shard, n, ids, mean, counts)
+		}
+	}
+}
+
+// TestRegistryFenceRemapsOnlyFencedShard: a fence moves exactly the fenced
+// shard's IDs, each to a survivor; every other ID keeps its home. A second
+// fence of that shard, and a fence out of range, are refused and change
+// nothing.
+func TestRegistryFenceRemapsOnlyFencedShard(t *testing.T) {
+	r := New[*payload](8, 3, 3)
+	const ids = 2048
+	before := make([]int, ids)
+	for i := range before {
+		before[i], _ = homeOf(r, fmt.Sprintf("s%d", i))
+	}
+	if fenced, _, _ := r.Fence(1); !fenced || r.Stats().Live != 2 {
+		t.Fatalf("fence of shard 1: fenced %v, live %d; want true, 2", fenced, r.Stats().Live)
+	}
+	moved := 0
+	for i := range before {
+		after, err := homeOf(r, fmt.Sprintf("s%d", i))
+		switch {
+		case err != nil:
+			t.Fatal(err)
+		case after == 1:
+			t.Fatalf("s%d still routed to the fenced shard", i)
+		case before[i] != 1 && after != before[i]:
+			t.Fatalf("s%d homed on survivor %d moved to %d", i, before[i], after)
+		case before[i] == 1:
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the fenced shard was home to no ID: the test is vacuous")
+	}
+	for _, shard := range []int{1, -1, 3} {
+		if fenced, _, _ := r.Fence(shard); fenced || r.Stats().Live != 2 {
+			t.Fatalf("fence of shard %d: fenced %v, live %d; want refused, 2", shard, fenced, r.Stats().Live)
+		}
+	}
+}
+
+// TestRegistryFencedReportsOnlyKilledShards: Stats' per-shard fenced flags,
+// which /readyz reports, are true for a fenced shard alone, and refused
+// out-of-range fences leave every shard live.
+func TestRegistryFencedReportsOnlyKilledShards(t *testing.T) {
+	r := New[*payload](8, 3, 3)
+	for _, shard := range []int{-1, 3} {
+		if fenced, _, _ := r.Fence(shard); fenced {
+			t.Fatalf("fence of out-of-range shard %d accepted", shard)
+		}
+	}
+	if st := r.Stats(); st.Live != 3 || slices.Contains(st.ShardFenced, true) {
+		t.Fatalf("out-of-range fences changed the registry: %+v", st)
+	}
+	r.Fence(2)
+	if st := r.Stats(); st.Live != 2 || !slices.Equal(st.ShardFenced, []bool{false, false, true}) {
+		t.Fatalf("after fencing shard 2: live %d, fenced %v", st.Live, st.ShardFenced)
+	}
+}
+
+// TestRegistryAllFencedShardDown: with every shard fenced, a create and a
+// restore are refused with the typed ErrShardDown, and the persisted session
+// stays persisted for a later process.
+func TestRegistryAllFencedShardDown(t *testing.T) {
+	r := New[*payload](8, 2, 2)
+	r.Adopt([]string{"p"})
+	r.Fence(0)
+	r.Fence(1)
+	if _, err := r.Reserve("s1"); !errors.Is(err, ErrShardDown) {
+		t.Fatalf("create with every shard fenced: %v, want ErrShardDown", err)
+	}
+	if _, ok, err := r.BeginRestore("p"); ok || !errors.Is(err, ErrShardDown) {
+		t.Fatalf("restore with every shard fenced: ok %v, %v; want ErrShardDown", ok, err)
+	}
+	if st := r.Stats(); st.Live != 0 || st.Occupancy != 1 || r.Acquire("p").State != Persisted {
+		t.Fatalf("after the refusals: %+v, p %v", st, r.Acquire("p").State)
+	}
+}
+
+// TestRegistryConcurrentFenceChaos: restores are routed while shards are killed
+// concurrently, twelve kills of three shards. The race detector is one
+// assertion; the others: shard 3 is never fenced, so routing never fails,
+// and each shard's kills fence it exactly once.
+func TestRegistryConcurrentFenceChaos(t *testing.T) {
+	r := New[*payload](64, 4, 4)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		id := fmt.Sprintf("w%d", w)
+		r.Adopt([]string{id})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				shard, ok, err := r.BeginRestore(id)
+				if !ok || err != nil || shard < 0 || shard > 3 {
+					t.Errorf("restore of %s: shard %d, ok %v, %v", id, shard, ok, err)
+					return
+				}
+				r.Abandon(id, false)
+			}
+		}()
+	}
+	var fences atomic.Int64
+	var kills sync.WaitGroup
+	for k := 0; k < 12; k++ {
+		kills.Add(1)
+		go func(shard int) {
+			defer kills.Done()
+			if fenced, _, _ := r.Fence(shard); fenced {
+				fences.Add(1)
+			}
+		}(k % 3)
+	}
+	kills.Wait()
+	close(stop)
+	wg.Wait()
+	if fences.Load() != 3 || r.Stats().Live != 1 {
+		t.Fatalf("12 kills of 3 shards fenced %d times, live = %d; want 3 and 1", fences.Load(), r.Stats().Live)
+	}
+}
+
+// TestRegistrySplitsResidentBound: New splits the resident bound across the
+// shards evenly — slices differ by at most one and add up to the bound, so
+// the shards together never hold more.
+func TestRegistrySplitsResidentBound(t *testing.T) {
+	for shards := 1; shards <= 4; shards++ {
+		for bound := shards; bound <= 9; bound++ {
+			r := New[*payload](16, bound, shards)
+			sum, lo, hi := 0, bound, 0
+			for _, sh := range r.shards {
+				sum, lo, hi = sum+sh.maxResident, min(lo, sh.maxResident), max(hi, sh.maxResident)
+			}
+			if sum != bound || hi-lo > 1 || lo < 1 {
+				t.Fatalf("%d residents over %d shards split %d..%d, summing to %d", bound, shards, lo, hi, sum)
+			}
+		}
+	}
+}
+
 // TestRegistryFenceIsPermanent: a fence empties its shard — a durable
 // resident is handed back as migrated and goes Persisted, one the disk does
 // not describe is lost — and the shard stays dead: a restore or create bound
-// for it afterwards never lands Resident there, and a second fence finds
-// nothing to move. The survivor keeps serving.
+// for it before the fence never lands Resident there, and a second fence
+// finds nothing to move. The survivor keeps serving.
 func TestRegistryFenceIsPermanent(t *testing.T) {
-	r := New[*payload](8, []int{4, 4})
-	kept, dropped := &payload{"kept"}, &payload{"dropped"}
+	r := New[*payload](8, 8, 2)
+	ids := onShard(t, r, 1, 5, "k")
+	kept, dropped := &payload{ids[0]}, &payload{ids[1]}
 	for _, p := range []*payload{kept, dropped} {
-		if !r.Reserve(p.id, 1) || r.Publish(p.id, p, p == kept) != Resident {
-			t.Fatalf("create of %q on shard 1 did not publish", p.id)
+		if shard, err := r.Reserve(p.id); shard != 1 || err != nil || r.Publish(p.id, p, p == kept) != Resident {
+			t.Fatalf("create of %q on shard 1 did not publish (shard %d, %v)", p.id, shard, err)
 		}
 	}
-	migrated, lost := r.Fence(1)
-	if !slices.Equal(migrated, []*payload{kept}) || !slices.Equal(lost, []*payload{dropped}) {
-		t.Fatalf("fence: %d migrated, %d lost; want kept migrated and dropped lost", len(migrated), len(lost))
+	restoring, lateDurable, lateLost := ids[2], ids[3], ids[4]
+	r.Adopt([]string{restoring})
+	if shard, ok, err := r.BeginRestore(restoring); shard != 1 || !ok || err != nil {
+		t.Fatalf("restore of %q: shard %d, ok %v, %v; want shard 1", restoring, shard, ok, err)
 	}
-	if kv, dv := r.Acquire("kept"), r.Acquire("dropped"); kv.State != Persisted || dv.State != Absent {
+	for _, id := range []string{lateDurable, lateLost} {
+		if shard, err := r.Reserve(id); shard != 1 || err != nil {
+			t.Fatalf("create of %q: shard %d, %v; want shard 1", id, shard, err)
+		}
+	}
+
+	fenced, migrated, lost := r.Fence(1)
+	if !fenced || !slices.Equal(migrated, []*payload{kept}) || !slices.Equal(lost, []*payload{dropped}) {
+		t.Fatalf("fence: %v, %d migrated, %d lost; want kept migrated and dropped lost", fenced, len(migrated), len(lost))
+	}
+	if kv, dv := r.Acquire(kept.id), r.Acquire(dropped.id); kv.State != Persisted || dv.State != Absent {
 		t.Fatalf("after the fence: kept %v, dropped %v; want persisted, absent", kv.State, dv.State)
 	}
-
-	if !r.BeginRestore("kept", 1) {
-		t.Fatal("restore of a persisted session refused")
-	}
-	if st := r.Publish("kept", kept, true); st != Persisted {
-		t.Fatalf("restore onto the fenced shard published as %v, want persisted", st)
-	}
-	for id, durable := range map[string]bool{"late-durable": true, "late-lost": false} {
-		want := Absent
-		if durable {
-			want = Persisted
-		}
-		if !r.Reserve(id, 1) {
-			t.Fatalf("create of %q refused", id)
-		}
-		if st := r.Publish(id, &payload{id}, durable); st != want {
-			t.Fatalf("create of %q onto the fenced shard published as %v, want %v", id, st, want)
+	for id, want := range map[string]State{restoring: Persisted, lateDurable: Persisted, lateLost: Absent} {
+		if st := r.Publish(id, &payload{id}, id != lateLost); st != want {
+			t.Fatalf("%q bound for shard 1 before its fence published as %v, want %v", id, st, want)
 		}
 	}
-	if m, l := r.Fence(1); len(m)+len(l) != 0 {
-		t.Fatalf("second fence moved %d migrated, %d lost", len(m), len(l))
+	if fenced, m, l := r.Fence(1); fenced || len(m)+len(l) != 0 {
+		t.Fatalf("second fence: %v, %d migrated, %d lost", fenced, len(m), len(l))
 	}
 
-	if !r.BeginRestore("kept", 0) || r.Publish("kept", kept, true) != Resident {
-		t.Fatal("restore onto the live shard did not publish")
+	if shard, ok, err := r.BeginRestore(kept.id); shard != 0 || !ok || err != nil || r.Publish(kept.id, kept, true) != Resident {
+		t.Fatalf("restore onto the survivor did not publish (shard %d, ok %v, %v)", shard, ok, err)
 	}
-	if st := r.Stats(); st.Occupancy != 2 || st.ShardResident[0] != 1 || st.ShardResident[1] != 0 {
-		t.Fatalf("stats %+v, want kept resident on shard 0 and late-durable persisted", st)
+	if st := r.Stats(); st.Occupancy != 3 || st.ShardResident[0] != 1 || st.ShardResident[1] != 0 {
+		t.Fatalf("stats %+v, want kept resident on shard 0, two persisted", st)
 	}
 }
 
@@ -466,19 +707,19 @@ func TestRegistryFenceIsPermanent(t *testing.T) {
 // is read. Acquiring the oldest resident makes the next-oldest the victim,
 // and a shard within its bound offers none, however long its residents sit.
 func TestRegistryVictimIsLeastRecentlyAcquired(t *testing.T) {
-	r := New[*payload](8, []int{2})
-	for _, id := range []string{"a", "b"} {
-		if !r.Reserve(id, 0) || r.Publish(id, &payload{id}, true) != Resident {
-			t.Fatalf("create of %q did not publish", id)
+	r := New[*payload](8, 2, 1)
+	create := func(id string) {
+		if _, err := r.Reserve(id); err != nil || r.Publish(id, &payload{id}, true) != Resident {
+			t.Fatalf("create of %q did not publish (%v)", id, err)
 		}
 	}
+	create("a")
+	create("b")
 	if _, over := r.Victim(0); over {
 		t.Fatal("a shard within its bound offered a victim")
 	}
 	r.Acquire("a") // b is now the least recently used
-	if !r.Reserve("c", 0) || r.Publish("c", &payload{"c"}, true) != Resident {
-		t.Fatal("create of c did not publish")
-	}
+	create("c")
 	v, over := r.Victim(0)
 	if !over || v.ID != "b" {
 		t.Fatalf("victim %q (over=%v), want b: a was acquired after it", v.ID, over)
@@ -495,7 +736,7 @@ func TestRegistryVictimIsLeastRecentlyAcquired(t *testing.T) {
 // for the race detector and for the one thing the simulation cannot show:
 // that waiters on a restore are released.
 func TestRegistryConcurrent(t *testing.T) {
-	r := New[*payload](8, []int{2, 2})
+	r := New[*payload](8, 4, 2)
 	pool := []string{"a0", "a1", "a2", "a3", "a4", "a5"}
 	r.Adopt(pool)
 	var wg sync.WaitGroup
@@ -511,13 +752,14 @@ func TestRegistryConcurrent(t *testing.T) {
 				id := pool[rng.Intn(len(pool))]
 				switch v := r.Acquire(id); v.State {
 				case Absent: // deleted: an ID is never reused, so create a new one
-					if id = fmt.Sprintf("g%d.%d", g, i); r.Reserve(id, rng.Intn(2)) {
+					id = fmt.Sprintf("g%d.%d", g, i)
+					if _, err := r.Reserve(id); err == nil {
 						r.Publish(id, &payload{id}, rng.Intn(2) == 0)
 					}
 				case Restoring:
 					<-v.Wait
 				case Persisted:
-					if r.BeginRestore(id, rng.Intn(2)) {
+					if _, ok, _ := r.BeginRestore(id); ok {
 						if rng.Intn(5) == 0 {
 							r.Abandon(id, rng.Intn(2) == 0)
 						} else {
