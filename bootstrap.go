@@ -3,6 +3,7 @@ package fast
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"github.com/fastfhe/fast/internal/ckks"
 )
@@ -34,10 +35,10 @@ type BootstrapContext struct {
 // NewBootstrapContext builds a context in the bootstrapping regime — a 50-bit
 // q0 under 40-bit scale primes, three 50-bit special primes with α = 3, a
 // sparse (hamming-weight-16) secret, hybrid keys for ckks.BootstrapRotations
-// plus conjugation, derived by the first Bootstrap — and a precomputed
-// bootstrapper over it. It is an ordinary Context (same build path, truthful
-// Config) except that its chain is not the one Config alone compiles to, so
-// it cannot be snapshotted.
+// plus conjugation, all derived here across GOMAXPROCS goroutines (a bootstrap
+// reads every one) — and a precomputed bootstrapper over it. It is an ordinary
+// Context (same build path, truthful Config) except that its chain is not the
+// one Config alone compiles to, so it cannot be snapshotted.
 func NewBootstrapContext(cfg BootstrapContextConfig) (*BootstrapContext, error) {
 	if cfg.LogN == 0 {
 		cfg.LogN = 12
@@ -94,13 +95,16 @@ func NewBootstrapContext(cfg BootstrapContextConfig) (*BootstrapContext, error) 
 	if err != nil {
 		return nil, err
 	}
+	if err := ctx.keys.Derive(runtime.GOMAXPROCS(0)); err != nil {
+		return nil, err
+	}
 	return &BootstrapContext{Context: ctx, bt: bt}, nil
 }
 
 // Bootstrap refreshes a level-0 ciphertext, restoring usable multiplicative
 // levels while preserving the message (to the scheme's approximation error,
 // ~16 bits rms at the defaults) and its scale. Safe for concurrent use from
-// the first call on: the bootstrapper holds no lazily built state.
+// the first call on: neither the bootstrapper nor its keys are built lazily.
 func (c *BootstrapContext) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 	if err := c.validate(ct); err != nil {
 		return nil, err

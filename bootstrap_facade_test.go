@@ -10,6 +10,8 @@ import (
 	"math/cmplx"
 	"reflect"
 	"testing"
+
+	"github.com/fastfhe/fast/internal/ckks"
 )
 
 func TestBootstrapContext(t *testing.T) {
@@ -62,6 +64,25 @@ func bootstrapTestContext(t *testing.T) *BootstrapContext {
 		t.Fatalf("NewBootstrapContext: %v", err)
 	}
 	return bc
+}
+
+// TestBootstrapContextDerivesKeysUpFront: NewBootstrapContext returns with
+// every key its set names derived — the relinearization key, each rotation's
+// and conjugation's — so no Bootstrap pays for a derivation.
+func TestBootstrapContextDerivesKeysUpFront(t *testing.T) {
+	bc := bootstrapTestContext(t)
+	ids := []ckks.KeyID{{Method: ckks.Hybrid}, {Method: ckks.Hybrid, GalEl: bc.params.ConjugationElement()}}
+	for _, r := range bc.Config().Rotations {
+		ids = append(ids, ckks.KeyID{Method: ckks.Hybrid, GalEl: bc.params.GaloisElement(r)})
+	}
+	for _, id := range ids {
+		if bc.keys.Pending(id) {
+			t.Errorf("%+v is still pending after NewBootstrapContext", id)
+		}
+		if _, err := bc.keys.GaloisKey(id.Method, id.GalEl); err != nil {
+			t.Errorf("%+v: %v", id, err) // a pending check of a key the set does not name passes
+		}
+	}
 }
 
 // TestBootstrapContextIsAContext: a bootstrap context comes off the same

@@ -291,6 +291,103 @@ func TestBootstrapConcurrentFirstUse(t *testing.T) {
 	}
 }
 
+// lazyBootstrapper is a bootstrapper over tc's secret whose key set derives
+// nothing until a lookup or Derive, counting its draws on the returned
+// counter.
+func lazyBootstrapper(tb testing.TB, tc *testContext) (*Bootstrapper, *EvaluationKeySet, *obs.Counter) {
+	tb.Helper()
+	ob := obs.New()
+	keys := NewEvaluationKeySet(tc.params, tc.sk, []KeySwitchMethod{Hybrid}, BootstrapRotations(tc.params), true, ob)
+	ev, err := NewEvaluatorOptions(tc.params, keys, EvaluatorOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bt, err := NewBootstrapper(tc.params, tc.enc, ev, DefaultBootstrapParameters())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bt, keys, ob.Reg().Counter("ckks.sampler.draws")
+}
+
+// TestBootstrapReadsEveryKey: the key set a bootstrap context names is the
+// set one bootstrap reads — after one Bootstrap over a lazy set no key is
+// pending — so deriving the whole set up front derives nothing unused.
+func TestBootstrapReadsEveryKey(t *testing.T) {
+	params, err := NewParameters(bootstrapLiteral(10, 4, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, _ := newBootstrapContext(t, params)
+	bt, keys, _ := lazyBootstrapper(t, tc)
+	if _, err := bt.Bootstrap(exhausted(t, tc, randomValues(params.Slots(), 1))); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range keys.ids() {
+		if keys.Pending(id) {
+			t.Errorf("one bootstrap left %+v underived", id)
+		}
+	}
+}
+
+// TestDeriveWhileBootstrapping: Derive from several goroutines at once, while
+// a Bootstrap reads the same lazy set, derives each key exactly once (the
+// draws are those of one derivation per key) and moves no byte of the
+// bootstrap's output. make race runs it again by name, several times over.
+func TestDeriveWhileBootstrapping(t *testing.T) {
+	params, err := NewParameters(bootstrapLiteral(10, 4, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, eager := newBootstrapContext(t, params)
+	in := exhausted(t, tc, randomValues(params.Slots(), 1))
+	want, err := eager.Bootstrap(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt, keys, draws := lazyBootstrapper(t, tc)
+	var got *Ciphertext
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var err error
+		if got, err = bt.Bootstrap(in); err != nil {
+			t.Error(err)
+		}
+	}()
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := keys.Derive(2); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	var perKey uint64
+	for _, id := range keys.ids() {
+		k, _ := keys.key(id)
+		perKey += uint64(2 * len(k.B))
+	}
+	if draws.Value() != perKey {
+		t.Errorf("%d polynomials drawn, want %d: a key was derived more than once", draws.Value(), perKey)
+	}
+	var a, b bytes.Buffer
+	if err := want.Serialize(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Serialize(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("a bootstrap racing Derive differs from one over eager keys")
+	}
+}
+
 // The Re/Im packing rotates by n, whose Galois key is the SubSum ladder's
 // first rung: the key set a bootstrap needs is what it was before packing.
 func TestBootstrapRotationsPinned(t *testing.T) {

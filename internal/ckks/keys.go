@@ -135,6 +135,34 @@ func (s *EvaluationKeySet) GaloisKey(m KeySwitchMethod, galEl uint64) (*Switchin
 	return s.key(KeyID{m, galEl})
 }
 
+// Derive derives every key the set names that no lookup has derived yet,
+// from min(workers, keys named) goroutines (at least one), and returns a
+// derivation's error if one fails. Keys are drawn from streams of their own,
+// so the bytes do not depend on the order or the fan-out; a lookup racing
+// Derive waits for the one derivation.
+func (s *EvaluationKeySet) Derive(workers int) error {
+	todo, errs := make(chan *lazyKey, len(s.keys)), make(chan error, len(s.keys))
+	for _, k := range s.keys {
+		todo <- k
+	}
+	close(todo)
+	var wg sync.WaitGroup
+	for range min(max(workers, 1), len(s.keys)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range todo {
+				if _, err := k.get(); err != nil {
+					errs <- err
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	return <-errs // nil when none failed
+}
+
 // Pending reports whether the set names the key and has not derived it yet:
 // its next lookup pays the derivation.
 func (s *EvaluationKeySet) Pending(id KeyID) bool {
@@ -166,24 +194,10 @@ func (kg *KeyGenerator) GenSecretKey() *SecretKey {
 	p.ringQP.NTT(sk.QP)
 	if p.ringQT != nil {
 		sk.QT = p.ringQT.NewPoly()
-		setSignedInto(p.ringQT, signed, sk.QT)
+		ring.SetSigned(p.ringQT, signed, sk.QT)
 		p.ringQT.NTT(sk.QT)
 	}
 	return sk
-}
-
-// setSignedInto embeds small signed coefficients into every limb of p.
-func setSignedInto(r *ring.Ring, signed []int64, p ring.Poly) {
-	for i, m := range r.Moduli {
-		ci := p.Coeffs[i]
-		for j, v := range signed {
-			if v >= 0 {
-				ci[j] = uint64(v) % m.Q
-			} else {
-				ci[j] = (m.Q - uint64(-v)%m.Q) % m.Q
-			}
-		}
-	}
 }
 
 // skQ returns the secret embedded over the full Q chain (NTT form), as a
@@ -262,7 +276,8 @@ func (kg *KeyGenerator) genSwitchingKey(sOut, sIn ring.Poly, method KeySwitchMet
 	}
 
 	swk := &SwitchingKey{Method: method}
-	a, e, b := kr.NewPoly(), kr.NewPoly(), kr.NewPoly()
+	a, b, negS := kr.NewPoly(), kr.NewPoly(), kr.NewPoly()
+	kr.Neg(sOut, negS)
 	for j := 0; j < beta; j++ {
 		lo, hi := j*alpha, min(qLen, (j+1)*alpha)
 		Qj := big.NewInt(1)
@@ -275,13 +290,11 @@ func (kg *KeyGenerator) genSwitchingKey(sOut, sIn ring.Poly, method KeySwitchMet
 		wj.Mod(wj, Q)
 		factor := new(big.Int).Mul(S, wj)
 
+		// b = e − a·s in one pass per limb: e is drawn into b.
 		kg.sampler.UniformPoly(kr, a)
-		kg.sampler.GaussianPoly(kr, p.sigma, e)
-		kr.NTT(e)
-
-		kr.MulCoeffs(a, sOut, b)
-		kr.Neg(b, b)
-		kr.Add(b, e, b)
+		kg.sampler.GaussianPoly(kr, p.sigma, b)
+		kr.NTT(b)
+		kr.MulCoeffsThenAdd(a, negS, b)
 		// S·w_j is 0 mod every prime outside group j (w_j ≡ δ_ij mod q_i,
 		// S ≡ 0 mod a special prime): the gadget lands on the group's limbs.
 		for i := lo; i < hi; i++ {
@@ -326,14 +339,13 @@ func (kg *KeyGenerator) GenGaloisKey(sk *SecretKey, galEl uint64, method KeySwit
 }
 
 // GenEvaluationKeySet returns the set NewEvaluationKeySet names with every
-// key derived now: byte for byte the keys the lazy set derives on first use,
-// in whatever order. It draws nothing from the generator's own stream.
+// key derived now, on one goroutine (Derive(1)): byte for byte the keys the
+// lazy set derives on first use, in whatever order. It draws nothing from
+// the generator's own stream.
 func (kg *KeyGenerator) GenEvaluationKeySet(sk *SecretKey, methods []KeySwitchMethod, rotations []int, conj bool) (*EvaluationKeySet, error) {
 	set := NewEvaluationKeySet(kg.params, sk, methods, rotations, conj, nil)
-	for id := range set.keys {
-		if _, err := set.key(id); err != nil {
-			return nil, err
-		}
+	if err := set.Derive(1); err != nil {
+		return nil, err
 	}
 	return set, nil
 }

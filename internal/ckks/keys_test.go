@@ -157,3 +157,40 @@ func swkBytes(k *SwitchingKey) []byte {
 	}
 	return b
 }
+
+// BenchmarkDeriveKey times the derivation of one hybrid Galois key (the
+// rotation-by-1 key, on one goroutine) at the parameter points of the
+// benchmark's workloads: serve (fastd's default session), lib_deep and
+// lib_bootstrap. The ms/key column is what a cold op pays per key it reads.
+func BenchmarkDeriveKey(b *testing.B) {
+	point := func(logN, levels, logScale int) ParametersLiteral {
+		return ParametersLiteral{
+			LogN: logN, LogSlots: logN - 1, LogQ: append([]int{logScale + 14}, repeat(logScale, levels)...),
+			LogP: []int{logScale + 14, logScale + 14}, LogScale: logScale, Alpha: 2, Seed: 1,
+		}
+	}
+	for _, pt := range []struct {
+		name string
+		lit  ParametersLiteral
+	}{
+		{"serve", point(11, 5, 36)},
+		{"lib_deep", point(13, 11, 36)},
+		{"bootstrap", bootstrapLiteral(12, 4, 3)},
+	} {
+		b.Run(pt.name, func(b *testing.B) {
+			params, err := NewParameters(pt.lit)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sk := NewKeyGenerator(params).GenSecretKey()
+			id := KeyID{Hybrid, params.GaloisElement(1)}
+			b.ResetTimer()
+			for range b.N {
+				if _, err := deriveKey(params, sk, id, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N), "ms/key")
+		})
+	}
+}

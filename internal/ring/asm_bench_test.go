@@ -101,6 +101,25 @@ func BenchmarkABMulAccRows9(b *testing.B) {
 	})
 }
 
+// BenchmarkABMulAccPackedRows6 is one KeyMult output row against a packed
+// key: a 6-digit gadget inner product (the lib_deep β), each key row at the
+// modulus' 36 bits. The go and avx2 legs both run mulAccRowsGo.
+func BenchmarkABMulAccPackedRows6(b *testing.B) {
+	d := make([]uint64, 4096)
+	var ps [6][]byte
+	benchPaths(b, func(m Modulus, _ *NTTTable, n int, src []uint64) {
+		var xs [6][]uint64
+		for j := range xs {
+			xs[j] = src[j*n : (j+1)*n]
+			if ps[j] == nil {
+				ps[j] = make([]byte, PackedRowLen(n, m.PackedBits()))
+				PackRow(ps[j], src[(15-j)*n:(16-j)*n], m.PackedBits())
+			}
+		}
+		m.MulAccPackedRows(d, xs[:], ps[:], m.PackedBits())
+	})
+}
+
 func BenchmarkABMulCoeffs(b *testing.B) {
 	d := make([]uint64, 4096)
 	benchPaths(b, func(m Modulus, _ *NTTTable, n int, src []uint64) {

@@ -102,11 +102,13 @@ func (m Modulus) MulAccScalars(dst []uint64, xs [][]uint64, ws []uint64) {
 // mulAccRowsGo is the reference for MulAccRows (ys), MulAccScalars (ws) and
 // MulAccPackedRows (packed rows ps at b bits), whichever operand is non-nil.
 // It walks dst in blocks small enough for the (hi, lo) accumulators to stay
-// in L1 across all terms; each term's pass over a block is a leaf function
-// of its own, which keeps the loop's state in registers.
+// in L1 across all terms, and adds two terms per pass over a block, so each
+// accumulator word is read and written once per pair (an odd last term is
+// paired with a zero row). Each pass is a leaf function of its own, which
+// keeps the loop's state in registers.
 func mulAccRowsGo(m Modulus, dst []uint64, xs, ys [][]uint64, ws []uint64, ps [][]byte, b int) {
 	const blk = 128
-	var accLo, accHi [blk]uint64
+	var accLo, accHi, zero [blk]uint64
 	capTerms := m.AccumCapacity()
 	for k0 := 0; k0 < len(dst); k0 += blk {
 		w := min(blk, len(dst)-k0)
@@ -114,26 +116,30 @@ func mulAccRowsGo(m Modulus, dst []uint64, xs, ys [][]uint64, ws []uint64, ps []
 		clear(lo)
 		clear(hi)
 		terms := 0
-		for j := range xs {
-			if terms == capTerms {
+		for j := 0; j < len(xs); j += 2 {
+			if terms+2 > capTerms {
 				// Only reachable past 8 digits over 61-bit limbs.
 				for t := range lo {
 					lo[t], hi[t] = m.Reduce(hi[t], lo[t]), 0
 				}
 				terms = 1
 			}
-			x := xs[j][k0 : k0+w]
+			j1 := min(j+1, len(xs)-1)
+			x0, x1 := xs[j][k0:k0+w], xs[j1][k0:k0+w]
+			if j1 == j {
+				x1 = zero[:w]
+			}
 			switch {
 			case ws != nil:
-				accScalar(lo, hi, x, ws[j])
+				accScalars(lo, hi, x0, x1, ws[j], ws[j1])
 			case ps != nil && b == 64:
-				accWords(lo, hi, x, ps[j][8*k0:8*(k0+w)])
+				accWords(lo, hi, x0, x1, ps[j][8*k0:8*(k0+w)], ps[j1][8*k0:8*(k0+w)])
 			case ps != nil:
-				accPacked(lo, hi, x, ps[j], b, k0)
+				accPacked(lo, hi, x0, x1, ps[j], ps[j1], b, k0)
 			default:
-				accRow(lo, hi, x, ys[j][k0:k0+w])
+				accRows(lo, hi, x0, x1, ys[j][k0:k0+w], ys[j1][k0:k0+w])
 			}
-			terms++
+			terms += 2
 		}
 		d := dst[k0 : k0+w]
 		for t := range d {
@@ -142,56 +148,58 @@ func mulAccRowsGo(m Modulus, dst []uint64, xs, ys [][]uint64, ws []uint64, ps []
 	}
 }
 
-// accRow adds x[t]·y[t] to the 128-bit accumulator (hi[t], lo[t]).
-func accRow(lo, hi, x, y []uint64) {
-	x, y = x[:len(lo)], y[:len(lo)]
-	hi = hi[:len(lo)]
+// acc2 adds the products x0·y0 and x1·y1 to the 128-bit accumulator
+// (hi, lo).
+func acc2(hi, lo, x0, y0, x1, y1 uint64) (uint64, uint64) {
+	h0, l0 := bits.Mul64(x0, y0)
+	h1, l1 := bits.Mul64(x1, y1)
+	lo, c0 := bits.Add64(lo, l0, 0)
+	lo, c1 := bits.Add64(lo, l1, 0)
+	return hi + h0 + h1 + c0 + c1, lo
+}
+
+// accRows adds x0[t]·y0[t] + x1[t]·y1[t] to the accumulator (hi[t], lo[t]).
+func accRows(lo, hi, x0, x1, y0, y1 []uint64) {
+	hi, x0, x1 = hi[:len(lo)], x0[:len(lo)], x1[:len(lo)]
+	y0, y1 = y0[:len(lo)], y1[:len(lo)]
 	for t := range lo {
-		ph, pl := bits.Mul64(x[t], y[t])
-		var c uint64
-		lo[t], c = bits.Add64(lo[t], pl, 0)
-		hi[t] += ph + c
+		hi[t], lo[t] = acc2(hi[t], lo[t], x0[t], y0[t], x1[t], y1[t])
 	}
 }
 
-// accScalar is accRow with every y[t] = y.
-func accScalar(lo, hi, x []uint64, y uint64) {
-	x, hi = x[:len(lo)], hi[:len(lo)]
+// accScalars is accRows with every y0[t] = y0 and y1[t] = y1.
+func accScalars(lo, hi, x0, x1 []uint64, y0, y1 uint64) {
+	hi, x0, x1 = hi[:len(lo)], x0[:len(lo)], x1[:len(lo)]
 	for t := range lo {
-		ph, pl := bits.Mul64(x[t], y)
-		var c uint64
-		lo[t], c = bits.Add64(lo[t], pl, 0)
-		hi[t] += ph + c
+		hi[t], lo[t] = acc2(hi[t], lo[t], x0[t], y0, x1[t], y1)
 	}
 }
 
-// accWords is accRow with y[t] the little-endian word row[8t:8t+8]: a
-// packed row at 64 bits, walked a word at a time.
-func accWords(lo, hi, x []uint64, row []byte) {
-	x, hi = x[:len(lo)], hi[:len(lo)]
+// accWords is accRows with y[t] the little-endian word row[8t:8t+8]: packed
+// rows at 64 bits, walked a word at a time.
+func accWords(lo, hi, x0, x1 []uint64, r0, r1 []byte) {
+	hi, x0, x1 = hi[:len(lo)], x0[:len(lo)], x1[:len(lo)]
+	r0, r1 = r0[:8*len(lo)], r1[:8*len(lo)]
 	for t := range lo {
-		ph, pl := bits.Mul64(x[t], binary.LittleEndian.Uint64(row))
-		row = row[8:]
-		var c uint64
-		lo[t], c = bits.Add64(lo[t], pl, 0)
-		hi[t] += ph + c
+		y0 := binary.LittleEndian.Uint64(r0[8*t:])
+		y1 := binary.LittleEndian.Uint64(r1[8*t:])
+		hi[t], lo[t] = acc2(hi[t], lo[t], x0[t], y0, x1[t], y1)
 	}
 }
 
-// accPacked is accRow with y[t] residue k0+t of a packed row at b bits: the
-// 8 bytes from its first bit's byte, shifted to that bit and masked.
-func accPacked(lo, hi, x []uint64, row []byte, b, k0 int) {
-	x, hi = x[:len(lo)], hi[:len(lo)]
+// accPacked is accRows with y[t] residue k0+t of a packed row at b bits: the
+// 8 bytes from its first bit's byte, shifted to that bit and masked. Both
+// rows hold residue k0+t at the same bit.
+func accPacked(lo, hi, x0, x1 []uint64, r0, r1 []byte, b, k0 int) {
+	hi, x0, x1 = hi[:len(lo)], x0[:len(lo)], x1[:len(lo)]
 	mask := uint64(1)<<b - 1
 	o := k0 * b
 	for t := range lo {
-		p := o >> 3
-		y := binary.LittleEndian.Uint64(row[p:p+8]) >> (o & 7) & mask
+		p, sh := o>>3, o&7
+		y0 := binary.LittleEndian.Uint64(r0[p:p+8]) >> sh & mask
+		y1 := binary.LittleEndian.Uint64(r1[p:p+8]) >> sh & mask
 		o += b
-		ph, pl := bits.Mul64(x[t], y)
-		var c uint64
-		lo[t], c = bits.Add64(lo[t], pl, 0)
-		hi[t] += ph + c
+		hi[t], lo[t] = acc2(hi[t], lo[t], x0[t], y0, x1[t], y1)
 	}
 }
 

@@ -112,16 +112,17 @@ func (m Modulus) Reduce(hi, lo uint64) uint64 {
 
 // ReduceWord returns x mod q for a single 64-bit x of arbitrary magnitude
 // using a one-word Barrett step (quotient estimate from the high word of the
-// Barrett constant, off by at most 2). This replaces the hardware division of
-// `x % q` in kernels that fold a foreign-limb residue, e.g. the rescale
-// subtraction path.
+// Barrett constant, off by at most 2) and two conditional subtractions, with
+// no branch on the value. This replaces the hardware division of `x % q` in
+// kernels that fold a foreign-limb residue, e.g. the rescale subtraction
+// path, and in the samplers.
 func (m Modulus) ReduceWord(x uint64) uint64 {
-	if x < m.Q {
-		return x
-	}
 	t, _ := bits.Mul64(x, m.brc[0])
 	r := x - t*m.Q
-	for r >= m.Q {
+	if r >= m.Q {
+		r -= m.Q
+	}
+	if r >= m.Q {
 		r -= m.Q
 	}
 	return r

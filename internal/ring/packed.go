@@ -46,18 +46,22 @@ func PackedRowLen(n, b int) int { return (n*b+7)/8 + 64 - b }
 
 // PackRow writes src's residues, each below 2^b, into dst, a row of
 // PackedRowLen(len(src), b) bytes. It fills a word at a time, so no store
-// waits on the one before it.
+// waits on the one before it, and every shift count is masked below 64, so
+// none takes Go's over-wide-shift fixup.
 func PackRow(dst []byte, src []uint64, b int) {
 	_ = dst[PackedRowLen(len(src), b)-1]
 	var acc uint64 // the low `have` bits are pending
 	have, p := 0, 0
 	for _, v := range src {
-		acc |= v << have
+		acc |= v << (have & 63)
 		if have += b; have >= 64 {
 			binary.LittleEndian.PutUint64(dst[p:p+8], acc)
 			p += 8
 			have -= 64
-			acc = v >> (b - have) // v's bits past the word; none at have = 0
+			acc = 0 // v's bits past the word: none at have = 0
+			if have != 0 {
+				acc = v >> ((b - have) & 63)
+			}
 		}
 	}
 	for ; have > 0; have -= 8 {

@@ -340,9 +340,25 @@ func (r *Ring) PolyToBigintCentered(p Poly, out []*big.Int) {
 }
 
 // SetCoeffBigint sets p from centered big-integer coefficients (length N),
-// reducing each into every limb.
+// reducing each into every limb. When every coefficient fits an int64 (an
+// encoded plaintext's, a bootstrapper diagonal's) they are reduced as
+// machine words by SetSigned; only wider ones take big.Int's division.
 func (r *Ring) SetCoeffBigint(coeffs []*big.Int, p Poly) {
 	r.checkShape(p)
+	small := make([]int64, r.N)
+	for j, c := range coeffs[:r.N] {
+		if !c.IsInt64() {
+			r.setCoeffBigintWide(coeffs, p)
+			return
+		}
+		small[j] = c.Int64()
+	}
+	SetSigned(r, small, p)
+}
+
+// setCoeffBigintWide is SetCoeffBigint by big.Int reduction, for
+// coefficients of any width.
+func (r *Ring) setCoeffBigintWide(coeffs []*big.Int, p Poly) {
 	tmp := new(big.Int)
 	for i, m := range r.Moduli {
 		q := new(big.Int).SetUint64(m.Q)

@@ -21,6 +21,9 @@ import (
 // consumption and do the per-limb reduction (SetSigned) outside it.
 type Sampler struct {
 	rng *rand.Rand
+	// pcg, when non-nil, is the PCG under rng, which the uniform draw calls
+	// directly instead of through rng's Source interface.
+	pcg *randv2.PCG
 
 	// draws counts the random polynomials drawn (uniform, ternary and
 	// gaussian alike). Nil when uninstrumented; see Instrument.
@@ -38,7 +41,8 @@ func NewSampler(seed int64) *Sampler {
 // PCG seeded with (seed, stream). Every bit of both counts, so distinct pairs
 // draw distinct streams, and no stream moves another's bytes.
 func NewStreamSampler(seed, stream uint64) *Sampler {
-	return &Sampler{rng: rand.New(pcgSource{randv2.NewPCG(seed, stream)})}
+	pcg := randv2.NewPCG(seed, stream)
+	return &Sampler{rng: rand.New(pcgSource{pcg}), pcg: pcg}
 }
 
 // pcgSource is a PCG as the rand.Source64 a Sampler draws through.
@@ -51,15 +55,31 @@ func (s pcgSource) Seed(seed int64) { s.PCG.Seed(uint64(seed), 0) }
 // counter does not perturb the random stream.
 func (s *Sampler) Instrument(draws *obs.Counter) { s.draws = draws }
 
-// UniformPoly fills p with independent uniform values modulo each limb.
+// UniformPoly fills p with independent uniform values modulo each limb,
+// value for value what rng.Int63n(q) draws: a power-of-two q masks one
+// 63-bit draw; any other q rejects the draws above the largest multiple of q
+// below 2^63 (rarely: at most q/2^63 of them) and reduces the one it keeps.
+// A stream sampler, which derives every evaluation key, draws from its PCG
+// directly (not through the Source interface) and reduces by ReduceWord's
+// Barrett step, so no residue pays a division.
 func (s *Sampler) UniformPoly(r *Ring, p Poly) {
 	r.checkShape(p)
 	s.draws.Inc()
 	for i, m := range r.Moduli {
 		ci := p.Coeffs[i]
+		if s.pcg == nil || m.Q&(m.Q-1) == 0 {
+			for j := range ci {
+				ci[j] = uint64(s.rng.Int63n(int64(m.Q)))
+			}
+			continue
+		}
+		bound := 1<<63 - 1 - (1<<63)%m.Q // Int63n's largest kept draw
 		for j := range ci {
-			// Rejection-free: Int63n is uniform over [0, q).
-			ci[j] = uint64(s.rng.Int63n(int64(m.Q)))
+			v := s.pcg.Uint64() >> 1
+			for v > bound {
+				v = s.pcg.Uint64() >> 1
+			}
+			ci[j] = m.ReduceWord(v)
 		}
 	}
 }
@@ -138,21 +158,25 @@ func (s *Sampler) GaussianPoly(r *Ring, sigma float64, p Poly) {
 	SetSigned(r, s.GaussianSigned(r.N, sigma), p)
 }
 
-// SetSigned reduces small signed coefficients into every limb of p. It is
-// pure computation on its arguments (no sampler state), so callers holding a
-// sampler lock for a draw can run it after releasing the lock.
+// SetSigned reduces signed coefficients into every limb of p. A value below
+// q in magnitude takes no reduction (a negative one gets q added); a wider
+// one takes ReduceWord's Barrett step of its two's-complement word, less
+// 2^64 mod q when negative. No value pays a division. It is pure computation
+// on its arguments (no sampler state), so callers holding a sampler lock for
+// a draw can run it after releasing the lock.
 func SetSigned(r *Ring, signed []int64, p Poly) {
 	for i, m := range r.Moduli {
-		ci := p.Coeffs[i]
+		ci := p.Coeffs[i][:len(signed)]
+		wrap := m.ReduceWord(m.ReduceWord(^uint64(0)) + 1) // 2^64 mod q
 		for j, v := range signed {
-			if v >= 0 {
-				ci[j] = uint64(v) % m.Q
-			} else {
-				ci[j] = m.Q - uint64(-v)%m.Q
-				if ci[j] == m.Q {
-					ci[j] = 0
+			neg := uint64(v >> 63) // all ones when v < 0
+			x := uint64(v) + m.Q&neg
+			if x >= m.Q { // |v| >= q
+				if x = m.ReduceWord(uint64(v)) + m.Q - wrap&neg; x >= m.Q {
+					x -= m.Q
 				}
 			}
+			ci[j] = x
 		}
 	}
 }
