@@ -376,11 +376,10 @@ MODEL_LOC_MAX ?= 2348
 # request's unused level argument and EvkCache.Stats' field-by-field copy of
 # hemera.SharedStats went.
 #
-# 2711 -> 2715: bootstrap.go derives a bootstrap context's whole key set in
+# 2711 -> 2714: bootstrap.go derives a bootstrap context's whole key set in
 # NewBootstrapContext (ckks.EvaluationKeySet.Derive across GOMAXPROCS
-# goroutines, and its runtime import), and Bootstrap's comment says its keys
-# are not derived lazily.
-ROOT_LOC_MAX ?= 2715
+# goroutines), and Bootstrap's comment says its keys are not derived lazily.
+ROOT_LOC_MAX ?= 2714
 
 # Size budget of the CKKS layer: non-test lines of internal/ckks, the
 # module's largest package (scheme, key switch, bootstrapping, wire codec).
@@ -456,13 +455,7 @@ ROOT_LOC_MAX ?= 2715
 # reuses its scratch polynomials across the gadget groups and adds the
 # gadget term on the group's own limbs only (S·w_j is 0 mod every other
 # prime), which pays for the packing pass (ring.MulScalarBigint went).
-#
-# 4045 -> 4057: keys.go 339 -> 351. Came: EvaluationKeySet.Derive (every
-# named key's OnceValues run from a bounded set of goroutines; the eager
-# GenEvaluationKeySet is Derive(1)), and genSwitchingKey's one-pass
-# b = e − a·s (e drawn into b, then MulCoeffsThenAdd by −s). Went:
-# setSignedInto, a copy of ring.SetSigned.
-CKKS_LOC_MAX ?= 4057
+CKKS_LOC_MAX ?= 4045
 
 MODEL_GO = internal/aether/*.go internal/costmodel/*.go internal/sim/*.go internal/trace/*.go \
 	internal/workloads/*.go internal/baselines/*.go perf.go cmd/aether/*.go cmd/fastsim/*.go

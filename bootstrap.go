@@ -3,7 +3,6 @@ package fast
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"github.com/fastfhe/fast/internal/ckks"
 )
@@ -95,7 +94,7 @@ func NewBootstrapContext(cfg BootstrapContextConfig) (*BootstrapContext, error) 
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.keys.Derive(runtime.GOMAXPROCS(0)); err != nil {
+	if err := ctx.keys.Derive(-1); err != nil {
 		return nil, err
 	}
 	return &BootstrapContext{Context: ctx, bt: bt}, nil

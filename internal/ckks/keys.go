@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"sync"
@@ -136,31 +137,18 @@ func (s *EvaluationKeySet) GaloisKey(m KeySwitchMethod, galEl uint64) (*Switchin
 }
 
 // Derive derives every key the set names that no lookup has derived yet,
-// from min(workers, keys named) goroutines (at least one), and returns a
-// derivation's error if one fails. Keys are drawn from streams of their own,
-// so the bytes do not depend on the order or the fan-out; a lookup racing
-// Derive waits for the one derivation.
+// spread over up to workers goroutines (ring.Workers convention: <= 0 means
+// GOMAXPROCS, 1 derives on the caller), and joins the derivations' errors.
+// Keys are drawn from streams of their own, so the bytes do not depend on the
+// order or the fan-out; a lookup racing Derive waits for the one derivation.
 func (s *EvaluationKeySet) Derive(workers int) error {
-	todo, errs := make(chan *lazyKey, len(s.keys)), make(chan error, len(s.keys))
+	ks := make([]*lazyKey, 0, len(s.keys))
 	for _, k := range s.keys {
-		todo <- k
+		ks = append(ks, k)
 	}
-	close(todo)
-	var wg sync.WaitGroup
-	for range min(max(workers, 1), len(s.keys)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range todo {
-				if _, err := k.get(); err != nil {
-					errs <- err
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	return <-errs // nil when none failed
+	errs := make([]error, len(ks))
+	ring.ForEachLimb(len(ks), workers, func(i int) { _, errs[i] = ks[i].get() })
+	return errors.Join(errs...)
 }
 
 // Pending reports whether the set names the key and has not derived it yet:
