@@ -32,6 +32,8 @@ test-short: kernel-path
 # AVX2 and AVX-512 IFMA routines) and run the suite against the reference
 # loops — the build every non-amd64 platform gets. The differential tests skip
 # their avx2 / avx512ifma legs by name; everything else must pass identically.
+# cmd/fastd's byte-lane kernels are compiled out too, so FuzzBase64's seeds
+# and the envelope tests run on encoding/base64 alone here.
 test-purego:
 	$(GO) build -tags purego ./...
 	@$(MAKE) --no-print-directory kernel-path TAGS='-tags purego'
@@ -80,9 +82,10 @@ race: kernel-path
 # The fastd suite runs the
 # serve loop in-process: real queue overload, disk writes failed through the
 # store's hook, crash/restart and shard kill — accepted responses
-# bit-identical to an in-process reference, refusals typed. internal/session
-# routes restores under concurrent kills of its shards. (-short keeps the op
-# count CI-sized; drop it for a deeper soak.)
+# bit-identical to an in-process reference, refusals typed. internal/session's
+# registry routes creates and restores while its shards are fenced
+# concurrently. (-short keeps the op count CI-sized; drop it for a deeper
+# soak.)
 chaos:
 	$(GO) test -race -short -run 'Chaos|Fault|Resilience|RandomScript|NoisyTenant' . ./internal/hemera ./cmd/fastd ./internal/session
 
@@ -104,6 +107,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzProgramPlan -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzEvalEnvelope -fuzztime 10s ./cmd/fastd
 	$(GO) test -run '^$$' -fuzz FuzzIdemRing -fuzztime 10s ./cmd/fastd
+	$(GO) test -run '^$$' -fuzz FuzzBase64 -fuzztime 10s ./cmd/fastd
+	$(GO) test -run '^$$' -fuzz FuzzNTTRoundTrip -fuzztime 10s ./internal/ring
+	$(GO) test -run '^$$' -fuzz FuzzMul60 -fuzztime 10s ./internal/tbm
 
 # Observability smoke gate: boot the real fastd through run(), drive one
 # evaluation with a pinned request ID, and assert every surface's contract —
@@ -272,7 +278,17 @@ vet: loc
 # routing inside Reserve and BeginRestore, ErrShardDown and ErrFull, Fence's
 # range check and its fenced result, and the live count and fenced flags in
 # Stats.
-FASTD_LOC_MAX ?= 2980
+#
+# 2980 -> 3071: +91 is the measured growth of coding ciphertexts and checking
+# plain strings on the AVX-512 byte lanes (the same wire bytes). Came in:
+# base64.go 49 (b64AppendEncode and b64Decode, each encoding/base64 after the
+# kernel's whole blocks, with the decoder's error offset shifted by them;
+# byteLanes, read at each call), bytelanes_amd64.go 27 (the three kernel
+# declarations and their contracts), bytelanes_other.go 11 (stubs for builds
+# without them), envelope.go +4 (plainASCII's block pass and its doc). The
+# kernels themselves, bytelanes_amd64.s (196 lines with their tables), are
+# assembly and outside this count, as internal/ring's are outside every one.
+FASTD_LOC_MAX ?= 3071
 
 # Size budget of the performance model: non-test lines of the cost model,
 # Aether, the simulator, the traces and workloads, the baselines, perf.go and
@@ -455,7 +471,13 @@ ROOT_LOC_MAX ?= 2714
 # reuses its scratch polynomials across the gadget groups and adds the
 # gadget term on the group's own limbs only (S·w_j is 0 mod every other
 # prime), which pays for the packing pass (ring.MulScalarBigint went).
-CKKS_LOC_MAX ?= 4045
+#
+# 4045 -> 4069: +24 is the measured growth of encoding without big values.
+# encoder.go: scaleToInt64 and its doc 12 (for a power-of-two scale and a
+# product below 2^63, math.Round of the exact float64 product is
+# scaleToInt's result), EncodeAtLevel's int64 coefficients written by
+# ring.SetSigned with the big.Float loop kept for every other scale 12.
+CKKS_LOC_MAX ?= 4069
 
 MODEL_GO = internal/aether/*.go internal/costmodel/*.go internal/sim/*.go internal/trace/*.go \
 	internal/workloads/*.go internal/baselines/*.go perf.go cmd/aether/*.go cmd/fastsim/*.go

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	fast "github.com/fastfhe/fast"
+	"github.com/fastfhe/fast/internal/ring/kerneltest"
 )
 
 // testConfig mirrors the root chaos suite's parameter point: small enough to
@@ -133,8 +134,18 @@ func decryptValues(t *testing.T, base, id, ct string) []complex128 {
 // TestDaemonEndToEnd drives the full client lifecycle over HTTP: session
 // create, encrypt, a multi-op program (mul, rotate, conjugate, addconst),
 // decrypt, delete — and checks the decrypted result against the plaintext
-// computation.
+// computation. It runs on every kernel path, and a fresh daemon with the
+// same seed must send the same eval reply on each.
 func TestDaemonEndToEnd(t *testing.T) {
+	var firstReply []byte
+	kerneltest.EachPath(t, func(t *testing.T) {
+		firstReply = daemonEndToEnd(t, firstReply)
+	})
+}
+
+// daemonEndToEnd is one TestDaemonEndToEnd run; it returns the eval's reply,
+// which must equal want unless want is nil.
+func daemonEndToEnd(t *testing.T, want []byte) []byte {
 	_, ts := newTestDaemon(t, daemonConfig{Workers: 2})
 	base := ts.URL
 
@@ -162,6 +173,9 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("eval: status %d: %s", status, raw)
 	}
+	if want != nil && !bytes.Equal(raw, want) {
+		t.Fatalf("eval reply differs from the first kernel path's: tail %q, want %q", tail(raw), tail(want))
+	}
 	got := decryptValues(t, base, sr.ID, cr.Ciphertext)
 	if len(got) != n {
 		t.Fatalf("decrypt returned %d slots, want %d", len(got), n)
@@ -184,6 +198,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if status != http.StatusNotFound {
 		t.Fatalf("encrypt after delete: status %d, want 404", status)
 	}
+	return raw
 }
 
 // TestDaemonValidation exercises the 400/404 surface: malformed JSON, unknown

@@ -218,11 +218,15 @@ func (s *envScanner) str() ([]byte, error) {
 
 // plainASCII reports whether b holds only printable ASCII and no backslash
 // (it cannot hold a quote: it was cut at the first one). The bytes of such a
-// JSON string literal are the string's value. Eight bytes at a time:
-// w&highs finds a byte >= 0x80, (w-0x20..)&^w one < 0x20, and the same
+// JSON string literal are the string's value. On the byte lanes whole
+// 64-byte blocks are checked first (plainBlocks); the rest eight bytes at a
+// time: w&highs finds a byte >= 0x80, (w-0x20..)&^w one < 0x20, and the same
 // borrow trick on w^'\\'.. a byte equal to the backslash.
 func plainASCII(b []byte) bool {
 	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	if len(b) >= 64 && byteLanes() {
+		b = b[plainBlocks(b):]
+	}
 	for ; len(b) >= 8; b = b[8:] {
 		w := binary.LittleEndian.Uint64(b)
 		x := w ^ (ones * '\\')
@@ -381,7 +385,7 @@ func scanDecryptEnvelope(body []byte) (b64 []byte, err error) {
 func readCiphertext(fctx *fast.Context, b64 []byte) (*fast.Ciphertext, error) {
 	wire := wireBufs.get(base64.StdEncoding.DecodedLen(len(b64)))
 	defer wireBufs.put(wire)
-	n, err := base64.StdEncoding.Decode((*wire)[:cap(*wire)], b64)
+	n, err := b64Decode((*wire)[:cap(*wire)], b64)
 	if err != nil {
 		return nil, fmt.Errorf("ciphertext base64: %w", err)
 	}
@@ -399,7 +403,7 @@ func renderCiphertext(ct *fast.Ciphertext) *[]byte {
 	*wire = ct.AppendBinary(*wire)
 	out := respBufs.get(len(head) + base64.StdEncoding.EncodedLen(len(*wire)) + 64)
 	b := append(*out, head...)
-	b = base64.StdEncoding.AppendEncode(b, *wire)
+	b = b64AppendEncode(b, *wire)
 	wireBufs.put(wire)
 	b = append(b, `","level":`...)
 	b = strconv.AppendInt(b, int64(ct.Level()), 10)

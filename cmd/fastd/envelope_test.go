@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	fast "github.com/fastfhe/fast"
+	"github.com/fastfhe/fast/internal/ring/kerneltest"
 )
 
 // The reference envelope: the encoding/json structs and the
@@ -60,6 +61,8 @@ func decodeCiphertext(fctx *fast.Context, b64 string) (*fast.Ciphertext, error) 
 // FuzzEvalEnvelope: the scanner accepts exactly the bodies json.Unmarshal
 // accepts into evalWire and extracts the same inputs and program from them;
 // the decrypt scanner likewise against a json.Decoder into decryptRequest.
+// Every body is checked on every kernel path (plainASCII has a byte-lane
+// kernel on avx512ifma).
 func FuzzEvalEnvelope(f *testing.F) {
 	prog := `{"version":2,"inputs":["x"],"ops":[{"op":"rotate","a":"x","r":1,"out":"y"}],"output":"y"}`
 	for _, seed := range []string{
@@ -93,40 +96,50 @@ func FuzzEvalEnvelope(f *testing.F) {
 		`{"inputs":{"x":"AAA`,
 		`{"inputs":{"x":"` + strings.Repeat("A", 1<<20),
 		`{"inputs":{"x":"` + strings.Repeat(`\"`, 1<<10) + `"}}`,
+		// a long plain string; an escape or a control byte past its first 64-byte block
+		`{"inputs":{"x":"` + strings.Repeat("QUJD", 50) + `"}}`,
+		`{"inputs":{"x":"` + strings.Repeat("QUJD", 25) + `\/` + strings.Repeat("QUJD", 25) + `"}}`,
+		"{\"inputs\":{\"x\":\"" + strings.Repeat("QUJD", 30) + "\x01QUJD\"}}",
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		var ref evalWire
-		refErr := json.Unmarshal(body, &ref)
-		env, err := scanEvalEnvelope(body)
-		if (refErr == nil) != (err == nil) {
-			t.Fatalf("eval body %q: encoding/json says %v, the scanner says %v", body, refErr, err)
-		}
-		if err == nil {
-			if !bytes.Equal(env.program, ref.Program) {
-				t.Fatalf("eval body %q: program %q, want %q", body, env.program, ref.Program)
-			}
-			if len(env.inputs) != len(ref.Inputs) {
-				t.Fatalf("eval body %q: inputs %v, want %v", body, env.inputs, ref.Inputs)
-			}
-			for name, want := range ref.Inputs {
-				if got, ok := env.input(name); !ok || string(got) != want {
-					t.Fatalf("eval body %q: input %q = %q (present %v), want %q", body, name, got, ok, want)
-				}
-			}
-		}
-
-		var dref decryptRequest
-		drefErr := json.NewDecoder(bytes.NewReader(body)).Decode(&dref)
-		b64, derr := scanDecryptEnvelope(body)
-		if (drefErr == nil) != (derr == nil) {
-			t.Fatalf("decrypt body %q: encoding/json says %v, the scanner says %v", body, drefErr, derr)
-		}
-		if derr == nil && string(b64) != dref.Ciphertext {
-			t.Fatalf("decrypt body %q: ciphertext %q, want %q", body, b64, dref.Ciphertext)
-		}
+		kerneltest.EachPath(t, func(t *testing.T) { checkEnvelope(t, body) })
 	})
+}
+
+// checkEnvelope holds both scanners to encoding/json on one body.
+func checkEnvelope(t *testing.T, body []byte) {
+	t.Helper()
+	var ref evalWire
+	refErr := json.Unmarshal(body, &ref)
+	env, err := scanEvalEnvelope(body)
+	if (refErr == nil) != (err == nil) {
+		t.Fatalf("eval body %q: encoding/json says %v, the scanner says %v", body, refErr, err)
+	}
+	if err == nil {
+		if !bytes.Equal(env.program, ref.Program) {
+			t.Fatalf("eval body %q: program %q, want %q", body, env.program, ref.Program)
+		}
+		if len(env.inputs) != len(ref.Inputs) {
+			t.Fatalf("eval body %q: inputs %v, want %v", body, env.inputs, ref.Inputs)
+		}
+		for name, want := range ref.Inputs {
+			if got, ok := env.input(name); !ok || string(got) != want {
+				t.Fatalf("eval body %q: input %q = %q (present %v), want %q", body, name, got, ok, want)
+			}
+		}
+	}
+
+	var dref decryptRequest
+	drefErr := json.NewDecoder(bytes.NewReader(body)).Decode(&dref)
+	b64, derr := scanDecryptEnvelope(body)
+	if (drefErr == nil) != (derr == nil) {
+		t.Fatalf("decrypt body %q: encoding/json says %v, the scanner says %v", body, drefErr, derr)
+	}
+	if derr == nil && string(b64) != dref.Ciphertext {
+		t.Fatalf("decrypt body %q: ciphertext %q, want %q", body, b64, dref.Ciphertext)
+	}
 }
 
 // wireCiphertext builds the wire bytes of an all-zero ciphertext at the given
@@ -146,7 +159,8 @@ func wireCiphertext(n, level int, scale float64) []byte {
 
 // TestResponseBytesMatchEncodingJSON: the direct writer produces, byte for
 // byte, what json.NewEncoder wrote for ciphertextResponse — across the float
-// formats encoding/json switches between and both ends of the level range.
+// formats encoding/json switches between, both ends of the level range and a
+// fresh encryption's residues, on every kernel path.
 func TestResponseBytesMatchEncodingJSON(t *testing.T) {
 	fctx, err := fast.NewContext(fast.ContextConfig{LogN: 9, Levels: 3, LogScale: 36, Seed: 1})
 	if err != nil {
@@ -156,12 +170,23 @@ func TestResponseBytesMatchEncodingJSON(t *testing.T) {
 		1 << 40, float64(1<<36) * float64(1<<36) / 68719403009, // fresh; after a rescale by a 36-bit prime
 		1e21, 9.999999999999999e20, 1e-7, 1e-6, 1.5e-9, 1e100, 3, 0.1, math.MaxFloat64, math.SmallestNonzeroFloat64,
 	}
+	var cts []*fast.Ciphertext
 	for _, level := range []int{0, fctx.MaxLevel()} {
 		for _, scale := range scales {
 			ct, err := fctx.ReadCiphertextBytes(wireCiphertext(1<<9, level, scale))
 			if err != nil {
 				t.Fatalf("level %d scale %g: %v", level, scale, err)
 			}
+			cts = append(cts, ct)
+		}
+	}
+	fresh, err := fctx.Encrypt([]complex128{1, -2i, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cts = append(cts, fresh)
+	kerneltest.EachPath(t, func(t *testing.T) {
+		for _, ct := range cts {
 			ref, err := encodeCiphertext(ct)
 			if err != nil {
 				t.Fatal(err)
@@ -173,33 +198,14 @@ func TestResponseBytesMatchEncodingJSON(t *testing.T) {
 			got := renderCiphertext(ct)
 			if !bytes.Equal(*got, want.Bytes()) {
 				t.Errorf("level %d scale %g: writer tail %q, encoding/json tail %q",
-					level, scale, tail(*got), tail(want.Bytes()))
+					ct.Level(), ct.Scale(), tail(*got), tail(want.Bytes()))
 			}
 			respBufs.put(got)
 		}
-	}
+	})
 }
 
 func tail(b []byte) []byte { return b[max(0, len(b)-60):] }
-
-// TestPlainASCII pins the word-at-a-time classifier against the byte loop it
-// stands for, with every byte value at every position of a word.
-func TestPlainASCII(t *testing.T) {
-	for n := 0; n < 20; n++ {
-		for pos := 0; pos < max(n, 1); pos++ {
-			for c := 0; c < 256; c++ {
-				b := bytes.Repeat([]byte{'A'}, n)
-				if n > 0 {
-					b[pos] = byte(c)
-				}
-				want := n == 0 || !(c < 0x20 || c >= 0x80 || c == '\\')
-				if got := plainASCII(b); got != want {
-					t.Fatalf("plainASCII(%q) = %v, want %v", b, got, want)
-				}
-			}
-		}
-	}
-}
 
 // TestPooledBuffersArePoisoned: under `go test` a returned buffer is
 // overwritten, so a use after return cannot read plausible bytes — the

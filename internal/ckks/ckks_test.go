@@ -98,6 +98,56 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScaleToInt64MatchesBigFloat: the encoder's int64 path agrees with the
+// big.Float path wherever it takes a value — random values, half-way values
+// (k + 0.5), ±0 and products near 2^53 and 2^62 — at power-of-two scales,
+// and declines scales that are not powers of two and products from 2^63.
+func TestScaleToInt64MatchesBigFloat(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	check := func(v, scale float64, wantOK bool) {
+		t.Helper()
+		got, ok := scaleToInt64(v, scale)
+		if ok != wantOK {
+			t.Fatalf("scaleToInt64(%v, %v): ok %v, want %v", v, scale, ok, wantOK)
+		}
+		if !ok {
+			return
+		}
+		want, err := scaleToInt(v, scale)
+		if err != nil || !want.IsInt64() || want.Int64() != got {
+			t.Fatalf("scaleToInt64(%v, %v) = %d, big.Float path %v (%v)", v, scale, got, want, err)
+		}
+	}
+	for _, logScale := range []int{-3, 0, 20, 36, 40, 50, 60} {
+		scale := math.Ldexp(1, logScale)
+		for i := 0; i < 2000; i++ {
+			v := rng.NormFloat64() * math.Ldexp(1, rng.Intn(40)-20)
+			check(v, scale, math.Abs(v*scale) < 1<<63)
+			k := float64(rng.Int63n(1<<52)) - 1<<51
+			check((k+0.5)/scale, scale, true)
+		}
+		for _, v := range []float64{0, math.Copysign(0, -1), 0.5, -0.5, 1.5, -1.5, 2.5, -2.5} {
+			check(v/scale, scale, true)
+		}
+		for _, e := range []int{53, 62} {
+			for d := -3.0; d <= 3; d++ {
+				for _, sign := range []float64{1, -1} {
+					v := sign * (math.Ldexp(1, e) + d*math.Ldexp(1, e-52)) / scale
+					check(v, scale, true)
+					check(math.Nextafter(v, 0), scale, true)
+				}
+			}
+		}
+		check(math.Ldexp(1, 63)/scale, scale, false)
+		check(-math.Ldexp(1, 63)/scale, scale, false)
+		check(math.Nextafter(math.Ldexp(1, 63), 0)/scale, scale, true)
+	}
+	check(1.25, 3, false)
+	check(1.25, math.Ldexp(1, 40)*(1+1.0/64), false)
+	check(math.NaN(), 1<<40, false)
+	check(math.Inf(-1), 1<<40, false)
+}
+
 func TestEncodeIsRingHomomorphism(t *testing.T) {
 	// Slot-wise product of messages == negacyclic product of encodings.
 	tc := newTestContext(t)

@@ -140,22 +140,34 @@ func (e *Encoder) EncodeAtLevel(values []complex128, level int, scale float64) (
 
 	n := e.params.N()
 	gap := (n / 2) / slots
-	coeffs := make([]*big.Int, n)
-	for i := range coeffs {
-		coeffs[i] = big.NewInt(0)
-	}
-	var err error
-	for j := 0; j < slots; j++ {
-		if coeffs[j*gap], err = scaleToInt(real(w[j]), scale); err != nil {
-			return nil, err
-		}
-		if coeffs[j*gap+n/2], err = scaleToInt(imag(w[j]), scale); err != nil {
-			return nil, err
-		}
-	}
 	rq := e.params.RingQ().AtLevel(level)
 	pt := &Plaintext{Value: rq.NewPoly(), Level: level, Scale: scale}
-	rq.SetCoeffBigint(coeffs, pt.Value)
+	small := make([]int64, n)
+	fits := true
+	for j := 0; j < slots && fits; j++ {
+		var re, im bool
+		small[j*gap], re = scaleToInt64(real(w[j]), scale)
+		small[j*gap+n/2], im = scaleToInt64(imag(w[j]), scale)
+		fits = re && im
+	}
+	if fits {
+		ring.SetSigned(rq, small, pt.Value)
+	} else {
+		coeffs := make([]*big.Int, n)
+		for i := range coeffs {
+			coeffs[i] = big.NewInt(0)
+		}
+		var err error
+		for j := 0; j < slots; j++ {
+			if coeffs[j*gap], err = scaleToInt(real(w[j]), scale); err != nil {
+				return nil, err
+			}
+			if coeffs[j*gap+n/2], err = scaleToInt(imag(w[j]), scale); err != nil {
+				return nil, err
+			}
+		}
+		rq.SetCoeffBigint(coeffs, pt.Value)
+	}
 	rq.NTT(pt.Value)
 	return pt, nil
 }
@@ -163,6 +175,18 @@ func (e *Encoder) EncodeAtLevel(values []complex128, level int, scale float64) (
 // Encode encodes at the top level with the default scale.
 func (e *Encoder) Encode(values []complex128) (*Plaintext, error) {
 	return e.EncodeAtLevel(values, e.params.MaxLevel(), e.params.Scale())
+}
+
+// scaleToInt64 is scaleToInt where that needs no big value: for a
+// power-of-two scale, v*scale is exact in float64, so when it is below 2^63
+// in magnitude math.Round's half-away rounding of it is scaleToInt's result.
+// ok is false for any other scale or product (NaN and ±Inf included).
+func scaleToInt64(v, scale float64) (c int64, ok bool) {
+	f := v * scale
+	if frac, _ := math.Frexp(scale); frac != 0.5 || !(math.Abs(f) < 1<<63) {
+		return 0, false
+	}
+	return int64(math.Round(f)), true
 }
 
 // scaleToInt converts v*scale to an arbitrary-precision integer, using

@@ -30,6 +30,7 @@ const (
 	cpuidAVX2       = 1 << 5  // leaf 7 EBX
 	cpuidAVX512F    = 1 << 16 // leaf 7 EBX
 	cpuidAVX512IFMA = 1 << 21 // leaf 7 EBX
+	cpuidAVX512BW   = 1 << 30 // leaf 7 EBX
 	cpuidAVX512VBMI = 1 << 1  // leaf 7 ECX
 
 	xcr0AVX    = 0x06 // XMM + YMM state
@@ -40,13 +41,16 @@ const (
 // and XCR0 into the highest kernel path that cannot fault: an instruction set
 // counts only when the CPU advertises it AND the OS saves the register state
 // it touches. The IFMA kernels use AVX512F, AVX512IFMA and, to widen packed
-// key rows, AVX512VBMI's VPERMB (no DQ/VL/BW forms), on top of the AVX2
-// kernels wider moduli keep using. Every CPU with IFMA so far also has VBMI.
+// key rows, AVX512VBMI's VPERMB, on top of the AVX2 kernels wider moduli
+// keep using; the path also promises AVX512BW, whose byte compares, byte
+// masks and masked byte moves fastd's base64 and string kernels use. Every
+// CPU with IFMA so far also has VBMI and BW.
 func kernelPathFor(ecx1, ebx7, ecx7, xcr0 uint32) Path {
 	if ecx1&cpuidOSXSAVE == 0 || ecx1&cpuidAVX == 0 || xcr0&xcr0AVX != xcr0AVX || ebx7&cpuidAVX2 == 0 {
 		return PathGo
 	}
-	if ebx7&cpuidAVX512F != 0 && ebx7&cpuidAVX512IFMA != 0 && ecx7&cpuidAVX512VBMI != 0 && xcr0&xcr0AVX512 == xcr0AVX512 {
+	const ifma = cpuidAVX512F | cpuidAVX512BW | cpuidAVX512IFMA
+	if ebx7&ifma == ifma && ecx7&cpuidAVX512VBMI != 0 && xcr0&xcr0AVX512 == xcr0AVX512 {
 		return PathAVX512IFMA
 	}
 	return PathAVX2

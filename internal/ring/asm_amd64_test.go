@@ -10,7 +10,7 @@ import "testing"
 func TestKernelPathFor(t *testing.T) {
 	const (
 		avxOS   = cpuidOSXSAVE | cpuidAVX
-		ifmaCPU = cpuidAVX2 | cpuidAVX512F | cpuidAVX512IFMA
+		ifmaCPU = cpuidAVX2 | cpuidAVX512F | cpuidAVX512BW | cpuidAVX512IFMA
 		vbmi    = cpuidAVX512VBMI
 	)
 	for _, tc := range []struct {
@@ -19,8 +19,9 @@ func TestKernelPathFor(t *testing.T) {
 		want                   Path
 	}{
 		{"everything", avxOS, ifmaCPU, vbmi, xcr0AVX512, PathAVX512IFMA},
-		{"everything plus unrelated bits", avxOS | 1, ifmaCPU | 1<<3 | 1<<30, vbmi | 1<<6, xcr0AVX512 | 1, PathAVX512IFMA},
+		{"everything plus unrelated bits", avxOS | 1, ifmaCPU | 1<<3 | 1<<8, vbmi | 1<<6, xcr0AVX512 | 1, PathAVX512IFMA},
 		{"IFMA without VBMI", avxOS, ifmaCPU, 0, xcr0AVX512, PathAVX2},
+		{"IFMA and VBMI without AVX512BW", avxOS, ifmaCPU &^ cpuidAVX512BW, vbmi, xcr0AVX512, PathAVX2},
 		{"IFMA advertised, ZMM state off", avxOS, ifmaCPU, vbmi, xcr0AVX, PathAVX2},
 		{"IFMA advertised, opmask state only", avxOS, ifmaCPU, vbmi, xcr0AVX | 0x20, PathAVX2},
 		{"AVX512F without IFMA", avxOS, cpuidAVX2 | cpuidAVX512F, vbmi, xcr0AVX512, PathAVX2},
