@@ -473,10 +473,11 @@ ROOT_LOC_MAX ?= 2714
 # prime), which pays for the packing pass (ring.MulScalarBigint went).
 #
 # 4045 -> 4069: +24 is the measured growth of encoding without big values.
-# encoder.go: scaleToInt64 and its doc 12 (for a power-of-two scale and a
+# encoder.go: scaleToInt64 and its doc 9 (for a power-of-two scale and a
 # product below 2^63, math.Round of the exact float64 product is
-# scaleToInt's result), EncodeAtLevel's int64 coefficients written by
-# ring.SetSigned with the big.Float loop kept for every other scale 12.
+# scaleToInt's result), EncodeAtLevel's power-of-two test and int64
+# coefficients written by ring.SetSigned, with the big.Float loop kept for
+# every other scale, 15.
 CKKS_LOC_MAX ?= 4069
 
 MODEL_GO = internal/aether/*.go internal/costmodel/*.go internal/sim/*.go internal/trace/*.go \

@@ -72,12 +72,13 @@ func FuzzBase64(f *testing.F) {
 }
 
 // TestPlainASCII pins plainASCII, on every kernel path, against the byte
-// loop it stands for, with every byte value at every position of a string
-// that spans more than two 64-byte blocks.
+// loop it stands for, with every byte value at every position of every
+// length up to 150: each 8-byte word and tail of the Go loop, and each
+// 64-byte block of the byte-lane kernel followed by each tail length.
 func TestPlainASCII(t *testing.T) {
 	kerneltest.EachPath(t, func(t *testing.T) {
 		b := bytes.Repeat([]byte{'A'}, 150)
-		for _, n := range []int{0, 1, 7, 8, 9, 63, 64, 65, 127, 128, 129, 150} {
+		for n := 0; n <= len(b); n++ {
 			for pos := 0; pos < max(n, 1); pos++ {
 				for c := 0; c < 256; c++ {
 					if n > 0 {

@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"math"
+	"math/big"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -101,7 +102,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // TestScaleToInt64MatchesBigFloat: the encoder's int64 path agrees with the
 // big.Float path wherever it takes a value — random values, half-way values
 // (k + 0.5), ±0 and products near 2^53 and 2^62 — at power-of-two scales,
-// and declines scales that are not powers of two and products from 2^63.
+// and declines products from 2^63.
 func TestScaleToInt64MatchesBigFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	check := func(v, scale float64, wantOK bool) {
@@ -142,10 +143,53 @@ func TestScaleToInt64MatchesBigFloat(t *testing.T) {
 		check(-math.Ldexp(1, 63)/scale, scale, false)
 		check(math.Nextafter(math.Ldexp(1, 63), 0)/scale, scale, true)
 	}
-	check(1.25, 3, false)
-	check(1.25, math.Ldexp(1, 40)*(1+1.0/64), false)
 	check(math.NaN(), 1<<40, false)
 	check(math.Inf(-1), 1<<40, false)
+}
+
+// TestEncodeNonPowerOfTwoScaleUsesBigFloat: at a scale that is not a power of
+// two, v*scale rounds in float64, so the encoder keeps big.Float. The
+// plaintext equals one built by scaleToInt from the same embedding, on values
+// where int64(math.Round(v*scale)) would give other integers.
+func TestEncodeNonPowerOfTwoScaleUsesBigFloat(t *testing.T) {
+	tc := newTestContext(t)
+	p, level := tc.params, tc.params.MaxLevel()
+	scale := 3 * math.Ldexp(1, 52)
+	values := randomValues(p.Slots(), 5)
+	pt, err := tc.enc.EncodeAtLevel(values, level, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := make([]complex128, p.Slots())
+	copy(w, values)
+	tc.enc.embed(w)
+	n, gap := p.N(), p.N()/2/p.Slots()
+	coeffs := make([]*big.Int, n)
+	for i := range coeffs {
+		coeffs[i] = new(big.Int)
+	}
+	differ := 0
+	for j, c := range w {
+		for k, v := range [2]float64{real(c), imag(c)} {
+			i := j*gap + k*n/2
+			if coeffs[i], err = scaleToInt(v, scale); err != nil {
+				t.Fatal(err)
+			}
+			if !coeffs[i].IsInt64() || coeffs[i].Int64() != int64(math.Round(v*scale)) {
+				differ++
+			}
+		}
+	}
+	if differ == 0 {
+		t.Fatal("float64 rounding agrees with big.Float on every coefficient; the check would pass an int64 path")
+	}
+	rq := p.RingQ().AtLevel(level)
+	want := rq.NewPoly()
+	rq.SetCoeffBigint(coeffs, want)
+	rq.NTT(want)
+	if !pt.Value.Equal(want) {
+		t.Fatalf("plaintext at scale %g differs from the big.Float encoding (%d coefficients round differently in float64)", scale, differ)
+	}
 }
 
 func TestEncodeIsRingHomomorphism(t *testing.T) {

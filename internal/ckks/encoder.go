@@ -142,8 +142,11 @@ func (e *Encoder) EncodeAtLevel(values []complex128, level int, scale float64) (
 	gap := (n / 2) / slots
 	rq := e.params.RingQ().AtLevel(level)
 	pt := &Plaintext{Value: rq.NewPoly(), Level: level, Scale: scale}
-	small := make([]int64, n)
-	fits := true
+	var small []int64 // int64 coefficients, tried only at a power-of-two scale
+	fits := false
+	if frac, _ := math.Frexp(scale); frac == 0.5 {
+		small, fits = make([]int64, n), true
+	}
 	for j := 0; j < slots && fits; j++ {
 		var re, im bool
 		small[j*gap], re = scaleToInt64(real(w[j]), scale)
@@ -177,16 +180,13 @@ func (e *Encoder) Encode(values []complex128) (*Plaintext, error) {
 	return e.EncodeAtLevel(values, e.params.MaxLevel(), e.params.Scale())
 }
 
-// scaleToInt64 is scaleToInt where that needs no big value: for a
-// power-of-two scale, v*scale is exact in float64, so when it is below 2^63
+// scaleToInt64 is scaleToInt where that needs no big value. scale must be a
+// power of two: then v*scale is exact in float64, so when it is below 2^63
 // in magnitude math.Round's half-away rounding of it is scaleToInt's result.
-// ok is false for any other scale or product (NaN and ±Inf included).
+// ok is false, and c meaningless, for any other product (NaN, ±Inf too).
 func scaleToInt64(v, scale float64) (c int64, ok bool) {
 	f := v * scale
-	if frac, _ := math.Frexp(scale); frac != 0.5 || !(math.Abs(f) < 1<<63) {
-		return 0, false
-	}
-	return int64(math.Round(f)), true
+	return int64(math.Round(f)), math.Abs(f) < 1<<63
 }
 
 // scaleToInt converts v*scale to an arbitrary-precision integer, using
