@@ -19,6 +19,7 @@ package fast_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -154,9 +155,17 @@ func TestCancellationPreCanceled(t *testing.T) {
 // guaranteed to land while a kernel is running (or about to run); the
 // promptness bound — measured from the instant cancel fires, not from chain
 // start — proves the in-kernel checkpoints observe it instead of letting the
-// chain run to completion.
+// chain run to completion. It runs serially and on two workers, where the
+// checkpoints sit in the ModUp digit and ModDown component tasks.
 func TestCancellationMidFlight(t *testing.T) {
-	ctx := cancelTestContext(t)
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parallelism=%d", n), func(t *testing.T) {
+			cancelMidFlight(t, cancelTestContext(t, fast.WithParallelism(n)))
+		})
+	}
+}
+
+func cancelMidFlight(t *testing.T, ctx *fast.Context) {
 	a, b := encryptPair(t, ctx)
 	median := medianMul(t, ctx, a, b, 5)
 
@@ -216,10 +225,19 @@ func poolBalance(m *fast.MetricsSnapshot) int64 {
 }
 
 // TestCancellationPoolLeakGuard: a canceled-only phase must not change the
-// pools' gets/puts balance — every abort path returns its scratch.
+// pools' gets/puts balance — every abort path returns its scratch, on the
+// serial path and on the two-worker one, where a mid-flight cancel lands in a
+// ModUp digit task or a ModDown or Rescale component task.
 func TestCancellationPoolLeakGuard(t *testing.T) {
-	ob := fast.NewObserver()
-	ctx := cancelTestContext(t, fast.WithObserver(ob))
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("parallelism=%d", n), func(t *testing.T) {
+			ob := fast.NewObserver()
+			cancelPoolLeakGuard(t, ob, cancelTestContext(t, fast.WithObserver(ob), fast.WithParallelism(n)))
+		})
+	}
+}
+
+func cancelPoolLeakGuard(t *testing.T, ob *fast.Observer, ctx *fast.Context) {
 	a, b := encryptPair(t, ctx)
 
 	// Warm the pools with successful traffic on both backends first so the
@@ -254,6 +272,14 @@ func TestCancellationPoolLeakGuard(t *testing.T) {
 		mcancel()
 		if err != nil && !errors.Is(err, fast.ErrCanceled) {
 			t.Fatalf("mid-flight hoisted rotate: %v", err)
+		}
+		mctx, mcancel = context.WithCancel(context.Background())
+		timer = time.AfterFunc(time.Duration(10*(i+1))*time.Microsecond, mcancel)
+		_, err = ctx.Mul(a, b, fast.WithContext(mctx))
+		timer.Stop()
+		mcancel()
+		if err != nil && !errors.Is(err, fast.ErrCanceled) {
+			t.Fatalf("mid-flight Mul: %v", err)
 		}
 	}
 	after := poolBalance(ob.Metrics())

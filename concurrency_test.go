@@ -1,13 +1,17 @@
 package fast
 
 import (
+	"context"
 	"fmt"
 	"math/cmplx"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"github.com/fastfhe/fast/internal/ckks"
+	"github.com/fastfhe/fast/internal/ring"
+	"github.com/fastfhe/fast/internal/ring/kerneltest"
 )
 
 // sharedCtx builds one Context reused by the concurrency tests (context
@@ -163,51 +167,54 @@ func TestNoRescaleSemantics(t *testing.T) {
 // cfg is DefaultConfig with the options applied on top, Config reports
 // WithParallelism's n as given (0, the default, and 1 run serially; n >= 2
 // up to n workers; negative GOMAXPROCS), and the option changes how an op
-// runs, never what it computes: at DefaultConfig and at lib_deep's shape
-// (log_n 13, 11 levels; skipped under -short), Mul, Rotate and a fused
-// rotate-and-sum give the serial context's bytes at every n.
+// runs, never what it computes: on every kernel path, at DefaultConfig and at
+// lib_deep's shape (its toy size, and log_n 13 with 11 levels, skipped under
+// -short), every output of parallelismOutputs has the serial context's bytes
+// at every n.
 func TestNewContextOptions(t *testing.T) {
-	deep := DefaultConfig()
-	deep.LogN, deep.Levels, deep.Rotations = 13, 11, []int{1, 2, 4, 8, 16, 32}
-	for _, shape := range []struct {
-		name string
-		cfg  ContextConfig
-	}{{"DefaultConfig", ContextConfig{}}, {"lib_deep", deep}} {
-		t.Run(shape.name, func(t *testing.T) {
-			if shape.name == "lib_deep" && testing.Short() {
-				t.Skip("log_n 13 contexts: skipped under -short")
-			}
-			serial, err := NewContext(shape.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := parallelismOutputs(t, serial)
-			for _, n := range []int{0, 1, 2, 3, -1} {
-				ctx, err := NewContext(shape.cfg, WithParallelism(n))
+	kerneltest.EachPath(t, func(t *testing.T) {
+		for _, shape := range []struct {
+			name string
+			cfg  ContextConfig
+		}{{"DefaultConfig", ContextConfig{}}, {"lib_deep/toy", deepConfig(9, 5)}, {"lib_deep", deepConfig(13, 11)}} {
+			t.Run(shape.name, func(t *testing.T) {
+				if shape.name == "lib_deep" && testing.Short() {
+					t.Skip("log_n 13 contexts: skipped under -short")
+				}
+				serial, err := NewContext(shape.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantCfg := serial.Config()
-				if shape.name == "DefaultConfig" {
-					wantCfg = DefaultConfig()
-					wantCfg.LogSlots = wantCfg.LogN - 1
-				}
-				wantCfg.Parallelism = n
-				if got := ctx.Config(); !reflect.DeepEqual(got, wantCfg) {
-					t.Fatalf("WithParallelism(%d): Config() = %+v, want %+v", n, got, wantCfg)
-				}
-				for op, got := range parallelismOutputs(t, ctx) {
-					if !got.C0.Equal(want[op].C0) || !got.C1.Equal(want[op].C1) {
-						t.Fatalf("WithParallelism(%d) changed %s's bytes vs serial evaluation", n, op)
+				want := parallelismOutputs(t, serial)
+				for _, n := range []int{0, 1, 2, 3, -1} {
+					ctx, err := NewContext(shape.cfg, WithParallelism(n))
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantCfg := serial.Config()
+					if shape.name == "DefaultConfig" {
+						wantCfg = DefaultConfig()
+						wantCfg.LogSlots = wantCfg.LogN - 1
+					}
+					wantCfg.Parallelism = n
+					if got := ctx.Config(); !reflect.DeepEqual(got, wantCfg) {
+						t.Fatalf("WithParallelism(%d): Config() = %+v, want %+v", n, got, wantCfg)
+					}
+					for op, got := range parallelismOutputs(t, ctx) {
+						if !got.C0.Equal(want[op].C0) || !got.C1.Equal(want[op].C1) {
+							t.Fatalf("WithParallelism(%d) changed %s's bytes vs serial evaluation", n, op)
+						}
 					}
 				}
-			}
-		})
-	}
+			})
+		}
+	})
 }
 
-// parallelismOutputs encrypts one vector on a fresh ctx and returns its Mul,
-// its Rotate by 1 and its fused hybrid sum of rotations by 1, 2 and 4.
+// parallelismOutputs encrypts one vector on a fresh ctx and returns its Mul
+// (hybrid and KLSS), its Rotate by 1, its fused hybrid sum of rotations by
+// 1, 2 and 4, its Mul and Rotate at level 1 (one digit: β = 1 at α = 2) and,
+// on a context with lib_deep's rotations, the Execute of deepProgram's plan.
 func parallelismOutputs(t *testing.T, ctx *Context) map[string]*ckks.Ciphertext {
 	t.Helper()
 	v := make([]complex128, ctx.Slots())
@@ -216,19 +223,67 @@ func parallelismOutputs(t *testing.T, ctx *Context) map[string]*ckks.Ciphertext 
 	if err != nil {
 		t.Fatal(err)
 	}
-	mul, err := ctx.Mul(ct, ct)
-	if err != nil {
-		t.Fatal(err)
+	low := &Ciphertext{ctx.eval.DropLevel(ct.ct, ct.Level()-1)}
+	outs := map[string]*ckks.Ciphertext{}
+	for name, op := range map[string]func() (*Ciphertext, error){
+		"Mul":          func() (*Ciphertext, error) { return ctx.Mul(ct, ct) },
+		"Mul/KLSS":     func() (*Ciphertext, error) { return ctx.Mul(ct, ct, WithMethod(KLSS)) },
+		"Rotate":       func() (*Ciphertext, error) { return ctx.Rotate(ct, 1) },
+		"Mul/beta1":    func() (*Ciphertext, error) { return ctx.Mul(low, low) },
+		"Rotate/beta1": func() (*Ciphertext, error) { return ctx.Rotate(low, 1) },
+		"RotateSum": func() (*Ciphertext, error) {
+			return wrap(ctx.eval.RotateSumWith(ct.ct, []int{1, 2, 4}, ckks.Hybrid))
+		},
+	} {
+		out, err := op()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		outs[name] = out.ct
 	}
-	rot, err := ctx.Rotate(ct, 1)
-	if err != nil {
-		t.Fatal(err)
+	if slices.Contains(ctx.Config().Rotations, 32) {
+		plan, err := ctx.Plan(deepProgram(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := ctx.Execute(context.Background(), plan, map[string]*Ciphertext{"x": ct})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs["deepProgram"] = out.ct
 	}
-	sum, err := ctx.eval.RotateSumWith(ct.ct, []int{1, 2, 4}, ckks.Hybrid)
-	if err != nil {
-		t.Fatal(err)
+	return outs
+}
+
+// TestForkJoinsPerExecute pins how many fork-joins (ring.ForEachLimbRange
+// calls that start goroutines) one Execute of deepProgram runs at lib_deep's
+// shape: none at WithParallelism(1), and at WithParallelism(2) one per stage
+// — per Mul the tensor, ModUp, KeyMult, ModDown, the final adds and the
+// Rescale (6), per rotation or rotate-and-sum ModUp, KeyMult, ModDown and
+// the c0 adds (4): 3·6 + 3·4 = 30. It was 106 when every kernel forked on its
+// own.
+func TestForkJoinsPerExecute(t *testing.T) {
+	for n, want := range map[int]uint64{1: 0, 2: 30} {
+		ctx, err := NewContext(deepConfig(13, 11), WithParallelism(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := ctx.Plan(deepProgram(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := ctx.Encrypt([]complex128{0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := ring.ForkJoins()
+		if _, err := ctx.Execute(context.Background(), plan, map[string]*Ciphertext{"x": x}); err != nil {
+			t.Fatal(err)
+		}
+		if got := ring.ForkJoins() - before; got != want {
+			t.Errorf("WithParallelism(%d): one Execute ran %d fork-joins, want %d", n, got, want)
+		}
 	}
-	return map[string]*ckks.Ciphertext{"Mul": mul.ct, "Rotate": rot.ct, "RotateSum": sum}
 }
 
 // TestSeedDeterminism verifies that two contexts with the same seed produce

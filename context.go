@@ -50,8 +50,8 @@ type ContextConfig struct {
 	// (Restore still reads a header outside it). Each evaluation key draws
 	// from a stream of its own under all 64 bits, its method and element.
 	Seed int64
-	// Parallelism caps the per-operation goroutine fan-out of the
-	// limb-level kernels (see WithParallelism): 0 or 1 = serial per op
+	// Parallelism caps the per-operation goroutine fan-out of each
+	// stage (see WithParallelism): 0 or 1 = serial per op
 	// (default; concurrency comes from callers), n >= 2 = up to n workers
 	// per op, negative = GOMAXPROCS.
 	Parallelism int
@@ -374,15 +374,10 @@ func (c *Context) Mul(a, b *Ciphertext, opts ...OpOption) (*Ciphertext, error) {
 	}
 	s := c.settings(opts)
 	c.evk.request(c.params, "relin", s.method)
-	prod, err := c.eval.MulRelinCtx(s.ctx, a.ct, b.ct, s.method)
-	if err != nil {
-		return nil, err
-	}
 	if s.noRescale {
-		return &Ciphertext{prod}, nil
+		return wrap(c.eval.MulRelinCtx(s.ctx, a.ct, b.ct, s.method))
 	}
-	out, err := c.eval.RescaleCtx(s.ctx, prod)
-	return wrap(out, err)
+	return wrap(c.eval.MulRelinRescaleCtx(s.ctx, a.ct, b.ct, s.method))
 }
 
 // MulPlain multiplies by a plaintext vector and (unless NoRescale is passed)
@@ -396,15 +391,10 @@ func (c *Context) MulPlain(a *Ciphertext, values []complex128, opts ...OpOption)
 	if err != nil {
 		return nil, err
 	}
-	prod, err := c.eval.MulPlain(a.ct, pt)
-	if err != nil {
-		return nil, err
-	}
 	if s.noRescale {
-		return &Ciphertext{prod}, nil
+		return wrap(c.eval.MulPlain(a.ct, pt))
 	}
-	out, err := c.eval.RescaleCtx(s.ctx, prod)
-	return wrap(out, err)
+	return wrap(c.eval.MulPlainRescaleCtx(s.ctx, a.ct, pt))
 }
 
 // AddPlain adds a plaintext vector.
@@ -427,15 +417,10 @@ func (c *Context) MulConst(a *Ciphertext, v float64, opts ...OpOption) (*Ciphert
 		return nil, err
 	}
 	s := c.settings(opts)
-	prod, err := c.eval.MulConst(a.ct, v)
-	if err != nil {
-		return nil, err
-	}
 	if s.noRescale {
-		return &Ciphertext{prod}, nil
+		return wrap(c.eval.MulConst(a.ct, v))
 	}
-	out, err := c.eval.RescaleCtx(s.ctx, prod)
-	return wrap(out, err)
+	return wrap(c.eval.MulConstRescaleCtx(s.ctx, a.ct, v))
 }
 
 // AddConst adds a real constant.

@@ -31,9 +31,9 @@ func main() {
 	for i := range rotations {
 		rotations[i] = i
 	}
-	// WithParallelism(-1) fans each operation's limb-level kernels (ModUp
-	// NTTs, BConv, KeyMult lanes) out across all cores — the right knob for
-	// a single latency-sensitive stream like this mat-vec.
+	// WithParallelism(-1) fans each stage of an operation (ModUp digits,
+	// KeyMult rows, ModDown components) out across all cores — the right
+	// knob for a single latency-sensitive stream like this mat-vec.
 	cfg := fast.DefaultConfig()
 	cfg.Rotations = rotations
 	ctx, err := fast.NewContext(cfg, fast.WithParallelism(-1))

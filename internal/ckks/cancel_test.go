@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"github.com/fastfhe/fast/internal/obs"
 )
 
 // countdownCtx reports context.Canceled from its n-th Err poll on: a
@@ -125,6 +127,62 @@ func TestCancellationInsideEachStageReturnsScratch(t *testing.T) {
 					t.Fatalf("canceled at poll %d of %d: err = %v, want ErrCanceled", k, polls, err)
 				}
 				if after := pooledBalance(tc); after != before {
+					t.Fatalf("canceled at poll %d of %d: %d pooled buffers not returned", k, polls, after-before)
+				}
+			}
+		})
+	}
+}
+
+// TestCancellationInsideParallelTasks holds the fan-out paths of a two-worker
+// evaluator to the same oracle: a Mul (tensor, ModUp digits, KeyMult rows,
+// the ModDown and Rescale components), a rotation and a hoisted group with a
+// rotate-and-sum, each canceled at every one of its polls. Whichever worker's
+// poll sees the cancellation, the op must return the typed error and hand
+// back every buffer it took, the group buffers taken before the fork
+// included.
+func TestCancellationInsideParallelTasks(t *testing.T) {
+	base := newTestContext(t)
+	tc := *base
+	tc.ob = obs.New()
+	var err error
+	if tc.eval, err = NewEvaluatorOptions(tc.params, tc.keys, EvaluatorOptions{Parallelism: 2, Observer: tc.ob}); err != nil {
+		t.Fatal(err)
+	}
+	ev := tc.eval
+	pt, err := tc.enc.Encode(randomValues(tc.params.Slots(), 82))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ct, err := tc.encr.Encrypt(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := []struct {
+		name string
+		run  func(ctx context.Context) error
+	}{
+		{"Mul", func(ctx context.Context) error { _, err := ev.MulRelinRescaleCtx(ctx, ct, ct, Hybrid); return err }},
+		{"Mul/KLSS", func(ctx context.Context) error { _, err := ev.MulRelinRescaleCtx(ctx, ct, ct, KLSS); return err }},
+		{"Rotate", func(ctx context.Context) error { _, err := ev.RotateCtx(ctx, ct, 1, Hybrid); return err }},
+		{"Hoisted", func(ctx context.Context) error {
+			_, _, err := ev.RotateHoistedSumsCtx(ctx, ct, []int{-1, 2}, [][]int{{1, 4, 8}}, Hybrid)
+			return err
+		}},
+	}
+	for _, op := range ops {
+		t.Run(op.name, func(t *testing.T) {
+			uncanceled := countdown(math.MaxInt64)
+			if err := op.run(uncanceled); err != nil {
+				t.Fatal(err)
+			}
+			polls := math.MaxInt64 - uncanceled.left.Load()
+			for k := range polls {
+				before := pooledBalance(&tc)
+				if err := op.run(countdown(k)); !errors.Is(err, ErrCanceled) {
+					t.Fatalf("canceled at poll %d of %d: err = %v, want ErrCanceled", k, polls, err)
+				}
+				if after := pooledBalance(&tc); after != before {
 					t.Fatalf("canceled at poll %d of %d: %d pooled buffers not returned", k, polls, after-before)
 				}
 			}

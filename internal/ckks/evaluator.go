@@ -46,12 +46,13 @@ type Evaluator struct {
 
 // EvaluatorOptions tunes evaluator construction.
 type EvaluatorOptions struct {
-	// Parallelism caps the number of worker goroutines the limb-level
-	// kernels (NTT, BConv/ModUp, KeyMult, ModDown, Rescale) fan out to,
-	// following ring.Workers semantics: 0 or 1 keeps every operation on the
-	// calling goroutine (best aggregate throughput when many goroutines
-	// evaluate concurrently), n >= 2 uses up to n workers per operation
-	// (best single-operation latency), and negative values use GOMAXPROCS.
+	// Parallelism caps the number of worker goroutines each stage (ModUp
+	// digits, KeyMult rows, ModDown and Rescale components, the Mul tensor)
+	// fans out to, following ring.Workers semantics: 0 or 1 keeps every
+	// operation on the calling goroutine (best aggregate throughput when
+	// many goroutines evaluate concurrently), n >= 2 uses up to n workers
+	// per operation (best single-operation latency), and negative values
+	// use GOMAXPROCS.
 	Parallelism int
 
 	// Observer attaches the observability substrate: per-OpKind×method
@@ -446,32 +447,72 @@ func (ev *Evaluator) mulRelin(cc *cancelCheck, a, b *Ciphertext, m KeySwitchMeth
 	}
 	level := min(a.Level, b.Level)
 	a, b = a.view(level), b.view(level)
-	rq := ev.params.ringQAt[level]
+	moduli := ev.params.ringQ.Moduli
 
-	// Tensor: (d0, d1, d2) = (a0*b0, a0*b1 + a1*b0, a1*b1). d0 and d1 are
-	// the result's, the quadratic term d2 and its switched pair are scratch.
+	// Tensor: (d0, d1, d2) = (a0*b0, a0*b1 + a1*b0, a1*b1), one
+	// multiply-accumulate per row and term count. d0 and d1 are the
+	// result's, the quadratic term d2 and its switched pair are scratch.
 	out := ev.newCiphertext(mode, level, a.Scale*b.Scale)
 	d2 := ev.pool.Get(level + 1)
 	e0, e1 := ev.pool.Get(level+1), ev.pool.Get(level+1)
 	defer ev.pool.Put(d2)
 	defer ev.pool.Put(e0)
 	defer ev.pool.Put(e1)
-	rq.MulCoeffs(a.C0, b.C0, out.C0)
-	rq.MulCoeffs(a.C0, b.C1, out.C1)
-	rq.MulCoeffsThenAdd(a.C1, b.C0, out.C1)
-	rq.MulCoeffs(a.C1, b.C1, d2)
+	ring.ForEachLimbRange(level+1, ev.parallelism, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a0, a1, b0, b1 := a.C0.Coeffs[i], a.C1.Coeffs[i], b.C0.Coeffs[i], b.C1.Coeffs[i]
+			moduli[i].MulAccRows(out.C0.Coeffs[i], [][]uint64{a0}, [][]uint64{b0})
+			moduli[i].MulAccRows(out.C1.Coeffs[i], [][]uint64{a0, a1}, [][]uint64{b1, b0})
+			moduli[i].MulAccRows(d2.Coeffs[i], [][]uint64{a1}, [][]uint64{b1})
+		}
+	})
 
 	// Relinearise d2 with the s^2 key.
 	if err := sw.switchPoly(cc, d2, rlk, level, e0, e1); err != nil {
 		ev.recycle(out)
 		return nil, err
 	}
-	rq.Add(out.C0, e0, out.C0)
-	rq.Add(out.C1, e1, out.C1)
+	ring.ForEachLimbRange(level+1, ev.parallelism, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			moduli[i].AddVec(out.C0.Coeffs[i], out.C0.Coeffs[i], e0.Coeffs[i])
+			moduli[i].AddVec(out.C1.Coeffs[i], out.C1.Coeffs[i], e1.Coeffs[i])
+		}
+	})
 	if ev.om != nil {
 		ev.om.finish(ev.om.hmult[methodIdx(m)], "HMult", m, level, t0, cc)
 	}
 	return out, nil
+}
+
+// MulRelinRescaleCtx is MulRelinCtx followed by RescaleCtx: the product is
+// drawn from the evaluator's pool and recycled after the rescale.
+func (ev *Evaluator) MulRelinRescaleCtx(ctx context.Context, a, b *Ciphertext, m KeySwitchMethod) (*Ciphertext, error) {
+	cc := newCancelCheck(ctx)
+	p, err := ev.mulRelin(cc, a, b, m, poolResult)
+	return ev.rescaled(cc, heapResult, p, err)
+}
+
+// MulPlainRescaleCtx is MulPlain followed by RescaleCtx, the product pooled.
+func (ev *Evaluator) MulPlainRescaleCtx(ctx context.Context, ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
+	p, err := ev.mulPlainSum([]*Ciphertext{ct}, []*Plaintext{pt}, poolResult)
+	return ev.rescaled(newCancelCheck(ctx), heapResult, p, err)
+}
+
+// MulConstRescaleCtx is MulConst followed by RescaleCtx, the product pooled.
+func (ev *Evaluator) MulConstRescaleCtx(ctx context.Context, ct *Ciphertext, c float64) (*Ciphertext, error) {
+	p, err := ev.mulConstSum([]*Ciphertext{ct}, []float64{c}, []float64{ev.params.Scale()}, poolResult)
+	return ev.rescaled(newCancelCheck(ctx), heapResult, p, err)
+}
+
+// rescaled rescales the pooled product p (or passes on the error that
+// produced none) into a result per mode, and recycles p.
+func (ev *Evaluator) rescaled(cc *cancelCheck, mode resultMode, p *Ciphertext, err error) (*Ciphertext, error) {
+	if err != nil {
+		return nil, err
+	}
+	out, err := ev.rescaleCC(cc, p, mode)
+	ev.recycle(p)
+	return out, err
 }
 
 // Rescale divides the ciphertext by its top prime, dropping one level and
@@ -480,15 +521,15 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) (*Ciphertext, error) {
 	return ev.rescaleCC(nil, ct, heapResult)
 }
 
-// RescaleCtx is Rescale with a cancellation checkpoint at entry and between
-// the two component passes.
+// RescaleCtx is Rescale with a cancellation checkpoint at entry and before
+// each component.
 func (ev *Evaluator) RescaleCtx(ctx context.Context, ct *Ciphertext) (*Ciphertext, error) {
 	return ev.rescaleCC(newCancelCheck(ctx), ct, heapResult)
 }
 
 // rescaleCC rescales in the NTT domain (rns.Rescaler.RescaleNTT: only the
 // dropped limb is transformed, and once per remaining limb back), into a
-// result per mode.
+// result per mode. The two components are independent: one task each.
 func (ev *Evaluator) rescaleCC(cc *cancelCheck, ct *Ciphertext, mode resultMode) (*Ciphertext, error) {
 	var t0 time.Time
 	if ev.om != nil {
@@ -500,12 +541,15 @@ func (ev *Evaluator) rescaleCC(cc *cancelCheck, ct *Ciphertext, mode resultMode)
 	level := ct.Level
 	out := ev.newCiphertext(mode, level-1, ct.Scale/float64(ev.params.qChain[level]))
 	tables := ev.params.ringQ.Tables[:level+1]
-	for _, pair := range [2][2]ring.Poly{{ct.C0, out.C0}, {ct.C1, out.C1}} {
-		if err := cc.err("Rescale"); err != nil {
-			ev.recycle(out)
-			return nil, err
+	pairs := [2][2]ring.Poly{{ct.C0, out.C0}, {ct.C1, out.C1}}
+	ring.ForEachLimb(2, ev.parallelism, func(c int) {
+		if !cc.stopped() {
+			ev.params.rescaler.RescaleNTT(pairs[c][0].Coeffs[:level+1], pairs[c][1].Coeffs, tables)
 		}
-		ev.params.rescaler.RescaleNTT(pair[0].Coeffs[:level+1], pair[1].Coeffs, tables, ev.parallelism)
+	})
+	if err := cc.err("Rescale"); err != nil {
+		ev.recycle(out)
+		return nil, err
 	}
 	if ev.om != nil {
 		ev.om.finishNoMethod(ev.om.rescale, "Rescale", level, t0, cc)
@@ -662,7 +706,7 @@ func (ev *Evaluator) galoisSums(cc *cancelCheck, ct *Ciphertext, groups [][]uint
 		return nil, err
 	}
 	level := ct.Level
-	rq := ev.params.ringQAt[level]
+	moduli := ev.params.ringQ.Moduli
 	outs := make([]*Ciphertext, len(groups))
 	var dec *Decomposition // the ModUp, run by the first output with a key
 	defer func() { sw.Release(dec) }()
@@ -702,16 +746,21 @@ func (ev *Evaluator) galoisSums(cc *cancelCheck, ct *Ciphertext, groups [][]uint
 			res.C0.Zero()
 			res.C1.Zero()
 		}
-		t := 0
-		for _, el := range g {
-			if el == 1 {
-				rq.Add(res.C0, ct.C0, res.C0)
-				rq.Add(res.C1, ct.C1, res.C1)
-				continue
+		ring.ForEachLimbRange(level+1, ev.parallelism, func(lo, hi int) {
+			for l := lo; l < hi; l++ {
+				m, c0, r0, r1 := moduli[l], ct.C0.Coeffs[l], res.C0.Coeffs[l], res.C1.Coeffs[l]
+				t := 0
+				for _, el := range g {
+					if el == 1 {
+						m.AddVec(r0, r0, c0)
+						m.AddVec(r1, r1, ct.C1.Coeffs[l])
+						continue
+					}
+					m.PermuteAddRow(r0, c0, terms[t].idx)
+					t++
+				}
 			}
-			rq.AutomorphismNTTAdd(ct.C0, res.C0, terms[t].idx)
-			t++
-		}
+		})
 	}
 	return outs, nil
 }

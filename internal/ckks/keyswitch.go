@@ -33,9 +33,9 @@ type KeySwitcher struct {
 	alpha   int
 	tables  *switchTables
 
-	// parallelism caps the goroutine fan-out of the limb-level kernels
-	// (ModUp NTTs, BConv, KeyMult rows, ModDown) following ring.Workers
-	// semantics. Fixed at construction; the shared tables take it per call.
+	// parallelism caps the goroutine fan-out of each stage (ModUp digits,
+	// KeyMult rows, ModDown components) following ring.Workers semantics.
+	// Fixed at construction.
 	parallelism int
 
 	// pool recycles scratch polynomials of the extended (Q++special) shape:
@@ -82,7 +82,7 @@ func newSwitchTables(keyRing *ring.Ring, levels int) *switchTables {
 	return &switchTables{levels: make([]switchLevel, levels), pool: ring.NewPolyPool(keyRing.N, len(keyRing.Moduli))}
 }
 
-// NewKeySwitcherWorkers builds the switcher with the given limb-parallelism
+// NewKeySwitcherWorkers builds the switcher with the given per-stage
 // fan-out (ring.Workers convention: <=0 means GOMAXPROCS, 1 serial).
 func NewKeySwitcherWorkers(params *Parameters, method KeySwitchMethod, workers int) (*KeySwitcher, error) {
 	kr, sLen, err := params.keyRing(method)
@@ -246,9 +246,9 @@ func (ks *KeySwitcher) modFor(level, i int) ring.Modulus {
 // splits the limbs into β groups of α and extends each group to the full
 // active basis. The group's own limbs are reused in NTT form; converted
 // limbs are transformed with one NTT each — the count the cost model and the
-// accelerator's NTTU schedule charge for ModUp. The per-limb INTT/BConv/NTT
-// work is fanned out across the switcher's worker budget (the FAST
-// lane-parallel ModUp dataflow).
+// accelerator's NTTU schedule charge for ModUp. The β digits are independent
+// and fan out across the switcher's worker budget, one task per digit (the
+// FAST lane-parallel ModUp dataflow).
 //
 // The returned decomposition holds pooled buffers; Release it when done.
 func (ks *KeySwitcher) Decompose(c ring.Poly, level int) (*Decomposition, error) {
@@ -266,60 +266,19 @@ func (ks *KeySwitcher) decompose(cc *cancelCheck, c ring.Poly, level int) (*Deco
 	if ks.modUpNS != nil || ks.tracer != nil {
 		t0 = time.Now()
 	}
-	// One INTT per input limb to reach coefficient form for BConv. The lazy
-	// variant leaves rows in [0, 2q), the bound ShoupMulVec — Convert's first
-	// stage — requires of its source on every kernel path, saving the final
-	// normalization pass per limb.
-	cCoeff := ks.pool.Get(level + 1)
-	defer ks.pool.Put(cCoeff)
-	ring.ForEachLimbRange(level+1, ks.parallelism, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if cc.stopped() {
-				return
-			}
-			copy(cCoeff.Coeffs[i], c.Coeffs[i])
-			ks.keyRing.Tables[i].InverseLazy(cCoeff.Coeffs[i])
-		}
-	})
-	if err := cc.err("ModUp"); err != nil {
-		return nil, err
-	}
-
 	tl, err := ks.level(level)
 	if err != nil {
 		return nil, err
 	}
-	beta := ks.beta(level)
-	ext := len(ks.sMods())
-	d := &Decomposition{Level: level, Groups: make([]ring.Poly, beta)}
-	for j, e := range tl.exts {
-		if err := cc.err("ModUp"); err != nil {
-			ks.Release(d)
-			return nil, err
-		}
-		lo, hi := j*ks.alpha, min((j+1)*ks.alpha, level+1)
-		out := ks.pool.Get(level + 1 + ext)
-		// Record the buffer before converting so a cancellation below is
-		// released by ks.Release(d) along with the earlier groups.
-		d.Groups[j] = out
-		// Source rows (coefficient form) convert into every row of out
-		// except the group's own.
-		e.ext.ConvertRows(cCoeff.Coeffs[lo:hi], out.Coeffs, e.rows, ks.parallelism)
-		// Converted rows go back to NTT form; own rows copy from the NTT
-		// input directly.
-		ring.ForEachLimbRange(level+1+ext, ks.parallelism, func(rlo, rhi int) {
-			for i := rlo; i < rhi; i++ {
-				if cc.stopped() {
-					return
-				}
-				if i >= lo && i < hi {
-					copy(out.Coeffs[i], c.Coeffs[i])
-					continue
-				}
-				ks.tableFor(level, i).Forward(out.Coeffs[i])
-			}
-		})
+	// Every group buffer is taken before the fork, so a cancellation inside
+	// any digit task is released by ks.Release(d).
+	d := &Decomposition{Level: level, Groups: make([]ring.Poly, ks.beta(level))}
+	for j := range d.Groups {
+		d.Groups[j] = ks.pool.Get(level + 1 + ks.sLen)
 	}
+	ring.ForEachLimb(len(d.Groups), ks.parallelism, func(j int) {
+		ks.modUpDigit(cc, c, level, j, tl.exts[j], d.Groups[j])
+	})
 	if err := cc.err("ModUp"); err != nil {
 		ks.Release(d)
 		return nil, err
@@ -329,6 +288,34 @@ func (ks *KeySwitcher) decompose(cc *cancelCheck, c ring.Poly, level int) (*Deco
 	}
 	ks.traceSpan("ModUp", level, t0, cc)
 	return d, nil
+}
+
+// modUpDigit writes digit j of c into out, serially: the digit's own rows of
+// out stage its limbs in coefficient form (one INTT each), convert from there
+// into every other row, and take c's NTT-form limbs back once the converted
+// rows have gone forward. The lazy INTT leaves rows in [0, 2q), the bound
+// ShoupMulVec — Convert's first stage — requires of its source on every
+// kernel path. It returns early once cc is stopped; the caller reports that.
+func (ks *KeySwitcher) modUpDigit(cc *cancelCheck, c ring.Poly, level, j int, e modUpExt, out ring.Poly) {
+	if cc.stopped() {
+		return
+	}
+	lo, hi := j*ks.alpha, min((j+1)*ks.alpha, level+1)
+	own := out.Coeffs[lo:hi]
+	for i := lo; i < hi; i++ {
+		copy(own[i-lo], c.Coeffs[i])
+		ks.keyRing.Tables[i].InverseLazy(own[i-lo])
+	}
+	e.ext.ConvertRows(own, out.Coeffs, e.rows)
+	for _, i := range e.rows {
+		if cc.stopped() {
+			return
+		}
+		ks.tableFor(level, i).Forward(out.Coeffs[i])
+	}
+	for i := lo; i < hi; i++ {
+		copy(out.Coeffs[i], c.Coeffs[i])
+	}
 }
 
 // KeyMult runs the gadget inner product of a decomposition with a switching
@@ -383,7 +370,8 @@ func (ks *KeySwitcher) keyMult(cc *cancelCheck, d *Decomposition, terms []ksTerm
 		t0 = time.Now()
 	}
 	// ModDown: divide by the special chain without leaving the NTT domain on
-	// the Q limbs. Cancellation is checked between the two components.
+	// the Q limbs. The two components are independent: one task each, with a
+	// cancellation checkpoint before each.
 	tl, err := ks.level(level)
 	if err != nil {
 		return err
@@ -391,11 +379,12 @@ func (ks *KeySwitcher) keyMult(cc *cancelCheck, d *Decomposition, terms []ksTerm
 	qLen := len(ks.params.qChain)
 	tQ := ks.keyRing.Tables[:level+1]
 	tS := ks.keyRing.Tables[qLen : qLen+ks.sLen]
-	tl.downer.ModDownNTT(acc0.Coeffs[:level+1], acc0.Coeffs[level+1:rows], d0.Coeffs, tQ, tS, ks.parallelism)
-	if err := cc.err("ModDown"); err != nil {
-		return err
-	}
-	tl.downer.ModDownNTT(acc1.Coeffs[:level+1], acc1.Coeffs[level+1:rows], d1.Coeffs, tQ, tS, ks.parallelism)
+	pairs := [2][2]ring.Poly{{acc0, d0}, {acc1, d1}}
+	ring.ForEachLimb(2, ks.parallelism, func(c int) {
+		if acc, d := pairs[c][0], pairs[c][1]; !cc.stopped() {
+			tl.downer.ModDownNTT(acc.Coeffs[:level+1], acc.Coeffs[level+1:rows], d.Coeffs, tQ, tS)
+		}
+	})
 	if err := cc.err("ModDown"); err != nil {
 		return err
 	}

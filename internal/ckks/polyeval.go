@@ -319,10 +319,5 @@ func (ev *Evaluator) addConstComplex(ct *Ciphertext, c complex128) (*Ciphertext,
 // every intermediate near the working scale), into a result per mode.
 func (ev *Evaluator) mulRescaleCC(cc *cancelCheck, a, b *Ciphertext, mode resultMode) (*Ciphertext, error) {
 	p, err := ev.mulRelin(cc, a, b, Hybrid, poolResult)
-	if err != nil {
-		return nil, err
-	}
-	out, err := ev.rescaleCC(cc, p, mode)
-	ev.recycle(p)
-	return out, err
+	return ev.rescaled(cc, mode, p, err)
 }

@@ -130,5 +130,5 @@ func BenchmarkABMulCoeffs(b *testing.B) {
 
 func BenchmarkABAdd(b *testing.B) {
 	d := make([]uint64, 4096)
-	benchPaths(b, func(m Modulus, _ *NTTTable, n int, src []uint64) { m.addVec(d, src[:n], src[n:2*n]) })
+	benchPaths(b, func(m Modulus, _ *NTTTable, n int, src []uint64) { m.AddVec(d, src[:n], src[n:2*n]) })
 }

@@ -79,15 +79,6 @@ func (r *Ring) AutomorphismNTT(in, out Poly, index []int) {
 	}
 }
 
-// AutomorphismNTTAdd adds the automorphism of in to out (NTT form, every
-// residue fully reduced): out[j] += in[index[j]] mod q on each limb.
-func (r *Ring) AutomorphismNTTAdd(in, out Poly, index []int) {
-	r.checkShape(in, out)
-	for l, m := range r.Moduli {
-		m.PermuteAddRow(out.Coeffs[l], in.Coeffs[l], index)
-	}
-}
-
 // AutomorphismNTTInverse applies the inverse of the automorphism whose index
 // table is index: out[index[j]] = in[j], so AutomorphismNTT of out is in.
 func (r *Ring) AutomorphismNTTInverse(in, out Poly, index []int) {
@@ -123,11 +114,11 @@ func PermuteRow(dst, src []uint64, index []int) {
 	}
 }
 
-// PermuteAddRow sets dst[j] = dst[j] + src[index[j]] mod q: one row of
-// AutomorphismNTTAdd, under PermuteRow's contract. The Go loop's reduction
-// is branch-free (a permuted sum's carry is a coin flip): the sum minus q,
-// plus q back where that went negative, which reads the sign bit and so
-// needs q < 2^62.
+// PermuteAddRow sets dst[j] = dst[j] + src[index[j]] mod q: one row of an
+// automorphism added to dst, under PermuteRow's contract. The Go loop's
+// reduction is branch-free (a permuted sum's carry is a coin flip): the sum
+// minus q, plus q back where that went negative, which reads the sign bit and
+// so needs q < 2^62.
 func (m Modulus) PermuteAddRow(dst, src []uint64, index []int) {
 	n := len(dst)
 	src, index = src[:n], index[:n]

@@ -241,11 +241,11 @@ func bconvAccumGo(m Modulus, dst, src []uint64, stride int, ws []uint64) {
 	}
 }
 
-// addVec sets dst[k] = a[k] + b[k] mod q and subVec dst[k] = a[k] - b[k] mod q
+// AddVec sets dst[k] = a[k] + b[k] mod q and subVec dst[k] = a[k] - b[k] mod q
 // for fully reduced a, b; a == nil makes subVec a negation. One add/sub and
 // one min (or sign blend) per lane, for any modulus width: the kernels serve
 // both datapaths. The Go loops are the reference.
-func (m Modulus) addVec(dst, a, b []uint64) {
+func (m Modulus) AddVec(dst, a, b []uint64) {
 	n := len(dst)
 	a, b = a[:n], b[:n]
 	if vecUseASM(n) && n%8 == 0 {

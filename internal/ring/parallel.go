@@ -3,13 +3,8 @@ package ring
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
-
-// parallelThreshold is the limb count from which the per-limb transforms are
-// fanned out across cores. RNS limbs are fully independent (the property the
-// FAST accelerator's lane parallelism exploits), so the split is safe and
-// deterministic.
-const parallelThreshold = 4
 
 // Workers normalises a parallelism request into a concrete worker count:
 //
@@ -18,8 +13,8 @@ const parallelThreshold = 4
 //	n >= 2  -> n
 //
 // This is the single interpretation of the "Parallelism" knob used by every
-// limb-parallel kernel in the repository (NTT, BConv, ModUp, ModDown,
-// KeyMult, Rescale).
+// fan-out in the repository (ModUp digits, KeyMult rows, the ModDown and
+// Rescale components, the Mul tensor).
 func Workers(n int) int {
 	if n <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -27,67 +22,52 @@ func Workers(n int) int {
 	return n
 }
 
-// ForEachLimbRange partitions [0, limbs) into at most `workers` contiguous
-// chunks and runs fn(lo, hi) for each chunk, in parallel when it pays off.
-// Unlike a one-channel-item-per-limb fan-out, chunking keeps per-goroutine
-// work coarse (one range per worker) so the scheduling overhead stays
-// negligible even for cheap per-limb bodies. workers follows the Workers
-// convention (<=0 means GOMAXPROCS, 1 means serial).
+// forkJoins counts the calls of ForEachLimbRange that started goroutines.
+var forkJoins atomic.Uint64
+
+// ForkJoins returns how many fork-joins ForEachLimbRange has run in this
+// process: the measure of how finely an operation is split across cores.
+func ForkJoins() uint64 { return forkJoins.Load() }
+
+// ForEachLimbRange partitions [0, tasks) into min(tasks, workers) contiguous
+// chunks whose sizes differ by at most one, and runs fn(lo, hi) once per
+// chunk: the last (largest) chunk on the calling goroutine, every other one on
+// a goroutine of its own. A task is whatever the caller fans out over — a
+// limb, a digit, a component — and its chunks are coarse (one range per
+// worker), so the scheduling cost stays one fork-join per call. workers
+// follows the Workers convention (<= 0 means GOMAXPROCS, 1 means serial: fn
+// runs once, on the caller, with no goroutine).
 //
 // fn must be safe to call concurrently on disjoint ranges; ranges never
-// overlap and together cover [0, limbs) exactly once.
-func ForEachLimbRange(limbs, workers int, fn func(lo, hi int)) {
-	if limbs <= 0 {
+// overlap and together cover [0, tasks) exactly once.
+func ForEachLimbRange(tasks, workers int, fn func(lo, hi int)) {
+	if tasks <= 0 {
 		return
 	}
-	w := Workers(workers)
-	if w > limbs {
-		w = limbs
-	}
-	if w < 2 || limbs < parallelThreshold {
-		fn(0, limbs)
+	w := min(Workers(workers), tasks)
+	if w < 2 {
+		fn(0, tasks)
 		return
 	}
-	chunk := (limbs + w - 1) / w
+	forkJoins.Add(1)
 	var wg sync.WaitGroup
-	for lo := 0; lo < limbs; lo += chunk {
-		hi := lo + chunk
-		if hi > limbs {
-			hi = limbs
-		}
-		wg.Add(1)
+	wg.Add(w - 1)
+	for c := 0; c < w-1; c++ {
 		go func(lo, hi int) {
 			defer wg.Done()
 			fn(lo, hi)
-		}(lo, hi)
+		}(tasks*c/w, tasks*(c+1)/w)
 	}
+	fn(tasks*(w-1)/w, tasks)
 	wg.Wait()
 }
 
-// ForEachLimb runs fn(i) for every limb index in [0, limbs), distributing
+// ForEachLimb runs fn(i) for every index in [0, tasks), distributing
 // contiguous index ranges across up to `workers` goroutines.
-func ForEachLimb(limbs, workers int, fn func(i int)) {
-	ForEachLimbRange(limbs, workers, func(lo, hi int) {
+func ForEachLimb(tasks, workers int, fn func(i int)) {
+	ForEachLimbRange(tasks, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i)
 		}
-	})
-}
-
-// NTTWorkers is NTT with the per-limb transforms distributed across up to
-// `workers` goroutines (Workers convention).
-func (r *Ring) NTTWorkers(p Poly, workers int) {
-	r.checkShape(p)
-	ForEachLimb(len(r.Moduli), workers, func(i int) {
-		r.Tables[i].Forward(p.Coeffs[i])
-	})
-}
-
-// INTTWorkers is INTT with the per-limb transforms distributed across up to
-// `workers` goroutines (Workers convention).
-func (r *Ring) INTTWorkers(p Poly, workers int) {
-	r.checkShape(p)
-	ForEachLimb(len(r.Moduli), workers, func(i int) {
-		r.Tables[i].Inverse(p.Coeffs[i])
 	})
 }

@@ -1,37 +1,11 @@
 package ring
 
 import (
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
-
-func TestParallelNTTMatchesSequential(t *testing.T) {
-	r := testRing(t, 10, 36, 8)
-	p := randPoly(r, 21)
-	q := p.Clone()
-
-	r.NTT(p)
-	r.NTTWorkers(q, -1)
-	if !p.Equal(q) {
-		t.Fatal("parallel NTT differs from sequential")
-	}
-	r.INTT(p)
-	r.INTTWorkers(q, -1)
-	if !p.Equal(q) {
-		t.Fatal("parallel INTT differs from sequential")
-	}
-}
-
-func TestParallelRoundTrip(t *testing.T) {
-	r := testRing(t, 9, 36, 6)
-	p := randPoly(r, 22)
-	orig := p.Clone()
-	r.NTTWorkers(p, -1)
-	r.INTTWorkers(p, -1)
-	if !p.Equal(orig) {
-		t.Fatal("parallel round trip failed")
-	}
-}
 
 func TestForEachLimbCoversAll(t *testing.T) {
 	for _, limbs := range []int{1, 3, 4, 7, 16, 33} {
@@ -52,24 +26,35 @@ func TestForEachLimbCoversAll(t *testing.T) {
 	}
 }
 
-func BenchmarkNTTSequential(b *testing.B) {
-	ps, _ := GenerateNTTPrimes(36, 12, 16)
-	r, _ := NewRing(12, ps)
-	p := r.NewPoly()
-	NewSampler(1).UniformPoly(r, p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.NTT(p)
-	}
-}
-
-func BenchmarkNTTParallel(b *testing.B) {
-	ps, _ := GenerateNTTPrimes(36, 12, 16)
-	r, _ := NewRing(12, ps)
-	p := r.NewPoly()
-	NewSampler(1).UniformPoly(r, p)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.NTTWorkers(p, -1)
+// TestForEachLimbRangeSplit pins the chunking: min(tasks, workers) chunks
+// whose sizes differ by at most one, the largest last, one fork-join for a
+// call that starts goroutines and none for one that runs serially.
+func TestForEachLimbRangeSplit(t *testing.T) {
+	for _, tc := range []struct {
+		tasks, workers int
+		want           [][2]int
+		forks          uint64
+	}{
+		{5, 2, [][2]int{{0, 2}, {2, 5}}, 1},
+		{2, 2, [][2]int{{0, 1}, {1, 2}}, 1},
+		{7, 3, [][2]int{{0, 2}, {2, 4}, {4, 7}}, 1},
+		{1, 2, [][2]int{{0, 1}}, 0},
+		{6, 1, [][2]int{{0, 6}}, 0},
+	} {
+		var mu sync.Mutex
+		var got [][2]int
+		before := ForkJoins()
+		ForEachLimbRange(tc.tasks, tc.workers, func(lo, hi int) {
+			mu.Lock()
+			got = append(got, [2]int{lo, hi})
+			mu.Unlock()
+		})
+		if forks := ForkJoins() - before; forks != tc.forks {
+			t.Errorf("tasks=%d workers=%d: %d fork-joins, want %d", tc.tasks, tc.workers, forks, tc.forks)
+		}
+		slices.SortFunc(got, func(a, b [2]int) int { return a[0] - b[0] })
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("tasks=%d workers=%d: chunks %v, want %v", tc.tasks, tc.workers, got, tc.want)
+		}
 	}
 }

@@ -146,21 +146,3 @@ func TestWorkersConvention(t *testing.T) {
 		t.Fatal("non-positive requests must resolve to at least one worker")
 	}
 }
-
-func TestNTTWorkersMatchesSequential(t *testing.T) {
-	r := testRing(t, 10, 36, 8)
-	p := randPoly(r, 99)
-	for _, w := range []int{1, 2, -1} {
-		q := p.Clone()
-		r.NTT(p)
-		r.NTTWorkers(q, w)
-		if !p.Equal(q) {
-			t.Fatalf("workers=%d: NTT mismatch", w)
-		}
-		r.INTT(p)
-		r.INTTWorkers(q, w)
-		if !p.Equal(q) {
-			t.Fatalf("workers=%d: INTT mismatch", w)
-		}
-	}
-}

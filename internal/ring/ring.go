@@ -248,7 +248,7 @@ func (r *Ring) INTT(p Poly) {
 func (r *Ring) Add(a, b, out Poly) {
 	r.checkShape(a, b, out)
 	for i, m := range r.Moduli {
-		m.addVec(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
+		m.AddVec(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
 	}
 }
 

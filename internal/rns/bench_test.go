@@ -168,7 +168,7 @@ func BenchmarkModDownNTT(b *testing.B) {
 	})
 	b.Run("ntt/25x40aux3x50", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			d.ModDownNTT(xQ, xP, out, tQ, tP, 1) // consumes xP: see above
+			d.ModDownNTT(xQ, xP, out, tQ, tP) // consumes xP: see above
 		}
 	})
 }
@@ -199,7 +199,7 @@ func BenchmarkRescaleNTT(b *testing.B) {
 	})
 	b.Run("ntt/25x40", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			r.RescaleNTT(x, out, ts, 1)
+			r.RescaleNTT(x, out, ts)
 		}
 	})
 }

@@ -16,11 +16,9 @@
 // Concurrency: Extender, ModDowner and Rescaler are immutable after
 // construction apart from an internal scratch pool, and are safe for
 // concurrent use from multiple goroutines — one table serves every caller of
-// its basis, whatever fan-out each wants. The hot paths (ConvertRows,
-// ModDownNTT, RescaleNTT) take a workers argument that fans the independent
-// per-limb loops out across goroutines following ring.Workers semantics — the
-// lane-level parallelism the FAST accelerator's BConvU array provides in
-// hardware; the coefficient-domain references run serially.
+// its basis. Every kernel here is serial: the key switch and the evaluator
+// fan out above them, one task per ModUp digit or per ciphertext component,
+// so a kernel call is the unit of work a worker runs.
 package rns
 
 import (
@@ -149,7 +147,7 @@ func (e *Extender) scratchRows(n int) (*rowMatrix, *rowPool) {
 // source limb: src[i][k] is coefficient k mod q_i) into dst (dst[j][k] mod
 // p_j). src and dst must have matching coefficient counts. Source rows may be
 // lazily reduced ([0, 2q_i), e.g. straight out of ring.NTTTable.InverseLazy);
-// outputs are fully reduced. Safe for concurrent use; serial.
+// outputs are fully reduced. Safe for concurrent use.
 //
 // The ℓ-term inner product y_j[k] = Σ_i t_i[k] * (Q/q_i mod p_j) — the matrix
 // product the accelerator's BConvU systolic array executes — is accumulated
@@ -159,16 +157,15 @@ func (e *Extender) scratchRows(n int) (*rowMatrix, *rowPool) {
 // AccumCapacity terms (≥ 8 even at the 61-bit cap); longer source bases fold
 // the accumulator through an intermediate Barrett reduction.
 func (e *Extender) Convert(src, dst [][]uint64) {
-	e.ConvertRows(src, dst, nil, 1)
+	e.ConvertRows(src, dst, nil)
 }
 
 // ConvertRows is Convert with the destination rows picked out of a larger row
 // set: target limb j is written to rows[idx[j]] (rows[j] when idx is nil). It
 // lets a caller that converts into the gaps of one polynomial — ModUp writes
 // every row but the digit's own — keep one precomputed index list per
-// extender instead of assembling a destination slice per call. The per-limb
-// work is fanned out across workers goroutines (ring.Workers convention).
-func (e *Extender) ConvertRows(src, rows [][]uint64, idx []int, workers int) {
+// extender instead of assembling a destination slice per call.
+func (e *Extender) ConvertRows(src, rows [][]uint64, idx []int) {
 	// INVARIANT: basis shapes are derived from one validated parameter set.
 	// A panic here is a repo-internal bug, never a reaction to caller input —
 	// malformed inputs are rejected with typed errors at the public boundary.
@@ -186,35 +183,26 @@ func (e *Extender) ConvertRows(src, rows [][]uint64, idx []int, workers int) {
 	// always fully reduced.
 	t, rp := e.scratchRows(n)
 	defer rp.put(t)
-	ring.ForEachLimbRange(len(e.From), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			m := e.From[i]
-			inv, invSho := e.qhatInv[i], e.qhatInvSho[i]
-			m.ShoupMulVec(t.rows[i], src[i][:n], inv, invSho)
-		}
-	})
+	for i, m := range e.From {
+		m.ShoupMulVec(t.rows[i], src[i][:n], e.qhatInv[i], e.qhatInvSho[i])
+	}
 	l := len(e.From)
-	tRows := t.rows[:l]
-	backing := t.backing
-	ring.ForEachLimbRange(len(e.To), workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			mp := e.To[j]
-			dj := rows[j]
-			if idx != nil {
-				dj = rows[idx[j]]
-			}
-			ws := e.qhatModP[j]
-			if capTerms := mp.AccumCapacity(); l > capTerms {
-				convertFold(mp, tRows, ws, dj, n, capTerms)
-				continue
-			}
-			// The scratch arena has the rows at stride n, so the inner
-			// product runs over the contiguous backing (vectorized when the
-			// assembly kernels are in). The precomputed Shoup companions let
-			// short bases take the per-term lazy-Shoup kernel.
-			mp.BConvAccumShoup(dj[:n], backing, n, ws[:l], e.qhatModPSho[j][:l], e.srcBound)
+	for j, mp := range e.To {
+		dj := rows[j]
+		if idx != nil {
+			dj = rows[idx[j]]
 		}
-	})
+		ws := e.qhatModP[j]
+		if capTerms := mp.AccumCapacity(); l > capTerms {
+			convertFold(mp, t.rows[:l], ws, dj, n, capTerms)
+			continue
+		}
+		// The scratch arena has the rows at stride n, so the inner product
+		// runs over the contiguous backing (vectorized when the assembly
+		// kernels are in). The precomputed Shoup companions let short bases
+		// take the per-term lazy-Shoup kernel.
+		mp.BConvAccumShoup(dj[:n], t.backing, n, ws[:l], e.qhatModPSho[j][:l], e.srcBound)
+	}
 }
 
 // convertFold is the long-base fallback of Convert: when the source base has
@@ -295,8 +283,7 @@ func (d *ModDowner) scratchRows(n int) (*rowMatrix, *rowPool) {
 // ModDown computes out_i = (xQ_i - conv(xP)_i) * P^-1 mod q_i for each main
 // limb. xQ has len(Q) rows, xP len(P) rows, out len(Q) rows; all in
 // coefficient form. Input rows may be lazily reduced ([0, 2q); e.g. straight
-// out of InverseLazy); outputs are fully reduced. Safe for concurrent use;
-// serial.
+// out of InverseLazy); outputs are fully reduced. Safe for concurrent use.
 func (d *ModDowner) ModDown(xQ, xP, out [][]uint64) {
 	// INVARIANT: ModDown operands are sized by the key switcher from the same chain.
 	// A panic here is a repo-internal bug, never a reaction to caller input —
@@ -325,9 +312,8 @@ func (d *ModDowner) ModDown(xQ, xP, out [][]uint64) {
 // routes end fully reduced, so out holds exactly the bytes ModDown followed by
 // a forward NTT would: |P| + len(Q) transforms instead of the 2·len(Q) + |P|
 // of that route. Rows may be lazily reduced ([0, 2q)); out must not alias xQ.
-// Safe for concurrent use; the per-limb work is fanned out across workers
-// goroutines (ring.Workers convention).
-func (d *ModDowner) ModDownNTT(xQ, xP, out [][]uint64, tQ, tP []*ring.NTTTable, workers int) {
+// Safe for concurrent use.
+func (d *ModDowner) ModDownNTT(xQ, xP, out [][]uint64, tQ, tP []*ring.NTTTable) {
 	// INVARIANT: ModDown operands are sized by the key switcher from the same chain.
 	// A panic here is a repo-internal bug, never a reaction to caller input —
 	// malformed inputs are rejected with typed errors at the public boundary.
@@ -335,21 +321,17 @@ func (d *ModDowner) ModDownNTT(xQ, xP, out [][]uint64, tQ, tP []*ring.NTTTable, 
 		panic("rns: ModDownNTT limb mismatch")
 	}
 	n := len(xQ[0])
-	ring.ForEachLimbRange(len(d.P), workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			tP[j].InverseLazy(xP[j][:n])
-		}
-	})
+	for j, t := range tP {
+		t.InverseLazy(xP[j][:n])
+	}
 	// The conversion lands in out (fully reduced, < q) and is transformed and
 	// subtracted there: ShoupMulSubVec allows dst to alias sub.
-	d.conv.ConvertRows(xP, out, nil, workers)
-	ring.ForEachLimbRange(len(d.Q), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			oi := out[i][:n]
-			tQ[i].Forward(oi)
-			d.Q[i].ShoupMulSubVec(oi, xQ[i][:n], oi, d.pInvMod[i], d.pInvModSho[i])
-		}
-	})
+	d.conv.ConvertRows(xP, out, nil)
+	for i, m := range d.Q {
+		oi := out[i][:n]
+		tQ[i].Forward(oi)
+		m.ShoupMulSubVec(oi, xQ[i][:n], oi, d.pInvMod[i], d.pInvModSho[i])
+	}
 }
 
 // Rescaler divides a ciphertext polynomial by its top limb prime, the CKKS
@@ -384,7 +366,7 @@ func NewRescaler(moduli []ring.Modulus) *Rescaler {
 // Rescale drops the last limb of x (level = len(x)-1) writing (x - x_l)/q_l
 // into out, which must have one fewer limb. Inputs in coefficient form; rows
 // may be lazily reduced ([0, 2q)); outputs are fully reduced. Safe for
-// concurrent use; serial.
+// concurrent use.
 func (r *Rescaler) Rescale(x, out [][]uint64) {
 	l := len(x) - 1
 	// INVARIANT: Rescale at level 0 is rejected with ErrLevelExhausted at the evaluator boundary.
@@ -415,9 +397,8 @@ func (r *Rescaler) Rescale(x, out [][]uint64) {
 // integer: the dropped limb goes through the full Inverse, whose canonical
 // representative is the one Rescale reduces into each q_i (a lazy one would
 // shift outputs by q_l^-1). Rows of x may be lazily reduced ([0, 2q));
-// outputs are fully reduced. Safe for concurrent use; the per-limb work is
-// fanned out across workers goroutines (ring.Workers convention).
-func (r *Rescaler) RescaleNTT(x, out [][]uint64, tables []*ring.NTTTable, workers int) {
+// outputs are fully reduced. Safe for concurrent use.
+func (r *Rescaler) RescaleNTT(x, out [][]uint64, tables []*ring.NTTTable) {
 	l := len(x) - 1
 	// INVARIANT: Rescale at level 0 is rejected with ErrLevelExhausted at the evaluator boundary.
 	// A panic here is a repo-internal bug, never a reaction to caller input —
@@ -432,12 +413,10 @@ func (r *Rescaler) RescaleNTT(x, out [][]uint64, tables []*ring.NTTTable, worker
 	copy(xl, x[l][:n])
 	tables[l].Inverse(xl)
 	xlBound := r.Moduli[l].Q
-	limb := func(i int) {
-		m, oi := r.Moduli[i], out[i][:n]
+	for i, m := range r.Moduli[:l] {
+		oi := out[i][:n]
 		m.ReduceForeignVec(oi, xl, xlBound)
 		tables[i].Forward(oi)
 		m.ShoupMulSubVec(oi, x[i][:n], oi, r.qlInv[l][i], r.qlInvSho[l][i])
 	}
-	ring.ForEachLimb(l-1, workers, limb)
-	limb(l - 1)
 }

@@ -24,8 +24,11 @@ type contextSettings struct {
 }
 
 // WithParallelism caps the number of worker goroutines each homomorphic
-// operation fans its limb-level kernels (NTT, BConv/ModUp, KeyMult, ModDown,
-// Rescale) out to:
+// operation fans its stages out to. Each stage forks once, over its coarsest
+// independent unit: a ModUp over its digits, a KeyMult over its rows, a
+// ModDown and a Rescale over their two components, a Mul's tensor and final
+// additions and a rotation's c0 additions over their limbs; the calling
+// goroutine runs one share of every fork itself.
 //
 //	n == 0  (the default) or 1 keeps each operation on its calling
 //	        goroutine — the right setting when many goroutines evaluate
@@ -35,8 +38,9 @@ type contextSettings struct {
 //	n < 0   uses GOMAXPROCS workers.
 //
 // This is the software analogue of the FAST accelerator's scalable lane
-// parallelism: RNS limbs are independent, so the same kernels run serially,
-// per-operation-parallel, or request-parallel without changing results.
+// parallelism: digits, components and limbs are independent, so the same
+// kernels run serially, per-operation-parallel, or request-parallel without
+// changing results.
 func WithParallelism(n int) Option {
 	return func(s *contextSettings) { s.cfg.Parallelism = n }
 }

@@ -378,6 +378,26 @@ func TestMethodIsOneType(t *testing.T) {
 	}
 }
 
+// deepProgram is benchmark/oracle.go's lib_deep program: three
+// multiplications, a 4-way rotate-and-sum and two chained rotations.
+func deepProgram() *Program {
+	return NewProgram().In("x").
+		Mul("m1", "x", "x").Mul("m2", "m1", "m1").
+		Rotate("r1", "m2", 1).Rotate("r2", "m2", 2).Rotate("r3", "m2", 4).Rotate("r4", "m2", 8).
+		Add("a1", "r1", "r2").Add("a2", "r3", "r4").Add("a3", "a1", "a2").
+		Mul("m3", "a3", "m2").
+		Rotate("c1", "m3", 16).Rotate("c2", "c1", 32).
+		AddConst("out", "c2", 0.25).
+		Return("out")
+}
+
+// deepConfig is lib_deep's context shape at a size: (13, 11) is the
+// benchmark's, (9, 5) its toy.
+func deepConfig(logN, levels int) ContextConfig {
+	return ContextConfig{LogN: logN, Levels: levels, LogScale: 36,
+		Rotations: []int{1, 2, 4, 8, 16, 32}, EnableKLSS: true, Seed: 7}
+}
+
 // TestPlanGoldenBenchmarkPrograms pins what the planner decides for the
 // programs the benchmark runs (benchmark/oracle.go: fanoutProgram is serve_*,
 // deepProgram is lib_deep) at the benchmark's full and toy sizes. Units,
@@ -402,24 +422,10 @@ func TestPlanGoldenBenchmarkPrograms(t *testing.T) {
 			Add("s1", "a", "b").Add("s2", "s1", "c").AddConst("out", "s2", 0.5).
 			Return("out")
 	}
-	deep := func() *Program {
-		return NewProgram().In("x").
-			Mul("m1", "x", "x").Mul("m2", "m1", "m1").
-			Rotate("r1", "m2", 1).Rotate("r2", "m2", 2).Rotate("r3", "m2", 4).Rotate("r4", "m2", 8).
-			Add("a1", "r1", "r2").Add("a2", "r3", "r4").Add("a3", "a1", "a2").
-			Mul("m3", "a3", "m2").
-			Rotate("c1", "m3", 16).Rotate("c2", "c1", 32).
-			AddConst("out", "c2", 0.25).
-			Return("out")
-	}
 	serveCfg := func(logN int) ContextConfig {
 		cfg := DefaultConfig()
 		cfg.LogN, cfg.Seed = logN, 7
 		return cfg
-	}
-	deepCfg := func(logN, levels int) ContextConfig {
-		return ContextConfig{LogN: logN, Levels: levels, LogScale: 36,
-			Rotations: []int{1, 2, 4, 8, 16, 32}, EnableKLSS: true, Seed: 7}
 	}
 	const fanoutDec = "0:rotate@5:0:g0:h3:fs2 1:rotate@5:0:g0:h3:fs2 2:rotate@5:0:g0:h3:fs2 "
 	for _, row := range []struct {
@@ -435,10 +441,10 @@ func TestPlanGoldenBenchmarkPrograms(t *testing.T) {
 	}{
 		{"serve/toy", serveCfg(9), fanout(), false, 3, 241664, "plan-512d34b9d61fa788", "[[0 1 2]]", fanoutDec},
 		{"serve/full", serveCfg(11), fanout(), false, 3, 1.048576e+06, "plan-512d34b9d61fa788", "[[0 1 2]]", fanoutDec},
-		{"lib_deep/toy", deepCfg(9, 5), deep(), false, 7, 741632, "plan-6c0eefeebf3cb618", "[[2 3 4 5] [10] [11]]",
+		{"lib_deep/toy", deepConfig(9, 5), deepProgram(), false, 7, 741632, "plan-6c0eefeebf3cb618", "[[2 3 4 5] [10] [11]]",
 			"0:mul@5:0:g-1:h1 1:mul@4:0:g-1:h1 2:rotate@3:0:g0:h4:fa3 3:rotate@3:0:g0:h4:fa3 4:rotate@3:0:g0:h4:fa3 5:rotate@3:0:g0:h4:fa3 " +
 				"9:mul@3:0:g-1:h1 10:rotate@2:0:g1:h1 11:rotate@2:0:g2:h1 "},
-		{"lib_deep/full", deepCfg(13, 11), deep(), true, 7, 4.9348608e+07, "plan-da2553aef434ddef", "[[2 3 4 5] [10] [11]]",
+		{"lib_deep/full", deepConfig(13, 11), deepProgram(), true, 7, 4.9348608e+07, "plan-da2553aef434ddef", "[[2 3 4 5] [10] [11]]",
 			"0:mul@11:0:g-1:h1 1:mul@10:0:g-1:h1 2:rotate@9:0:g0:h4:fa3 3:rotate@9:0:g0:h4:fa3 4:rotate@9:0:g0:h4:fa3 5:rotate@9:0:g0:h4:fa3 " +
 				"9:mul@9:0:g-1:h1 10:rotate@8:0:g1:h1 11:rotate@8:0:g2:h1 "},
 	} {
