@@ -302,9 +302,9 @@ func (ks *KeySwitcher) modUpDigit(cc *cancelCheck, c ring.Poly, level, j int, e 
 	}
 	lo, hi := j*ks.alpha, min((j+1)*ks.alpha, level+1)
 	own := out.Coeffs[lo:hi]
-	for i := lo; i < hi; i++ {
-		copy(own[i-lo], c.Coeffs[i])
-		ks.keyRing.Tables[i].InverseLazy(own[i-lo])
+	for k, row := range own {
+		copy(row, c.Coeffs[lo+k])
+		ks.keyRing.Tables[lo+k].InverseLazy(row)
 	}
 	e.ext.ConvertRows(own, out.Coeffs, e.rows)
 	for _, i := range e.rows {
@@ -313,8 +313,8 @@ func (ks *KeySwitcher) modUpDigit(cc *cancelCheck, c ring.Poly, level, j int, e 
 		}
 		ks.tableFor(level, i).Forward(out.Coeffs[i])
 	}
-	for i := lo; i < hi; i++ {
-		copy(out.Coeffs[i], c.Coeffs[i])
+	for k, row := range own {
+		copy(row, c.Coeffs[lo+k])
 	}
 }
 
@@ -381,8 +381,8 @@ func (ks *KeySwitcher) keyMult(cc *cancelCheck, d *Decomposition, terms []ksTerm
 	tS := ks.keyRing.Tables[qLen : qLen+ks.sLen]
 	pairs := [2][2]ring.Poly{{acc0, d0}, {acc1, d1}}
 	ring.ForEachLimb(2, ks.parallelism, func(c int) {
-		if acc, d := pairs[c][0], pairs[c][1]; !cc.stopped() {
-			tl.downer.ModDownNTT(acc.Coeffs[:level+1], acc.Coeffs[level+1:rows], d.Coeffs, tQ, tS)
+		if acc := pairs[c][0]; !cc.stopped() {
+			tl.downer.ModDownNTT(acc.Coeffs[:level+1], acc.Coeffs[level+1:rows], pairs[c][1].Coeffs, tQ, tS)
 		}
 	})
 	if err := cc.err("ModDown"); err != nil {
